@@ -25,7 +25,7 @@ from .chain import TransitionModel
 from .compiled import CompiledModel, compile_model
 from .distributions import SparseDistribution
 
-__all__ = ["ObservationContradictionError", "AdaptedModel", "adapt_model"]
+__all__ = ["ObservationContradictionError", "Segment", "AdaptedModel", "adapt_model"]
 
 RowDist = tuple[np.ndarray, np.ndarray]
 
@@ -37,6 +37,39 @@ class ObservationContradictionError(ValueError):
     observed state with zero forward probability means the chain's support
     cannot explain the data.
     """
+
+
+@dataclass
+class Segment:
+    """Derived state of one inter-observation stretch of an adapted model.
+
+    The unit of reuse on the write path: everything here is a pure function
+    of :attr:`key` and the chain, so a model adapted after one more fix
+    shares the records of every stretch the fix did not touch.
+
+    Attributes
+    ----------
+    key:
+        ``(t0, s0, t1, s1)`` — the bounding fixes; ``s1`` is ``None`` for
+        the open cone past the last observation (``extend_to``).
+    transitions:
+        ``F(t)`` rows for ``t0 <= t < t1``.
+    posteriors:
+        Posterior marginals for ``t0 <= t < t1`` (the cone: ``t0 < t <=
+        t1``); the posterior at the closing fix is the point ``s1``.
+    forwards:
+        Forward marginals for ``t0 < t <= t1``.
+    compiled:
+        ``(layers, initials)`` of these tics once
+        :func:`~repro.markov.compiled.compile_model` has flattened them —
+        carried along with the record, so they are flattened once.
+    """
+
+    key: tuple[int, int | None, int, int | None]
+    transitions: dict[int, dict[int, RowDist]]
+    posteriors: dict[int, SparseDistribution]
+    forwards: dict[int, SparseDistribution]
+    compiled: tuple[dict, dict] | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass
@@ -66,9 +99,28 @@ class AdaptedModel:
     posteriors: dict[int, SparseDistribution]
     forwards: dict[int, SparseDistribution]
     observation_times: tuple[int, ...] = field(default=())
+    #: The chain the model was adapted under and its per-stretch records
+    #: (set by :func:`adapt_model`).  A hand-assembled model is one
+    #: anonymous stretch over its own dicts: nothing matches its key.
+    chain: TransitionModel | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
+    segments: tuple[Segment, ...] = field(
+        default=(), init=False, repr=False, compare=False
+    )
     _compiled: CompiledModel | None = field(
         default=None, init=False, repr=False, compare=False
     )
+
+    def __post_init__(self) -> None:
+        self.segments = (
+            Segment(
+                (self.t_first, None, self.t_last, None),
+                self.transitions,
+                self.posteriors,
+                self.forwards,
+            ),
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -194,8 +246,15 @@ def adapt_model(
     chain: TransitionModel,
     observations: list[tuple[int, int]],
     extend_to: int | None = None,
+    donor: AdaptedModel | None = None,
 ) -> AdaptedModel:
-    """Run Algorithm 2: forward and backward phase.
+    """Run Algorithm 2: forward and backward phase, one segment at a time.
+
+    Observations are certain, so both sweeps factorise at every fix: the
+    forward marginal collapses to a point there and the posterior at an
+    observation tic is exactly ``([θ], [1.0])``.  ``F(t)`` between two
+    consecutive fixes is therefore a pure function of that pair and the
+    chain, and the model is assembled from one :class:`Segment` per pair.
 
     Parameters
     ----------
@@ -210,6 +269,12 @@ def adapt_model(
         time using the unconditioned a-priori chain (there is no future
         evidence to incorporate) — e.g. Example 1 of the paper, where all
         uncertainty lies *after* the single observation per object.
+    donor:
+        A model adapted earlier under the same ``chain`` object (typically
+        the one a newly ingested fix replaced).  Segments whose bounding
+        fixes are unchanged are carried over from it — shared, not copied,
+        and byte-identical to recomputing them; a donor of another chain
+        is ignored.
 
     Returns
     -------
@@ -233,21 +298,59 @@ def adapt_model(
         if not 0 <= state < chain.n_states:
             raise ValueError(f"observed state {state} outside state space")
 
-    obs_by_time = dict(obs)
-    t_first, t_last = times[0], times[-1]
+    carried: dict[tuple, Segment] = (
+        {seg.key: seg for seg in donor.segments}
+        if donor is not None and donor.chain is chain
+        else {}
+    )
+    # Segments are visited in time order, so the earliest contradiction is
+    # the one raised — carried-over segments have none.
+    segments = [
+        carried.get((t0, s0, t1, s1)) or _adapt_segment(chain, t0, s0, t1, s1)
+        for (t0, s0), (t1, s1) in zip(obs, obs[1:])
+    ]
+    (t_first, s_first), (t_last, s_last) = obs[0], obs[-1]
+    t_cover = t_last
+    if extend_to is not None and int(extend_to) > t_last:
+        t_cover = int(extend_to)
+        segments.append(
+            carried.get((t_last, s_last, t_cover, None))
+            or _extend_segment(chain, t_last, s_last, t_cover)
+        )
 
+    transitions: dict[int, dict[int, RowDist]] = {}
+    posteriors = {t_last: SparseDistribution.point(s_last)}
+    forwards = {t_first: SparseDistribution.point(s_first)}
+    for seg in segments:
+        transitions.update(seg.transitions)
+        posteriors.update(seg.posteriors)
+        forwards.update(seg.forwards)
+    model = AdaptedModel(
+        t_first=t_first,
+        t_last=t_cover,
+        transitions=transitions,
+        posteriors=posteriors,
+        forwards=forwards,
+        observation_times=tuple(times),
+    )
+    model.chain, model.segments = chain, tuple(segments)
+    return model
+
+
+def _adapt_segment(
+    chain: TransitionModel, t0: int, s0: int, t1: int, s1: int
+) -> Segment:
+    """Algorithm 2 between the consecutive fixes ``(t0, s0)`` and ``(t1, s1)``."""
     # ------------------------------------------------------------------
     # Forward phase (Algorithm 2, lines 2-10): propagate with the a-priori
-    # chain, recording the time-reversed matrices R(t) and conditioning on
-    # each observation as it is reached.
+    # chain from the certain start, recording the time-reversed matrices
+    # R(t), and condition on the closing observation when it is reached.
     # ------------------------------------------------------------------
     forwards: dict[int, SparseDistribution] = {}
     reverse: dict[int, dict[int, RowDist]] = {}
+    current = SparseDistribution.point(s0)
 
-    current = SparseDistribution.point(obs_by_time[t_first])
-    forwards[t_first] = current
-
-    for t in range(t_first + 1, t_last + 1):
+    for t in range(t0 + 1, t1 + 1):
         matrix = chain.matrix_at(t - 1)
         rows = matrix[current.states]
         # X'(t) of Algorithm 2 (transposed layout): entry (j_local, i) is
@@ -270,29 +373,26 @@ def adapt_model(
             rows_of_t[int(i)] = (prev_states[order], probs[order])
         reverse[t] = rows_of_t
 
-        marginal = SparseDistribution(active, col_sums[active] / col_sums[active].sum())
-        observed = obs_by_time.get(t)
-        if observed is not None:
-            if marginal.probability_of(observed) <= 0.0:
+        current = SparseDistribution(active, col_sums[active] / col_sums[active].sum())
+        if t == t1:
+            if current.probability_of(s1) <= 0.0:
                 raise ObservationContradictionError(
-                    f"observation (t={t}, state={observed}) has zero probability "
+                    f"observation (t={t}, state={s1}) has zero probability "
                     "under the a-priori chain given earlier observations"
                 )
-            marginal = SparseDistribution.point(observed)
-        forwards[t] = marginal
-        current = marginal
+            current = SparseDistribution.point(s1)
+        forwards[t] = current
 
     # ------------------------------------------------------------------
-    # Backward phase (lines 12-16): traverse time backwards through R(t),
-    # producing the a-posteriori transitions F(t) and posterior marginals.
+    # Backward phase (lines 12-16): traverse time backwards through R(t)
+    # from the certain end, producing the a-posteriori transitions F(t)
+    # and posterior marginals.
     # ------------------------------------------------------------------
-    posteriors: dict[int, SparseDistribution] = {
-        t_last: SparseDistribution.point(obs_by_time[t_last])
-    }
+    posteriors: dict[int, SparseDistribution] = {}
     transitions: dict[int, dict[int, RowDist]] = {}
+    next_dist = SparseDistribution.point(s1)
 
-    for t in range(t_last - 1, t_first - 1, -1):
-        next_dist = posteriors[t + 1]
+    for t in range(t1 - 1, t0 - 1, -1):
         rows_rev = reverse[t + 1]
         prev_parts: list[np.ndarray] = []
         next_parts: list[np.ndarray] = []
@@ -320,37 +420,31 @@ def adapt_model(
             totals[idx] = total
             rows_fwd[int(state)] = (next_all[lo:hi].copy(), mass / total)
         transitions[t] = rows_fwd
-        posteriors[t] = SparseDistribution(uniq, totals / totals.sum())
+        next_dist = posteriors[t] = SparseDistribution(uniq, totals / totals.sum())
 
-    # ------------------------------------------------------------------
-    # Optional forward extension past the last observation: with no future
-    # evidence, the a-posteriori transitions equal the a-priori chain
-    # restricted to the reachable support.
-    # ------------------------------------------------------------------
-    t_cover = t_last
-    if extend_to is not None and int(extend_to) > t_last:
-        t_cover = int(extend_to)
-        current = posteriors[t_last]
-        for t in range(t_last, t_cover):
-            matrix = chain.matrix_at(t)
-            rows_fwd = {}
-            for state in current.states:
-                row = matrix.getrow(int(state))
-                if row.nnz == 0:
-                    raise ObservationContradictionError(
-                        f"state {state} has no successors at time {t}"
-                    )
-                rows_fwd[int(state)] = (row.indices.astype(np.intp), row.data.copy())
-            transitions[t] = rows_fwd
-            current = current.propagate(matrix)
-            posteriors[t + 1] = current
-            forwards[t + 1] = current
+    return Segment((t0, s0, t1, s1), transitions, posteriors, forwards)
 
-    return AdaptedModel(
-        t_first=t_first,
-        t_last=t_cover,
-        transitions=transitions,
-        posteriors=posteriors,
-        forwards=forwards,
-        observation_times=tuple(times),
-    )
+
+def _extend_segment(chain: TransitionModel, t0: int, s0: int, t1: int) -> Segment:
+    """The open cone past the last fix ``(t0, s0)`` up to ``t1``.
+
+    With no future evidence, the a-posteriori transitions equal the
+    a-priori chain restricted to the reachable support.
+    """
+    transitions: dict[int, dict[int, RowDist]] = {}
+    marginals: dict[int, SparseDistribution] = {}
+    current = SparseDistribution.point(s0)
+    for t in range(t0, t1):
+        matrix = chain.matrix_at(t)
+        rows_fwd = {}
+        for state in current.states:
+            row = matrix.getrow(int(state))
+            if row.nnz == 0:
+                raise ObservationContradictionError(
+                    f"state {state} has no successors at time {t}"
+                )
+            rows_fwd[int(state)] = (row.indices.astype(np.intp), row.data.copy())
+        transitions[t] = rows_fwd
+        current = current.propagate(matrix)
+        marginals[t + 1] = current
+    return Segment((t0, s0, t1, None), transitions, marginals, marginals)

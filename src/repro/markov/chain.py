@@ -77,26 +77,26 @@ class TransitionModel:
         return row.indices.copy(), row.data.copy()
 
     def support(self, t: int) -> sparse.csr_matrix:
-        """Boolean structure of ``matrix_at(t)`` (used for reachability)."""
+        """Boolean structure of ``matrix_at(t)`` as a matrix (a copy per call;
+        reachability sweeps read the cached :meth:`adjacency` instead)."""
         mat = self.matrix_at(t)
         out = mat.copy()
         out.data = np.ones_like(out.data)
         return out
 
-    def compiled_step(self, t: int) -> CompiledMatrix:
-        """Cached :class:`~repro.markov.compiled.CompiledMatrix` for time ``t``.
+    def _per_matrix(self, name: str, t: int, build):
+        """``build(matrix_at(t))``, cached per distinct matrix under ``name``.
 
-        Compilation is keyed by the identity of ``matrix_at(t)``, so the
-        homogeneous chain pays it once and an inhomogeneous chain once per
-        distinct matrix.  Each entry pins the keyed matrix, so a recycled
-        ``id()`` can never alias a different matrix; when the cache is full
-        the oldest entry is dropped (not the whole cache — a clear-all
-        would recompile every timestep of a long inhomogeneous chain on
-        each sampling pass), which also bounds exotic subclasses that
-        build a fresh matrix per call.
+        Keyed by the identity of ``matrix_at(t)``, so the homogeneous chain
+        pays ``build`` once and an inhomogeneous chain once per distinct
+        matrix.  Each entry pins the keyed matrix, so a recycled ``id()``
+        can never alias a different matrix; when the cache is full one
+        entry is dropped (not the whole cache — a clear-all would rebuild
+        every timestep of a long inhomogeneous chain on each pass), which
+        also bounds exotic subclasses that build a fresh matrix per call.
         """
-        cache: dict[int, tuple[sparse.spmatrix, CompiledMatrix]] = (
-            self.__dict__.setdefault("_compiled_steps", {})
+        cache: dict[int, tuple[sparse.spmatrix, object]] = self.__dict__.setdefault(
+            name, {}
         )
         matrix = self.matrix_at(t)
         entry = cache.get(id(matrix))
@@ -105,11 +105,40 @@ class TransitionModel:
                 # Evict the *newest* entry: cyclic timestep scans (the only
                 # realistic way to exceed the cap) keep their prefix hot this
                 # way, whereas FIFO/LRU would evict each entry just before
-                # the next pass needs it and recompile everything.
+                # the next pass needs it and rebuild everything.
                 cache.popitem()
-            entry = (matrix, CompiledMatrix(matrix))
+            entry = (matrix, build(matrix))
             cache[id(matrix)] = entry
         return entry[1]
+
+    def compiled_step(self, t: int) -> CompiledMatrix:
+        """Cached :class:`~repro.markov.compiled.CompiledMatrix` for time ``t``
+        (one per distinct matrix, see :meth:`_per_matrix`)."""
+        return self._per_matrix("_compiled_steps", t, CompiledMatrix)
+
+    def adjacency(self, t: int, backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices)`` of the boolean structure of ``matrix_at(t)``.
+
+        Row ``i`` lists the successors of state ``i``; with ``backward`` the
+        structure is transposed and row ``j`` lists the predecessors of
+        ``j``.  Same entries as :meth:`support` (explicitly stored zeros
+        count as structure), without a matrix copy per call: both
+        orientations are cached per distinct matrix like
+        :meth:`compiled_step`.
+        """
+        if backward:
+            return self._per_matrix("_predecessors", t, _csc_structure)
+        return self._per_matrix("_successors", t, _csr_structure)
+
+
+def _csr_structure(matrix: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    csr = sparse.csr_matrix(matrix)
+    return csr.indptr, csr.indices
+
+
+def _csc_structure(matrix: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
+    csc = sparse.csc_matrix(matrix)
+    return csc.indptr, csc.indices
 
 
 class MarkovChain(TransitionModel):

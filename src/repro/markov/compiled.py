@@ -340,25 +340,41 @@ def _compile_rows(
     return CompiledLayer(support, indptr, local_next, cdfs)
 
 
-def compile_model(model: "AdaptedModel") -> CompiledModel:
-    """Compile an adapted model's ``F(t)`` rows into flat sampling arrays.
+def _initial_table(dist) -> tuple[np.ndarray, np.ndarray]:
+    return dist.states, np.cumsum(dist.probs)
 
-    One-time cost linear in the total number of transition entries; every
-    subsequent ``sample_paths`` call is fully vectorized.
-    """
-    initials = {}
-    for t in range(model.t_first, model.t_last + 1):
-        dist = model.posteriors[t]
-        initials[t] = (dist.states, np.cumsum(dist.probs))
+
+def _compile_stretch(model: "AdaptedModel", t0: int, t1: int) -> tuple[dict, dict]:
+    """Layers and initial tables of ``model`` for the tics ``t0 <= t < t1``."""
+    initials = {t: _initial_table(model.posteriors[t]) for t in range(t0, t1)}
     layers = {}
-    for t in range(model.t_first, model.t_last):
-        layer = _compile_rows(model.transitions[t], initials[t + 1][0])
+    for t in range(t0, t1):
+        layer = _compile_rows(model.transitions[t], model.posteriors[t + 1].states)
         if not np.array_equal(layer.support, initials[t][0]):
             raise ValueError(
                 "adapted model is inconsistent: transition rows at time "
                 f"{t} do not match the posterior support"
             )
         layers[t] = layer
+    return layers, initials
+
+
+def compile_model(model: "AdaptedModel") -> CompiledModel:
+    """Compile an adapted model's ``F(t)`` rows into flat sampling arrays.
+
+    One-time cost linear in the number of transition entries of the
+    stretches not compiled before — the flat arrays live on the model's
+    :class:`~repro.markov.adaptation.Segment` records, so stretches carried
+    over from an earlier model arrive compiled; every subsequent
+    ``sample_paths`` call is fully vectorized.
+    """
+    layers: dict[int, CompiledLayer] = {}
+    initials = {model.t_last: _initial_table(model.posteriors[model.t_last])}
+    for seg in model.segments:
+        if seg.compiled is None:
+            seg.compiled = _compile_stretch(model, seg.key[0], seg.key[2])
+        layers.update(seg.compiled[0])
+        initials.update(seg.compiled[1])
     return CompiledModel(model.t_first, model.t_last, layers, initials)
 
 

@@ -16,6 +16,7 @@ counters live in exactly one place.
 from __future__ import annotations
 
 import os
+import sys
 import traceback
 from time import perf_counter
 
@@ -43,23 +44,29 @@ __all__ = ["ShardWorkerState", "worker_main"]
 
 
 def _open_shm(name: str):
-    """Attach to a coordinator-created shared-memory segment.
+    """Attach to a coordinator-created shared-memory segment, untracked.
 
-    The child must not register the segment with its own resource
-    tracker: the coordinator owns the lifecycle (close + unlink after
-    gathering), and a duplicate registration makes Python 3.11's tracker
-    warn about — or double-unlink — segments it never created.
+    The coordinator owns the lifecycle (close + unlink after gathering)
+    and a spawned worker *shares the coordinator's resource-tracker
+    process*: registering the attachment there is at best a no-op, and
+    unregistering it afterwards removes the coordinator's own
+    registration, so its later ``unlink()`` makes the tracker print a
+    ``KeyError`` traceback per segment.  Python 3.13 has ``track=False``
+    for this; before that ``SharedMemory`` registers unconditionally, so
+    the ``register`` call is suppressed for the duration of the attach
+    (the worker loop is single-threaded — nothing else can register
+    meanwhile).
     """
-    from multiprocessing import shared_memory
+    from multiprocessing import resource_tracker, shared_memory
 
-    shm = shared_memory.SharedMemory(name=name)
+    if sys.version_info >= (3, 13):
+        return shared_memory.SharedMemory(name=name, track=False)
+    register = resource_tracker.register
+    resource_tracker.register = lambda name, rtype: None
     try:
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(shm._name, "shared_memory")
-    except Exception:  # pragma: no cover - tracker API is CPython-internal
-        pass
-    return shm
+        return shared_memory.SharedMemory(name=name)
+    finally:
+        resource_tracker.register = register
 
 
 class ShardWorkerState:

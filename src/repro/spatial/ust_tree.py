@@ -47,12 +47,18 @@ class _SegmentColumns:
     obj: np.ndarray  # (E,) row -> index into ``ids``
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True)
 class SegmentKey:
-    """Identifies one indexed segment: object + diamond index + time span."""
+    """Identifies one indexed segment: object + diamond index + time span.
+
+    An object's segments have distinct time spans, so the span is the
+    identity; ``segment`` — the position in ``db.diamonds_of(object_id)`` —
+    is renumbered in place when a fix earlier in the lifespan shifts the
+    entries the index keeps.
+    """
 
     object_id: str
-    segment: int
+    segment: int = field(compare=False)
     t_start: int
     t_end: int
 
@@ -133,6 +139,41 @@ class USTTree:
     # ------------------------------------------------------------------
     # incremental maintenance (streaming ingest)
     # ------------------------------------------------------------------
+    def _reindex(self, object_id: str, items: list[tuple[Rect, SegmentKey]]) -> int:
+        """Make ``items`` the object's index entries; returns how many
+        entries left the R*-tree.
+
+        Only what differs is touched: an entry whose time span and MBR are
+        unchanged stays where it is in the tree (its key renumbered in
+        place), so a fix costs the R*-tree the segments it reshaped, not
+        the object's lifespan.
+        """
+        stale = {
+            (key.t_start, key.t_end): (rect, key)
+            for rect, key in self._by_object.pop(object_id, ())
+        }
+        entries: list[tuple[Rect, SegmentKey]] = []
+        fresh: list[tuple[Rect, SegmentKey]] = []
+        for rect, key in items:
+            span = (key.t_start, key.t_end)
+            kept = stale.get(span)
+            if kept is not None and kept[0] == rect:
+                del stale[span]
+                kept[1].segment = key.segment
+                entries.append(kept)
+            else:
+                entries.append((rect, key))
+                fresh.append((rect, key))
+        removed = self.tree.delete_many(list(stale.values()))
+        self.tree.insert_many(fresh)
+        if entries:
+            self._by_object[object_id] = entries
+        self._n_segments += len(fresh) - removed
+        if fresh or stale:
+            self._columns = None
+        self._refine_tables.pop(object_id, None)
+        return removed
+
     def insert_object(self, object_id: str) -> int:
         """Index one (new) object's segments in place; returns the count.
 
@@ -147,38 +188,29 @@ class USTTree:
         if object_id in self._by_object:
             raise KeyError(f"object {object_id!r} is already indexed")
         entries = self._segment_items(object_id)
-        self.tree.insert_many(entries)
-        self._by_object[object_id] = entries
-        self._n_segments += len(entries)
-        self._columns = None
-        self._refine_tables.pop(object_id, None)
+        self._reindex(object_id, entries)
         return len(entries)
 
     def remove_object(self, object_id: str) -> int:
         """Drop one object's segments from the index; returns the count
         removed (0 when the object was not indexed)."""
-        object_id = str(object_id)
-        entries = self._by_object.pop(object_id, None)
-        if entries is None:
-            return 0
-        removed = self.tree.delete_many(entries)
-        self._n_segments -= removed
-        self._columns = None
-        self._refine_tables.pop(object_id, None)
-        return removed
+        return self._reindex(str(object_id), [])
 
     def update_object(self, object_id: str) -> None:
         """Re-index one object after a database mutation.
 
-        Removes the object's stale segment entries and — when the object
-        still exists — reinserts its freshly recomputed diamonds.  This is
-        the streaming path's alternative to rebuilding the whole tree per
-        ingested observation.
+        Diffs the object's indexed entries against its current diamonds —
+        none when the object is gone — and deletes / inserts only the
+        entries that differ: a head append inserts one entry, an interior
+        refinement deletes one and inserts two, whatever the lifespan.
+        This is the streaming path's alternative to rebuilding the whole
+        tree per ingested observation.
         """
         object_id = str(object_id)
-        self.remove_object(object_id)
-        if object_id in self.db:
-            self.insert_object(object_id)
+        self._reindex(
+            object_id,
+            self._segment_items(object_id) if object_id in self.db else [],
+        )
 
     def __contains__(self, object_id: str) -> bool:
         return str(object_id) in self._by_object

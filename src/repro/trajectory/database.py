@@ -13,7 +13,7 @@ import numpy as np
 
 from ..markov.chain import TransitionModel
 from ..statespace.base import StateSpace
-from .diamonds import Diamond, compute_diamonds
+from .diamonds import Diamond
 from .observation import Observation, ObservationSet
 from .trajectory import Trajectory, UncertainObject
 
@@ -46,7 +46,6 @@ class TrajectoryDatabase:
         self.space = space
         self.chain = chain
         self._objects: dict[str, UncertainObject] = {}
-        self._diamonds: dict[str, list[Diamond]] = {}
         self._version = 0
         self._order: dict[str, int] = {}
         self._order_counter = 0
@@ -205,7 +204,6 @@ class TrajectoryDatabase:
             raise KeyError(f"unknown object {object_id!r}")
         gone = self._objects[object_id]
         del self._objects[object_id]
-        self._diamonds.pop(object_id, None)
         self._order.pop(object_id, None)
         self._object_versions.pop(object_id, None)
         # Removal withdraws the object's contributions over its old span.
@@ -214,27 +212,18 @@ class TrajectoryDatabase:
     def add_observation(self, object_id: str, time: int, state: int) -> UncertainObject:
         """Ingest a new observation for an existing object.
 
-        The object's a-posteriori model and diamonds are recomputed lazily;
-        index structures detect the change through :attr:`version`.  A
-        duplicate observation time raises (observations are certain — two
-        conflicting certainties would be a data error).
+        The stored object is replaced by its successor
+        (:meth:`UncertainObject.with_observation`), which re-derives —
+        lazily, on next use — only the inter-observation segments the fix
+        touches and carries the rest of the a-posteriori model and the
+        diamonds over from the old object; index structures detect the
+        change through :attr:`version`.  A duplicate observation time
+        raises (observations are certain — two conflicting certainties
+        would be a data error).
         """
         old = self.get(object_id)
-        observations = ObservationSet(
-            list(old.observations) + [Observation(int(time), int(state))]
-        )
-        extend_to = old.extend_to
-        if extend_to is not None and extend_to < observations.last.time:
-            extend_to = None  # the new fix supersedes the extrapolation
-        replacement = UncertainObject(
-            old.object_id,
-            observations,
-            old.chain,
-            ground_truth=old.ground_truth,
-            extend_to=extend_to,
-        )
+        replacement = old.with_observation(time, state)
         self._objects[old.object_id] = replacement
-        self._diamonds.pop(old.object_id, None)
         # A fix at ``t`` reshapes only the diamonds between its neighboring
         # observations: segments outside ``[prev, next]`` recompute to
         # identical reachable sets (pure function of their own endpoint
@@ -345,10 +334,11 @@ class TrajectoryDatabase:
         serving layer's :func:`repro.serve.sharding.shard_of` content hash,
         so views built here agree with the shard router).  The view shares
         the state space, the a-priori chain and the ``UncertainObject``
-        instances themselves — objects are immutable value holders, every
-        mutation replaces the instance — but carries its own version
-        counter, mutation log and diamond cache, so a shard worker's
-        engine invalidates independently of the parent.  Insertion-order
+        instances themselves (with the models and diamonds cached on them)
+        — objects are immutable value holders, every mutation replaces the
+        instance — but carries its own version counter and mutation log,
+        so a shard worker's engine invalidates independently of the
+        parent.  Insertion-order
         indices restart from zero per view; the fused arena layout inside
         one shard therefore depends only on that shard's own history,
         which is what makes shard counts a pure partitioning choice.
@@ -378,13 +368,7 @@ class TrajectoryDatabase:
     # ------------------------------------------------------------------
     def diamonds_of(self, object_id: str) -> list[Diamond]:
         """Cached reachability diamonds of one object."""
-        object_id = str(object_id)
-        if object_id not in self._diamonds:
-            obj = self.get(object_id)
-            self._diamonds[object_id] = compute_diamonds(
-                obj.chain, obj.observations, extend_to=obj.extend_to
-            )
-        return self._diamonds[object_id]
+        return self.get(object_id).diamonds
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -12,9 +12,9 @@ Fig. 12.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ..markov.chain import TransitionModel
 from ..spatial.geometry import Rect
@@ -32,13 +32,21 @@ class Diamond:
     t_end: int
     #: ``states_per_tic[k]`` = possible states at time ``t_start + k``.
     states_per_tic: list[np.ndarray]
-    #: Lazy per-tic MBR cache.  A diamond's reachable sets are immutable
-    #: (mutations recompute whole diamonds), so the per-tic rects the
-    #: UST-tree's refinement step asks for — every standing query re-asks
-    #: for the same tics tick after tick — are computed once.
+    #: ``(t_start, state, t_end, state)`` of the bounding fixes (end state
+    #: ``None`` for the open cone) — what :func:`compute_diamonds` matches
+    #: a reusable diamond by; ``None`` on hand-built diamonds.
+    key: tuple | None = field(default=None, repr=False, compare=False)
+    #: Lazy per-tic MBR cache.  A diamond's reachable sets are immutable (a
+    #: new fix replaces only the diamonds it splits or adds; the others
+    #: live on in the object's next diamond list, caches included), so the
+    #: per-tic rects the UST-tree's refinement step asks for — every
+    #: standing query re-asks for the same tics tick after tick — are
+    #: computed once.
     _mbr_cache: dict = field(default_factory=dict, repr=False, compare=False)
     #: Lazy columnar form of the per-tic MBRs (see :meth:`mbr_arrays`).
     _mbr_arrays: tuple | None = field(default=None, repr=False, compare=False)
+    #: Lazy (x, y, time) box (see :meth:`spatio_temporal_mbr`).
+    _st_mbr: Rect | None = field(default=None, repr=False, compare=False)
 
     def states_at(self, t: int) -> np.ndarray:
         if not self.t_start <= t <= self.t_end:
@@ -55,11 +63,13 @@ class Diamond:
 
     def spatio_temporal_mbr(self, space: StateSpace) -> Rect:
         """3-d box (x, y, time) — what the UST-tree actually indexes."""
-        spatial = self.spatial_mbr(space)
-        return Rect(
-            spatial.lo + (float(self.t_start),),
-            spatial.hi + (float(self.t_end),),
-        )
+        if self._st_mbr is None:
+            spatial = self.spatial_mbr(space)
+            self._st_mbr = Rect(
+                spatial.lo + (float(self.t_start),),
+                spatial.hi + (float(self.t_end),),
+            )
+        return self._st_mbr
 
     def mbr_at(self, t: int, space: StateSpace) -> Rect:
         """Per-tic bounding rect (the dashed rectangles of Example 2)."""
@@ -91,12 +101,19 @@ class Diamond:
         return int(self.states_at(t).size)
 
 
-def _frontier_step(adjacency: sparse.csr_matrix, frontier: np.ndarray) -> np.ndarray:
-    """States reachable in exactly one step from any state in ``frontier``."""
+def _frontier_step(
+    indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
+) -> np.ndarray:
+    """States adjacent (per the CSR structure) to any state in ``frontier``."""
     if frontier.size == 0:
         return frontier
-    sub = adjacency[frontier]
-    return np.unique(sub.indices)
+    starts = indptr[frontier]
+    counts = indptr[frontier + 1] - starts
+    # Positions of the frontier rows' entries: each row's run start..end,
+    # laid end to end.
+    run_ends = np.cumsum(counts)
+    positions = np.arange(run_ends[-1]) + np.repeat(starts - (run_ends - counts), counts)
+    return np.unique(indices[positions])
 
 
 def reachable_states(
@@ -115,18 +132,36 @@ def reachable_states(
     """
     out = [np.asarray([start_state], dtype=np.intp)]
     for k in range(steps):
-        if backward:
-            matrix = chain.support(t_start - k - 1).T.tocsr()
-        else:
-            matrix = chain.support(t_start + k)
-        out.append(_frontier_step(matrix, out[-1]))
+        t = t_start - k - 1 if backward else t_start + k
+        out.append(_frontier_step(*chain.adjacency(t, backward), out[-1]))
     return out
+
+
+def _segment_diamond(
+    chain: TransitionModel, t0: int, s0: int, t1: int, s1: int
+) -> Diamond:
+    """The diamond between the consecutive fixes ``(t0, s0)`` and ``(t1, s1)``."""
+    gap = t1 - t0
+    fwd = reachable_states(chain, s0, t0, gap, backward=False)
+    bwd = reachable_states(chain, s1, t1, gap, backward=True)
+    per_tic: list[np.ndarray] = []
+    for k in range(gap + 1):
+        states = np.intersect1d(fwd[k], bwd[gap - k], assume_unique=True)
+        if states.size == 0:
+            raise ValueError(
+                f"empty diamond at t={t0 + k}: observations "
+                f"({t0},{s0}) -> ({t1},{s1}) "
+                "contradict the chain"
+            )
+        per_tic.append(states)
+    return Diamond(t_start=t0, t_end=t1, states_per_tic=per_tic, key=(t0, s0, t1, s1))
 
 
 def compute_diamonds(
     chain: TransitionModel,
     observations: ObservationSet,
     extend_to: int | None = None,
+    donor: Sequence[Diamond] = (),
 ) -> list[Diamond]:
     """One diamond per inter-observation segment.
 
@@ -134,35 +169,34 @@ def compute_diamonds(
     purely forward-reachable states covers the extension (no future
     observation bounds it).
 
+    A diamond is a pure function of its two bounding fixes and the chain,
+    so diamonds of ``donor`` — computed earlier under the same ``chain``
+    object, typically for the object a new fix replaced — whose fixes are
+    unchanged are returned as they are, MBR caches included; only the
+    others are computed.
+
     Raises ``ValueError`` if a segment's intersection is empty at any tic —
     that means the observations contradict the chain's support (the same
     condition :func:`repro.markov.adaptation.adapt_model` detects).
     """
+    carried = {d.key: d for d in donor if d.key is not None}
     diamonds: list[Diamond] = []
     for first, second in observations.segments():
-        gap = second.time - first.time
-        fwd = reachable_states(chain, first.state, first.time, gap, backward=False)
-        bwd = reachable_states(chain, second.state, second.time, gap, backward=True)
-        per_tic: list[np.ndarray] = []
-        for k in range(gap + 1):
-            states = np.intersect1d(fwd[k], bwd[gap - k], assume_unique=True)
-            if states.size == 0:
-                raise ValueError(
-                    f"empty diamond at t={first.time + k}: observations "
-                    f"({first.time},{first.state}) -> ({second.time},{second.state}) "
-                    "contradict the chain"
-                )
-            per_tic.append(states)
-        diamonds.append(
-            Diamond(t_start=first.time, t_end=second.time, states_per_tic=per_tic)
-        )
+        key = (first.time, first.state, second.time, second.state)
+        diamonds.append(carried.get(key) or _segment_diamond(chain, *key))
     last = observations.last
     if extend_to is not None and extend_to > last.time:
-        cone = reachable_states(
-            chain, last.state, last.time, extend_to - last.time, backward=False
-        )
+        key = (last.time, last.state, int(extend_to), None)
         diamonds.append(
-            Diamond(t_start=last.time, t_end=int(extend_to), states_per_tic=cone)
+            carried.get(key)
+            or Diamond(
+                t_start=last.time,
+                t_end=int(extend_to),
+                states_per_tic=reachable_states(
+                    chain, last.state, last.time, extend_to - last.time
+                ),
+                key=key,
+            )
         )
     if not diamonds:
         # Single-observation object: a degenerate diamond pinning the point.

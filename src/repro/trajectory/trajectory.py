@@ -15,7 +15,8 @@ import numpy as np
 from ..markov.adaptation import AdaptedModel, adapt_model
 from ..markov.chain import TransitionModel
 from ..markov.compiled import CompiledModel
-from .observation import ObservationSet
+from .diamonds import Diamond, compute_diamonds
+from .observation import Observation, ObservationSet
 
 __all__ = ["Trajectory", "UncertainObject"]
 
@@ -76,9 +77,12 @@ class Trajectory:
 class UncertainObject:
     """An uncertain moving object: id, observations, a-priori chain.
 
-    The a-posteriori :class:`AdaptedModel` (Algorithm 2) is computed on
-    first use and cached; experiment harnesses time this step explicitly
-    as the paper's "TS" series.
+    The a-posteriori :class:`AdaptedModel` (Algorithm 2) and the
+    reachability diamonds are computed on first use and cached; experiment
+    harnesses time the former explicitly as the paper's "TS" series.  An
+    object is an immutable value holder: a new fix yields a successor
+    (:meth:`with_observation`) that re-derives only the inter-observation
+    segments the fix touched and shares the rest with its predecessor.
     """
 
     def __init__(
@@ -101,6 +105,42 @@ class UncertainObject:
         if self.extend_to is not None and self.extend_to < observations.last.time:
             raise ValueError("extend_to must not precede the last observation")
         self._adapted: AdaptedModel | None = None
+        self._diamonds: list[Diamond] | None = None
+        # Derived state of the predecessor this object replaced, consulted
+        # (and released) by the first derivation here.
+        self._donor: AdaptedModel | None = None
+        self._diamond_donor: list[Diamond] = []
+
+    def with_observation(self, time: int, state: int) -> "UncertainObject":
+        """The successor object holding one more fix.
+
+        Observations are certain, so every inter-observation segment's
+        derived state — ``F(t)``, marginals, compiled layers, diamonds and
+        their MBRs — is a pure function of its two bounding fixes and the
+        chain.  The successor therefore inherits this object's adapted
+        model and diamonds as donors and re-derives only the segments the
+        fix splits, appends or prepends (and a superseded ``extend_to``
+        cone); everything else is carried over byte-identically.  A
+        duplicate observation time raises.
+        """
+        observations = ObservationSet(
+            list(self.observations) + [Observation(int(time), int(state))]
+        )
+        extend_to = self.extend_to
+        if extend_to is not None and extend_to < observations.last.time:
+            extend_to = None  # the new fix supersedes the extrapolation
+        successor = UncertainObject(
+            self.object_id,
+            observations,
+            self.chain,
+            ground_truth=self.ground_truth,
+            extend_to=extend_to,
+        )
+        # An object mutated again before it was ever adapted passes on the
+        # donor it received itself.
+        successor._donor = self._adapted or self._donor
+        successor._diamond_donor = self._diamonds or self._diamond_donor
+        return successor
 
     # ------------------------------------------------------------------
     @property
@@ -130,10 +170,29 @@ class UncertainObject:
     def adapted(self) -> AdaptedModel:
         """The cached a-posteriori model (computing it on first access)."""
         if self._adapted is None:
+            # A contradicting fix raises here on every access: the donor
+            # stays untouched and nothing half-built is kept.
             self._adapted = adapt_model(
-                self.chain, self.observations.as_pairs(), extend_to=self.extend_to
+                self.chain,
+                self.observations.as_pairs(),
+                extend_to=self.extend_to,
+                donor=self._donor,
             )
+            self._donor = None
         return self._adapted
+
+    @property
+    def diamonds(self) -> list[Diamond]:
+        """The cached reachability diamonds (computing them on first access)."""
+        if self._diamonds is None:
+            self._diamonds = compute_diamonds(
+                self.chain,
+                self.observations,
+                extend_to=self.extend_to,
+                donor=self._diamond_donor,
+            )
+            self._diamond_donor = []
+        return self._diamonds
 
     @property
     def compiled(self) -> CompiledModel:
@@ -144,8 +203,13 @@ class UncertainObject:
         return self._adapted is not None
 
     def invalidate_adaptation(self) -> None:
-        """Drop the cached model (after swapping chains in ablations)."""
+        """Drop the cached model (after swapping chains in ablations).
+
+        Inherited donors go with it — they were derived under the old chain.
+        """
         self._adapted = None
+        self._donor = None
+        self._diamond_donor = []
 
     def sample_states(
         self,

@@ -114,3 +114,48 @@ def test_smoke_load_two_workers():
             ra = monitor.tick(ev_a)
             rb = coord.tick(ev_b)
             assert_reports_identical(ra, rb, context=("load", t))
+
+
+_SHM_SCRIPT = """
+from repro.serve import ServeCoordinator
+from tests.serve.conftest import SEED, event_script, standard_subscriptions, twin_db
+
+if __name__ == "__main__":
+    db = twin_db()
+    with ServeCoordinator(
+        db, n_shards=2, seed=SEED, mode="process", n_samples=100, timeout=60
+    ) as coord:
+        for name, request in standard_subscriptions():
+            coord.subscribe(request, name=name)
+        for events in event_script(db):
+            coord.tick(events)
+    print("ticked")
+"""
+
+
+def test_shared_memory_leaves_no_tracebacks_and_no_segments(tmp_path):
+    """Workers attach to coordinator-owned segments without touching the
+    resource tracker they share with the coordinator.
+
+    The deployment runs in its own interpreter so that everything its
+    process tree writes to stderr — the coordinator, both workers and the
+    stdlib resource-tracker process — lands in one captured pipe.
+    """
+    import glob
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[2]
+    script = tmp_path / "serve_shm.py"
+    script.write_text(_SHM_SCRIPT)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    before = set(glob.glob("/dev/shm/psm_*"))
+    done = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=170
+    )
+    assert done.returncode == 0 and "ticked" in done.stdout, done.stderr[-2000:]
+    assert "Traceback" not in done.stderr and "KeyError" not in done.stderr, done.stderr[-2000:]
+    assert "leaked shared_memory" not in done.stderr, done.stderr[-2000:]
+    assert set(glob.glob("/dev/shm/psm_*")) <= before

@@ -177,7 +177,7 @@ class TestRefineAllCoveringDiamonds:
         db.add_object("a", [(0, 0), (3, 3)])
         # Hand-crafted overlap injected under the lazy diamond cache: the
         # tree and the refinement tables both read ``diamonds_of``.
-        db._diamonds["a"] = diamonds
+        db.get("a")._diamonds = diamonds
         return db
 
     def _diamonds(self):
