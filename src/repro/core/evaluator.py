@@ -43,6 +43,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from contextlib import contextmanager
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -50,7 +51,7 @@ import numpy as np
 from ..markov import native as native_tier
 from ..markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from ..obs.tracing import NULL_TRACER
-from ..spatial.ust_tree import PruningResult, USTTree
+from ..spatial.ust_tree import PruningResult, QueryCoordsError, USTTree, check_query_coords
 from ..trajectory.database import TrajectoryDatabase
 from ..trajectory.trajectory import UncertainObject
 from .estimators import EstimationContext, EstimateOutcome, make_estimator
@@ -67,6 +68,17 @@ from .results import (
 from .worlds import WorldCache
 
 __all__ = ["QueryEngine"]
+
+
+@dataclass
+class _FilterMemo:
+    """What one :meth:`QueryEngine.shared_filter` block shares."""
+
+    version: int
+    #: ``(times, k) -> {query: None}``: registered, not filtered yet.
+    pending: dict = field(default_factory=dict)
+    #: ``(query, times, k, reverse) -> PruningResult`` at ``version``.
+    results: dict = field(default_factory=dict)
 
 
 class QueryEngine:
@@ -86,7 +98,8 @@ class QueryEngine:
         Toggle UST-tree filtering (ablation hook).  Without pruning every
         object overlapping ``T`` is refined.
     refine_per_tic:
-        Tighten index bounds with per-tic diamond MBRs during pruning.
+        Tighten index bounds with per-tic diamond MBRs during pruning
+        (``False`` is an ablation, served by the reference loop).
     backend:
         Sampling backend for refinement: ``"compiled"`` (vectorized
         inverse-CDF, the default), ``"native"`` (the optional C kernel
@@ -136,12 +149,12 @@ class QueryEngine:
         database cannot say which objects changed
         (:meth:`TrajectoryDatabase.changed_since` returning ``None``).
     prune_vectorized:
-        When ``True`` (default) the UST-tree filter runs its columnar
-        implementation (one broadcasted distance pass over all
-        (segment, tic) pairs plus gathered per-tic MBR refinement);
-        ``False`` keeps the per-entry reference loop — the parity oracle,
-        and the PR-5 baseline of the ``monitor_tick`` benchmark.  Both
-        are bit-identical.
+        When ``True`` (default) the filter scans the UST-tree's per-tic
+        bound table (:meth:`USTTree.prune_many` — batched across the
+        requests of a tick or batch that share a window);  ``False``
+        keeps the per-entry reference loop over the R*-tree — the parity
+        oracle, and the PR-5 baseline of the ``monitor_tick`` benchmark.
+        Both are bit-identical.
     refine_cache_size:
         Capacity (entries) of the per-request refinement distance-tensor
         cache used by *shared-world* evaluations on an ``incremental``
@@ -224,6 +237,7 @@ class QueryEngine:
         self._ust = ust_tree
         if ust_tree is not None and metrics is not None:
             ust_tree.metrics = metrics
+        self._filter_memo: _FilterMemo | None = None
         #: Cached per-object sampled worlds; see :mod:`repro.core.worlds`.
         self.worlds = WorldCache()
         if metrics is not None:
@@ -614,6 +628,31 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # filter step
     # ------------------------------------------------------------------
+    @contextmanager
+    def shared_filter(self, requests: Sequence[QueryRequest]):
+        """Let ``requests`` share § 6 filter work while the block runs.
+
+        The filter is a function of ``(query, times, k)`` and the database
+        version, and a monitor's subscriptions mostly share a window.  The
+        block registers the requests that *may* be filtered inside it; none
+        is before one asks (:meth:`filter_objects`), and then one
+        :meth:`USTTree.prune_many` pass answers every registered peer with
+        the same ``(times, k)``.  Later askers — ``explain``, ``evaluate``,
+        the serve tier's column prediction — read the stored result.  A
+        monitor tick and :meth:`evaluate_many` open one; a nested block
+        joins the outer one, and nothing outlives the outermost.
+        """
+        outer = self._filter_memo
+        memo = self._filter_memo = outer or _FilterMemo(self.db.version)
+        for request in requests:
+            if request.mode != "reverse_nn":  # reverse never reaches the index
+                window = (tuple(sorted(set(request.times))), request.k)
+                memo.pending.setdefault(window, {})[request.query] = None
+        try:
+            yield
+        finally:
+            self._filter_memo = outer
+
     def filter_objects(
         self,
         q: Query,
@@ -636,29 +675,64 @@ class QueryEngine:
         ``q`` among its k nearest neighbors (it only needs to be isolated
         from the other objects), so distance-to-``q`` pruning is unsound
         — every object overlapping ``T`` is a reverse candidate.
+
+        Raises ``ValueError`` for locations that are not finite
+        ``(len(times), d)`` coordinates of the state space.  Inside a
+        :meth:`shared_filter` block the result is the block's shared one.
         """
         if not normalized:
             times = normalize_times(times)
-        if self.use_pruning and not reverse:
-            return self.ust_tree.prune(
-                q.coords_at(times),
-                times,
-                k=k,
-                refine_per_tic=self.refine_per_tic,
-                vectorized=self.prune_vectorized,
-            )
-        overlapping = self.db.objects_overlapping(times)
-        influencers = [o.object_id for o in overlapping]
-        candidates = [o.object_id for o in overlapping if o.covers_all(times)]
-        return PruningResult(
-            candidates=candidates,
-            influencers=influencers,
-            prune_distances=np.full(times.size, np.inf),
-            # The fallback scans every overlapping object; reporting 0 here
-            # would make pruning-on/off EvaluationReport comparisons claim
-            # the unpruned path examined nothing.
-            examined_entries=len(overlapping),
-        )
+        memo = self._filter_memo
+        if memo is not None:
+            if memo.version != self.db.version:
+                memo.results.clear()
+                memo.version = self.db.version
+            key = (q, tuple(times.tolist()), k, reverse)
+            if key in memo.results:
+                return memo.results[key]
+        coords = q.coords_at(times)
+        peers: list[Query] = []
+        try:
+            if reverse or not self.use_pruning:
+                check_query_coords(coords, times, self.db.space.ndim)
+                overlapping = self.db.objects_overlapping(times)
+                results = [
+                    PruningResult(
+                        candidates=[o.object_id for o in overlapping if o.covers_all(times)],
+                        influencers=[o.object_id for o in overlapping],
+                        prune_distances=np.full(times.size, np.inf),
+                        # The fallback scans every overlapping object; reporting
+                        # 0 here would make pruning-on/off EvaluationReport
+                        # comparisons claim the unpruned path examined nothing.
+                        examined_entries=len(overlapping),
+                    )
+                ]
+            elif memo is None or not (self.prune_vectorized and self.refine_per_tic):
+                # Standalone requests — and the reference / ablation engines,
+                # which have no batched kernel — filter one query at a time.
+                tree = self.ust_tree
+                results = [
+                    tree.prune(coords, times, k, self.refine_per_tic, self.prune_vectorized)
+                ]
+            else:
+                peers = [
+                    peer
+                    for peer in memo.pending.pop(key[1:3], ())
+                    if peer is not q and (peer, *key[1:]) not in memo.results
+                ]
+                try:
+                    stacked = np.stack([coords] + [peer.coords_at(times) for peer in peers])
+                    results = self.ust_tree.prune_many(stacked, times, k)
+                except ValueError:  # a peer's coordinates are off: it says so when it asks
+                    peers, results = [], self.ust_tree.prune_many(coords[None], times, k)
+        except QueryCoordsError as exc:
+            # Checked once, where the coordinates meet the index (or its
+            # fallback); the engine knows whose they are.
+            raise ValueError(f"{q.kind} {exc}") from None
+        if memo is not None:
+            for query, result in zip([q] + peers, results):
+                memo.results[(query, *key[1:])] = result
+        return results[0]
 
     def _arena_for(self, objects: list[UncertainObject]) -> SamplingArena:
         """The fused sampling arena, packed with the given objects.
@@ -1468,14 +1542,15 @@ class QueryEngine:
         times: np.ndarray,
         result_ids: list[str],
     ) -> QueryResult | PCNNResult | RawProbabilities | ReverseNNResult:
-        """Threshold stage: τ-filter the estimates into the result object."""
+        """Threshold stage: τ-filter the estimates into the result object
+        (with its own copies of the filter sets: ``pruning`` may be shared)."""
         if request.mode == "pcnn":
             # The classic engine reports the engine-wide sample count even
             # when nothing needed refinement; preserved for bit-identity.
             result = PCNNResult(
                 entries=list(outcome.entries or []),
-                candidates=pruning.candidates,
-                influencers=pruning.influencers,
+                candidates=list(pruning.candidates),
+                influencers=list(pruning.influencers),
                 n_samples=plan.n_samples,
                 sets_evaluated=outcome.sets_evaluated,
             )
@@ -1498,8 +1573,8 @@ class QueryEngine:
                 results=results,
                 probabilities=estimates,
                 exists=dict(outcome.exists_probabilities or {}),
-                candidates=pruning.candidates,
-                influencers=pruning.influencers,
+                candidates=list(pruning.candidates),
+                influencers=list(pruning.influencers),
                 n_samples=outcome.n_samples_used,
                 k=request.k,
                 times=times,
@@ -1508,8 +1583,8 @@ class QueryEngine:
             return RawProbabilities(
                 forall=dict(outcome.probabilities),
                 exists=dict(outcome.exists_probabilities or {}),
-                candidates=pruning.candidates,
-                influencers=pruning.influencers,
+                candidates=list(pruning.candidates),
+                influencers=list(pruning.influencers),
                 n_samples=outcome.n_samples_used,
                 times=times,
             )
@@ -1527,8 +1602,8 @@ class QueryEngine:
         return QueryResult(
             results=results,
             probabilities=estimates,
-            candidates=pruning.candidates,
-            influencers=pruning.influencers,
+            candidates=list(pruning.candidates),
+            influencers=list(pruning.influencers),
             n_samples=outcome.n_samples_used,
             times=times,
         )
@@ -1752,9 +1827,10 @@ class QueryEngine:
         self._batch_window = (lo, hi)
         self._batch_depth += 1
         try:
-            if self._batch_depth == 1:
-                self._on_batch_begin(reqs)
-            return [self.evaluate(req) for req in reqs]
+            with self.shared_filter(reqs):
+                if self._batch_depth == 1:
+                    self._on_batch_begin(reqs)
+                return [self.evaluate(req) for req in reqs]
         finally:
             self._batch_depth -= 1
             if self._batch_depth == 0:

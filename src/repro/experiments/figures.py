@@ -511,7 +511,9 @@ def ablation_pruning(scale: str | Scale = "small", seed: int = 0) -> FigureResul
 
 
 def ablation_refinement(scale: str | Scale = "small", seed: int = 0) -> FigureResult:
-    """Effect of per-tic MBR refinement on filter-set sizes."""
+    """Effect of per-tic MBR refinement on filter-set sizes (both modes on
+    the reference loop — the only one that has both — so the time panel
+    compares two bounds, not two implementations)."""
     sc = _resolve(scale)
     wl = _build_workload(sc, seed)
     db = wl.db
@@ -525,7 +527,9 @@ def ablation_refinement(scale: str | Scale = "small", seed: int = 0) -> FigureRe
         cand = infl = elapsed = 0.0
         for q, times in queries:
             start = time.perf_counter()
-            res = tree.prune(q.coords_at(times), times, refine_per_tic=refine)
+            res = tree.prune(
+                q.coords_at(times), times, refine_per_tic=refine, vectorized=False
+            )
             elapsed += time.perf_counter() - start
             cand += len(res.candidates)
             infl += len(res.influencers)

@@ -401,9 +401,10 @@ class ShardedQueryEngine(QueryEngine):
     def _on_batch_begin(self, reqs: list) -> None:
         """Predict the batch's refinement columns and fetch them in one round.
 
-        Re-runs the plan and filter stages per request (both deterministic
-        and RNG-free — the filter runs again inside ``evaluate``, at the
-        price of one redundant vectorized prune) and replicates the
+        Runs the plan and filter stages per request (both deterministic
+        and RNG-free; the filter result is the batch's shared one — see
+        :meth:`QueryEngine.shared_filter` — so nothing is pruned again
+        inside ``evaluate``) and replicates the
         refinement-cache dirty-column decision read-only, yielding exactly
         the column sets the evaluations will ask
         ``_compute_distance_tensor`` / ``_states_block`` for.  Identical

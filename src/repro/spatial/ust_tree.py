@@ -2,9 +2,9 @@
 
 Section 6 of the paper (following Emrich et al., CIKM 2012 [25]): every
 inter-observation segment of every object is conservatively approximated by
-a minimum bounding rectangle over its reachable states and time interval;
-the rectangles are indexed in an R*-tree.  Query evaluation uses the MBRs'
-``dmin``/``dmax`` distances to the query to split the database into
+a minimum bounding rectangle over its reachable states and time interval.
+Query evaluation uses the MBRs' ``dmin``/``dmax`` distances to the query to
+split the database into
 
 * candidates ``C∀(q)`` — objects that may have non-zero ``P∀NN``,
 * influence objects ``I∀(q)`` — objects that may affect anyone's
@@ -13,10 +13,23 @@ the rectangles are indexed in an R*-tree.  Query evaluation uses the MBRs'
 
 For P∃NN queries every influence object is a potential result, so the
 refinement set equals ``I(q)``.
+
+The same diamonds are kept in two forms.  The **per-tic bound table** is
+what the production filter (:meth:`USTTree.prune_many`) scans: one row per
+(object, tic) holding the MBRs of the diamonds covering that tic, patched
+by :meth:`USTTree.update_object` and never rebuilt inside a query.  A
+diamond's per-tic MBR lies inside its segment MBR and ``mindist`` /
+``maxdist`` are monotone under containment, so the per-tic bounds alone
+*are* the filter's bounds — no segment-level pass precedes them.  The
+**R\\*-tree** over per-segment (x, y, t) boxes is the paper's index and
+this module's reference: built on first use (``.tree``,
+``segments_overlapping``, ``prune(vectorized=False)``) and maintained per
+entry from then on; an index nobody asked for is neither built nor updated.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,26 +38,37 @@ from ..trajectory.database import TrajectoryDatabase
 from .geometry import Rect, maxdist_point_rect, mindist_point_rect
 from .rstar import RStarTree
 
-__all__ = ["SegmentKey", "PruningResult", "USTTree"]
+__all__ = ["SegmentKey", "PruningResult", "QueryCoordsError", "USTTree", "check_query_coords"]
 
 
-@dataclass
-class _SegmentColumns:
-    """Columnar snapshot of every indexed segment (the vectorized filter's
-    working form).
+class QueryCoordsError(ValueError):
+    """Query coordinates the filter cannot take (see :func:`check_query_coords`)."""
 
-    One row per segment entry: spatial MBR bounds, covered time span and
-    the owning object's position in the lexicographically sorted id list
-    (so scatter targets come out in the same order the dict-based
-    reference path sorts into).  Rebuilt lazily after any index mutation.
+
+def check_query_coords(q_coords, times: np.ndarray, ndim: int) -> np.ndarray:
+    """``q_coords`` as a float array whose trailing shape is
+    ``(len(times), ndim)`` and whose values are finite — else
+    :class:`QueryCoordsError`.
+
+    A NaN or infinite coordinate compares false against every bound (an
+    empty filter result, silently); a point of the wrong dimension
+    broadcasts into a meaningless distance or dies deep inside numpy.
     """
-
-    ids: list[str]
-    lo: np.ndarray  # (E, d) spatial MBR lower bounds
-    hi: np.ndarray  # (E, d) spatial MBR upper bounds
-    t0: np.ndarray  # (E,) segment start times
-    t1: np.ndarray  # (E,) segment end times
-    obj: np.ndarray  # (E,) row -> index into ``ids``
+    coords = np.asarray(q_coords, dtype=float)
+    if times.size == 0:
+        raise ValueError("query time set must be non-empty")
+    if coords.shape[-2:] != (times.size, ndim):
+        raise QueryCoordsError(
+            f"query over T={times.tolist()}: one location per query time in the "
+            f"space's {ndim} dimension(s) is required — expected coordinates of "
+            f"shape {(times.size, ndim)}, got {coords.shape[-2:]}"
+        )
+    if not np.isfinite(coords).all():
+        raise QueryCoordsError(
+            f"query over T={times.tolist()}: coordinates must be finite, "
+            f"got {coords[~np.isfinite(coords)][0]}"
+        )
+    return coords
 
 
 @dataclass(unsafe_hash=True)
@@ -79,18 +103,42 @@ class PruningResult:
         (k-th smallest for kNN queries).
     examined_entries:
         Number of index entries touched (index-efficiency metric).
+    bounds:
+        ``(ids, dmin[O, T], dmax[O, T])`` — the filter's bound matrices
+        over the objects covering at least one query time (``+inf`` where
+        an object is not alive); :attr:`dmin_bounds` / :attr:`dmax_bounds`
+        are per-object views of them.
     """
 
     candidates: list[str]
     influencers: list[str]
     prune_distances: np.ndarray
     examined_entries: int = 0
-    dmin_bounds: dict[str, np.ndarray] = field(default_factory=dict)
-    dmax_bounds: dict[str, np.ndarray] = field(default_factory=dict)
+    bounds: tuple = field(default=((), None, None), repr=False)
+
+    @property
+    def dmin_bounds(self) -> dict[str, np.ndarray]:
+        ids, dmin, _ = self.bounds
+        return {oid: dmin[i] for i, oid in enumerate(ids)}
+
+    @property
+    def dmax_bounds(self) -> dict[str, np.ndarray]:
+        ids, _, dmax = self.bounds
+        return {oid: dmax[i] for i, oid in enumerate(ids)}
+
+
+def _splice(arr: np.ndarray, start: int, stop: int, block: np.ndarray) -> np.ndarray:
+    """``arr`` with ``[start, stop)`` of its last axis replaced by ``block``
+    (in place when the extent is unchanged)."""
+    if block.shape[-1] == stop - start:
+        arr[..., start:stop] = block
+        return arr
+    return np.concatenate((arr[..., :start], block, arr[..., stop:]), axis=-1)
 
 
 class USTTree:
-    """R*-tree over per-segment spatio-temporal MBRs of a database.
+    """Per-tic bound table (plus reference R*-tree) over a database's
+    reachability diamonds.
 
     Parameters
     ----------
@@ -102,27 +150,42 @@ class USTTree:
 
     def __init__(self, db: TrajectoryDatabase, max_entries: int = 16) -> None:
         self.db = db
-        self._by_object: dict[str, list[tuple[Rect, SegmentKey]]] = {}
-        items: list[tuple[Rect, SegmentKey]] = []
-        for obj in db:
-            entries = self._segment_items(obj.object_id)
-            self._by_object[obj.object_id] = entries
-            items.extend(entries)
-        self.tree = RStarTree.bulk_load(items, max_entries=max_entries)
-        self._n_segments = len(items)
-        # Lazy vectorized-filter state: the columnar segment snapshot and
-        # the per-object (tic -> diamond MBR) refinement tables.  Both are
-        # derived from the indexed segments, so any index mutation drops
-        # them (the snapshot wholesale, the tables per object).
-        self._columns: _SegmentColumns | None = None
-        self._refine_tables: dict[str, tuple] = {}
+        self._max_entries = max_entries
+        self._tree: RStarTree | None = None
         #: Optional :class:`repro.obs.MetricsRegistry` feed — the owning
         #: engine binds its registry here so prune volume is scrapeable
         #: (``ust_prune_calls_total`` / ``ust_examined_entries_total``).
         self.metrics = None
+        self._counters: tuple | None = None
+        # The bound table, struct-of-arrays.  Objects are kept in sorted id
+        # order (the order results list them in); object ``i`` owns rows
+        # ``_row_ptr[i]:_row_ptr[i + 1]``, one per tic from ``_t_base[i]``
+        # on.  ``_rect[0, s, j, row]`` / ``_rect[1, s, j, row]`` are the
+        # lower / upper bound in dimension ``j`` of the ``s``-th diamond
+        # covering the row's tic (an observation tic is covered by both
+        # adjacent diamonds); slots a tic does not use repeat slot 0, which
+        # max/min accumulation cannot tell from applying it once.  A tic no
+        # diamond covers holds the empty rect (lo = +inf, hi = -inf), whose
+        # dmin and dmax are +inf for any finite point; so does row 0, where
+        # the scan sends every (object, tic) pair outside the object's
+        # span — it needs no mask.  ``_segs[0, row]`` / ``_segs[1, row]``
+        # count the object's segments begun by / ended before the row's tic
+        # (``examined_entries`` without a per-segment pass).
+        self._ids: list[str] = []
+        self._rect = np.full((2, 1, db.space.ndim, 1), np.inf)
+        self._rect[1] = -np.inf
+        self._segs = np.zeros((2, 1), dtype=np.intp)
+        self._t_base = self._t_hi = np.empty(0, dtype=np.intp)
+        self._row_ptr = np.ones(1, dtype=np.intp)
+        ids = sorted(obj.object_id for obj in db)
+        diamonds = [db.diamonds_of(oid) for oid in ids]
+        self._by_object: dict[str, list[tuple[Rect, SegmentKey]]] = {
+            oid: self._segment_items(oid, dias) for oid, dias in zip(ids, diamonds)
+        }
+        self._replace_rows(0, 0, dict(zip(ids, diamonds)))
 
-    def _segment_items(self, object_id: str) -> list[tuple[Rect, SegmentKey]]:
-        """Index entries for one object's current reachability diamonds."""
+    def _segment_items(self, object_id: str, diamonds) -> list[tuple[Rect, SegmentKey]]:
+        """Index entries for one object's reachability diamonds."""
         return [
             (
                 diamond.spatio_temporal_mbr(self.db.space),
@@ -133,28 +196,84 @@ class USTTree:
                     t_end=diamond.t_end,
                 ),
             )
-            for seg_idx, diamond in enumerate(self.db.diamonds_of(object_id))
+            for seg_idx, diamond in enumerate(diamonds)
         ]
+
+    def _object_block(self, diamonds) -> tuple:
+        """One object's table rows: ``(t_base, rect, segs)``, ``rect`` of
+        shape ``(2, slots, d, tics)`` and ``segs`` ``(2, tics)`` (see
+        ``__init__``).  Which covering diamond lands in which slot is
+        irrelevant: each yields a valid bound and the scan keeps the
+        tightest of each kind across all slots.
+        """
+        space = self.db.space
+        seg_t0 = np.asarray([d.t_start for d in diamonds], dtype=np.intp)
+        seg_t1 = np.asarray([d.t_end for d in diamonds], dtype=np.intp)
+        t_base = int(seg_t0.min())
+        length = int(seg_t1.max()) - t_base + 1
+        # Every (diamond, tic) rect, ordered by tic; a rect's slot is its
+        # rank among the rects of its tic.
+        tic = np.concatenate([np.arange(a, b + 1) for a, b in zip(seg_t0, seg_t1)])
+        order = np.argsort(tic, kind="stable")
+        tic = tic[order] - t_base
+        slot = np.arange(tic.size) - np.searchsorted(tic, tic)
+        depth = np.bincount(tic, minlength=length)
+        rect = np.full((2, int(depth.max()), space.ndim, length), np.inf)
+        rect[1] = -np.inf
+        bounds = [np.stack(d.mbr_arrays(space), axis=1) for d in diamonds]
+        rect[:, slot, :, tic] = np.concatenate(bounds)[order]
+        for s in range(1, rect.shape[1]):
+            unused = depth <= s
+            rect[:, s][..., unused] = rect[:, 0][..., unused]
+        begun = np.cumsum(np.bincount(seg_t0 - t_base, minlength=length))
+        ended = np.cumsum(np.bincount(seg_t1 - t_base + 1, minlength=length + 1))
+        return t_base, rect, np.stack((begun, ended[:length]))
+
+    def _replace_rows(self, pos: int, stop: int, objects: dict) -> None:
+        """Objects ``pos:stop`` of the sorted id list become ``objects``
+        (``{id: diamonds}``, sorted), with the table rows their diamonds say."""
+        blocks = [self._object_block(diamonds) for diamonds in objects.values()]
+        depth = max([self._rect.shape[1]] + [rect.shape[1] for _, rect, _ in blocks])
+
+        def deepen(rect: np.ndarray) -> np.ndarray:
+            extra = depth - rect.shape[1]  # missing slots repeat slot 0
+            return np.concatenate((rect, *[rect[:, :1]] * extra), axis=1) if extra else rect
+
+        self._rect = deepen(self._rect)
+        row, row_stop = self._row_ptr[pos], self._row_ptr[stop]
+        rects = [self._rect[..., :0]] + [deepen(rect) for _, rect, _ in blocks]
+        self._rect = _splice(self._rect, row, row_stop, np.concatenate(rects, axis=-1))
+        segs = [self._segs[:, :0]] + [segs for _, _, segs in blocks]
+        self._segs = _splice(self._segs, row, row_stop, np.concatenate(segs, axis=-1))
+        self._ids[pos:stop] = objects
+        t_base = np.asarray([b[0] for b in blocks], dtype=np.intp)
+        n_rows = np.asarray([b[1].shape[-1] for b in blocks], dtype=np.intp)
+        self._t_base = _splice(self._t_base, pos, stop, t_base)
+        n_rows = _splice(np.diff(self._row_ptr), pos, stop, n_rows)
+        self._t_hi = self._t_base + n_rows - 1
+        self._row_ptr = np.concatenate(([1], 1 + np.cumsum(n_rows)))
 
     # ------------------------------------------------------------------
     # incremental maintenance (streaming ingest)
     # ------------------------------------------------------------------
-    def _reindex(self, object_id: str, items: list[tuple[Rect, SegmentKey]]) -> int:
-        """Make ``items`` the object's index entries; returns how many
-        entries left the R*-tree.
+    def _reindex(self, object_id: str, diamonds) -> int:
+        """Make ``diamonds`` (none: the object is gone) what the index
+        holds for the object; returns how many segment entries left it.
 
-        Only what differs is touched: an entry whose time span and MBR are
-        unchanged stays where it is in the tree (its key renumbered in
-        place), so a fix costs the R*-tree the segments it reshaped, not
-        the object's lifespan.
+        The object's table rows are rewritten (in place when its lifespan
+        kept its extent, as after an interior fix).  The R*-tree, if it was
+        ever asked for, is touched only where entries differ: one whose
+        time span and MBR are unchanged stays where it is, its key
+        renumbered in place.
         """
+        known = object_id in self._by_object
         stale = {
             (key.t_start, key.t_end): (rect, key)
             for rect, key in self._by_object.pop(object_id, ())
         }
         entries: list[tuple[Rect, SegmentKey]] = []
         fresh: list[tuple[Rect, SegmentKey]] = []
-        for rect, key in items:
+        for rect, key in self._segment_items(object_id, diamonds):
             span = (key.t_start, key.t_end)
             kept = stale.get(span)
             if kept is not None and kept[0] == rect:
@@ -164,52 +283,48 @@ class USTTree:
             else:
                 entries.append((rect, key))
                 fresh.append((rect, key))
-        removed = self.tree.delete_many(list(stale.values()))
-        self.tree.insert_many(fresh)
+        if self._tree is not None:
+            self._tree.delete_many(list(stale.values()))
+            self._tree.insert_many(fresh)
         if entries:
             self._by_object[object_id] = entries
-        self._n_segments += len(fresh) - removed
-        if fresh or stale:
-            self._columns = None
-        self._refine_tables.pop(object_id, None)
-        return removed
+        pos = bisect_left(self._ids, object_id)
+        self._replace_rows(pos, pos + known, {object_id: diamonds} if diamonds else {})
+        return len(stale)
 
     def insert_object(self, object_id: str) -> int:
         """Index one (new) object's segments in place; returns the count.
 
-        Pruning over the updated tree is exactly what a freshly rebuilt
-        tree would compute: dmin/dmax bounds are accumulated per entry and
+        Pruning over the updated index is exactly what a freshly built one
+        would compute: the table holds the same rows, and
         :meth:`RStarTree.search` returns every intersecting entry whatever
-        the tree's internal shape, so only the R*-tree's node layout —
-        never a query answer — depends on the insertion history (the
-        equivalence-oracle tests assert this).
+        the tree's shape, so only node layout — never a query answer —
+        depends on the insertion history (the oracle tests assert this).
         """
         object_id = str(object_id)
         if object_id in self._by_object:
             raise KeyError(f"object {object_id!r} is already indexed")
-        entries = self._segment_items(object_id)
-        self._reindex(object_id, entries)
-        return len(entries)
+        self._reindex(object_id, self.db.diamonds_of(object_id))
+        return len(self._by_object[object_id])
 
     def remove_object(self, object_id: str) -> int:
         """Drop one object's segments from the index; returns the count
         removed (0 when the object was not indexed)."""
-        return self._reindex(str(object_id), [])
+        return self._reindex(str(object_id), ())
 
     def update_object(self, object_id: str) -> None:
         """Re-index one object after a database mutation.
 
-        Diffs the object's indexed entries against its current diamonds —
-        none when the object is gone — and deletes / inserts only the
-        entries that differ: a head append inserts one entry, an interior
-        refinement deletes one and inserts two, whatever the lifespan.
-        This is the streaming path's alternative to rebuilding the whole
-        tree per ingested observation.
+        Rewrites the object's rows of the bound table from its current
+        diamonds — none when the object is gone.  A materialised R*-tree
+        is diffed: a head append inserts one entry, an interior refinement
+        deletes one and inserts two, whatever the lifespan.  This is the
+        streaming path's alternative to rebuilding the index per event.
         """
         object_id = str(object_id)
         self._reindex(
             object_id,
-            self._segment_items(object_id) if object_id in self.db else [],
+            self.db.diamonds_of(object_id) if object_id in self.db else (),
         )
 
     def __contains__(self, object_id: str) -> bool:
@@ -217,7 +332,18 @@ class USTTree:
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return self._n_segments
+        return sum(map(len, self._by_object.values()))
+
+    @property
+    def tree(self) -> RStarTree:
+        """The reference R*-tree over the segment boxes, bulk-loaded on
+        first use and maintained per entry from then on."""
+        if self._tree is None:
+            self._tree = RStarTree.bulk_load(
+                [item for oid in self._ids for item in self._by_object[oid]],
+                max_entries=self._max_entries,
+            )
+        return self._tree
 
     def segments_overlapping(self, t_lo: int, t_hi: int):
         """Index entries whose time extent intersects ``[t_lo, t_hi]``."""
@@ -245,44 +371,138 @@ class USTTree:
             ``(len(times), d)`` query locations — one per query time
             (constant rows for a query state).
         times:
-            Sorted, unique query times ``T``.
+            Unique query times ``T``.
         k:
             NN cardinality; pruning uses the k-th smallest ``dmax`` so that
             kNN queries (Section 8) remain correct.
         refine_per_tic:
-            After segment-level filtering, tighten ``dmin``/``dmax`` with
-            the exact per-tic diamond MBRs of surviving objects.
+            ``False`` stops at the segment MBRs' bounds (an ablation,
+            served by the reference loop).
         vectorized:
-            ``True`` (default) runs the columnar filter: one broadcasted
-            ``mindist``/``maxdist`` over all (segment, covered-tic) pairs,
-            scattered per (object, tic) with ``np.maximum.at`` /
-            ``np.minimum.at``, and a gathered per-tic MBR refinement.
-            ``False`` keeps the per-entry python loop as the reference
-            oracle the parity tests compare against.  Both are
-            bit-identical: max/min accumulation is order-independent and
-            the elementwise distance arithmetic is the same.
+            ``True`` (default) is :meth:`prune_many` with one query.
+            ``False`` runs the per-entry python loop over the R*-tree — the
+            reference oracle of the parity tests.  Both are bit-identical:
+            max/min accumulation is order-independent, the elementwise
+            arithmetic is the same, and a segment MBR's bound never beats
+            the per-tic bound of the same diamond.
         """
+        if vectorized and refine_per_tic:
+            return self.prune_many(np.asarray(q_coords, dtype=float)[None], times, k)[0]
         times = np.asarray(times, dtype=np.intp)
-        if times.size == 0:
-            raise ValueError("query time set must be non-empty")
-        q_coords = np.asarray(q_coords, dtype=float)
-        if q_coords.shape[0] != times.size:
-            raise ValueError("one query location per query time is required")
-        if vectorized:
-            result = self._prune_vectorized(q_coords, times, k, refine_per_tic)
-        else:
-            result = self._prune_reference(q_coords, times, k, refine_per_tic)
-        if self.metrics is not None:
-            self.metrics.counter(
-                "ust_prune_calls_total",
-                help="Filter-stage prune passes over the UST-tree.",
-            ).inc()
-            self.metrics.counter(
-                "ust_examined_entries_total",
-                help="Index entries examined across prune passes.",
-            ).inc(result.examined_entries)
+        q_coords = check_query_coords(q_coords, times, self.db.space.ndim)
+        result = self._prune_reference(q_coords, times, k, refine_per_tic)
+        self._count_pass(result.examined_entries)
         return result
 
+    def prune_many(
+        self, q_coords: np.ndarray, times: np.ndarray, k: int = 1
+    ) -> list[PruningResult]:
+        """The § 6 filter for ``Q`` queries sharing one time set.
+
+        ``q_coords`` is ``(Q, len(times), d)``.  One pass over the bound
+        table's rows inside the window: per (object, tic) the covering
+        diamonds' ``mindist``/``maxdist`` to every query's location
+        (squares accumulated dimension by dimension — the order ``np.sum``
+        adds a short axis in), the k-th smallest ``dmax`` per query and
+        tic, and the classification of all ``Q`` at once.  Result ``i`` is
+        bit-identical to ``prune(q_coords[i], times, k, vectorized=False)``.
+        """
+        times = np.asarray(times, dtype=np.intp)
+        q = check_query_coords(q_coords, times, self.db.space.ndim)
+        if q.ndim != 3:
+            raise ValueError(f"expected (Q, len(times), d) coordinates, got {q.shape}")
+        t_lo, t_hi = int(times.min()), int(times.max())
+        # Objects whose lifespan meets the window's hull, and how many of
+        # their segments do: those begun by its end less those ended
+        # before its start.
+        sel = np.flatnonzero((self._t_base <= t_hi) & (self._t_hi >= t_lo))
+        base, row0 = self._t_base[sel], self._row_ptr[sel]
+        begun = self._segs[0, np.minimum(t_hi, self._t_hi[sel]) - base + row0]
+        ended = self._segs[1, np.maximum(t_lo, base) - base + row0]
+        examined = int((begun - ended).sum())
+        self._count_pass(examined)
+
+        rel = times - base[:, None]
+        in_span = (rel >= 0) & (times <= self._t_hi[sel, None])
+        rows = np.where(in_span, rel + row0[:, None], 0)
+        # Whether a diamond covers (object, tic) is the table's to say (the
+        # empty rect where none does); objects in the window's hull but at
+        # none of its (sparse) times drop out before any distance is taken.
+        alive = np.isfinite(self._rect[0, 0, 0][rows])
+        present = alive.any(axis=1)
+        sel, rows, alive = sel[present], rows[present].ravel(), alive[present]
+        if sel.size == 0 or len(q) == 0:
+            nowhere = np.full(times.size, np.inf)
+            return [PruningResult([], [], nowhere.copy(), examined) for _ in q]
+        # Work on (Q, O·T) arrays — numpy's inner loop then runs over every
+        # (object, tic) pair, not over one window's handful of tics.
+        points = np.tile(np.moveaxis(q, -1, 0), (1, 1, sel.size))  # (d, Q, O·T)
+        dmin = dmax = None
+        for slot_lo, slot_hi in zip(*self._rect):
+            near = far = None
+            for j in range(q.shape[-1]):
+                p = points[j]
+                below = slot_lo[j][rows] - p
+                above = p - slot_hi[j][rows]
+                gap = np.maximum(below, above)
+                np.maximum(gap, 0.0, out=gap)
+                # |p - lo| and |hi - p|: negation is exact.
+                reach = np.maximum(
+                    np.abs(below, out=below), np.abs(above, out=above), out=below
+                )
+                gap *= gap
+                reach *= reach
+                near = gap if near is None else np.add(near, gap, out=near)
+                far = reach if far is None else np.add(far, reach, out=far)
+            np.sqrt(near, out=near)
+            np.sqrt(far, out=far)
+            dmin = near if dmin is None else np.maximum(dmin, near, out=dmin)
+            dmax = far if dmax is None else np.minimum(dmax, far, out=dmax)
+        shape = (len(q), sel.size, times.size)
+        dmin, dmax = dmin.reshape(shape), dmax.reshape(shape)
+
+        ids = [self._ids[i] for i in sel]
+        # The k-th smallest dmax per (query, tic); +inf by itself wherever
+        # fewer than k objects are alive.
+        if k == 1:
+            prune_dist = dmax.min(axis=1)
+        elif k <= sel.size:
+            prune_dist = np.partition(dmax, k - 1, axis=1)[:, k - 1]
+        else:
+            prune_dist = np.full((len(q), times.size), np.inf)
+        within = dmin <= prune_dist[:, None, :]
+        influencer = (alive & within).any(axis=2)
+        candidate = alive.all(axis=1) & within.all(axis=2)
+        return [
+            PruningResult(
+                candidates=[ids[i] for i in np.flatnonzero(candidate[n])],
+                influencers=[ids[i] for i in np.flatnonzero(influencer[n])],
+                prune_distances=prune_dist[n],
+                examined_entries=examined,
+                bounds=(ids, dmin[n], dmax[n]),
+            )
+            for n in range(len(q))
+        ]
+
+    def _count_pass(self, examined: int) -> None:
+        """Feed the metrics registry (if bound) after one filter pass."""
+        metrics = self.metrics
+        if metrics is None:
+            return
+        if self._counters is None or self._counters[0] is not metrics:
+            calls = metrics.counter(
+                "ust_prune_calls_total", help="Filter-stage prune passes over the UST-tree."
+            )
+            entries = metrics.counter(
+                "ust_examined_entries_total", help="Index entries examined across prune passes."
+            )
+            self._counters = (metrics, calls, entries)
+        self._counters[1].inc()
+        self._counters[2].inc(examined)
+
+    # ------------------------------------------------------------------
+    # the reference oracle: per-entry loop over the R*-tree
+    # ------------------------------------------------------------------
     def _prune_reference(
         self,
         q_coords: np.ndarray,
@@ -324,7 +544,6 @@ class USTTree:
 
         return self._classify(dmin, dmax, times, k, examined)
 
-    # ------------------------------------------------------------------
     def _refine_per_tic(
         self,
         dmin: dict[str, np.ndarray],
@@ -364,7 +583,8 @@ class USTTree:
             return PruningResult([], [], np.full(n_t, np.inf), examined)
 
         ids = sorted(dmin)
-        dmax_matrix = np.stack([dmax[i] for i in ids])  # (objects, times)
+        dmin_matrix = np.stack([dmin[i] for i in ids])  # (objects, times)
+        dmax_matrix = np.stack([dmax[i] for i in ids])
         finite_counts = np.sum(np.isfinite(dmax_matrix), axis=0)
         prune_dist = np.full(n_t, np.inf)
         for col in range(n_t):
@@ -387,221 +607,5 @@ class USTTree:
             influencers=influencers,
             prune_distances=prune_dist,
             examined_entries=examined,
-            dmin_bounds=dmin,
-            dmax_bounds=dmax,
-        )
-
-    # ------------------------------------------------------------------
-    # vectorized filter-refine
-    # ------------------------------------------------------------------
-    def _segment_columns(self) -> _SegmentColumns:
-        """The columnar segment snapshot, rebuilt after index mutations."""
-        cols = self._columns
-        if cols is None:
-            ids = sorted(self._by_object)
-            dim = len(self.db.space.bounding_rect().lo)
-            lo: list = []
-            hi: list = []
-            t0: list = []
-            t1: list = []
-            obj: list = []
-            for pos, oid in enumerate(ids):
-                for rect, key in self._by_object[oid]:
-                    lo.append(rect.lo[:-1])
-                    hi.append(rect.hi[:-1])
-                    t0.append(key.t_start)
-                    t1.append(key.t_end)
-                    obj.append(pos)
-            cols = _SegmentColumns(
-                ids=ids,
-                lo=np.asarray(lo, dtype=float).reshape(len(lo), dim),
-                hi=np.asarray(hi, dtype=float).reshape(len(hi), dim),
-                t0=np.asarray(t0, dtype=np.intp),
-                t1=np.asarray(t1, dtype=np.intp),
-                obj=np.asarray(obj, dtype=np.intp),
-            )
-            self._columns = cols
-        return cols
-
-    def _refine_table(self, object_id: str) -> tuple:
-        """Per-object ``(t_base, t_hi, covered, slots)`` refinement table.
-
-        ``slots`` is a list of ``(lo, hi)`` array pairs of shape
-        ``(n_tics, d)`` indexed by ``t - t_base``: slot 0 holds each tic's
-        first covering diamond's MBR, slot ``s > 0`` the ``s+1``-th where
-        one exists (observation tics are covered by both adjacent
-        diamonds).  Tics a slot does not cover are back-filled with slot
-        0's rect — max/min accumulation is idempotent, so applying the
-        same rect twice changes nothing and the gather needs no per-slot
-        validity mask.  ``covered`` masks tics no diamond covers at all.
-        """
-        table = self._refine_tables.get(object_id)
-        if table is None:
-            diamonds = self.db.diamonds_of(object_id)
-            space = self.db.space
-            t_base = min(d.t_start for d in diamonds)
-            t_hi = max(d.t_end for d in diamonds)
-            length = t_hi - t_base + 1
-            count = np.zeros(length, dtype=np.intp)
-            slots: list[tuple[np.ndarray, np.ndarray]] = []
-            for dia in diamonds:
-                dlo, dhi = dia.mbr_arrays(space)
-                idx = np.arange(dia.t_start, dia.t_end + 1) - t_base
-                depth = count[idx]
-                while len(slots) <= int(depth.max()):
-                    dim = dlo.shape[1]
-                    slots.append(
-                        (np.zeros((length, dim)), np.zeros((length, dim)))
-                    )
-                for s in range(int(depth.max()) + 1):
-                    at = idx[depth == s]
-                    slots[s][0][at] = dlo[depth == s]
-                    slots[s][1][at] = dhi[depth == s]
-                count[idx] += 1
-            covered = count > 0
-            for s in range(1, len(slots)):
-                fill = count <= s
-                slots[s][0][fill] = slots[0][0][fill]
-                slots[s][1][fill] = slots[0][1][fill]
-            table = (t_base, t_hi, covered, slots)
-            self._refine_tables[object_id] = table
-        return table
-
-    def _refine_vectorized(
-        self,
-        dmin_mat: np.ndarray,
-        dmax_mat: np.ndarray,
-        ids: list[str],
-        q_coords: np.ndarray,
-        times: np.ndarray,
-    ) -> None:
-        """Tighten the bound matrices with gathered per-tic diamond MBRs.
-
-        The vectorized form of :meth:`_refine_per_tic`: per-object tables
-        are concatenated (with row offsets), every (object, in-span tic)
-        pair gathers its rects, and one broadcasted ``mindist``/``maxdist``
-        per slot replaces the python triple loop.  Identical elementwise
-        arithmetic and order-independent max/min keep it bit-identical to
-        the reference loop.
-        """
-        tables = [self._refine_table(oid) for oid in ids]
-        t_base = np.asarray([t[0] for t in tables], dtype=np.intp)
-        t_hi = np.asarray([t[1] for t in tables], dtype=np.intp)
-        lengths = np.asarray([t[2].size for t in tables], dtype=np.intp)
-        offsets = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-        cat_cover = np.concatenate([t[2] for t in tables])
-        max_slots = max(len(t[3]) for t in tables)
-        in_span = (times[None, :] >= t_base[:, None]) & (
-            times[None, :] <= t_hi[:, None]
-        )
-        pair_o, pair_t = np.nonzero(in_span)
-        if pair_o.size == 0:
-            return
-        row = offsets[pair_o] + (times[pair_t] - t_base[pair_o])
-        keep = cat_cover[row]
-        pair_o, pair_t, row = pair_o[keep], pair_t[keep], row[keep]
-        if pair_o.size == 0:
-            return
-        pts = q_coords[pair_t]
-        for s in range(max_slots):
-            # Objects without slot ``s`` contribute their slot 0 again
-            # (idempotent under max/min).
-            cat_lo = np.concatenate(
-                [t[3][s][0] if s < len(t[3]) else t[3][0][0] for t in tables]
-            )
-            cat_hi = np.concatenate(
-                [t[3][s][1] if s < len(t[3]) else t[3][0][1] for t in tables]
-            )
-            rlo = cat_lo[row]
-            rhi = cat_hi[row]
-            delta = np.maximum(np.maximum(rlo - pts, pts - rhi), 0.0)
-            lo_d = np.sqrt(np.sum(delta * delta, axis=-1))
-            delta = np.maximum(np.abs(pts - rlo), np.abs(rhi - pts))
-            hi_d = np.sqrt(np.sum(delta * delta, axis=-1))
-            dmin_mat[pair_o, pair_t] = np.maximum(dmin_mat[pair_o, pair_t], lo_d)
-            dmax_mat[pair_o, pair_t] = np.minimum(dmax_mat[pair_o, pair_t], hi_d)
-
-    def _prune_vectorized(
-        self,
-        q_coords: np.ndarray,
-        times: np.ndarray,
-        k: int,
-        refine_per_tic: bool,
-    ) -> PruningResult:
-        """Columnar filter-refine: one broadcasted distance pass over all
-        (segment, covered-tic) pairs, scattered with ``np.maximum.at`` /
-        ``np.minimum.at`` into per-(object, tic) bound matrices."""
-        cols = self._segment_columns()
-        n_t = times.size
-        t_lo, t_hi = int(times.min()), int(times.max())
-        sel = (cols.t0 <= t_hi) & (cols.t1 >= t_lo)
-        examined = int(np.count_nonzero(sel))
-        if examined == 0:
-            return PruningResult([], [], np.full(n_t, np.inf), examined)
-        e = np.flatnonzero(sel)
-        covered = (times[None, :] >= cols.t0[e, None]) & (
-            times[None, :] <= cols.t1[e, None]
-        )
-        pair_e, pair_t = np.nonzero(covered)
-        if pair_e.size == 0:
-            # Entries overlap the query hull but cover none of its
-            # (possibly sparse) times.
-            return PruningResult([], [], np.full(n_t, np.inf), examined)
-        obj_pairs = cols.obj[e][pair_e]
-        present = np.unique(obj_pairs)
-        rows_map = np.full(len(cols.ids), -1, dtype=np.intp)
-        rows_map[present] = np.arange(present.size)
-        dmin_mat = np.full((present.size, n_t), -np.inf)
-        dmax_mat = np.full((present.size, n_t), np.inf)
-        plo = cols.lo[e][pair_e]
-        phi = cols.hi[e][pair_e]
-        pts = q_coords[pair_t]
-        delta = np.maximum(np.maximum(plo - pts, pts - phi), 0.0)
-        lo_d = np.sqrt(np.sum(delta * delta, axis=-1))
-        delta = np.maximum(np.abs(pts - plo), np.abs(phi - pts))
-        hi_d = np.sqrt(np.sum(delta * delta, axis=-1))
-        rows = rows_map[obj_pairs]
-        np.maximum.at(dmin_mat, (rows, pair_t), lo_d)
-        np.minimum.at(dmax_mat, (rows, pair_t), hi_d)
-        # Tics no segment covers: dmax stayed +inf, dmin must read +inf
-        # too (not the -inf scatter identity).
-        uncovered = np.isinf(dmax_mat)
-        dmin_mat[uncovered] = np.inf
-        present_ids = [cols.ids[i] for i in present]
-        if refine_per_tic:
-            self._refine_vectorized(dmin_mat, dmax_mat, present_ids, q_coords, times)
-        return self._classify_matrix(
-            present_ids, dmin_mat, dmax_mat, times, k, examined
-        )
-
-    def _classify_matrix(
-        self,
-        ids: list[str],
-        dmin_mat: np.ndarray,
-        dmax_mat: np.ndarray,
-        times: np.ndarray,
-        k: int,
-        examined: int,
-    ) -> PruningResult:
-        """Matrix form of :meth:`_classify` (same semantics, no dict loop)."""
-        n_t = times.size
-        if not ids:
-            return PruningResult([], [], np.full(n_t, np.inf), examined)
-        finite_counts = np.isfinite(dmax_mat).sum(axis=0)
-        if k <= dmax_mat.shape[0]:
-            kth = np.sort(dmax_mat, axis=0)[k - 1]
-        else:
-            kth = np.full(n_t, np.inf)
-        prune_dist = np.where(finite_counts >= k, kth, np.inf)
-        alive = np.isfinite(dmax_mat)
-        within = dmin_mat <= prune_dist[None, :]
-        influencer_mask = (alive & within).any(axis=1)
-        candidate_mask = alive.all(axis=1) & within.all(axis=1)
-        return PruningResult(
-            candidates=[ids[i] for i in np.flatnonzero(candidate_mask)],
-            influencers=[ids[i] for i in np.flatnonzero(influencer_mask)],
-            prune_distances=prune_dist,
-            examined_entries=examined,
-            dmin_bounds={oid: dmin_mat[i] for i, oid in enumerate(ids)},
-            dmax_bounds={oid: dmax_mat[i] for i, oid in enumerate(ids)},
+            bounds=(ids, dmin_matrix, dmax_matrix),
         )

@@ -10,10 +10,11 @@ stream clock); each :meth:`~ContinuousMonitor.tick` then
    *dirty set* of touched objects — the engine invalidates its UST-tree
    segments, arena tables and cached worlds for exactly those objects);
 2. **schedules**: the :class:`~repro.stream.scheduler.
-   SubscriptionScheduler` runs the UST-tree filter stage per subscription
-   and re-evaluates only those whose windows moved, whose filter sets
-   changed, or whose influence set intersects the dirty objects —
-   everything else is provably unchanged and skipped;
+   SubscriptionScheduler` re-evaluates only the subscriptions whose
+   windows moved, whose filter sets changed (one UST-tree filter pass per
+   window shared by the subscriptions that need it), or whose influence
+   set intersects the dirty objects — everything else is provably
+   unchanged and skipped;
 3. **coalesces** the due subscriptions into one
    :meth:`~repro.core.evaluator.QueryEngine.evaluate_many` batch over the
    held draw epoch, widened to the union window of *all* subscriptions so
@@ -375,9 +376,8 @@ class ContinuousMonitor:
         ingest_seconds = sp_ingest.duration_seconds
 
         subscriptions = list(self._subscriptions.values())
-        union = self._union_window(
-            [sub.request_at(self._now) for sub in subscriptions]
-        ) if subscriptions else None
+        requests = [sub.request_at(self._now) for sub in subscriptions]
+        union = self._union_window(requests) if requests else None
         # A union reaching before the previous tick's would hit the world
         # cache's backward-redraw fallback for shared influencers: cached
         # results of untouched subscriptions would silently stop matching
@@ -396,72 +396,84 @@ class ContinuousMonitor:
             else "epoch-refresh" if self._refresh_pending else None
         )
 
-        with tracer.span("schedule") as sp_schedule:
-            decisions = [
-                self.scheduler.decide(
-                    sub,
-                    dirty,
-                    self._now,
-                    force=force_reason,
-                    dirty_ranges=ranges,
-                )
-                for sub in subscriptions
-            ]
-        schedule_seconds = sp_schedule.duration_seconds
-        due = [d for d in decisions if d.due]
-
-        # Ingest-to-ready: redraw the dirty influencers' invalidated
-        # worlds *now*, into the held monitoring epoch, so their
-        # resampling cost lands in the ingest stage instead of inflating
-        # the first due evaluation's estimate stage.  Only the dirty
-        # objects some due subscription was influenced by last tick — a
-        # tick whose subscriptions all proved clean must sample nothing,
-        # and a dirty object outside every influence set may never be
-        # estimated at all.
-        with tracer.span("prefetch") as sp_prefetch:
-            if (
-                dirty
-                and due
-                and not refreshing
-                and force_reason is None
-                and union is not None
-                and self.engine.incremental
-                and self.engine.restore_batch_epoch()
-            ):
-                influenced = set()
-                for decision in due:
-                    influenced.update(
-                        decision.subscription.last_influencers or ()
+        # One § 6 pass per (window, k) group, over the subscriptions that
+        # will filter this tick (everything not provably clean up front):
+        # the scheduler's explain() and the due evaluations' filter stage
+        # read the same results (QueryEngine.shared_filter).
+        filtering = [
+            request
+            for sub, request in zip(subscriptions, requests)
+            if self.scheduler.settled(
+                sub, request, dirty, force=force_reason, dirty_ranges=ranges
+            ) != "clean"
+        ]
+        with self.engine.shared_filter(filtering):
+            with tracer.span("schedule") as sp_schedule:
+                decisions = [
+                    self.scheduler.decide(
+                        sub,
+                        dirty,
+                        self._now,
+                        force=force_reason,
+                        dirty_ranges=ranges,
                     )
-                targets = sorted(
-                    oid for oid in dirty & influenced if oid in self.engine.db
-                )
-                if targets:
-                    self.engine.prefetch_worlds(targets, window=union)
-        # The dirty prefetch is part of the ingest-to-ready cost (see the
-        # TickReport docs); the trace keeps it as its own span.
-        ingest_seconds += sp_prefetch.duration_seconds
-        results: dict[str, object] = {}
-        filter_seconds = estimate_seconds = evaluate_seconds = 0.0
-        if due:
-            with tracer.span("evaluate") as sp_evaluate:
-                evaluated = self.engine.evaluate_many(
-                    [d.request for d in due],
-                    # A refresh (explicit, or forced by a backward union
-                    # move) draws a fresh epoch, held again by the
-                    # following ticks; otherwise the monitoring epoch is
-                    # held/restored as usual.
-                    refresh_worlds=True if refreshing else False,
-                    window=union,
-                )
-                results = {
-                    d.subscription.name: r for d, r in zip(due, evaluated)
-                }
-                for r in evaluated:
-                    stages = getattr(r.report, "stage_seconds", None) or {}
-                    filter_seconds += stages.get("filter", 0.0)
-                    estimate_seconds += stages.get("estimate", 0.0)
-            evaluate_seconds = sp_evaluate.duration_seconds
+                    for sub in subscriptions
+                ]
+            schedule_seconds = sp_schedule.duration_seconds
+            due = [d for d in decisions if d.due]
+
+            # Ingest-to-ready: redraw the dirty influencers' invalidated
+            # worlds *now*, into the held monitoring epoch, so their
+            # resampling cost lands in the ingest stage instead of inflating
+            # the first due evaluation's estimate stage.  Only the dirty
+            # objects some due subscription was influenced by last tick — a
+            # tick whose subscriptions all proved clean must sample nothing,
+            # and a dirty object outside every influence set may never be
+            # estimated at all.
+            with tracer.span("prefetch") as sp_prefetch:
+                if (
+                    dirty
+                    and due
+                    and not refreshing
+                    and force_reason is None
+                    and union is not None
+                    and self.engine.incremental
+                    and self.engine.restore_batch_epoch()
+                ):
+                    influenced = set()
+                    for decision in due:
+                        influenced.update(
+                            decision.subscription.last_influencers or ()
+                        )
+                    targets = sorted(
+                        oid for oid in dirty & influenced if oid in self.engine.db
+                    )
+                    if targets:
+                        self.engine.prefetch_worlds(targets, window=union)
+            # The dirty prefetch is part of the ingest-to-ready cost (see the
+            # TickReport docs); the trace keeps it as its own span.
+            ingest_seconds += sp_prefetch.duration_seconds
+            results: dict[str, object] = {}
+            filter_seconds = estimate_seconds = evaluate_seconds = 0.0
+            if due:
+                with tracer.span("evaluate") as sp_evaluate:
+                    evaluated = self.engine.evaluate_many(
+                        [d.request for d in due],
+                        # A refresh (explicit, or forced by a backward union
+                        # move) draws a fresh epoch, held again by the
+                        # following ticks; otherwise the monitoring epoch is
+                        # held/restored as usual.
+                        refresh_worlds=True if refreshing else False,
+                        window=union,
+                    )
+                    results = {
+                        d.subscription.name: r for d, r in zip(due, evaluated)
+                    }
+                    for r in evaluated:
+                        stages = getattr(r.report, "stage_seconds", None) or {}
+                        filter_seconds += stages.get("filter", 0.0)
+                        estimate_seconds += stages.get("estimate", 0.0)
+                evaluate_seconds = sp_evaluate.duration_seconds
 
         with tracer.span("notify") as sp_notify:
             notifications = []

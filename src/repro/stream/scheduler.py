@@ -30,12 +30,15 @@ sets are unchanged, then every input is bit-identical to the previous
 tick — so the cached result *is* the result, and the scheduler skips the
 evaluation outright.  Two refinements keep deciding cheap in steady
 state: a dirty object already in the *last* influence set makes the
-subscription due immediately (the evaluation re-filters anyway, so
-pruning twice would be waste), and a mutation whose affected time range
+subscription due immediately (no filter output could change that
+verdict), and a mutation whose affected time range
 is disjoint from the subscription's window provably cannot have moved
 its filter output at those times (an observation only reshapes the
 reachability diamonds between its neighboring fixes), so a tick whose
 entire dirty set misses the window skips without filtering at all.
+A filter that is needed runs once per tick and ``(window, k)`` group, not
+once per subscription (:meth:`QueryEngine.shared_filter`), and the
+evaluation of a ``filter-changed`` subscription reads the same result.
 """
 
 from __future__ import annotations
@@ -124,11 +127,10 @@ class Decision:
     #: ``clean`` (provably unchanged; skipped).
     reason: str
     #: The filter sets backing the verdict.  ``None`` for due-regardless
-    #: verdicts decided *without* running the filter stage (initial,
+    #: verdicts decided *without* asking for the filter stage (initial,
     #: window-moved, dirty-influencer, forced): the evaluation itself
     #: produces the fresh sets, and the monitor records them from the
-    #: result — re-filtering here would run the § 6 pruning twice per
-    #: evaluation for nothing.
+    #: result.
     candidates: tuple[str, ...] | None
     influencers: tuple[str, ...] | None
 
@@ -166,8 +168,8 @@ class SubscriptionScheduler:
         The filter stage runs only when its output can actually change
         the verdict.  Due-regardless outcomes (forced, never evaluated,
         window moved, a dirty object in the *last* influence set) skip it
-        — the evaluation re-filters anyway, and the monitor records the
-        result's own sets.  When ``dirty_ranges`` (from
+        — the evaluation filters, and the monitor records the result's
+        own sets.  When ``dirty_ranges`` (from
         :meth:`TrajectoryDatabase.changed_ranges_since`) shows every dirty
         object's affected time range disjoint from the request's times —
         and none of them sits in the last influence set — the subscription
@@ -194,6 +196,38 @@ class SubscriptionScheduler:
             counter.inc()
         return decision
 
+    def settled(
+        self, subscription: Subscription, request: QueryRequest,
+        dirty: frozenset[str] | set[str], *, force: str | None = None,
+        dirty_ranges: dict[str, tuple[float, float]] | None = None,
+    ) -> str | None:
+        """The verdict reachable without the filter stage: a due reason,
+        ``"clean"``, or ``None`` when only fresh filter sets can tell.
+
+        Everything but ``"clean"`` ends in a filter pass this tick (a due
+        subscription's evaluation filters too), which is how the monitor
+        knows which requests to register with
+        :meth:`QueryEngine.shared_filter`.
+        """
+        if force is not None:
+            return force
+        if subscription.evaluations == 0:
+            return "initial"
+        if request.times != subscription.last_times:
+            return "window-moved"
+        if not dirty:
+            # Quiet tick: the database is untouched and the window did not
+            # move, so the filter stage is a pure function of unchanged
+            # inputs — skip without even pruning.
+            return "clean"
+        if not dirty.isdisjoint(subscription.last_influencers or ()):
+            return "dirty-influencer"
+        if dirty_ranges is not None and self._ranges_disjoint(
+            dirty, dirty_ranges, request.times
+        ):
+            return "clean"
+        return None
+
     def _decide(
         self, subscription: Subscription, dirty: frozenset[str] | set[str],
         now: int | None, *, force: str | None = None,
@@ -201,64 +235,30 @@ class SubscriptionScheduler:
     ) -> Decision:
         request = subscription.request_at(now)
         self.decided += 1
-
-        def due_without_filter(reason: str) -> Decision:
-            return Decision(
-                subscription=subscription,
-                request=request,
-                due=True,
-                reason=reason,
-                candidates=None,
-                influencers=None,
-            )
-
-        def clean() -> Decision:
-            self.skipped += 1
-            return Decision(
-                subscription=subscription,
-                request=request,
-                due=False,
-                reason="clean",
-                candidates=subscription.last_candidates or (),
-                influencers=subscription.last_influencers or (),
-            )
-
-        if force is not None:
-            return due_without_filter(force)
-        if subscription.evaluations == 0:
-            return due_without_filter("initial")
-        if request.times != subscription.last_times:
-            return due_without_filter("window-moved")
-        if not dirty:
-            # Quiet tick: the database is untouched and the window did not
-            # move, so the filter stage is a pure function of unchanged
-            # inputs — skip without even pruning.
-            return clean()
-        last_influencers = subscription.last_influencers or ()
-        if not dirty.isdisjoint(last_influencers):
-            return due_without_filter("dirty-influencer")
-        if dirty_ranges is not None and self._ranges_disjoint(
-            dirty, dirty_ranges, request.times
-        ):
-            return clean()
-        explanation = self.engine.explain(request)
-        candidates = tuple(explanation.candidates)
-        influencers = tuple(explanation.influencers)
-        if (candidates, influencers) != (
-            subscription.last_candidates,
-            subscription.last_influencers,
-        ):
-            due, reason = True, "filter-changed"
-        else:
+        reason = self.settled(
+            subscription, request, dirty, force=force, dirty_ranges=dirty_ranges
+        )
+        candidates = influencers = None
+        if reason is None:
+            explanation = self.engine.explain(request)
+            candidates = tuple(explanation.candidates)
+            influencers = tuple(explanation.influencers)
             # Unchanged sets and (from above) no dirty influencer: every
             # input of the cached result is bit-identical.
-            due, reason = False, "clean"
-        if not due:
+            unchanged = (candidates, influencers) == (
+                subscription.last_candidates,
+                subscription.last_influencers,
+            )
+            reason = "clean" if unchanged else "filter-changed"
+        elif reason == "clean":
+            candidates = subscription.last_candidates or ()
+            influencers = subscription.last_influencers or ()
+        if reason == "clean":
             self.skipped += 1
         return Decision(
             subscription=subscription,
             request=request,
-            due=due,
+            due=reason != "clean",
             reason=reason,
             candidates=candidates,
             influencers=influencers,

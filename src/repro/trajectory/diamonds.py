@@ -36,14 +36,10 @@ class Diamond:
     #: ``None`` for the open cone) — what :func:`compute_diamonds` matches
     #: a reusable diamond by; ``None`` on hand-built diamonds.
     key: tuple | None = field(default=None, repr=False, compare=False)
-    #: Lazy per-tic MBR cache.  A diamond's reachable sets are immutable (a
-    #: new fix replaces only the diamonds it splits or adds; the others
-    #: live on in the object's next diamond list, caches included), so the
-    #: per-tic rects the UST-tree's refinement step asks for — every
-    #: standing query re-asks for the same tics tick after tick — are
-    #: computed once.
-    _mbr_cache: dict = field(default_factory=dict, repr=False, compare=False)
-    #: Lazy columnar form of the per-tic MBRs (see :meth:`mbr_arrays`).
+    #: Lazy per-tic MBRs (see :meth:`mbr_arrays`).  A diamond's reachable
+    #: sets are immutable (a new fix replaces only the diamonds it splits or
+    #: adds; the others live on in the object's next diamond list, caches
+    #: included), so they are computed once.
     _mbr_arrays: tuple | None = field(default=None, repr=False, compare=False)
     #: Lazy (x, y, time) box (see :meth:`spatio_temporal_mbr`).
     _st_mbr: Rect | None = field(default=None, repr=False, compare=False)
@@ -73,28 +69,20 @@ class Diamond:
 
     def mbr_at(self, t: int, space: StateSpace) -> Rect:
         """Per-tic bounding rect (the dashed rectangles of Example 2)."""
-        rect = self._mbr_cache.get(t)
-        if rect is None:
-            rect = space.mbr_of(self.states_at(t))
-            self._mbr_cache[t] = rect
-        return rect
+        self.states_at(t)  # range check
+        lo, hi = self.mbr_arrays(space)
+        return Rect(tuple(lo[t - self.t_start]), tuple(hi[t - self.t_start]))
 
     def mbr_arrays(self, space: StateSpace) -> tuple[np.ndarray, np.ndarray]:
-        """All per-tic MBRs as ``(lo, hi)`` arrays of shape ``(n_tics, d)``.
-
-        Row ``k`` is :meth:`mbr_at` of ``t_start + k`` — the columnar form
-        the vectorized refinement step gathers from, built once per diamond
-        (diamonds are immutable) and sharing the scalar ``mbr_at`` cache so
-        the two representations cannot disagree.
-        """
+        """All per-tic MBRs as ``(lo, hi)`` arrays of shape ``(n_tics, d)``
+        — row ``k`` bounds the states possible at ``t_start + k``; what the
+        UST-tree's bound table is built from."""
         if self._mbr_arrays is None:
-            rects = [
-                self.mbr_at(self.t_start + k, space)
-                for k in range(len(self.states_per_tic))
-            ]
-            lo = np.asarray([r.lo for r in rects], dtype=float)
-            hi = np.asarray([r.hi for r in rects], dtype=float)
-            self._mbr_arrays = (lo, hi)
+            coords = [space.coords_of(states) for states in self.states_per_tic]
+            self._mbr_arrays = (
+                np.asarray([c.min(axis=0) for c in coords]),
+                np.asarray([c.max(axis=0) for c in coords]),
+            )
         return self._mbr_arrays
 
     def width_at(self, t: int) -> int:

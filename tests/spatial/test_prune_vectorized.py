@@ -1,9 +1,9 @@
 """Parity of the columnar § 6 filter against the per-entry reference.
 
-``USTTree.prune(vectorized=True)`` batches the segment pass into one
-broadcasted mindist/maxdist over all (entry, covered-tic) pairs and the
-per-tic refinement into gathered diamond-MBR tables; ``vectorized=False``
-keeps the original entry-at-a-time loop as the oracle.  Both use the same
+``USTTree.prune(vectorized=True)`` is ``USTTree.prune_many`` with one
+query: a scan of the persistent per-tic bound table, batched over every
+query sharing a time set; ``vectorized=False`` keeps the original
+entry-at-a-time loop over the R*-tree as the oracle.  Both use the same
 elementwise geometry arithmetic and max/min accumulation (order
 independent), so every output — candidate and influence sets, per-tic
 prune distances, per-object bound arrays, even the examined-entry count —
@@ -22,18 +22,24 @@ from repro.trajectory.diamonds import Diamond
 from scipy import sparse
 
 from tests.conftest import make_random_world
+from tests.stream.test_segment_reuse import World
+
+
+def _same(a, b):
+    assert a.dtype == b.dtype
+    assert np.array_equal(a, b)
 
 
 def _assert_prune_identical(vec, ref):
     assert vec.candidates == ref.candidates
     assert vec.influencers == ref.influencers
-    np.testing.assert_array_equal(vec.prune_distances, ref.prune_distances)
+    _same(vec.prune_distances, ref.prune_distances)
     assert vec.examined_entries == ref.examined_entries
-    assert set(vec.dmin_bounds) == set(ref.dmin_bounds)
-    assert set(vec.dmax_bounds) == set(ref.dmax_bounds)
+    assert list(vec.dmin_bounds) == list(ref.dmin_bounds)
+    assert list(vec.dmax_bounds) == list(ref.dmax_bounds)
     for oid in ref.dmin_bounds:
-        np.testing.assert_array_equal(vec.dmin_bounds[oid], ref.dmin_bounds[oid])
-        np.testing.assert_array_equal(vec.dmax_bounds[oid], ref.dmax_bounds[oid])
+        _same(vec.dmin_bounds[oid], ref.dmin_bounds[oid])
+        _same(vec.dmax_bounds[oid], ref.dmax_bounds[oid])
 
 
 class TestVectorizedParity:
@@ -217,3 +223,128 @@ class TestRefineAllCoveringDiamonds:
         a, b = results
         np.testing.assert_array_equal(a.dmin_bounds["a"], b.dmin_bounds["a"])
         np.testing.assert_array_equal(a.dmax_bounds["a"], b.dmax_bounds["a"])
+
+
+# ----------------------------------------------------------------------
+# the batched kernel: prune_many vs per-query prune vs the reference loop
+# ----------------------------------------------------------------------
+HORIZON = 16
+
+
+def _random_db(seed, ndim, n_objects=9, n_states=14):
+    """Objects with staggered lifespans inside ``[0, HORIZON]`` — some a
+    single observation long, the others observed at a random subset of
+    their tics (interior fixes are covered by two diamonds) — in an
+    ``ndim``-dimensional space."""
+    rng = np.random.default_rng([seed, ndim])
+    mat = rng.uniform(size=(n_states, n_states))
+    mask = rng.uniform(size=(n_states, n_states)) < 0.4
+    np.fill_diagonal(mask, True)
+    mat = mat * mask
+    chain = MarkovChain(sparse.csr_matrix(mat / mat.sum(axis=1, keepdims=True)))
+    db = TrajectoryDatabase(StateSpace(rng.uniform(0, 10, size=(n_states, ndim))), chain)
+    for i in range(n_objects):
+        start = int(rng.integers(0, 8))
+        life = 0 if i % 4 == 3 else int(rng.integers(2, HORIZON - start + 1))
+        walk = [int(rng.integers(n_states))]
+        for t in range(start, start + life):
+            nxt, probs = chain.successors(walk[-1], t)
+            walk.append(int(rng.choice(nxt, p=probs)))
+        inner = rng.uniform(size=max(life - 1, 0)) < 0.3
+        fixes = sorted({0, life, *(np.flatnonzero(inner) + 1).tolist()})
+        db.add_object(f"o{i}", [(start + t, walk[t]) for t in fixes])
+    return db, rng
+
+
+TIME_SETS = {
+    "contiguous": np.arange(3, 10),
+    "sparse": np.array([1, 4, 9, 13]),
+    "unsorted": np.array([9, 2, 5, 3]),
+    "before every lifespan": np.array([-6, -5, -4]),
+    "after every lifespan": np.array([HORIZON + 20, HORIZON + 21]),
+    "partly outside": np.array([-2, 0, 3, HORIZON + 9]),
+}
+
+
+def _assert_kernel_parity(tree, oracle, coords, times, k):
+    """``tree.prune_many`` against ``oracle``'s per-query ``prune`` on both
+    of its paths (``tree`` may be a patched index, ``oracle`` a fresh one)."""
+    batch = tree.prune_many(coords, times, k)
+    assert len(batch) == len(coords)
+    for result, q_coords in zip(batch, coords):
+        _assert_prune_identical(result, oracle.prune(q_coords, times, k=k))
+        _assert_prune_identical(
+            result, oracle.prune(q_coords, times, k=k, vectorized=False)
+        )
+
+
+class TestPruneMany:
+    @pytest.mark.parametrize("n_queries", [1, 5, 17])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_random_databases_bit_identical(self, ndim, n_queries):
+        """Static and moving queries, every window shape, NN to k beyond
+        the population: each batched result equals the per-query filter
+        and the reference loop, bounds and dtypes included."""
+        db, rng = _random_db(seed=n_queries, ndim=ndim)
+        tree = USTTree(db)
+        assert any(len(db.diamonds_of(oid)) == 1 for oid in db.object_ids)
+        assert any(len(db.diamonds_of(oid)) > 2 for oid in db.object_ids)
+        for label, times in TIME_SETS.items():
+            static = np.repeat(
+                rng.uniform(0, 10, size=(n_queries, 1, ndim)), times.size, axis=1
+            )
+            moving = rng.uniform(-2, 12, size=(n_queries, times.size, ndim))
+            for k in (1, 2, 3, len(db) + 5):
+                _assert_kernel_parity(tree, tree, static, times, k)
+                _assert_kernel_parity(tree, tree, moving, times, k)
+
+    def test_from_coords_queries_share_one_pass(self):
+        """``Query.from_coords`` tables stack into one batch."""
+        db, rng = _random_db(seed=2, ndim=2)
+        tree = USTTree(db)
+        times = TIME_SETS["contiguous"]
+        queries = [
+            Query.from_coords(rng.uniform(0, 10, size=(times.size, 2)))
+            for _ in range(4)
+        ]
+        coords = np.stack([q.coords_at(times) for q in queries])
+        _assert_kernel_parity(tree, tree, coords, times, 2)
+
+    def test_empty_batch_and_empty_index(self):
+        db, _ = _random_db(seed=1, ndim=2)
+        times = TIME_SETS["contiguous"]
+        assert USTTree(db).prune_many(np.empty((0, times.size, 2)), times) == []
+        for oid in db.object_ids:
+            db.remove_object(oid)
+        (result,) = USTTree(db).prune_many(np.zeros((1, times.size, 2)), times)
+        assert result.candidates == [] and result.influencers == []
+        assert result.examined_entries == 0 and result.dmin_bounds == {}
+
+    @pytest.mark.stream
+    @pytest.mark.parametrize("seed", [3, 17])
+    def test_patched_table_matches_fresh_build_after_every_event(self, seed):
+        """The ``test_segment_reuse.py`` random histories — head appends,
+        interior refinements, fixes before the first one, removals, re-added
+        ids: the table ``update_object`` patches answers like one built from
+        scratch, without the R*-tree ever being materialised."""
+        world = World(seed)
+        rng = np.random.default_rng(seed)
+        for _ in range(40):
+            event = world.random_event()
+            if event is None:
+                continue
+            world.apply(event)
+            world.sync_tree()
+            oracle = USTTree(world.db)
+            assert len(world.tree) == len(oracle)
+            for request in world.requests():
+                times = np.asarray(request.times)
+                coords = np.concatenate(
+                    (
+                        request.query.coords_at(times)[None],
+                        rng.uniform(0, 10, size=(4, times.size, 2)),
+                    )
+                )
+                for k in (1, 2):
+                    _assert_kernel_parity(world.tree, oracle, coords, times, k)
+        assert world.tree._tree is None

@@ -34,7 +34,7 @@ from repro.stream.ingest import (
     ObservationStream,
     RemoveObject,
 )
-from repro.stream.monitor import _result_payload
+from repro.stream.monitor import ContinuousMonitor, _result_payload
 from repro.trajectory import diamonds as diamonds_module
 from repro.trajectory.database import TrajectoryDatabase
 from tests.conftest import make_drift_chain, make_line_space
@@ -476,6 +476,7 @@ def test_an_event_costs_the_segments_it_touches(monkeypatch):
     db.add_object("a", [(0, 0), (3, 1), (6, 2), (9, 3), (12, 4)])
     db.add_object("b", [(0, 1), (4, 2)])
     tree = USTTree(db)
+    tree.tree  # materialise the reference R*-tree: from here on it is maintained
     counts = _Counts(monkeypatch)
     _derive_everything(db, tree, "a")
     assert counts.take() == {
@@ -526,6 +527,32 @@ def test_an_event_costs_the_segments_it_touches(monkeypatch):
         "_adapt_segment": 2, "_compile_stretch": 2, "_segment_diamond": 2,
         "insert": 2, "delete": 0,
     }
+
+
+def test_production_filter_never_touches_an_rstar_tree(monkeypatch):
+    """The R*-tree is the reference index: an engine that only ever runs
+    the production filter — standalone queries, batches, monitor ticks over
+    a mutating database — neither builds nor updates one."""
+    touched = []
+    for name in ("__init__", "bulk_load", "insert", "delete", "search"):
+        monkeypatch.setattr(
+            RStarTree, name, lambda *a, _name=name, **kw: touched.append(_name)
+        )
+    world = World(11)
+    engine = QueryEngine(world.db, n_samples=32, seed=2)
+    monitor = ContinuousMonitor(engine)
+    for i in range(30):
+        event = world.random_event()
+        if event is None:
+            continue
+        if i == 8:  # ... with some objects around
+            for j, request in enumerate(world.requests()):
+                monitor.subscribe(request, name=f"s{j}")
+        monitor.tick([event])
+        engine.evaluate(world.requests()[0])
+        engine.evaluate_many(world.requests()[:2])
+    assert engine.index_updates > 0 and len(engine.ust_tree) > 0
+    assert touched == []
 
 
 def test_reused_records_are_shared_not_copied():
