@@ -671,12 +671,11 @@ def test_monitor_tick_targets(bench_record):
     is the PR-5 engine's behavior — per-entry pruning in every
     ``explain()`` and a wholesale tensor recompute per due evaluation.
 
-    Acceptance targets: ≥5× mean tick latency, and the dirty-column cache
-    paying for itself — the optimized estimate stage below the baseline's
-    wholesale recomputes (CI enforces a relaxed floor on shared runners;
-    run locally or with TICK_SPEEDUP_TARGET=5.0 for the full assertion).
-    Since the filter is shared per window the schedule stage no longer
-    dwarfs the estimate stage; which of the two is larger is not asserted.
+    Acceptance targets of this optimization: ≥5× mean tick latency, and
+    the estimate stage no longer the largest stage timing — the tick is
+    bounded by ingest + scheduling bookkeeping, not refinement (CI
+    enforces a relaxed floor on shared runners; run locally or with
+    TICK_SPEEDUP_TARGET=5.0 for the full assertion).
     """
     measured = 10
     table = {}
@@ -724,9 +723,13 @@ def test_monitor_tick_targets(bench_record):
         )
     )
     assert speedup >= target, table
-    assert (
-        stage_totals["estimate"] <= table["baseline"]["stage_seconds"]["estimate"]
-    ), table
+    # Ingestion-bound: refinement (the estimate stage) must not dominate
+    # the optimized tick.  ``evaluate`` is excluded — it is the superset
+    # containing ``filter`` + ``estimate`` plus batching overhead.
+    others = ("ingest", "schedule", "filter", "notify")
+    assert stage_totals["estimate"] <= max(
+        stage_totals[s] for s in others
+    ), stage_totals
 
 
 def test_monitor_tick_obs_overhead(bench_record):
@@ -802,9 +805,9 @@ def test_prune_many_targets(bench_record):
     ``USTTree.prune_many`` over the monitoring database at two sizes:
     µs per query for batches of 1 / 12 / 48 queries sharing a 7-tic
     window, the per-entry reference loop's µs per query next to it, and
-    what one ``update_object`` (an interior refinement fix) costs the
-    bound table.  Every path is bit-identical — guarded by
-    ``tests/spatial/test_prune_vectorized.py``."""
+    what one ``update_object`` costs the bound table — after an interior
+    refinement fix and after a head append.  Every path is bit-identical
+    — guarded by ``tests/spatial/test_prune_vectorized.py``."""
     times = np.arange(14, 21)
     rng = np.random.default_rng(4)
     rounds = 5
@@ -821,13 +824,22 @@ def test_prune_many_targets(bench_record):
             best = min(_timed(lambda: tree.prune_many(coords, times)) for _ in range(rounds))
             row[f"q{n_queries}_us_per_query"] = best / n_queries * 1e6
         # Patched before the reference loop materialises the R*-tree: from
-        # then on an update also pays the tree's delete/insert.
-        patches = []
+        # then on an update also pays the tree's delete/insert.  An interior
+        # fix keeps the lifespan and rewrites the object's rows in place; a
+        # head append (every ``fleet_live`` event) lengthens it, and the
+        # splice copies the whole table — O(objects x lifespan) per event.
+        interior, append = [], []
         for i, name in enumerate(db.object_ids[:20]):
-            db.add_observation(name, *refine[name][i % 2])
-            db.diamonds_of(name)  # the diamonds are the database's cost, not the table's
-            patches.append(_timed(lambda: tree.update_object(name)))
-        row["update_object_us"] = min(patches) * 1e6
+            last = db.get(name).observations.last
+            for patches, fix in (
+                (interior, refine[name][i % 2]),
+                (append, (last.time + 4, last.state)),
+            ):
+                db.add_observation(name, *fix)
+                db.diamonds_of(name)  # the diamonds are the database's cost, not the table's
+                patches.append(_timed(lambda: tree.update_object(name)))
+        row["update_object_us"] = min(interior) * 1e6
+        row["update_object_append_us"] = min(append) * 1e6
         single = tree.prune(coords[0], times, vectorized=False)  # builds the R*-tree
         batched = tree.prune_many(coords[:1], times)[0]
         assert batched.candidates == single.candidates

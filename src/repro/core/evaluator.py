@@ -43,7 +43,7 @@ from __future__ import annotations
 import hashlib
 from collections import OrderedDict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Sequence
 
 import numpy as np
@@ -51,7 +51,7 @@ import numpy as np
 from ..markov import native as native_tier
 from ..markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from ..obs.tracing import NULL_TRACER
-from ..spatial.ust_tree import PruningResult, QueryCoordsError, USTTree, check_query_coords
+from ..spatial.ust_tree import PruningResult, USTTree, check_query_coords
 from ..trajectory.database import TrajectoryDatabase
 from ..trajectory.trajectory import UncertainObject
 from .estimators import EstimationContext, EstimateOutcome, make_estimator
@@ -68,17 +68,6 @@ from .results import (
 from .worlds import WorldCache
 
 __all__ = ["QueryEngine"]
-
-
-@dataclass
-class _FilterMemo:
-    """What one :meth:`QueryEngine.shared_filter` block shares."""
-
-    version: int
-    #: ``(times, k) -> {query: None}``: registered, not filtered yet.
-    pending: dict = field(default_factory=dict)
-    #: ``(query, times, k, reverse) -> PruningResult`` at ``version``.
-    results: dict = field(default_factory=dict)
 
 
 class QueryEngine:
@@ -237,7 +226,10 @@ class QueryEngine:
         self._ust = ust_tree
         if ust_tree is not None and metrics is not None:
             ust_tree.metrics = metrics
-        self._filter_memo: _FilterMemo | None = None
+        #: The open :meth:`shared_filter` block: ``pending`` (``(times, k) ->
+        #: {query}``, registered and not filtered yet) and ``results``
+        #: (``(query, times, k, reverse) -> PruningResult`` at ``version``).
+        self._filter_memo: SimpleNamespace | None = None
         #: Cached per-object sampled worlds; see :mod:`repro.core.worlds`.
         self.worlds = WorldCache()
         if metrics is not None:
@@ -643,7 +635,9 @@ class QueryEngine:
         joins the outer one, and nothing outlives the outermost.
         """
         outer = self._filter_memo
-        memo = self._filter_memo = outer or _FilterMemo(self.db.version)
+        memo = self._filter_memo = outer or SimpleNamespace(
+            version=self.db.version, pending={}, results={}
+        )
         for request in requests:
             if request.mode != "reverse_nn":  # reverse never reaches the index
                 window = (tuple(sorted(set(request.times))), request.k)
@@ -661,6 +655,7 @@ class QueryEngine:
         *,
         normalized: bool = False,
         reverse: bool = False,
+        mode: str | None = None,
     ) -> PruningResult:
         """Run the § 6 filter step (or the no-pruning fallback).
 
@@ -668,7 +663,7 @@ class QueryEngine:
         sorted-unique array, skipping a redundant re-normalization on the
         internal query paths.
 
-        ``reverse=True`` (the ``"reverse_nn"`` mode) forces the overlap
+        ``reverse=True`` (or ``mode="reverse_nn"``) forces the overlap
         fallback even on a pruning engine: the UST-tree's dmin/dmax
         bounds rank objects *around the query*, but in the reverse
         direction an object arbitrarily far from ``q`` can still have
@@ -676,63 +671,59 @@ class QueryEngine:
         from the other objects), so distance-to-``q`` pruning is unsound
         — every object overlapping ``T`` is a reverse candidate.
 
-        Raises ``ValueError`` for locations that are not finite
-        ``(len(times), d)`` coordinates of the state space.  Inside a
-        :meth:`shared_filter` block the result is the block's shared one.
+        Raises ``ValueError`` (naming ``mode``, the query kind and the
+        times) for locations that are not finite ``(len(times), d)``
+        coordinates of the state space.  Inside a :meth:`shared_filter`
+        block the result is the block's shared one.
         """
         if not normalized:
             times = normalize_times(times)
+        reverse = reverse or mode == "reverse_nn"
+        window = (tuple(times.tolist()), k, reverse)
         memo = self._filter_memo
         if memo is not None:
             if memo.version != self.db.version:
                 memo.results.clear()
                 memo.version = self.db.version
-            key = (q, tuple(times.tolist()), k, reverse)
-            if key in memo.results:
-                return memo.results[key]
-        coords = q.coords_at(times)
-        peers: list[Query] = []
-        try:
-            if reverse or not self.use_pruning:
-                check_query_coords(coords, times, self.db.space.ndim)
-                overlapping = self.db.objects_overlapping(times)
-                results = [
-                    PruningResult(
-                        candidates=[o.object_id for o in overlapping if o.covers_all(times)],
-                        influencers=[o.object_id for o in overlapping],
-                        prune_distances=np.full(times.size, np.inf),
-                        # The fallback scans every overlapping object; reporting
-                        # 0 here would make pruning-on/off EvaluationReport
-                        # comparisons claim the unpruned path examined nothing.
-                        examined_entries=len(overlapping),
-                    )
-                ]
-            elif memo is None or not (self.prune_vectorized and self.refine_per_tic):
-                # Standalone requests — and the reference / ablation engines,
-                # which have no batched kernel — filter one query at a time.
-                tree = self.ust_tree
-                results = [
-                    tree.prune(coords, times, k, self.refine_per_tic, self.prune_vectorized)
-                ]
-            else:
-                peers = [
-                    peer
-                    for peer in memo.pending.pop(key[1:3], ())
-                    if peer is not q and (peer, *key[1:]) not in memo.results
-                ]
-                try:
-                    stacked = np.stack([coords] + [peer.coords_at(times) for peer in peers])
-                    results = self.ust_tree.prune_many(stacked, times, k)
-                except ValueError:  # a peer's coordinates are off: it says so when it asks
-                    peers, results = [], self.ust_tree.prune_many(coords[None], times, k)
-        except QueryCoordsError as exc:
-            # Checked once, where the coordinates meet the index (or its
-            # fallback); the engine knows whose they are.
-            raise ValueError(f"{q.kind} {exc}") from None
+            if (q, *window) in memo.results:
+                return memo.results[(q, *window)]
+        ndim = self.db.space.ndim
+        label = f"{mode} {q.kind} query" if mode else f"{q.kind} query"
+        coords = check_query_coords(q.coords_at(times), times, ndim, label)
+        if reverse or not self.use_pruning:
+            overlapping = self.db.objects_overlapping(times)
+            result = PruningResult(
+                candidates=[o.object_id for o in overlapping if o.covers_all(times)],
+                influencers=[o.object_id for o in overlapping],
+                prune_distances=np.full(times.size, np.inf),
+                # The fallback scans every overlapping object; reporting 0 here
+                # would make pruning-on/off EvaluationReport comparisons claim
+                # the unpruned path examined nothing.
+                examined_entries=len(overlapping),
+            )
+        elif memo is None or not (self.prune_vectorized and self.refine_per_tic):
+            # Standalone requests — and the reference / ablation engines,
+            # which have no batched kernel — filter one query at a time.
+            result = self.ust_tree.prune(
+                coords, times, k, self.refine_per_tic, self.prune_vectorized
+            )
+        else:
+            # One pass answers every registered peer of the window that is
+            # not answered yet; a peer whose coordinates cannot be taken is
+            # left out and says so itself when it asks.
+            group = {q: coords}
+            for peer in memo.pending.pop(window[:2], ()):
+                if peer not in group and (peer, *window) not in memo.results:
+                    try:
+                        group[peer] = check_query_coords(peer.coords_at(times), times, ndim)
+                    except Exception:  # noqa: BLE001 - the peer's error, not q's
+                        pass
+            results = self.ust_tree.prune_many(np.stack(list(group.values())), times, k)
+            memo.results.update(((peer, *window), res) for peer, res in zip(group, results))
+            return results[0]
         if memo is not None:
-            for query, result in zip([q] + peers, results):
-                memo.results[(query, *key[1:])] = result
-        return results[0]
+            memo.results[(q, *window)] = result
+        return result
 
     def _arena_for(self, objects: list[UncertainObject]) -> SamplingArena:
         """The fused sampling arena, packed with the given objects.
@@ -1380,11 +1371,7 @@ class QueryEngine:
         plan = build_plan(request, self.n_samples)
         times = np.asarray(plan.times, dtype=np.intp)
         pruning = self.filter_objects(
-            request.query,
-            times,
-            k=request.k,
-            normalized=True,
-            reverse=request.mode == "reverse_nn",
+            request.query, times, k=request.k, normalized=True, mode=request.mode
         )
         report = EvaluationReport(
             **self._report_base(plan, pruning),
@@ -1430,11 +1417,7 @@ class QueryEngine:
                 self._begin_query()
             with tracer.span("filter") as sp_filter:
                 pruning = self.filter_objects(
-                    request.query,
-                    times,
-                    k=request.k,
-                    normalized=True,
-                    reverse=request.mode == "reverse_nn",
+                    request.query, times, k=request.k, normalized=True, mode=request.mode
                 )
                 # The kNN depth must fit the competitor pool the filter
                 # produced: with fewer than k influence objects every alive

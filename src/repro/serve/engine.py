@@ -425,7 +425,7 @@ class ShardedQueryEngine(QueryEngine):
                 times = np.asarray(plan.times, dtype=np.intp)
                 reverse = req.mode == "reverse_nn"
                 pruning = self.filter_objects(
-                    req.query, times, k=req.k, normalized=True, reverse=reverse
+                    req.query, times, k=req.k, normalized=True, mode=req.mode
                 )
                 ids = list(pruning.influencers)
                 if not ids or req.k > len(ids):

@@ -38,17 +38,15 @@ from ..trajectory.database import TrajectoryDatabase
 from .geometry import Rect, maxdist_point_rect, mindist_point_rect
 from .rstar import RStarTree
 
-__all__ = ["SegmentKey", "PruningResult", "QueryCoordsError", "USTTree", "check_query_coords"]
+__all__ = ["SegmentKey", "PruningResult", "USTTree", "check_query_coords"]
 
 
-class QueryCoordsError(ValueError):
-    """Query coordinates the filter cannot take (see :func:`check_query_coords`)."""
-
-
-def check_query_coords(q_coords, times: np.ndarray, ndim: int) -> np.ndarray:
+def check_query_coords(
+    q_coords, times: np.ndarray, ndim: int, label: str = "query"
+) -> np.ndarray:
     """``q_coords`` as a float array whose trailing shape is
-    ``(len(times), ndim)`` and whose values are finite — else
-    :class:`QueryCoordsError`.
+    ``(len(times), ndim)`` and whose values are finite — else a
+    ``ValueError`` naming ``label``, the times and what is off.
 
     A NaN or infinite coordinate compares false against every bound (an
     empty filter result, silently); a point of the wrong dimension
@@ -58,14 +56,14 @@ def check_query_coords(q_coords, times: np.ndarray, ndim: int) -> np.ndarray:
     if times.size == 0:
         raise ValueError("query time set must be non-empty")
     if coords.shape[-2:] != (times.size, ndim):
-        raise QueryCoordsError(
-            f"query over T={times.tolist()}: one location per query time in the "
+        raise ValueError(
+            f"{label} over T={times.tolist()}: one location per query time in the "
             f"space's {ndim} dimension(s) is required — expected coordinates of "
             f"shape {(times.size, ndim)}, got {coords.shape[-2:]}"
         )
     if not np.isfinite(coords).all():
-        raise QueryCoordsError(
-            f"query over T={times.tolist()}: coordinates must be finite, "
+        raise ValueError(
+            f"{label} over T={times.tolist()}: coordinates must be finite, "
             f"got {coords[~np.isfinite(coords)][0]}"
         )
     return coords

@@ -397,17 +397,11 @@ class ContinuousMonitor:
         )
 
         # One § 6 pass per (window, k) group, over the subscriptions that
-        # will filter this tick (everything not provably clean up front):
-        # the scheduler's explain() and the due evaluations' filter stage
-        # read the same results (QueryEngine.shared_filter).
-        filtering = [
-            request
-            for sub, request in zip(subscriptions, requests)
-            if self.scheduler.settled(
-                sub, request, dirty, force=force_reason, dirty_ranges=ranges
-            ) != "clean"
-        ]
-        with self.engine.shared_filter(filtering):
+        # will filter this tick: the scheduler's explain() and the due
+        # evaluations' filter stage read the same results.
+        with self.scheduler.settling(
+            subscriptions, requests, dirty, force=force_reason, dirty_ranges=ranges
+        ):
             with tracer.span("schedule") as sp_schedule:
                 decisions = [
                     self.scheduler.decide(

@@ -43,6 +43,7 @@ evaluation of a ``filter-changed`` subscription reads the same result.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING, Callable
 
@@ -152,6 +153,8 @@ class SubscriptionScheduler:
         # Per-reason Counter handles, cached so the per-subscription
         # metrics feed is one dict hit + inc, not a registry lookup.
         self._decision_counters: dict[str, object] = {}
+        #: ``name -> (request, verdict)`` inside a :meth:`settling` block.
+        self._settled: dict[str, tuple] = {}
 
     def decide(
         self, subscription: Subscription, dirty: frozenset[str] | set[str],
@@ -196,19 +199,28 @@ class SubscriptionScheduler:
             counter.inc()
         return decision
 
-    def settled(
-        self, subscription: Subscription, request: QueryRequest,
-        dirty: frozenset[str] | set[str], *, force: str | None = None,
-        dirty_ranges: dict[str, tuple[float, float]] | None = None,
-    ) -> str | None:
-        """The verdict reachable without the filter stage: a due reason,
-        ``"clean"``, or ``None`` when only fresh filter sets can tell.
+    @contextmanager
+    def settling(self, subscriptions, requests, dirty, *, force=None, dirty_ranges=None):
+        """A tick's deciding block.  What can be said of each subscription
+        without the filter stage is settled once, up front, and
+        :meth:`decide` inside the block starts from it; everything not
+        ``"clean"`` ends in a filter pass this tick (a due subscription's
+        evaluation filters too), so exactly those requests share the
+        engine's filter work (:meth:`QueryEngine.shared_filter`)."""
+        self._settled = {
+            sub.name: (request, self._settle(sub, request, dirty, force, dirty_ranges))
+            for sub, request in zip(subscriptions, requests)
+        }
+        filtering = [req for req, reason in self._settled.values() if reason != "clean"]
+        try:
+            with self.engine.shared_filter(filtering):
+                yield
+        finally:
+            self._settled = {}
 
-        Everything but ``"clean"`` ends in a filter pass this tick (a due
-        subscription's evaluation filters too), which is how the monitor
-        knows which requests to register with
-        :meth:`QueryEngine.shared_filter`.
-        """
+    def _settle(self, subscription, request, dirty, force, dirty_ranges) -> str | None:
+        """The verdict reachable without the filter stage: a due reason,
+        ``"clean"``, or ``None`` when only fresh filter sets can tell."""
         if force is not None:
             return force
         if subscription.evaluations == 0:
@@ -233,11 +245,12 @@ class SubscriptionScheduler:
         now: int | None, *, force: str | None = None,
         dirty_ranges: dict[str, tuple[float, float]] | None = None,
     ) -> Decision:
-        request = subscription.request_at(now)
         self.decided += 1
-        reason = self.settled(
-            subscription, request, dirty, force=force, dirty_ranges=dirty_ranges
-        )
+        ahead = self._settled.get(subscription.name)
+        if ahead is None:
+            request = subscription.request_at(now)
+            ahead = request, self._settle(subscription, request, dirty, force, dirty_ranges)
+        request, reason = ahead
         candidates = influencers = None
         if reason is None:
             explanation = self.engine.explain(request)

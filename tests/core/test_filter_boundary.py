@@ -4,8 +4,9 @@ A NaN or infinite coordinate compares false against every bound, so the
 filter used to answer "nobody is near" without an error; a 1-d point
 against a 2-d space broadcast into distances (and probabilities!) of
 something that is not a point of the space, and a 3-d one died inside
-numpy.  All four are now a ``ValueError`` naming the query, its times and
-the offending shape or value — from every entry point that filters.
+numpy.  All four are now a ``ValueError`` naming the request's mode, the
+query, its times and the offending shape or value — from every entry point
+that filters.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query, QueryRequest
 from repro.spatial.ust_tree import USTTree
 from repro.stream import ContinuousMonitor
+from repro.trajectory.trajectory import Trajectory
 from tests.conftest import make_random_world
 
 pytestmark = pytest.mark.stream
@@ -39,18 +41,18 @@ class TestBadQueryPoint:
     def _request(self, label, mode="forall"):
         return QueryRequest(Query.from_point(BAD_POINTS[label][0]), TIMES, mode, 0.1)
 
-    def _match(self, label):
-        return r"point query over T=\[2, 3, 4\].*" + BAD_POINTS[label][1]
+    def _match(self, label, mode="forall"):
+        return mode + r" point query over T=\[2, 3, 4\].*" + BAD_POINTS[label][1]
 
     @pytest.mark.parametrize("mode", ["forall", "exists", "pcnn", "reverse_nn"])
     def test_evaluate_and_explain_raise(self, db, label, mode):
         engine = QueryEngine(db, n_samples=50, seed=1)
         request = self._request(label, mode)
-        with pytest.raises(ValueError, match=self._match(label)):
+        with pytest.raises(ValueError, match=self._match(label, mode)):
             engine.evaluate(request)
-        with pytest.raises(ValueError, match=self._match(label)):
+        with pytest.raises(ValueError, match=self._match(label, mode)):
             engine.explain(request)
-        with pytest.raises(ValueError, match=self._match(label)):
+        with pytest.raises(ValueError, match=self._match(label, mode)):
             engine.evaluate_many([request])
 
     def test_unpruned_engine_raises_too(self, db, label):
@@ -90,3 +92,32 @@ def test_one_location_per_query_time(db):
         tree.prune(np.zeros((0, 2)), np.asarray([], dtype=int))
     with pytest.raises(ValueError, match=r"expected \(Q, len\(times\), d\)"):
         tree.prune_many(np.zeros((3, 2)), np.asarray(TIMES))
+
+
+def test_a_peer_that_cannot_be_located_fails_alone(db):
+    """A trajectory query off its span raises ``KeyError`` from
+    ``coords_at`` — its own error, told when *it* asks: the request batched
+    with it is answered, and in one kernel pass with the other good peer."""
+    engine = QueryEngine(db, n_samples=50, seed=1)
+    good = QueryRequest(Query.from_point([5.0, 5.0]), TIMES, "forall", 0.1)
+    other = QueryRequest(Query.from_point([2.0, 7.0]), TIMES, "forall", 0.1)
+    short = Trajectory(0, np.zeros(2, dtype=np.intp))  # covers tics 0..1 only
+    bad = QueryRequest(Query.from_trajectory(short, db.space), TIMES, "forall", 0.1)
+    alone = engine.explain(good)
+    batches = []
+    kernel = USTTree.prune_many
+
+    def counting(self, q_coords, times, k=1):
+        batches.append(len(q_coords))
+        return kernel(self, q_coords, times, k)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(USTTree, "prune_many", counting)
+        with engine.shared_filter([good, bad, other]):
+            assert engine.explain(good).influencers == alone.influencers
+            assert engine.explain(other).influencers
+            with pytest.raises(KeyError, match="outside the trajectory span"):
+                engine.explain(bad)
+    assert batches == [2]
+    with pytest.raises(KeyError, match="outside the trajectory span"):
+        engine.evaluate_many([good, bad])
