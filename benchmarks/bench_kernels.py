@@ -16,7 +16,7 @@ from scipy import sparse
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query, QueryRequest
 from repro.data.synthetic import SyntheticWorkloadConfig, generate_workload
-from repro.markov.adaptation import adapt_model
+from repro.markov.adaptation import adapt_many, adapt_model
 from repro.markov.chain import MarkovChain
 from repro.spatial.geometry import Rect
 from repro.spatial.rstar import RStarTree
@@ -867,6 +867,103 @@ def test_prune_many_targets(bench_record):
         )
     )
     assert speedup >= target, sizes
+
+
+def _knn_chain(n_states=1000, k_nn=6, seed=5):
+    """A k-nearest-neighbour geometric graph with self-loops over uniform
+    random points — the shape of the end-to-end benchmark's chains: every
+    state has exactly ``k_nn + 1`` successors."""
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0, 100, size=(n_states, 2))
+    d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
+    cols = np.argsort(d2, axis=1, kind="stable")[:, : k_nn + 1]  # self first
+    weights = rng.uniform(0.5, 1.5, size=cols.shape)
+    weights /= weights.sum(axis=1, keepdims=True)
+    rows = np.repeat(np.arange(n_states), k_nn + 1)
+    matrix = sparse.csr_matrix(
+        (weights.ravel(), (rows, cols.ravel())), shape=(n_states, n_states)
+    )
+    return MarkovChain(matrix), rng
+
+
+def _walk_requests(chain, rng, n_objects, gap, n_segments=1):
+    """``adapt_many`` requests: fixes every ``gap`` tics along random walks."""
+    requests = []
+    for _ in range(n_objects):
+        state, walk = int(rng.integers(chain.n_states)), []
+        for t in range(gap * n_segments + 1):
+            walk.append(state)
+            nxt, probs = chain.successors(state, t)
+            state = int(rng.choice(nxt, p=probs))
+        fixes = [(k * gap, walk[k * gap]) for k in range(n_segments + 1)]
+        requests.append((chain, fixes, None, None))
+    return requests
+
+
+def test_adapt_many_targets(bench_record):
+    """The batched forward–backward kernel, persisted to the JSON table.
+
+    ``adapt_many`` on a 1000-state out-degree-7 chain: µs per segment for
+    batches of 1 / 9 / 640 one-segment objects (a lone event, one
+    ``fleet_live`` tick, a bulk load) at gaps 3 and 5, next to the
+    per-object scipy sweep it replaced (``_reference_adapt``, kept under
+    ``tests/`` as the byte-identity oracle — ``tests/markov/
+    test_adapt_many.py`` holds the two equal to the last bit), plus what a
+    first build costs per 8-segment object, adaptation and compilation.
+    Acceptance target: ≥5× per segment at a tick's batch of 9 (CI enforces
+    a relaxed floor on shared runners; run locally or with
+    ADAPT_SPEEDUP_TARGET=5.0 for the full assertion).
+    """
+    from tests.stream.test_segment_reuse import _reference_adapt
+
+    chain, rng = _knn_chain()
+    assert np.diff(chain.matrix.indptr).tolist() == [7] * chain.n_states
+    rounds = 5
+    gaps = {}
+    for gap in (3, 5):
+        row = {}
+        for batch in (1, 9, 640):
+            requests = _walk_requests(chain, rng, batch, gap)
+            adapt_many(requests)  # warm-up (the chain's cached CSR arrays)
+            best = min(_timed(lambda: adapt_many(requests)) for _ in range(rounds))
+            row[f"b{batch}_us_per_segment"] = best / batch * 1e6
+            reference = min(
+                _timed(lambda: [_reference_adapt(c, obs) for c, obs, _, _ in requests])
+                for _ in range(rounds if batch < 640 else 1)
+            )
+            row[f"b{batch}_reference_us_per_segment"] = reference / batch * 1e6
+        gaps[str(gap)] = row
+
+    def first_build(requests):
+        for model in adapt_many(requests):
+            model.compiled
+
+    objects = _walk_requests(chain, rng, 20, gap=5, n_segments=8)
+    together = min(_timed(lambda: first_build(objects)) for _ in range(rounds))
+    alone = min(
+        _timed(lambda: [first_build([request]) for request in objects])
+        for _ in range(rounds)
+    )
+    speedup = gaps["3"]["b9_reference_us_per_segment"] / gaps["3"]["b9_us_per_segment"]
+    bench_record(
+        "adapt_many",
+        {
+            "cpu_count": os.cpu_count(),
+            "n_states": chain.n_states,
+            "out_degree": 7,
+            "rounds": rounds,
+            "gap": gaps,
+            "first_build_ms_per_8_segment_object": {
+                "pooled_20_objects": together / len(objects) * 1e3,
+                "one_object_at_a_time": alone / len(objects) * 1e3,
+            },
+            "speedup_b9_gap3_vs_reference": speedup,
+        },
+    )
+    target = float(
+        os.environ.get("ADAPT_SPEEDUP_TARGET", "1.5" if os.environ.get("CI") else "5.0")
+    )
+    assert speedup >= target, gaps
 
 
 def test_knn_k_targets(bench_record):

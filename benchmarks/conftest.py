@@ -38,6 +38,7 @@ BENCH_JSON = _ROOT / "BENCH_kernels.json"
 #: rejects anything else, so the JSON cannot drift from the bench suite.
 KNOWN_KERNELS = frozenset(
     {
+        "adapt_many",
         "fused_speedup",
         "ingest_throughput",
         "knn_k",

@@ -53,7 +53,7 @@ from ..markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from ..obs.tracing import NULL_TRACER
 from ..spatial.ust_tree import PruningResult, USTTree, check_query_coords
 from ..trajectory.database import TrajectoryDatabase
-from ..trajectory.trajectory import UncertainObject
+from ..trajectory.trajectory import UncertainObject, adapt_objects
 from .estimators import EstimationContext, EstimateOutcome, make_estimator
 from .planner import Explanation, QueryPlan, build_plan
 from .queries import Query, QueryRequest, normalize_times, union_window
@@ -733,15 +733,17 @@ class QueryEngine:
         mutated objects' packed tables, a wholesale invalidation replaces
         the arena.  Objects join on first refinement at their stable
         database order so the packed layout is independent of
-        candidate-list order.
+        candidate-list order — after one batched adaptation of every
+        newcomer still to be derived.
         """
-        for obj in objects:
-            if obj.object_id not in self._arena:
-                self._arena.ensure(
-                    obj.object_id,
-                    obj.compiled,
-                    order=self.db.object_index(obj.object_id),
-                )
+        joining = [obj for obj in objects if obj.object_id not in self._arena]
+        adapt_objects(joining)
+        for obj in joining:
+            self._arena.ensure(
+                obj.object_id,
+                obj.compiled,
+                order=self.db.object_index(obj.object_id),
+            )
         return self._arena
 
     # ------------------------------------------------------------------
@@ -1238,6 +1240,7 @@ class QueryEngine:
 
         def bulk(fresh: list, extend: list):
             if len(fresh) + len(extend) <= self.FUSED_DRAW_THRESHOLD:
+                adapt_objects([objects[draw[0]] for draw in fresh + extend])
                 fresh_results = []
                 for pos, t_lo, t_hi in fresh:
                     obj = objects[pos]

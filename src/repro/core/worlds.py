@@ -317,7 +317,16 @@ class WorldCache:
                     self._m_hits.inc()
                 segments[pos] = seg
         if fresh or extend:
-            fresh_results, extend_results = bulk_sampler(fresh, extend)
+            try:
+                fresh_results, extend_results = bulk_sampler(fresh, extend)
+            except BaseException:
+                # A draw that failed (one member's observations contradict
+                # its chain) must not leave empty placeholders behind as
+                # cached worlds.
+                for key, placeholder in placeholders.items():
+                    if self._entries.get(key) is placeholder:
+                        del self._entries[key]
+                raise
             for (pos, t_lo, _), (states, rng) in zip(fresh, fresh_results):
                 key = items[pos][0]
                 seg = placeholders[key]

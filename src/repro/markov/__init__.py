@@ -1,6 +1,11 @@
 """Markov chain substrate: models, adaptation (Algorithm 2), samplers."""
 
-from .adaptation import AdaptedModel, ObservationContradictionError, adapt_model
+from .adaptation import (
+    AdaptedModel,
+    ObservationContradictionError,
+    adapt_many,
+    adapt_model,
+)
 from .arena import ArenaRequest, SamplingArena, sample_paths_arena
 from .chain import (
     InhomogeneousMarkovChain,
@@ -35,6 +40,7 @@ __all__ = [
     "SamplingStats",
     "SparseDistribution",
     "TransitionModel",
+    "adapt_many",
     "adapt_model",
     "compile_model",
     "estimate_rejection_cost",

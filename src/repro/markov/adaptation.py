@@ -10,14 +10,26 @@ conditioned on *all* observations — past, present and future.  Sampling
 from ``F`` yields only trajectories consistent with every observation
 (versus an exponential rejection rate for naive Monte-Carlo, Section 5.1).
 
-The implementation keeps all state vectors on their active support
-(:class:`~repro.markov.distributions.SparseDistribution`), so cost scales
-with diamond width, not ``|S|``.
+Observations are certain, so both sweeps factorise at every fix and the
+unit of work is the *segment* between two consecutive fixes.
+:func:`adapt_many` collects every segment that any number of objects still
+has to derive, groups them by gap and by the matrices they walk, and runs
+Algorithm 2 over each group as one stacked CSR sweep per tic offset
+(:func:`_sweep`) — all state vectors stay on their active support, so cost
+scales with diamond width, not ``|S|``, and with the number of groups, not
+the number of segments.  ``F(t)`` leaves the kernel as per-tic CSR arrays
+(:class:`Segment`), which :func:`~repro.markov.compiled.compile_model`
+flattens without a per-row step; the ``state -> (next_states, probs)`` row
+dictionaries and :class:`~repro.markov.distributions.SparseDistribution`
+marginals are views materialised on demand for the exact oracle, the
+reference sampler and the tests.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -25,9 +37,17 @@ from .chain import TransitionModel
 from .compiled import CompiledModel, compile_model
 from .distributions import SparseDistribution
 
-__all__ = ["ObservationContradictionError", "Segment", "AdaptedModel", "adapt_model"]
+__all__ = [
+    "ObservationContradictionError",
+    "Segment",
+    "AdaptedModel",
+    "adapt_model",
+    "adapt_many",
+]
 
 RowDist = tuple[np.ndarray, np.ndarray]
+#: One tic of ``F``: CSR rows ``(support, indptr, next_states, probs)``.
+Layer = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
 class ObservationContradictionError(ValueError):
@@ -39,26 +59,29 @@ class ObservationContradictionError(ValueError):
     """
 
 
-@dataclass
+@dataclass(eq=False)
 class Segment:
     """Derived state of one inter-observation stretch of an adapted model.
 
     The unit of reuse on the write path: everything here is a pure function
     of :attr:`key` and the chain, so a model adapted after one more fix
-    shares the records of every stretch the fix did not touch.
+    shares the records of every stretch the fix did not touch.  A record
+    owns its arrays (cut out of the batch that derived it), so a retired
+    stretch frees its memory whatever became of its batch peers.
 
     Attributes
     ----------
     key:
         ``(t0, s0, t1, s1)`` — the bounding fixes; ``s1`` is ``None`` for
         the open cone past the last observation (``extend_to``).
-    transitions:
-        ``F(t)`` rows for ``t0 <= t < t1``.
-    posteriors:
-        Posterior marginals for ``t0 <= t < t1`` (the cone: ``t0 < t <=
-        t1``); the posterior at the closing fix is the point ``s1``.
-    forwards:
-        Forward marginals for ``t0 < t <= t1``.
+    layers:
+        ``F(t)`` for ``t0 <= t < t1`` as CSR rows over the posterior
+        support at ``t``: ``(support, indptr, next_states, probs)``.
+    posterior:
+        Posterior marginals ``(states, probs)`` for ``t0 <= t <= t1``;
+        ``posterior[k][0]`` *is* ``layers[k][0]``.
+    forward:
+        Forward marginals ``(states, probs)`` for ``t0 < t <= t1``.
     compiled:
         ``(layers, initials)`` of these tics once
         :func:`~repro.markov.compiled.compile_model` has flattened them —
@@ -66,10 +89,76 @@ class Segment:
     """
 
     key: tuple[int, int | None, int, int | None]
-    transitions: dict[int, dict[int, RowDist]]
-    posteriors: dict[int, SparseDistribution]
-    forwards: dict[int, SparseDistribution]
-    compiled: tuple[dict, dict] | None = field(default=None, repr=False, compare=False)
+    layers: list[Layer]
+    posterior: list[RowDist]
+    forward: list[RowDist]
+    compiled: tuple[dict, dict] | None = field(default=None, repr=False)
+
+    # The views below exist for the exact oracle, ``backend="reference"``,
+    # the Fig. 12 ablation and the tests; nothing on the tick path asks.
+    @cached_property
+    def transitions(self) -> dict[int, dict[int, RowDist]]:
+        """``F(t)`` as ``state -> (next_states, probs)`` row dictionaries."""
+        return {
+            self.key[0] + k: {
+                state: (next_states[lo:hi], probs[lo:hi])
+                for state, lo, hi in zip(
+                    support.tolist(), indptr[:-1].tolist(), indptr[1:].tolist()
+                )
+            }
+            for k, (support, indptr, next_states, probs) in enumerate(self.layers)
+        }
+
+    @cached_property
+    def posteriors(self) -> dict[int, SparseDistribution]:
+        return {
+            t: SparseDistribution(*dist)
+            for t, dist in enumerate(self.posterior, start=self.key[0])
+        }
+
+    @cached_property
+    def forwards(self) -> dict[int, SparseDistribution]:
+        return {
+            t: SparseDistribution(*dist)
+            for t, dist in enumerate(self.forward, start=self.key[0] + 1)
+        }
+
+
+class _Merged(Mapping):
+    """One kind of the records' views (``"transitions"`` / ``"posteriors"`` /
+    ``"forwards"``) as a single read-only ``dict`` over the model's span,
+    merged when first asked for.  Plain attributes, no closure: shard views
+    pickle their objects, models included."""
+
+    __slots__ = ("_segments", "_name", "_first_fix", "_dict")
+
+    def __init__(
+        self,
+        segments: tuple[Segment, ...],
+        name: str,
+        first_fix: tuple[int, int] | None = None,
+    ) -> None:
+        self._segments, self._name, self._first_fix = segments, name, first_fix
+        self._dict: dict | None = None
+
+    def _built(self) -> dict:
+        if self._dict is None:
+            out = {}
+            if self._first_fix is not None:  # the one tic no record covers
+                out[self._first_fix[0]] = SparseDistribution.point(self._first_fix[1])
+            for seg in self._segments:
+                out.update(getattr(seg, self._name))
+            self._dict = out
+        return self._dict
+
+    def __getitem__(self, key):
+        return self._built()[key]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __len__(self) -> int:
+        return len(self._built())
 
 
 @dataclass
@@ -100,8 +189,8 @@ class AdaptedModel:
     forwards: dict[int, SparseDistribution]
     observation_times: tuple[int, ...] = field(default=())
     #: The chain the model was adapted under and its per-stretch records
-    #: (set by :func:`adapt_model`).  A hand-assembled model is one
-    #: anonymous stretch over its own dicts: nothing matches its key.
+    #: (set by :func:`adapt_many`, whose three mappings above are built from
+    #: the records on first use).  A hand-assembled model has neither.
     chain: TransitionModel | None = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -112,16 +201,6 @@ class AdaptedModel:
         default=None, init=False, repr=False, compare=False
     )
 
-    def __post_init__(self) -> None:
-        self.segments = (
-            Segment(
-                (self.t_first, None, self.t_last, None),
-                self.transitions,
-                self.posteriors,
-                self.forwards,
-            ),
-        )
-
     # ------------------------------------------------------------------
     @property
     def compiled(self) -> CompiledModel:
@@ -129,6 +208,41 @@ class AdaptedModel:
         if self._compiled is None:
             self._compiled = compile_model(self)
         return self._compiled
+
+    def stretches(self) -> tuple[Segment, ...]:
+        """The records :func:`compile_model` flattens, in time order.
+
+        :attr:`segments` — or, for a hand-assembled model, its row
+        dictionaries packed into one anonymous stretch (the key of no real
+        stretch matches it, so it is never carried over).
+        """
+        if self.segments or self.t_first == self.t_last:
+            return self.segments
+        layers = []
+        for t in range(self.t_first, self.t_last):
+            rows = self.transitions[t]
+            support = np.array(sorted(rows), dtype=np.intp)
+            if not np.array_equal(support, self.posteriors[t].states):
+                raise ValueError(
+                    "adapted model is inconsistent: transition rows at time "
+                    f"{t} do not match the posterior support"
+                )
+            parts = [rows[state] for state in support.tolist()]
+            indptr = np.zeros(support.size + 1, dtype=np.intp)
+            np.cumsum([next_states.size for next_states, _ in parts], out=indptr[1:])
+            layers.append(
+                (
+                    support,
+                    indptr,
+                    np.concatenate([p[0] for p in parts]).astype(np.intp, copy=False),
+                    np.concatenate([p[1] for p in parts]),
+                )
+            )
+        tics = range(self.t_first, self.t_last + 1)
+        key = (self.t_first, None, self.t_last, None)
+        posterior = [(d.states, d.probs) for d in (self.posteriors[t] for t in tics)]
+        forward = [(d.states, d.probs) for d in (self.forwards[t] for t in tics[1:])]
+        return (Segment(key, layers, posterior, forward),)
 
     def covers(self, t: int) -> bool:
         """Whether the object's uncertain trajectory is defined at ``t``."""
@@ -248,13 +362,8 @@ def adapt_model(
     extend_to: int | None = None,
     donor: AdaptedModel | None = None,
 ) -> AdaptedModel:
-    """Run Algorithm 2: forward and backward phase, one segment at a time.
-
-    Observations are certain, so both sweeps factorise at every fix: the
-    forward marginal collapses to a point there and the posterior at an
-    observation tic is exactly ``([θ], [1.0])``.  ``F(t)`` between two
-    consecutive fixes is therefore a pure function of that pair and the
-    chain, and the model is assembled from one :class:`Segment` per pair.
+    """Run Algorithm 2 for one object — the single-request case of
+    :func:`adapt_many`, raising what that returns as the request's error.
 
     Parameters
     ----------
@@ -288,7 +397,82 @@ def adapt_model(
         When an observation has zero probability under the chain given the
         preceding observations.
     """
-    obs = [(int(t), int(s)) for t, s in observations]
+    (model,) = adapt_many([(chain, observations, extend_to, donor)])
+    if isinstance(model, ValueError):
+        raise model
+    return model
+
+
+def adapt_many(
+    requests: Sequence[
+        tuple[TransitionModel, list[tuple[int, int]], int | None, AdaptedModel | None]
+    ],
+) -> list[AdaptedModel | ValueError]:
+    """Run Algorithm 2 for many objects at once.
+
+    Each request is ``(chain, observations, extend_to, donor)`` as in
+    :func:`adapt_model`.  Observations are certain, so both sweeps
+    factorise at every fix: the forward marginal collapses to a point there
+    and the posterior at an observation tic is exactly ``([θ], [1.0])``.
+    ``F(t)`` between two consecutive fixes is therefore a pure function of
+    that pair and the chain, and a model is assembled from one
+    :class:`Segment` per pair.  The segments no donor supplies are pooled
+    over all requests and grouped by the matrices they walk — the identity
+    of ``chain.csr_arrays(t)`` for every tic of the gap, so one homogeneous
+    chain forms one group per gap length while inhomogeneous or per-object
+    chains simply form smaller ones — and every group is derived by one
+    :func:`_sweep`.
+
+    Returns one entry per request, in order: the model, or the error that
+    :func:`adapt_model` raises for it.  A request fails alone (its earliest
+    contradicting segment is the one reported); its batch peers get their
+    models.
+    """
+    plans: list[tuple | ValueError] = []
+    groups: dict[tuple, tuple[tuple, int, list]] = {}
+    for chain, observations, extend_to, donor in requests:
+        obs = [(int(t), int(s)) for t, s in observations]
+        try:
+            _check_observations(chain, obs)
+        except ValueError as exc:
+            plans.append(exc)
+            continue
+        keys = [(*first, *second) for first, second in zip(obs, obs[1:])]
+        if extend_to is not None and int(extend_to) > obs[-1][0]:
+            keys.append((*obs[-1], int(extend_to), None))
+        carried: dict[tuple, Segment] = (
+            {seg.key: seg for seg in donor.segments}
+            if donor is not None and donor.chain is chain
+            else {}
+        )
+        segments = [carried.get(key) for key in keys]
+        for slot, key in enumerate(keys):
+            if segments[slot] is None:
+                mats = tuple(chain.csr_arrays(t) for t in range(key[0], key[2]))
+                members = groups.setdefault(
+                    tuple(map(id, mats)), (mats, chain.n_states, [])
+                )[2]
+                members.append((key, segments, slot))
+        plans.append((chain, obs, segments))
+    for mats, n_states, members in groups.values():
+        derived = _sweep(mats, n_states, [key for key, _, _ in members])
+        for (_, segments, slot), segment in zip(members, derived):
+            segments[slot] = segment
+
+    models: list[AdaptedModel | ValueError] = []
+    for plan in plans:
+        if isinstance(plan, ValueError):
+            models.append(plan)
+            continue
+        chain, obs, segments = plan
+        # Segments are in time order, so the earliest contradiction is the
+        # one reported — carried-over segments have none.
+        error = next((seg for seg in segments if isinstance(seg, ValueError)), None)
+        models.append(error or _assemble(chain, obs, tuple(segments)))
+    return models
+
+
+def _check_observations(chain: TransitionModel, obs: list[tuple[int, int]]) -> None:
     if not obs:
         raise ValueError("need at least one observation")
     times = [t for t, _ in obs]
@@ -298,153 +482,269 @@ def adapt_model(
         if not 0 <= state < chain.n_states:
             raise ValueError(f"observed state {state} outside state space")
 
-    carried: dict[tuple, Segment] = (
-        {seg.key: seg for seg in donor.segments}
-        if donor is not None and donor.chain is chain
-        else {}
-    )
-    # Segments are visited in time order, so the earliest contradiction is
-    # the one raised — carried-over segments have none.
-    segments = [
-        carried.get((t0, s0, t1, s1)) or _adapt_segment(chain, t0, s0, t1, s1)
-        for (t0, s0), (t1, s1) in zip(obs, obs[1:])
-    ]
-    (t_first, s_first), (t_last, s_last) = obs[0], obs[-1]
-    t_cover = t_last
-    if extend_to is not None and int(extend_to) > t_last:
-        t_cover = int(extend_to)
-        segments.append(
-            carried.get((t_last, s_last, t_cover, None))
-            or _extend_segment(chain, t_last, s_last, t_cover)
-        )
 
-    transitions: dict[int, dict[int, RowDist]] = {}
-    posteriors = {t_last: SparseDistribution.point(s_last)}
-    forwards = {t_first: SparseDistribution.point(s_first)}
-    for seg in segments:
-        transitions.update(seg.transitions)
-        posteriors.update(seg.posteriors)
-        forwards.update(seg.forwards)
+def _point(state: int) -> RowDist:
+    return np.array([state], dtype=np.intp), np.ones(1)
+
+
+def _assemble(
+    chain: TransitionModel, obs: list[tuple[int, int]], segments: tuple[Segment, ...]
+) -> AdaptedModel:
+    """The model over ``segments``; its mappings merge the records' views."""
     model = AdaptedModel(
-        t_first=t_first,
-        t_last=t_cover,
-        transitions=transitions,
-        posteriors=posteriors,
-        forwards=forwards,
-        observation_times=tuple(times),
+        t_first=obs[0][0],
+        t_last=segments[-1].key[2] if segments else obs[0][0],
+        transitions=_Merged(segments, "transitions"),
+        posteriors=_Merged(segments, "posteriors", None if segments else obs[0]),
+        forwards=_Merged(segments, "forwards", obs[0]),
+        observation_times=tuple(t for t, _ in obs),
     )
-    model.chain, model.segments = chain, tuple(segments)
+    model.chain, model.segments = chain, segments
     return model
 
 
-def _adapt_segment(
-    chain: TransitionModel, t0: int, s0: int, t1: int, s1: int
-) -> Segment:
-    """Algorithm 2 between the consecutive fixes ``(t0, s0)`` and ``(t1, s1)``."""
+# ----------------------------------------------------------------------
+# the batched kernel
+# ----------------------------------------------------------------------
+def _gather_rows(
+    indptr: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Entries of the CSR rows ``rows``, laid end to end (the gather of
+    ``trajectory.diamonds._frontier_step``, with what the sweep needs on top).
+
+    Returns their positions, the index into ``rows`` each one came from, and
+    the cumulative row sizes (``rows.size + 1`` offsets into the positions).
+    """
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    offsets = np.zeros(rows.size + 1, dtype=np.intp)
+    np.cumsum(counts, out=offsets[1:])
+    positions = np.arange(offsets[-1]) + np.repeat(starts - offsets[:-1], counts)
+    return positions, np.repeat(np.arange(rows.size), counts), offsets
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Stable sort order of ``keys``, the distinct keys and where each one's
+    run starts in the sorted order (``distinct.size + 1`` offsets)."""
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    fresh = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    starts = np.flatnonzero(fresh)
+    return order, keys[starts], np.append(starts, keys.size)
+
+
+def _unstack(
+    keys: np.ndarray, n: int, n_states: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted ``segment · |S| + state`` keys as ``(segment, state)`` columns,
+    each segment's slice of them (``n + 1`` offsets) and the slice sizes."""
+    seg = keys // n_states
+    offsets = np.searchsorted(seg, np.arange(n + 1))
+    return seg, keys - seg * n_states, offsets, np.diff(offsets)
+
+
+def _slice_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``values[offsets[i]:offsets[i + 1]].sum()`` for every slice.
+
+    One ``ndarray.sum()`` each, on purpose: these are Algorithm 2's
+    normalisers, and ``np.add.reduceat`` adds in another order (``x0 +
+    pairwise(x[1:])`` instead of ``pairwise(x)``) — bitwise different from
+    three addends on.
+    """
+    bounds = offsets.tolist()
+    return np.array([np.add.reduce(values[lo:hi]) for lo, hi in zip(bounds, bounds[1:])])
+
+
+#: ``ndarray.sum()`` adds fewer than this many numbers strictly left to
+#: right; from here on numpy's unrolled pairwise summation takes over.
+_PAIRWISE_MIN = 8
+
+
+def _row_sums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """:func:`_slice_sums` for many narrow rows.
+
+    Rows below :data:`_PAIRWISE_MIN` entries are summed left to right by
+    ``ndarray.sum()``, which a zero-padded ``(width, rows)`` block reduced
+    along its first axis reproduces bit for bit (``x + 0.0 == x``); only
+    wider rows — none on a chain of out-degree 7 — are summed one by one.
+    """
+    widths = np.diff(offsets)
+    wide = np.flatnonzero(widths >= _PAIRWISE_MIN)
+    rows = np.repeat(np.arange(widths.size), widths)
+    depth = np.arange(values.size) - offsets[rows]
+    if wide.size:
+        narrow = depth < _PAIRWISE_MIN - 1
+        rows, depth, values_in = rows[narrow], depth[narrow], values[narrow]
+    else:
+        values_in = values
+    block = np.zeros((int(depth.max()) + 1 if depth.size else 0, widths.size))
+    block[depth, rows] = values_in
+    sums = np.add.reduce(block, axis=0)
+    for row in wide.tolist():
+        sums[row] = np.add.reduce(values[offsets[row] : offsets[row + 1]])
+    return sums
+
+
+def _sweep(
+    mats: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
+    n_states: int,
+    keys: list[tuple[int, int, int, int | None]],
+) -> list[Segment | ObservationContradictionError]:
+    """Algorithm 2 over many segments that walk the same matrices.
+
+    ``mats[k]`` is the CSR triple applied between tic offsets ``k`` and
+    ``k + 1`` of every segment in ``keys`` (all of one gap).  The segments'
+    sparse state vectors are stacked into one array sorted by ``segment ·
+    |S| + state``, so each tic offset costs one gather of successor runs,
+    one stable sort and one ``np.add.reduceat`` for the whole group instead
+    of a scipy row-slice / multiply / ``tocsc`` per segment.  Open cones
+    (``s1 is None``) are the forward half of the same sweep.
+
+    Every number is produced by the same additions in the same order as a
+    segment-at-a-time pass (scipy's column sums *are* ``reduceat``; the
+    normalisers go through :func:`_slice_sums` / :func:`_row_sums`), so the
+    result is bit-identical whatever the batch.  A segment whose support
+    dies out or whose closing fix has zero forward probability leaves the
+    sweep; its entry of the result is the error.
+    """
+    n, gap = len(keys), len(mats)
+    t0 = [key[0] for key in keys]
+    closed = np.array([key[3] is not None for key in keys])
+    has_cones = not closed.all()
+    s1 = np.array([key[3] if key[3] is not None else -1 for key in keys], dtype=np.intp)
+    errors: dict[int, ObservationContradictionError] = {}
+    alive = np.ones(n, dtype=bool)
+
+    def fail(segment: int, message: str) -> None:
+        if alive[segment]:  # the first contradiction of a segment is the one reported
+            alive[segment] = False
+            errors[segment] = ObservationContradictionError(message)
+
     # ------------------------------------------------------------------
     # Forward phase (Algorithm 2, lines 2-10): propagate with the a-priori
-    # chain from the certain start, recording the time-reversed matrices
-    # R(t), and condition on the closing observation when it is reached.
+    # chain from the certain starts, recording the time-reversed matrices
+    # R(t), and condition on the closing observations when they are reached.
     # ------------------------------------------------------------------
-    forwards: dict[int, SparseDistribution] = {}
-    reverse: dict[int, dict[int, RowDist]] = {}
-    current = SparseDistribution.point(s0)
+    seg_offsets = np.arange(n + 1)
+    seg = seg_offsets[:-1]
+    state = np.array([key[1] for key in keys], dtype=np.intp)
+    prob = np.ones(n)
+    forward: list[tuple] = []  # per tic offset: segment offsets, support, probs, chain rows
+    reverse: list[tuple] = []  # R(t0 + k + 1): run keys, run offsets, prev states, probs
+    for k, (indptr, indices, data) in enumerate(mats):
+        pos, src, row_offsets = _gather_rows(indptr, state)
+        nxt, val = indices[pos], data[pos]
+        forward.append((seg_offsets, state, prob, row_offsets, nxt, val))
+        # With no future evidence a cone's F(t) is the chain's own rows over
+        # the support — so an empty one is a dead end.
+        if has_cones:
+            for i in np.flatnonzero(~closed[seg] & (np.diff(row_offsets) == 0)).tolist():
+                fail(seg[i], f"state {state[i]} has no successors at time {t0[seg[i]] + k}")
 
-    for t in range(t0 + 1, t1 + 1):
-        matrix = chain.matrix_at(t - 1)
-        rows = matrix[current.states]
-        # X'(t) of Algorithm 2 (transposed layout): entry (j_local, i) is
-        # the joint probability P(o(t-1) = states[j_local], o(t) = s_i | past).
-        joint = rows.multiply(current.probs[:, None]).tocsc()
-        col_sums = np.asarray(joint.sum(axis=0)).ravel()
-        active = np.flatnonzero(col_sums > 0)
-        if active.size == 0:
-            raise ObservationContradictionError(
-                f"chain support dies out at time {t} before reaching the next observation"
+        # X'(t) of Algorithm 2, stacked: the joint probabilities
+        # P(o(t-1) = prev, o(t) = state | past) of every segment, grouped by
+        # (segment, state) with prev ascending inside each group.
+        order, run_keys, run_offsets = _runs(seg[src] * n_states + nxt)
+        joint = (val * prob[src])[order]
+        prev = state[src[order]]
+        col_sums = np.add.reduceat(joint, run_offsets[:-1]) if joint.size else joint
+        active = col_sums > 0
+        if not active.all():  # explicitly stored zeros
+            keep = np.repeat(active, np.diff(run_offsets))
+            joint, prev = joint[keep], prev[keep]
+            widths = np.diff(run_offsets)[active]
+            run_keys, col_sums = run_keys[active], col_sums[active]
+            run_offsets = np.zeros(widths.size + 1, dtype=np.intp)
+            np.cumsum(widths, out=run_offsets[1:])
+        reverse.append(
+            (run_keys, run_offsets, prev, joint / np.repeat(col_sums, np.diff(run_offsets)))
+        )
+
+        seg, state, seg_offsets, sizes = _unstack(run_keys, n, n_states)
+        prob = col_sums / np.repeat(_slice_sums(col_sums, seg_offsets), sizes)
+        for b in np.flatnonzero(sizes == 0).tolist():
+            fail(
+                b,
+                f"chain support dies out at time {t0[b] + k + 1} "
+                "before reaching the next observation",
             )
-
-        rows_of_t: dict[int, RowDist] = {}
-        indptr, indices, data = joint.indptr, joint.indices, joint.data
-        for i in active:
-            lo, hi = indptr[i], indptr[i + 1]
-            prev_states = current.states[indices[lo:hi]]
-            probs = data[lo:hi] / col_sums[i]
-            order = np.argsort(prev_states, kind="stable")
-            rows_of_t[int(i)] = (prev_states[order], probs[order])
-        reverse[t] = rows_of_t
-
-        current = SparseDistribution(active, col_sums[active] / col_sums[active].sum())
-        if t == t1:
-            if current.probability_of(s1) <= 0.0:
-                raise ObservationContradictionError(
-                    f"observation (t={t}, state={s1}) has zero probability "
-                    "under the a-priori chain given earlier observations"
+        if k == gap - 1:
+            ends = np.flatnonzero(closed)
+            reached = np.isin(ends * n_states + s1[ends], run_keys[prob > 0.0])
+            for b in ends[~reached].tolist():
+                fail(
+                    b,
+                    f"observation (t={t0[b] + k + 1}, state={s1[b]}) has zero probability "
+                    "under the a-priori chain given earlier observations",
                 )
-            current = SparseDistribution.point(s1)
-        forwards[t] = current
+        stays = alive[seg]
+        if not stays.all():
+            seg, state, prob = seg[stays], state[stays], prob[stays]
+            seg_offsets = np.searchsorted(seg, np.arange(n + 1))
+        if seg.size == 0:
+            break
+    else:
+        forward.append((seg_offsets, state, prob))
 
     # ------------------------------------------------------------------
     # Backward phase (lines 12-16): traverse time backwards through R(t)
-    # from the certain end, producing the a-posteriori transitions F(t)
+    # from the certain ends, producing the a-posteriori transitions F(t)
     # and posterior marginals.
     # ------------------------------------------------------------------
-    posteriors: dict[int, SparseDistribution] = {}
-    transitions: dict[int, dict[int, RowDist]] = {}
-    next_dist = SparseDistribution.point(s1)
+    seg = np.flatnonzero(closed & alive)
+    state, prob = s1[seg], np.ones(seg.size)
+    backward: list[tuple] = [()] * gap
+    for k in reversed(range(gap if seg.size else 0)):
+        run_keys, run_offsets, prev, r_probs = reverse[k]
+        runs = np.searchsorted(run_keys, seg * n_states + state)
+        pos, src, _ = _gather_rows(run_offsets, runs)
+        order, row_keys, row_offsets = _runs(seg[src] * n_states + prev[pos])
+        mass = (r_probs[pos] * prob[src])[order]
+        next_states = state[src[order]]
+        totals = _row_sums(mass, row_offsets)
 
-    for t in range(t1 - 1, t0 - 1, -1):
-        rows_rev = reverse[t + 1]
-        prev_parts: list[np.ndarray] = []
-        next_parts: list[np.ndarray] = []
-        mass_parts: list[np.ndarray] = []
-        for k, p_k in zip(next_dist.states, next_dist.probs):
-            prev_states, r_probs = rows_rev[int(k)]
-            prev_parts.append(prev_states)
-            next_parts.append(np.full(prev_states.shape, k, dtype=np.intp))
-            mass_parts.append(r_probs * p_k)
-        prev_all = np.concatenate(prev_parts)
-        next_all = np.concatenate(next_parts)
-        mass_all = np.concatenate(mass_parts)
+        seg, state, seg_offsets, sizes = _unstack(row_keys, n, n_states)
+        prob = totals / np.repeat(_slice_sums(totals, seg_offsets), sizes)
+        backward[k] = (
+            seg_offsets, state, prob, row_offsets, next_states,
+            mass / np.repeat(totals, np.diff(row_offsets)),
+        )
 
-        order = np.argsort(prev_all, kind="stable")
-        prev_all, next_all, mass_all = prev_all[order], next_all[order], mass_all[order]
-        uniq, starts = np.unique(prev_all, return_index=True)
-        bounds = np.append(starts, prev_all.size)
-
-        rows_fwd: dict[int, RowDist] = {}
-        totals = np.empty(uniq.shape)
-        for idx, state in enumerate(uniq):
-            lo, hi = bounds[idx], bounds[idx + 1]
-            mass = mass_all[lo:hi]
-            total = mass.sum()
-            totals[idx] = total
-            rows_fwd[int(state)] = (next_all[lo:hi].copy(), mass / total)
-        transitions[t] = rows_fwd
-        next_dist = posteriors[t] = SparseDistribution(uniq, totals / totals.sum())
-
-    return Segment((t0, s0, t1, s1), transitions, posteriors, forwards)
+    return [
+        errors[b]
+        if b in errors
+        else _adapt_segment(keys[b], b, backward if closed[b] else forward, forward)
+        for b in range(n)
+    ]
 
 
-def _extend_segment(chain: TransitionModel, t0: int, s0: int, t1: int) -> Segment:
-    """The open cone past the last fix ``(t0, s0)`` up to ``t1``.
+def _adapt_segment(
+    key: tuple, b: int, rows: list[tuple], forward: list[tuple]
+) -> Segment:
+    """Segment ``b`` of a finished :func:`_sweep`, cut out as its own record.
 
-    With no future evidence, the a-posteriori transitions equal the
-    a-priori chain restricted to the reachable support.
+    ``rows`` holds, per tic offset, the stacked CSR of ``F`` with its
+    posterior marginal — the backward phase's output, or for an open cone
+    the forward phase's chain rows and marginals.  The arrays are copied so
+    that the record owns them.
     """
-    transitions: dict[int, dict[int, RowDist]] = {}
-    marginals: dict[int, SparseDistribution] = {}
-    current = SparseDistribution.point(s0)
-    for t in range(t0, t1):
-        matrix = chain.matrix_at(t)
-        rows_fwd = {}
-        for state in current.states:
-            row = matrix.getrow(int(state))
-            if row.nnz == 0:
-                raise ObservationContradictionError(
-                    f"state {state} has no successors at time {t}"
-                )
-            rows_fwd[int(state)] = (row.indices.astype(np.intp), row.data.copy())
-        transitions[t] = rows_fwd
-        current = current.propagate(matrix)
-        marginals[t + 1] = current
-    return Segment((t0, s0, t1, None), transitions, marginals, marginals)
+    gap = key[2] - key[0]
+    layers: list[Layer] = []
+    posterior: list[RowDist] = []
+    for seg_offsets, state, prob, row_offsets, next_states, probs in rows[:gap]:
+        lo, hi = seg_offsets[b], seg_offsets[b + 1]
+        indptr = row_offsets[lo : hi + 1] - row_offsets[lo]
+        entries = slice(row_offsets[lo], row_offsets[hi])
+        support = state[lo:hi].copy()
+        layers.append((support, indptr, next_states[entries].copy(), probs[entries].copy()))
+        posterior.append((support, prob[lo:hi].copy()))
+    marginals = [
+        (state[offsets[b] : offsets[b + 1]].copy(), prob[offsets[b] : offsets[b + 1]].copy())
+        for offsets, state, prob, *_ in forward[1:]
+    ]
+    if key[3] is None:
+        # No future evidence: the posterior is the forward marginal.
+        return Segment(key, layers, posterior + marginals[-1:], marginals)
+    end = _point(key[3])
+    return Segment(key, layers, posterior + [end], marginals[:-1] + [end])

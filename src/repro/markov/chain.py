@@ -130,6 +130,21 @@ class TransitionModel:
             return self._per_matrix("_predecessors", t, _csc_structure)
         return self._per_matrix("_successors", t, _csr_structure)
 
+    def csr_arrays(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """CSR ``(indptr, indices, data)`` of ``matrix_at(t)`` as plain arrays
+        (``intp`` indices), cached per distinct matrix like :meth:`adjacency`.
+
+        The *same tuple object* comes back for every ``t`` served by one
+        matrix, so its identity tells which timesteps walk the same numbers
+        — what the batched adaptation kernel groups segments by.
+        """
+        return self._per_matrix("_csr_arrays", t, _csr_arrays)
+
+
+def _csr_arrays(matrix: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    csr = sparse.csr_matrix(matrix)
+    return csr.indptr.astype(np.intp), csr.indices.astype(np.intp), csr.data
+
 
 def _csr_structure(matrix: sparse.spmatrix) -> tuple[np.ndarray, np.ndarray]:
     csr = sparse.csr_matrix(matrix)

@@ -1,12 +1,13 @@
 """Compiled sampling backend: vectorized a-posteriori path drawing.
 
-The forward-backward adaptation (Algorithm 2) stores the a-posteriori
-transition matrices ``F(t)`` as per-state row dictionaries — convenient to
-build, slow to sample: the reference sampler loops over ``np.unique`` of the
-current state vector in Python at every timestep.  This module flattens each
-timestep into CSR-style arrays at *compile* time so that drawing ``n`` paths
-costs one ``rng.random(n)`` plus one ``np.searchsorted`` per timestep, with
-zero Python-level per-state loops.
+The forward-backward adaptation (Algorithm 2) emits the a-posteriori
+transition matrices ``F(t)`` as per-tic CSR rows over the posterior support
+(:class:`~repro.markov.adaptation.Segment`).  Sampling those row by row is
+slow — the reference sampler loops over ``np.unique`` of the current state
+vector in Python at every timestep — so this module turns each timestep
+into inverse-CDF arrays at *compile* time: drawing ``n`` paths then costs
+one ``rng.random(n)`` plus one ``np.searchsorted`` per timestep, with zero
+Python-level per-state loops, and compiling itself has no per-row step.
 
 The trick that removes the ragged-row loop: store every row's cumulative
 probabilities in one flat array and add the row index to each entry
@@ -14,10 +15,11 @@ probabilities in one flat array and add the row index to each entry
 single ``searchsorted(aug, row + u)`` performs an inverse-CDF draw for all
 ``n`` samples at once, each within its own row.
 
-Cumulative sums are taken per row with ``np.cumsum`` — bit-identical to what
-the reference sampler computes — so for one seed the compiled and reference
-backends consume the RNG stream identically and return *identical* paths
-(see ``tests/markov/test_compiled.py``).
+Cumulative sums are taken per row — one ``np.cumsum`` along the rows of a
+zero-padded matrix, which adds the same numbers in the same order as the
+reference sampler's ``np.cumsum`` of each row — so for one seed the compiled
+and reference backends consume the RNG stream identically and return
+*identical* paths (see ``tests/markov/test_compiled.py``).
 
 :func:`compile_model` compiles an adapted (a-posteriori) model;
 :class:`CompiledMatrix` applies the same transform to a raw a-priori
@@ -33,7 +35,7 @@ import numpy as np
 from scipy import sparse
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
-    from .adaptation import AdaptedModel
+    from .adaptation import AdaptedModel, Segment
 
 __all__ = ["CompiledLayer", "CompiledModel", "CompiledMatrix", "compile_model"]
 
@@ -48,7 +50,7 @@ _DENSE_WIDTH_LIMIT = 64
 class CompiledLayer:
     """One timestep of a compiled model: ``F(t)`` as inverse-CDF arrays.
 
-    Built from a ``state -> (next_states, probs)`` row dict.  Successor
+    Built from the CSR rows of ``F(t)`` over ``support``.  Successor
     entries are pre-mapped to *row indices of the next layer's support*
     (``local_next``), so propagation never binary-searches states back into
     a support array.
@@ -69,14 +71,13 @@ class CompiledLayer:
         "support",
         "indptr",
         "local_next",
+        "entry_rows",
+        "cdf_flat",
         "aug",
         "cdf_dense",
         "next_flat",
         "_width",
         "_ones",
-        "_cdfs",
-        "_cdf_flat",
-        "_entry_rows",
     )
 
     def __init__(
@@ -84,31 +85,36 @@ class CompiledLayer:
         support: np.ndarray,
         indptr: np.ndarray,
         local_next: np.ndarray,
-        cdfs: list[np.ndarray],
+        probs: np.ndarray,
     ) -> None:
         self.support = support
         self.indptr = indptr
         self.local_next = local_next
-        # Lazy raw-CDF views for the sampling arena (see cdf_flat); built
-        # on first arena packing so non-fused engines pay nothing.
-        self._cdf_flat: np.ndarray | None = None
-        self._entry_rows: np.ndarray | None = None
-        self._cdfs: list[np.ndarray] | None = None
         row_sizes = np.diff(indptr)
-        width = int(row_sizes.max()) if row_sizes.size else 0
+        m = support.size
+        width = int(row_sizes.max()) if m else 0
+        #: Local row index of every CSR entry.
+        self.entry_rows = rows = np.repeat(np.arange(m, dtype=np.intp), row_sizes)
+        offsets = np.arange(rows.size, dtype=np.intp) - indptr[rows]
+        # Every row's np.cumsum at once: zeros after a row's last entry leave
+        # its running sum untouched, so the floats are the reference
+        # sampler's CDF bit for bit — backend parity for a fixed seed.
+        cdf = np.zeros((m, width))
+        cdf[rows, offsets] = probs
+        np.cumsum(cdf, axis=1, out=cdf)
+        #: Raw per-row CDFs in CSR form: the sampling arena packs many
+        #: objects' layers into one haystack with *global* row offsets,
+        #: which it can only build from the un-augmented values.
+        self.cdf_flat = cdf[rows, offsets]
         if 0 < width <= _DENSE_WIDTH_LIMIT:
-            m = support.size
             # cdf_dense pads rows with +inf (never counted); next_flat has one
             # extra column holding the row's last successor so the float
             # boundary case u >= cdf[-1] needs no clip (it lands there, which
             # is exactly the reference sampler's clipped pick).
-            self.cdf_dense = np.full((m, width), np.inf)
-            next_pad = np.zeros((m, width + 1), dtype=np.intp)
-            for r in range(m):
-                lo, hi = indptr[r], indptr[r + 1]
-                self.cdf_dense[r, : hi - lo] = cdfs[r]
-                next_pad[r, : hi - lo] = local_next[lo:hi]
-                next_pad[r, hi - lo :] = local_next[hi - 1]
+            cdf[np.arange(width) >= row_sizes[:, None]] = np.inf
+            self.cdf_dense = cdf
+            next_pad = np.repeat(local_next[indptr[1:] - 1], width + 1).reshape(m, width + 1)
+            next_pad[rows, offsets] = local_next
             self.next_flat = next_pad.ravel()
             self._width = width
             self._ones = np.ones(width)
@@ -118,44 +124,7 @@ class CompiledLayer:
             self.next_flat = None
             self._width = 0
             self._ones = None
-            self.aug = (
-                np.concatenate([cdf + r for r, cdf in enumerate(cdfs)])
-                if cdfs
-                else np.empty(0)
-            )
-            # Wide rows: the augmented CDF is lossy (aug - r re-rounds), so
-            # keep the raw row arrays for exact lazy reconstruction.
-            self._cdfs = cdfs
-
-    @property
-    def entry_rows(self) -> np.ndarray:
-        """Local row index of every CSR entry (lazy; arena packing only)."""
-        if self._entry_rows is None:
-            row_sizes = np.diff(self.indptr)
-            self._entry_rows = np.repeat(
-                np.arange(row_sizes.size, dtype=np.intp), row_sizes
-            )
-        return self._entry_rows
-
-    @property
-    def cdf_flat(self) -> np.ndarray:
-        """Raw per-row CDFs in CSR form (lazy; arena packing only).
-
-        The sampling arena packs many objects' layers into one haystack
-        with *global* row offsets, which it can only build from the
-        un-augmented values.  Dense layers reconstruct them exactly from
-        the padded matrix; wide layers keep the raw row arrays around.
-        """
-        if self._cdf_flat is None:
-            if self.cdf_dense is not None:
-                rows = self.entry_rows
-                offsets = np.arange(rows.size, dtype=np.intp) - self.indptr[rows]
-                self._cdf_flat = self.cdf_dense[rows, offsets]
-            else:
-                self._cdf_flat = (
-                    np.concatenate(self._cdfs) if self._cdfs else np.empty(0)
-                )
-        return self._cdf_flat
+            self.aug = self.cdf_flat + rows
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF draw of one successor *row of the next layer* per sample.
@@ -309,53 +278,33 @@ class CompiledModel:
         return np.ascontiguousarray(buf.T)
 
 
-def _compile_rows(
-    rows: dict[int, tuple[np.ndarray, np.ndarray]],
-    next_support: np.ndarray,
-) -> CompiledLayer:
-    """Flatten one timestep's ``state -> (next_states, probs)`` dict."""
-    support = np.array(sorted(rows), dtype=np.intp)
-    indptr = np.zeros(support.size + 1, dtype=np.intp)
-    index_parts: list[np.ndarray] = []
-    cdfs: list[np.ndarray] = []
-    for r, state in enumerate(support):
-        next_states, probs = rows[int(state)]
-        if next_states.size == 0:
+def _initial_table(dist: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    states, probs = dist
+    return states, np.cumsum(probs)
+
+
+def _compile_stretch(seg: "Segment") -> tuple[dict, dict]:
+    """Layers and initial tables of one stretch, for the tics ``t0 <= t < t1``."""
+    layers, initials = {}, {}
+    for t, ((support, indptr, next_states, probs), (next_support, _)) in enumerate(
+        zip(seg.layers, seg.posterior[1:]), start=seg.key[0]
+    ):
+        empty = np.flatnonzero(indptr[1:] == indptr[:-1])
+        if empty.size:
             raise ValueError(
-                f"adapted model is inconsistent: state {int(state)} has an "
-                "empty transition row (sampling it would be undefined)"
+                f"adapted model is inconsistent: state {int(support[empty[0]])} has "
+                "an empty transition row (sampling it would be undefined)"
             )
-        indptr[r + 1] = indptr[r] + next_states.size
-        index_parts.append(next_states)
-        # Per-row np.cumsum keeps the floats bit-identical to the reference
-        # sampler's CDF, guaranteeing backend parity for a fixed seed.
-        cdfs.append(np.cumsum(probs))
-    indices = np.concatenate(index_parts).astype(np.intp, copy=False)
-    local_next = np.searchsorted(next_support, indices)
-    if not np.array_equal(next_support[np.minimum(local_next, next_support.size - 1)], indices):
-        raise ValueError(
-            "adapted model is inconsistent: a transition targets a state "
-            "outside the next timestep's posterior support"
-        )
-    return CompiledLayer(support, indptr, local_next, cdfs)
-
-
-def _initial_table(dist) -> tuple[np.ndarray, np.ndarray]:
-    return dist.states, np.cumsum(dist.probs)
-
-
-def _compile_stretch(model: "AdaptedModel", t0: int, t1: int) -> tuple[dict, dict]:
-    """Layers and initial tables of ``model`` for the tics ``t0 <= t < t1``."""
-    initials = {t: _initial_table(model.posteriors[t]) for t in range(t0, t1)}
-    layers = {}
-    for t in range(t0, t1):
-        layer = _compile_rows(model.transitions[t], model.posteriors[t + 1].states)
-        if not np.array_equal(layer.support, initials[t][0]):
+        local_next = np.searchsorted(next_support, next_states)
+        if not np.array_equal(
+            next_support[np.minimum(local_next, next_support.size - 1)], next_states
+        ):
             raise ValueError(
-                "adapted model is inconsistent: transition rows at time "
-                f"{t} do not match the posterior support"
+                "adapted model is inconsistent: a transition targets a state "
+                "outside the next timestep's posterior support"
             )
-        layers[t] = layer
+        layers[t] = CompiledLayer(support, indptr, local_next, probs)
+        initials[t] = _initial_table(seg.posterior[t - seg.key[0]])
     return layers, initials
 
 
@@ -369,12 +318,18 @@ def compile_model(model: "AdaptedModel") -> CompiledModel:
     ``sample_paths`` call is fully vectorized.
     """
     layers: dict[int, CompiledLayer] = {}
-    initials = {model.t_last: _initial_table(model.posteriors[model.t_last])}
-    for seg in model.segments:
+    initials: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+    segments = model.stretches()
+    for seg in segments:
         if seg.compiled is None:
-            seg.compiled = _compile_stretch(model, seg.key[0], seg.key[2])
+            seg.compiled = _compile_stretch(seg)
         layers.update(seg.compiled[0])
         initials.update(seg.compiled[1])
+    if segments:
+        initials[model.t_last] = _initial_table(segments[-1].posterior[-1])
+    else:
+        last = model.posteriors[model.t_last]
+        initials[model.t_last] = _initial_table((last.states, last.probs))
     return CompiledModel(model.t_first, model.t_last, layers, initials)
 
 

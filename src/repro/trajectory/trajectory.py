@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..markov.adaptation import AdaptedModel, adapt_model
+from ..markov.adaptation import AdaptedModel, adapt_many, adapt_model
 from ..markov.chain import TransitionModel
 from ..markov.compiled import CompiledModel
 from .diamonds import Diamond, compute_diamonds
 from .observation import Observation, ObservationSet
 
-__all__ = ["Trajectory", "UncertainObject"]
+__all__ = ["Trajectory", "UncertainObject", "adapt_objects"]
 
 
 @dataclass(frozen=True)
@@ -241,3 +241,23 @@ class UncertainObject:
             f"UncertainObject(id={self.object_id!r}, "
             f"span=[{self.t_first}, {self.t_last}], n_obs={len(self.observations)})"
         )
+
+
+def adapt_objects(objects: list[UncertainObject]) -> None:
+    """Derive the a-posteriori models the given objects still lack, together.
+
+    One :func:`~repro.markov.adaptation.adapt_many` call: every segment any
+    of them has to derive runs in the same batched sweep.  An object whose
+    observations contradict its chain is left as it was — its own
+    ``.adapted`` raises, on every access, exactly as it would have alone.
+    """
+    pending = [obj for obj in objects if not obj.is_adapted()]
+    models = adapt_many(
+        [
+            (obj.chain, obj.observations.as_pairs(), obj.extend_to, obj._donor)
+            for obj in pending
+        ]
+    )
+    for obj, model in zip(pending, models):
+        if isinstance(model, AdaptedModel):
+            obj._adapted, obj._donor = model, None
