@@ -971,7 +971,8 @@ def test_knn_k_targets(bench_record):
     persisted to the JSON table.
 
     The depth parameter only changes the membership indicator — one
-    ``np.partition`` over the candidate axis instead of a ``min`` — while
+    ``np.partition`` over the candidate axis instead of a ``min`` (what
+    ``knn_indicator`` takes for k = 1, ``mode="raw"`` included) — while
     the dominant cost, drawing worlds, is depth-independent.  This kernel
     certifies that: k=3 evaluation must stay within a small factor of
     k=1 on identical draws (same seed, fresh epoch per round)."""
@@ -1021,6 +1022,124 @@ def test_knn_k_targets(bench_record):
         )
     )
     assert overhead <= ceiling, {"k1_s": k1_s, "k3_s": k3_s}
+
+
+def test_refine_layout_targets(bench_record):
+    """The refinement read path behind one ``adhoc_query`` op, stage by
+    stage, persisted to the JSON table.
+
+    Eight objects (six alive over the whole window, two over half of it) ×
+    10 tics × 1000 worlds over 1000 states: µs for the distance block
+    (worlds cached, so no sampling is timed), for the k = 1 indicator plus
+    both ∀/∃ counts, and for PCNN mining at the mean case — the tensor's own
+    indicator at the τ where it validates ≈ 39 sets per object, what an
+    ``adhoc_query`` PCNN op averages — and at the worst case — one object
+    the certain NN of all ten tics, 1023 qualifying sets at τ = 0.5.
+    Beside each sits what it replaced, kept under
+    ``tests/`` as the byte-identity oracles: the world-major tile/scatter
+    kernel and ``np.partition`` indicator of ``tests/core/
+    test_refine_layout.py`` and the ``forall_prob_over_times`` miner of
+    ``tests/core/test_apriori.py``.  Acceptance targets: ≥2× on distance +
+    count, ≥3× on worst-case mining (CI enforces relaxed floors on shared
+    runners; run locally or set the ``REFINE_*_SPEEDUP_TARGET`` variables
+    for the full assertion).
+    """
+    from repro.core.apriori import mine_world_masks, world_masks
+    from repro.trajectory.nn import knn_indicator, nn_indicator
+    from tests.core.test_apriori import reference_mine
+    from tests.core.test_refine_layout import _oracle_distances, _oracle_indicator
+
+    chain, rng = _knn_chain()
+    db = TrajectoryDatabase(
+        StateSpace(rng.uniform(0, 100, size=(chain.n_states, 2))), chain
+    )
+    n = 1000
+    times = np.arange(20, 30)
+    # (first tic, 5-tic segments): alive over 20–29, over 25–29, over 20–24.
+    for i, (start, segments) in enumerate([(0, 8)] * 6 + [(25, 4), (4, 4)]):
+        fixes = _walk_requests(chain, rng, 1, gap=5, n_segments=segments)[0][1]
+        db.add_object(f"o{i}", [(start + t, state) for t, state in fixes])
+    ids = db.object_ids
+    fix_tic, fix_state = db.get("o0").observations.as_pairs()[5]  # tic 25
+    q = Query.from_point(db.space.coords[fix_state])
+    engine = QueryEngine(db, n_samples=n, seed=3, reuse_worlds=True)
+    dist = engine.distance_tensor(ids, q, times)  # draws and caches the worlds
+    alive = db.alive_matrix(ids, times)
+    assert alive.sum(axis=1).tolist() == [10] * 6 + [5, 5]
+    states = [
+        np.ascontiguousarray(engine.worlds.peek((oid, n, "compiled")).slice(times[row]))
+        for oid, row in zip(ids, alive)
+    ]
+    q_coords = q.coords_at(times)
+    world_major = _oracle_distances(db.space, q_coords, times, alive, states, n)
+    assert np.array_equal(dist, world_major)
+    rounds = 7
+
+    def best_us(fn):
+        fn()
+        return min(_timed(fn) for _ in range(rounds)) * 1e6
+
+    def count(tensor, indicator):
+        is_nn = indicator(tensor, 1)
+        return is_nn.all(axis=2).mean(axis=0), is_nn.any(axis=2).mean(axis=0)
+
+    def mine(is_nn, tau):
+        masks = world_masks(is_nn.transpose(1, 2, 0))
+        return [
+            mine_world_masks(masks[c * times.size : (c + 1) * times.size], n, times, tau)
+            for c in range(len(ids))
+        ]
+
+    def mine_reference(is_nn, tau):
+        return [reference_mine(is_nn[:, c, :], times, tau) for c in range(len(ids))]
+
+    mean_case = nn_indicator(dist)
+    worst_case = np.zeros_like(mean_case)
+    worst_case[:, 0, :] = True
+    row = {
+        "distance_us": best_us(lambda: engine.distance_tensor(ids, q, times)),
+        "distance_world_major_us": best_us(
+            lambda: _oracle_distances(db.space, q_coords, times, alive, states, n)
+        ),
+        "count_us": best_us(lambda: count(dist, knn_indicator)),
+        "count_world_major_us": best_us(lambda: count(world_major, _oracle_indicator)),
+    }
+    for name, is_nn, tau in (("mean", mean_case, 0.03), ("worst", worst_case, 0.5)):
+        world_major_is_nn = np.ascontiguousarray(is_nn)
+        mined = mine(is_nn, tau)
+        assert mined == mine_reference(world_major_is_nn, tau)
+        row[f"mining_{name}_sets_evaluated"] = sum(s.sets_evaluated for _, s in mined)
+        row[f"mining_{name}_us"] = best_us(lambda: mine(is_nn, tau))
+        row[f"mining_{name}_reference_us"] = best_us(
+            lambda: mine_reference(world_major_is_nn, tau)
+        )
+    assert 30 * len(ids) <= row["mining_mean_sets_evaluated"] <= 50 * len(ids)
+    assert row["mining_worst_sets_evaluated"] == 1023 + 7 * times.size
+    speedup = (row["distance_world_major_us"] + row["count_world_major_us"]) / (
+        row["distance_us"] + row["count_us"]
+    )
+    mining_speedup = row["mining_worst_reference_us"] / row["mining_worst_us"]
+    bench_record(
+        "refine_layout",
+        {
+            "cpu_count": os.cpu_count(),
+            "n_objects": len(ids),
+            "n_times": int(times.size),
+            "n_samples": n,
+            "n_states": chain.n_states,
+            "rounds": rounds,
+            **row,
+            "speedup_distance_plus_count": speedup,
+            "speedup_mining_worst": mining_speedup,
+        },
+    )
+    on_ci = bool(os.environ.get("CI"))
+    target = float(os.environ.get("REFINE_LAYOUT_SPEEDUP_TARGET", "1.2" if on_ci else "2.0"))
+    mining_target = float(
+        os.environ.get("REFINE_MINING_SPEEDUP_TARGET", "1.5" if on_ci else "3.0")
+    )
+    assert speedup >= target, row
+    assert mining_speedup >= mining_target, row
 
 
 def test_bench_monitor_tick(benchmark):

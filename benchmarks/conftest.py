@@ -46,6 +46,7 @@ KNOWN_KERNELS = frozenset(
         "monitor_tick_obs_overhead",
         "native_speedup",
         "prune_many",
+        "refine_layout",
         "serve_scaling",
     }
 )

@@ -10,6 +10,16 @@ Sharing one world pool across all candidate sets keeps the empirical
 estimator itself anti-monotonic (an AND over more columns can only have
 fewer satisfying worlds), so the level-wise pruning stays sound even with
 sampled probabilities.
+
+Validation runs on **vertical bitmaps** — the tidset-intersection form of
+level-wise mining: every tic's indicator column is packed once into a
+world bitmap (:func:`world_masks`, one Python ``int`` per column), a
+candidate's bitmap is its parent's ANDed with the joined tic's, and its
+probability is ``popcount / worlds`` — the same IEEE division
+``ndarray.mean`` performs on the same integer count, so the floats are
+those of :func:`repro.trajectory.nn.forall_prob_over_times`, bit for bit.
+``np.packbits`` pads the last byte with zero bits, which AND and popcount
+never count (a NOT would).
 """
 
 from __future__ import annotations
@@ -19,9 +29,13 @@ from itertools import combinations
 
 import numpy as np
 
-from ..trajectory.nn import forall_prob_over_times
-
-__all__ = ["AprioriBudgetExceeded", "MiningStats", "mine_timestamp_sets"]
+__all__ = [
+    "AprioriBudgetExceeded",
+    "MiningStats",
+    "mine_timestamp_sets",
+    "mine_world_masks",
+    "world_masks",
+]
 
 
 class AprioriBudgetExceeded(RuntimeError):
@@ -40,6 +54,22 @@ class MiningStats:
     sets_evaluated: int = 0
     sets_qualifying: int = 0
     max_level_reached: int = 0
+
+
+def world_masks(indicator: np.ndarray) -> list[int]:
+    """One world bitmap per leading index of a boolean ``(..., worlds)`` array.
+
+    Returned flat, in C order of the leading axes.  The whole array is
+    packed in one ``np.packbits`` along the world axis — cheapest when that
+    axis is the contiguous one, the order the engine's indicators have.
+    """
+    packed = np.packbits(indicator, axis=-1)
+    width = packed.shape[-1]
+    raw = packed.tobytes()
+    return [
+        int.from_bytes(raw[i : i + width], "big")
+        for i in range(0, len(raw), width)
+    ]
 
 
 def mine_timestamp_sets(
@@ -78,38 +108,61 @@ def mine_timestamp_sets(
     """
     indicator = np.asarray(indicator, dtype=bool)
     times = np.asarray(times, dtype=np.intp)
-    if indicator.ndim != 2 or indicator.shape[1] != times.size:
-        raise ValueError("indicator must be (worlds, |T|) matching times")
+    if indicator.ndim != 2 or indicator.shape[1] != times.size or not indicator.size:
+        raise ValueError("indicator must be a non-empty (worlds, |T|) matching times")
+    return mine_world_masks(
+        world_masks(indicator.T),
+        indicator.shape[0],
+        times,
+        tau,
+        max_candidates=max_candidates,
+        use_certain_shortcut=use_certain_shortcut,
+    )
+
+
+def mine_world_masks(
+    masks: list[int],
+    n_worlds: int,
+    times: np.ndarray,
+    tau: float,
+    max_candidates: int = 100_000,
+    use_certain_shortcut: bool = False,
+) -> tuple[list[tuple[tuple[int, ...], float]], MiningStats]:
+    """:func:`mine_timestamp_sets` over already packed columns.
+
+    ``masks[c]`` is the :func:`world_masks` bitmap of the indicator column
+    of ``times[c]`` over ``n_worlds`` worlds — what a caller mining many
+    objects over one world pool packs once for all of them.
+    """
     if not 0.0 < tau <= 1.0:
         raise ValueError("tau must be in (0, 1]; see Section 4.3 on tau -> 0")
 
     stats = MiningStats()
-    n_cols = times.size
-    col_probs = indicator.mean(axis=0)
+    n_cols = len(masks)
+    counts = [mask.bit_count() for mask in masks]
     stats.sets_evaluated += n_cols
 
     certain_cols: tuple[int, ...] = ()
     if use_certain_shortcut:
-        certain_cols = tuple(int(c) for c in np.flatnonzero(col_probs >= 1.0))
+        certain_cols = tuple(c for c in range(n_cols) if counts[c] == n_worlds)
 
-    mining_cols = [c for c in range(n_cols) if c not in set(certain_cols)]
-
-    # L1: qualifying singletons over the mined columns.
-    level: dict[tuple[int, ...], float] = {}
-    for col in mining_cols:
-        p = float(col_probs[col])
-        if p >= tau:
-            level[(col,)] = p
+    # L1: qualifying singletons over the mined columns.  ``level`` maps each
+    # qualifying set of the current size to its world bitmap.
+    level: dict[tuple[int, ...], int] = {}
+    all_qualifying: dict[tuple[int, ...], float] = {}
+    for col in range(n_cols):
+        p = counts[col] / n_worlds
+        if col not in certain_cols and p >= tau:
+            level[(col,)] = masks[col]
+            all_qualifying[(col,)] = p
             stats.sets_qualifying += 1
 
-    all_qualifying: dict[tuple[int, ...], float] = dict(level)
     k = 1
     while level:
         stats.max_level_reached = k
         k += 1
-        candidates = _join(level, k)
-        next_level: dict[tuple[int, ...], float] = {}
-        for cand in candidates:
+        next_level: dict[tuple[int, ...], int] = {}
+        for cand in _join(level, k):
             if not _all_subsets_qualify(cand, level):
                 continue
             stats.sets_evaluated += 1
@@ -118,31 +171,35 @@ def mine_timestamp_sets(
                     f"exceeded {max_candidates} candidate validations at level {k}; "
                     "raise the budget or increase tau"
                 )
-            p = forall_prob_over_times(indicator, np.asarray(cand))
+            # The worlds of the candidate: its parent's (the joined set
+            # minus its last tic), intersected with that tic's.
+            mask = level[cand[:-1]] & masks[cand[-1]]
+            p = mask.bit_count() / n_worlds
             if p >= tau:
-                next_level[cand] = p
+                next_level[cand] = mask
+                all_qualifying[cand] = p
                 stats.sets_qualifying += 1
-        all_qualifying.update(next_level)
         level = next_level
 
+    labels = [int(t) for t in times]
     results: list[tuple[tuple[int, ...], float]] = []
     if use_certain_shortcut and certain_cols:
         # Every qualifying mined set extends with the certain times at
         # unchanged probability; the certain set itself qualifies with P=1.
-        base = tuple(int(times[c]) for c in certain_cols)
+        base = tuple(labels[c] for c in certain_cols)
         results.append((base, 1.0))
         stats.sets_qualifying += 1
         for cols, p in all_qualifying.items():
-            merged = tuple(sorted(int(times[c]) for c in cols + certain_cols))
+            merged = tuple(sorted(labels[c] for c in cols + certain_cols))
             results.append((merged, p))
     else:
         for cols, p in all_qualifying.items():
-            results.append((tuple(int(times[c]) for c in cols), p))
+            results.append((tuple(labels[c] for c in cols), p))
     results.sort(key=lambda item: (len(item[0]), item[0]))
     return results, stats
 
 
-def _join(level: dict[tuple[int, ...], float], k: int) -> list[tuple[int, ...]]:
+def _join(level: dict[tuple[int, ...], int], k: int) -> list[tuple[int, ...]]:
     """Apriori join: merge (k-1)-sets sharing their first k-2 columns."""
     keys = sorted(level)
     out: list[tuple[int, ...]] = []
@@ -155,7 +212,7 @@ def _join(level: dict[tuple[int, ...], float], k: int) -> list[tuple[int, ...]]:
 
 
 def _all_subsets_qualify(
-    candidate: tuple[int, ...], level: dict[tuple[int, ...], float]
+    candidate: tuple[int, ...], level: dict[tuple[int, ...], int]
 ) -> bool:
     """Anti-monotone check: every (k-1)-subset must be in the last level."""
     return all(sub in level for sub in combinations(candidate, len(candidate) - 1))

@@ -33,8 +33,10 @@ EvaluationReport` can distinguish certified bounds from estimates.
 Every sampling strategy reaches refinement through
 :meth:`EstimationContext.refinement_distances`, which hands the *whole*
 candidate set to the engine as one columnar batch — on a ``fused`` engine
-that is a single :mod:`~repro.markov.arena` pass plus one fused distance
-kernel, never a per-object loop.
+that is a single :mod:`~repro.markov.arena` pass plus one distance block
+in the sampler's own ``(objects, times, worlds)`` order (handed out as a
+``[w, o, t]`` view), which every counting reduction here then streams over
+with the worlds as the unit-stride axis.
 """
 
 from __future__ import annotations
@@ -45,13 +47,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..trajectory.nn import (
-    exists_knn_prob,
     forall_knn_prob,
     knn_indicator,
     nn_indicator,
     reverse_knn_indicator,
 )
-from .apriori import mine_timestamp_sets
+from .apriori import mine_world_masks, world_masks
 from .bounds import bounds_partition
 from .exact import (
     exact_forall_nn_over_times,
@@ -103,7 +104,7 @@ class EstimationContext:
 
         The single entry point every sampling strategy uses to reach the
         engine's refinement kernel: the candidate set goes down as one
-        columnar batch (one fused arena pass + one gather/einsum distance
+        columnar batch (one fused arena pass + one row-gather distance
         kernel on a ``fused`` engine) rather than per-object calls, so
         strategies cannot accidentally fall off the bulk path.
 
@@ -264,13 +265,14 @@ class SampledEstimator(Estimator):
                 sampled_objects=len(ctx.refine_ids),
                 estimator_by_object=tagged,
             )
-        k = ctx.request.k
+        # One indicator, reduced once per component (raw: both, from the
+        # same worlds).
+        indicator = knn_indicator(dist, ctx.request.k)
+        exists = indicator.any(axis=2).mean(axis=0)
         if ctx.request.mode == "exists":
-            primary = exists_knn_prob(dist, k)
-            secondary = None
-        else:  # raw: both components from the same worlds
-            primary = forall_knn_prob(dist, k)
-            secondary = exists_knn_prob(dist, k)
+            primary, secondary = exists, None
+        else:
+            primary, secondary = indicator.all(axis=2).mean(axis=0), exists
         probs = {oid: float(p) for oid, p in zip(ctx.refine_ids, primary)}
         exists_probs = (
             {oid: float(p) for oid, p in zip(ctx.refine_ids, secondary)}
@@ -481,14 +483,21 @@ class HybridEstimator(Estimator):
 def _mine_entries(
     ctx: EstimationContext, dist: np.ndarray
 ) -> tuple[list[PCNNEntry], int]:
-    """Algorithm 1 mining per refined object over a shared world draw."""
+    """Algorithm 1 mining per refined object over a shared world draw.
+
+    The whole indicator is packed into world bitmaps once — along its
+    contiguous axis — and every object mines its own ``|T|`` of them.
+    """
     k = ctx.request.k
     is_nn = knn_indicator(dist, k) if k > 1 else nn_indicator(dist)
+    n_worlds, _, n_times = is_nn.shape
+    masks = world_masks(is_nn.transpose(1, 2, 0))
     entries: list[PCNNEntry] = []
     sets_evaluated = 0
     for col, object_id in enumerate(ctx.refine_ids):
-        mined, stats = mine_timestamp_sets(
-            is_nn[:, col, :],
+        mined, stats = mine_world_masks(
+            masks[col * n_times : (col + 1) * n_times],
+            n_worlds,
             ctx.times,
             ctx.request.tau,
             max_candidates=ctx.request.max_candidates,

@@ -50,6 +50,7 @@ import numpy as np
 
 from ..markov import native as native_tier
 from ..markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
+from ..markov.compiled import take_tics
 from ..obs.tracing import NULL_TRACER
 from ..spatial.ust_tree import PruningResult, USTTree, check_query_coords
 from ..trajectory.database import TrajectoryDatabase
@@ -119,9 +120,9 @@ class QueryEngine:
         When ``True`` (default) refinement draws the worlds of *all* of a
         query's candidate objects in one columnar pass through the
         :class:`~repro.markov.arena.SamplingArena`, and the distance
-        tensor is computed by a single gather + einsum over the fused
-        block — no per-object Python loop.  ``False`` keeps the classic
-        object-major loop (the ablation the fused-parity tests and the
+        tensor is gathered from a per-(tic, state) table, one contiguous
+        slab per object — no per-object sampler call.  ``False`` keeps the
+        classic object-major loop (the ablation the fused-parity tests and the
         ``bench_kernels`` fused-vs-loop kernels compare against).  Both
         paths are bit-identical per seed; fusion only applies to the
         compiled backend (``backend="reference"`` always loops).
@@ -147,7 +148,8 @@ class QueryEngine:
     refine_cache_size:
         Capacity (entries) of the per-request refinement distance-tensor
         cache used by *shared-world* evaluations on an ``incremental``
-        engine.  Each entry holds one ``dist[w, o, t]`` tensor keyed by
+        engine.  Each entry holds one ``(objects, times, worlds)`` distance
+        block (what :meth:`distance_tensor` hands out transposed) keyed by
         ``(query coords, times, object ids, n_samples, backend)`` and
         stamped with ``(worlds_token, draw_epoch)``; a standing
         subscription re-evaluated over held worlds recomputes only the
@@ -769,10 +771,16 @@ class QueryEngine:
         Pass ``normalized=True`` when ``times`` is already canonical.
 
         On a ``fused`` engine (the default, compiled backend) all objects
-        are drawn in one columnar arena pass and the distances come from a
-        single gather + einsum over the fused ``(n, O, T)`` block;
-        ``fused=False`` keeps the classic per-object loop.  Both are
-        bit-identical per seed.
+        are drawn in one columnar arena pass and the distances are row
+        gathers from a per-(tic, state) table; ``fused=False`` keeps the
+        classic per-object loop.  Both are bit-identical per seed.
+
+        The answer is a transposed *view* of the engine's C-contiguous
+        ``(objects, times, worlds)`` block — the order the sampler sweeps
+        in — so ``dist[:, o, t]`` is a contiguous row and the reductions of
+        :mod:`repro.trajectory.nn` run with unit-stride inner loops.  A
+        ``.copy()`` or ``np.ascontiguousarray`` of it re-materialises
+        world-major; values are the same, every pass over it slower.
 
         ``cache_k`` partitions the refinement tensor *cache* by the
         requesting query's kNN depth.  The tensor's values are
@@ -801,21 +809,29 @@ class QueryEngine:
             and len(set(object_ids)) == len(object_ids)
         )
         if cacheable and self.incremental:
-            return self._cached_distance_tensor(
+            block = self._cached_distance_tensor(
                 list(object_ids), q, times, n, cache_k
             )
-        if cacheable:
-            # The wholesale oracle (``incremental=False``) recomputes every
-            # column; counted identically so quiet-tick reuse accounting
-            # stays comparable between the two modes.
-            self.estimate_cache_misses += 1
-            self.estimate_columns_refreshed += len(object_ids)
-        return self._compute_distance_tensor(object_ids, q, times, n)
+        else:
+            if cacheable:
+                # The wholesale oracle (``incremental=False``) recomputes
+                # every column; counted identically so quiet-tick reuse
+                # accounting stays comparable between the two modes.
+                self.estimate_cache_misses += 1
+                self.estimate_columns_refreshed += len(object_ids)
+            block = self._compute_distance_tensor(object_ids, q, times, n)
+        return block.transpose(2, 0, 1)
 
     def _compute_distance_tensor(
         self, object_ids: list[str], q: Query, times: np.ndarray, n: int
     ) -> np.ndarray:
-        """Backend dispatch for one (sub)tensor computation."""
+        """Backend dispatch for one (sub)tensor computation.
+
+        Like everything below :meth:`distance_tensor` this speaks the
+        C-contiguous ``(objects, times, worlds)`` block, one of the two
+        allocation sites (with the sampler's sweep buffer) that decide the
+        refinement memory order.
+        """
         if (
             self.fused
             and self.backend in ("compiled", "native")
@@ -834,11 +850,12 @@ class QueryEngine:
         n: int,
         cache_k: int = 1,
     ) -> np.ndarray:
-        """Serve a shared-world refinement tensor, patching dirty columns.
+        """Serve a shared-world refinement block, patching dirty columns.
 
         On a stamp-matching hit only the columns of objects mutated since
         the entry was last current are recomputed (their invalidated
-        worlds redraw; everything else is served in place).  A stamp
+        worlds redraw; everything else is served in place) — each one
+        contiguous ``(times, worlds)`` slab of the cached block.  A stamp
         mismatch (new epoch or wholesale flush), an overflowed mutation
         log (``changed_since`` → ``None``) or a cold key rebuilds the full
         tensor — the classic path.
@@ -867,7 +884,7 @@ class QueryEngine:
                     sub = self._compute_distance_tensor(
                         [object_ids[i] for i in dirty_cols], q, times, n
                     )
-                    entry["dist"][:, dirty_cols, :] = sub
+                    entry["dist"][dirty_cols] = sub
                 entry["version"] = self.db.version
                 self.estimate_cache_hits += 1
                 self.estimate_columns_refreshed += len(dirty_cols)
@@ -893,41 +910,30 @@ class QueryEngine:
         broadcast per object (the ``fused=False`` ablation, and the only
         path for the reference backend)."""
         q_coords = q.coords_at(times)
-        dist = np.full((n, len(object_ids), times.size), np.inf)
+        block = np.full((len(object_ids), times.size, n), np.inf)
         for col, object_id in enumerate(object_ids):
             obj = self.db.get(object_id)
             alive = obj.alive_during(times)
             if not alive.any():
                 continue
-            alive_times = times[alive]
-            states = self._sampled_states(obj, alive_times, n)
-            coords = self.db.space.coords_of(states)  # (n, n_alive, d)
-            diff = coords - q_coords[alive][None, :, :]
-            dist[:, col, alive] = np.sqrt(np.sum(diff * diff, axis=-1))
-        return dist
+            states = self._sampled_states(obj, times[alive], n)
+            coords = self.db.space.coords_of(states.T)  # (n_alive, n, d)
+            diff = coords - q_coords[alive][:, None, :]
+            block[col, alive] = np.sqrt(np.sum(diff * diff, axis=-1))
+        return block
 
-    def _distance_tensor_fused(
-        self, object_ids: list[str], q: Query, times: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Columnar refinement: one arena pass draws every object's worlds,
-        then one gather + einsum computes all distances at once.
+    def _drawn_states(
+        self, objects: list[UncertainObject], alive_times: list[np.ndarray], n: int
+    ) -> list[np.ndarray]:
+        """Every object's worlds at its alive times, from one fused draw.
 
         Per-object RNG streams, cache windows and hit/partial/miss
         accounting are exactly those of the per-object path — only the
         execution shape changes (object count becomes a vectorized axis).
+        Each answer is ``(n, alive tics)`` with the world axis contiguous:
+        a view of a cached segment or of the sweep buffer.
         """
-        q_coords = q.coords_at(times)
-        shape = (n, len(object_ids), times.size)
-        if not object_ids:
-            return np.full(shape, np.inf)
-        alive = self.db.alive_matrix(object_ids, times)
-        live_cols = np.flatnonzero(alive.any(axis=1))
-        if live_cols.size == 0:
-            return np.full(shape, np.inf)
-        objects = [self.db.get(object_ids[c]) for c in live_cols]
-        alive_times = [times[alive[c]] for c in live_cols]
-        share = self.reuse_worlds or self._batch_depth > 0
-        if share:
+        if self.reuse_worlds or self._batch_depth > 0:
             items = []
             for obj, at in zip(objects, alive_times):
                 t_lo, t_hi = self._cache_window(obj, at)
@@ -937,86 +943,81 @@ class QueryEngine:
                 stamp=(self._worlds_token, self._draw_epoch),
                 bulk_sampler=self._bulk_sampler(objects, n),
             )
-            states = [seg.slice(at) for seg, at in zip(segments, alive_times)]
-        else:
-            arena = self._arena_for(objects)
-            requests = [
-                ArenaRequest(
-                    obj.object_id,
-                    int(at[0]),
-                    int(at[-1]),
-                    self._object_rng_handle(obj.object_id, self._direct_round),
-                )
-                for obj, at in zip(objects, alive_times)
-            ]
-            drawn = sample_paths_arena(
-                arena, requests, n, native=self.backend == "native"
+            return [seg.slice(at) for seg, at in zip(segments, alive_times)]
+        arena = self._arena_for(objects)
+        requests = [
+            ArenaRequest(
+                obj.object_id,
+                int(at[0]),
+                int(at[-1]),
+                self._object_rng_handle(obj.object_id, self._direct_round),
             )
-            self._direct_draws += len(requests)
-            states = [
-                paths[:, at - at[0]] for paths, at in zip(drawn, alive_times)
-            ]
-        # Fused distance kernel: pack every (object, alive tic) column and
-        # scatter all norms back in one assignment.
-        full_grid = live_cols.size == len(object_ids) and bool(alive.all())
-        if full_grid:
-            col_index = time_index = None
-        else:
-            dist = np.full(shape, np.inf)
-            flat_alive = np.flatnonzero(alive[live_cols].ravel())
-            col_index = live_cols[flat_alive // times.size]
-            time_index = flat_alive % times.size
+            for obj, at in zip(objects, alive_times)
+        ]
+        drawn = sample_paths_arena(
+            arena, requests, n, native=self.backend == "native"
+        )
+        self._direct_draws += len(requests)
+        return [take_tics(p, at - at[0]) for p, at in zip(drawn, alive_times)]
+
+    def _distance_tensor_fused(
+        self, object_ids: list[str], q: Query, times: np.ndarray, n: int
+    ) -> np.ndarray:
+        """Columnar refinement: one arena pass draws every object's worlds,
+        then each object's distances are gathered row by row — tic ``t``'s
+        ``n`` worlds at a time — into its slab of the block."""
+        q_coords = q.coords_at(times)
+        shape = (len(object_ids), times.size, n)
+        if not object_ids:
+            return np.full(shape, np.inf)
+        alive = self.db.alive_matrix(object_ids, times)
+        live_cols = np.flatnonzero(alive.any(axis=1))
+        if live_cols.size == 0:
+            return np.full(shape, np.inf)
+        states = self._drawn_states(
+            [self.db.get(object_ids[c]) for c in live_cols],
+            [times[alive[c]] for c in live_cols],
+            n,
+        )
+        # A lifespan is an interval, so an object is alive over one run of
+        # the sorted tics: its tic-major states fill ``block[col, lo:hi]``.
+        rows = [s.T for s in states]
+        first = alive.argmax(axis=1)[live_cols]
+        slabs = [(col, lo, lo + len(r), r) for col, lo, r in zip(live_cols, first, rows)]
+        block = np.empty(shape) if alive.all() else np.full(shape, np.inf)
         space = self.db.space
-        total_cols = sum(s.shape[1] for s in states)
-        if times.size * space.n_states <= max(1_000_000, 4 * n * total_cols):
+        if times.size * space.n_states <= max(
+            1_000_000, 4 * n * sum(len(r) for r in rows)
+        ):
             # Distances depend only on (tic, state): tabulate them once per
             # query — the same subtract/square/sum/sqrt the per-object path
-            # applies, so values stay bit-identical — then one 2-d gather
-            # replaces materializing an (n, columns, d) coordinate block.
-            diff = space.coords[None, :, :] - q_coords[:, None, :]
-            per_state = np.sqrt(np.sum(diff * diff, axis=-1))  # (T, S)
-            if (
-                self.backend == "native"
-                and full_grid
-                and native_tier.can_gather_multi(states)
-            ):
-                # One C pass gathers straight from the per-object state
-                # blocks into the destination tensor — no packed
-                # concatenation, no (n, columns) temporary; identical
-                # doubles move, so values are bit-identical.
-                return native_tier.gather_distances_grid_multi(
-                    per_state, states, np.empty(shape)
+            # applies, so values stay bit-identical — then gathering rows
+            # of it replaces materializing (tics, n, d) coordinate blocks.
+            if space.ndim <= 2:
+                # At most one addition per norm, so the order ``np.sum``
+                # adds in is moot: run the same operations with the states,
+                # not the d coordinates, in the inner loop.
+                by_dim = np.ascontiguousarray(space.coords.T)  # (d, S)
+                diff = by_dim[:, None, :] - q_coords.T[:, :, None]
+                per_state = np.sqrt(np.add.reduce(diff * diff, axis=0))
+            else:
+                diff = space.coords[None, :, :] - q_coords[:, None, :]
+                per_state = np.sqrt(np.sum(diff * diff, axis=-1))  # (T, S)
+            if self.backend == "native" and native_tier.can_gather_rows(rows):
+                return native_tier.gather_distance_rows(
+                    per_state, rows, live_cols, first, block
                 )
-            packed = np.concatenate(states, axis=1)  # (n, total columns)
-            if self.backend == "native" and native_tier.can_gather(packed):
-                if full_grid:
-                    return native_tier.gather_distances_grid(
-                        per_state, packed, np.empty(shape)
-                    )
-                return native_tier.gather_distances(
-                    per_state, packed, time_index, col_index, dist
-                )
-            if full_grid:
-                # Every object alive at every tic: the packed columns *are*
-                # the (object, tic) grid in row-major order.
-                tiled = np.tile(np.arange(times.size, dtype=np.intp), len(object_ids))
-                return per_state[tiled, packed].reshape(shape)
-            dist[:, col_index, time_index] = per_state[time_index, packed]
+            flat = per_state.ravel()
+            for col, lo, hi, r in slabs:
+                offsets = np.arange(lo, hi) * space.n_states
+                np.take(flat, r + offsets[:, None], out=block[col, lo:hi])
         else:
             # Huge state spaces: gather coordinates for the sampled states
             # only and einsum the norms.
-            packed = np.concatenate(states, axis=1)  # (n, total columns)
-            if full_grid:
-                time_index = np.tile(
-                    np.arange(times.size, dtype=np.intp), len(object_ids)
-                )
-            coords = space.coords_of(packed)  # (n, total columns, d)
-            diff = coords - q_coords[time_index][None, :, :]
-            norms = np.sqrt(np.einsum("wcd,wcd->wc", diff, diff))
-            if full_grid:
-                return norms.reshape(shape)
-            dist[:, col_index, time_index] = norms
-        return dist
+            for col, lo, hi, r in slabs:
+                diff = space.coords_of(r) - q_coords[lo:hi, None, :]
+                block[col, lo:hi] = np.sqrt(np.einsum("tnd,tnd->tn", diff, diff))
+        return block
 
     # ------------------------------------------------------------------
     # refinement: reverse direction (states, then pairwise distances)
@@ -1076,7 +1077,7 @@ class QueryEngine:
     def _states_block(
         self, object_ids: list[str], times: np.ndarray, n: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled states for all objects: ``(states[w, o, t], alive[o, t])``.
+        """Sampled states for all objects: ``(states[o, t, w], alive[o, t])``.
 
         ``states`` carries ``-1`` where an object is not alive.  Worlds
         come from exactly the machinery of the distance-tensor paths (the
@@ -1085,54 +1086,25 @@ class QueryEngine:
         forward refinement over the same objects.
         """
         alive = self.db.alive_matrix(object_ids, times)
-        states = np.full((n, len(object_ids), times.size), -1, dtype=np.intp)
+        states = np.full((len(object_ids), times.size, n), -1, dtype=np.intp)
         live_cols = np.flatnonzero(alive.any(axis=1))
         if live_cols.size == 0:
             return states, alive
-        fused = (
+        objects = [self.db.get(object_ids[c]) for c in live_cols]
+        alive_times = [times[alive[c]] for c in live_cols]
+        if (
             self.fused
             and self.backend in ("compiled", "native")
             and len(set(object_ids)) == len(object_ids)
-        )
-        if not fused:
-            for col in live_cols:
-                obj = self.db.get(object_ids[col])
-                states[:, col, alive[col]] = self._sampled_states(
-                    obj, times[alive[col]], n
-                )
-            return states, alive
-        objects = [self.db.get(object_ids[c]) for c in live_cols]
-        alive_times = [times[alive[c]] for c in live_cols]
-        share = self.reuse_worlds or self._batch_depth > 0
-        if share:
-            items = []
-            for obj, at in zip(objects, alive_times):
-                t_lo, t_hi = self._cache_window(obj, at)
-                items.append(((obj.object_id, n, self.backend), t_lo, t_hi))
-            segments = self.worlds.states_for_many(
-                items,
-                stamp=(self._worlds_token, self._draw_epoch),
-                bulk_sampler=self._bulk_sampler(objects, n),
-            )
-            drawn = [seg.slice(at) for seg, at in zip(segments, alive_times)]
+        ):
+            drawn = self._drawn_states(objects, alive_times, n)
         else:
-            arena = self._arena_for(objects)
-            requests = [
-                ArenaRequest(
-                    obj.object_id,
-                    int(at[0]),
-                    int(at[-1]),
-                    self._object_rng_handle(obj.object_id, self._direct_round),
-                )
+            drawn = [
+                self._sampled_states(obj, at, n)
                 for obj, at in zip(objects, alive_times)
             ]
-            paths = sample_paths_arena(
-                arena, requests, n, native=self.backend == "native"
-            )
-            self._direct_draws += len(requests)
-            drawn = [p[:, at - at[0]] for p, at in zip(paths, alive_times)]
-        for col, block in zip(live_cols, drawn):
-            states[:, col, alive[col]] = block
+        for col, paths in zip(live_cols, drawn):
+            states[col, alive[col]] = paths.T
         return states, alive
 
     def _cached_states_block(
@@ -1169,7 +1141,7 @@ class QueryEngine:
                     sub_states, sub_alive = self._states_block(
                         [object_ids[i] for i in dirty_cols], times, n
                     )
-                    entry["states"][:, dirty_cols, :] = sub_states
+                    entry["states"][dirty_cols] = sub_states
                     entry["alive"][dirty_cols] = sub_alive
                 entry["version"] = self.db.version
                 self.estimate_cache_hits += 1
@@ -1193,33 +1165,34 @@ class QueryEngine:
     def _reverse_from_states(
         self, states: np.ndarray, alive: np.ndarray, q_coords: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Derive ``(dist, object_dist)`` from one sampled-states block.
+        """Derive ``(dist, object_dist)`` from one ``(O, T, n)`` states block.
 
         The query-distance component applies exactly the per-object path's
         subtract/square/sum/sqrt, so values at alive positions are
         bit-identical to :meth:`distance_tensor` over the same worlds.
         The inter-object component is computed in world chunks to bound
-        the ``(chunk, O, O, T, d)`` broadcast intermediate.
+        the ``(O, O, T, chunk, d)`` broadcast intermediate.  Both are
+        computed world-minor and answered as ``[w, …]`` views.
         """
-        n, n_objects, n_times = states.shape
+        n_objects, n_times, n = states.shape
         space = self.db.space
         coords = space.coords_of(np.where(states >= 0, states, 0))
         dist = np.sqrt(
-            np.sum((coords - q_coords[None, None, :, :]) ** 2, axis=-1)
+            np.sum((coords - q_coords[None, :, None, :]) ** 2, axis=-1)
         )
         dead = ~alive
-        dist[:, dead] = np.inf
-        object_dist = np.empty((n, n_objects, n_objects, n_times))
+        dist[dead] = np.inf
+        object_dist = np.empty((n_objects, n_objects, n_times, n))
         step = max(1, int(4_000_000 // max(1, n_objects * n_objects * n_times)))
         for start in range(0, n, step):
-            blk = coords[start : start + step]
-            diff = blk[:, :, None, :, :] - blk[:, None, :, :, :]
-            object_dist[start : start + step] = np.sqrt(
+            blk = coords[:, :, start : start + step]
+            diff = blk[:, None] - blk[None, :]
+            object_dist[..., start : start + step] = np.sqrt(
                 np.sum(diff * diff, axis=-1)
             )
-        object_dist[:, dead[:, None, :] | dead[None, :, :]] = np.inf
-        object_dist[:, np.arange(n_objects), np.arange(n_objects), :] = np.inf
-        return dist, object_dist
+        object_dist[dead[:, None, :] | dead[None, :, :]] = np.inf
+        object_dist[np.arange(n_objects), np.arange(n_objects)] = np.inf
+        return dist.transpose(2, 0, 1), object_dist.transpose(3, 0, 1, 2)
 
     #: Below this many outstanding draws a bulk lookup skips the fused
     #: arena pass: a per-object compiled draw is bit-identical and avoids

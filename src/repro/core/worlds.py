@@ -10,6 +10,7 @@ of an object's 80 tics pays for 80.
 
 The :class:`WorldCache` therefore stores **growable window segments**.  Each
 entry is a :class:`WorldSegment` — an ``(n_samples, width)`` state matrix
+(world axis contiguous: the sampler's own tic-major buffer, transposed)
 anchored at ``t_first`` (the earliest time any batch requested), plus the
 per-object RNG stream that produced it.  Lookups pass the window
 ``[t_lo, t_hi]`` they need and fall into exactly one of three cases:
@@ -58,6 +59,8 @@ from typing import Callable
 
 import numpy as np
 
+from ..markov.compiled import take_tics
+
 __all__ = ["WorldSegment", "WorldCache"]
 
 
@@ -67,6 +70,12 @@ class WorldSegment:
     ``states`` has shape ``(n_samples, t_last - t_first + 1)``; ``rng`` is
     the generator that produced it, parked exactly after the draw of the
     last column so a forward extension continues the same stream.
+
+    The array is held exactly as the sampler hands it out — for a fresh
+    draw a view of the sweep buffer, no copy — i.e. as the transpose of a
+    tic-major ``(width, n_samples)`` block: the world axis is the
+    contiguous one, ``states[:, -1]`` is a contiguous row, :meth:`extend`
+    appends rows and :meth:`slice` answers in the same order.
     """
 
     __slots__ = ("t_first", "states", "rng")
@@ -83,13 +92,14 @@ class WorldSegment:
         return self.t_first + self.states.shape[1] - 1
 
     def slice(self, times: np.ndarray) -> np.ndarray:
-        """State columns at the requested (covered) times."""
-        lo = times[0] - self.t_first
-        if times[-1] - times[0] + 1 == times.size:
-            # Contiguous request: a view, not a fancy-index copy (the
-            # common batched shape slices whole windows).
-            return self.states[:, lo : lo + times.size]
-        return self.states[:, times - self.t_first]
+        """State columns at the requested (covered, sorted) times — a view
+        for a contiguous request (the common batched shape slices whole
+        windows)."""
+        return take_tics(self.states, times - self.t_first)
+
+    def extend(self, new_cols: np.ndarray) -> None:
+        """Append the columns a resumed draw grew, as tic-major rows."""
+        self.states = np.concatenate([self.states.T, new_cols.T]).T
 
 
 class WorldCache:
@@ -242,8 +252,7 @@ class WorldCache:
             self.partial_hits += 1
             if self._m_partial is not None:
                 self._m_partial.inc()
-            ext = extender(seg.rng, seg.states[:, -1], seg.t_last, t_hi)
-            seg.states = np.concatenate([seg.states, ext], axis=1)
+            seg.extend(extender(seg.rng, seg.states[:, -1], seg.t_last, t_hi))
         else:
             self.hits += 1
             if self._m_hits is not None:
@@ -337,5 +346,5 @@ class WorldCache:
             for (pos, *_), new_cols in zip(extend, extend_results):
                 seg = segments[pos]
                 assert seg is not None
-                seg.states = np.concatenate([seg.states, new_cols], axis=1)
+                seg.extend(new_cols)
         return segments  # type: ignore[return-value]

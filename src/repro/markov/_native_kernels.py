@@ -2,7 +2,7 @@
 
 This module owns the C source of the two kernels behind
 :mod:`repro.markov.native` — the fused arena sweep and the per-state
-distance-table gather — and compiles them on first use through cffi's
+distance-table row gather — and compiles them on first use through cffi's
 API mode (out-of-line).  The build artifact is cached on disk keyed by a
 hash of the source, so a process pays the compiler exactly once per
 kernel revision; every later import (including serve worker processes)
@@ -72,23 +72,13 @@ void repro_arena_sweep(
     uint32_t *entropy, int64_t ent_words, int64_t *rng_consumed,
     double **init_cdf, int64_t *init_len,
     int64_t *rows, repro_step *steps, int out_is32,
-    void **out_ptrs, int64_t *out_width);
+    void **out_ptrs);
 
-void repro_distance_gather(
-    double *per_state, int64_t n_states,
-    void *packed, int packed_is32, int64_t n, int64_t n_cols,
-    int64_t *time_index, int64_t *col_index,
-    double *out, int64_t n_objects, int64_t n_times);
-
-void repro_distance_gather_grid(
-    double *per_state, int64_t n_states,
-    void *packed, int packed_is32, int64_t n, int64_t n_cols,
-    double *out, int64_t n_times);
-
-void repro_distance_gather_grid_multi(
+void repro_distance_gather_rows(
     double *per_state, int64_t n_states,
     void **blocks, int blocks_is32, int64_t n_blocks,
-    int64_t n, double *out, int64_t n_times);
+    int64_t *block_rows, int64_t *first_tic, int64_t *first_row,
+    int64_t n, double *out);
 
 void repro_seed_fill(
     uint32_t *entropy, int64_t n_words, int64_t n_req,
@@ -296,14 +286,13 @@ void repro_arena_sweep(
     uint32_t *entropy, int64_t ent_words, int64_t *rng_consumed,
     double **init_cdf, int64_t *init_len,
     int64_t *rows, repro_step *steps, int out_is32,
-    void **out_ptrs, int64_t *out_width)
+    void **out_ptrs)
 {
     int64_t r, s, t;
     (void) n_steps;
     for (r = 0; r < n_req; r++) {
         int64_t *rr = rows + r * n;
         const int64_t pr = pos[r];
-        const int64_t width_r = out_width[r];
         const double *ub = 0;
         repro_u128 rng_state = 0, rng_inc = 0;
         if (entropy != 0)
@@ -347,13 +336,13 @@ void repro_arena_sweep(
                 }
             }
             if (out_is32) {
-                int32_t *o = (int32_t *) out_ptrs[r];
+                int32_t *o = (int32_t *) out_ptrs[r] + c * n;
                 const int32_t *states = st->states32;
-                for (s = 0; s < n; s++) o[s * width_r + c] = states[rr[s]];
+                for (s = 0; s < n; s++) o[s] = states[rr[s]];
             } else {
-                int64_t *o = (int64_t *) out_ptrs[r];
+                int64_t *o = (int64_t *) out_ptrs[r] + c * n;
                 const int64_t *states = st->states64;
-                for (s = 0; s < n; s++) o[s * width_r + c] = states[rr[s]];
+                for (s = 0; s < n; s++) o[s] = states[rr[s]];
             }
             if (t >= b[r]) continue;
             if (entropy != 0) {
@@ -413,105 +402,29 @@ void repro_arena_sweep(
     }
 }
 
-/* dist[w, col_index[c], time_index[c]] = per_state[time_index[c], packed[w, c]]
- * in one pass — the numpy equivalent materializes an (n, n_cols) gather
- * temporary and scatters it in a second pass.  Pure data movement of
- * identical doubles: bit-identity is free. */
-void repro_distance_gather(
-    double *per_state, int64_t n_states,
-    void *packed, int packed_is32, int64_t n, int64_t n_cols,
-    int64_t *time_index, int64_t *col_index,
-    double *out, int64_t n_objects, int64_t n_times)
-{
-    int64_t w, c;
-    if (packed_is32) {
-        const int32_t *pk = (const int32_t *) packed;
-        for (w = 0; w < n; w++) {
-            const int32_t *pw = pk + w * n_cols;
-            double *ow = out + w * n_objects * n_times;
-            for (c = 0; c < n_cols; c++)
-                ow[col_index[c] * n_times + time_index[c]] =
-                    per_state[time_index[c] * n_states + pw[c]];
-        }
-    } else {
-        const int64_t *pk = (const int64_t *) packed;
-        for (w = 0; w < n; w++) {
-            const int64_t *pw = pk + w * n_cols;
-            double *ow = out + w * n_objects * n_times;
-            for (c = 0; c < n_cols; c++)
-                ow[col_index[c] * n_times + time_index[c]] =
-                    per_state[time_index[c] * n_states + pw[c]];
-        }
-    }
-}
-
-/* Full-grid fast path: every object alive at every tic, columns ordered
- * object-major/time-minor — exactly the destination tensor's layout, so
- * both the packed reads and the out writes are sequential and the
- * (time, col) indices are counters instead of 16 bytes of index loads
- * per element. */
-void repro_distance_gather_grid(
-    double *per_state, int64_t n_states,
-    void *packed, int packed_is32, int64_t n, int64_t n_cols,
-    double *out, int64_t n_times)
-{
-    int64_t w, c;
-    if (packed_is32) {
-        const int32_t *pk = (const int32_t *) packed;
-        for (w = 0; w < n; w++) {
-            const int32_t *pw = pk + w * n_cols;
-            double *ow = out + w * n_cols;
-            int64_t t = 0;
-            for (c = 0; c < n_cols; c++) {
-                ow[c] = per_state[t * n_states + pw[c]];
-                if (++t == n_times) t = 0;
-            }
-        }
-    } else {
-        const int64_t *pk = (const int64_t *) packed;
-        for (w = 0; w < n; w++) {
-            const int64_t *pw = pk + w * n_cols;
-            double *ow = out + w * n_cols;
-            int64_t t = 0;
-            for (c = 0; c < n_cols; c++) {
-                ow[c] = per_state[t * n_states + pw[c]];
-                if (++t == n_times) t = 0;
-            }
-        }
-    }
-}
-
-/* Full-grid gather over per-object state blocks, skipping the packed
- * concatenation: block b is one object's (n, n_times) states and
- * out[w, b, t] = per_state[t, block_b[w, t]].  The out writes stream
- * sequentially in (w, b, t) order; the same doubles move as in the
- * packed variant, so values are bit-identical. */
-void repro_distance_gather_grid_multi(
+/* The per-state distance-table gather, one contiguous row of n worlds at
+ * a time: block b holds one object's sampled states over its block_rows[b]
+ * alive tics, tic-major, and its row j lands in row first_row[b] + j of
+ * ``out`` (rows of n doubles — the (object, tic, world) distance block)
+ * as per_state[first_tic[b] + j, state].  Pure movement of identical
+ * doubles, so values are bit-identical to the numpy gather. */
+void repro_distance_gather_rows(
     double *per_state, int64_t n_states,
     void **blocks, int blocks_is32, int64_t n_blocks,
-    int64_t n, double *out, int64_t n_times)
+    int64_t *block_rows, int64_t *first_tic, int64_t *first_row,
+    int64_t n, double *out)
 {
-    int64_t w, b, t;
-    if (blocks_is32) {
-        for (w = 0; w < n; w++) {
-            double *ow = out + w * n_blocks * n_times;
-            for (b = 0; b < n_blocks; b++) {
-                const int32_t *pw =
-                    (const int32_t *) blocks[b] + w * n_times;
-                for (t = 0; t < n_times; t++)
-                    ow[t] = per_state[t * n_states + pw[t]];
-                ow += n_times;
-            }
-        }
-    } else {
-        for (w = 0; w < n; w++) {
-            double *ow = out + w * n_blocks * n_times;
-            for (b = 0; b < n_blocks; b++) {
-                const int64_t *pw =
-                    (const int64_t *) blocks[b] + w * n_times;
-                for (t = 0; t < n_times; t++)
-                    ow[t] = per_state[t * n_states + pw[t]];
-                ow += n_times;
+    int64_t b, j, w;
+    for (b = 0; b < n_blocks; b++) {
+        for (j = 0; j < block_rows[b]; j++) {
+            const double *ps = per_state + (first_tic[b] + j) * n_states;
+            double *o = out + (first_row[b] + j) * n;
+            if (blocks_is32) {
+                const int32_t *st = (const int32_t *) blocks[b] + j * n;
+                for (w = 0; w < n; w++) o[w] = ps[st[w]];
+            } else {
+                const int64_t *st = (const int64_t *) blocks[b] + j * n;
+                for (w = 0; w < n; w++) o[w] = ps[st[w]];
             }
         }
     }

@@ -310,8 +310,9 @@ class AdaptedModel:
             return self.compiled.sample_paths(rng, n, a, b, start_states=start_states)
         if backend != "reference":
             raise ValueError(f"unknown sampling backend {backend!r}")
-        length = b - a + 1
-        out = np.empty((n, length), dtype=np.intp)
+        # Allocated tic-major like the compiled sampler's buffer, so both
+        # backends hand out the same memory order (world axis contiguous).
+        out = np.empty((b - a + 1, n), dtype=np.intp).T
         if start_states is None:
             start = self.posterior(a)
             out[:, 0] = _inverse_cdf_pick(

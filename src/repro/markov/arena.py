@@ -18,8 +18,10 @@ requests live in one flat slot array (request ``r`` owns slots
 ``[r·n, (r+1)·n)``), so each timestep costs a fixed handful of array
 operations — index arithmetic, one ``searchsorted``, one gather, one
 scatter — regardless of how many objects are being sampled.  The only
-per-object Python work is setup (one RNG block per request) and teardown
-(one reshape per request).
+per-object Python work is setup (one RNG block per request); there is no
+teardown — the sweep buffer is ``(request, tic, world)`` and each request's
+result is a transposed *view* of its slab, so the world axis is the
+unit-stride one all the way to the NN counter.
 
 Bit-identity with the per-object path
 -------------------------------------
@@ -394,14 +396,15 @@ def sample_paths_arena(
     Returns one ``(n, t_hi - t_lo + 1)`` state array per request, in
     request order — each bit-identical to what the per-object
     :meth:`CompiledModel.sample_paths` would have produced from the same
-    generator (see the module docstring for why).
+    generator (see the module docstring for why), and like it a view
+    whose world axis is contiguous: all results share the one sweep buffer.
 
     ``out``, when given, supplies one pre-allocated destination per
     request (matching shape and an integer dtype) that the sampled paths
-    are written into in place of fresh allocations — the serving layer
-    points these at shared-memory segments so a shard worker's draws land
-    directly in the coordinator-visible tensor without a copy.  The same
-    arrays are returned for convenience.
+    are written into in place of fresh allocations — e.g. slabs of a
+    shared-memory segment; a destination in the sampler's own order (the
+    transpose of a C-contiguous ``(width, n)`` array) is filled by plain
+    row copies.  The same arrays are returned for convenience.
 
     ``native=True`` runs the whole sweep through the compiled kernel tier
     (:mod:`repro.markov.native`) — byte-identical results from the same
@@ -559,16 +562,13 @@ def sample_paths_arena(
         if mv.size:
             transition(table, mv, uniforms[t - a_arr[mv] + (~resumed[mv]), mv])
 
+    drawn = [buf[r, : int(widths[r])].T for r in range(n_req)]
     if out is None:
-        return [
-            np.ascontiguousarray(buf[r, : int(widths[r])].T) for r in range(n_req)
-        ]
-    for r in range(n_req):
-        dest = out[r]
-        expect = (n, int(widths[r]))
-        if dest.shape != expect:
+        return drawn
+    for r, (dest, paths) in enumerate(zip(out, drawn)):
+        if dest.shape != paths.shape:
             raise ValueError(
-                f"out[{r}] has shape {dest.shape}, expected {expect}"
+                f"out[{r}] has shape {dest.shape}, expected {paths.shape}"
             )
-        dest[...] = buf[r, : int(widths[r])].T
+        dest[...] = paths
     return list(out)

@@ -37,7 +37,13 @@ from scipy import sparse
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .adaptation import AdaptedModel, Segment
 
-__all__ = ["CompiledLayer", "CompiledModel", "CompiledMatrix", "compile_model"]
+__all__ = [
+    "CompiledLayer",
+    "CompiledModel",
+    "CompiledMatrix",
+    "compile_model",
+    "take_tics",
+]
 
 
 # Rows at most this wide are drawn via the padded dense-CDF strategy; wider
@@ -45,6 +51,21 @@ __all__ = ["CompiledLayer", "CompiledModel", "CompiledMatrix", "compile_model"]
 # SIMD-friendly, beating searchsorted's ~50ns-per-needle binary search by a
 # wide margin for the narrow rows real chains produce (out-degree ≈ 8).
 _DENSE_WIDTH_LIMIT = 64
+
+
+def take_tics(paths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Columns ``offsets`` (sorted) of an ``(n, width)`` path matrix.
+
+    Every sampler hands its paths out as the transpose of a tic-major
+    ``(width, n)`` buffer — the world axis is the unit-stride one — and
+    this keeps it so: a contiguous run is a view, anything else one row
+    gather of the buffer.  ``paths[:, offsets]`` may answer world-major
+    (numpy allocates in C order), which every later per-tic pass over the
+    worlds would pay for.
+    """
+    if offsets[-1] - offsets[0] + 1 == offsets.size:
+        return paths[:, offsets[0] : offsets[0] + offsets.size]
+    return paths.T[offsets].T
 
 
 class CompiledLayer:
@@ -242,8 +263,10 @@ class CompiledModel:
         every row is a trajectory consistent with all observations.
 
         Samples are propagated as local support-row indices and written into
-        a time-major buffer (contiguous writes); the two together are what
-        keep the per-timestep cost at a handful of array operations.
+        a tic-major buffer (contiguous writes); the two together are what
+        keep the per-timestep cost at a handful of array operations.  The
+        result is that buffer's transpose — a view whose *world* axis is
+        the contiguous one, the order refinement reads it in.
 
         ``start_states`` resumes ``n`` previously sampled paths whose states
         at ``t_start`` are given: no initial variate is consumed and the
@@ -275,7 +298,7 @@ class CompiledModel:
         for offset, t in enumerate(range(a, b)):
             rows = self._layers[t].draw(rows, rng.random(n))
             buf[offset + 1] = self._initials[t + 1][0][rows]
-        return np.ascontiguousarray(buf.T)
+        return buf.T
 
 
 def _initial_table(dist: tuple[np.ndarray, np.ndarray]) -> tuple[np.ndarray, np.ndarray]:

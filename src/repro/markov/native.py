@@ -10,7 +10,9 @@ module replaces all three with two C kernels (compiled on demand via
 cffi, see :mod:`._native_kernels`): one fused ``(steps × samples)``
 sweep that carries global row cursors across timesteps without returning
 to Python per tic — including the wide-row fallback arithmetic — and one
-single-pass distance gather.
+single-pass distance gather.  Both move whole rows of ``n`` worlds: the
+sweep fills tic-major ``(width, n)`` slabs and the gather reads them
+into the ``(object, tic, world)`` distance block.
 
 Availability is auto-detected on first use: :func:`available` returns
 ``False`` (and the numpy path keeps serving) when cffi or a C compiler
@@ -373,49 +375,34 @@ def draw_arena(
             init_ptrs[r] = cached[1]
             init_len[r] = cached[0].size
 
+    # Destinations are tic-major ``(width, n)`` slabs — the numpy sweep's
+    # buffer order, which the kernel fills one contiguous row per tic.
     states_dtype = arena.states_dtype
-    out_ptrs = ffi.new("void *[]", n_req)
-    writeback: list[tuple[np.ndarray, np.ndarray]] = []
-    if out is None and np.all(widths == widths[0]):
-        # Lockstep windows (the engine's bulk shape): one block allocation
-        # and pointer arithmetic instead of n_req buffers + cffi handles.
-        w0 = int(widths[0])
-        block = np.empty((n_req, n, w0), dtype=states_dtype)
-        results = list(block)
-        base = ffi.from_buffer("char[]", block, require_writable=True)
-        keep.append(base)
-        stride = n * w0 * block.itemsize
-        for r in range(n_req):
-            out_ptrs[r] = base + r * stride
+    staged: list[tuple[np.ndarray, np.ndarray]] = []
+    if out is None:
+        block = np.empty((n_req, int(widths.max()), n), dtype=states_dtype)
+        slabs = [block[r, : int(widths[r])] for r in range(n_req)]
     else:
-        bufs: list[np.ndarray] = []
-        results = []
-        for r in range(n_req):
+        slabs = []
+        for r, dest in enumerate(out):
             expect = (n, int(widths[r]))
-            if out is None:
-                buf = np.empty(expect, dtype=states_dtype)
-                results.append(buf)
-            else:
-                dest = out[r]
-                if dest.shape != expect:
-                    raise ValueError(
-                        f"out[{r}] has shape {dest.shape}, expected {expect}"
-                    )
-                if dest.dtype == states_dtype and dest.flags.c_contiguous:
-                    buf = dest
-                else:
-                    # Foreign dtype/layout destinations (e.g. intp
-                    # shared-memory tensors on an int32 arena) go through a
-                    # staging buffer; the copy casts exactly like the numpy
-                    # path's assignment.
-                    buf = np.empty(expect, dtype=states_dtype)
-                    writeback.append((dest, buf))
-                results.append(dest)
-            bufs.append(buf)
-        for r, buf in enumerate(bufs):
-            p = ffi.from_buffer("char[]", buf, require_writable=True)
-            keep.append(p)
-            out_ptrs[r] = p
+            if dest.shape != expect:
+                raise ValueError(
+                    f"out[{r}] has shape {dest.shape}, expected {expect}"
+                )
+            slab = dest.T
+            if dest.dtype != states_dtype or not slab.flags.c_contiguous:
+                # Foreign dtype/order destinations (e.g. world-major intp
+                # buffers on an int32 arena) go through a staging slab; the
+                # copy casts exactly like the numpy path's assignment.
+                slab = np.empty(expect[::-1], dtype=states_dtype)
+                staged.append((dest, slab))
+            slabs.append(slab)
+    out_ptrs = ffi.new("void *[]", n_req)
+    for r, slab in enumerate(slabs):
+        p = ffi.from_buffer("char[]", slab, require_writable=True)
+        keep.append(p)
+        out_ptrs[r] = p
 
     lib.repro_arena_sweep(
         t0,
@@ -443,14 +430,13 @@ def draw_arena(
         steps_c,
         1 if states_dtype == np.dtype(np.int32) else 0,
         out_ptrs,
-        ffi.from_buffer("int64_t[]", widths),
     )
     if lazy is not None:
         for r, req in enumerate(requests):
             req.rng.consumed += int(u_blocks[r]) * n
-    for dest, buf in writeback:
-        dest[...] = buf
-    return results
+    for dest, slab in staged:
+        dest[...] = slab.T
+    return [slab.T for slab in slabs] if out is None else list(out)
 
 
 # ---------------------------------------------------------------------------
@@ -460,123 +446,55 @@ def draw_arena(
 _GATHER_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 
 
-def can_gather(packed: np.ndarray) -> bool:
-    """Whether :func:`gather_distances` handles this packed-states array."""
-    return (
-        available()
-        and packed.dtype in _GATHER_DTYPES
-        and packed.flags.c_contiguous
-    )
+def can_gather_rows(blocks: "list[np.ndarray]") -> bool:
+    """Whether :func:`gather_distance_rows` handles these state blocks.
 
-
-def gather_distances(
-    per_state: np.ndarray,
-    packed: np.ndarray,
-    time_index: np.ndarray,
-    col_index: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """``out[w, col_index[c], time_index[c]] = per_state[time_index[c], packed[w, c]]``.
-
-    One C pass replacing the numpy gather temporary + scatter assignment;
-    pure movement of identical doubles, so values are bit-identical.
-    ``out`` must be prefilled (``inf`` for scattered columns) by the
-    caller, exactly like the numpy scatter path.
+    Each must be a C-contiguous tic-major ``(tics, n)`` block of one
+    gatherable dtype — what the transpose of any sampler output is; a
+    world-major copy made on the way here fails the check and silently
+    takes the numpy gather instead.
     """
-    require_native()
-    ffi, lib = _module.ffi, _module.lib
-    n, n_cols = packed.shape
-    _, n_objects, n_times = out.shape
-    per_state = np.ascontiguousarray(per_state)
-    time_index = np.ascontiguousarray(time_index, dtype=np.intp)
-    col_index = np.ascontiguousarray(col_index, dtype=np.intp)
-    lib.repro_distance_gather(
-        ffi.from_buffer("double[]", per_state),
-        per_state.shape[1],
-        ffi.from_buffer("char[]", packed),
-        1 if packed.dtype == np.dtype(np.int32) else 0,
-        n,
-        n_cols,
-        ffi.from_buffer("int64_t[]", time_index),
-        ffi.from_buffer("int64_t[]", col_index),
-        ffi.from_buffer("double[]", out, require_writable=True),
-        n_objects,
-        n_times,
-    )
-    return out
-
-
-def can_gather_multi(states: "list[np.ndarray]") -> bool:
-    """Whether :func:`gather_distances_grid_multi` handles these blocks."""
-    if not available() or not states:
+    if not available() or not blocks:
         return False
-    dtype = states[0].dtype
-    if dtype not in _GATHER_DTYPES:
-        return False
-    return all(
-        s.dtype == dtype and s.flags.c_contiguous for s in states
+    dtype = blocks[0].dtype
+    return dtype in _GATHER_DTYPES and all(
+        b.dtype == dtype and b.flags.c_contiguous for b in blocks
     )
 
 
-def gather_distances_grid_multi(
+def gather_distance_rows(
     per_state: np.ndarray,
-    states: "list[np.ndarray]",
+    blocks: "list[np.ndarray]",
+    cols: np.ndarray,
+    first_tic: np.ndarray,
     out: np.ndarray,
 ) -> np.ndarray:
-    """Full-grid gather straight from the per-object state blocks.
+    """``out[cols[b], first_tic[b] + j, :] = per_state[first_tic[b] + j, blocks[b][j, :]]``.
 
-    ``out[w, b, t] = per_state[t, states[b][w, t]]`` — the multi-block
-    twin of :func:`gather_distances_grid` that skips concatenating the
-    blocks into one packed array first.  Same doubles, bit-identical.
+    ``out`` is the C-contiguous ``(objects, tics, n)`` distance block
+    (prefilled with ``inf`` where some object is not alive); block ``b``
+    holds object ``cols[b]``'s states over its alive run of tics.  One C
+    pass of contiguous row gathers; pure movement of identical doubles, so
+    values are bit-identical to the numpy gather.
     """
     require_native()
     ffi, lib = _module.ffi, _module.lib
-    n, n_times = states[0].shape
+    n_times, n = out.shape[1:]
     per_state = np.ascontiguousarray(per_state)
-    blocks = ffi.new("void *[]", len(states))
-    keep = []
-    for b, s in enumerate(states):
-        p = ffi.from_buffer("char[]", s)
-        keep.append(p)
-        blocks[b] = p
-    lib.repro_distance_gather_grid_multi(
+    first_tic = np.ascontiguousarray(first_tic, dtype=np.intp)
+    first_row = np.asarray(cols, dtype=np.intp) * n_times + first_tic
+    block_rows = np.array([len(b) for b in blocks], dtype=np.intp)
+    pointers = [ffi.from_buffer("char[]", b) for b in blocks]  # pins them
+    lib.repro_distance_gather_rows(
         ffi.from_buffer("double[]", per_state),
         per_state.shape[1],
-        blocks,
-        1 if states[0].dtype == np.dtype(np.int32) else 0,
-        len(states),
+        ffi.new("void *[]", pointers),
+        1 if blocks[0].dtype == np.dtype(np.int32) else 0,
+        len(blocks),
+        ffi.from_buffer("int64_t[]", block_rows),
+        ffi.from_buffer("int64_t[]", first_tic),
+        ffi.from_buffer("int64_t[]", first_row),
         n,
         ffi.from_buffer("double[]", out, require_writable=True),
-        n_times,
-    )
-    return out
-
-
-def gather_distances_grid(
-    per_state: np.ndarray,
-    packed: np.ndarray,
-    out: np.ndarray,
-) -> np.ndarray:
-    """Full-grid gather: ``out[w, o, t] = per_state[t, packed[w, o * T + t]]``.
-
-    Used when every object is alive at every tic — the packed columns
-    are the (object, tic) grid in row-major order, matching ``out``'s own
-    layout, so the C pass streams both sides sequentially with no index
-    arrays at all.  Same doubles, bit-identical values.
-    """
-    require_native()
-    ffi, lib = _module.ffi, _module.lib
-    n, n_cols = packed.shape
-    n_times = out.shape[2]
-    per_state = np.ascontiguousarray(per_state)
-    lib.repro_distance_gather_grid(
-        ffi.from_buffer("double[]", per_state),
-        per_state.shape[1],
-        ffi.from_buffer("char[]", packed),
-        1 if packed.dtype == np.dtype(np.int32) else 0,
-        n,
-        n_cols,
-        ffi.from_buffer("double[]", out, require_writable=True),
-        n_times,
     )
     return out

@@ -275,15 +275,16 @@ class ShardedQueryEngine(QueryEngine):
         """Fan a batch of column computations out to the owning shards.
 
         ``jobs`` items are ``(kind, query, times, ids, n)``.  Returns one
-        assembled full tensor per job.  On a shared-memory transport the
-        coordinator allocates one segment laying every job's full tensor
-        out contiguously; each worker writes the columns of the ids it
-        owns directly into the segment, so per-shard sub-tensors are never
-        pickled back.
+        assembled full ``(objects, times, worlds)`` block per job — the
+        single-process engine's memory order.  On a shared-memory
+        transport the coordinator allocates one segment laying every
+        job's block out contiguously; each worker writes the slabs of the
+        ids it owns directly into the segment, so per-shard sub-blocks are
+        never pickled back.
         """
         results: list[np.ndarray] = []
         for kind, _q, times, ids, n in jobs:
-            shape = (int(n), len(ids), int(times.size))
+            shape = (len(ids), int(times.size), int(n))
             if kind == "dist":
                 results.append(np.full(shape, np.inf))
             else:
@@ -353,9 +354,7 @@ class ShardedQueryEngine(QueryEngine):
                 else:
                     for shard, payload in payloads.items():
                         for job, sub in zip(per_shard[shard], payload):
-                            results[job.job_index][:, list(job.col_index), :] = (
-                                sub
-                            )
+                            results[job.job_index][list(job.col_index)] = sub
         finally:
             if shm is not None:
                 shm.close()
@@ -384,7 +383,7 @@ class ShardedQueryEngine(QueryEngine):
         ids = list(object_ids)
         alive = self.db.alive_matrix(ids, times)
         if not ids or not alive.any():
-            states = np.full((n, len(ids), times.size), -1, dtype=np.intp)
+            states = np.full((len(ids), times.size, n), -1, dtype=np.intp)
             return states, alive
         key = self._staged_key("states", None, times, tuple(ids), n)
         queue = self._staged.get(key)

@@ -90,8 +90,9 @@ class ComputeJob:
     side) — never a ``Query`` object, whose closures do not pickle.
     When the batch rides shared memory,
     ``shm_offset``/``full_shape``/``dtype`` locate the *full* cross-shard
-    tensor inside the segment and ``col_index`` the columns this worker
-    writes; otherwise the worker returns its sub-tensor in the reply.
+    ``(objects, times, worlds)`` block inside the segment and ``col_index``
+    the object slabs this worker writes — each one contiguous; otherwise
+    the worker returns its sub-block in the reply.
     """
 
     kind: str

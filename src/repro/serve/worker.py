@@ -208,7 +208,7 @@ class ShardWorkerState:
                     buffer=shm.buf,
                     offset=int(job.shm_offset),
                 )
-                view[:, list(job.col_index), :] = block
+                view[list(job.col_index)] = block
         finally:
             shm.close()
         return None

@@ -11,6 +11,24 @@ functions operate on a distance tensor
 with ``np.inf`` marking objects that are not alive at ``t`` (outside their
 observation span).  Ties use ``<=`` per Definitions 1-2: all co-located
 closest objects count as nearest neighbors.
+
+Memory order.  The shape is ``(worlds, objects, times)`` whoever calls, but
+the engine hands in a transposed view of an ``(objects, times, worlds)``
+block (``QueryEngine.distance_tensor``): every function here is built from
+elementwise operations and axis reductions only, which numpy runs in the
+operand's own memory order, so indicators come out world-minor too and the
+reductions over objects and tics run unit-stride over the worlds.  A plain
+C-ordered tensor gives the same answers, slower.
+
+Two tie rules, one predicate.  For ``k = 1`` the ∀/∃ estimators go through
+:func:`knn_indicator` — the exact rule ``d <= min`` — while PCNN mining
+goes through :func:`nn_indicator`, which admits a relative slack
+(``d <= min · (1 + 1e-12)``).  Distances of co-located objects are the
+same double (one per-(tic, state) table entry, or the same arithmetic on
+the same coordinates), so the two coincide unless two *different* states
+lie within 1e-12 relative distance of the query; they agree on every
+shipped fixture (``tests/core/test_refine_layout.py`` pins that) and
+neither rule is changed here.
 """
 
 from __future__ import annotations
@@ -64,7 +82,9 @@ def knn_indicator(dist: np.ndarray, k: int) -> np.ndarray:
     replaces the quadratic all-pairs comparison — O(W·O·T) instead of
     O(W·O²·T), the difference between milliseconds and seconds at the
     paper's candidate scales (Figs. 8, 13) — with bit-identical output
-    (pure comparisons, no arithmetic on the distances).
+    (pure comparisons, no arithmetic on the distances).  For ``k = 1`` the
+    k-th smallest is the minimum: a ``min`` across the objects, the same
+    booleans without the partition's copy.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -72,7 +92,10 @@ def knn_indicator(dist: np.ndarray, k: int) -> np.ndarray:
     if k >= dist.shape[1]:
         # Fewer alive objects than k: everyone alive qualifies.
         return np.isfinite(dist)
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k, :]
+    if k == 1:
+        kth = dist.min(axis=1, keepdims=True)
+    else:
+        kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k, :]
     return (dist <= kth) & np.isfinite(dist)
 
 
@@ -156,8 +179,11 @@ def forall_prob_over_times(indicator: np.ndarray, time_columns: np.ndarray) -> f
 
     ``indicator`` has shape ``(worlds, times)``; ``time_columns`` selects the
     subset ``T_i ⊆ T`` (column indices).  This is the estimator Algorithm 1
-    calls once per Apriori candidate — all candidates share one world pool,
+    defines per Apriori candidate — all candidates share one world pool,
     which preserves the anti-monotonicity the algorithm relies on.
+    :mod:`repro.core.apriori` computes the same number from packed world
+    bitmaps (``popcount(AND of the columns) / worlds``); this direct form
+    is the oracle its tests compare against.
     """
     indicator = np.asarray(indicator, dtype=bool)
     if indicator.ndim != 2:

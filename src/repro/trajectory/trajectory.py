@@ -234,7 +234,9 @@ class UncertainObject:
         paths = self.adapted.sample_paths(
             rng, n, int(times.min()), int(times.max()), backend=backend
         )
-        return paths[:, times - times.min()]
+        # A row gather of the sampler's tic-major buffer: the world axis
+        # stays the contiguous one (``paths[:, cols]`` need not keep it).
+        return paths.T[times - times.min()].T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

@@ -138,3 +138,181 @@ class TestProperties:
                 if sub:
                     assert sub in got
                     assert got[sub] >= p - 1e-12
+
+
+# --------------------------------------------------------------------------
+# the bitmap miner against the level-wise enumeration it replaced
+# --------------------------------------------------------------------------
+def reference_mine(indicator, times, tau, max_candidates=100_000, use_certain_shortcut=False):
+    """Algorithm 1 validating every candidate by re-slicing the indicator
+    (``forall_prob_over_times``) — the miner before it ran on bitmaps."""
+    from itertools import combinations
+
+    from repro.core.apriori import MiningStats
+
+    stats = MiningStats()
+    n_cols = times.size
+    col_probs = indicator.mean(axis=0)
+    stats.sets_evaluated += n_cols
+    certain = ()
+    if use_certain_shortcut:
+        certain = tuple(int(c) for c in np.flatnonzero(col_probs >= 1.0))
+    level = {}
+    for col in range(n_cols):
+        if col not in certain and float(col_probs[col]) >= tau:
+            level[(col,)] = float(col_probs[col])
+            stats.sets_qualifying += 1
+    qualifying = dict(level)
+    k = 1
+    while level:
+        stats.max_level_reached = k
+        k += 1
+        keys = sorted(level)
+        next_level = {}
+        for i, a in enumerate(keys):
+            for b in keys[i + 1 :]:
+                if a[:-1] != b[:-1]:
+                    break
+                cand = a + (b[-1],)
+                if not all(sub in level for sub in combinations(cand, k - 1)):
+                    continue
+                stats.sets_evaluated += 1
+                if stats.sets_evaluated > max_candidates:
+                    raise AprioriBudgetExceeded(
+                        f"exceeded {max_candidates} candidate validations at level {k}; "
+                        "raise the budget or increase tau"
+                    )
+                p = forall_prob_over_times(indicator, np.asarray(cand))
+                if p >= tau:
+                    next_level[cand] = p
+                    stats.sets_qualifying += 1
+        qualifying.update(next_level)
+        level = next_level
+    results = []
+    if use_certain_shortcut and certain:
+        results.append((tuple(int(times[c]) for c in certain), 1.0))
+        stats.sets_qualifying += 1
+        for cols, p in qualifying.items():
+            results.append((tuple(sorted(int(times[c]) for c in cols + certain)), p))
+    else:
+        for cols, p in qualifying.items():
+            results.append((tuple(int(times[c]) for c in cols), p))
+    results.sort(key=lambda item: (len(item[0]), item[0]))
+    return results, stats
+
+
+#: Around every byte and word boundary: ``np.packbits`` pads the last byte
+#: with zero bits, which must never count as worlds.
+WORLD_COUNTS = [1, 7, 8, 9, 63, 64, 65, 1000]
+
+
+class TestBitmapMinerAgainstLevelwiseOracle:
+    @staticmethod
+    def _same(indicator, times, tau, **kwargs):
+        got, got_stats = mine_timestamp_sets(indicator, times, tau, **kwargs)
+        want, want_stats = reference_mine(indicator, times, tau, **kwargs)
+        # Sets, order and probabilities to the last bit (``==`` on floats).
+        assert got == want
+        assert got_stats == want_stats
+        return got, got_stats
+
+    @pytest.mark.parametrize("shortcut", [False, True])
+    @pytest.mark.parametrize("n", WORLD_COUNTS)
+    def test_random_indicators(self, n, shortcut):
+        rng = np.random.default_rng(n)
+        for n_times in range(1, 13):
+            density = rng.uniform(0.5, 0.98)
+            indicator = rng.uniform(size=(n, n_times)) < density
+            if n_times > 2:
+                indicator[:, int(rng.integers(n_times))] = True  # a certain tic
+            times = np.sort(rng.choice(40, size=n_times, replace=False))
+            for tau in (1.0 / n, 0.5, 1.0):
+                mined, stats = self._same(
+                    indicator, times, tau, use_certain_shortcut=shortcut
+                )
+                if not shortcut:
+                    assert dict(mined) == brute_force(indicator, times, tau)
+
+    @pytest.mark.parametrize("shortcut", [False, True])
+    @pytest.mark.parametrize("n", WORLD_COUNTS)
+    def test_all_true_and_all_false(self, n, shortcut):
+        for n_times in (1, 2, 5, 10):
+            times = np.arange(n_times)
+            ones = np.ones((n, n_times), dtype=bool)
+            mined, stats = self._same(ones, times, 1.0, use_certain_shortcut=shortcut)
+            if shortcut:  # every tic is certain: one set, nothing mined
+                assert mined == [(tuple(range(n_times)), 1.0)]
+                assert stats.sets_evaluated == n_times
+            else:
+                assert len(mined) == stats.sets_evaluated == 2**n_times - 1
+                assert all(p == 1.0 for _, p in mined)
+            mined, stats = self._same(
+                ~ones, times, 1.0 / n, use_certain_shortcut=shortcut
+            )
+            assert mined == [] and stats.sets_evaluated == n_times
+
+    @pytest.mark.parametrize("n", [9, 64, 1000])
+    def test_padding_bits_never_count(self, n):
+        """A lone world in the last, partly padded byte: supports are
+        0 or 1 world, never the padding."""
+        indicator = np.zeros((n, 4), dtype=bool)
+        indicator[n - 1, :3] = True
+        mined, _ = self._same(indicator, np.arange(4), 1.0 / n)
+        assert len(mined) == 7 and all(p == 1.0 / n for _, p in mined)
+        assert all(3 not in timeset for timeset, _ in mined)
+
+    @pytest.mark.parametrize("shortcut", [False, True])
+    def test_budget_raises_at_the_same_candidate_with_the_same_message(self, shortcut):
+        rng = np.random.default_rng(4)
+        indicator = rng.uniform(size=(65, 9)) < 0.9
+        indicator[:, 2] = True
+        times = np.arange(9)
+        _, stats = mine_timestamp_sets(indicator, times, 0.2, use_certain_shortcut=shortcut)
+        total = stats.sets_evaluated
+        assert total > 60
+        for budget in (9, 10, 37, total - 1, total, total + 1):
+            kwargs = {"max_candidates": budget, "use_certain_shortcut": shortcut}
+            if budget >= total:
+                self._same(indicator, times, 0.2, **kwargs)
+                continue
+            with pytest.raises(AprioriBudgetExceeded) as want:
+                reference_mine(indicator, times, 0.2, **kwargs)
+            with pytest.raises(AprioriBudgetExceeded) as got:
+                mine_timestamp_sets(indicator, times, 0.2, **kwargs)
+            assert str(got.value) == str(want.value)
+
+    def test_world_minor_indicator_columns(self):
+        """The engine hands the miner columns of a world-minor indicator."""
+        rng = np.random.default_rng(8)
+        block = rng.uniform(size=(3, 6, 130)) < 0.8  # (objects, times, worlds)
+        for col in range(3):
+            self._same(block.transpose(2, 0, 1)[:, col, :], np.arange(6), 0.3)
+
+    def test_empty_world_pool_rejected(self):
+        with pytest.raises(ValueError, match="indicator"):
+            mine_timestamp_sets(np.zeros((0, 3), dtype=bool), np.arange(3), 0.5)
+
+
+class TestEngineLevelConsistency:
+    def test_full_window_entry_is_the_forall_answer(self):
+        """One object, query and epoch: the PCNN entry of the whole window
+        *is* P∀NN over it — the same worlds counted by the bitmap miner
+        and by the ∀ reduction, equal to the last bit."""
+        from repro.core.evaluator import QueryEngine
+        from repro.core.queries import Query, QueryRequest
+        from tests.conftest import make_paper_example_db, make_random_world
+
+        worlds = [
+            (make_paper_example_db(), Query.from_point([0.0, 0.0]), (2, 3)),
+            (make_random_world(seed=7, n_objects=5, span=8)[0], Query.from_point([5.0, 5.0]), (2, 3, 4, 5)),
+        ]
+        compared = 0
+        for db, q, times in worlds:
+            engine = QueryEngine(db, n_samples=333, seed=2, reuse_worlds=True)
+            forall = engine.evaluate(QueryRequest(q, times, "forall", 0.01))
+            pcnn = engine.evaluate(QueryRequest(q, times, "pcnn", 0.01))
+            whole = {e.object_id: e.probability for e in pcnn.entries if e.times == times}
+            expected = {o: p for o, p in forall.probabilities.items() if p >= 0.01}
+            assert whole == expected
+            compared += len(whole)
+        assert compared >= 2

@@ -1,0 +1,484 @@
+"""The refinement memory order and its byte identity.
+
+Everything between the sampler's sweep buffer and the NN counter keeps the
+world axis as the unit-stride one — states are transposed views of tic-major
+``(width, n)`` buffers, distances of one C-contiguous ``(objects, times, n)``
+block — while every public shape stays ``(worlds, …)``.  Three things are
+pinned here:
+
+* **the layout contract**: ``arr.strides[world_axis] == arr.itemsize`` at
+  every hand-off, and no copy between the sweep and the world cache.  numpy
+  allocates in C order, so one ``.copy()``, ``np.ascontiguousarray`` or
+  ``np.concatenate(..., axis=1)`` on the way silently re-materialises
+  world-major — values stay right and only these assertions notice;
+* **byte identity** with the world-major kernel this order replaced, kept
+  below as the oracle (tile/scatter distances, ``np.partition`` indicator);
+* **one k = 1 predicate**: ``knn_indicator(d, 1)`` (exact ``<=``) equals the
+  partition form everywhere and agrees with ``nn_indicator`` (``rtol =
+  1e-12``) on every tensor the shipped fixtures produce.
+"""
+
+import numpy as np
+import pytest
+
+import repro.core.evaluator as evaluator_module
+from repro.core.evaluator import QueryEngine
+from repro.core.queries import Query
+from repro.markov import native
+from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
+from repro.serve import ServeCoordinator
+from repro.trajectory.nn import (
+    exists_knn_prob,
+    forall_knn_prob,
+    knn_indicator,
+    nn_indicator,
+)
+from tests.conftest import make_paper_example_db, make_random_world
+from tests.core.test_statistical_validation import TOPOLOGIES
+
+pytestmark = pytest.mark.fused_parity
+
+N = 96
+Q = Query.from_point([4.0, 6.0])
+
+requires_native = pytest.mark.skipif(
+    not native.available(),
+    reason=f"native tier unavailable ({native.unavailable_reason()})",
+)
+
+
+def _world_minor(arr, world_axis=0):
+    return arr.strides[world_axis] == arr.itemsize
+
+
+def _db():
+    """Seven objects: four over tics 0–12, a twin of the first (same fixes,
+    so the two are sampled into one state wherever they are observed —
+    exact ties), one early (0–5) and one late (6–14) mover."""
+    db, rng = make_random_world(seed=31, n_states=12, n_objects=4, span=12, obs_every=4)
+    first = db.get("o0")
+    db.add_object("twin", first.observations.as_pairs())
+    for name, start, length in (("early", 0, 5), ("late", 6, 8)):
+        walk = [int(rng.integers(db.space.n_states))]
+        for _ in range(length):
+            nxt, probs = db.chain.successors(walk[-1], 0)
+            walk.append(int(rng.choice(nxt, p=probs)))
+        db.add_object(
+            name, [(start + i, walk[i]) for i in range(0, length + 1, length)]
+        )
+    return db
+
+
+IDS = ["o0", "o1", "o2", "o3", "twin", "early", "late"]
+
+#: name -> (object ids, times): the request shapes of the issue.
+CASES = {
+    "full_grid": (["o0", "o1", "o2", "o3", "twin"], (3, 4, 5, 6, 7)),
+    "partly_alive": (IDS, (3, 4, 5, 6, 7, 8)),
+    "single_tic": (IDS, (4,)),
+    "sparse_times": (IDS, (1, 4, 8, 11)),
+    "duplicate_id": (["o0", "late", "o1", "o0"], (4, 5, 6, 7)),
+    "all_dead_tic": (IDS, (11, 12, 13, 14, 20)),
+    "nobody_alive": (IDS, (20, 21)),
+}
+
+#: name -> engine kwargs.  ``standalone`` is the ad-hoc path (fresh worlds
+#: per call, straight from the arena), the others keep their worlds cached.
+ENGINES = {
+    "standalone": {},
+    "shared": {"reuse_worlds": True},
+    "loop": {"reuse_worlds": True, "fused": False},
+    "reference": {"reuse_worlds": True, "backend": "reference"},
+    "native": {"backend": "native"},
+    "native_shared": {"backend": "native", "reuse_worlds": True},
+}
+
+
+def _engine(kind, db, **extra):
+    if kind.startswith("native") and not native.available():
+        pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
+    return QueryEngine(db, n_samples=N, seed=5, **ENGINES[kind], **extra)
+
+
+@pytest.fixture
+def sweeps(monkeypatch):
+    """Every ``sample_paths_arena`` call the engine makes: ``(requests, outputs)``."""
+    calls = []
+
+    def recording(arena, requests, n, **kwargs):
+        out = sample_paths_arena(arena, requests, n, **kwargs)
+        calls.append((list(requests), out))
+        return out
+
+    monkeypatch.setattr(evaluator_module, "sample_paths_arena", recording)
+    return calls
+
+
+# --------------------------------------------------------------------------
+# the world-major oracle: the kernels this memory order replaced
+# --------------------------------------------------------------------------
+def _oracle_distances(space, q_coords, times, alive, states, n=N):
+    """``dist[w, o, t]`` by the deleted tile/scatter kernel.
+
+    ``states[i]`` is the C-ordered ``(n, alive tics)`` block of the i-th
+    object that is alive at all.
+    """
+    live_cols = np.flatnonzero(alive.any(axis=1))
+    dist = np.full((n, alive.shape[0], times.size), np.inf)
+    if live_cols.size == 0:
+        return dist
+    flat_alive = np.flatnonzero(alive[live_cols].ravel())
+    col_index = live_cols[flat_alive // times.size]
+    time_index = flat_alive % times.size
+    diff = space.coords[None, :, :] - q_coords[:, None, :]
+    per_state = np.sqrt(np.sum(diff * diff, axis=-1))  # (T, S)
+    packed = np.concatenate(states, axis=1)  # (n, total columns)
+    assert packed.flags.c_contiguous
+    dist[:, col_index, time_index] = per_state[time_index, packed]
+    return dist
+
+
+def _oracle_indicator(dist, k):
+    """The ``np.partition`` form of the kNN indicator, on any ``k``."""
+    if k >= dist.shape[1]:
+        return np.isfinite(dist)
+    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k, :]
+    return (dist <= kth) & np.isfinite(dist)
+
+
+def _sampled_states(engine, sweeps, db, ids, times):
+    """World-major copies of the states behind the engine's last tensor."""
+    alive = db.alive_matrix(ids, times)
+    drawn = {
+        req.object_id: (req.t_lo, out)
+        for requests, outs in sweeps
+        for req, out in zip(requests, outs)
+    }
+    states = []
+    for col in np.flatnonzero(alive.any(axis=1)):
+        seg = engine.worlds.peek((ids[col], N, engine.backend))
+        t_first, paths = (seg.t_first, seg.states) if seg is not None else drawn[ids[col]]
+        states.append(np.ascontiguousarray(paths[:, times[alive[col]] - t_first]))
+    return alive, states
+
+
+# --------------------------------------------------------------------------
+# (b) byte identity with the world-major oracle
+# --------------------------------------------------------------------------
+class TestByteIdentityWithWorldMajorOracle:
+    @pytest.mark.parametrize("kind", sorted(ENGINES))
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_distances_indicators_and_probabilities(self, kind, case, sweeps):
+        db = _db()
+        ids, times = CASES[case]
+        times = np.asarray(times, dtype=np.intp)
+        engine = _engine(kind, db)
+        if case == "duplicate_id" and not engine.reuse_worlds:
+            pytest.skip("the unshared loop path keeps no states to compare with")
+        dist = engine.distance_tensor(ids, Q, times)
+        assert dist.shape == (N, len(ids), times.size)
+        assert dist.dtype == np.float64
+        assert _world_minor(dist), dist.strides
+        assert dist.transpose(1, 2, 0).flags.c_contiguous
+
+        alive, states = _sampled_states(engine, sweeps, db, ids, times)
+        want = _oracle_distances(db.space, Q.coords_at(times), times, alive, states)
+        assert want.flags.c_contiguous
+        assert np.array_equal(dist, want)
+        assert np.array_equal(np.isinf(dist), ~np.broadcast_to(alive, dist.shape))
+
+        for k in (1, 2, 3, len(ids) + 1):
+            got = knn_indicator(dist, k)
+            ref = _oracle_indicator(want, k)
+            assert got.dtype == ref.dtype == np.bool_
+            assert np.array_equal(got, ref), k
+            for prob, reduce in (
+                (forall_knn_prob, np.all),
+                (exists_knn_prob, np.any),
+            ):
+                p = prob(dist, k)
+                p_ref = reduce(ref, axis=2).mean(axis=0)
+                assert p.dtype == p_ref.dtype == np.float64
+                assert np.array_equal(p, p_ref), (k, prob.__name__)
+
+    def test_the_fixture_has_exact_ties_and_inf_columns(self):
+        """The twin is sampled into its sibling's state at their shared
+        fixes: both are nearest (or neither), never one without the other."""
+        db = _db()
+        times = np.arange(3, 9)
+        dist = _engine("standalone", db).distance_tensor(IDS, Q, times)
+        a, b, fix = IDS.index("o0"), IDS.index("twin"), int(np.flatnonzero(times == 4)[0])
+        assert np.array_equal(dist[:, a, fix], dist[:, b, fix])
+        is_nn = knn_indicator(dist, 1)
+        assert np.array_equal(is_nn[:, a, fix], is_nn[:, b, fix])
+        assert is_nn[:, a, fix].any()
+        assert np.isinf(dist[:, IDS.index("early"), -1]).all()
+        assert np.isinf(dist[:, IDS.index("late"), 0]).all()
+
+    @pytest.mark.parametrize("ndim", [1, 2, 3, 9])
+    @pytest.mark.parametrize("kind", ["shared", "native_shared"])
+    def test_distance_table_in_any_dimension(self, kind, ndim):
+        """The per-(tic, state) table is built dimension-major where a norm
+        has at most one addition (d <= 2) and in ``np.sum``'s own order
+        beyond; either way it is the per-object path's arithmetic."""
+        from repro.statespace.base import StateSpace
+        from repro.trajectory.database import TrajectoryDatabase
+
+        flat = _db()
+        coords = np.random.default_rng(ndim).uniform(0, 10, size=(flat.space.n_states, ndim))
+        db = TrajectoryDatabase(StateSpace(coords), flat.chain)
+        for obj in flat:
+            db.add_object(obj.object_id, obj.observations.as_pairs())
+        q = Query.from_point(np.full(ndim, 5.0))
+        times = np.arange(3, 9)
+        fused = _engine(kind, db).distance_tensor(IDS, q, times)
+        loop = _engine("loop", db).distance_tensor(IDS, q, times)
+        assert np.isfinite(fused).any()
+        assert np.array_equal(fused, loop)
+
+    @pytest.mark.parametrize("kind", ["shared", "loop", "native_shared"])
+    def test_reverse_tensors_match_the_forward_block(self, kind):
+        """The reverse direction reads the same worlds through the same
+        order: its query distances are the forward tensor, bit for bit."""
+        db = _db()
+        times = np.arange(3, 9)
+        engine = _engine(kind, db)
+        dist, object_dist = engine.reverse_distance_tensors(IDS, Q, times)
+        assert _world_minor(dist) and _world_minor(object_dist)
+        assert dist.shape == (N, len(IDS), times.size)
+        assert object_dist.shape == (N, len(IDS), len(IDS), times.size)
+        assert np.array_equal(dist, engine.distance_tensor(IDS, Q, times))
+        # d(a, o) = d(o, a), inf on the diagonal and wherever one is dead.
+        assert np.array_equal(object_dist, object_dist.transpose(0, 2, 1, 3))
+        assert np.isinf(object_dist[:, np.arange(len(IDS)), np.arange(len(IDS))]).all()
+        dead = ~db.alive_matrix(IDS, times)
+        assert np.isinf(object_dist[:, dead[:, None, :] | dead[None, :, :]]).all()
+        twin_pair = object_dist[:, IDS.index("o0"), IDS.index("twin"), 1]  # tic 4
+        assert np.array_equal(twin_pair, np.zeros(N))
+
+
+# --------------------------------------------------------------------------
+# (a) the layout contract at every hand-off
+# --------------------------------------------------------------------------
+def _arena_and_requests(db, windows, seed=0):
+    arena = SamplingArena()
+    for i, oid in enumerate(sorted(windows)):
+        arena.ensure(oid, db.get(oid).compiled, order=i)
+
+    def requests():
+        return [
+            ArenaRequest(oid, *windows[oid], rng=np.random.default_rng((seed, i)))
+            for i, oid in enumerate(sorted(windows))
+        ]
+
+    return arena, requests
+
+
+class TestSamplerHandsOutItsSweepOrder:
+    WINDOWS = {"o0": (2, 9), "o1": (0, 12), "early": (1, 5), "late": (6, 14)}
+    LOCKSTEP = {"o0": (3, 8), "o1": (3, 8), "o2": (3, 8)}
+
+    @pytest.mark.parametrize("use_native", [False, pytest.param(True, marks=requires_native)])
+    @pytest.mark.parametrize("windows", [WINDOWS, LOCKSTEP], ids=["ragged", "lockstep"])
+    def test_arena_results_are_views_of_one_buffer(self, use_native, windows):
+        arena, requests = _arena_and_requests(_db(), windows)
+        drawn = sample_paths_arena(arena, requests(), N, native=use_native)
+        for oid, paths in zip(sorted(windows), drawn):
+            lo, hi = windows[oid]
+            assert paths.shape == (N, hi - lo + 1)
+            assert _world_minor(paths), (oid, paths.strides)
+            assert paths.T.flags.c_contiguous
+            assert paths.base is drawn[0].base  # slabs of the sweep buffer
+
+    @pytest.mark.parametrize("use_native", [False, pytest.param(True, marks=requires_native)])
+    def test_out_destinations_in_the_sweep_order(self, use_native):
+        """``out=`` slabs laid out like the sweep buffer (say, of a shared
+        segment) are filled in place, whatever their integer dtype."""
+        db = _db()
+        arena, requests = _arena_and_requests(db, self.WINDOWS)
+        fresh = sample_paths_arena(arena, requests(), N, native=use_native)
+        for dtype in (arena.states_dtype, np.intp):
+            out = [
+                np.empty((hi - lo + 1, N), dtype=dtype).T
+                for lo, hi in (self.WINDOWS[oid] for oid in sorted(self.WINDOWS))
+            ]
+            returned = sample_paths_arena(arena, requests(), N, out=out, native=use_native)
+            for dest, ret, ref in zip(out, returned, fresh):
+                assert ret is dest
+                assert _world_minor(ret)
+                assert np.array_equal(dest, ref)
+
+    def test_small_draw_path_per_object_sampler(self):
+        """``CompiledModel.sample_paths`` and the reference walk — what the
+        engine uses under ``FUSED_DRAW_THRESHOLD`` and for the oracle
+        backend — hand out the same order."""
+        obj = _db().get("o1")
+        for backend in ("compiled", "reference"):
+            paths = obj.adapted.sample_paths(
+                np.random.default_rng(3), N, 2, 9, backend=backend
+            )
+            assert paths.shape == (N, 8)
+            assert _world_minor(paths), backend
+            resumed = obj.adapted.sample_paths(
+                np.random.default_rng(4), N, 9, 11, backend=backend, start_states=paths[:, -1]
+            )
+            assert _world_minor(resumed), backend
+        sparse = obj.sample_states(np.array([1, 4, 9]), N, np.random.default_rng(5))
+        assert sparse.shape == (N, 3) and _world_minor(sparse)
+
+
+class TestWorldCacheKeepsTheOrder:
+    @pytest.mark.parametrize("kind", ["shared", "native_shared"])
+    def test_fresh_draw_is_the_sweep_buffer_itself(self, kind, sweeps):
+        """No copy between the sweep and the cache."""
+        db = _db()
+        engine = _engine(kind, db)
+        engine.distance_tensor(IDS, Q, np.arange(3, 8))
+        (requests, outputs), = sweeps
+        assert len(requests) == len(IDS) > engine.FUSED_DRAW_THRESHOLD
+        for req, paths in zip(requests, outputs):
+            seg = engine.worlds.peek((req.object_id, N, engine.backend))
+            assert _world_minor(seg.states), req.object_id
+            assert np.shares_memory(paths, seg.states)
+            assert seg.states.shape == paths.shape
+
+    @pytest.mark.parametrize("ids", [IDS, ["o0", "o1"]], ids=["arena", "small_draw"])
+    @pytest.mark.parametrize("kind", ["shared", "loop", "reference", "native_shared"])
+    def test_forward_extensions_append_rows(self, kind, ids):
+        """Three growing windows: a fresh draw and two forward extensions,
+        through the fused sweep (7 draws) and the per-object path under
+        ``FUSED_DRAW_THRESHOLD`` (2 draws).  The grown segment equals a
+        one-shot draw of the union window, in the same memory order."""
+        db = _db()
+        engine = _engine(kind, db)
+        for hi in (6, 8, 11):
+            engine.distance_tensor(ids, Q, np.arange(2, hi))
+        assert engine.worlds.partial_hits >= 2
+        one_shot = _engine(kind, db)
+        one_shot.distance_tensor(ids, Q, np.arange(2, 11))
+        for oid in ids:
+            key = (oid, N, engine.backend)
+            seg, ref = engine.worlds.peek(key), one_shot.worlds.peek(key)
+            assert _world_minor(seg.states), (oid, seg.states.strides)
+            assert seg.states.T.flags.c_contiguous
+            assert seg.states[:, -1].flags.c_contiguous  # the resume anchor
+            assert (seg.t_first, seg.t_last) == (ref.t_first, ref.t_last)
+            assert np.array_equal(seg.states, ref.states)
+
+    def test_slices_stay_world_minor(self):
+        db = _db()
+        engine = _engine("shared", db)
+        engine.distance_tensor(IDS, Q, np.arange(1, 12))
+        seg = engine.worlds.peek(("o1", N, "compiled"))
+        window = seg.slice(np.arange(3, 9))
+        assert np.shares_memory(window, seg.states)  # contiguous: a view
+        assert _world_minor(window)
+        sparse = seg.slice(np.array([1, 4, 8, 11]))
+        assert _world_minor(sparse) and sparse.T.flags.c_contiguous
+        assert np.array_equal(sparse, seg.states[:, [0, 3, 7, 10]])
+        assert np.array_equal(window, seg.states[:, 2:8])
+
+
+class TestDistanceBlockKeepsTheOrder:
+    def test_dirty_column_patch_is_one_slab_of_the_cached_block(self):
+        """A tick's refine-cache hit patches the mutated object's slab in
+        place; the patched block equals a from-scratch one on the mutated
+        database."""
+        db = _db()
+        times = np.arange(3, 9)
+        engine = _engine("standalone", db)
+        with engine.held_batch(1, (3, 8)):
+            first = engine.distance_tensor(IDS, Q, times)
+            before = first.copy()
+            db.add_observation("o2", 6, int(db.get("o2").sample_states(
+                np.array([6]), 1, np.random.default_rng(0))[0, 0]))
+            patched = engine.distance_tensor(IDS, Q, times)
+        assert engine.estimate_cache_hits == 1
+        assert engine.estimate_columns_refreshed == len(IDS) + 1
+        assert np.shares_memory(first, patched)  # the cached block, patched
+        assert _world_minor(patched) and patched.transpose(1, 2, 0).flags.c_contiguous
+        col = IDS.index("o2")
+        clean = [c for c in range(len(IDS)) if c != col]
+        assert np.array_equal(patched[:, clean], before[:, clean])
+        assert not np.array_equal(patched[:, col], before[:, col])
+        scratch = _engine("standalone", db)
+        with scratch.held_batch(1, (3, 8)):
+            assert np.array_equal(patched, scratch.distance_tensor(IDS, Q, times))
+
+    @pytest.mark.parametrize("uses_shm", [False, True], ids=["pickled", "shared_memory"])
+    def test_serve_tier_lays_the_tensor_out_the_same_way(self, uses_shm):
+        """Coordinator and workers speak ``(objects, times, worlds)``: a
+        worker writes whole object slabs into the shared segment, and the
+        gathered tensor is the single-process one in the same order."""
+        db = _db()
+        times = np.arange(3, 9)
+        coord = ServeCoordinator(_db(), n_shards=2, seed=5, n_samples=N)
+        try:
+            transport = coord.engine._transport
+            transport.uses_shm = uses_shm  # inline workers attach by name
+            jobs = []
+            broadcast = transport.broadcast
+
+            def recording(commands):
+                jobs.extend(j for c in commands.values() for j in getattr(c, "jobs", ()))
+                return broadcast(commands)
+
+            transport.broadcast = recording
+            with coord.engine.held_batch(1, (3, 8)):
+                dist = coord.engine.distance_tensor(IDS, Q, times)
+                reverse, object_dist = coord.engine.reverse_distance_tensors(IDS, Q, times)
+        finally:
+            coord.close()
+        assert {j.kind for j in jobs} == {"dist", "states"}
+        if uses_shm:
+            for job in jobs:
+                # The segment view a worker writes: worlds last, unit stride.
+                assert tuple(job.full_shape) == (len(IDS), times.size, N)
+                assert len(job.col_index) < len(IDS)  # a shard owns some slabs
+        assert _world_minor(dist) and dist.transpose(1, 2, 0).flags.c_contiguous
+        assert _world_minor(reverse) and _world_minor(object_dist)
+        single = _engine("standalone", db)
+        with single.held_batch(1, (3, 8)):
+            assert np.array_equal(dist, single.distance_tensor(IDS, Q, times))
+            want, want_od = single.reverse_distance_tensors(IDS, Q, times)
+        assert np.array_equal(reverse, want) and np.array_equal(object_dist, want_od)
+
+
+# --------------------------------------------------------------------------
+# (c) one k = 1 predicate
+# --------------------------------------------------------------------------
+class TestOneNearestPredicate:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_min_form_equals_partition_form(self, seed):
+        """Random, tied and partly-dead tensors, world-major and world-minor."""
+        rng = np.random.default_rng(seed)
+        shape = (40, int(rng.integers(2, 7)), int(rng.integers(1, 6)))
+        dist = rng.uniform(0.0, 10.0, size=shape)
+        dist[rng.uniform(size=shape) < 0.3] = rng.choice(dist.ravel(), size=1)  # ties
+        dist[rng.uniform(size=shape) < 0.2] = np.inf
+        dist[:, :, 0] = np.where(seed % 2, np.inf, dist[:, :, 0])  # an all-dead tic
+        for arr in (dist, np.ascontiguousarray(dist.transpose(1, 2, 0)).transpose(2, 0, 1)):
+            for k in (1, 2, shape[1]):
+                assert np.array_equal(knn_indicator(arr, k), _oracle_indicator(dist, k))
+
+    def _fixture_tensors(self):
+        for name, (build_db, build_q, times) in sorted(TOPOLOGIES.items()):
+            db = build_db()
+            for seed in range(4):
+                engine = QueryEngine(db, n_samples=500, seed=seed)
+                yield name, engine.distance_tensor(db.object_ids, build_q(), np.asarray(times))
+        db = make_paper_example_db()
+        for point in ([0.0, 0.0], [2.5, 0.0], [5.0, 0.0]):  # equidistant states
+            engine = QueryEngine(db, n_samples=500, seed=7)
+            yield "paper", engine.distance_tensor(["o1", "o2"], Query.from_point(point), np.array([1, 2, 3]))
+        yield "layout", QueryEngine(_db(), n_samples=500, seed=7).distance_tensor(IDS, Q, np.arange(0, 15))
+
+    def test_exact_and_rtol_rules_coincide_on_shipped_fixtures(self):
+        """∀/∃ use ``d <= min``, PCNN ``d <= min·(1 + 1e-12)``; the paper
+        example, the statval topologies and this file's world never
+        separate them (see the ``trajectory/nn.py`` module docstring)."""
+        seen = 0
+        for name, dist in self._fixture_tensors():
+            assert np.array_equal(knn_indicator(dist, 1), nn_indicator(dist)), name
+            seen += 1
+        assert seen >= 16
