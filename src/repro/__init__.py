@@ -83,7 +83,6 @@ from .markov.chain import InhomogeneousMarkovChain, MarkovChain, uniformized
 from .markov.compiled import CompiledModel, compile_model
 from .markov.distributions import SparseDistribution
 from .spatial.geometry import Rect
-from .spatial.rstar import RStarTree
 from .spatial.ust_tree import USTTree
 from .statespace.base import StateSpace
 from .stream.ingest import (
@@ -139,7 +138,6 @@ __all__ = [
     "Rect",
     "RemoveObject",
     "ReverseNNResult",
-    "RStarTree",
     "ServeCoordinator",
     "ShardFailure",
     "SlidingWindow",

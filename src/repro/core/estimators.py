@@ -32,7 +32,7 @@ EvaluationReport` can distinguish certified bounds from estimates.
 
 Every sampling strategy reaches refinement through
 :meth:`EstimationContext.refinement_distances`, which hands the *whole*
-candidate set to the engine as one columnar batch — on a ``fused`` engine
+candidate set to the engine as one columnar batch —
 that is a single :mod:`~repro.markov.arena` pass plus one distance block
 in the sampler's own ``(objects, times, worlds)`` order (handed out as a
 ``[w, o, t]`` view), which every counting reduction here then streams over
@@ -105,10 +105,10 @@ class EstimationContext:
         The single entry point every sampling strategy uses to reach the
         engine's refinement kernel: the candidate set goes down as one
         columnar batch (one fused arena pass + one row-gather distance
-        kernel on a ``fused`` engine) rather than per-object calls, so
+        kernel) rather than per-object calls, so
         strategies cannot accidentally fall off the bulk path.
 
-        Shared-world evaluations on an incremental engine may be served
+        Shared-world (batched) evaluations may be served
         from the engine's refinement tensor cache — the identical request
         re-asked over held worlds gets the *same array* back with only the
         dirty objects' columns recomputed (see ``QueryEngine.

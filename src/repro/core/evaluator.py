@@ -34,7 +34,7 @@ its span, and a later batch that holds the epoch and asks for later tics
 :mod:`repro.core.worlds` for the soundness argument and the backward-
 request fallback).  Standalone queries advance the epoch on entry — they
 see fresh, independent worlds exactly as before — while :meth:`QueryEngine.
-batch_query` holds one epoch across a whole batch, so sliding-window
+evaluate_many` holds one epoch across a whole batch, so sliding-window
 monitoring re-samples each object at most once instead of once per query.
 """
 
@@ -87,70 +87,30 @@ class QueryEngine:
     use_pruning:
         Toggle UST-tree filtering (ablation hook).  Without pruning every
         object overlapping ``T`` is refined.
-    refine_per_tic:
-        Tighten index bounds with per-tic diamond MBRs during pruning
-        (``False`` is an ablation, served by the reference loop).
     backend:
         Sampling backend for refinement: ``"compiled"`` (vectorized
-        inverse-CDF, the default), ``"native"`` (the optional C kernel
+        inverse-CDF, the default) or ``"native"`` (the optional C kernel
         tier of :mod:`repro.markov.native` — same draws through compiled
         sweeps; raises a descriptive error at construction when the tier
-        cannot load) or ``"reference"`` (legacy row-dict walk, kept for
-        parity testing).  All three yield bit-identical worlds for one
-        seed.
+        cannot load).  Both yield bit-identical worlds for one seed.
     reuse_worlds:
         When ``True``, standalone queries do *not* advance the draw epoch,
         so consecutive queries share sampled worlds until
         :meth:`new_draw_epoch` is called explicitly.  The default preserves
         the classic semantics: every standalone query sees fresh worlds.
-        One caveat under window restriction: a held-epoch request reaching
+        One caveat, since cached worlds cover only the windows requested
+        so far: a held-epoch request reaching
         *before* an object's cached window redraws that object's worlds
         over the union window (backward extension is unsound; see
         :mod:`repro.core.worlds`), so estimates for the overlap can move
         without an explicit refresh.  Forward-growing request sequences —
         the sliding-window monitoring pattern — never redraw.
-    window_restrict:
-        When ``True`` (default) cached worlds cover only the requested
-        window — the per-batch union of query times, clamped to each
-        object's span — and grow forward on demand.  ``False`` restores
-        the full-adapted-span sampling of the pre-windowed engine (kept as
-        an ablation and for workloads whose windows jump backwards so
-        often that union redraws would dominate).
-    fused:
-        When ``True`` (default) refinement draws the worlds of *all* of a
-        query's candidate objects in one columnar pass through the
-        :class:`~repro.markov.arena.SamplingArena`, and the distance
-        tensor is gathered from a per-(tic, state) table, one contiguous
-        slab per object — no per-object sampler call.  ``False`` keeps the
-        classic object-major loop (the ablation the fused-parity tests and the
-        ``bench_kernels`` fused-vs-loop kernels compare against).  Both
-        paths are bit-identical per seed; fusion only applies to the
-        compiled backend (``backend="reference"`` always loops).
-    incremental:
-        When ``True`` (default) database mutations invalidate the derived
-        structures *selectively*: the UST-tree removes and reinserts only
-        the mutated objects' segments, the world cache drops only their
-        segments (:meth:`WorldCache.invalidate_objects`) and the sampling
-        arena evicts only their packed tables — the streaming-ingest fast
-        path.  ``False`` restores wholesale invalidation (full index
-        rebuild, full cache flush, fresh arena on every mutation), kept as
-        the lockstep oracle the incremental path is tested against.  The
-        engine also falls back to wholesale invalidation whenever the
-        database cannot say which objects changed
-        (:meth:`TrajectoryDatabase.changed_since` returning ``None``).
-    prune_vectorized:
-        When ``True`` (default) the filter scans the UST-tree's per-tic
-        bound table (:meth:`USTTree.prune_many` — batched across the
-        requests of a tick or batch that share a window);  ``False``
-        keeps the per-entry reference loop over the R*-tree — the parity
-        oracle, and the PR-5 baseline of the ``monitor_tick`` benchmark.
-        Both are bit-identical.
     refine_cache_size:
         Capacity (entries) of the per-request refinement distance-tensor
-        cache used by *shared-world* evaluations on an ``incremental``
-        engine.  Each entry holds one ``(objects, times, worlds)`` distance
+        cache used by *shared-world* (batched) evaluations.  Each entry
+        holds one ``(objects, times, worlds)`` distance
         block (what :meth:`distance_tensor` hands out transposed) keyed by
-        ``(query coords, times, object ids, n_samples, backend)`` and
+        ``(query coords, times, object ids, n_samples)`` and
         stamped with ``(worlds_token, draw_epoch)``; a standing
         subscription re-evaluated over held worlds recomputes only the
         *columns* of objects the database mutated since the tensor was
@@ -159,9 +119,7 @@ class QueryEngine:
         Bit-identical to a full recompute: clean columns' worlds are
         cache hits at the same stamp, and dirty columns redraw exactly
         what a wholesale pass would (per-object RNGs do not depend on
-        which other objects a call refines).  ``0`` disables the cache;
-        ``incremental=False`` always bypasses it (the wholesale lockstep
-        oracle).
+        which other objects a call refines).  ``0`` disables the cache.
     """
 
     def __init__(
@@ -171,14 +129,9 @@ class QueryEngine:
         seed: int | None = None,
         rng: np.random.Generator | None = None,
         use_pruning: bool = True,
-        refine_per_tic: bool = True,
         ust_tree: USTTree | None = None,
         backend: str = "compiled",
         reuse_worlds: bool = False,
-        window_restrict: bool = True,
-        fused: bool = True,
-        incremental: bool = True,
-        prune_vectorized: bool = True,
         refine_cache_size: int = 64,
         tracer=None,
         metrics=None,
@@ -188,7 +141,7 @@ class QueryEngine:
             raise ValueError("n_samples must be positive")
         if rng is not None and seed is not None:
             raise ValueError("pass either seed or rng, not both")
-        if backend not in ("compiled", "native", "reference"):
+        if backend not in ("compiled", "native"):
             raise ValueError(f"unknown sampling backend {backend!r}")
         if backend == "native":
             native_tier.require_native()
@@ -196,13 +149,8 @@ class QueryEngine:
         self.n_samples = int(n_samples)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.use_pruning = use_pruning
-        self.refine_per_tic = refine_per_tic
         self.backend = backend
         self.reuse_worlds = reuse_worlds
-        self.window_restrict = window_restrict
-        self.fused = bool(fused)
-        self.incremental = bool(incremental)
-        self.prune_vectorized = bool(prune_vectorized)
         if refine_cache_size < 0:
             raise ValueError("refine_cache_size must be >= 0")
         self.refine_cache_size = int(refine_cache_size)
@@ -273,9 +221,8 @@ class QueryEngine:
 
         The database's mutation counter detects added/removed objects and
         newly ingested observations, so queries never run against a stale
-        index.  On an ``incremental`` engine (the default) a mutation
-        re-indexes only the touched objects' segments in place; otherwise
-        — or when the mutation log cannot name the touched objects — the
+        index.  A mutation re-indexes only the touched objects' rows in
+        place; when the mutation log cannot name the touched objects the
         tree is rebuilt from scratch.
         """
         self._sync_mutations()
@@ -310,10 +257,10 @@ class QueryEngine:
         """Bring every derived structure in line with the database.
 
         Called on entry of each query path.  When the database can name
-        the objects a version delta touched (and the engine is
-        ``incremental``), exactly those objects are invalidated: their
-        index segments re-indexed, their packed arena tables evicted and
-        their cached worlds dropped — everything else stays bit-identical.
+        the objects a version delta touched, exactly those objects are
+        invalidated: their index rows rewritten, their packed arena tables
+        evicted and their cached worlds dropped — everything else stays
+        bit-identical.
         Otherwise the classic wholesale invalidation runs: index dropped,
         arena reset, world-cache token bumped (flushing all worlds at the
         next stamped access).
@@ -321,9 +268,7 @@ class QueryEngine:
         version = self.db.version
         if version == self._mut_seen:
             return
-        changed = (
-            self.db.changed_since(self._mut_seen) if self.incremental else None
-        )
+        changed = self.db.changed_since(self._mut_seen)
         if changed is None:
             self._ust = None
             self._arena = self._new_arena()
@@ -357,8 +302,8 @@ class QueryEngine:
         """The world cache's wholesale-invalidation token.
 
         Part of the cache stamp ``(token, epoch)``: it advances only when
-        a mutation forces a *full* flush (``incremental=False``, or a
-        mutation log too old to name the touched objects).  Selective
+        a mutation forces a *full* flush (a mutation log too old to name
+        the touched objects).  Selective
         streaming invalidation keeps it — untouched objects' worlds
         survive the ingest bit-identically.
         """
@@ -543,81 +488,12 @@ class QueryEngine:
         Inside a batch this is the batch's precomputed time-union — so
         every request of the batch slices one common draw — clamped to the
         object's span; for standalone shared queries (``reuse_worlds``) it
-        is the hull of the requested times.  With ``window_restrict=False``
-        it is always the full adapted span (the pre-windowed engine).
+        is the hull of the requested times.
         """
-        if not self.window_restrict:
-            return obj.t_first, obj.t_last
         if self._batch_window is not None:
             lo, hi = self._batch_window
             return max(obj.t_first, lo), min(obj.t_last, hi)
         return int(times[0]), int(times[-1])
-
-    def _sampled_states(
-        self, obj: UncertainObject, times: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Worlds for one object at the given (covered, sorted) times.
-
-        When worlds are shared across queries (inside a batch, or on a
-        ``reuse_worlds`` engine) the cache holds one growable window
-        segment per object and epoch — anchored at the earliest requested
-        time and forward-extended on demand — so every sub-window reuses
-        the same worlds and the *full* sampler runs at most once per object
-        per epoch (extensions are cheap resumed draws).  Otherwise — a
-        standalone default query on a fresh epoch, or a direct
-        ``distance_tensor`` call — nothing could coherently be reused, so
-        the object is sampled over just the requested window without
-        touching the cache; only shared-epoch segments ever enter it.
-        Answers within one epoch are thus drawn from the same worlds, with
-        one exception: a request reaching *before* a cached anchor redraws
-        that object's union window fresh (the backward fallback of
-        :meth:`WorldCache.states_for`).
-        """
-        times = np.asarray(times, dtype=np.intp)
-        share = self.reuse_worlds or self._batch_depth > 0
-        if not share:
-            self._direct_draws += 1
-            rng = self._object_rng(obj.object_id, self._direct_round)
-            return obj.sample_states(times, n, rng, backend=self.backend)
-
-        t_lo, t_hi = self._cache_window(obj, times)
-        draw, extend = self._object_sampler(obj, n)
-        seg = self.worlds.states_for(
-            key=(obj.object_id, n, self.backend),
-            stamp=(self._worlds_token, self._draw_epoch),
-            t_lo=t_lo,
-            t_hi=t_hi,
-            sampler=draw,
-            extender=extend,
-        )
-        return seg.slice(times)
-
-    def _object_sampler(self, obj: UncertainObject, n: int):
-        """The per-object ``(draw, extend)`` pair the world cache consumes.
-
-        One definition for every non-fused lookup path (query refinement
-        and :meth:`prefetch_worlds`), so the RNG derivation and the
-        resumed draw's anchor-echo convention (``[:, 1:]``) cannot drift
-        between them.
-        """
-
-        def draw(lo: int, hi: int) -> tuple[np.ndarray, np.random.Generator]:
-            rng = self._object_rng(obj.object_id)
-            states = obj.adapted.sample_paths(rng, n, lo, hi, backend=self.backend)
-            return states, rng
-
-        def extend(
-            rng: np.random.Generator,
-            start_states: np.ndarray,
-            t_from: int,
-            hi: int,
-        ) -> np.ndarray:
-            grown = obj.adapted.sample_paths(
-                rng, n, t_from, hi, backend=self.backend, start_states=start_states
-            )
-            return grown[:, 1:]
-
-        return draw, extend
 
     # ------------------------------------------------------------------
     # filter step
@@ -628,10 +504,11 @@ class QueryEngine:
 
         The filter is a function of ``(query, times, k)`` and the database
         version, and a monitor's subscriptions mostly share a window.  The
-        block registers the requests that *may* be filtered inside it; none
-        is before one asks (:meth:`filter_objects`), and then one
-        :meth:`USTTree.prune_many` pass answers every registered peer with
-        the same ``(times, k)``.  Later askers — ``explain``, ``evaluate``,
+        block registers the requests that *may* be filtered inside it;
+        nothing is filtered until one of them asks (:meth:`filter_objects`),
+        and then one :meth:`USTTree.prune_many` pass answers every
+        registered peer with the same ``(times, k)``.
+        Later askers — ``explain``, ``evaluate``,
         the serve tier's column prediction — read the stored result.  A
         monitor tick and :meth:`evaluate_many` open one; a nested block
         joins the outer one, and nothing outlives the outermost.
@@ -703,12 +580,9 @@ class QueryEngine:
                 # the unpruned path examined nothing.
                 examined_entries=len(overlapping),
             )
-        elif memo is None or not (self.prune_vectorized and self.refine_per_tic):
-            # Standalone requests — and the reference / ablation engines,
-            # which have no batched kernel — filter one query at a time.
-            result = self.ust_tree.prune(
-                coords, times, k, self.refine_per_tic, self.prune_vectorized
-            )
+        elif memo is None:
+            # A standalone request filters one query at a time.
+            result = self.ust_tree.prune(coords, times, k)
         else:
             # One pass answers every registered peer of the window that is
             # not answered yet; a peer whose coordinates cannot be taken is
@@ -731,9 +605,9 @@ class QueryEngine:
         """The fused sampling arena, packed with the given objects.
 
         Mutation staleness is handled by :meth:`_sync_mutations` before
-        any query path reaches here: an incremental engine evicts only the
-        mutated objects' packed tables, a wholesale invalidation replaces
-        the arena.  Objects join on first refinement at their stable
+        any query path reaches here: it evicts only the mutated objects'
+        packed tables; a wholesale invalidation replaces the arena.
+        Objects join on first refinement at their stable
         database order so the packed layout is independent of
         candidate-list order — after one batched adaptation of every
         newcomer still to be derived.
@@ -751,6 +625,21 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # refinement: possible worlds
     # ------------------------------------------------------------------
+    @staticmethod
+    def _distinct(object_ids: Sequence[str]) -> tuple[list[str], list[int] | None]:
+        """The distinct ids in first-occurrence order and, when some id
+        repeats, each mention's position among them (else ``None``).
+
+        Everything below the public refinement entry points — the world
+        and refine caches, the serve tier's staged keys — sees one column
+        per object; a repeated id is drawn once and expanded by index.
+        """
+        ids = list(dict.fromkeys(object_ids))
+        if len(ids) == len(object_ids):
+            return ids, None
+        position = {oid: i for i, oid in enumerate(ids)}
+        return ids, [position[oid] for oid in object_ids]
+
     def distance_tensor(
         self,
         object_ids: list[str],
@@ -770,10 +659,9 @@ class QueryEngine:
         call draws fresh window-scoped worlds (deterministic per epoch).
         Pass ``normalized=True`` when ``times`` is already canonical.
 
-        On a ``fused`` engine (the default, compiled backend) all objects
-        are drawn in one columnar arena pass and the distances are row
-        gathers from a per-(tic, state) table; ``fused=False`` keeps the
-        classic per-object loop.  Both are bit-identical per seed.
+        All objects are drawn in one columnar arena pass and the distances
+        are row gathers from a per-(tic, state) table; an id listed twice
+        is drawn once and answers both of its columns.
 
         The answer is a transposed *view* of the engine's C-contiguous
         ``(objects, times, worlds)`` block — the order the sampler sweeps
@@ -793,54 +681,23 @@ class QueryEngine:
             times = normalize_times(times)
         self._sync_mutations()
         n = self.n_samples if n_samples is None else int(n_samples)
+        ids, inverse = self._distinct(object_ids)
         share = self.reuse_worlds or self._batch_depth > 0
         if not share:
             # One round per direct call: repeated calls within an epoch draw
             # fresh (yet seed-deterministic) worlds, so averaging over calls
             # adds information exactly as it did before the world cache.
             self._direct_round += 1
-        cacheable = (
-            # Only batched (monitor-tick) evaluations: a standalone
-            # ``reuse_worlds`` evaluation keeps the classic world-cache
-            # path so its per-report cache-hit accounting stays exact.
-            self._batch_depth > 0
-            and self.refine_cache_size > 0
-            # Duplicate ids would alias tensor columns in the patch step.
-            and len(set(object_ids)) == len(object_ids)
-        )
-        if cacheable and self.incremental:
-            block = self._cached_distance_tensor(
-                list(object_ids), q, times, n, cache_k
-            )
+        # Only batched (monitor-tick) evaluations are cached: a standalone
+        # ``reuse_worlds`` evaluation keeps the classic world-cache path so
+        # its per-report cache-hit accounting stays exact.
+        if self._batch_depth > 0 and self.refine_cache_size > 0:
+            block = self._cached_distance_tensor(ids, q, times, n, cache_k)
         else:
-            if cacheable:
-                # The wholesale oracle (``incremental=False``) recomputes
-                # every column; counted identically so quiet-tick reuse
-                # accounting stays comparable between the two modes.
-                self.estimate_cache_misses += 1
-                self.estimate_columns_refreshed += len(object_ids)
-            block = self._compute_distance_tensor(object_ids, q, times, n)
+            block = self._compute_distance_tensor(ids, q, times, n)
+        if inverse is not None:
+            block = block[inverse]  # a copy, never the cached array
         return block.transpose(2, 0, 1)
-
-    def _compute_distance_tensor(
-        self, object_ids: list[str], q: Query, times: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Backend dispatch for one (sub)tensor computation.
-
-        Like everything below :meth:`distance_tensor` this speaks the
-        C-contiguous ``(objects, times, worlds)`` block, one of the two
-        allocation sites (with the sampler's sweep buffer) that decide the
-        refinement memory order.
-        """
-        if (
-            self.fused
-            and self.backend in ("compiled", "native")
-            # Duplicate ids (legal, if unusual) would collide in the bulk
-            # cache lookup; the loop path handles them naturally.
-            and len(set(object_ids)) == len(object_ids)
-        ):
-            return self._distance_tensor_fused(object_ids, q, times, n)
-        return self._distance_tensor_loop(object_ids, q, times, n)
 
     def _cached_distance_tensor(
         self,
@@ -868,8 +725,6 @@ class QueryEngine:
             times.tobytes(),
             tuple(object_ids),
             n,
-            self.backend,
-            self.fused,
         )
         stamp = (self._worlds_token, self._draw_epoch)
         entry = self._refine_cache.get(key)
@@ -903,41 +758,21 @@ class QueryEngine:
             self._refine_cache.popitem(last=False)
         return dist
 
-    def _distance_tensor_loop(
-        self, object_ids: list[str], q: Query, times: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Object-major refinement: one sampler call and one distance
-        broadcast per object (the ``fused=False`` ablation, and the only
-        path for the reference backend)."""
-        q_coords = q.coords_at(times)
-        block = np.full((len(object_ids), times.size, n), np.inf)
-        for col, object_id in enumerate(object_ids):
-            obj = self.db.get(object_id)
-            alive = obj.alive_during(times)
-            if not alive.any():
-                continue
-            states = self._sampled_states(obj, times[alive], n)
-            coords = self.db.space.coords_of(states.T)  # (n_alive, n, d)
-            diff = coords - q_coords[alive][:, None, :]
-            block[col, alive] = np.sqrt(np.sum(diff * diff, axis=-1))
-        return block
-
     def _drawn_states(
         self, objects: list[UncertainObject], alive_times: list[np.ndarray], n: int
     ) -> list[np.ndarray]:
         """Every object's worlds at its alive times, from one fused draw.
 
-        Per-object RNG streams, cache windows and hit/partial/miss
-        accounting are exactly those of the per-object path — only the
-        execution shape changes (object count becomes a vectorized axis).
-        Each answer is ``(n, alive tics)`` with the world axis contiguous:
-        a view of a cached segment or of the sweep buffer.
+        Each object draws from its own RNG stream over its own cache
+        window; the object count is a vectorized axis of the draw, not a
+        loop.  Each answer is ``(n, alive tics)`` with the world axis
+        contiguous: a view of a cached segment or of the sweep buffer.
         """
         if self.reuse_worlds or self._batch_depth > 0:
             items = []
             for obj, at in zip(objects, alive_times):
                 t_lo, t_hi = self._cache_window(obj, at)
-                items.append(((obj.object_id, n, self.backend), t_lo, t_hi))
+                items.append(((obj.object_id, n), t_lo, t_hi))
             segments = self.worlds.states_for_many(
                 items,
                 stamp=(self._worlds_token, self._draw_epoch),
@@ -960,12 +795,18 @@ class QueryEngine:
         self._direct_draws += len(requests)
         return [take_tics(p, at - at[0]) for p, at in zip(drawn, alive_times)]
 
-    def _distance_tensor_fused(
+    def _compute_distance_tensor(
         self, object_ids: list[str], q: Query, times: np.ndarray, n: int
     ) -> np.ndarray:
         """Columnar refinement: one arena pass draws every object's worlds,
         then each object's distances are gathered row by row — tic ``t``'s
-        ``n`` worlds at a time — into its slab of the block."""
+        ``n`` worlds at a time — into its slab of the block.
+
+        Like everything below :meth:`distance_tensor` this speaks the
+        C-contiguous ``(objects, times, worlds)`` block, one of the two
+        allocation sites (with the sampler's sweep buffer) that decide the
+        refinement memory order.
+        """
         q_coords = q.coords_at(times)
         shape = (len(object_ids), times.size, n)
         if not object_ids:
@@ -990,8 +831,8 @@ class QueryEngine:
             1_000_000, 4 * n * sum(len(r) for r in rows)
         ):
             # Distances depend only on (tic, state): tabulate them once per
-            # query — the same subtract/square/sum/sqrt the per-object path
-            # applies, so values stay bit-identical — then gathering rows
+            # query — the same subtract/square/sum/sqrt the per-object
+            # oracle applies, so values stay bit-identical — then gathering rows
             # of it replaces materializing (tics, n, d) coordinate blocks.
             if space.ndim <= 2:
                 # At most one addition per norm, so the order ``np.sum``
@@ -1053,25 +894,18 @@ class QueryEngine:
             times = normalize_times(times)
         self._sync_mutations()
         n = self.n_samples if n_samples is None else int(n_samples)
+        ids, inverse = self._distinct(object_ids)
         share = self.reuse_worlds or self._batch_depth > 0
         if not share:
             # Same round discipline as distance_tensor: one round per
             # direct call, so repeated reverse calls draw fresh worlds.
             self._direct_round += 1
-        cacheable = (
-            self._batch_depth > 0
-            and self.refine_cache_size > 0
-            and len(set(object_ids)) == len(object_ids)
-        )
-        if cacheable and self.incremental:
-            states, alive = self._cached_states_block(
-                list(object_ids), times, n, cache_k
-            )
+        if self._batch_depth > 0 and self.refine_cache_size > 0:
+            states, alive = self._cached_states_block(ids, times, n, cache_k)
         else:
-            if cacheable:
-                self.estimate_cache_misses += 1
-                self.estimate_columns_refreshed += len(object_ids)
-            states, alive = self._states_block(list(object_ids), times, n)
+            states, alive = self._states_block(ids, times, n)
+        if inverse is not None:
+            states, alive = states[inverse], alive[inverse]
         return self._reverse_from_states(states, alive, q.coords_at(times))
 
     def _states_block(
@@ -1080,9 +914,9 @@ class QueryEngine:
         """Sampled states for all objects: ``(states[o, t, w], alive[o, t])``.
 
         ``states`` carries ``-1`` where an object is not alive.  Worlds
-        come from exactly the machinery of the distance-tensor paths (the
-        shared world cache inside batches, the fused arena or per-object
-        draws otherwise), so the same epoch yields the same worlds as a
+        come from exactly the machinery of the distance-tensor path (the
+        shared world cache inside batches, a direct fused arena draw
+        otherwise), so the same epoch yields the same worlds as a
         forward refinement over the same objects.
         """
         alive = self.db.alive_matrix(object_ids, times)
@@ -1092,17 +926,7 @@ class QueryEngine:
             return states, alive
         objects = [self.db.get(object_ids[c]) for c in live_cols]
         alive_times = [times[alive[c]] for c in live_cols]
-        if (
-            self.fused
-            and self.backend in ("compiled", "native")
-            and len(set(object_ids)) == len(object_ids)
-        ):
-            drawn = self._drawn_states(objects, alive_times, n)
-        else:
-            drawn = [
-                self._sampled_states(obj, at, n)
-                for obj, at in zip(objects, alive_times)
-            ]
+        drawn = self._drawn_states(objects, alive_times, n)
         for col, paths in zip(live_cols, drawn):
             states[col, alive[col]] = paths.T
         return states, alive
@@ -1125,8 +949,6 @@ class QueryEngine:
             times.tobytes(),
             tuple(object_ids),
             n,
-            self.backend,
-            self.fused,
         )
         stamp = (self._worlds_token, self._draw_epoch)
         entry = self._refine_cache.get(key)
@@ -1167,7 +989,7 @@ class QueryEngine:
     ) -> tuple[np.ndarray, np.ndarray]:
         """Derive ``(dist, object_dist)`` from one ``(O, T, n)`` states block.
 
-        The query-distance component applies exactly the per-object path's
+        The query-distance component applies exactly the per-object oracle's
         subtract/square/sum/sqrt, so values at alive positions are
         bit-identical to :meth:`distance_tensor` over the same worlds.
         The inter-object component is computed in world chunks to bound
@@ -1218,14 +1040,11 @@ class QueryEngine:
                 for pos, t_lo, t_hi in fresh:
                     obj = objects[pos]
                     rng = self._object_rng(obj.object_id)
-                    states = obj.adapted.sample_paths(
-                        rng, n, t_lo, t_hi, backend=self.backend
-                    )
+                    states = obj.adapted.sample_paths(rng, n, t_lo, t_hi)
                     fresh_results.append((states, rng))
                 extend_results = [
                     objects[pos].adapted.sample_paths(
-                        rng, n, t_from, t_hi,
-                        backend=self.backend, start_states=last,
+                        rng, n, t_from, t_hi, start_states=last
                     )[:, 1:]
                     for pos, rng, last, t_from, t_hi in extend
                 ]
@@ -1272,15 +1091,15 @@ class QueryEngine:
         (``{"objects", "hits", "partial_hits", "misses"}``).  This is the
         ingest-to-ready path of a serving deployment: after an event
         batch, one call restores query-ready state (index synced via
-        :attr:`ust_tree`, worlds current) — on an ``incremental`` engine
-        at the cost of the *dirty* objects only.  Worlds enter the cache
-        at the current draw epoch, so the call is meaningful on engines
+        :attr:`ust_tree`, worlds current) at the cost of the *dirty*
+        objects only (an id listed twice is looked up once).  Worlds enter
+        the cache at the current draw epoch, so the call is meaningful on engines
         that share worlds (``reuse_worlds=True``, or between held-epoch
         batches); a default standalone query afterwards would advance the
         epoch and redraw regardless.
         """
         self._sync_mutations()
-        ids = list(object_ids) if object_ids is not None else self.db.object_ids
+        ids = self.db.object_ids if object_ids is None else dict.fromkeys(object_ids)
         n = self.n_samples if n_samples is None else int(n_samples)
         before = (self.worlds.hits, self.worlds.partial_hits, self.worlds.misses)
         items: list[tuple[tuple, int, int]] = []
@@ -1296,21 +1115,13 @@ class QueryEngine:
             if t_lo > t_hi:
                 continue  # object entirely outside the window
             objects.append(obj)
-            items.append(((obj.object_id, n, self.backend), t_lo, t_hi))
+            items.append(((obj.object_id, n), t_lo, t_hi))
         if items:
-            stamp = (self._worlds_token, self._draw_epoch)
-            if self.fused and self.backend in ("compiled", "native"):
-                self.worlds.states_for_many(
-                    items, stamp=stamp,
-                    bulk_sampler=self._bulk_sampler(objects, n),
-                )
-            else:
-                for obj, (key, t_lo, t_hi) in zip(objects, items):
-                    draw, extend = self._object_sampler(obj, n)
-                    self.worlds.states_for(
-                        key=key, stamp=stamp, t_lo=t_lo, t_hi=t_hi,
-                        sampler=draw, extender=extend,
-                    )
+            self.worlds.states_for_many(
+                items,
+                stamp=(self._worlds_token, self._draw_epoch),
+                bulk_sampler=self._bulk_sampler(objects, n),
+            )
         return {
             "objects": len(items),
             "hits": self.worlds.hits - before[0],
@@ -1707,14 +1518,14 @@ class QueryEngine:
         """Evaluate many requests against one shared set of sampled worlds.
 
         All requests run in a single draw epoch: every influence object is
-        sampled at most once per ``(n_samples, backend)`` no matter how many
+        sampled at most once per ``n_samples`` no matter how many
         queries touch it, which is what makes sliding-window monitoring
         (P∀NN/P∃NN/PCNN over overlapping windows) cheap.  Sharing worlds
         also makes results *mutually consistent* — overlapping windows are
         estimated from the same possible worlds rather than independent
         redraws.
 
-        On a ``window_restrict`` engine (the default) that one draw covers
+        That one draw covers
         only the **union of the batch's query times** clamped to each
         object's span, not the full span — the refinement-cost win for
         narrow windows.  A later batch holding the epoch
@@ -1795,15 +1606,3 @@ class QueryEngine:
             if self._batch_depth == 0:
                 self._batch_window = None
                 self._on_batch_end()
-
-    def batch_query(
-        self,
-        requests: Sequence[QueryRequest | tuple],
-        *,
-        refresh_worlds: bool | None = None,
-        window: tuple[int, int] | None = None,
-    ) -> list[QueryResult | PCNNResult | RawProbabilities | ReverseNNResult]:
-        """Alias of :meth:`evaluate_many` (the pre-pipeline batch API)."""
-        return self.evaluate_many(
-            requests, refresh_worlds=refresh_worlds, window=window
-        )

@@ -33,7 +33,7 @@ per-object RNG stream that produced it.  Lookups pass the window
   the worlds an engine would have drawn had that window been requested
   first, keeping replay determinism intact.
 
-Entries are keyed by ``(object_id, n_samples, backend)`` and stamped with
+Entries are keyed by ``(object_id, n_samples)`` and stamped with
 an opaque ``stamp`` (the engine uses ``(invalidation token, draw_epoch)``):
 
 * the **invalidation token** flushes every world at once when the engine
@@ -103,7 +103,7 @@ class WorldSegment:
 
 
 class WorldCache:
-    """Maps ``(object_id, n_samples, backend)`` to growable world segments.
+    """Maps ``(object_id, n_samples)`` to growable world segments.
 
     The cache is stamped with an opaque ``stamp`` (the engine uses
     ``(invalidation token, draw_epoch)``); storing or reading with a
@@ -185,7 +185,7 @@ class WorldCache:
         """Drop exactly the named objects' segments; returns the count.
 
         Every key whose object id is in ``object_ids`` is removed — across
-        all ``(n_samples, backend)`` variants — and *nothing else is
+        all ``n_samples`` variants — and *nothing else is
         touched*: surviving segments keep their arrays and parked RNG
         streams bit-identical (the per-object invalidation contract the
         streaming ingest path relies on; see the class docstring).  The
@@ -217,47 +217,23 @@ class WorldCache:
             [np.random.Generator, np.ndarray, int, int], np.ndarray
         ],
     ) -> WorldSegment:
-        """Return a segment for ``key`` covering ``[t_lo, t_hi]``.
+        """Return a segment for ``key`` covering ``[t_lo, t_hi]`` — the
+        one-member case of :meth:`states_for_many`.
 
-        ``sampler(lo, hi)`` draws a fresh ``(states, rng)`` over a window;
-        ``extender(rng, start_states, t_from, t_hi)`` resumes the stored
-        stream from the segment's last column and returns the new columns
-        for ``(t_from, t_hi]``.  Exactly one counter is incremented per
-        lookup: a *miss* (no entry, or a backward request — which redraws
-        the union window fresh rather than splicing) runs ``sampler`` once;
-        a *partial hit* runs ``extender`` once; a *hit* runs neither.
-        Within one ``(key, stamp)`` residency the covered window only
-        grows, which is the at-most-one-full-draw-per-epoch guarantee that
-        ``batch_query`` relies on (exceeded only past :attr:`capacity`,
-        where the redraw restarts at the current window).
+        ``sampler(lo, hi)`` draws a fresh ``(states, rng)`` over a window
+        (a *miss*); ``extender(rng, start_states, t_from, t_hi)`` resumes
+        the stored stream from the segment's last column and returns the
+        new columns for ``(t_from, t_hi]`` (a *partial hit*); a *hit* runs
+        neither.
         """
-        self._sync(stamp)
-        seg = self._entries.get(key)
-        if seg is not None and t_lo < seg.t_first:
-            # Backward request: fall back to one fresh draw of the union
-            # window (see module docstring for why splicing is unsound).
-            t_hi = max(t_hi, seg.t_last)
-            del self._entries[key]
-            seg = None
-        if seg is None:
-            self.misses += 1
-            if self._m_misses is not None:
-                self._m_misses.inc()
-            states, rng = sampler(t_lo, t_hi)
-            seg = WorldSegment(t_lo, states, rng)
-            if len(self._entries) >= self.capacity:
-                self._entries.pop(next(iter(self._entries)))
-            self._entries[key] = seg
-        elif t_hi > seg.t_last:
-            self.partial_hits += 1
-            if self._m_partial is not None:
-                self._m_partial.inc()
-            seg.extend(extender(seg.rng, seg.states[:, -1], seg.t_last, t_hi))
-        else:
-            self.hits += 1
-            if self._m_hits is not None:
-                self._m_hits.inc()
-        return seg
+
+        def bulk(fresh: list, extend: list):
+            return (
+                [sampler(lo, hi) for _, lo, hi in fresh],
+                [extender(rng, last, at, hi) for _, rng, last, at, hi in extend],
+            )
+
+        return self.states_for_many([(key, t_lo, t_hi)], stamp, bulk)[0]
 
     def states_for_many(
         self,
@@ -265,15 +241,15 @@ class WorldCache:
         stamp: tuple,
         bulk_sampler: Callable[[list, list], tuple[list, list]],
     ) -> list[WorldSegment]:
-        """Bulk :meth:`states_for`: one fused draw serves many members.
+        """The cache lookup: one fused draw serves many members.
 
         ``items`` is a list of ``(key, t_lo, t_hi)`` lookups (keys must be
-        distinct — one entry per object).  Every member is classified
-        exactly as :meth:`states_for` would (hit / partial hit / miss, with
-        the same backward-request union fallback and the same counter
-        accounting), but instead of invoking one sampler per member, all
-        the work is handed to ``bulk_sampler(fresh, extend)`` in a single
-        call so the engine can fuse it into one arena pass:
+        distinct — one entry per object).  Every member is classified on
+        its own (hit / partial hit / miss, a backward request — one
+        starting before the cached anchor — falling back to a fresh draw
+        of the union window), exactly one counter incremented each, and
+        all the work is handed to ``bulk_sampler(fresh, extend)`` in a
+        single call so the engine can fuse it into one arena pass:
 
         * ``fresh`` — ``(position, t_lo, t_hi)`` triples needing a full
           draw; the sampler returns a matching list of ``(states, rng)``.
@@ -282,8 +258,11 @@ class WorldCache:
           matching list of new-column arrays for ``(t_from, t_hi]``.
 
         Because each member's draw consumes only its own per-object RNG
-        stream, the bulk path is bit-identical to issuing the member
-        lookups through :meth:`states_for` one at a time.
+        stream, the result is bit-identical to issuing the member lookups
+        one at a time.  Within one ``(key, stamp)`` residency the covered
+        window only grows — the at-most-one-full-draw-per-epoch guarantee
+        ``evaluate_many`` relies on (exceeded only past :attr:`capacity`,
+        where the redraw restarts at the current window).
         """
         self._sync(stamp)
         if len({key for key, _, _ in items}) != len(items):

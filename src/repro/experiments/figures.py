@@ -46,7 +46,6 @@ __all__ = [
     "fig13_pcnn_objects",
     "fig14_pcnn_tau",
     "ablation_pruning",
-    "ablation_refinement",
     "ALL_EXPERIMENTS",
 ]
 
@@ -510,47 +509,6 @@ def ablation_pruning(scale: str | Scale = "small", seed: int = 0) -> FigureResul
     return result
 
 
-def ablation_refinement(scale: str | Scale = "small", seed: int = 0) -> FigureResult:
-    """Effect of per-tic MBR refinement on filter-set sizes (both modes on
-    the reference loop — the only one that has both — so the time panel
-    compares two bounds, not two implementations)."""
-    sc = _resolve(scale)
-    wl = _build_workload(sc, seed)
-    db = wl.db
-    engine = QueryEngine(db, n_samples=10, seed=seed)
-    tree = engine.ust_tree
-    queries = _synthetic_queries(wl, sc)
-
-    modes = {"segment MBRs": False, "per-tic MBRs": True}
-    cand_series, infl_series, time_series = [], [], []
-    for label, refine in modes.items():
-        cand = infl = elapsed = 0.0
-        for q, times in queries:
-            start = time.perf_counter()
-            res = tree.prune(
-                q.coords_at(times), times, refine_per_tic=refine, vectorized=False
-            )
-            elapsed += time.perf_counter() - start
-            cand += len(res.candidates)
-            infl += len(res.influencers)
-        n = len(queries)
-        cand_series.append(cand / n)
-        infl_series.append(infl / n)
-        time_series.append(elapsed / n)
-
-    result = FigureResult(
-        figure="ablation_refinement",
-        title="Ablation: per-tic MBR refinement",
-        scale=sc.name,
-    )
-    panel = Panel(title="filter quality", x_label="mode", x_values=list(modes))
-    panel.add("|C(q)|", cand_series)
-    panel.add("|I(q)|", infl_series)
-    panel.add("prune time (s)", time_series)
-    result.panels = [panel]
-    return result
-
-
 ALL_EXPERIMENTS = {
     "fig06": fig06_states,
     "fig07": fig07_branching,
@@ -562,5 +520,4 @@ ALL_EXPERIMENTS = {
     "fig13": fig13_pcnn_objects,
     "fig14": fig14_pcnn_tau,
     "ablation_pruning": ablation_pruning,
-    "ablation_refinement": ablation_refinement,
 }

@@ -205,13 +205,6 @@ SHAPE_CHECKS: dict[str, list[ShapeCheck]] = {
             <= r.panels[0].series["objects refined"][1],
         ),
     ],
-    "ablation_refinement": [
-        ShapeCheck(
-            "per-tic refinement tightens influence sets",
-            lambda r: r.panels[0].series["|I(q)|"][1]
-            <= r.panels[0].series["|I(q)|"][0],
-        ),
-    ],
 }
 
 

@@ -94,8 +94,9 @@ class Segment:
     forward: list[RowDist]
     compiled: tuple[dict, dict] | None = field(default=None, repr=False)
 
-    # The views below exist for the exact oracle, ``backend="reference"``,
-    # the Fig. 12 ablation and the tests; nothing on the tick path asks.
+    # The views below exist for the exact oracle, the reference sampler of
+    # ``tests/oracles/``, the Fig. 12 ablation and the tests; nothing on
+    # the tick path asks.
     @cached_property
     def transitions(self) -> dict[int, dict[int, RowDist]]:
         """``F(t)`` as ``state -> (next_states, probs)`` row dictionaries."""
@@ -271,7 +272,6 @@ class AdaptedModel:
         n: int,
         t_start: int | None = None,
         t_end: int | None = None,
-        backend: str = "compiled",
         start_states: np.ndarray | None = None,
     ) -> np.ndarray:
         """Draw ``n`` trajectories over ``[t_start, t_end]`` from ``F``.
@@ -280,22 +280,21 @@ class AdaptedModel:
         rows are i.i.d. samples of the a-posteriori stochastic process.
         Returns an ``(n, t_end - t_start + 1)`` integer array of states.
 
-        ``backend="compiled"`` (default) samples through the flattened
-        :attr:`compiled` view — one vectorized inverse-CDF transform per
-        timestep.  ``backend="reference"`` keeps the legacy row-dict walk;
-        both consume the RNG stream identically (one ``rng.random(n)`` per
-        timestep), so a fixed seed yields bit-identical paths on either.
-        ``backend="native"`` is accepted as an alias of ``"compiled"``
-        here: the native tier accelerates *fused* (arena) draws, and
-        per-object draws on a native engine go through the compiled path
-        — bit-identical by the same argument, so mixing them is safe.
+        Samples through the flattened :attr:`compiled` view — one
+        vectorized inverse-CDF transform per timestep, one
+        ``rng.random(n)`` per timestep; the row-dict walk over
+        :attr:`transitions` that consumes the stream identically is its
+        byte oracle (``tests.oracles.reference_sample_paths``).  The
+        native tier accelerates *fused* (arena) draws only; per-object
+        draws on a native engine come through here — bit-identical by
+        the same argument, so mixing them is safe.
 
         ``start_states`` resumes ``n`` previously sampled paths from their
         known states at ``t_start``: the initial variate is *not* consumed
         and the first output column echoes ``start_states``.  Sampling
         ``[a, m]`` and then resuming over ``[m, b]`` from the same generator
-        therefore consumes the stream exactly like one draw of ``[a, b]``,
-        on either backend — forward extension of cached worlds stays
+        therefore consumes the stream exactly like one draw of ``[a, b]``
+        — forward extension of cached worlds stays
         bit-identical to one-shot sampling.
         """
         a = self.t_first if t_start is None else int(t_start)
@@ -306,39 +305,7 @@ class AdaptedModel:
             raise KeyError(
                 f"window [{a}, {b}] outside adapted span [{self.t_first}, {self.t_last}]"
             )
-        if backend in ("compiled", "native"):
-            return self.compiled.sample_paths(rng, n, a, b, start_states=start_states)
-        if backend != "reference":
-            raise ValueError(f"unknown sampling backend {backend!r}")
-        # Allocated tic-major like the compiled sampler's buffer, so both
-        # backends hand out the same memory order (world axis contiguous).
-        out = np.empty((b - a + 1, n), dtype=np.intp).T
-        if start_states is None:
-            start = self.posterior(a)
-            out[:, 0] = _inverse_cdf_pick(
-                start.states, np.cumsum(start.probs), rng.random(n)
-            )
-        else:
-            start_states = np.asarray(start_states, dtype=np.intp)
-            if start_states.shape != (n,):
-                raise ValueError(
-                    f"start_states must have shape ({n},), got {start_states.shape}"
-                )
-            if not np.isin(start_states, self.posterior(a).states).all():
-                raise ValueError(
-                    f"some start states lie outside the posterior support at time {a}"
-                )
-            out[:, 0] = start_states
-        for offset, t in enumerate(range(a, b)):
-            current = out[:, offset]
-            nxt = out[:, offset + 1]
-            rows = self.transitions[t]
-            u = rng.random(n)
-            for state in np.unique(current):
-                mask = current == state
-                next_states, probs = rows[int(state)]
-                nxt[mask] = _inverse_cdf_pick(next_states, np.cumsum(probs), u[mask])
-        return out
+        return self.compiled.sample_paths(rng, n, a, b, start_states=start_states)
 
     def expected_positions(self, coords: np.ndarray) -> dict[int, np.ndarray]:
         """Posterior-mean position per timestep (diagnostics/examples)."""
@@ -347,14 +314,6 @@ class AdaptedModel:
             dist = self.posteriors[t]
             out[t] = dist.probs @ coords[dist.states]
         return out
-
-
-def _inverse_cdf_pick(
-    values: np.ndarray, cdf: np.ndarray, u: np.ndarray
-) -> np.ndarray:
-    """Map uniforms through a categorical CDF (clipped against float error)."""
-    picks = np.searchsorted(cdf, u, side="right")
-    return values[np.minimum(picks, values.size - 1)]
 
 
 def adapt_model(

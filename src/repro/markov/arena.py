@@ -26,7 +26,7 @@ unit-stride one all the way to the NN counter.
 Bit-identity with the per-object path
 -------------------------------------
 Seeded results must not depend on whether the fused or the per-object path
-produced them (the engine's ``fused=False`` ablation, golden files, and the
+produced them (the engine's small-draw branch, golden files, and the
 world cache's replay determinism all rely on it).  Two properties make the
 fused draw bit-identical per object:
 

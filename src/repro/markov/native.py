@@ -5,7 +5,7 @@ removed the per-*object* Python loop from refinement sampling, but three
 inner loops remain dispatch-bound rather than FLOP-bound: the
 per-timestep transition sweep (one numpy call per CDF column per tic),
 the per-request initial inverse-CDF search, and the per-state
-distance-table gather in ``QueryEngine._distance_tensor_fused``.  This
+distance-table gather in ``QueryEngine._compute_distance_tensor``.  This
 module replaces all three with two C kernels (compiled on demand via
 cffi, see :mod:`._native_kernels`): one fused ``(steps × samples)``
 sweep that carries global row cursors across timesteps without returning
@@ -27,7 +27,8 @@ native sweep consumes each request's RNG stream through the *same*
 draw repeats the numpy arithmetic on the same IEEE doubles — binary
 searches and comparisons over identical arrays yield identical picks.
 ``backend="native"`` is therefore byte-identical to
-``backend="compiled"``, exactly as ``"compiled"`` is to ``"reference"``.
+``backend="compiled"``, exactly as ``"compiled"`` is to the row-dict walk
+of ``tests/oracles/``.
 """
 
 from __future__ import annotations

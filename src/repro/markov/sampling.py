@@ -248,7 +248,6 @@ def posterior_sample(
     model: AdaptedModel,
     n: int,
     rng: np.random.Generator,
-    backend: str = "compiled",
     t_start: int | None = None,
     t_end: int | None = None,
     start_states: np.ndarray | None = None,
@@ -262,7 +261,5 @@ def posterior_sample(
     consume no initial variate, so windowed growth stays bit-identical to
     one-shot sampling.
     """
-    trajectories = model.sample_paths(
-        rng, n, t_start, t_end, backend=backend, start_states=start_states
-    )
+    trajectories = model.sample_paths(rng, n, t_start, t_end, start_states=start_states)
     return SamplingStats(trajectories=trajectories, attempts=n, requested=n)

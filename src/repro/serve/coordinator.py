@@ -27,8 +27,10 @@ committed its version cursor and re-derives the delta on retry).
 from __future__ import annotations
 
 import asyncio
+import inspect
 from typing import Iterable
 
+from ..core.evaluator import QueryEngine
 from ..obs.exposition import MetricsServer
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER
@@ -90,8 +92,10 @@ class ServeCoordinator:
         evaluations (slow requests keep their explain plan and trace).
     engine_kwargs:
         Forwarded to the coordinator engine (``n_samples``, ``backend``,
-        ``fused``, ``incremental``, ...).  Workers inherit them with
-        ``reuse_worlds=True`` and ``refine_cache_size=0`` forced.
+        ``use_pruning``, ``refine_cache_size``); anything
+        :class:`~repro.core.evaluator.QueryEngine` does not accept is a
+        ``TypeError`` here, before a worker is started.  Workers inherit
+        them with ``reuse_worlds=True`` and ``refine_cache_size=0`` forced.
     """
 
     def __init__(
@@ -115,6 +119,11 @@ class ServeCoordinator:
                 "ServeCoordinator requires seed= (shard workers must derive "
                 "the same world entropy as the coordinator)"
             )
+        # Checked here, not left to the engines: in process mode the first
+        # QueryEngine built with these options lives in a spawned worker.
+        unknown = set(engine_kwargs) - set(inspect.signature(QueryEngine.__init__).parameters)
+        if unknown:
+            raise TypeError(f"unexpected engine option(s): {', '.join(sorted(unknown))}")
         self.db = db
         self.mode = mode
         self.router = ShardRouter(n_shards)
@@ -351,11 +360,7 @@ class ServeCoordinator:
         # still counts the drop), exactly as on a worker that never died.
         pending: set | None = set()
         if engine.db.version != engine._mut_seen:
-            pending = (
-                engine.db.changed_since(engine._mut_seen)
-                if engine.incremental
-                else None
-            )
+            pending = engine.db.changed_since(engine._mut_seen)
         if pending is None:
             # Wholesale invalidation is pending — nothing is replayable.
             items = ()

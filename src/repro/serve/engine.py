@@ -188,9 +188,7 @@ class ShardedQueryEngine(QueryEngine):
             return
         saved = (self._mut_seen, self.index_updates, self.worlds_invalidated)
         saved_windows = dict(self._world_windows)
-        changed = (
-            self.db.changed_since(self._mut_seen) if self.incremental else None
-        )
+        changed = self.db.changed_since(self._mut_seen)
         super()._sync_mutations()
         if changed is None:
             self._world_windows.clear()
@@ -198,8 +196,8 @@ class ShardedQueryEngine(QueryEngine):
             doomed = [k for k in self._world_windows if k[0] in changed]
             for key in doomed:
                 del self._world_windows[key]
-            # The mirror is 1:1 with worker cache entries (one backend per
-            # engine), so its pop count *is* the number of segments the
+            # The mirror is 1:1 with worker cache entries, so its pop
+            # count *is* the number of segments the
             # workers drop for this delta.  Counting here — instead of
             # absorbing worker counters — keeps the per-tick count correct
             # across worker crashes, where the dropped entries die with
@@ -236,7 +234,7 @@ class ShardedQueryEngine(QueryEngine):
     def _note_window(self, object_id: str, n: int, lo: int, hi: int) -> None:
         """Mirror one worker-cache lookup's effect on its segment window.
 
-        Same evolution rules as :meth:`WorldCache.states_for`: a new epoch
+        Same evolution rules as :meth:`WorldCache.states_for_many`: a new epoch
         (stamp mismatch) replaces the segment, a backward request
         re-anchors at the new start over the union window, anything else
         at most extends forward.
@@ -450,18 +448,14 @@ class ShardedQueryEngine(QueryEngine):
 
     def _predict_columns(self, reverse, req, times, ids, n) -> list[str]:
         """The column subset the evaluation's cache logic will recompute."""
-        cacheable = self.refine_cache_size > 0 and len(set(ids)) == len(ids)
-        if not (cacheable and self.incremental):
+        if self.refine_cache_size == 0:
             return ids
         if reverse:
-            cache_key = (
-                "states", req.k, times.tobytes(), tuple(ids), n,
-                self.backend, self.fused,
-            )
+            cache_key = ("states", req.k, times.tobytes(), tuple(ids), n)
         else:
             cache_key = (
                 "dist", req.k, req.query.coords_at(times).tobytes(),
-                times.tobytes(), tuple(ids), n, self.backend, self.fused,
+                times.tobytes(), tuple(ids), n,
             )
         entry = self._refine_cache.get(cache_key)
         stamp = (self._worlds_token, self._draw_epoch)
@@ -485,7 +479,7 @@ class ShardedQueryEngine(QueryEngine):
         n_samples=None,
     ) -> dict[str, int]:
         self._sync_mutations()
-        ids = list(object_ids) if object_ids is not None else self.db.object_ids
+        ids = self.db.object_ids if object_ids is None else dict.fromkeys(object_ids)
         n = self.n_samples if n_samples is None else int(n_samples)
         targets: dict[int, list[str]] = {}
         count = 0

@@ -6,7 +6,7 @@ Two implementations behind one duck-typed interface (``request``,
 * :class:`InlineTransport` holds :class:`ShardWorkerState` objects
   in-process and calls their handlers directly.  Deterministic, fast and
   debuggable — the cross-shard lockstep suite runs the full shard-count ×
-  backend × fused matrix through it, exercising every protocol path
+  backend matrix through it, exercising every protocol path
   except OS-level transport (pipes, shared memory, process death).
 * :class:`ProcessTransport` spawns one worker process per shard
   (``spawn`` start method — fork is unsafe under threads/BLAS), speaks

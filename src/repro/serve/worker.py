@@ -226,25 +226,11 @@ class ShardWorkerState:
         engine._sync_mutations()
         restored = 0
         with engine.held_batch(command.epoch):
-            stamp = (engine._worlds_token, engine._draw_epoch)
             for oid, n, lo, hi in command.items:
-                if oid not in engine.db:
-                    continue
-                obj = engine.db.get(oid)
-                lo2 = max(int(lo), obj.t_first)
-                hi2 = min(int(hi), obj.t_last)
-                if lo2 > hi2:
-                    continue
-                draw, extend = engine._object_sampler(obj, int(n))
-                engine.worlds.states_for(
-                    key=(obj.object_id, int(n), engine.backend),
-                    stamp=stamp,
-                    t_lo=lo2,
-                    t_hi=hi2,
-                    sampler=draw,
-                    extender=extend,
-                )
-                restored += 1
+                if oid in engine.db:
+                    restored += engine.prefetch_worlds(
+                        [oid], window=(lo, hi), n_samples=n
+                    )["objects"]
         return {"restored": restored}
 
 

@@ -1,4 +1,4 @@
-"""Spatial toolkit: geometry, the R*-tree and the UST-tree index.
+"""Spatial toolkit: geometry and the UST-tree index.
 
 The UST-tree is re-exported lazily (PEP 562): it depends on the
 trajectory layer, which in turn uses this package's geometry — eager
@@ -12,14 +12,10 @@ from .geometry import (
     mindist_point_rect,
     mindist_rects,
 )
-from .rstar import Entry, RStarTree
 
 __all__ = [
-    "Entry",
     "PruningResult",
-    "RStarTree",
     "Rect",
-    "SegmentKey",
     "USTTree",
     "maxdist_point_rect",
     "maxdist_rects",
@@ -27,7 +23,7 @@ __all__ = [
     "mindist_rects",
 ]
 
-_LAZY = ("USTTree", "PruningResult", "SegmentKey")
+_LAZY = ("USTTree", "PruningResult")
 
 
 def __getattr__(name: str):

@@ -1,7 +1,7 @@
 """Spatial primitives: axis-aligned boxes and min/max distance computations.
 
-These primitives back both the R*-tree (:mod:`repro.spatial.rstar`) and the
-UST-tree pruning rules of Section 6 of the paper, which compare
+These primitives back the reference R*-tree (``tests/oracles/``)
+and the UST-tree pruning rules of Section 6 of the paper, which compare
 ``dmin(o(t), q(t))`` against ``dmax(o'(t), q(t))`` over minimum bounding
 rectangles of reachable states.
 

@@ -14,17 +14,15 @@ split the database into
 For P∃NN queries every influence object is a potential result, so the
 refinement set equals ``I(q)``.
 
-The same diamonds are kept in two forms.  The **per-tic bound table** is
-what the production filter (:meth:`USTTree.prune_many`) scans: one row per
+The diamonds are kept as a **per-tic bound table**, which the filter
+(:meth:`USTTree.prune_many`) scans: one row per
 (object, tic) holding the MBRs of the diamonds covering that tic, patched
 by :meth:`USTTree.update_object` and never rebuilt inside a query.  A
 diamond's per-tic MBR lies inside its segment MBR and ``mindist`` /
 ``maxdist`` are monotone under containment, so the per-tic bounds alone
 *are* the filter's bounds — no segment-level pass precedes them.  The
-**R\\*-tree** over per-segment (x, y, t) boxes is the paper's index and
-this module's reference: built on first use (``.tree``,
-``segments_overlapping``, ``prune(vectorized=False)``) and maintained per
-entry from then on; an index nobody asked for is neither built nor updated.
+paper's index, an R\\*-tree over per-segment (x, y, t) boxes walked entry
+by entry, is this module's oracle and lives in ``tests/oracles/``.
 """
 
 from __future__ import annotations
@@ -35,10 +33,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..trajectory.database import TrajectoryDatabase
-from .geometry import Rect, maxdist_point_rect, mindist_point_rect
-from .rstar import RStarTree
 
-__all__ = ["SegmentKey", "PruningResult", "USTTree", "check_query_coords"]
+__all__ = ["PruningResult", "USTTree", "check_query_coords"]
 
 
 def check_query_coords(
@@ -67,22 +63,6 @@ def check_query_coords(
             f"got {coords[~np.isfinite(coords)][0]}"
         )
     return coords
-
-
-@dataclass(unsafe_hash=True)
-class SegmentKey:
-    """Identifies one indexed segment: object + diamond index + time span.
-
-    An object's segments have distinct time spans, so the span is the
-    identity; ``segment`` — the position in ``db.diamonds_of(object_id)`` —
-    is renumbered in place when a fix earlier in the lifespan shifts the
-    entries the index keeps.
-    """
-
-    object_id: str
-    segment: int = field(compare=False)
-    t_start: int
-    t_end: int
 
 
 @dataclass
@@ -135,21 +115,16 @@ def _splice(arr: np.ndarray, start: int, stop: int, block: np.ndarray) -> np.nda
 
 
 class USTTree:
-    """Per-tic bound table (plus reference R*-tree) over a database's
-    reachability diamonds.
+    """Per-tic bound table over a database's reachability diamonds.
 
     Parameters
     ----------
     db:
         The uncertain trajectory database to index.
-    max_entries:
-        R*-tree node capacity.
     """
 
-    def __init__(self, db: TrajectoryDatabase, max_entries: int = 16) -> None:
+    def __init__(self, db: TrajectoryDatabase) -> None:
         self.db = db
-        self._max_entries = max_entries
-        self._tree: RStarTree | None = None
         #: Optional :class:`repro.obs.MetricsRegistry` feed — the owning
         #: engine binds its registry here so prune volume is scrapeable
         #: (``ust_prune_calls_total`` / ``ust_examined_entries_total``).
@@ -176,26 +151,7 @@ class USTTree:
         self._t_base = self._t_hi = np.empty(0, dtype=np.intp)
         self._row_ptr = np.ones(1, dtype=np.intp)
         ids = sorted(obj.object_id for obj in db)
-        diamonds = [db.diamonds_of(oid) for oid in ids]
-        self._by_object: dict[str, list[tuple[Rect, SegmentKey]]] = {
-            oid: self._segment_items(oid, dias) for oid, dias in zip(ids, diamonds)
-        }
-        self._replace_rows(0, 0, dict(zip(ids, diamonds)))
-
-    def _segment_items(self, object_id: str, diamonds) -> list[tuple[Rect, SegmentKey]]:
-        """Index entries for one object's reachability diamonds."""
-        return [
-            (
-                diamond.spatio_temporal_mbr(self.db.space),
-                SegmentKey(
-                    object_id=object_id,
-                    segment=seg_idx,
-                    t_start=diamond.t_start,
-                    t_end=diamond.t_end,
-                ),
-            )
-            for seg_idx, diamond in enumerate(diamonds)
-        ]
+        self._replace_rows(0, 0, {oid: db.diamonds_of(oid) for oid in ids})
 
     def _object_block(self, diamonds) -> tuple:
         """One object's table rows: ``(t_base, rect, segs)``, ``rect`` of
@@ -254,56 +210,37 @@ class USTTree:
     # ------------------------------------------------------------------
     # incremental maintenance (streaming ingest)
     # ------------------------------------------------------------------
-    def _reindex(self, object_id: str, diamonds) -> int:
-        """Make ``diamonds`` (none: the object is gone) what the index
-        holds for the object; returns how many segment entries left it.
-
-        The object's table rows are rewritten (in place when its lifespan
-        kept its extent, as after an interior fix).  The R*-tree, if it was
-        ever asked for, is touched only where entries differ: one whose
-        time span and MBR are unchanged stays where it is, its key
-        renumbered in place.
-        """
-        known = object_id in self._by_object
-        stale = {
-            (key.t_start, key.t_end): (rect, key)
-            for rect, key in self._by_object.pop(object_id, ())
-        }
-        entries: list[tuple[Rect, SegmentKey]] = []
-        fresh: list[tuple[Rect, SegmentKey]] = []
-        for rect, key in self._segment_items(object_id, diamonds):
-            span = (key.t_start, key.t_end)
-            kept = stale.get(span)
-            if kept is not None and kept[0] == rect:
-                del stale[span]
-                kept[1].segment = key.segment
-                entries.append(kept)
-            else:
-                entries.append((rect, key))
-                fresh.append((rect, key))
-        if self._tree is not None:
-            self._tree.delete_many(list(stale.values()))
-            self._tree.insert_many(fresh)
-        if entries:
-            self._by_object[object_id] = entries
+    def _position(self, object_id: str) -> tuple[int, bool]:
+        """Where ``object_id`` sorts among the indexed ids, and whether it
+        is one of them."""
         pos = bisect_left(self._ids, object_id)
+        return pos, pos < len(self._ids) and self._ids[pos] == object_id
+
+    def _reindex(self, object_id: str, diamonds) -> int:
+        """Make ``diamonds`` (none: the object is gone) what the table
+        holds for the object; returns how many segments it held before.
+
+        The object's rows are rewritten — in place when its lifespan kept
+        its extent, as after an interior fix.
+        """
+        pos, known = self._position(object_id)
+        held = int(self._segs[0, self._row_ptr[pos + 1] - 1]) if known else 0
         self._replace_rows(pos, pos + known, {object_id: diamonds} if diamonds else {})
-        return len(stale)
+        return held
 
     def insert_object(self, object_id: str) -> int:
         """Index one (new) object's segments in place; returns the count.
 
-        Pruning over the updated index is exactly what a freshly built one
-        would compute: the table holds the same rows, and
-        :meth:`RStarTree.search` returns every intersecting entry whatever
-        the tree's shape, so only node layout — never a query answer —
-        depends on the insertion history (the oracle tests assert this).
+        Pruning over the updated table is exactly what a freshly built one
+        would compute: it holds the same rows (the oracle tests assert
+        this).
         """
         object_id = str(object_id)
-        if object_id in self._by_object:
+        if object_id in self:
             raise KeyError(f"object {object_id!r} is already indexed")
-        self._reindex(object_id, self.db.diamonds_of(object_id))
-        return len(self._by_object[object_id])
+        diamonds = self.db.diamonds_of(object_id)
+        self._reindex(object_id, diamonds)
+        return len(diamonds)
 
     def remove_object(self, object_id: str) -> int:
         """Drop one object's segments from the index; returns the count
@@ -314,9 +251,7 @@ class USTTree:
         """Re-index one object after a database mutation.
 
         Rewrites the object's rows of the bound table from its current
-        diamonds — none when the object is gone.  A materialised R*-tree
-        is diffed: a head append inserts one entry, an interior refinement
-        deletes one and inserts two, whatever the lifespan.  This is the
+        diamonds — none when the object is gone.  This is the
         streaming path's alternative to rebuilding the index per event.
         """
         object_id = str(object_id)
@@ -326,42 +261,16 @@ class USTTree:
         )
 
     def __contains__(self, object_id: str) -> bool:
-        return str(object_id) in self._by_object
+        return self._position(str(object_id))[1]
 
-    # ------------------------------------------------------------------
     def __len__(self) -> int:
-        return sum(map(len, self._by_object.values()))
-
-    @property
-    def tree(self) -> RStarTree:
-        """The reference R*-tree over the segment boxes, bulk-loaded on
-        first use and maintained per entry from then on."""
-        if self._tree is None:
-            self._tree = RStarTree.bulk_load(
-                [item for oid in self._ids for item in self._by_object[oid]],
-                max_entries=self._max_entries,
-            )
-        return self._tree
-
-    def segments_overlapping(self, t_lo: int, t_hi: int):
-        """Index entries whose time extent intersects ``[t_lo, t_hi]``."""
-        space_rect = self.db.space.bounding_rect()
-        window = Rect(
-            space_rect.lo + (float(t_lo),),
-            space_rect.hi + (float(t_hi),),
-        )
-        return self.tree.search(window)
+        """Indexed segments: those each object's last tic has seen begin."""
+        return int(self._segs[0, self._row_ptr[1:] - 1].sum())
 
     # ------------------------------------------------------------------
-    def prune(
-        self,
-        q_coords: np.ndarray,
-        times: np.ndarray,
-        k: int = 1,
-        refine_per_tic: bool = True,
-        vectorized: bool = True,
-    ) -> PruningResult:
-        """Compute candidates and influence objects for a PNN query.
+    def prune(self, q_coords: np.ndarray, times: np.ndarray, k: int = 1) -> PruningResult:
+        """Compute candidates and influence objects for a PNN query —
+        :meth:`prune_many` with one query.
 
         Parameters
         ----------
@@ -373,24 +282,8 @@ class USTTree:
         k:
             NN cardinality; pruning uses the k-th smallest ``dmax`` so that
             kNN queries (Section 8) remain correct.
-        refine_per_tic:
-            ``False`` stops at the segment MBRs' bounds (an ablation,
-            served by the reference loop).
-        vectorized:
-            ``True`` (default) is :meth:`prune_many` with one query.
-            ``False`` runs the per-entry python loop over the R*-tree — the
-            reference oracle of the parity tests.  Both are bit-identical:
-            max/min accumulation is order-independent, the elementwise
-            arithmetic is the same, and a segment MBR's bound never beats
-            the per-tic bound of the same diamond.
         """
-        if vectorized and refine_per_tic:
-            return self.prune_many(np.asarray(q_coords, dtype=float)[None], times, k)[0]
-        times = np.asarray(times, dtype=np.intp)
-        q_coords = check_query_coords(q_coords, times, self.db.space.ndim)
-        result = self._prune_reference(q_coords, times, k, refine_per_tic)
-        self._count_pass(result.examined_entries)
-        return result
+        return self.prune_many(np.asarray(q_coords, dtype=float)[None], times, k)[0]
 
     def prune_many(
         self, q_coords: np.ndarray, times: np.ndarray, k: int = 1
@@ -403,7 +296,10 @@ class USTTree:
         (squares accumulated dimension by dimension — the order ``np.sum``
         adds a short axis in), the k-th smallest ``dmax`` per query and
         tic, and the classification of all ``Q`` at once.  Result ``i`` is
-        bit-identical to ``prune(q_coords[i], times, k, vectorized=False)``.
+        bit-identical to the per-entry R*-tree loop of ``tests/oracles/``
+        for ``q_coords[i]``: max/min accumulation is order-independent, the
+        elementwise arithmetic is the same, and a segment MBR's bound never
+        beats the per-tic bound of the same diamond.
         """
         times = np.asarray(times, dtype=np.intp)
         q = check_query_coords(q_coords, times, self.db.space.ndim)
@@ -497,113 +393,3 @@ class USTTree:
             self._counters = (metrics, calls, entries)
         self._counters[1].inc()
         self._counters[2].inc(examined)
-
-    # ------------------------------------------------------------------
-    # the reference oracle: per-entry loop over the R*-tree
-    # ------------------------------------------------------------------
-    def _prune_reference(
-        self,
-        q_coords: np.ndarray,
-        times: np.ndarray,
-        k: int,
-        refine_per_tic: bool,
-    ) -> PruningResult:
-        """Per-entry filter loop (the pre-vectorization implementation)."""
-        entries = self.segments_overlapping(int(times.min()), int(times.max()))
-        examined = len(entries)
-
-        # Segment-level dmin/dmax per (object, query-time).
-        n_t = times.size
-        dmin: dict[str, np.ndarray] = {}
-        dmax: dict[str, np.ndarray] = {}
-        for entry in entries:
-            key: SegmentKey = entry.data
-            spatial = Rect(entry.rect.lo[:-1], entry.rect.hi[:-1])
-            covered = (times >= key.t_start) & (times <= key.t_end)
-            if not covered.any():
-                continue
-            lo = mindist_point_rect(q_coords[covered], spatial)
-            hi = maxdist_point_rect(q_coords[covered], spatial)
-            if key.object_id not in dmin:
-                dmin[key.object_id] = np.full(n_t, np.inf)
-                dmax[key.object_id] = np.full(n_t, np.inf)
-            idx = np.flatnonzero(covered)
-            # Several segments may cover an observation tic; each yields a
-            # valid bound, so keep the tightest of each kind.
-            dmin[key.object_id][idx] = np.where(
-                np.isinf(dmin[key.object_id][idx]),
-                lo,
-                np.maximum(dmin[key.object_id][idx], lo),
-            )
-            dmax[key.object_id][idx] = np.minimum(dmax[key.object_id][idx], hi)
-
-        if refine_per_tic:
-            self._refine_per_tic(dmin, dmax, q_coords, times)
-
-        return self._classify(dmin, dmax, times, k, examined)
-
-    def _refine_per_tic(
-        self,
-        dmin: dict[str, np.ndarray],
-        dmax: dict[str, np.ndarray],
-        q_coords: np.ndarray,
-        times: np.ndarray,
-    ) -> None:
-        """Tighten bounds with per-tic diamond MBRs (Example 2's dashes).
-
-        Observation tics belong to *two* adjacent diamonds (each pins the
-        observed state from its own side); every covering diamond yields a
-        valid bound, so the tightest of each kind is kept across all of
-        them — stopping at the first match would discard whichever
-        neighbor happens to bound tighter.
-        """
-        for object_id in dmin:
-            diamonds = self.db.diamonds_of(object_id)
-            for pos, t in enumerate(times):
-                for diamond in diamonds:
-                    if diamond.t_start <= t <= diamond.t_end:
-                        rect = diamond.mbr_at(int(t), self.db.space)
-                        lo = float(mindist_point_rect(q_coords[pos], rect))
-                        hi = float(maxdist_point_rect(q_coords[pos], rect))
-                        dmin[object_id][pos] = max(dmin[object_id][pos], lo)
-                        dmax[object_id][pos] = min(dmax[object_id][pos], hi)
-
-    def _classify(
-        self,
-        dmin: dict[str, np.ndarray],
-        dmax: dict[str, np.ndarray],
-        times: np.ndarray,
-        k: int,
-        examined: int,
-    ) -> PruningResult:
-        n_t = times.size
-        if not dmin:
-            return PruningResult([], [], np.full(n_t, np.inf), examined)
-
-        ids = sorted(dmin)
-        dmin_matrix = np.stack([dmin[i] for i in ids])  # (objects, times)
-        dmax_matrix = np.stack([dmax[i] for i in ids])
-        finite_counts = np.sum(np.isfinite(dmax_matrix), axis=0)
-        prune_dist = np.full(n_t, np.inf)
-        for col in range(n_t):
-            col_vals = np.sort(dmax_matrix[:, col])
-            if finite_counts[col] >= k:
-                prune_dist[col] = col_vals[k - 1]
-
-        candidates: list[str] = []
-        influencers: list[str] = []
-        for object_id in ids:
-            lo = dmin[object_id]
-            alive = np.isfinite(dmax[object_id])
-            relevant = alive & (lo <= prune_dist)
-            if relevant.any():
-                influencers.append(object_id)
-            if alive.all() and bool(np.all(lo <= prune_dist)):
-                candidates.append(object_id)
-        return PruningResult(
-            candidates=candidates,
-            influencers=influencers,
-            prune_distances=prune_dist,
-            examined_entries=examined,
-            bounds=(ids, dmin_matrix, dmax_matrix),
-        )

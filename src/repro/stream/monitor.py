@@ -134,8 +134,7 @@ class TickReport:
         Refinement distance-tensor cache outcomes: a *hit* served a
         standing request's tensor in place (recomputing only dirty
         columns), a *miss* rebuilt it wholesale (cold key, fresh epoch,
-        or the ``incremental=False`` oracle, which counts every
-        shared-world recompute here so the two modes stay comparable).
+        or a mutation log too old to name what changed).
     ``estimate_columns_reused`` / ``estimate_columns_refreshed``
         Per-object tensor columns served from cache vs recomputed — the
         dirty-column accounting behind the hits/misses: a steady-state
@@ -210,9 +209,8 @@ class ContinuousMonitor:
     Parameters
     ----------
     engine:
-        The query engine to evaluate through.  An ``incremental`` engine
-        (the default) is what makes ticks cheap — ingests invalidate per
-        object; a wholesale engine still answers correctly, just slower.
+        The query engine to evaluate through.  Ingests invalidate its
+        derived state per object, which is what makes ticks cheap.
     stream:
         Optional pre-existing :class:`ObservationStream` (shared with
         other ingest paths); by default the monitor creates its own over
@@ -431,7 +429,6 @@ class ContinuousMonitor:
                     and not refreshing
                     and force_reason is None
                     and union is not None
-                    and self.engine.incremental
                     and self.engine.restore_batch_epoch()
                 ):
                     influenced = set()

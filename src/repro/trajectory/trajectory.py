@@ -216,13 +216,11 @@ class UncertainObject:
         times: np.ndarray,
         n: int,
         rng: np.random.Generator,
-        backend: str = "compiled",
     ) -> np.ndarray:
         """Sample posterior states at the requested (sorted) times.
 
         All times must lie within the object's span; the returned array has
-        shape ``(n, len(times))``.  ``backend`` selects the sampling path —
-        see :meth:`AdaptedModel.sample_paths`.
+        shape ``(n, len(times))``.
         """
         times = np.asarray(times, dtype=np.intp)
         if times.size == 0:
@@ -231,9 +229,7 @@ class UncertainObject:
             raise KeyError(
                 f"object {self.object_id} does not cover all of {times.tolist()}"
             )
-        paths = self.adapted.sample_paths(
-            rng, n, int(times.min()), int(times.max()), backend=backend
-        )
+        paths = self.adapted.sample_paths(rng, n, int(times.min()), int(times.max()))
         # A row gather of the sampler's tic-major buffer: the world axis
         # stays the contiguous one (``paths[:, cols]`` need not keep it).
         return paths.T[times - times.min()].T

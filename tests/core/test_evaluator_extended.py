@@ -111,3 +111,14 @@ class TestIndexLifecycle:
         tree = USTTree(drift_db)
         engine = QueryEngine(drift_db, n_samples=10, seed=0, ust_tree=tree)
         assert engine.ust_tree is tree
+
+
+class TestNoPruningExaminedEntries:
+    def test_fallback_reports_scanned_objects(self):
+        """The no-pruning fallback scans every overlapping object; the
+        report must say so instead of claiming zero examined entries."""
+        db, _ = make_random_world(seed=12, n_states=12, n_objects=4, span=12, obs_every=4)
+        q = Query.from_point([5.0, 5.0])
+        engine = QueryEngine(db, n_samples=50, seed=1, use_pruning=False)
+        result = engine.forall_nn(q, range(2, 8))
+        assert result.report.examined_entries == len(result.influencers) > 0

@@ -77,9 +77,8 @@ class TestBadQueryPoint:
         tree = USTTree(db)
         times = np.asarray(TIMES)
         coords = Query.from_point(BAD_POINTS[label][0]).coords_at(times)
-        for vectorized in (True, False):
-            with pytest.raises(ValueError, match=BAD_POINTS[label][1]):
-                tree.prune(coords, times, vectorized=vectorized)
+        with pytest.raises(ValueError, match=BAD_POINTS[label][1]):
+            tree.prune(coords, times)
         with pytest.raises(ValueError, match=BAD_POINTS[label][1]):
             tree.prune_many(np.stack([coords, coords]), times)
 

@@ -24,7 +24,7 @@ from repro.core.planner import build_plan
 from repro.core.queries import ESTIMATOR_NAMES, Query, QueryRequest
 from repro.core.results import PCNNResult, QueryResult, RawProbabilities
 from tests.conftest import make_paper_example_db, make_random_world
-from tests.core.test_statistical_validation import TOPOLOGIES
+from tests.oracles.shapes import TOPOLOGIES
 
 EXPLAIN_GOLDEN_PATH = (
     Path(__file__).parent.parent / "data" / "explain_golden.json"

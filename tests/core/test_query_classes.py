@@ -5,13 +5,13 @@ pipeline — P-kNN with depth ``k > 1``, the reverse direction
 (``mode="reverse_nn"``: which objects have *the query* among their k
 likely nearest neighbors), and uncertain NN classification.  Each has an
 enumeration oracle in :mod:`repro.core.exact`; these tests certify, for
-every statval topology and the full ``backend × fused`` engine matrix,
+every statval topology,
 
 * ``estimator="exact"`` through the pipeline is **bit-identical** to the
   direct oracle call for ``k ∈ {1, 2, 3}`` (the pipeline adds filtering
   and assembly, never arithmetic);
-* the fused arena and the per-object loop produce bit-equal *sampled*
-  answers for the new modes, exactly as they must for the classic ones;
+* the *sampled* answers of the new modes count over the per-object loop
+  oracle's worlds, on either backend, exactly as the classic ones must;
 * ``k=1`` requests reproduce today's results bit-for-bit — the depth
   parameter is a strict generalization, not a parallel code path.
 """
@@ -33,9 +33,9 @@ from tests.conftest import (
     make_paper_example_db,
     make_random_world,
 )
+from tests.oracles import checking_distances
+from tests.oracles.shapes import BACKENDS
 
-BACKENDS = ["compiled", "reference"]
-FUSED_MODES = [True, False]
 K_DEPTHS = [1, 2, 3]
 
 
@@ -62,30 +62,28 @@ TOPOLOGIES = {
 }
 
 
-def _engine(db, backend, fused, **kwargs):
+def _engine(db, backend="compiled", **kwargs):
     kwargs.setdefault("n_samples", 400)
     kwargs.setdefault("seed", 29)
-    return QueryEngine(db, backend=backend, fused=fused, **kwargs)
+    return QueryEngine(db, backend=backend, **kwargs)
 
 
 def _pool_size(db, times):
     return len(db.objects_overlapping(np.asarray(times)))
 
 
-@pytest.mark.parametrize("fused", FUSED_MODES)
-@pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 class TestExactOracleLockstep:
     """Pipeline ``estimator="exact"`` ≡ direct oracle, bit for bit."""
 
-    def test_forward_knn_matches_oracle(self, topology, backend, fused):
+    def test_forward_knn_matches_oracle(self, topology):
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         for k in K_DEPTHS:
             if k > _pool_size(db, times):
                 continue
             oracle = exact_nn_probabilities(db, q, times, k=k)
-            res = _engine(db, backend, fused).evaluate(
+            res = _engine(db).evaluate(
                 QueryRequest(q, times, "raw", k=k, estimator="exact")
             )
             assert set(res.forall) == set(oracle)
@@ -96,14 +94,14 @@ class TestExactOracleLockstep:
                 assert res.exists[oid] == p_exists, (topology, k, oid)
             assert res.report.k == k
 
-    def test_reverse_nn_matches_oracle(self, topology, backend, fused):
+    def test_reverse_nn_matches_oracle(self, topology):
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         for k in K_DEPTHS:
             if k > _pool_size(db, times):
                 continue
             oracle = exact_reverse_nn_probabilities(db, q, np.asarray(times), k=k)
-            res = _engine(db, backend, fused).evaluate(
+            res = _engine(db).evaluate(
                 QueryRequest(q, times, "reverse_nn", k=k, estimator="exact")
             )
             assert set(res.probabilities) == set(oracle)
@@ -112,7 +110,7 @@ class TestExactOracleLockstep:
                 assert res.exists[oid] == p_exists, (topology, k, oid)
             assert res.k == k
 
-    def test_classifier_matches_hand_rolled_oracle(self, topology, backend, fused):
+    def test_classifier_matches_hand_rolled_oracle(self, topology):
         """Exact-estimator classification ≡ normalizing the oracle's masses."""
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
@@ -121,7 +119,7 @@ class TestExactOracleLockstep:
             for i, oid in enumerate(sorted(db.object_ids))
         }
         clf = UncertainNNClassifier(
-            _engine(db, backend, fused), labels, aggregate="exists",
+            _engine(db), labels, aggregate="exists",
             estimator="exact",
         )
         dist = clf.label_probabilities(q, times)
@@ -136,52 +134,33 @@ class TestExactOracleLockstep:
 
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
-class TestSampledFusedParity:
-    """Fused arena vs per-object loop: bit-equal sampled answers for the
-    new modes, mirroring tests/core/test_fused_parity.py for the old."""
+class TestSampledOracleParity:
+    """The new modes count over the per-object loop oracle's worlds: every
+    refinement tensor they draw is ``tests.oracles``' bit for bit."""
 
-    def test_forward_knn_parity(self, topology, backend):
+    @pytest.mark.parametrize("mode", ["raw", "reverse_nn"])
+    def test_knn_refinement_parity(self, topology, backend, mode):
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
-        for k in K_DEPTHS:
-            if k > _pool_size(db, times):
-                continue
-            a = _engine(db, backend, True).evaluate(
-                QueryRequest(q, times, "raw", k=k)
-            )
-            b = _engine(db, backend, False).evaluate(
-                QueryRequest(q, times, "raw", k=k)
-            )
-            assert a.forall == b.forall and a.exists == b.exists, (topology, k)
-
-    def test_reverse_nn_parity(self, topology, backend):
-        build_db, build_q, times = TOPOLOGIES[topology]
-        db, q = build_db(), build_q()
-        for k in K_DEPTHS:
-            if k > _pool_size(db, times):
-                continue
-            a = _engine(db, backend, True).evaluate(
-                QueryRequest(q, times, "reverse_nn", k=k)
-            )
-            b = _engine(db, backend, False).evaluate(
-                QueryRequest(q, times, "reverse_nn", k=k)
-            )
-            assert a.probabilities == b.probabilities, (topology, k)
-            assert a.exists == b.exists, (topology, k)
+        engine = _engine(db, backend)
+        depths = [k for k in K_DEPTHS if k <= _pool_size(db, times)]
+        with checking_distances(engine) as checked:
+            for k in depths:
+                engine.evaluate(QueryRequest(q, times, mode, k=k))
+        assert len(checked) == len(depths)
 
 
-@pytest.mark.parametrize("fused", FUSED_MODES)
 @pytest.mark.parametrize("backend", BACKENDS)
 class TestKOneIsTodaysQuery:
     """``k=1`` must reproduce the historical (depth-free) results exactly."""
 
     @pytest.mark.parametrize("mode", ["forall", "exists", "raw"])
-    def test_explicit_k1_equals_default(self, backend, fused, mode):
+    def test_explicit_k1_equals_default(self, backend, mode):
         db, _ = make_random_world(seed=5, n_states=8, n_objects=4, span=8, obs_every=4)
         q = Query.from_point([5.0, 5.0])
         times = tuple(range(1, 7))
-        a = _engine(db, backend, fused).evaluate(QueryRequest(q, times, mode, k=1))
-        b = _engine(db, backend, fused).evaluate(QueryRequest(q, times, mode))
+        a = _engine(db, backend).evaluate(QueryRequest(q, times, mode, k=1))
+        b = _engine(db, backend).evaluate(QueryRequest(q, times, mode))
         if mode == "raw":
             assert a.forall == b.forall and a.exists == b.exists
         else:
@@ -190,14 +169,14 @@ class TestKOneIsTodaysQuery:
                 (r.object_id, r.probability) for r in b.results
             ]
 
-    def test_k1_matches_nn_probabilities_shim(self, backend, fused):
+    def test_k1_matches_nn_probabilities_shim(self, backend):
         db, _ = make_random_world(seed=6, n_states=8, n_objects=3, span=6, obs_every=3)
         q = Query.from_point([4.0, 6.0])
         times = (1, 2, 3)
-        raw = _engine(db, backend, fused).evaluate(
+        raw = _engine(db, backend).evaluate(
             QueryRequest(q, times, "raw", k=1)
         )
-        shim = _engine(db, backend, fused).nn_probabilities(q, times)
+        shim = _engine(db, backend).nn_probabilities(q, times)
         assert raw.as_dict() == shim
 
 

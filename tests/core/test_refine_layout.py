@@ -12,7 +12,7 @@ pinned here:
   ``np.concatenate(..., axis=1)`` on the way silently re-materialises
   world-major — values stay right and only these assertions notice;
 * **byte identity** with the world-major kernel this order replaced, kept
-  below as the oracle (tile/scatter distances, ``np.partition`` indicator);
+  in ``tests/oracles/`` (tile/scatter distances, ``np.partition`` indicator);
 * **one k = 1 predicate**: ``knn_indicator(d, 1)`` (exact ``<=``) equals the
   partition form everywhere and agrees with ``nn_indicator`` (``rtol =
   1e-12``) on every tensor the shipped fixtures produce.
@@ -33,10 +33,19 @@ from repro.trajectory.nn import (
     knn_indicator,
     nn_indicator,
 )
-from tests.conftest import make_paper_example_db, make_random_world
-from tests.core.test_statistical_validation import TOPOLOGIES
+from tests.conftest import make_paper_example_db
+from tests.oracles import (
+    loop_distance_tensor,
+    partition_indicator,
+    reference_sample_paths,
+    world_major_distances,
+)
+from tests.oracles.shapes import REQUEST_SHAPES as CASES
+from tests.oracles.shapes import STAGGERED_IDS as IDS
+from tests.oracles.shapes import TOPOLOGIES
+from tests.oracles.shapes import staggered_db as _db
 
-pytestmark = pytest.mark.fused_parity
+pytestmark = pytest.mark.oracles
 
 N = 96
 Q = Query.from_point([4.0, 6.0])
@@ -51,44 +60,11 @@ def _world_minor(arr, world_axis=0):
     return arr.strides[world_axis] == arr.itemsize
 
 
-def _db():
-    """Seven objects: four over tics 0–12, a twin of the first (same fixes,
-    so the two are sampled into one state wherever they are observed —
-    exact ties), one early (0–5) and one late (6–14) mover."""
-    db, rng = make_random_world(seed=31, n_states=12, n_objects=4, span=12, obs_every=4)
-    first = db.get("o0")
-    db.add_object("twin", first.observations.as_pairs())
-    for name, start, length in (("early", 0, 5), ("late", 6, 8)):
-        walk = [int(rng.integers(db.space.n_states))]
-        for _ in range(length):
-            nxt, probs = db.chain.successors(walk[-1], 0)
-            walk.append(int(rng.choice(nxt, p=probs)))
-        db.add_object(
-            name, [(start + i, walk[i]) for i in range(0, length + 1, length)]
-        )
-    return db
-
-
-IDS = ["o0", "o1", "o2", "o3", "twin", "early", "late"]
-
-#: name -> (object ids, times): the request shapes of the issue.
-CASES = {
-    "full_grid": (["o0", "o1", "o2", "o3", "twin"], (3, 4, 5, 6, 7)),
-    "partly_alive": (IDS, (3, 4, 5, 6, 7, 8)),
-    "single_tic": (IDS, (4,)),
-    "sparse_times": (IDS, (1, 4, 8, 11)),
-    "duplicate_id": (["o0", "late", "o1", "o0"], (4, 5, 6, 7)),
-    "all_dead_tic": (IDS, (11, 12, 13, 14, 20)),
-    "nobody_alive": (IDS, (20, 21)),
-}
-
 #: name -> engine kwargs.  ``standalone`` is the ad-hoc path (fresh worlds
 #: per call, straight from the arena), the others keep their worlds cached.
 ENGINES = {
     "standalone": {},
     "shared": {"reuse_worlds": True},
-    "loop": {"reuse_worlds": True, "fused": False},
-    "reference": {"reuse_worlds": True, "backend": "reference"},
     "native": {"backend": "native"},
     "native_shared": {"backend": "native", "reuse_worlds": True},
 }
@@ -114,38 +90,6 @@ def sweeps(monkeypatch):
     return calls
 
 
-# --------------------------------------------------------------------------
-# the world-major oracle: the kernels this memory order replaced
-# --------------------------------------------------------------------------
-def _oracle_distances(space, q_coords, times, alive, states, n=N):
-    """``dist[w, o, t]`` by the deleted tile/scatter kernel.
-
-    ``states[i]`` is the C-ordered ``(n, alive tics)`` block of the i-th
-    object that is alive at all.
-    """
-    live_cols = np.flatnonzero(alive.any(axis=1))
-    dist = np.full((n, alive.shape[0], times.size), np.inf)
-    if live_cols.size == 0:
-        return dist
-    flat_alive = np.flatnonzero(alive[live_cols].ravel())
-    col_index = live_cols[flat_alive // times.size]
-    time_index = flat_alive % times.size
-    diff = space.coords[None, :, :] - q_coords[:, None, :]
-    per_state = np.sqrt(np.sum(diff * diff, axis=-1))  # (T, S)
-    packed = np.concatenate(states, axis=1)  # (n, total columns)
-    assert packed.flags.c_contiguous
-    dist[:, col_index, time_index] = per_state[time_index, packed]
-    return dist
-
-
-def _oracle_indicator(dist, k):
-    """The ``np.partition`` form of the kNN indicator, on any ``k``."""
-    if k >= dist.shape[1]:
-        return np.isfinite(dist)
-    kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k, :]
-    return (dist <= kth) & np.isfinite(dist)
-
-
 def _sampled_states(engine, sweeps, db, ids, times):
     """World-major copies of the states behind the engine's last tensor."""
     alive = db.alive_matrix(ids, times)
@@ -156,7 +100,7 @@ def _sampled_states(engine, sweeps, db, ids, times):
     }
     states = []
     for col in np.flatnonzero(alive.any(axis=1)):
-        seg = engine.worlds.peek((ids[col], N, engine.backend))
+        seg = engine.worlds.peek((ids[col], N))
         t_first, paths = (seg.t_first, seg.states) if seg is not None else drawn[ids[col]]
         states.append(np.ascontiguousarray(paths[:, times[alive[col]] - t_first]))
     return alive, states
@@ -173,8 +117,6 @@ class TestByteIdentityWithWorldMajorOracle:
         ids, times = CASES[case]
         times = np.asarray(times, dtype=np.intp)
         engine = _engine(kind, db)
-        if case == "duplicate_id" and not engine.reuse_worlds:
-            pytest.skip("the unshared loop path keeps no states to compare with")
         dist = engine.distance_tensor(ids, Q, times)
         assert dist.shape == (N, len(ids), times.size)
         assert dist.dtype == np.float64
@@ -182,14 +124,14 @@ class TestByteIdentityWithWorldMajorOracle:
         assert dist.transpose(1, 2, 0).flags.c_contiguous
 
         alive, states = _sampled_states(engine, sweeps, db, ids, times)
-        want = _oracle_distances(db.space, Q.coords_at(times), times, alive, states)
+        want = world_major_distances(db.space, Q.coords_at(times), times, alive, states, N)
         assert want.flags.c_contiguous
         assert np.array_equal(dist, want)
         assert np.array_equal(np.isinf(dist), ~np.broadcast_to(alive, dist.shape))
 
         for k in (1, 2, 3, len(ids) + 1):
             got = knn_indicator(dist, k)
-            ref = _oracle_indicator(want, k)
+            ref = partition_indicator(want, k)
             assert got.dtype == ref.dtype == np.bool_
             assert np.array_equal(got, ref), k
             for prob, reduce in (
@@ -220,7 +162,7 @@ class TestByteIdentityWithWorldMajorOracle:
     def test_distance_table_in_any_dimension(self, kind, ndim):
         """The per-(tic, state) table is built dimension-major where a norm
         has at most one addition (d <= 2) and in ``np.sum``'s own order
-        beyond; either way it is the per-object path's arithmetic."""
+        beyond; either way it is the per-object oracle's arithmetic."""
         from repro.statespace.base import StateSpace
         from repro.trajectory.database import TrajectoryDatabase
 
@@ -231,12 +173,12 @@ class TestByteIdentityWithWorldMajorOracle:
             db.add_object(obj.object_id, obj.observations.as_pairs())
         q = Query.from_point(np.full(ndim, 5.0))
         times = np.arange(3, 9)
-        fused = _engine(kind, db).distance_tensor(IDS, q, times)
-        loop = _engine("loop", db).distance_tensor(IDS, q, times)
+        engine = _engine(kind, db)
+        fused = engine.distance_tensor(IDS, q, times)
         assert np.isfinite(fused).any()
-        assert np.array_equal(fused, loop)
+        assert np.array_equal(fused, loop_distance_tensor(engine, IDS, q, times))
 
-    @pytest.mark.parametrize("kind", ["shared", "loop", "native_shared"])
+    @pytest.mark.parametrize("kind", ["shared", "native_shared"])
     def test_reverse_tensors_match_the_forward_block(self, kind):
         """The reverse direction reads the same worlds through the same
         order: its query distances are the forward tensor, bit for bit."""
@@ -309,20 +251,19 @@ class TestSamplerHandsOutItsSweepOrder:
                 assert np.array_equal(dest, ref)
 
     def test_small_draw_path_per_object_sampler(self):
-        """``CompiledModel.sample_paths`` and the reference walk — what the
-        engine uses under ``FUSED_DRAW_THRESHOLD`` and for the oracle
-        backend — hand out the same order."""
+        """``CompiledModel.sample_paths`` — what the engine uses under
+        ``FUSED_DRAW_THRESHOLD`` — and the reference walk hand out the
+        same order."""
         obj = _db().get("o1")
-        for backend in ("compiled", "reference"):
-            paths = obj.adapted.sample_paths(
-                np.random.default_rng(3), N, 2, 9, backend=backend
-            )
+        for name, sample in (
+            ("compiled", obj.adapted.sample_paths),
+            ("reference", lambda *args, **kw: reference_sample_paths(obj.adapted, *args, **kw)),
+        ):
+            paths = sample(np.random.default_rng(3), N, 2, 9)
             assert paths.shape == (N, 8)
-            assert _world_minor(paths), backend
-            resumed = obj.adapted.sample_paths(
-                np.random.default_rng(4), N, 9, 11, backend=backend, start_states=paths[:, -1]
-            )
-            assert _world_minor(resumed), backend
+            assert _world_minor(paths), name
+            resumed = sample(np.random.default_rng(4), N, 9, 11, start_states=paths[:, -1])
+            assert _world_minor(resumed), name
         sparse = obj.sample_states(np.array([1, 4, 9]), N, np.random.default_rng(5))
         assert sparse.shape == (N, 3) and _world_minor(sparse)
 
@@ -337,13 +278,13 @@ class TestWorldCacheKeepsTheOrder:
         (requests, outputs), = sweeps
         assert len(requests) == len(IDS) > engine.FUSED_DRAW_THRESHOLD
         for req, paths in zip(requests, outputs):
-            seg = engine.worlds.peek((req.object_id, N, engine.backend))
+            seg = engine.worlds.peek((req.object_id, N))
             assert _world_minor(seg.states), req.object_id
             assert np.shares_memory(paths, seg.states)
             assert seg.states.shape == paths.shape
 
     @pytest.mark.parametrize("ids", [IDS, ["o0", "o1"]], ids=["arena", "small_draw"])
-    @pytest.mark.parametrize("kind", ["shared", "loop", "reference", "native_shared"])
+    @pytest.mark.parametrize("kind", ["shared", "native_shared"])
     def test_forward_extensions_append_rows(self, kind, ids):
         """Three growing windows: a fresh draw and two forward extensions,
         through the fused sweep (7 draws) and the per-object path under
@@ -357,7 +298,7 @@ class TestWorldCacheKeepsTheOrder:
         one_shot = _engine(kind, db)
         one_shot.distance_tensor(ids, Q, np.arange(2, 11))
         for oid in ids:
-            key = (oid, N, engine.backend)
+            key = (oid, N)
             seg, ref = engine.worlds.peek(key), one_shot.worlds.peek(key)
             assert _world_minor(seg.states), (oid, seg.states.strides)
             assert seg.states.T.flags.c_contiguous
@@ -369,7 +310,7 @@ class TestWorldCacheKeepsTheOrder:
         db = _db()
         engine = _engine("shared", db)
         engine.distance_tensor(IDS, Q, np.arange(1, 12))
-        seg = engine.worlds.peek(("o1", N, "compiled"))
+        seg = engine.worlds.peek(("o1", N))
         window = seg.slice(np.arange(3, 9))
         assert np.shares_memory(window, seg.states)  # contiguous: a view
         assert _world_minor(window)
@@ -459,7 +400,7 @@ class TestOneNearestPredicate:
         dist[:, :, 0] = np.where(seed % 2, np.inf, dist[:, :, 0])  # an all-dead tic
         for arr in (dist, np.ascontiguousarray(dist.transpose(1, 2, 0)).transpose(2, 0, 1)):
             for k in (1, 2, shape[1]):
-                assert np.array_equal(knn_indicator(arr, k), _oracle_indicator(dist, k))
+                assert np.array_equal(knn_indicator(arr, k), partition_indicator(dist, k))
 
     def _fixture_tensors(self):
         for name, (build_db, build_q, times) in sorted(TOPOLOGIES.items()):

@@ -9,9 +9,9 @@ for the fixed seeds below every assertion holds with overwhelming margin
 distribution — a wrong RNG-consumption change, a window off-by-one, or a
 biased resume path shows up as a bound violation, not a flaky test.
 
-Every topology runs the full matrix: both sampling backends × both
-full-span and window-restricted world sampling (the cache contract under
-test in this PR).  The weekly CI cron re-runs the suite with
+Every topology runs on the default engine and, where the C tier builds,
+on ``backend="native"``; worlds are drawn over the requested window only
+(the cache contract).  The weekly CI cron re-runs the suite with
 ``STATVAL_SCALE=10`` — ten times the samples, a √10-tighter radius.
 """
 
@@ -27,14 +27,8 @@ from repro.core.exact import (
     exact_nn_probabilities,
     exact_reverse_nn_probabilities,
 )
-from repro.core.queries import Query, QueryRequest
-from repro.trajectory.database import TrajectoryDatabase
-from tests.conftest import (
-    make_drift_chain,
-    make_line_space,
-    make_paper_example_db,
-    make_random_world,
-)
+from repro.core.queries import QueryRequest
+from tests.oracles.shapes import BACKENDS, TOPOLOGIES
 
 SCALE = int(os.environ.get("STATVAL_SCALE", "1"))
 N_SAMPLES = 4_000 * SCALE
@@ -43,35 +37,7 @@ N_SAMPLES = 4_000 * SCALE
 DELTA = 1e-7
 EPS = confidence_radius(N_SAMPLES, DELTA)
 
-BACKENDS = ["compiled", "reference"]
-WINDOW_MODES = [True, False]
-
-
-def _drift_db():
-    db = TrajectoryDatabase(make_line_space(4), make_drift_chain())
-    db.add_object("a", [(0, 0), (4, 2)])
-    db.add_object("b", [(0, 1), (4, 3)])
-    return db
-
-
-def _random_db():
-    db, _ = make_random_world(
-        seed=3, n_states=6, n_objects=2, span=4, obs_every=2
-    )
-    return db
-
-
-#: name -> (db builder, query, query times).  Times are strict sub-windows
-#: of the object spans wherever the topology allows, so the
-#: window-restricted runs genuinely sample less than the full span.
-TOPOLOGIES = {
-    "drift": (_drift_db, lambda: Query.from_point([0.0, 0.0]), (1, 2, 3)),
-    "paper": (make_paper_example_db, lambda: Query.from_point([0.0, 0.0]), (2, 3)),
-    "random": (_random_db, lambda: Query.from_point([5.0, 5.0]), (1, 2, 3)),
-}
-
-
-def _engine(db, backend, window_restrict, seed):
+def _engine(db, backend, seed):
     # reuse_worlds routes standalone queries through the shared world cache
     # — the code path whose window semantics this suite certifies.
     return QueryEngine(
@@ -80,21 +46,19 @@ def _engine(db, backend, window_restrict, seed):
         seed=seed,
         backend=backend,
         reuse_worlds=True,
-        window_restrict=window_restrict,
     )
 
 
-@pytest.mark.parametrize("window_restrict", WINDOW_MODES)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 class TestForallExistsAgainstExactOracle:
     def test_nn_probabilities_within_hoeffding_radius(
-        self, topology, backend, window_restrict
+        self, topology, backend
     ):
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         exact = exact_nn_probabilities(db, q, times)
-        est = _engine(db, backend, window_restrict, seed=101).nn_probabilities(
+        est = _engine(db, backend, seed=101).nn_probabilities(
             q, times
         )
         assert set(est) == set(exact)
@@ -108,7 +72,7 @@ class TestForallExistsAgainstExactOracle:
             )
 
     def test_batched_sliding_windows_within_hoeffding_radius(
-        self, topology, backend, window_restrict
+        self, topology, backend
     ):
         """Each sliding sub-window of a batch — sampled from one shared,
         possibly forward-grown world set — matches the exact oracle for
@@ -116,10 +80,10 @@ class TestForallExistsAgainstExactOracle:
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         windows = [times[:-1], times[1:], times]
-        engine = _engine(db, backend, window_restrict, seed=202)
+        engine = _engine(db, backend, seed=202)
         requests = [QueryRequest(q, w, "forall") for w in windows]
         requests += [QueryRequest(q, w, "exists") for w in windows]
-        out = engine.batch_query(requests)
+        out = engine.evaluate_many(requests)
         for req, res in zip(requests, out):
             exact = exact_nn_probabilities(db, q, req.times)
             idx = 0 if req.mode == "forall" else 1
@@ -130,19 +94,18 @@ class TestForallExistsAgainstExactOracle:
                 )
 
 
-@pytest.mark.parametrize("window_restrict", WINDOW_MODES)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("topology", ["drift", "paper"])
 class TestPCNNAgainstExactOracle:
     TAU = 0.05
 
     def test_mined_timestamp_sets_within_hoeffding_radius(
-        self, topology, backend, window_restrict
+        self, topology, backend
     ):
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         tables = exact_forall_nn_over_times(db, q, times)
-        engine = _engine(db, backend, window_restrict, seed=303)
+        engine = _engine(db, backend, seed=303)
         result = engine.continuous_nn(q, times, tau=self.TAU)
 
         seen: dict[tuple[str, tuple[int, ...]], float] = {}
@@ -171,7 +134,6 @@ class TestPCNNAgainstExactOracle:
                     )
 
 
-@pytest.mark.parametrize("window_restrict", WINDOW_MODES)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 class TestKnnDepthAgainstExactOracle:
@@ -180,12 +142,12 @@ class TestKnnDepthAgainstExactOracle:
     pipeline's statistical contract unchanged."""
 
     def test_k2_raw_probabilities_within_hoeffding_radius(
-        self, topology, backend, window_restrict
+        self, topology, backend
     ):
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         exact = exact_nn_probabilities(db, q, times, k=2)
-        raw = _engine(db, backend, window_restrict, seed=404).evaluate(
+        raw = _engine(db, backend, seed=404).evaluate(
             QueryRequest(q, times, "raw", k=2)
         )
         assert set(raw.forall) == set(exact)
@@ -200,7 +162,6 @@ class TestKnnDepthAgainstExactOracle:
             )
 
 
-@pytest.mark.parametrize("window_restrict", WINDOW_MODES)
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("topology", sorted(TOPOLOGIES))
 class TestReverseNNAgainstExactOracle:
@@ -209,12 +170,12 @@ class TestReverseNNAgainstExactOracle:
 
     @pytest.mark.parametrize("k", [1, 2])
     def test_reverse_probabilities_within_hoeffding_radius(
-        self, topology, backend, window_restrict, k
+        self, topology, backend, k
     ):
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         exact = exact_reverse_nn_probabilities(db, q, np.asarray(times), k=k)
-        res = _engine(db, backend, window_restrict, seed=505).evaluate(
+        res = _engine(db, backend, seed=505).evaluate(
             QueryRequest(q, times, "reverse_nn", k=k)
         )
         assert set(res.probabilities) == set(exact)

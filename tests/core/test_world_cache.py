@@ -1,9 +1,9 @@
-"""World-cache correctness: reuse, epochs, staleness, backend parity.
+"""World-cache correctness: reuse, epochs, staleness, oracle parity.
 
 Covers the engine-level guarantees of the compiled-sampling refactor:
 batched queries sample each object at most once per draw epoch, database
-mutations invalidate both the UST-tree and the world cache, and the two
-sampling backends produce bit-identical query results for one seed.
+mutations invalidate both the UST-tree and the world cache, and every
+refinement is the per-object row-dict loop's, bit for bit.
 """
 
 import numpy as np
@@ -13,6 +13,7 @@ from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query, QueryRequest
 from repro.core.results import PCNNResult, QueryResult
 from tests.conftest import make_drift_chain, make_line_space, make_random_world
+from tests.oracles import checking_distances
 from repro.trajectory.database import TrajectoryDatabase
 
 
@@ -29,7 +30,7 @@ class TestBatchQueryReuse:
         requests = [
             QueryRequest(q, tuple(range(t, t + 3)), "forall") for t in range(6)
         ]
-        results = engine.batch_query(requests)
+        results = engine.evaluate_many(requests)
         assert len(results) == len(requests)
         # The sampler-call counter: at most one sampler invocation per
         # object per draw epoch, no matter how many windows touched it.
@@ -41,38 +42,30 @@ class TestBatchQueryReuse:
         the requested times clamped to its span, not the full span."""
         engine = QueryEngine(world, n_samples=50, seed=21)
         q = Query.from_point([5.0, 5.0])
-        engine.batch_query([QueryRequest(q, (2, 3)), QueryRequest(q, (3, 4))])
+        engine.evaluate_many([QueryRequest(q, (2, 3)), QueryRequest(q, (3, 4))])
         segments = [
-            engine.worlds.peek((o.object_id, 50, "compiled")) for o in world
+            engine.worlds.peek((o.object_id, 50)) for o in world
         ]
         segments = [s for s in segments if s is not None]
         assert segments, "batch should have populated the cache"
         for seg in segments:
             assert seg.t_first >= 2 and seg.t_last <= 4
-        # Full-span ablation: same batch on a window_restrict=False engine
-        # covers each object's whole adapted span.
-        full = QueryEngine(world, n_samples=50, seed=21, window_restrict=False)
-        full.batch_query([QueryRequest(q, (2, 3)), QueryRequest(q, (3, 4))])
-        for obj in world:
-            seg = full.worlds.peek((obj.object_id, 50, "compiled"))
-            if seg is not None:
-                assert (seg.t_first, seg.t_last) == (obj.t_first, obj.t_last)
 
     def test_second_batch_resamples_by_default(self, world):
         engine = QueryEngine(world, n_samples=100, seed=2)
         q = Query.from_point([5.0, 5.0])
         reqs = [QueryRequest(q, (1, 2, 3))]
-        engine.batch_query(reqs)
+        engine.evaluate_many(reqs)
         first = engine.sampler_calls
-        engine.batch_query(reqs)
+        engine.evaluate_many(reqs)
         assert engine.sampler_calls > first  # fresh epoch, fresh worlds
 
     def test_batch_can_extend_previous_epoch(self, world):
         engine = QueryEngine(world, n_samples=100, seed=2)
         q = Query.from_point([5.0, 5.0])
-        engine.batch_query([QueryRequest(q, (1, 2, 3))])
+        engine.evaluate_many([QueryRequest(q, (1, 2, 3))])
         first = engine.sampler_calls
-        engine.batch_query([QueryRequest(q, (2, 3, 4))], refresh_worlds=False)
+        engine.evaluate_many([QueryRequest(q, (2, 3, 4))], refresh_worlds=False)
         assert engine.sampler_calls == first  # same epoch: no full redraw
         # The shifted window grew each cached segment forward — a partial
         # hit (resumed draw), counted as neither hit nor miss.
@@ -85,9 +78,9 @@ class TestBatchQueryReuse:
         engine = QueryEngine(world, n_samples=300, seed=13)
         q = Query.from_point([5.0, 5.0])
         reqs = [QueryRequest(q, (1, 2, 3)), QueryRequest(q, (2, 3, 4))]
-        first = engine.batch_query(reqs)
+        first = engine.evaluate_many(reqs)
         engine.forall_nn(q, [1, 2])  # interleaved one-off: bumps the epoch
-        second = engine.batch_query(reqs, refresh_worlds=False)
+        second = engine.evaluate_many(reqs, refresh_worlds=False)
         for a, b in zip(first, second):
             assert a.probabilities == b.probabilities
 
@@ -109,9 +102,9 @@ class TestBatchQueryReuse:
         q = Query.from_point([5.0, 5.0])
         # Establish a batch epoch, then interleave a standalone query so the
         # held batch below really does run against a previously-used epoch.
-        engine.batch_query([QueryRequest(q, (2, 3, 4))])
+        engine.evaluate_many([QueryRequest(q, (2, 3, 4))])
         engine.forall_nn(q, [2, 3, 4])
-        out = engine.batch_query(
+        out = engine.evaluate_many(
             [
                 QueryRequest(q, (2, 3)),
                 QueryRequest(q, (1, 2, 3, 4, 5)),
@@ -131,11 +124,11 @@ class TestBatchQueryReuse:
         engine = QueryEngine(world, n_samples=200, seed=15, reuse_worlds=True)
         q = Query.from_point([5.0, 5.0])
         r1 = engine.forall_nn(q, [2, 3])
-        engine.batch_query([QueryRequest(q, (2, 3, 4))])  # default: no refresh
+        engine.evaluate_many([QueryRequest(q, (2, 3, 4))])  # default: no refresh
         assert engine.worlds.partial_hits > 0  # forward extension, no redraw
         r2 = engine.forall_nn(q, [2, 3])
         assert r1.probabilities == r2.probabilities
-        engine.batch_query([QueryRequest(q, (2, 3, 4))], refresh_worlds=True)
+        engine.evaluate_many([QueryRequest(q, (2, 3, 4))], refresh_worlds=True)
         r3 = engine.forall_nn(q, [2, 3])
         assert r3.n_samples == r1.n_samples  # explicit refresh allowed, runs fine
 
@@ -148,7 +141,7 @@ class TestBatchQueryReuse:
         engine.forall_nn(q, [2, 3])
         misses = engine.worlds.misses
         partial = engine.worlds.partial_hits
-        engine.batch_query([QueryRequest(q, (1, 2, 3))])  # backward: redraw
+        engine.evaluate_many([QueryRequest(q, (1, 2, 3))])  # backward: redraw
         assert engine.worlds.misses > misses
         assert engine.worlds.partial_hits == partial
 
@@ -157,16 +150,16 @@ class TestBatchQueryReuse:
         rewind an explicit new_draw_epoch() to the previous batch's epoch."""
         engine = QueryEngine(world, n_samples=200, seed=16, reuse_worlds=True)
         q = Query.from_point([5.0, 5.0])
-        engine.batch_query([QueryRequest(q, (1, 2, 3))])
+        engine.evaluate_many([QueryRequest(q, (1, 2, 3))])
         e_before = engine.draw_epoch
         engine.new_draw_epoch()
-        engine.batch_query([QueryRequest(q, (1, 2, 3))])  # default policy
+        engine.evaluate_many([QueryRequest(q, (1, 2, 3))])  # default policy
         assert engine.draw_epoch > e_before  # not rewound to the stale epoch
 
     def test_mixed_modes_share_worlds(self, world):
         engine = QueryEngine(world, n_samples=150, seed=3)
         q = Query.from_point([5.0, 5.0])
-        out = engine.batch_query(
+        out = engine.evaluate_many(
             [
                 QueryRequest(q, (1, 2, 3), "forall"),
                 QueryRequest(q, (1, 2, 3), "exists"),
@@ -184,13 +177,13 @@ class TestBatchQueryReuse:
     def test_tuple_requests_coerced(self, world):
         engine = QueryEngine(world, n_samples=50, seed=4)
         q = Query.from_point([5.0, 5.0])
-        out = engine.batch_query([(q, (1, 2)), (q, (2, 3), "exists")])
+        out = engine.evaluate_many([(q, (1, 2)), (q, (2, 3), "exists")])
         assert all(isinstance(r, QueryResult) for r in out)
 
     def test_empty_batch_returns_empty_without_epoch_churn(self, world):
         engine = QueryEngine(world, n_samples=50, seed=17, reuse_worlds=True)
         epoch = engine.draw_epoch
-        assert engine.batch_query([]) == []
+        assert engine.evaluate_many([]) == []
         assert engine.draw_epoch == epoch  # no held worlds dropped
 
     def test_bad_mode_rejected(self, world):
@@ -224,38 +217,34 @@ class TestEpochSemantics:
     def test_determinism_across_engines(self, world):
         q = Query.from_point([5.0, 5.0])
         reqs = [QueryRequest(q, tuple(range(t, t + 3))) for t in range(4)]
-        r1 = QueryEngine(world, n_samples=300, seed=9).batch_query(reqs)
-        r2 = QueryEngine(world, n_samples=300, seed=9).batch_query(reqs)
+        r1 = QueryEngine(world, n_samples=300, seed=9).evaluate_many(reqs)
+        r2 = QueryEngine(world, n_samples=300, seed=9).evaluate_many(reqs)
         for a, b in zip(r1, r2):
             assert a.probabilities == b.probabilities
 
 
-class TestBackendParityAtQueryLevel:
-    """Same seed + fixed database ⇒ bit-identical QueryResult probabilities."""
+class TestOracleParityAtQueryLevel:
+    """Same seed + fixed database ⇒ the worlds a query counts over are the
+    per-object row-dict loop's (``tests.oracles.loop_distance_tensor``)."""
 
-    def test_forall_probabilities_bit_identical(self, world):
+    def test_forall_refinement_bit_identical(self, world):
         q = Query.from_point([5.0, 5.0])
-        res_c = QueryEngine(world, n_samples=400, seed=11).forall_nn(q, [1, 2, 3])
-        res_r = QueryEngine(
-            world, n_samples=400, seed=11, backend="reference"
-        ).forall_nn(q, [1, 2, 3])
-        assert res_c.probabilities == res_r.probabilities
+        engine = QueryEngine(world, n_samples=400, seed=11)
+        with checking_distances(engine) as checked:
+            assert engine.forall_nn(q, [1, 2, 3]).probabilities
+        assert len(checked) == 1
 
-    def test_pcnn_entries_bit_identical(self, world):
+    def test_pcnn_refinement_bit_identical(self, world):
         q = Query.from_point([5.0, 5.0])
-        res_c = QueryEngine(world, n_samples=300, seed=12).continuous_nn(
-            q, [1, 2, 3, 4], tau=0.2
-        )
-        res_r = QueryEngine(
-            world, n_samples=300, seed=12, backend="reference"
-        ).continuous_nn(q, [1, 2, 3, 4], tau=0.2)
-        assert [(e.object_id, e.times, e.probability) for e in res_c.entries] == [
-            (e.object_id, e.times, e.probability) for e in res_r.entries
-        ]
+        engine = QueryEngine(world, n_samples=300, seed=12)
+        with checking_distances(engine) as checked:
+            assert engine.continuous_nn(q, [1, 2, 3, 4], tau=0.2).entries
+        assert len(checked) == 1
 
-    def test_unknown_backend_rejected(self, world):
+    @pytest.mark.parametrize("backend", ["quantum", "reference"])
+    def test_unknown_backend_rejected(self, world, backend):
         with pytest.raises(ValueError, match="backend"):
-            QueryEngine(world, n_samples=10, seed=0, backend="quantum")
+            QueryEngine(world, n_samples=10, seed=0, backend=backend)
 
 
 class TestStaleWorldRegression:
@@ -289,12 +278,12 @@ class TestStaleWorldRegression:
         assert np.allclose(dist, 2.0)
         assert res.n_samples == 2000
 
-    def test_add_observation_invalidates_worlds_without_incremental(self, db):
-        """incremental=False keeps the classic wholesale semantics: the
-        mutation rebuilds the index and flushes every cached world."""
-        engine = QueryEngine(
-            db, n_samples=500, seed=0, reuse_worlds=True, incremental=False
-        )
+    def test_add_observation_invalidates_worlds_past_the_mutation_log(self, db):
+        """A mutation the log cannot name (``MUTATION_LOG_LIMIT`` exceeded)
+        keeps the classic wholesale semantics: the index is rebuilt and
+        every cached world flushed."""
+        db.MUTATION_LOG_LIMIT = 0
+        engine = QueryEngine(db, n_samples=500, seed=0, reuse_worlds=True)
         q = Query.from_point([0.0, 0.0])
         engine.forall_nn(q, [2])
         misses = engine.worlds.misses
@@ -323,17 +312,17 @@ class TestStaleWorldRegression:
         q = Query.from_point([0.0, 0.0])
         engine.forall_nn(q, [1])
         assert engine.worlds.stamp == (engine.worlds_token, engine.draw_epoch)
-        # A selective (incremental) invalidation keeps the token: only the
+        # A selective invalidation keeps the token: only the
         # mutated object's entry is dropped, the stamp stays valid.
         db.add_observation("a", 2, 1)
         engine.forall_nn(q, [1])
         assert engine.worlds.stamp == (engine.worlds_token, engine.draw_epoch)
         assert engine.worlds_token == 0
-        # A wholesale flush (incremental=False) advances the token instead.
-        blunt = QueryEngine(
-            db, n_samples=50, seed=2, reuse_worlds=True, incremental=False
-        )
+        # A wholesale flush (the log cannot name the delta) advances the
+        # token instead.
+        blunt = QueryEngine(db, n_samples=50, seed=2, reuse_worlds=True)
         blunt.forall_nn(q, [1])
+        db.MUTATION_LOG_LIMIT = 0
         db.add_observation("a", 3, 2)
         blunt.forall_nn(q, [1])
         assert blunt.worlds_token == 1
@@ -345,11 +334,11 @@ class TestStaleWorldRegression:
         contents *and* the same parked RNG stream — unlike a full flush."""
         engine = QueryEngine(world, n_samples=80, seed=19)
         q = Query.from_point([5.0, 5.0])
-        engine.batch_query([QueryRequest(q, (2, 3, 4))])
+        engine.evaluate_many([QueryRequest(q, (2, 3, 4))])
         keys = [
-            (o.object_id, 80, "compiled")
+            (o.object_id, 80)
             for o in world
-            if engine.worlds.peek((o.object_id, 80, "compiled")) is not None
+            if engine.worlds.peek((o.object_id, 80)) is not None
         ]
         assert len(keys) >= 2
         victim, survivors = keys[0], keys[1:]

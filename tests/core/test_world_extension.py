@@ -2,8 +2,8 @@
 
 The window-restricted cache contract (see :mod:`repro.core.worlds`) rests on
 one bit-level invariant: a world grown forward across ``k`` batches is
-**identical** to sampling the union window in one shot, on either backend —
-the per-object RNG stream is consumed the same way no matter how the window
+**identical** to sampling the union window in one shot, by the sampler and
+by its row-dict oracle alike — the per-object RNG stream is consumed the same way no matter how the window
 was carved up.  These property-style tests drive random window sequences
 through both the raw resumable samplers and the full engine, and pin the
 backward-request fallback (fresh union redraw, never a splice).
@@ -15,8 +15,16 @@ import pytest
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query, QueryRequest
 from tests.conftest import make_random_world
+from tests.oracles import checking_distances, reference_sample_paths
+from tests.oracles.shapes import BACKENDS
 
-BACKENDS = ["compiled", "reference"]
+pytestmark = pytest.mark.oracles
+
+#: name -> ``sample(model, rng, n, t_start, t_end, start_states=None)``.
+SAMPLERS = {
+    "compiled": lambda model, *args, **kw: model.sample_paths(*args, **kw),
+    "reference": reference_sample_paths,
+}
 
 
 def _adapted_model(seed: int, span: int = 16):
@@ -33,26 +41,23 @@ def _random_cuts(rng: np.random.Generator, a: int, b: int, k: int) -> list[int]:
 class TestResumableSamplers:
     """Model-level: grown draws equal one-shot draws, stream-for-stream."""
 
-    @pytest.mark.parametrize("backend", BACKENDS)
+    @pytest.mark.parametrize("sampler", sorted(SAMPLERS))
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_grown_paths_bit_identical_to_one_shot(self, backend, seed):
+    def test_grown_paths_bit_identical_to_one_shot(self, sampler, seed):
+        sample = SAMPLERS[sampler]
         model = _adapted_model(seed)
         a, b = model.t_first, model.t_last
         rng = np.random.default_rng(1000 + seed)
         cuts = _random_cuts(rng, a, b, k=int(rng.integers(1, 4)))
         n = 64
 
-        one_shot = model.sample_paths(
-            np.random.default_rng(seed), n, a, b, backend=backend
-        )
+        one_shot = sample(model, np.random.default_rng(seed), n, a, b)
 
         grower = np.random.default_rng(seed)
         bounds = [a, *cuts, b]
-        parts = [model.sample_paths(grower, n, bounds[0], bounds[1], backend=backend)]
+        parts = [sample(model, grower, n, bounds[0], bounds[1])]
         for lo, hi in zip(bounds[1:], bounds[2:]):
-            grown = model.sample_paths(
-                grower, n, lo, hi, backend=backend, start_states=parts[-1][:, -1]
-            )
+            grown = sample(model, grower, n, lo, hi, start_states=parts[-1][:, -1])
             # First column echoes the resume states; keep the new tics only.
             assert np.array_equal(grown[:, 0], parts[-1][:, -1])
             parts.append(grown[:, 1:])
@@ -61,23 +66,20 @@ class TestResumableSamplers:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_backends_stay_in_lockstep_when_resumed(self, seed):
         """Compiled and reference resumable paths consume the stream
-        identically — resumed draws are bit-equal across backends."""
+        identically — resumed draws are bit-equal across the two."""
         model = _adapted_model(seed)
         a, b = model.t_first, model.t_last
         mid = (a + b) // 2
         n = 50
         out = {}
-        for backend in BACKENDS:
+        for name, sample in SAMPLERS.items():
             rng = np.random.default_rng(77 + seed)
-            head = model.sample_paths(rng, n, a, mid, backend=backend)
-            tail = model.sample_paths(
-                rng, n, mid, b, backend=backend, start_states=head[:, -1]
-            )
-            out[backend] = np.concatenate([head, tail[:, 1:]], axis=1)
+            head = sample(model, rng, n, a, mid)
+            tail = sample(model, rng, n, mid, b, start_states=head[:, -1])
+            out[name] = np.concatenate([head, tail[:, 1:]], axis=1)
         assert np.array_equal(out["compiled"], out["reference"])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_resume_rejects_states_outside_posterior_support(self, backend):
+    def test_resume_rejects_states_outside_posterior_support(self):
         model = _adapted_model(0)
         a = model.t_first
         bogus = np.full(8, 10_000, dtype=np.intp)
@@ -87,12 +89,10 @@ class TestResumableSamplers:
                 8,
                 a,
                 model.t_last,
-                backend=backend,
                 start_states=bogus,
             )
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_resume_rejects_wrong_shape(self, backend):
+    def test_resume_rejects_wrong_shape(self):
         model = _adapted_model(0)
         with pytest.raises(ValueError, match="shape"):
             model.sample_paths(
@@ -100,7 +100,6 @@ class TestResumableSamplers:
                 8,
                 model.t_first,
                 model.t_last,
-                backend=backend,
                 start_states=np.zeros(3, dtype=np.intp),
             )
 
@@ -147,10 +146,10 @@ class TestEngineGrowth:
 
         grown_engine, oneshot_engine = self._engines(db, backend, seed=42)
 
-        grown_results = grown_engine.batch_query([requests[0]])
+        grown_results = grown_engine.evaluate_many([requests[0]])
         for req in requests[1:]:
-            grown_results += grown_engine.batch_query([req], refresh_worlds=False)
-        oneshot_results = oneshot_engine.batch_query(requests)
+            grown_results += grown_engine.evaluate_many([req], refresh_worlds=False)
+        oneshot_results = oneshot_engine.evaluate_many(requests)
 
         for a, b in zip(grown_results, oneshot_results):
             assert a.probabilities == b.probabilities
@@ -158,7 +157,7 @@ class TestEngineGrowth:
         # The cached segments themselves are bit-identical, not just the
         # derived probabilities.
         for obj in db:
-            key = (obj.object_id, 150, backend)
+            key = (obj.object_id, 150)
             seg_a = grown_engine.worlds.peek(key)
             seg_b = oneshot_engine.worlds.peek(key)
             assert (seg_a is None) == (seg_b is None)
@@ -176,15 +175,13 @@ class TestEngineGrowth:
         q = Query.from_point([5.0, 5.0])
 
         engine, fresh = self._engines(db, backend, seed=7, n_samples=120)
-        engine.batch_query([QueryRequest(q, tuple(range(6, 10)), "forall")])
-        key = next(
-            (o.object_id, 120, backend) for o in db
-        )
+        engine.evaluate_many([QueryRequest(q, tuple(range(6, 10)), "forall")])
+        key = next((o.object_id, 120) for o in db)
         before = engine.worlds.peek(key).states.copy()
         misses_before = engine.worlds.misses
         partial_before = engine.worlds.partial_hits
 
-        engine.batch_query(
+        engine.evaluate_many(
             [QueryRequest(q, tuple(range(2, 10)), "forall")], refresh_worlds=False
         )
         seg = engine.worlds.peek(key)
@@ -198,21 +195,23 @@ class TestEngineGrowth:
 
         # Restart property: a same-seed engine asking for [2, 9] in its
         # first batch draws exactly these worlds.
-        fresh.batch_query([QueryRequest(q, tuple(range(2, 10)), "forall")])
+        fresh.evaluate_many([QueryRequest(q, tuple(range(2, 10)), "forall")])
         seg_fresh = fresh.worlds.peek(key)
         assert np.array_equal(seg.states, seg_fresh.states)
 
-    def test_growth_preserves_backend_parity_at_query_level(self):
-        """Growing across batches must keep compiled/reference parity: the
-        same request sequence yields identical probabilities on either."""
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_growth_preserves_oracle_parity_at_query_level(self, backend):
+        """Growing across batches must keep parity with the per-object
+        row-dict loop: every refinement of the request sequence — the
+        grown one and the backward redraw included — is the oracle's."""
         db = self._world(11)
         q = Query.from_point([5.0, 5.0])
-        results = {}
-        for be in BACKENDS:
-            engine = QueryEngine(db, n_samples=200, seed=3, backend=be)
-            out = engine.batch_query([QueryRequest(q, (2, 3, 4), "forall")])
-            out += engine.batch_query(
-                [QueryRequest(q, (4, 5, 6, 7), "forall")], refresh_worlds=False
-            )
-            results[be] = [r.probabilities for r in out]
-        assert results["compiled"] == results["reference"]
+        engine = QueryEngine(db, n_samples=200, seed=3, backend=backend)
+        with checking_distances(engine) as checked:
+            engine.evaluate_many([QueryRequest(q, (2, 3, 4), "forall")])
+            for times in ((4, 5, 6, 7), (5, 6), (1, 2, 3)):
+                engine.evaluate_many(
+                    [QueryRequest(q, times, "forall")], refresh_worlds=False
+                )
+        assert len(checked) == 4
+        assert engine.worlds.partial_hits > 0 and engine.worlds.hits > 0

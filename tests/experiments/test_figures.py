@@ -12,7 +12,6 @@ from repro.experiments.config import Scale
 from repro.experiments.figures import (
     ALL_EXPERIMENTS,
     ablation_pruning,
-    ablation_refinement,
     fig10_sampling,
     fig11_effectiveness,
     fig12_adaptation,
@@ -53,7 +52,6 @@ class TestRegistry:
         expected = {f"fig{n:02d}" for n in range(6, 15)}
         assert expected <= set(ALL_EXPERIMENTS)
         assert "ablation_pruning" in ALL_EXPERIMENTS
-        assert "ablation_refinement" in ALL_EXPERIMENTS
 
 
 @pytest.mark.parametrize("name", ["fig06", "fig07", "fig08", "fig09", "fig13"])
@@ -130,9 +128,3 @@ class TestAblations:
         panel = result.panels[0]
         refined = panel.series["objects refined"]
         assert refined[0] <= refined[1]  # with pruning <= without
-
-    def test_refinement_tightens_filters(self):
-        result = ablation_refinement(MICRO, seed=0)
-        panel = result.panels[0]
-        assert panel.series["|I(q)|"][1] <= panel.series["|I(q)|"][0]
-        assert panel.series["|C(q)|"][1] <= panel.series["|C(q)|"][0]

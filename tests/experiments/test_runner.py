@@ -24,7 +24,7 @@ class TestRunnerCLI:
             main(["--figure", "fig10", "--scale", "galactic"])
 
     def test_runs_one_experiment(self, capsys):
-        assert main(["--figure", "ablation_refinement", "--scale", "tiny"]) == 0
+        assert main(["--figure", "ablation_pruning", "--scale", "tiny"]) == 0
         out = capsys.readouterr().out
-        assert "ablation_refinement" in out
+        assert "ablation_pruning" in out
         assert "wall time" in out

@@ -4,9 +4,10 @@
 sweep per tic offset; ``compile_model`` reads the kernel's per-tic CSR
 directly.  Byte identity is the contract — not ``allclose``: every ``F(t)``
 row, posterior, forward marginal, compiled layer array and initial table
-must carry the bytes and dtypes of ``_reference_adapt`` (Algorithm 2 as one
-scipy sweep per object, kept in ``tests/stream/test_segment_reuse.py``) and
-of the per-row layer builder below, whatever the batch a segment rode in.
+must carry the bytes and dtypes of ``reference_adapt`` (Algorithm 2 as one
+scipy sweep per object) and of the per-row layer builder
+``reference_layer`` — both in ``tests/oracles/`` — whatever the batch a
+segment rode in.
 
 The trap is summation order: scipy's column sums are ``np.add.reduceat``
 (``x0 + pairwise(x[1:])``) while the three normalisers are ``ndarray.sum()``
@@ -29,11 +30,12 @@ from repro.markov.adaptation import (
 )
 from repro.markov.chain import InhomogeneousMarkovChain, MarkovChain
 from repro.markov.compiled import _DENSE_WIDTH_LIMIT
-from tests.stream.test_segment_reuse import (
-    _reference_adapt,
-    _same_array,
-    _same_distributions,
-    _same_transitions,
+from tests.oracles import (
+    reference_adapt,
+    reference_layer,
+    same_array,
+    same_distributions,
+    same_transitions,
 )
 
 pytestmark = pytest.mark.stream
@@ -41,51 +43,12 @@ pytestmark = pytest.mark.stream
 T_END = 48
 
 
-# ----------------------------------------------------------------------
-# oracles
-# ----------------------------------------------------------------------
-def _reference_layer(rows, next_support):
-    """One compiled timestep, built row by row (the pre-kernel builder)."""
-    support = np.array(sorted(rows), dtype=np.intp)
-    indptr = np.zeros(support.size + 1, dtype=np.intp)
-    successors, cdfs = [], []
-    for r, state in enumerate(support):
-        next_states, probs = rows[int(state)]
-        indptr[r + 1] = indptr[r] + next_states.size
-        successors.append(next_states)
-        cdfs.append(np.cumsum(probs))
-    local_next = np.searchsorted(next_support, np.concatenate(successors))
-    width = max(cdf.size for cdf in cdfs)
-    layer = {
-        "support": support,
-        "indptr": indptr,
-        "local_next": local_next,
-        "cdf_flat": np.concatenate(cdfs),
-        "entry_rows": np.repeat(np.arange(support.size, dtype=np.intp), np.diff(indptr)),
-        "cdf_dense": None,
-        "next_flat": None,
-        "aug": None,
-    }
-    if width <= _DENSE_WIDTH_LIMIT:
-        dense = np.full((support.size, width), np.inf)
-        padded = np.zeros((support.size, width + 1), dtype=np.intp)
-        for r, cdf in enumerate(cdfs):
-            lo, hi = indptr[r], indptr[r + 1]
-            dense[r, : hi - lo] = cdf
-            padded[r, : hi - lo] = local_next[lo:hi]
-            padded[r, hi - lo :] = local_next[hi - 1]
-        layer.update(cdf_dense=dense, next_flat=padded.ravel())
-    else:
-        layer["aug"] = np.concatenate([cdf + r for r, cdf in enumerate(cdfs)])
-    return layer
-
-
 def _check_against_reference(model, chain, observations, extend_to, context):
     assert isinstance(model, AdaptedModel), (context, model)
-    transitions, posteriors, forwards = _reference_adapt(chain, observations, extend_to)
-    _same_transitions(model.transitions, transitions, (*context, "F"))
-    _same_distributions(model.posteriors, posteriors, (*context, "posterior"))
-    _same_distributions(model.forwards, forwards, (*context, "forward"))
+    transitions, posteriors, forwards = reference_adapt(chain, observations, extend_to)
+    same_transitions(model.transitions, transitions, (*context, "F"))
+    same_distributions(model.posteriors, posteriors, (*context, "posterior"))
+    same_distributions(model.forwards, forwards, (*context, "forward"))
     if not all(
         np.isin(np.concatenate([row[0] for row in rows.values()]), posteriors[t + 1].states).all()
         for t, rows in transitions.items()
@@ -99,12 +62,12 @@ def _check_against_reference(model, chain, observations, extend_to, context):
     assert (compiled.t_first, compiled.t_last) == (min(posteriors), max(posteriors))
     for t, dist in posteriors.items():
         states, cdf = compiled.initial_table(t)
-        _same_array(states, dist.states, (*context, t, "initial states"))
-        _same_array(cdf, np.cumsum(dist.probs), (*context, t, "initial cdf"))
+        same_array(states, dist.states, (*context, t, "initial states"))
+        same_array(cdf, np.cumsum(dist.probs), (*context, t, "initial cdf"))
     for t, rows in transitions.items():
-        want = _reference_layer(rows, posteriors[t + 1].states)
+        want = reference_layer(rows, posteriors[t + 1].states)
         for name, array in want.items():
-            _same_array(getattr(compiled.layer(t), name), array, (*context, t, name))
+            same_array(getattr(compiled.layer(t), name), array, (*context, t, name))
 
 
 # ----------------------------------------------------------------------
@@ -276,7 +239,7 @@ def test_a_segment_is_the_same_whatever_batch_it_rides_in():
                     (*sum(a.layers, ()), *sum(a.posterior, ()), *sum(a.forward, ())),
                     (*sum(b.layers, ()), *sum(b.posterior, ()), *sum(b.forward, ())),
                 ):
-                    _same_array(x, y, (i, a.key))
+                    same_array(x, y, (i, a.key))
 
 
 def test_records_own_their_arrays():

@@ -12,7 +12,7 @@ import pytest
 from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from tests.conftest import make_random_world
 
-pytestmark = pytest.mark.fused_parity
+pytestmark = pytest.mark.oracles
 
 
 def _models(seed, n_objects=4, span=14, n_states=12, obs_every=5):

@@ -1,7 +1,7 @@
-"""Backend parity tests: compiled vs reference posterior sampling.
+"""Parity tests: compiled vs reference posterior sampling.
 
-The compiled backend must be a drop-in replacement for the legacy row-dict
-sampler: same RNG stream consumption, bit-identical paths for one seed, and
+The compiled sampler must be a drop-in replacement for the row-dict walk
+(``tests.oracles.reference_sample_paths``): same RNG stream consumption, bit-identical paths for one seed, and
 (therefore) statistically indistinguishable marginals when seeds differ.
 """
 
@@ -14,6 +14,9 @@ from repro.markov.adaptation import adapt_model
 from repro.markov.chain import MarkovChain
 from repro.markov.compiled import CompiledMatrix, _DENSE_WIDTH_LIMIT, compile_model
 from tests.conftest import make_drift_chain
+from tests.oracles import reference_sample_paths
+
+pytestmark = pytest.mark.oracles
 
 
 def make_random_chain(n_states: int, seed: int, density: float = 0.3) -> MarkovChain:
@@ -58,10 +61,6 @@ class TestCompileModel:
     def test_lazy_view_cached(self, random_model):
         assert random_model.compiled is random_model.compiled
 
-    def test_unknown_backend_rejected(self, drift_model):
-        with pytest.raises(ValueError, match="backend"):
-            drift_model.sample_paths(np.random.default_rng(0), 5, backend="turbo")
-
     def test_empty_transition_row_rejected(self, drift_model):
         import dataclasses
 
@@ -74,47 +73,45 @@ class TestCompileModel:
 
 
 class TestBitParity:
-    """Same seed ⇒ identical paths on either backend."""
+    """Same seed ⇒ identical paths from the sampler and its oracle."""
 
     @pytest.mark.parametrize("seed", range(5))
     def test_paths_bit_identical(self, random_model, seed):
         rng_c = np.random.default_rng(seed)
         rng_r = np.random.default_rng(seed)
-        paths_c = random_model.sample_paths(rng_c, 200, backend="compiled")
-        paths_r = random_model.sample_paths(rng_r, 200, backend="reference")
+        paths_c = random_model.sample_paths(rng_c, 200)
+        paths_r = reference_sample_paths(random_model, rng_r, 200)
         np.testing.assert_array_equal(paths_c, paths_r)
 
     def test_window_bit_identical(self, random_model):
         a = random_model.t_first + 1
         b = random_model.t_last - 1
-        paths_c = random_model.sample_paths(
-            np.random.default_rng(11), 100, a, b, backend="compiled"
-        )
-        paths_r = random_model.sample_paths(
-            np.random.default_rng(11), 100, a, b, backend="reference"
-        )
+        paths_c = random_model.sample_paths(np.random.default_rng(11), 100, a, b)
+        paths_r = reference_sample_paths(random_model, np.random.default_rng(11), 100, a, b)
         np.testing.assert_array_equal(paths_c, paths_r)
 
     def test_drift_model_bit_identical(self, drift_model):
         paths_c = drift_model.sample_paths(np.random.default_rng(2), 500)
-        paths_r = drift_model.sample_paths(
-            np.random.default_rng(2), 500, backend="reference"
-        )
+        paths_r = reference_sample_paths(drift_model, np.random.default_rng(2), 500)
         np.testing.assert_array_equal(paths_c, paths_r)
 
 
 class TestDistributionalParity:
     @pytest.mark.parametrize("backend", ["compiled", "reference"])
     def test_marginals_chi_squared(self, random_model, backend):
-        """Both backends' per-timestep marginals fit the analytic posterior.
+        """The sampler's and the oracle's per-timestep marginals fit the
+        analytic posterior.
 
         Goodness-of-fit against the exact posterior distribution per
         timestep (rare states pooled so expected counts stay above ~5); a
-        biased draw transform in either backend would fail many timesteps.
+        biased draw transform in either would fail many timesteps.
         """
         n = 3000
-        paths = random_model.sample_paths(
-            np.random.default_rng(100), n, backend=backend
+        rng = np.random.default_rng(100)
+        paths = (
+            random_model.sample_paths(rng, n)
+            if backend == "compiled"
+            else reference_sample_paths(random_model, rng, n)
         )
         failures = 0
         tested = 0
@@ -168,9 +165,7 @@ class TestWideRowFallback:
 
     def test_flat_parity_and_distribution(self, wide_model):
         paths_c = wide_model.sample_paths(np.random.default_rng(8), 3000)
-        paths_r = wide_model.sample_paths(
-            np.random.default_rng(8), 3000, backend="reference"
-        )
+        paths_r = reference_sample_paths(wide_model, np.random.default_rng(8), 3000)
         np.testing.assert_array_equal(paths_c, paths_r)
         # Uniform fan-out: every successor roughly equally likely at t=1.
         counts = np.bincount(paths_c[:, 1], minlength=wide_model.posterior(1).states.size)

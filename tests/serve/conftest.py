@@ -18,13 +18,6 @@ from tests.conftest import make_random_world
 
 SEED = 29
 
-#: (backend, fused, label) — the cross-shard lockstep matrix axis.
-ENGINE_VARIANTS = [
-    ("compiled", True, "compiled-fused"),
-    ("compiled", False, "compiled-loop"),
-    ("reference", False, "reference"),
-]
-
 
 def twin_db(seed: int = 11, **kwargs):
     """One deterministic database; call twice for a twin pair."""

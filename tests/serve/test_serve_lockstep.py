@@ -1,7 +1,7 @@
 """Cross-shard lockstep: sharded serving is bit-identical to one process.
 
 The tentpole correctness contract of ``repro.serve``: for shard counts
-{1, 2, 4}, both backends and fused on/off, a ``ServeCoordinator`` driven
+{1, 2, 4} and both backends, a ``ServeCoordinator`` driven
 by an event script produces byte-for-byte the notifications,
 probabilities and per-tick reuse counters of an unsharded
 ``ContinuousMonitor`` over the same seeded history.
@@ -15,8 +15,8 @@ from repro.core.evaluator import QueryEngine
 from repro.serve import ServeCoordinator, ShardFailure, shard_of
 from repro.stream.monitor import ContinuousMonitor, _result_payload
 
+from tests.oracles.shapes import BACKENDS
 from tests.serve.conftest import (
-    ENGINE_VARIANTS,
     SEED,
     assert_reports_identical,
     event_script,
@@ -29,15 +29,11 @@ pytestmark = pytest.mark.serve
 
 
 @pytest.mark.parametrize("n_shards", [1, 2, 4])
-@pytest.mark.parametrize(
-    "backend,fused",
-    [(b, f) for b, f, _ in ENGINE_VARIANTS],
-    ids=[label for _, _, label in ENGINE_VARIANTS],
-)
-def test_lockstep_matrix(n_shards, backend, fused):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_lockstep_matrix(n_shards, backend):
     db_a, db_b = twin_db(), twin_db()
     monitor = ContinuousMonitor(
-        QueryEngine(db_a, n_samples=120, seed=SEED, backend=backend, fused=fused)
+        QueryEngine(db_a, n_samples=120, seed=SEED, backend=backend)
     )
     with ServeCoordinator(
         db_b,
@@ -46,7 +42,6 @@ def test_lockstep_matrix(n_shards, backend, fused):
         mode="inline",
         n_samples=120,
         backend=backend,
-        fused=fused,
     ) as coord:
         for name, request in standard_subscriptions():
             monitor.subscribe(request, name=name)
@@ -56,14 +51,54 @@ def test_lockstep_matrix(n_shards, backend, fused):
         ):
             ra = monitor.tick(ev_a)
             rb = coord.tick(ev_b)
-            assert_reports_identical(
-                ra, rb, context=(n_shards, backend, fused, t)
-            )
+            assert_reports_identical(ra, rb, context=(n_shards, backend, t))
             # The serving report additionally carries per-shard timings.
             shard_keys = [
                 k for k in rb.stage_seconds if k.startswith("shard")
             ]
             assert shard_keys == [f"shard{s}" for s in range(n_shards)]
+
+
+def test_overflowed_log_syncs_wholesale_with_the_same_answers(monkeypatch):
+    """The wholesale fallback through its real trigger: with
+    ``MUTATION_LOG_LIMIT = 0`` the database can never name what a tick
+    touched, so every sync carries ``SyncShard(wholesale=True)`` and every
+    worker flushes — result payloads stay those of the default twin tick
+    by tick, at strictly more index rebuilds and world redraws."""
+    from repro.serve import engine as serve_engine
+
+    flags = []
+    sync_shard = serve_engine.SyncShard
+    monkeypatch.setattr(
+        serve_engine,
+        "SyncShard",
+        lambda wholesale: flags.append(wholesale) or sync_shard(wholesale=wholesale),
+    )
+    totals = {}
+    payloads = {}
+    for limit in (None, 0):
+        db = twin_db()
+        if limit is not None:
+            db.MUTATION_LOG_LIMIT = limit
+        flags.clear()
+        with ServeCoordinator(
+            db, n_shards=2, seed=SEED, mode="inline", n_samples=100
+        ) as coord:
+            for name, request in standard_subscriptions():
+                coord.subscribe(request, name=name)
+            reports = [coord.tick(events) for events in event_script(db)]
+        assert flags and all(flag is (limit == 0) for flag in flags), (limit, flags)
+        payloads[limit] = [
+            [(n.subscription, _result_payload(n.result)) for n in r.notifications]
+            for r in reports
+        ]
+        totals[limit] = {
+            key: sum(r.reuse[key] for r in reports)
+            for key in ("index_rebuilds", "cache_misses")
+        }
+    assert payloads[0] == payloads[None]
+    assert totals[0]["index_rebuilds"] > totals[None]["index_rebuilds"]
+    assert totals[0]["cache_misses"] > totals[None]["cache_misses"]
 
 
 def test_shard_count_is_invisible_to_results():

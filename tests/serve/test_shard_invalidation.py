@@ -39,7 +39,6 @@ def warm_coordinator():
         mode="inline",
         n_samples=N_SAMPLES,
         backend="compiled",
-        fused=True,
     ) as coord:
         for name, request in standard_subscriptions():
             coord.subscribe(request, name=name)

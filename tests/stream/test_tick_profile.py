@@ -105,19 +105,21 @@ class TestDirtyColumnAccounting:
         assert report.reuse["estimate_columns_refreshed"] == 1
         assert report.reuse["estimate_columns_reused"] == n_influencers - 1
 
-    def test_wholesale_oracle_counts_full_refreshes(self, world):
-        """The ``incremental=False`` lockstep oracle reports every column
-        as refreshed — the accounting that keeps quiet-tick reuse deltas
-        comparable between the two modes."""
-        engine = QueryEngine(world, n_samples=120, seed=7, incremental=False)
-        monitor = ContinuousMonitor(engine)
-        q = Query.from_point([5.0, 5.0])
-        monitor.subscribe(QueryRequest(q, (4, 5, 6), "forall", 0.05), name="f")
-        report = monitor.tick()
+    def test_overflowed_log_counts_full_refreshes(self, monitor, world):
+        """Past ``MUTATION_LOG_LIMIT`` the database cannot name what an
+        ingest touched: the same refinement tick is a miss that refreshes
+        every column — the wholesale fallback, through its real trigger."""
+        world.MUTATION_LOG_LIMIT = 0
+        first = monitor.tick()
+        target = first.notifications[0].result.influencers[0]
+        n_influencers = len(first.notifications[0].result.influencers)
+        report = monitor.tick([_refinement_event(world, target)])
+        assert report.reevaluated == ("f",)
+        assert report.reuse["index_rebuilds"] == 1
         assert report.reuse["estimate_cache_hits"] == 0
-        assert report.reuse["estimate_cache_misses"] >= 1
+        assert report.reuse["estimate_cache_misses"] == 1
         assert report.reuse["estimate_columns_reused"] == 0
-        assert report.reuse["estimate_columns_refreshed"] >= 1
+        assert report.reuse["estimate_columns_refreshed"] == n_influencers
 
 
 class TestRangedSkip:

@@ -107,7 +107,7 @@ class TestSamplingEngine:
 def _golden_payload(example_db, query):
     """Seeded QueryResult probabilities for all three semantics, one epoch."""
     engine = QueryEngine(example_db, n_samples=GOLDEN_SAMPLES, seed=GOLDEN_SEED)
-    out = engine.batch_query(
+    out = engine.evaluate_many(
         [
             QueryRequest(query, (1, 2, 3), "forall"),
             QueryRequest(query, (1, 2, 3), "exists"),
@@ -171,7 +171,7 @@ def _golden_k2_payload(example_db, query):
     direction (k=1) is the discriminating part of this golden.
     """
     engine = QueryEngine(example_db, n_samples=GOLDEN_SAMPLES, seed=GOLDEN_SEED)
-    out = engine.batch_query(
+    out = engine.evaluate_many(
         [
             QueryRequest(query, (1, 2, 3), "raw", k=2),
             QueryRequest(query, (1, 2, 3), "reverse_nn", k=1),

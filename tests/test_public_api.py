@@ -1,10 +1,14 @@
 """Tests for the top-level package surface."""
 
 import importlib
+import inspect
+import re
+from pathlib import Path
 
 import pytest
 
 import repro
+from tests.conftest import make_paper_example_db
 
 
 class TestPublicAPI:
@@ -22,7 +26,6 @@ class TestPublicAPI:
             Query,
             QueryEngine,
             Rect,
-            RStarTree,
             SparseDistribution,
             StateSpace,
             Trajectory,
@@ -54,7 +57,6 @@ class TestPublicAPI:
             "repro.trajectory.observation",
             "repro.trajectory.trajectory",
             "repro.spatial.geometry",
-            "repro.spatial.rstar",
             "repro.spatial.ust_tree",
             "repro.statespace.base",
             "repro.statespace.generator",
@@ -98,3 +100,78 @@ class TestPublicAPI:
             obj = getattr(mod, name)
             if callable(obj):
                 assert obj.__doc__, f"{module}.{name} missing docstring"
+
+
+class TestEngineOptionCount:
+    """The engine's option space is pinned: two switches and a backend.
+
+    Every ablation mode that used to be a constructor flag is an oracle
+    under ``tests/oracles/`` — a function a test calls, not something an
+    operator can set.
+    """
+
+    REMOVED = ("fused", "incremental", "window_restrict", "prune_vectorized", "refine_per_tic")
+
+    def test_query_engine_signature(self):
+        params = list(inspect.signature(repro.QueryEngine.__init__).parameters)
+        assert params == [
+            "self", "db", "n_samples", "seed", "rng", "use_pruning", "ust_tree",
+            "backend", "reuse_worlds", "refine_cache_size", "tracer", "metrics",
+            "slow_log",
+        ]
+
+    @pytest.mark.parametrize("option", REMOVED)
+    def test_removed_options_are_type_errors(self, option):
+        with pytest.raises(TypeError, match=option):
+            repro.QueryEngine(make_paper_example_db(), **{option: False})
+
+    def test_reference_backend_is_gone(self):
+        with pytest.raises(ValueError, match="unknown sampling backend"):
+            repro.QueryEngine(make_paper_example_db(), backend="reference")
+
+    @pytest.mark.parametrize("mode", ["inline", "process"])
+    def test_coordinator_rejects_them_before_any_worker_starts(self, mode, monkeypatch):
+        from repro.serve import coordinator
+
+        def no_transport(*args, **kwargs):
+            raise AssertionError("a transport was built for a rejected option")
+
+        monkeypatch.setattr(coordinator, "InlineTransport", no_transport)
+        monkeypatch.setattr(coordinator, "ProcessTransport", no_transport)
+        with pytest.raises(TypeError, match="incremental"):
+            repro.ServeCoordinator(
+                make_paper_example_db(), seed=1, mode=mode, incremental=False
+            )
+
+    def test_prune_takes_no_boolean(self):
+        for name, param in inspect.signature(repro.USTTree.prune).parameters.items():
+            assert not isinstance(param.default, bool), name
+        assert list(inspect.signature(repro.USTTree.prune).parameters) == [
+            "self", "q_coords", "times", "k",
+        ]
+        assert list(inspect.signature(repro.USTTree.__init__).parameters) == ["self", "db"]
+
+    def test_oracle_code_left_the_package(self):
+        import repro.spatial
+
+        for name in ("RStarTree", "SegmentKey"):
+            assert name not in repro.__all__ and not hasattr(repro, name)
+            assert name not in repro.spatial.__all__
+        with pytest.raises(ImportError):
+            importlib.import_module("repro.spatial.rstar")
+
+    def test_no_trace_of_the_removed_modes_in_src(self):
+        """The acceptance grep of the PR that removed them, kept as a test."""
+        pattern = re.compile(
+            r"self\.(fused|incremental|window_restrict|prune_vectorized|refine_per_tic)"
+            r"|engine\.incremental|vectorized=|backend=\"reference\"|batch_query"
+            r"|RStarTree|SegmentKey|\b_by_object|rstar"  # not ``estimator_by_object``
+        )
+        src = Path(repro.__file__).parent
+        hits = [
+            f"{path.relative_to(src)}:{n}: {line.strip()}"
+            for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if pattern.search(line)
+        ]
+        assert hits == []

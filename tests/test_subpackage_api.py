@@ -27,10 +27,14 @@ class TestSubpackageExports:
             assert getattr(mod, name) is not None, f"{package}.{name} missing"
 
     def test_lazy_ust_tree_export(self):
-        from repro.spatial import PruningResult, SegmentKey, USTTree
+        import repro.spatial
+        from repro.spatial import PruningResult, USTTree
 
-        assert USTTree is not None
-        assert PruningResult is not None and SegmentKey is not None
+        assert USTTree is not None and PruningResult is not None
+        # The R*-tree and its entry key are oracle code (tests/oracles/).
+        for gone in ("RStarTree", "Entry", "SegmentKey"):
+            assert gone not in repro.spatial.__all__
+            assert not hasattr(repro.spatial, gone)
 
     def test_lazy_unknown_attribute_raises(self):
         import repro.spatial

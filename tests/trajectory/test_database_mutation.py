@@ -7,6 +7,7 @@ from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query
 from repro.trajectory.database import TrajectoryDatabase
 from tests.conftest import make_drift_chain, make_line_space
+from tests.oracles.shapes import BACKENDS
 
 
 @pytest.fixture
@@ -87,8 +88,8 @@ class TestRemoveObject:
 
 class TestEngineStalenessDetection:
     def test_index_updated_in_place_after_mutation(self, db):
-        """An incremental engine (the default) re-indexes only the touched
-        object instead of rebuilding the tree."""
+        """The engine re-indexes only the touched object instead of
+        rebuilding the tree."""
         engine = QueryEngine(db, n_samples=50, seed=0)
         tree_before = engine.ust_tree
         rebuilds = engine.index_rebuilds
@@ -99,9 +100,11 @@ class TestEngineStalenessDetection:
         assert engine.index_updates == 1
         assert "b" in tree_after and len(tree_after) == 2
 
-    def test_index_rebuilds_after_mutation_without_incremental(self, db):
-        """incremental=False keeps the classic wholesale rebuild."""
-        engine = QueryEngine(db, n_samples=50, seed=0, incremental=False)
+    def test_index_rebuilds_after_mutation_past_the_mutation_log(self, db):
+        """A delta the mutation log cannot name keeps the classic wholesale
+        rebuild."""
+        db.MUTATION_LOG_LIMIT = 0
+        engine = QueryEngine(db, n_samples=50, seed=0)
         tree_before = engine.ust_tree
         db.add_object("b", [(0, 1), (4, 3)])
         tree_after = engine.ust_tree
@@ -126,17 +129,12 @@ class TestEngineStalenessDetection:
         assert t1 is t2
 
 
-ENGINE_VARIANTS = [
-    pytest.param("compiled", True, id="compiled-fused"),
-    pytest.param("compiled", False, id="compiled-loop"),
-    pytest.param("reference", False, id="reference"),
-]
-
-
-@pytest.mark.parametrize("backend,fused", ENGINE_VARIANTS)
+@pytest.mark.parametrize("backend", BACKENDS)
 class TestMutationUnderQueryLockstep:
     """query → mutate → query: selective invalidation must answer exactly
-    like an engine that rebuilds everything per mutation."""
+    like an engine that rebuilds everything per mutation — the twin whose
+    database keeps no mutation log (``MUTATION_LOG_LIMIT = 0``), so every
+    sync of its engine is the wholesale fallback."""
 
     @staticmethod
     def _twin_dbs():
@@ -147,7 +145,9 @@ class TestMutationUnderQueryLockstep:
             db.add_object("c", [(1, 2), (5, 4)])
             return db
 
-        return build(), build()
+        logged, logless = build(), build()
+        logless.MUTATION_LOG_LIMIT = 0
+        return logged, logless
 
     @staticmethod
     def _mutate(db):
@@ -155,13 +155,10 @@ class TestMutationUnderQueryLockstep:
         db.add_object("d", [(0, 3), (4, 5)])
         db.remove_object("b")
 
-    def test_standalone_queries_bit_identical(self, backend, fused):
+    def test_standalone_queries_bit_identical(self, backend):
         db_inc, db_full = self._twin_dbs()
-        inc = QueryEngine(db_inc, n_samples=300, seed=5, backend=backend, fused=fused)
-        full = QueryEngine(
-            db_full, n_samples=300, seed=5, backend=backend, fused=fused,
-            incremental=False,
-        )
+        inc = QueryEngine(db_inc, n_samples=300, seed=5, backend=backend)
+        full = QueryEngine(db_full, n_samples=300, seed=5, backend=backend)
         q = Query.from_point([0.0, 0.0])
         for mode in ("forall", "exists"):
             r1 = getattr(inc, f"{mode}_nn")(q, [1, 2, 3])
@@ -176,18 +173,16 @@ class TestMutationUnderQueryLockstep:
             assert r1.candidates == r2.candidates
             assert r1.influencers == r2.influencers
 
-    def test_held_worlds_bit_identical(self, backend, fused):
-        """reuse_worlds engines: the incremental one keeps unchanged
-        objects' cached worlds across the mutation, the wholesale one
+    def test_held_worlds_bit_identical(self, backend):
+        """reuse_worlds engines: the logged one keeps unchanged
+        objects' cached worlds across the mutation, the log-less one
         redraws everything — results must still agree bit for bit."""
         db_inc, db_full = self._twin_dbs()
         inc = QueryEngine(
-            db_inc, n_samples=300, seed=6, backend=backend, fused=fused,
-            reuse_worlds=True,
+            db_inc, n_samples=300, seed=6, backend=backend, reuse_worlds=True
         )
         full = QueryEngine(
-            db_full, n_samples=300, seed=6, backend=backend, fused=fused,
-            reuse_worlds=True, incremental=False,
+            db_full, n_samples=300, seed=6, backend=backend, reuse_worlds=True
         )
         q = Query.from_point([0.0, 0.0])
         r1 = inc.forall_nn(q, [1, 2, 3])
@@ -206,21 +201,20 @@ class TestMutationUnderQueryLockstep:
         # must not leak per-id state); live ids keep theirs.
         assert "b" not in inc._rng_tags and "a" in inc._rng_tags
 
-    def test_small_dirty_redraw_bypasses_arena_repack(self, backend, fused):
-        """A tick-shaped redraw (1 dirty object, everyone else cached) must
-        not re-pack the dirty object into the fused arena it never draws
-        from — the per-object bypass serves it."""
-        if not (backend == "compiled" and fused):
-            pytest.skip("arena only exists on the fused compiled path")
-        db = TrajectoryDatabase(make_line_space(8), make_drift_chain(8))
-        for i in range(6):  # enough objects that the prime uses the arena
-            db.add_object(f"o{i}", [(0, i), (4, i + 2)])
-        engine = QueryEngine(
-            db, n_samples=100, seed=7, reuse_worlds=True, use_pruning=False
-        )
-        q = Query.from_point([0.0, 0.0])
-        engine.forall_nn(q, [1, 2, 3])  # primes cache + arena (6 > threshold)
-        assert "o0" in engine._arena
-        db.add_observation("o0", 2, 1)
-        engine.forall_nn(q, [1, 2, 3])  # 1 miss -> per-object bypass
-        assert "o0" not in engine._arena  # discarded, never re-packed
+
+def test_small_dirty_redraw_bypasses_arena_repack():
+    """A tick-shaped redraw (1 dirty object, everyone else cached) must
+    not re-pack the dirty object into the fused arena it never draws
+    from — the per-object bypass serves it."""
+    db = TrajectoryDatabase(make_line_space(8), make_drift_chain(8))
+    for i in range(6):  # enough objects that the prime uses the arena
+        db.add_object(f"o{i}", [(0, i), (4, i + 2)])
+    engine = QueryEngine(
+        db, n_samples=100, seed=7, reuse_worlds=True, use_pruning=False
+    )
+    q = Query.from_point([0.0, 0.0])
+    engine.forall_nn(q, [1, 2, 3])  # primes cache + arena (6 > threshold)
+    assert "o0" in engine._arena
+    db.add_observation("o0", 2, 1)
+    engine.forall_nn(q, [1, 2, 3])  # 1 miss -> per-object bypass
+    assert "o0" not in engine._arena  # discarded, never re-packed
