@@ -41,7 +41,6 @@ monitoring re-samples each object at most once instead of once per query.
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
 from contextlib import contextmanager
 from types import SimpleNamespace
 from typing import Sequence
@@ -57,7 +56,8 @@ from ..trajectory.database import TrajectoryDatabase
 from ..trajectory.trajectory import UncertainObject, adapt_objects
 from .estimators import EstimationContext, EstimateOutcome, make_estimator
 from .planner import Explanation, QueryPlan, build_plan
-from .queries import Query, QueryRequest, normalize_times, union_window
+from .queries import Query, QueryRequest, check_count, normalize_times, union_window
+from .refine import RefineCache, RefineJob, gather_distances, reverse_tensors
 from .results import (
     EvaluationReport,
     ObjectProbability,
@@ -79,9 +79,9 @@ class QueryEngine:
     db:
         The uncertain trajectory database.
     n_samples:
-        Possible worlds sampled per query (the paper uses 10k; Hoeffding's
-        inequality — :mod:`repro.analysis.hoeffding` — bounds the induced
-        estimation error).
+        Possible worlds sampled per query, an integer ``>= 1`` (the paper
+        uses 10k; Hoeffding's inequality — :mod:`repro.analysis.hoeffding`
+        — bounds the induced estimation error).
     seed / rng:
         Source of randomness; pass exactly one.
     use_pruning:
@@ -106,20 +106,18 @@ class QueryEngine:
         without an explicit refresh.  Forward-growing request sequences —
         the sliding-window monitoring pattern — never redraw.
     refine_cache_size:
-        Capacity (entries) of the per-request refinement distance-tensor
-        cache used by *shared-world* (batched) evaluations.  Each entry
-        holds one ``(objects, times, worlds)`` distance
-        block (what :meth:`distance_tensor` hands out transposed) keyed by
-        ``(query coords, times, object ids, n_samples)`` and
-        stamped with ``(worlds_token, draw_epoch)``; a standing
+        Capacity (entries, an integer ``>= 0``) of the
+        :class:`~repro.core.refine.RefineCache` serving *shared-world*
+        (batched) evaluations.  Each entry holds one ``(objects, times,
+        worlds)`` block — what :meth:`distance_tensor` hands out
+        transposed, or the sampled states behind
+        :meth:`reverse_distance_tensors` — keyed by its
+        :attr:`RefineJob.key <repro.core.refine.RefineJob.key>`; a standing
         subscription re-evaluated over held worlds recomputes only the
-        *columns* of objects the database mutated since the tensor was
-        last current (:meth:`TrajectoryDatabase.changed_since`),
-        re-deriving its probabilities from the patched tensor.
-        Bit-identical to a full recompute: clean columns' worlds are
-        cache hits at the same stamp, and dirty columns redraw exactly
-        what a wholesale pass would (per-object RNGs do not depend on
-        which other objects a call refines).  ``0`` disables the cache.
+        *columns* of objects the database mutated since the block was last
+        current (:meth:`TrajectoryDatabase.changed_since`), bit-identically
+        to a full recompute (per-object RNGs do not depend on which other
+        objects a call refines).  ``0`` disables the cache.
     """
 
     def __init__(
@@ -137,8 +135,6 @@ class QueryEngine:
         metrics=None,
         slow_log=None,
     ) -> None:
-        if n_samples < 1:
-            raise ValueError("n_samples must be positive")
         if rng is not None and seed is not None:
             raise ValueError("pass either seed or rng, not both")
         if backend not in ("compiled", "native"):
@@ -146,14 +142,12 @@ class QueryEngine:
         if backend == "native":
             native_tier.require_native()
         self.db = db
-        self.n_samples = int(n_samples)
+        self.n_samples = check_count("n_samples", n_samples)
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.use_pruning = use_pruning
         self.backend = backend
         self.reuse_worlds = reuse_worlds
-        if refine_cache_size < 0:
-            raise ValueError("refine_cache_size must be >= 0")
-        self.refine_cache_size = int(refine_cache_size)
+        self.refine_cache_size = check_count("refine_cache_size", refine_cache_size, minimum=0)
         #: Telemetry (see :mod:`repro.obs`): the tracer times the pipeline
         #: stages — ``stage_seconds`` is derived from its span durations,
         #: so :data:`NULL_TRACER` (the default) still times spans, it just
@@ -163,9 +157,7 @@ class QueryEngine:
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         self.slow_log = slow_log
-        # Shared-world refinement tensors, LRU by request key; entries are
-        # ``{"stamp", "version", "dist"}`` (see ``refine_cache_size`` docs).
-        self._refine_cache: OrderedDict[tuple, dict] = OrderedDict()
+        self._refine_cache = RefineCache(db, self.refine_cache_size)
         #: Estimate-stage reuse accounting (per-tick deltas reported by the
         #: streaming monitor): whole-tensor cache hits/misses and the
         #: per-object columns served from cache vs recomputed.
@@ -225,7 +217,7 @@ class QueryEngine:
         place; when the mutation log cannot name the touched objects the
         tree is rebuilt from scratch.
         """
-        self._sync_mutations()
+        self.sync_mutations()
         if self._ust is None:
             self._ust = USTTree(self.db)
             if self.metrics is not None:
@@ -236,8 +228,7 @@ class QueryEngine:
     def _new_arena(self) -> SamplingArena:
         """A fresh arena with the metrics feed bound (if any).
 
-        Every arena construction in the engine (and the serve worker's
-        wholesale-sync path) routes through here so
+        Every arena construction in the engine routes through here so
         ``arena_table_builds_total`` keeps counting across resets.
         """
         arena = SamplingArena()
@@ -249,11 +240,7 @@ class QueryEngine:
             )
         return arena
 
-    def invalidate_index(self) -> None:
-        """Drop the index explicitly (mutations are detected automatically)."""
-        self._ust = None
-
-    def _sync_mutations(self) -> None:
+    def sync_mutations(self, wholesale: bool = False) -> None:
         """Bring every derived structure in line with the database.
 
         Called on entry of each query path.  When the database can name
@@ -261,14 +248,17 @@ class QueryEngine:
         invalidated: their index rows rewritten, their packed arena tables
         evicted and their cached worlds dropped — everything else stays
         bit-identical.
-        Otherwise the classic wholesale invalidation runs: index dropped,
-        arena reset, world-cache token bumped (flushing all worlds at the
-        next stamped access).
+        Otherwise — or when the caller already decided so
+        (``wholesale=True``: a shard worker mirroring its coordinator,
+        whose log may have overflowed when the worker's did not) — the
+        wholesale invalidation runs: index dropped, arena reset,
+        world-cache token bumped (flushing all worlds at the next stamped
+        access).
         """
         version = self.db.version
-        if version == self._mut_seen:
+        if version == self._mut_seen and not wholesale:
             return
-        changed = self.db.changed_since(self._mut_seen)
+        changed = None if wholesale else self.db.changed_since(self._mut_seen)
         if changed is None:
             self._ust = None
             self._arena = self._new_arena()
@@ -310,6 +300,11 @@ class QueryEngine:
         return self._worlds_token
 
     @property
+    def _stamp(self) -> tuple[int, int]:
+        """What cached worlds and refinement blocks are current against."""
+        return self._worlds_token, self._draw_epoch
+
+    @property
     def sampler_calls(self) -> int:
         """Full sampler invocations so far (cache misses + direct draws).
 
@@ -324,18 +319,17 @@ class QueryEngine:
         self._draw_epoch = self._epoch_counter
         return self._draw_epoch
 
-    def _on_batch_begin(self, reqs: list) -> None:
-        """Hook: a *top-level* ``evaluate_many`` batch is about to run.
+    @contextmanager
+    def _staging(self, reqs: list):
+        """Hook: wraps the evaluations of an ``evaluate_many`` batch.
 
-        Called once per outermost batch, after the epoch and batch window
-        are pinned but before the first request evaluates.  The base engine
-        does nothing; the sharded serving engine overrides it to predict
-        the batch's refinement columns and fetch them from all shard
-        workers in one round trip instead of one round per request.
+        Entered after the epoch and batch window are pinned, inside the
+        batch's :meth:`shared_filter` block.  The base engine does nothing;
+        the sharded serving engine overrides it to fetch the blocks the
+        batch will ask :meth:`fill_blocks` for from all shard workers in
+        one round trip instead of one round per request.
         """
-
-    def _on_batch_end(self) -> None:
-        """Hook: the outermost batch finished (normally or by exception)."""
+        yield
 
     @contextmanager
     def held_batch(
@@ -604,7 +598,7 @@ class QueryEngine:
     def _arena_for(self, objects: list[UncertainObject]) -> SamplingArena:
         """The fused sampling arena, packed with the given objects.
 
-        Mutation staleness is handled by :meth:`_sync_mutations` before
+        Mutation staleness is handled by :meth:`sync_mutations` before
         any query path reaches here: it evicts only the mutated objects'
         packed tables; a wholesale invalidation replaces the arena.
         Objects join on first refinement at their stable
@@ -677,86 +671,53 @@ class QueryEngine:
         same-query subscriptions at different depths never interleave
         patch bookkeeping on one shared array.
         """
-        if not normalized:
-            times = normalize_times(times)
-        self._sync_mutations()
-        n = self.n_samples if n_samples is None else int(n_samples)
-        ids, inverse = self._distinct(object_ids)
-        share = self.reuse_worlds or self._batch_depth > 0
-        if not share:
-            # One round per direct call: repeated calls within an epoch draw
-            # fresh (yet seed-deterministic) worlds, so averaging over calls
-            # adds information exactly as it did before the world cache.
-            self._direct_round += 1
-        # Only batched (monitor-tick) evaluations are cached: a standalone
-        # ``reuse_worlds`` evaluation keeps the classic world-cache path so
-        # its per-report cache-hit accounting stays exact.
-        if self._batch_depth > 0 and self.refine_cache_size > 0:
-            block = self._cached_distance_tensor(ids, q, times, n, cache_k)
-        else:
-            block = self._compute_distance_tensor(ids, q, times, n)
-        if inverse is not None:
-            block = block[inverse]  # a copy, never the cached array
+        block, _ = self._refined(
+            "dist", object_ids, q, times, n_samples, normalized, cache_k
+        )
         return block.transpose(2, 0, 1)
 
-    def _cached_distance_tensor(
+    def _refined(
         self,
-        object_ids: list[str],
+        kind: str,
+        object_ids: Sequence[str],
         q: Query,
         times: np.ndarray,
-        n: int,
-        cache_k: int = 1,
-    ) -> np.ndarray:
-        """Serve a shared-world refinement block, patching dirty columns.
-
-        On a stamp-matching hit only the columns of objects mutated since
-        the entry was last current are recomputed (their invalidated
-        worlds redraw; everything else is served in place) — each one
-        contiguous ``(times, worlds)`` slab of the cached block.  A stamp
-        mismatch (new epoch or wholesale flush), an overflowed mutation
-        log (``changed_since`` → ``None``) or a cold key rebuilds the full
-        tensor — the classic path.
-        """
-        q_coords = q.coords_at(times)
-        key = (
-            "dist",
-            cache_k,
-            q_coords.tobytes(),
-            times.tobytes(),
-            tuple(object_ids),
-            n,
-        )
-        stamp = (self._worlds_token, self._draw_epoch)
-        entry = self._refine_cache.get(key)
-        if entry is not None and entry["stamp"] == stamp:
-            changed = self.db.changed_since(entry["version"])
-            if changed is not None:
-                self._refine_cache.move_to_end(key)
-                dirty_cols = [
-                    i for i, oid in enumerate(object_ids) if oid in changed
-                ]
-                if dirty_cols:
-                    sub = self._compute_distance_tensor(
-                        [object_ids[i] for i in dirty_cols], q, times, n
-                    )
-                    entry["dist"][dirty_cols] = sub
-                entry["version"] = self.db.version
-                self.estimate_cache_hits += 1
-                self.estimate_columns_refreshed += len(dirty_cols)
-                self.estimate_columns_reused += len(object_ids) - len(dirty_cols)
-                return entry["dist"]
-        dist = self._compute_distance_tensor(object_ids, q, times, n)
-        self.estimate_cache_misses += 1
-        self.estimate_columns_refreshed += len(object_ids)
-        self._refine_cache[key] = {
-            "stamp": stamp,
-            "version": self.db.version,
-            "dist": dist,
-        }
-        self._refine_cache.move_to_end(key)
-        while len(self._refine_cache) > self.refine_cache_size:
-            self._refine_cache.popitem(last=False)
-        return dist
+        n_samples: int | None,
+        normalized: bool,
+        cache_k: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """What :meth:`distance_tensor` and :meth:`reverse_distance_tensors`
+        share: one ``kind`` block over ``object_ids`` — built as a
+        :class:`RefineJob`, served through the refine cache inside a batch
+        — and the query's coordinates at ``times``."""
+        n = self.n_samples if n_samples is None else check_count("n_samples", n_samples)
+        if not normalized:
+            times = normalize_times(times)
+        self.sync_mutations()
+        ids, inverse = self._distinct(object_ids)
+        if not (self.reuse_worlds or self._batch_depth > 0):
+            # One round per direct call: repeated calls within an epoch draw
+            # fresh (yet seed-deterministic) worlds, so averaging over calls
+            # adds information.
+            self._direct_round += 1
+        coords = q.coords_at(times)
+        job = RefineJob(kind, coords if kind == "dist" else None, times, tuple(ids), n)
+        # Only batched (monitor-tick) evaluations are cached: a standalone
+        # ``reuse_worlds`` evaluation reads the world cache alone, so its
+        # per-report cache-hit accounting stays exact.
+        if self._batch_depth > 0 and self.refine_cache_size > 0:
+            block, cols, hit = self._refine_cache.fetch(
+                job, cache_k, self._stamp, lambda j: self.fill_blocks([j])[0]
+            )
+            self.estimate_cache_hits += hit
+            self.estimate_cache_misses += not hit
+            self.estimate_columns_refreshed += len(cols)
+            self.estimate_columns_reused += len(ids) - len(cols)
+        else:
+            block = self.fill_blocks([job])[0]
+        if inverse is not None:
+            block = block[inverse]  # a copy, never the cached array
+        return block, coords
 
     def _drawn_states(
         self, objects: list[UncertainObject], alive_times: list[np.ndarray], n: int
@@ -769,15 +730,11 @@ class QueryEngine:
         contiguous: a view of a cached segment or of the sweep buffer.
         """
         if self.reuse_worlds or self._batch_depth > 0:
-            items = []
-            for obj, at in zip(objects, alive_times):
-                t_lo, t_hi = self._cache_window(obj, at)
-                items.append(((obj.object_id, n), t_lo, t_hi))
-            segments = self.worlds.states_for_many(
-                items,
-                stamp=(self._worlds_token, self._draw_epoch),
-                bulk_sampler=self._bulk_sampler(objects, n),
-            )
+            items = [
+                (obj.object_id, n, *self._cache_window(obj, at))
+                for obj, at in zip(objects, alive_times)
+            ]
+            segments = self.fetch_worlds(items)
             return [seg.slice(at) for seg, at in zip(segments, alive_times)]
         arena = self._arena_for(objects)
         requests = [
@@ -795,69 +752,44 @@ class QueryEngine:
         self._direct_draws += len(requests)
         return [take_tics(p, at - at[0]) for p, at in zip(drawn, alive_times)]
 
-    def _compute_distance_tensor(
-        self, object_ids: list[str], q: Query, times: np.ndarray, n: int
-    ) -> np.ndarray:
-        """Columnar refinement: one arena pass draws every object's worlds,
-        then each object's distances are gathered row by row — tic ``t``'s
-        ``n`` worlds at a time — into its slab of the block.
+    def fill_blocks(self, jobs: list[RefineJob]) -> list[np.ndarray]:
+        """One C-contiguous ``(objects, times, worlds)`` block per job — the
+        one place sampled worlds become refinement arrays.
 
-        Like everything below :meth:`distance_tensor` this speaks the
-        C-contiguous ``(objects, times, worlds)`` block, one of the two
-        allocation sites (with the sampler's sweep buffer) that decide the
-        refinement memory order.
+        Runs under the current draw epoch and batch window.  A ``"dist"``
+        job's block holds the distances to the query (``inf`` where an
+        object is not alive), a ``"states"`` job's the sampled state ids
+        (``-1`` there).  Worlds come from the shared world cache inside
+        batches and from a direct fused arena draw otherwise, so one epoch
+        yields the same worlds for both kinds.  Objects are drawn
+        independently: any subset of a job's columns, filled anywhere,
+        equals those columns of the whole block — which is what lets the
+        serve tier's engine override this with a fan-out to the shards
+        owning the columns, whose workers call it on their share.
         """
-        q_coords = q.coords_at(times)
-        shape = (len(object_ids), times.size, n)
-        if not object_ids:
-            return np.full(shape, np.inf)
-        alive = self.db.alive_matrix(object_ids, times)
+        return [self._fill(job) for job in jobs]
+
+    def _fill(self, job: RefineJob) -> np.ndarray:
+        if job.kind not in ("dist", "states"):
+            raise ValueError(f"unknown refinement block kind {job.kind!r}")
+        ids, times, n = job.object_ids, job.times, job.n
+        alive = self.db.alive_matrix(ids, times)
         live_cols = np.flatnonzero(alive.any(axis=1))
         if live_cols.size == 0:
-            return np.full(shape, np.inf)
+            return job.empty()
         states = self._drawn_states(
-            [self.db.get(object_ids[c]) for c in live_cols],
+            [self.db.get(ids[c]) for c in live_cols],
             [times[alive[c]] for c in live_cols],
             n,
         )
-        # A lifespan is an interval, so an object is alive over one run of
-        # the sorted tics: its tic-major states fill ``block[col, lo:hi]``.
-        rows = [s.T for s in states]
-        first = alive.argmax(axis=1)[live_cols]
-        slabs = [(col, lo, lo + len(r), r) for col, lo, r in zip(live_cols, first, rows)]
-        block = np.empty(shape) if alive.all() else np.full(shape, np.inf)
-        space = self.db.space
-        if times.size * space.n_states <= max(
-            1_000_000, 4 * n * sum(len(r) for r in rows)
-        ):
-            # Distances depend only on (tic, state): tabulate them once per
-            # query — the same subtract/square/sum/sqrt the per-object
-            # oracle applies, so values stay bit-identical — then gathering rows
-            # of it replaces materializing (tics, n, d) coordinate blocks.
-            if space.ndim <= 2:
-                # At most one addition per norm, so the order ``np.sum``
-                # adds in is moot: run the same operations with the states,
-                # not the d coordinates, in the inner loop.
-                by_dim = np.ascontiguousarray(space.coords.T)  # (d, S)
-                diff = by_dim[:, None, :] - q_coords.T[:, :, None]
-                per_state = np.sqrt(np.add.reduce(diff * diff, axis=0))
-            else:
-                diff = space.coords[None, :, :] - q_coords[:, None, :]
-                per_state = np.sqrt(np.sum(diff * diff, axis=-1))  # (T, S)
-            if self.backend == "native" and native_tier.can_gather_rows(rows):
-                return native_tier.gather_distance_rows(
-                    per_state, rows, live_cols, first, block
-                )
-            flat = per_state.ravel()
-            for col, lo, hi, r in slabs:
-                offsets = np.arange(lo, hi) * space.n_states
-                np.take(flat, r + offsets[:, None], out=block[col, lo:hi])
-        else:
-            # Huge state spaces: gather coordinates for the sampled states
-            # only and einsum the norms.
-            for col, lo, hi, r in slabs:
-                diff = space.coords_of(r) - q_coords[lo:hi, None, :]
-                block[col, lo:hi] = np.sqrt(np.einsum("tnd,tnd->tn", diff, diff))
+        if job.kind == "dist":
+            return gather_distances(
+                self.db.space, job.coords, alive, live_cols, states, n,
+                native=self.backend == "native",
+            )
+        block = job.empty()
+        for col, paths in zip(live_cols, states):
+            block[col, alive[col]] = paths.T
         return block
 
     # ------------------------------------------------------------------
@@ -890,131 +822,10 @@ class QueryEngine:
         small, not for the 10⁵-object fleet (which would go through a
         chunked streaming variant).
         """
-        if not normalized:
-            times = normalize_times(times)
-        self._sync_mutations()
-        n = self.n_samples if n_samples is None else int(n_samples)
-        ids, inverse = self._distinct(object_ids)
-        share = self.reuse_worlds or self._batch_depth > 0
-        if not share:
-            # Same round discipline as distance_tensor: one round per
-            # direct call, so repeated reverse calls draw fresh worlds.
-            self._direct_round += 1
-        if self._batch_depth > 0 and self.refine_cache_size > 0:
-            states, alive = self._cached_states_block(ids, times, n, cache_k)
-        else:
-            states, alive = self._states_block(ids, times, n)
-        if inverse is not None:
-            states, alive = states[inverse], alive[inverse]
-        return self._reverse_from_states(states, alive, q.coords_at(times))
-
-    def _states_block(
-        self, object_ids: list[str], times: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Sampled states for all objects: ``(states[o, t, w], alive[o, t])``.
-
-        ``states`` carries ``-1`` where an object is not alive.  Worlds
-        come from exactly the machinery of the distance-tensor path (the
-        shared world cache inside batches, a direct fused arena draw
-        otherwise), so the same epoch yields the same worlds as a
-        forward refinement over the same objects.
-        """
-        alive = self.db.alive_matrix(object_ids, times)
-        states = np.full((len(object_ids), times.size, n), -1, dtype=np.intp)
-        live_cols = np.flatnonzero(alive.any(axis=1))
-        if live_cols.size == 0:
-            return states, alive
-        objects = [self.db.get(object_ids[c]) for c in live_cols]
-        alive_times = [times[alive[c]] for c in live_cols]
-        drawn = self._drawn_states(objects, alive_times, n)
-        for col, paths in zip(live_cols, drawn):
-            states[col, alive[col]] = paths.T
-        return states, alive
-
-    def _cached_states_block(
-        self, object_ids: list[str], times: np.ndarray, n: int, cache_k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared-world states block with dirty-column patching.
-
-        The reverse-mode sibling of :meth:`_cached_distance_tensor`: the
-        cached array holds sampled *states* (query-independent, so every
-        reverse subscription over the same object set, window, depth and
-        world count shares one entry) and a mutation patches only the
-        dirty objects' columns — including their aliveness rows, which an
-        ingested observation can extend.
-        """
-        key = (
-            "states",
-            cache_k,
-            times.tobytes(),
-            tuple(object_ids),
-            n,
+        states, coords = self._refined(
+            "states", object_ids, q, times, n_samples, normalized, cache_k
         )
-        stamp = (self._worlds_token, self._draw_epoch)
-        entry = self._refine_cache.get(key)
-        if entry is not None and entry["stamp"] == stamp:
-            changed = self.db.changed_since(entry["version"])
-            if changed is not None:
-                self._refine_cache.move_to_end(key)
-                dirty_cols = [
-                    i for i, oid in enumerate(object_ids) if oid in changed
-                ]
-                if dirty_cols:
-                    sub_states, sub_alive = self._states_block(
-                        [object_ids[i] for i in dirty_cols], times, n
-                    )
-                    entry["states"][dirty_cols] = sub_states
-                    entry["alive"][dirty_cols] = sub_alive
-                entry["version"] = self.db.version
-                self.estimate_cache_hits += 1
-                self.estimate_columns_refreshed += len(dirty_cols)
-                self.estimate_columns_reused += len(object_ids) - len(dirty_cols)
-                return entry["states"], entry["alive"]
-        states, alive = self._states_block(object_ids, times, n)
-        self.estimate_cache_misses += 1
-        self.estimate_columns_refreshed += len(object_ids)
-        self._refine_cache[key] = {
-            "stamp": stamp,
-            "version": self.db.version,
-            "states": states,
-            "alive": alive,
-        }
-        self._refine_cache.move_to_end(key)
-        while len(self._refine_cache) > self.refine_cache_size:
-            self._refine_cache.popitem(last=False)
-        return states, alive
-
-    def _reverse_from_states(
-        self, states: np.ndarray, alive: np.ndarray, q_coords: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Derive ``(dist, object_dist)`` from one ``(O, T, n)`` states block.
-
-        The query-distance component applies exactly the per-object oracle's
-        subtract/square/sum/sqrt, so values at alive positions are
-        bit-identical to :meth:`distance_tensor` over the same worlds.
-        The inter-object component is computed in world chunks to bound
-        the ``(O, O, T, chunk, d)`` broadcast intermediate.  Both are
-        computed world-minor and answered as ``[w, …]`` views.
-        """
-        n_objects, n_times, n = states.shape
-        space = self.db.space
-        coords = space.coords_of(np.where(states >= 0, states, 0))
-        dist = np.sqrt(
-            np.sum((coords - q_coords[None, :, None, :]) ** 2, axis=-1)
-        )
-        dead = ~alive
-        dist[dead] = np.inf
-        object_dist = np.empty((n_objects, n_objects, n_times, n))
-        step = max(1, int(4_000_000 // max(1, n_objects * n_objects * n_times)))
-        for start in range(0, n, step):
-            blk = coords[:, :, start : start + step]
-            diff = blk[:, None] - blk[None, :]
-            object_dist[..., start : start + step] = np.sqrt(
-                np.sum(diff * diff, axis=-1)
-            )
-        object_dist[dead[:, None, :] | dead[None, :, :]] = np.inf
-        object_dist[np.arange(n_objects), np.arange(n_objects)] = np.inf
-        return dist.transpose(2, 0, 1), object_dist.transpose(3, 0, 1, 2)
+        return reverse_tensors(self.db.space, states, coords)
 
     #: Below this many outstanding draws a bulk lookup skips the fused
     #: arena pass: a per-object compiled draw is bit-identical and avoids
@@ -1098,36 +909,48 @@ class QueryEngine:
         batches); a default standalone query afterwards would advance the
         epoch and redraw regardless.
         """
-        self._sync_mutations()
+        n = self.n_samples if n_samples is None else check_count("n_samples", n_samples)
+        self.sync_mutations()
         ids = self.db.object_ids if object_ids is None else dict.fromkeys(object_ids)
-        n = self.n_samples if n_samples is None else int(n_samples)
-        before = (self.worlds.hits, self.worlds.partial_hits, self.worlds.misses)
-        items: list[tuple[tuple, int, int]] = []
-        objects: list[UncertainObject] = []
+        items: list[tuple[str, int, int, int]] = []
         for object_id in ids:
             obj = self.db.get(object_id)
-            t_lo, t_hi = (
-                obj.t_first, obj.t_last
-            ) if window is None else (
-                max(obj.t_first, int(window[0])),
-                min(obj.t_last, int(window[1])),
-            )
-            if t_lo > t_hi:
-                continue  # object entirely outside the window
-            objects.append(obj)
-            items.append(((obj.object_id, n), t_lo, t_hi))
+            t_lo, t_hi = obj.t_first, obj.t_last
+            if window is not None:
+                t_lo, t_hi = max(t_lo, int(window[0])), min(t_hi, int(window[1]))
+            if t_lo <= t_hi:  # else the object is entirely outside the window
+                items.append((obj.object_id, n, t_lo, t_hi))
+        before = (self.worlds.hits, self.worlds.partial_hits, self.worlds.misses)
         if items:
-            self.worlds.states_for_many(
-                items,
-                stamp=(self._worlds_token, self._draw_epoch),
-                bulk_sampler=self._bulk_sampler(objects, n),
-            )
+            self.fetch_worlds(items)
         return {
             "objects": len(items),
             "hits": self.worlds.hits - before[0],
             "partial_hits": self.worlds.partial_hits - before[1],
             "misses": self.worlds.misses - before[2],
         }
+
+    def fetch_worlds(self, items: Sequence[tuple[str, int, int, int]]) -> list:
+        """Look ``(object_id, n, t_lo, t_hi)`` items up in the world cache at
+        the current stamp — drawing, or forward-extending, what is not
+        there — and return their segments in order (none on the serve
+        tier's engine, whose segments live in the owning shard workers).
+
+        All items of one world count share one fused draw.
+        """
+        segments: list = [None] * len(items)
+        for n in dict.fromkeys(item[1] for item in items):
+            at = [i for i, item in enumerate(items) if item[1] == n]
+            found = self.worlds.states_for_many(
+                [((items[i][0], n), items[i][2], items[i][3]) for i in at],
+                stamp=self._stamp,
+                bulk_sampler=self._bulk_sampler(
+                    [self.db.get(items[i][0]) for i in at], n
+                ),
+            )
+            for i, segment in zip(at, found):
+                segments[i] = segment
+        return segments
 
     # ------------------------------------------------------------------
     # the staged pipeline: plan -> filter -> estimate -> threshold
@@ -1138,10 +961,6 @@ class QueryEngine:
         if isinstance(request, QueryRequest):
             return request
         return QueryRequest(*request)
-
-    def plan(self, request: QueryRequest | tuple) -> QueryPlan:
-        """Stage 1 only: the resolved execution plan (consumes no RNG)."""
-        return build_plan(self._coerce_request(request), self.n_samples)
 
     def explain(self, request: QueryRequest | tuple) -> Explanation:
         """Plan + filter a request *without executing* the estimate stage.
@@ -1198,7 +1017,7 @@ class QueryEngine:
         # whether tracing is recording (Tracer) or not (NullTracer).
         with tracer.span("evaluate") as sp_eval:
             with tracer.span("plan") as sp_plan:
-                self._sync_mutations()
+                self.sync_mutations()
                 plan = build_plan(request, self.n_samples)
                 times = np.asarray(plan.times, dtype=np.intp)
                 self._begin_query()
@@ -1327,28 +1146,6 @@ class QueryEngine:
             if request.maximal_only:
                 result.entries = result.maximal_entries()
             return result
-        if request.mode == "reverse_nn":
-            estimates = {
-                oid: outcome.probabilities[oid]
-                for oid in result_ids
-                if oid in outcome.probabilities
-            }
-            results = [
-                ObjectProbability(oid, p)
-                for oid, p in estimates.items()
-                if p >= request.tau
-            ]
-            results.sort(key=lambda r: (-r.probability, r.object_id))
-            return ReverseNNResult(
-                results=results,
-                probabilities=estimates,
-                exists=dict(outcome.exists_probabilities or {}),
-                candidates=list(pruning.candidates),
-                influencers=list(pruning.influencers),
-                n_samples=outcome.n_samples_used,
-                k=request.k,
-                times=times,
-            )
         if request.mode == "raw":
             return RawProbabilities(
                 forall=dict(outcome.probabilities),
@@ -1369,6 +1166,17 @@ class QueryEngine:
             if p >= request.tau
         ]
         results.sort(key=lambda r: (-r.probability, r.object_id))
+        if request.mode == "reverse_nn":
+            return ReverseNNResult(
+                results=results,
+                probabilities=estimates,
+                exists=dict(outcome.exists_probabilities or {}),
+                candidates=list(pruning.candidates),
+                influencers=list(pruning.influencers),
+                n_samples=outcome.n_samples_used,
+                k=request.k,
+                times=times,
+            )
         return QueryResult(
             results=results,
             probabilities=estimates,
@@ -1597,12 +1405,9 @@ class QueryEngine:
         self._batch_window = (lo, hi)
         self._batch_depth += 1
         try:
-            with self.shared_filter(reqs):
-                if self._batch_depth == 1:
-                    self._on_batch_begin(reqs)
+            with self.shared_filter(reqs), self._staging(reqs):
                 return [self.evaluate(req) for req in reqs]
         finally:
             self._batch_depth -= 1
             if self._batch_depth == 0:
                 self._batch_window = None
-                self._on_batch_end()

@@ -21,6 +21,7 @@ __all__ = [
     "QUERY_MODES",
     "Query",
     "QueryRequest",
+    "check_count",
     "normalize_times",
     "union_window",
 ]
@@ -35,6 +36,21 @@ QUERY_MODES = ("forall", "exists", "pcnn", "raw", "reverse_nn")
 #: Estimation strategies the planner accepts (the strategy classes live in
 #: :mod:`repro.core.estimators`; ``tests`` assert the registry matches).
 ESTIMATOR_NAMES = ("sampled", "exact", "bounds", "hybrid", "adaptive")
+
+
+def check_count(name: str, value, minimum: int = 1, why: str = "") -> int:
+    """``value`` as an ``int``, or a ``ValueError`` naming it: counts (a kNN
+    depth, a world count, a cache capacity) must be integral — bools are
+    ints but ``k=True`` is a bug, and a fractional count would silently
+    truncate — and ``>= minimum``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(
+            f"{name} must be an integer >= {minimum}, got {value!r} "
+            f"(type {type(value).__name__})"
+        )
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}{why}")
+    return int(value)
 
 
 def normalize_times(times) -> np.ndarray:
@@ -197,20 +213,9 @@ class QueryRequest:
         if not 0.0 <= self.tau <= 1.0:
             raise ValueError("tau must be in [0, 1]")
         # Mirror the empty-times check below: reject nonsense up front with
-        # a descriptive message instead of letting it reach the kernels
-        # (bools are ints but k=True is a bug, and a fractional k would
-        # silently truncate in np.partition-based ranking).
-        if isinstance(self.k, bool) or not isinstance(self.k, (int, np.integer)):
-            raise ValueError(
-                f"k must be an integer >= 1, got {self.k!r} "
-                f"(type {type(self.k).__name__})"
-            )
-        if self.k < 1:
-            raise ValueError(
-                f"k must be >= 1, got {self.k} (the kNN depth counts "
-                "nearest neighbors; there is no 0-th nearest neighbor)"
-            )
-        object.__setattr__(self, "k", int(self.k))
+        # a descriptive message instead of letting it reach the kernels.
+        why = " (the kNN depth counts nearest neighbors; there is no 0-th nearest neighbor)"
+        object.__setattr__(self, "k", check_count("k", self.k, why=why))
         times = tuple(int(t) for t in self.times)
         if not times:
             raise ValueError("query time set T must be non-empty")
@@ -237,8 +242,8 @@ class QueryRequest:
             raise ValueError(
                 "estimator='adaptive' requires precision=(epsilon, delta)"
             )
-        if self.n_samples is not None and self.n_samples < 1:
-            raise ValueError("n_samples override must be positive")
+        if self.n_samples is not None:
+            object.__setattr__(self, "n_samples", check_count("n_samples", self.n_samples))
         if self.max_candidates < 1:
             raise ValueError("max_candidates must be positive")
         if self.max_worlds < 1 or self.max_paths < 1:

@@ -5,7 +5,7 @@ removed the per-*object* Python loop from refinement sampling, but three
 inner loops remain dispatch-bound rather than FLOP-bound: the
 per-timestep transition sweep (one numpy call per CDF column per tic),
 the per-request initial inverse-CDF search, and the per-state
-distance-table gather in ``QueryEngine._compute_distance_tensor``.  This
+distance-table gather in ``repro.core.refine.gather_distances``.  This
 module replaces all three with two C kernels (compiled on demand via
 cffi, see :mod:`._native_kernels`): one fused ``(steps × samples)``
 sweep that carries global row cursors across timesteps without returning

@@ -26,7 +26,6 @@ committed its version cursor and re-derives the delta on retry).
 
 from __future__ import annotations
 
-import asyncio
 import inspect
 from typing import Iterable
 
@@ -41,7 +40,6 @@ from .engine import ShardedQueryEngine
 from .protocol import (
     ApplyEvents,
     CrashWorker,
-    ReplayWorlds,
     ShardFailure,
     WorkerConfig,
 )
@@ -299,16 +297,6 @@ class ServeCoordinator:
             subscriptions=list(failure.subscriptions),
         )
 
-    async def tick_async(
-        self,
-        events: Iterable[StreamEvent] = (),
-        *,
-        now: int | None = None,
-    ) -> TickReport:
-        """Awaitable :meth:`tick` (runs in a thread; fan-out overlaps I/O)."""
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(None, lambda: self.tick(events, now=now))
-
     # ------------------------------------------------------------------
     # failure handling
     # ------------------------------------------------------------------
@@ -331,14 +319,7 @@ class ServeCoordinator:
         per-tick reuse deltas.
         """
         shard = int(shard)
-        engine = self.engine
         self._transport.restart(shard, self._config_for(shard))
-        engine._shard_counters[shard] = {}
-        # The replacement worker's registry starts from zero: reset the
-        # last-seen snapshot so its first reply merges cleanly.  Totals
-        # absorbed before the crash stay in the coordinator's registry —
-        # the counters survive the replay.
-        engine._shard_metric_seen[shard] = {}
         if self.metrics is not None:
             self.metrics.counter(
                 "shard_restarts_total",
@@ -350,33 +331,7 @@ class ServeCoordinator:
             shard=shard,
             subscriptions=[s.name for s in self.monitor.subscriptions],
         )
-        epoch = (
-            engine._last_batch_epoch
-            if engine._last_batch_epoch is not None
-            else engine._draw_epoch
-        )
-        # Objects with mutations the engine has not synced yet must not be
-        # replayed: the next tick invalidates and redraws them (the mirror
-        # still counts the drop), exactly as on a worker that never died.
-        pending: set | None = set()
-        if engine.db.version != engine._mut_seen:
-            pending = engine.db.changed_since(engine._mut_seen)
-        if pending is None:
-            # Wholesale invalidation is pending — nothing is replayable.
-            items = ()
-        else:
-            items = tuple(
-                (oid, n, lo, hi)
-                for (oid, n), (win_epoch, lo, hi) in sorted(
-                    engine._world_windows.items()
-                )
-                if win_epoch == epoch
-                and self.router.shard_of(oid) == shard
-                and oid not in pending
-            )
-        if not items:
-            return {"restored": 0}
-        return engine._request(shard, ReplayWorlds(epoch=epoch, items=items))
+        return self.engine.replay_shard(shard)
 
     # ------------------------------------------------------------------
     def close(self) -> None:

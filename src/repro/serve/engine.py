@@ -1,12 +1,15 @@
 """The coordinator-side engine: a ``QueryEngine`` whose sampling is remote.
 
 :class:`ShardedQueryEngine` subclasses the single-process engine and
-overrides exactly the layer where sampled worlds are materialized — the
-distance-tensor / states-block computations and the world prefetch.  All
-planning, filtering (the UST-tree runs over the *full* database, so
+replaces its refinement seam, nothing else: :meth:`fill_blocks` (each
+block's columns are computed by the shards owning them),
+:meth:`fetch_worlds` (segments are warmed where they live),
+:meth:`sync_mutations` (the invalidation decision is mirrored to every
+shard) and the :meth:`_staging` batch hook (one fan-out round per tick).
+All planning, filtering (the UST-tree runs over the *full* database, so
 candidate and influence sets are globally identical to single-process
-evaluation), refinement-tensor caching, thresholding and monitoring logic
-above that layer is inherited unchanged, which is the whole correctness
+evaluation), refine caching, thresholding and monitoring logic above
+that seam is inherited unchanged, which is the whole correctness
 argument: the sharded system runs literally the same code everywhere
 except that each object's worlds are drawn inside its owning shard
 worker.
@@ -38,20 +41,21 @@ restarts.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from multiprocessing import shared_memory
 
 import numpy as np
 
 from ..core.evaluator import QueryEngine
 from ..core.planner import build_plan
-from ..core.queries import Query
+from ..core.refine import RefineJob
 from .protocol import (
     ComputeColumns,
     ComputeJob,
-    PrefetchWorlds,
     ShardCrashed,
     ShardFailure,
     SyncShard,
+    WarmWorlds,
 )
 from .sharding import ShardRouter
 
@@ -109,10 +113,8 @@ class ShardedQueryEngine(QueryEngine):
         # window as ``(epoch, t_lo, t_hi)`` — the replay source for
         # rebuilding a crashed shard's cache bit-identically.
         self._world_windows: dict[tuple[str, int], tuple[int, int, int]] = {}
-        # Columns staged by _on_batch_begin, keyed by content; values are
-        # FIFO queues (two cache entries can legitimately stage the same
-        # content once each after dedup).
-        self._staged: dict[tuple, list[np.ndarray]] = {}
+        # Blocks fetched ahead by _staging, by ``RefineJob.key``.
+        self._staged: dict[tuple, np.ndarray] = {}
         #: Subscription names whose tick is in flight (set by the serving
         #: coordinator) — folded into ShardFailure for attributability.
         self._inflight: tuple[str, ...] = ()
@@ -131,22 +133,10 @@ class ShardedQueryEngine(QueryEngine):
                 reply.metrics, self._shard_metric_seen[shard]
             )
         seen = self._shard_counters[shard]
-        for key, value in reply.counters.items():
-            delta = int(value) - seen.get(key, 0)
-            seen[key] = int(value)
-            if not delta:
-                continue
-            if key == "hits":
-                self.worlds.hits += delta
-            elif key == "partial_hits":
-                self.worlds.partial_hits += delta
-            elif key == "misses":
-                self.worlds.misses += delta
-            # "worlds_invalidated" is deliberately NOT absorbed: the
-            # coordinator counts invalidations from its own window mirror
-            # (see _sync_mutations), which survives worker crashes — a
-            # replacement worker has a fresh shard view, sees no mutation
-            # delta and would under-report the drop.
+        for key, value in reply.counters.items():  # hits, partial_hits, misses
+            delta = value - seen.get(key, 0)
+            setattr(self.worlds, key, getattr(self.worlds, key) + delta)
+            seen[key] = value
         self.shard_busy_seconds[shard] = (
             self.shard_busy_seconds.get(shard, 0.0) + reply.busy_seconds
         )
@@ -182,14 +172,13 @@ class ShardedQueryEngine(QueryEngine):
     # ------------------------------------------------------------------
     # mutation sync: mirror the decision to every shard
     # ------------------------------------------------------------------
-    def _sync_mutations(self) -> None:
-        version = self.db.version
-        if version == self._mut_seen:
+    def sync_mutations(self, wholesale: bool = False) -> None:
+        if self.db.version == self._mut_seen and not wholesale:
             return
         saved = (self._mut_seen, self.index_updates, self.worlds_invalidated)
         saved_windows = dict(self._world_windows)
-        changed = self.db.changed_since(self._mut_seen)
-        super()._sync_mutations()
+        changed = None if wholesale else self.db.changed_since(self._mut_seen)
+        super().sync_mutations(wholesale=changed is None)
         if changed is None:
             self._world_windows.clear()
         else:
@@ -250,70 +239,76 @@ class ShardedQueryEngine(QueryEngine):
         else:
             self._world_windows[key] = (epoch, cur[1], max(cur[2], hi))
 
-    def _note_job_windows(self, jobs) -> None:
-        for _kind, _q, times, ids, n in jobs:
-            ids = list(ids)
-            alive = self.db.alive_matrix(ids, times)
-            for i, oid in enumerate(ids):
-                row = alive[i]
-                if not row.any():
-                    continue
-                lo, hi = self._cache_window(self.db.get(oid), times[row])
-                self._note_window(oid, n, lo, hi)
+    def replay_shard(self, shard: int) -> dict[str, int]:
+        """Re-draw a restarted worker's world segments from the mirror.
 
-    # ------------------------------------------------------------------
-    # remote computation
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _staged_key(kind, query, times, ids, n) -> tuple:
-        q_bytes = query.coords_at(times).tobytes() if query is not None else b""
-        return (kind, q_bytes, times.tobytes(), tuple(ids), int(n))
-
-    def _run_jobs(self, jobs: list[tuple]) -> list[np.ndarray]:
-        """Fan a batch of column computations out to the owning shards.
-
-        ``jobs`` items are ``(kind, query, times, ids, n)``.  Returns one
-        assembled full ``(objects, times, worlds)`` block per job — the
-        single-process engine's memory order.  On a shared-memory
-        transport the coordinator allocates one segment laying every
-        job's block out contiguously; each worker writes the slabs of the
-        ids it owns directly into the segment, so per-shard sub-blocks are
-        never pickled back.
+        Forgets the lost worker's last-seen counters (the replacement's
+        start from zero; totals absorbed before the crash stay) and warms
+        exactly the segments mirrored for the monitoring epoch.  Objects
+        with mutations this engine has not synced yet are left out: the
+        next tick invalidates and redraws them (the mirror still counts the
+        drop), exactly as on a worker that never died — and when that sync
+        will be wholesale, nothing is replayable.
         """
-        results: list[np.ndarray] = []
-        for kind, _q, times, ids, n in jobs:
-            shape = (len(ids), int(times.size), int(n))
-            if kind == "dist":
-                results.append(np.full(shape, np.inf))
-            else:
-                results.append(np.full(shape, -1, dtype=np.intp))
+        self._shard_counters[shard] = {}
+        self._shard_metric_seen[shard] = {}
+        epoch = self._draw_epoch if self._last_batch_epoch is None else self._last_batch_epoch
+        pending = self.db.changed_since(self._mut_seen)
+        items = () if pending is None else tuple(
+            (oid, n, lo, hi)
+            for (oid, n), (win_epoch, lo, hi) in sorted(self._world_windows.items())
+            if win_epoch == epoch
+            and self.router.shard_of(oid) == shard
+            and oid not in pending
+        )
+        if not items:
+            return {"restored": 0}
+        return self._request(shard, WarmWorlds(epoch=epoch, items=items))
+
+    # ------------------------------------------------------------------
+    # the refinement seam, remote
+    # ------------------------------------------------------------------
+    def fetch_worlds(self, items) -> list:
+        targets: dict[int, list] = {}
+        for oid, n, lo, hi in items:
+            targets.setdefault(self.router.shard_of(oid), []).append((oid, n, lo, hi))
+            self._note_window(oid, n, lo, hi)
+        self._broadcast(
+            {
+                shard: WarmWorlds(epoch=self._draw_epoch, items=tuple(shard_items))
+                for shard, shard_items in targets.items()
+            }
+        )
+        return []
+
+    def fill_blocks(self, jobs: list[RefineJob]) -> list[np.ndarray]:
+        """Blocks fetched ahead by :meth:`_staging` are handed over once;
+        the rest fan out to the owning shards in one round.
+
+        On a shared-memory transport the coordinator allocates one segment
+        laying every block out contiguously; each worker writes the slabs
+        of the ids it owns directly into the segment, so per-shard
+        sub-blocks are never pickled back.
+        """
+        results = [self._staged.pop(job.key, None) for job in jobs]
+        todo = [j for j, block in enumerate(results) if block is None]
         per_shard: dict[int, list[ComputeJob]] = {}
-        for j, (kind, q, times, ids, n) in enumerate(jobs):
-            for shard, cols in self.router.partition_positions(list(ids)).items():
+        for j in todo:
+            job = jobs[j]
+            results[j] = job.empty()
+            for shard, cols in self.router.partition_positions(job.object_ids).items():
                 per_shard.setdefault(shard, []).append(
-                    ComputeJob(
-                        kind=kind,
-                        # The wire form: evaluated coordinates, not the
-                        # Query object (whose closures do not pickle).
-                        query=None if q is None else q.coords_at(times),
-                        times=times,
-                        object_ids=tuple(ids[c] for c in cols),
-                        n_samples=int(n),
-                        job_index=j,
-                        col_index=tuple(cols),
-                    )
+                    ComputeJob(**vars(job.columns(cols)), job_index=j, col_index=tuple(cols))
                 )
         if not per_shard:
             return results
-        epoch = self._draw_epoch
-        window = self._batch_window
         shm = None
-        offsets: list[int] = []
+        offsets: dict[int, int] = {}
         if getattr(self._transport, "uses_shm", False):
             total = 0
-            for arr in results:
-                offsets.append(total)
-                total += arr.nbytes
+            for j in todo:
+                offsets[j] = total
+                total += results[j].nbytes
             shm = shared_memory.SharedMemory(create=True, size=max(1, total))
             for shard_jobs in per_shard.values():
                 for job in shard_jobs:
@@ -328,27 +323,27 @@ class ShardedQueryEngine(QueryEngine):
                 payloads = self._broadcast(
                     {
                         shard: ComputeColumns(
-                            epoch=epoch,
-                            window=window,
+                            epoch=self._draw_epoch,
+                            window=self._batch_window,
                             jobs=shard_jobs,
                             shm_name=None if shm is None else shm.name,
                         )
                         for shard, shard_jobs in per_shard.items()
                     }
                 )
-                sp_fanout.set(shards=len(per_shard), jobs=len(jobs))
+                sp_fanout.set(shards=len(per_shard), jobs=len(todo))
             with self.tracer.span("gather"):
                 if shm is not None:
                     # Every column of every job belongs to exactly one
                     # shard, and each worker writes its whole sub-block
                     # (dead positions included), so the segment is fully
                     # populated.
-                    for j, arr in enumerate(results):
-                        view = np.ndarray(
+                    for j in todo:
+                        arr = results[j]
+                        arr[...] = np.ndarray(
                             arr.shape, dtype=arr.dtype, buffer=shm.buf,
                             offset=offsets[j],
                         )
-                        arr[...] = view
                 else:
                     for shard, payload in payloads.items():
                         for job, sub in zip(per_shard[shard], payload):
@@ -357,162 +352,59 @@ class ShardedQueryEngine(QueryEngine):
             if shm is not None:
                 shm.close()
                 shm.unlink()
-        self._note_job_windows(jobs)
+        for j in todo:
+            job = jobs[j]
+            alive = self.db.alive_matrix(job.object_ids, job.times)
+            for oid, row in zip(job.object_ids, alive):
+                if row.any():
+                    lo, hi = self._cache_window(self.db.get(oid), job.times[row])
+                    self._note_window(oid, job.n, lo, hi)
         return results
 
-    def _compute_distance_tensor(
-        self, object_ids: list[str], q: Query, times: np.ndarray, n: int
-    ) -> np.ndarray:
-        ids = tuple(object_ids)
-        if not ids:
-            return super()._compute_distance_tensor(list(object_ids), q, times, n)
-        key = self._staged_key("dist", q, times, ids, n)
-        queue = self._staged.get(key)
-        if queue:
-            staged = queue.pop(0)
-            if not queue:
-                del self._staged[key]
-            return staged
-        return self._run_jobs([("dist", q, times, ids, n)])[0]
-
-    def _states_block(
-        self, object_ids: list[str], times: np.ndarray, n: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        ids = list(object_ids)
-        alive = self.db.alive_matrix(ids, times)
-        if not ids or not alive.any():
-            states = np.full((len(ids), times.size, n), -1, dtype=np.intp)
-            return states, alive
-        key = self._staged_key("states", None, times, tuple(ids), n)
-        queue = self._staged.get(key)
-        if queue:
-            staged = queue.pop(0)
-            if not queue:
-                del self._staged[key]
-            return staged, alive
-        return self._run_jobs([("states", None, times, tuple(ids), n)])[0], alive
-
-    # ------------------------------------------------------------------
-    # batched column staging: one fan-out round per tick
-    # ------------------------------------------------------------------
-    def _on_batch_begin(self, reqs: list) -> None:
-        """Predict the batch's refinement columns and fetch them in one round.
+    @contextmanager
+    def _staging(self, reqs: list):
+        """Fetch the blocks the batch will ask for in one fan-out round.
 
         Runs the plan and filter stages per request (both deterministic
         and RNG-free; the filter result is the batch's shared one — see
         :meth:`QueryEngine.shared_filter` — so nothing is pruned again
-        inside ``evaluate``) and replicates the
-        refinement-cache dirty-column decision read-only, yielding exactly
-        the column sets the evaluations will ask
-        ``_compute_distance_tensor`` / ``_states_block`` for.  Identical
-        predictions collapse (first consumer wins; a second evaluation
-        sharing the cache entry won't recompute at all), so staged work
-        matches single-process compute work column for column.  A
-        prediction miss is harmless: the evaluation falls back to a live
-        per-request fan-out.
+        inside ``evaluate``) and asks the refine cache which columns a
+        lookup would recompute, yielding exactly the jobs the evaluations
+        will hand :meth:`fill_blocks`.  Identical jobs collapse (the first
+        consumer wins), so staged work matches single-process compute work
+        column for column.  A prediction miss is harmless: the evaluation
+        falls back to a live per-request fan-out.
         """
-        jobs: list[tuple] = []
-        keys: list[tuple] = []
-        seen: set[tuple] = set()
+        if self._batch_depth > 1:  # a nested batch rides the outer one's round
+            yield
+            return
+        jobs: dict[tuple, RefineJob] = {}
         for req in reqs:
             try:
                 plan = build_plan(req, self.n_samples)
                 if plan.resolved_estimator != "sampled":
                     continue
                 times = np.asarray(plan.times, dtype=np.intp)
-                reverse = req.mode == "reverse_nn"
-                pruning = self.filter_objects(
+                ids = self.filter_objects(
                     req.query, times, k=req.k, normalized=True, mode=req.mode
-                )
-                ids = list(pruning.influencers)
+                ).influencers
                 if not ids or req.k > len(ids):
                     continue  # nothing to refine / evaluate() raises itself
-                n = plan.n_samples
-                needed = self._predict_columns(reverse, req, times, ids, n)
-                if not needed:
-                    continue
-                kind = "states" if reverse else "dist"
-                query = None if reverse else req.query
-                key = self._staged_key(kind, query, times, tuple(needed), n)
-                if key in seen:
-                    continue
-                seen.add(key)
-                jobs.append((kind, query, times, tuple(needed), n))
-                keys.append(key)
+                reverse = req.mode == "reverse_nn"
+                job = RefineJob(
+                    "states" if reverse else "dist",
+                    None if reverse else req.query.coords_at(times),
+                    times, tuple(ids), plan.n_samples,
+                )
+                cols = self._refine_cache.stale(job, req.k, self._stamp)[1]
+                if cols:
+                    job = job.columns(cols)
+                    jobs.setdefault(job.key, job)
             except Exception:
                 continue  # prediction must never fail a batch
-        if not jobs:
-            return
-        for key, arr in zip(keys, self._run_jobs(jobs)):
-            self._staged.setdefault(key, []).append(arr)
-
-    def _predict_columns(self, reverse, req, times, ids, n) -> list[str]:
-        """The column subset the evaluation's cache logic will recompute."""
-        if self.refine_cache_size == 0:
-            return ids
-        if reverse:
-            cache_key = ("states", req.k, times.tobytes(), tuple(ids), n)
-        else:
-            cache_key = (
-                "dist", req.k, req.query.coords_at(times).tobytes(),
-                times.tobytes(), tuple(ids), n,
-            )
-        entry = self._refine_cache.get(cache_key)
-        stamp = (self._worlds_token, self._draw_epoch)
-        if entry is None or entry["stamp"] != stamp:
-            return ids
-        changed = self.db.changed_since(entry["version"])
-        if changed is None:
-            return ids
-        return [oid for oid in ids if oid in changed]
-
-    def _on_batch_end(self) -> None:
-        self._staged.clear()
-
-    # ------------------------------------------------------------------
-    # prefetch: route to owners
-    # ------------------------------------------------------------------
-    def prefetch_worlds(
-        self,
-        object_ids=None,
-        window=None,
-        n_samples=None,
-    ) -> dict[str, int]:
-        self._sync_mutations()
-        ids = self.db.object_ids if object_ids is None else dict.fromkeys(object_ids)
-        n = self.n_samples if n_samples is None else int(n_samples)
-        targets: dict[int, list[str]] = {}
-        count = 0
-        for oid in ids:
-            obj = self.db.get(oid)
-            if window is None:
-                lo, hi = obj.t_first, obj.t_last
-            else:
-                lo = max(obj.t_first, int(window[0]))
-                hi = min(obj.t_last, int(window[1]))
-            if lo > hi:
-                continue
-            count += 1
-            targets.setdefault(self.router.shard_of(oid), []).append(oid)
-            self._note_window(oid, n, lo, hi)
-        before = (self.worlds.hits, self.worlds.partial_hits, self.worlds.misses)
-        if targets:
-            self._broadcast(
-                {
-                    shard: PrefetchWorlds(
-                        epoch=self._draw_epoch,
-                        targets=tuple(shard_ids),
-                        window=None if window is None else (
-                            int(window[0]), int(window[1])
-                        ),
-                        n_samples=n,
-                    )
-                    for shard, shard_ids in targets.items()
-                }
-            )
-        return {
-            "objects": count,
-            "hits": self.worlds.hits - before[0],
-            "partial_hits": self.worlds.partial_hits - before[1],
-            "misses": self.worlds.misses - before[2],
-        }
+        try:
+            if jobs:
+                self._staged = dict(zip(jobs, self.fill_blocks(list(jobs.values()))))
+            yield
+        finally:
+            self._staged.clear()

@@ -13,14 +13,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
+from ..core.refine import RefineJob
+
 __all__ = [
     "WorkerConfig",
     "ApplyEvents",
     "SyncShard",
     "ComputeJob",
     "ComputeColumns",
-    "PrefetchWorlds",
-    "ReplayWorlds",
+    "WarmWorlds",
     "CrashWorker",
     "Shutdown",
     "Reply",
@@ -41,7 +42,7 @@ class WorkerConfig:
     worlds bit-identical to single-process ones.  ``engine_kwargs`` are
     the coordinator's engine settings; the worker forces
     ``reuse_worlds=True`` (epochs arrive with each command) and
-    ``refine_cache_size=0`` (tensor caching is coordinator-side).
+    ``refine_cache_size=0`` (the refine cache is coordinator-side).
     """
 
     shard: int
@@ -81,25 +82,18 @@ class SyncShard:
 
 
 @dataclass
-class ComputeJob:
-    """One tensor's columns owned by this shard.
+class ComputeJob(RefineJob):
+    """This shard's columns of one block: a :class:`RefineJob` over the
+    object ids the shard owns, plus where they go.
 
-    ``kind`` is ``"dist"`` (query distances, float64) or ``"states"``
-    (sampled world states, intp).  ``query`` is the query's *evaluated*
-    per-time coordinate table (``Query.from_coords`` rebuilds it worker
-    side) — never a ``Query`` object, whose closures do not pickle.
-    When the batch rides shared memory,
-    ``shm_offset``/``full_shape``/``dtype`` locate the *full* cross-shard
-    ``(objects, times, worlds)`` block inside the segment and ``col_index``
-    the object slabs this worker writes — each one contiguous; otherwise
-    the worker returns its sub-block in the reply.
+    ``job_index`` names the coordinator's block and ``col_index`` the
+    object slabs of it this worker fills — each one contiguous.  When the
+    batch rides shared memory, ``shm_offset``/``full_shape``/``dtype``
+    locate the *full* cross-shard ``(objects, times, worlds)`` block
+    inside the segment and the worker writes its slabs there; otherwise
+    it returns its sub-block in the reply.
     """
 
-    kind: str
-    query: Any
-    times: Any
-    object_ids: tuple
-    n_samples: int
     job_index: int
     col_index: tuple = ()
     shm_offset: int = 0
@@ -124,25 +118,15 @@ class ComputeColumns:
 
 
 @dataclass
-class PrefetchWorlds:
-    """Warm owned objects' world segments ahead of a tick's evaluations."""
+class WarmWorlds:
+    """Look these world segments up — drawing what is missing — at ``epoch``.
 
-    epoch: int
-    targets: tuple = ()
-    window: tuple | None = None
-    n_samples: int | None = None
-    trace: Any = None
-
-
-@dataclass
-class ReplayWorlds:
-    """Rebuild a restarted worker's world cache from recorded windows.
-
-    ``items`` are ``(object_id, n_samples, t_lo, t_hi)`` — the exact
-    per-object cache windows the coordinator mirrored for the lost shard.
-    A fresh one-shot draw over the final window is bit-identical to the
-    original draw plus its forward extensions (the world-cache extension
-    contract), so resumption after replay is exact.
+    ``items`` are ``(object_id, n_samples, t_lo, t_hi)`` cache windows of
+    objects the shard owns: a tick's dirty objects ahead of its
+    evaluations, or — after a restart — the windows the coordinator
+    mirrored for the lost worker.  A fresh one-shot draw over a window is
+    bit-identical to the original draw plus its forward extensions (the
+    world-cache extension contract), so resumption after a replay is exact.
     """
 
     epoch: int
@@ -164,8 +148,8 @@ class Shutdown:
 class Reply:
     """A successful command's result.
 
-    ``counters`` are the worker's *cumulative* world-cache counters
-    (hits, partial hits, misses, invalidated segments); the coordinator
+    ``counters`` are the worker's *cumulative* world-cache lookup
+    counters (``hits``, ``partial_hits``, ``misses``); the coordinator
     absorbs deltas so its own counters read as if it had done the
     sampling itself.  ``busy_seconds`` is the handler's wall time.
 

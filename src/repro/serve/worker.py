@@ -7,10 +7,12 @@ a pipe-served loop for spawned processes.  The worker's engine is built
 with the coordinator's seed (identical root world entropy), a shard view
 of the database, ``reuse_worlds=True`` (epochs always arrive with the
 command, adopted via :meth:`QueryEngine.held_batch`) and
-``refine_cache_size=0`` (refinement-tensor caching is coordinator-side;
-the worker's job is sampling and distances only).  Workers never touch
-the UST-tree: filtering is global and runs on the coordinator, so index
-counters live in exactly one place.
+``refine_cache_size=0`` (the refine cache is coordinator-side).  The
+worker drives it through the engine's public refinement seam only —
+:meth:`~QueryEngine.sync_mutations`, :meth:`~QueryEngine.fill_blocks`
+on its share of each block's columns, :meth:`~QueryEngine.fetch_worlds` —
+and never touches the UST-tree: filtering is global and runs on the
+coordinator, so index counters live in exactly one place.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from time import perf_counter
 import numpy as np
 
 from ..core.evaluator import QueryEngine
-from ..core.queries import Query
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..stream.ingest import ObservationStream
@@ -32,11 +33,10 @@ from .protocol import (
     ComputeColumns,
     CrashWorker,
     ErrorReply,
-    PrefetchWorlds,
     Reply,
-    ReplayWorlds,
     Shutdown,
     SyncShard,
+    WarmWorlds,
     WorkerConfig,
 )
 
@@ -78,8 +78,7 @@ class ShardWorkerState:
         "ApplyEvents": "shard-ingest",
         "SyncShard": "shard-sync",
         "ComputeColumns": "shard-sweep",
-        "PrefetchWorlds": "shard-prefetch",
-        "ReplayWorlds": "shard-replay",
+        "WarmWorlds": "shard-warm",
     }
 
     def __init__(self, config: WorkerConfig) -> None:
@@ -112,7 +111,6 @@ class ShardWorkerState:
             "hits": engine.worlds.hits,
             "partial_hits": engine.worlds.partial_hits,
             "misses": engine.worlds.misses,
-            "worlds_invalidated": engine.worlds_invalidated,
         }
 
     def handle(self, command, shm_open=_open_shm) -> Reply:
@@ -150,53 +148,25 @@ class ShardWorkerState:
             result = self.stream.apply(command.events)
             return {"applied": result.applied, "dirty": sorted(result.dirty)}
         if isinstance(command, SyncShard):
-            if command.wholesale:
-                # Mirror the coordinator's wholesale decision even when this
-                # shard's own mutation log could name the delta — flush
-                # timing must match the single-process engine exactly.
-                engine._ust = None
-                engine._arena = engine._new_arena()
-                engine._worlds_token += 1
-                engine._mut_seen = engine.db.version
-            else:
-                engine._sync_mutations()
+            engine.sync_mutations(wholesale=command.wholesale)
             return None
         if isinstance(command, ComputeColumns):
             return self._compute(command, shm_open)
-        if isinstance(command, PrefetchWorlds):
-            engine._sync_mutations()
+        if isinstance(command, WarmWorlds):
+            engine.sync_mutations()
+            items = [item for item in command.items if item[0] in engine.db]
             with engine.held_batch(command.epoch):
-                return engine.prefetch_worlds(
-                    list(command.targets),
-                    window=command.window,
-                    n_samples=command.n_samples,
-                )
-        if isinstance(command, ReplayWorlds):
-            return self._replay(command)
+                engine.fetch_worlds(items)
+            return {"restored": len(items)}
         raise TypeError(
             f"shard {self.shard}: unknown command {type(command).__name__}"
         )
 
     def _compute(self, command: ComputeColumns, shm_open):
         engine = self.engine
-        engine._sync_mutations()
-        blocks = []
+        engine.sync_mutations()
         with engine.held_batch(command.epoch, command.window):
-            for job in command.jobs:
-                times = np.asarray(job.times, dtype=np.intp)
-                ids = list(job.object_ids)
-                if job.kind == "dist":
-                    block = engine._compute_distance_tensor(
-                        ids, Query.from_coords(job.query), times,
-                        int(job.n_samples),
-                    )
-                elif job.kind == "states":
-                    block, _alive = engine._states_block(
-                        ids, times, int(job.n_samples)
-                    )
-                else:
-                    raise ValueError(f"unknown compute kind {job.kind!r}")
-                blocks.append(block)
+            blocks = engine.fill_blocks(command.jobs)
         if command.shm_name is None:
             return blocks
         shm = shm_open(command.shm_name)
@@ -212,26 +182,6 @@ class ShardWorkerState:
         finally:
             shm.close()
         return None
-
-    def _replay(self, command: ReplayWorlds):
-        """Rebuild cache segments from the coordinator's window mirror.
-
-        A one-shot draw over each recorded window is bit-identical — in
-        sampled states *and* parked RNG stream — to the original draw
-        plus however many forward extensions grew it (the world cache's
-        extension contract), so a restarted worker resumes exactly where
-        the lost one stood.
-        """
-        engine = self.engine
-        engine._sync_mutations()
-        restored = 0
-        with engine.held_batch(command.epoch):
-            for oid, n, lo, hi in command.items:
-                if oid in engine.db:
-                    restored += engine.prefetch_worlds(
-                        [oid], window=(lo, hi), n_samples=n
-                    )["objects"]
-        return {"restored": restored}
 
 
 def worker_main(conn, config: WorkerConfig) -> None:

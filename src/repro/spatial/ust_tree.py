@@ -216,49 +216,22 @@ class USTTree:
         pos = bisect_left(self._ids, object_id)
         return pos, pos < len(self._ids) and self._ids[pos] == object_id
 
-    def _reindex(self, object_id: str, diamonds) -> int:
-        """Make ``diamonds`` (none: the object is gone) what the table
-        holds for the object; returns how many segments it held before.
-
-        The object's rows are rewritten — in place when its lifespan kept
-        its extent, as after an interior fix.
-        """
-        pos, known = self._position(object_id)
-        held = int(self._segs[0, self._row_ptr[pos + 1] - 1]) if known else 0
-        self._replace_rows(pos, pos + known, {object_id: diamonds} if diamonds else {})
-        return held
-
-    def insert_object(self, object_id: str) -> int:
-        """Index one (new) object's segments in place; returns the count.
-
-        Pruning over the updated table is exactly what a freshly built one
-        would compute: it holds the same rows (the oracle tests assert
-        this).
-        """
-        object_id = str(object_id)
-        if object_id in self:
-            raise KeyError(f"object {object_id!r} is already indexed")
-        diamonds = self.db.diamonds_of(object_id)
-        self._reindex(object_id, diamonds)
-        return len(diamonds)
-
-    def remove_object(self, object_id: str) -> int:
-        """Drop one object's segments from the index; returns the count
-        removed (0 when the object was not indexed)."""
-        return self._reindex(str(object_id), ())
-
     def update_object(self, object_id: str) -> None:
-        """Re-index one object after a database mutation.
+        """Re-index one object after a database mutation — added, observed
+        or removed.
 
         Rewrites the object's rows of the bound table from its current
-        diamonds — none when the object is gone.  This is the
-        streaming path's alternative to rebuilding the index per event.
+        diamonds — none when the object is gone, in place when its
+        lifespan kept its extent (as after an interior fix).  Pruning over
+        the updated table is exactly what a freshly built one would
+        compute: it holds the same rows (the oracle tests assert this).
+        This is the streaming path's alternative to rebuilding the index
+        per event.
         """
         object_id = str(object_id)
-        self._reindex(
-            object_id,
-            self.db.diamonds_of(object_id) if object_id in self.db else (),
-        )
+        diamonds = self.db.diamonds_of(object_id) if object_id in self.db else ()
+        pos, known = self._position(object_id)
+        self._replace_rows(pos, pos + known, {object_id: diamonds} if diamonds else {})
 
     def __contains__(self, object_id: str) -> bool:
         return self._position(str(object_id))[1]

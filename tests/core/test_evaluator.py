@@ -16,6 +16,36 @@ class TestEngineBasics:
         with pytest.raises(ValueError):
             QueryEngine(drift_db, seed=1, rng=np.random.default_rng(0))
 
+    @pytest.mark.parametrize("bad", [0, -3, 2.5, True, "8", None])
+    def test_world_counts_are_validated_like_k(self, drift_db, bad):
+        """One rule (``check_count``) wherever a world count enters: an
+        integer >= 1, or a ``ValueError`` naming the value — never a
+        truncated float, a bool read as 1, zero-world segments parked in
+        the cache or numpy's "negative dimensions"."""
+        q = Query.from_point([0.0, 0.0])
+        if bad is not None:  # None is "use the engine's count"
+            with pytest.raises(ValueError, match="n_samples must be"):
+                QueryEngine(drift_db, n_samples=bad)
+        engine = QueryEngine(drift_db, n_samples=10, seed=1, reuse_worlds=True)
+        ids = list(drift_db.object_ids)
+        for call in (
+            lambda n: engine.prefetch_worlds(n_samples=n),
+            lambda n: engine.distance_tensor(ids, q, [0, 1], n_samples=n),
+            lambda n: engine.reverse_distance_tensors(ids, q, [0, 1], n_samples=n),
+        ):
+            if bad is None:
+                call(bad)
+            else:
+                with pytest.raises(ValueError, match="n_samples must be"):
+                    call(bad)
+        assert all(n == 10 for _, n in engine.worlds._entries)
+
+    @pytest.mark.parametrize("bad", [-1, 1.5, True])
+    def test_refine_cache_size_is_validated(self, drift_db, bad):
+        with pytest.raises(ValueError, match="refine_cache_size must be"):
+            QueryEngine(drift_db, refine_cache_size=bad)
+        assert QueryEngine(drift_db, refine_cache_size=0).refine_cache_size == 0
+
     def test_invalid_tau(self, drift_db):
         engine = QueryEngine(drift_db, n_samples=10, seed=0)
         q = Query.from_point([0.0, 0.0])

@@ -98,12 +98,10 @@ class TestDistanceTensor:
 
 
 class TestIndexLifecycle:
-    def test_index_cached_and_invalidated(self, drift_db):
+    def test_index_cached(self, drift_db):
         engine = QueryEngine(drift_db, n_samples=10, seed=0)
         tree = engine.ust_tree
         assert engine.ust_tree is tree
-        engine.invalidate_index()
-        assert engine.ust_tree is not tree
 
     def test_prebuilt_index_accepted(self, drift_db):
         from repro.spatial.ust_tree import USTTree

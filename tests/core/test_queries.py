@@ -112,6 +112,15 @@ class TestQueryRequestValidation:
         with pytest.raises(ValueError, match="n_samples"):
             QueryRequest(q, (1,), n_samples=0)
 
+    @pytest.mark.parametrize("n", [-2, 2.5, True, "7"])
+    def test_n_samples_follows_the_rule_of_k(self, q, n):
+        with pytest.raises(ValueError, match="n_samples must be"):
+            QueryRequest(q, (1,), n_samples=n)
+
+    def test_numpy_integer_n_samples_coerced(self, q):
+        n = QueryRequest(q, (1,), n_samples=np.int64(40)).n_samples
+        assert n == 40 and isinstance(n, int)
+
     def test_union_window_spans_all_requests(self, q):
         reqs = [QueryRequest(q, (3, 4)), QueryRequest(q, (1, 2))]
         assert union_window(reqs) == (1, 4)

@@ -194,7 +194,7 @@ class MutatingWorld:
         self.stream.apply([event])
 
     def sync_tree(self) -> None:
-        """What ``QueryEngine._sync_mutations`` does to its index."""
+        """What ``QueryEngine.sync_mutations`` does to its index."""
         for oid in sorted(self.db.changed_since(self._tree_seen)):
             self.tree.update_object(oid)
         self._tree_seen = self.db.version

@@ -67,6 +67,42 @@ def event_script(db):
     ]
 
 
+def seam_subscriptions():
+    """The standard four plus the two refinement paths they never reach:
+    a ``reverse_nn`` request (a staged ``"states"`` job) and a ``hybrid``
+    one (skipped by the staging, so its blocks are filled live from inside
+    ``evaluate``)."""
+    q = Query.from_point([5.0, 5.0])
+    moving = Query.from_point([3.0, 6.0])
+    return standard_subscriptions() + [
+        ("reverse", QueryRequest(q, (3, 4, 5), "reverse_nn", 0.05)),
+        ("reverse-k2", QueryRequest(moving, (3, 4, 5), "reverse_nn", 0.05, k=2)),
+        # Its own query point: sharing one with a sampled subscription
+        # would serve it from that subscription's refine-cache entry.
+        (
+            "hybrid",
+            QueryRequest(
+                Query.from_point([6.0, 4.0]), (4, 5, 6), "forall", 0.1, estimator="hybrid"
+            ),
+        ),
+    ]
+
+
+def seam_script(db):
+    """An interior fix, a head append and a remove / re-add, with idle
+    ticks around them."""
+    ids = sorted(db.object_ids)
+    fixed, gone = db.get(ids[0]), db.get(ids[3])
+    return [
+        [],
+        [AddObservation(ids[0], 2, int(fixed.ground_truth.states[2]))],
+        [feasible_extension(db, ids[1])],
+        [RemoveObject(ids[3])],
+        [AddObject(ids[3], [(o.time, o.state) for o in gone.observations])],
+        [],
+    ]
+
+
 def assert_reports_identical(ra, rb, context=()):
     """One tick's single-process vs sharded reports must match exactly."""
     assert len(ra.notifications) == len(rb.notifications), context

@@ -21,6 +21,8 @@ from tests.serve.conftest import (
     assert_reports_identical,
     event_script,
     feasible_extension,
+    seam_script,
+    seam_subscriptions,
     standard_subscriptions,
     twin_db,
 )
@@ -57,6 +59,49 @@ def test_lockstep_matrix(n_shards, backend):
                 k for k in rb.stage_seconds if k.startswith("shard")
             ]
             assert shard_keys == [f"shard{s}" for s in range(n_shards)]
+
+
+@pytest.mark.parametrize(
+    "n_shards, mode, crash_before",
+    [(1, "inline", None), (2, "inline", None), (2, "process", None), (2, "inline", 2)],
+    ids=["1-inline", "2-inline", "2-process", "2-inline-crash"],
+)
+def test_lockstep_reverse_and_hybrid(n_shards, mode, crash_before):
+    """The same twin experiment over the wire paths the standard script
+    leaves out: ``"states"`` jobs staged for reverse requests, blocks a
+    hybrid request fills live from inside ``evaluate``, and — in the crash
+    case — ``restart_shard`` replaying the lost worker's segments through
+    the same ``WarmWorlds`` command a tick's prefetch sends."""
+    db_a, db_b = twin_db(), twin_db()
+    monitor = ContinuousMonitor(QueryEngine(db_a, n_samples=100, seed=SEED))
+    sampled_by_hybrid = 0
+    with ServeCoordinator(
+        db_b, n_shards=n_shards, seed=SEED, mode=mode, n_samples=100, timeout=60
+    ) as coord:
+        for name, request in seam_subscriptions():
+            monitor.subscribe(request, name=name)
+            coord.subscribe(request, name=name)
+        for t, (ev_a, ev_b) in enumerate(zip(seam_script(db_a), seam_script(db_b))):
+            ra = monitor.tick(ev_a)
+            if t == crash_before:
+                coord.inject_crash(1)
+                with pytest.raises(ShardFailure):
+                    coord.tick(ev_b)
+                assert coord.restart_shard(1)["restored"] >= 1
+                # The failed tick's events already reached the coordinator
+                # database; recovery re-ticks without re-applying them.
+                rb = coord.tick((), now=monitor.now)
+            else:
+                rb = coord.tick(ev_b)
+            assert_reports_identical(ra, rb, context=(n_shards, mode, t))
+            kinds = {n.subscription: type(n.result).__name__ for n in rb.notifications}
+            assert kinds.get("reverse", "ReverseNNResult") == "ReverseNNResult"
+            sampled_by_hybrid += sum(
+                n.result.report.sampled_objects
+                for n in rb.notifications
+                if n.subscription == "hybrid" and n.reevaluated
+            )
+    assert sampled_by_hybrid > 0  # else the live-fill path never ran
 
 
 def test_overflowed_log_syncs_wholesale_with_the_same_answers(monkeypatch):
@@ -119,6 +164,28 @@ def test_shard_count_is_invisible_to_results():
                 for events in event_script(db)
             ]
     assert reports[1] == reports[4]
+
+
+def test_bad_world_count_fails_on_the_coordinator_before_any_command_leaves():
+    db = twin_db()
+    with ServeCoordinator(db, n_shards=2, seed=SEED, mode="inline", n_samples=50) as coord:
+        # A pending mutation: syncing it would broadcast to every shard.
+        ext = feasible_extension(db, sorted(db.object_ids)[0])
+        db.add_observation(ext.object_id, ext.time, ext.state)
+        sent = []
+        coord._transport.request = lambda shard, command: sent.append(command)
+        q = standard_subscriptions()[0][1].query
+        ids = list(db.object_ids)
+        for bad in (0, -3, 2.5, True):
+            with pytest.raises(ValueError, match="n_samples must be"):
+                coord.engine.prefetch_worlds(n_samples=bad)
+            with pytest.raises(ValueError, match="n_samples must be"):
+                coord.engine.distance_tensor(ids, q, [2, 3], n_samples=bad)
+            with pytest.raises(ValueError, match="n_samples must be"):
+                coord.engine.reverse_distance_tensors(ids, q, [2, 3], n_samples=bad)
+        assert sent == []
+    with pytest.raises(ValueError, match="n_samples must be"):
+        ServeCoordinator(db, n_shards=2, seed=SEED, mode="inline", n_samples=2.5)
 
 
 def test_seed_is_required():

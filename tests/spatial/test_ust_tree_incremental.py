@@ -1,10 +1,9 @@
 """Incremental UST-tree maintenance vs the rebuilt-from-scratch oracle.
 
-``insert_object``/``remove_object``/``update_object`` patch the bound
-table in place; a freshly constructed ``USTTree`` over the same database
-and the per-entry reference filter (``tests.oracles.prune_reference``) are
-the equivalence oracles: all must count the same segments and answer
-``prune()`` identically.
+``update_object`` patches the bound table in place; a freshly constructed
+``USTTree`` over the same database and the per-entry reference filter
+(``tests.oracles.prune_reference``) are the equivalence oracles: all must
+count the same segments and answer ``prune()`` identically.
 """
 
 import numpy as np
@@ -85,13 +84,8 @@ class TestIncrementalMaintenance:
             oracle = USTTree(db)
             _assert_prune_equal(tree, oracle, *query)
 
-    def test_double_insert_rejected(self, db):
-        tree = USTTree(db)
-        with pytest.raises(KeyError, match="already indexed"):
-            tree.insert_object(db.object_ids[0])
-
-    def test_remove_unknown_is_noop(self, db):
+    def test_update_of_an_unknown_id_is_a_noop(self, db):
         tree = USTTree(db)
         n = len(tree)
-        assert tree.remove_object("ghost") == 0
-        assert len(tree) == n
+        tree.update_object("ghost")
+        assert len(tree) == n and "ghost" not in tree

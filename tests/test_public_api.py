@@ -6,6 +6,8 @@ import re
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from tests.conftest import make_paper_example_db
@@ -166,6 +168,9 @@ class TestEngineOptionCount:
             r"self\.(fused|incremental|window_restrict|prune_vectorized|refine_per_tic)"
             r"|engine\.incremental|vectorized=|backend=\"reference\"|batch_query"
             r"|RStarTree|SegmentKey|\b_by_object|rstar"  # not ``estimator_by_object``
+            # ... and of the five spellings of a refinement block (PR 24).
+            r"|_cached_states_block|_cached_distance_tensor|_predict_columns"
+            r"|_staged_key|PrefetchWorlds"
         )
         src = Path(repro.__file__).parent
         hits = [
@@ -175,3 +180,80 @@ class TestEngineOptionCount:
             if pattern.search(line)
         ]
         assert hits == []
+
+
+class TestRefinementSeam:
+    """A refinement block is one record, filled by one method, patched by
+    one cache; the serve tier replaces that seam and nothing else."""
+
+    SEAM = {"fill_blocks", "fetch_worlds", "sync_mutations", "_staging"}
+
+    def test_sharded_engine_overrides_only_the_seam(self):
+        from repro.serve.engine import ShardedQueryEngine
+
+        overridden = {
+            name
+            for name in set(vars(ShardedQueryEngine)) & set(vars(repro.QueryEngine))
+            if not (name.startswith("__") and name.endswith("__"))
+        }
+        assert overridden == self.SEAM
+
+    def test_worker_reads_no_engine_private(self):
+        import ast
+
+        import repro.serve.worker as worker
+
+        tree = ast.parse(Path(worker.__file__).read_text())
+        private = [
+            f"line {node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_")
+            and "engine" in ast.unparse(node.value)
+        ]
+        assert private == []
+
+    def test_one_function_decides_refine_cache_staleness(self):
+        src = Path(repro.__file__).parent
+        callers = [
+            str(path.relative_to(src))
+            for path in sorted(src.rglob("*.py"))
+            if "changed_since(entry" in path.read_text()
+        ]
+        assert callers == ["core/refine.py"]
+        assert (src / "core/refine.py").read_text().count("changed_since(") == 1
+
+    def test_wire_job_is_the_refine_job(self):
+        from repro.core.refine import RefineJob
+        from repro.serve.protocol import ComputeJob
+
+        assert issubclass(ComputeJob, RefineJob)
+
+    @given(
+        kind=st.sampled_from(["dist", "states"]),
+        coords=st.lists(st.floats(-5, 5), min_size=2, max_size=2),
+        times=st.lists(st.integers(0, 9), min_size=1, max_size=3, unique=True),
+        ids=st.lists(st.sampled_from("abcd"), min_size=1, max_size=3, unique=True),
+        n=st.integers(1, 50),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_job_key_is_the_content(self, kind, coords, times, ids, n):
+        import numpy as np
+
+        from repro.core.refine import RefineJob
+
+        def job(kind=kind, coords=coords, times=times, ids=ids, n=n):
+            table = None if kind == "states" else np.tile(np.array(coords), (len(times), 1))
+            return RefineJob(kind, table, np.array(sorted(times), dtype=np.intp), tuple(ids), n)
+
+        assert job().key == job().key and hash(job().key) == hash(job().key)
+        others = [
+            job(kind="states" if kind == "dist" else "dist"),
+            job(times=[t + 1 for t in times]),
+            job(ids=[*ids, "e"]),
+            job(n=n + 1),
+        ]
+        if kind == "dist":
+            others.append(job(coords=[coords[0] + 1.0, coords[1]]))
+        assert all(other.key != job().key for other in others)
+        assert job().columns([0]).key == job(ids=ids[:1]).key
