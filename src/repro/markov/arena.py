@@ -388,7 +388,6 @@ def sample_paths_arena(
     arena: SamplingArena,
     requests: list[ArenaRequest],
     n: int,
-    out: list[np.ndarray] | None = None,
     native: bool = False,
 ) -> list[np.ndarray]:
     """Draw ``n`` posterior paths per request in one fused pass.
@@ -399,13 +398,6 @@ def sample_paths_arena(
     generator (see the module docstring for why), and like it a view
     whose world axis is contiguous: all results share the one sweep buffer.
 
-    ``out``, when given, supplies one pre-allocated destination per
-    request (matching shape and an integer dtype) that the sampled paths
-    are written into in place of fresh allocations — e.g. slabs of a
-    shared-memory segment; a destination in the sampler's own order (the
-    transpose of a C-contiguous ``(width, n)`` array) is filled by plain
-    row copies.  The same arrays are returned for convenience.
-
     ``native=True`` runs the whole sweep through the compiled kernel tier
     (:mod:`repro.markov.native`) — byte-identical results from the same
     RNG streams, one C call instead of a numpy sweep per timestep; it
@@ -413,10 +405,6 @@ def sample_paths_arena(
     """
     if n < 1:
         raise ValueError("n must be positive")
-    if out is not None and len(out) != len(requests):
-        raise ValueError(
-            f"out supplies {len(out)} destinations for {len(requests)} requests"
-        )
     if not requests:
         return []
     n_req = len(requests)
@@ -453,7 +441,7 @@ def sample_paths_arena(
         from . import native as _native
 
         return _native.draw_arena(
-            arena, requests, n, out, blocks, starts, pos, a_arr, b_arr, resumed
+            arena, requests, n, blocks, starts, pos, a_arr, b_arr, resumed
         )
 
     # Columnar layouts: request r owns row r (resp. column r) of every
@@ -562,13 +550,4 @@ def sample_paths_arena(
         if mv.size:
             transition(table, mv, uniforms[t - a_arr[mv] + (~resumed[mv]), mv])
 
-    drawn = [buf[r, : int(widths[r])].T for r in range(n_req)]
-    if out is None:
-        return drawn
-    for r, (dest, paths) in enumerate(zip(out, drawn)):
-        if dest.shape != paths.shape:
-            raise ValueError(
-                f"out[{r}] has shape {dest.shape}, expected {paths.shape}"
-            )
-        dest[...] = paths
-    return list(out)
+    return [buf[r, : int(widths[r])].T for r in range(n_req)]

@@ -296,7 +296,6 @@ def draw_arena(
     arena: "SamplingArena",
     requests: "list[ArenaRequest]",
     n: int,
-    out: list[np.ndarray] | None,
     blocks: "list[_Block]",
     starts: list[np.ndarray | None],
     pos: np.ndarray,
@@ -379,26 +378,8 @@ def draw_arena(
     # Destinations are tic-major ``(width, n)`` slabs — the numpy sweep's
     # buffer order, which the kernel fills one contiguous row per tic.
     states_dtype = arena.states_dtype
-    staged: list[tuple[np.ndarray, np.ndarray]] = []
-    if out is None:
-        block = np.empty((n_req, int(widths.max()), n), dtype=states_dtype)
-        slabs = [block[r, : int(widths[r])] for r in range(n_req)]
-    else:
-        slabs = []
-        for r, dest in enumerate(out):
-            expect = (n, int(widths[r]))
-            if dest.shape != expect:
-                raise ValueError(
-                    f"out[{r}] has shape {dest.shape}, expected {expect}"
-                )
-            slab = dest.T
-            if dest.dtype != states_dtype or not slab.flags.c_contiguous:
-                # Foreign dtype/order destinations (e.g. world-major intp
-                # buffers on an int32 arena) go through a staging slab; the
-                # copy casts exactly like the numpy path's assignment.
-                slab = np.empty(expect[::-1], dtype=states_dtype)
-                staged.append((dest, slab))
-            slabs.append(slab)
+    block = np.empty((n_req, int(widths.max()), n), dtype=states_dtype)
+    slabs = [block[r, : int(widths[r])] for r in range(n_req)]
     out_ptrs = ffi.new("void *[]", n_req)
     for r, slab in enumerate(slabs):
         p = ffi.from_buffer("char[]", slab, require_writable=True)
@@ -435,9 +416,7 @@ def draw_arena(
     if lazy is not None:
         for r, req in enumerate(requests):
             req.rng.consumed += int(u_blocks[r]) * n
-    for dest, slab in staged:
-        dest[...] = slab.T
-    return [slab.T for slab in slabs] if out is None else list(out)
+    return [slab.T for slab in slabs]
 
 
 # ---------------------------------------------------------------------------

@@ -26,10 +26,8 @@ committed its version cursor and re-derives the delta on retry).
 
 from __future__ import annotations
 
-import inspect
 from typing import Iterable
 
-from ..core.evaluator import QueryEngine
 from ..obs.exposition import MetricsServer
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER
@@ -67,10 +65,12 @@ class ServeCoordinator:
     mode:
         ``"inline"`` (workers in-process — deterministic, test-friendly,
         zero IPC) or ``"process"`` (one spawned worker process per shard,
-        shared-memory world tensors, concurrent fan-out).
+        pickled commands and replies over pipes; the workers compute
+        concurrently, the coordinator stays on one thread).
     timeout:
-        Per-request worker reply deadline (process mode); an overdue or
-        dead worker raises :class:`ShardFailure` instead of hanging.
+        Reply deadline of one fan-out round, from its first send
+        (process mode); an overdue or dead worker raises
+        :class:`ShardFailure` instead of hanging.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When recording, every tick
         produces one span tree — ingest fan-out, monitor stages, and the
@@ -92,8 +92,9 @@ class ServeCoordinator:
         Forwarded to the coordinator engine (``n_samples``, ``backend``,
         ``use_pruning``, ``refine_cache_size``); anything
         :class:`~repro.core.evaluator.QueryEngine` does not accept is a
-        ``TypeError`` here, before a worker is started.  Workers inherit
-        them with ``reuse_worlds=True`` and ``refine_cache_size=0`` forced.
+        ``TypeError`` (a value it rejects a ``ValueError``) here, before a
+        worker is started.  Workers inherit them with ``reuse_worlds=True``
+        and ``refine_cache_size=0`` forced.
     """
 
     def __init__(
@@ -117,11 +118,6 @@ class ServeCoordinator:
                 "ServeCoordinator requires seed= (shard workers must derive "
                 "the same world entropy as the coordinator)"
             )
-        # Checked here, not left to the engines: in process mode the first
-        # QueryEngine built with these options lives in a spawned worker.
-        unknown = set(engine_kwargs) - set(inspect.signature(QueryEngine.__init__).parameters)
-        if unknown:
-            raise TypeError(f"unexpected engine option(s): {', '.join(sorted(unknown))}")
         self.db = db
         self.mode = mode
         self.router = ShardRouter(n_shards)
@@ -136,18 +132,13 @@ class ServeCoordinator:
         # never ride a WorkerConfig across the spawn boundary); replies
         # ship spans + cumulative snapshots home instead.
         self._telemetry = bool(self.tracer.enabled or metrics is not None)
-        configs = {
-            shard: self._config_for(shard) for shard in range(self.router.n_shards)
-        }
-        if mode == "process":
-            transport = ProcessTransport(configs, timeout=timeout)
-        else:
-            transport = InlineTransport(configs)
-        self._transport = transport
+        # The coordinator's engine is built first: it checks the engine
+        # options (an unknown one is a TypeError, a bad value a ValueError)
+        # before any worker — in process mode a spawned process — exists.
         self.engine = ShardedQueryEngine(
             db,
             router=self.router,
-            transport=transport,
+            transport=None,
             seed=self._seed,
             tracer=tracer,
             metrics=metrics,
@@ -156,14 +147,27 @@ class ServeCoordinator:
         )
         self.monitor = ContinuousMonitor(self.engine)
         self._stream = self.monitor.stream
+        configs = {
+            shard: self._config_for(shard) for shard in range(self.router.n_shards)
+        }
+        self._transport = None
         self.metrics_server: MetricsServer | None = None
-        if metrics_port is not None:
-            self.metrics_server = MetricsServer(
-                metrics,
-                port=metrics_port,
-                tracer=self.tracer if self.tracer.enabled else None,
-                slow_log=slow_log,
-            )
+        try:
+            if mode == "process":
+                self._transport = ProcessTransport(configs, timeout=timeout)
+            else:
+                self._transport = InlineTransport(configs)
+            self.engine._transport = self._transport
+            if metrics_port is not None:
+                self.metrics_server = MetricsServer(
+                    metrics,
+                    port=metrics_port,
+                    tracer=self.tracer if self.tracer.enabled else None,
+                    slow_log=slow_log,
+                )
+        except BaseException:
+            self.close()
+            raise
 
     def _config_for(self, shard: int) -> WorkerConfig:
         return WorkerConfig(
@@ -338,7 +342,8 @@ class ServeCoordinator:
         if self.metrics_server is not None:
             self.metrics_server.close()
             self.metrics_server = None
-        self._transport.close()
+        if self._transport is not None:
+            self._transport.close()
 
     def __enter__(self) -> "ServeCoordinator":
         return self

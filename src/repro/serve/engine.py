@@ -2,7 +2,8 @@
 
 :class:`ShardedQueryEngine` subclasses the single-process engine and
 replaces its refinement seam, nothing else: :meth:`fill_blocks` (each
-block's columns are computed by the shards owning them),
+block's columns are computed by the shards owning them and come home in
+their replies),
 :meth:`fetch_worlds` (segments are warmed where they live),
 :meth:`sync_mutations` (the invalidation decision is mirrored to every
 shard) and the :meth:`_staging` batch hook (one fan-out round per tick).
@@ -42,7 +43,6 @@ restarts.
 from __future__ import annotations
 
 from contextlib import contextmanager
-from multiprocessing import shared_memory
 
 import numpy as np
 
@@ -124,8 +124,8 @@ class ShardedQueryEngine(QueryEngine):
     # ------------------------------------------------------------------
     def _absorb(self, shard: int, reply) -> None:
         # Stitch the worker's finished span subtree under whatever span
-        # issued this command (absorption runs synchronously after the
-        # fan-out joins, on the coordinator's thread).
+        # issued this command (absorption runs on the coordinator's
+        # thread once every reply of the round is in).
         if reply.spans:
             self.tracer.attach(reply.spans)
         if self.metrics is not None and reply.metrics:
@@ -285,10 +285,9 @@ class ShardedQueryEngine(QueryEngine):
         """Blocks fetched ahead by :meth:`_staging` are handed over once;
         the rest fan out to the owning shards in one round.
 
-        On a shared-memory transport the coordinator allocates one segment
-        laying every block out contiguously; each worker writes the slabs
-        of the ids it owns directly into the segment, so per-shard
-        sub-blocks are never pickled back.
+        Each worker returns the object slabs of the ids it owns in its
+        reply, and they are scattered here into the blocks'
+        ``(objects, times, worlds)`` layout.
         """
         results = [self._staged.pop(job.key, None) for job in jobs]
         todo = [j for j, block in enumerate(results) if block is None]
@@ -302,56 +301,25 @@ class ShardedQueryEngine(QueryEngine):
                 )
         if not per_shard:
             return results
-        shm = None
-        offsets: dict[int, int] = {}
-        if getattr(self._transport, "uses_shm", False):
-            total = 0
-            for j in todo:
-                offsets[j] = total
-                total += results[j].nbytes
-            shm = shared_memory.SharedMemory(create=True, size=max(1, total))
-            for shard_jobs in per_shard.values():
-                for job in shard_jobs:
-                    job.shm_offset = offsets[job.job_index]
-                    job.full_shape = results[job.job_index].shape
-                    job.dtype = str(results[job.job_index].dtype)
-        try:
-            # The fan-out span collects each worker's stitched
-            # "shard-sweep" child (attached during absorption); "gather"
-            # times the cross-shard tensor assembly on the coordinator.
-            with self.tracer.span("shard-fanout") as sp_fanout:
-                payloads = self._broadcast(
-                    {
-                        shard: ComputeColumns(
-                            epoch=self._draw_epoch,
-                            window=self._batch_window,
-                            jobs=shard_jobs,
-                            shm_name=None if shm is None else shm.name,
-                        )
-                        for shard, shard_jobs in per_shard.items()
-                    }
-                )
-                sp_fanout.set(shards=len(per_shard), jobs=len(todo))
-            with self.tracer.span("gather"):
-                if shm is not None:
-                    # Every column of every job belongs to exactly one
-                    # shard, and each worker writes its whole sub-block
-                    # (dead positions included), so the segment is fully
-                    # populated.
-                    for j in todo:
-                        arr = results[j]
-                        arr[...] = np.ndarray(
-                            arr.shape, dtype=arr.dtype, buffer=shm.buf,
-                            offset=offsets[j],
-                        )
-                else:
-                    for shard, payload in payloads.items():
-                        for job, sub in zip(per_shard[shard], payload):
-                            results[job.job_index][list(job.col_index)] = sub
-        finally:
-            if shm is not None:
-                shm.close()
-                shm.unlink()
+        # The fan-out span collects each worker's stitched "shard-sweep"
+        # child (attached during absorption); "gather" times the
+        # cross-shard tensor assembly on the coordinator.
+        with self.tracer.span("shard-fanout") as sp_fanout:
+            payloads = self._broadcast(
+                {
+                    shard: ComputeColumns(
+                        epoch=self._draw_epoch,
+                        window=self._batch_window,
+                        jobs=shard_jobs,
+                    )
+                    for shard, shard_jobs in per_shard.items()
+                }
+            )
+            sp_fanout.set(shards=len(per_shard), jobs=len(todo))
+        with self.tracer.span("gather"):
+            for shard, payload in payloads.items():
+                for job, sub in zip(per_shard[shard], payload):
+                    results[job.job_index][list(job.col_index)] = sub
         for j in todo:
             job = jobs[j]
             alive = self.db.alive_matrix(job.object_ids, job.times)

@@ -2,7 +2,7 @@
 
 Plain picklable dataclasses: the same command objects drive both the
 in-process transport (direct calls — the lockstep test surface) and the
-multi-process transport (pipes + shared memory).  Every reply carries the
+multi-process transport (pickled over pipes).  Every reply carries the
 worker's cumulative world-cache counters and the handler's busy time, so
 the coordinator can fold per-shard reuse accounting and stage timings
 into the single-process report format without extra round trips.
@@ -87,18 +87,13 @@ class ComputeJob(RefineJob):
     object ids the shard owns, plus where they go.
 
     ``job_index`` names the coordinator's block and ``col_index`` the
-    object slabs of it this worker fills — each one contiguous.  When the
-    batch rides shared memory, ``shm_offset``/``full_shape``/``dtype``
-    locate the *full* cross-shard ``(objects, times, worlds)`` block
-    inside the segment and the worker writes its slabs there; otherwise
-    it returns its sub-block in the reply.
+    object slabs of it this worker fills — each one contiguous.  The
+    worker returns its sub-block in the reply and the coordinator
+    scatters it into those slabs.
     """
 
     job_index: int
     col_index: tuple = ()
-    shm_offset: int = 0
-    full_shape: tuple = ()
-    dtype: str = ""
 
 
 @dataclass
@@ -113,7 +108,6 @@ class ComputeColumns:
     epoch: int
     window: tuple | None
     jobs: list
-    shm_name: str | None = None
     trace: Any = None
 
 

@@ -1,19 +1,19 @@
 """Transports: how protocol commands reach shard workers.
 
 Two implementations behind one duck-typed interface (``request``,
-``broadcast``, ``restart``, ``close``, ``uses_shm``):
+``broadcast``, ``restart``, ``close``):
 
 * :class:`InlineTransport` holds :class:`ShardWorkerState` objects
   in-process and calls their handlers directly.  Deterministic, fast and
   debuggable — the cross-shard lockstep suite runs the full shard-count ×
   backend matrix through it, exercising every protocol path
-  except OS-level transport (pipes, shared memory, process death).
+  except OS-level transport (pipes, process death).
 * :class:`ProcessTransport` spawns one worker process per shard
-  (``spawn`` start method — fork is unsafe under threads/BLAS), speaks
-  pickled commands over pipes, fans broadcasts out concurrently through a
-  persistent asyncio loop, and lets workers write sampled columns into
-  coordinator-allocated shared memory (``uses_shm``) so world tensors are
-  gathered without pickling.
+  (``spawn`` start method — fork is unsafe under threads/BLAS) and speaks
+  pickled commands over pipes, all on the calling thread: a broadcast
+  sends every command before it reads any reply, so the workers compute
+  concurrently, and every result — sampled world blocks included — comes
+  home in its reply.
 
 Both translate worker death into :class:`ShardCrashed` — a timeout, a
 broken pipe or an explicit :class:`CrashWorker` — which the sharded
@@ -24,11 +24,8 @@ worker traceback instead: a bug is not a crash.
 
 from __future__ import annotations
 
-import asyncio
 import multiprocessing
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from time import perf_counter
+from time import monotonic
 
 from .protocol import (
     CrashWorker,
@@ -45,17 +42,11 @@ __all__ = ["InlineTransport", "ProcessTransport"]
 class InlineTransport:
     """Direct in-process dispatch to :class:`ShardWorkerState` objects."""
 
-    uses_shm = False
-
     def __init__(self, configs: dict[int, WorkerConfig]) -> None:
         self._workers = {
             shard: ShardWorkerState(config) for shard, config in configs.items()
         }
         self._dead: set[int] = set()
-        #: Cumulative per-shard request round-trip time (observability:
-        #: round trip minus the reply's ``busy_seconds`` is the transport
-        #: overhead — zero-ish inline, pickling + pipes in process mode).
-        self.roundtrip_seconds: dict[int, float] = {s: 0.0 for s in configs}
 
     def worker(self, shard: int) -> ShardWorkerState:
         """The live worker state (test introspection hook)."""
@@ -67,12 +58,7 @@ class InlineTransport:
         if isinstance(command, CrashWorker):
             self._dead.add(shard)
             raise ShardCrashed(shard, "worker crashed (CrashWorker hook)")
-        t0 = perf_counter()
-        reply = self._workers[shard].handle(command)
-        self.roundtrip_seconds[shard] = (
-            self.roundtrip_seconds.get(shard, 0.0) + perf_counter() - t0
-        )
-        return reply
+        return self._workers[shard].handle(command)
 
     def broadcast(self, commands: dict[int, object]) -> dict[int, object]:
         replies = {}
@@ -96,9 +82,7 @@ class InlineTransport:
 
 
 class ProcessTransport:
-    """One spawned worker process per shard, pipes + shared memory."""
-
-    uses_shm = True
+    """One spawned worker process per shard, spoken to over pipes."""
 
     def __init__(
         self, configs: dict[int, WorkerConfig], timeout: float = 120.0
@@ -107,21 +91,12 @@ class ProcessTransport:
         self._timeout = float(timeout)
         self._procs: dict[int, multiprocessing.Process] = {}
         self._conns: dict[int, object] = {}
-        #: Cumulative per-shard request round-trip time (see
-        #: :class:`InlineTransport`); each shard is only ever touched by
-        #: the one fan-out thread carrying its request, so plain float
-        #: accumulation is safe.
-        self.roundtrip_seconds: dict[int, float] = {s: 0.0 for s in configs}
-        for shard, config in sorted(configs.items()):
-            self._start(shard, config)
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(1, len(configs)), thread_name_prefix="serve-io"
-        )
-        self._loop = asyncio.new_event_loop()
-        self._loop_thread = threading.Thread(
-            target=self._loop.run_forever, name="serve-loop", daemon=True
-        )
-        self._loop_thread.start()
+        try:
+            for shard, config in sorted(configs.items()):
+                self._start(shard, config)
+        except BaseException:
+            self.close()
+            raise
 
     def _start(self, shard: int, config: WorkerConfig) -> None:
         parent, child = self._ctx.Pipe()
@@ -137,15 +112,49 @@ class ProcessTransport:
         self._conns[shard] = parent
 
     def request(self, shard: int, command):
+        return self.broadcast({shard: command})[shard]
+
+    def broadcast(self, commands: dict[int, object]) -> dict[int, object]:
+        """Send every command, then collect every reply on this thread.
+
+        The workers are separate processes, so they compute concurrently
+        while the replies are read one pipe at a time.  All replies share
+        one deadline, ``timeout`` after the first send: a stuck shard costs
+        one timeout, not one per shard.  Every shard's reply is read even
+        after another shard failed, so the survivors' pipes stay
+        message-aligned; a crash outranks a handler error.
+        """
+        deadline = monotonic() + self._timeout
+        failures: list[Exception] = []
+        sent = []
+        for shard, command in sorted(commands.items()):
+            try:
+                self._conns[shard].send(command)
+                sent.append(shard)
+            except OSError as exc:
+                failures.append(_lost(shard, exc))
+        replies = {}
+        for shard in sent:
+            try:
+                replies[shard] = self._receive(shard, commands[shard], deadline)
+            except Exception as exc:
+                failures.append(exc)
+        if failures:
+            raise next(
+                (exc for exc in failures if isinstance(exc, ShardCrashed)),
+                failures[0],
+            )
+        return replies
+
+    def _receive(self, shard: int, command, deadline: float):
         conn = self._conns[shard]
         proc = self._procs[shard]
-        t0 = perf_counter()
+        remaining = max(0.0, deadline - monotonic())
+        if isinstance(command, CrashWorker):
+            proc.join(remaining)
+            raise ShardCrashed(shard, "worker crashed (CrashWorker hook)")
         try:
-            conn.send(command)
-            if isinstance(command, CrashWorker):
-                proc.join(self._timeout)
-                raise ShardCrashed(shard, "worker crashed (CrashWorker hook)")
-            if not conn.poll(self._timeout):
+            if not conn.poll(remaining):
                 alive = proc.is_alive()
                 raise ShardCrashed(
                     shard,
@@ -153,54 +162,13 @@ class ProcessTransport:
                     f"(process {'alive but stuck' if alive else 'dead'})",
                 )
             reply = conn.recv()
-        except ShardCrashed:
-            raise
-        except (EOFError, BrokenPipeError, ConnectionResetError, OSError) as exc:
-            raise ShardCrashed(
-                shard, f"{type(exc).__name__}: {exc or 'connection lost'}"
-            ) from exc
+        except (EOFError, OSError) as exc:
+            raise _lost(shard, exc) from exc
         if isinstance(reply, ErrorReply):
             raise RuntimeError(
                 f"shard {shard} handler failed (worker survives):\n{reply.error}"
             )
-        self.roundtrip_seconds[shard] = (
-            self.roundtrip_seconds.get(shard, 0.0) + perf_counter() - t0
-        )
         return reply
-
-    def broadcast(self, commands: dict[int, object]) -> dict[int, object]:
-        if len(commands) <= 1:
-            return {
-                shard: self.request(shard, command)
-                for shard, command in commands.items()
-            }
-
-        async def _gather():
-            loop = asyncio.get_running_loop()
-            futures = {
-                shard: loop.run_in_executor(
-                    self._pool, self.request, shard, command
-                )
-                for shard, command in sorted(commands.items())
-            }
-            replies: dict[int, object] = {}
-            errors: list[BaseException] = []
-            # Await every shard even after a failure: survivors finish
-            # their in-flight work (and their pipes stay message-aligned)
-            # before the failure propagates.
-            for shard, future in futures.items():
-                try:
-                    replies[shard] = await future
-                except BaseException as exc:
-                    errors.append(exc)
-            if errors:
-                for exc in errors:
-                    if isinstance(exc, ShardCrashed):
-                        raise exc
-                raise errors[0]
-            return replies
-
-        return asyncio.run_coroutine_threadsafe(_gather(), self._loop).result()
 
     def restart(self, shard: int, config: WorkerConfig) -> None:
         proc = self._procs.get(shard)
@@ -230,6 +198,7 @@ class ProcessTransport:
                 pass
         self._conns.clear()
         self._procs.clear()
-        self._loop.call_soon_threadsafe(self._loop.stop)
-        self._loop_thread.join(5.0)
-        self._pool.shutdown(wait=False)
+
+
+def _lost(shard: int, exc: BaseException) -> ShardCrashed:
+    return ShardCrashed(shard, f"{type(exc).__name__}: {exc or 'connection lost'}")

@@ -10,19 +10,17 @@ command, adopted via :meth:`QueryEngine.held_batch`) and
 ``refine_cache_size=0`` (the refine cache is coordinator-side).  The
 worker drives it through the engine's public refinement seam only —
 :meth:`~QueryEngine.sync_mutations`, :meth:`~QueryEngine.fill_blocks`
-on its share of each block's columns, :meth:`~QueryEngine.fetch_worlds` —
-and never touches the UST-tree: filtering is global and runs on the
-coordinator, so index counters live in exactly one place.
+on its share of each block's columns (the filled slabs are the reply's
+payload), :meth:`~QueryEngine.fetch_worlds` — and never touches the
+UST-tree: filtering is global and runs on the coordinator, so index
+counters live in exactly one place.
 """
 
 from __future__ import annotations
 
 import os
-import sys
 import traceback
 from time import perf_counter
-
-import numpy as np
 
 from ..core.evaluator import QueryEngine
 from ..obs.metrics import MetricsRegistry
@@ -41,32 +39,6 @@ from .protocol import (
 )
 
 __all__ = ["ShardWorkerState", "worker_main"]
-
-
-def _open_shm(name: str):
-    """Attach to a coordinator-created shared-memory segment, untracked.
-
-    The coordinator owns the lifecycle (close + unlink after gathering)
-    and a spawned worker *shares the coordinator's resource-tracker
-    process*: registering the attachment there is at best a no-op, and
-    unregistering it afterwards removes the coordinator's own
-    registration, so its later ``unlink()`` makes the tracker print a
-    ``KeyError`` traceback per segment.  Python 3.13 has ``track=False``
-    for this; before that ``SharedMemory`` registers unconditionally, so
-    the ``register`` call is suppressed for the duration of the attach
-    (the worker loop is single-threaded — nothing else can register
-    meanwhile).
-    """
-    from multiprocessing import resource_tracker, shared_memory
-
-    if sys.version_info >= (3, 13):
-        return shared_memory.SharedMemory(name=name, track=False)
-    register = resource_tracker.register
-    resource_tracker.register = lambda name, rtype: None
-    try:
-        return shared_memory.SharedMemory(name=name)
-    finally:
-        resource_tracker.register = register
 
 
 class ShardWorkerState:
@@ -113,7 +85,7 @@ class ShardWorkerState:
             "misses": engine.worlds.misses,
         }
 
-    def handle(self, command, shm_open=_open_shm) -> Reply:
+    def handle(self, command) -> Reply:
         t0 = perf_counter()
         spans: list = []
         if self.tracer.enabled:
@@ -123,10 +95,10 @@ class ShardWorkerState:
             with self.tracer.remote_span(
                 name, getattr(command, "trace", None), shard=self.shard
             ) as span:
-                payload = self._dispatch(command, shm_open)
+                payload = self._dispatch(command)
             spans = [span.to_dict()]
         else:
-            payload = self._dispatch(command, shm_open)
+            payload = self._dispatch(command)
         busy = perf_counter() - t0
         if self.metrics is not None:
             self.metrics.counter(
@@ -142,7 +114,7 @@ class ShardWorkerState:
             metrics=self.metrics.snapshot() if self.metrics is not None else None,
         )
 
-    def _dispatch(self, command, shm_open):
+    def _dispatch(self, command):
         engine = self.engine
         if isinstance(command, ApplyEvents):
             result = self.stream.apply(command.events)
@@ -151,7 +123,9 @@ class ShardWorkerState:
             engine.sync_mutations(wholesale=command.wholesale)
             return None
         if isinstance(command, ComputeColumns):
-            return self._compute(command, shm_open)
+            engine.sync_mutations()
+            with engine.held_batch(command.epoch, command.window):
+                return engine.fill_blocks(command.jobs)
         if isinstance(command, WarmWorlds):
             engine.sync_mutations()
             items = [item for item in command.items if item[0] in engine.db]
@@ -161,27 +135,6 @@ class ShardWorkerState:
         raise TypeError(
             f"shard {self.shard}: unknown command {type(command).__name__}"
         )
-
-    def _compute(self, command: ComputeColumns, shm_open):
-        engine = self.engine
-        engine.sync_mutations()
-        with engine.held_batch(command.epoch, command.window):
-            blocks = engine.fill_blocks(command.jobs)
-        if command.shm_name is None:
-            return blocks
-        shm = shm_open(command.shm_name)
-        try:
-            for job, block in zip(command.jobs, blocks):
-                view = np.ndarray(
-                    tuple(job.full_shape),
-                    dtype=np.dtype(job.dtype),
-                    buffer=shm.buf,
-                    offset=int(job.shm_offset),
-                )
-                view[list(job.col_index)] = block
-        finally:
-            shm.close()
-        return None
 
 
 def worker_main(conn, config: WorkerConfig) -> None:

@@ -232,24 +232,6 @@ class TestSamplerHandsOutItsSweepOrder:
             assert paths.T.flags.c_contiguous
             assert paths.base is drawn[0].base  # slabs of the sweep buffer
 
-    @pytest.mark.parametrize("use_native", [False, pytest.param(True, marks=requires_native)])
-    def test_out_destinations_in_the_sweep_order(self, use_native):
-        """``out=`` slabs laid out like the sweep buffer (say, of a shared
-        segment) are filled in place, whatever their integer dtype."""
-        db = _db()
-        arena, requests = _arena_and_requests(db, self.WINDOWS)
-        fresh = sample_paths_arena(arena, requests(), N, native=use_native)
-        for dtype in (arena.states_dtype, np.intp):
-            out = [
-                np.empty((hi - lo + 1, N), dtype=dtype).T
-                for lo, hi in (self.WINDOWS[oid] for oid in sorted(self.WINDOWS))
-            ]
-            returned = sample_paths_arena(arena, requests(), N, out=out, native=use_native)
-            for dest, ret, ref in zip(out, returned, fresh):
-                assert ret is dest
-                assert _world_minor(ret)
-                assert np.array_equal(dest, ref)
-
     def test_small_draw_path_per_object_sampler(self):
         """``CompiledModel.sample_paths`` — what the engine uses under
         ``FUSED_DRAW_THRESHOLD`` — and the reference walk hand out the
@@ -346,17 +328,15 @@ class TestDistanceBlockKeepsTheOrder:
         with scratch.held_batch(1, (3, 8)):
             assert np.array_equal(patched, scratch.distance_tensor(IDS, Q, times))
 
-    @pytest.mark.parametrize("uses_shm", [False, True], ids=["pickled", "shared_memory"])
-    def test_serve_tier_lays_the_tensor_out_the_same_way(self, uses_shm):
+    def test_serve_tier_lays_the_tensor_out_the_same_way(self):
         """Coordinator and workers speak ``(objects, times, worlds)``: a
-        worker writes whole object slabs into the shared segment, and the
-        gathered tensor is the single-process one in the same order."""
+        worker returns whole object slabs in its reply, and the gathered
+        tensor is the single-process one in the same order."""
         db = _db()
         times = np.arange(3, 9)
         coord = ServeCoordinator(_db(), n_shards=2, seed=5, n_samples=N)
         try:
             transport = coord.engine._transport
-            transport.uses_shm = uses_shm  # inline workers attach by name
             jobs = []
             broadcast = transport.broadcast
 
@@ -371,11 +351,8 @@ class TestDistanceBlockKeepsTheOrder:
         finally:
             coord.close()
         assert {j.kind for j in jobs} == {"dist", "states"}
-        if uses_shm:
-            for job in jobs:
-                # The segment view a worker writes: worlds last, unit stride.
-                assert tuple(job.full_shape) == (len(IDS), times.size, N)
-                assert len(job.col_index) < len(IDS)  # a shard owns some slabs
+        for job in jobs:
+            assert len(job.col_index) < len(IDS)  # a shard owns some slabs
         assert _world_minor(dist) and dist.transpose(1, 2, 0).flags.c_contiguous
         assert _world_minor(reverse) and _world_minor(object_dist)
         single = _engine("standalone", db)

@@ -63,49 +63,6 @@ class TestFusedDrawParity:
             assert np.array_equal(fused[i], solo), oid
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_preallocated_out_matches_fresh_allocation(self, seed):
-        """``out=`` (the shared-memory serving path) is bit-identical to
-        letting the arena allocate, and writes into the given buffers."""
-        models = _models(seed)
-        windows = _windows(models, np.random.default_rng(300 + seed))
-        n = 48
-        ordered = sorted(models)
-
-        def requests():
-            return [
-                ArenaRequest(
-                    oid, *windows[oid], rng=np.random.default_rng((seed, i))
-                )
-                for i, oid in enumerate(ordered)
-            ]
-
-        fresh = sample_paths_arena(_arena(models), requests(), n)
-        buffers = [
-            np.empty((n, windows[oid][1] - windows[oid][0] + 1), dtype=np.intp)
-            for oid in ordered
-        ]
-        returned = sample_paths_arena(
-            _arena(models), requests(), n, out=buffers
-        )
-        for buf, ret, ref in zip(buffers, returned, fresh):
-            assert ret is buf
-            assert np.array_equal(buf, ref)
-
-    def test_out_validation(self):
-        models = _models(5)
-        arena = _arena(models)
-        oid = sorted(models)[0]
-        model = models[oid]
-        req = [ArenaRequest(oid, model.t_first, model.t_first + 1,
-                            rng=np.random.default_rng(0))]
-        with pytest.raises(ValueError, match="out"):
-            sample_paths_arena(arena, req, 8, out=[])
-        with pytest.raises(ValueError, match="shape"):
-            sample_paths_arena(
-                arena, req, 8, out=[np.empty((8, 99), dtype=np.intp)]
-            )
-
-    @pytest.mark.parametrize("seed", [0, 1])
     def test_rng_parked_exactly_like_per_object_draws(self, seed):
         """After a fused draw every request's generator must sit exactly
         where the per-object sampler would have left it (the world cache

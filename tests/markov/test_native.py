@@ -5,9 +5,9 @@ each pinned here:
 
 * **arena lockstep** — ``sample_paths_arena(..., native=True)`` is
   byte-identical to the numpy arena for every request shape the engine
-  produces (fresh, resumed, mixed windows with gaps, wide rows, ``out=``
-  buffers of foreign dtype), with both real Generators and the tier's
-  :class:`~repro.markov.native.LazySeededRng` handles;
+  produces (fresh, resumed, mixed windows with gaps, wide rows), with both
+  real Generators and the tier's :class:`~repro.markov.native.LazySeededRng`
+  handles;
 * **C seeding** — the in-kernel SeedSequence/PCG64 port draws exactly
   numpy's uniforms for arbitrary entropy, resume offsets and batch
   shapes, and a materialized lazy handle parks on the identical stream;
@@ -102,24 +102,11 @@ def _real_rng(seed, words=6):
 class TestArenaLockstep:
     """native=True draws are byte-identical to the numpy arena."""
 
-    def _lockstep(self, models, requests_f, n, out_f=None):
-        native_out = sample_paths_arena(
-            _arena(models),
-            requests_f(),
-            n,
-            out=out_f() if out_f else None,
-            native=True,
-        )
-        numpy_out = sample_paths_arena(
-            _arena(models),
-            requests_f(),
-            n,
-            out=out_f() if out_f else None,
-            native=False,
-        )
+    def _lockstep(self, models, requests_f, n):
+        native_out = sample_paths_arena(_arena(models), requests_f(), n, native=True)
+        numpy_out = sample_paths_arena(_arena(models), requests_f(), n, native=False)
         for got, ref in zip(native_out, numpy_out):
             np.testing.assert_array_equal(got, ref)
-        return native_out
 
     @pytest.mark.parametrize("rng_factory", [_lazy_rng, _real_rng],
                              ids=["lazy", "real"])
@@ -211,36 +198,6 @@ class TestArenaLockstep:
 
         for got, ref in zip(draw(poke=True), draw(poke=False)):
             np.testing.assert_array_equal(got, ref)
-
-    def test_out_buffers_with_foreign_dtype(self, models):
-        """intp destination buffers on an int32 arena go through the
-        staging copy and still match the numpy path bit for bit."""
-
-        def out_f():
-            return [
-                np.empty((24, models[i].t_last + 1), dtype=np.intp)
-                for i in range(len(models))
-            ]
-
-        def requests():
-            return [
-                ArenaRequest(f"m{i}", 0, models[i].t_last, _lazy_rng(400 + i))
-                for i in range(len(models))
-            ]
-
-        returned = self._lockstep(models, requests, 24, out_f=out_f)
-        assert all(buf.dtype == np.dtype(np.intp) for buf in returned)
-
-    def test_out_shape_mismatch_raises(self, models):
-        arena = _arena(models)
-        with pytest.raises(ValueError, match="shape"):
-            sample_paths_arena(
-                arena,
-                [ArenaRequest("m0", 0, 5, _lazy_rng(1))],
-                8,
-                out=[np.empty((8, 99), dtype=np.intp)],
-                native=True,
-            )
 
 
 @requires_native

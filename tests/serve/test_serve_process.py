@@ -1,11 +1,13 @@
-"""Process-mode serving: spawned workers, shared memory, crash recovery.
+"""Process-mode serving: spawned workers, pipes, crash recovery.
 
 These tests exercise the OS-level transport the inline lockstep matrix
-cannot: pickled protocol commands over pipes, worker processes sampling
-into coordinator-allocated shared memory, hard worker death
-(``os._exit``) surfacing as a descriptive :class:`ShardFailure`, and
-restart-and-replay resuming bit-identically to a deployment that never
-crashed.
+cannot: pickled protocol commands and replies (sampled world blocks
+included) over pipes, hard worker death (``os._exit``) surfacing as a
+descriptive :class:`ShardFailure`, restart-and-replay resuming
+bit-identically to a deployment that never crashed, and a coordinator
+process that stays on one thread and starts no worker for options its
+engine rejects.  The transport's timeout and partial-failure paths are
+pinned with fake pipes in ``test_transport_faults.py``.
 """
 
 from __future__ import annotations
@@ -116,46 +118,87 @@ def test_smoke_load_two_workers():
             assert_reports_identical(ra, rb, context=("load", t))
 
 
-_SHM_SCRIPT = """
-from repro.serve import ServeCoordinator
-from tests.serve.conftest import SEED, event_script, standard_subscriptions, twin_db
-
-if __name__ == "__main__":
-    db = twin_db()
-    with ServeCoordinator(
-        db, n_shards=2, seed=SEED, mode="process", n_samples=100, timeout=60
-    ) as coord:
-        for name, request in standard_subscriptions():
-            coord.subscribe(request, name=name)
-        for events in event_script(db):
-            coord.tick(events)
-    print("ticked")
-"""
-
-
-def test_shared_memory_leaves_no_tracebacks_and_no_segments(tmp_path):
-    """Workers attach to coordinator-owned segments without touching the
-    resource tracker they share with the coordinator.
-
-    The deployment runs in its own interpreter so that everything its
-    process tree writes to stderr — the coordinator, both workers and the
-    stdlib resource-tracker process — lands in one captured pipe.
-    """
-    import glob
+def _run_script(tmp_path, source: str):
+    """Run ``source`` in its own interpreter, capturing the stderr of its
+    whole process tree (coordinator, workers, the stdlib resource tracker)."""
     import os
     import subprocess
     import sys
     from pathlib import Path
 
     root = Path(__file__).resolve().parents[2]
-    script = tmp_path / "serve_shm.py"
-    script.write_text(_SHM_SCRIPT)
+    script = tmp_path / "serve_script.py"
+    script.write_text(source)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
-    before = set(glob.glob("/dev/shm/psm_*"))
-    done = subprocess.run(
+    return subprocess.run(
         [sys.executable, str(script)], capture_output=True, text=True, env=env, timeout=170
     )
+
+
+_TICK_SCRIPT = """
+import glob
+import threading
+
+from repro.serve import ServeCoordinator
+from tests.serve.conftest import SEED, event_script, standard_subscriptions, twin_db
+
+if __name__ == "__main__":
+    segments = set(glob.glob("/dev/shm/psm_*"))
+    threads = threading.active_count()
+    db = twin_db()
+    with ServeCoordinator(
+        db, n_shards=2, seed=SEED, mode="process", n_samples=100, timeout=60
+    ) as coord:
+        assert threading.active_count() == threads, threading.enumerate()
+        for name, request in standard_subscriptions():
+            coord.subscribe(request, name=name)
+        for events in event_script(db):
+            coord.tick(events)
+            assert set(glob.glob("/dev/shm/psm_*")) <= segments
+        assert threading.active_count() == threads, threading.enumerate()
+    print("ticked")
+"""
+
+
+def test_process_mode_leaves_no_tracebacks_threads_or_segments(tmp_path):
+    """Every reply comes home over its pipe: opening the coordinator starts
+    no thread in its process, no tick creates a shared-memory segment, and
+    nothing in the process tree prints a traceback."""
+    import glob
+
+    before = set(glob.glob("/dev/shm/psm_*"))
+    done = _run_script(tmp_path, _TICK_SCRIPT)
     assert done.returncode == 0 and "ticked" in done.stdout, done.stderr[-2000:]
     assert "Traceback" not in done.stderr and "KeyError" not in done.stderr, done.stderr[-2000:]
     assert "leaked shared_memory" not in done.stderr, done.stderr[-2000:]
     assert set(glob.glob("/dev/shm/psm_*")) <= before
+
+
+_REJECT_SCRIPT = """
+import multiprocessing
+import threading
+
+from repro.serve import ServeCoordinator
+from tests.conftest import make_paper_example_db
+
+if __name__ == "__main__":
+    for option in ({"n_samples": 0}, {"refine_cache_size": -1}, {"backend": "bogus"}):
+        try:
+            ServeCoordinator(make_paper_example_db(), n_shards=2, seed=1, mode="process", **option)
+        except ValueError as exc:
+            print("rejected", sorted(option), exc)
+        else:
+            raise SystemExit(f"accepted {option}")
+        assert multiprocessing.active_children() == [], multiprocessing.active_children()
+        assert threading.active_count() == 1, threading.enumerate()
+    print("done")
+"""
+
+
+def test_rejected_process_coordinator_starts_no_worker_and_leaves_no_thread(tmp_path):
+    """Bad engine values are caught by the coordinator's own engine, which
+    is built before any worker process is spawned."""
+    done = _run_script(tmp_path, _REJECT_SCRIPT)
+    assert done.returncode == 0 and "done" in done.stdout, done.stderr[-2000:]
+    assert done.stdout.count("rejected") == 3, done.stdout
+    assert "Traceback" not in done.stderr, done.stderr[-2000:]

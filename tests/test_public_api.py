@@ -171,6 +171,9 @@ class TestEngineOptionCount:
             # ... and of the five spellings of a refinement block (PR 24).
             r"|_cached_states_block|_cached_distance_tensor|_predict_columns"
             r"|_staged_key|PrefetchWorlds"
+            # ... and of the shared-memory gather and the threaded fan-out.
+            r"|uses_shm|shm_name|shm_offset|_open_shm|SharedMemory|asyncio"
+            r"|ThreadPoolExecutor|roundtrip_seconds"
         )
         src = Path(repro.__file__).parent
         hits = [
@@ -180,6 +183,13 @@ class TestEngineOptionCount:
             if pattern.search(line)
         ]
         assert hits == []
+
+    def test_samplers_take_no_destination_buffers(self):
+        from repro.markov import native
+        from repro.markov.arena import sample_paths_arena
+
+        for fn in (sample_paths_arena, native.draw_arena):
+            assert "out" not in inspect.signature(fn).parameters, fn.__name__
 
 
 class TestRefinementSeam:
