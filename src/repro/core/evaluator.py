@@ -88,11 +88,15 @@ class QueryEngine:
         Toggle UST-tree filtering (ablation hook).  Without pruning every
         object overlapping ``T`` is refined.
     backend:
-        Sampling backend for refinement: ``"compiled"`` (vectorized
-        inverse-CDF, the default) or ``"native"`` (the optional C kernel
-        tier of :mod:`repro.markov.native` — same draws through compiled
-        sweeps; raises a descriptive error at construction when the tier
-        cannot load).  Both yield bit-identical worlds for one seed.
+        Sampling backend for refinement: ``"native"`` (the C kernel tier
+        of :mod:`repro.markov.native` — fused sweep, in-kernel seeding,
+        distance gather) or ``"compiled"`` (the same arena swept by
+        numpy).  The default ``None`` resolves once, here, to
+        ``"native"`` where :func:`repro.markov.native.available` and to
+        ``"compiled"`` otherwise (no cffi or C compiler, or
+        ``REPRO_DISABLE_NATIVE`` set); :attr:`backend` holds the resolved
+        value.  An explicit ``"native"`` raises a descriptive error when
+        the tier cannot load.  Both yield bit-identical worlds for one seed.
     reuse_worlds:
         When ``True``, standalone queries do *not* advance the draw epoch,
         so consecutive queries share sampled worlds until
@@ -128,7 +132,7 @@ class QueryEngine:
         rng: np.random.Generator | None = None,
         use_pruning: bool = True,
         ust_tree: USTTree | None = None,
-        backend: str = "compiled",
+        backend: str | None = None,
         reuse_worlds: bool = False,
         refine_cache_size: int = 64,
         tracer=None,
@@ -137,9 +141,11 @@ class QueryEngine:
     ) -> None:
         if rng is not None and seed is not None:
             raise ValueError("pass either seed or rng, not both")
-        if backend not in ("compiled", "native"):
+        if backend is None:
+            backend = "native" if native_tier.available() else "compiled"
+        elif backend not in ("compiled", "native"):
             raise ValueError(f"unknown sampling backend {backend!r}")
-        if backend == "native":
+        elif backend == "native":
             native_tier.require_native()
         self.db = db
         self.n_samples = check_count("n_samples", n_samples)
@@ -231,7 +237,7 @@ class QueryEngine:
         Every arena construction in the engine routes through here so
         ``arena_table_builds_total`` keeps counting across resets.
         """
-        arena = SamplingArena()
+        arena = SamplingArena(native=self.backend == "native")
         if self.metrics is not None:
             arena.table_build_counter = self.metrics.counter(
                 "arena_table_builds_total",
@@ -746,9 +752,7 @@ class QueryEngine:
             )
             for obj, at in zip(objects, alive_times)
         ]
-        drawn = sample_paths_arena(
-            arena, requests, n, native=self.backend == "native"
-        )
+        drawn = sample_paths_arena(arena, requests, n)
         self._direct_draws += len(requests)
         return [take_tics(p, at - at[0]) for p, at in zip(drawn, alive_times)]
 
@@ -874,9 +878,7 @@ class QueryEngine:
                 )
                 for pos, rng, last, t_from, t_hi in extend
             ]
-            results = sample_paths_arena(
-                arena, requests, n, native=self.backend == "native"
-            )
+            results = sample_paths_arena(arena, requests, n)
             fresh_results = [
                 (states, req.rng)
                 for states, req in zip(results[: len(fresh)], requests[: len(fresh)])

@@ -59,13 +59,14 @@ typedef struct {
     int64_t  *wide_pos;
     double  **wide_aug;
     int64_t  *wide_auglen;
+    int64_t  *wide_rows;
     int64_t **wide_indptr;
     int64_t **wide_next;
     int64_t  *wide_nextbase;
     int64_t  *wide_supbase;
 } repro_step;
 
-void repro_arena_sweep(
+int repro_arena_sweep(
     int64_t t0, int64_t n_steps, int64_t n_req, int64_t n,
     int64_t *a, int64_t *b, uint8_t *resumed, int64_t *pos,
     double *uniforms, int64_t u_stride,
@@ -74,7 +75,7 @@ void repro_arena_sweep(
     int64_t *rows, repro_step *steps, int out_is32,
     void **out_ptrs);
 
-void repro_distance_gather_rows(
+int repro_distance_gather_rows(
     double *per_state, int64_t n_states,
     void **blocks, int blocks_is32, int64_t n_blocks,
     int64_t *block_rows, int64_t *first_tic, int64_t *first_row,
@@ -102,6 +103,7 @@ typedef struct {
     int64_t  *wide_pos;      /*   arena position of each wide block          */
     double  **wide_aug;      /*   augmented CDF (cdf + row)                  */
     int64_t  *wide_auglen;
+    int64_t  *wide_rows;     /*   row count of each wide layer               */
     int64_t **wide_indptr;
     int64_t **wide_next;     /*   local successors in the next layer         */
     int64_t  *wide_nextbase; /*   global row base of the next step's table   */
@@ -278,8 +280,12 @@ static void repro_pcg_fill(
  * The successor array stores one extra entry per row (the boundary case
  * u >= cdf[-1] repeats the last successor, exactly the numpy table's
  * trailing column), so entry k of row g lives at flat index
- * csr_indptr[g] + g + k — the scan cursor's absolute position plus g. */
-void repro_arena_sweep(
+ * csr_indptr[g] + g + k — the scan cursor's absolute position plus g.
+ *
+ * Returns 0, or 1 as soon as a sample's row lies outside its object's
+ * wide layer — a successor that left the object's own next-step rows,
+ * the one index the Python-side table checks cannot vouch for. */
+int repro_arena_sweep(
     int64_t t0, int64_t n_steps, int64_t n_req, int64_t n,
     int64_t *a, int64_t *b, uint8_t *resumed, int64_t *pos,
     double *uniforms, int64_t u_stride,
@@ -355,19 +361,21 @@ void repro_arena_sweep(
                 int64_t wi = 0;
                 const double *aug;
                 const int64_t *indptr, *lnext;
-                int64_t auglen, nb, sb;
+                int64_t auglen, nb, sb, m;
                 while (st->wide_pos[wi] != pr) wi++;
                 aug = st->wide_aug[wi];
                 auglen = st->wide_auglen[wi];
+                m = st->wide_rows[wi];
                 indptr = st->wide_indptr[wi];
                 lnext = st->wide_next[wi];
                 nb = st->wide_nextbase[wi];
                 sb = st->wide_supbase[wi];
                 for (s = 0; s < n; s++) {
                     const int64_t local = rr[s] - sb;
-                    int64_t pick = repro_upper_bound(
-                        aug, auglen, (double) local + u[s]);
-                    int64_t lim = indptr[local];
+                    int64_t pick, lim;
+                    if ((uint64_t) local >= (uint64_t) m) return 1;
+                    pick = repro_upper_bound(aug, auglen, (double) local + u[s]);
+                    lim = indptr[local];
                     if (pick < lim) pick = lim;
                     lim = indptr[local + 1] - 1;
                     if (pick > lim) pick = lim;
@@ -400,6 +408,7 @@ void repro_arena_sweep(
             }
         }
     }
+    return 0;
 }
 
 /* The per-state distance-table gather, one contiguous row of n worlds at
@@ -407,8 +416,10 @@ void repro_arena_sweep(
  * alive tics, tic-major, and its row j lands in row first_row[b] + j of
  * ``out`` (rows of n doubles — the (object, tic, world) distance block)
  * as per_state[first_tic[b] + j, state].  Pure movement of identical
- * doubles, so values are bit-identical to the numpy gather. */
-void repro_distance_gather_rows(
+ * doubles, so values are bit-identical to the numpy gather.  Each row's
+ * state ids are checked against n_states before it is read: returns 0,
+ * or 1 at the first row holding an id the table has no column for. */
+int repro_distance_gather_rows(
     double *per_state, int64_t n_states,
     void **blocks, int blocks_is32, int64_t n_blocks,
     int64_t *block_rows, int64_t *first_tic, int64_t *first_row,
@@ -419,15 +430,23 @@ void repro_distance_gather_rows(
         for (j = 0; j < block_rows[b]; j++) {
             const double *ps = per_state + (first_tic[b] + j) * n_states;
             double *o = out + (first_row[b] + j) * n;
+            int bad = 0;
             if (blocks_is32) {
                 const int32_t *st = (const int32_t *) blocks[b] + j * n;
+                for (w = 0; w < n; w++)
+                    bad |= (uint64_t) (int64_t) st[w] >= (uint64_t) n_states;
+                if (bad) return 1;
                 for (w = 0; w < n; w++) o[w] = ps[st[w]];
             } else {
                 const int64_t *st = (const int64_t *) blocks[b] + j * n;
+                for (w = 0; w < n; w++)
+                    bad |= (uint64_t) st[w] >= (uint64_t) n_states;
+                if (bad) return 1;
                 for (w = 0; w < n; w++) o[w] = ps[st[w]];
             }
         }
     }
+    return 0;
 }
 
 /* For each request r: seed PCG64 from its entropy words (jumped past

@@ -58,6 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import native as native_tier
 from .compiled import _DENSE_WIDTH_LIMIT, CompiledModel
 
 __all__ = ["ArenaRequest", "SamplingArena", "sample_paths_arena"]
@@ -114,6 +115,10 @@ class _StepTable:
         "tr_cdf_cols",
         "tr_next_dense",
         "tr_width",
+        "csr_cdf",
+        "csr_indptr",
+        "csr_next",
+        "n_next",
         "wide",
         "is_wide",
         "_native",
@@ -126,6 +131,7 @@ class _StepTable:
         n_arena: int,
         t: int,
         states_dtype: np.dtype = np.dtype(np.intp),
+        csr: bool = False,
     ) -> None:
         # Lazily built native-kernel view of this table (a cffi struct plus
         # its keepalive buffers); see repro.markov.native._step_struct.
@@ -160,6 +166,7 @@ class _StepTable:
             if block.model.covers(t + 1):
                 next_base[block.pos] = nb
                 nb += block.model.support_at(t + 1).size
+        self.n_next = nb
         self.wide: dict[int, tuple] = {}
         self.is_wide = np.zeros(n_arena, dtype=bool)
         row_sizes = np.zeros(n_rows, dtype=np.intp)
@@ -182,43 +189,49 @@ class _StepTable:
             gb = self.sup_base[block.pos]
             row_sizes[gb : gb + layer.support.size] = np.diff(layer.indptr)
             cdf_parts.append(layer.cdf_flat)
-            row_parts.append(layer.entry_rows + gb)
+            if not csr:
+                row_parts.append(layer.entry_rows + gb)
             next_parts.append(layer.local_next + next_base[block.pos])
-        if width == 0:
-            self.tr_width = 0
-            self.tr_cdf_cols = None
-            self.tr_next_dense = None
+        self.tr_width = width
+        self.tr_cdf_cols = self.tr_next_dense = None
+        self.csr_cdf = self.csr_indptr = self.csr_next = None
+        if not next_parts:
             return
         cdf_all = np.concatenate(cdf_parts)
-        rows_all = np.concatenate(row_parts)
         next_all = np.concatenate(next_parts)
+        if nb < np.iinfo(np.int32).max:
+            # Successor rows fit int32: half the gather traffic on the
+            # hottest table of the sweep.
+            next_all = next_all.astype(np.int32)
         tr_indptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(row_sizes, out=tr_indptr[1:])
+        # Each row's last successor, repeated once more so the boundary
+        # case u >= cdf[-1] lands there without a clip (exactly
+        # CompiledLayer's padding).  Empty rows (objects ending at ``t``,
+        # wide objects) keep zeros — they are never drawn from.
+        filled = row_sizes > 0
+        last = np.zeros(n_rows, dtype=next_all.dtype)
+        last[filled] = next_all[tr_indptr[1:][filled] - 1]
+        if csr:
+            # Compact CSR for the C sweep: each row's own CDF entries and
+            # successors plus that one trailing entry — a row's true width
+            # of memory traffic, the same doubles in the same order.
+            self.csr_cdf, self.csr_indptr = cdf_all, tr_indptr
+            self.csr_next = np.insert(next_all, tr_indptr[1:], last)
+            return
         # Dense draw strategy (cf. CompiledLayer): per-row CDFs padded to
         # the table-wide max width with +inf, stored column-major so a draw
         # is ``width`` cache-friendly gathers from row-length arrays — and
         # the comparison happens in the *raw* CDF domain, exactly the
         # reference sampler's count of entries <= u.
-        self.tr_width = width
+        rows_all = np.concatenate(row_parts)
         offsets = np.arange(rows_all.size, dtype=np.intp) - tr_indptr[rows_all]
         cols = np.full((width, n_rows), np.inf)
         cols[offsets, rows_all] = cdf_all
         self.tr_cdf_cols = cols
-        # The extra trailing column repeats each row's last successor so
-        # the boundary case u >= cdf[-1] lands there without a clip
-        # (exactly CompiledLayer's padding).  Empty rows (objects ending at
-        # ``t``, wide objects) keep zeros — they are never drawn from.
-        filled = row_sizes > 0
-        last = np.zeros(n_rows, dtype=np.intp)
-        last[filled] = next_all[tr_indptr[1:][filled] - 1]
         next_pad = np.repeat(last, width + 1).reshape(n_rows, width + 1)
         next_pad[rows_all, offsets] = next_all
-        flat_next = next_pad.ravel()
-        if nb < np.iinfo(np.int32).max:
-            # Successor rows fit int32: half the gather traffic on the
-            # hottest table of the sweep.
-            flat_next = flat_next.astype(np.int32)
-        self.tr_next_dense = flat_next
+        self.tr_next_dense = next_pad.ravel()
 
     def draw_transitions(self, g: np.ndarray, u: np.ndarray) -> np.ndarray:
         """One fused inverse-CDF step for every sample's global row ``g``.
@@ -245,9 +258,15 @@ class SamplingArena:
     layout is independent of candidate-list order.  Per-timestep fused
     tables are built lazily on first draw through a timestep and rebuilt
     only when the arena gains objects.
+
+    The arena owns the sweep: ``native=True`` packs each step as the
+    compact CSR the C sweep of :mod:`repro.markov.native` reads (no dense
+    table is ever built) and :func:`sample_paths_arena` runs that sweep;
+    the default packs the padded dense tables of the numpy sweep.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, native: bool = False) -> None:
+        self.native = native
         self._blocks: dict[str, _Block] = {}
         self._tables: dict[int, _StepTable] = {}
         self._version = 0
@@ -367,7 +386,8 @@ class SamplingArena:
             ordered = sorted(self._blocks.values(), key=lambda b: b.order)
             members = [b for b in ordered if b.model.covers(t)]
             table = _StepTable(
-                members, ordered, self._pos_counter, t, self._states_dtype
+                members, ordered, self._pos_counter, t, self._states_dtype,
+                csr=self.native,
             )
             self.table_builds += 1
             if self.table_build_counter is not None:
@@ -388,7 +408,6 @@ def sample_paths_arena(
     arena: SamplingArena,
     requests: list[ArenaRequest],
     n: int,
-    native: bool = False,
 ) -> list[np.ndarray]:
     """Draw ``n`` posterior paths per request in one fused pass.
 
@@ -398,10 +417,11 @@ def sample_paths_arena(
     generator (see the module docstring for why), and like it a view
     whose world axis is contiguous: all results share the one sweep buffer.
 
-    ``native=True`` runs the whole sweep through the compiled kernel tier
-    (:mod:`repro.markov.native`) — byte-identical results from the same
-    RNG streams, one C call instead of a numpy sweep per timestep; it
-    raises the tier's descriptive error when the kernels cannot load.
+    A native arena (``SamplingArena(native=True)``) runs the whole sweep
+    through the C kernel tier (:mod:`repro.markov.native`) — byte-identical
+    results from the same RNG streams, one C call instead of a numpy sweep
+    per timestep; it raises the tier's descriptive error when the kernels
+    cannot load.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -437,10 +457,8 @@ def sample_paths_arena(
         starts.append(start)
         pos[r], a_arr[r], b_arr[r] = block.pos, a, b
 
-    if native:
-        from . import native as _native
-
-        return _native.draw_arena(
+    if arena.native:
+        return native_tier.draw_arena(
             arena, requests, n, blocks, starts, pos, a_arr, b_arr, resumed
         )
 

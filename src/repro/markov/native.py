@@ -1,4 +1,4 @@
-"""Optional native (C) kernel tier for the fused sampling arena.
+"""Native (C) kernel tier: the production sampler wherever it builds.
 
 The fused numpy arena (:func:`repro.markov.arena.sample_paths_arena`)
 removed the per-*object* Python loop from refinement sampling, but three
@@ -14,11 +14,20 @@ single-pass distance gather.  Both move whole rows of ``n`` worlds: the
 sweep fills tic-major ``(width, n)`` slabs and the gather reads them
 into the ``(object, tic, world)`` distance block.
 
-Availability is auto-detected on first use: :func:`available` returns
-``False`` (and the numpy path keeps serving) when cffi or a C compiler
-is missing, on 32-bit platforms, or when ``REPRO_DISABLE_NATIVE`` is
-set.  Selecting ``backend="native"`` explicitly when the tier cannot
-load raises a descriptive error instead (:func:`require_native`).
+Availability is probed once, on first use: :func:`available` returns
+``False`` when cffi or a C compiler is missing, on 32-bit platforms, or
+when ``REPRO_DISABLE_NATIVE`` is set.  A ``QueryEngine`` left at its
+default backend resolves to ``"native"`` exactly when the tier loads and
+to the numpy sweep (``"compiled"``) otherwise; selecting
+``backend="native"`` explicitly when the tier cannot load raises a
+descriptive error instead (:func:`require_native`).
+
+Every array crossing into C is checked where that is cheap — a step
+table once per build (:func:`_check_step`), the sweep's request arrays
+and the gather's shapes once per call — and the kernels bounds-check the
+two indices Python cannot vouch for (a row of a wide layer, a state id of
+the distance table) and return a status: bad input is a ``ValueError``,
+never an out-of-bounds access.
 
 Bit-reproducibility is non-negotiable and holds by construction: the
 native sweep consumes each request's RNG stream through the *same*
@@ -86,8 +95,9 @@ def require_native() -> None:
             f"failed to load ({_load_error}). Install the build dependency "
             "with `pip install -e \".[native]\"` (cffi plus a C compiler on "
             "PATH; the first use compiles and caches the kernels), unset "
-            "REPRO_DISABLE_NATIVE if set, or use the default "
-            'backend="compiled" — results are bit-identical on either tier.'
+            "REPRO_DISABLE_NATIVE if set, or leave backend unset to fall "
+            'back to backend="compiled" — results are bit-identical on '
+            "either tier."
         )
 
 
@@ -100,21 +110,27 @@ class LazySeededRng:
 
     The native sweep reads ``entropy`` directly and runs seeding plus
     uniform generation in C (:func:`seed_fill_ready` guards the port),
-    bumping ``consumed`` by the number of doubles drawn.  Any *other*
-    consumer — the numpy arena path, per-object ``sample_paths``, user
-    code poking ``.bit_generator`` — falls through ``__getattr__`` to a
-    real Generator advanced past the natively-consumed doubles, landing
-    on exactly the stream state the eager construction would have.
-    ``random(k)`` consumes one PCG64 step per double, so ``advance`` by
-    the double count parks identically.
+    bumping ``consumed`` by the number of doubles drawn; :meth:`random`
+    does the same for any other caller (the per-object sampler extending
+    a cached segment).  Anything else — user code poking
+    ``.bit_generator`` — falls through ``__getattr__`` to a real Generator
+    advanced past the natively-consumed doubles, landing on exactly the
+    stream state the eager construction would have.  ``random(k)``
+    consumes one PCG64 step per double, so ``advance`` by the double count
+    parks identically.  A copy or pickle continues the same stream.
     """
 
     __slots__ = ("entropy", "consumed", "_gen")
 
-    def __init__(self, entropy: np.ndarray) -> None:
+    def __init__(self, entropy: np.ndarray, consumed: int = 0) -> None:
         self.entropy = entropy
-        self.consumed = 0
+        self.consumed = consumed
         self._gen: np.random.Generator | None = None
+
+    def __reduce__(self):
+        if self._gen is not None:
+            return self._gen.__reduce__()
+        return type(self), (self.entropy, self.consumed)
 
     def _materialize(self) -> np.random.Generator:
         gen = self._gen
@@ -127,7 +143,32 @@ class LazySeededRng:
             self._gen = gen
         return gen
 
+    def random(self, size=None, dtype=np.float64, out=None):
+        """``Generator.random``: seeded, jumped past ``consumed`` and filled
+        by one ``repro_seed_fill`` call, then ``consumed`` bumped."""
+        fill = np.empty(() if size is None else size) if out is None else out
+        if (
+            self._gen is not None
+            or np.dtype(dtype) != np.float64
+            or fill.dtype != np.float64
+            or not fill.flags.c_contiguous
+            or not seed_fill_ready()
+        ):
+            return self._materialize().random(size, dtype, out)
+        ffi = _module.ffi
+        _module.lib.repro_seed_fill(
+            ffi.from_buffer("uint32_t[]", self.entropy), self.entropy.size, 1,
+            ffi.new("int64_t *", int(self.consumed)), ffi.new("int64_t *", fill.size),
+            ffi.from_buffer("double[]", fill, require_writable=True), fill.size,
+        )
+        self.consumed += fill.size
+        return float(fill) if size is None and out is None else fill
+
     def __getattr__(self, name: str):
+        # Only the public Generator API falls through: an unset slot or a
+        # copy/pickle protocol probe must neither materialize nor recurse.
+        if name.startswith("_"):
+            raise AttributeError(name)
         return getattr(self._materialize(), name)
 
 
@@ -208,23 +249,74 @@ def _collect_lazy_entropy(requests):
 # fused arena sweep
 # ---------------------------------------------------------------------------
 
-def _step_struct(ffi, table: "_StepTable"):
-    """One ``repro_step`` describing a built :class:`_StepTable`.
+def _check_step(table: "_StepTable", states_dtype: np.dtype) -> None:
+    """Reject a step table the C sweep would read out of bounds.
 
-    Cached on the table (tables are themselves cached across draws and
-    rebuilt on arena changes, so the lifecycle is already right).  The
-    keepalive list pins every numpy buffer and cffi pointer the struct
-    references; callers must hold the returned pair for the duration of
-    the kernel call.
+    Once per table build, vectorized: states in the dtype the sweep
+    writes; row pointers running from 0 to the CDF length without
+    decreasing (a wide layer's rows non-empty: its clamp cannot leave an
+    empty row); every successor a row of the next step's table; CDF rows
+    non-decreasing.
+    """
+    def fail(what: str):
+        raise ValueError(f"arena step table rejected at the C boundary: {what}")
+
+    if table.states.dtype != states_dtype:
+        fail(f"states are {table.states.dtype}, the sweep writes {states_dtype}")
+    parts = [
+        (layer.cdf_flat, layer.indptr, layer.local_next, base, 0)
+        for layer, base in table.wide.values()
+    ]
+    if table.csr_cdf is not None:
+        parts.append((table.csr_cdf, table.csr_indptr, table.csr_next, 0, 1))
+    for cdf, indptr, succ, base, trailing in parts:
+        sizes = np.diff(indptr)
+        if (
+            cdf.dtype != np.float64
+            or indptr.dtype != np.intp
+            or succ.dtype not in ((np.int32, np.intp) if trailing else (np.intp,))
+        ):
+            fail("a CDF, row pointer or successor array has the wrong dtype")
+        if indptr[0] != 0 or indptr[-1] != cdf.size or (sizes < 1 - trailing).any():
+            fail("row pointers do not run from 0 to the CDF length (or a wide row is empty)")
+        if succ.size != cdf.size + trailing * sizes.size:
+            fail("the successor count does not match the rows")
+        if succ.size and (succ.min() + base < 0 or succ.max() + base >= table.n_next):
+            fail(f"a successor is outside the next step's {table.n_next} rows")
+        falling = np.diff(cdf) < 0
+        cut = indptr[1:-1]
+        falling[cut[(cut > 0) & (cut < cdf.size)] - 1] = False
+        if falling.any():
+            fail("a CDF row decreases")
+
+
+def _step_struct(ffi, table: "_StepTable", states_dtype: np.dtype):
+    """One ``repro_step`` wrapping a C-sweep :class:`_StepTable`'s arrays.
+
+    Checked (:func:`_check_step`) and cached on the table when first
+    wrapped — tables are themselves cached across draws and rebuilt on
+    arena changes, so the lifecycle is already right.  The keepalive list
+    pins every numpy buffer and cffi pointer the struct references;
+    callers must hold the returned pair for the duration of the kernel
+    call.
     """
     cached = table._native
     if cached is not None:
         return cached
+    _check_step(table, states_dtype)
     keep: list = []
 
     def buf(array, ctype):
         p = ffi.from_buffer(ctype, array)
         keep.append((array, p))
+        return p
+
+    def ints(values):
+        return buf(np.asarray(values, dtype=np.intp), "int64_t[]")
+
+    def pointers(ctype, values):
+        p = ffi.new(ctype, values)
+        keep.append(p)
         return p
 
     st = ffi.new("repro_step *")  # zero-initialized
@@ -234,62 +326,35 @@ def _step_struct(ffi, table: "_StepTable"):
     else:
         st.states64 = buf(table.states, "int64_t[]")
     st.sup_base = buf(table.sup_base, "int64_t[]")
-    if table.tr_width:
-        # Compact-CSR view of the padded dense table, built once per table
-        # build: each row keeps only its actual CDF entries (the finite
-        # prefix — padding is +inf) and its actual successors plus the one
-        # trailing boundary entry, cutting the sweep's memory traffic from
-        # `width` doubles per row to the row's true width.  The entries
-        # are the *same* doubles in the same order, so the early-exit scan
-        # picks exactly what the padded comparison counts.
-        width = table.tr_width
-        cdf_rows = np.ascontiguousarray(table.tr_cdf_cols.T)  # (n_rows, W)
-        finite = np.isfinite(cdf_rows)
-        row_widths = finite.sum(axis=1)
-        n_rows = cdf_rows.shape[0]
-        indptr = np.zeros(n_rows + 1, dtype=np.intp)
-        np.cumsum(row_widths, out=indptr[1:])
-        st.csr_cdf = buf(cdf_rows[finite], "double[]")
-        st.csr_indptr = buf(indptr, "int64_t[]")
-        next_dense = np.asarray(table.tr_next_dense).reshape(n_rows, width + 1)
-        next_mask = np.arange(width + 1)[None, :] <= row_widths[:, None]
-        csr_next = np.ascontiguousarray(next_dense[next_mask])
-        if csr_next.dtype == np.dtype(np.int32):
-            st.next32 = buf(csr_next, "int32_t[]")
+    if table.csr_cdf is not None:
+        st.csr_cdf = buf(table.csr_cdf, "double[]")
+        st.csr_indptr = buf(table.csr_indptr, "int64_t[]")
+        if table.csr_next.dtype == np.dtype(np.int32):
+            st.next32 = buf(table.csr_next, "int32_t[]")
         else:
-            st.next64 = buf(csr_next, "int64_t[]")
+            st.next64 = buf(table.csr_next, "int64_t[]")
     if table.wide:
         st.is_wide = buf(table.is_wide.view(np.uint8), "uint8_t[]")
         positions = sorted(table.wide)
+        layers = [table.wide[pos][0] for pos in positions]
         st.n_wide = len(positions)
-        st.wide_pos = buf(np.asarray(positions, dtype=np.intp), "int64_t[]")
-        aug_ptrs, auglens, indptr_ptrs, next_ptrs, next_bases, sup_bases = (
-            [], [], [], [], [], []
+        st.wide_pos = ints(positions)
+        st.wide_aug = pointers(
+            "double *[]",
+            [buf(np.ascontiguousarray(lay.aug), "double[]") for lay in layers],
         )
-        for pos in positions:
-            layer, next_base = table.wide[pos]
-            aug_ptrs.append(buf(np.ascontiguousarray(layer.aug), "double[]"))
-            auglens.append(layer.aug.size)
-            indptr_ptrs.append(buf(layer.indptr, "int64_t[]"))
-            next_ptrs.append(buf(layer.local_next, "int64_t[]"))
-            next_bases.append(next_base)
-            sup_bases.append(int(table.sup_base[pos]))
-        st.wide_aug = keep_new(ffi, keep, "double *[]", aug_ptrs)
-        st.wide_auglen = buf(np.asarray(auglens, dtype=np.intp), "int64_t[]")
-        st.wide_indptr = keep_new(ffi, keep, "int64_t *[]", indptr_ptrs)
-        st.wide_next = keep_new(ffi, keep, "int64_t *[]", next_ptrs)
-        st.wide_nextbase = buf(
-            np.asarray(next_bases, dtype=np.intp), "int64_t[]"
+        st.wide_auglen = ints([lay.aug.size for lay in layers])
+        st.wide_rows = ints([lay.indptr.size - 1 for lay in layers])
+        st.wide_indptr = pointers(
+            "int64_t *[]", [buf(lay.indptr, "int64_t[]") for lay in layers]
         )
-        st.wide_supbase = buf(np.asarray(sup_bases, dtype=np.intp), "int64_t[]")
+        st.wide_next = pointers(
+            "int64_t *[]", [buf(lay.local_next, "int64_t[]") for lay in layers]
+        )
+        st.wide_nextbase = ints([table.wide[pos][1] for pos in positions])
+        st.wide_supbase = ints([table.sup_base[pos] for pos in positions])
     table._native = (st, keep)
     return table._native
-
-
-def keep_new(ffi, keep: list, ctype: str, init):
-    value = ffi.new(ctype, init)
-    keep.append(value)
-    return value
 
 
 def draw_arena(
@@ -315,6 +380,17 @@ def draw_arena(
     require_native()
     ffi, lib = _module.ffi, _module.lib
     n_req = len(requests)
+    for name, arr, dtype in (
+        ("pos", pos, np.intp), ("a", a_arr, np.intp), ("b", b_arr, np.intp),
+        ("resumed", resumed, np.bool_),
+    ):
+        if arr.dtype != dtype or arr.shape != (n_req,) or not arr.flags.c_contiguous:
+            raise ValueError(
+                f"sweep argument {name!r} must be a contiguous "
+                f"{np.dtype(dtype)} array of {n_req} requests"
+            )
+    if n < 1 or (a_arr > b_arr).any() or (pos < 0).any():
+        raise ValueError("the sweep needs n >= 1, windows a <= b and positions >= 0")
     widths = b_arr - a_arr + 1
     u_blocks = widths - resumed
     max_blocks = int(u_blocks.max())
@@ -345,10 +421,11 @@ def draw_arena(
     keep: list = []
     tables: list = []  # pins tables against cache eviction mid-call
     steps_c = ffi.new("repro_step[]", n_steps)
+    states_dtype = arena.states_dtype
     for i in np.flatnonzero(active):
         table = arena.table(t0 + int(i))
         tables.append(table)
-        st, st_keep = _step_struct(ffi, table)
+        st, st_keep = _step_struct(ffi, table, states_dtype)
         steps_c[i] = st[0]
         keep.append(st_keep)
 
@@ -377,7 +454,6 @@ def draw_arena(
 
     # Destinations are tic-major ``(width, n)`` slabs — the numpy sweep's
     # buffer order, which the kernel fills one contiguous row per tic.
-    states_dtype = arena.states_dtype
     block = np.empty((n_req, int(widths.max()), n), dtype=states_dtype)
     slabs = [block[r, : int(widths[r])] for r in range(n_req)]
     out_ptrs = ffi.new("void *[]", n_req)
@@ -386,7 +462,7 @@ def draw_arena(
         keep.append(p)
         out_ptrs[r] = p
 
-    lib.repro_arena_sweep(
+    status = lib.repro_arena_sweep(
         t0,
         n_steps,
         n_req,
@@ -413,6 +489,11 @@ def draw_arena(
         1 if states_dtype == np.dtype(np.int32) else 0,
         out_ptrs,
     )
+    if status:
+        raise ValueError(
+            "a sampled row left its object's wide layer (a successor outside "
+            "the object's own next-step support)"
+        )
     if lazy is not None:
         for r, req in enumerate(requests):
             req.rng.consumed += int(u_blocks[r]) * n
@@ -436,9 +517,10 @@ def can_gather_rows(blocks: "list[np.ndarray]") -> bool:
     """
     if not available() or not blocks:
         return False
-    dtype = blocks[0].dtype
-    return dtype in _GATHER_DTYPES and all(
-        b.dtype == dtype and b.flags.c_contiguous for b in blocks
+    dtype, shape = blocks[0].dtype, blocks[0].shape[1:]
+    return dtype in _GATHER_DTYPES and len(shape) == 1 and all(
+        b.dtype == dtype and b.flags.c_contiguous and b.shape[1:] == shape
+        for b in blocks
     )
 
 
@@ -455,17 +537,33 @@ def gather_distance_rows(
     (prefilled with ``inf`` where some object is not alive); block ``b``
     holds object ``cols[b]``'s states over its alive run of tics.  One C
     pass of contiguous row gathers; pure movement of identical doubles, so
-    values are bit-identical to the numpy gather.
+    values are bit-identical to the numpy gather.  Shapes, dtypes and each
+    block's place in ``out`` are checked here, state ids by the kernel:
+    a mismatch is a ``ValueError`` before any out-of-bounds access.
     """
     require_native()
     ffi, lib = _module.ffi, _module.lib
-    n_times, n = out.shape[1:]
+    if out.dtype != np.float64 or out.ndim != 3 or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous float64 (objects, tics, n) block")
+    n_objects, n_times, n = out.shape
     per_state = np.ascontiguousarray(per_state)
+    cols = np.asarray(cols, dtype=np.intp)
     first_tic = np.ascontiguousarray(first_tic, dtype=np.intp)
-    first_row = np.asarray(cols, dtype=np.intp) * n_times + first_tic
     block_rows = np.array([len(b) for b in blocks], dtype=np.intp)
+    if per_state.dtype != np.float64 or per_state.ndim != 2 or len(per_state) != n_times:
+        raise ValueError(f"per_state must be a float64 ({n_times}, states) table")
+    if not can_gather_rows(blocks) or blocks[0].shape[1] != n:
+        raise ValueError(f"blocks must be C-contiguous (tics, {n}) arrays of one int dtype")
+    if not cols.shape == first_tic.shape == block_rows.shape or (
+        cols.min() < 0
+        or cols.max() >= n_objects
+        or first_tic.min() < 0
+        or (first_tic + block_rows).max() > n_times
+    ):
+        raise ValueError("a state block does not fit inside out")
+    first_row = cols * n_times + first_tic
     pointers = [ffi.from_buffer("char[]", b) for b in blocks]  # pins them
-    lib.repro_distance_gather_rows(
+    status = lib.repro_distance_gather_rows(
         ffi.from_buffer("double[]", per_state),
         per_state.shape[1],
         ffi.new("void *[]", pointers),
@@ -477,4 +575,9 @@ def gather_distance_rows(
         n,
         ffi.from_buffer("double[]", out, require_writable=True),
     )
+    if status:
+        raise ValueError(
+            f"a sampled state id is outside the distance table's "
+            f"{per_state.shape[1]} states"
+        )
     return out

@@ -145,6 +145,8 @@ class ServeCoordinator:
             slow_log=slow_log,
             **engine_kwargs,
         )
+        # Shards run the backend the coordinator resolved, not their own probe's.
+        self._engine_kwargs["backend"] = self.engine.backend
         self.monitor = ContinuousMonitor(self.engine)
         self._stream = self.monitor.stream
         configs = {

@@ -202,8 +202,8 @@ class TestByteIdentityWithWorldMajorOracle:
 # --------------------------------------------------------------------------
 # (a) the layout contract at every hand-off
 # --------------------------------------------------------------------------
-def _arena_and_requests(db, windows, seed=0):
-    arena = SamplingArena()
+def _arena_and_requests(db, windows, seed=0, c_sweep=False):
+    arena = SamplingArena(native=c_sweep)
     for i, oid in enumerate(sorted(windows)):
         arena.ensure(oid, db.get(oid).compiled, order=i)
 
@@ -223,8 +223,8 @@ class TestSamplerHandsOutItsSweepOrder:
     @pytest.mark.parametrize("use_native", [False, pytest.param(True, marks=requires_native)])
     @pytest.mark.parametrize("windows", [WINDOWS, LOCKSTEP], ids=["ragged", "lockstep"])
     def test_arena_results_are_views_of_one_buffer(self, use_native, windows):
-        arena, requests = _arena_and_requests(_db(), windows)
-        drawn = sample_paths_arena(arena, requests(), N, native=use_native)
+        arena, requests = _arena_and_requests(_db(), windows, c_sweep=use_native)
+        drawn = sample_paths_arena(arena, requests(), N)
         for oid, paths in zip(sorted(windows), drawn):
             lo, hi = windows[oid]
             assert paths.shape == (N, hi - lo + 1)

@@ -23,7 +23,10 @@ tier cannot load, so the suite passes with and without a C toolchain.
 
 from __future__ import annotations
 
+import copy
+import hashlib
 import os
+import pickle
 import subprocess
 import sys
 
@@ -77,8 +80,8 @@ def models():
     return out
 
 
-def _arena(models):
-    arena = SamplingArena()
+def _arena(models, c_sweep=False):
+    arena = SamplingArena(native=c_sweep)
     for i, m in enumerate(models):
         arena.ensure(f"m{i}", m)
     return arena
@@ -103,8 +106,8 @@ class TestArenaLockstep:
     """native=True draws are byte-identical to the numpy arena."""
 
     def _lockstep(self, models, requests_f, n):
-        native_out = sample_paths_arena(_arena(models), requests_f(), n, native=True)
-        numpy_out = sample_paths_arena(_arena(models), requests_f(), n, native=False)
+        native_out = sample_paths_arena(_arena(models, c_sweep=True), requests_f(), n)
+        numpy_out = sample_paths_arena(_arena(models), requests_f(), n)
         for got, ref in zip(native_out, numpy_out):
             np.testing.assert_array_equal(got, ref)
 
@@ -129,9 +132,9 @@ class TestArenaLockstep:
                 for i in range(len(models))
             ]
 
-        arena = _arena(models)
-        via_lazy = sample_paths_arena(arena, reqs(_lazy_rng), 32, native=True)
-        via_real = sample_paths_arena(arena, reqs(_real_rng), 32, native=True)
+        arena = _arena(models, c_sweep=True)
+        via_lazy = sample_paths_arena(arena, reqs(_lazy_rng), 32)
+        via_real = sample_paths_arena(arena, reqs(_real_rng), 32)
         for a, b in zip(via_lazy, via_real):
             np.testing.assert_array_equal(a, b)
 
@@ -153,12 +156,12 @@ class TestArenaLockstep:
         generators — native and numpy agree on both halves."""
 
         def draw(native_flag):
-            arena = _arena(models)
+            arena = _arena(models, c_sweep=native_flag)
             reqs = [
                 ArenaRequest(f"m{i}", 0, 8, rng_factory(200 + i))
                 for i in range(len(models))
             ]
-            first = sample_paths_arena(arena, reqs, 16, native=native_flag)
+            first = sample_paths_arena(arena, reqs, 16)
             reqs2 = [
                 ArenaRequest(
                     f"m{i}", 8, models[i].t_last, reqs[i].rng,
@@ -166,7 +169,7 @@ class TestArenaLockstep:
                 )
                 for i in range(len(models))
             ]
-            second = sample_paths_arena(arena, reqs2, 16, native=native_flag)
+            second = sample_paths_arena(arena, reqs2, 16)
             return first + second
 
         for got, ref in zip(draw(True), draw(False)):
@@ -178,12 +181,12 @@ class TestArenaLockstep:
         loses the all-lazy fast path."""
 
         def draw(poke):
-            arena = _arena(models)
+            arena = _arena(models, c_sweep=True)
             reqs = [
                 ArenaRequest(f"m{i}", 0, 8, _lazy_rng(200 + i))
                 for i in range(len(models))
             ]
-            first = sample_paths_arena(arena, reqs, 16, native=True)
+            first = sample_paths_arena(arena, reqs, 16)
             if poke:
                 _ = reqs[2].rng.bit_generator  # materializes the handle
             reqs2 = [
@@ -193,7 +196,7 @@ class TestArenaLockstep:
                 )
                 for i in range(len(models))
             ]
-            second = sample_paths_arena(arena, reqs2, 16, native=True)
+            second = sample_paths_arena(arena, reqs2, 16)
             return first + second
 
         for got, ref in zip(draw(poke=True), draw(poke=False)):
@@ -449,10 +452,112 @@ class TestEntropyTemplate:
 
     def test_compiled_backend_handles_are_real_generators(self):
         db = _parity_db()
-        eng = QueryEngine(db, n_samples=8, seed=5)
+        eng = QueryEngine(db, n_samples=8, seed=5, backend="compiled")
         oid = sorted(db.object_ids)[0]
         handle = eng._object_rng_handle(oid)
         assert isinstance(handle, np.random.Generator)
+
+
+class TestDefaultAndLayout:
+    """The default resolves to the C sweep wherever it loads; a C-sweep
+    arena packs compact CSR only; parked handles copy and pickle."""
+
+    def test_default_backend_resolves_once(self):
+        eng = QueryEngine(_parity_db(), n_samples=8, seed=5)
+        assert eng.backend == ("native" if native.available() else "compiled")
+
+    def test_coordinator_shards_receive_the_resolved_backend(self):
+        from repro.serve import ServeCoordinator
+
+        with ServeCoordinator(
+            _parity_db(), n_shards=2, seed=5, mode="inline", n_samples=8
+        ) as coord:
+            assert coord._config_for(0).engine_kwargs["backend"] == coord.engine.backend
+            for shard in range(2):
+                assert coord._transport.worker(shard).engine.backend == coord.engine.backend
+
+    def test_c_sweep_tables_are_the_depadded_dense_tables(self, models):
+        from tests.oracles import depadded_csr
+
+        dense, compact = _arena(models), _arena(models, c_sweep=True)
+        for t in range(max(m.t_last for m in models) + 1):
+            d, c = dense.table(t), compact.table(t)
+            assert c.tr_cdf_cols is None and c.tr_next_dense is None
+            assert d.csr_cdf is None
+            assert c.states.tobytes() == d.states.tobytes()
+            if d.tr_cdf_cols is None:
+                assert c.csr_cdf is None
+                continue
+            got = (c.csr_cdf, c.csr_indptr, c.csr_next)
+            for g, w in zip(got, depadded_csr(d)):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), t
+
+    @pytest.mark.parametrize("materialized", [False, True])
+    @pytest.mark.parametrize(
+        "dup",
+        [copy.copy, copy.deepcopy, lambda h: pickle.loads(pickle.dumps(h))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_parked_handle_copies_continue_the_stream(self, dup, materialized):
+        ent = np.random.default_rng(4).integers(0, 2**32, size=6, dtype=np.uint32)
+        handle = native.LazySeededRng(ent, consumed=40)
+        if materialized:
+            _ = handle.bit_generator
+        twin = dup(handle)
+        eager = np.random.Generator(np.random.PCG64(np.random.SeedSequence(ent)))
+        eager.random(40)
+        want = eager.random(16)
+        np.testing.assert_array_equal(twin.random(16), want)
+        if not (materialized and dup is copy.copy):  # shares the bit generator
+            np.testing.assert_array_equal(handle.random(16), want)
+
+    @requires_native
+    def test_fleet_monitor_materializes_no_handle(self, monkeypatch):
+        """Sliding windows extend cached segments every tick, some through
+        the per-object path: every parked handle draws in C."""
+        from tests.stream.test_batched_adaptation import _fleet
+
+        if not native.seed_fill_ready():
+            pytest.skip("C seeder disabled by self-check")
+        made = []
+        materialize = native.LazySeededRng._materialize
+        monkeypatch.setattr(
+            native.LazySeededRng,
+            "_materialize",
+            lambda self: made.append(1) or materialize(self),
+        )
+        monitor, batches = _fleet()
+        assert monitor.engine.backend == "native"
+        for batch in batches:
+            monitor.tick(batch)
+        assert made == []
+
+    def test_disabled_tier_resolves_to_compiled_with_equal_results(self):
+        code = """
+import hashlib
+import numpy as np
+from tests.conftest import make_random_world
+from repro.core.evaluator import QueryEngine
+from repro.core.queries import Query
+db, _ = make_random_world(seed=17, n_states=40, n_objects=8, span=14, obs_every=4)
+eng = QueryEngine(db, n_samples=16, seed=0)
+t = eng.distance_tensor(sorted(db.object_ids), Query.from_point([5.0, 5.0]), np.arange(2, 8))
+print(eng.backend, hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest())
+"""
+        root = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+        env = dict(os.environ, REPRO_DISABLE_NATIVE="1")
+        env["PYTHONPATH"] = os.pathsep.join([os.path.join(root, "src"), root])
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=root
+        )
+        assert proc.returncode == 0, proc.stderr
+        db = _parity_db()
+        eng = QueryEngine(db, n_samples=16, seed=0, backend="compiled")
+        t = eng.distance_tensor(
+            sorted(db.object_ids), Query.from_point([5.0, 5.0]), np.arange(2, 8)
+        )
+        want = hashlib.sha256(np.ascontiguousarray(t).tobytes()).hexdigest()
+        assert proc.stdout.split() == ["compiled", want]
 
 
 class TestSelectionAndFallback:

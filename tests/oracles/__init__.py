@@ -12,7 +12,9 @@ Algorithm 2 (adaptation)      :func:`reference_adapt` — one forward and one
                               — a database rebuilt with no donor anywhere
 compiled layers               :func:`reference_layer` — built row by row
 § 5 sampling                  :func:`reference_sample_paths` — the row-dict
-                              walk over ``F(t)``
+                              walk over ``F(t)``; :func:`depadded_csr` — the
+                              C sweep's step table, recovered from the
+                              numpy sweep's padded one
 refinement (distances)        :func:`loop_states` → :func:`loop_distance_tensor`
                               / :func:`loop_object_distances` — object by
                               object, one draw and one broadcast each
@@ -56,12 +58,13 @@ from .refinement import (
     world_major_distances,
 )
 from .rstar import RStarTree
-from .sampling import reference_sample_paths
+from .sampling import depadded_csr, reference_sample_paths
 
 __all__ = [
     "LAYER_ARRAYS",
     "RStarTree",
     "checking_distances",
+    "depadded_csr",
     "fresh_twin",
     "loop_distance_tensor",
     "loop_object_distances",

@@ -11,6 +11,24 @@ def _inverse_cdf_pick(values: np.ndarray, cdf: np.ndarray, u: np.ndarray) -> np.
     return values[np.minimum(picks, values.size - 1)]
 
 
+def depadded_csr(table):
+    """The compact CSR of a numpy-sweep arena step table, recovered the way
+    the C tier once did on every build: keep each row's finite CDF prefix,
+    re-cumsum the row widths, keep each row's successors plus its one
+    trailing boundary entry.  A C-sweep arena must build these bytes
+    directly."""
+    width = table.tr_width
+    cdf_rows = np.ascontiguousarray(table.tr_cdf_cols.T)  # (n_rows, W)
+    finite = np.isfinite(cdf_rows)
+    row_widths = finite.sum(axis=1)
+    n_rows = cdf_rows.shape[0]
+    indptr = np.zeros(n_rows + 1, dtype=np.intp)
+    np.cumsum(row_widths, out=indptr[1:])
+    next_dense = np.asarray(table.tr_next_dense).reshape(n_rows, width + 1)
+    next_mask = np.arange(width + 1)[None, :] <= row_widths[:, None]
+    return cdf_rows[finite], indptr, np.ascontiguousarray(next_dense[next_mask])
+
+
 def reference_sample_paths(model, rng, n, t_start=None, t_end=None, start_states=None):
     """Draw ``n`` trajectories of ``model`` over ``[t_start, t_end]`` by the
     row-dict walk over :attr:`AdaptedModel.transitions`.

@@ -107,10 +107,10 @@ def test_adaptation_and_layers(world):
 # ----------------------------------------------------------------------
 def _arena_sample(use_native):
     def sample(model, rng, n, t_lo, t_hi, start_states=None):
-        arena = SamplingArena()
+        arena = SamplingArena(native=use_native)
         arena.ensure("o", model.compiled, order=0)
         request = ArenaRequest("o", t_lo, t_hi, rng, start_states=start_states)
-        return sample_paths_arena(arena, [request], n, native=use_native)[0]
+        return sample_paths_arena(arena, [request], n)[0]
 
     return sample
 
