@@ -295,8 +295,12 @@ class CompiledModel:
                 )
             rows = self._rows_of_states(a, start_states)
         buf[0] = self._initials[a][0][rows]
+        # One fill for every transition block: the same doubles, in stream
+        # order, as one rng.random(n) per tic — and a parked lazy handle
+        # seeds once per extension instead of once per tic.
+        u = rng.random((b - a) * n).reshape(b - a, n)
         for offset, t in enumerate(range(a, b)):
-            rows = self._layers[t].draw(rows, rng.random(n))
+            rows = self._layers[t].draw(rows, u[offset])
             buf[offset + 1] = self._initials[t + 1][0][rows]
         return buf.T
 

@@ -23,7 +23,7 @@ to the numpy sweep (``"compiled"``) otherwise; selecting
 descriptive error instead (:func:`require_native`).
 
 Every array crossing into C is checked where that is cheap — a step
-table once per build (:func:`_check_step`), the sweep's request arrays
+table once per build (:func:`_check_step`), the chaining of step tables
 and the gather's shapes once per call — and the kernels bounds-check the
 two indices Python cannot vouch for (a row of a wide layer, a state id of
 the distance table) and return a status: bad input is a ``ValueError``,
@@ -380,17 +380,6 @@ def draw_arena(
     require_native()
     ffi, lib = _module.ffi, _module.lib
     n_req = len(requests)
-    for name, arr, dtype in (
-        ("pos", pos, np.intp), ("a", a_arr, np.intp), ("b", b_arr, np.intp),
-        ("resumed", resumed, np.bool_),
-    ):
-        if arr.dtype != dtype or arr.shape != (n_req,) or not arr.flags.c_contiguous:
-            raise ValueError(
-                f"sweep argument {name!r} must be a contiguous "
-                f"{np.dtype(dtype)} array of {n_req} requests"
-            )
-    if n < 1 or (a_arr > b_arr).any() or (pos < 0).any():
-        raise ValueError("the sweep needs n >= 1, windows a <= b and positions >= 0")
     widths = b_arr - a_arr + 1
     u_blocks = widths - resumed
     max_blocks = int(u_blocks.max())
@@ -424,6 +413,8 @@ def draw_arena(
     states_dtype = arena.states_dtype
     for i in np.flatnonzero(active):
         table = arena.table(t0 + int(i))
+        if i and active[i - 1] and tables[-1].n_next != table.states.size:
+            raise ValueError(f"step tables {t0 + i - 1} and {t0 + i} disagree on rows")
         tables.append(table)
         st, st_keep = _step_struct(ffi, table, states_dtype)
         steps_c[i] = st[0]
@@ -537,9 +528,10 @@ def gather_distance_rows(
     (prefilled with ``inf`` where some object is not alive); block ``b``
     holds object ``cols[b]``'s states over its alive run of tics.  One C
     pass of contiguous row gathers; pure movement of identical doubles, so
-    values are bit-identical to the numpy gather.  Shapes, dtypes and each
-    block's place in ``out`` are checked here, state ids by the kernel:
-    a mismatch is a ``ValueError`` before any out-of-bounds access.
+    values are bit-identical to the numpy gather.  ``blocks`` must pass
+    :func:`can_gather_rows` (the caller's choice of gather); shapes and
+    each block's place in ``out`` are checked here, state ids by the
+    kernel: a mismatch is a ``ValueError`` before any out-of-bounds access.
     """
     require_native()
     ffi, lib = _module.ffi, _module.lib
@@ -552,8 +544,8 @@ def gather_distance_rows(
     block_rows = np.array([len(b) for b in blocks], dtype=np.intp)
     if per_state.dtype != np.float64 or per_state.ndim != 2 or len(per_state) != n_times:
         raise ValueError(f"per_state must be a float64 ({n_times}, states) table")
-    if not can_gather_rows(blocks) or blocks[0].shape[1] != n:
-        raise ValueError(f"blocks must be C-contiguous (tics, {n}) arrays of one int dtype")
+    if blocks[0].shape[1] != n:  # the rest of can_gather_rows(blocks) holds
+        raise ValueError(f"state blocks must be (tics, {n}) arrays")
     if not cols.shape == first_tic.shape == block_rows.shape or (
         cols.min() < 0
         or cols.max() >= n_objects
