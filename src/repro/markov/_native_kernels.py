@@ -76,10 +76,10 @@ int repro_arena_sweep(
     void **out_ptrs);
 
 int repro_distance_gather_rows(
-    double *per_state, int64_t n_states,
-    void **blocks, int blocks_is32, int64_t n_blocks,
-    int64_t *block_rows, int64_t *first_tic, int64_t *first_row,
-    int64_t n, double *out);
+    double *per_state, int64_t n_times, int64_t n_states,
+    void **blocks, uint8_t *blocks_is32, int64_t n_blocks,
+    int64_t *block_rows, int64_t *first_tic, int64_t *cols,
+    int64_t n_objects, int64_t n, double *out);
 
 void repro_seed_fill(
     uint32_t *entropy, int64_t n_words, int64_t n_req,
@@ -412,26 +412,34 @@ int repro_arena_sweep(
 }
 
 /* The per-state distance-table gather, one contiguous row of n worlds at
- * a time: block b holds one object's sampled states over its block_rows[b]
- * alive tics, tic-major, and its row j lands in row first_row[b] + j of
- * ``out`` (rows of n doubles — the (object, tic, world) distance block)
- * as per_state[first_tic[b] + j, state].  Pure movement of identical
- * doubles, so values are bit-identical to the numpy gather.  Each row's
- * state ids are checked against n_states before it is read: returns 0,
- * or 1 at the first row holding an id the table has no column for. */
+ * a time: block b holds object cols[b]'s sampled states (int32 where
+ * blocks_is32[b], else int64) over its block_rows[b] alive tics from
+ * first_tic[b] on, tic-major, and its row j
+ * lands in row (cols[b], first_tic[b] + j) of ``out`` (the C-contiguous
+ * (n_objects, n_times, n) distance block) as
+ * per_state[first_tic[b] + j, state].  Pure movement of identical doubles,
+ * so values are bit-identical to the numpy gather.  Returns 0; 2, before
+ * any write, when a block does not fit inside ``out``; or 1 at the first
+ * row holding a state id the table has no column for (checked before the
+ * row is read). */
 int repro_distance_gather_rows(
-    double *per_state, int64_t n_states,
-    void **blocks, int blocks_is32, int64_t n_blocks,
-    int64_t *block_rows, int64_t *first_tic, int64_t *first_row,
-    int64_t n, double *out)
+    double *per_state, int64_t n_times, int64_t n_states,
+    void **blocks, uint8_t *blocks_is32, int64_t n_blocks,
+    int64_t *block_rows, int64_t *first_tic, int64_t *cols,
+    int64_t n_objects, int64_t n, double *out)
 {
     int64_t b, j, w;
+    for (b = 0; b < n_blocks; b++)
+        if ((uint64_t) cols[b] >= (uint64_t) n_objects
+            || (uint64_t) block_rows[b] > (uint64_t) n_times
+            || (uint64_t) first_tic[b] > (uint64_t) (n_times - block_rows[b]))
+            return 2;
     for (b = 0; b < n_blocks; b++) {
         for (j = 0; j < block_rows[b]; j++) {
             const double *ps = per_state + (first_tic[b] + j) * n_states;
-            double *o = out + (first_row[b] + j) * n;
+            double *o = out + (cols[b] * n_times + first_tic[b] + j) * n;
             int bad = 0;
-            if (blocks_is32) {
+            if (blocks_is32[b]) {
                 const int32_t *st = (const int32_t *) blocks[b] + j * n;
                 for (w = 0; w < n; w++)
                     bad |= (uint64_t) (int64_t) st[w] >= (uint64_t) n_states;

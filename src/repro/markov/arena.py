@@ -50,6 +50,12 @@ fused draw bit-identical per object:
 Requests may mix fresh draws and resumed draws (``start_states``), and
 objects may cover different sub-windows of the union; objects join and
 leave the fused pass as the timestep sweep enters and exits their windows.
+
+The arena owns its sweep.  ``SamplingArena(native=True)`` — what a
+default ``QueryEngine`` builds wherever the C tier loads — packs compact
+CSR step tables and sweeps them in C (:mod:`repro.markov.native`);
+otherwise the padded dense tables above are swept by numpy.  Both draw
+the same bytes from the same streams.
 """
 
 from __future__ import annotations

@@ -25,9 +25,10 @@ descriptive error instead (:func:`require_native`).
 Every array crossing into C is checked where that is cheap — a step
 table once per build (:func:`_check_step`), the chaining of step tables
 and the gather's shapes once per call — and the kernels bounds-check the
-two indices Python cannot vouch for (a row of a wide layer, a state id of
-the distance table) and return a status: bad input is a ``ValueError``,
-never an out-of-bounds access.
+indices Python cannot vouch for as cheaply (a row of a wide layer; a
+gathered block's place in the distance block and its state ids) and
+return a status: bad input is a ``ValueError``, never an out-of-bounds
+access.
 
 Bit-reproducibility is non-negotiable and holds by construction: the
 native sweep consumes each request's RNG stream through the *same*
@@ -501,16 +502,17 @@ _GATHER_DTYPES = (np.dtype(np.int32), np.dtype(np.int64))
 def can_gather_rows(blocks: "list[np.ndarray]") -> bool:
     """Whether :func:`gather_distance_rows` handles these state blocks.
 
-    Each must be a C-contiguous tic-major ``(tics, n)`` block of one
-    gatherable dtype — what the transpose of any sampler output is; a
-    world-major copy made on the way here fails the check and silently
-    takes the numpy gather instead.
+    Each must be a C-contiguous tic-major ``(tics, n)`` block of a
+    gatherable dtype — what the transpose of any sampler output is (the
+    arena writes int32 states, the per-object sampler intp; one call may
+    mix them); a world-major copy made on the way here fails the check
+    and silently takes the numpy gather instead.
     """
     if not available() or not blocks:
         return False
-    dtype, shape = blocks[0].dtype, blocks[0].shape[1:]
-    return dtype in _GATHER_DTYPES and len(shape) == 1 and all(
-        b.dtype == dtype and b.flags.c_contiguous and b.shape[1:] == shape
+    shape = blocks[0].shape[1:]
+    return len(shape) == 1 and all(
+        b.dtype in _GATHER_DTYPES and b.flags.c_contiguous and b.shape[1:] == shape
         for b in blocks
     )
 
@@ -529,8 +531,8 @@ def gather_distance_rows(
     holds object ``cols[b]``'s states over its alive run of tics.  One C
     pass of contiguous row gathers; pure movement of identical doubles, so
     values are bit-identical to the numpy gather.  ``blocks`` must pass
-    :func:`can_gather_rows` (the caller's choice of gather); shapes and
-    each block's place in ``out`` are checked here, state ids by the
+    :func:`can_gather_rows` (the caller's choice of gather); shapes are
+    checked here, each block's place in ``out`` and its state ids by the
     kernel: a mismatch is a ``ValueError`` before any out-of-bounds access.
     """
     require_native()
@@ -539,34 +541,33 @@ def gather_distance_rows(
         raise ValueError("out must be a C-contiguous float64 (objects, tics, n) block")
     n_objects, n_times, n = out.shape
     per_state = np.ascontiguousarray(per_state)
-    cols = np.asarray(cols, dtype=np.intp)
+    cols = np.ascontiguousarray(cols, dtype=np.intp)
     first_tic = np.ascontiguousarray(first_tic, dtype=np.intp)
-    block_rows = np.array([len(b) for b in blocks], dtype=np.intp)
     if per_state.dtype != np.float64 or per_state.ndim != 2 or len(per_state) != n_times:
         raise ValueError(f"per_state must be a float64 ({n_times}, states) table")
     if blocks[0].shape[1] != n:  # the rest of can_gather_rows(blocks) holds
         raise ValueError(f"state blocks must be (tics, {n}) arrays")
-    if not cols.shape == first_tic.shape == block_rows.shape or (
-        cols.min() < 0
-        or cols.max() >= n_objects
-        or first_tic.min() < 0
-        or (first_tic + block_rows).max() > n_times
-    ):
-        raise ValueError("a state block does not fit inside out")
-    first_row = cols * n_times + first_tic
+    if not cols.shape == first_tic.shape == (len(blocks),):
+        raise ValueError("cols and first_tic must hold one entry per state block")
+    block_rows = np.array([len(b) for b in blocks], dtype=np.intp)
+    is32 = np.array([b.dtype == np.int32 for b in blocks], dtype=np.uint8)
     pointers = [ffi.from_buffer("char[]", b) for b in blocks]  # pins them
     status = lib.repro_distance_gather_rows(
         ffi.from_buffer("double[]", per_state),
+        n_times,
         per_state.shape[1],
         ffi.new("void *[]", pointers),
-        1 if blocks[0].dtype == np.dtype(np.int32) else 0,
+        ffi.from_buffer("uint8_t[]", is32),
         len(blocks),
         ffi.from_buffer("int64_t[]", block_rows),
         ffi.from_buffer("int64_t[]", first_tic),
-        ffi.from_buffer("int64_t[]", first_row),
+        ffi.from_buffer("int64_t[]", cols),
+        n_objects,
         n,
         ffi.from_buffer("double[]", out, require_writable=True),
     )
+    if status == 2:
+        raise ValueError("a state block does not fit inside out")
     if status:
         raise ValueError(
             f"a sampled state id is outside the distance table's "

@@ -228,7 +228,6 @@ class TestGatherFuzz:
         n_times = data.draw(st.integers(1, 5))
         n_states = data.draw(st.integers(1, 6))
         n = data.draw(st.integers(1, 5))
-        dtype = data.draw(st.sampled_from([np.int32, np.int64]))
         per_state = np.random.default_rng(data.draw(st.integers(0, 99))).uniform(
             size=(n_times, n_states)
         )
@@ -242,6 +241,7 @@ class TestGatherFuzz:
             ids = data.draw(st.lists(
                 st.integers(-2, n_states + 1), min_size=rows * n, max_size=rows * n
             ))
+            dtype = data.draw(st.sampled_from([np.int32, np.int64]))
             blocks.append(np.array(ids, dtype=dtype).reshape(rows, n))
             first_tic.append(t0)
         cols, first_tic = np.array(cols), np.array(first_tic)

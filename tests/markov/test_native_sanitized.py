@@ -84,9 +84,10 @@ block = np.zeros((1, 4), dtype=np.int64)
 out = np.zeros((1, 1, 4))
 ints = lambda v: ffi.from_buffer("int64_t[]", np.array(v, dtype=np.intp))
 lib.repro_distance_gather_rows(
-    ffi.from_buffer("double[]", per_state), 2,
-    ffi.new("void *[]", [ffi.from_buffer("char[]", block)]), 0, 1,
-    ints([1]), ints([0]), ints([1]), 4,  # row 1 of a 1-row out
+    ffi.from_buffer("double[]", per_state), 1, 2,
+    ffi.new("void *[]", [ffi.from_buffer("char[]", block)]),
+    ffi.new("uint8_t[]", [0]), 1,
+    ints([1]), ints([0]), ints([1]), 2, 4,  # object 1 of a 1-object out
     ffi.from_buffer("double[]", out, require_writable=True))
 print("no report")
 """
