@@ -439,7 +439,7 @@ class QueryEngine:
             return entropy_arr
         return None
 
-    def _object_rng(self, object_id: str, round_: int = 0) -> np.random.Generator:
+    def _object_rng(self, object_id: str, round_: int = 0):
         """Deterministic per-(object, epoch[, round]) generator.
 
         Derived from the engine's root entropy rather than drawn from the
@@ -450,9 +450,18 @@ class QueryEngine:
         breaking object independence at ~10k-object scale).  ``round_``
         distinguishes successive direct ``distance_tensor`` calls within
         one epoch, so repeated calls still yield fresh, averageable worlds.
+
+        On a native-backend engine whose verified C seeder is available
+        this is a :class:`~repro.markov.native.LazySeededRng` over the same
+        stream: samplers seed and draw its uniforms in C without ever
+        constructing a ``Generator`` (the handle materializes one, parked
+        at the identical stream position, only if other code touches it).
+        Everywhere else it is the ``Generator`` itself.
         """
         entropy_arr = self._object_entropy(object_id, round_)
         if entropy_arr is not None:
+            if self.backend == "native" and native_tier.seed_fill_ready():
+                return native_tier.LazySeededRng(entropy_arr)
             seed = np.random.SeedSequence(entropy_arr)
         else:  # huge epochs/rounds span multiple limbs: take the slow path
             template, n_limbs = self._rng_tags[object_id]
@@ -465,22 +474,6 @@ class QueryEngine:
                 ]
             )
         return np.random.Generator(np.random.PCG64(seed))
-
-    def _object_rng_handle(self, object_id: str, round_: int = 0):
-        """Per-object RNG for bulk arena requests.
-
-        On a native-backend engine whose verified C seeder is available
-        this returns a :class:`~repro.markov.native.LazySeededRng` — the
-        arena then seeds and draws the uniforms in C without ever
-        constructing a ``Generator`` (the handle materializes one, parked
-        at the identical stream position, only if some other consumer
-        touches it).  Everywhere else it is exactly :meth:`_object_rng`.
-        """
-        if self.backend == "native" and native_tier.seed_fill_ready():
-            entropy_arr = self._object_entropy(object_id, round_)
-            if entropy_arr is not None:
-                return native_tier.LazySeededRng(entropy_arr)
-        return self._object_rng(object_id, round_)
 
     def _cache_window(self, obj: UncertainObject, times: np.ndarray) -> tuple[int, int]:
         """The window a shared (cached) draw for ``obj`` should cover.
@@ -748,7 +741,7 @@ class QueryEngine:
                 obj.object_id,
                 int(at[0]),
                 int(at[-1]),
-                self._object_rng_handle(obj.object_id, self._direct_round),
+                self._object_rng(obj.object_id, self._direct_round),
             )
             for obj, at in zip(objects, alive_times)
         ]
@@ -868,7 +861,7 @@ class QueryEngine:
             requests = [
                 ArenaRequest(
                     objects[pos].object_id, t_lo, t_hi,
-                    self._object_rng_handle(objects[pos].object_id),
+                    self._object_rng(objects[pos].object_id),
                 )
                 for pos, t_lo, t_hi in fresh
             ]

@@ -54,19 +54,9 @@ typedef struct {
     int32_t  *states32;
     int64_t  *states64;
     int64_t  *sup_base;
-    uint8_t  *is_wide;
-    int64_t   n_wide;
-    int64_t  *wide_pos;
-    double  **wide_aug;
-    int64_t  *wide_auglen;
-    int64_t  *wide_rows;
-    int64_t **wide_indptr;
-    int64_t **wide_next;
-    int64_t  *wide_nextbase;
-    int64_t  *wide_supbase;
 } repro_step;
 
-int repro_arena_sweep(
+void repro_arena_sweep(
     int64_t t0, int64_t n_steps, int64_t n_req, int64_t n,
     int64_t *a, int64_t *b, uint8_t *resumed, int64_t *pos,
     double *uniforms, int64_t u_stride,
@@ -98,16 +88,6 @@ typedef struct {
     int32_t  *states32;      /* fused support states (one of the two set)    */
     int64_t  *states64;
     int64_t  *sup_base;      /* arena position -> global row base            */
-    uint8_t  *is_wide;       /* arena position -> wide flag (NULL: none)     */
-    int64_t   n_wide;        /* parallel arrays describing the wide blocks:  */
-    int64_t  *wide_pos;      /*   arena position of each wide block          */
-    double  **wide_aug;      /*   augmented CDF (cdf + row)                  */
-    int64_t  *wide_auglen;
-    int64_t  *wide_rows;     /*   row count of each wide layer               */
-    int64_t **wide_indptr;
-    int64_t **wide_next;     /*   local successors in the next layer         */
-    int64_t  *wide_nextbase; /*   global row base of the next step's table   */
-    int64_t  *wide_supbase;  /*   global row base of this step's table       */
 } repro_step;
 
 /* numpy's searchsorted(arr, v, side="right"): index of the first entry
@@ -247,8 +227,8 @@ static void repro_pcg_fill(
 }
 
 /* One fused pass per request over its window [a[r], b[r]]: the initial
- * draw, every transition draw (compact-CSR narrow rows and wide
- * per-object fallbacks) and the output state gather, carrying the
+ * draw, every transition draw (a scan of the row's compact-CSR entries,
+ * at any row width) and the output state gather, carrying the
  * request's global row cursors in ``rows`` without returning to Python
  * per tic.  Requests are independent (all uniforms are pre-drawn), so
  * the request-outer order keeps each request's 128-odd cursors and its
@@ -257,13 +237,11 @@ static void repro_pcg_fill(
  * Bit-identity with the numpy arena path holds operation by operation:
  *   - initial picks: upper_bound == searchsorted(..., "right"), then the
  *     same min(pick, m-1) clamp;
- *   - narrow transitions: the pick is literally the count of raw CDF
- *     entries <= u that the numpy column loop sums over the padded
- *     table (+inf padding never counts), compared on the very same
- *     doubles — computed branchlessly here, so the random comparison
- *     outcomes never touch the branch predictor;
- *   - wide transitions: the same aug/indptr/local_next arithmetic as
- *     CompiledLayer.draw, on the same arrays.
+ *   - transitions: the pick is literally the count of raw CDF entries
+ *     <= u that the numpy column loop sums over the padded table (+inf
+ *     padding never counts), compared on the very same doubles —
+ *     computed branchlessly here, so the random comparison outcomes
+ *     never touch the branch predictor.
  * Uniforms come from one of two sources.  With ``entropy == NULL``
  * they are pre-drawn and request-major: request r's block j lives at
  * uniforms[r*u_stride + j*n] (block 0 = initial variates of fresh
@@ -281,11 +259,8 @@ static void repro_pcg_fill(
  * u >= cdf[-1] repeats the last successor, exactly the numpy table's
  * trailing column), so entry k of row g lives at flat index
  * csr_indptr[g] + g + k — the scan cursor's absolute position plus g.
- *
- * Returns 0, or 1 as soon as a sample's row lies outside its object's
- * wide layer — a successor that left the object's own next-step rows,
- * the one index the Python-side table checks cannot vouch for. */
-int repro_arena_sweep(
+ * Every index read is vouched for by the Python-side table checks. */
+void repro_arena_sweep(
     int64_t t0, int64_t n_steps, int64_t n_req, int64_t n,
     int64_t *a, int64_t *b, uint8_t *resumed, int64_t *pos,
     double *uniforms, int64_t u_stride,
@@ -357,31 +332,7 @@ int repro_arena_sweep(
             } else {
                 u = ub + (c + (resumed[r] ? 0 : 1)) * n;
             }
-            if (st->is_wide != 0 && st->is_wide[pr]) {
-                int64_t wi = 0;
-                const double *aug;
-                const int64_t *indptr, *lnext;
-                int64_t auglen, nb, sb, m;
-                while (st->wide_pos[wi] != pr) wi++;
-                aug = st->wide_aug[wi];
-                auglen = st->wide_auglen[wi];
-                m = st->wide_rows[wi];
-                indptr = st->wide_indptr[wi];
-                lnext = st->wide_next[wi];
-                nb = st->wide_nextbase[wi];
-                sb = st->wide_supbase[wi];
-                for (s = 0; s < n; s++) {
-                    const int64_t local = rr[s] - sb;
-                    int64_t pick, lim;
-                    if ((uint64_t) local >= (uint64_t) m) return 1;
-                    pick = repro_upper_bound(aug, auglen, (double) local + u[s]);
-                    lim = indptr[local];
-                    if (pick < lim) pick = lim;
-                    lim = indptr[local + 1] - 1;
-                    if (pick > lim) pick = lim;
-                    rr[s] = lnext[pick] + nb;
-                }
-            } else if (st->next32 != 0) {
+            if (st->next32 != 0) {
                 const double *cdf = st->csr_cdf;
                 const int64_t *indptr = st->csr_indptr;
                 const int32_t *nx = st->next32;
@@ -408,7 +359,6 @@ int repro_arena_sweep(
             }
         }
     }
-    return 0;
 }
 
 /* The per-state distance-table gather, one contiguous row of n worlds at

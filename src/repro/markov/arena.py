@@ -16,7 +16,7 @@ offsets — and :func:`sample_paths_arena` draws worlds for all requested
 objects in a single pass over the **union window**.  All samples of all
 requests live in one flat slot array (request ``r`` owns slots
 ``[r·n, (r+1)·n)``), so each timestep costs a fixed handful of array
-operations — index arithmetic, one ``searchsorted``, one gather, one
+operations — one compare-and-count per padded CDF column, one gather, one
 scatter — regardless of how many objects are being sampled.  The only
 per-object Python work is setup (one RNG block per request); there is no
 teardown — the sweep buffer is ``(request, tic, world)`` and each request's
@@ -39,13 +39,9 @@ fused draw bit-identical per object:
   resumes identically.
 * **The draw arithmetic matches.**  Initial draws repeat the per-object
   sampler's raw-domain inverse-CDF search verbatim (once per request).
-  Transition draws use the dense strategy whenever rows are narrower than
-  :data:`~repro.markov.compiled._DENSE_WIDTH_LIMIT`: the count of *raw*
-  CDF entries ``<= u`` — exactly the reference sampler's pick.  Only
-  tables with wider rows fall back to one flat
-  ``searchsorted(cdf + g, g + u, "right")`` over globally offset CDFs,
-  the same float-offset trick (and the same measure-zero boundary caveat)
-  as :class:`CompiledLayer`'s own flat path.
+  A transition draw, at every row width, is the count of the row's *raw*
+  CDF entries ``<= u`` — exactly the reference sampler's pick, and
+  :class:`~repro.markov.compiled.CompiledLayer`'s.
 
 Requests may mix fresh draws and resumed draws (``start_states``), and
 objects may cover different sub-windows of the union; objects join and
@@ -65,7 +61,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import native as native_tier
-from .compiled import _DENSE_WIDTH_LIMIT, CompiledModel
+from .compiled import CompiledModel
 
 __all__ = ["ArenaRequest", "SamplingArena", "sample_paths_arena"]
 
@@ -125,8 +121,6 @@ class _StepTable:
         "csr_indptr",
         "csr_next",
         "n_next",
-        "wide",
-        "is_wide",
         "_native",
     )
 
@@ -162,10 +156,6 @@ class _StepTable:
         # and are never addressed), and successor entries are pre-offset to
         # the NEXT step's global rows — so a sweeping draw carries global
         # row cursors from step to step with zero per-request offset math.
-        # Objects whose layer has a row wider than the dense limit are NOT
-        # fused: they fall back to their own :meth:`CompiledLayer.draw`
-        # (``wide``), which repeats the per-object arithmetic bit for bit
-        # — and keeps one hub object from inflating everyone's padding.
         next_base: dict[int, int] = {}
         nb = 0
         for block in ordered:
@@ -173,8 +163,6 @@ class _StepTable:
                 next_base[block.pos] = nb
                 nb += block.model.support_at(t + 1).size
         self.n_next = nb
-        self.wide: dict[int, tuple] = {}
-        self.is_wide = np.zeros(n_arena, dtype=bool)
         row_sizes = np.zeros(n_rows, dtype=np.intp)
         cdf_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
@@ -184,14 +172,7 @@ class _StepTable:
             if not block.model.covers(t + 1):
                 continue
             layer = block.model.layer(t)
-            layer_width = (
-                int(np.diff(layer.indptr).max()) if layer.support.size else 0
-            )
-            if layer_width > _DENSE_WIDTH_LIMIT:
-                self.wide[block.pos] = (layer, next_base[block.pos])
-                self.is_wide[block.pos] = True
-                continue
-            width = max(width, layer_width)
+            width = max(width, layer.width)
             gb = self.sup_base[block.pos]
             row_sizes[gb : gb + layer.support.size] = np.diff(layer.indptr)
             cdf_parts.append(layer.cdf_flat)
@@ -213,8 +194,8 @@ class _StepTable:
         np.cumsum(row_sizes, out=tr_indptr[1:])
         # Each row's last successor, repeated once more so the boundary
         # case u >= cdf[-1] lands there without a clip (exactly
-        # CompiledLayer's padding).  Empty rows (objects ending at ``t``,
-        # wide objects) keep zeros — they are never drawn from.
+        # CompiledLayer's padding).  Empty rows (objects ending at ``t``)
+        # keep zeros — they are never drawn from.
         filled = row_sizes > 0
         last = np.zeros(n_rows, dtype=next_all.dtype)
         last[filled] = next_all[tr_indptr[1:][filled] - 1]
@@ -245,9 +226,7 @@ class _StepTable:
         Returns the samples' global rows *in the next step's table*: the
         count of raw CDF entries ``<= u`` accumulated over the padded
         columns lands in the sample's own row, matching
-        :meth:`CompiledLayer.draw` bit for bit.  Only narrow (dense-fused)
-        rows are ever passed here; wide objects draw through their own
-        layer (see :attr:`wide`).
+        :meth:`CompiledLayer.draw` bit for bit.
         """
         counts = np.zeros(g.size, dtype=np.intp)
         for col in self.tr_cdf_cols:
@@ -509,29 +488,6 @@ def sample_paths_arena(
             np.minimum(picks, cdf.size - 1, out=picks)
             rows[r] = picks + table.sup_base[pos[r]]
 
-    def transition(table: _StepTable, mv: np.ndarray, u2d: np.ndarray) -> None:
-        # Narrow objects advance through the fused dense table; wide
-        # objects (rows past the dense limit) through their own layer's
-        # draw — the per-object arithmetic, so nothing depends on who
-        # shares the arena.
-        if table.wide:
-            wide_sel = table.is_wide[pos[mv]]
-            narrow = mv[~wide_sel]
-        else:
-            wide_sel = None
-            narrow = mv
-        if narrow.size:
-            nu = u2d if wide_sel is None else u2d[~wide_sel]
-            rows[narrow] = table.draw_transitions(
-                rows[narrow].ravel(), nu.reshape(-1)
-            ).reshape(narrow.size, n)
-        if wide_sel is not None:
-            for idx in np.flatnonzero(wide_sel):
-                r = mv[idx]
-                layer, nxt = table.wide[pos[r]]
-                local = rows[r] - table.sup_base[pos[r]]
-                rows[r] = layer.draw(local, u2d[idx]) + nxt
-
     for t in range(int(a_arr.min()), int(b_arr.max()) + 1):
         if lockstep:
             table = arena.table(t)
@@ -547,12 +503,9 @@ def sample_paths_arena(
             buf[:, t - a0] = table.states[rows]
             if t < b0:
                 u2d = uniforms[t - a0 + (not resumed[0])]
-                if table.wide:
-                    transition(table, every, u2d)
-                else:
-                    rows[:] = table.draw_transitions(
-                        rows.ravel(), u2d.reshape(-1)
-                    ).reshape(n_req, n)
+                rows[:] = table.draw_transitions(
+                    rows.ravel(), u2d.reshape(-1)
+                ).reshape(n_req, n)
             continue
         # General shape: requests join and leave the sweep as it enters and
         # exits their windows (gap tics — e.g. disjoint windows — are idle).
@@ -572,6 +525,9 @@ def sample_paths_arena(
         buf[act, t - a_arr[act]] = table.states[rows[act]]
         mv = act[t < b_arr[act]]
         if mv.size:
-            transition(table, mv, uniforms[t - a_arr[mv] + (~resumed[mv]), mv])
+            u2d = uniforms[t - a_arr[mv] + (~resumed[mv]), mv]
+            rows[mv] = table.draw_transitions(
+                rows[mv].ravel(), u2d.reshape(-1)
+            ).reshape(mv.size, n)
 
     return [buf[r, : int(widths[r])].T for r in range(n_req)]

@@ -6,25 +6,25 @@ transition matrices ``F(t)`` as per-tic CSR rows over the posterior support
 slow — the reference sampler loops over ``np.unique`` of the current state
 vector in Python at every timestep — so this module turns each timestep
 into inverse-CDF arrays at *compile* time: drawing ``n`` paths then costs
-one ``rng.random(n)`` plus one ``np.searchsorted`` per timestep, with zero
+one ``rng.random(n)`` plus one gather-and-count per timestep, with zero
 Python-level per-state loops, and compiling itself has no per-row step.
 
-The trick that removes the ragged-row loop: store every row's cumulative
-probabilities in one flat array and add the row index to each entry
-(``aug = cumprobs + row``).  The result is globally non-decreasing, so a
-single ``searchsorted(aug, row + u)`` performs an inverse-CDF draw for all
-``n`` samples at once, each within its own row.
-
-Cumulative sums are taken per row — one ``np.cumsum`` along the rows of a
-zero-padded matrix, which adds the same numbers in the same order as the
-reference sampler's ``np.cumsum`` of each row — so for one seed the compiled
-and reference backends consume the RNG stream identically and return
+A transition draw is the reference sampler's pick at every row width: the
+count of the row's *raw* CDF entries ``<= u``, over per-row CDFs padded to
+one ``(rows, width)`` matrix with ``+inf`` (never counted).  Cumulative
+sums are taken per row — one ``np.cumsum`` along the rows of a zero-padded
+matrix, which adds the same numbers in the same order as the reference
+sampler's ``np.cumsum`` of each row — so for one seed the compiled and
+reference backends consume the RNG stream identically and return
 *identical* paths (see ``tests/markov/test_compiled.py``).
 
 :func:`compile_model` compiles an adapted (a-posteriori) model;
-:class:`CompiledMatrix` applies the same transform to a raw a-priori
-transition matrix, which vectorizes the TS1/TS2 rejection baselines in
-:mod:`repro.markov.sampling`.
+:class:`CompiledMatrix` vectorizes the TS1/TS2 rejection baselines of
+:mod:`repro.markov.sampling` over a raw a-priori transition matrix with a
+different trick: every row's cumulative probabilities in one flat array
+offset by the row index (``aug = cumprobs + row``), globally
+non-decreasing, so one ``searchsorted(aug, row + u)`` draws all walks at
+once, each within its own row.
 """
 
 from __future__ import annotations
@@ -44,13 +44,6 @@ __all__ = [
     "compile_model",
     "take_tics",
 ]
-
-
-# Rows at most this wide are drawn via the padded dense-CDF strategy; wider
-# layers fall back to one flat searchsorted.  The dense compare is O(n·w) but
-# SIMD-friendly, beating searchsorted's ~50ns-per-needle binary search by a
-# wide margin for the narrow rows real chains produce (out-degree ≈ 8).
-_DENSE_WIDTH_LIMIT = 64
 
 
 def take_tics(paths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -76,16 +69,11 @@ class CompiledLayer:
     (``local_next``), so propagation never binary-searches states back into
     a support array.
 
-    Two draw strategies share the same semantics (count of CDF entries
-    ``<= u``, clipped to the row — exactly ``searchsorted(..., "right")``
-    as in the reference sampler, so paths stay bit-identical per seed):
-
-    * *dense* — per-row CDFs padded to a ``(m, width)`` matrix with ``inf``;
-      a draw is one 2-d gather, one vectorized compare-and-sum and one
-      clip.  Used when every row has at most ``_DENSE_WIDTH_LIMIT`` entries.
-    * *flat* — CSR-style ``aug`` array holding each row's CDF offset by its
-      row index (entries of row ``r`` lie in ``(r, r+1]``), globally sorted
-      so one ``searchsorted(aug, rows + u)`` draws all samples at once.
+    A draw counts the row's raw CDF entries ``<= u`` — exactly
+    ``searchsorted(cdf, u, "right")`` clipped to the row, as in the
+    reference sampler, so paths stay bit-identical per seed — at every
+    row width: per-row CDFs padded to an ``(m, width)`` matrix with
+    ``inf``, one 2-d gather and one vectorized compare-and-sum.
     """
 
     __slots__ = (
@@ -94,10 +82,9 @@ class CompiledLayer:
         "local_next",
         "entry_rows",
         "cdf_flat",
-        "aug",
         "cdf_dense",
         "next_flat",
-        "_width",
+        "width",
         "_ones",
     )
 
@@ -113,7 +100,8 @@ class CompiledLayer:
         self.local_next = local_next
         row_sizes = np.diff(indptr)
         m = support.size
-        width = int(row_sizes.max()) if m else 0
+        #: Entries of the widest row (the padded width of :attr:`cdf_dense`).
+        self.width = width = int(row_sizes.max()) if m else 0
         #: Local row index of every CSR entry.
         self.entry_rows = rows = np.repeat(np.arange(m, dtype=np.intp), row_sizes)
         offsets = np.arange(rows.size, dtype=np.intp) - indptr[rows]
@@ -124,28 +112,18 @@ class CompiledLayer:
         cdf[rows, offsets] = probs
         np.cumsum(cdf, axis=1, out=cdf)
         #: Raw per-row CDFs in CSR form: the sampling arena packs many
-        #: objects' layers into one haystack with *global* row offsets,
-        #: which it can only build from the un-augmented values.
+        #: objects' layers into one table with *global* row offsets.
         self.cdf_flat = cdf[rows, offsets]
-        if 0 < width <= _DENSE_WIDTH_LIMIT:
-            # cdf_dense pads rows with +inf (never counted); next_flat has one
-            # extra column holding the row's last successor so the float
-            # boundary case u >= cdf[-1] needs no clip (it lands there, which
-            # is exactly the reference sampler's clipped pick).
-            cdf[np.arange(width) >= row_sizes[:, None]] = np.inf
-            self.cdf_dense = cdf
-            next_pad = np.repeat(local_next[indptr[1:] - 1], width + 1).reshape(m, width + 1)
-            next_pad[rows, offsets] = local_next
-            self.next_flat = next_pad.ravel()
-            self._width = width
-            self._ones = np.ones(width)
-            self.aug = None
-        else:
-            self.cdf_dense = None
-            self.next_flat = None
-            self._width = 0
-            self._ones = None
-            self.aug = self.cdf_flat + rows
+        # cdf_dense pads rows with +inf (never counted); next_flat has one
+        # extra column holding the row's last successor so the float
+        # boundary case u >= cdf[-1] needs no clip (it lands there, which
+        # is exactly the reference sampler's clipped pick).
+        cdf[np.arange(width) >= row_sizes[:, None]] = np.inf
+        self.cdf_dense = cdf
+        next_pad = np.repeat(local_next[indptr[1:] - 1], width + 1).reshape(m, width + 1)
+        next_pad[rows, offsets] = local_next
+        self.next_flat = next_pad.ravel()
+        self._ones = np.ones(width)
 
     def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
         """Inverse-CDF draw of one successor *row of the next layer* per sample.
@@ -155,13 +133,9 @@ class CompiledLayer:
         ``<= u`` — identical to ``searchsorted(cdf, u, "right")`` clipped to
         the row, hence bit-compatible with the reference sampler.
         """
-        if self.cdf_dense is not None:
-            counts = (np.take(self.cdf_dense, rows, axis=0) <= u[:, None]) @ self._ones
-            picks = rows * (self._width + 1) + counts.astype(np.intp)
-            return np.take(self.next_flat, picks)
-        picks = np.searchsorted(self.aug, rows + u, side="right")
-        np.clip(picks, self.indptr[rows], self.indptr[rows + 1] - 1, out=picks)
-        return self.local_next[picks]
+        counts = (np.take(self.cdf_dense, rows, axis=0) <= u[:, None]) @ self._ones
+        picks = rows * (self.width + 1) + counts.astype(np.intp)
+        return np.take(self.next_flat, picks)
 
 
 class CompiledModel:

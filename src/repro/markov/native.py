@@ -9,8 +9,7 @@ distance-table gather in ``repro.core.refine.gather_distances``.  This
 module replaces all three with two C kernels (compiled on demand via
 cffi, see :mod:`._native_kernels`): one fused ``(steps × samples)``
 sweep that carries global row cursors across timesteps without returning
-to Python per tic — including the wide-row fallback arithmetic — and one
-single-pass distance gather.  Both move whole rows of ``n`` worlds: the
+to Python per tic, and one single-pass distance gather.  Both move whole rows of ``n`` worlds: the
 sweep fills tic-major ``(width, n)`` slabs and the gather reads them
 into the ``(object, tic, world)`` distance block.
 
@@ -24,11 +23,10 @@ descriptive error instead (:func:`require_native`).
 
 Every array crossing into C is checked where that is cheap — a step
 table once per build (:func:`_check_step`), the chaining of step tables
-and the gather's shapes once per call — and the kernels bounds-check the
-indices Python cannot vouch for as cheaply (a row of a wide layer; a
-gathered block's place in the distance block and its state ids) and
-return a status: bad input is a ``ValueError``, never an out-of-bounds
-access.
+and the gather's shapes once per call — and the gather kernel
+bounds-checks the indices Python cannot vouch for as cheaply (a gathered
+block's place in the distance block and its state ids) and returns a
+status: bad input is a ``ValueError``, never an out-of-bounds access.
 
 Bit-reproducibility is non-negotiable and holds by construction: the
 native sweep consumes each request's RNG stream through the *same*
@@ -255,8 +253,8 @@ def _check_step(table: "_StepTable", states_dtype: np.dtype) -> None:
 
     Once per table build, vectorized: states in the dtype the sweep
     writes; row pointers running from 0 to the CDF length without
-    decreasing (a wide layer's rows non-empty: its clamp cannot leave an
-    empty row); every successor a row of the next step's table; CDF rows
+    decreasing; one successor per CDF entry plus one trailing entry per
+    row, every one a row of the next step's table; CDF rows
     non-decreasing.
     """
     def fail(what: str):
@@ -264,31 +262,27 @@ def _check_step(table: "_StepTable", states_dtype: np.dtype) -> None:
 
     if table.states.dtype != states_dtype:
         fail(f"states are {table.states.dtype}, the sweep writes {states_dtype}")
-    parts = [
-        (layer.cdf_flat, layer.indptr, layer.local_next, base, 0)
-        for layer, base in table.wide.values()
-    ]
-    if table.csr_cdf is not None:
-        parts.append((table.csr_cdf, table.csr_indptr, table.csr_next, 0, 1))
-    for cdf, indptr, succ, base, trailing in parts:
-        sizes = np.diff(indptr)
-        if (
-            cdf.dtype != np.float64
-            or indptr.dtype != np.intp
-            or succ.dtype not in ((np.int32, np.intp) if trailing else (np.intp,))
-        ):
-            fail("a CDF, row pointer or successor array has the wrong dtype")
-        if indptr[0] != 0 or indptr[-1] != cdf.size or (sizes < 1 - trailing).any():
-            fail("row pointers do not run from 0 to the CDF length (or a wide row is empty)")
-        if succ.size != cdf.size + trailing * sizes.size:
-            fail("the successor count does not match the rows")
-        if succ.size and (succ.min() + base < 0 or succ.max() + base >= table.n_next):
-            fail(f"a successor is outside the next step's {table.n_next} rows")
-        falling = np.diff(cdf) < 0
-        cut = indptr[1:-1]
-        falling[cut[(cut > 0) & (cut < cdf.size)] - 1] = False
-        if falling.any():
-            fail("a CDF row decreases")
+    if table.csr_cdf is None:
+        return
+    cdf, indptr, succ = table.csr_cdf, table.csr_indptr, table.csr_next
+    sizes = np.diff(indptr)
+    if (
+        cdf.dtype != np.float64
+        or indptr.dtype != np.intp
+        or succ.dtype not in (np.int32, np.intp)
+    ):
+        fail("a CDF, row pointer or successor array has the wrong dtype")
+    if indptr[0] != 0 or indptr[-1] != cdf.size or (sizes < 0).any():
+        fail("row pointers do not run from 0 to the CDF length")
+    if succ.size != cdf.size + sizes.size:
+        fail("the successor count does not match the rows")
+    if succ.size and (succ.min() < 0 or succ.max() >= table.n_next):
+        fail(f"a successor is outside the next step's {table.n_next} rows")
+    falling = np.diff(cdf) < 0
+    cut = indptr[1:-1]
+    falling[cut[(cut > 0) & (cut < cdf.size)] - 1] = False
+    if falling.any():
+        fail("a CDF row decreases")
 
 
 def _step_struct(ffi, table: "_StepTable", states_dtype: np.dtype):
@@ -312,14 +306,6 @@ def _step_struct(ffi, table: "_StepTable", states_dtype: np.dtype):
         keep.append((array, p))
         return p
 
-    def ints(values):
-        return buf(np.asarray(values, dtype=np.intp), "int64_t[]")
-
-    def pointers(ctype, values):
-        p = ffi.new(ctype, values)
-        keep.append(p)
-        return p
-
     st = ffi.new("repro_step *")  # zero-initialized
     keep.append(st)
     if table.states.dtype == np.dtype(np.int32):
@@ -334,26 +320,6 @@ def _step_struct(ffi, table: "_StepTable", states_dtype: np.dtype):
             st.next32 = buf(table.csr_next, "int32_t[]")
         else:
             st.next64 = buf(table.csr_next, "int64_t[]")
-    if table.wide:
-        st.is_wide = buf(table.is_wide.view(np.uint8), "uint8_t[]")
-        positions = sorted(table.wide)
-        layers = [table.wide[pos][0] for pos in positions]
-        st.n_wide = len(positions)
-        st.wide_pos = ints(positions)
-        st.wide_aug = pointers(
-            "double *[]",
-            [buf(np.ascontiguousarray(lay.aug), "double[]") for lay in layers],
-        )
-        st.wide_auglen = ints([lay.aug.size for lay in layers])
-        st.wide_rows = ints([lay.indptr.size - 1 for lay in layers])
-        st.wide_indptr = pointers(
-            "int64_t *[]", [buf(lay.indptr, "int64_t[]") for lay in layers]
-        )
-        st.wide_next = pointers(
-            "int64_t *[]", [buf(lay.local_next, "int64_t[]") for lay in layers]
-        )
-        st.wide_nextbase = ints([table.wide[pos][1] for pos in positions])
-        st.wide_supbase = ints([table.sup_base[pos] for pos in positions])
     table._native = (st, keep)
     return table._native
 
@@ -454,7 +420,7 @@ def draw_arena(
         keep.append(p)
         out_ptrs[r] = p
 
-    status = lib.repro_arena_sweep(
+    lib.repro_arena_sweep(
         t0,
         n_steps,
         n_req,
@@ -481,11 +447,6 @@ def draw_arena(
         1 if states_dtype == np.dtype(np.int32) else 0,
         out_ptrs,
     )
-    if status:
-        raise ValueError(
-            "a sampled row left its object's wide layer (a successor outside "
-            "the object's own next-step support)"
-        )
     if lazy is not None:
         for r, req in enumerate(requests):
             req.rng.consumed += int(u_blocks[r]) * n

@@ -218,6 +218,7 @@ class ObservationStream:
                         raise ValueError(
                             f"event {i} (object {object_id!r}): {exc}"
                         ) from None
+                self.db.check_states(f"event {i} (object {object_id!r})", observations)
                 if (
                     event.chain is not None
                     and event.chain.n_states != self.db.space.n_states
@@ -246,6 +247,7 @@ class ObservationStream:
                     raise ValueError(
                         f"event {i} (object {object_id!r}): {exc}"
                     ) from None
+                self.db.check_states(f"event {i} (object {object_id!r})", [observation])
                 if observation.time in times_of(object_id):
                     raise ValueError(
                         f"event {i}: object {object_id!r} already observed "

@@ -7,7 +7,7 @@ caching and the hooks the UST-tree and the query engine build on.
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -179,6 +179,7 @@ class TrajectoryDatabase:
             raise KeyError(f"object {object_id!r} already exists")
         if not isinstance(observations, ObservationSet):
             observations = ObservationSet(observations)
+        self.check_states(f"object {object_id!r}", observations)
         own_chain = chain if chain is not None else self.chain
         if own_chain.n_states != self.space.n_states:
             raise ValueError("per-object chain must match the database state space")
@@ -191,6 +192,20 @@ class TrajectoryDatabase:
         # A new object contributes filter state only over its own span.
         self._bump_version(object_id, affected=(obj.t_first, obj.t_last))
         return obj
+
+    def check_states(self, context: str, observations: Iterable[Observation]) -> None:
+        """Reject an observed state id the space has no cell for.
+
+        The error names ``context`` (the object, or the stream event) and
+        the observation's time and state.
+        """
+        n_states = self.space.n_states
+        for o in observations:
+            if o.state >= n_states:
+                raise ValueError(
+                    f"{context}: state {o.state} at time {o.time} is outside "
+                    f"the database space's {n_states} states"
+                )
 
     def remove_object(self, object_id: str) -> None:
         """Drop an object (and its derived caches) from the database.
@@ -222,6 +237,9 @@ class TrajectoryDatabase:
         would be a data error).
         """
         old = self.get(object_id)
+        self.check_states(
+            f"object {old.object_id!r}", [Observation(int(time), int(state))]
+        )
         replacement = old.with_observation(time, state)
         self._objects[old.object_id] = replacement
         # A fix at ``t`` reshapes only the diamonds between its neighboring

@@ -29,7 +29,6 @@ from repro.markov.adaptation import (
     adapt_model,
 )
 from repro.markov.chain import InhomogeneousMarkovChain, MarkovChain
-from repro.markov.compiled import _DENSE_WIDTH_LIMIT
 from tests.oracles import (
     reference_adapt,
     reference_layer,
@@ -134,9 +133,13 @@ def _explicit_zeros(rng):
     return lambda: chain
 
 
+#: A row width past 64 — wider than any benchmark or experiment chain.
+WIDE_ROWS = 70
+
+
 def _dense(rng):
-    """Rows wider than the dense-CDF limit: the ``aug`` layer layout."""
-    n = _DENSE_WIDTH_LIMIT + 6
+    """Rows of ``WIDE_ROWS`` entries: the widest padded layer layout."""
+    n = WIDE_ROWS
     chain = MarkovChain(_normalised(rng.uniform(0.1, 1.0, size=(n, n))))
     return lambda: chain
 

@@ -5,14 +5,23 @@ The compiled sampler must be a drop-in replacement for the row-dict walk
 (therefore) statistically indistinguishable marginals when seeds differ.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import sparse
 from scipy.stats import chisquare
 
+from repro.markov import native
 from repro.markov.adaptation import adapt_model
+from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from repro.markov.chain import MarkovChain
-from repro.markov.compiled import CompiledMatrix, _DENSE_WIDTH_LIMIT, compile_model
+from repro.markov.compiled import (
+    CompiledLayer,
+    CompiledMatrix,
+    CompiledModel,
+    compile_model,
+)
 from tests.conftest import make_drift_chain
 from tests.oracles import reference_sample_paths
 
@@ -146,12 +155,15 @@ class TestDistributionalParity:
                 assert p_hat == pytest.approx(p_true, abs=0.05)
 
 
-class TestWideRowFallback:
-    """Rows wider than _DENSE_WIDTH_LIMIT use the flat searchsorted path."""
+class TestWideRows:
+    """Rows of any width draw the row walk's pick: the count of the row's
+    raw CDF entries ``<= u``."""
+
+    WIDE = 128  # a row width well past anything the benchmark chains make
 
     @pytest.fixture
     def wide_model(self):
-        n = _DENSE_WIDTH_LIMIT * 2  # one row fans out to 2×limit successors
+        n = self.WIDE  # one row fans out to every state
         mat = sparse.lil_matrix((n, n))
         mat[0, :] = 1.0 / n
         for s in range(1, n):
@@ -159,17 +171,76 @@ class TestWideRowFallback:
         chain = MarkovChain(sparse.csr_matrix(mat))
         return adapt_model(chain, [(0, 0)], extend_to=2)
 
-    def test_flat_strategy_selected(self, wide_model):
-        layer = wide_model.compiled.layer(0)
-        assert layer.aug is not None and layer.cdf_dense is None
-
-    def test_flat_parity_and_distribution(self, wide_model):
+    def test_parity_and_distribution(self, wide_model):
+        assert wide_model.compiled.layer(0).width == self.WIDE
         paths_c = wide_model.sample_paths(np.random.default_rng(8), 3000)
         paths_r = reference_sample_paths(wide_model, np.random.default_rng(8), 3000)
         np.testing.assert_array_equal(paths_c, paths_r)
         # Uniform fan-out: every successor roughly equally likely at t=1.
         counts = np.bincount(paths_c[:, 1], minlength=wide_model.posterior(1).states.size)
         assert counts.max() <= 3 * max(counts[counts > 0].min(), 1) + 30
+
+
+class _Halves:
+    """A stub generator whose every variate is 0.5."""
+
+    def random(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out.fill(0.5)
+        return out
+
+
+@pytest.fixture
+def boundary_row():
+    """1 001 rows; row 1000 fans out to 65 successors with
+    ``cdf[0] = 0.5 + 1e-14``, so the row walk maps ``u = 0.5`` to successor
+    0 — while ``1000 + cdf[0]`` rounds onto ``1000 + 0.5``, the collision a
+    row-offset ``searchsorted(cdf + row, row + u)`` cannot tell apart."""
+    m, fan = 1001, 65
+    probs = np.full(fan, (0.5 - 1e-14) / (fan - 1))
+    probs[0] = 0.5 + 1e-14
+    assert 1000 + np.cumsum(probs)[0] == 1000 + 0.5
+    support, next_support = np.arange(m), np.arange(fan)
+    indptr = np.concatenate([np.arange(m), [m - 1 + fan]])
+    local_next = np.concatenate([np.zeros(m - 1, dtype=np.intp), next_support])
+    all_probs = np.concatenate([np.ones(m - 1), probs])
+    layer = CompiledLayer(support, indptr, local_next, all_probs)
+    model = CompiledModel(
+        0, 1, {0: layer},
+        {0: (support, np.linspace(1 / m, 1, m)), 1: (next_support, np.cumsum(probs))},
+    )
+    walk = SimpleNamespace(transitions={0: {m - 1: (next_support, probs)}})
+    (want,) = reference_sample_paths(
+        walk, _Halves(), 1, 0, 1, start_states=np.array([m - 1])
+    )[:, 1]
+    assert want == 0
+    return layer, model, want
+
+
+class TestBoundaryRow:
+    """Every sampler picks the row walk's successor on a row whose offset
+    CDF and offset variate round to the same double."""
+
+    def test_compiled_layer(self, boundary_row):
+        layer, _, want = boundary_row
+        assert layer.draw(np.array([1000]), np.array([0.5]))[0] == want
+
+    def test_per_object_sampler(self, boundary_row):
+        _, model, want = boundary_row
+        paths = model.sample_paths(_Halves(), 3, 0, 1, start_states=np.full(3, 1000))
+        assert (paths[:, 1] == want).all()
+
+    @pytest.mark.parametrize("c_sweep", [False, True], ids=["numpy", "c"])
+    def test_arena(self, boundary_row, c_sweep):
+        if c_sweep and not native.available():
+            pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
+        _, model, want = boundary_row
+        arena = SamplingArena(native=c_sweep)
+        arena.ensure("hub", model)
+        (paths,) = sample_paths_arena(
+            arena, [ArenaRequest("hub", 0, 1, _Halves(), start_states=np.full(3, 1000))], 3
+        )
+        assert (paths[:, 1] == want).all()
 
 
 class TestCompiledMatrix:

@@ -53,7 +53,7 @@ requires_native = pytest.mark.skipif(
 
 def _make_model(n_states, span, obs_every, seed, dense=False):
     """One compiled model from a chain walk; ``dense=True`` yields rows
-    wide enough to force the arena's per-position wide-row layers."""
+    as wide as the state space."""
     r = np.random.default_rng(seed)
     mat = r.uniform(size=(n_states, n_states))
     if not dense:
@@ -72,10 +72,10 @@ def _make_model(n_states, span, obs_every, seed, dense=False):
 
 @pytest.fixture(scope="module")
 def models():
-    """Narrow models plus one dense (wide-row) one — the shapes that
-    exercise every branch of the C sweep."""
+    """Narrow models plus one dense one whose rows are wider than 64
+    entries — the shapes that exercise every branch of the C sweep."""
     out = [_make_model(60, 16, 4, s) for s in range(4)]
-    out.append(_make_model(40, 12, 6, 99, dense=True))
+    out.append(_make_model(80, 12, 6, 99, dense=True))
     out.append(_make_model(60, 16, 8, 7))
     return out
 
@@ -139,6 +139,9 @@ class TestArenaLockstep:
             np.testing.assert_array_equal(a, b)
 
     def test_mixed_windows_gaps_and_wide_rows(self, models):
+        arena = _arena(models, c_sweep=True)
+        assert max(np.diff(arena.table(t).csr_indptr).max() for t in range(8)) > 64
+
         def requests():
             return [
                 ArenaRequest("m0", 2, 9, _lazy_rng(7)),
@@ -349,17 +352,59 @@ class TestEngineParity:
             assert ra.report.sampled_objects == rb.report.sampled_objects
 
     def test_bulk_rng_handles_match_eager_generators(self):
-        """The engine's native bulk path hands the arena LazySeededRng
-        handles; their streams equal the eager ``_object_rng`` ones."""
+        """A native engine's per-object RNGs are LazySeededRng handles;
+        their streams equal eagerly seeded Generators over their entropy."""
+        if not native.seed_fill_ready():
+            pytest.skip("the C seeder failed its self-check")
         db = _parity_db()
         eng = QueryEngine(db, n_samples=16, seed=3, backend="native")
         eng.new_draw_epoch()
         oid = sorted(db.object_ids)[0]
-        handle = eng._object_rng_handle(oid, round_=2)
-        eager = eng._object_rng(oid, round_=2)
-        if native.seed_fill_ready():
-            assert type(handle) is native.LazySeededRng
+        handle = eng._object_rng(oid, round_=2)
+        assert type(handle) is native.LazySeededRng
+        eager = np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(handle.entropy))
+        )
         np.testing.assert_array_equal(handle.random(16), eager.random(16))
+
+    def test_per_object_draws_seed_no_generator(self, monkeypatch):
+        """A monitor tick that redraws one dirty object takes the
+        per-object sampler, and its RNG is a lazy handle too: no
+        ``SeedSequence`` is built anywhere in the tick."""
+        from repro.markov.adaptation import AdaptedModel
+        from repro.stream import AddObservation
+        from repro.stream.monitor import ContinuousMonitor
+
+        if not native.seed_fill_ready():
+            pytest.skip("the C seeder failed its self-check")
+        db = _parity_db()
+        eng = QueryEngine(db, n_samples=32, seed=3, backend="native")
+        monitor = ContinuousMonitor(eng)
+        monitor.subscribe(
+            QueryRequest(Query.from_point([5.0, 5.0]), tuple(range(2, 10)), "forall", 0.1)
+        )
+        monitor.tick()
+        oid = sorted(db.object_ids)[0]
+        t = next(t for t in range(2, 10) if db.get(oid).observations.state_at(t) is None)
+        state = int(db.get(oid).adapted.posterior(t).states[0])
+
+        seeded, per_object = [], []
+        real_seed_sequence = np.random.SeedSequence
+        real_sample_paths = AdaptedModel.sample_paths
+
+        def counting_seed_sequence(*args, **kwargs):
+            seeded.append(args)
+            return real_seed_sequence(*args, **kwargs)
+
+        def counting_sample_paths(self, *args, **kwargs):
+            per_object.append(args)
+            return real_sample_paths(self, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
+        monkeypatch.setattr(AdaptedModel, "sample_paths", counting_sample_paths)
+        monitor.tick([AddObservation(oid, t, state)])
+        assert per_object
+        assert seeded == []
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
     def test_serve_lockstep(self, n_shards):
@@ -454,7 +499,7 @@ class TestEntropyTemplate:
         db = _parity_db()
         eng = QueryEngine(db, n_samples=8, seed=5, backend="compiled")
         oid = sorted(db.object_ids)[0]
-        handle = eng._object_rng_handle(oid)
+        handle = eng._object_rng(oid)
         assert isinstance(handle, np.random.Generator)
 
 

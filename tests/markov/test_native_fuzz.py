@@ -4,8 +4,8 @@ Every case either raises ``ValueError`` at the boundary or matches the
 numpy sweep (resp. the numpy gather) byte for byte — never a silent wrong
 answer, never an out-of-bounds access.  The cases cover what the engine
 never produces on its own: width-1 windows, ``n = 1``, resumed-only
-batches, int32 and int64 state outputs, wide (per-object) layers, and
-step tables corrupted after packing — successors outside the next step's
+batches, int32 and int64 state outputs, CSR rows wider than 64 entries,
+and step tables corrupted after packing — successors outside the next step's
 rows, decreasing CDF rows, broken row pointers, a states dtype the sweep
 does not write — plus distance-gather calls with state ids outside the
 table and blocks placed outside ``out``.
@@ -18,7 +18,6 @@ a hard failure even when the result happens to come out right.
 from __future__ import annotations
 
 import functools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -49,8 +48,8 @@ FUZZ = settings(
 @functools.lru_cache(maxsize=None)
 def _model(n_states, start, span, obs_every, extend, dense, seed):
     """A compiled model over ``[start, start + span + extend]``.  Dense
-    chains with states beyond the dense-width limit give wide layers;
-    ``extend`` tics past the last fix spread the support unconditioned."""
+    chains over 70 states give rows of up to 70 entries; ``extend`` tics
+    past the last fix spread the support unconditioned."""
     r = np.random.default_rng(seed)
     mat = r.uniform(size=(n_states, n_states))
     if not dense:
@@ -85,9 +84,9 @@ def _models(draw):
     return [_model(*spec) for spec in specs]
 
 
-def _arena(models, c_sweep, wide_states):
+def _arena(models, c_sweep, int64_states):
     arena = SamplingArena(native=c_sweep)
-    if wide_states:
+    if int64_states:
         # int64 outputs, as for a state space past int32 ids.
         arena._states_dtype = np.dtype(np.intp)
     for i, m in enumerate(models):
@@ -136,14 +135,19 @@ def _requests(specs, lazy):
 
 class TestSweepFuzz:
     @FUZZ
-    @given(batch=_batches(), lazy=st.booleans(), wide_states=st.booleans())
-    def test_matches_the_numpy_sweep(self, batch, lazy, wide_states):
+    @given(batch=_batches(), lazy=st.booleans(), int64_states=st.booleans())
+    def test_matches_the_numpy_sweep(self, batch, lazy, int64_states):
         models, n, specs = batch
-        got = sample_paths_arena(
-            _arena(models, True, wide_states), _requests(specs, lazy), n
-        )
+        arena = _arena(models, True, int64_states)
+        got = sample_paths_arena(arena, _requests(specs, lazy), n)
+        if any(
+            np.diff(arena.table(t).csr_indptr).max() > 64
+            for _, a, b, _ in specs
+            for t in range(a, b)
+        ):
+            event("a CSR row wider than 64 entries")
         want = sample_paths_arena(
-            _arena(models, False, wide_states), _requests(specs, lazy), n
+            _arena(models, False, int64_states), _requests(specs, lazy), n
         )
         for g, w in zip(got, want):
             assert g.dtype == w.dtype and g.shape == w.shape
@@ -167,8 +171,6 @@ class TestSweepFuzz:
                     damage.append((table, "indptr"))
                 if (sizes > 1).any():
                     damage.append((table, "cdf"))
-            if table.wide:
-                damage.append((table, "wide"))
             if t + 1 in active:
                 damage.append((table, "chain"))
         if not damage:
@@ -194,18 +196,6 @@ class TestSweepFuzz:
             bad = table.csr_cdf.copy()
             bad[lo + 1] = bad[lo] - 0.25
             table.csr_cdf = bad
-        elif kind == "wide":
-            pos = data.draw(st.sampled_from(sorted(table.wide)))
-            layer, base = table.wide[pos]
-            succ = layer.local_next.copy()
-            succ[data.draw(st.integers(0, succ.size - 1))] = table.n_next - base
-            table.wide[pos] = (
-                SimpleNamespace(
-                    cdf_flat=layer.cdf_flat, indptr=layer.indptr,
-                    local_next=succ, aug=layer.aug,
-                ),
-                base,
-            )
         else:  # the next step's table no longer has the rows this one targets
             table.n_next += 1
         fresh = [(i, a, b, None) for i, a, b, _ in specs]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.markov.compiled import _DENSE_WIDTH_LIMIT
 from repro.markov.distributions import SparseDistribution
 from repro.trajectory.database import TrajectoryDatabase
 
@@ -112,28 +111,23 @@ def reference_layer(rows, next_support):
         cdfs.append(np.cumsum(probs))
     local_next = np.searchsorted(next_support, np.concatenate(successors))
     width = max(cdf.size for cdf in cdfs)
-    layer = {
+    dense = np.full((support.size, width), np.inf)
+    padded = np.zeros((support.size, width + 1), dtype=np.intp)
+    for r, cdf in enumerate(cdfs):
+        lo, hi = indptr[r], indptr[r + 1]
+        dense[r, : hi - lo] = cdf
+        padded[r, : hi - lo] = local_next[lo:hi]
+        padded[r, hi - lo :] = local_next[hi - 1]
+    return {
         "support": support,
         "indptr": indptr,
         "local_next": local_next,
         "cdf_flat": np.concatenate(cdfs),
         "entry_rows": np.repeat(np.arange(support.size, dtype=np.intp), np.diff(indptr)),
-        "cdf_dense": None,
-        "next_flat": None,
-        "aug": None,
+        "cdf_dense": dense,
+        "next_flat": padded.ravel(),
+        "width": width,
     }
-    if width <= _DENSE_WIDTH_LIMIT:
-        dense = np.full((support.size, width), np.inf)
-        padded = np.zeros((support.size, width + 1), dtype=np.intp)
-        for r, cdf in enumerate(cdfs):
-            lo, hi = indptr[r], indptr[r + 1]
-            dense[r, : hi - lo] = cdf
-            padded[r, : hi - lo] = local_next[lo:hi]
-            padded[r, hi - lo :] = local_next[hi - 1]
-        layer.update(cdf_dense=dense, next_flat=padded.ravel())
-    else:
-        layer["aug"] = np.concatenate([cdf + r for r, cdf in enumerate(cdfs)])
-    return layer
 
 
 # ----------------------------------------------------------------------
@@ -165,8 +159,8 @@ def same_transitions(a: dict, b: dict, context):
 
 
 LAYER_ARRAYS = (
-    "support", "indptr", "local_next", "aug", "cdf_dense", "next_flat",
-    "cdf_flat", "entry_rows",
+    "support", "indptr", "local_next", "cdf_dense", "next_flat",
+    "cdf_flat", "entry_rows", "width",
 )
 
 

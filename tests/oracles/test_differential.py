@@ -25,7 +25,6 @@ from repro.core.queries import Query, QueryRequest
 from repro.core.worlds import WorldCache
 from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from repro.markov.chain import MarkovChain
-from repro.markov.compiled import _DENSE_WIDTH_LIMIT
 from repro.spatial.ust_tree import USTTree
 from repro.statespace.base import StateSpace
 from repro.stream.monitor import ContinuousMonitor, _result_payload
@@ -429,22 +428,23 @@ def test_refine_cache_off_answers_like_refine_cache_on():
 # ----------------------------------------------------------------------
 # the non-default branches of the draw and of the distance kernel
 # ----------------------------------------------------------------------
+#: A row width past 64 — wider than any benchmark or experiment chain.
+WIDE_ROWS = 64
+
+
 def _max_row_width(obj):
-    return max(
-        int(np.diff(obj.compiled.layer(t).indptr).max())
-        for t in range(obj.t_first, obj.t_last)
-    )
+    return max(obj.compiled.layer(t).width for t in range(obj.t_first, obj.t_last))
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_wide_rows_draw_per_object_inside_the_sweep(backend):
-    """> ``_DENSE_WIDTH_LIMIT`` successors per row routes those objects
-    through their own layer's draw inside the fused sweep."""
+def test_wide_rows_draw_inside_the_sweep(backend):
+    """Rows of more than ``WIDE_ROWS`` successors draw the row walk's pick
+    inside the fused sweep, like every other row."""
     db, _ = make_random_world(
-        seed=13, n_states=_DENSE_WIDTH_LIMIT + 16, n_objects=3, span=8, obs_every=4,
+        seed=13, n_states=WIDE_ROWS + 16, n_objects=3, span=8, obs_every=4,
         density=1.0,
     )
-    assert _max_row_width(next(iter(db))) > _DENSE_WIDTH_LIMIT
+    assert _max_row_width(next(iter(db))) > WIDE_ROWS
     q = Query.from_point([5.0, 5.0])
     engine = QueryEngine(db, n_samples=200, seed=17, backend=backend, use_pruning=False)
     with checking_distances(engine) as checked:
@@ -454,11 +454,10 @@ def test_wide_rows_draw_per_object_inside_the_sweep(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_narrow_and_wide_objects_share_one_sweep(backend):
-    """A sparse-chain world plus one dense-chain hub: narrow objects take
-    the fused dense tables while the hub draws per-object, in the same
-    timestep sweep."""
+    """A sparse-chain world plus one dense-chain hub, fused into the same
+    step tables of one timestep sweep."""
     db, rng = make_random_world(
-        seed=15, n_states=_DENSE_WIDTH_LIMIT + 16, n_objects=3, span=8,
+        seed=15, n_states=WIDE_ROWS + 16, n_objects=3, span=8,
         obs_every=4, density=0.1,
     )
     n_states = db.space.n_states
@@ -470,7 +469,7 @@ def test_narrow_and_wide_objects_share_one_sweep(backend):
         nxt, probs = hub_chain.successors(walk[-1], 0)
         walk.append(int(rng.choice(nxt, p=probs)))
     db.add_object("hub", [(0, walk[0]), (4, walk[4]), (8, walk[8])], chain=hub_chain)
-    assert _max_row_width(db.get("hub")) > _DENSE_WIDTH_LIMIT
+    assert _max_row_width(db.get("hub")) > WIDE_ROWS
     q = Query.from_point([5.0, 5.0])
     engine = QueryEngine(db, n_samples=150, seed=17, backend=backend, use_pruning=False)
     with checking_distances(engine) as checked:

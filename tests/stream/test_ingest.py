@@ -134,6 +134,41 @@ class TestValidation:
             )
         assert db.version == v
 
+    def test_out_of_range_state_rejected_and_the_monitor_keeps_ticking(self):
+        """A state id past the space is refused at validation, naming the
+        event; nothing lands, so the next tick runs (it used to land and
+        wedge every later tick on an ``IndexError``)."""
+        from repro import ContinuousMonitor, Query, QueryEngine, QueryRequest
+
+        db = TrajectoryDatabase(make_line_space(12), make_drift_chain(12))
+        db.add_object("a", [(0, 0), (8, 5)])
+        db.add_object("b", [(0, 2), (8, 8)])
+        monitor = ContinuousMonitor(QueryEngine(db, n_samples=32, seed=1))
+        monitor.subscribe(
+            QueryRequest(Query.from_point([3.0, 0.0]), tuple(range(1, 8)), "forall", 0.1)
+        )
+        monitor.tick()
+        v = db.version
+        cases = [
+            ([AddObservation("b", 3, 3), AddObservation("a", 5, 99)],
+             r"event 1 \(object 'a'\): state 99 at time 5 .* 12 states"),
+            ([AddObject("c", [(0, 1), (4, 12)])],
+             r"event 0 \(object 'c'\): state 12 at time 4"),
+        ]
+        for events, pattern in cases:
+            with pytest.raises(ValueError, match=pattern):
+                monitor.tick(events)
+            assert db.version == v
+        monitor.tick()
+
+    def test_direct_api_rejects_out_of_range_states(self, db):
+        v = db.version
+        with pytest.raises(ValueError, match=r"object 'a': state 4 at time 2"):
+            db.add_observation("a", 2, 4)
+        with pytest.raises(ValueError, match=r"object 'c': state 7 at time 0"):
+            db.add_object("c", [(0, 7)])
+        assert db.version == v and "c" not in db
+
     def test_bad_extend_to_rejected_atomically(self, db):
         v = db.version
         with pytest.raises(ValueError, match="event 0.*extend_to"):

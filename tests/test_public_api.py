@@ -174,6 +174,8 @@ class TestEngineOptionCount:
             # ... and of the shared-memory gather and the threaded fan-out.
             r"|uses_shm|shm_name|shm_offset|_open_shm|SharedMemory|asyncio"
             r"|ThreadPoolExecutor|roundtrip_seconds"
+            # ... and of the float-offset wide-row draw.
+            r"|_DENSE_WIDTH_LIMIT|is_wide|wide_aug|wide_pos|layer\.aug"
         )
         src = Path(repro.__file__).parent
         hits = [
