@@ -694,8 +694,10 @@ def test_monitor_tick_targets(bench_record):
 
 
 def test_monitor_tick_obs_overhead(bench_record):
-    """Full telemetry (recording tracer + registry + slow log) vs the
-    NullTracer default on identically warmed steady-state monitors.
+    """Full telemetry (recording tracer + slow log) vs the NullTracer
+    default on identically warmed steady-state monitors.  Both hold a
+    registry — every engine counts into its own — so the "plain" twin
+    differs from the instrumented one in the tracer and the slow log.
 
     The observability contract's cost half: ``stage_seconds`` moved to
     span-derived timing for *everyone*, so the un-instrumented path must

@@ -148,23 +148,24 @@ def main() -> None:
         print(f"        trace: {_trace_summary(tracer.last_trace)}")
 
     print("\n=== totals ===")
-    sched = monitor.scheduler
+    decisions = metrics.total("scheduler_decisions_total")
+    skipped = metrics.value("scheduler_decisions_total", {"reason": "clean"})
     print(
         f"  {monitor.stream.events_applied} events in {monitor.stream.batches} "
-        f"batches over {monitor.ticks} ticks"
+        f"batches over {monitor.ticks.value} ticks"
     )
     print(
-        f"  scheduler: {sched.decided} decisions, {sched.skipped} skipped "
+        f"  scheduler: {decisions} decisions, {skipped} skipped "
         "(provably unchanged — served from cache)"
     )
     print(
-        f"  worlds: {engine.worlds.hits} hits, {engine.worlds.partial_hits} "
-        f"forward extensions, {engine.worlds.misses} redraws "
-        f"({engine.worlds_invalidated} segments selectively invalidated)"
+        f"  worlds: {engine.worlds.hits.value} hits, {engine.worlds.partial_hits.value} "
+        f"forward extensions, {engine.worlds.misses.value} redraws "
+        f"({engine.worlds_invalidated.value} segments selectively invalidated)"
     )
     print(
-        f"  index: {engine.index_updates} per-object updates, "
-        f"{engine.index_rebuilds} full rebuild(s)"
+        f"  index: {engine.index_updates.value} per-object updates, "
+        f"{engine.index_rebuilds.value} full rebuild(s)"
     )
 
     print("\n=== telemetry ===")

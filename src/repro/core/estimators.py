@@ -182,38 +182,29 @@ class Estimator:
         raise NotImplementedError
 
     def run(self, ctx: EstimationContext) -> EstimateOutcome:
-        """:meth:`estimate` wrapped in telemetry (the pipeline entry point).
-
-        With the default :class:`~repro.obs.NullTracer` and no registry
-        this is a plain delegation; otherwise the strategy gets its own
-        child span under the estimate stage plus per-strategy counters.
-        Pure observation — the outcome bytes are identical either way.
+        """:meth:`estimate` plus telemetry (the pipeline entry point): the
+        strategy's own child span under the estimate stage, and per-strategy
+        counters in the engine's registry.  Pure observation — the outcome
+        bytes are identical either way.
         """
         engine = ctx.engine
-        tracer = engine.tracer
-        metrics = engine.metrics
-        if not tracer.enabled and metrics is None:
-            return self.estimate(ctx)
-        with tracer.span(f"estimator:{self.name}") as span:
+        with engine.tracer.span(f"estimator:{self.name}") as span:
             outcome = self.estimate(ctx)
             span.set(
                 n_samples_used=outcome.n_samples_used,
                 sampled_objects=outcome.sampled_objects,
                 undecided=outcome.undecided,
             )
-        if metrics is not None:
-            metrics.counter(
-                "estimator_runs_total",
-                help="Estimate-stage executions, by strategy.",
-                labels={"estimator": self.name},
-            ).inc()
-            if outcome.sampled_objects:
-                metrics.counter(
-                    "estimator_sampled_objects_total",
-                    help="Objects refined by Monte-Carlo sampling, "
-                    "by strategy.",
-                    labels={"estimator": self.name},
-                ).inc(outcome.sampled_objects)
+        engine._instrument(
+            "counter", "estimator_runs_total", "Estimate-stage executions, by strategy.",
+            estimator=self.name,
+        ).inc()
+        if outcome.sampled_objects:
+            engine._instrument(
+                "counter", "estimator_sampled_objects_total",
+                "Objects refined by Monte-Carlo sampling, by strategy.",
+                estimator=self.name,
+            ).inc(outcome.sampled_objects)
         return outcome
 
 

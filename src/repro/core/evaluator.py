@@ -50,6 +50,7 @@ import numpy as np
 from ..markov import native as native_tier
 from ..markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from ..markov.compiled import take_tics
+from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER
 from ..spatial.ust_tree import PruningResult, USTTree, check_query_coords
 from ..trajectory.database import TrajectoryDatabase
@@ -157,41 +158,63 @@ class QueryEngine:
         #: Telemetry (see :mod:`repro.obs`): the tracer times the pipeline
         #: stages — ``stage_seconds`` is derived from its span durations,
         #: so :data:`NULL_TRACER` (the default) still times spans, it just
-        #: retains nothing.  ``metrics``/``slow_log`` are optional feeds;
-        #: every call site guards on ``is not None`` so the default path
-        #: costs nothing.  None of the three ever touches RNG state.
+        #: retains nothing.  ``metrics`` is the registry every count of
+        #: this engine lives in — its own unless one is passed, which only
+        #: names the registry to expose.  ``slow_log`` is an optional feed.
+        #: None of the three ever touches RNG state.
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
+        self.metrics = metrics = metrics if metrics is not None else MetricsRegistry()
         self.slow_log = slow_log
         self._refine_cache = RefineCache(db, self.refine_cache_size)
         #: Estimate-stage reuse accounting (per-tick deltas reported by the
         #: streaming monitor): whole-tensor cache hits/misses and the
-        #: per-object columns served from cache vs recomputed.
-        self.estimate_cache_hits = 0
-        self.estimate_cache_misses = 0
-        self.estimate_columns_reused = 0
-        self.estimate_columns_refreshed = 0
+        #: per-object columns served from cache vs recomputed.  Like every
+        #: count below, each is a handle to a counter of ``metrics``.
+        count = metrics.counter
+        self.estimate_cache_hits = count("estimate_cache_hits_total", help="Refine-cache hits.")
+        self.estimate_cache_misses = count("estimate_cache_misses_total", help="Refine-cache misses.")
+        self.estimate_columns_reused = count(
+            "estimate_columns_reused_total", help="Refine-cache columns served unchanged."
+        )
+        self.estimate_columns_refreshed = count(
+            "estimate_columns_refreshed_total", help="Refine-cache columns recomputed."
+        )
+        #: Cumulative invalidation accounting: full index rebuilds,
+        #: per-object incremental index updates, and world-cache segments
+        #: dropped by selective invalidation.
+        self.index_rebuilds = count("index_rebuilds_total", help="Full UST-tree builds.")
+        self.index_updates = count("index_updates_total", help="Per-object UST-tree updates.")
+        self.worlds_invalidated = count(
+            "worlds_invalidated_total", help="World-cache segments dropped per object."
+        )
+        self._direct_draws = count("direct_draws_total", help="Objects drawn outside the cache.")
+        self._worlds_sampled = count(
+            "worlds_sampled_total", help="Possible worlds drawn/used by completed evaluations."
+        )
+        # Labelled per-evaluation instruments (see :meth:`_instrument`).
+        self._instruments: dict[tuple, object] = {}
         self._ust = ust_tree
-        if ust_tree is not None and metrics is not None:
+        if ust_tree is not None:
             ust_tree.metrics = metrics
         #: The open :meth:`shared_filter` block: ``pending`` (``(times, k) ->
         #: {query}``, registered and not filtered yet) and ``results``
         #: (``(query, times, k, reverse) -> PruningResult`` at ``version``).
         self._filter_memo: SimpleNamespace | None = None
         #: Cached per-object sampled worlds; see :mod:`repro.core.worlds`.
-        self.worlds = WorldCache()
-        if metrics is not None:
-            self.worlds.bind_metrics(metrics)
+        self.worlds = WorldCache(metrics=metrics)
+        # World-cache lookups made ahead for blocks no evaluation has taken
+        # yet (the serve tier's staged blocks): held back from reports
+        # until the consuming evaluation takes its block.
+        self._lookups_ahead = [0, 0, 0]
         self._draw_epoch = 0
         self._epoch_counter = 0  # monotonic allocator (epochs can be restored)
         self._batch_depth = 0
         self._batch_window: tuple[int, int] | None = None
-        self._direct_draws = 0
         self._direct_round = 0
         self._last_batch_epoch: int | None = None
         # Columnar sampling arena (fused refinement); mutated objects are
         # evicted selectively, populated on first touch per object.
-        self._arena = self._new_arena()
+        self._arena = SamplingArena(self.backend == "native", self.metrics)
         self._rng_tags: dict[str, tuple[np.ndarray, int]] = {}
         # Mutation sync state: the database version the derived structures
         # (index, arena, world cache) currently reflect, plus the world
@@ -199,13 +222,6 @@ class QueryEngine:
         # non-selective flush is required; selective ingests keep it).
         self._mut_seen = db.version
         self._worlds_token = 0
-        #: Cumulative invalidation accounting (the streaming monitor
-        #: reports per-tick deltas of these): full index rebuilds,
-        #: per-object incremental index updates, and world-cache segments
-        #: dropped by selective invalidation.
-        self.index_rebuilds = 0
-        self.index_updates = 0
-        self.worlds_invalidated = 0
         # Root entropy for per-object world RNGs: drawn once from the main
         # stream so two engines with the same seed sample identical worlds.
         self._world_entropy = int(self.rng.integers(2**63))
@@ -226,25 +242,9 @@ class QueryEngine:
         self.sync_mutations()
         if self._ust is None:
             self._ust = USTTree(self.db)
-            if self.metrics is not None:
-                self._ust.metrics = self.metrics
-            self.index_rebuilds += 1
+            self._ust.metrics = self.metrics
+            self.index_rebuilds.inc()
         return self._ust
-
-    def _new_arena(self) -> SamplingArena:
-        """A fresh arena with the metrics feed bound (if any).
-
-        Every arena construction in the engine routes through here so
-        ``arena_table_builds_total`` keeps counting across resets.
-        """
-        arena = SamplingArena(native=self.backend == "native")
-        if self.metrics is not None:
-            arena.table_build_counter = self.metrics.counter(
-                "arena_table_builds_total",
-                help="Per-tic distance/transition table builds in the "
-                "sampling arena (cache misses, incl. LRU re-builds).",
-            )
-        return arena
 
     def sync_mutations(self, wholesale: bool = False) -> None:
         """Bring every derived structure in line with the database.
@@ -267,13 +267,13 @@ class QueryEngine:
         changed = None if wholesale else self.db.changed_since(self._mut_seen)
         if changed is None:
             self._ust = None
-            self._arena = self._new_arena()
+            self._arena = SamplingArena(self.backend == "native", self.metrics)
             self._worlds_token += 1
         else:
             if self._ust is not None:
                 for oid in sorted(changed):
                     self._ust.update_object(oid)
-                    self.index_updates += 1
+                    self.index_updates.inc()
             for oid in changed:
                 self._arena.discard(oid)
                 if oid not in self.db:
@@ -282,7 +282,7 @@ class QueryEngine:
                     # semantically free) — a forever-stream cycling object
                     # ids must not leak per-id state.
                     self._rng_tags.pop(oid, None)
-            self.worlds_invalidated += self.worlds.invalidate_objects(changed)
+            self.worlds_invalidated.inc(self.worlds.invalidate_objects(changed))
         self._mut_seen = version
 
     # ------------------------------------------------------------------
@@ -317,7 +317,15 @@ class QueryEngine:
         Forward extensions of cached segments are cheaper resumed draws and
         are tracked separately as ``worlds.partial_hits``.
         """
-        return self.worlds.misses + self._direct_draws
+        return self.worlds.misses.value + self._direct_draws.value
+
+    def _lookup_counts(self) -> tuple[int, int, int]:
+        """World-cache ``(hits, partial hits, misses)`` so far, less those
+        made ahead for blocks no evaluation took yet — what reports and
+        :meth:`prefetch_worlds` take deltas of."""
+        worlds = self.worlds
+        h, p, m = self._lookups_ahead
+        return worlds.hits.value - h, worlds.partial_hits.value - p, worlds.misses.value - m
 
     def new_draw_epoch(self) -> int:
         """Advance to a fresh, never-used epoch: subsequent queries redraw."""
@@ -708,10 +716,9 @@ class QueryEngine:
             block, cols, hit = self._refine_cache.fetch(
                 job, cache_k, self._stamp, lambda j: self.fill_blocks([j])[0]
             )
-            self.estimate_cache_hits += hit
-            self.estimate_cache_misses += not hit
-            self.estimate_columns_refreshed += len(cols)
-            self.estimate_columns_reused += len(ids) - len(cols)
+            (self.estimate_cache_hits if hit else self.estimate_cache_misses).inc()
+            self.estimate_columns_refreshed.inc(len(cols))
+            self.estimate_columns_reused.inc(len(ids) - len(cols))
         else:
             block = self.fill_blocks([job])[0]
         if inverse is not None:
@@ -746,7 +753,7 @@ class QueryEngine:
             for obj, at in zip(objects, alive_times)
         ]
         drawn = sample_paths_arena(arena, requests, n)
-        self._direct_draws += len(requests)
+        self._direct_draws.inc(len(requests))
         return [take_tics(p, at - at[0]) for p, at in zip(drawn, alive_times)]
 
     def fill_blocks(self, jobs: list[RefineJob]) -> list[np.ndarray]:
@@ -915,15 +922,13 @@ class QueryEngine:
                 t_lo, t_hi = max(t_lo, int(window[0])), min(t_hi, int(window[1]))
             if t_lo <= t_hi:  # else the object is entirely outside the window
                 items.append((obj.object_id, n, t_lo, t_hi))
-        before = (self.worlds.hits, self.worlds.partial_hits, self.worlds.misses)
+        before = self._lookup_counts()
         if items:
             self.fetch_worlds(items)
-        return {
-            "objects": len(items),
-            "hits": self.worlds.hits - before[0],
-            "partial_hits": self.worlds.partial_hits - before[1],
-            "misses": self.worlds.misses - before[2],
-        }
+        hits, partial_hits, misses = (
+            now - then for now, then in zip(self._lookup_counts(), before)
+        )
+        return {"objects": len(items), "hits": hits, "partial_hits": partial_hits, "misses": misses}
 
     def fetch_worlds(self, items: Sequence[tuple[str, int, int, int]]) -> list:
         """Look ``(object_id, n, t_lo, t_hi)`` items up in the world cache at
@@ -1044,9 +1049,7 @@ class QueryEngine:
                     else pruning.influencers
                 )
             with tracer.span("estimate") as sp_estimate:
-                cache_before = (
-                    self.worlds.hits, self.worlds.partial_hits, self.worlds.misses
-                )
+                cache_before = self._lookup_counts()
                 ctx = EstimationContext(
                     engine=self,
                     request=request,
@@ -1081,31 +1084,30 @@ class QueryEngine:
                     n_influencers=len(pruning.influencers),
                     n_samples=outcome.n_samples_used,
                 )
-        if self.metrics is not None or self.slow_log is not None:
-            self._observe_evaluation(request, result.report, sp_eval)
+        self._observe_evaluation(request, result.report, sp_eval)
         return result
+
+    def _instrument(self, kind: str, name: str, help: str, **labels: str):
+        """The registry's ``kind`` instrument ``name{labels}``, its handle
+        cached (label values come from fixed sets: stages, modes, reasons)."""
+        key = (name, *labels.values())
+        instrument = self._instruments.get(key)
+        if instrument is None:
+            instrument = getattr(self.metrics, kind)(name, help=help, labels=labels)
+            self._instruments[key] = instrument
+        return instrument
 
     def _observe_evaluation(self, request, report, span) -> None:
         """Feed telemetry after one evaluation (read-only observation)."""
-        m = self.metrics
-        if m is not None:
-            for stage, secs in report.stage_seconds.items():
-                m.histogram(
-                    "evaluate_latency_seconds",
-                    help="Per-stage evaluate() latency.",
-                    labels={"stage": stage},
-                ).observe(secs)
-            m.counter(
-                "queries_total",
-                help="Evaluations completed, by query mode.",
-                labels={"mode": request.mode},
-            ).inc()
-            if report.n_samples:
-                m.counter(
-                    "worlds_sampled_total",
-                    help="Possible worlds drawn/used by completed "
-                    "evaluations.",
-                ).inc(report.n_samples)
+        for stage, secs in report.stage_seconds.items():
+            self._instrument(
+                "histogram", "evaluate_latency_seconds", "Per-stage evaluate() latency.",
+                stage=stage,
+            ).observe(secs)
+        self._instrument(
+            "counter", "queries_total", "Evaluations completed, by query mode.", mode=request.mode
+        ).inc()
+        self._worlds_sampled.inc(report.n_samples)
         log = self.slow_log
         if log is not None:
             total = report.total_seconds
@@ -1205,6 +1207,7 @@ class QueryEngine:
         stage_seconds: dict[str, float],
     ) -> EvaluationReport:
         """Accounting for one executed evaluation (cache counters as deltas)."""
+        cache_after = self._lookup_counts()
         epsilon = plan.epsilon
         if outcome.n_samples_used == 0 and plan.n_samples > 0:
             # The planned radius describes a draw that never happened (the
@@ -1224,9 +1227,9 @@ class QueryEngine:
             ),
             undecided=outcome.undecided,
             estimator_by_object=dict(outcome.estimator_by_object),
-            cache_hits=self.worlds.hits - cache_before[0],
-            cache_partial_hits=self.worlds.partial_hits - cache_before[1],
-            cache_misses=self.worlds.misses - cache_before[2],
+            cache_hits=cache_after[0] - cache_before[0],
+            cache_partial_hits=cache_after[1] - cache_before[1],
+            cache_misses=cache_after[2] - cache_before[2],
             notes=plan.notes + outcome.notes,
             executed=True,
         )

@@ -47,10 +47,11 @@ an opaque ``stamp`` (the engine uses ``(invalidation token, draw_epoch)``):
   same worlds, making results across a batch exactly consistent) and
   independently redrawn across epochs.
 
-``hits``/``partial_hits``/``misses`` are cumulative and disjoint: every
-lookup increments exactly one of them.  A miss is exactly one full sampler
-invocation and a partial hit exactly one (cheaper) resumed invocation —
-the batched-query tests assert on both.
+``hits``/``partial_hits``/``misses`` are the registry counters
+``world_cache_{hits,partial_hits,misses}_total`` — cumulative and
+disjoint: every lookup increments exactly one of them.  A miss is exactly
+one full sampler invocation and a partial hit exactly one (cheaper)
+resumed invocation — the batched-query tests assert on both.
 """
 
 from __future__ import annotations
@@ -60,6 +61,7 @@ from typing import Callable
 import numpy as np
 
 from ..markov.compiled import take_tics
+from ..obs.metrics import MetricsRegistry
 
 __all__ = ["WorldSegment", "WorldCache"]
 
@@ -121,7 +123,7 @@ class WorldCache:
     posterior models) while the rest of the epoch's worlds are reused.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
+    def __init__(self, capacity: int = 4096, metrics: MetricsRegistry | None = None) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self._entries: dict[tuple, WorldSegment] = {}
@@ -134,38 +136,17 @@ class WorldCache:
         #: distributed but no longer bit-identical to the evicted worlds,
         #: so size the capacity above the per-batch working set.
         self.capacity = int(capacity)
-        #: Cumulative, disjoint lookup counters (never reset by
-        #: invalidation): ``misses`` counts full window draws, ``hits``
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        #: Cumulative, disjoint lookup counters of ``metrics`` (never reset
+        #: by invalidation): ``misses`` counts full window draws, ``hits``
         #: fully covered lookups, ``partial_hits`` forward extensions of a
         #: cached prefix.
-        self.hits = 0
-        self.misses = 0
-        self.partial_hits = 0
-        # Optional metrics-registry mirrors of the counters above (see
-        # :meth:`bind_metrics`); ``None`` keeps the default path free.
-        self._m_hits = None
-        self._m_partial = None
-        self._m_misses = None
-
-    def bind_metrics(self, registry) -> None:
-        """Mirror lookup outcomes into ``world_cache_*_total`` counters.
-
-        The loose ``hits``/``partial_hits``/``misses`` attributes stay
-        authoritative (the reuse snapshots and lockstep suites read
-        them); the registry counters are an additive feed for scraping.
-        """
-        self._m_hits = registry.counter(
-            "world_cache_hits_total",
-            help="World-cache lookups fully served from cache.",
+        count = metrics.counter
+        self.hits = count("world_cache_hits_total", help="Lookups served from cache.")
+        self.partial_hits = count(
+            "world_cache_partial_hits_total", help="Lookups extending a cached prefix."
         )
-        self._m_partial = registry.counter(
-            "world_cache_partial_hits_total",
-            help="World-cache lookups served by extending a cached prefix.",
-        )
-        self._m_misses = registry.counter(
-            "world_cache_misses_total",
-            help="World-cache lookups requiring a full fresh draw.",
-        )
+        self.misses = count("world_cache_misses_total", help="Lookups drawn afresh.")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -284,9 +265,7 @@ class WorldCache:
                 del self._entries[key]
                 seg = None
             if seg is None:
-                self.misses += 1
-                if self._m_misses is not None:
-                    self._m_misses.inc()
+                self.misses.inc()
                 fresh.append((pos, t_lo, t_hi))
                 placeholder = WorldSegment(t_lo, np.empty((0, 0), dtype=np.intp), None)
                 placeholders[key] = placeholder
@@ -294,15 +273,11 @@ class WorldCache:
                     self._entries.pop(next(iter(self._entries)))
                 self._entries[key] = placeholder
             elif t_hi > seg.t_last:
-                self.partial_hits += 1
-                if self._m_partial is not None:
-                    self._m_partial.inc()
+                self.partial_hits.inc()
                 extend.append((pos, seg.rng, seg.states[:, -1], seg.t_last, t_hi))
                 segments[pos] = seg
             else:
-                self.hits += 1
-                if self._m_hits is not None:
-                    self._m_hits.inc()
+                self.hits.inc()
                 segments[pos] = seg
         if fresh or extend:
             try:

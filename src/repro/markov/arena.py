@@ -60,6 +60,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..obs.metrics import MetricsRegistry
 from . import native as native_tier
 from .compiled import CompiledModel
 
@@ -248,21 +249,21 @@ class SamplingArena:
     compact CSR the C sweep of :mod:`repro.markov.native` reads (no dense
     table is ever built) and :func:`sample_paths_arena` runs that sweep;
     the default packs the padded dense tables of the numpy sweep.
+
+    Table builds count into ``metrics``' ``arena_table_builds_total`` (an
+    engine passes its registry, so the count survives arena resets).
     """
 
-    def __init__(self, native: bool = False) -> None:
+    def __init__(self, native: bool = False, metrics: MetricsRegistry | None = None) -> None:
         self.native = native
         self._blocks: dict[str, _Block] = {}
         self._tables: dict[int, _StepTable] = {}
         self._version = 0
         self._states_dtype = np.dtype(np.int32)
-        #: Cumulative count of per-timestep table builds — the observable
-        #: the LRU-eviction and ingest regression tests pin down.
-        self.table_builds = 0
-        #: Optional metrics mirror (``arena_table_builds_total``): the
-        #: engine binds a registry counter here (see
-        #: ``QueryEngine._new_arena``); ``None`` keeps the path free.
-        self.table_build_counter = None
+        metrics = metrics if metrics is not None else MetricsRegistry()
+        self._builds = metrics.counter(
+            "arena_table_builds_total", help="Per-tic step table builds (incl. LRU re-builds)."
+        )
         # Arena positions are allocated monotonically and never reused:
         # a discarded object leaves a hole (dense per-table arrays are
         # indexed by position, so reusing one would alias a live block).
@@ -273,6 +274,12 @@ class SamplingArena:
 
     def __contains__(self, object_id: str) -> bool:
         return object_id in self._blocks
+
+    @property
+    def table_builds(self) -> int:
+        """Cumulative per-timestep table builds — the observable the
+        LRU-eviction and ingest regression tests pin down."""
+        return self._builds.value
 
     @property
     def states_dtype(self) -> np.dtype:
@@ -374,9 +381,7 @@ class SamplingArena:
                 members, ordered, self._pos_counter, t, self._states_dtype,
                 csr=self.native,
             )
-            self.table_builds += 1
-            if self.table_build_counter is not None:
-                self.table_build_counter.inc()
+            self._builds.inc()
             if len(self._tables) >= self.table_capacity:
                 self._tables.pop(next(iter(self._tables)))
             self._tables[t] = table

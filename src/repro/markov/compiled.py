@@ -19,12 +19,9 @@ reference backends consume the RNG stream identically and return
 *identical* paths (see ``tests/markov/test_compiled.py``).
 
 :func:`compile_model` compiles an adapted (a-posteriori) model;
-:class:`CompiledMatrix` vectorizes the TS1/TS2 rejection baselines of
-:mod:`repro.markov.sampling` over a raw a-priori transition matrix with a
-different trick: every row's cumulative probabilities in one flat array
-offset by the row index (``aug = cumprobs + row``), globally
-non-decreasing, so one ``searchsorted(aug, row + u)`` draws all walks at
-once, each within its own row.
+:class:`CompiledMatrix` is the same layer over every row of a raw
+a-priori transition matrix, for the TS1/TS2 rejection baselines of
+:mod:`repro.markov.sampling`.
 """
 
 from __future__ import annotations
@@ -120,7 +117,9 @@ class CompiledLayer:
         # is exactly the reference sampler's clipped pick).
         cdf[np.arange(width) >= row_sizes[:, None]] = np.inf
         self.cdf_dense = cdf
-        next_pad = np.repeat(local_next[indptr[1:] - 1], width + 1).reshape(m, width + 1)
+        # Empty rows (a raw matrix may have them) are never drawn from.
+        last = local_next[indptr[1:] - 1] if local_next.size else np.zeros(m, np.intp)
+        next_pad = np.repeat(last, width + 1).reshape(m, width + 1)
         next_pad[rows, offsets] = local_next
         self.next_flat = next_pad.ravel()
         self._ones = np.ones(width)
@@ -334,46 +333,34 @@ def compile_model(model: "AdaptedModel") -> CompiledModel:
     return CompiledModel(model.t_first, model.t_last, layers, initials)
 
 
-class CompiledMatrix:
-    """Inverse-CDF sampler over every row of one a-priori transition matrix.
-
-    Unlike :class:`CompiledLayer` the row index *is* the global state index,
-    so the TS1/TS2 rejection baselines can roll thousands of a-priori walks
-    per timestep with two array operations.  Obtain cached instances through
-    ``TransitionModel.compiled_step``.
+class CompiledMatrix(CompiledLayer):
+    """A :class:`CompiledLayer` over every row of one a-priori transition
+    matrix: the support is every state and the successors are global
+    state ids, so a draw maps states to next states directly and the
+    TS1/TS2 rejection baselines roll thousands of a-priori walks per
+    timestep with the one draw arithmetic.  Obtain cached instances
+    through ``TransitionModel.compiled_step``.
     """
 
-    __slots__ = ("indptr", "indices", "aug")
+    __slots__ = ()
 
     def __init__(self, matrix: sparse.spmatrix) -> None:
         csr = sparse.csr_matrix(matrix)
-        self.indptr = csr.indptr.astype(np.intp)
-        self.indices = csr.indices.astype(np.intp)
-        counts = np.diff(self.indptr)
-        data = csr.data.astype(float, copy=False)
-        cum = np.cumsum(data)
-        if data.size:
-            # Cumulative mass before each row's first entry.  Empty rows may
-            # point past the end (or at another row's entry); their offsets
-            # are dropped by the zero repeat count below, so only clamp.
-            first = np.minimum(self.indptr[:-1], data.size - 1)
-            row_offsets = cum[first] - data[first]
-            self.aug = cum - np.repeat(row_offsets - np.arange(counts.size), counts)
-        else:
-            self.aug = cum
+        super().__init__(
+            np.arange(csr.shape[0]),
+            csr.indptr.astype(np.intp),
+            csr.indices.astype(np.intp),
+            csr.data.astype(float),
+        )
 
     def draw(
         self, states: np.ndarray, u: np.ndarray, t: int | None = None
     ) -> np.ndarray:
         """One transition step for every walk in ``states`` at once."""
-        lo = self.indptr[states]
-        hi = self.indptr[states + 1]
-        dead = lo == hi
+        dead = self.indptr[states] == self.indptr[states + 1]
         if dead.any():
             where = f" at time {t}" if t is not None else ""
             raise ValueError(
                 f"state {int(np.asarray(states)[dead][0])} has no successors{where}"
             )
-        picks = np.searchsorted(self.aug, states + u, side="right")
-        np.clip(picks, lo, hi - 1, out=picks)
-        return self.indices[picks]
+        return super().draw(states, u)

@@ -16,9 +16,9 @@ The subsystem has four pieces, all stdlib-only:
 
 * :mod:`repro.obs.metrics` — :class:`MetricsRegistry` with typed
   :class:`Counter` / :class:`Gauge` / :class:`Histogram` instruments,
-  cumulative snapshots, and delta merging (the same absorption pattern
-  the serve tier already uses for loose counters) so worker registries
-  fold into the coordinator's every tick and across ``restart_shard``.
+  cumulative snapshots, and delta merging so worker registries fold into
+  the coordinator's with every reply and across ``restart_shard``.  It
+  is the one store of counts: every engine holds a registry.
 
 * :mod:`repro.obs.exposition` — ``registry.to_prometheus_text()`` /
   ``to_json()`` plus :class:`MetricsServer`, a stdlib ``http.server``
@@ -30,8 +30,7 @@ The subsystem has four pieces, all stdlib-only:
   plan attached.
 
 Telemetry never touches RNG state or result bytes: every feed is a
-read-only observation guarded by ``is not None`` checks, and the
-lockstep suite (``tests/obs/``) proves results, reuse counters, and the
+read-only observation, and the lockstep suite (``tests/obs/``) proves results, reuse counters, and the
 golden file byte-identical with :class:`NullTracer` vs. a full
 :class:`Tracer` + registry.
 """

@@ -1,21 +1,23 @@
 """Typed metrics: counters, gauges, fixed-bucket histograms, a registry.
 
-The registry is deliberately small and stdlib-only.  Two properties
+The registry is deliberately small and stdlib-only.  Three properties
 matter to the rest of the system:
+
+* **The registry is the only store of counts.**  Every
+  :class:`~repro.core.evaluator.QueryEngine` holds one; each component
+  keeps handles to its instruments, and every reader of a count
+  (``TickReport.reuse``, ``EvaluationReport.cache_*``, ``/metrics``)
+  reads a counter's ``value`` — an int while only ints are added.
 
 * **Snapshot/merge is the serve absorption pattern.**  Workers return
   *cumulative* :meth:`MetricsRegistry.snapshot` payloads in every reply;
   the coordinator keeps a per-shard last-seen snapshot and folds only
-  the delta into its own registry (:meth:`MetricsRegistry.merge_delta`)
-  — exactly how ``ShardedQueryEngine._absorb`` already reconciles the
-  loose reuse counters.  Cumulative-over-the-wire means a dropped reply
-  loses nothing and ``restart_shard`` just resets the last-seen
-  snapshot; totals absorbed before the crash survive the replay.
+  the delta into its own registry (:meth:`MetricsRegistry.merge_delta`).
+  Cumulative-over-the-wire means a dropped reply loses nothing and
+  ``restart_shard`` just resets the last-seen snapshot; totals absorbed
+  before the crash survive the replay.
 
-* **Feeds are optional.**  Every instrumented call site guards with
-  ``if metrics is not None`` (or caches instrument handles once), so the
-  default un-instrumented path costs nothing and never perturbs RNG
-  state or result bytes.
+* **Observation is neutral**: it never touches RNG state or result bytes.
 """
 
 from __future__ import annotations
@@ -66,15 +68,15 @@ def _format_labels(key: LabelsKey) -> str:
 
 
 class Counter:
-    """Monotonically increasing value."""
+    """Monotonically increasing value (an int while only ints are added)."""
 
     __slots__ = ("value",)
     kind = "counter"
 
     def __init__(self) -> None:
-        self.value = 0.0
+        self.value = 0
 
-    def inc(self, amount: float = 1.0) -> None:
+    def inc(self, amount: float = 1) -> None:
         self.value += amount
 
     def state(self) -> dict[str, Any]:
@@ -202,13 +204,22 @@ class MetricsRegistry:
     # -- introspection --------------------------------------------------
 
     def value(self, name: str, labels: dict[str, str] | None = None) -> float:
-        """Current scalar value (counter/gauge) or count (histogram)."""
+        """Current scalar value (counter/gauge) or count (histogram); ``0``
+        for an instrument never registered."""
         metric = self._metrics.get((str(name), _labels_key(labels)))
         if metric is None:
-            return 0.0
+            return 0
         if isinstance(metric, Histogram):
-            return float(metric.count)
-        return float(metric.value)
+            return metric.count
+        return metric.value
+
+    def total(self, name: str) -> float:
+        """Sum of a counter's or gauge's values over all its label sets."""
+        return sum(
+            metric.value
+            for (key, _), metric in self._metrics.items()
+            if key == name and not isinstance(metric, Histogram)
+        )
 
     def names(self) -> list[str]:
         return sorted({name for name, _ in self._metrics})
@@ -248,7 +259,7 @@ class MetricsRegistry:
             labels = dict(state.get("labels", []))
             kind = state.get("type")
             if kind == "counter":
-                delta = state["value"] - (prev["value"] if prev else 0.0)
+                delta = state["value"] - (prev["value"] if prev else 0)
                 if delta:
                     self.counter(name, labels=labels or None).inc(delta)
             elif kind == "gauge":

@@ -29,7 +29,6 @@ from __future__ import annotations
 from typing import Iterable
 
 from ..obs.exposition import MetricsServer
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER
 from ..stream.ingest import StreamEvent
 from ..stream.monitor import ContinuousMonitor, TickReport
@@ -77,9 +76,10 @@ class ServeCoordinator:
         per-shard worker spans stitched back under the coordinator's
         root (cross-process propagation; see README "Observability").
     metrics:
-        Optional :class:`repro.obs.MetricsRegistry`; worker registries
-        are merged into it every tick and across ``restart_shard``.
-        Created automatically when ``metrics_port`` is given.
+        The :class:`repro.obs.MetricsRegistry` to expose; the
+        coordinator's engine creates its own when ``None``.  Worker
+        registries are merged into it with every reply and across
+        ``restart_shard``.
     metrics_port:
         When not ``None``, start a stdlib HTTP scrape endpoint
         (``/metrics`` Prometheus text, ``/metrics.json``, ``/traces``,
@@ -123,15 +123,8 @@ class ServeCoordinator:
         self.router = ShardRouter(n_shards)
         self._seed = int(seed)
         self._engine_kwargs = dict(engine_kwargs)
-        if metrics is None and metrics_port is not None:
-            metrics = MetricsRegistry()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
         self.slow_log = slow_log
-        # Workers build their *own* tracer/registry (telemetry objects
-        # never ride a WorkerConfig across the spawn boundary); replies
-        # ship spans + cumulative snapshots home instead.
-        self._telemetry = bool(self.tracer.enabled or metrics is not None)
         # The coordinator's engine is built first: it checks the engine
         # options (an unknown one is a TypeError, a bad value a ValueError)
         # before any worker — in process mode a spawned process — exists.
@@ -145,6 +138,7 @@ class ServeCoordinator:
             slow_log=slow_log,
             **engine_kwargs,
         )
+        self.metrics = self.engine.metrics
         # Shards run the backend the coordinator resolved, not their own probe's.
         self._engine_kwargs["backend"] = self.engine.backend
         self.monitor = ContinuousMonitor(self.engine)
@@ -162,7 +156,7 @@ class ServeCoordinator:
             self.engine._transport = self._transport
             if metrics_port is not None:
                 self.metrics_server = MetricsServer(
-                    metrics,
+                    self.metrics,
                     port=metrics_port,
                     tracer=self.tracer if self.tracer.enabled else None,
                     slow_log=slow_log,
@@ -180,7 +174,10 @@ class ServeCoordinator:
             ),
             seed=self._seed,
             engine_kwargs=dict(self._engine_kwargs),
-            telemetry=self._telemetry,
+            # Workers build their *own* tracer (telemetry objects never
+            # ride a WorkerConfig across the spawn boundary); replies ship
+            # spans and cumulative registry snapshots home instead.
+            telemetry=self.tracer.enabled,
         )
 
     # ------------------------------------------------------------------
@@ -282,20 +279,15 @@ class ServeCoordinator:
                     events=len(events),
                     notifications=len(report.notifications),
                 )
-        if self.metrics is not None:
-            self.metrics.counter(
-                "serve_ticks_total", help="Completed serving ticks."
-            ).inc()
+        self.metrics.counter("serve_ticks_total", help="Completed serving ticks.").inc()
         return report
 
     def _observe_failure(self, failure: ShardFailure) -> None:
         """Record a mid-tick worker death on every telemetry channel."""
-        if self.metrics is not None:
-            self.metrics.counter(
-                "shard_failures_total",
-                help="Worker deaths surfaced mid-tick, by shard.",
-                labels={"shard": str(failure.shard)},
-            ).inc()
+        self.metrics.counter(
+            "shard_failures_total", help="Worker deaths surfaced mid-tick, by shard.",
+            labels={"shard": str(failure.shard)},
+        ).inc()
         self.tracer.event(
             "shard-failure",
             shard=failure.shard,
@@ -326,12 +318,10 @@ class ServeCoordinator:
         """
         shard = int(shard)
         self._transport.restart(shard, self._config_for(shard))
-        if self.metrics is not None:
-            self.metrics.counter(
-                "shard_restarts_total",
-                help="Worker rebuild/replay recoveries, by shard.",
-                labels={"shard": str(shard)},
-            ).inc()
+        self.metrics.counter(
+            "shard_restarts_total", help="Worker rebuild/replay recoveries, by shard.",
+            labels={"shard": str(shard)},
+        ).inc()
         self.tracer.event(
             "shard-restart",
             shard=shard,

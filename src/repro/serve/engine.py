@@ -33,11 +33,14 @@ Bit-identity of the drawn worlds rests on three invariants:
 
 Reuse accounting folds back losslessly because the world cache
 partitions by object: every lookup a single-process engine would perform
-happens on exactly one worker, whose cumulative hit/miss counters the
-coordinator absorbs as deltas with each reply.  Invalidation counts are
-the exception — they are derived from the coordinator's own segment
-window mirror, which (unlike a crashed worker's cache) survives worker
-restarts.
+happens on exactly one worker, and each reply carries the worker
+registry's cumulative snapshot, whose delta the coordinator merges
+(:meth:`~repro.obs.MetricsRegistry.merge_delta`, the one absorption
+path).  A staged block's lookups come home with its slab and are held
+back from reports until the evaluation that consumes the block takes it.
+The invalidation count is not merged: the coordinator derives it from
+its own segment window mirror, which (unlike a crashed worker's cache)
+survives worker restarts.
 """
 
 from __future__ import annotations
@@ -93,13 +96,9 @@ class ShardedQueryEngine(QueryEngine):
         super().__init__(db, seed=seed, **kwargs)
         self.router = router
         self._transport = transport
-        # Last-seen cumulative counters per shard; absorption adds deltas.
-        self._shard_counters: dict[int, dict[str, int]] = {
-            s: {} for s in range(router.n_shards)
-        }
-        # Last-seen cumulative metrics snapshots per shard — the registry
-        # analogue of _shard_counters (see MetricsRegistry.merge_delta);
-        # reset alongside it when a shard is restarted.
+        # Last-seen cumulative metrics snapshots per shard; absorption
+        # merges deltas (see MetricsRegistry.merge_delta), and a restarted
+        # shard's baseline is reset.
         self._shard_metric_seen: dict[int, dict] = {
             s: {} for s in range(router.n_shards)
         }
@@ -113,8 +112,9 @@ class ShardedQueryEngine(QueryEngine):
         # window as ``(epoch, t_lo, t_hi)`` — the replay source for
         # rebuilding a crashed shard's cache bit-identically.
         self._world_windows: dict[tuple[str, int], tuple[int, int, int]] = {}
-        # Blocks fetched ahead by _staging, by ``RefineJob.key``.
-        self._staged: dict[tuple, np.ndarray] = {}
+        # Blocks fetched ahead by _staging, by ``RefineJob.key``, each with
+        # the world-cache lookups its fill made.
+        self._staged: dict[tuple, tuple[np.ndarray, list[int]]] = {}
         #: Subscription names whose tick is in flight (set by the serving
         #: coordinator) — folded into ShardFailure for attributability.
         self._inflight: tuple[str, ...] = ()
@@ -128,15 +128,11 @@ class ShardedQueryEngine(QueryEngine):
         # thread once every reply of the round is in).
         if reply.spans:
             self.tracer.attach(reply.spans)
-        if self.metrics is not None and reply.metrics:
-            self.metrics.merge_delta(
-                reply.metrics, self._shard_metric_seen[shard]
-            )
-        seen = self._shard_counters[shard]
-        for key, value in reply.counters.items():  # hits, partial_hits, misses
-            delta = value - seen.get(key, 0)
-            setattr(self.worlds, key, getattr(self.worlds, key) + delta)
-            seen[key] = value
+        # The invalidation count is this engine's own (see sync_mutations).
+        self.metrics.merge_delta(
+            {k: v for k, v in reply.metrics.items() if k != "worlds_invalidated_total"},
+            self._shard_metric_seen[shard],
+        )
         self.shard_busy_seconds[shard] = (
             self.shard_busy_seconds.get(shard, 0.0) + reply.busy_seconds
         )
@@ -175,7 +171,7 @@ class ShardedQueryEngine(QueryEngine):
     def sync_mutations(self, wholesale: bool = False) -> None:
         if self.db.version == self._mut_seen and not wholesale:
             return
-        saved = (self._mut_seen, self.index_updates, self.worlds_invalidated)
+        saved = (self._mut_seen, self.index_updates.value, self.worlds_invalidated.value)
         saved_windows = dict(self._world_windows)
         changed = None if wholesale else self.db.changed_since(self._mut_seen)
         super().sync_mutations(wholesale=changed is None)
@@ -191,7 +187,7 @@ class ShardedQueryEngine(QueryEngine):
             # absorbing worker counters — keeps the per-tick count correct
             # across worker crashes, where the dropped entries die with
             # the worker but the mirror remembers them.
-            self.worlds_invalidated += len(doomed)
+            self.worlds_invalidated.inc(len(doomed))
         # Broadcast even when no worker holds a delta of its own: the
         # wholesale flag must reach every shard (the coordinator's log can
         # overflow when a worker's does not), and a selective sync is a
@@ -213,7 +209,7 @@ class ShardedQueryEngine(QueryEngine):
             # those deltas exactly like the single-process twin; the
             # structural effects (UST update, arena discard, rng-tag pops)
             # are idempotent under the redo.
-            self._mut_seen, self.index_updates, self.worlds_invalidated = saved
+            self._mut_seen, self.index_updates.value, self.worlds_invalidated.value = saved
             self._world_windows = saved_windows
             raise
 
@@ -250,7 +246,6 @@ class ShardedQueryEngine(QueryEngine):
         drop), exactly as on a worker that never died — and when that sync
         will be wholesale, nothing is replayable.
         """
-        self._shard_counters[shard] = {}
         self._shard_metric_seen[shard] = {}
         epoch = self._draw_epoch if self._last_batch_epoch is None else self._last_batch_epoch
         pending = self.db.changed_since(self._mut_seen)
@@ -282,25 +277,39 @@ class ShardedQueryEngine(QueryEngine):
         return []
 
     def fill_blocks(self, jobs: list[RefineJob]) -> list[np.ndarray]:
-        """Blocks fetched ahead by :meth:`_staging` are handed over once;
-        the rest fan out to the owning shards in one round.
+        """Blocks fetched ahead by :meth:`_staging` are handed over once —
+        releasing their held-back lookups to the consuming evaluation's
+        report; the rest fan out to the owning shards in one round."""
+        results = []
+        for job in jobs:
+            block, lookups = self._staged.pop(job.key, (None, ()))
+            for i, n in enumerate(lookups):
+                self._lookups_ahead[i] -= n
+            results.append(block)
+        todo = [j for j, block in enumerate(results) if block is None]
+        for j, block in zip(todo, self._fan_out([jobs[j] for j in todo])[0]):
+            results[j] = block
+        return results
+
+    def _fan_out(self, jobs: list[RefineJob]) -> tuple[list[np.ndarray], list[list[int]]]:
+        """Fill ``jobs`` on the shards owning their columns, in one round.
 
         Each worker returns the object slabs of the ids it owns in its
-        reply, and they are scattered here into the blocks'
-        ``(objects, times, worlds)`` layout.
+        reply, each with the world-cache lookups its fill made; the slabs
+        are scattered here into the blocks' ``(objects, times, worlds)``
+        layout.  Returns the blocks and each job's ``[hits, partial hits,
+        misses]``.
         """
-        results = [self._staged.pop(job.key, None) for job in jobs]
-        todo = [j for j, block in enumerate(results) if block is None]
+        blocks = [job.empty() for job in jobs]
+        lookups = [[0, 0, 0] for _ in jobs]
         per_shard: dict[int, list[ComputeJob]] = {}
-        for j in todo:
-            job = jobs[j]
-            results[j] = job.empty()
+        for j, job in enumerate(jobs):
             for shard, cols in self.router.partition_positions(job.object_ids).items():
                 per_shard.setdefault(shard, []).append(
                     ComputeJob(**vars(job.columns(cols)), job_index=j, col_index=tuple(cols))
                 )
         if not per_shard:
-            return results
+            return blocks, lookups
         # The fan-out span collects each worker's stitched "shard-sweep"
         # child (attached during absorption); "gather" times the
         # cross-shard tensor assembly on the coordinator.
@@ -315,19 +324,20 @@ class ShardedQueryEngine(QueryEngine):
                     for shard, shard_jobs in per_shard.items()
                 }
             )
-            sp_fanout.set(shards=len(per_shard), jobs=len(todo))
+            sp_fanout.set(shards=len(per_shard), jobs=len(jobs))
         with self.tracer.span("gather"):
             for shard, payload in payloads.items():
-                for job, sub in zip(per_shard[shard], payload):
-                    results[job.job_index][list(job.col_index)] = sub
-        for j in todo:
-            job = jobs[j]
+                for job, (sub, counts) in zip(per_shard[shard], payload):
+                    blocks[job.job_index][list(job.col_index)] = sub
+                    for i, n in enumerate(counts):
+                        lookups[job.job_index][i] += n
+        for job in jobs:
             alive = self.db.alive_matrix(job.object_ids, job.times)
             for oid, row in zip(job.object_ids, alive):
                 if row.any():
                     lo, hi = self._cache_window(self.db.get(oid), job.times[row])
                     self._note_window(oid, job.n, lo, hi)
-        return results
+        return blocks, lookups
 
     @contextmanager
     def _staging(self, reqs: list):
@@ -372,7 +382,10 @@ class ShardedQueryEngine(QueryEngine):
                 continue  # prediction must never fail a batch
         try:
             if jobs:
-                self._staged = dict(zip(jobs, self.fill_blocks(list(jobs.values()))))
+                blocks, lookups = self._fan_out(list(jobs.values()))
+                self._staged = dict(zip(jobs, zip(blocks, lookups)))
+                self._lookups_ahead = [sum(col) for col in zip(*lookups)]
             yield
         finally:
             self._staged.clear()
+            self._lookups_ahead = [0, 0, 0]

@@ -3,7 +3,7 @@
 Plain picklable dataclasses: the same command objects drive both the
 in-process transport (direct calls — the lockstep test surface) and the
 multi-process transport (pickled over pipes).  Every reply carries the
-worker's cumulative world-cache counters and the handler's busy time, so
+worker registry's cumulative snapshot and the handler's busy time, so
 the coordinator can fold per-shard reuse accounting and stage timings
 into the single-process report format without extra round trips.
 """
@@ -50,9 +50,10 @@ class WorkerConfig:
     db: Any
     seed: int
     engine_kwargs: dict = field(default_factory=dict)
-    #: Build the worker with its own recording ``Tracer`` + registry
-    #: (never the coordinator's objects — telemetry state is per-process
-    #: and ships home serialised inside each :class:`Reply`).
+    #: Build the worker with its own recording ``Tracer`` (never the
+    #: coordinator's — telemetry state is per-process and ships home
+    #: serialised inside each :class:`Reply`).  Every worker engine holds
+    #: a registry regardless.
     telemetry: bool = False
 
 
@@ -102,7 +103,9 @@ class ComputeColumns:
 
     ``epoch``/``window`` pin the worker's draw epoch and batch window to
     the coordinator's, so cache anchors and RNG seeds are identical to
-    what a single-process batch would use.
+    what a single-process batch would use.  The reply's payload holds one
+    ``(sub-block, [hits, partial hits, misses])`` pair per job: its slabs
+    and the world-cache lookups filling them made.
     """
 
     epoch: int
@@ -142,23 +145,20 @@ class Shutdown:
 class Reply:
     """A successful command's result.
 
-    ``counters`` are the worker's *cumulative* world-cache lookup
-    counters (``hits``, ``partial_hits``, ``misses``); the coordinator
-    absorbs deltas so its own counters read as if it had done the
-    sampling itself.  ``busy_seconds`` is the handler's wall time.
-
-    With telemetry enabled, ``spans`` carries the handler's finished
-    span subtree (:meth:`repro.obs.Span.to_dict` payloads) for the
-    coordinator to stitch under its live span, and ``metrics`` the
-    worker registry's *cumulative* snapshot — absorbed as deltas, same
-    as ``counters``, so a restart only resets the last-seen baseline.
+    ``metrics`` is the worker registry's *cumulative* snapshot — every
+    count the worker's engine keeps, world-cache lookups included.  The
+    coordinator merges its delta since the shard's last reply, so its own
+    counters read as if it had done the sampling itself and a restart
+    only resets the last-seen baseline.  ``busy_seconds`` is the
+    handler's wall time.  With tracing enabled, ``spans`` carries the
+    handler's finished span subtree (:meth:`repro.obs.Span.to_dict`
+    payloads) for the coordinator to stitch under its live span.
     """
 
     payload: Any = None
-    counters: dict = field(default_factory=dict)
     busy_seconds: float = 0.0
     spans: list = field(default_factory=list)
-    metrics: dict | None = None
+    metrics: dict = field(default_factory=dict)
 
 
 @dataclass

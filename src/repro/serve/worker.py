@@ -23,7 +23,6 @@ import traceback
 from time import perf_counter
 
 from ..core.evaluator import QueryEngine
-from ..obs.metrics import MetricsRegistry
 from ..obs.tracing import NULL_TRACER, Tracer
 from ..stream.ingest import ObservationStream
 from .protocol import (
@@ -59,31 +58,23 @@ class ShardWorkerState:
         self.db = config.db
         kwargs = dict(config.engine_kwargs)
         kwargs.pop("rng", None)
-        # Telemetry objects never ride the config (they are per-process);
-        # a telemetry-enabled worker builds its own.
+        # Telemetry objects never ride the config (they are per-process):
+        # the worker's engine holds its own registry, and a recording
+        # tracer when the config asks for one.
         for key in ("tracer", "metrics", "slow_log"):
             kwargs.pop(key, None)
         kwargs["reuse_worlds"] = True
         kwargs["refine_cache_size"] = 0
-        if getattr(config, "telemetry", False):
-            self.tracer = Tracer(id_prefix=f"shard{self.shard}")
-            self.metrics = MetricsRegistry()
-            kwargs["tracer"] = self.tracer
-            kwargs["metrics"] = self.metrics
-        else:
-            self.tracer = NULL_TRACER
-            self.metrics = None
-        self.engine = QueryEngine(self.db, seed=config.seed, **kwargs)
+        self.tracer = (
+            Tracer(id_prefix=f"shard{self.shard}") if config.telemetry else NULL_TRACER
+        )
+        self.engine = QueryEngine(self.db, seed=config.seed, tracer=self.tracer, **kwargs)
+        self._busy = self.engine.metrics.counter(
+            "shard_busy_seconds",
+            help="Cumulative command-handler busy time, per shard.",
+            labels={"shard": str(self.shard)},
+        )
         self.stream = ObservationStream(self.db)
-
-    def counters(self) -> dict[str, int]:
-        """Cumulative world-cache accounting the coordinator absorbs."""
-        engine = self.engine
-        return {
-            "hits": engine.worlds.hits,
-            "partial_hits": engine.worlds.partial_hits,
-            "misses": engine.worlds.misses,
-        }
 
     def handle(self, command) -> Reply:
         t0 = perf_counter()
@@ -100,18 +91,12 @@ class ShardWorkerState:
         else:
             payload = self._dispatch(command)
         busy = perf_counter() - t0
-        if self.metrics is not None:
-            self.metrics.counter(
-                "shard_busy_seconds",
-                help="Cumulative command-handler busy time, per shard.",
-                labels={"shard": str(self.shard)},
-            ).inc(busy)
+        self._busy.inc(busy)
         return Reply(
             payload=payload,
-            counters=self.counters(),
             busy_seconds=busy,
             spans=spans,
-            metrics=self.metrics.snapshot() if self.metrics is not None else None,
+            metrics=self.engine.metrics.snapshot(),
         )
 
     def _dispatch(self, command):
@@ -123,9 +108,18 @@ class ShardWorkerState:
             engine.sync_mutations(wholesale=command.wholesale)
             return None
         if isinstance(command, ComputeColumns):
+            # Each slab comes home with the world-cache lookups its fill
+            # made, so the coordinator can charge them to the evaluation
+            # that consumes the block.
             engine.sync_mutations()
+            lookups = (engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses)
+            out = []
             with engine.held_batch(command.epoch, command.window):
-                return engine.fill_blocks(command.jobs)
+                for job in command.jobs:
+                    before = [counter.value for counter in lookups]
+                    (slab,) = engine.fill_blocks([job])
+                    out.append((slab, [c.value - b for c, b in zip(lookups, before)]))
+            return out
         if isinstance(command, WarmWorlds):
             engine.sync_mutations()
             items = [item for item in command.items if item[0] in engine.db]
@@ -147,7 +141,7 @@ def worker_main(conn, config: WorkerConfig) -> None:
             return
         if isinstance(command, Shutdown):
             try:
-                conn.send(Reply(counters=state.counters()))
+                conn.send(Reply())
             except (BrokenPipeError, OSError):
                 pass
             return

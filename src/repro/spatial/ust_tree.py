@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..obs.metrics import MetricsRegistry
 from ..trajectory.database import TrajectoryDatabase
 
 __all__ = ["PruningResult", "USTTree", "check_query_coords"]
@@ -125,10 +126,10 @@ class USTTree:
 
     def __init__(self, db: TrajectoryDatabase) -> None:
         self.db = db
-        #: Optional :class:`repro.obs.MetricsRegistry` feed — the owning
-        #: engine binds its registry here so prune volume is scrapeable
-        #: (``ust_prune_calls_total`` / ``ust_examined_entries_total``).
-        self.metrics = None
+        #: The :class:`repro.obs.MetricsRegistry` prune volume counts into
+        #: (``ust_prune_calls_total`` / ``ust_examined_entries_total``) —
+        #: the owning engine binds its own registry here.
+        self.metrics = MetricsRegistry()
         self._counters: tuple | None = None
         # The bound table, struct-of-arrays.  Objects are kept in sorted id
         # order (the order results list them in); object ``i`` owns rows
@@ -352,10 +353,8 @@ class USTTree:
         ]
 
     def _count_pass(self, examined: int) -> None:
-        """Feed the metrics registry (if bound) after one filter pass."""
+        """Feed the metrics registry after one filter pass."""
         metrics = self.metrics
-        if metrics is None:
-            return
         if self._counters is None or self._counters[0] is not metrics:
             calls = metrics.counter(
                 "ust_prune_calls_total", help="Filter-stage prune passes over the UST-tree."

@@ -247,7 +247,10 @@ class ContinuousMonitor:
         # worlds under results still reported "clean".  Such ticks force
         # a coherent refresh instead.
         self._last_union: tuple[int, int] | None = None
-        self.ticks = 0
+        #: Committed ticks — a tick whose callbacks raise included.
+        self.ticks = engine.metrics.counter(
+            "monitor_ticks_total", help="Completed monitor ticks."
+        )
 
     # ------------------------------------------------------------------
     @property
@@ -319,17 +322,17 @@ class ContinuousMonitor:
     def _reuse_snapshot(self) -> dict[str, int]:
         engine = self.engine
         return {
-            "cache_hits": engine.worlds.hits,
-            "cache_partial_hits": engine.worlds.partial_hits,
-            "cache_misses": engine.worlds.misses,
+            "cache_hits": engine.worlds.hits.value,
+            "cache_partial_hits": engine.worlds.partial_hits.value,
+            "cache_misses": engine.worlds.misses.value,
             "sampler_calls": engine.sampler_calls,
-            "index_updates": engine.index_updates,
-            "index_rebuilds": engine.index_rebuilds,
-            "worlds_invalidated": engine.worlds_invalidated,
-            "estimate_cache_hits": engine.estimate_cache_hits,
-            "estimate_cache_misses": engine.estimate_cache_misses,
-            "estimate_columns_reused": engine.estimate_columns_reused,
-            "estimate_columns_refreshed": engine.estimate_columns_refreshed,
+            "index_updates": engine.index_updates.value,
+            "index_rebuilds": engine.index_rebuilds.value,
+            "worlds_invalidated": engine.worlds_invalidated.value,
+            "estimate_cache_hits": engine.estimate_cache_hits.value,
+            "estimate_cache_misses": engine.estimate_cache_misses.value,
+            "estimate_columns_reused": engine.estimate_columns_reused.value,
+            "estimate_columns_refreshed": engine.estimate_columns_refreshed.value,
         }
 
     def tick(
@@ -348,8 +351,7 @@ class ContinuousMonitor:
         # off the span durations (one timing truth — see repro.obs).
         with tracer.span("tick") as sp_tick:
             report = self._tick_spanned(events, now, tracer, sp_tick)
-        if self.engine.metrics is not None:
-            self._observe_tick(report)
+        self._observe_tick(report)
         return report
 
     def _tick_spanned(self, events, now, tracer, sp_tick) -> TickReport:
@@ -515,7 +517,7 @@ class ContinuousMonitor:
                         callback(notification)
                     except Exception as exc:  # noqa: BLE001 - isolation barrier
                         callback_errors.append((notification.subscription, exc))
-            self.ticks += 1
+            self.ticks.inc()
             if callback_errors:
                 name, exc = callback_errors[0]
                 raise RuntimeError(
@@ -551,26 +553,20 @@ class ContinuousMonitor:
 
     def _observe_tick(self, report: TickReport) -> None:
         """Feed the engine's metrics registry after a completed tick."""
-        m = self.engine.metrics
-        m.counter(
-            "monitor_ticks_total", help="Completed monitor ticks."
-        ).inc()
+        engine = self.engine
         for stage, secs in report.stage_seconds.items():
-            m.histogram(
-                "tick_stage_seconds",
-                help="Per-stage monitor tick latency.",
-                labels={"stage": stage},
+            engine._instrument(
+                "histogram", "tick_stage_seconds", "Per-stage monitor tick latency.", stage=stage
             ).observe(secs)
-        m.counter(
-            "subscriptions_reevaluated_total",
-            help="Subscription re-evaluations across ticks.",
+        engine._instrument(
+            "counter", "subscriptions_reevaluated_total",
+            "Subscription re-evaluations across ticks.",
         ).inc(len(report.reevaluated))
-        m.counter(
-            "notifications_changed_total",
-            help="Notifications whose result changed.",
+        engine._instrument(
+            "counter", "notifications_changed_total", "Notifications whose result changed."
         ).inc(len(report.changed))
-        m.gauge(
-            "subscriptions", help="Currently registered subscriptions."
+        engine._instrument(
+            "gauge", "subscriptions", "Currently registered subscriptions."
         ).set(len(self._subscriptions))
 
     @staticmethod

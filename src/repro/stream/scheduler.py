@@ -147,12 +147,6 @@ class SubscriptionScheduler:
 
     def __init__(self, engine: "QueryEngine") -> None:
         self.engine = engine
-        #: Cumulative decision counters (monitoring observability).
-        self.decided = 0
-        self.skipped = 0
-        # Per-reason Counter handles, cached so the per-subscription
-        # metrics feed is one dict hit + inc, not a registry lookup.
-        self._decision_counters: dict[str, object] = {}
         #: ``name -> (request, verdict)`` inside a :meth:`settling` block.
         self._settled: dict[str, tuple] = {}
 
@@ -186,17 +180,12 @@ class SubscriptionScheduler:
         decision = self._decide(
             subscription, dirty, now, force=force, dirty_ranges=dirty_ranges
         )
-        metrics = self.engine.metrics
-        if metrics is not None:
-            counter = self._decision_counters.get(decision.reason)
-            if counter is None:
-                counter = metrics.counter(
-                    "scheduler_decisions_total",
-                    help="Scheduler verdicts, by reason.",
-                    labels={"reason": decision.reason},
-                )
-                self._decision_counters[decision.reason] = counter
-            counter.inc()
+        # The one decision count: summed over reasons, and ``"clean"`` for
+        # the skipped ones.
+        self.engine._instrument(
+            "counter", "scheduler_decisions_total", "Scheduler verdicts, by reason.",
+            reason=decision.reason,
+        ).inc()
         return decision
 
     @contextmanager
@@ -245,7 +234,6 @@ class SubscriptionScheduler:
         now: int | None, *, force: str | None = None,
         dirty_ranges: dict[str, tuple[float, float]] | None = None,
     ) -> Decision:
-        self.decided += 1
         ahead = self._settled.get(subscription.name)
         if ahead is None:
             request = subscription.request_at(now)
@@ -266,8 +254,6 @@ class SubscriptionScheduler:
         elif reason == "clean":
             candidates = subscription.last_candidates or ()
             influencers = subscription.last_influencers or ()
-        if reason == "clean":
-            self.skipped += 1
         return Decision(
             subscription=subscription,
             request=request,

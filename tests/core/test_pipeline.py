@@ -420,21 +420,21 @@ class TestReportAccounting:
     def test_cache_deltas_match_world_cache_counters(self, example_db, query):
         engine = QueryEngine(example_db, n_samples=500, seed=5, reuse_worlds=True)
         req = QueryRequest(query, (1, 2, 3), "forall", 0.1)
-        before = (engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses)
+        before = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
         first = engine.evaluate(req)
-        mid = (engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses)
+        mid = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
         assert first.report.cache_hits == mid[0] - before[0]
         assert first.report.cache_partial_hits == mid[1] - before[1]
         assert first.report.cache_misses == mid[2] - before[2]
         assert first.report.cache_misses == 2  # both objects drawn fresh
         second = engine.evaluate(req)
-        after = (engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses)
+        after = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
         assert second.report.cache_hits == after[0] - mid[0] == 2
         assert second.report.cache_misses == 0
 
     def test_batch_reports_sum_to_cache_counters(self, example_db, query):
         engine = QueryEngine(example_db, n_samples=500, seed=5)
-        before = (engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses)
+        before = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
         out = engine.evaluate_many(
             [
                 QueryRequest(query, (1, 2), "forall"),
@@ -442,7 +442,7 @@ class TestReportAccounting:
                 QueryRequest(query, (1, 2, 3), "pcnn", 0.1),
             ]
         )
-        after = (engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses)
+        after = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
         assert sum(r.report.cache_hits for r in out) == after[0] - before[0]
         assert sum(r.report.cache_partial_hits for r in out) == after[1] - before[1]
         assert sum(r.report.cache_misses for r in out) == after[2] - before[2]

@@ -276,7 +276,7 @@ class TestWorldCacheKeepsTheOrder:
         engine = _engine(kind, db)
         for hi in (6, 8, 11):
             engine.distance_tensor(ids, Q, np.arange(2, hi))
-        assert engine.worlds.partial_hits >= 2
+        assert engine.worlds.partial_hits.value >= 2
         one_shot = _engine(kind, db)
         one_shot.distance_tensor(ids, Q, np.arange(2, 11))
         for oid in ids:
@@ -316,8 +316,8 @@ class TestDistanceBlockKeepsTheOrder:
             db.add_observation("o2", 6, int(db.get("o2").sample_states(
                 np.array([6]), 1, np.random.default_rng(0))[0, 0]))
             patched = engine.distance_tensor(IDS, Q, times)
-        assert engine.estimate_cache_hits == 1
-        assert engine.estimate_columns_refreshed == len(IDS) + 1
+        assert engine.estimate_cache_hits.value == 1
+        assert engine.estimate_columns_refreshed.value == len(IDS) + 1
         assert np.shares_memory(first, patched)  # the cached block, patched
         assert _world_minor(patched) and patched.transpose(1, 2, 0).flags.c_contiguous
         col = IDS.index("o2")

@@ -35,7 +35,7 @@ class TestBatchQueryReuse:
         # The sampler-call counter: at most one sampler invocation per
         # object per draw epoch, no matter how many windows touched it.
         assert engine.sampler_calls <= len(world)
-        assert engine.worlds.hits > 0
+        assert engine.worlds.hits.value > 0
 
     def test_batch_samples_only_union_window(self, world):
         """Window restriction: a batch draws each object over the union of
@@ -69,8 +69,8 @@ class TestBatchQueryReuse:
         assert engine.sampler_calls == first  # same epoch: no full redraw
         # The shifted window grew each cached segment forward — a partial
         # hit (resumed draw), counted as neither hit nor miss.
-        assert engine.worlds.partial_hits > 0
-        assert engine.worlds.misses == first
+        assert engine.worlds.partial_hits.value > 0
+        assert engine.worlds.misses.value == first
 
     def test_held_epoch_survives_interleaved_standalone_query(self, world):
         """Regression: refresh_worlds=False extends the previous *batch's*
@@ -114,7 +114,7 @@ class TestBatchQueryReuse:
         )
         assert out[0].probabilities == out[2].probabilities
         # And the held batch sampled each object at most once.
-        assert engine.worlds.misses <= 2 * len(world)
+        assert engine.worlds.misses.value <= 2 * len(world)
 
     def test_batch_on_reuse_engine_keeps_worlds_by_default(self, world):
         """A reuse_worlds engine's contract — worlds held until an explicit
@@ -125,7 +125,7 @@ class TestBatchQueryReuse:
         q = Query.from_point([5.0, 5.0])
         r1 = engine.forall_nn(q, [2, 3])
         engine.evaluate_many([QueryRequest(q, (2, 3, 4))])  # default: no refresh
-        assert engine.worlds.partial_hits > 0  # forward extension, no redraw
+        assert engine.worlds.partial_hits.value > 0  # forward extension, no redraw
         r2 = engine.forall_nn(q, [2, 3])
         assert r1.probabilities == r2.probabilities
         engine.evaluate_many([QueryRequest(q, (2, 3, 4))], refresh_worlds=True)
@@ -139,11 +139,11 @@ class TestBatchQueryReuse:
         engine = QueryEngine(world, n_samples=200, seed=15, reuse_worlds=True)
         q = Query.from_point([5.0, 5.0])
         engine.forall_nn(q, [2, 3])
-        misses = engine.worlds.misses
-        partial = engine.worlds.partial_hits
+        misses = engine.worlds.misses.value
+        partial = engine.worlds.partial_hits.value
         engine.evaluate_many([QueryRequest(q, (1, 2, 3))])  # backward: redraw
-        assert engine.worlds.misses > misses
-        assert engine.worlds.partial_hits == partial
+        assert engine.worlds.misses.value > misses
+        assert engine.worlds.partial_hits.value == partial
 
     def test_explicit_new_epoch_respected_by_default_batch(self, world):
         """Regression: a default-policy batch on a reuse engine must not
@@ -262,7 +262,7 @@ class TestStaleWorldRegression:
         q = Query.from_point([0.0, 0.0])
         engine.forall_nn(q, [2])
         calls = engine.sampler_calls
-        updates = engine.index_updates
+        updates = engine.index_updates.value
         v_before = db.version
         # Pin "a" at state 2 at t=2: its worlds *must* be redrawn, even with
         # reuse_worlds=True, or the query would answer from a stale database.
@@ -270,8 +270,8 @@ class TestStaleWorldRegression:
         assert db.version == v_before + 1
         res = engine.forall_nn(q, [2])
         assert engine.sampler_calls > calls  # the mutated object resampled
-        assert engine.index_updates > updates  # index re-indexed "a" in place
-        assert engine.worlds_invalidated >= 1  # "a"'s segment dropped
+        assert engine.index_updates.value > updates  # index re-indexed "a" in place
+        assert engine.worlds_invalidated.value >= 1  # "a"'s segment dropped
         # Every sampled world of "a" now sits at state 2 (posterior is a
         # point mass), so its NN probability against q=(0,0) is exact.
         dist = engine.distance_tensor(["a"], q, np.array([2]))
@@ -286,13 +286,13 @@ class TestStaleWorldRegression:
         engine = QueryEngine(db, n_samples=500, seed=0, reuse_worlds=True)
         q = Query.from_point([0.0, 0.0])
         engine.forall_nn(q, [2])
-        misses = engine.worlds.misses
+        misses = engine.worlds.misses.value
         tree_before = engine.ust_tree
         token = engine.worlds_token
         db.add_observation("a", 2, 2)
         engine.forall_nn(q, [2])
         assert engine.worlds_token > token  # full flush
-        assert engine.worlds.misses >= misses + 2  # every object redrawn
+        assert engine.worlds.misses.value >= misses + 2  # every object redrawn
         assert engine.ust_tree is not tree_before  # index rebuilt
 
     def test_remove_object_invalidates_worlds(self, db):
@@ -351,7 +351,7 @@ class TestStaleWorldRegression:
             for key in survivors
         }
         counters = (
-            engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses
+            engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value
         )
         dropped = engine.worlds.invalidate_objects([victim[0]])
         assert dropped == 1
@@ -362,7 +362,7 @@ class TestStaleWorldRegression:
             np.testing.assert_array_equal(survivor.states, states)
             assert survivor.rng.bit_generator.state == rng_state
         assert counters == (
-            engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses
+            engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value
         )
         # The full-flush ablation drops everything, survivors included.
         engine.worlds.clear()

@@ -178,16 +178,16 @@ class TestEngineGrowth:
         engine.evaluate_many([QueryRequest(q, tuple(range(6, 10)), "forall")])
         key = next((o.object_id, 120) for o in db)
         before = engine.worlds.peek(key).states.copy()
-        misses_before = engine.worlds.misses
-        partial_before = engine.worlds.partial_hits
+        misses_before = engine.worlds.misses.value
+        partial_before = engine.worlds.partial_hits.value
 
         engine.evaluate_many(
             [QueryRequest(q, tuple(range(2, 10)), "forall")], refresh_worlds=False
         )
         seg = engine.worlds.peek(key)
         # Accounting: one fresh draw per object, never an extension.
-        assert engine.worlds.misses == misses_before + len(db)
-        assert engine.worlds.partial_hits == partial_before
+        assert engine.worlds.misses.value == misses_before + len(db)
+        assert engine.worlds.partial_hits.value == partial_before
         # Union coverage, anchored at the new start.
         assert seg.t_first == 2 and seg.t_last == 9
         # No splice: the overlap columns were redrawn, not preserved.
@@ -214,4 +214,4 @@ class TestEngineGrowth:
                     [QueryRequest(q, times, "forall")], refresh_worlds=False
                 )
         assert len(checked) == 4
-        assert engine.worlds.partial_hits > 0 and engine.worlds.hits > 0
+        assert engine.worlds.partial_hits.value > 0 and engine.worlds.hits.value > 0

@@ -278,9 +278,9 @@ def test_sliding_batch_draws_each_object_once(backend):
     with checking_distances(engine) as checked:
         engine.evaluate_many(requests)
     assert len(checked) == len(requests)
-    assert engine.worlds.misses == engine.sampler_calls == len(db)
-    assert engine.worlds.partial_hits == 0
-    assert engine.worlds.hits == (len(requests) - 1) * len(db)
+    assert engine.worlds.misses.value == engine.sampler_calls == len(db)
+    assert engine.worlds.partial_hits.value == 0
+    assert engine.worlds.hits.value == (len(requests) - 1) * len(db)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -303,11 +303,11 @@ def test_held_epoch_extensions_and_backward_fallback(backend):
     with checking_distances(engine) as checked:
         for i, (times, added) in enumerate(steps):
             cache = engine.worlds
-            before = (cache.hits, cache.partial_hits, cache.misses)
+            before = (cache.hits.value, cache.partial_hits.value, cache.misses.value)
             (result,) = engine.evaluate_many(
                 [QueryRequest(q, times)], refresh_worlds=i == 0
             )
-            after = (cache.hits, cache.partial_hits, cache.misses)
+            after = (cache.hits.value, cache.partial_hits.value, cache.misses.value)
             assert tuple(a - b for a, b in zip(after, before)) == added, times
             report = result.report
             assert (
@@ -343,7 +343,7 @@ def test_bulk_lookup_under_capacity_pressure_is_the_sequential_one(capacity):
             if a is not None:
                 assert (a.t_first, a.t_last) == (b.t_first, b.t_last)
                 assert np.array_equal(a.states, b.states)
-    assert bulk.worlds.misses > len(ids)  # evicted objects were redrawn
+    assert bulk.worlds.misses.value > len(ids)  # evicted objects were redrawn
 
 
 def test_direct_rounds_stay_fresh():
@@ -420,7 +420,7 @@ def test_refine_cache_off_answers_like_refine_cache_on():
             report = monitor.tick()
             history.append([_result_payload(n.result) for n in report.notifications])
         payloads.append(history)
-        hits.append(engine.estimate_cache_hits)
+        hits.append(engine.estimate_cache_hits.value)
     assert payloads[0] == payloads[1]
     assert hits[0] > 0 and hits[1] == 0
 

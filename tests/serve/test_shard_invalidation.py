@@ -97,11 +97,11 @@ def test_mutation_invalidates_only_owner_shard(warm_coordinator):
     arena_versions = {
         shard: w.engine._arena._version for shard, w in workers.items()
     }
-    invalidated_before = coord.engine.worlds_invalidated
+    invalidated_before = coord.engine.worlds_invalidated.value
 
     coord.tick([feasible_extension(db, target)])
 
-    assert coord.engine.worlds_invalidated > invalidated_before
+    assert coord.engine.worlds_invalidated.value > invalidated_before
     for shard, worker in workers.items():
         entries = worker.engine.worlds._entries
         for key, (t_first, states, rng_state) in before[shard].items():

@@ -123,9 +123,9 @@ class TestIncrementalVsWholesale:
         # The equivalence is interesting because the work differs: the
         # wholesale twin redrew every influencer per mutated tick, the
         # logged one only the dirty objects.
-        assert inc.engine.worlds.misses < full.engine.worlds.misses
-        assert inc.engine.index_rebuilds < full.engine.index_rebuilds
-        assert inc.engine.worlds_invalidated > 0
+        assert inc.engine.worlds.misses.value < full.engine.worlds.misses.value
+        assert inc.engine.index_rebuilds.value < full.engine.index_rebuilds.value
+        assert inc.engine.worlds_invalidated.value > 0
 
     def test_quiet_first_ticks_identical_costs(self, backend):
         """Without mutations there is nothing to fall back from: the two
@@ -230,11 +230,11 @@ def test_dirty_column_patching_matches_wholesale(backend):
         _assert_same_answers(inc.tick(events_inc), full.tick(events_full))
     # The logged twin served tensors from the dirty-column cache
     # (hits with columns reused); the log-less one never could.
-    assert inc.engine.estimate_cache_hits > 0
-    assert inc.engine.estimate_columns_reused > 0
-    assert inc.engine.estimate_columns_refreshed > 0
-    assert full.engine.estimate_cache_hits == 0
-    assert inc.engine.worlds.misses < full.engine.worlds.misses
+    assert inc.engine.estimate_cache_hits.value > 0
+    assert inc.engine.estimate_columns_reused.value > 0
+    assert inc.engine.estimate_columns_refreshed.value > 0
+    assert full.engine.estimate_cache_hits.value == 0
+    assert inc.engine.worlds.misses.value < full.engine.worlds.misses.value
 
 
 def test_mutation_log_overflow_forces_full_recompute():
@@ -248,7 +248,7 @@ def test_mutation_log_overflow_forces_full_recompute():
     monitor = _monitor(db)
     first = monitor.tick()
     assert first.reevaluated == tuple(n for n, _ in _subscriptions())
-    hits_before = monitor.engine.estimate_cache_hits
+    hits_before = monitor.engine.estimate_cache_hits.value
 
     # Out-of-band churn: 5 add/remove pairs = 10 mutations > the limit.
     for i in range(5):
@@ -262,7 +262,7 @@ def test_mutation_log_overflow_forces_full_recompute():
     assert report.reevaluated == tuple(n for n, _ in _subscriptions())
     assert all(n.reason == "unknown-mutations" for n in report.notifications)
     # The estimate cache could not prove any column clean: no hits.
-    assert monitor.engine.estimate_cache_hits == hits_before
+    assert monitor.engine.estimate_cache_hits.value == hits_before
 
     # Lockstep with a fresh engine over the same final database state.
     replica = _refinement_db(seed=17)

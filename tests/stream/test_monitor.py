@@ -310,9 +310,27 @@ class TestTick:
         monitor.subscribe(QueryRequest(q, (2, 3)))
         monitor.tick()
         monitor.tick()
-        assert monitor.ticks == 2
-        assert monitor.scheduler.decided == 2
-        assert monitor.scheduler.skipped == 1
+        metrics = monitor.engine.metrics
+        assert monitor.ticks.value == 2
+        assert metrics.total("scheduler_decisions_total") == 2
+        assert metrics.value("scheduler_decisions_total", {"reason": "clean"}) == 1
+
+    def test_tick_with_raising_callback_is_counted_once(self, monitor):
+        """A tick whose callback raises is committed (its delta consumed,
+        its notifications delivered), so the one tick count counts it."""
+        q = Query.from_point([5.0, 5.0])
+
+        def bug(_note):
+            raise RuntimeError("subscriber bug")
+
+        monitor.subscribe(QueryRequest(q, (2, 3)), bug, name="a")
+        with pytest.raises(RuntimeError, match="callback 'a' raised"):
+            monitor.tick()
+        assert monitor.ticks.value == 1
+        assert monitor.engine.metrics.value("monitor_ticks_total") == 1
+        monitor.unsubscribe("a")
+        monitor.tick()
+        assert monitor.engine.metrics.value("monitor_ticks_total") == 2
 
 
 class TestSlidingWindows:

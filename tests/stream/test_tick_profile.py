@@ -177,11 +177,11 @@ class TestRangedSkip:
         q = Query.from_point([0.0, 0.0])
         monitor.subscribe(QueryRequest(q, (1, 2, 3), "forall", 0.1), name="f")
         monitor.tick()
-        before = monitor.scheduler.decided
+        before = engine.metrics.total("scheduler_decisions_total")
         report = monitor.tick([AddObservation("far", 2, 3)])  # affects [0, 4]
         note = report.notifications[0]
         assert note.reason == "clean" and not note.reevaluated
-        assert monitor.scheduler.decided == before + 1
+        assert engine.metrics.total("scheduler_decisions_total") == before + 1
 
 
 class TestIngestPrefetch:

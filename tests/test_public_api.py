@@ -176,6 +176,11 @@ class TestEngineOptionCount:
             r"|ThreadPoolExecutor|roundtrip_seconds"
             # ... and of the float-offset wide-row draw.
             r"|_DENSE_WIDTH_LIMIT|is_wide|wide_aug|wide_pos|layer\.aug"
+            # ... and of the second counting truth: registry mirrors, loose
+            # counters beside them, optional-registry guards, the serve
+            # tier's second absorption path and the offset-CDF draw.
+            r"|bind_metrics|table_build_counter|_m_(hits|partial|misses)|_shard_counters"
+            r"|Reply\(counters|metrics is (not )?None(?! else MetricsRegistry)|\baug\b"
         )
         src = Path(repro.__file__).parent
         hits = [

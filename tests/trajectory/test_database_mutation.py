@@ -92,12 +92,12 @@ class TestEngineStalenessDetection:
         rebuilding the tree."""
         engine = QueryEngine(db, n_samples=50, seed=0)
         tree_before = engine.ust_tree
-        rebuilds = engine.index_rebuilds
+        rebuilds = engine.index_rebuilds.value
         db.add_object("b", [(0, 1), (4, 3)])
         tree_after = engine.ust_tree
         assert tree_after is tree_before  # maintained, not rebuilt
-        assert engine.index_rebuilds == rebuilds
-        assert engine.index_updates == 1
+        assert engine.index_rebuilds.value == rebuilds
+        assert engine.index_updates.value == 1
         assert "b" in tree_after and len(tree_after) == 2
 
     def test_index_rebuilds_after_mutation_past_the_mutation_log(self, db):
@@ -110,7 +110,7 @@ class TestEngineStalenessDetection:
         tree_after = engine.ust_tree
         assert tree_after is not tree_before
         assert len(tree_after) == 2
-        assert engine.index_rebuilds == 2 and engine.index_updates == 0
+        assert engine.index_rebuilds.value == 2 and engine.index_updates.value == 0
 
     def test_new_observation_affects_results(self, db):
         db.add_object("b", [(0, 1), (4, 3)])
@@ -193,9 +193,9 @@ class TestMutationUnderQueryLockstep:
         r_full = full.forall_nn(q, [1, 2, 3])
         assert r_inc.probabilities == r_full.probabilities
         # The interesting part: they agreed while doing different work.
-        assert inc.worlds.misses < full.worlds.misses
-        assert inc.worlds_invalidated >= 2  # "a" dropped, "b" dropped
-        assert full.worlds_invalidated == 0  # wholesale: token flush instead
+        assert inc.worlds.misses.value < full.worlds.misses.value
+        assert inc.worlds_invalidated.value >= 2  # "a" dropped, "b" dropped
+        assert full.worlds_invalidated.value == 0  # wholesale: token flush instead
         assert full.worlds_token == 1 and inc.worlds_token == 0
         # Removed ids free their per-object RNG tags (forever-stream churn
         # must not leak per-id state); live ids keep theirs.
