@@ -742,19 +742,10 @@ class QueryEngine:
             ]
             segments = self.fetch_worlds(items)
             return [seg.slice(at) for seg, at in zip(segments, alive_times)]
-        arena = self._arena_for(objects)
-        requests = [
-            ArenaRequest(
-                obj.object_id,
-                int(at[0]),
-                int(at[-1]),
-                self._object_rng(obj.object_id, self._direct_round),
-            )
-            for obj, at in zip(objects, alive_times)
-        ]
-        drawn = sample_paths_arena(arena, requests, n)
-        self._direct_draws.inc(len(requests))
-        return [take_tics(p, at - at[0]) for p, at in zip(drawn, alive_times)]
+        fresh = [(i, int(at[0]), int(at[-1])) for i, at in enumerate(alive_times)]
+        drawn, _ = self._bulk_sampler(objects, n, self._direct_round)(fresh, [])
+        self._direct_draws.inc(len(fresh))
+        return [take_tics(p, at - at[0]) for (p, _), at in zip(drawn, alive_times)]
 
     def fill_blocks(self, jobs: list[RefineJob]) -> list[np.ndarray]:
         """One C-contiguous ``(objects, times, worlds)`` block per job — the
@@ -831,44 +822,19 @@ class QueryEngine:
         )
         return reverse_tensors(self.db.space, states, coords)
 
-    #: Below this many outstanding draws a bulk lookup skips the fused
-    #: arena pass: a per-object compiled draw is bit-identical and avoids
-    #: rebuilding fused step tables (which pack *every* arena object) —
-    #: the streaming shape, where an ingest leaves a couple of dirty
-    #: objects to redraw while the rest of the working set stays cached.
-    FUSED_DRAW_THRESHOLD = 4
-
-    def _bulk_sampler(self, objects: list[UncertainObject], n: int):
-        """The :meth:`WorldCache.states_for_many` callback: fuses every
-        cache miss (fresh window draw) and partial hit (resumed forward
-        extension) of one lookup into a single arena pass — unless only a
-        handful of draws are outstanding, where the per-object compiled
-        path (bit-identical per seed) is cheaper than touching the fused
-        tables.  The arena is packed lazily, only when the fused branch
-        actually runs: a streaming tick that redraws one dirty object must
-        not pay a repack it never draws from."""
+    def _bulk_sampler(self, objects: list[UncertainObject], n: int, round_: int = 0):
+        """The engine's one draw: the :meth:`WorldCache.states_for_many`
+        callback, one arena pass for every cache miss (fresh window draw)
+        and partial hit (resumed forward extension) of one lookup — and,
+        with a direct call's ``round_``, for that call's fresh draws.  Only
+        the drawn objects join the arena: a streaming tick that redraws one
+        dirty object touches nobody else."""
 
         def bulk(fresh: list, extend: list):
-            if len(fresh) + len(extend) <= self.FUSED_DRAW_THRESHOLD:
-                adapt_objects([objects[draw[0]] for draw in fresh + extend])
-                fresh_results = []
-                for pos, t_lo, t_hi in fresh:
-                    obj = objects[pos]
-                    rng = self._object_rng(obj.object_id)
-                    states = obj.adapted.sample_paths(rng, n, t_lo, t_hi)
-                    fresh_results.append((states, rng))
-                extend_results = [
-                    objects[pos].adapted.sample_paths(
-                        rng, n, t_from, t_hi, start_states=last
-                    )[:, 1:]
-                    for pos, rng, last, t_from, t_hi in extend
-                ]
-                return fresh_results, extend_results
-            arena = self._arena_for(objects)
             requests = [
                 ArenaRequest(
                     objects[pos].object_id, t_lo, t_hi,
-                    self._object_rng(objects[pos].object_id),
+                    self._object_rng(objects[pos].object_id, round_),
                 )
                 for pos, t_lo, t_hi in fresh
             ]
@@ -878,7 +844,8 @@ class QueryEngine:
                 )
                 for pos, rng, last, t_from, t_hi in extend
             ]
-            results = sample_paths_arena(arena, requests, n)
+            drawn = [objects[pos] for pos, *_ in fresh + extend]
+            results = sample_paths_arena(self._arena_for(drawn), requests, n)
             fresh_results = [
                 (states, req.rng)
                 for states, req in zip(results[: len(fresh)], requests[: len(fresh)])

@@ -1,8 +1,9 @@
 """Build/load machinery for the native (C) arena kernels.
 
-This module owns the C source of the two kernels behind
-:mod:`repro.markov.native` — the fused arena sweep and the per-state
-distance-table row gather — and compiles them on first use through cffi's
+This module owns the C source of the kernels behind
+:mod:`repro.markov.native` — the arena sweep over per-model tables, the
+check of those tables, the per-state distance-table row gather and the
+seeder — and compiles them on first use through cffi's
 API mode (out-of-line).  The build artifact is cached on disk keyed by a
 hash of the source, so a process pays the compiler exactly once per
 kernel revision; every later import (including serve worker processes)
@@ -47,23 +48,25 @@ _COMPILE_ARGS = ("-O3", "-march=native", "-funroll-loops")
 # loudly instead of corrupting memory.
 CDEF = """
 typedef struct {
-    double   *csr_cdf;
-    int64_t  *csr_indptr;
-    int32_t  *next32;
-    int64_t  *next64;
-    int32_t  *states32;
-    int64_t  *states64;
-    int64_t  *sup_base;
-} repro_step;
+    int64_t  t_first;
+    int64_t  *row0;
+    int64_t  *states;
+    double   *init_cdf;
+    double   *cdf;
+    int64_t  *indptr;
+    int64_t  *next;
+} repro_model;
+
+int repro_check_model(
+    repro_model *md, int64_t n_tics, int64_t n_rows, int64_t n_init,
+    int64_t n_cdf, int64_t n_indptr, int64_t n_next);
 
 void repro_arena_sweep(
-    int64_t t0, int64_t n_steps, int64_t n_req, int64_t n,
-    int64_t *a, int64_t *b, uint8_t *resumed, int64_t *pos,
+    int64_t n_req, int64_t n,
+    int64_t *a, int64_t *b, uint8_t *resumed, repro_model **models,
     double *uniforms, int64_t u_stride,
     uint32_t *entropy, int64_t ent_words, int64_t *rng_consumed,
-    double **init_cdf, int64_t *init_len,
-    int64_t *rows, repro_step *steps, int out_is32,
-    void **out_ptrs);
+    int64_t *rows, int out_is32, void **out_ptrs);
 
 int repro_distance_gather_rows(
     double *per_state, int64_t n_times, int64_t n_states,
@@ -80,15 +83,17 @@ void repro_seed_fill(
 SOURCE = """
 #include <stdint.h>
 
+/* One compiled model's tables (repro.markov.compiled.ModelTables): rows
+ * are the posterior support entries of every tic, tic after tic. */
 typedef struct {
-    double   *csr_cdf;       /* concatenated per-row raw CDFs (row-major)    */
-    int64_t  *csr_indptr;    /* n_rows + 1 row pointers into csr_cdf         */
-    int32_t  *next32;        /* concatenated successors, one extra entry per */
-    int64_t  *next64;        /* row; exactly one of next32/next64 is set     */
-    int32_t  *states32;      /* fused support states (one of the two set)    */
-    int64_t  *states64;
-    int64_t  *sup_base;      /* arena position -> global row base            */
-} repro_step;
+    int64_t  t_first;    /* the tic of row0[0]                              */
+    int64_t  *row0;      /* first row of every tic, then the row count      */
+    int64_t  *states;    /* state id of every row                           */
+    double   *init_cdf;  /* every tic's initial CDF, aligned with states    */
+    double   *cdf;       /* raw CDFs of the transition rows (CSR)           */
+    int64_t  *indptr;    /* row pointers into cdf                           */
+    int64_t  *next;      /* successors as model rows, one extra per row     */
+} repro_model;
 
 /* numpy's searchsorted(arr, v, side="right"): index of the first entry
  * strictly greater than v.  Identical IEEE comparisons on identical
@@ -226,16 +231,50 @@ static void repro_pcg_fill(
     *state = s;
 }
 
-/* One fused pass per request over its window [a[r], b[r]]: the initial
- * draw, every transition draw (a scan of the row's compact-CSR entries,
- * at any row width) and the output state gather, carrying the
- * request's global row cursors in ``rows`` without returning to Python
- * per tic.  Requests are independent (all uniforms are pre-drawn), so
- * the request-outer order keeps each request's 128-odd cursors and its
- * own objects' table rows hot in L1 across its whole window.
+/* Whether repro_arena_sweep may read a model's tables: 0 when they are
+ * safe, else the number of the first rule broken (native._MODEL_FAULTS
+ * states them).  The sizes are the arrays' lengths; row0 holds
+ * n_tics + 1 entries (checked by the caller), and every index read here
+ * is bounded by the rules checked before it. */
+int repro_check_model(
+    repro_model *md, int64_t n_tics, int64_t n_rows, int64_t n_init,
+    int64_t n_cdf, int64_t n_indptr, int64_t n_next)
+{
+    const int64_t *row0 = md->row0, *indptr = md->indptr, *nx = md->next;
+    int64_t i, g, j, n_trans;
+    if (row0[0] != 0 || row0[n_tics] != n_rows) return 1;
+    for (i = 0; i < n_tics; i++)
+        if (row0[i + 1] <= row0[i]) return 1;
+    if (n_init != n_rows) return 2;
+    n_trans = row0[n_tics - 1];
+    if (n_indptr != n_trans + 1 || indptr[0] != 0 || indptr[n_trans] != n_cdf)
+        return 3;
+    for (g = 0; g < n_trans; g++)
+        if (indptr[g + 1] < indptr[g]) return 3;
+    if (n_next != n_cdf + n_trans) return 4;
+    for (i = 0; i + 1 < n_tics; i++) {
+        const int64_t lo = row0[i + 1], hi = row0[i + 2];
+        for (g = row0[i]; g < row0[i + 1]; g++) {
+            for (j = indptr[g] + g; j <= indptr[g + 1] + g; j++)
+                if (nx[j] < lo || nx[j] >= hi) return 5;
+            for (j = indptr[g] + 1; j < indptr[g + 1]; j++)
+                if (md->cdf[j] < md->cdf[j - 1]) return 6;
+        }
+    }
+    return 0;
+}
+
+/* One pass per request over its window [a[r], b[r]] of its own model's
+ * tables: the initial draw, every transition draw (a scan of the row's
+ * CSR entries, at any row width) and the output state gather, carrying
+ * the request's model-row cursors in ``rows`` without returning to
+ * Python per tic.  Requests are independent (each reads only its own
+ * model and its own stream), so the request-outer order keeps each
+ * request's cursors and its model's rows hot in L1 across its window.
  *
- * Bit-identity with the numpy arena path holds operation by operation:
- *   - initial picks: upper_bound == searchsorted(..., "right"), then the
+ * Bit-identity with the numpy sweeps holds operation by operation:
+ *   - initial picks: the count of the tic's initial CDF entries <= u
+ *     (upper_bound on wide tics) == searchsorted(..., "right"), then the
  *     same min(pick, m-1) clamp;
  *   - transitions: the pick is literally the count of raw CDF entries
  *     <= u that the numpy column loop sums over the padded table (+inf
@@ -255,25 +294,26 @@ static void repro_pcg_fill(
  * time order) is exactly the stream order the pre-drawn fill uses, so
  * the doubles are identical.
  *
- * The successor array stores one extra entry per row (the boundary case
- * u >= cdf[-1] repeats the last successor, exactly the numpy table's
- * trailing column), so entry k of row g lives at flat index
- * csr_indptr[g] + g + k — the scan cursor's absolute position plus g.
- * Every index read is vouched for by the Python-side table checks. */
+ * Entry k of row g's successors lives at next[indptr[g] + g + k] (one
+ * trailing entry per row: the boundary case u >= cdf[-1] repeats the
+ * last successor, exactly the numpy table's trailing column) — the scan
+ * cursor's absolute position plus g.  Every index read is vouched for by
+ * repro_check_model and the Python-side window validation. */
 void repro_arena_sweep(
-    int64_t t0, int64_t n_steps, int64_t n_req, int64_t n,
-    int64_t *a, int64_t *b, uint8_t *resumed, int64_t *pos,
+    int64_t n_req, int64_t n,
+    int64_t *a, int64_t *b, uint8_t *resumed, repro_model **models,
     double *uniforms, int64_t u_stride,
     uint32_t *entropy, int64_t ent_words, int64_t *rng_consumed,
-    double **init_cdf, int64_t *init_len,
-    int64_t *rows, repro_step *steps, int out_is32,
-    void **out_ptrs)
+    int64_t *rows, int out_is32, void **out_ptrs)
 {
     int64_t r, s, t;
-    (void) n_steps;
     for (r = 0; r < n_req; r++) {
+        const repro_model *md = models[r];
+        const int64_t *states = md->states;
+        const double *cdf = md->cdf;
+        const int64_t *indptr = md->indptr;
+        const int64_t *nx = md->next;
         int64_t *rr = rows + r * n;
-        const int64_t pr = pos[r];
         const double *ub = 0;
         repro_u128 rng_state = 0, rng_inc = 0;
         if (entropy != 0)
@@ -283,13 +323,12 @@ void repro_arena_sweep(
         else
             ub = uniforms + r * u_stride;
         for (t = a[r]; t <= b[r]; t++) {
-            const repro_step *st = &steps[t - t0];
             const int64_t c = t - a[r];
             const double *u;
             if (t == a[r] && !resumed[r]) {
-                const double *cdf = init_cdf[r];
-                const int64_t m = init_len[r];
-                const int64_t base = st->sup_base[pr];
+                const int64_t base = md->row0[t - md->t_first];
+                const double *icdf = md->init_cdf + base;
+                const int64_t m = md->row0[t - md->t_first + 1] - base;
                 const double *u0;
                 if (entropy != 0) {
                     repro_pcg_fill(&rng_state, rng_inc, uniforms, n);
@@ -304,13 +343,13 @@ void repro_arena_sweep(
                     for (s = 0; s < n; s++) {
                         const double us = u0[s];
                         int64_t pick = 0, j;
-                        for (j = 0; j < m; j++) pick += (cdf[j] <= us);
+                        for (j = 0; j < m; j++) pick += (icdf[j] <= us);
                         if (pick >= m) pick = m - 1;
                         rr[s] = pick + base;
                     }
                 } else {
                     for (s = 0; s < n; s++) {
-                        int64_t pick = repro_upper_bound(cdf, m, u0[s]);
+                        int64_t pick = repro_upper_bound(icdf, m, u0[s]);
                         if (pick >= m) pick = m - 1;
                         rr[s] = pick + base;
                     }
@@ -318,11 +357,9 @@ void repro_arena_sweep(
             }
             if (out_is32) {
                 int32_t *o = (int32_t *) out_ptrs[r] + c * n;
-                const int32_t *states = st->states32;
-                for (s = 0; s < n; s++) o[s] = states[rr[s]];
+                for (s = 0; s < n; s++) o[s] = (int32_t) states[rr[s]];
             } else {
                 int64_t *o = (int64_t *) out_ptrs[r] + c * n;
-                const int64_t *states = st->states64;
                 for (s = 0; s < n; s++) o[s] = states[rr[s]];
             }
             if (t >= b[r]) continue;
@@ -332,30 +369,13 @@ void repro_arena_sweep(
             } else {
                 u = ub + (c + (resumed[r] ? 0 : 1)) * n;
             }
-            if (st->next32 != 0) {
-                const double *cdf = st->csr_cdf;
-                const int64_t *indptr = st->csr_indptr;
-                const int32_t *nx = st->next32;
-                for (s = 0; s < n; s++) {
-                    const int64_t g = rr[s];
-                    const int64_t lo = indptr[g], hi = indptr[g + 1];
-                    const double us = u[s];
-                    int64_t k = 0, j;
-                    for (j = lo; j < hi; j++) k += (cdf[j] <= us);
-                    rr[s] = (int64_t) nx[lo + g + k];
-                }
-            } else {
-                const double *cdf = st->csr_cdf;
-                const int64_t *indptr = st->csr_indptr;
-                const int64_t *nx = st->next64;
-                for (s = 0; s < n; s++) {
-                    const int64_t g = rr[s];
-                    const int64_t lo = indptr[g], hi = indptr[g + 1];
-                    const double us = u[s];
-                    int64_t k = 0, j;
-                    for (j = lo; j < hi; j++) k += (cdf[j] <= us);
-                    rr[s] = nx[lo + g + k];
-                }
+            for (s = 0; s < n; s++) {
+                const int64_t g = rr[s];
+                const int64_t lo = indptr[g], hi = indptr[g + 1];
+                const double us = u[s];
+                int64_t k = 0, j;
+                for (j = lo; j < hi; j++) k += (cdf[j] <= us);
+                rr[s] = nx[lo + g + k];
             }
         }
     }

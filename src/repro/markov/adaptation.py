@@ -34,7 +34,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import TransitionModel
-from .compiled import CompiledModel, compile_model
+from .compiled import CompiledModel, ModelTables, compile_model
 from .distributions import SparseDistribution
 
 __all__ = [
@@ -83,7 +83,7 @@ class Segment:
     forward:
         Forward marginals ``(states, probs)`` for ``t0 < t <= t1``.
     compiled:
-        ``(layers, initials)`` of these tics once
+        ``(layers, tables)`` of these tics once
         :func:`~repro.markov.compiled.compile_model` has flattened them —
         carried along with the record, so they are flattened once.
     """
@@ -92,7 +92,7 @@ class Segment:
     layers: list[Layer]
     posterior: list[RowDist]
     forward: list[RowDist]
-    compiled: tuple[dict, dict] | None = field(default=None, repr=False)
+    compiled: tuple[dict, ModelTables] | None = field(default=None, repr=False)
 
     # The views below exist for the exact oracle, the reference sampler of
     # ``tests/oracles/``, the Fig. 12 ablation and the tests; nothing on
@@ -284,10 +284,8 @@ class AdaptedModel:
         vectorized inverse-CDF transform per timestep, one
         ``rng.random(n)`` per timestep; the row-dict walk over
         :attr:`transitions` that consumes the stream identically is its
-        byte oracle (``tests.oracles.reference_sample_paths``).  The
-        native tier accelerates *fused* (arena) draws only; per-object
-        draws on a native engine come through here — bit-identical by
-        the same argument, so mixing them is safe.
+        byte oracle (``tests.oracles.reference_sample_paths``), and the
+        engine's arena draws (numpy or C) are bit-identical to it.
 
         ``start_states`` resumes ``n`` previously sampled paths from their
         known states at ``t_start``: the initial variate is *not* consumed

@@ -1,37 +1,31 @@
-"""Fused multi-object sampling arena: columnar candidate batching.
+"""The sampling arena: every possible-world draw of the engine, one call.
 
 The refinement step (Section 5) draws possible worlds for *every* candidate
 object of a query, and the paper's experiments scale the number of objects
-into the thousands (Fig. 8, Fig. 13).  Sampling candidates one at a time —
-the per-object path of :meth:`CompiledModel.sample_paths` — pays a Python
-loop per object *and* a Python loop per timestep inside each object; at a
-hundred candidates that is tens of thousands of tiny array operations per
-query.
+into the thousands (Fig. 8, Fig. 13).  :func:`sample_paths_arena` draws
+``n`` worlds for a whole batch of requests — fresh or resumed
+(``start_states``), over any sub-windows of their objects' spans — in one
+pass; objects are registered once with a :class:`SamplingArena`.  Its
+buffer is ``(request, tic, world)`` and each request's result is a
+transposed *view* of its slab, so the world axis is the unit-stride one
+all the way to the NN counter.
 
-The :class:`SamplingArena` turns the object axis into a vectorized axis.
-It packs the compiled CSR inverse-CDF tables of many objects into one
-contiguous arena — per timestep, the participating objects' supports,
-per-row CDFs and successor tables are concatenated with per-object row
-offsets — and :func:`sample_paths_arena` draws worlds for all requested
-objects in a single pass over the **union window**.  All samples of all
-requests live in one flat slot array (request ``r`` owns slots
-``[r·n, (r+1)·n)``), so each timestep costs a fixed handful of array
-operations — one compare-and-count per padded CDF column, one gather, one
-scatter — regardless of how many objects are being sampled.  The only
-per-object Python work is setup (one RNG block per request); there is no
-teardown — the sweep buffer is ``(request, tic, world)`` and each request's
-result is a transposed *view* of its slab, so the world axis is the
-unit-stride one all the way to the NN counter.
+The arena owns its sweep.  ``SamplingArena(native=True)`` — what a default
+``QueryEngine`` builds wherever the C tier loads — hands each request's own
+model tables (:attr:`~repro.markov.compiled.CompiledModel.tables`) to the
+C sweep of :mod:`repro.markov.native` and fuses nothing.  Otherwise numpy
+sweeps *fused* per-timestep tables: the participating objects' supports,
+per-row CDFs and successors concatenated with per-object row offsets, so
+each timestep costs a fixed handful of array operations whatever the
+number of objects.  Fused tables pack every arena object covering a tic,
+so at most :data:`FUSED_DRAW_THRESHOLD` requests are drawn per object
+instead.
 
-Bit-identity with the per-object path
--------------------------------------
-Seeded results must not depend on whether the fused or the per-object path
-produced them (the engine's small-draw branch, golden files, and the
-world cache's replay determinism all rely on it).  Two properties make the
-fused draw bit-identical per object:
+Every path draws the same bytes from the same streams — results cannot
+depend on which one ran, nor on which other objects a batch holds:
 
 * **Per-object RNG streams are preserved.**  Every request carries its own
-  generator; the arena draws that object's entire uniform block as one
+  generator; a sweep draws that object's entire uniform block as one
   ``rng.random(blocks · n)`` call, which consumes the stream exactly like
   the per-object path's sequence of ``rng.random(n)`` calls (one initial
   variate block for fresh draws, one block per transition).  The generator
@@ -42,16 +36,6 @@ fused draw bit-identical per object:
   A transition draw, at every row width, is the count of the row's *raw*
   CDF entries ``<= u`` — exactly the reference sampler's pick, and
   :class:`~repro.markov.compiled.CompiledLayer`'s.
-
-Requests may mix fresh draws and resumed draws (``start_states``), and
-objects may cover different sub-windows of the union; objects join and
-leave the fused pass as the timestep sweep enters and exits their windows.
-
-The arena owns its sweep.  ``SamplingArena(native=True)`` — what a
-default ``QueryEngine`` builds wherever the C tier loads — packs compact
-CSR step tables and sweeps them in C (:mod:`repro.markov.native`);
-otherwise the padded dense tables above are swept by numpy.  Both draw
-the same bytes from the same streams.
 """
 
 from __future__ import annotations
@@ -65,6 +49,12 @@ from . import native as native_tier
 from .compiled import CompiledModel
 
 __all__ = ["ArenaRequest", "SamplingArena", "sample_paths_arena"]
+
+#: At or below this many requests the numpy sweep draws each object with
+#: :meth:`CompiledModel.sample_paths` — bit-identical, and no fused table
+#: is built — the streaming shape, where an ingest leaves a couple of
+#: dirty objects to redraw while the rest of the working set stays cached.
+FUSED_DRAW_THRESHOLD = 4
 
 
 @dataclass
@@ -85,26 +75,24 @@ class ArenaRequest:
 
 
 class _Block:
-    """One object's packed tables plus its stable arena position."""
+    """One registered object: its compiled model and stable arena position."""
 
-    __slots__ = ("object_id", "order", "pos", "model", "init_native")
+    __slots__ = ("object_id", "order", "pos", "model")
 
     def __init__(self, object_id: str, order: int, pos: int, model: CompiledModel) -> None:
         self.object_id = object_id
         self.order = order
         self.pos = pos
         self.model = model
-        # Native-tier cache: start tic -> pinned contiguous initial CDF
-        # (see repro.markov.native.draw_arena).
-        self.init_native: dict[int, tuple] = {}
 
 
 class _StepTable:
-    """Fused per-timestep tables over every arena object covering ``t``.
+    """Fused per-timestep tables of the numpy sweep over every arena
+    object covering ``t``.
 
-    ``states``/``sup_base`` fuse the posterior supports (state gathers)
+    ``states``/``row_base`` fuse the posterior supports (state gathers)
     and ``tr_*`` the transition layers ``F(t)`` (one global inverse-CDF
-    draw for all samples of all objects).  ``sup_base`` is a dense array
+    draw for all samples of all objects).  ``row_base`` is a dense array
     indexed by arena position (``-1`` where the object does not cover the
     step), so a draw resolves its offsets with one fancy gather.  Global
     row indices are arena-wide — draws over any object subset address the
@@ -112,18 +100,7 @@ class _StepTable:
     query refines.
     """
 
-    __slots__ = (
-        "sup_base",
-        "states",
-        "tr_cdf_cols",
-        "tr_next_dense",
-        "tr_width",
-        "csr_cdf",
-        "csr_indptr",
-        "csr_next",
-        "n_next",
-        "_native",
-    )
+    __slots__ = ("row_base", "states", "tr_cdf_cols", "tr_next_dense", "tr_width")
 
     def __init__(
         self,
@@ -132,17 +109,13 @@ class _StepTable:
         n_arena: int,
         t: int,
         states_dtype: np.dtype = np.dtype(np.intp),
-        csr: bool = False,
     ) -> None:
-        # Lazily built native-kernel view of this table (a cffi struct plus
-        # its keepalive buffers); see repro.markov.native._step_struct.
-        self._native = None
-        self.sup_base = np.full(n_arena, -1, dtype=np.intp)
+        self.row_base = np.full(n_arena, -1, dtype=np.intp)
         sup_parts: list[np.ndarray] = []
         base = 0
         for block in blocks:
             states = block.model.support_at(t)
-            self.sup_base[block.pos] = base
+            self.row_base[block.pos] = base
             sup_parts.append(states)
             base += states.size
         n_rows = base
@@ -163,7 +136,6 @@ class _StepTable:
             if block.model.covers(t + 1):
                 next_base[block.pos] = nb
                 nb += block.model.support_at(t + 1).size
-        self.n_next = nb
         row_sizes = np.zeros(n_rows, dtype=np.intp)
         cdf_parts: list[np.ndarray] = []
         row_parts: list[np.ndarray] = []
@@ -174,15 +146,13 @@ class _StepTable:
                 continue
             layer = block.model.layer(t)
             width = max(width, layer.width)
-            gb = self.sup_base[block.pos]
+            gb = self.row_base[block.pos]
             row_sizes[gb : gb + layer.support.size] = np.diff(layer.indptr)
             cdf_parts.append(layer.cdf_flat)
-            if not csr:
-                row_parts.append(layer.entry_rows + gb)
+            row_parts.append(layer.entry_rows + gb)
             next_parts.append(layer.local_next + next_base[block.pos])
         self.tr_width = width
         self.tr_cdf_cols = self.tr_next_dense = None
-        self.csr_cdf = self.csr_indptr = self.csr_next = None
         if not next_parts:
             return
         cdf_all = np.concatenate(cdf_parts)
@@ -200,13 +170,6 @@ class _StepTable:
         filled = row_sizes > 0
         last = np.zeros(n_rows, dtype=next_all.dtype)
         last[filled] = next_all[tr_indptr[1:][filled] - 1]
-        if csr:
-            # Compact CSR for the C sweep: each row's own CDF entries and
-            # successors plus that one trailing entry — a row's true width
-            # of memory traffic, the same doubles in the same order.
-            self.csr_cdf, self.csr_indptr = cdf_all, tr_indptr
-            self.csr_next = np.insert(next_all, tr_indptr[1:], last)
-            return
         # Dense draw strategy (cf. CompiledLayer): per-row CDFs padded to
         # the table-wide max width with +inf, stored column-major so a draw
         # is ``width`` cache-friendly gathers from row-length arrays — and
@@ -236,7 +199,7 @@ class _StepTable:
 
 
 class SamplingArena:
-    """Packed inverse-CDF tables of many objects, fused per timestep.
+    """The objects a sweep may draw, and the numpy sweep's fused tables.
 
     Objects are registered once via :meth:`ensure` (idempotent) together
     with a stable ordering index — the engine passes the database's
@@ -245,10 +208,9 @@ class SamplingArena:
     tables are built lazily on first draw through a timestep and rebuilt
     only when the arena gains objects.
 
-    The arena owns the sweep: ``native=True`` packs each step as the
-    compact CSR the C sweep of :mod:`repro.markov.native` reads (no dense
-    table is ever built) and :func:`sample_paths_arena` runs that sweep;
-    the default packs the padded dense tables of the numpy sweep.
+    The arena owns the sweep: with ``native=True``
+    :func:`sample_paths_arena` runs the C sweep over each object's own
+    model tables and no step table is ever built.
 
     Table builds count into ``metrics``' ``arena_table_builds_total`` (an
     engine passes its registry, so the count survives arena resets).
@@ -297,27 +259,18 @@ class SamplingArena:
             object_id, int(order), self._pos_counter, model
         )
         self._pos_counter += 1
-        was_dtype = self._states_dtype
-        if self._states_dtype == np.int32:
-            # CompiledModel caches its span maximum, so a churny ingest
-            # stream (discard + re-ensure per observation) pays the O(span)
-            # support scan once per compiled model, not per registration.
-            if model.max_state >= np.iinfo(np.int32).max:
-                self._states_dtype = np.dtype(np.intp)
-        # A new object must join every built table whose step it covers
-        # (including tables at t-1, whose successor offsets depend on the
-        # support layout at t); tables elsewhere stay valid, so churny
-        # workloads that keep introducing candidates don't repack the
-        # whole horizon per query.
-        if self._states_dtype != was_dtype:
+        # CompiledModel caches its span maximum, so a churny ingest stream
+        # (discard + re-ensure per observation) scans it once per model.
+        if self._states_dtype == np.int32 and model.max_state >= np.iinfo(np.int32).max:
+            self._states_dtype = np.dtype(np.intp)
             self._tables.clear()
         else:
-            for t in [
-                t
-                for t in self._tables
-                if model.covers(t) or model.covers(t + 1)
-            ]:
-                del self._tables[t]
+            # A new object must join every built table whose step it covers
+            # (including tables at t-1, whose successor offsets depend on
+            # the support layout at t); tables elsewhere stay valid, so
+            # churny workloads that keep introducing candidates don't
+            # repack the whole horizon per query.
+            self._drop_tables(model)
         self._version += 1
 
     def discard(self, object_id: str) -> bool:
@@ -336,11 +289,7 @@ class SamplingArena:
         block = self._blocks.pop(object_id, None)
         if block is None:
             return False
-        model = block.model
-        for t in [
-            t for t in self._tables if model.covers(t) or model.covers(t + 1)
-        ]:
-            del self._tables[t]
+        self._drop_tables(block.model)
         self._version += 1
         # Retired positions accumulate as holes in the dense per-table
         # arrays; a long-running stream (discard + re-ensure per ingested
@@ -357,6 +306,10 @@ class SamplingArena:
             self._pos_counter = len(self._blocks)
             self._tables.clear()
         return True
+
+    def _drop_tables(self, model: CompiledModel) -> None:
+        for t in [t for t in self._tables if model.covers(t) or model.covers(t + 1)]:
+            del self._tables[t]
 
     def block(self, object_id: str) -> _Block:
         try:
@@ -378,8 +331,7 @@ class SamplingArena:
             ordered = sorted(self._blocks.values(), key=lambda b: b.order)
             members = [b for b in ordered if b.model.covers(t)]
             table = _StepTable(
-                members, ordered, self._pos_counter, t, self._states_dtype,
-                csr=self.native,
+                members, ordered, self._pos_counter, t, self._states_dtype
             )
             self._builds.inc()
             if len(self._tables) >= self.table_capacity:
@@ -399,7 +351,7 @@ def sample_paths_arena(
     requests: list[ArenaRequest],
     n: int,
 ) -> list[np.ndarray]:
-    """Draw ``n`` posterior paths per request in one fused pass.
+    """Draw ``n`` posterior paths per request in one pass.
 
     Returns one ``(n, t_hi - t_lo + 1)`` state array per request, in
     request order — each bit-identical to what the per-object
@@ -409,8 +361,8 @@ def sample_paths_arena(
 
     A native arena (``SamplingArena(native=True)``) runs the whole sweep
     through the C kernel tier (:mod:`repro.markov.native`) — byte-identical
-    results from the same RNG streams, one C call instead of a numpy sweep
-    per timestep; it raises the tier's descriptive error when the kernels
+    results from the same RNG streams, one C call over each request's own
+    model tables; it raises the tier's descriptive error when the kernels
     cannot load.
     """
     if n < 1:
@@ -449,8 +401,18 @@ def sample_paths_arena(
 
     if arena.native:
         return native_tier.draw_arena(
-            arena, requests, n, blocks, starts, pos, a_arr, b_arr, resumed
+            arena.states_dtype, requests, n, [block.model for block in blocks],
+            starts, a_arr, b_arr, resumed,
         )
+
+    widths = b_arr - a_arr + 1
+    buf = np.empty((n_req, int(widths.max()), n), dtype=arena.states_dtype)
+    if n_req <= FUSED_DRAW_THRESHOLD:
+        for r, req in enumerate(requests):
+            buf[r, : widths[r]] = blocks[r].model.sample_paths(
+                req.rng, n, a_arr[r], b_arr[r], start_states=starts[r]
+            ).T
+        return [buf[r, : int(widths[r])].T for r in range(n_req)]
 
     # Columnar layouts: request r owns row r (resp. column r) of every
     # tensor.  ``uniforms`` is time-major — block 0 holds the initial
@@ -459,7 +421,6 @@ def sample_paths_arena(
     # view.  ``rows`` carries every sample's *global* support row in the
     # current step's table (transition tables return next-step global rows
     # directly), ``buf`` collects the output columns.
-    widths = b_arr - a_arr + 1
     u_blocks = widths - resumed
     uniforms = np.empty((int(u_blocks.max()), n_req, n))
     for r, req in enumerate(requests):
@@ -468,7 +429,6 @@ def sample_paths_arena(
             # One bulk call consumes the per-object stream exactly like the
             # per-object sampler's sequence of rng.random(n) calls.
             uniforms[: int(u_blocks[r]), r] = req.rng.random(k).reshape(-1, n)
-    buf = np.empty((n_req, int(widths.max()), n), dtype=arena.states_dtype)
     rows = np.empty((n_req, n), dtype=np.intp)
     every = np.arange(n_req, dtype=np.intp)
     # The common engine shape — every candidate drawn over one shared
@@ -491,7 +451,7 @@ def sample_paths_arena(
             _, cdf = blocks[r].model.initial_table(t)
             picks = np.searchsorted(cdf, uniforms[0, r], side="right")
             np.minimum(picks, cdf.size - 1, out=picks)
-            rows[r] = picks + table.sup_base[pos[r]]
+            rows[r] = picks + table.row_base[pos[r]]
 
     for t in range(int(a_arr.min()), int(b_arr.max()) + 1):
         if lockstep:
@@ -501,7 +461,7 @@ def sample_paths_arena(
                     for r in every:
                         rows[r] = (
                             blocks[r].model.rows_of_states(t, starts[r])
-                            + table.sup_base[pos[r]]
+                            + table.row_base[pos[r]]
                         )
                 else:
                     fused_initial(table, t, every)
@@ -525,7 +485,7 @@ def sample_paths_arena(
         for r in starters[resumed[starters]]:
             rows[r] = (
                 blocks[r].model.rows_of_states(t, starts[r])
-                + table.sup_base[pos[r]]
+                + table.row_base[pos[r]]
             )
         buf[act, t - a_arr[act]] = table.states[rows[act]]
         mv = act[t < b_arr[act]]

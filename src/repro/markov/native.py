@@ -1,17 +1,19 @@
 """Native (C) kernel tier: the production sampler wherever it builds.
 
-The fused numpy arena (:func:`repro.markov.arena.sample_paths_arena`)
-removed the per-*object* Python loop from refinement sampling, but three
-inner loops remain dispatch-bound rather than FLOP-bound: the
-per-timestep transition sweep (one numpy call per CDF column per tic),
-the per-request initial inverse-CDF search, and the per-state
-distance-table gather in ``repro.core.refine.gather_distances``.  This
-module replaces all three with two C kernels (compiled on demand via
-cffi, see :mod:`._native_kernels`): one fused ``(steps × samples)``
-sweep that carries global row cursors across timesteps without returning
-to Python per tic, and one single-pass distance gather.  Both move whole rows of ``n`` worlds: the
-sweep fills tic-major ``(width, n)`` slabs and the gather reads them
-into the ``(object, tic, world)`` distance block.
+Two C kernels (compiled on demand via cffi, see :mod:`._native_kernels`)
+replace the loops of refinement that stay dispatch-bound in numpy: the
+possible-world sweep and the per-state distance-table gather of
+``repro.core.refine.gather_distances``.  The sweep draws each request
+from its own compiled model's tables
+(:class:`~repro.markov.compiled.ModelTables`, one flat CSR per model,
+laid out when the model's stretches compile): the initial draw and every
+transition of the request's window run in one C pass that carries
+model-row cursors across tics without returning to Python.  No tables
+are fused across objects — the § 5 worlds of one object are drawn
+independently of every other object's, so there is nothing to share.
+Both kernels move whole rows of ``n`` worlds: the sweep fills tic-major
+``(width, n)`` slabs and the gather reads them into the
+``(object, tic, world)`` distance block.
 
 Availability is probed once, on first use: :func:`available` returns
 ``False`` when cffi or a C compiler is missing, on 32-bit platforms, or
@@ -21,12 +23,13 @@ to the numpy sweep (``"compiled"``) otherwise; selecting
 ``backend="native"`` explicitly when the tier cannot load raises a
 descriptive error instead (:func:`require_native`).
 
-Every array crossing into C is checked where that is cheap — a step
-table once per build (:func:`_check_step`), the chaining of step tables
-and the gather's shapes once per call — and the gather kernel
-bounds-checks the indices Python cannot vouch for as cheaply (a gathered
-block's place in the distance block and its state ids) and returns a
-status: bad input is a ``ValueError``, never an out-of-bounds access.
+Every array crossing into C is checked where that is cheap — a model's
+tables once per model (:func:`_model_struct`, whose index checks run in
+C), the windows and the gather's shapes once per call — and the gather
+kernel bounds-checks the indices Python cannot vouch for as cheaply (a
+gathered block's place in the distance block and its state ids) and
+returns a status: bad input is a ``ValueError``, never an out-of-bounds
+access.
 
 Bit-reproducibility is non-negotiable and holds by construction: the
 native sweep consumes each request's RNG stream through the *same*
@@ -46,7 +49,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .arena import ArenaRequest, SamplingArena, _Block, _StepTable
+    from .arena import ArenaRequest
+    from .compiled import CompiledModel
 
 __all__ = [
     "LazySeededRng",
@@ -110,8 +114,7 @@ class LazySeededRng:
     The native sweep reads ``entropy`` directly and runs seeding plus
     uniform generation in C (:func:`seed_fill_ready` guards the port),
     bumping ``consumed`` by the number of doubles drawn; :meth:`random`
-    does the same for any other caller (the per-object sampler extending
-    a cached segment).  Anything else — user code poking
+    does the same for any other caller.  Anything else — user code poking
     ``.bit_generator`` — falls through ``__getattr__`` to a real Generator
     advanced past the natively-consumed doubles, landing on exactly the
     stream state the eager construction would have.  ``random(k)``
@@ -245,104 +248,86 @@ def _collect_lazy_entropy(requests):
 
 
 # ---------------------------------------------------------------------------
-# fused arena sweep
+# arena sweep
 # ---------------------------------------------------------------------------
 
-def _check_step(table: "_StepTable", states_dtype: np.dtype) -> None:
-    """Reject a step table the C sweep would read out of bounds.
+#: What the kernel reads, field by field of :class:`~repro.markov.compiled.ModelTables`.
+_MODEL_DTYPES = tuple(
+    np.dtype(d) for d in (np.intp, np.intp, np.float64, np.float64, np.intp, np.intp)
+)
 
-    Once per table build, vectorized: states in the dtype the sweep
-    writes; row pointers running from 0 to the CDF length without
-    decreasing; one successor per CDF entry plus one trailing entry per
-    row, every one a row of the next step's table; CDF rows
-    non-decreasing.
+#: ``repro_check_model``'s verdicts, by status.
+_MODEL_FAULTS = {
+    1: "row0 does not run from 0 to the row count through non-empty tics",
+    2: "init_cdf is not aligned with states",
+    3: "indptr does not run from 0 to the CDF length over the transition rows",
+    4: "the successor count does not match the rows",
+    5: "a successor is outside the next tic's rows",
+    6: "a CDF row decreases",
+}
+
+
+def _reject(what: str):
+    raise ValueError(f"model tables rejected at the C boundary: {what}")
+
+
+def _model_struct(ffi, model: "CompiledModel"):
+    """The ``repro_model`` over a compiled model's :attr:`tables`, checked.
+
+    Built and cached on the model at its first native draw: a model's
+    tables never change, and a recompiled object is a new model.  Every
+    array must be a contiguous vector of the dtype the kernel reads and
+    ``row0`` hold one entry per tic of the span (plus the row count);
+    ``repro_check_model`` then vouches for every index the sweep will
+    read — one pass over the tables, in C.  The cached pair is
+    ``(struct, keepalive)``; the keepalive list pins every numpy buffer
+    and cffi pointer the struct references.
     """
-    def fail(what: str):
-        raise ValueError(f"arena step table rejected at the C boundary: {what}")
-
-    if table.states.dtype != states_dtype:
-        fail(f"states are {table.states.dtype}, the sweep writes {states_dtype}")
-    if table.csr_cdf is None:
-        return
-    cdf, indptr, succ = table.csr_cdf, table.csr_indptr, table.csr_next
-    sizes = np.diff(indptr)
-    if (
-        cdf.dtype != np.float64
-        or indptr.dtype != np.intp
-        or succ.dtype not in (np.int32, np.intp)
-    ):
-        fail("a CDF, row pointer or successor array has the wrong dtype")
-    if indptr[0] != 0 or indptr[-1] != cdf.size or (sizes < 0).any():
-        fail("row pointers do not run from 0 to the CDF length")
-    if succ.size != cdf.size + sizes.size:
-        fail("the successor count does not match the rows")
-    if succ.size and (succ.min() < 0 or succ.max() >= table.n_next):
-        fail(f"a successor is outside the next step's {table.n_next} rows")
-    falling = np.diff(cdf) < 0
-    cut = indptr[1:-1]
-    falling[cut[(cut > 0) & (cut < cdf.size)] - 1] = False
-    if falling.any():
-        fail("a CDF row decreases")
-
-
-def _step_struct(ffi, table: "_StepTable", states_dtype: np.dtype):
-    """One ``repro_step`` wrapping a C-sweep :class:`_StepTable`'s arrays.
-
-    Checked (:func:`_check_step`) and cached on the table when first
-    wrapped — tables are themselves cached across draws and rebuilt on
-    arena changes, so the lifecycle is already right.  The keepalive list
-    pins every numpy buffer and cffi pointer the struct references;
-    callers must hold the returned pair for the duration of the kernel
-    call.
-    """
-    cached = table._native
+    cached = model.native
     if cached is not None:
         return cached
-    _check_step(table, states_dtype)
-    keep: list = []
-
-    def buf(array, ctype):
-        p = ffi.from_buffer(ctype, array)
-        keep.append((array, p))
-        return p
-
-    st = ffi.new("repro_step *")  # zero-initialized
-    keep.append(st)
-    if table.states.dtype == np.dtype(np.int32):
-        st.states32 = buf(table.states, "int32_t[]")
-    else:
-        st.states64 = buf(table.states, "int64_t[]")
-    st.sup_base = buf(table.sup_base, "int64_t[]")
-    if table.csr_cdf is not None:
-        st.csr_cdf = buf(table.csr_cdf, "double[]")
-        st.csr_indptr = buf(table.csr_indptr, "int64_t[]")
-        if table.csr_next.dtype == np.dtype(np.int32):
-            st.next32 = buf(table.csr_next, "int32_t[]")
-        else:
-            st.next64 = buf(table.csr_next, "int64_t[]")
-    table._native = (st, keep)
-    return table._native
+    tables = model.tables
+    md = ffi.new("repro_model *")
+    keep: list = [tables, md]
+    md.t_first = model.t_first
+    for name, array, dtype in zip(tables._fields, tables, _MODEL_DTYPES):
+        if array.dtype != dtype or array.ndim != 1 or not array.flags.c_contiguous:
+            _reject(f"{name} is not a contiguous {dtype} vector")
+        p = ffi.from_buffer("double[]" if dtype == np.float64 else "int64_t[]", array)
+        keep.append(p)
+        setattr(md, name, p)
+    n_tics = model.t_last - model.t_first + 1
+    if tables.row0.size != n_tics + 1:
+        _reject(f"row0 does not hold one entry per tic of [{model.t_first}, {model.t_last}]")
+    status = _module.lib.repro_check_model(
+        md, n_tics, tables.states.size, tables.init_cdf.size, tables.cdf.size,
+        tables.indptr.size, tables.next.size,
+    )
+    if status:
+        _reject(_MODEL_FAULTS[status])
+    model.native = (md, keep)
+    return model.native
 
 
 def draw_arena(
-    arena: "SamplingArena",
+    states_dtype: np.dtype,
     requests: "list[ArenaRequest]",
     n: int,
-    blocks: "list[_Block]",
+    models: "list[CompiledModel]",
     starts: list[np.ndarray | None],
-    pos: np.ndarray,
     a_arr: np.ndarray,
     b_arr: np.ndarray,
     resumed: np.ndarray,
 ) -> list[np.ndarray]:
-    """Native back half of :func:`sample_paths_arena` (validated inputs).
+    """Native back half of :func:`sample_paths_arena` (validated windows).
 
-    Consumes each request's RNG stream exactly like the numpy path —
-    ``u_blocks · n`` doubles per request, in stream order.  An all-lazy
-    batch (the engine's native bulk path) never touches a ``Generator``:
-    the C sweep seeds each stream from its entropy words and draws the
-    doubles on the fly; any other batch pre-draws one bulk ``random``
-    fill per request, then the sweep runs in one C call either way.
+    Request ``r`` draws from ``models[r]``'s own tables.  Consumes each
+    request's RNG stream exactly like the numpy path — ``u_blocks · n``
+    doubles per request, in stream order.  An all-lazy batch (the
+    engine's native path) never touches a ``Generator``: the C sweep
+    seeds each stream from its entropy words and draws the doubles on the
+    fly; any other batch pre-draws one bulk ``random`` fill per request,
+    then the sweep runs in one C call either way.
     """
     require_native()
     ffi, lib = _module.ffi, _module.lib
@@ -366,49 +351,19 @@ def draw_arena(
             if k:
                 req.rng.random(out=uniforms[r, :k].reshape(-1))
 
-    t0 = int(a_arr.min())
-    n_steps = int(b_arr.max()) - t0 + 1
-    # Steps no request covers (disjoint windows) stay zeroed placeholder
-    # structs, matching the numpy sweep's idle gap tics.
-    cover = np.zeros(n_steps + 1, dtype=np.intp)
-    np.add.at(cover, a_arr - t0, 1)
-    np.add.at(cover, b_arr - t0 + 1, -1)
-    active = np.cumsum(cover[:-1]) > 0
     keep: list = []
-    tables: list = []  # pins tables against cache eviction mid-call
-    steps_c = ffi.new("repro_step[]", n_steps)
-    states_dtype = arena.states_dtype
-    for i in np.flatnonzero(active):
-        table = arena.table(t0 + int(i))
-        if i and active[i - 1] and tables[-1].n_next != table.states.size:
-            raise ValueError(f"step tables {t0 + i - 1} and {t0 + i} disagree on rows")
-        tables.append(table)
-        st, st_keep = _step_struct(ffi, table, states_dtype)
-        steps_c[i] = st[0]
-        keep.append(st_keep)
-
-    rows = np.empty(n_req * n, dtype=np.intp)
-    rows2d = rows.reshape(n_req, n)
-    init_ptrs = ffi.new("double *[]", n_req)
-    init_len = np.zeros(n_req, dtype=np.intp)
-    for r in range(n_req):
-        t_a = int(a_arr[r])
+    models_c = ffi.new("repro_model *[]", n_req)
+    rows = np.empty((n_req, n), dtype=np.intp)
+    for r, model in enumerate(models):
+        md, md_keep = _model_struct(ffi, model)
+        keep.append(md_keep)
+        models_c[r] = md
         if resumed[r]:
-            table = arena.table(t_a)
-            rows2d[r] = (
-                blocks[r].model.rows_of_states(t_a, starts[r])
-                + table.sup_base[pos[r]]
+            t = int(a_arr[r])
+            rows[r] = (
+                model.rows_of_states(t, starts[r])
+                + model.tables.row0[t - model.t_first]
             )
-        else:
-            block = blocks[r]
-            cached = block.init_native.get(t_a)
-            if cached is None:
-                _, cdf = block.model.initial_table(t_a)
-                cdf = np.ascontiguousarray(cdf)
-                cached = (cdf, ffi.from_buffer("double[]", cdf))
-                block.init_native[t_a] = cached
-            init_ptrs[r] = cached[1]
-            init_len[r] = cached[0].size
 
     # Destinations are tic-major ``(width, n)`` slabs — the numpy sweep's
     # buffer order, which the kernel fills one contiguous row per tic.
@@ -420,32 +375,18 @@ def draw_arena(
         keep.append(p)
         out_ptrs[r] = p
 
+    entropy, consumed = lazy if lazy is not None else (None, None)
+
+    def buf(ctype, array):
+        return ffi.NULL if array is None else ffi.from_buffer(ctype, array)
+
     lib.repro_arena_sweep(
-        t0,
-        n_steps,
-        n_req,
-        n,
-        ffi.from_buffer("int64_t[]", a_arr),
-        ffi.from_buffer("int64_t[]", b_arr),
-        ffi.from_buffer("uint8_t[]", resumed.view(np.uint8)),
-        ffi.from_buffer("int64_t[]", pos),
-        ffi.from_buffer("double[]", uniforms.reshape(-1))
-        if uniforms is not None
-        else ffi.NULL,
-        max_blocks * n,
-        ffi.from_buffer("uint32_t[]", lazy[0].reshape(-1))
-        if lazy is not None
-        else ffi.NULL,
-        lazy[0].shape[1] if lazy is not None else 0,
-        ffi.from_buffer("int64_t[]", lazy[1])
-        if lazy is not None
-        else ffi.NULL,
-        init_ptrs,
-        ffi.from_buffer("int64_t[]", init_len),
-        ffi.from_buffer("int64_t[]", rows),
-        steps_c,
-        1 if states_dtype == np.dtype(np.int32) else 0,
-        out_ptrs,
+        n_req, n, buf("int64_t[]", a_arr), buf("int64_t[]", b_arr),
+        buf("uint8_t[]", resumed.view(np.uint8)), models_c,
+        buf("double[]", uniforms), max_blocks * n,
+        buf("uint32_t[]", entropy), 0 if entropy is None else entropy.shape[1],
+        buf("int64_t[]", consumed), buf("int64_t[]", rows),
+        int(states_dtype == np.int32), out_ptrs,
     )
     if lazy is not None:
         for r, req in enumerate(requests):
@@ -464,9 +405,8 @@ def can_gather_rows(blocks: "list[np.ndarray]") -> bool:
     """Whether :func:`gather_distance_rows` handles these state blocks.
 
     Each must be a C-contiguous tic-major ``(tics, n)`` block of a
-    gatherable dtype — what the transpose of any sampler output is (the
-    arena writes int32 states, the per-object sampler intp; one call may
-    mix them); a world-major copy made on the way here fails the check
+    gatherable dtype — what the transpose of any sampler output is (int32
+    or int64 states; one call may mix them); a world-major copy made on the way here fails the check
     and silently takes the numpy gather instead.
     """
     if not available() or not blocks:

@@ -242,7 +242,7 @@ class ObservationStream:
                 if object_id not in present:
                     raise KeyError(f"event {i}: unknown object {object_id!r}")
                 try:
-                    observation = Observation(int(event.time), int(event.state))
+                    observation = Observation(event.time, event.state)
                 except (TypeError, ValueError) as exc:
                     raise ValueError(
                         f"event {i} (object {object_id!r}): {exc}"

@@ -238,7 +238,7 @@ class TrajectoryDatabase:
         """
         old = self.get(object_id)
         self.check_states(
-            f"object {old.object_id!r}", [Observation(int(time), int(state))]
+            f"object {old.object_id!r}", [Observation(time, state)]
         )
         replacement = old.with_observation(time, state)
         self._objects[old.object_id] = replacement

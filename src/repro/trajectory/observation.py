@@ -7,20 +7,39 @@ anything between observations is uncertain.
 
 from __future__ import annotations
 
+import math
+import numbers
+import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 __all__ = ["Observation", "ObservationSet"]
 
 
+def _integral(name: str, value) -> int:
+    """``value`` as an ``int``: integers (numpy's too) and integral finite floats."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        real = isinstance(value, numbers.Real)
+        if real and math.isfinite(value) and float(value).is_integer():
+            return int(value)
+        raise (ValueError if real else TypeError)(
+            f"{name} must be an integer, got {value!r}"
+        ) from None
+
+
 @dataclass(frozen=True, order=True)
 class Observation:
-    """One certain sighting: object was at ``state`` at ``time``."""
+    """One certain sighting: object was at ``state`` at ``time`` (integers:
+    a fractional or non-finite value is refused, never truncated)."""
 
     time: int
     state: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "time", _integral("time", self.time))
+        object.__setattr__(self, "state", _integral("state", self.state))
         if self.state < 0:
             raise ValueError(f"state must be a non-negative index, got {self.state}")
 
@@ -30,7 +49,7 @@ class ObservationSet:
 
     def __init__(self, observations: Sequence[Observation | tuple[int, int]]) -> None:
         parsed = [
-            o if isinstance(o, Observation) else Observation(int(o[0]), int(o[1]))
+            o if isinstance(o, Observation) else Observation(o[0], o[1])
             for o in observations
         ]
         if not parsed:

@@ -124,7 +124,7 @@ class UncertainObject:
         duplicate observation time raises.
         """
         observations = ObservationSet(
-            list(self.observations) + [Observation(int(time), int(state))]
+            list(self.observations) + [Observation(time, state)]
         )
         extend_to = self.extend_to
         if extend_to is not None and extend_to < observations.last.time:

@@ -25,7 +25,12 @@ import repro.core.evaluator as evaluator_module
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query
 from repro.markov import native
-from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
+from repro.markov.arena import (
+    FUSED_DRAW_THRESHOLD,
+    ArenaRequest,
+    SamplingArena,
+    sample_paths_arena,
+)
 from repro.serve import ServeCoordinator
 from repro.trajectory.nn import (
     exists_knn_prob,
@@ -233,9 +238,9 @@ class TestSamplerHandsOutItsSweepOrder:
             assert paths.base is drawn[0].base  # slabs of the sweep buffer
 
     def test_small_draw_path_per_object_sampler(self):
-        """``CompiledModel.sample_paths`` — what the engine uses under
-        ``FUSED_DRAW_THRESHOLD`` — and the reference walk hand out the
-        same order."""
+        """``CompiledModel.sample_paths`` — what the numpy sweep uses for
+        ``FUSED_DRAW_THRESHOLD`` requests or fewer — and the reference walk
+        hand out the same order."""
         obj = _db().get("o1")
         for name, sample in (
             ("compiled", obj.adapted.sample_paths),
@@ -258,7 +263,7 @@ class TestWorldCacheKeepsTheOrder:
         engine = _engine(kind, db)
         engine.distance_tensor(IDS, Q, np.arange(3, 8))
         (requests, outputs), = sweeps
-        assert len(requests) == len(IDS) > engine.FUSED_DRAW_THRESHOLD
+        assert len(requests) == len(IDS) > FUSED_DRAW_THRESHOLD
         for req, paths in zip(requests, outputs):
             seg = engine.worlds.peek((req.object_id, N))
             assert _world_minor(seg.states), req.object_id
@@ -269,8 +274,8 @@ class TestWorldCacheKeepsTheOrder:
     @pytest.mark.parametrize("kind", ["shared", "native_shared"])
     def test_forward_extensions_append_rows(self, kind, ids):
         """Three growing windows: a fresh draw and two forward extensions,
-        through the fused sweep (7 draws) and the per-object path under
-        ``FUSED_DRAW_THRESHOLD`` (2 draws).  The grown segment equals a
+        through the fused sweep (7 draws) and — on the numpy sweep — the
+        per-object path under ``FUSED_DRAW_THRESHOLD`` (2 draws).  The grown segment equals a
         one-shot draw of the union window, in the same memory order."""
         db = _db()
         engine = _engine(kind, db)

@@ -228,7 +228,7 @@ class TestArenaValidation:
         after = arena.table(t)
         assert after is not before
         if models[ids[1]].covers(t):
-            assert after.sup_base[arena.block(ids[1]).pos] >= 0
+            assert after.row_base[arena.block(ids[1]).pos] >= 0
 
     def test_empty_request_list(self):
         arena = _arena(_models(0))
@@ -272,14 +272,14 @@ class TestArenaValidation:
         assert model._max_state == expected
         # Booby-trap the support tables: any rescan during re-registration
         # would now blow up instead of silently re-walking the span.
-        real_initials = model._initials
-        model._initials = {}
+        real = model._tables, model._parts
+        model._tables, model._parts = None, None
         try:
             for _ in range(20):
                 assert arena.discard(oid) is True
                 arena.ensure(oid, model, order=0)
         finally:
-            model._initials = real_initials
+            model._tables, model._parts = real
         assert arena.states_dtype == np.dtype(np.int32)
 
     def test_states_dtype_promotes_exactly_at_int32_max(self):

@@ -16,12 +16,7 @@ from repro.markov import native
 from repro.markov.adaptation import adapt_model
 from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from repro.markov.chain import MarkovChain
-from repro.markov.compiled import (
-    CompiledLayer,
-    CompiledMatrix,
-    CompiledModel,
-    compile_model,
-)
+from repro.markov.compiled import CompiledMatrix, compile_model
 from tests.conftest import make_drift_chain
 from tests.oracles import reference_sample_paths
 
@@ -202,13 +197,16 @@ def boundary_row():
     assert 1000 + np.cumsum(probs)[0] == 1000 + 0.5
     support, next_support = np.arange(m), np.arange(fan)
     indptr = np.concatenate([np.arange(m), [m - 1 + fan]])
-    local_next = np.concatenate([np.zeros(m - 1, dtype=np.intp), next_support])
+    next_states = np.concatenate([np.zeros(m - 1, dtype=np.intp), next_support])
     all_probs = np.concatenate([np.ones(m - 1), probs])
-    layer = CompiledLayer(support, indptr, local_next, all_probs)
-    model = CompiledModel(
-        0, 1, {0: layer},
-        {0: (support, np.linspace(1 / m, 1, m)), 1: (next_support, np.cumsum(probs))},
+    stretch = SimpleNamespace(
+        key=(0, None, 1, None),
+        layers=[(support, indptr, next_states, all_probs)],
+        posterior=[(support, np.full(m, 1 / m)), (next_support, probs)],
+        compiled=None,
     )
+    model = compile_model(SimpleNamespace(t_first=0, t_last=1, stretches=lambda: (stretch,)))
+    layer = model.layer(0)
     walk = SimpleNamespace(transitions={0: {m - 1: (next_support, probs)}})
     (want,) = reference_sample_paths(
         walk, _Halves(), 1, 0, 1, start_states=np.array([m - 1])

@@ -139,8 +139,7 @@ class TestArenaLockstep:
             np.testing.assert_array_equal(a, b)
 
     def test_mixed_windows_gaps_and_wide_rows(self, models):
-        arena = _arena(models, c_sweep=True)
-        assert max(np.diff(arena.table(t).csr_indptr).max() for t in range(8)) > 64
+        assert max(np.diff(m.tables.indptr).max() for m in models) > 64
 
         def requests():
             return [
@@ -367,10 +366,11 @@ class TestEngineParity:
         )
         np.testing.assert_array_equal(handle.random(16), eager.random(16))
 
-    def test_per_object_draws_seed_no_generator(self, monkeypatch):
-        """A monitor tick that redraws one dirty object takes the
-        per-object sampler, and its RNG is a lazy handle too: no
-        ``SeedSequence`` is built anywhere in the tick."""
+    def test_one_dirty_object_redraws_in_c_seeding_no_generator(self, monkeypatch):
+        """A monitor tick that redraws one dirty object draws it in the C
+        sweep like any other batch — never through the per-object
+        sampler — from a lazy handle: no ``SeedSequence`` is built
+        anywhere in the tick."""
         from repro.markov.adaptation import AdaptedModel
         from repro.stream import AddObservation
         from repro.stream.monitor import ContinuousMonitor
@@ -402,8 +402,9 @@ class TestEngineParity:
 
         monkeypatch.setattr(np.random, "SeedSequence", counting_seed_sequence)
         monkeypatch.setattr(AdaptedModel, "sample_paths", counting_sample_paths)
-        monitor.tick([AddObservation(oid, t, state)])
-        assert per_object
+        report = monitor.tick([AddObservation(oid, t, state)])
+        assert report.reuse["sampler_calls"] >= 1
+        assert per_object == []
         assert seeded == []
 
     @pytest.mark.parametrize("n_shards", [1, 2, 4])
@@ -504,8 +505,8 @@ class TestEntropyTemplate:
 
 
 class TestDefaultAndLayout:
-    """The default resolves to the C sweep wherever it loads; a C-sweep
-    arena packs compact CSR only; parked handles copy and pickle."""
+    """The default resolves to the C sweep wherever it loads; the C sweep
+    reads each model's own tables; parked handles copy and pickle."""
 
     def test_default_backend_resolves_once(self):
         eng = QueryEngine(_parity_db(), n_samples=8, seed=5)
@@ -521,21 +522,32 @@ class TestDefaultAndLayout:
             for shard in range(2):
                 assert coord._transport.worker(shard).engine.backend == coord.engine.backend
 
-    def test_c_sweep_tables_are_the_depadded_dense_tables(self, models):
-        from tests.oracles import depadded_csr
-
-        dense, compact = _arena(models), _arena(models, c_sweep=True)
-        for t in range(max(m.t_last for m in models) + 1):
-            d, c = dense.table(t), compact.table(t)
-            assert c.tr_cdf_cols is None and c.tr_next_dense is None
-            assert d.csr_cdf is None
-            assert c.states.tobytes() == d.states.tobytes()
-            if d.tr_cdf_cols is None:
-                assert c.csr_cdf is None
-                continue
-            got = (c.csr_cdf, c.csr_indptr, c.csr_next)
-            for g, w in zip(got, depadded_csr(d)):
-                assert g.dtype == w.dtype and g.tobytes() == w.tobytes(), t
+    def test_model_tables_are_the_depadded_layers(self, models):
+        """What the C sweep reads of a model is its layers, end to end:
+        every tic's support and initial CDF, each layer's CSR CDFs, and its
+        padded successor table cut back to one trailing entry per row and
+        shifted to model rows."""
+        for model in models:
+            tics = range(model.t_first, model.t_last + 1)
+            row0 = np.cumsum([0] + [model.support_at(t).size for t in tics])
+            indptr, succ = [np.zeros(1, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
+            for i, t in enumerate(tics[:-1]):
+                layer = model.layer(t)
+                padded = layer.next_flat.reshape(-1, layer.width + 1)
+                kept = np.arange(layer.width + 1) <= np.diff(layer.indptr)[:, None]
+                succ.append(padded[kept] + row0[i + 1])
+                indptr.append(layer.indptr[1:] + indptr[-1][-1])
+            want = {
+                "row0": row0,
+                "states": np.concatenate([model.support_at(t) for t in tics]),
+                "init_cdf": np.concatenate([model.initial_table(t)[1] for t in tics]),
+                "cdf": np.concatenate([model.layer(t).cdf_flat for t in tics[:-1]]),
+                "indptr": np.concatenate(indptr),
+                "next": np.concatenate(succ),
+            }
+            for name, got in model.tables._asdict().items():
+                w = want[name]
+                assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), name
 
     @pytest.mark.parametrize("materialized", [False, True])
     @pytest.mark.parametrize(

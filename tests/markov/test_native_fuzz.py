@@ -5,10 +5,11 @@ numpy sweep (resp. the numpy gather) byte for byte — never a silent wrong
 answer, never an out-of-bounds access.  The cases cover what the engine
 never produces on its own: width-1 windows, ``n = 1``, resumed-only
 batches, int32 and int64 state outputs, CSR rows wider than 64 entries,
-and step tables corrupted after packing — successors outside the next step's
-rows, decreasing CDF rows, broken row pointers, a states dtype the sweep
-does not write — plus distance-gather calls with state ids outside the
-table and blocks placed outside ``out``.
+and model tables corrupted before their first native draw — successors
+outside the next tic's rows, decreasing CDF rows, broken row pointers, a
+states dtype the sweep does not read, an initial CDF out of line with the
+states, an empty tic — plus distance-gather calls with state ids outside
+the table and blocks placed outside ``out``.
 
 The same module runs under AddressSanitizer/UBSan in
 ``test_native_sanitized.py``: there a read or write past any buffer is
@@ -17,6 +18,7 @@ a hard failure even when the result happens to come out right.
 
 from __future__ import annotations
 
+import copy
 import functools
 
 import numpy as np
@@ -133,6 +135,45 @@ def _requests(specs, lazy):
     ]
 
 
+#: What :func:`_damaged` can break in a model's tables.
+DAMAGE = ("successor", "states", "init_cdf", "indptr", "cdf", "row0")
+
+
+def _damaged(model, kind, pick):
+    """A twin of ``model`` (no checked struct yet) whose tables carry one
+    ``kind`` of damage, placed by ``pick(options)``; ``None`` when the
+    tables have nothing of that kind to break."""
+    tables = model.tables
+    sizes = np.diff(tables.indptr)
+    if kind == "successor" and tables.next.size:
+        bad = tables.next.copy()
+        bad[pick(range(bad.size))] = pick([-1, 0, tables.row0[-1], 2**30])
+        tables = tables._replace(next=bad)
+    elif kind == "states":
+        tables = tables._replace(states=tables.states.astype(np.int32))
+    elif kind == "init_cdf":
+        tables = tables._replace(init_cdf=tables.init_cdf[:-1].copy())
+    elif kind == "indptr" and sizes.size:
+        bad = tables.indptr.copy()
+        bad[pick(range(1, bad.size))] = pick([bad[-1] + 1, -1])
+        tables = tables._replace(indptr=bad)
+    elif kind == "cdf" and (sizes > 1).any():
+        lo = tables.indptr[pick(np.flatnonzero(sizes > 1))]
+        bad = tables.cdf.copy()
+        bad[lo + 1] = bad[lo] - 0.25
+        tables = tables._replace(cdf=bad)
+    elif kind == "row0" and tables.row0.size > 2:  # a tic with no rows
+        bad = tables.row0.copy()
+        k = pick(range(1, bad.size - 1))
+        bad[k] = bad[k - 1]
+        tables = tables._replace(row0=bad)
+    else:
+        return None
+    twin = copy.copy(model)
+    twin.native, twin._tables = None, tables
+    return twin
+
+
 class TestSweepFuzz:
     @FUZZ
     @given(batch=_batches(), lazy=st.booleans(), int64_states=st.booleans())
@@ -140,11 +181,7 @@ class TestSweepFuzz:
         models, n, specs = batch
         arena = _arena(models, True, int64_states)
         got = sample_paths_arena(arena, _requests(specs, lazy), n)
-        if any(
-            np.diff(arena.table(t).csr_indptr).max() > 64
-            for _, a, b, _ in specs
-            for t in range(a, b)
-        ):
+        if any(np.diff(models[i].tables.indptr).max(initial=0) > 64 for i, _, _, _ in specs):
             event("a CSR row wider than 64 entries")
         want = sample_paths_arena(
             _arena(models, False, int64_states), _requests(specs, lazy), n
@@ -156,51 +193,27 @@ class TestSweepFuzz:
     @FUZZ
     @given(batch=_batches(), data=st.data())
     def test_corrupted_tables_raise(self, batch, data):
-        """A table damaged after packing is refused before the kernel
-        reads it: the boundary check runs on every table's first use."""
+        """Model tables damaged before the model's first native draw are
+        refused before the kernel reads them: the boundary check runs on
+        every model's first use."""
         models, n, specs = batch
-        arena = _arena(models, True, False)
-        active = sorted({t for _, a, b, _ in specs for t in range(a, b + 1)})
-        damage = []
-        for t in active:
-            table = arena.table(t)
-            if table.csr_cdf is not None:
-                sizes = np.diff(table.csr_indptr)
-                damage += [(table, "successor"), (table, "states")]
-                if sizes.size > 1:
-                    damage.append((table, "indptr"))
-                if (sizes > 1).any():
-                    damage.append((table, "cdf"))
-            if t + 1 in active:
-                damage.append((table, "chain"))
-        if not damage:
-            return
-        table, kind = data.draw(st.sampled_from(damage))
+        i = data.draw(st.sampled_from(sorted({i for i, _, _, _ in specs})))
+        kinds = [k for k in DAMAGE if _damaged(models[i], k, lambda xs: xs[0]) is not None]
+        kind = data.draw(st.sampled_from(kinds))
         event(kind)
-        if kind == "successor":
-            k = data.draw(st.integers(0, table.csr_next.size - 1))
-            bad = table.csr_next.copy()
-            bad[k] = data.draw(st.sampled_from([-1, table.n_next, 2**30]))
-            table.csr_next = bad
-        elif kind == "states":
-            other = np.int64 if table.states.dtype == np.int32 else np.int32
-            table.states = table.states.astype(other)
-        elif kind == "indptr":
-            bad = table.csr_indptr.copy()
-            k = data.draw(st.integers(1, bad.size - 1))
-            bad[k] = data.draw(st.sampled_from([bad[-1] + 1, -1]))
-            table.csr_indptr = bad
-        elif kind == "cdf":
-            rows = np.flatnonzero(np.diff(table.csr_indptr) > 1)
-            lo = table.csr_indptr[data.draw(st.sampled_from(list(rows)))]
-            bad = table.csr_cdf.copy()
-            bad[lo + 1] = bad[lo] - 0.25
-            table.csr_cdf = bad
-        else:  # the next step's table no longer has the rows this one targets
-            table.n_next += 1
-        fresh = [(i, a, b, None) for i, a, b, _ in specs]
-        with pytest.raises(ValueError):
-            sample_paths_arena(arena, _requests(fresh, True), n)
+        models = list(models)
+        models[i] = _damaged(models[i], kind, lambda xs: data.draw(st.sampled_from(xs)))
+        fresh = [(j, a, b, None) for j, a, b, _ in specs]
+        with pytest.raises(ValueError, match="at the C boundary"):
+            sample_paths_arena(_arena(models, True, False), _requests(fresh, True), n)
+
+    @pytest.mark.parametrize("kind", DAMAGE)
+    def test_every_kind_of_damage_is_refused(self, kind):
+        model = _model(12, 0, 5, 5, 2, False, 3)
+        damaged = _damaged(model, kind, lambda xs: xs[len(xs) // 2])
+        arena = _arena([damaged], True, False)
+        with pytest.raises(ValueError, match="at the C boundary"):
+            sample_paths_arena(arena, _requests([(0, 0, model.t_last, None)], True), 4)
 
 
 def _numpy_gather(per_state, blocks, cols, first_tic, out):

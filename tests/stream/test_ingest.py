@@ -1,5 +1,6 @@
 """Ingestion-front tests: event validation, dirty sets, version parity."""
 
+import numpy as np
 import pytest
 
 from repro.stream import (
@@ -221,6 +222,40 @@ class TestErrorAttribution:
             match=r"event 1 \(object 'b'\): simulated storage failure",
         ):
             stream.apply([RemoveObject("a"), AddObservation("b", 2, 1)])
+
+    @pytest.mark.parametrize(
+        "event, pattern",
+        [
+            (AddObservation("a", 2.5, 1), r"event 1 \(object 'a'\): time must be an integer, got 2.5"),
+            (AddObservation("a", float("inf"), 1), r"event 1 \(object 'a'\): time .* got inf"),
+            (AddObservation("a", 2, float("nan")), r"event 1 \(object 'a'\): state .* got nan"),
+            (AddObject("c", [(0.5, 0), (3.9, 2)]), r"event 1 \(object 'c'\): time .* got 0.5"),
+        ],
+        ids=["fractional-time", "infinite-time", "nan-state", "fractional-object"],
+    )
+    def test_hostile_observation_values_are_named_not_truncated(self, db, event, pattern):
+        stream = ObservationStream(db)
+        v = db.version
+        for check in (stream.validate, stream.apply):
+            with pytest.raises(ValueError, match=pattern):
+                check([RemoveObject("b"), event])
+        assert db.version == v and "b" in db and "c" not in db
+        assert db.get("a").observations.times == (0, 4)
+
+    def test_direct_api_rejects_fractional_observations(self, db):
+        v = db.version
+        with pytest.raises(ValueError, match="time must be an integer"):
+            db.add_observation("a", 2.5, 1)
+        with pytest.raises(ValueError, match="state must be an integer"):
+            db.add_object("c", [(0, 0.5), (3, 2)])
+        assert db.version == v
+
+    def test_integral_floats_and_numpy_integers_land_as_integers(self, db):
+        ObservationStream(db).apply(
+            [AddObservation("a", 2.0, np.int64(1)), AddObject("c", [(0.0, 0), (np.int32(3), 2.0)])]
+        )
+        assert db.get("a").observations.as_pairs() == [(0, 0), (2, 1), (4, 2)]
+        assert db.get("c").observations.as_pairs() == [(0, 0), (3, 2)]
 
     def test_public_validate_is_side_effect_free(self, db):
         stream = ObservationStream(db)

@@ -181,6 +181,8 @@ class TestEngineOptionCount:
             # tier's second absorption path and the offset-CDF draw.
             r"|bind_metrics|table_build_counter|_m_(hits|partial|misses)|_shard_counters"
             r"|Reply\(counters|metrics is (not )?None(?! else MetricsRegistry)|\baug\b"
+            # ... and of the C sweep's fused step tables.
+            r"|sup_base|repro_step\b|_step_struct|_check_step|init_native"
         )
         src = Path(repro.__file__).parent
         hits = [
@@ -190,6 +192,11 @@ class TestEngineOptionCount:
             if pattern.search(line)
         ]
         assert hits == []
+        # The engine draws through the arena alone: the numpy sweep's size
+        # selection is the arena's business.
+        core = [path.name for path in (src / "core").rglob("*.py")
+                if "FUSED_DRAW_THRESHOLD" in path.read_text()]
+        assert core == []
 
     def test_samplers_take_no_destination_buffers(self):
         from repro.markov import native

@@ -202,19 +202,22 @@ class TestMutationUnderQueryLockstep:
         assert "b" not in inc._rng_tags and "a" in inc._rng_tags
 
 
-def test_small_dirty_redraw_bypasses_arena_repack():
-    """A tick-shaped redraw (1 dirty object, everyone else cached) must
-    not re-pack the dirty object into the fused arena it never draws
-    from — the per-object bypass serves it."""
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_small_dirty_redraw_builds_no_step_table(backend):
+    """A tick-shaped redraw (1 dirty object, everyone else cached) builds
+    no fused step table: the C sweep reads the object's own model, and
+    the numpy sweep draws a request this small per object."""
     db = TrajectoryDatabase(make_line_space(8), make_drift_chain(8))
-    for i in range(6):  # enough objects that the prime uses the arena
+    for i in range(6):  # enough objects that the numpy prime fuses
         db.add_object(f"o{i}", [(0, i), (4, i + 2)])
     engine = QueryEngine(
-        db, n_samples=100, seed=7, reuse_worlds=True, use_pruning=False
+        db, n_samples=100, seed=7, reuse_worlds=True, use_pruning=False, backend=backend
     )
     q = Query.from_point([0.0, 0.0])
-    engine.forall_nn(q, [1, 2, 3])  # primes cache + arena (6 > threshold)
-    assert "o0" in engine._arena
+    engine.forall_nn(q, [1, 2, 3])  # primes cache + arena
+    builds = engine.metrics.value("arena_table_builds_total")
+    assert (builds == 0) == (backend == "native")
     db.add_observation("o0", 2, 1)
-    engine.forall_nn(q, [1, 2, 3])  # 1 miss -> per-object bypass
-    assert "o0" not in engine._arena  # discarded, never re-packed
+    engine.forall_nn(q, [1, 2, 3])  # 1 miss
+    assert engine.metrics.value("arena_table_builds_total") == builds
+    assert engine._arena.block("o0").model is db.get("o0").compiled  # the new model

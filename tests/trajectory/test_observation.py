@@ -1,5 +1,6 @@
 """Tests for observations and observation sets."""
 
+import numpy as np
 import pytest
 
 from repro.trajectory.observation import Observation, ObservationSet
@@ -68,3 +69,33 @@ class TestObservationSet:
         assert len(s) == 2
         assert s[0] == Observation(0, 5)
         assert [o.time for o in s] == [0, 1]
+
+
+class TestHostileValues:
+    """Times and states are integers: a fractional or non-finite value is
+    refused where the observation is made, never truncated."""
+
+    @pytest.mark.parametrize(
+        "time, state",
+        [(1.5, 2), (2, 2.5), (1.5, 2.5), (float("inf"), 1), (float("-inf"), 0),
+         (float("nan"), 1), (1, float("inf")), (np.float64(3.25), 0)],
+    )
+    def test_non_integral_or_non_finite_rejected(self, time, state):
+        with pytest.raises(ValueError, match="must be an integer"):
+            Observation(time, state)
+
+    def test_set_rejects_instead_of_truncating(self):
+        with pytest.raises(ValueError, match="time must be an integer, got 2.7"):
+            ObservationSet([(2.7, 3), (5.2, 1)])
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        obs = Observation(np.int64(3), 2.0)
+        assert obs == Observation(3, 2)
+        assert type(obs.time) is int and type(obs.state) is int
+        s = ObservationSet([(np.int32(4), np.float64(1.0)), (np.uint8(0), True)])
+        assert s.as_pairs() == [(0, 1), (4, 1)]
+
+    @pytest.mark.parametrize("value", [None, "3", [1]])
+    def test_non_numbers_rejected(self, value):
+        with pytest.raises(TypeError, match="must be an integer"):
+            Observation(value, 0)
