@@ -75,15 +75,22 @@ class ArenaRequest:
 
 
 class _Block:
-    """One registered object: its compiled model and stable arena position."""
+    """One registered object: its compiled model and stable arena position.
 
-    __slots__ = ("object_id", "order", "pos", "model")
+    ``native`` caches the C sweep's checked struct over ``model.tables``
+    (set by :mod:`repro.markov.native` on the block's first native draw).
+    It lives here, on the engine-owned arena, and not on the model: models
+    travel with pickled database objects, cffi handles cannot.
+    """
+
+    __slots__ = ("object_id", "order", "pos", "model", "native")
 
     def __init__(self, object_id: str, order: int, pos: int, model: CompiledModel) -> None:
         self.object_id = object_id
         self.order = order
         self.pos = pos
         self.model = model
+        self.native = None
 
 
 class _StepTable:
@@ -401,8 +408,7 @@ def sample_paths_arena(
 
     if arena.native:
         return native_tier.draw_arena(
-            arena.states_dtype, requests, n, [block.model for block in blocks],
-            starts, a_arr, b_arr, resumed,
+            arena.states_dtype, requests, n, blocks, starts, a_arr, b_arr, resumed
         )
 
     widths = b_arr - a_arr + 1

@@ -212,7 +212,7 @@ class CompiledModel:
     """
 
     __slots__ = (
-        "t_first", "t_last", "_layers", "_parts", "_last", "_tables", "_max_state", "native",
+        "t_first", "t_last", "_layers", "_parts", "_last", "_tables", "_max_state",
     )
 
     def __init__(
@@ -229,9 +229,6 @@ class CompiledModel:
         self._parts, self._last = parts, last
         self._tables: ModelTables | None = None
         self._max_state: int | None = None
-        #: The C sweep's checked view of :attr:`tables`, set by
-        #: :mod:`repro.markov.native` on the model's first native draw.
-        self.native = None
 
     # ------------------------------------------------------------------
     @property

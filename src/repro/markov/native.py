@@ -24,7 +24,7 @@ to the numpy sweep (``"compiled"``) otherwise; selecting
 descriptive error instead (:func:`require_native`).
 
 Every array crossing into C is checked where that is cheap — a model's
-tables once per model (:func:`_model_struct`, whose index checks run in
+tables once per arena block (:func:`_model_struct`, whose index checks run in
 C), the windows and the gather's shapes once per call — and the gather
 kernel bounds-checks the indices Python cannot vouch for as cheaply (a
 gathered block's place in the distance block and its state ids) and
@@ -49,8 +49,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from .arena import ArenaRequest
-    from .compiled import CompiledModel
+    from .arena import ArenaRequest, _Block
 
 __all__ = [
     "LazySeededRng",
@@ -271,21 +270,23 @@ def _reject(what: str):
     raise ValueError(f"model tables rejected at the C boundary: {what}")
 
 
-def _model_struct(ffi, model: "CompiledModel"):
-    """The ``repro_model`` over a compiled model's :attr:`tables`, checked.
+def _model_struct(ffi, block: "_Block"):
+    """The ``repro_model`` over an arena block's ``model.tables``, checked.
 
-    Built and cached on the model at its first native draw: a model's
-    tables never change, and a recompiled object is a new model.  Every
-    array must be a contiguous vector of the dtype the kernel reads and
-    ``row0`` hold one entry per tic of the span (plus the row count);
+    Built at the block's first native draw and cached on the block: a
+    model's tables never change, and a recompiled object is re-registered
+    as a new block.  The cache stays on the engine-owned arena so models
+    (which travel with pickled database objects) hold no cffi handles.
+    Every array must be a contiguous vector of the dtype the kernel reads
+    and ``row0`` hold one entry per tic of the span (plus the row count);
     ``repro_check_model`` then vouches for every index the sweep will
     read — one pass over the tables, in C.  The cached pair is
     ``(struct, keepalive)``; the keepalive list pins every numpy buffer
     and cffi pointer the struct references.
     """
-    cached = model.native
-    if cached is not None:
-        return cached
+    if block.native is not None:
+        return block.native
+    model = block.model
     tables = model.tables
     md = ffi.new("repro_model *")
     keep: list = [tables, md]
@@ -305,15 +306,15 @@ def _model_struct(ffi, model: "CompiledModel"):
     )
     if status:
         _reject(_MODEL_FAULTS[status])
-    model.native = (md, keep)
-    return model.native
+    block.native = (md, keep)
+    return block.native
 
 
 def draw_arena(
     states_dtype: np.dtype,
     requests: "list[ArenaRequest]",
     n: int,
-    models: "list[CompiledModel]",
+    blocks: "list[_Block]",
     starts: list[np.ndarray | None],
     a_arr: np.ndarray,
     b_arr: np.ndarray,
@@ -321,7 +322,7 @@ def draw_arena(
 ) -> list[np.ndarray]:
     """Native back half of :func:`sample_paths_arena` (validated windows).
 
-    Request ``r`` draws from ``models[r]``'s own tables.  Consumes each
+    Request ``r`` draws from ``blocks[r].model``'s own tables.  Consumes each
     request's RNG stream exactly like the numpy path — ``u_blocks · n``
     doubles per request, in stream order.  An all-lazy batch (the
     engine's native path) never touches a ``Generator``: the C sweep
@@ -354,11 +355,12 @@ def draw_arena(
     keep: list = []
     models_c = ffi.new("repro_model *[]", n_req)
     rows = np.empty((n_req, n), dtype=np.intp)
-    for r, model in enumerate(models):
-        md, md_keep = _model_struct(ffi, model)
+    for r, block in enumerate(blocks):
+        md, md_keep = _model_struct(ffi, block)
         keep.append(md_keep)
         models_c[r] = md
         if resumed[r]:
+            model = block.model
             t = int(a_arr[r])
             rows[r] = (
                 model.rows_of_states(t, starts[r])
@@ -367,8 +369,8 @@ def draw_arena(
 
     # Destinations are tic-major ``(width, n)`` slabs — the numpy sweep's
     # buffer order, which the kernel fills one contiguous row per tic.
-    block = np.empty((n_req, int(widths.max()), n), dtype=states_dtype)
-    slabs = [block[r, : int(widths[r])] for r in range(n_req)]
+    out = np.empty((n_req, int(widths.max()), n), dtype=states_dtype)
+    slabs = [out[r, : int(widths[r])] for r in range(n_req)]
     out_ptrs = ffi.new("void *[]", n_req)
     for r, slab in enumerate(slabs):
         p = ffi.from_buffer("char[]", slab, require_writable=True)

@@ -549,6 +549,25 @@ class TestDefaultAndLayout:
                 w = want[name]
                 assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), name
 
+    @requires_native
+    @pytest.mark.parametrize(
+        "dup",
+        [copy.deepcopy, lambda db: pickle.loads(pickle.dumps(db))],
+        ids=["deepcopy", "pickle"],
+    )
+    def test_natively_queried_databases_copy_and_pickle(self, dup):
+        """The C sweep's checked model structs live on the engine's arena,
+        not on the models the database's objects carry: a database a native
+        engine has drawn from still copies and pickles (the process
+        transport ships shard views), and its clone draws the same worlds."""
+        db = _parity_db()
+        ids, q, times = sorted(db.object_ids), Query.from_point([5.0, 5.0]), np.arange(2, 13)
+        first = QueryEngine(db, n_samples=32, seed=12, backend="native")
+        drawn = first.distance_tensor(ids, q, times)
+        clone = dup(db)
+        again = QueryEngine(clone, n_samples=32, seed=12, backend="native")
+        np.testing.assert_array_equal(again.distance_tensor(ids, q, times), drawn)
+
     @pytest.mark.parametrize("materialized", [False, True])
     @pytest.mark.parametrize(
         "dup",

@@ -140,9 +140,9 @@ DAMAGE = ("successor", "states", "init_cdf", "indptr", "cdf", "row0")
 
 
 def _damaged(model, kind, pick):
-    """A twin of ``model`` (no checked struct yet) whose tables carry one
-    ``kind`` of damage, placed by ``pick(options)``; ``None`` when the
-    tables have nothing of that kind to break."""
+    """A twin of ``model`` whose tables carry one ``kind`` of damage,
+    placed by ``pick(options)``; ``None`` when the tables have nothing of
+    that kind to break."""
     tables = model.tables
     sizes = np.diff(tables.indptr)
     if kind == "successor" and tables.next.size:
@@ -170,7 +170,7 @@ def _damaged(model, kind, pick):
     else:
         return None
     twin = copy.copy(model)
-    twin.native, twin._tables = None, tables
+    twin._tables = tables
     return twin
 
 

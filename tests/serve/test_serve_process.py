@@ -89,6 +89,25 @@ def test_process_crash_containment_and_replay(process_pair):
         )
 
 
+def test_process_coordinator_over_a_queried_database():
+    """A default (native where it builds) engine's draws leave the
+    database's objects picklable, so a process coordinator built over it
+    afterwards ships its shard views and answers like a monitor over an
+    untouched twin."""
+    db_a, db_b = twin_db(), twin_db()
+    subscriptions = standard_subscriptions()
+    QueryEngine(db_b, n_samples=50, seed=SEED).evaluate_many([r for _, r in subscriptions])
+    monitor = ContinuousMonitor(QueryEngine(db_a, n_samples=100, seed=SEED))
+    with ServeCoordinator(
+        db_b, n_shards=2, seed=SEED, mode="process", n_samples=100, timeout=60
+    ) as coord:
+        for name, request in subscriptions:
+            monitor.subscribe(request, name=name)
+            coord.subscribe(request, name=name)
+        for t, (ev_a, ev_b) in enumerate(zip(event_script(db_a)[:3], event_script(db_b)[:3])):
+            assert_reports_identical(monitor.tick(ev_a), coord.tick(ev_b), ("queried", t))
+
+
 def test_smoke_load_two_workers():
     """Downsized load test: many objects/subscriptions across 2 workers."""
     from repro.core.queries import Query, QueryRequest
