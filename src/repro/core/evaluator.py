@@ -603,24 +603,18 @@ class QueryEngine:
         return result
 
     def _arena_for(self, objects: list[UncertainObject]) -> SamplingArena:
-        """The fused sampling arena, packed with the given objects.
+        """The sampling arena, packed with the given objects.
 
         Mutation staleness is handled by :meth:`sync_mutations` before
         any query path reaches here: it evicts only the mutated objects'
         packed tables; a wholesale invalidation replaces the arena.
-        Objects join on first refinement at their stable
-        database order so the packed layout is independent of
-        candidate-list order — after one batched adaptation of every
-        newcomer still to be derived.
+        Objects join on first refinement — after one batched adaptation
+        of every newcomer still to be derived.
         """
         joining = [obj for obj in objects if obj.object_id not in self._arena]
         adapt_objects(joining)
         for obj in joining:
-            self._arena.ensure(
-                obj.object_id,
-                obj.compiled,
-                order=self.db.object_index(obj.object_id),
-            )
+            self._arena.ensure(obj.object_id, obj.compiled)
         return self._arena
 
     # ------------------------------------------------------------------

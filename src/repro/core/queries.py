@@ -13,7 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..markov.compiled import as_integers
 from ..statespace.base import StateSpace
+from ..trajectory.observation import as_integer
 from ..trajectory.trajectory import Trajectory
 
 __all__ = [
@@ -54,8 +56,11 @@ def check_count(name: str, value, minimum: int = 1, why: str = "") -> int:
 
 
 def normalize_times(times) -> np.ndarray:
-    """Canonical form of a query time set ``T``: sorted unique int array."""
-    arr = np.unique(np.asarray(list(times), dtype=np.intp))
+    """Canonical form of a query time set ``T``: sorted unique int array
+    (a fractional or non-finite time is refused, never truncated)."""
+    if not isinstance(times, np.ndarray):
+        times = list(times)
+    arr = np.unique(as_integers("query times", times))
     if arr.size == 0:
         raise ValueError("query time set T must be non-empty")
     return arr
@@ -216,7 +221,7 @@ class QueryRequest:
         # a descriptive message instead of letting it reach the kernels.
         why = " (the kNN depth counts nearest neighbors; there is no 0-th nearest neighbor)"
         object.__setattr__(self, "k", check_count("k", self.k, why=why))
-        times = tuple(int(t) for t in self.times)
+        times = tuple(as_integer("time", t) for t in self.times)
         if not times:
             raise ValueError("query time set T must be non-empty")
         object.__setattr__(self, "times", times)

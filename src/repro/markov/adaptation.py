@@ -19,7 +19,8 @@ Algorithm 2 over each group as one stacked CSR sweep per tic offset
 scales with diamond width, not ``|S|``, and with the number of groups, not
 the number of segments.  ``F(t)`` leaves the kernel as per-tic CSR arrays
 (:class:`Segment`), which :func:`~repro.markov.compiled.compile_model`
-flattens without a per-row step; the ``state -> (next_states, probs)`` row
+flattens into one :class:`~repro.markov.compiled.ModelTables` record per
+stretch without a per-row step; the ``state -> (next_states, probs)`` row
 dictionaries and :class:`~repro.markov.distributions.SparseDistribution`
 marginals are views materialised on demand for the exact oracle, the
 reference sampler and the tests.
@@ -83,7 +84,7 @@ class Segment:
     forward:
         Forward marginals ``(states, probs)`` for ``t0 < t <= t1``.
     compiled:
-        ``(layers, tables)`` of these tics once
+        The :class:`~repro.markov.compiled.ModelTables` of these tics once
         :func:`~repro.markov.compiled.compile_model` has flattened them —
         carried along with the record, so they are flattened once.
     """
@@ -92,7 +93,7 @@ class Segment:
     layers: list[Layer]
     posterior: list[RowDist]
     forward: list[RowDist]
-    compiled: tuple[dict, ModelTables] | None = field(default=None, repr=False)
+    compiled: ModelTables | None = field(default=None, repr=False)
 
     # The views below exist for the exact oracle, the reference sampler of
     # ``tests/oracles/``, the Fig. 12 ablation and the tests; nothing on

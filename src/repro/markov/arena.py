@@ -15,7 +15,8 @@ The arena owns its sweep.  ``SamplingArena(native=True)`` — what a default
 model tables (:attr:`~repro.markov.compiled.CompiledModel.tables`) to the
 C sweep of :mod:`repro.markov.native` and fuses nothing.  Otherwise numpy
 sweeps *fused* per-timestep tables: the participating objects' supports,
-per-row CDFs and successors concatenated with per-object row offsets, so
+per-row CDFs and successors, each cut out of the object's own model
+tables and concatenated with per-object row offsets, so
 each timestep costs a fixed handful of array operations whatever the
 number of objects.  Fused tables pack every arena object covering a tic,
 so at most :data:`FUSED_DRAW_THRESHOLD` requests are drawn per object
@@ -35,7 +36,12 @@ depend on which one ran, nor on which other objects a batch holds:
   sampler's raw-domain inverse-CDF search verbatim (once per request).
   A transition draw, at every row width, is the count of the row's *raw*
   CDF entries ``<= u`` — exactly the reference sampler's pick, and
-  :class:`~repro.markov.compiled.CompiledLayer`'s.
+  :meth:`~repro.markov.compiled.CompiledModel.sample_paths`'.
+* **Neither order nor position matters.**  Every fused table is cut out
+  of its members' own :class:`~repro.markov.compiled.ModelTables`; each
+  sample's row resolves to its own object's state and CDF row, and the
+  ``+inf`` padding is never counted, so the arena keeps no registration
+  order and no arena-wide positions.
 """
 
 from __future__ import annotations
@@ -46,7 +52,7 @@ import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from . import native as native_tier
-from .compiled import CompiledModel
+from .compiled import CompiledModel, check_draw
 
 __all__ = ["ArenaRequest", "SamplingArena", "sample_paths_arena"]
 
@@ -75,7 +81,7 @@ class ArenaRequest:
 
 
 class _Block:
-    """One registered object: its compiled model and stable arena position.
+    """One registered object: its compiled model.
 
     ``native`` caches the C sweep's checked struct over ``model.tables``
     (set by :mod:`repro.markov.native` on the block's first native draw).
@@ -83,106 +89,112 @@ class _Block:
     travel with pickled database objects, cffi handles cannot.
     """
 
-    __slots__ = ("object_id", "order", "pos", "model", "native")
+    __slots__ = ("model", "native")
 
-    def __init__(self, object_id: str, order: int, pos: int, model: CompiledModel) -> None:
-        self.object_id = object_id
-        self.order = order
-        self.pos = pos
+    def __init__(self, model: CompiledModel) -> None:
         self.model = model
         self.native = None
 
 
 class _StepTable:
     """Fused per-timestep tables of the numpy sweep over every arena
-    object covering ``t``.
+    object covering ``t``, cut out of each object's ``model.tables``.
 
-    ``states``/``row_base`` fuse the posterior supports (state gathers)
-    and ``tr_*`` the transition layers ``F(t)`` (one global inverse-CDF
-    draw for all samples of all objects).  ``row_base`` is a dense array
-    indexed by arena position (``-1`` where the object does not cover the
-    step), so a draw resolves its offsets with one fancy gather.  Global
-    row indices are arena-wide — draws over any object subset address the
-    same rows, so fused results cannot depend on which other objects a
-    query refines.
+    ``states`` fuses the posterior supports (state gathers) and ``tr_*``
+    the transition rows of ``F(t)`` (one global inverse-CDF draw for all
+    samples of all objects); ``row_base`` maps each member block to its
+    first row.  Each sample's row resolves to its own object's state and
+    CDF row, and the ``+inf`` padding is never counted, so fused results
+    depend neither on the member order nor on which other objects a query
+    refines.
     """
 
     __slots__ = ("row_base", "states", "tr_cdf_cols", "tr_next_dense", "tr_width")
 
-    def __init__(
-        self,
-        blocks: list[_Block],
-        ordered: list[_Block],
-        n_arena: int,
-        t: int,
-        states_dtype: np.dtype = np.dtype(np.intp),
-    ) -> None:
-        self.row_base = np.full(n_arena, -1, dtype=np.intp)
-        sup_parts: list[np.ndarray] = []
-        base = 0
+    def __init__(self, blocks: list[_Block], t: int, states_dtype: np.dtype) -> None:
+        # Each member's rows at ``t``: ``(block, tables, lo, hi)``.
+        members = []
+        self.row_base: dict[_Block, int] = {}
+        next_base: dict[_Block, int] = {}
+        base = nb = 0
         for block in blocks:
-            states = block.model.support_at(t)
-            self.row_base[block.pos] = base
-            sup_parts.append(states)
-            base += states.size
-        n_rows = base
+            model = block.model
+            k = t - model.t_first
+            if model.covers(t):
+                tables = model.tables
+                members.append((block, tables, tables.row0[k], tables.row0[k + 1]))
+                self.row_base[block] = base
+                base += tables.row0[k + 1] - tables.row0[k]
+            # Successors address the NEXT step's table, which lays out the
+            # blocks covering ``t + 1`` in this same order.
+            if model.covers(t + 1):
+                next_base[block] = nb
+                nb += model.tables.row0[k + 2] - model.tables.row0[k + 1]
+        n_rows = int(base)
         self.states = (
-            np.concatenate(sup_parts).astype(states_dtype, copy=False)
-            if sup_parts
+            np.concatenate([tb.states[lo:hi] for _, tb, lo, hi in members]).astype(
+                states_dtype, copy=False
+            )
+            if members
             else np.empty(0, dtype=states_dtype)
         )
 
         # Transition tables are indexed by the *same* global support rows
         # as the state table (rows of objects ending at ``t`` stay empty
-        # and are never addressed), and successor entries are pre-offset to
+        # and are never addressed), and successor entries are rebased to
         # the NEXT step's global rows — so a sweeping draw carries global
         # row cursors from step to step with zero per-request offset math.
-        next_base: dict[int, int] = {}
-        nb = 0
-        for block in ordered:
-            if block.model.covers(t + 1):
-                next_base[block.pos] = nb
-                nb += block.model.support_at(t + 1).size
-        row_sizes = np.zeros(n_rows, dtype=np.intp)
-        cdf_parts: list[np.ndarray] = []
-        row_parts: list[np.ndarray] = []
-        next_parts: list[np.ndarray] = []
-        width = 0
-        for block in blocks:
-            if not block.model.covers(t + 1):
-                continue
-            layer = block.model.layer(t)
-            width = max(width, layer.width)
-            gb = self.row_base[block.pos]
-            row_sizes[gb : gb + layer.support.size] = np.diff(layer.indptr)
-            cdf_parts.append(layer.cdf_flat)
-            row_parts.append(layer.entry_rows + gb)
-            next_parts.append(layer.local_next + next_base[block.pos])
-        self.tr_width = width
+        # The members going on to ``t + 1``, with their CSR entry range.
+        going = [
+            (block, tb, lo, hi, tb.indptr[lo], tb.indptr[hi])
+            for block, tb, lo, hi in members
+            if block in next_base
+        ]
+        self.tr_width = 0
         self.tr_cdf_cols = self.tr_next_dense = None
-        if not next_parts:
+        if not going:
             return
-        cdf_all = np.concatenate(cdf_parts)
-        next_all = np.concatenate(next_parts)
-        if nb < np.iinfo(np.int32).max:
-            # Successor rows fit int32: half the gather traffic on the
-            # hottest table of the sweep.
-            next_all = next_all.astype(np.int32)
+        # One slice of each going member's table: its CSR rows at ``t``,
+        # successors with each row's trailing entry (entry ``e`` of model
+        # row ``g`` sits at ``next[e + g]``), rebased to this block's rows
+        # of the next step — joined once, so a build costs a fixed handful
+        # of array operations whatever the number of members.
+        cdf_all = np.concatenate([tb.cdf[e0:e1] for _, tb, _, _, e0, e1 in going])
+        sizes = np.concatenate([tb.indptr[lo + 1 : hi + 1] for _, tb, lo, hi, _, _ in going])
+        sizes -= np.concatenate([tb.indptr[lo:hi] for _, tb, lo, hi, _, _ in going])
+        succ = np.concatenate([tb.next[e0 + lo : e1 + hi] for _, tb, lo, hi, e0, e1 in going])
+        succ += np.repeat(
+            [next_base[block] - hi for block, _, _, hi, _, _ in going],
+            [e1 - e0 + hi - lo for _, _, lo, hi, e0, e1 in going],
+        )
+        # Each going row's global row in this table.
+        n_local = np.array([hi - lo for _, _, lo, hi, _, _ in going])
+        grow = np.arange(sizes.size) + np.repeat(
+            [self.row_base[block] for block, *_ in going] - (np.cumsum(n_local) - n_local),
+            n_local,
+        )
+        trailing = np.cumsum(sizes) + np.arange(sizes.size)
+        next_all = np.delete(succ, trailing)
+        width = self.tr_width = int(sizes.max())
+        dtype = np.int32 if nb < np.iinfo(np.int32).max else np.intp
+        # Successor rows fit int32 (almost always): half the gather traffic
+        # on the hottest table of the sweep.
+        next_all = next_all.astype(dtype)
+        row_sizes = np.zeros(n_rows, dtype=np.intp)
+        row_sizes[grow] = sizes
         tr_indptr = np.zeros(n_rows + 1, dtype=np.intp)
         np.cumsum(row_sizes, out=tr_indptr[1:])
-        # Each row's last successor, repeated once more so the boundary
-        # case u >= cdf[-1] lands there without a clip (exactly
-        # CompiledLayer's padding).  Empty rows (objects ending at ``t``)
-        # keep zeros — they are never drawn from.
-        filled = row_sizes > 0
-        last = np.zeros(n_rows, dtype=next_all.dtype)
-        last[filled] = next_all[tr_indptr[1:][filled] - 1]
-        # Dense draw strategy (cf. CompiledLayer): per-row CDFs padded to
-        # the table-wide max width with +inf, stored column-major so a draw
-        # is ``width`` cache-friendly gathers from row-length arrays — and
-        # the comparison happens in the *raw* CDF domain, exactly the
-        # reference sampler's count of entries <= u.
-        rows_all = np.concatenate(row_parts)
+        # Each row's trailing entry fills its padded successor row, so the
+        # boundary case u >= cdf[-1] lands there without a clip.  Rows of
+        # objects ending at ``t`` keep zeros — they are never drawn from.
+        last = np.zeros(n_rows, dtype=dtype)
+        last[grow] = succ[trailing]
+        # Dense draw strategy: per-row CDFs padded to the table-wide max
+        # width with +inf, stored column-major so a draw is ``width``
+        # cache-friendly gathers from row-length arrays — and the
+        # comparison happens in the *raw* CDF domain, exactly the reference
+        # sampler's count of entries <= u.
+        rows_all = np.repeat(grow, sizes)
         offsets = np.arange(rows_all.size, dtype=np.intp) - tr_indptr[rows_all]
         cols = np.full((width, n_rows), np.inf)
         cols[offsets, rows_all] = cdf_all
@@ -196,8 +208,8 @@ class _StepTable:
 
         Returns the samples' global rows *in the next step's table*: the
         count of raw CDF entries ``<= u`` accumulated over the padded
-        columns lands in the sample's own row, matching
-        :meth:`CompiledLayer.draw` bit for bit.
+        columns lands in the sample's own row, matching the per-object
+        draw of :meth:`CompiledModel.sample_paths` bit for bit.
         """
         counts = np.zeros(g.size, dtype=np.intp)
         for col in self.tr_cdf_cols:
@@ -208,12 +220,10 @@ class _StepTable:
 class SamplingArena:
     """The objects a sweep may draw, and the numpy sweep's fused tables.
 
-    Objects are registered once via :meth:`ensure` (idempotent) together
-    with a stable ordering index — the engine passes the database's
-    insertion order (:meth:`TrajectoryDatabase.object_index`) so the packed
-    layout is independent of candidate-list order.  Per-timestep fused
+    Objects are registered once via :meth:`ensure` (idempotent); draws do
+    not depend on the order they were registered in.  Per-timestep fused
     tables are built lazily on first draw through a timestep and rebuilt
-    only when the arena gains objects.
+    only when an object joins or leaves the steps they cover.
 
     The arena owns the sweep: with ``native=True``
     :func:`sample_paths_arena` runs the C sweep over each object's own
@@ -233,10 +243,6 @@ class SamplingArena:
         self._builds = metrics.counter(
             "arena_table_builds_total", help="Per-tic step table builds (incl. LRU re-builds)."
         )
-        # Arena positions are allocated monotonically and never reused:
-        # a discarded object leaves a hole (dense per-table arrays are
-        # indexed by position, so reusing one would alias a live block).
-        self._pos_counter = 0
 
     def __len__(self) -> int:
         return len(self._blocks)
@@ -256,16 +262,11 @@ class SamplingArena:
         the memory traffic on the sweep's hottest gathers), intp otherwise."""
         return self._states_dtype
 
-    def ensure(self, object_id: str, model: CompiledModel, order: int | None = None) -> None:
+    def ensure(self, object_id: str, model: CompiledModel) -> None:
         """Register an object's compiled model (no-op when already packed)."""
         if object_id in self._blocks:
             return
-        if order is None:
-            order = len(self._blocks)
-        self._blocks[object_id] = _Block(
-            object_id, int(order), self._pos_counter, model
-        )
-        self._pos_counter += 1
+        self._blocks[object_id] = _Block(model)
         # CompiledModel caches its span maximum, so a churny ingest stream
         # (discard + re-ensure per observation) scans it once per model.
         if self._states_dtype == np.int32 and model.max_state >= np.iinfo(np.int32).max:
@@ -287,31 +288,16 @@ class SamplingArena:
         inverse-CDF tables must never answer draws, but evicting it must
         not disturb anyone else — only the fused per-timestep tables its
         span participates in are dropped (they rebuild lazily, exactly as
-        after :meth:`ensure`), every other table and block stays intact,
-        and its arena position is retired rather than reused.  A
-        subsequent :meth:`ensure` re-packs the object's new model at a
-        fresh position; draws stay bit-identical either way because each
-        request consumes only its own RNG stream.
+        after :meth:`ensure`), every other table and block stays intact.
+        A subsequent :meth:`ensure` re-packs the object's new model; draws
+        stay bit-identical either way because each request consumes only
+        its own RNG stream.
         """
         block = self._blocks.pop(object_id, None)
         if block is None:
             return False
         self._drop_tables(block.model)
         self._version += 1
-        # Retired positions accumulate as holes in the dense per-table
-        # arrays; a long-running stream (discard + re-ensure per ingested
-        # observation, forever) must not grow them without bound.  Once
-        # holes outnumber the live blocks, renumber densely and drop the
-        # cached tables (they are indexed by the old positions).  Draws
-        # are position-independent — each request consumes only its own
-        # RNG stream — so compaction never changes sampled worlds.
-        if self._pos_counter - len(self._blocks) > max(8, len(self._blocks)):
-            for pos, live in enumerate(
-                sorted(self._blocks.values(), key=lambda b: b.pos)
-            ):
-                live.pos = pos
-            self._pos_counter = len(self._blocks)
-            self._tables.clear()
         return True
 
     def _drop_tables(self, model: CompiledModel) -> None:
@@ -335,11 +321,7 @@ class SamplingArena:
         """The fused tables at absolute time ``t`` (built lazily, LRU-cached)."""
         table = self._tables.get(t)
         if table is None:
-            ordered = sorted(self._blocks.values(), key=lambda b: b.order)
-            members = [b for b in ordered if b.model.covers(t)]
-            table = _StepTable(
-                members, ordered, self._pos_counter, t, self._states_dtype
-            )
+            table = _StepTable(list(self._blocks.values()), t, self._states_dtype)
             self._builds.inc()
             if len(self._tables) >= self.table_capacity:
                 self._tables.pop(next(iter(self._tables)))
@@ -372,12 +354,10 @@ def sample_paths_arena(
     model tables; it raises the tier's descriptive error when the kernels
     cannot load.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    n, _ = check_draw(n)
     if not requests:
         return []
     n_req = len(requests)
-    pos = np.empty(n_req, dtype=np.intp)
     a_arr = np.empty(n_req, dtype=np.intp)
     b_arr = np.empty(n_req, dtype=np.intp)
     resumed = np.zeros(n_req, dtype=bool)
@@ -394,17 +374,11 @@ def sample_paths_arena(
                 f"[{block.model.t_first}, {block.model.t_last}] "
                 f"of object {req.object_id!r}"
             )
-        start = req.start_states
-        if start is not None:
-            start = np.asarray(start, dtype=np.intp)
-            if start.shape != (n,):
-                raise ValueError(
-                    f"start_states must have shape ({n},), got {start.shape}"
-                )
-            resumed[r] = True
+        _, start = check_draw(n, req.start_states)
+        resumed[r] = start is not None
         blocks.append(block)
         starts.append(start)
-        pos[r], a_arr[r], b_arr[r] = block.pos, a, b
+        a_arr[r], b_arr[r] = a, b
 
     if arena.native:
         return native_tier.draw_arena(
@@ -457,7 +431,7 @@ def sample_paths_arena(
             _, cdf = blocks[r].model.initial_table(t)
             picks = np.searchsorted(cdf, uniforms[0, r], side="right")
             np.minimum(picks, cdf.size - 1, out=picks)
-            rows[r] = picks + table.row_base[pos[r]]
+            rows[r] = picks + table.row_base[blocks[r]]
 
     for t in range(int(a_arr.min()), int(b_arr.max()) + 1):
         if lockstep:
@@ -467,7 +441,7 @@ def sample_paths_arena(
                     for r in every:
                         rows[r] = (
                             blocks[r].model.rows_of_states(t, starts[r])
-                            + table.row_base[pos[r]]
+                            + table.row_base[blocks[r]]
                         )
                 else:
                     fused_initial(table, t, every)
@@ -491,7 +465,7 @@ def sample_paths_arena(
         for r in starters[resumed[starters]]:
             rows[r] = (
                 blocks[r].model.rows_of_states(t, starts[r])
-                + table.row_base[pos[r]]
+                + table.row_base[blocks[r]]
             )
         buf[act, t - a_arr[act]] = table.states[rows[act]]
         mv = act[t < b_arr[act]]

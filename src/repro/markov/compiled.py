@@ -9,12 +9,14 @@ into inverse-CDF arrays at *compile* time: drawing ``n`` paths then costs
 one ``rng.random(n)`` plus one gather-and-count per timestep, with zero
 Python-level per-state loops, and compiling itself has no per-row step.
 
-Compiling a stretch also lays it out for the C sweep
-(:mod:`repro.markov.native`): one flat :class:`ModelTables` record whose
-rows are the posterior supports of every tic, tic after tic, with the
-transition rows as CSR and successors as rows of the same record.  The
-stretch's layers view its supports and CDFs; a model's tables are its
-stretches' concatenated, and its initial tables view those.
+A compiled model is one flat :class:`ModelTables` record — the only form
+any sampler reads: its rows are the posterior supports of every tic, tic
+after tic, with the transition rows as CSR and successors as rows of the
+same record.  Each stretch compiles to its own record
+(``Segment.compiled``); a model's tables are its stretches' concatenated.
+The C sweep (:mod:`repro.markov.native`), the numpy arena's fused step
+tables (:mod:`repro.markov.arena`) and :meth:`CompiledModel.sample_paths`
+all carry cursors over those rows.
 
 A transition draw is the reference sampler's pick at every row width: the
 count of the row's *raw* CDF entries ``<= u``, over per-row CDFs padded to
@@ -26,7 +28,7 @@ reference backends consume the RNG stream identically and return
 *identical* paths (see ``tests/markov/test_compiled.py``).
 
 :func:`compile_model` compiles an adapted (a-posteriori) model;
-:class:`CompiledMatrix` is the same layer over every row of a raw
+:class:`CompiledMatrix` is the same draw over every row of a raw
 a-priori transition matrix, for the TS1/TS2 rejection baselines of
 :mod:`repro.markov.sampling`.
 """
@@ -42,10 +44,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (typing only)
     from .adaptation import AdaptedModel, Segment
 
 __all__ = [
-    "CompiledLayer",
     "CompiledModel",
     "CompiledMatrix",
     "ModelTables",
+    "as_integers",
+    "check_draw",
     "compile_model",
     "take_tics",
 ]
@@ -66,6 +69,37 @@ def take_tics(paths: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return paths.T[offsets].T
 
 
+def as_integers(name: str, values) -> np.ndarray:
+    """``values`` as an ``intp`` array: integers (numpy's too) and
+    integral finite floats pass; a fractional, non-finite or out-of-range
+    value is a ``ValueError`` and a non-number a ``TypeError`` — refused,
+    never truncated (the vectorised form of the observation rule)."""
+    arr = np.asarray(values)
+    if arr.dtype.kind in "biu":
+        return arr.astype(np.intp, copy=False)
+    if arr.dtype.kind == "f":
+        bad = ~(np.abs(arr) < 2.0**63) | (arr != np.floor(arr))
+        if not bad.any():
+            return arr.astype(np.intp)
+        raise ValueError(f"{name} must be integers, got {arr[bad].flat[0].item()!r}")
+    raise TypeError(f"{name} must be integers, got {arr.dtype.name} values")
+
+
+def check_draw(n, start_states=None) -> tuple[int, np.ndarray | None]:
+    """The argument check of every sampler entry point: ``n`` as an
+    ``int >= 1`` and ``start_states`` (when given) as ``(n,)`` state ids."""
+    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"n must be a positive integer, got {n!r}")
+    n = int(n)
+    if start_states is not None:
+        start_states = as_integers("start_states", start_states)
+        if start_states.shape != (n,):
+            raise ValueError(
+                f"start_states must have shape ({n},), got {start_states.shape}"
+            )
+    return n, start_states
+
+
 def _row_cdfs(indptr: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """The raw CDF of every CSR row, in CSR order.
 
@@ -83,8 +117,44 @@ def _row_cdfs(indptr: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return dense[rows, offsets]
 
 
+def _with_trailing(indptr: np.ndarray, successors: np.ndarray) -> np.ndarray:
+    """CSR successors with one trailing copy of each row's last entry, so
+    entry ``k`` of row ``g`` is ``out[indptr[g] + g + k]`` and the boundary
+    case ``u >= cdf[-1]`` (``k`` = the row's size) lands there without a
+    clip.  An empty row's trailing entry is never drawn."""
+    ends = indptr[1:]
+    last = successors[ends - 1] if successors.size else np.zeros(ends.size, np.intp)
+    return np.insert(successors, ends, last)
+
+
+def _pad_cdf(indptr: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The CSR rows' raw CDFs as one ``(rows, width)`` matrix padded with
+    ``+inf`` — the table :func:`_draw` counts in."""
+    sizes = np.diff(indptr)
+    rows = np.repeat(np.arange(sizes.size, dtype=np.intp), sizes)
+    padded = np.full((sizes.size, int(sizes.max(initial=0))), np.inf)
+    padded[rows, np.arange(rows.size, dtype=np.intp) - indptr[rows]] = cdf
+    return padded
+
+
+def _draw(
+    padded: np.ndarray, indptr: np.ndarray, successors: np.ndarray,
+    rows: np.ndarray, u: np.ndarray,
+) -> np.ndarray:
+    """One inverse-CDF step from CSR row ``rows[i]`` per sample.
+
+    The pick is the count of the row's raw CDF entries ``<= u`` — exactly
+    ``searchsorted(cdf, u, "right")`` clipped to the row, as in the
+    reference sampler, so paths stay bit-identical per seed — over the
+    ``+inf``-padded ``padded`` table, then that entry of the row in
+    ``successors`` (:func:`_with_trailing`'s layout).
+    """
+    counts = (np.take(padded, rows, axis=0) <= u[:, None]) @ np.ones(padded.shape[1])
+    return np.take(successors, indptr[rows] + rows + counts.astype(np.intp))
+
+
 class ModelTables(NamedTuple):
-    """A compiled model (or one stretch of it) as the C sweep reads it.
+    """A compiled model (or one stretch of it): the form every sampler reads.
 
     Rows are the posterior support entries of every tic, tic after tic:
     ``row0[i]`` is the first row of tic ``t_first + i`` and ``row0[-1]``
@@ -130,123 +200,45 @@ def _concat_tables(
     )
 
 
-class CompiledLayer:
-    """One timestep of a compiled model: ``F(t)`` as inverse-CDF arrays.
-
-    Built from the CSR rows of ``F(t)`` over ``support`` and their raw
-    CDFs (``cdf_flat``).  Successor entries are pre-mapped to *row indices
-    of the next layer's support* (``local_next``), so propagation never
-    binary-searches states back into a support array.
-
-    A draw counts the row's raw CDF entries ``<= u`` — exactly
-    ``searchsorted(cdf, u, "right")`` clipped to the row, as in the
-    reference sampler, so paths stay bit-identical per seed — at every
-    row width: per-row CDFs padded to an ``(m, width)`` matrix with
-    ``inf``, one 2-d gather and one vectorized compare-and-sum.  Those
-    padded tables are built on first use: the C sweep never reads them.
-    """
-
-    __slots__ = ("support", "indptr", "local_next", "cdf_flat", "_padded")
-
-    def __init__(
-        self,
-        support: np.ndarray,
-        indptr: np.ndarray,
-        local_next: np.ndarray,
-        cdf_flat: np.ndarray,
-    ) -> None:
-        self.support = support
-        self.indptr = indptr
-        self.local_next = local_next
-        #: Raw per-row CDFs in CSR form: the numpy arena packs many
-        #: objects' layers into one table with *global* row offsets.
-        self.cdf_flat = cdf_flat
-        self._padded: tuple | None = None
-
-    width = property(lambda self: self._pad()[0], doc="Entries of the widest row.")
-    entry_rows = property(lambda self: self._pad()[1], doc="Row index of every CSR entry.")
-    cdf_dense = property(lambda self: self._pad()[2], doc="Row CDFs padded with +inf.")
-    next_flat = property(lambda self: self._pad()[3], doc="Successors padded to width + 1.")
-
-    def _pad(self) -> tuple:
-        if self._padded is None:
-            indptr, local_next = self.indptr, self.local_next
-            row_sizes = np.diff(indptr)
-            m = self.support.size
-            width = int(row_sizes.max()) if m else 0
-            rows = np.repeat(np.arange(m, dtype=np.intp), row_sizes)
-            offsets = np.arange(rows.size, dtype=np.intp) - indptr[rows]
-            # cdf_dense pads rows with +inf (never counted); next_flat has
-            # one extra column holding the row's last successor so the float
-            # boundary case u >= cdf[-1] needs no clip (it lands there, which
-            # is exactly the reference sampler's clipped pick).  Empty rows
-            # (a raw matrix may have them) are never drawn from.
-            cdf = np.full((m, width), np.inf)
-            cdf[rows, offsets] = self.cdf_flat
-            last = local_next[indptr[1:] - 1] if local_next.size else np.zeros(m, np.intp)
-            next_pad = np.repeat(last, width + 1).reshape(m, width + 1)
-            next_pad[rows, offsets] = local_next
-            self._padded = (width, rows, cdf, next_pad.ravel(), np.ones(width))
-        return self._padded
-
-    def draw(self, rows: np.ndarray, u: np.ndarray) -> np.ndarray:
-        """Inverse-CDF draw of one successor *row of the next layer* per sample.
-
-        ``rows`` holds each sample's local row index into :attr:`support`;
-        ``u`` its uniform variate.  The pick is the count of row-CDF entries
-        ``<= u`` — identical to ``searchsorted(cdf, u, "right")`` clipped to
-        the row, hence bit-compatible with the reference sampler.
-        """
-        width, _, cdf_dense, next_flat, ones = self._pad()
-        counts = (np.take(cdf_dense, rows, axis=0) <= u[:, None]) @ ones
-        picks = rows * (width + 1) + counts.astype(np.intp)
-        return np.take(next_flat, picks)
-
-
 class CompiledModel:
     """Flattened view of an :class:`~repro.markov.adaptation.AdaptedModel`.
 
     Sampling only — marginals, transitions and diagnostics stay on the
     owning adapted model.  Build via :func:`compile_model` (or lazily through
-    ``AdaptedModel.compiled``).
+    ``AdaptedModel.compiled``).  Everything it holds is plain numpy, so a
+    model pickles with the database object that owns it.
     """
 
     __slots__ = (
-        "t_first", "t_last", "_layers", "_parts", "_last", "_tables", "_max_state",
+        "t_first", "t_last", "_parts", "_last", "_tables", "_max_state", "_padded",
     )
 
     def __init__(
         self,
         t_first: int,
         t_last: int,
-        layers: dict[int, CompiledLayer],
         parts: list[ModelTables],
         last: tuple[np.ndarray, np.ndarray],
     ) -> None:
         self.t_first = int(t_first)
         self.t_last = int(t_last)
-        self._layers = layers
         self._parts, self._last = parts, last
         self._tables: ModelTables | None = None
         self._max_state: int | None = None
+        self._padded: np.ndarray | None = None
 
     # ------------------------------------------------------------------
     @property
     def tables(self) -> ModelTables:
         """The whole model as one :class:`ModelTables` (``row0`` indexed by
         ``t - t_first``): its stretches' tables end to end, then the initial
-        table of ``t_last``, concatenated on first use and cached — the
-        layout the C sweep reads."""
+        table of ``t_last``, concatenated on first use and cached."""
         if self._tables is None:
             self._tables = _concat_tables(self._parts, self._last)
         return self._tables
 
     def covers(self, t: int) -> bool:
         return self.t_first <= t <= self.t_last
-
-    def layer(self, t: int) -> CompiledLayer:
-        """The compiled transition ``F(t)`` (from ``t`` to ``t+1``)."""
-        return self._layers[t]
 
     def initial_table(self, t: int) -> tuple[np.ndarray, np.ndarray]:
         """``(support_states, cdf)`` of the posterior marginal at ``t``:
@@ -295,11 +287,13 @@ class CompiledModel:
         Returns an ``(n, t_end - t_start + 1)`` integer array of states;
         every row is a trajectory consistent with all observations.
 
-        Samples are propagated as local support-row indices and written into
-        a tic-major buffer (contiguous writes); the two together are what
-        keep the per-timestep cost at a handful of array operations.  The
-        result is that buffer's transpose — a view whose *world* axis is
-        the contiguous one, the order refinement reads it in.
+        The C sweep's loop in numpy: samples carry cursors over the rows
+        of :attr:`tables` (a transition lands on a row of the next tic), and
+        each tic's states are gathered into a tic-major buffer (contiguous
+        writes).  The result is that buffer's transpose — a view whose
+        *world* axis is the contiguous one, the order refinement reads it
+        in.  The ``+inf``-padded CDF table the draws count in is built on
+        the first numpy draw and cached.
 
         ``start_states`` resumes ``n`` previously sampled paths whose states
         at ``t_start`` are given: no initial variate is consumed and the
@@ -317,36 +311,36 @@ class CompiledModel:
             raise KeyError(
                 f"window [{a}, {b}] outside adapted span [{self.t_first}, {self.t_last}]"
             )
+        n, start_states = check_draw(n, start_states)
+        tables = self.tables
         buf = np.empty((b - a + 1, n), dtype=np.intp)
         if start_states is None:
-            support, cdf = self.initial_table(a)
+            _, cdf = self.initial_table(a)
             rows = np.searchsorted(cdf, rng.random(n), side="right")
-            np.minimum(rows, support.size - 1, out=rows)
+            np.minimum(rows, cdf.size - 1, out=rows)
         else:
-            start_states = np.asarray(start_states, dtype=np.intp)
-            if start_states.shape != (n,):
-                raise ValueError(
-                    f"start_states must have shape ({n},), got {start_states.shape}"
-                )
             rows = self.rows_of_states(a, start_states)
-        buf[0] = self.support_at(a)[rows]
+        rows += tables.row0[a - self.t_first]
+        buf[0] = tables.states[rows]
         # One fill for every transition block: the same doubles, in stream
         # order, as one rng.random(n) per tic — and a parked lazy handle
         # seeds once per extension instead of once per tic.
         u = rng.random((b - a) * n).reshape(b - a, n)
-        for offset, t in enumerate(range(a, b)):
-            rows = self._layers[t].draw(rows, u[offset])
-            buf[offset + 1] = self.support_at(t + 1)[rows]
+        if b > a and self._padded is None:
+            self._padded = _pad_cdf(tables.indptr, tables.cdf)
+        for offset in range(b - a):
+            rows = _draw(self._padded, tables.indptr, tables.next, rows, u[offset])
+            buf[offset + 1] = tables.states[rows]
         return buf.T
 
 
-def _compile_stretch(seg: "Segment") -> tuple[dict, ModelTables]:
-    """Layers and :class:`ModelTables` of one stretch, for the tics
-    ``t0 <= t < t1``; the layers' supports and CDFs are views of the
-    tables."""
-    local = []
-    for (support, indptr, next_states, _), (next_support, _) in zip(
-        seg.layers, seg.posterior[1:]
+def _compile_stretch(seg: "Segment") -> ModelTables:
+    """The :class:`ModelTables` of one stretch, for the tics ``t0 <= t < t1``."""
+    row0 = np.zeros(len(seg.layers) + 1, dtype=np.intp)
+    np.cumsum([layer[0].size for layer in seg.layers], out=row0[1:])
+    successors = []
+    for (support, indptr, next_states, _), (next_support, _), base in zip(
+        seg.layers, seg.posterior[1:], row0[1:]
     ):
         empty = np.flatnonzero(indptr[1:] == indptr[:-1])
         if empty.size:
@@ -354,35 +348,25 @@ def _compile_stretch(seg: "Segment") -> tuple[dict, ModelTables]:
                 f"adapted model is inconsistent: state {int(support[empty[0]])} has "
                 "an empty transition row (sampling it would be undefined)"
             )
-        local_next = np.searchsorted(next_support, next_states)
+        local = np.searchsorted(next_support, next_states)
         if not np.array_equal(
-            next_support[np.minimum(local_next, next_support.size - 1)], next_states
+            next_support[np.minimum(local, next_support.size - 1)], next_states
         ):
             raise ValueError(
                 "adapted model is inconsistent: a transition targets a state "
                 "outside the next timestep's posterior support"
             )
-        local.append(local_next)
-    row0 = np.zeros(len(seg.layers) + 1, dtype=np.intp)
-    np.cumsum([layer[0].size for layer in seg.layers], out=row0[1:])
-    states = np.concatenate([layer[0] for layer in seg.layers])
-    indptr = np.zeros(states.size + 1, dtype=np.intp)
+        successors.append(local + base)
+    indptr = np.zeros(row0[-1] + 1, dtype=np.intp)
     np.cumsum(np.concatenate([np.diff(layer[1]) for layer in seg.layers]), out=indptr[1:])
-    cdf = _row_cdfs(indptr, np.concatenate([layer[3] for layer in seg.layers]))
-    successors = np.concatenate([rows + base for rows, base in zip(local, row0[1:])])
-    ends = indptr[1:]
-    tables = ModelTables(
-        row0, states, np.concatenate([np.cumsum(probs) for _, probs in seg.posterior[:-1]]),
-        cdf, indptr, np.insert(successors, ends, successors[ends - 1]),
+    return ModelTables(
+        row0,
+        np.concatenate([layer[0] for layer in seg.layers]),
+        np.concatenate([np.cumsum(probs) for _, probs in seg.posterior[:-1]]),
+        _row_cdfs(indptr, np.concatenate([layer[3] for layer in seg.layers])),
+        indptr,
+        _with_trailing(indptr, np.concatenate(successors)),
     )
-    layers = {
-        seg.key[0] + k: CompiledLayer(
-            states[row0[k] : row0[k + 1]], layer[1], local_next,
-            cdf[indptr[row0[k]] : indptr[row0[k + 1]]],
-        )
-        for k, (layer, local_next) in enumerate(zip(seg.layers, local))
-    }
-    return layers, tables
 
 
 def compile_model(model: "AdaptedModel") -> CompiledModel:
@@ -394,43 +378,37 @@ def compile_model(model: "AdaptedModel") -> CompiledModel:
     over from an earlier model arrive compiled; every subsequent
     ``sample_paths`` call is fully vectorized.
     """
-    layers: dict[int, CompiledLayer] = {}
     segments = model.stretches()
     for seg in segments:
         if seg.compiled is None:
             seg.compiled = _compile_stretch(seg)
-        layers.update(seg.compiled[0])
     if segments:
         states, probs = segments[-1].posterior[-1]
     else:
         last = model.posteriors[model.t_last]
         states, probs = last.states, last.probs
     return CompiledModel(
-        model.t_first, model.t_last, layers, [seg.compiled[1] for seg in segments],
+        model.t_first, model.t_last, [seg.compiled for seg in segments],
         (states, np.cumsum(probs)),
     )
 
 
-class CompiledMatrix(CompiledLayer):
-    """A :class:`CompiledLayer` over every row of one a-priori transition
-    matrix: the support is every state and the successors are global
-    state ids, so a draw maps states to next states directly and the
-    TS1/TS2 rejection baselines roll thousands of a-priori walks per
-    timestep with the one draw arithmetic.  Obtain cached instances
-    through ``TransitionModel.compiled_step``.
+class CompiledMatrix:
+    """One a-priori transition matrix in the compiled models' draw layout:
+    every state's row as a raw CDF, successors as global state ids, so a
+    draw maps states to next states directly and the TS1/TS2 rejection
+    baselines roll thousands of a-priori walks per timestep with the one
+    draw arithmetic (:func:`_draw`).  Obtain cached instances through
+    ``TransitionModel.compiled_step``.
     """
 
-    __slots__ = ()
+    __slots__ = ("indptr", "next", "_padded")
 
     def __init__(self, matrix: sparse.spmatrix) -> None:
         csr = sparse.csr_matrix(matrix)
-        indptr = csr.indptr.astype(np.intp)
-        super().__init__(
-            np.arange(csr.shape[0]),
-            indptr,
-            csr.indices.astype(np.intp),
-            _row_cdfs(indptr, csr.data.astype(float)),
-        )
+        self.indptr = csr.indptr.astype(np.intp)
+        self.next = _with_trailing(self.indptr, csr.indices.astype(np.intp))
+        self._padded = _pad_cdf(self.indptr, _row_cdfs(self.indptr, csr.data.astype(float)))
 
     def draw(
         self, states: np.ndarray, u: np.ndarray, t: int | None = None
@@ -442,4 +420,4 @@ class CompiledMatrix(CompiledLayer):
             raise ValueError(
                 f"state {int(np.asarray(states)[dead][0])} has no successors{where}"
             )
-        return super().draw(states, u)
+        return _draw(self._padded, self.indptr, self.next, states, u)

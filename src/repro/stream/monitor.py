@@ -47,6 +47,7 @@ from ..core.results import (
     RawProbabilities,
     ReverseNNResult,
 )
+from ..trajectory.observation import as_integer
 from .ingest import IngestResult, ObservationStream, StreamEvent
 from .scheduler import SlidingWindow, Subscription, SubscriptionScheduler
 
@@ -167,24 +168,19 @@ class TickReport:
         extra_stages: dict[str, float] | None = None,
         *,
         ingest: IngestResult | None = None,
-        replace_stages: bool = False,
     ) -> "TickReport":
-        """A copy with merged (or replaced) ``stage_seconds``.
+        """A copy with merged ``stage_seconds``.
 
         ``TickReport`` is frozen; its ``stage_seconds`` dict must not be
         mutated in place by wrappers (the serve coordinator used to —
         aliasing every holder of the report).  This is the sanctioned
         merge constructor: ``extra_stages`` entries override same-named
-        stages (or, with ``replace_stages=True``, replace the dict
-        wholesale), and ``ingest`` — when given — swaps the ingest
-        result (the coordinator substitutes its pre-partitioned one).
+        stages, and ``ingest`` — when given — swaps the ingest result
+        (the coordinator substitutes its pre-partitioned one).
         """
-        stages = dict(extra_stages or {})
-        if not replace_stages:
-            stages = {**self.stage_seconds, **stages}
         return replace(
             self,
-            stage_seconds=stages,
+            stage_seconds={**self.stage_seconds, **(extra_stages or {})},
             **({} if ingest is None else {"ingest": ingest}),
         )
 
@@ -346,6 +342,10 @@ class ContinuousMonitor:
         Returns the :class:`TickReport`; per-subscription callbacks fire
         after all due evaluations completed, in subscription order.
         """
+        if now is not None:
+            # Checked before anything is ingested: a refused clock leaves
+            # the monitor untouched.
+            now = as_integer("now", now)
         tracer = self.engine.tracer
         # Every stage below runs inside a span; ``stage_seconds`` is read
         # off the span durations (one timing truth — see repro.obs).
@@ -369,7 +369,7 @@ class ContinuousMonitor:
             full_invalidation = ranges is None
             dirty = frozenset() if full_invalidation else frozenset(ranges)
             if now is not None:
-                self._now = int(now)
+                self._now = now
             elif ingest is not None and ingest.latest_time is not None:
                 if self._now is None or ingest.latest_time > self._now:
                     self._now = ingest.latest_time
@@ -397,7 +397,7 @@ class ContinuousMonitor:
         )
 
         # One § 6 pass per (window, k) group, over the subscriptions that
-        # will filter this tick: the scheduler's explain() and the due
+        # will filter this tick: the scheduler's filter_objects() and the due
         # evaluations' filter stage read the same results.
         with self.scheduler.settling(
             subscriptions, requests, dirty, force=force_reason, dirty_ranges=ranges

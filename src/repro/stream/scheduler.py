@@ -15,7 +15,7 @@ ContinuousMonitor` composes:
   mutations' affected time ranges
   (:meth:`TrajectoryDatabase.changed_ranges_since`) and — only when
   neither settles the verdict — the UST-tree filter stage
-  (:meth:`QueryEngine.explain`, which samples nothing).
+  (:meth:`QueryEngine.filter_objects`, which samples nothing).
 
 The skip rule is *provable*, not heuristic, on the monitor's engine
 discipline (held draw epoch + selective invalidation): a
@@ -139,7 +139,7 @@ class Decision:
 class SubscriptionScheduler:
     """Decides which standing subscriptions a tick must re-evaluate.
 
-    Runs the engine's plan+filter stages only (``explain()`` — no worlds
+    Runs the engine's filter stage only (``filter_objects()`` — no worlds
     sampled, no RNG consumed), so deciding is cheap enough to do for every
     subscription on every tick; the expensive estimate stage runs only for
     subscriptions found due, coalesced by the monitor into one batch.
@@ -174,7 +174,7 @@ class SubscriptionScheduler:
         move filter output at times inside its affected range, so every
         input of the cached result is bit-identical.  Only the remaining
         case (a dirty range touching the window, by an object outside the
-        influence set) needs the explain pass to compare fresh filter
+        influence set) needs the filter pass to compare fresh filter
         sets.
         """
         decision = self._decide(
@@ -241,9 +241,11 @@ class SubscriptionScheduler:
         request, reason = ahead
         candidates = influencers = None
         if reason is None:
-            explanation = self.engine.explain(request)
-            candidates = tuple(explanation.candidates)
-            influencers = tuple(explanation.influencers)
+            pruning = self.engine.filter_objects(
+                request.query, request.times, k=request.k, mode=request.mode
+            )
+            candidates = tuple(pruning.candidates)
+            influencers = tuple(pruning.influencers)
             # Unchanged sets and (from above) no dirty influencer: every
             # input of the cached result is bit-identical.
             unchanged = (candidates, influencers) == (

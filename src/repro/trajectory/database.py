@@ -47,8 +47,6 @@ class TrajectoryDatabase:
         self.chain = chain
         self._objects: dict[str, UncertainObject] = {}
         self._version = 0
-        self._order: dict[str, int] = {}
-        self._order_counter = 0
         self._object_versions: dict[str, int] = {}
         #: Entries are ``(version, object_id, t_lo, t_hi)`` where
         #: ``[t_lo, t_hi]`` conservatively covers every time whose derived
@@ -187,8 +185,6 @@ class TrajectoryDatabase:
             object_id, observations, own_chain, ground_truth, extend_to=extend_to
         )
         self._objects[object_id] = obj
-        self._order[object_id] = self._order_counter
-        self._order_counter += 1
         # A new object contributes filter state only over its own span.
         self._bump_version(object_id, affected=(obj.t_first, obj.t_last))
         return obj
@@ -219,7 +215,6 @@ class TrajectoryDatabase:
             raise KeyError(f"unknown object {object_id!r}")
         gone = self._objects[object_id]
         del self._objects[object_id]
-        self._order.pop(object_id, None)
         self._object_versions.pop(object_id, None)
         # Removal withdraws the object's contributions over its old span.
         self._bump_version(object_id, affected=(gone.t_first, gone.t_last))
@@ -286,20 +281,6 @@ class TrajectoryDatabase:
         """Objects alive at at least one of the given times."""
         return [o for o in self._objects.values() if o.covers_any(times)]
 
-    def object_index(self, object_id: str) -> int:
-        """Stable insertion-order index of an object.
-
-        Monotonically assigned when the object is added and unchanged by
-        observation ingestion; removals leave gaps and a re-added id gets a
-        fresh (higher) index.  The sampling arena orders its packed blocks
-        by this index so the fused layout does not depend on the order a
-        query happens to list its candidates in.
-        """
-        try:
-            return self._order[str(object_id)]
-        except KeyError:
-            raise KeyError(f"unknown object {object_id!r}") from None
-
     def lifespans(
         self, object_ids: Sequence[str] | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -356,10 +337,7 @@ class TrajectoryDatabase:
         — objects are immutable value holders, every mutation replaces the
         instance — but carries its own version counter and mutation log,
         so a shard worker's engine invalidates independently of the
-        parent.  Insertion-order
-        indices restart from zero per view; the fused arena layout inside
-        one shard therefore depends only on that shard's own history,
-        which is what makes shard counts a pure partitioning choice.
+        parent.
         """
         shard = int(shard)
         n_shards = int(n_shards)
@@ -376,8 +354,6 @@ class TrajectoryDatabase:
             if owner(oid) != shard:
                 continue
             view._objects[oid] = obj
-            view._order[oid] = view._order_counter
-            view._order_counter += 1
             view._bump_version(oid, affected=(obj.t_first, obj.t_last))
         return view
 

@@ -13,10 +13,10 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-__all__ = ["Observation", "ObservationSet"]
+__all__ = ["Observation", "ObservationSet", "as_integer"]
 
 
-def _integral(name: str, value) -> int:
+def as_integer(name: str, value) -> int:
     """``value`` as an ``int``: integers (numpy's too) and integral finite floats."""
     try:
         return operator.index(value)
@@ -38,8 +38,8 @@ class Observation:
     state: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "time", _integral("time", self.time))
-        object.__setattr__(self, "state", _integral("state", self.state))
+        object.__setattr__(self, "time", as_integer("time", self.time))
+        object.__setattr__(self, "state", as_integer("state", self.state))
         if self.state < 0:
             raise ValueError(f"state must be a non-negative index, got {self.state}")
 

@@ -25,6 +25,24 @@ class TestNormalizeTimes:
         with pytest.raises(ValueError):
             normalize_times([])
 
+    @pytest.mark.parametrize("bad", [2.7, 1.5, float("nan"), float("inf"), 1e300])
+    def test_fractional_and_non_finite_times_refused(self, bad):
+        """A time is an integer tic: truncating ``2.7`` to ``2`` would query
+        another instant, and NaN must not surface as numpy's bare
+        ``cannot convert float NaN to integer``."""
+        for times in ((1, bad), np.array([1.0, bad])):
+            with pytest.raises(ValueError, match="query times must be integers"):
+                normalize_times(times)
+
+    def test_integral_floats_and_numpy_integers_accepted(self):
+        out = normalize_times([np.float64(3.0), 1.0, np.int32(2), np.uint8(2)])
+        assert out.dtype == np.intp and list(out) == [1, 2, 3]
+        assert list(normalize_times(np.array([4.0, 2.0]))) == [2, 4]
+
+    def test_non_numbers_refused(self):
+        with pytest.raises(TypeError, match="query times must be integers"):
+            normalize_times(["1"])
+
 
 class TestQueryKinds:
     def test_state_query_constant(self, space):
@@ -80,6 +98,17 @@ class TestQueryRequestValidation:
         assert req.times == (3, 1, 1)
         assert all(isinstance(t, int) for t in req.times)
         assert req.window == (1, 3)
+
+    @pytest.mark.parametrize("bad", [1.5, float("nan"), float("-inf")])
+    def test_fractional_and_non_finite_times_rejected(self, q, bad):
+        """``(1.5, 2)`` used to evaluate T = {1, 2}."""
+        with pytest.raises(ValueError, match="time must be an integer"):
+            QueryRequest(q, (bad, 2), "forall", 0.1)
+
+    def test_integral_float_times_coerced(self, q):
+        req = QueryRequest(q, (np.float64(2.0), 1.0, np.int64(3)))
+        assert req.times == (2, 1, 3)
+        assert all(type(t) is int for t in req.times)
 
     def test_unknown_mode_rejected(self, q):
         with pytest.raises(ValueError, match="mode"):

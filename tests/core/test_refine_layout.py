@@ -209,8 +209,8 @@ class TestByteIdentityWithWorldMajorOracle:
 # --------------------------------------------------------------------------
 def _arena_and_requests(db, windows, seed=0, c_sweep=False):
     arena = SamplingArena(native=c_sweep)
-    for i, oid in enumerate(sorted(windows)):
-        arena.ensure(oid, db.get(oid).compiled, order=i)
+    for oid in sorted(windows):
+        arena.ensure(oid, db.get(oid).compiled)
 
     def requests():
         return [

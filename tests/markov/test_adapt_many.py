@@ -3,10 +3,10 @@
 ``adapt_many`` stacks every pending segment of every request into one CSR
 sweep per tic offset; ``compile_model`` reads the kernel's per-tic CSR
 directly.  Byte identity is the contract — not ``allclose``: every ``F(t)``
-row, posterior, forward marginal, compiled layer array and initial table
+row, posterior, forward marginal, compiled table and initial table
 must carry the bytes and dtypes of ``reference_adapt`` (Algorithm 2 as one
-scipy sweep per object) and of the per-row layer builder
-``reference_layer`` — both in ``tests/oracles/`` — whatever the batch a
+scipy sweep per object) and of the per-row table builder
+``reference_tables`` — both in ``tests/oracles/`` — whatever the batch a
 segment rode in.
 
 The trap is summation order: scipy's column sums are ``np.add.reduceat``
@@ -31,9 +31,10 @@ from repro.markov.adaptation import (
 from repro.markov.chain import InhomogeneousMarkovChain, MarkovChain
 from tests.oracles import (
     reference_adapt,
-    reference_layer,
+    reference_tables,
     same_array,
     same_distributions,
+    same_tables,
     same_transitions,
 )
 
@@ -63,10 +64,7 @@ def _check_against_reference(model, chain, observations, extend_to, context):
         states, cdf = compiled.initial_table(t)
         same_array(states, dist.states, (*context, t, "initial states"))
         same_array(cdf, np.cumsum(dist.probs), (*context, t, "initial cdf"))
-    for t, rows in transitions.items():
-        want = reference_layer(rows, posteriors[t + 1].states)
-        for name, array in want.items():
-            same_array(getattr(compiled.layer(t), name), array, (*context, t, name))
+    same_tables(compiled.tables, reference_tables(transitions, posteriors), context)
 
 
 # ----------------------------------------------------------------------

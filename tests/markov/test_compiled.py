@@ -18,7 +18,7 @@ from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from repro.markov.chain import MarkovChain
 from repro.markov.compiled import CompiledMatrix, compile_model
 from tests.conftest import make_drift_chain
-from tests.oracles import reference_sample_paths
+from tests.oracles import reference_sample_paths, reference_tables, same_tables
 
 pytestmark = pytest.mark.oracles
 
@@ -54,13 +54,20 @@ def random_model():
 
 
 class TestCompileModel:
-    def test_layers_cover_span(self, random_model):
+    def test_tables_cover_span(self, random_model):
         compiled = compile_model(random_model)
         assert compiled.t_first == random_model.t_first
         assert compiled.t_last == random_model.t_last
+        row0 = compiled.tables.row0
+        assert row0.size == compiled.t_last - compiled.t_first + 2
         for t in range(compiled.t_first, compiled.t_last):
-            layer = compiled.layer(t)
-            assert layer.support.size == len(random_model.transitions[t])
+            rows = row0[t - compiled.t_first + 1] - row0[t - compiled.t_first]
+            assert rows == len(random_model.transitions[t])
+        same_tables(
+            compiled.tables,
+            reference_tables(random_model.transitions, random_model.posteriors),
+            ("random",),
+        )
 
     def test_lazy_view_cached(self, random_model):
         assert random_model.compiled is random_model.compiled
@@ -150,6 +157,53 @@ class TestDistributionalParity:
                 assert p_hat == pytest.approx(p_true, abs=0.05)
 
 
+class TestDrawArguments:
+    """One argument check (``markov.compiled.check_draw``) at every sampler
+    entry point: a fractional start state is refused, not resumed from its
+    truncation, and a count below 1 names itself."""
+
+    @pytest.fixture
+    def resume(self, drift_model):
+        paths = drift_model.sample_paths(np.random.default_rng(1), 2, 0, 3)
+        return paths[:, -1]
+
+    def _arena_draw(self, model, n, a, b, start_states=None):
+        arena = SamplingArena()
+        arena.ensure("o", model.compiled)
+        request = ArenaRequest("o", a, b, np.random.default_rng(2), start_states=start_states)
+        return sample_paths_arena(arena, [request], n)[0]
+
+    def _samplers(self, model):
+        return {
+            "adapted": lambda n, *args, **kw: model.sample_paths(
+                np.random.default_rng(2), n, *args, **kw
+            ),
+            "compiled": lambda n, *args, **kw: model.compiled.sample_paths(
+                np.random.default_rng(2), n, *args, **kw
+            ),
+            "arena": lambda n, *args, **kw: self._arena_draw(model, n, *args, **kw),
+        }
+
+    @pytest.mark.parametrize("sampler", ["adapted", "compiled", "arena"])
+    def test_fractional_start_states_refused(self, drift_model, resume, sampler):
+        draw = self._samplers(drift_model)[sampler]
+        bad = resume + np.array([0.7, 0.2])
+        with pytest.raises(ValueError, match="start_states must be integers"):
+            draw(2, 3, 5, start_states=bad)
+        with pytest.raises(ValueError, match="start_states must be integers"):
+            draw(2, 3, 5, start_states=np.array([float(resume[0]), np.nan]))
+        exact = draw(2, 3, 5, start_states=resume)
+        floats = draw(2, 3, 5, start_states=resume.astype(float))
+        np.testing.assert_array_equal(floats, exact)
+
+    @pytest.mark.parametrize("sampler", ["adapted", "compiled", "arena"])
+    @pytest.mark.parametrize("n", [0, -1, 2.5, True])
+    def test_counts_below_one_refused(self, drift_model, sampler, n):
+        draw = self._samplers(drift_model)[sampler]
+        with pytest.raises(ValueError, match="n must be a positive integer"):
+            draw(n, 0, 3)
+
+
 class TestWideRows:
     """Rows of any width draw the row walk's pick: the count of the row's
     raw CDF entries ``<= u``."""
@@ -167,7 +221,7 @@ class TestWideRows:
         return adapt_model(chain, [(0, 0)], extend_to=2)
 
     def test_parity_and_distribution(self, wide_model):
-        assert wide_model.compiled.layer(0).width == self.WIDE
+        assert np.diff(wide_model.compiled.tables.indptr).max() == self.WIDE
         paths_c = wide_model.sample_paths(np.random.default_rng(8), 3000)
         paths_r = reference_sample_paths(wide_model, np.random.default_rng(8), 3000)
         np.testing.assert_array_equal(paths_c, paths_r)
@@ -206,22 +260,22 @@ def boundary_row():
         compiled=None,
     )
     model = compile_model(SimpleNamespace(t_first=0, t_last=1, stretches=lambda: (stretch,)))
-    layer = model.layer(0)
     walk = SimpleNamespace(transitions={0: {m - 1: (next_support, probs)}})
     (want,) = reference_sample_paths(
         walk, _Halves(), 1, 0, 1, start_states=np.array([m - 1])
     )[:, 1]
     assert want == 0
-    return layer, model, want
+    matrix = sparse.csr_matrix((all_probs, next_states, indptr), shape=(m, m))
+    return matrix, model, want
 
 
 class TestBoundaryRow:
     """Every sampler picks the row walk's successor on a row whose offset
     CDF and offset variate round to the same double."""
 
-    def test_compiled_layer(self, boundary_row):
-        layer, _, want = boundary_row
-        assert layer.draw(np.array([1000]), np.array([0.5]))[0] == want
+    def test_compiled_matrix(self, boundary_row):
+        matrix, _, want = boundary_row
+        assert CompiledMatrix(matrix).draw(np.array([1000]), np.array([0.5]))[0] == want
 
     def test_per_object_sampler(self, boundary_row):
         _, model, want = boundary_row

@@ -41,7 +41,7 @@ from repro.markov.adaptation import adapt_model
 from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from repro.markov.chain import MarkovChain
 from tests.conftest import make_random_world
-from tests.oracles import loop_distance_tensor
+from tests.oracles import loop_distance_tensor, reference_tables, same_tables
 
 pytestmark = pytest.mark.native
 
@@ -51,8 +51,8 @@ requires_native = pytest.mark.skipif(
 )
 
 
-def _make_model(n_states, span, obs_every, seed, dense=False):
-    """One compiled model from a chain walk; ``dense=True`` yields rows
+def _make_adapted(n_states, span, obs_every, seed, dense=False):
+    """One adapted model from a chain walk; ``dense=True`` yields rows
     as wide as the state space."""
     r = np.random.default_rng(seed)
     mat = r.uniform(size=(n_states, n_states))
@@ -67,17 +67,24 @@ def _make_model(n_states, span, obs_every, seed, dense=False):
         nxt, probs = chain.successors(walk[-1], 0)
         walk.append(int(r.choice(nxt, p=probs)))
     obs = [(t, walk[t]) for t in range(0, span + 1, obs_every)]
-    return adapt_model(chain, obs).compiled
+    return adapt_model(chain, obs)
+
+
+def _make_model(*args, **kwargs):
+    return _make_adapted(*args, **kwargs).compiled
+
+
+#: Narrow models plus one dense one whose rows are wider than 64 entries —
+#: the shapes that exercise every branch of the C sweep.
+MODEL_SHAPES = [(60, 16, 4, s, False) for s in range(4)] + [
+    (80, 12, 6, 99, True),
+    (60, 16, 8, 7, False),
+]
 
 
 @pytest.fixture(scope="module")
 def models():
-    """Narrow models plus one dense one whose rows are wider than 64
-    entries — the shapes that exercise every branch of the C sweep."""
-    out = [_make_model(60, 16, 4, s) for s in range(4)]
-    out.append(_make_model(80, 12, 6, 99, dense=True))
-    out.append(_make_model(60, 16, 8, 7))
-    return out
+    return [_make_model(*shape) for shape in MODEL_SHAPES]
 
 
 def _arena(models, c_sweep=False):
@@ -522,32 +529,15 @@ class TestDefaultAndLayout:
             for shard in range(2):
                 assert coord._transport.worker(shard).engine.backend == coord.engine.backend
 
-    def test_model_tables_are_the_depadded_layers(self, models):
-        """What the C sweep reads of a model is its layers, end to end:
-        every tic's support and initial CDF, each layer's CSR CDFs, and its
-        padded successor table cut back to one trailing entry per row and
-        shifted to model rows."""
-        for model in models:
-            tics = range(model.t_first, model.t_last + 1)
-            row0 = np.cumsum([0] + [model.support_at(t).size for t in tics])
-            indptr, succ = [np.zeros(1, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
-            for i, t in enumerate(tics[:-1]):
-                layer = model.layer(t)
-                padded = layer.next_flat.reshape(-1, layer.width + 1)
-                kept = np.arange(layer.width + 1) <= np.diff(layer.indptr)[:, None]
-                succ.append(padded[kept] + row0[i + 1])
-                indptr.append(layer.indptr[1:] + indptr[-1][-1])
-            want = {
-                "row0": row0,
-                "states": np.concatenate([model.support_at(t) for t in tics]),
-                "init_cdf": np.concatenate([model.initial_table(t)[1] for t in tics]),
-                "cdf": np.concatenate([model.layer(t).cdf_flat for t in tics[:-1]]),
-                "indptr": np.concatenate(indptr),
-                "next": np.concatenate(succ),
-            }
-            for name, got in model.tables._asdict().items():
-                w = want[name]
-                assert got.dtype == w.dtype and got.tobytes() == w.tobytes(), name
+    def test_model_tables_are_the_reference_tables(self):
+        """What every sampler reads of a model is its tables, laid out from
+        the ``F(t)`` row dictionaries: every tic's support and initial CDF,
+        the CSR CDFs, and the successors as model rows with one trailing
+        entry per row."""
+        for shape in MODEL_SHAPES:
+            adapted = _make_adapted(*shape)
+            want = reference_tables(adapted.transitions, adapted.posteriors)
+            same_tables(adapted.compiled.tables, want, shape)
 
     @requires_native
     @pytest.mark.parametrize(

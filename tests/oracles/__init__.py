@@ -10,7 +10,7 @@ stage                         oracle
 Algorithm 2 (adaptation)      :func:`reference_adapt` — one forward and one
                               backward sweep per object; :func:`fresh_twin`
                               — a database rebuilt with no donor anywhere
-compiled layers               :func:`reference_layer` — built row by row
+compiled tables               :func:`reference_tables` — built row by row
 § 5 sampling                  :func:`reference_sample_paths` — the row-dict
                               walk over ``F(t)``
 refinement (distances)        :func:`loop_states` → :func:`loop_distance_tensor`
@@ -35,14 +35,14 @@ row in that matrix.  This package is reference code: it is linted like
 """
 
 from .adaptation import (
-    LAYER_ARRAYS,
     fresh_twin,
     reference_adapt,
-    reference_layer,
+    reference_tables,
     same_array,
     same_compiled,
     same_distributions,
     same_model,
+    same_tables,
     same_transitions,
 )
 from .mining import reference_mine
@@ -59,7 +59,6 @@ from .rstar import RStarTree
 from .sampling import reference_sample_paths
 
 __all__ = [
-    "LAYER_ARRAYS",
     "RStarTree",
     "checking_distances",
     "fresh_twin",
@@ -69,13 +68,14 @@ __all__ = [
     "partition_indicator",
     "prune_reference",
     "reference_adapt",
-    "reference_layer",
+    "reference_tables",
     "reference_mine",
     "reference_sample_paths",
     "same_array",
     "same_compiled",
     "same_distributions",
     "same_model",
+    "same_tables",
     "same_pruning",
     "same_transitions",
     "segment_items",

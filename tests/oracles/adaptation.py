@@ -1,9 +1,9 @@
-"""Algorithm 2 and its compiled layers, the way they were first written.
+"""Algorithm 2 and its compiled tables, the way they were first written.
 
 :func:`reference_adapt` is the whole-lifespan forward/backward sweep (one
 scipy product per object and tic) the batched ``adapt_many`` kernel
-replaced; :func:`reference_layer` the per-row builder ``compile_model``
-replaced; :func:`fresh_twin` a database rebuilt from final observation
+replaced; :func:`reference_tables` a model's tables built row by row, as
+the per-row builder ``compile_model`` replaced did; :func:`fresh_twin` a database rebuilt from final observation
 lists, so nothing in it was carried over from a predecessor.  The
 ``same_*`` helpers compare down to dtype and bytes.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.markov.compiled import ModelTables
 from repro.markov.distributions import SparseDistribution
 from repro.trajectory.database import TrajectoryDatabase
 
@@ -99,35 +100,29 @@ def fresh_twin(db: TrajectoryDatabase) -> TrajectoryDatabase:
     return twin
 
 
-def reference_layer(rows, next_support):
-    """One compiled timestep, built row by row (the pre-kernel builder)."""
-    support = np.array(sorted(rows), dtype=np.intp)
-    indptr = np.zeros(support.size + 1, dtype=np.intp)
-    successors, cdfs = [], []
-    for r, state in enumerate(support):
-        next_states, probs = rows[int(state)]
-        indptr[r + 1] = indptr[r] + next_states.size
-        successors.append(next_states)
-        cdfs.append(np.cumsum(probs))
-    local_next = np.searchsorted(next_support, np.concatenate(successors))
-    width = max(cdf.size for cdf in cdfs)
-    dense = np.full((support.size, width), np.inf)
-    padded = np.zeros((support.size, width + 1), dtype=np.intp)
-    for r, cdf in enumerate(cdfs):
-        lo, hi = indptr[r], indptr[r + 1]
-        dense[r, : hi - lo] = cdf
-        padded[r, : hi - lo] = local_next[lo:hi]
-        padded[r, hi - lo :] = local_next[hi - 1]
-    return {
-        "support": support,
-        "indptr": indptr,
-        "local_next": local_next,
-        "cdf_flat": np.concatenate(cdfs),
-        "entry_rows": np.repeat(np.arange(support.size, dtype=np.intp), np.diff(indptr)),
-        "cdf_dense": dense,
-        "next_flat": padded.ravel(),
-        "width": width,
-    }
+def reference_tables(transitions, posteriors):
+    """A model's :class:`~repro.markov.compiled.ModelTables`, built row by
+    row from its ``F(t)`` row dictionaries and posterior marginals (the
+    pre-kernel builder, laid out as every compiled sampler reads it)."""
+    tics = sorted(posteriors)
+    row0 = np.cumsum([0] + [posteriors[t].states.size for t in tics])
+    cdfs, sizes, successors = [np.empty(0)], [], [np.empty(0, dtype=np.intp)]
+    for i, t in enumerate(tics[:-1]):
+        next_support = posteriors[t + 1].states
+        for state in posteriors[t].states:
+            next_states, probs = transitions[t][int(state)]
+            cdfs.append(np.cumsum(probs))
+            sizes.append(next_states.size)
+            rows = np.searchsorted(next_support, next_states) + row0[i + 1]
+            successors.append(np.append(rows, rows[-1]))  # + the trailing entry
+    return ModelTables(
+        row0=row0.astype(np.intp),
+        states=np.concatenate([posteriors[t].states for t in tics]),
+        init_cdf=np.concatenate([np.cumsum(posteriors[t].probs) for t in tics]),
+        cdf=np.concatenate(cdfs),
+        indptr=np.cumsum([0] + sizes).astype(np.intp),
+        next=np.concatenate(successors).astype(np.intp),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -158,10 +153,9 @@ def same_transitions(a: dict, b: dict, context):
                 same_array(x, y, (*context, t, state))
 
 
-LAYER_ARRAYS = (
-    "support", "indptr", "local_next", "cdf_dense", "next_flat",
-    "cdf_flat", "entry_rows", "width",
-)
+def same_tables(a, b, context):
+    for name, x, y in zip(ModelTables._fields, a, b):
+        same_array(x, y, (*context, name))
 
 
 def same_compiled(a, b, context):
@@ -170,11 +164,7 @@ def same_compiled(a, b, context):
     for t in range(a.t_first, a.t_last + 1):
         for x, y in zip(a.initial_table(t), b.initial_table(t)):
             same_array(x, y, (*context, t, "initial"))
-    for t in range(a.t_first, a.t_last):
-        for name in LAYER_ARRAYS:
-            same_array(
-                getattr(a.layer(t), name), getattr(b.layer(t), name), (*context, t, name)
-            )
+    same_tables(a.tables, b.tables, context)
 
 
 def same_model(live, fresh, context):

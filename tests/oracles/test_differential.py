@@ -1,6 +1,6 @@
 """Stage × oracle × shape: the default engine against ``tests/oracles/``.
 
-One engine configuration ships — batched adaptation, compiled layers, the
+One engine configuration ships — batched adaptation, compiled tables, the
 fused arena (numpy or C), the per-tic bound table, the world-minor
 refinement block, the bitmap miner — and every stage of it is held here,
 byte for byte, to the slow-and-obvious function that states what it must
@@ -38,12 +38,12 @@ from tests.oracles import (
     partition_indicator,
     prune_reference,
     reference_adapt,
-    reference_layer,
     reference_mine,
     reference_sample_paths,
-    same_array,
+    reference_tables,
     same_distributions,
     same_pruning,
+    same_tables,
     same_transitions,
 )
 from tests.oracles.shapes import (
@@ -82,10 +82,10 @@ def _world(name):
 
 
 # ----------------------------------------------------------------------
-# Algorithm 2 and the compiled layers
+# Algorithm 2 and the compiled tables
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("world", sorted(WORLDS))
-def test_adaptation_and_layers(world):
+def test_adaptation_and_tables(world):
     db, _, _ = _world(world)
     for obj in db:
         context = (world, obj.object_id)
@@ -95,10 +95,7 @@ def test_adaptation_and_layers(world):
         same_transitions(obj.adapted.transitions, transitions, (*context, "F"))
         same_distributions(obj.adapted.posteriors, posteriors, (*context, "posterior"))
         same_distributions(obj.adapted.forwards, forwards, (*context, "forward"))
-        for t, rows in transitions.items():
-            want = reference_layer(rows, posteriors[t + 1].states)
-            for name, array in want.items():
-                same_array(getattr(obj.compiled.layer(t), name), array, (*context, t, name))
+        same_tables(obj.compiled.tables, reference_tables(transitions, posteriors), context)
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +104,7 @@ def test_adaptation_and_layers(world):
 def _arena_sample(use_native):
     def sample(model, rng, n, t_lo, t_hi, start_states=None):
         arena = SamplingArena(native=use_native)
-        arena.ensure("o", model.compiled, order=0)
+        arena.ensure("o", model.compiled)
         request = ArenaRequest("o", t_lo, t_hi, rng, start_states=start_states)
         return sample_paths_arena(arena, [request], n)[0]
 
@@ -433,7 +430,7 @@ WIDE_ROWS = 64
 
 
 def _max_row_width(obj):
-    return max(obj.compiled.layer(t).width for t in range(obj.t_first, obj.t_last))
+    return int(np.diff(obj.compiled.tables.indptr).max())
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

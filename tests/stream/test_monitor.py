@@ -359,6 +359,24 @@ class TestSlidingWindows:
         assert r3.notifications[0].times[-1] == r3.now
         assert r3.notifications[0].reason == "window-moved"
 
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    def test_fractional_or_non_finite_now_refused(self, monitor, world, bad):
+        """``tick(now=2.5)`` used to set the clock to 2 and ``now=nan``
+        raised numpy's bare conversion error; either is refused before
+        anything is ingested, leaving clock and database untouched."""
+        q = Query.from_point([5.0, 5.0])
+        monitor.subscribe(
+            QueryRequest(q, (0,)), window=SlidingWindow(width=2), name="s"
+        )
+        monitor.tick(now=4)
+        version = world.version
+        target = world.object_ids[0]
+        with pytest.raises(ValueError, match="now must be an integer"):
+            monitor.tick([_extension_event(world, target)], now=bad)
+        assert monitor.now == 4 and world.version == version
+        assert monitor.tick(now=np.float64(6.0)).now == 6
+        assert type(monitor.now) is int
+
     def test_explicit_now_wins(self, monitor):
         q = Query.from_point([5.0, 5.0])
         monitor.subscribe(

@@ -251,15 +251,18 @@ def test_an_event_costs_the_segments_it_touches(monkeypatch):
 def test_reused_records_are_shared_not_copied():
     db = TrajectoryDatabase(make_line_space(8), make_drift_chain(8))
     old = db.add_object("a", [(0, 0), (3, 1), (6, 2)], extend_to=8)
-    old_layers = [old.compiled.layer(t) for t in range(0, 6)]
+    old.compiled  # every stretch's tables, carried on its Segment record
+    old_tables = [seg.compiled for seg in old.adapted.segments]
     old_diamonds = db.diamonds_of("a")
     rects = [d.spatio_temporal_mbr(db.space) for d in old_diamonds]
     new = db.add_observation("a", 7, 3)  # inside the cone: the cone is re-derived
     assert new.extend_to == 8
-    assert [new.compiled.layer(t) for t in range(0, 6)] == old_layers
+    new.compiled
+    new_tables = [seg.compiled for seg in new.adapted.segments]
+    assert [a is b for a, b in zip(new_tables, old_tables)] == [True, True, False]
+    assert len(new_tables) == 4 and all(tables is not None for tables in new_tables)
     for t in range(0, 6):
         assert new.adapted.transitions[t] is old.adapted.transitions[t]
-    assert new.compiled.layer(6) is not old.compiled.layer(6)
     kept = db.diamonds_of("a")
     assert [a is b for a, b in zip(kept, old_diamonds)] == [True, True, False]
     assert len(kept) == 4 and kept[2].key == (6, 2, 7, 3) and kept[3].key == (7, 3, 8, None)

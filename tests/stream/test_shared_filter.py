@@ -4,7 +4,7 @@
 ``evaluate_many`` batch) share filter work: nothing is filtered until a
 stage needs it, the first request that does has every registered peer with
 the same ``(times, k)`` answered by the same ``USTTree.prune_many`` pass,
-and ``explain`` / ``evaluate`` / the serve tier's column prediction read
+and the scheduler / ``evaluate`` / the serve tier's column prediction read
 one stored result per ``(query, times, k)`` and database version.  Nothing
 outlives the tick or batch.
 """
@@ -104,15 +104,17 @@ class TestKernelPassesPerTick:
     def test_one_dirty_range_in_one_window_is_one_pass(self, monitor, monkeypatch):
         monitor.tick()
         passes = _Passes(monkeypatch)
-        explained = []
-        original = monitor.engine.explain
+        filtered = []
+        original = monitor.engine.filter_objects
         monkeypatch.setattr(
-            monitor.engine, "explain", lambda r: explained.append(r) or original(r)
+            monitor.engine,
+            "filter_objects",
+            lambda *a, **kw: filtered.append(a) or original(*a, **kw),
         )
         # far's [0, 4] segment: the early window's twelve subscriptions must
         # compare filter sets, the late window's are clean by range alone.
         report = monitor.tick([AddObservation("far", 2, FAR)])
-        assert len(explained) == 12
+        assert len(filtered) == 12
         assert {n.reason for n in report.notifications} == {"clean"}
         assert passes.take() == [12]
 
@@ -152,7 +154,7 @@ class TestKernelPassesPerTick:
         for note in report.notifications:
             if note.reason == "filter-changed":
                 assert "new" in note.result.influencers
-        # 24 explains, up to 24 evaluations: two kernel passes, no single prune.
+        # 24 filter comparisons, up to 24 evaluations: two kernel passes, no single prune.
         assert passes.take() == [12, 12]
 
     def test_distinct_k_is_a_distinct_group(self, monkeypatch):

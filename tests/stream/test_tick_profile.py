@@ -157,10 +157,10 @@ class TestRangedSkip:
         first = monitor.tick()
         assert "far" not in first.notifications[0].result.influencers
 
-        def boom(request):  # pragma: no cover - the assertion is "not called"
+        def boom(*args, **kwargs):  # pragma: no cover - the assertion is "not called"
             raise AssertionError("filter stage ran for a provably clean tick")
 
-        monkeypatch.setattr(engine, "explain", boom)
+        monkeypatch.setattr(engine, "filter_objects", boom)
         # Refining far's [4, 12] segment cannot reach the (1, 2, 3) window.
         report = monitor.tick([AddObservation("far", 8, 3)])
         note = report.notifications[0]
@@ -170,7 +170,7 @@ class TestRangedSkip:
 
     def test_intersecting_range_still_checks(self):
         """The same mutation moved into the window's span falls back to
-        the explain comparison (here: still clean, but checked)."""
+        the filter comparison (here: still clean, but checked)."""
         db = self._far_world()
         engine = QueryEngine(db, n_samples=100, seed=5)
         monitor = ContinuousMonitor(engine)

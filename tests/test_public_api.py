@@ -183,6 +183,10 @@ class TestEngineOptionCount:
             r"|Reply\(counters|metrics is (not )?None(?! else MetricsRegistry)|\baug\b"
             # ... and of the C sweep's fused step tables.
             r"|sup_base|repro_step\b|_step_struct|_check_step|init_native"
+            # ... and of the per-tic layer objects and the arena's layout
+            # bookkeeping (a compiled model is its ModelTables alone).
+            r"|CompiledLayer|local_next|\.layer\(|_layers\b|cdf_flat|next_flat|entry_rows"
+            r"|cdf_dense|object_index|_order_counter|_pos_counter|\.pos\b|replace_stages"
         )
         src = Path(repro.__file__).parent
         hits = [
@@ -197,6 +201,12 @@ class TestEngineOptionCount:
         core = [path.name for path in (src / "core").rglob("*.py")
                 if "FUSED_DRAW_THRESHOLD" in path.read_text()]
         assert core == []
+
+    def test_arena_registration_takes_no_order(self):
+        from repro.markov.arena import SamplingArena
+
+        params = list(inspect.signature(SamplingArena.ensure).parameters)
+        assert params == ["self", "object_id", "model"]
 
     def test_samplers_take_no_destination_buffers(self):
         from repro.markov import native
