@@ -25,7 +25,7 @@ from repro.spatial.ust_tree import USTTree
 from repro.statespace.base import StateSpace
 from repro.stream import AddObservation, ContinuousMonitor, ObservationStream
 from repro.trajectory.database import TrajectoryDatabase
-from repro.trajectory.nn import forall_nn_prob
+from repro.trajectory.nn import forall_knn_prob
 from repro.trajectory.trajectory import Trajectory
 from tests.oracles import (
     RStarTree,
@@ -142,7 +142,7 @@ def _refinement_kernel(workload):
     """Isolate the refinement step: draw every object's worlds for a 20-tic
     union window (fresh epoch per round, so each round really samples).
     Counting/pruning are excluded."""
-    engine = QueryEngine(workload.db, n_samples=1000, seed=8, reuse_worlds=True)
+    engine = QueryEngine(workload.db, n_samples=1000, seed=8, refine_cache_size=0)
     for obj in workload.db:
         _ = obj.adapted.compiled  # pre-compile; the kernel times sampling
     q = Query.from_state(workload.db.space, workload.sample_query_state())
@@ -150,8 +150,9 @@ def _refinement_kernel(workload):
     times = np.arange(30, 50)
 
     def run():
-        engine.new_draw_epoch()
-        engine.distance_tensor(ids, q, times)
+        with engine.held_batch():  # draws through the world cache
+            engine.new_draw_epoch()
+            engine.distance_tensor(ids, q, times)
 
     return run
 
@@ -283,14 +284,15 @@ def candidate_scale_db():
 def _candidate_kernel(db, n_candidates, backend="compiled"):
     """Refinement over ``n_candidates`` objects on a fresh epoch per round
     (each round really draws worlds; filter/counting excluded)."""
-    engine = QueryEngine(db, n_samples=128, seed=12, reuse_worlds=True, backend=backend)
+    engine = QueryEngine(db, n_samples=128, seed=12, refine_cache_size=0, backend=backend)
     ids = [f"w{i}" for i in range(n_candidates)]
     q = Query.from_point([50.0, 50.0])
     times = np.arange(2, 22)
 
     def run():
-        engine.new_draw_epoch()
-        return engine.distance_tensor(ids, q, times)
+        with engine.held_batch():  # draws through the world cache
+            engine.new_draw_epoch()
+            return engine.distance_tensor(ids, q, times)
 
     return run
 
@@ -495,7 +497,7 @@ def _ingest_ready_setup(logged, n_objects, group=1, seed=7):
                     for i in range(base, min(base + group, n_objects))
                 ]
             )
-    engine = QueryEngine(db, n_samples=512, seed=3, reuse_worlds=True)
+    engine = QueryEngine(db, n_samples=512, seed=3)
     stream = ObservationStream(db)
     window = (8, 16)
     ids = db.object_ids
@@ -940,11 +942,12 @@ def test_knn_k_targets(bench_record):
     times = tuple(range(14, 21))
 
     def depth_kernel(k):
-        engine = QueryEngine(db, n_samples=256, seed=7, reuse_worlds=True)
+        engine = QueryEngine(db, n_samples=256, seed=7, refine_cache_size=0)
 
         def run():
-            engine.new_draw_epoch()
-            return engine.evaluate(QueryRequest(q, times, "raw", k=k))
+            with engine.held_batch():  # draws through the world cache
+                engine.new_draw_epoch()
+                return engine.evaluate(QueryRequest(q, times, "raw", k=k))
 
         return run
 
@@ -1002,7 +1005,7 @@ def test_refine_layout_targets(bench_record):
     for the full assertion).
     """
     from repro.core.apriori import mine_world_masks, world_masks
-    from repro.trajectory.nn import knn_indicator, nn_indicator
+    from repro.trajectory.nn import knn_indicator
 
     chain, rng = _knn_chain()
     db = TrajectoryDatabase(
@@ -1017,8 +1020,9 @@ def test_refine_layout_targets(bench_record):
     ids = db.object_ids
     fix_tic, fix_state = db.get("o0").observations.as_pairs()[5]  # tic 25
     q = Query.from_point(db.space.coords[fix_state])
-    engine = QueryEngine(db, n_samples=n, seed=3, reuse_worlds=True)
-    dist = engine.distance_tensor(ids, q, times)  # draws and caches the worlds
+    engine = QueryEngine(db, n_samples=n, seed=3)
+    with engine.held_batch():
+        dist = engine.distance_tensor(ids, q, times)  # draws and caches the worlds
     alive = db.alive_matrix(ids, times)
     assert alive.sum(axis=1).tolist() == [10] * 6 + [5, 5]
     states = [
@@ -1048,7 +1052,7 @@ def test_refine_layout_targets(bench_record):
     def mine_reference(is_nn, tau):
         return [reference_mine(is_nn[:, c, :], times, tau) for c in range(len(ids))]
 
-    mean_case = nn_indicator(dist)
+    mean_case = knn_indicator(dist, 1)
     worst_case = np.zeros_like(mean_case)
     worst_case[:, 0, :] = True
     row = {
@@ -1141,7 +1145,7 @@ def test_bench_world_statistics(benchmark):
     """∀NN counting over a 1000-world tensor."""
     rng = np.random.default_rng(2)
     dist = rng.uniform(size=(1000, 20, 10))
-    benchmark(lambda: forall_nn_prob(dist))
+    benchmark(lambda: forall_knn_prob(dist, 1))
 
 
 def test_bench_rstar_insert(benchmark):

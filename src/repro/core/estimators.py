@@ -49,7 +49,6 @@ import numpy as np
 from ..trajectory.nn import (
     forall_knn_prob,
     knn_indicator,
-    nn_indicator,
     reverse_knn_indicator,
 )
 from .apriori import mine_world_masks, world_masks
@@ -480,7 +479,7 @@ def _mine_entries(
     contiguous axis — and every object mines its own ``|T|`` of them.
     """
     k = ctx.request.k
-    is_nn = knn_indicator(dist, k) if k > 1 else nn_indicator(dist)
+    is_nn = knn_indicator(dist, k)
     n_worlds, _, n_times = is_nn.shape
     masks = world_masks(is_nn.transpose(1, 2, 0))
     entries: list[PCNNEntry] = []

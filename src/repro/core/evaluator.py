@@ -32,10 +32,10 @@ its span, and a later batch that holds the epoch and asks for later tics
 *forward-extends* the cached paths by resuming the stored RNG stream
 (bit-identical to one-shot sampling of the union window; see
 :mod:`repro.core.worlds` for the soundness argument and the backward-
-request fallback).  Standalone queries advance the epoch on entry — they
-see fresh, independent worlds exactly as before — while :meth:`QueryEngine.
-evaluate_many` holds one epoch across a whole batch, so sliding-window
-monitoring re-samples each object at most once instead of once per query.
+request fallback).  Standalone queries advance the epoch on entry; a
+batch — :meth:`QueryEngine.evaluate_many`, or :meth:`QueryEngine.
+held_batch` for a block of calls — holds one, the only way worlds are
+shared, so sliding-window monitoring re-samples each object at most once.
 """
 
 from __future__ import annotations
@@ -75,6 +75,9 @@ __all__ = ["QueryEngine"]
 class QueryEngine:
     """Evaluates P∃NNQ, P∀NNQ, PCNNQ (and their kNN forms) on a database.
 
+    Every standalone query draws fresh worlds; a batch shares them
+    (:meth:`evaluate_many`, :meth:`held_batch`), and no option changes that.
+
     Parameters
     ----------
     db:
@@ -98,18 +101,6 @@ class QueryEngine:
         ``REPRO_DISABLE_NATIVE`` set); :attr:`backend` holds the resolved
         value.  An explicit ``"native"`` raises a descriptive error when
         the tier cannot load.  Both yield bit-identical worlds for one seed.
-    reuse_worlds:
-        When ``True``, standalone queries do *not* advance the draw epoch,
-        so consecutive queries share sampled worlds until
-        :meth:`new_draw_epoch` is called explicitly.  The default preserves
-        the classic semantics: every standalone query sees fresh worlds.
-        One caveat, since cached worlds cover only the windows requested
-        so far: a held-epoch request reaching
-        *before* an object's cached window redraws that object's worlds
-        over the union window (backward extension is unsound; see
-        :mod:`repro.core.worlds`), so estimates for the overlap can move
-        without an explicit refresh.  Forward-growing request sequences —
-        the sliding-window monitoring pattern — never redraw.
     refine_cache_size:
         Capacity (entries, an integer ``>= 0``) of the
         :class:`~repro.core.refine.RefineCache` serving *shared-world*
@@ -134,7 +125,6 @@ class QueryEngine:
         use_pruning: bool = True,
         ust_tree: USTTree | None = None,
         backend: str | None = None,
-        reuse_worlds: bool = False,
         refine_cache_size: int = 64,
         tracer=None,
         metrics=None,
@@ -153,7 +143,6 @@ class QueryEngine:
         self.rng = rng if rng is not None else np.random.default_rng(seed)
         self.use_pruning = use_pruning
         self.backend = backend
-        self.reuse_worlds = reuse_worlds
         self.refine_cache_size = check_count("refine_cache_size", refine_cache_size, minimum=0)
         #: Telemetry (see :mod:`repro.obs`): the tracer times the pipeline
         #: stages — ``stage_seconds`` is derived from its span durations,
@@ -351,16 +340,15 @@ class QueryEngine:
         epoch: int | None = None,
         window: tuple[int, int] | None = None,
     ):
-        """Run a block under an externally supplied batch context.
+        """Run a block as one batch: every query in it shares worlds.
 
-        Temporarily adopts ``epoch`` as the current draw epoch and merges
-        ``window`` into the live batch window, incrementing the batch depth
-        so world lookups inside the block take the shared-cache path with
-        exactly the anchors a coordinator's ``evaluate_many`` would use.
-        This is how shard workers reproduce the coordinator's cache
-        evolution bit-for-bit: the coordinator ships its epoch and batch
-        window with every compute command, and the worker evaluates inside
-        ``held_batch(epoch, window)``.  All prior state is restored on
+        Adopts ``epoch`` (default: the current one) as the draw epoch and
+        merges ``window`` into the live batch window, incrementing the
+        batch depth so world lookups inside the block take the shared-cache
+        path.  :meth:`evaluate_many` runs its requests in one; shard
+        workers reproduce the coordinator's cache evolution bit-for-bit by
+        evaluating inside ``held_batch(epoch, window)`` with the epoch and
+        window each compute command ships.  All prior state is restored on
         exit; the epoch counter is advanced past ``epoch`` so a later
         ``new_draw_epoch`` cannot re-issue it.
         """
@@ -406,10 +394,10 @@ class QueryEngine:
         """Epoch policy at query entry.
 
         Standalone queries get fresh worlds (classic semantics); inside a
-        batch, or when the engine was built with ``reuse_worlds=True``, the
-        current epoch is held so worlds are shared.
+        batch (:meth:`evaluate_many` or :meth:`held_batch`) the current
+        epoch is held so worlds are shared.
         """
-        if not self.reuse_worlds and self._batch_depth == 0:
+        if self._batch_depth == 0:
             self.new_draw_epoch()
 
     def _object_entropy(self, object_id: str, round_: int) -> np.ndarray | None:
@@ -488,8 +476,8 @@ class QueryEngine:
 
         Inside a batch this is the batch's precomputed time-union — so
         every request of the batch slices one common draw — clamped to the
-        object's span; for standalone shared queries (``reuse_worlds``) it
-        is the hull of the requested times.
+        object's span; inside a :meth:`held_batch` given no window it is
+        the hull of the requested times.
         """
         if self._batch_window is not None:
             lo, hi = self._batch_window
@@ -649,9 +637,9 @@ class QueryEngine:
 
         Objects are sampled independently — the paper's object-independence
         assumption — and each world combines one sampled trajectory per
-        object.  Inside a batch (or on a ``reuse_worlds`` engine) worlds
-        come from the epoch's shared cache; on a default engine each direct
-        call draws fresh window-scoped worlds (deterministic per epoch).
+        object.  Inside a batch worlds come from the epoch's shared cache;
+        outside one each call draws fresh window-scoped worlds
+        (deterministic per epoch).
         Pass ``normalized=True`` when ``times`` is already canonical.
 
         All objects are drawn in one columnar arena pass and the distances
@@ -696,16 +684,15 @@ class QueryEngine:
             times = normalize_times(times)
         self.sync_mutations()
         ids, inverse = self._distinct(object_ids)
-        if not (self.reuse_worlds or self._batch_depth > 0):
+        if self._batch_depth == 0:
             # One round per direct call: repeated calls within an epoch draw
             # fresh (yet seed-deterministic) worlds, so averaging over calls
             # adds information.
             self._direct_round += 1
         coords = q.coords_at(times)
         job = RefineJob(kind, coords if kind == "dist" else None, times, tuple(ids), n)
-        # Only batched (monitor-tick) evaluations are cached: a standalone
-        # ``reuse_worlds`` evaluation reads the world cache alone, so its
-        # per-report cache-hit accounting stays exact.
+        # Only batched evaluations are cached: outside a batch every call
+        # draws fresh worlds, so there is nothing to reuse.
         if self._batch_depth > 0 and self.refine_cache_size > 0:
             block, cols, hit = self._refine_cache.fetch(
                 job, cache_k, self._stamp, lambda j: self.fill_blocks([j])[0]
@@ -729,7 +716,7 @@ class QueryEngine:
         loop.  Each answer is ``(n, alive tics)`` with the world axis
         contiguous: a view of a cached segment or of the sweep buffer.
         """
-        if self.reuse_worlds or self._batch_depth > 0:
+        if self._batch_depth > 0:
             items = [
                 (obj.object_id, n, *self._cache_window(obj, at))
                 for obj, at in zip(objects, alive_times)
@@ -867,10 +854,10 @@ class QueryEngine:
         batch, one call restores query-ready state (index synced via
         :attr:`ust_tree`, worlds current) at the cost of the *dirty*
         objects only (an id listed twice is looked up once).  Worlds enter
-        the cache at the current draw epoch, so the call is meaningful on engines
-        that share worlds (``reuse_worlds=True``, or between held-epoch
-        batches); a default standalone query afterwards would advance the
-        epoch and redraw regardless.
+        the cache at the current draw epoch, so the call is meaningful
+        between held-epoch batches (or inside a :meth:`held_batch`); a
+        standalone query afterwards would advance the epoch and redraw
+        regardless.
         """
         n = self.n_samples if n_samples is None else check_count("n_samples", n_samples)
         self.sync_mutations()
@@ -1279,7 +1266,7 @@ class QueryEngine:
         self,
         requests: Sequence[QueryRequest | tuple],
         *,
-        refresh_worlds: bool | None = None,
+        refresh_worlds: bool = True,
         window: tuple[int, int] | None = None,
     ) -> list[QueryResult | PCNNResult | RawProbabilities | ReverseNNResult]:
         """Evaluate many requests against one shared set of sampled worlds.
@@ -1308,11 +1295,8 @@ class QueryEngine:
             ``(query, times)`` / ``(query, times, mode)`` tuples that are
             coerced with default ``tau=0.0, k=1``.
         refresh_worlds:
-            Whether to advance to a fresh epoch before the batch.  The
-            default (``None``) follows engine policy: fresh worlds on a
-            default engine, held worlds on a ``reuse_worlds`` engine
-            (whose contract is that worlds only change on an explicit
-            :meth:`new_draw_epoch` or a database mutation).  Pass ``False``
+            Whether to advance to a fresh epoch before the batch (the
+            default: each batch is an independent estimate).  Pass ``False``
             to extend the previous *batch's* worlds — e.g. when a
             monitoring loop issues successive batches and wants estimates
             that only move when the database does; the engine restores
@@ -1341,32 +1325,13 @@ class QueryEngine:
         reqs = [self._coerce_request(r) for r in requests]
         if not reqs:
             return []
-        explicit_hold = refresh_worlds is False
-        if refresh_worlds is None:
-            refresh_worlds = not self.reuse_worlds
         if refresh_worlds:
             self.new_draw_epoch()
-        elif explicit_hold and self._last_batch_epoch is not None:
-            # Only an *explicit* hold rewinds to the previous batch's epoch;
-            # the default on a reuse_worlds engine keeps the current epoch,
-            # so an explicit new_draw_epoch() between batches is respected.
+        elif self._last_batch_epoch is not None:
             self._draw_epoch = self._last_batch_epoch
         self._last_batch_epoch = self._draw_epoch
         lo, hi = union_window(reqs)
         if window is not None:
-            lo = min(lo, int(window[0]))
-            hi = max(hi, int(window[1]))
-        if self._batch_window is not None:
-            # A nested batch widens the live window instead of replacing it,
-            # so outer requests keep slicing covered segments.
-            lo = min(lo, self._batch_window[0])
-            hi = max(hi, self._batch_window[1])
-        self._batch_window = (lo, hi)
-        self._batch_depth += 1
-        try:
-            with self.shared_filter(reqs), self._staging(reqs):
-                return [self.evaluate(req) for req in reqs]
-        finally:
-            self._batch_depth -= 1
-            if self._batch_depth == 0:
-                self._batch_window = None
+            lo, hi = min(lo, int(window[0])), max(hi, int(window[1]))
+        with self.held_batch(window=(lo, hi)), self.shared_filter(reqs), self._staging(reqs):
+            return [self.evaluate(req) for req in reqs]

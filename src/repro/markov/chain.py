@@ -116,19 +116,24 @@ class TransitionModel:
         (one per distinct matrix, see :meth:`_per_matrix`)."""
         return self._per_matrix("_compiled_steps", t, CompiledMatrix)
 
-    def adjacency(self, t: int, backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def adjacency(
+        self, t: int, backward: bool = False, positive: bool = False
+    ) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` of the boolean structure of ``matrix_at(t)``.
 
         Row ``i`` lists the successors of state ``i``; with ``backward`` the
         structure is transposed and row ``j`` lists the predecessors of
         ``j``.  Same entries as :meth:`support` (explicitly stored zeros
-        count as structure), without a matrix copy per call: both
-        orientations are cached per distinct matrix like
+        count as structure) — or, with ``positive``, only the entries of
+        positive probability (Algorithm 2's edges) — without a matrix copy
+        per call: every variant is cached per distinct matrix like
         :meth:`compiled_step`.
         """
-        if backward:
-            return self._per_matrix("_predecessors", t, _csc_structure)
-        return self._per_matrix("_successors", t, _csr_structure)
+        build = _csc_structure if backward else _csr_structure
+        name = "_predecessors" if backward else "_successors"
+        if positive:
+            return self._per_matrix(name + "_positive", t, lambda matrix: build(matrix > 0))
+        return self._per_matrix(name, t, build)
 
     def csr_arrays(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices, data)`` of ``matrix_at(t)`` as plain arrays

@@ -93,8 +93,8 @@ class ServeCoordinator:
         ``use_pruning``, ``refine_cache_size``); anything
         :class:`~repro.core.evaluator.QueryEngine` does not accept is a
         ``TypeError`` (a value it rejects a ``ValueError``) here, before a
-        worker is started.  Workers inherit them with ``reuse_worlds=True``
-        and ``refine_cache_size=0`` forced.
+        worker is started.  Workers build their engines from them
+        unchanged.
     """
 
     def __init__(

@@ -40,9 +40,8 @@ class WorkerConfig:
     ``seed`` must equal the coordinator engine's seed — both derive the
     same root world entropy from it, which is what makes worker-sampled
     worlds bit-identical to single-process ones.  ``engine_kwargs`` are
-    the coordinator's engine settings; the worker forces
-    ``reuse_worlds=True`` (epochs arrive with each command) and
-    ``refine_cache_size=0`` (the refine cache is coordinator-side).
+    the coordinator's engine settings, which the worker's engine takes
+    unchanged (epochs and windows arrive with each command).
     """
 
     shard: int

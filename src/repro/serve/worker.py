@@ -5,10 +5,11 @@ transport calls :meth:`ShardWorkerState.handle` directly in-process (the
 lockstep test surface), while :func:`worker_main` wraps the same state in
 a pipe-served loop for spawned processes.  The worker's engine is built
 with the coordinator's seed (identical root world entropy), a shard view
-of the database, ``reuse_worlds=True`` (epochs always arrive with the
-command, adopted via :meth:`QueryEngine.held_batch`) and
-``refine_cache_size=0`` (the refine cache is coordinator-side).  The
-worker drives it through the engine's public refinement seam only —
+of the database and the coordinator's engine options unchanged: it draws
+every world inside :meth:`QueryEngine.held_batch` under the epoch and
+window the command carries, and never reaches the coordinator-side
+refine cache.  The worker drives it through the engine's public
+refinement seam only —
 :meth:`~QueryEngine.sync_mutations`, :meth:`~QueryEngine.fill_blocks`
 on its share of each block's columns (the filled slabs are the reply's
 payload), :meth:`~QueryEngine.fetch_worlds` — and never touches the
@@ -57,14 +58,11 @@ class ShardWorkerState:
         self.n_shards = int(config.n_shards)
         self.db = config.db
         kwargs = dict(config.engine_kwargs)
-        kwargs.pop("rng", None)
-        # Telemetry objects never ride the config (they are per-process):
-        # the worker's engine holds its own registry, and a recording
-        # tracer when the config asks for one.
-        for key in ("tracer", "metrics", "slow_log"):
+        # The seed rides the config, and per-process objects never do: the
+        # worker's engine holds its own registry, and a recording tracer
+        # when the config asks for one.
+        for key in ("rng", "tracer", "metrics", "slow_log"):
             kwargs.pop(key, None)
-        kwargs["reuse_worlds"] = True
-        kwargs["refine_cache_size"] = 0
         self.tracer = (
             Tracer(id_prefix=f"shard{self.shard}") if config.telemetry else NULL_TRACER
         )

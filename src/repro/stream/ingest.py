@@ -12,12 +12,10 @@ invalidation, the :class:`~repro.stream.monitor.ContinuousMonitor` — can
 react per object instead of rebuilding per event.
 
 Events are validated *before* anything is applied (unknown ids, duplicate
-ids, duplicate observation times — including conflicts created inside the
-batch itself), so the common error classes cannot leave the database
-half-ingested.  Deep model errors remain lazy by design: an observation
-that contradicts the transition model is only detected when the object's
-posterior is next adapted, exactly as with direct
-:meth:`~repro.trajectory.database.TrajectoryDatabase.add_observation`.
+ids, duplicate observation times, states outside the space, fixes the
+transition model cannot join — including conflicts created inside the
+batch itself), so none of these can leave the database half-ingested or
+wedge a later tick.
 """
 
 from __future__ import annotations
@@ -134,13 +132,16 @@ class ObservationStream:
                         chain=event.chain,
                         ground_truth=event.ground_truth,
                         extend_to=event.extend_to,
+                        checked=True,
                     )
                     added += 1
                     last = obj.observations.last.time
                     latest = last if latest is None else max(latest, last)
                     dirty.add(obj.object_id)
                 elif isinstance(event, AddObservation):
-                    self.db.add_observation(event.object_id, event.time, event.state)
+                    self.db.add_observation(
+                        event.object_id, event.time, event.state, checked=True
+                    )
                     observed += 1
                     t = int(event.time)
                     latest = t if latest is None else max(latest, t)
@@ -150,12 +151,12 @@ class ObservationStream:
                     removed += 1
                     dirty.add(str(event.object_id))
             except Exception as exc:
-                # Validation pre-screens the common error classes, but deep
-                # model errors stay lazy by design — attribute them to the
-                # offending event so a cross-shard ingest failure names the
-                # batch index and object id (database partially applied:
-                # events before ``i`` landed).  Rewriting ``args`` keeps the
-                # original exception type and traceback intact.
+                # Validation screens every error the database raises; should
+                # one still surface, attribute it to the offending event so
+                # a cross-shard ingest failure names the batch index and
+                # object id (database partially applied: events before
+                # ``i`` landed).  Rewriting ``args`` keeps the original
+                # exception type and traceback intact.
                 exc.args = (
                     f"event {i} (object {event.object_id!r}): {exc}",
                 )
@@ -176,9 +177,10 @@ class ObservationStream:
     def validate(self, events: Sequence[StreamEvent]) -> None:
         """Reject batches that would fail mid-application.
 
-        Tracks membership and per-object observation times as the batch
-        would evolve them, so intra-batch conflicts (add-then-add, observe
-        a time twice, observe after remove) surface before any mutation
+        Tracks membership and per-object observations as the batch would
+        evolve them, so intra-batch conflicts (add-then-add, observe a time
+        twice, observe after remove, a fix the chain cannot join to its
+        neighbours as the batch leaves them) surface before any mutation
         happens.  Every rejection names both the offending event's batch
         index *and* its object id, so a failure in a routed (sharded)
         ingest is attributable without replaying the batch.  Public so a
@@ -189,73 +191,81 @@ class ObservationStream:
         """
         events = list(events)
         present = set(self.db.object_ids)
-        times: dict[str, set[int]] = {}
+        # Each touched object's chain and observations as the batch leaves them.
+        fixes: dict[str, tuple[TransitionModel, ObservationSet]] = {}
 
-        def times_of(object_id: str) -> set[int]:
-            if object_id not in times:
-                times[object_id] = {
-                    o.time for o in self.db.get(object_id).observations
-                }
-            return times[object_id]
+        def fixes_of(object_id: str) -> tuple[TransitionModel, ObservationSet]:
+            if object_id not in fixes:
+                obj = self.db.get(object_id)
+                fixes[object_id] = obj.chain, obj.observations
+            return fixes[object_id]
 
-        for i, event in enumerate(events):
-            if not isinstance(event, self._known_events):
-                raise TypeError(
-                    f"event {i}: expected AddObject/AddObservation/"
-                    f"RemoveObject, got {type(event).__name__}"
-                )
-            object_id = str(event.object_id)
-            if isinstance(event, AddObject):
-                if object_id in present:
-                    raise ValueError(
-                        f"event {i}: object {object_id!r} already exists"
+        # Every new segment, checked once at the end — or before the error of
+        # a later event, so the first offending event is the one named.
+        segments: list = []
+        try:
+            for i, event in enumerate(events):
+                if not isinstance(event, self._known_events):
+                    raise TypeError(
+                        f"event {i}: expected AddObject/AddObservation/"
+                        f"RemoveObject, got {type(event).__name__}"
                     )
-                observations = event.observations
-                if not isinstance(observations, ObservationSet):
-                    try:
-                        observations = ObservationSet(observations)  # validates
-                    except (TypeError, ValueError) as exc:
+                object_id = str(event.object_id)
+                context = f"event {i} (object {object_id!r})"
+                if isinstance(event, AddObject):
+                    if object_id in present:
                         raise ValueError(
-                            f"event {i} (object {object_id!r}): {exc}"
-                        ) from None
-                self.db.check_states(f"event {i} (object {object_id!r})", observations)
-                if (
-                    event.chain is not None
-                    and event.chain.n_states != self.db.space.n_states
-                ):
-                    raise ValueError(
-                        f"event {i} (object {object_id!r}): per-object chain "
-                        f"has {event.chain.n_states} states but the database "
-                        f"space has {self.db.space.n_states}"
-                    )
-                if (
-                    event.extend_to is not None
-                    and event.extend_to < observations.last.time
-                ):
-                    raise ValueError(
-                        f"event {i} (object {object_id!r}): extend_to must "
-                        "not precede the last observation"
-                    )
-                present.add(object_id)
-                times[object_id] = set(observations.times)
-            elif isinstance(event, AddObservation):
-                if object_id not in present:
-                    raise KeyError(f"event {i}: unknown object {object_id!r}")
-                try:
-                    observation = Observation(event.time, event.state)
-                except (TypeError, ValueError) as exc:
-                    raise ValueError(
-                        f"event {i} (object {object_id!r}): {exc}"
-                    ) from None
-                self.db.check_states(f"event {i} (object {object_id!r})", [observation])
-                if observation.time in times_of(object_id):
-                    raise ValueError(
-                        f"event {i}: object {object_id!r} already observed "
-                        f"at time {observation.time}"
-                    )
-                times_of(object_id).add(observation.time)
-            else:
-                if object_id not in present:
-                    raise KeyError(f"event {i}: unknown object {object_id!r}")
-                present.discard(object_id)
-                times.pop(object_id, None)
+                            f"event {i}: object {object_id!r} already exists"
+                        )
+                    observations = event.observations
+                    if not isinstance(observations, ObservationSet):
+                        try:
+                            observations = ObservationSet(observations)  # validates
+                        except (TypeError, ValueError) as exc:
+                            raise ValueError(f"{context}: {exc}") from None
+                    self.db.check_states(context, observations)
+                    if (
+                        event.chain is not None
+                        and event.chain.n_states != self.db.space.n_states
+                    ):
+                        raise ValueError(
+                            f"{context}: per-object chain has {event.chain.n_states} "
+                            f"states but the database space has {self.db.space.n_states}"
+                        )
+                    if (
+                        event.extend_to is not None
+                        and event.extend_to < observations.last.time
+                    ):
+                        raise ValueError(
+                            f"{context}: extend_to must not precede the last observation"
+                        )
+                    chain = event.chain if event.chain is not None else self.db.chain
+                    segments += [(context, chain, *seg) for seg in observations.segments()]
+                    present.add(object_id)
+                    fixes[object_id] = chain, observations
+                elif isinstance(event, AddObservation):
+                    if object_id not in present:
+                        raise KeyError(f"event {i}: unknown object {object_id!r}")
+                    try:
+                        observation = Observation(event.time, event.state)
+                    except (TypeError, ValueError) as exc:
+                        raise ValueError(f"{context}: {exc}") from None
+                    self.db.check_states(context, [observation])
+                    chain, observed = fixes_of(object_id)
+                    if observed.state_at(observation.time) is not None:
+                        raise ValueError(
+                            f"event {i}: object {object_id!r} already observed "
+                            f"at time {observation.time}"
+                        )
+                    joined = observed.segments_with(observation)
+                    segments += [(context, chain, *seg) for seg in joined]
+                    fixes[object_id] = chain, ObservationSet([*observed, observation])
+                else:
+                    if object_id not in present:
+                        raise KeyError(f"event {i}: unknown object {object_id!r}")
+                    present.discard(object_id)
+                    fixes.pop(object_id, None)
+        except Exception:
+            self.db.check_reachable(segments)
+            raise
+        self.db.check_reachable(segments)

@@ -456,7 +456,7 @@ class ContinuousMonitor:
                         # move) draws a fresh epoch, held again by the
                         # following ticks; otherwise the monitoring epoch is
                         # held/restored as usual.
-                        refresh_worlds=True if refreshing else False,
+                        refresh_worlds=refreshing,
                         window=union,
                     )
                     results = {

@@ -11,9 +11,10 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
+from ..markov.adaptation import ObservationContradictionError
 from ..markov.chain import TransitionModel
 from ..statespace.base import StateSpace
-from .diamonds import Diamond
+from .diamonds import Diamond, reachable_states
 from .observation import Observation, ObservationSet
 from .trajectory import Trajectory, UncertainObject
 
@@ -170,17 +171,26 @@ class TrajectoryDatabase:
         chain: TransitionModel | None = None,
         ground_truth: Trajectory | None = None,
         extend_to: int | None = None,
+        *,
+        checked: bool = False,
     ) -> UncertainObject:
-        """Register an object; returns the stored :class:`UncertainObject`."""
+        """Register an object; returns the stored :class:`UncertainObject`.
+
+        Observations :meth:`check_states` or :meth:`check_reachable` refuses
+        are never stored; ``checked=True`` says the caller (the stream's
+        ``validate``) ran both checks already."""
         object_id = str(object_id)
         if object_id in self._objects:
             raise KeyError(f"object {object_id!r} already exists")
         if not isinstance(observations, ObservationSet):
             observations = ObservationSet(observations)
-        self.check_states(f"object {object_id!r}", observations)
         own_chain = chain if chain is not None else self.chain
         if own_chain.n_states != self.space.n_states:
             raise ValueError("per-object chain must match the database state space")
+        if not checked:
+            context = f"object {object_id!r}"
+            self.check_states(context, observations)
+            self.check_reachable((context, own_chain, *seg) for seg in observations.segments())
         obj = UncertainObject(
             object_id, observations, own_chain, ground_truth, extend_to=extend_to
         )
@@ -203,6 +213,39 @@ class TrajectoryDatabase:
                     f"the database space's {n_states} states"
                 )
 
+    def check_reachable(
+        self, segments: Iterable[tuple[str, TransitionModel, Observation, Observation]]
+    ) -> None:
+        """Reject the first ``(context, chain, first, second)`` segment whose
+        ``second`` fix no path of positive-probability steps (Algorithm 2's
+        edges, a subset of the stored ones the diamonds walk) reaches from
+        ``first``, so adaptation and the index accept what passes.  The
+        :class:`ObservationContradictionError` names ``context`` and both
+        fixes.  Segments over the same matrices share one labelled walk."""
+        segments = list(segments)
+        groups: dict[tuple, list[int]] = {}
+        matrices = []  # alive while their ids key the groups
+        for i, (_, chain, first, second) in enumerate(segments):
+            matrices.append([chain.matrix_at(t) for t in range(first.time, second.time)])
+            groups.setdefault(tuple(map(id, matrices[-1])), []).append(i)
+        failed = []
+        for members in groups.values():
+            _, chain, first, second = segments[members[0]]
+            labels = chain.n_states * np.arange(len(members))
+            starts = labels + [segments[i][2].state for i in members]
+            gap = second.time - first.time
+            reached = reachable_states(chain, starts, first.time, gap, positive=True)[-1]
+            ends = labels + [segments[i][3].state for i in members]
+            hit = np.append(reached, -1)[np.searchsorted(reached, ends)] == ends
+            failed += [i for i, ok in zip(members, hit) if not ok]
+        if failed:
+            context, _, first, second = segments[min(failed)]
+            raise ObservationContradictionError(
+                f"{context}: observation (t={second.time}, state={second.state}) "
+                f"is unreachable from observation (t={first.time}, "
+                f"state={first.state}) under the a-priori chain"
+            )
+
     def remove_object(self, object_id: str) -> None:
         """Drop an object (and its derived caches) from the database.
 
@@ -219,7 +262,9 @@ class TrajectoryDatabase:
         # Removal withdraws the object's contributions over its old span.
         self._bump_version(object_id, affected=(gone.t_first, gone.t_last))
 
-    def add_observation(self, object_id: str, time: int, state: int) -> UncertainObject:
+    def add_observation(
+        self, object_id: str, time: int, state: int, *, checked: bool = False
+    ) -> UncertainObject:
         """Ingest a new observation for an existing object.
 
         The stored object is replaced by its successor
@@ -229,13 +274,17 @@ class TrajectoryDatabase:
         diamonds over from the old object; index structures detect the
         change through :attr:`version`.  A duplicate observation time
         raises (observations are certain — two conflicting certainties
-        would be a data error).
+        would be a data error), and so does a fix the chain cannot join to
+        its neighbours (``checked`` as in :meth:`add_object`).
         """
         old = self.get(object_id)
-        self.check_states(
-            f"object {old.object_id!r}", [Observation(time, state)]
-        )
         replacement = old.with_observation(time, state)
+        if not checked:
+            fix, context = Observation(time, state), f"object {old.object_id!r}"
+            self.check_states(context, [fix])
+            self.check_reachable(
+                (context, old.chain, *seg) for seg in old.observations.segments_with(fix)
+            )
         self._objects[old.object_id] = replacement
         # A fix at ``t`` reshapes only the diamonds between its neighboring
         # observations: segments outside ``[prev, next]`` recompute to

@@ -92,16 +92,32 @@ class Diamond:
 def _frontier_step(
     indptr: np.ndarray, indices: np.ndarray, frontier: np.ndarray
 ) -> np.ndarray:
-    """States adjacent (per the CSR structure) to any state in ``frontier``."""
+    """States adjacent (per the CSR structure) to any state in ``frontier``.
+
+    One step may advance several walks: in a (sorted) frontier holding
+    entries past the state count ``n``, entry ``label * n + state`` is a
+    state of walk ``label``, and its successors keep the label.
+    """
     if frontier.size == 0:
         return frontier
-    starts = indptr[frontier]
-    counts = indptr[frontier + 1] - starts
+    n = indptr.size - 1
+    labels, states = np.divmod(frontier, n) if frontier[-1] >= n else (None, frontier)
+    starts = indptr[states]
+    counts = indptr[states + 1] - starts
     # Positions of the frontier rows' entries: each row's run start..end,
     # laid end to end.
     run_ends = np.cumsum(counts)
     positions = np.arange(run_ends[-1]) + np.repeat(starts - (run_ends - counts), counts)
-    return np.unique(indices[positions])
+    successors = indices[positions]
+    if labels is not None:
+        successors = successors + np.repeat(labels * n, counts)
+    # Sort, then drop repeats: what ``np.unique`` returns, several times
+    # faster than its hashing path at frontier sizes.
+    successors.sort()
+    keep = np.empty(successors.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(successors[1:], successors[:-1], out=keep[1:])
+    return successors[keep]
 
 
 def reachable_states(
@@ -110,18 +126,23 @@ def reachable_states(
     t_start: int,
     steps: int,
     backward: bool = False,
+    positive: bool = False,
 ) -> list[np.ndarray]:
     """Per-step reachable sets from (or into) ``start_state``.
 
     Forward: item ``k`` holds states reachable in exactly ``k`` steps from
     ``start_state`` starting at ``t_start``.  Backward: item ``k`` holds the
     states from which ``start_state`` can be reached in exactly ``k`` steps
-    arriving at ``t_start`` (useful for diamond intersection).
+    arriving at ``t_start`` (useful for diamond intersection).  Steps
+    follow the chain's stored structure, or with ``positive`` only its
+    edges of positive probability (see :meth:`TransitionModel.adjacency`).
+    A sorted array of labelled start entries walks several starts at once
+    (see :func:`_frontier_step`).
     """
-    out = [np.asarray([start_state], dtype=np.intp)]
+    out = [np.atleast_1d(np.asarray(start_state, dtype=np.intp))]
     for k in range(steps):
         t = t_start - k - 1 if backward else t_start + k
-        out.append(_frontier_step(*chain.adjacency(t, backward), out[-1]))
+        out.append(_frontier_step(*chain.adjacency(t, backward, positive), out[-1]))
     return out
 
 

@@ -10,7 +10,9 @@ functions operate on a distance tensor
 
 with ``np.inf`` marking objects that are not alive at ``t`` (outside their
 observation span).  Ties use ``<=`` per Definitions 1-2: all co-located
-closest objects count as nearest neighbors.
+closest objects count as nearest neighbors.  There is one predicate:
+:func:`knn_indicator`, whose ``k = 1`` form is the NN test behind the ∀/∃
+estimators and PCNN mining alike.
 
 Memory order.  The shape is ``(worlds, objects, times)`` whoever calls, but
 the engine hands in a transposed view of an ``(objects, times, worlds)``
@@ -19,16 +21,6 @@ elementwise operations and axis reductions only, which numpy runs in the
 operand's own memory order, so indicators come out world-minor too and the
 reductions over objects and tics run unit-stride over the worlds.  A plain
 C-ordered tensor gives the same answers, slower.
-
-Two tie rules, one predicate.  For ``k = 1`` the ∀/∃ estimators go through
-:func:`knn_indicator` — the exact rule ``d <= min`` — while PCNN mining
-goes through :func:`nn_indicator`, which admits a relative slack
-(``d <= min · (1 + 1e-12)``).  Distances of co-located objects are the
-same double (one per-(tic, state) table entry, or the same arithmetic on
-the same coordinates), so the two coincide unless two *different* states
-lie within 1e-12 relative distance of the query; they agree on every
-shipped fixture (``tests/core/test_refine_layout.py`` pins that) and
-neither rule is changed here.
 """
 
 from __future__ import annotations
@@ -36,20 +28,12 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "nn_indicator",
     "knn_indicator",
-    "nn_prob_per_time",
-    "forall_nn_prob",
-    "exists_nn_prob",
     "forall_knn_prob",
     "exists_knn_prob",
     "forall_prob_over_times",
     "reverse_knn_indicator",
-    "reverse_forall_knn_prob",
-    "reverse_exists_knn_prob",
 ]
-
-_TIE_RTOL = 1e-12
 
 
 def _validate(dist: np.ndarray) -> np.ndarray:
@@ -57,19 +41,6 @@ def _validate(dist: np.ndarray) -> np.ndarray:
     if dist.ndim != 3:
         raise ValueError(f"distance tensor must be (worlds, objects, times), got {dist.shape}")
     return dist
-
-
-def nn_indicator(dist: np.ndarray) -> np.ndarray:
-    """Boolean tensor: is object ``o`` a nearest neighbor at ``(w, t)``?
-
-    An object is NN when its distance equals the minimum over all alive
-    objects; at times where no object is alive nobody is NN.
-    """
-    dist = _validate(dist)
-    best = dist.min(axis=1, keepdims=True)
-    with np.errstate(invalid="ignore"):
-        is_nn = dist <= best * (1.0 + _TIE_RTOL)
-    return is_nn & np.isfinite(dist)
 
 
 def knn_indicator(dist: np.ndarray, k: int) -> np.ndarray:
@@ -97,21 +68,6 @@ def knn_indicator(dist: np.ndarray, k: int) -> np.ndarray:
     else:
         kth = np.partition(dist, k - 1, axis=1)[:, k - 1 : k, :]
     return (dist <= kth) & np.isfinite(dist)
-
-
-def nn_prob_per_time(dist: np.ndarray) -> np.ndarray:
-    """``P(o is NN of q at t)`` estimates, shape ``(objects, times)``."""
-    return nn_indicator(dist).mean(axis=0)
-
-
-def forall_nn_prob(dist: np.ndarray) -> np.ndarray:
-    """``P∀NN(o, q, D, T)`` estimates over all times of the tensor."""
-    return nn_indicator(dist).all(axis=2).mean(axis=0)
-
-
-def exists_nn_prob(dist: np.ndarray) -> np.ndarray:
-    """``P∃NN(o, q, D, T)`` estimates over all times of the tensor."""
-    return nn_indicator(dist).any(axis=2).mean(axis=0)
 
 
 def forall_knn_prob(dist: np.ndarray, k: int) -> np.ndarray:
@@ -158,20 +114,6 @@ def reverse_knn_indicator(
     with np.errstate(invalid="ignore"):
         closer = (object_dist < dist[:, None, :, :]).sum(axis=1)
     return (closer < k) & np.isfinite(dist)
-
-
-def reverse_forall_knn_prob(
-    dist: np.ndarray, object_dist: np.ndarray, k: int
-) -> np.ndarray:
-    """``P(∀t ∈ T: q ∈ kNN(o, t))`` estimates per object (reverse P∀kNN)."""
-    return reverse_knn_indicator(dist, object_dist, k).all(axis=2).mean(axis=0)
-
-
-def reverse_exists_knn_prob(
-    dist: np.ndarray, object_dist: np.ndarray, k: int
-) -> np.ndarray:
-    """``P(∃t ∈ T: q ∈ kNN(o, t))`` estimates per object (reverse P∃kNN)."""
-    return reverse_knn_indicator(dist, object_dist, k).any(axis=2).mean(axis=0)
 
 
 def forall_prob_over_times(indicator: np.ndarray, time_columns: np.ndarray) -> float:

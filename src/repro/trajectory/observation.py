@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import numbers
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -90,6 +91,13 @@ class ObservationSet:
     def segments(self) -> Iterator[tuple[Observation, Observation]]:
         """Consecutive observation pairs — one uncertainty diamond each."""
         yield from zip(self._observations, self._observations[1:])
+
+    def segments_with(self, fix: Observation) -> list[tuple[Observation, Observation]]:
+        """The segments (at most two) a new ``fix`` at an unobserved time
+        would form with its neighbours here."""
+        i = bisect_left(self._observations, fix)
+        earlier = [(self._observations[i - 1], fix)] if i else []
+        return earlier + [(fix, o) for o in self._observations[i : i + 1]]
 
     def __iter__(self) -> Iterator[Observation]:
         return iter(self._observations)

@@ -110,3 +110,12 @@ def drift_db():
     db.add_object("a", [(0, 0), (4, 2)])
     db.add_object("b", [(0, 1), (4, 3)])
     return db
+
+
+@pytest.fixture
+def unchecked_reachability(monkeypatch):
+    """Switch off the ingest-time reachability check
+    (``TrajectoryDatabase.check_reachable``), so a contradicting fix lands
+    and what adaptation does with one — the defence behind the check — can
+    be tested."""
+    monkeypatch.setattr(TrajectoryDatabase, "check_reachable", lambda *args: None)

@@ -251,9 +251,10 @@ class TestEngineLevelConsistency:
         ]
         compared = 0
         for db, q, times in worlds:
-            engine = QueryEngine(db, n_samples=333, seed=2, reuse_worlds=True)
-            forall = engine.evaluate(QueryRequest(q, times, "forall", 0.01))
-            pcnn = engine.evaluate(QueryRequest(q, times, "pcnn", 0.01))
+            engine = QueryEngine(db, n_samples=333, seed=2)
+            with engine.held_batch():
+                forall = engine.evaluate(QueryRequest(q, times, "forall", 0.01))
+                pcnn = engine.evaluate(QueryRequest(q, times, "pcnn", 0.01))
             whole = {e.object_id: e.probability for e in pcnn.entries if e.times == times}
             expected = {o: p for o, p in forall.probabilities.items() if p >= 0.01}
             assert whole == expected

@@ -26,18 +26,19 @@ class TestEngineBasics:
         if bad is not None:  # None is "use the engine's count"
             with pytest.raises(ValueError, match="n_samples must be"):
                 QueryEngine(drift_db, n_samples=bad)
-        engine = QueryEngine(drift_db, n_samples=10, seed=1, reuse_worlds=True)
+        engine = QueryEngine(drift_db, n_samples=10, seed=1)
         ids = list(drift_db.object_ids)
         for call in (
             lambda n: engine.prefetch_worlds(n_samples=n),
             lambda n: engine.distance_tensor(ids, q, [0, 1], n_samples=n),
             lambda n: engine.reverse_distance_tensors(ids, q, [0, 1], n_samples=n),
         ):
-            if bad is None:
-                call(bad)
-            else:
-                with pytest.raises(ValueError, match="n_samples must be"):
+            with engine.held_batch():  # every draw lands in the world cache
+                if bad is None:
                     call(bad)
+                else:
+                    with pytest.raises(ValueError, match="n_samples must be"):
+                        call(bad)
         assert all(n == 10 for _, n in engine.worlds._entries)
 
     @pytest.mark.parametrize("bad", [-1, 1.5, True])

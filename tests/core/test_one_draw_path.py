@@ -70,9 +70,15 @@ def _fleet(engine):
     return history
 
 
+def _adhoc_shared(engine):
+    """The ad-hoc shape with every query reading one held epoch."""
+    with engine.held_batch():
+        return _adhoc(engine)
+
+
 SHAPES = {
     "adhoc": _adhoc,
-    "adhoc_shared": _adhoc,
+    "adhoc_shared": _adhoc_shared,
     "monitor": lambda engine: _monitor(engine, event_script),
     "monitor_seam": lambda engine: _monitor(engine, seam_script),
     "fleet": _fleet,
@@ -80,8 +86,6 @@ SHAPES = {
 
 
 def _run(shape, **kwargs):
-    if shape == "adhoc_shared":
-        kwargs["reuse_worlds"] = True
     engine = QueryEngine(twin_db(), n_samples=48, seed=SEED, **kwargs)
     return engine, SHAPES[shape](engine)
 

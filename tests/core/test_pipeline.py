@@ -418,17 +418,19 @@ class TestHybridAgreement:
 # ----------------------------------------------------------------------
 class TestReportAccounting:
     def test_cache_deltas_match_world_cache_counters(self, example_db, query):
-        engine = QueryEngine(example_db, n_samples=500, seed=5, reuse_worlds=True)
+        # No refine cache: in a held batch it would answer before the worlds.
+        engine = QueryEngine(example_db, n_samples=500, seed=5, refine_cache_size=0)
         req = QueryRequest(query, (1, 2, 3), "forall", 0.1)
-        before = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
-        first = engine.evaluate(req)
-        mid = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
-        assert first.report.cache_hits == mid[0] - before[0]
-        assert first.report.cache_partial_hits == mid[1] - before[1]
-        assert first.report.cache_misses == mid[2] - before[2]
-        assert first.report.cache_misses == 2  # both objects drawn fresh
-        second = engine.evaluate(req)
-        after = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
+        with engine.held_batch():
+            before = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
+            first = engine.evaluate(req)
+            mid = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
+            assert first.report.cache_hits == mid[0] - before[0]
+            assert first.report.cache_partial_hits == mid[1] - before[1]
+            assert first.report.cache_misses == mid[2] - before[2]
+            assert first.report.cache_misses == 2  # both objects drawn fresh
+            second = engine.evaluate(req)
+            after = (engine.worlds.hits.value, engine.worlds.partial_hits.value, engine.worlds.misses.value)
         assert second.report.cache_hits == after[0] - mid[0] == 2
         assert second.report.cache_misses == 0
 

@@ -23,6 +23,8 @@ statistical: within one engine all modes consume the same draws, so the
 invariants hold bit-wise, not merely within sampling error.
 """
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
@@ -51,43 +53,47 @@ def _world(seed):
     return db, q
 
 
-def _engine(db, seed):
-    return QueryEngine(db, n_samples=300, seed=seed, reuse_worlds=True)
+@contextmanager
+def _held_engine(db, seed):
+    """An engine whose every call in the block reads one held epoch."""
+    engine = QueryEngine(db, n_samples=300, seed=seed)
+    with engine.held_batch():
+        yield engine
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exists_dominates_forall_forward(seed):
     db, q = _world(seed)
-    eng = _engine(db, seed)
-    for k in (1, 2):
-        raw = eng.evaluate(QueryRequest(q, TIMES, "raw", k=k))
-        assert set(raw.forall) == set(raw.exists)
-        for oid in raw.forall:
-            assert raw.exists[oid] >= raw.forall[oid], (seed, k, oid)
-            assert 0.0 <= raw.forall[oid] <= 1.0
-            assert 0.0 <= raw.exists[oid] <= 1.0
+    with _held_engine(db, seed) as eng:
+        for k in (1, 2):
+            raw = eng.evaluate(QueryRequest(q, TIMES, "raw", k=k))
+            assert set(raw.forall) == set(raw.exists)
+            for oid in raw.forall:
+                assert raw.exists[oid] >= raw.forall[oid], (seed, k, oid)
+                assert 0.0 <= raw.forall[oid] <= 1.0
+                assert 0.0 <= raw.exists[oid] <= 1.0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_exists_dominates_forall_reverse(seed):
     db, q = _world(seed)
-    eng = _engine(db, seed)
-    for k in (1, 2):
-        res = eng.evaluate(QueryRequest(q, TIMES, "reverse_nn", k=k))
-        assert set(res.probabilities) == set(res.exists)
-        for oid in res.probabilities:
-            assert res.exists[oid] >= res.probabilities[oid], (seed, k, oid)
-            assert 0.0 <= res.probabilities[oid] <= 1.0
-            assert 0.0 <= res.exists[oid] <= 1.0
+    with _held_engine(db, seed) as eng:
+        for k in (1, 2):
+            res = eng.evaluate(QueryRequest(q, TIMES, "reverse_nn", k=k))
+            assert set(res.probabilities) == set(res.exists)
+            for oid in res.probabilities:
+                assert res.exists[oid] >= res.probabilities[oid], (seed, k, oid)
+                assert 0.0 <= res.probabilities[oid] <= 1.0
+                assert 0.0 <= res.exists[oid] <= 1.0
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_knn_membership_monotone_in_k(seed):
     """P(o ∈ kNN) is non-decreasing in k — on the same worlds, exactly."""
     db, q = _world(seed)
-    eng = _engine(db, seed)
     ids = sorted(db.object_ids)
-    dist = eng.distance_tensor(ids, q, np.asarray(TIMES))
+    with _held_engine(db, seed) as eng:
+        dist = eng.distance_tensor(ids, q, np.asarray(TIMES))
     prev = None
     for k in (1, 2, 3, 4):
         member = knn_indicator(dist, k)
@@ -95,9 +101,8 @@ def test_knn_membership_monotone_in_k(seed):
             assert np.all(member >= prev), (seed, k)
         prev = member
     # The same monotonicity through the pipeline (shared draws per engine):
-    raws = _engine(db, seed).evaluate_many(
-        [QueryRequest(q, TIMES, "raw", k=k) for k in (1, 2, 3)]
-    )
+    with _held_engine(db, seed) as eng:
+        raws = eng.evaluate_many([QueryRequest(q, TIMES, "raw", k=k) for k in (1, 2, 3)])
     for smaller, larger in zip(raws, raws[1:]):
         for oid in smaller.forall:
             assert larger.forall[oid] >= smaller.forall[oid], (seed, oid)
@@ -107,9 +112,9 @@ def test_knn_membership_monotone_in_k(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_kth_rank_probability_telescopes(seed):
     db, q = _world(seed)
-    eng = _engine(db, seed)
     ids = sorted(db.object_ids)
-    dist = eng.distance_tensor(ids, q, np.asarray(TIMES))
+    with _held_engine(db, seed) as eng:
+        dist = eng.distance_tensor(ids, q, np.asarray(TIMES))
     for k in (2, 3):
         member_k = knn_indicator(dist, k)
         member_km1 = knn_indicator(dist, k - 1)
@@ -131,9 +136,9 @@ def test_kth_rank_probability_telescopes(seed):
 def test_reverse_membership_monotone_in_k(seed):
     """Reverse kNN indicator is monotone in k on the same tensors."""
     db, q = _world(seed)
-    eng = _engine(db, seed)
     ids = sorted(db.object_ids)
-    dist, object_dist = eng.reverse_distance_tensors(ids, q, np.asarray(TIMES))
+    with _held_engine(db, seed) as eng:
+        dist, object_dist = eng.reverse_distance_tensors(ids, q, np.asarray(TIMES))
     prev = None
     for k in (1, 2, 3):
         member = reverse_knn_indicator(dist, object_dist, k)
@@ -149,7 +154,8 @@ def test_reverse_membership_monotone_in_k(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reverse_covers_influence_set(seed):
     db, q = _world(seed)
-    res = _engine(db, seed).evaluate(QueryRequest(q, TIMES, "reverse_nn", k=1))
+    with _held_engine(db, seed) as eng:
+        res = eng.evaluate(QueryRequest(q, TIMES, "reverse_nn", k=1))
     overlapping = {
         o.object_id for o in db.objects_overlapping(np.asarray(TIMES))
     }
@@ -164,8 +170,9 @@ def test_classifier_probabilities_normalize(seed):
         oid: ("near" if i < 2 else "far")
         for i, oid in enumerate(sorted(db.object_ids))
     }
-    clf = UncertainNNClassifier(_engine(db, seed), labels, aggregate="exists")
-    dist = clf.label_probabilities(q, TIMES)
+    with _held_engine(db, seed) as eng:
+        clf = UncertainNNClassifier(eng, labels, aggregate="exists")
+        dist = clf.label_probabilities(q, TIMES)
     total = sum(dist.probabilities.values())
     assert total == pytest.approx(1.0, abs=1e-12), seed
     assert all(p >= 0.0 for p in dist.probabilities.values())

@@ -14,9 +14,10 @@ pinned here:
 * **byte identity** with the world-major kernel this order replaced, kept
   in ``tests/oracles/`` (tile/scatter distances, ``np.partition`` indicator);
 * **one k = 1 predicate**: ``knn_indicator(d, 1)`` (exact ``<=``) equals the
-  partition form everywhere and agrees with ``nn_indicator`` (``rtol =
-  1e-12``) on every tensor the shipped fixtures produce.
+  partition form everywhere.
 """
+
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -36,9 +37,7 @@ from repro.trajectory.nn import (
     exists_knn_prob,
     forall_knn_prob,
     knn_indicator,
-    nn_indicator,
 )
-from tests.conftest import make_paper_example_db
 from tests.oracles import (
     loop_distance_tensor,
     partition_indicator,
@@ -47,7 +46,6 @@ from tests.oracles import (
 )
 from tests.oracles.shapes import REQUEST_SHAPES as CASES
 from tests.oracles.shapes import STAGGERED_IDS as IDS
-from tests.oracles.shapes import TOPOLOGIES
 from tests.oracles.shapes import staggered_db as _db
 
 pytestmark = pytest.mark.oracles
@@ -66,19 +64,31 @@ def _world_minor(arr, world_axis=0):
 
 
 #: name -> engine kwargs.  ``standalone`` is the ad-hoc path (fresh worlds
-#: per call, straight from the arena), the others keep their worlds cached.
+#: per call, straight from the arena); a ``*shared`` engine runs the whole
+#: test inside one ``held_batch()``, so its worlds stay cached.
 ENGINES = {
     "standalone": {},
-    "shared": {"reuse_worlds": True},
+    "shared": {},
     "native": {"backend": "native"},
-    "native_shared": {"backend": "native", "reuse_worlds": True},
+    "native_shared": {"backend": "native"},
 }
 
 
-def _engine(kind, db, **extra):
-    if kind.startswith("native") and not native.available():
-        pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
-    return QueryEngine(db, n_samples=N, seed=5, **ENGINES[kind], **extra)
+@pytest.fixture
+def make_engine():
+    """``make_engine(kind, db)``: an engine of ``ENGINES[kind]``, held in a
+    batch until the test ends when ``kind`` is a shared one."""
+    with ExitStack() as held:
+
+        def make(kind, db):
+            if kind.startswith("native") and not native.available():
+                pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
+            engine = QueryEngine(db, n_samples=N, seed=5, **ENGINES[kind])
+            if kind.endswith("shared"):
+                held.enter_context(engine.held_batch())
+            return engine
+
+        yield make
 
 
 @pytest.fixture
@@ -117,11 +127,11 @@ def _sampled_states(engine, sweeps, db, ids, times):
 class TestByteIdentityWithWorldMajorOracle:
     @pytest.mark.parametrize("kind", sorted(ENGINES))
     @pytest.mark.parametrize("case", sorted(CASES))
-    def test_distances_indicators_and_probabilities(self, kind, case, sweeps):
+    def test_distances_indicators_and_probabilities(self, kind, case, sweeps, make_engine):
         db = _db()
         ids, times = CASES[case]
         times = np.asarray(times, dtype=np.intp)
-        engine = _engine(kind, db)
+        engine = make_engine(kind, db)
         dist = engine.distance_tensor(ids, Q, times)
         assert dist.shape == (N, len(ids), times.size)
         assert dist.dtype == np.float64
@@ -148,12 +158,12 @@ class TestByteIdentityWithWorldMajorOracle:
                 assert p.dtype == p_ref.dtype == np.float64
                 assert np.array_equal(p, p_ref), (k, prob.__name__)
 
-    def test_the_fixture_has_exact_ties_and_inf_columns(self):
+    def test_the_fixture_has_exact_ties_and_inf_columns(self, make_engine):
         """The twin is sampled into its sibling's state at their shared
         fixes: both are nearest (or neither), never one without the other."""
         db = _db()
         times = np.arange(3, 9)
-        dist = _engine("standalone", db).distance_tensor(IDS, Q, times)
+        dist = make_engine("standalone", db).distance_tensor(IDS, Q, times)
         a, b, fix = IDS.index("o0"), IDS.index("twin"), int(np.flatnonzero(times == 4)[0])
         assert np.array_equal(dist[:, a, fix], dist[:, b, fix])
         is_nn = knn_indicator(dist, 1)
@@ -164,7 +174,7 @@ class TestByteIdentityWithWorldMajorOracle:
 
     @pytest.mark.parametrize("ndim", [1, 2, 3, 9])
     @pytest.mark.parametrize("kind", ["shared", "native_shared"])
-    def test_distance_table_in_any_dimension(self, kind, ndim):
+    def test_distance_table_in_any_dimension(self, kind, ndim, make_engine):
         """The per-(tic, state) table is built dimension-major where a norm
         has at most one addition (d <= 2) and in ``np.sum``'s own order
         beyond; either way it is the per-object oracle's arithmetic."""
@@ -178,18 +188,18 @@ class TestByteIdentityWithWorldMajorOracle:
             db.add_object(obj.object_id, obj.observations.as_pairs())
         q = Query.from_point(np.full(ndim, 5.0))
         times = np.arange(3, 9)
-        engine = _engine(kind, db)
+        engine = make_engine(kind, db)
         fused = engine.distance_tensor(IDS, q, times)
         assert np.isfinite(fused).any()
         assert np.array_equal(fused, loop_distance_tensor(engine, IDS, q, times))
 
     @pytest.mark.parametrize("kind", ["shared", "native_shared"])
-    def test_reverse_tensors_match_the_forward_block(self, kind):
+    def test_reverse_tensors_match_the_forward_block(self, kind, make_engine):
         """The reverse direction reads the same worlds through the same
         order: its query distances are the forward tensor, bit for bit."""
         db = _db()
         times = np.arange(3, 9)
-        engine = _engine(kind, db)
+        engine = make_engine(kind, db)
         dist, object_dist = engine.reverse_distance_tensors(IDS, Q, times)
         assert _world_minor(dist) and _world_minor(object_dist)
         assert dist.shape == (N, len(IDS), times.size)
@@ -257,10 +267,10 @@ class TestSamplerHandsOutItsSweepOrder:
 
 class TestWorldCacheKeepsTheOrder:
     @pytest.mark.parametrize("kind", ["shared", "native_shared"])
-    def test_fresh_draw_is_the_sweep_buffer_itself(self, kind, sweeps):
+    def test_fresh_draw_is_the_sweep_buffer_itself(self, kind, sweeps, make_engine):
         """No copy between the sweep and the cache."""
         db = _db()
-        engine = _engine(kind, db)
+        engine = make_engine(kind, db)
         engine.distance_tensor(IDS, Q, np.arange(3, 8))
         (requests, outputs), = sweeps
         assert len(requests) == len(IDS) > FUSED_DRAW_THRESHOLD
@@ -272,17 +282,17 @@ class TestWorldCacheKeepsTheOrder:
 
     @pytest.mark.parametrize("ids", [IDS, ["o0", "o1"]], ids=["arena", "small_draw"])
     @pytest.mark.parametrize("kind", ["shared", "native_shared"])
-    def test_forward_extensions_append_rows(self, kind, ids):
+    def test_forward_extensions_append_rows(self, kind, ids, make_engine):
         """Three growing windows: a fresh draw and two forward extensions,
         through the fused sweep (7 draws) and — on the numpy sweep — the
         per-object path under ``FUSED_DRAW_THRESHOLD`` (2 draws).  The grown segment equals a
         one-shot draw of the union window, in the same memory order."""
         db = _db()
-        engine = _engine(kind, db)
+        engine = make_engine(kind, db)
         for hi in (6, 8, 11):
             engine.distance_tensor(ids, Q, np.arange(2, hi))
         assert engine.worlds.partial_hits.value >= 2
-        one_shot = _engine(kind, db)
+        one_shot = make_engine(kind, db)
         one_shot.distance_tensor(ids, Q, np.arange(2, 11))
         for oid in ids:
             key = (oid, N)
@@ -293,9 +303,9 @@ class TestWorldCacheKeepsTheOrder:
             assert (seg.t_first, seg.t_last) == (ref.t_first, ref.t_last)
             assert np.array_equal(seg.states, ref.states)
 
-    def test_slices_stay_world_minor(self):
+    def test_slices_stay_world_minor(self, make_engine):
         db = _db()
-        engine = _engine("shared", db)
+        engine = make_engine("shared", db)
         engine.distance_tensor(IDS, Q, np.arange(1, 12))
         seg = engine.worlds.peek(("o1", N))
         window = seg.slice(np.arange(3, 9))
@@ -308,13 +318,13 @@ class TestWorldCacheKeepsTheOrder:
 
 
 class TestDistanceBlockKeepsTheOrder:
-    def test_dirty_column_patch_is_one_slab_of_the_cached_block(self):
+    def test_dirty_column_patch_is_one_slab_of_the_cached_block(self, make_engine):
         """A tick's refine-cache hit patches the mutated object's slab in
         place; the patched block equals a from-scratch one on the mutated
         database."""
         db = _db()
         times = np.arange(3, 9)
-        engine = _engine("standalone", db)
+        engine = make_engine("standalone", db)
         with engine.held_batch(1, (3, 8)):
             first = engine.distance_tensor(IDS, Q, times)
             before = first.copy()
@@ -329,11 +339,11 @@ class TestDistanceBlockKeepsTheOrder:
         clean = [c for c in range(len(IDS)) if c != col]
         assert np.array_equal(patched[:, clean], before[:, clean])
         assert not np.array_equal(patched[:, col], before[:, col])
-        scratch = _engine("standalone", db)
+        scratch = make_engine("standalone", db)
         with scratch.held_batch(1, (3, 8)):
             assert np.array_equal(patched, scratch.distance_tensor(IDS, Q, times))
 
-    def test_serve_tier_lays_the_tensor_out_the_same_way(self):
+    def test_serve_tier_lays_the_tensor_out_the_same_way(self, make_engine):
         """Coordinator and workers speak ``(objects, times, worlds)``: a
         worker returns whole object slabs in its reply, and the gathered
         tensor is the single-process one in the same order."""
@@ -360,7 +370,7 @@ class TestDistanceBlockKeepsTheOrder:
             assert len(job.col_index) < len(IDS)  # a shard owns some slabs
         assert _world_minor(dist) and dist.transpose(1, 2, 0).flags.c_contiguous
         assert _world_minor(reverse) and _world_minor(object_dist)
-        single = _engine("standalone", db)
+        single = make_engine("standalone", db)
         with single.held_batch(1, (3, 8)):
             assert np.array_equal(dist, single.distance_tensor(IDS, Q, times))
             want, want_od = single.reverse_distance_tensors(IDS, Q, times)
@@ -383,25 +393,3 @@ class TestOneNearestPredicate:
         for arr in (dist, np.ascontiguousarray(dist.transpose(1, 2, 0)).transpose(2, 0, 1)):
             for k in (1, 2, shape[1]):
                 assert np.array_equal(knn_indicator(arr, k), partition_indicator(dist, k))
-
-    def _fixture_tensors(self):
-        for name, (build_db, build_q, times) in sorted(TOPOLOGIES.items()):
-            db = build_db()
-            for seed in range(4):
-                engine = QueryEngine(db, n_samples=500, seed=seed)
-                yield name, engine.distance_tensor(db.object_ids, build_q(), np.asarray(times))
-        db = make_paper_example_db()
-        for point in ([0.0, 0.0], [2.5, 0.0], [5.0, 0.0]):  # equidistant states
-            engine = QueryEngine(db, n_samples=500, seed=7)
-            yield "paper", engine.distance_tensor(["o1", "o2"], Query.from_point(point), np.array([1, 2, 3]))
-        yield "layout", QueryEngine(_db(), n_samples=500, seed=7).distance_tensor(IDS, Q, np.arange(0, 15))
-
-    def test_exact_and_rtol_rules_coincide_on_shipped_fixtures(self):
-        """∀/∃ use ``d <= min``, PCNN ``d <= min·(1 + 1e-12)``; the paper
-        example, the statval topologies and this file's world never
-        separate them (see the ``trajectory/nn.py`` module docstring)."""
-        seen = 0
-        for name, dist in self._fixture_tensors():
-            assert np.array_equal(knn_indicator(dist, 1), nn_indicator(dist)), name
-            seen += 1
-        assert seen >= 16

@@ -16,6 +16,7 @@ on ``backend="native"``; worlds are drawn over the requested window only
 """
 
 import os
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
@@ -37,16 +38,13 @@ N_SAMPLES = 4_000 * SCALE
 DELTA = 1e-7
 EPS = confidence_radius(N_SAMPLES, DELTA)
 
-def _engine(db, backend, seed):
-    # reuse_worlds routes standalone queries through the shared world cache
+@contextmanager
+def _held_engine(db, backend, seed):
+    # A held batch routes standalone queries through the shared world cache
     # — the code path whose window semantics this suite certifies.
-    return QueryEngine(
-        db,
-        n_samples=N_SAMPLES,
-        seed=seed,
-        backend=backend,
-        reuse_worlds=True,
-    )
+    engine = QueryEngine(db, n_samples=N_SAMPLES, seed=seed, backend=backend)
+    with engine.held_batch():
+        yield engine
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -58,9 +56,8 @@ class TestForallExistsAgainstExactOracle:
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         exact = exact_nn_probabilities(db, q, times)
-        est = _engine(db, backend, seed=101).nn_probabilities(
-            q, times
-        )
+        with _held_engine(db, backend, seed=101) as engine:
+            est = engine.nn_probabilities(q, times)
         assert set(est) == set(exact)
         for oid, (p_forall, p_exists) in exact.items():
             e_forall, e_exists = est[oid]
@@ -80,10 +77,10 @@ class TestForallExistsAgainstExactOracle:
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         windows = [times[:-1], times[1:], times]
-        engine = _engine(db, backend, seed=202)
         requests = [QueryRequest(q, w, "forall") for w in windows]
         requests += [QueryRequest(q, w, "exists") for w in windows]
-        out = engine.evaluate_many(requests)
+        with _held_engine(db, backend, seed=202) as engine:
+            out = engine.evaluate_many(requests)
         for req, res in zip(requests, out):
             exact = exact_nn_probabilities(db, q, req.times)
             idx = 0 if req.mode == "forall" else 1
@@ -105,8 +102,8 @@ class TestPCNNAgainstExactOracle:
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         tables = exact_forall_nn_over_times(db, q, times)
-        engine = _engine(db, backend, seed=303)
-        result = engine.continuous_nn(q, times, tau=self.TAU)
+        with _held_engine(db, backend, seed=303) as engine:
+            result = engine.continuous_nn(q, times, tau=self.TAU)
 
         seen: dict[tuple[str, tuple[int, ...]], float] = {}
         for entry in result.entries:
@@ -147,9 +144,8 @@ class TestKnnDepthAgainstExactOracle:
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         exact = exact_nn_probabilities(db, q, times, k=2)
-        raw = _engine(db, backend, seed=404).evaluate(
-            QueryRequest(q, times, "raw", k=2)
-        )
+        with _held_engine(db, backend, seed=404) as engine:
+            raw = engine.evaluate(QueryRequest(q, times, "raw", k=2))
         assert set(raw.forall) == set(exact)
         for oid, (p_forall, p_exists) in exact.items():
             assert abs(raw.forall[oid] - p_forall) <= EPS, (
@@ -175,9 +171,8 @@ class TestReverseNNAgainstExactOracle:
         build_db, build_q, times = TOPOLOGIES[topology]
         db, q = build_db(), build_q()
         exact = exact_reverse_nn_probabilities(db, q, np.asarray(times), k=k)
-        res = _engine(db, backend, seed=505).evaluate(
-            QueryRequest(q, times, "reverse_nn", k=k)
-        )
+        with _held_engine(db, backend, seed=505) as engine:
+            res = engine.evaluate(QueryRequest(q, times, "reverse_nn", k=k))
         assert set(res.probabilities) == set(exact)
         for oid, (p_forall, p_exists) in exact.items():
             assert abs(res.probabilities[oid] - p_forall) <= EPS, (

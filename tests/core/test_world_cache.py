@@ -116,45 +116,20 @@ class TestBatchQueryReuse:
         # And the held batch sampled each object at most once.
         assert engine.worlds.misses.value <= 2 * len(world)
 
-    def test_batch_on_reuse_engine_keeps_worlds_by_default(self, world):
-        """A reuse_worlds engine's contract — worlds held until an explicit
-        refresh — must survive an interleaved batch_query (regression).
-        The interleaved batch grows the cached window *forward*, which
-        extends the held worlds bit-identically rather than redrawing."""
-        engine = QueryEngine(world, n_samples=200, seed=15, reuse_worlds=True)
-        q = Query.from_point([5.0, 5.0])
-        r1 = engine.forall_nn(q, [2, 3])
-        engine.evaluate_many([QueryRequest(q, (2, 3, 4))])  # default: no refresh
-        assert engine.worlds.partial_hits.value > 0  # forward extension, no redraw
-        r2 = engine.forall_nn(q, [2, 3])
-        assert r1.probabilities == r2.probabilities
-        engine.evaluate_many([QueryRequest(q, (2, 3, 4))], refresh_worlds=True)
-        r3 = engine.forall_nn(q, [2, 3])
-        assert r3.n_samples == r1.n_samples  # explicit refresh allowed, runs fine
-
-    def test_backward_batch_window_on_reuse_engine_redraws(self, world):
+    def test_backward_batch_window_in_held_batch_redraws(self, world):
         """A held-epoch window that reaches *backward* cannot extend the
         cached paths soundly; the engine redraws the union window fresh
         (one miss, no splice) — the new segment contract."""
-        engine = QueryEngine(world, n_samples=200, seed=15, reuse_worlds=True)
+        engine = QueryEngine(world, n_samples=200, seed=15)
         q = Query.from_point([5.0, 5.0])
-        engine.forall_nn(q, [2, 3])
-        misses = engine.worlds.misses.value
-        partial = engine.worlds.partial_hits.value
-        engine.evaluate_many([QueryRequest(q, (1, 2, 3))])  # backward: redraw
+        with engine.held_batch():
+            engine.forall_nn(q, [2, 3])
+            misses = engine.worlds.misses.value
+            partial = engine.worlds.partial_hits.value
+            # backward: redraw
+            engine.evaluate_many([QueryRequest(q, (1, 2, 3))], refresh_worlds=False)
         assert engine.worlds.misses.value > misses
         assert engine.worlds.partial_hits.value == partial
-
-    def test_explicit_new_epoch_respected_by_default_batch(self, world):
-        """Regression: a default-policy batch on a reuse engine must not
-        rewind an explicit new_draw_epoch() to the previous batch's epoch."""
-        engine = QueryEngine(world, n_samples=200, seed=16, reuse_worlds=True)
-        q = Query.from_point([5.0, 5.0])
-        engine.evaluate_many([QueryRequest(q, (1, 2, 3))])
-        e_before = engine.draw_epoch
-        engine.new_draw_epoch()
-        engine.evaluate_many([QueryRequest(q, (1, 2, 3))])  # default policy
-        assert engine.draw_epoch > e_before  # not rewound to the stale epoch
 
     def test_mixed_modes_share_worlds(self, world):
         engine = QueryEngine(world, n_samples=150, seed=3)
@@ -181,9 +156,9 @@ class TestBatchQueryReuse:
         assert all(isinstance(r, QueryResult) for r in out)
 
     def test_empty_batch_returns_empty_without_epoch_churn(self, world):
-        engine = QueryEngine(world, n_samples=50, seed=17, reuse_worlds=True)
+        engine = QueryEngine(world, n_samples=50, seed=17)
         epoch = engine.draw_epoch
-        assert engine.evaluate_many([]) == []
+        assert engine.evaluate_many([]) == []  # even refresh_worlds=True
         assert engine.draw_epoch == epoch  # no held worlds dropped
 
     def test_bad_mode_rejected(self, world):
@@ -202,16 +177,20 @@ class TestEpochSemantics:
         engine.forall_nn(q, [1, 2, 3])
         assert e1 > e0 and engine.draw_epoch > e1
 
-    def test_reuse_worlds_engine_holds_epoch(self, world):
-        engine = QueryEngine(world, n_samples=100, seed=5, reuse_worlds=True)
+    def test_held_batch_holds_epoch(self, world):
+        engine = QueryEngine(world, n_samples=100, seed=5, refine_cache_size=0)
         q = Query.from_point([5.0, 5.0])
-        r1 = engine.forall_nn(q, [1, 2, 3])
-        calls = engine.sampler_calls
-        r2 = engine.forall_nn(q, [1, 2, 3])
-        assert engine.sampler_calls == calls  # no resampling
-        assert r1.probabilities == r2.probabilities  # literally same worlds
-        engine.new_draw_epoch()
-        engine.forall_nn(q, [1, 2, 3])
+        with engine.held_batch():
+            r1 = engine.forall_nn(q, [1, 2, 3])
+            calls = engine.sampler_calls
+            r2 = engine.forall_nn(q, [1, 2, 3])
+            assert engine.sampler_calls == calls  # no resampling
+            assert r1.probabilities == r2.probabilities  # literally same worlds
+            engine.new_draw_epoch()
+            engine.forall_nn(q, [1, 2, 3])
+            assert engine.sampler_calls > calls
+            calls = engine.sampler_calls
+        engine.forall_nn(q, [1, 2, 3])  # outside the batch: fresh again
         assert engine.sampler_calls > calls
 
     def test_determinism_across_engines(self, world):
@@ -258,75 +237,80 @@ class TestStaleWorldRegression:
         return db
 
     def test_add_observation_invalidates_worlds(self, db):
-        engine = QueryEngine(db, n_samples=2000, seed=0, reuse_worlds=True)
+        engine = QueryEngine(db, n_samples=2000, seed=0)
         q = Query.from_point([0.0, 0.0])
-        engine.forall_nn(q, [2])
-        calls = engine.sampler_calls
-        updates = engine.index_updates.value
-        v_before = db.version
-        # Pin "a" at state 2 at t=2: its worlds *must* be redrawn, even with
-        # reuse_worlds=True, or the query would answer from a stale database.
-        db.add_observation("a", 2, 2)
-        assert db.version == v_before + 1
-        res = engine.forall_nn(q, [2])
-        assert engine.sampler_calls > calls  # the mutated object resampled
-        assert engine.index_updates.value > updates  # index re-indexed "a" in place
-        assert engine.worlds_invalidated.value >= 1  # "a"'s segment dropped
-        # Every sampled world of "a" now sits at state 2 (posterior is a
-        # point mass), so its NN probability against q=(0,0) is exact.
-        dist = engine.distance_tensor(["a"], q, np.array([2]))
-        assert np.allclose(dist, 2.0)
-        assert res.n_samples == 2000
+        with engine.held_batch():
+            engine.forall_nn(q, [2])
+            calls = engine.sampler_calls
+            updates = engine.index_updates.value
+            v_before = db.version
+            # Pin "a" at state 2 at t=2: its worlds *must* be redrawn, even in
+            # a held batch, or the query would answer from a stale database.
+            db.add_observation("a", 2, 2)
+            assert db.version == v_before + 1
+            res = engine.forall_nn(q, [2])
+            assert engine.sampler_calls > calls  # the mutated object resampled
+            assert engine.index_updates.value > updates  # index re-indexed "a" in place
+            assert engine.worlds_invalidated.value >= 1  # "a"'s segment dropped
+            # Every sampled world of "a" now sits at state 2 (posterior is a
+            # point mass), so its NN probability against q=(0,0) is exact.
+            dist = engine.distance_tensor(["a"], q, np.array([2]))
+            assert np.allclose(dist, 2.0)
+            assert res.n_samples == 2000
 
     def test_add_observation_invalidates_worlds_past_the_mutation_log(self, db):
         """A mutation the log cannot name (``MUTATION_LOG_LIMIT`` exceeded)
         keeps the classic wholesale semantics: the index is rebuilt and
         every cached world flushed."""
         db.MUTATION_LOG_LIMIT = 0
-        engine = QueryEngine(db, n_samples=500, seed=0, reuse_worlds=True)
+        engine = QueryEngine(db, n_samples=500, seed=0, refine_cache_size=0)
         q = Query.from_point([0.0, 0.0])
-        engine.forall_nn(q, [2])
-        misses = engine.worlds.misses.value
-        tree_before = engine.ust_tree
-        token = engine.worlds_token
-        db.add_observation("a", 2, 2)
-        engine.forall_nn(q, [2])
-        assert engine.worlds_token > token  # full flush
-        assert engine.worlds.misses.value >= misses + 2  # every object redrawn
-        assert engine.ust_tree is not tree_before  # index rebuilt
+        with engine.held_batch():
+            engine.forall_nn(q, [2])
+            misses = engine.worlds.misses.value
+            tree_before = engine.ust_tree
+            token = engine.worlds_token
+            db.add_observation("a", 2, 2)
+            engine.forall_nn(q, [2])
+            assert engine.worlds_token > token  # full flush
+            assert engine.worlds.misses.value >= misses + 2  # every object redrawn
+            assert engine.ust_tree is not tree_before  # index rebuilt
 
     def test_remove_object_invalidates_worlds(self, db):
-        engine = QueryEngine(db, n_samples=500, seed=1, reuse_worlds=True)
+        engine = QueryEngine(db, n_samples=500, seed=1)
         q = Query.from_point([0.0, 0.0])
-        before = engine.forall_nn(q, [1, 2])
-        assert "b" in before.probabilities
-        v = db.version
-        db.remove_object("b")
-        assert db.version == v + 1
-        after = engine.forall_nn(q, [1, 2])
-        assert "b" not in after.probabilities
-        assert after.probabilities["a"] == pytest.approx(1.0)
+        with engine.held_batch():
+            before = engine.forall_nn(q, [1, 2])
+            assert "b" in before.probabilities
+            v = db.version
+            db.remove_object("b")
+            assert db.version == v + 1
+            after = engine.forall_nn(q, [1, 2])
+            assert "b" not in after.probabilities
+            assert after.probabilities["a"] == pytest.approx(1.0)
 
     def test_cache_stamp_tracks_token_and_epoch(self, db):
-        engine = QueryEngine(db, n_samples=50, seed=2, reuse_worlds=True)
+        engine = QueryEngine(db, n_samples=50, seed=2)
         q = Query.from_point([0.0, 0.0])
-        engine.forall_nn(q, [1])
-        assert engine.worlds.stamp == (engine.worlds_token, engine.draw_epoch)
-        # A selective invalidation keeps the token: only the
-        # mutated object's entry is dropped, the stamp stays valid.
-        db.add_observation("a", 2, 1)
-        engine.forall_nn(q, [1])
-        assert engine.worlds.stamp == (engine.worlds_token, engine.draw_epoch)
-        assert engine.worlds_token == 0
+        with engine.held_batch():
+            engine.forall_nn(q, [1])
+            assert engine.worlds.stamp == (engine.worlds_token, engine.draw_epoch)
+            # A selective invalidation keeps the token: only the
+            # mutated object's entry is dropped, the stamp stays valid.
+            db.add_observation("a", 2, 1)
+            engine.forall_nn(q, [1])
+            assert engine.worlds.stamp == (engine.worlds_token, engine.draw_epoch)
+            assert engine.worlds_token == 0
         # A wholesale flush (the log cannot name the delta) advances the
         # token instead.
-        blunt = QueryEngine(db, n_samples=50, seed=2, reuse_worlds=True)
-        blunt.forall_nn(q, [1])
-        db.MUTATION_LOG_LIMIT = 0
-        db.add_observation("a", 3, 2)
-        blunt.forall_nn(q, [1])
-        assert blunt.worlds_token == 1
-        assert blunt.worlds.stamp == (blunt.worlds_token, blunt.draw_epoch)
+        blunt = QueryEngine(db, n_samples=50, seed=2)
+        with blunt.held_batch():
+            blunt.forall_nn(q, [1])
+            db.MUTATION_LOG_LIMIT = 0
+            db.add_observation("a", 3, 2)
+            blunt.forall_nn(q, [1])
+            assert blunt.worlds_token == 1
+            assert blunt.worlds.stamp == (blunt.worlds_token, blunt.draw_epoch)
 
     def test_invalidate_objects_leaves_others_bit_identical(self, world):
         """The per-object invalidation contract: dropping one object's

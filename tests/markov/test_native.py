@@ -315,15 +315,14 @@ class TestEngineParity:
 
         shared, direct = {}, {}
         for backend in ("compiled", "native"):
-            eng = QueryEngine(
-                db, n_samples=64, seed=12, reuse_worlds=True, backend=backend
-            )
-            eng.new_draw_epoch()
-            t1 = eng.distance_tensor(ids, q, part)  # partial window
-            t2 = eng.distance_tensor(ids, q, times)  # forward extension
-            np.testing.assert_array_equal(t2, loop_distance_tensor(eng, ids, q, times))
-            eng.new_draw_epoch()
-            t3 = eng.distance_tensor(ids, q, times)
+            eng = QueryEngine(db, n_samples=64, seed=12, backend=backend)
+            with eng.held_batch():
+                eng.new_draw_epoch()
+                t1 = eng.distance_tensor(ids, q, part)  # partial window
+                t2 = eng.distance_tensor(ids, q, times)  # forward extension
+                np.testing.assert_array_equal(t2, loop_distance_tensor(eng, ids, q, times))
+                eng.new_draw_epoch()
+                t3 = eng.distance_tensor(ids, q, times)
             shared[backend] = (t1, t2, t3)
 
             direct_eng = QueryEngine(db, n_samples=64, seed=12, backend=backend)
@@ -345,9 +344,7 @@ class TestEngineParity:
         ]
         results = {}
         for backend in ("compiled", "native"):
-            eng = QueryEngine(
-                db, n_samples=64, seed=12, reuse_worlds=True, backend=backend
-            )
+            eng = QueryEngine(db, n_samples=64, seed=12, backend=backend)
             results[backend] = eng.evaluate_many(requests)
         for ra, rb in zip(results["compiled"], results["native"]):
             # Everything but wall-clock stage timings must match exactly.

@@ -20,14 +20,14 @@ def loop_states(engine, object_ids, times, n_samples=None, sample=reference_samp
 
     To be called right after the engine call it checks and in the same
     batch context: it reads, never advances, the engine's epoch and
-    direct-draw round.  Where the engine shares worlds (inside a batch, or
-    ``reuse_worlds``) each object is drawn *once* over the window its cache
-    segment covers now — whatever sequence of hits, forward extensions and
+    direct-draw round.  Where the engine shares worlds (inside a batch —
+    ``evaluate_many`` or ``held_batch``) each object is drawn *once* over
+    the window its cache segment covers now — whatever sequence of hits, forward extensions and
     backward redraws produced that segment, one draw of its final window
     must reproduce it.
     """
     n = engine.n_samples if n_samples is None else int(n_samples)
-    share = engine.reuse_worlds or engine._batch_depth > 0
+    share = engine._batch_depth > 0
     states = np.full((len(object_ids), times.size, n), -1, dtype=np.intp)
     alive = np.zeros((len(object_ids), times.size), dtype=bool)
     for col, object_id in enumerate(object_ids):

@@ -16,6 +16,8 @@ pinned survives here once, as a comparison with an oracle instead of with
 a second engine mode.
 """
 
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -163,11 +165,12 @@ def test_filter(world, depth):
 # ----------------------------------------------------------------------
 # refinement: distance block, reverse tensors, NN indicator
 # ----------------------------------------------------------------------
+#: kind -> engine options; a ``*shared`` kind runs inside ``held_batch()``.
 ENGINE_KINDS = {
     "standalone": {},
-    "shared": {"reuse_worlds": True},
+    "shared": {},
     "native": {"backend": "native"},
-    "native_shared": {"backend": "native", "reuse_worlds": True},
+    "native_shared": {"backend": "native"},
 }
 
 
@@ -187,13 +190,14 @@ def test_refinement_tensors(shape, kind):
     times = np.asarray(times, dtype=np.intp)
     q = Query.from_point([4.0, 6.0])
     engine = QueryEngine(staggered_db(), n_samples=64, seed=5, **ENGINE_KINDS[kind])
-    dist = engine.distance_tensor(ids, q, times)
-    assert np.array_equal(dist, loop_distance_tensor(engine, ids, q, times))
-    for k in (1, 2, len(ids) + 1):
-        assert np.array_equal(knn_indicator(dist, k), partition_indicator(dist, k)), k
-    reverse, object_dist = engine.reverse_distance_tensors(ids, q, times)
-    assert np.array_equal(reverse, loop_distance_tensor(engine, ids, q, times))
-    assert np.array_equal(object_dist, loop_object_distances(engine, ids, times))
+    with engine.held_batch() if kind.endswith("shared") else nullcontext():
+        dist = engine.distance_tensor(ids, q, times)
+        assert np.array_equal(dist, loop_distance_tensor(engine, ids, q, times))
+        for k in (1, 2, len(ids) + 1):
+            assert np.array_equal(knn_indicator(dist, k), partition_indicator(dist, k)), k
+        reverse, object_dist = engine.reverse_distance_tensors(ids, q, times)
+        assert np.array_equal(reverse, loop_distance_tensor(engine, ids, q, times))
+        assert np.array_equal(object_dist, loop_object_distances(engine, ids, times))
 
 
 # ----------------------------------------------------------------------
@@ -323,8 +327,8 @@ def test_bulk_lookup_under_capacity_pressure_is_the_sequential_one(capacity):
     exactly like the same lookups issued one object at a time."""
     db = _random_world(16)
     ids = db.object_ids
-    bulk = QueryEngine(db, n_samples=80, seed=3, reuse_worlds=True)
-    sequential = QueryEngine(db, n_samples=80, seed=3, reuse_worlds=True)
+    bulk = QueryEngine(db, n_samples=80, seed=3)
+    sequential = QueryEngine(db, n_samples=80, seed=3)
     bulk.worlds, sequential.worlds = WorldCache(capacity), WorldCache(capacity)
     for window in ((2, 5), (2, 8), (4, 6), (0, 6)):
         got = bulk.prefetch_worlds(ids, window)
@@ -367,17 +371,18 @@ def test_duplicate_object_ids_are_drawn_once(backend):
     doubled = ids + ids[:1]
     q = Query.from_point([5.0, 5.0])
     times = np.arange(2, 8)
-    engine = QueryEngine(db, n_samples=100, seed=17, backend=backend, reuse_worlds=True)
-    assert engine.prefetch_worlds(doubled, (2, 4)) == {
-        "objects": len(ids), "hits": 0, "partial_hits": 0, "misses": len(ids),
-    }
-    dist = engine.distance_tensor(doubled, q, times)
-    assert np.array_equal(dist, loop_distance_tensor(engine, doubled, q, times))
-    assert np.array_equal(dist[:, 0], dist[:, -1])
-    reverse, object_dist = engine.reverse_distance_tensors(doubled, q, times)
-    assert np.array_equal(reverse, dist)
-    assert np.array_equal(object_dist, loop_object_distances(engine, doubled, times))
-    assert np.array_equal(object_dist[:, 0, -1], np.zeros_like(object_dist[:, 0, -1]))
+    engine = QueryEngine(db, n_samples=100, seed=17, backend=backend)
+    with engine.held_batch():
+        assert engine.prefetch_worlds(doubled, (2, 4)) == {
+            "objects": len(ids), "hits": 0, "partial_hits": 0, "misses": len(ids),
+        }
+        dist = engine.distance_tensor(doubled, q, times)
+        assert np.array_equal(dist, loop_distance_tensor(engine, doubled, q, times))
+        assert np.array_equal(dist[:, 0], dist[:, -1])
+        reverse, object_dist = engine.reverse_distance_tensors(doubled, q, times)
+        assert np.array_equal(reverse, dist)
+        assert np.array_equal(object_dist, loop_object_distances(engine, doubled, times))
+        assert np.array_equal(object_dist[:, 0, -1], np.zeros_like(object_dist[:, 0, -1]))
     assert engine.sampler_calls == len(ids)  # objects, not mentions
     direct = QueryEngine(db, n_samples=100, seed=17, backend=backend)
     dist = direct.distance_tensor(doubled, q, times)

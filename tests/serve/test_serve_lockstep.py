@@ -104,6 +104,35 @@ def test_lockstep_reverse_and_hybrid(n_shards, mode, crash_before):
     assert sampled_by_hybrid > 0  # else the live-fill path never ran
 
 
+@pytest.mark.parametrize(
+    "options", [{}, {"use_pruning": False, "refine_cache_size": 3}], ids=["default", "custom"]
+)
+def test_workers_run_the_coordinators_engine(options):
+    """A worker's engine takes the coordinator's options unchanged.  It
+    can keep the refine-cache capacity because it never reaches the cache:
+    every block it fills is a slab the coordinator's own cache asked for."""
+    db_a, db_b = twin_db(), twin_db()
+    monitor = ContinuousMonitor(QueryEngine(db_a, n_samples=100, seed=SEED, **options))
+    with ServeCoordinator(
+        db_b, n_shards=2, seed=SEED, mode="inline", n_samples=100, **options
+    ) as coord:
+        for name, request in seam_subscriptions():
+            monitor.subscribe(request, name=name)
+            coord.subscribe(request, name=name)
+        for ev_a, ev_b in zip(seam_script(db_a), seam_script(db_b)):
+            ra, rb = monitor.tick(ev_a), coord.tick(ev_b)
+            assert [_result_payload(n.result) for n in ra.notifications] == [
+                _result_payload(n.result) for n in rb.notifications
+            ]
+        assert coord.engine.estimate_cache_misses.value > 0  # the coordinator's cache ran
+        for shard in range(2):
+            worker = coord.engine._transport.worker(shard).engine
+            for option in ("n_samples", "use_pruning", "backend", "refine_cache_size"):
+                assert getattr(worker, option) == getattr(coord.engine, option), option
+            assert worker.metrics.value("estimate_cache_hits_total") == 0
+            assert worker.metrics.value("estimate_cache_misses_total") == 0
+
+
 def test_overflowed_log_syncs_wholesale_with_the_same_answers(monkeypatch):
     """The wholesale fallback through its real trigger: with
     ``MUTATION_LOG_LIMIT = 0`` the database can never name what a tick

@@ -7,7 +7,9 @@ derived to one ``adapt_many`` call.  On a fleet-shaped stream (one
 homogeneous chain, fixes at equal gaps) each such site therefore runs the
 kernel once, however many objects joined it; a tick that needs no new model
 runs it not at all; and which objects happened to share a sweep never shows
-in the results.  A contradicting object fails alone.
+in the results.  A contradicting object is refused at ingest — even where
+only a stored zero makes it contradict — and, with that check switched
+off, fails alone.
 """
 
 import numpy as np
@@ -31,6 +33,7 @@ from repro.stream import (
 )
 from repro.stream.monitor import _result_payload
 from repro.trajectory.database import TrajectoryDatabase
+from repro.trajectory.diamonds import reachable_states
 from tests.oracles import same_model
 
 pytestmark = [pytest.mark.stream, pytest.mark.tick_profile]
@@ -215,9 +218,35 @@ def _check_fails_alone(db, touch):
         )
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_ingest_refuses_the_step_that_never_happens():
+    """The trap: the stored-but-zero step is reachable for the diamonds'
+    stored-edge walk, so only a check along positive-probability edges
+    refuses it — before it lands, directly or through a monitor tick."""
+    space, chain = _chain(np.random.default_rng(4), blocked=True)
+    assert BLOCKED in reachable_states(chain, HUB, 1, 1)[-1]
+    db = TrajectoryDatabase(space, chain)
+    never = r"\(t=2, state=41\) is unreachable from observation \(t=1, state=40\)"
+    with pytest.raises(ObservationContradictionError, match=f"object 'bad': observation {never}"):
+        db.add_object("bad", BAD)
+    db.add_object("bad", [(0, HUB - 1), (4, BLOCKED)])
+    with pytest.raises(ObservationContradictionError, match=r"\(t=4, state=41\) is unreachable"):
+        db.add_observation("bad", 3, HUB)
+    assert db.get("bad").observations.as_pairs() == [(0, HUB - 1), (4, BLOCKED)]
+    monitor = ContinuousMonitor(QueryEngine(db, n_samples=48, seed=5))
+    monitor.subscribe(REQUEST, name="standing")
+    monitor.tick()
+    with pytest.raises(ObservationContradictionError, match=r"event 1 \(object 'bad2'\)"):
+        monitor.tick([AddObject("good1", GOOD_1), AddObject("bad2", BAD)])
+    assert db.object_ids == ["bad"]
+    monitor.tick([AddObject("good1", GOOD_1)])
+
+
 # A stored 0.0 can leave a reachable state without posterior mass: a 0/0 row
 # nobody samples, in the per-object reference sweep exactly as in the kernel.
+# With the ingest check switched off, a contradicting object still fails alone.
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.usefixtures("unchecked_reachability")
 class TestBatchPeersFailAlone:
     def test_through_one_evaluate(self):
         engine = _engine({"good1": GOOD_1, "bad": BAD, "good2": GOOD_2})

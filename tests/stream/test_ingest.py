@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.markov.adaptation import ObservationContradictionError
 from repro.stream import (
     AddObject,
     AddObservation,
@@ -268,6 +269,183 @@ class TestErrorAttribution:
         assert db.version == v and stream.events_applied == 0
         # The same instance still applies cleanly after validating.
         assert stream.apply(good).applied == 2
+
+
+def _drift_db():
+    db = TrajectoryDatabase(make_line_space(4), make_drift_chain())
+    db.add_object("a", [(0, 0), (4, 2)])
+    db.add_object("b", [(0, 1), (4, 3)])
+    return db
+
+
+#: The three ways a fix the chain cannot join used to land and wedge every
+#: later tick on an anonymous "empty diamond": (event, unreachable fix, from).
+WEDGES = {
+    "interior": (AddObservation("a", 2, 3), (2, 3), (0, 0)),
+    "head-append": (AddObservation("a", 6, 0), (6, 0), (4, 2)),
+    "new-object": (AddObject("c", [(0, 3), (2, 0)]), (2, 0), (0, 3)),
+}
+
+
+def _refusal(context, fix, source):
+    """The pattern of the error refusing ``fix``, which ``source`` cannot reach."""
+    return (
+        rf"{context}: observation \(t={fix[0]}, state={fix[1]}\) is unreachable "
+        rf"from observation \(t={source[0]}, state={source[1]}\)"
+    )
+
+
+def _event(index, object_id):
+    return rf"event {index} \(object '{object_id}'\)"
+
+
+def _monitor(db):
+    from repro import ContinuousMonitor, Query, QueryEngine, QueryRequest
+
+    monitor = ContinuousMonitor(QueryEngine(db, n_samples=32, seed=3))
+    monitor.subscribe(QueryRequest(Query.from_point([1.0, 0.0]), (1, 2, 3), "forall", 0.1))
+    monitor.subscribe(QueryRequest(Query.from_point([2.0, 0.0]), (2, 3, 4), "exists", 0.1))
+    return monitor
+
+
+def _payloads(report):
+    from repro.stream.monitor import _result_payload
+
+    return [(n.subscription, n.reason, _result_payload(n.result)) for n in report.notifications]
+
+
+class TestContradictingFixesAreRefused:
+    """A fix no positive-probability path joins to its neighbours is
+    refused before anything lands — by ``validate`` against the object's
+    observations as the batch leaves them, and by the direct API."""
+
+    @pytest.mark.parametrize("shape", sorted(WEDGES))
+    def test_refused_untouched_and_the_monitor_keeps_ticking(self, shape):
+        event, fix, source = WEDGES[shape]
+        db, twin = _drift_db(), _drift_db()
+        monitor, clean = _monitor(db), _monitor(twin)
+        assert _payloads(monitor.tick()) == _payloads(clean.tick())
+        before = {oid: db.get(oid) for oid in db.object_ids}
+        v = db.version
+        for _ in range(2):  # refused again, never half-applied
+            with pytest.raises(
+                ObservationContradictionError,
+                match=_refusal(_event(1, event.object_id), fix, source),
+            ):
+                monitor.tick([AddObservation("b", 5, 3), event])
+            assert db.version == v
+            assert {oid: db.get(oid) for oid in db.object_ids} == before
+        good = [AddObservation("b", 5, 3), AddObservation("a", 2, 1)]
+        for events in (good, [], [AddObject("c", [(1, 0), (3, 1)])]):
+            assert _payloads(monitor.tick(events)) == _payloads(clean.tick(events))
+
+    @pytest.mark.parametrize("shape", sorted(WEDGES))
+    def test_direct_api_refuses_them(self, shape):
+        event, fix, source = WEDGES[shape]
+        db = _drift_db()
+        v = db.version
+        with pytest.raises(
+            ObservationContradictionError,
+            match=_refusal(f"object '{event.object_id}'", fix, source),
+        ):
+            if isinstance(event, AddObject):
+                db.add_object(event.object_id, event.observations)
+            else:
+                db.add_observation(event.object_id, event.time, event.state)
+        assert db.version == v and "c" not in db
+        assert db.get("a").observations.as_pairs() == [(0, 0), (4, 2)]
+
+    def test_checked_against_the_batch_not_the_database(self, db):
+        stream = ObservationStream(db)
+        v = db.version
+        cases = [
+            # An object the batch adds, then a fix its own fixes contradict.
+            ([AddObject("c", [(0, 0), (4, 2)]), AddObservation("c", 2, 3)],
+             _refusal(_event(1, "c"), (2, 3), (0, 0))),
+            # Each fix joins the database's (0, 0) and (4, 2), not each other.
+            ([AddObservation("a", 2, 2), AddObservation("a", 3, 1)],
+             _refusal(_event(1, "a"), (3, 1), (2, 2))),
+            # A removed and re-added id is checked against its new fixes.
+            ([RemoveObject("a"), AddObject("a", [(0, 3)]), AddObservation("a", 2, 0)],
+             _refusal(_event(2, "a"), (2, 0), (0, 3))),
+        ]
+        for events, pattern in cases:
+            with pytest.raises(ObservationContradictionError, match=pattern):
+                stream.apply(events)
+            assert db.version == v, events
+        result = stream.apply(
+            [AddObject("c", [(0, 0), (4, 2)]), AddObservation("c", 2, 1), AddObservation("a", 3, 1)]
+        )
+        assert result.applied == 3
+        assert db.get("c").observations.as_pairs() == [(0, 0), (2, 1), (4, 2)]
+
+    def test_the_first_contradiction_is_named(self, db):
+        stream = ObservationStream(db)
+        v = db.version
+        cases = [
+            # The second of three segments fails.
+            ([AddObject("c", [(0, 0), (2, 1), (3, 0), (5, 1)])],
+             _refusal(_event(0, "c"), (3, 0), (2, 1))),
+            # An earlier event's contradiction wins over a later duplicate time.
+            ([AddObservation("a", 2, 3), AddObservation("b", 0, 1)],
+             _refusal(_event(0, "a"), (2, 3), (0, 0))),
+            ([AddObservation("b", 2, 1), AddObservation("a", 6, 0), AddObservation("a", 2, 3)],
+             _refusal(_event(1, "a"), (6, 0), (4, 2))),
+        ]
+        for events, pattern in cases:
+            with pytest.raises(ObservationContradictionError, match=pattern):
+                stream.apply(events)
+            assert db.version == v, events
+
+    def test_time_varying_chains_walk_their_own_matrices(self):
+        """Only one tic moves (t = 1 -> 2); every other tic stays put."""
+        from scipy import sparse
+
+        from repro.markov.chain import InhomogeneousMarkovChain
+
+        move = np.eye(3, k=1)
+        move[2, 2] = 1.0
+        chain = InhomogeneousMarkovChain({1: sparse.csr_matrix(move)}, default=sparse.eye(3))
+        db = TrajectoryDatabase(make_line_space(3), chain)
+        db.add_object("a", [(0, 0), (3, 1), (6, 1)])
+        for fixes, fix, source in (
+            ([(0, 0), (3, 2)], (3, 2), (0, 0)),
+            ([(0, 0), (3, 1), (6, 2)], (6, 2), (3, 1)),
+            ([(2, 0), (4, 1)], (4, 1), (2, 0)),
+        ):
+            refusal = _refusal("object 'b'", fix, source)
+            with pytest.raises(ObservationContradictionError, match=refusal):
+                db.add_object("b", fixes)
+        db.add_object("b", [(1, 0), (2, 1), (5, 1)])
+        assert db.object_ids == ["a", "b"]
+
+    @pytest.mark.serve
+    def test_serve_coordinator_refuses_centrally(self):
+        from repro.serve import ServeCoordinator
+
+        single = _monitor(_drift_db())
+        db = _drift_db()
+        with ServeCoordinator(db, n_shards=2, seed=3, mode="inline", n_samples=32) as coord:
+            for subscription in single.subscriptions:
+                coord.subscribe(subscription.request, name=subscription.name)
+            assert _payloads(coord.tick()) == _payloads(single.tick())
+            workers = [coord.engine._transport.worker(shard) for shard in range(2)]
+            held = [{oid: w.db.get(oid) for oid in w.db.object_ids} for w in workers]
+            for event, fix, source in WEDGES.values():
+                with pytest.raises(
+                    ObservationContradictionError,
+                    match=_refusal(_event(1, event.object_id), fix, source),
+                ):
+                    coord.tick([AddObservation("b", 5, 3), event])
+                assert [{oid: w.db.get(oid) for oid in w.db.object_ids} for w in workers] == held
+            good = [AddObservation("b", 5, 3), AddObject("c", [(1, 0), (3, 1)])]
+            assert _payloads(coord.tick(good)) == _payloads(single.tick(good))
+            for w in workers:
+                for oid in w.db.object_ids:
+                    assert w.db.get(oid).observations.as_pairs() == (
+                        db.get(oid).observations.as_pairs()
+                    )
+            assert sorted(oid for w in workers for oid in w.db.object_ids) == db.object_ids
 
 
 class TestDatabaseMutationLog:

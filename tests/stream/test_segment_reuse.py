@@ -278,6 +278,14 @@ def test_reused_records_are_shared_not_copied():
 # ----------------------------------------------------------------------
 # failure paths
 # ----------------------------------------------------------------------
+#: Fixes of ``a = [(0, 0), (4, 2), (8, 3)]`` the drift-only chain contradicts.
+CONTRADICTING_FIXES = [
+    (2, 3),  # unreachable from (0, 0): first half of the split fails
+    (3, 0),  # reachable, but (4, 2) is unreachable from it: second half
+    (10, 1),  # head append going backwards on a drift-only chain
+]
+
+
 class TestContradictingFix:
     @pytest.fixture
     def db(self):
@@ -287,19 +295,20 @@ class TestContradictingFix:
         db.diamonds_of("a")
         return db
 
-    @pytest.mark.parametrize(
-        "fix",
-        [
-            (2, 3),  # unreachable from (0, 0): first half of the split fails
-            (3, 0),  # reachable, but (4, 2) is unreachable from it: second half
-            (10, 1),  # head append going backwards on a drift-only chain
-        ],
-    )
+    @pytest.mark.parametrize("fix", CONTRADICTING_FIXES)
+    def test_ingest_refuses_it_untouched(self, db, fix):
+        before, v = db.get("a"), db.version
+        with pytest.raises(ObservationContradictionError, match=r"object 'a': observation"):
+            db.add_observation("a", *fix)
+        assert db.get("a") is before and db.version == v
+
+    @pytest.mark.parametrize("fix", CONTRADICTING_FIXES)
+    @pytest.mark.usefixtures("unchecked_reachability")
     def test_same_error_as_a_fresh_build(self, db, fix):
         pairs = sorted(db.get("a").observations.as_pairs() + [fix])
         with pytest.raises(ObservationContradictionError) as fresh:
             adapt_model(db.chain, pairs)
-        db.add_observation("a", *fix)  # lazy: ingestion itself succeeds
+        db.add_observation("a", *fix)  # the ingest check is off: it lands
         for _ in range(2):  # ... and raises again on every access
             with pytest.raises(ObservationContradictionError) as live:
                 db.get("a").adapted
@@ -308,11 +317,12 @@ class TestContradictingFix:
         with pytest.raises(ValueError, match="contradict the chain"):
             db.diamonds_of("a")
 
+    @pytest.mark.usefixtures("unchecked_reachability")
     def test_forced_adaptation_names_the_event(self, db, monkeypatch):
         ingest = db.add_observation
 
-        def eager(object_id, time, state):
-            return ingest(object_id, time, state).adapted
+        def eager(object_id, time, state, **kwargs):
+            return ingest(object_id, time, state, **kwargs).adapted
 
         monkeypatch.setattr(db, "add_observation", eager)
         with pytest.raises(
@@ -324,6 +334,7 @@ class TestContradictingFix:
                 [AddObject("b", [(0, 1), (4, 2)]), AddObservation("a", 2, 3)]
             )
 
+    @pytest.mark.usefixtures("unchecked_reachability")
     def test_no_half_reused_model_is_left_behind(self, db):
         donor = db.get("a").adapted
         before = {seg.key: seg for seg in donor.segments}

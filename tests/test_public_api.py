@@ -105,21 +105,24 @@ class TestPublicAPI:
 
 
 class TestEngineOptionCount:
-    """The engine's option space is pinned: two switches and a backend.
+    """The engine's option space is pinned: one switch and a backend.
 
     Every ablation mode that used to be a constructor flag is an oracle
     under ``tests/oracles/`` — a function a test calls, not something an
-    operator can set.
+    operator can set — and world sharing is a batch's (``held_batch`` /
+    ``evaluate_many``), not an engine's.
     """
 
-    REMOVED = ("fused", "incremental", "window_restrict", "prune_vectorized", "refine_per_tic")
+    REMOVED = (
+        "fused", "incremental", "window_restrict", "prune_vectorized", "refine_per_tic",
+        "reuse_worlds",
+    )
 
     def test_query_engine_signature(self):
         params = list(inspect.signature(repro.QueryEngine.__init__).parameters)
         assert params == [
             "self", "db", "n_samples", "seed", "rng", "use_pruning", "ust_tree",
-            "backend", "reuse_worlds", "refine_cache_size", "tracer", "metrics",
-            "slow_log",
+            "backend", "refine_cache_size", "tracer", "metrics", "slow_log",
         ]
 
     @pytest.mark.parametrize("option", REMOVED)

@@ -126,7 +126,7 @@ class TestConsistencyWithSampledWorlds:
     def test_matches_tensor_statistics_on_degenerate_world(self):
         """A 'sampled' world of certain objects must agree with the
         vectorized tensor machinery used by the query engine."""
-        from repro.trajectory.nn import exists_nn_prob, forall_nn_prob
+        from repro.trajectory.nn import exists_knn_prob, forall_knn_prob
 
         space = StateSpace(np.stack([np.arange(6.0), np.zeros(6)], axis=1))
         world = {
@@ -137,8 +137,8 @@ class TestConsistencyWithSampledWorlds:
         q = q_at_origin(times)
         profiles = distance_profile(world, space, q, times)
         tensor = np.stack([profiles["a"], profiles["b"]])[None, :, :]
-        p_forall = forall_nn_prob(tensor)
-        p_exists = exists_nn_prob(tensor)
+        p_forall = forall_knn_prob(tensor, 1)
+        p_exists = exists_knn_prob(tensor, 1)
         assert (p_forall[0] == 1.0) == (
             "a" in forall_nn_objects(world, space, q, times)
         )

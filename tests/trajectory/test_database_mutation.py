@@ -5,6 +5,7 @@ import pytest
 
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query
+from repro.markov.adaptation import ObservationContradictionError
 from repro.trajectory.database import TrajectoryDatabase
 from tests.conftest import make_drift_chain, make_line_space
 from tests.oracles.shapes import BACKENDS
@@ -31,10 +32,13 @@ class TestAddObservation:
         with pytest.raises(ValueError):
             db.add_observation("a", 4, 2)
 
-    def test_contradicting_observation_detected_lazily(self, db):
-        obj = db.add_observation("a", 1, 3)  # state 3 unreachable at t=1
-        with pytest.raises(Exception):
-            obj.adapted
+    def test_contradicting_observation_refused(self, db):
+        v = db.version
+        with pytest.raises(  # state 3 unreachable at t=1
+            ObservationContradictionError, match=r"object 'a': observation \(t=1, state=3\)"
+        ):
+            db.add_observation("a", 1, 3)
+        assert db.version == v and db.get("a").observations.state_at(1) is None
 
     def test_extends_span_forward(self, db):
         obj = db.add_observation("a", 6, 3)
@@ -174,23 +178,25 @@ class TestMutationUnderQueryLockstep:
             assert r1.influencers == r2.influencers
 
     def test_held_worlds_bit_identical(self, backend):
-        """reuse_worlds engines: the logged one keeps unchanged
+        """Engines in a held batch: the logged one keeps unchanged
         objects' cached worlds across the mutation, the log-less one
         redraws everything — results must still agree bit for bit."""
         db_inc, db_full = self._twin_dbs()
+        # No refine cache: the world-cache counts below are the point.
         inc = QueryEngine(
-            db_inc, n_samples=300, seed=6, backend=backend, reuse_worlds=True
+            db_inc, n_samples=300, seed=6, backend=backend, refine_cache_size=0
         )
         full = QueryEngine(
-            db_full, n_samples=300, seed=6, backend=backend, reuse_worlds=True
+            db_full, n_samples=300, seed=6, backend=backend, refine_cache_size=0
         )
         q = Query.from_point([0.0, 0.0])
-        r1 = inc.forall_nn(q, [1, 2, 3])
-        assert r1.probabilities == full.forall_nn(q, [1, 2, 3]).probabilities
-        self._mutate(db_inc)
-        self._mutate(db_full)
-        r_inc = inc.forall_nn(q, [1, 2, 3])
-        r_full = full.forall_nn(q, [1, 2, 3])
+        with inc.held_batch(), full.held_batch():
+            r1 = inc.forall_nn(q, [1, 2, 3])
+            assert r1.probabilities == full.forall_nn(q, [1, 2, 3]).probabilities
+            self._mutate(db_inc)
+            self._mutate(db_full)
+            r_inc = inc.forall_nn(q, [1, 2, 3])
+            r_full = full.forall_nn(q, [1, 2, 3])
         assert r_inc.probabilities == r_full.probabilities
         # The interesting part: they agreed while doing different work.
         assert inc.worlds.misses.value < full.worlds.misses.value
@@ -210,14 +216,13 @@ def test_small_dirty_redraw_builds_no_step_table(backend):
     db = TrajectoryDatabase(make_line_space(8), make_drift_chain(8))
     for i in range(6):  # enough objects that the numpy prime fuses
         db.add_object(f"o{i}", [(0, i), (4, i + 2)])
-    engine = QueryEngine(
-        db, n_samples=100, seed=7, reuse_worlds=True, use_pruning=False, backend=backend
-    )
+    engine = QueryEngine(db, n_samples=100, seed=7, use_pruning=False, backend=backend)
     q = Query.from_point([0.0, 0.0])
-    engine.forall_nn(q, [1, 2, 3])  # primes cache + arena
-    builds = engine.metrics.value("arena_table_builds_total")
-    assert (builds == 0) == (backend == "native")
-    db.add_observation("o0", 2, 1)
-    engine.forall_nn(q, [1, 2, 3])  # 1 miss
+    with engine.held_batch():
+        engine.forall_nn(q, [1, 2, 3])  # primes cache + arena
+        builds = engine.metrics.value("arena_table_builds_total")
+        assert (builds == 0) == (backend == "native")
+        db.add_observation("o0", 2, 1)
+        engine.forall_nn(q, [1, 2, 3])  # 1 miss
     assert engine.metrics.value("arena_table_builds_total") == builds
     assert engine._arena.block("o0").model is db.get("o0").compiled  # the new model

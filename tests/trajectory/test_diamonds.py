@@ -48,6 +48,26 @@ class TestReachableStates:
         assert all(list(s) == [3] for s in sets)
 
 
+    @pytest.mark.parametrize("backward", [False, True])
+    @pytest.mark.parametrize("positive", [False, True])
+    def test_labelled_walks_are_the_single_walks(self, backward, positive):
+        """Entries ``label * n + state`` advance several walks in one step;
+        each label's states are that start's own walk, step for step."""
+        from tests.conftest import make_random_world
+
+        db, _ = make_random_world(seed=3, n_states=9)
+        chain, n = db.chain, db.chain.n_states
+        starts = [4, 0, 4, 8]
+        walked = reachable_states(
+            chain, n * np.arange(len(starts)) + starts, 5, 4, backward, positive
+        )
+        for label, start in enumerate(starts):
+            alone = reachable_states(chain, start, 5, 4, backward, positive)
+            for step, states in zip(walked, alone):
+                mine = step[step // n == label] % n
+                assert np.array_equal(mine, states), (label, step)
+
+
 class TestComputeDiamonds:
     def test_endpoints_pinned(self, drift_chain):
         obs = ObservationSet([(0, 0), (3, 2)])

@@ -8,13 +8,9 @@ from hypothesis.extra import numpy as npst
 
 from repro.trajectory.nn import (
     exists_knn_prob,
-    exists_nn_prob,
     forall_knn_prob,
-    forall_nn_prob,
     forall_prob_over_times,
     knn_indicator,
-    nn_indicator,
-    nn_prob_per_time,
 )
 
 
@@ -22,28 +18,28 @@ class TestNNIndicator:
     def test_single_world_simple(self):
         # worlds=1, objects=2, times=2: object 0 closer at both times.
         dist = np.array([[[1.0, 1.0], [2.0, 2.0]]])
-        ind = nn_indicator(dist)
+        ind = knn_indicator(dist, 1)
         assert ind[0, 0].all()
         assert not ind[0, 1].any()
 
     def test_ties_count_for_both(self):
         dist = np.array([[[1.0], [1.0]]])
-        ind = nn_indicator(dist)
+        ind = knn_indicator(dist, 1)
         assert ind[0, 0, 0] and ind[0, 1, 0]
 
     def test_absent_object_never_nn(self):
         dist = np.array([[[np.inf], [2.0]]])
-        ind = nn_indicator(dist)
+        ind = knn_indicator(dist, 1)
         assert not ind[0, 0, 0]
         assert ind[0, 1, 0]
 
     def test_all_absent_no_nn(self):
         dist = np.array([[[np.inf], [np.inf]]])
-        assert not nn_indicator(dist).any()
+        assert not knn_indicator(dist, 1).any()
 
     def test_shape_validation(self):
         with pytest.raises(ValueError):
-            nn_indicator(np.zeros((2, 2)))
+            knn_indicator(np.zeros((2, 2)), 1)
 
 
 class TestAggregates:
@@ -58,17 +54,17 @@ class TestAggregates:
         )
 
     def test_forall(self, tensor):
-        p = forall_nn_prob(tensor)
+        p = forall_knn_prob(tensor, 1)
         assert p[0] == pytest.approx(0.5)
         assert p[1] == pytest.approx(0.0)
 
     def test_exists(self, tensor):
-        p = exists_nn_prob(tensor)
+        p = exists_knn_prob(tensor, 1)
         assert p[0] == pytest.approx(1.0)
         assert p[1] == pytest.approx(0.5)
 
     def test_per_time(self, tensor):
-        p = nn_prob_per_time(tensor)
+        p = knn_indicator(tensor, 1).mean(axis=0)
         assert p[0, 0] == pytest.approx(1.0)
         assert p[0, 1] == pytest.approx(0.5)
         assert p[1, 1] == pytest.approx(0.5)
@@ -94,10 +90,10 @@ class TestKNN:
         with pytest.raises(ValueError):
             knn_indicator(np.zeros((1, 1, 1)), 0)
 
-    def test_k1_matches_nn(self):
+    def test_k1_is_the_minimum(self):
         rng = np.random.default_rng(0)
         dist = rng.uniform(size=(20, 5, 4))
-        assert (knn_indicator(dist, 1) == nn_indicator(dist)).all()
+        assert (knn_indicator(dist, 1) == (dist == dist.min(axis=1, keepdims=True))).all()
 
     def test_forall_exists_k(self):
         dist = np.array(
@@ -140,12 +136,12 @@ class TestProperties:
     @given(finite_tensors)
     @settings(max_examples=100)
     def test_exists_geq_forall(self, dist):
-        assert (exists_nn_prob(dist) >= forall_nn_prob(dist) - 1e-12).all()
+        assert (exists_knn_prob(dist, 1) >= forall_knn_prob(dist, 1) - 1e-12).all()
 
     @given(finite_tensors)
     @settings(max_examples=100)
     def test_some_nn_exists_when_all_alive(self, dist):
-        ind = nn_indicator(dist)
+        ind = knn_indicator(dist, 1)
         # At every (world, time) at least one object attains the minimum.
         assert ind.any(axis=1).all()
 
@@ -159,7 +155,7 @@ class TestProperties:
     @given(finite_tensors)
     @settings(max_examples=50)
     def test_anti_monotone_over_time_subsets(self, dist):
-        ind = nn_indicator(dist)[:, 0, :]
+        ind = knn_indicator(dist, 1)[:, 0, :]
         n_t = ind.shape[1]
         if n_t < 2:
             return
