@@ -25,6 +25,7 @@ from repro.spatial.ust_tree import USTTree
 from repro.statespace.base import StateSpace
 from repro.stream import AddObservation, ContinuousMonitor, ObservationStream
 from repro.trajectory.database import TrajectoryDatabase
+from repro.trajectory.diamonds import Diamond
 from repro.trajectory.nn import forall_knn_prob
 from repro.trajectory.trajectory import Trajectory
 from tests.oracles import (
@@ -35,6 +36,8 @@ from tests.oracles import (
     reference_adapt,
     reference_mine,
     reference_sample_paths,
+    reference_segment,
+    same_pruning,
     segment_tree,
     world_major_distances,
 )
@@ -837,7 +840,7 @@ def _knn_chain(n_states=1000, k_nn=6, seed=5):
     random points — the shape of the end-to-end benchmark's chains: every
     state has exactly ``k_nn + 1`` successors."""
     rng = np.random.default_rng(seed)
-    points = rng.uniform(0, 100, size=(n_states, 2))
+    points = _knn_points(rng, n_states)
     d2 = ((points[:, None, :] - points[None, :, :]) ** 2).sum(axis=-1)
     cols = np.argsort(d2, axis=1, kind="stable")[:, : k_nn + 1]  # self first
     weights = rng.uniform(0.5, 1.5, size=cols.shape)
@@ -847,6 +850,11 @@ def _knn_chain(n_states=1000, k_nn=6, seed=5):
         (weights.ravel(), (rows, cols.ravel())), shape=(n_states, n_states)
     )
     return MarkovChain(matrix), rng
+
+
+def _knn_points(rng, n_states):
+    """The states' locations behind :func:`_knn_chain` (its first draw)."""
+    return rng.uniform(0, 100, size=(n_states, 2))
 
 
 def _walk_requests(chain, rng, n_objects, gap, n_segments=1):
@@ -925,6 +933,108 @@ def test_adapt_many_targets(bench_record):
         os.environ.get("ADAPT_SPEEDUP_TARGET", "1.5" if os.environ.get("CI") else "5.0")
     )
     assert speedup >= target, gaps
+
+
+def _fleet_tick(seed=6, n_objects=48, gap=3, n_appends=10):
+    """A ``fleet_live``-shaped database on the 1000-state kNN chain, and one
+    tick's mutations of it: objects hold fixes every ``gap`` tics along
+    random walks, staggered over 16 tics; the tick appends a fix to
+    ``n_appends`` of them, adds one two-fix object and removes one.
+
+    Returns ``(db, tree, dirty)``: the database after the tick, an index
+    built before it and the ids the tick dirtied."""
+    chain, _ = _knn_chain()
+    space = StateSpace(_knn_points(np.random.default_rng(5), chain.n_states))
+    rng = np.random.default_rng(seed)
+    requests = _walk_requests(chain, rng, n_objects + 1, gap, n_segments=4)
+    db = TrajectoryDatabase(space, chain)
+    for i, (_, fixes, _, _) in enumerate(requests[:n_objects]):
+        start = i % 16
+        db.add_object(f"v{i:02d}", [(start + t, s) for t, s in fixes[:-1]])
+    tree = USTTree(db)
+    names = db.object_ids
+    for name in names[:n_appends]:
+        last = db.get(name).observations.last
+        # A fix ``gap`` tics on along the object's own chain.
+        walk = [last.state]
+        for t in range(gap):
+            nxt, probs = chain.successors(walk[-1], t)
+            walk.append(int(rng.choice(nxt, p=probs)))
+        db.add_observation(name, last.time + gap, walk[-1])
+    added = requests[n_objects][1]
+    db.add_object("new", [(16 + t, s) for t, s in added[:2]])
+    db.remove_object(names[-1])
+    return db, tree, [*names[:n_appends], "new", names[-1]]
+
+
+def _oracle_diamonds(obj):
+    """``obj``'s diamonds the way the per-object path derived them: the
+    donor's unchanged ones carried, every other segment walked alone."""
+    carried = {d.key: d for d in obj._diamond_donor}
+    keys = [(a.time, a.state, b.time, b.state) for a, b in obj.observations.segments()]
+    return [
+        carried.get(key) or Diamond(key[0], key[2], reference_segment(obj.chain, *key), key)
+        for key in keys
+    ]
+
+
+def test_write_path_targets(bench_record):
+    """One ``fleet_live`` tick's index maintenance, persisted to the JSON
+    table: ``USTTree.update_many`` over the tick's dirty ids — one labelled
+    diamond walk per matrices group, one bound-table rewrite — against the
+    per-object loop it replaced: each object's new segments walked alone
+    (``tests.oracles.reference_segment``) and its rows written by one
+    ``update_object``.  Both tables must prune alike, and like a fresh
+    build.  Acceptance target: ≥3× (CI enforces a relaxed floor on shared
+    runners; run locally or with WRITE_PATH_SPEEDUP_TARGET=3.0 for the full
+    assertion)."""
+    rounds = 7
+    batch_s, loop_s, trees = [], [], {}
+    for _ in range(rounds):  # interleave to even out machine drift
+        db, tree, dirty = _fleet_tick()
+        t0 = perf_counter()
+        tree.update_many(dirty)
+        batch_s.append(perf_counter() - t0)
+        trees["batch"] = tree
+        db, tree, dirty = _fleet_tick()
+        t0 = perf_counter()
+        for name in dirty:
+            if name in db:
+                obj = db.get(name)
+                obj._diamonds = _oracle_diamonds(obj)
+            tree.update_object(name)
+        loop_s.append(perf_counter() - t0)
+        trees["loop"] = tree
+    fresh = USTTree(db)
+    times = np.arange(16, 23)
+    coords = np.repeat(
+        np.random.default_rng(2).uniform(10, 90, size=(12, 1, 2)), times.size, axis=1
+    )
+    for got, want in zip(trees["batch"].prune_many(coords, times), fresh.prune_many(coords, times)):
+        same_pruning(got, want)
+    for got, want in zip(trees["loop"].prune_many(coords, times), fresh.prune_many(coords, times)):
+        same_pruning(got, want)
+    speedup = min(loop_s) / min(batch_s)
+    bench_record(
+        "write_path",
+        {
+            "cpu_count": os.cpu_count(),
+            "n_objects": len(db),
+            "n_dirty": len(dirty),
+            "gap": 3,
+            "n_states": db.space.n_states,
+            "rounds": rounds,
+            "update_many_ms": min(batch_s) * 1e3,
+            "per_object_loop_ms": min(loop_s) * 1e3,
+            "speedup_vs_per_object_loop": speedup,
+        },
+    )
+    target = float(
+        os.environ.get(
+            "WRITE_PATH_SPEEDUP_TARGET", "1.2" if os.environ.get("CI") else "3.0"
+        )
+    )
+    assert speedup >= target, {"batch_s": batch_s, "loop_s": loop_s}
 
 
 def test_knn_k_targets(bench_record):

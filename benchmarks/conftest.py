@@ -47,6 +47,7 @@ KNOWN_KERNELS = frozenset(
         "native_speedup",
         "prune_many",
         "refine_layout",
+        "write_path",
     }
 )
 

@@ -260,9 +260,8 @@ class QueryEngine:
             self._worlds_token += 1
         else:
             if self._ust is not None:
-                for oid in sorted(changed):
-                    self._ust.update_object(oid)
-                    self.index_updates.inc()
+                self._ust.update_many(changed)
+                self.index_updates.inc(len(changed))
             for oid in changed:
                 self._arena.discard(oid)
                 if oid not in self.db:

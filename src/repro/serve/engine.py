@@ -279,17 +279,54 @@ class ShardedQueryEngine(QueryEngine):
     def fill_blocks(self, jobs: list[RefineJob]) -> list[np.ndarray]:
         """Blocks fetched ahead by :meth:`_staging` are handed over once —
         releasing their held-back lookups to the consuming evaluation's
-        report; the rest fan out to the owning shards in one round."""
-        results = []
-        for job in jobs:
-            block, lookups = self._staged.pop(job.key, (None, ()))
-            for i, n in enumerate(lookups):
-                self._lookups_ahead[i] -= n
+        report; the columns still missing fan out to the owning shards in
+        one round."""
+        results, todo = [], []
+        for j, job in enumerate(jobs):
+            block, missing = self._take_staged(job)
             results.append(block)
-        todo = [j for j, block in enumerate(results) if block is None]
-        for j, block in zip(todo, self._fan_out([jobs[j] for j in todo])[0]):
-            results[j] = block
+            if missing:
+                todo.append((j, missing))
+        fetched = self._fan_out([jobs[j].columns(missing) for j, missing in todo])[0]
+        for (j, missing), sub in zip(todo, fetched):
+            if results[j] is None:
+                results[j] = sub
+            else:
+                results[j][missing] = sub
         return results
+
+    def _take_staged(self, job: RefineJob) -> tuple[np.ndarray | None, list[int]]:
+        """The staged block for ``job`` and the positions it still lacks.
+
+        Besides the job's own block, a block staged for a *subset* of its
+        columns serves: the staging predicted a refine-cache patch of the
+        stale columns, and the cache (full at a small capacity) evicted the
+        entry before this evaluation came, so the whole block is asked for.
+        Its columns' lookups happened once, as a single process makes them.
+        """
+        every = list(range(len(job.object_ids)))
+        key = job.key
+        if key not in self._staged:
+            ids = set(job.object_ids)
+            key = next(
+                (
+                    k
+                    for k in self._staged
+                    if k[:3] == job.key[:3] and k[4] == job.n and ids.issuperset(k[3])
+                ),
+                None,
+            )
+            if key is None:
+                return None, every
+        staged, lookups = self._staged.pop(key)
+        for i, n in enumerate(lookups):
+            self._lookups_ahead[i] -= n
+        if key == job.key:
+            return staged, []
+        block = job.empty()
+        have = [job.object_ids.index(oid) for oid in key[3]]
+        block[have] = staged
+        return block, sorted(set(every) - set(have))
 
     def _fan_out(self, jobs: list[RefineJob]) -> tuple[list[np.ndarray], list[list[int]]]:
         """Fill ``jobs`` on the shards owning their columns, in one round.
@@ -356,6 +393,10 @@ class ShardedQueryEngine(QueryEngine):
         if self._batch_depth > 1:  # a nested batch rides the outer one's round
             yield
             return
+        # Invalidate before any window is noted: without pruning the filter
+        # never syncs, and a re-added object's fresh window would be counted
+        # as a dropped one.
+        self.sync_mutations()
         jobs: dict[tuple, RefineJob] = {}
         for req in reqs:
             try:

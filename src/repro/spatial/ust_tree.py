@@ -16,8 +16,10 @@ refinement set equals ``I(q)``.
 
 The diamonds are kept as a **per-tic bound table**, which the filter
 (:meth:`USTTree.prune_many`) scans: one row per
-(object, tic) holding the MBRs of the diamonds covering that tic, patched
-by :meth:`USTTree.update_object` and never rebuilt inside a query.  A
+(object, tic) holding the MBRs of the diamonds covering that tic, written
+by :meth:`USTTree.update_many` once per tick for every object the tick
+dirtied (one batched diamond derivation, one table rewrite) and never
+rebuilt inside a query.  A
 diamond's per-tic MBR lies inside its segment MBR and ``mindist`` /
 ``maxdist`` are monotone under containment, so the per-tic bounds alone
 *are* the filter's bounds — no segment-level pass precedes them.  The
@@ -29,11 +31,14 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from typing import Iterable
 
 import numpy as np
 
 from ..obs.metrics import MetricsRegistry
 from ..trajectory.database import TrajectoryDatabase
+from ..trajectory.diamonds import bound_tics
+from ..trajectory.trajectory import derive_diamonds
 
 __all__ = ["PruningResult", "USTTree", "check_query_coords"]
 
@@ -106,13 +111,10 @@ class PruningResult:
         return {oid: dmax[i] for i, oid in enumerate(ids)}
 
 
-def _splice(arr: np.ndarray, start: int, stop: int, block: np.ndarray) -> np.ndarray:
-    """``arr`` with ``[start, stop)`` of its last axis replaced by ``block``
-    (in place when the extent is unchanged)."""
-    if block.shape[-1] == stop - start:
-        arr[..., start:stop] = block
-        return arr
-    return np.concatenate((arr[..., :start], block, arr[..., stop:]), axis=-1)
+def _deepen(rect: np.ndarray, depth: int) -> np.ndarray:
+    """``rect`` with ``depth`` slots, the missing ones repeating slot 0."""
+    extra = depth - rect.shape[1]
+    return np.concatenate((rect, *[rect[:, :1]] * extra), axis=1) if extra > 0 else rect
 
 
 class USTTree:
@@ -138,75 +140,67 @@ class USTTree:
         # lower / upper bound in dimension ``j`` of the ``s``-th diamond
         # covering the row's tic (an observation tic is covered by both
         # adjacent diamonds); slots a tic does not use repeat slot 0, which
-        # max/min accumulation cannot tell from applying it once.  A tic no
-        # diamond covers holds the empty rect (lo = +inf, hi = -inf), whose
-        # dmin and dmax are +inf for any finite point; so does row 0, where
-        # the scan sends every (object, tic) pair outside the object's
-        # span — it needs no mask.  ``_segs[0, row]`` / ``_segs[1, row]``
-        # count the object's segments begun by / ended before the row's tic
-        # (``examined_entries`` without a per-segment pass).
+        # max/min accumulation cannot tell from applying it once.  Which
+        # covering diamond lands in which slot is irrelevant: each yields a
+        # valid bound and the scan keeps the tightest of each kind across
+        # all slots.  A tic no diamond covers holds the empty rect (lo =
+        # +inf, hi = -inf), whose dmin and dmax are +inf for any finite
+        # point; so does row 0, where the scan sends every (object, tic)
+        # pair outside the object's span — it needs no mask.
+        # ``_segs[0, row]`` / ``_segs[1, row]`` count the object's segments
+        # begun by / ended before the row's tic (``examined_entries``
+        # without a per-segment pass).
         self._ids: list[str] = []
         self._rect = np.full((2, 1, db.space.ndim, 1), np.inf)
         self._rect[1] = -np.inf
         self._segs = np.zeros((2, 1), dtype=np.intp)
         self._t_base = self._t_hi = np.empty(0, dtype=np.intp)
         self._row_ptr = np.ones(1, dtype=np.intp)
-        ids = sorted(obj.object_id for obj in db)
-        self._replace_rows(0, 0, {oid: db.diamonds_of(oid) for oid in ids})
+        self.update_many(obj.object_id for obj in db)
 
-    def _object_block(self, diamonds) -> tuple:
-        """One object's table rows: ``(t_base, rect, segs)``, ``rect`` of
-        shape ``(2, slots, d, tics)`` and ``segs`` ``(2, tics)`` (see
-        ``__init__``).  Which covering diamond lands in which slot is
-        irrelevant: each yields a valid bound and the scan keeps the
-        tightest of each kind across all slots.
+    def _block(self, objects: list[list]) -> tuple:
+        """The table rows of several objects' diamond lists, laid end to
+        end in the given order: ``(t_base, n_rows, rect, segs)``, ``rect``
+        of shape ``(2, slots, d, rows)`` and ``segs`` ``(2, rows)`` (see
+        ``__init__``), built from every diamond's per-tic MBR rows at once.
         """
-        space = self.db.space
+        diamonds = [d for ds in objects for d in ds]
+        lo, hi = bound_tics(diamonds, self.db.space)
+        owner = np.repeat(np.arange(len(objects)), [len(ds) for ds in objects])
         seg_t0 = np.asarray([d.t_start for d in diamonds], dtype=np.intp)
         seg_t1 = np.asarray([d.t_end for d in diamonds], dtype=np.intp)
-        t_base = int(seg_t0.min())
-        length = int(seg_t1.max()) - t_base + 1
-        # Every (diamond, tic) rect, ordered by tic; a rect's slot is its
-        # rank among the rects of its tic.
-        tic = np.concatenate([np.arange(a, b + 1) for a, b in zip(seg_t0, seg_t1)])
-        order = np.argsort(tic, kind="stable")
-        tic = tic[order] - t_base
-        slot = np.arange(tic.size) - np.searchsorted(tic, tic)
-        depth = np.bincount(tic, minlength=length)
-        rect = np.full((2, int(depth.max()), space.ndim, length), np.inf)
+        firsts = np.cumsum([0] + [len(ds) for ds in objects])[:-1]
+        t_base = np.minimum.reduceat(seg_t0, firsts) if diamonds else seg_t0
+        n_rows = (np.maximum.reduceat(seg_t1, firsts) if diamonds else seg_t1) - t_base + 1
+        obj_row = np.cumsum(n_rows) - n_rows
+        # Every (diamond, tic) rect with its block row; a rect's slot is its
+        # rank among the rects of its row.
+        seg_row = obj_row[owner] + seg_t0 - t_base[owner]
+        n_tics = seg_t1 - seg_t0 + 1
+        rect_row = np.repeat(seg_row - (np.cumsum(n_tics) - n_tics), n_tics)
+        rect_row += np.arange(rect_row.size)
+        order = np.argsort(rect_row, kind="stable")
+        rect_row = rect_row[order]
+        slot = np.arange(rect_row.size) - np.searchsorted(rect_row, rect_row)
+        total = int(n_rows.sum())
+        depth = np.bincount(rect_row, minlength=total)
+        rect = np.full((2, int(depth.max(initial=1)), self.db.space.ndim, total), np.inf)
         rect[1] = -np.inf
-        bounds = [np.stack(d.mbr_arrays(space), axis=1) for d in diamonds]
-        rect[:, slot, :, tic] = np.concatenate(bounds)[order]
+        rect[0, slot, :, rect_row] = lo[order]
+        rect[1, slot, :, rect_row] = hi[order]
         for s in range(1, rect.shape[1]):
             unused = depth <= s
             rect[:, s][..., unused] = rect[:, 0][..., unused]
-        begun = np.cumsum(np.bincount(seg_t0 - t_base, minlength=length))
-        ended = np.cumsum(np.bincount(seg_t1 - t_base + 1, minlength=length + 1))
-        return t_base, rect, np.stack((begun, ended[:length]))
-
-    def _replace_rows(self, pos: int, stop: int, objects: dict) -> None:
-        """Objects ``pos:stop`` of the sorted id list become ``objects``
-        (``{id: diamonds}``, sorted), with the table rows their diamonds say."""
-        blocks = [self._object_block(diamonds) for diamonds in objects.values()]
-        depth = max([self._rect.shape[1]] + [rect.shape[1] for _, rect, _ in blocks])
-
-        def deepen(rect: np.ndarray) -> np.ndarray:
-            extra = depth - rect.shape[1]  # missing slots repeat slot 0
-            return np.concatenate((rect, *[rect[:, :1]] * extra), axis=1) if extra else rect
-
-        self._rect = deepen(self._rect)
-        row, row_stop = self._row_ptr[pos], self._row_ptr[stop]
-        rects = [self._rect[..., :0]] + [deepen(rect) for _, rect, _ in blocks]
-        self._rect = _splice(self._rect, row, row_stop, np.concatenate(rects, axis=-1))
-        segs = [self._segs[:, :0]] + [segs for _, _, segs in blocks]
-        self._segs = _splice(self._segs, row, row_stop, np.concatenate(segs, axis=-1))
-        self._ids[pos:stop] = objects
-        t_base = np.asarray([b[0] for b in blocks], dtype=np.intp)
-        n_rows = np.asarray([b[1].shape[-1] for b in blocks], dtype=np.intp)
-        self._t_base = _splice(self._t_base, pos, stop, t_base)
-        n_rows = _splice(np.diff(self._row_ptr), pos, stop, n_rows)
-        self._t_hi = self._t_base + n_rows - 1
-        self._row_ptr = np.concatenate(([1], 1 + np.cumsum(n_rows)))
+        # Per-object running counts: a global cumsum less each object's
+        # count before its first row.  A segment ending at an object's last
+        # tic ends before no row of it.
+        end_row = seg_row + n_tics
+        inside = end_row < (obj_row + n_rows)[owner]
+        segs = np.empty((2, total), dtype=np.intp)
+        for i, rows in enumerate((seg_row, end_row[inside])):
+            running = np.cumsum(np.bincount(rows, minlength=total))
+            segs[i] = running - np.repeat(np.append(0, running)[obj_row], n_rows)
+        return t_base, n_rows, rect, segs
 
     # ------------------------------------------------------------------
     # incremental maintenance (streaming ingest)
@@ -219,20 +213,96 @@ class USTTree:
 
     def update_object(self, object_id: str) -> None:
         """Re-index one object after a database mutation — added, observed
-        or removed.
+        or removed: :meth:`update_many` with one id."""
+        self.update_many([object_id])
 
-        Rewrites the object's rows of the bound table from its current
-        diamonds — none when the object is gone, in place when its
-        lifespan kept its extent (as after an interior fix).  Pruning over
-        the updated table is exactly what a freshly built one would
-        compute: it holds the same rows (the oracle tests assert this).
-        This is the streaming path's alternative to rebuilding the index
-        per event.
+    def update_many(self, object_ids: Iterable[str]) -> None:
+        """Re-index objects after database mutations — added, observed or
+        removed — in one pass.
+
+        The diamonds the objects lack are derived together
+        (:func:`~repro.trajectory.trajectory.derive_diamonds`), and the
+        objects' rows of the bound table are rewritten from their per-tic
+        MBR rows: in place when every object is indexed and keeps its
+        extent (as after interior fixes), else by one concatenation of the
+        untouched rows and the new ones; a removed object's rows go.
+        Pruning over the updated table is exactly what a freshly built one
+        would compute (the oracle tests assert this); this is the streaming
+        path's alternative to rebuilding the index per tick.
+
+        An object whose observations contradict its chain keeps its rows,
+        and its "empty diamond" ``ValueError`` (the first in id order) is
+        raised once its peers are written.
         """
-        object_id = str(object_id)
-        diamonds = self.db.diamonds_of(object_id) if object_id in self.db else ()
-        pos, known = self._position(object_id)
-        self._replace_rows(pos, pos + known, {object_id: diamonds} if diamonds else {})
+        ids = sorted({str(oid) for oid in object_ids})
+        objects = [self.db.get(oid) for oid in ids if oid in self.db]
+        derived = derive_diamonds(objects)
+        failed = [d for d in derived if isinstance(d, ValueError)]
+        written = {
+            obj.object_id: d for obj, d in zip(objects, derived) if not isinstance(d, ValueError)
+        }
+        places = {oid: self._position(oid) for oid in ids}
+        # Written ids, and removed ones the table holds rows of.
+        touched = [oid for oid in ids if oid in written or (places[oid][1] and oid not in self.db)]
+        t_base, n_rows, rect, segs = self._block(list(written.values()))
+        depth = max(self._rect.shape[1], rect.shape[1])
+        rect = _deepen(rect, depth)
+        pos = np.asarray([places[oid][0] for oid in touched], dtype=np.intp)
+        if (
+            len(written) == len(touched)
+            and all(places[oid][1] for oid in touched)
+            and depth == self._rect.shape[1]
+            and np.array_equal(self._t_base[pos], t_base)
+            and np.array_equal(self._row_ptr[pos + 1] - self._row_ptr[pos], n_rows)
+        ):
+            rows = np.repeat(self._row_ptr[pos] - (np.cumsum(n_rows) - n_rows), n_rows)
+            rows += np.arange(rows.size)
+            self._rect[..., rows] = rect
+            self._segs[:, rows] = segs
+        elif touched:
+            old_rect = _deepen(self._rect, depth)
+            self._splice(touched, places, written, old_rect, t_base, n_rows, rect, segs)
+        if failed:
+            raise failed[0]
+
+    def _splice(self, touched, places, written, old_rect, t_base, n_rows, rect, segs) -> None:
+        """Rebuild the table from ``old_rect`` (the table's rects) with the
+        ``touched`` ids' rows replaced by the block's (``written`` ones) or
+        dropped: one concatenation of the untouched runs and the block's
+        objects, in id order."""
+        ptr = self._row_ptr
+        block_row = np.cumsum(n_rows) - n_rows
+        rects, seg_parts, ids, bases, lengths = [], [], [], [], []
+        obj, row, j = 0, 0, 0  # next old object, next old row, next block object
+        for oid in touched:
+            pos, known = places[oid]
+            rects.append(old_rect[..., row : ptr[pos]])
+            seg_parts.append(self._segs[:, row : ptr[pos]])
+            ids += self._ids[obj:pos]
+            bases.append(self._t_base[obj:pos])
+            lengths.append(ptr[obj + 1 : pos + 1] - ptr[obj:pos])
+            if oid in written:
+                lo, hi = block_row[j], block_row[j] + n_rows[j]
+                rects.append(rect[..., lo:hi])
+                seg_parts.append(segs[:, lo:hi])
+                ids.append(oid)
+                bases.append(t_base[j : j + 1])
+                lengths.append(n_rows[j : j + 1])
+                j += 1
+            obj = pos + known
+            row = ptr[obj]
+        rects.append(old_rect[..., row:])
+        seg_parts.append(self._segs[:, row:])
+        ids += self._ids[obj:]
+        bases.append(self._t_base[obj:])
+        lengths.append(ptr[obj + 1 :] - ptr[obj:-1])
+        self._rect = np.concatenate(rects, axis=-1)
+        self._segs = np.concatenate(seg_parts, axis=-1)
+        self._ids = ids
+        self._t_base = np.concatenate(bases)
+        n_rows = np.concatenate(lengths)
+        self._t_hi = self._t_base + n_rows - 1
+        self._row_ptr = np.concatenate(([1], 1 + np.cumsum(n_rows)))
 
     def __contains__(self, object_id: str) -> bool:
         return self._position(str(object_id))[1]

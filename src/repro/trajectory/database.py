@@ -7,6 +7,8 @@ caching and the hooks the UST-tree and the query engine build on.
 
 from __future__ import annotations
 
+from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -114,17 +116,25 @@ class TrajectoryDatabase:
         Returns ``None`` when ``version`` predates the retained mutation
         log (bounded at :attr:`MUTATION_LOG_LIMIT` entries): the caller
         cannot invalidate selectively and must rebuild wholesale.
+
+        Costs O(entries after ``version``): the log is sorted by version, so
+        a bisection finds where they start.
         """
+        entries = self._entries_after(version)
+        return None if entries is None else {oid for _, oid, _, _ in entries}
+
+    def _entries_after(self, version: int) -> list | None:
+        """The mutation-log entries after ``version`` (``None`` when it
+        predates the retained log)."""
         version = int(version)
         if version > self._version:
             raise ValueError(
                 f"version {version} is ahead of the database ({self._version})"
             )
-        if version == self._version:
-            return set()
         if version < self._log_floor:
             return None
-        return {oid for v, oid, _, _ in self._mutation_log if v > version}
+        log = self._mutation_log
+        return log[bisect_right(log, version, key=itemgetter(0)) :]
 
     def changed_ranges_since(
         self, version: int
@@ -141,19 +151,11 @@ class TrajectoryDatabase:
         filter stage.  Same overflow contract as :meth:`changed_since`:
         ``None`` when ``version`` predates the retained log.
         """
-        version = int(version)
-        if version > self._version:
-            raise ValueError(
-                f"version {version} is ahead of the database ({self._version})"
-            )
-        if version == self._version:
-            return {}
-        if version < self._log_floor:
+        entries = self._entries_after(version)
+        if entries is None:
             return None
         ranges: dict[str, tuple[float, float]] = {}
-        for v, oid, lo, hi in self._mutation_log:
-            if v <= version:
-                continue
+        for _, oid, lo, hi in entries:
             prev = ranges.get(oid)
             if prev is None:
                 ranges[oid] = (lo, hi)

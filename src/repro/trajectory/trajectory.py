@@ -15,10 +15,10 @@ import numpy as np
 from ..markov.adaptation import AdaptedModel, adapt_many, adapt_model
 from ..markov.chain import TransitionModel
 from ..markov.compiled import CompiledModel
-from .diamonds import Diamond, compute_diamonds
+from .diamonds import Diamond, compute_diamonds, compute_diamonds_many
 from .observation import Observation, ObservationSet
 
-__all__ = ["Trajectory", "UncertainObject", "adapt_objects"]
+__all__ = ["Trajectory", "UncertainObject", "adapt_objects", "derive_diamonds"]
 
 
 @dataclass(frozen=True)
@@ -259,3 +259,28 @@ def adapt_objects(objects: list[UncertainObject]) -> None:
     for obj, model in zip(pending, models):
         if isinstance(model, AdaptedModel):
             obj._adapted, obj._donor = model, None
+
+
+def derive_diamonds(objects: list[UncertainObject]) -> list[list[Diamond] | ValueError]:
+    """Every given object's diamonds, those it still lacks derived together.
+
+    One :func:`~repro.trajectory.diamonds.compute_diamonds_many` call: the
+    segments all of them have to derive share its labelled walks.  Returns
+    one entry per object: its diamonds, or — for an object whose
+    observations contradict its chain, left as it was — the ``ValueError``
+    its own ``.diamonds`` raises.
+    """
+    pending = [obj for obj in objects if obj._diamonds is None]
+    derived = compute_diamonds_many(
+        [
+            (obj.chain, obj.observations, obj.extend_to, obj._diamond_donor)
+            for obj in pending
+        ]
+    )
+    failed = {}
+    for obj, diamonds in zip(pending, derived):
+        if isinstance(diamonds, ValueError):
+            failed[id(obj)] = diamonds
+        else:
+            obj._diamonds, obj._diamond_donor = diamonds, []
+    return [failed.get(id(obj), obj._diamonds) for obj in objects]

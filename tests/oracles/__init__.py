@@ -21,6 +21,8 @@ refinement (distances)        :func:`loop_states` → :func:`loop_distance_tenso
                               :func:`world_major_distances` — the
                               tile/scatter kernel
 refinement (NN indicator)     :func:`partition_indicator`
+§ 6 diamonds                  :func:`reference_diamonds` — one forward
+                              and one backward walk per segment
 § 6 filter                    :func:`prune_reference` over an
                               :class:`RStarTree` of segment boxes
 Algorithm 1 (PCNN mining)     :func:`reference_mine`
@@ -45,6 +47,7 @@ from .adaptation import (
     same_tables,
     same_transitions,
 )
+from .diamonds import reference_diamonds, reference_segment, same_diamonds
 from .mining import reference_mine
 from .pruning import prune_reference, same_pruning, segment_items, segment_tree
 from .refinement import (
@@ -68,11 +71,14 @@ __all__ = [
     "partition_indicator",
     "prune_reference",
     "reference_adapt",
+    "reference_diamonds",
+    "reference_segment",
     "reference_tables",
     "reference_mine",
     "reference_sample_paths",
     "same_array",
     "same_compiled",
+    "same_diamonds",
     "same_distributions",
     "same_model",
     "same_tables",

@@ -195,8 +195,7 @@ class MutatingWorld:
 
     def sync_tree(self) -> None:
         """What ``QueryEngine.sync_mutations`` does to its index."""
-        for oid in sorted(self.db.changed_since(self._tree_seen)):
-            self.tree.update_object(oid)
+        self.tree.update_many(self.db.changed_since(self._tree_seen))
         self._tree_seen = self.db.version
 
     def requests(self):

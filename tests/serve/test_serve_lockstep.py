@@ -105,12 +105,22 @@ def test_lockstep_reverse_and_hybrid(n_shards, mode, crash_before):
 
 
 @pytest.mark.parametrize(
-    "options", [{}, {"use_pruning": False, "refine_cache_size": 3}], ids=["default", "custom"]
+    "options",
+    [{}, {"use_pruning": False}, {"refine_cache_size": 3}],
+    ids=["default", "no-pruning", "small-refine-cache"],
 )
 def test_workers_run_the_coordinators_engine(options):
     """A worker's engine takes the coordinator's options unchanged.  It
     can keep the refine-cache capacity because it never reaches the cache:
-    every block it fills is a slab the coordinator's own cache asked for."""
+    every block it fills is a slab the coordinator's own cache asked for.
+
+    The reuse counters match one process tick by tick, too.  Without
+    pruning the filter never syncs the database, so the staging syncs
+    before it notes windows: the ``AddObject`` re-add counted a dropped
+    window otherwise.  A capacity-3 cache under seven subscriptions evicts
+    entries the staging predicted a patch of; the evaluation then asks for
+    the whole block, and takes the staged columns instead of counting
+    their world-cache lookups twice."""
     db_a, db_b = twin_db(), twin_db()
     monitor = ContinuousMonitor(QueryEngine(db_a, n_samples=100, seed=SEED, **options))
     with ServeCoordinator(
@@ -124,6 +134,7 @@ def test_workers_run_the_coordinators_engine(options):
             assert [_result_payload(n.result) for n in ra.notifications] == [
                 _result_payload(n.result) for n in rb.notifications
             ]
+            assert ra.reuse == rb.reuse
         assert coord.engine.estimate_cache_misses.value > 0  # the coordinator's cache ran
         for shard in range(2):
             worker = coord.engine._transport.worker(shard).engine

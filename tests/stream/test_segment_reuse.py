@@ -3,8 +3,8 @@
 An ingested fix re-derives only the inter-observation segments it touches:
 ``adapt_model`` carries ``F(t)``/marginal records over from the replaced
 object's model, ``compile_model`` their flattened layers,
-``compute_diamonds`` the diamonds (MBR caches included) and
-``USTTree.update_object`` the index rows.  Reuse sits in the database
+``compute_diamonds_many`` the diamonds (MBR caches included) and
+``USTTree.update_many`` the index rows.  Reuse sits in the database
 layer, *below* the engine, so no engine can be the oracle here.  The oracle
 is a database freshly built from the final observation lists (no donor
 anywhere — ``tests.oracles.fresh_twin``), and for Algorithm 2 itself the
@@ -170,21 +170,24 @@ def test_history_exercises_every_mutation_shape():
 # what an event costs
 # ----------------------------------------------------------------------
 class _Counts:
+    """Segments derived per layer: calls of the per-segment kernels, and
+    the segments handed to the diamonds' batched walk."""
+
     def __init__(self, monkeypatch) -> None:
         self.calls = {}
-        for owner, name in (
-            (adaptation, "_adapt_segment"),
-            (compiled, "_compile_stretch"),
-            (diamonds_module, "_segment_diamond"),
+        for owner, name, size in (
+            (adaptation, "_adapt_segment", None),
+            (compiled, "_compile_stretch", None),
+            (diamonds_module, "_walk", lambda chain, keys: len(keys)),
         ):
-            self._wrap(monkeypatch, owner, name)
+            self._wrap(monkeypatch, owner, name, size)
 
-    def _wrap(self, monkeypatch, owner, name) -> None:
+    def _wrap(self, monkeypatch, owner, name, size) -> None:
         original = getattr(owner, name)
         self.calls[name] = 0
 
         def counted(*args, **kwargs):
-            self.calls[name] += 1
+            self.calls[name] += 1 if size is None else size(*args, **kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -209,32 +212,32 @@ def test_an_event_costs_the_segments_it_touches(monkeypatch):
     counts = _Counts(monkeypatch)
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 4, "_compile_stretch": 4, "_segment_diamond": 0,
+        "_adapt_segment": 4, "_compile_stretch": 4, "_walk": 0,
     }
 
     db.add_observation("a", 15, 5)  # head append: one new segment
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 1, "_compile_stretch": 1, "_segment_diamond": 1,
+        "_adapt_segment": 1, "_compile_stretch": 1, "_walk": 1,
     }
 
     db.add_observation("a", 7, 2)  # interior refinement: one segment becomes two
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretch": 2, "_segment_diamond": 2,
+        "_adapt_segment": 2, "_compile_stretch": 2, "_walk": 2,
     }
 
     db.add_observation("a", -2, 0)  # a fix before the first one: one new segment
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 1, "_compile_stretch": 1, "_segment_diamond": 1,
+        "_adapt_segment": 1, "_compile_stretch": 1, "_walk": 1,
     }
     # Several fixes before the next derivation still cost one segment each.
     db.add_observation("a", 18, 6)
     db.add_observation("a", 21, 7)
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretch": 2, "_segment_diamond": 2,
+        "_adapt_segment": 2, "_compile_stretch": 2, "_walk": 2,
     }
 
     # A re-added id starts from nothing: no donor survives a removal.
@@ -244,7 +247,7 @@ def test_an_event_costs_the_segments_it_touches(monkeypatch):
     db.add_object("a", [(-2, 0), (0, 0), (3, 1)])
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretch": 2, "_segment_diamond": 2,
+        "_adapt_segment": 2, "_compile_stretch": 2, "_walk": 2,
     }
 
 
@@ -373,7 +376,7 @@ class TestDonorBoundaries:
         counts = _Counts(monkeypatch)
         obj.adapted, obj.diamonds
         taken = counts.take()
-        assert (taken["_adapt_segment"], taken["_segment_diamond"]) == (2, 2)
+        assert (taken["_adapt_segment"], taken["_walk"]) == (2, 2)
 
     def test_hand_assembled_model_offers_nothing(self, monkeypatch):
         import dataclasses
