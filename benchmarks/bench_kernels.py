@@ -18,8 +18,9 @@ from scipy import sparse
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query, QueryRequest
 from repro.data.synthetic import SyntheticWorkloadConfig, generate_workload
-from repro.markov.adaptation import adapt_many, adapt_model
+from repro.markov.adaptation import adapt_many, adapt_model, compiled_views
 from repro.markov.chain import MarkovChain
+from repro.markov.compiled import compile_models
 from repro.spatial.geometry import Rect
 from repro.spatial.ust_tree import USTTree
 from repro.statespace.base import StateSpace
@@ -27,7 +28,7 @@ from repro.stream import AddObservation, ContinuousMonitor, ObservationStream
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.diamonds import Diamond
 from repro.trajectory.nn import forall_knn_prob
-from repro.trajectory.trajectory import Trajectory
+from repro.trajectory.trajectory import Trajectory, adapt_objects
 from tests.oracles import (
     RStarTree,
     loop_distance_tensor,
@@ -37,7 +38,9 @@ from tests.oracles import (
     reference_mine,
     reference_sample_paths,
     reference_segment,
+    reference_stretch_tables,
     same_pruning,
+    same_tables,
     segment_tree,
     world_major_distances,
 )
@@ -935,11 +938,13 @@ def test_adapt_many_targets(bench_record):
     assert speedup >= target, gaps
 
 
-def _fleet_tick(seed=6, n_objects=48, gap=3, n_appends=10):
+def _fleet_tick(seed=6, n_objects=48, gap=3, n_appends=10, warm=False):
     """A ``fleet_live``-shaped database on the 1000-state kNN chain, and one
     tick's mutations of it: objects hold fixes every ``gap`` tics along
     random walks, staggered over 16 tics; the tick appends a fix to
-    ``n_appends`` of them, adds one two-fix object and removes one.
+    ``n_appends`` of them, adds one two-fix object and removes one.  With
+    ``warm`` every object's model is adapted and compiled before the tick,
+    so the tick's models carry their untouched stretches compiled.
 
     Returns ``(db, tree, dirty)``: the database after the tick, an index
     built before it and the ids the tick dirtied."""
@@ -951,6 +956,8 @@ def _fleet_tick(seed=6, n_objects=48, gap=3, n_appends=10):
     for i, (_, fixes, _, _) in enumerate(requests[:n_objects]):
         start = i % 16
         db.add_object(f"v{i:02d}", [(start + t, s) for t, s in fixes[:-1]])
+    if warm:
+        compiled_views([obj.adapted for obj in db])
     tree = USTTree(db)
     names = db.object_ids
     for name in names[:n_appends]:
@@ -1035,6 +1042,69 @@ def test_write_path_targets(bench_record):
         )
     )
     assert speedup >= target, {"batch_s": batch_s, "loop_s": loop_s}
+
+
+def test_compile_batch_targets(bench_record):
+    """One ``fleet_live`` tick's compile, persisted to the JSON table: the
+    stretches the tick's adapted models have not compiled yet, in one
+    ``compile_models`` pass, against the per-stretch loop it replaced
+    (``tests.oracles.reference_stretch_tables``, each model then assembled
+    the same way).  Both must give every model the same tables.
+    Acceptance target: ≥2× (CI enforces a relaxed floor on shared runners;
+    run locally or with COMPILE_BATCH_SPEEDUP_TARGET=2.0 for the full
+    assertion)."""
+    rounds, repeats = 5, 20
+    batch_s, loop_s = [], []
+    for _ in range(rounds):
+        db, _, dirty = _fleet_tick(warm=True)
+        objects = [db.get(name) for name in dirty if name in db]
+        adapt_objects(objects)
+        models = [obj.adapted for obj in objects]
+        pending = [seg for model in models for seg in model.stretches() if seg.compiled is None]
+        for sink, compile_tick in (
+            (batch_s, lambda: compile_models(models)),
+            (loop_s, lambda: [_compile_stretch_by_stretch(model) for model in models]),
+        ):
+            for _ in range(repeats):  # the same stretches, compiled afresh
+                for seg in pending:
+                    seg.compiled = None
+                t0 = perf_counter()
+                compiled = compile_tick()
+                sink.append(perf_counter() - t0)
+            if sink is batch_s:
+                want = [view.tables for view in compiled]
+        for model, got, tables in zip(models, compiled, want):
+            same_tables(got.tables, tables, (model.t_first, model.t_last))
+    speedup = min(loop_s) / min(batch_s)
+    bench_record(
+        "compile_batch",
+        {
+            "cpu_count": os.cpu_count(),
+            "n_models": len(models),
+            "n_stretches": len(pending),
+            "n_tics": sum(len(seg.layers) for seg in pending),
+            "n_rows": int(sum(layer[0].size for seg in pending for layer in seg.layers)),
+            "rounds": rounds * repeats,
+            "compile_models_ms": min(batch_s) * 1e3,
+            "per_stretch_loop_ms": min(loop_s) * 1e3,
+            "speedup_vs_per_stretch_loop": speedup,
+        },
+    )
+    target = float(
+        os.environ.get(
+            "COMPILE_BATCH_SPEEDUP_TARGET", "1.2" if os.environ.get("CI") else "2.0"
+        )
+    )
+    assert speedup >= target, {"batch_s": min(batch_s), "loop_s": min(loop_s)}
+
+
+def _compile_stretch_by_stretch(model):
+    """``model``'s compiled view the way one model was compiled before the
+    batch pass: each pending stretch alone, then the model assembled."""
+    for seg in model.stretches():
+        if seg.compiled is None:
+            seg.compiled = reference_stretch_tables(seg)
+    return compile_models([model])[0]
 
 
 def test_knn_k_targets(bench_record):

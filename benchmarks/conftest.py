@@ -39,6 +39,7 @@ BENCH_JSON = _ROOT / "BENCH_kernels.json"
 KNOWN_KERNELS = frozenset(
     {
         "adapt_many",
+        "compile_batch",
         "fused_speedup",
         "ingest_throughput",
         "knn_k",

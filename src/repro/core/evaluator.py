@@ -48,6 +48,7 @@ from typing import Sequence
 import numpy as np
 
 from ..markov import native as native_tier
+from ..markov.adaptation import compiled_views
 from ..markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from ..markov.compiled import take_tics
 from ..obs.metrics import MetricsRegistry
@@ -379,10 +380,11 @@ class QueryEngine:
         """Rewind to the last ``evaluate_many`` batch's draw epoch.
 
         Returns ``False`` (and does nothing) when no batch ran yet.  The
-        streaming monitor calls this before prefetching dirty objects'
-        worlds during ingest, so the warm-up draws land in exactly the
-        epoch the tick's held-world evaluations will read from — the same
-        rewind ``evaluate_many(refresh_worlds=False)`` performs itself.
+        streaming monitor calls this before its tick's world pass, so the
+        warm-up draws land in exactly the epoch the tick's held-world
+        evaluations will read from — the same rewind
+        ``evaluate_many(refresh_worlds=False)`` performs itself (with no
+        batch yet, both keep the current epoch).
         """
         if self._last_batch_epoch is None:
             return False
@@ -596,12 +598,13 @@ class QueryEngine:
         any query path reaches here: it evicts only the mutated objects'
         packed tables; a wholesale invalidation replaces the arena.
         Objects join on first refinement — after one batched adaptation
-        of every newcomer still to be derived.
+        of every newcomer still to be derived and one compile pass over
+        every stretch none of them has compiled yet — packed in one call.
         """
         joining = [obj for obj in objects if obj.object_id not in self._arena]
         adapt_objects(joining)
-        for obj in joining:
-            self._arena.ensure(obj.object_id, obj.compiled)
+        models = compiled_views([obj.adapted for obj in joining])
+        self._arena.ensure_many([obj.object_id for obj in joining], models)
         return self._arena
 
     # ------------------------------------------------------------------
@@ -744,12 +747,49 @@ class QueryEngine:
         """
         return [self._fill(job) for job in jobs]
 
+    def _live_columns(
+        self, object_ids: Sequence[str], times: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The live refine set of a block over ``object_ids`` at ``times``:
+        the alive matrix (``alive[c, j]``: column ``c`` alive at
+        ``times[j]``) and the columns alive at some time — the objects a
+        fill draws worlds for, and nobody else."""
+        alive = self.db.alive_matrix(object_ids, times)
+        return alive, np.flatnonzero(alive.any(axis=1))
+
+    def _fill_job(self, request: QueryRequest) -> RefineJob | None:
+        """The job a batched evaluation of ``request`` would hand
+        :meth:`fill_blocks` now: its refine block cut to the columns the
+        refine cache would recompute (all of them unless the cache holds
+        the block).  ``None`` when it hands none of fixed content: a
+        resolved estimator that does not sample every influence object
+        (``hybrid`` draws only its undecided ones, ``bounds`` and
+        ``exact`` nothing), an empty refine set, or a kNN depth the
+        evaluation refuses.  Plans and filters (the block's shared § 6
+        pass); draws nothing.  Raises what those stages raise.
+        """
+        plan = build_plan(request, self.n_samples)
+        if plan.resolved_estimator not in ("sampled", "adaptive"):
+            return None
+        times = np.asarray(plan.times, dtype=np.intp)
+        ids = self.filter_objects(
+            request.query, times, k=request.k, normalized=True, mode=request.mode
+        ).influencers
+        if not ids or request.k > len(ids):
+            return None
+        reverse = request.mode == "reverse_nn"
+        job = RefineJob(
+            "states" if reverse else "dist",
+            None if reverse else request.query.coords_at(times),
+            times, tuple(ids), plan.n_samples,
+        )
+        return job.columns(self._refine_cache.stale(job, request.k, self._stamp)[1])
+
     def _fill(self, job: RefineJob) -> np.ndarray:
         if job.kind not in ("dist", "states"):
             raise ValueError(f"unknown refinement block kind {job.kind!r}")
         ids, times, n = job.object_ids, job.times, job.n
-        alive = self.db.alive_matrix(ids, times)
-        live_cols = np.flatnonzero(alive.any(axis=1))
+        alive, live_cols = self._live_columns(ids, times)
         if live_cols.size == 0:
             return job.empty()
         states = self._drawn_states(
@@ -842,6 +882,7 @@ class QueryEngine:
         object_ids: Sequence[str] | None = None,
         window: tuple[int, int] | None = None,
         n_samples: int | None = None,
+        requests: Sequence[QueryRequest] = (),
     ) -> dict[str, int]:
         """Warm the world cache for a working set — no distances computed.
 
@@ -852,23 +893,39 @@ class QueryEngine:
         ingest-to-ready path of a serving deployment: after an event
         batch, one call restores query-ready state (index synced via
         :attr:`ust_tree`, worlds current) at the cost of the *dirty*
-        objects only (an id listed twice is looked up once).  Worlds enter
-        the cache at the current draw epoch, so the call is meaningful
-        between held-epoch batches (or inside a :meth:`held_batch`); a
-        standalone query afterwards would advance the epoch and redraw
-        regardless.
+        objects only.  ``object_ids`` are drawn at ``n_samples`` (default:
+        the engine's); each of ``requests`` adds the objects a batched
+        evaluation of it would look up now, at its planned world count —
+        the live columns of the job its fill would be handed
+        (:meth:`_fill_job`, asked after the index is synced; a request
+        whose estimator draws for itself, or that its evaluation would
+        refuse, adds nothing).  A target named twice is looked up once,
+        and the whole set is one lookup: one adaptation, compile and arena
+        pass per world count.  Worlds enter the cache at the current draw
+        epoch, so the call is meaningful between held-epoch batches (or
+        inside a :meth:`held_batch`); a standalone query afterwards would
+        advance the epoch and redraw regardless.
         """
         n = self.n_samples if n_samples is None else check_count("n_samples", n_samples)
         self.sync_mutations()
-        ids = self.db.object_ids if object_ids is None else dict.fromkeys(object_ids)
+        ids = self.db.object_ids if object_ids is None else object_ids
+        targets = dict.fromkeys((object_id, n) for object_id in ids)
+        for request in requests:
+            try:
+                job = self._fill_job(self._coerce_request(request))
+            except Exception:  # noqa: BLE001 - the evaluation raises it itself
+                continue
+            if job is not None:
+                _, live = self._live_columns(job.object_ids, job.times)
+                targets.update(dict.fromkeys((job.object_ids[c], job.n) for c in live))
         items: list[tuple[str, int, int, int]] = []
-        for object_id in ids:
+        for object_id, size in targets:
             obj = self.db.get(object_id)
             t_lo, t_hi = obj.t_first, obj.t_last
             if window is not None:
                 t_lo, t_hi = max(t_lo, int(window[0])), min(t_hi, int(window[1]))
             if t_lo <= t_hi:  # else the object is entirely outside the window
-                items.append((obj.object_id, n, t_lo, t_hi))
+                items.append((obj.object_id, size, t_lo, t_hi))
         before = self._lookup_counts()
         if items:
             self.fetch_worlds(items)

@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from .chain import TransitionModel
-from .compiled import CompiledModel, ModelTables, compile_model
+from .compiled import CompiledModel, ModelTables, compile_models
 from .distributions import SparseDistribution
 
 __all__ = [
@@ -44,6 +44,7 @@ __all__ = [
     "AdaptedModel",
     "adapt_model",
     "adapt_many",
+    "compiled_views",
 ]
 
 RowDist = tuple[np.ndarray, np.ndarray]
@@ -207,12 +208,10 @@ class AdaptedModel:
     @property
     def compiled(self) -> CompiledModel:
         """The flattened sampling view of ``F`` (built lazily, then cached)."""
-        if self._compiled is None:
-            self._compiled = compile_model(self)
-        return self._compiled
+        return compiled_views([self])[0]
 
     def stretches(self) -> tuple[Segment, ...]:
-        """The records :func:`compile_model` flattens, in time order.
+        """The records :func:`~repro.markov.compiled.compile_models` flattens, in time order.
 
         :attr:`segments` — or, for a hand-assembled model, its row
         dictionaries packed into one anonymous stretch (the key of no real
@@ -313,6 +312,16 @@ class AdaptedModel:
             dist = self.posteriors[t]
             out[t] = dist.probs @ coords[dist.states]
         return out
+
+
+def compiled_views(models: Sequence[AdaptedModel]) -> list[CompiledModel]:
+    """Every model's :attr:`AdaptedModel.compiled`: the views not built yet
+    are built together, in one :func:`~repro.markov.compiled.compile_models`
+    pass over every stretch none of them has compiled."""
+    pending = list({id(m): m for m in models if m._compiled is None}.values())
+    for model, compiled in zip(pending, compile_models(pending)):
+        model._compiled = compiled
+    return [model._compiled for model in models]
 
 
 def adapt_model(

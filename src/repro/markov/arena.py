@@ -47,6 +47,7 @@ depend on which one ran, nor on which other objects a batch holds:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -237,6 +238,7 @@ class SamplingArena:
         self.native = native
         self._blocks: dict[str, _Block] = {}
         self._tables: dict[int, _StepTable] = {}
+        #: Advances on every change of the packed set (a join or an evict).
         self._version = 0
         self._states_dtype = np.dtype(np.int32)
         metrics = metrics if metrics is not None else MetricsRegistry()
@@ -263,13 +265,28 @@ class SamplingArena:
         return self._states_dtype
 
     def ensure(self, object_id: str, model: CompiledModel) -> None:
-        """Register an object's compiled model (no-op when already packed)."""
-        if object_id in self._blocks:
+        """Register an object's compiled model (no-op when already packed)
+        — :meth:`ensure_many`'s one-object call."""
+        self.ensure_many([object_id], [model])
+
+    def ensure_many(
+        self, object_ids: Sequence[str], models: Sequence[CompiledModel]
+    ) -> None:
+        """Register many objects' compiled models in one call (each a no-op
+        when its object is already packed): the built tables any of them
+        joins are dropped in one pass over the table cache."""
+        joined = []
+        for object_id, model in zip(object_ids, models):
+            if object_id not in self._blocks:
+                self._blocks[object_id] = _Block(model)
+                joined.append(model)
+        if not joined:
             return
-        self._blocks[object_id] = _Block(model)
         # CompiledModel caches its span maximum, so a churny ingest stream
         # (discard + re-ensure per observation) scans it once per model.
-        if self._states_dtype == np.int32 and model.max_state >= np.iinfo(np.int32).max:
+        if self._states_dtype == np.int32 and any(
+            model.max_state >= np.iinfo(np.int32).max for model in joined
+        ):
             self._states_dtype = np.dtype(np.intp)
             self._tables.clear()
         else:
@@ -278,7 +295,7 @@ class SamplingArena:
             # the support layout at t); tables elsewhere stay valid, so
             # churny workloads that keep introducing candidates don't
             # repack the whole horizon per query.
-            self._drop_tables(model)
+            self._drop_tables(joined)
         self._version += 1
 
     def discard(self, object_id: str) -> bool:
@@ -296,12 +313,17 @@ class SamplingArena:
         block = self._blocks.pop(object_id, None)
         if block is None:
             return False
-        self._drop_tables(block.model)
+        self._drop_tables([block.model])
         self._version += 1
         return True
 
-    def _drop_tables(self, model: CompiledModel) -> None:
-        for t in [t for t in self._tables if model.covers(t) or model.covers(t + 1)]:
+    def _drop_tables(self, models: list[CompiledModel]) -> None:
+        doomed = [
+            t
+            for t in self._tables
+            if any(model.covers(t) or model.covers(t + 1) for model in models)
+        ]
+        for t in doomed:
             del self._tables[t]
 
     def block(self, object_id: str) -> _Block:

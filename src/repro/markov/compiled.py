@@ -27,7 +27,10 @@ sampler's ``np.cumsum`` of each row — so for one seed the compiled and
 reference backends consume the RNG stream identically and return
 *identical* paths (see ``tests/markov/test_compiled.py``).
 
-:func:`compile_model` compiles an adapted (a-posteriori) model;
+:func:`compile_models` compiles adapted (a-posteriori) models — every
+stretch a batch has not compiled yet in one vectorised pass, each
+stretch's record cut out of it — and :func:`compile_model` is its
+one-model call;
 :class:`CompiledMatrix` is the same draw over every row of a raw
 a-priori transition matrix, for the TS1/TS2 rejection baselines of
 :mod:`repro.markov.sampling`.
@@ -35,7 +38,7 @@ a-priori transition matrix, for the TS1/TS2 rejection baselines of
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -50,6 +53,7 @@ __all__ = [
     "as_integers",
     "check_draw",
     "compile_model",
+    "compile_models",
     "take_tics",
 ]
 
@@ -100,21 +104,34 @@ def check_draw(n, start_states=None) -> tuple[int, np.ndarray | None]:
     return n, start_states
 
 
+#: Cells of one zero-padded block :func:`_row_cdfs` takes cumulative sums
+#: in — it works through longer row sets in runs, bounding the scratch a
+#: whole-tick (or whole-database) compile pass allocates.
+_CDF_BLOCK = 1 << 20
+
+
 def _row_cdfs(indptr: np.ndarray, probs: np.ndarray) -> np.ndarray:
     """The raw CDF of every CSR row, in CSR order.
 
     Every row's ``np.cumsum`` at once: zeros after a row's last entry of a
     zero-padded matrix leave its running sum untouched, so the floats are
     the reference sampler's CDF bit for bit — backend parity for a fixed
-    seed — whatever width the rows are padded to.
+    seed — whatever width the rows are padded to, and however many rows
+    share one padded block.
     """
     sizes = np.diff(indptr)
-    rows = np.repeat(np.arange(sizes.size, dtype=np.intp), sizes)
-    offsets = np.arange(rows.size, dtype=np.intp) - indptr[rows]
-    dense = np.zeros((sizes.size, int(sizes.max())))
-    dense[rows, offsets] = probs
-    np.cumsum(dense, axis=1, out=dense)
-    return dense[rows, offsets]
+    out = np.empty(probs.size)
+    step = max(1, _CDF_BLOCK // max(int(sizes.max(initial=0)), 1))
+    for r0 in range(0, sizes.size, step):
+        part = sizes[r0 : r0 + step]
+        e0, e1 = indptr[r0], indptr[r0 + part.size]
+        rows = np.repeat(np.arange(part.size, dtype=np.intp), part)
+        offsets = np.arange(e1 - e0, dtype=np.intp) - (indptr[r0 : r0 + part.size] - e0)[rows]
+        dense = np.zeros((part.size, int(part.max(initial=0))))
+        dense[rows, offsets] = probs[e0:e1]
+        np.cumsum(dense, axis=1, out=dense)
+        out[e0:e1] = dense[rows, offsets]
+    return out
 
 
 def _with_trailing(indptr: np.ndarray, successors: np.ndarray) -> np.ndarray:
@@ -334,63 +351,127 @@ class CompiledModel:
         return buf.T
 
 
-def _compile_stretch(seg: "Segment") -> ModelTables:
-    """The :class:`ModelTables` of one stretch, for the tics ``t0 <= t < t1``."""
-    row0 = np.zeros(len(seg.layers) + 1, dtype=np.intp)
-    np.cumsum([layer[0].size for layer in seg.layers], out=row0[1:])
-    successors = []
-    for (support, indptr, next_states, _), (next_support, _), base in zip(
-        seg.layers, seg.posterior[1:], row0[1:]
-    ):
-        empty = np.flatnonzero(indptr[1:] == indptr[:-1])
-        if empty.size:
-            raise ValueError(
-                f"adapted model is inconsistent: state {int(support[empty[0]])} has "
-                "an empty transition row (sampling it would be undefined)"
-            )
-        local = np.searchsorted(next_support, next_states)
-        if not np.array_equal(
-            next_support[np.minimum(local, next_support.size - 1)], next_states
-        ):
-            raise ValueError(
-                "adapted model is inconsistent: a transition targets a state "
-                "outside the next timestep's posterior support"
-            )
-        successors.append(local + base)
-    indptr = np.zeros(row0[-1] + 1, dtype=np.intp)
-    np.cumsum(np.concatenate([np.diff(layer[1]) for layer in seg.layers]), out=indptr[1:])
-    return ModelTables(
-        row0,
-        np.concatenate([layer[0] for layer in seg.layers]),
-        np.concatenate([np.cumsum(probs) for _, probs in seg.posterior[:-1]]),
-        _row_cdfs(indptr, np.concatenate([layer[3] for layer in seg.layers])),
-        indptr,
-        _with_trailing(indptr, np.concatenate(successors)),
+def _offsets(sizes: np.ndarray) -> np.ndarray:
+    """``[0, cumsum(sizes)...]``: where each of consecutive runs starts."""
+    out = np.zeros(sizes.size + 1, dtype=np.intp)
+    np.cumsum(sizes, out=out[1:])
+    return out
+
+
+def _compile_stretches(stretches: Sequence["Segment"]) -> list[ModelTables]:
+    """The :class:`ModelTables` of many stretches, in one vectorised pass.
+
+    Every stretch's tics ``t0 <= t < t1`` are laid end to end — one row per
+    posterior support entry, one CSR entry per transition — so each table
+    is one array operation over all of them: one :func:`_row_cdfs` for the
+    transition rows and one for the initial CDFs (a tic's support is one
+    row), one successor ``searchsorted`` keyed by stretch-tic, and one
+    :func:`_with_trailing`.  Each stretch's record is then cut out of the
+    batch (copies: a record owns its arrays).  Raises the first
+    inconsistency a stretch-by-stretch, tic-by-tic compile would meet.
+    """
+    layers = [layer for seg in stretches for layer in seg.layers]
+    firsts = _offsets(np.array([len(seg.layers) for seg in stretches], dtype=np.intp))
+    n_rows = np.array([layer[0].size for layer in layers], dtype=np.intp)
+    row_at = _offsets(n_rows)  # each tic's first row
+    states = np.concatenate([layer[0] for layer in layers])
+    # Every row's entry count: one diff over the tics' CSR pointers laid
+    # end to end, less the steps that cross from one tic into the next.
+    pointers = np.concatenate([layer[1] for layer in layers])
+    sizes = np.delete(np.diff(pointers), row_at[1:-1] + np.arange(len(layers) - 1))
+    indptr = _offsets(sizes)
+    tic_of_row = np.repeat(np.arange(len(layers), dtype=np.intp), n_rows)
+    # Each transition's successor as a row of the next tic's support: one
+    # search over every tic's next support, keyed by stretch-tic.
+    targets = [dist[0] for seg in stretches for dist in seg.posterior[1:]]
+    next_states = np.concatenate([layer[2] for layer in layers])
+    support = np.concatenate(targets)
+    every = np.concatenate([support, next_states])
+    lo = int(every.min())
+    span = int(every.max()) - lo + 1
+    target_at = _offsets(np.array([t.size for t in targets], dtype=np.intp))
+    tic_of_entry = np.repeat(tic_of_row, sizes)
+    keys = np.repeat(np.arange(len(layers), dtype=np.intp), np.diff(target_at)) * span
+    keys += support - lo
+    wanted = tic_of_entry * span + (next_states - lo)
+    found = np.minimum(np.searchsorted(keys, wanted), keys.size - 1)
+    outside = keys[found] != wanted
+    empty = sizes == 0
+    first_empty = tic_of_row[np.argmax(empty)] if empty.any() else len(layers)
+    first_outside = tic_of_entry[np.argmax(outside)] if outside.any() else len(layers)
+    if first_empty < len(layers) and first_empty <= first_outside:
+        raise ValueError(
+            f"adapted model is inconsistent: state {int(states[np.argmax(empty)])} has "
+            "an empty transition row (sampling it would be undefined)"
+        )
+    if first_outside < len(layers):
+        raise ValueError(
+            "adapted model is inconsistent: a transition targets a state "
+            "outside the next timestep's posterior support"
+        )
+    # The successor's row within its stretch: its index in the next tic's
+    # support plus that tic's first row, counted from the stretch's first.
+    stretch_row0 = np.repeat(row_at[firsts[:-1]], np.diff(firsts))
+    successors = found - target_at[tic_of_entry]
+    successors += (row_at[1:] - stretch_row0)[tic_of_entry]
+    init_cdf = _row_cdfs(
+        row_at, np.concatenate([dist[1] for seg in stretches for dist in seg.posterior[:-1]])
     )
+    cdf = _row_cdfs(indptr, np.concatenate([layer[3] for layer in layers]))
+    succ = _with_trailing(indptr, successors)
+    out = []
+    for a, b in zip(firsts[:-1], firsts[1:]):
+        r0, r1 = row_at[a], row_at[b]
+        e0, e1 = indptr[r0], indptr[r1]
+        out.append(
+            ModelTables(
+                row_at[a : b + 1] - r0,
+                states[r0:r1].copy(),
+                init_cdf[r0:r1].copy(),
+                cdf[e0:e1].copy(),
+                indptr[r0 : r1 + 1] - e0,
+                succ[e0 + r0 : e1 + r1].copy(),
+            )
+        )
+    return out
 
 
-def compile_model(model: "AdaptedModel") -> CompiledModel:
-    """Compile an adapted model's ``F(t)`` rows into flat sampling arrays.
+def compile_models(models: Sequence["AdaptedModel"]) -> list[CompiledModel]:
+    """Compile adapted models' ``F(t)`` rows into flat sampling arrays.
 
     One-time cost linear in the number of transition entries of the
-    stretches not compiled before — the flat arrays live on the model's
+    stretches not compiled before, all of them in one
+    :func:`_compile_stretches` pass — the flat arrays live on the models'
     :class:`~repro.markov.adaptation.Segment` records, so stretches carried
     over from an earlier model arrive compiled; every subsequent
     ``sample_paths`` call is fully vectorized.
     """
-    segments = model.stretches()
-    for seg in segments:
-        if seg.compiled is None:
-            seg.compiled = _compile_stretch(seg)
-    if segments:
-        states, probs = segments[-1].posterior[-1]
-    else:
-        last = model.posteriors[model.t_last]
-        states, probs = last.states, last.probs
-    return CompiledModel(
-        model.t_first, model.t_last, [seg.compiled for seg in segments],
-        (states, np.cumsum(probs)),
+    stretches = [model.stretches() for model in models]
+    pending = list(
+        {id(seg): seg for segs in stretches for seg in segs if seg.compiled is None}.values()
     )
+    if pending:
+        for seg, tables in zip(pending, _compile_stretches(pending)):
+            seg.compiled = tables
+    compiled = []
+    for model, segments in zip(models, stretches):
+        if segments:
+            states, probs = segments[-1].posterior[-1]
+        else:
+            last = model.posteriors[model.t_last]
+            states, probs = last.states, last.probs
+        compiled.append(
+            CompiledModel(
+                model.t_first, model.t_last, [seg.compiled for seg in segments],
+                (states, np.cumsum(probs)),
+            )
+        )
+    return compiled
+
+
+def compile_model(model: "AdaptedModel") -> CompiledModel:
+    """One adapted model's :func:`compile_models`."""
+    return compile_models([model])[0]
 
 
 class CompiledMatrix:

@@ -50,7 +50,6 @@ from contextlib import contextmanager
 import numpy as np
 
 from ..core.evaluator import QueryEngine
-from ..core.planner import build_plan
 from ..core.refine import RefineJob
 from .protocol import (
     ComputeColumns,
@@ -369,11 +368,11 @@ class ShardedQueryEngine(QueryEngine):
                     for i, n in enumerate(counts):
                         lookups[job.job_index][i] += n
         for job in jobs:
-            alive = self.db.alive_matrix(job.object_ids, job.times)
-            for oid, row in zip(job.object_ids, alive):
-                if row.any():
-                    lo, hi = self._cache_window(self.db.get(oid), job.times[row])
-                    self._note_window(oid, job.n, lo, hi)
+            alive, live = self._live_columns(job.object_ids, job.times)
+            for c in live:
+                oid = job.object_ids[c]
+                lo, hi = self._cache_window(self.db.get(oid), job.times[alive[c]])
+                self._note_window(oid, job.n, lo, hi)
         return blocks, lookups
 
     @contextmanager
@@ -400,27 +399,11 @@ class ShardedQueryEngine(QueryEngine):
         jobs: dict[tuple, RefineJob] = {}
         for req in reqs:
             try:
-                plan = build_plan(req, self.n_samples)
-                if plan.resolved_estimator != "sampled":
-                    continue
-                times = np.asarray(plan.times, dtype=np.intp)
-                ids = self.filter_objects(
-                    req.query, times, k=req.k, normalized=True, mode=req.mode
-                ).influencers
-                if not ids or req.k > len(ids):
-                    continue  # nothing to refine / evaluate() raises itself
-                reverse = req.mode == "reverse_nn"
-                job = RefineJob(
-                    "states" if reverse else "dist",
-                    None if reverse else req.query.coords_at(times),
-                    times, tuple(ids), plan.n_samples,
-                )
-                cols = self._refine_cache.stale(job, req.k, self._stamp)[1]
-                if cols:
-                    job = job.columns(cols)
-                    jobs.setdefault(job.key, job)
+                job = self._fill_job(req)
             except Exception:
-                continue  # prediction must never fail a batch
+                continue  # prediction must never fail a batch (evaluate() raises itself)
+            if job is not None and job.object_ids:
+                jobs.setdefault(job.key, job)
         try:
             if jobs:
                 blocks, lookups = self._fan_out(list(jobs.values()))

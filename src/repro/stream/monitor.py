@@ -15,10 +15,15 @@ stream clock); each :meth:`~ContinuousMonitor.tick` then
    window shared by the subscriptions that need it), or whose influence
    set intersects the dirty objects — everything else is provably
    unchanged and skipped;
-3. **coalesces** the due subscriptions into one
-   :meth:`~repro.core.evaluator.QueryEngine.evaluate_many` batch over the
-   held draw epoch, widened to the union window of *all* subscriptions so
-   cached world anchors never depend on which subset happened to fire;
+3. **coalesces** the due subscriptions: one world pass looks up every
+   world their evaluations will read
+   (:meth:`~repro.core.evaluator.QueryEngine.prefetch_worlds` with the
+   due requests — one adaptation, compile and arena draw for the tick's
+   newcomers), then one
+   :meth:`~repro.core.evaluator.QueryEngine.evaluate_many` batch reads
+   them over the held draw epoch, widened to the union window of *all*
+   subscriptions so cached world anchors never depend on which subset
+   happened to fire;
 4. **notifies**: every subscription receives a delta
    :class:`Notification` (``changed``/unchanged, with the fresh or cached
    result and its :class:`~repro.core.results.EvaluationReport`), and the
@@ -125,6 +130,8 @@ class TickReport:
 
     ``cache_hits`` / ``cache_partial_hits`` / ``cache_misses``
         World-cache lookups (full reuse / forward extension / fresh draw).
+        The tick's world pass looks up ahead what the due evaluations
+        read, so their own lookups of the same worlds count as hits.
     ``sampler_calls``
         Full sampler invocations (world-cache misses + direct draws).
     ``index_updates`` / ``index_rebuilds``
@@ -143,8 +150,10 @@ class TickReport:
         subscription and reuses the rest.
 
     ``stage_seconds`` breaks the tick's wall time into its stages:
-    ``ingest`` (event application, dirty-set derivation and the dirty
-    objects' world prefetch — the ingest-to-ready cost), ``schedule``
+    ``ingest`` (event application, dirty-set derivation, index
+    maintenance and the tick's one world pass — every world the due
+    evaluations read, looked up, adapted, compiled and drawn in one batch:
+    the ingest-to-ready cost), ``schedule``
     (re-evaluation verdicts), ``evaluate`` (the coalesced
     ``evaluate_many`` call, further split into the summed per-request
     ``filter`` and ``estimate`` stage timings) and ``notify``
@@ -416,34 +425,34 @@ class ContinuousMonitor:
             schedule_seconds = sp_schedule.duration_seconds
             due = [d for d in decisions if d.due]
 
-            # Ingest-to-ready: redraw the dirty influencers' invalidated
-            # worlds *now*, into the held monitoring epoch, so their
-            # resampling cost lands in the ingest stage instead of inflating
-            # the first due evaluation's estimate stage.  Only the dirty
-            # objects some due subscription was influenced by last tick — a
-            # tick whose subscriptions all proved clean must sample nothing,
-            # and a dirty object outside every influence set may never be
-            # estimated at all.
+            # Ingest-to-ready: the tick's one world pass.  One
+            # prefetch_worlds call syncs the index and looks up every world
+            # the due evaluations will read — into the epoch they read and
+            # over the union window they anchor at — so the tick's
+            # newcomers are adapted, compiled and drawn in one batch and
+            # each evaluation finds its worlds cached.  The targets are
+            # what the evaluations would draw themselves: each due
+            # request's live refine set at its planned world count when its
+            # estimator samples every influence object (hybrid, bounds and
+            # exact draw for themselves, or not at all — a world drawn
+            # that nobody reads would move a later anchor), plus the dirty
+            # objects some due subscription was influenced by last tick.
+            # A tick whose subscriptions all proved clean samples nothing;
+            # a refreshing tick has no epoch to draw into before its batch.
             with tracer.span("prefetch") as sp_prefetch:
-                if (
-                    dirty
-                    and due
-                    and not refreshing
-                    and force_reason is None
-                    and union is not None
-                    and self.engine.restore_batch_epoch()
-                ):
+                if due and not refreshing:
+                    self.engine.restore_batch_epoch()
                     influenced = set()
                     for decision in due:
                         influenced.update(
                             decision.subscription.last_influencers or ()
                         )
-                    targets = sorted(
-                        oid for oid in dirty & influenced if oid in self.engine.db
+                    self.engine.prefetch_worlds(
+                        sorted(oid for oid in dirty & influenced if oid in self.engine.db),
+                        window=union,
+                        requests=[decision.request for decision in due],
                     )
-                    if targets:
-                        self.engine.prefetch_worlds(targets, window=union)
-            # The dirty prefetch is part of the ingest-to-ready cost (see the
+            # The world pass is part of the ingest-to-ready cost (see the
             # TickReport docs); the trace keeps it as its own span.
             ingest_seconds += sp_prefetch.duration_seconds
             results: dict[str, object] = {}

@@ -26,6 +26,8 @@ refinement (NN indicator)     :func:`partition_indicator`
 § 6 filter                    :func:`prune_reference` over an
                               :class:`RStarTree` of segment boxes
 Algorithm 1 (PCNN mining)     :func:`reference_mine`
+monitor tick (world pass)     :func:`per_request_monitor` — each due
+                              evaluation draws its own worlds
 ============================  ==============================================
 
 An oracle is a function a test (or a benchmark baseline) calls — never an
@@ -47,8 +49,10 @@ from .adaptation import (
     same_tables,
     same_transitions,
 )
+from .compiled import reference_stretch_tables
 from .diamonds import reference_diamonds, reference_segment, same_diamonds
 from .mining import reference_mine
+from .monitor import per_request_monitor
 from .pruning import prune_reference, same_pruning, segment_items, segment_tree
 from .refinement import (
     checking_distances,
@@ -69,10 +73,12 @@ __all__ = [
     "loop_object_distances",
     "loop_states",
     "partition_indicator",
+    "per_request_monitor",
     "prune_reference",
     "reference_adapt",
     "reference_diamonds",
     "reference_segment",
+    "reference_stretch_tables",
     "reference_tables",
     "reference_mine",
     "reference_sample_paths",

@@ -1,13 +1,13 @@
 """One adaptation sweep per pooling site: the batched kernel on the tick path.
 
-The engine adapts lazily, where sampling needs a model — and the places
-where that need pools (the dirty-object prefetch, the arena packing and the
-small-lookup branch of the bulk sampler) hand every object still to be
-derived to one ``adapt_many`` call.  On a fleet-shaped stream (one
-homogeneous chain, fixes at equal gaps) each such site therefore runs the
-kernel once, however many objects joined it; a tick that needs no new model
-runs it not at all; and which objects happened to share a sweep never shows
-in the results.  A contradicting object is refused at ingest — even where
+The engine adapts lazily, where sampling needs a model — and the arena
+packing behind every draw hands all objects still to be derived to one
+``adapt_many`` call.  A monitor tick draws once, in its world pass (the
+dirty influencers and everything the due evaluations read), so on a
+fleet-shaped stream (one homogeneous chain, fixes at equal gaps) a tick
+runs the kernel once and the arena once, however many objects joined; a
+tick that needs no new model runs it not at all; and which objects
+happened to share a sweep never shows in the results.  A contradicting object is refused at ingest — even where
 only a stored zero makes it contradict — and, with that check switched
 off, fails alone.
 """
@@ -129,8 +129,18 @@ def _payloads(report):
 
 class TestKernelPassesPerTick:
     def test_one_sweep_per_pooling_site_not_per_object(self, monkeypatch):
+        """The tick's world pass is its one pooling site: one sweep and one
+        arena draw per tick, whatever the due evaluations read."""
         monitor, batches = _fleet()
         counts = _Sweeps(monkeypatch)
+        draws = []
+        draw = evaluator_module.sample_paths_arena
+
+        def counted_draw(arena, requests, n):
+            draws.append(len(requests))
+            return draw(arena, requests, n)
+
+        monkeypatch.setattr(evaluator_module, "sample_paths_arena", counted_draw)
         pooled = 0
         for now, events in enumerate(batches):
             kinds = {type(event) for event in events}
@@ -138,11 +148,12 @@ class TestKernelPassesPerTick:
             report = monitor.tick(events, now=now)
             assert len(report.reevaluated) == 6  # every window moved
             sweeps, sites = counts.take()
-            # One chain, equal gaps: whatever a site pooled is one group.
-            assert len(sweeps) == len(sites) > 0
-            assert all(batch >= objects for batch, objects in zip(sweeps, sites))
-            pooled += sum(sites) - len(sweeps)
-            assert max(sites) >= 3  # the dirty-object prefetch, usually
+            # One chain, equal gaps: what the tick pooled is one group.
+            assert len(sweeps) == len(sites) == 1
+            assert sweeps[0] >= sites[0] >= 3
+            pooled += sites[0] - 1
+            assert len(draws) == 1 and draws[0] >= sites[0]
+            draws.clear()
         assert pooled >= 2 * HORIZON
 
     def test_ticks_that_need_no_new_model_run_no_sweep(self, monkeypatch):

@@ -170,14 +170,14 @@ def test_history_exercises_every_mutation_shape():
 # what an event costs
 # ----------------------------------------------------------------------
 class _Counts:
-    """Segments derived per layer: calls of the per-segment kernels, and
-    the segments handed to the diamonds' batched walk."""
+    """Segments derived per layer: calls of the per-segment kernel, and
+    the segments handed to the batched compile pass and diamond walk."""
 
     def __init__(self, monkeypatch) -> None:
         self.calls = {}
         for owner, name, size in (
             (adaptation, "_adapt_segment", None),
-            (compiled, "_compile_stretch", None),
+            (compiled, "_compile_stretches", len),
             (diamonds_module, "_walk", lambda chain, keys: len(keys)),
         ):
             self._wrap(monkeypatch, owner, name, size)
@@ -212,32 +212,32 @@ def test_an_event_costs_the_segments_it_touches(monkeypatch):
     counts = _Counts(monkeypatch)
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 4, "_compile_stretch": 4, "_walk": 0,
+        "_adapt_segment": 4, "_compile_stretches": 4, "_walk": 0,
     }
 
     db.add_observation("a", 15, 5)  # head append: one new segment
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 1, "_compile_stretch": 1, "_walk": 1,
+        "_adapt_segment": 1, "_compile_stretches": 1, "_walk": 1,
     }
 
     db.add_observation("a", 7, 2)  # interior refinement: one segment becomes two
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretch": 2, "_walk": 2,
+        "_adapt_segment": 2, "_compile_stretches": 2, "_walk": 2,
     }
 
     db.add_observation("a", -2, 0)  # a fix before the first one: one new segment
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 1, "_compile_stretch": 1, "_walk": 1,
+        "_adapt_segment": 1, "_compile_stretches": 1, "_walk": 1,
     }
     # Several fixes before the next derivation still cost one segment each.
     db.add_observation("a", 18, 6)
     db.add_observation("a", 21, 7)
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretch": 2, "_walk": 2,
+        "_adapt_segment": 2, "_compile_stretches": 2, "_walk": 2,
     }
 
     # A re-added id starts from nothing: no donor survives a removal.
@@ -247,7 +247,7 @@ def test_an_event_costs_the_segments_it_touches(monkeypatch):
     db.add_object("a", [(-2, 0), (0, 0), (3, 1)])
     _derive_everything(db, tree, "a")
     assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretch": 2, "_walk": 2,
+        "_adapt_segment": 2, "_compile_stretches": 2, "_walk": 2,
     }
 
 

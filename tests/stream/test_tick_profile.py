@@ -4,9 +4,10 @@ Observability and cost-attribution guarantees of the steady-state monitor
 tick: ``TickReport.stage_seconds`` decomposes the wall time, the
 ``estimate_*`` reuse counters expose the dirty-column tensor cache, the
 ranged skip proves cleanliness without running the filter stage, and the
-ingest-to-ready prefetch redraws dirty influencers before the coalesced
-evaluation.  Marked ``tick_profile`` so CI can gate the profile contract
-in its own step per matrix version.
+ingest-to-ready world pass looks up what the coalesced evaluation reads —
+dirty influencers and every sampling request's stale live columns — in
+one call before it.  Marked ``tick_profile`` so CI can gate the profile
+contract in its own step per matrix version.
 """
 
 import numpy as np
@@ -185,19 +186,66 @@ class TestRangedSkip:
 
 
 class TestIngestPrefetch:
-    def test_dirty_influencer_worlds_prefetched(self, monitor, world, monkeypatch):
-        first = monitor.tick()
-        target = first.notifications[0].result.influencers[0]
+    @staticmethod
+    def _record(monitor, monkeypatch):
         calls = []
         original = monitor.engine.prefetch_worlds
-        monkeypatch.setattr(
-            monitor.engine,
-            "prefetch_worlds",
-            lambda ids, window=None: calls.append((tuple(ids), window))
-            or original(ids, window=window),
+
+        def recorded(object_ids, window=None, requests=()):
+            looked_up = original(object_ids, window=window, requests=requests)
+            calls.append((tuple(object_ids), window, tuple(requests), looked_up))
+            return looked_up
+
+        monkeypatch.setattr(monitor.engine, "prefetch_worlds", recorded)
+        return calls
+
+    def test_dirty_influencer_worlds_prefetched(self, monitor, world, monkeypatch):
+        """One prefetch call per tick over the union window: the dirty
+        influencer, plus every object the due evaluation will look up —
+        which then finds its worlds cached."""
+        calls = self._record(monitor, monkeypatch)
+        first = monitor.tick()
+        influencers = first.notifications[0].result.influencers
+        # First tick: every influencer is drawn ahead, none by the evaluation.
+        [(object_ids, _, _, looked_up)] = calls
+        assert object_ids == () and looked_up["misses"] == len(influencers)
+        assert first.notifications[0].report.cache_hits == len(influencers)
+        assert first.notifications[0].report.cache_misses == 0
+        target = influencers[0]
+        calls.clear()
+        report = monitor.tick([_refinement_event(world, target)])
+        request = monitor.subscriptions[0].request_at(monitor.now)
+        [(object_ids, window, requests, looked_up)] = calls
+        assert (object_ids, window, requests) == ((target,), (4, 7), (request,))
+        # The refine cache holds the request's block: its fill will be
+        # handed the dirty column alone, so nothing else is looked up.
+        assert len(influencers) > 1
+        assert looked_up == {"objects": 1, "hits": 0, "partial_hits": 0, "misses": 1}
+        note = report.notifications[0]
+        assert note.reason == "dirty-influencer"
+        # The refine cache refills the dirty column alone — from the
+        # prefetched worlds.
+        assert note.report.cache_misses == note.report.cache_partial_hits == 0
+        assert note.report.cache_hits == 1
+
+    def test_hybrid_influencers_stay_out(self, world, monkeypatch):
+        """A hybrid subscription draws its undecided objects itself: only
+        the dirty influencer is prefetched for it."""
+        monitor = ContinuousMonitor(QueryEngine(world, n_samples=120, seed=7))
+        q = Query.from_point([5.0, 5.0])
+        monitor.subscribe(
+            QueryRequest(q, (4, 5, 6, 7), "forall", 0.05, estimator="hybrid"), name="h"
         )
-        monitor.tick([_refinement_event(world, target)])
-        assert calls == [((target,), (4, 7))]
+        calls = self._record(monitor, monkeypatch)
+        first = monitor.tick()
+        influencers = first.notifications[0].result.influencers
+        assert len(influencers) > 1
+        assert calls[0][3]["objects"] == 0  # nothing drawn ahead for it
+        calls.clear()
+        monitor.tick([_refinement_event(world, influencers[0])])
+        [(object_ids, window, requests, looked_up)] = calls
+        assert (object_ids, window, len(requests)) == ((influencers[0],), (4, 7), 1)
+        assert looked_up["objects"] == 1
 
     def test_no_prefetch_when_nothing_due(self, monitor, world, monkeypatch):
         monitor.tick()
@@ -205,7 +253,7 @@ class TestIngestPrefetch:
         monkeypatch.setattr(
             monitor.engine,
             "prefetch_worlds",
-            lambda ids, window=None: calls.append(tuple(ids)),
+            lambda *args, **kwargs: calls.append((args, kwargs)),
         )
         monitor.tick()  # quiet
         assert calls == []
