@@ -24,7 +24,13 @@ from repro.markov.compiled import compile_models
 from repro.spatial.geometry import Rect
 from repro.spatial.ust_tree import USTTree
 from repro.statespace.base import StateSpace
-from repro.stream import AddObservation, ContinuousMonitor, ObservationStream
+from repro.stream import (
+    AddObject,
+    AddObservation,
+    ContinuousMonitor,
+    ObservationStream,
+    RemoveObject,
+)
 from repro.trajectory.database import TrajectoryDatabase
 from repro.trajectory.diamonds import Diamond
 from repro.trajectory.nn import forall_knn_prob
@@ -1105,6 +1111,105 @@ def _compile_stretch_by_stretch(model):
         if seg.compiled is None:
             seg.compiled = reference_stretch_tables(seg)
     return compile_models([model])[0]
+
+
+def _serve_fleet(seed=7, n_ticks=40, rate=2, life=12, fix=3):
+    """A ``fleet_live``-shaped script on the 1000-state kNN chain: ``rate``
+    objects start every tic, enter with their second fix, report every
+    ``fix`` tics and leave two tics after their last one.  Returns the
+    database (the fleet on the road at tic 0) and one event batch per tic.
+    """
+    chain, _ = _knn_chain()
+    space = StateSpace(_knn_points(np.random.default_rng(5), chain.n_states))
+    rng = np.random.default_rng(seed)
+    starts = [t for t in range(-life, n_ticks) for _ in range(rate)]
+    walks = _walk_requests(chain, rng, len(starts), fix, n_segments=life // fix)
+    db = TrajectoryDatabase(space, chain)
+    script = [[] for _ in range(n_ticks)]
+    for i, (start, (_, fixes, _, _)) in enumerate(zip(starts, walks)):
+        name, fixes = f"v{i}", [(start + t, s) for t, s in fixes]
+        enter = max(fixes[1][0], 0)
+        known = [f for f in fixes if f[0] <= enter]
+        events = [(f[0], AddObservation(name, *f)) for f in fixes if f[0] > enter]
+        events.append((start + life + 2, RemoveObject(name)))
+        if enter == 0:
+            db.add_object(name, known)
+        else:
+            events.append((enter, AddObject(name, known)))
+        for t, event in events:
+            if 0 < t < n_ticks:
+                script[t].append(event)
+    for batch in script:  # an object enters before its later fixes
+        batch.sort(key=lambda e: not isinstance(e, AddObject))
+    return db, script
+
+
+def test_serve_round_targets(bench_record):
+    """The serve tier's rounds per tick, persisted to the JSON table: two
+    process-transport shards on ``fleet_live``-shaped ticks, each tick one
+    ``ApplyEvents`` round and one staging round (world items and block
+    columns together, the invalidation flag riding both).  Records rounds
+    per tick, the wall time of the rounds, a no-op round's latency — the
+    price of one more round — and the coordinator's serial time (the
+    tick's wall time outside rounds).  Asserts at most two rounds per
+    tick: the count is the contract, the times are the machine's."""
+    from repro.serve import ServeCoordinator
+    from repro.serve.protocol import ApplyEvents
+    from repro.stream import SlidingWindow
+
+    warm, measured = 10, 25
+    db, script = _serve_fleet(n_ticks=warm + measured)
+    rng = np.random.default_rng(4)
+    modes = (("forall", 0.05), ("exists", 0.05), ("pcnn", 0.5))
+    with ServeCoordinator(db, n_shards=2, seed=9, mode="process", n_samples=128) as coord:
+        for i in range(6):
+            mode, tau = modes[i % 3]
+            request = QueryRequest(Query.from_point(rng.uniform(20, 80, size=2)), (0,), mode, tau)
+            coord.subscribe(request, name=f"s{i}", window=SlidingWindow(width=3, lag=4))
+        for t in range(warm):
+            coord.tick(script[t], now=t)
+        engine = coord.engine
+        send, rounds = engine._send, []
+
+        def timed(commands, transport_call):
+            t0 = perf_counter()
+            try:
+                return send(commands, transport_call)
+            finally:
+                rounds[-1].append(perf_counter() - t0)
+
+        engine._send = timed
+        tick_s = []
+        for t in range(warm, warm + measured):
+            rounds.append([])
+            t0 = perf_counter()
+            coord.tick(script[t], now=t)
+            tick_s.append(perf_counter() - t0)
+        engine._send = send
+        noop = []
+        for _ in range(20):
+            t0 = perf_counter()
+            engine._broadcast({shard: ApplyEvents(events=[]) for shard in range(2)})
+            noop.append(perf_counter() - t0)
+    per_tick = [len(r) for r in rounds]
+    serial = [tick - sum(r) for tick, r in zip(tick_s, rounds)]
+    record = {
+        "cpu_count": os.cpu_count(),
+        "n_shards": 2,
+        "n_samples": 128,
+        "n_subscriptions": 6,
+        "measured_ticks": measured,
+        "events_per_tick": float(np.mean([len(b) for b in script[warm:]])),
+        "rounds_per_tick": float(np.mean(per_tick)),
+        "max_rounds_per_tick": int(max(per_tick)),
+        "median_tick_ms": float(np.median(tick_s) * 1e3),
+        "median_round_ms_per_tick": float(np.median([sum(r) for r in rounds]) * 1e3),
+        "median_coordinator_serial_ms": float(np.median(serial) * 1e3),
+        "median_noop_round_ms": float(np.median(noop) * 1e3),
+    }
+    bench_record("serve_rounds", record)
+    assert max(per_tick) <= 2, record
+    assert min(per_tick) == 2, record  # every tick had events and due subscriptions
 
 
 def test_knn_k_targets(bench_record):

@@ -48,6 +48,7 @@ KNOWN_KERNELS = frozenset(
         "native_speedup",
         "prune_many",
         "refine_layout",
+        "serve_rounds",
         "write_path",
     }
 )

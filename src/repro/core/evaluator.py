@@ -59,7 +59,14 @@ from ..trajectory.trajectory import UncertainObject, adapt_objects
 from .estimators import EstimationContext, EstimateOutcome, make_estimator
 from .planner import Explanation, QueryPlan, build_plan
 from .queries import Query, QueryRequest, check_count, normalize_times, union_window
-from .refine import RefineCache, RefineJob, gather_distances, reverse_tensors
+from .refine import (
+    RefineCache,
+    RefineJob,
+    distance_tables,
+    gather_distances,
+    reverse_tensors,
+    tabulates,
+)
 from .results import (
     EvaluationReport,
     ObjectProbability,
@@ -192,9 +199,15 @@ class QueryEngine:
         self._filter_memo: SimpleNamespace | None = None
         #: Cached per-object sampled worlds; see :mod:`repro.core.worlds`.
         self.worlds = WorldCache(metrics=metrics)
-        # World-cache lookups made ahead for blocks no evaluation has taken
-        # yet (the serve tier's staged blocks): held back from reports
-        # until the consuming evaluation takes its block.
+        #: The open staging pass (see :meth:`_staging`): ``at`` (the
+        #: stamp, database version and batch window its blocks were filled
+        #: under), ``plans`` (request -> plan), ``blocks`` (``RefineJob.key``
+        #: -> ``(block, [hits, partial hits, misses])``) and ``consuming``
+        #: (set once an ``evaluate_many`` batch took the pass over).
+        self._stage: SimpleNamespace | None = None
+        # World-cache lookups made ahead for staged blocks no evaluation
+        # has taken yet: held back from reports until the consuming
+        # evaluation takes its block.
         self._lookups_ahead = [0, 0, 0]
         self._draw_epoch = 0
         self._epoch_counter = 0  # monotonic allocator (epochs can be restored)
@@ -324,15 +337,140 @@ class QueryEngine:
 
     @contextmanager
     def _staging(self, reqs: list):
-        """Hook: wraps the evaluations of an ``evaluate_many`` batch.
+        """Wraps the evaluations of an ``evaluate_many`` batch: its one
+        staging pass.
 
         Entered after the epoch and batch window are pinned, inside the
-        batch's :meth:`shared_filter` block.  The base engine does nothing;
-        the sharded serving engine overrides it to fetch the blocks the
-        batch will ask :meth:`fill_blocks` for from all shard workers in
-        one round trip instead of one round per request.
+        batch's :meth:`shared_filter` block.  Takes over the pass the
+        tick's world pass (:meth:`prefetch_worlds` with ``requests``)
+        left when it was filled under this batch's stamp, database
+        version and window, and stages whatever request it did not plan:
+        each is planned and filtered once (:meth:`_plan_jobs` — the plan
+        is what its evaluation reads) and the jobs its fill will be handed
+        are filled together in one :meth:`_fill_blocks` pass — on the
+        serve tier one fan-out round.  Evaluations take their blocks from
+        the pass (:meth:`_take_staged`); a prediction miss is harmless —
+        the evaluation fills what it lacks itself.  A nested batch rides
+        the outer one's pass.
         """
-        yield
+        if self._batch_depth > 1:
+            yield
+            return
+        # Invalidate before anything is planned or noted: without pruning
+        # the filter never syncs.
+        self.sync_mutations()
+        stage = self._stage
+        if stage is None or stage.at != self._stage_at():
+            stage = self._open_stage()
+        try:
+            todo = [req for req in reqs if req not in stage.plans]
+            if todo:
+                jobs = self._plan_jobs(todo)
+                self._stage_blocks(jobs, self._live_columns(jobs))
+            stage.consuming = True
+            yield
+        finally:
+            self._drop_stage()
+
+    def _stage_at(self) -> tuple:
+        """What a staged block's content depends on besides its job."""
+        return self._stamp, self.db.version, self._batch_window
+
+    def _open_stage(self) -> SimpleNamespace:
+        self._drop_stage()
+        self._stage = SimpleNamespace(
+            at=self._stage_at(), plans={}, blocks={}, consuming=False
+        )
+        return self._stage
+
+    def _drop_stage(self) -> None:
+        """Close the staging pass; lookups of blocks nobody took stop
+        being held back (they happened, outside every report)."""
+        self._stage = None
+        self._lookups_ahead = [0, 0, 0]
+
+    def _plan(self, request: QueryRequest) -> QueryPlan:
+        """``request``'s plan — made once per staging pass."""
+        stage = self._stage
+        if stage is None:
+            return build_plan(request, self.n_samples)
+        plan = stage.plans.get(request)
+        if plan is None:
+            plan = stage.plans[request] = build_plan(request, self.n_samples)
+        return plan
+
+    def _plan_jobs(self, requests: Sequence[QueryRequest]) -> list[RefineJob]:
+        """The distinct jobs the batched evaluations of ``requests`` will
+        hand :meth:`fill_blocks`, each request planned and filtered once
+        (:meth:`_fill_job`).  Identical jobs collapse — the first consumer
+        takes the block, as one process fills it once — and a request the
+        evaluation will refuse is left to raise there."""
+        jobs: dict[tuple, RefineJob] = {}
+        for request in requests:
+            try:
+                job = self._fill_job(request)
+            except Exception:  # noqa: BLE001 - the evaluation raises it itself
+                continue
+            if job is not None and job.object_ids:
+                jobs.setdefault(job.key, job)
+        return list(jobs.values())
+
+    def _stage_blocks(self, jobs: list[RefineJob], lives: list, warm=()) -> None:
+        """Fill ``jobs`` (after looking ``warm`` up) in one pass into the
+        open stage, holding their lookups back from reports."""
+        blocks, lookups = self._fill_blocks(jobs, lives, warm)
+        for job, block, counts in zip(jobs, blocks, lookups):
+            self._stage.blocks[job.key] = (block, counts)
+            for i, count in enumerate(counts):
+                self._lookups_ahead[i] += count
+
+    def _take_staged(self, job: RefineJob) -> tuple[np.ndarray | None, list[int]]:
+        """The staged block for ``job`` and the positions it still lacks.
+
+        Besides the job's own block, a block staged for a *subset* of its
+        columns serves: the staging predicted a refine-cache patch of the
+        stale columns, and the cache (full at a small capacity) evicted the
+        entry before this evaluation came, so the whole block is asked for.
+        Its columns' lookups happened once, as a single process makes them,
+        and land in this evaluation's report.
+        """
+        every = list(range(len(job.object_ids)))
+        stage = self._stage
+        if stage is None or not stage.consuming:
+            return None, every
+        key = wanted = job.key
+        if key not in stage.blocks:
+            ids = set(job.object_ids)
+            key = next(
+                (
+                    k
+                    for k in stage.blocks
+                    if k[:3] == wanted[:3] and k[4] == job.n and ids.issuperset(k[3])
+                ),
+                None,
+            )
+            if key is None:
+                return None, every
+        staged, lookups = stage.blocks.pop(key)
+        for i, count in enumerate(lookups):
+            self._lookups_ahead[i] -= count
+        if key == wanted:
+            return staged, []
+        block = job.empty()
+        have = [job.object_ids.index(oid) for oid in key[3]]
+        block[have] = staged
+        return block, sorted(set(every) - set(have))
+
+    def _block_for(self, job: RefineJob) -> np.ndarray:
+        """The block an evaluation's fill is handed: its staged one, the
+        columns still missing filled now."""
+        block, missing = self._take_staged(job)
+        if missing:
+            (sub,), _ = self.fill_blocks([job.columns(missing)])
+            if block is None:
+                return sub
+            block[missing] = sub
+        return block
 
     @contextmanager
     def held_batch(
@@ -505,7 +643,7 @@ class QueryEngine:
         """
         outer = self._filter_memo
         memo = self._filter_memo = outer or SimpleNamespace(
-            version=self.db.version, pending={}, results={}
+            version=self.db.version, pending={}, results={}, coords={}
         )
         for request in requests:
             if request.mode != "reverse_nn":  # reverse never reaches the index
@@ -559,6 +697,8 @@ class QueryEngine:
         ndim = self.db.space.ndim
         label = f"{mode} {q.kind} query" if mode else f"{q.kind} query"
         coords = check_query_coords(q.coords_at(times), times, ndim, label)
+        if memo is not None:
+            memo.coords[(q, window[0])] = coords
         if reverse or not self.use_pruning:
             overlapping = self.db.objects_overlapping(times)
             result = PruningResult(
@@ -584,12 +724,24 @@ class QueryEngine:
                         group[peer] = check_query_coords(peer.coords_at(times), times, ndim)
                     except Exception:  # noqa: BLE001 - the peer's error, not q's
                         pass
+                    else:
+                        memo.coords[(peer, window[0])] = group[peer]
             results = self.ust_tree.prune_many(np.stack(list(group.values())), times, k)
             memo.results.update(((peer, *window), res) for peer, res in zip(group, results))
             return results[0]
         if memo is not None:
             memo.results[(q, *window)] = result
         return result
+
+    def _query_coords(self, q: Query, times: np.ndarray) -> np.ndarray:
+        """``q``'s coordinates at ``times`` — the ones the open
+        :meth:`shared_filter` block's filter already evaluated, if any."""
+        memo = self._filter_memo
+        if memo is not None:
+            coords = memo.coords.get((q, tuple(times.tolist())))
+            if coords is not None:
+                return coords
+        return q.coords_at(times)
 
     def _arena_for(self, objects: list[UncertainObject]) -> SamplingArena:
         """The sampling arena, packed with the given objects.
@@ -691,27 +843,30 @@ class QueryEngine:
             # fresh (yet seed-deterministic) worlds, so averaging over calls
             # adds information.
             self._direct_round += 1
-        coords = q.coords_at(times)
+        coords = self._query_coords(q, times)
         job = RefineJob(kind, coords if kind == "dist" else None, times, tuple(ids), n)
         # Only batched evaluations are cached: outside a batch every call
         # draws fresh worlds, so there is nothing to reuse.
         if self._batch_depth > 0 and self.refine_cache_size > 0:
             block, cols, hit = self._refine_cache.fetch(
-                job, cache_k, self._stamp, lambda j: self.fill_blocks([j])[0]
+                job, cache_k, self._stamp, self._block_for
             )
             (self.estimate_cache_hits if hit else self.estimate_cache_misses).inc()
             self.estimate_columns_refreshed.inc(len(cols))
             self.estimate_columns_reused.inc(len(ids) - len(cols))
         else:
-            block = self.fill_blocks([job])[0]
+            block = self._block_for(job)
         if inverse is not None:
             block = block[inverse]  # a copy, never the cached array
         return block, coords
 
     def _drawn_states(
-        self, objects: list[UncertainObject], alive_times: list[np.ndarray], n: int
-    ) -> list[np.ndarray]:
-        """Every object's worlds at its alive times, from one fused draw.
+        self, columns: list[tuple[UncertainObject, np.ndarray, int]]
+    ) -> tuple[list[np.ndarray], list[int] | None]:
+        """Every ``(object, alive times, n)`` column's worlds, from one
+        fused draw per world count, and each column's world-cache outcome
+        (``0`` hit, ``1`` partial hit, ``2`` miss; ``None`` for a direct
+        draw, which looks nothing up).
 
         Each object draws from its own RNG stream over its own cache
         window; the object count is a vectorized axis of the draw, not a
@@ -720,19 +875,36 @@ class QueryEngine:
         """
         if self._batch_depth > 0:
             items = [
-                (obj.object_id, n, *self._cache_window(obj, at))
-                for obj, at in zip(objects, alive_times)
+                (obj.object_id, n, *self._cache_window(obj, at)) for obj, at, n in columns
             ]
-            segments = self.fetch_worlds(items)
-            return [seg.slice(at) for seg, at in zip(segments, alive_times)]
-        fresh = [(i, int(at[0]), int(at[-1])) for i, at in enumerate(alive_times)]
-        drawn, _ = self._bulk_sampler(objects, n, self._direct_round)(fresh, [])
-        self._direct_draws.inc(len(fresh))
-        return [take_tics(p, at - at[0]) for (p, _), at in zip(drawn, alive_times)]
+            segments, outcomes = self._lookup(items)
+            return [seg.slice(at) for seg, (_, at, _) in zip(segments, columns)], outcomes
+        states: list = [None] * len(columns)
+        for n in dict.fromkeys(n for *_, n in columns):
+            at_n = [i for i, column in enumerate(columns) if column[2] == n]
+            fresh = [
+                (pos, int(columns[i][1][0]), int(columns[i][1][-1]))
+                for pos, i in enumerate(at_n)
+            ]
+            drawn, _ = self._bulk_sampler(
+                [columns[i][0] for i in at_n], n, self._direct_round
+            )(fresh, [])
+            self._direct_draws.inc(len(fresh))
+            for i, (paths, _) in zip(at_n, drawn):
+                at = columns[i][1]
+                states[i] = take_tics(paths, at - at[0])
+        return states, None
 
-    def fill_blocks(self, jobs: list[RefineJob]) -> list[np.ndarray]:
+    def fill_blocks(
+        self, jobs: list[RefineJob], warm: Sequence[tuple[str, int, int, int]] = ()
+    ) -> tuple[list[np.ndarray], list[list[int]]]:
         """One C-contiguous ``(objects, times, worlds)`` block per job — the
-        one place sampled worlds become refinement arrays.
+        one place sampled worlds become refinement arrays — after looking
+        the ``(object_id, n, t_lo, t_hi)`` world items of ``warm`` up
+        (:meth:`fetch_worlds`).  Returns the blocks and, per job, the
+        world-cache lookups its columns made (``[hits, partial hits,
+        misses]``; a column of an object an earlier job of the call looked
+        up counts a hit, as if the jobs were filled one at a time).
 
         Runs under the current draw epoch and batch window.  A ``"dist"``
         job's block holds the distances to the query (``inf`` where an
@@ -742,20 +914,28 @@ class QueryEngine:
         yields the same worlds for both kinds.  Objects are drawn
         independently: any subset of a job's columns, filled anywhere,
         equals those columns of the whole block — which is what lets the
-        serve tier's engine override this with a fan-out to the shards
-        owning the columns, whose workers call it on their share.
+        serve tier's engine fill each job's columns in the shards owning
+        them, whose workers call this on their share.
         """
-        return [self._fill(job) for job in jobs]
+        return self._fill_blocks(jobs, self._live_columns(jobs), warm)
 
     def _live_columns(
-        self, object_ids: Sequence[str], times: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The live refine set of a block over ``object_ids`` at ``times``:
-        the alive matrix (``alive[c, j]``: column ``c`` alive at
-        ``times[j]``) and the columns alive at some time — the objects a
-        fill draws worlds for, and nobody else."""
-        alive = self.db.alive_matrix(object_ids, times)
-        return alive, np.flatnonzero(alive.any(axis=1))
+        self, jobs: Sequence[RefineJob]
+    ) -> list[tuple[np.ndarray, np.ndarray]]:
+        """Each job's live refine set: its alive matrix (``alive[c, j]``:
+        column ``c`` alive at ``times[j]``) and the columns alive at some
+        time — the objects its fill draws worlds for, and nobody else —
+        from one lifespan lookup over the jobs' distinct objects."""
+        ids = list(dict.fromkeys(oid for job in jobs for oid in job.object_ids))
+        t_first, t_last = self.db.lifespans(ids)
+        row = {oid: i for i, oid in enumerate(ids)}
+        lives = []
+        for job in jobs:
+            rows = [row[oid] for oid in job.object_ids]
+            times = job.times[None, :]
+            alive = (times >= t_first[rows, None]) & (times <= t_last[rows, None])
+            lives.append((alive, np.flatnonzero(alive.any(axis=1))))
+        return lives
 
     def _fill_job(self, request: QueryRequest) -> RefineJob | None:
         """The job a batched evaluation of ``request`` would hand
@@ -765,10 +945,11 @@ class QueryEngine:
         resolved estimator that does not sample every influence object
         (``hybrid`` draws only its undecided ones, ``bounds`` and
         ``exact`` nothing), an empty refine set, or a kNN depth the
-        evaluation refuses.  Plans and filters (the block's shared § 6
-        pass); draws nothing.  Raises what those stages raise.
+        evaluation refuses.  Plans (:meth:`_plan`) and filters (the
+        block's shared § 6 pass); draws nothing.  Raises what those stages
+        raise.
         """
-        plan = build_plan(request, self.n_samples)
+        plan = self._plan(request)
         if plan.resolved_estimator not in ("sampled", "adaptive"):
             return None
         times = np.asarray(plan.times, dtype=np.intp)
@@ -780,32 +961,62 @@ class QueryEngine:
         reverse = request.mode == "reverse_nn"
         job = RefineJob(
             "states" if reverse else "dist",
-            None if reverse else request.query.coords_at(times),
+            None if reverse else self._query_coords(request.query, times),
             times, tuple(ids), plan.n_samples,
         )
         return job.columns(self._refine_cache.stale(job, request.k, self._stamp)[1])
 
-    def _fill(self, job: RefineJob) -> np.ndarray:
-        if job.kind not in ("dist", "states"):
-            raise ValueError(f"unknown refinement block kind {job.kind!r}")
-        ids, times, n = job.object_ids, job.times, job.n
-        alive, live_cols = self._live_columns(ids, times)
-        if live_cols.size == 0:
-            return job.empty()
-        states = self._drawn_states(
-            [self.db.get(ids[c]) for c in live_cols],
-            [times[alive[c]] for c in live_cols],
-            n,
-        )
-        if job.kind == "dist":
-            return gather_distances(
-                self.db.space, job.coords, alive, live_cols, states, n,
-                native=self.backend == "native",
-            )
-        block = job.empty()
-        for col, paths in zip(live_cols, states):
-            block[col, alive[col]] = paths.T
-        return block
+    def _fill_blocks(
+        self, jobs: list[RefineJob], lives: list, warm=()
+    ) -> tuple[list[np.ndarray], list[list[int]]]:
+        """:meth:`fill_blocks` given the jobs' :meth:`_live_columns`: the
+        ``warm`` lookup, then one stacked fill — one lookup (or direct
+        draw) for every live column of every job, every tabulating query's
+        distance table from one broadcast, then the gathers."""
+        if warm:
+            self.fetch_worlds(warm)
+        for job in jobs:
+            if job.kind not in ("dist", "states"):
+                raise ValueError(f"unknown refinement block kind {job.kind!r}")
+        if len(jobs) > 1 and self._batch_depth > 0 and self._batch_window is None:
+            # Each job's lookups span its own tics: fill one job at a time,
+            # so each sees the cache the previous one left.
+            filled = [self._fill_blocks([job], [live]) for job, live in zip(jobs, lives)]
+            return [b for bs, _ in filled for b in bs], [c for _, cs in filled for c in cs]
+        columns, owner = [], []
+        for j, (job, (alive, live)) in enumerate(zip(jobs, lives)):
+            for c in live:
+                columns.append((self.db.get(job.object_ids[c]), job.times[alive[c]], job.n))
+                owner.append(j)
+        states, outcomes = self._drawn_states(columns)
+        lookups = [[0, 0, 0] for _ in jobs]
+        for j, outcome in zip(owner, outcomes or ()):
+            lookups[j][outcome] += 1
+        space = self.db.space
+        tabulated = [
+            j
+            for j, (job, (alive, _)) in enumerate(zip(jobs, lives))
+            if job.kind == "dist" and tabulates(space, job.times.size, job.n, int(alive.sum()))
+        ]
+        tables = dict(zip(tabulated, distance_tables(space, [jobs[j].coords for j in tabulated])))
+        blocks, at = [], 0
+        for j, (job, (alive, live)) in enumerate(zip(jobs, lives)):
+            drawn, at = states[at : at + live.size], at + live.size
+            if live.size == 0:
+                blocks.append(job.empty())
+            elif job.kind == "dist":
+                blocks.append(
+                    gather_distances(
+                        space, job.coords, alive, live, drawn, job.n,
+                        native=self.backend == "native", per_state=tables.get(j),
+                    )
+                )
+            else:
+                block = job.empty()
+                for col, paths in zip(live, drawn):
+                    block[col, alive[col]] = paths.T
+                blocks.append(block)
+        return blocks, lookups
 
     # ------------------------------------------------------------------
     # refinement: reverse direction (states, then pairwise distances)
@@ -884,7 +1095,7 @@ class QueryEngine:
         n_samples: int | None = None,
         requests: Sequence[QueryRequest] = (),
     ) -> dict[str, int]:
-        """Warm the world cache for a working set — no distances computed.
+        """Warm the world cache for a working set — and stage ``requests``.
 
         Draws (or forward-extends) each object's cached worlds over
         ``window`` clamped to its span, exactly as a held-epoch query
@@ -894,41 +1105,63 @@ class QueryEngine:
         batch, one call restores query-ready state (index synced via
         :attr:`ust_tree`, worlds current) at the cost of the *dirty*
         objects only.  ``object_ids`` are drawn at ``n_samples`` (default:
-        the engine's); each of ``requests`` adds the objects a batched
-        evaluation of it would look up now, at its planned world count —
-        the live columns of the job its fill would be handed
-        (:meth:`_fill_job`, asked after the index is synced; a request
-        whose estimator draws for itself, or that its evaluation would
-        refuse, adds nothing).  A target named twice is looked up once,
-        and the whole set is one lookup: one adaptation, compile and arena
-        pass per world count.  Worlds enter the cache at the current draw
-        epoch, so the call is meaningful between held-epoch batches (or
-        inside a :meth:`held_batch`); a standalone query afterwards would
-        advance the epoch and redraw regardless.
+        the engine's).
+
+        ``requests`` make the call a tick's whole staging pass: each is
+        planned and filtered once (:meth:`_plan_jobs`), the objects its
+        batched evaluation would look up now — the live columns of the job
+        its fill would be handed, at its planned world count — join the
+        working set (a request whose estimator draws for itself, or that
+        its evaluation would refuse, adds nothing), and, after the lookup,
+        the jobs themselves are filled in the same pass, under the batch
+        window an ``evaluate_many`` of ``requests`` widened to ``window``
+        pins.  The plans and blocks are held for that batch, whose
+        evaluations read them instead of planning and filling again (see
+        :meth:`_staging`); their lookups land in those evaluations'
+        reports, not in the accounting returned here.  A target named
+        twice is looked up once, and the whole set is one lookup: one
+        adaptation, compile and arena pass per world count.  Worlds enter
+        the cache at the current draw epoch, so the call is meaningful
+        between held-epoch batches (or inside a :meth:`held_batch`); a
+        standalone query afterwards would advance the epoch and redraw
+        regardless.
         """
         n = self.n_samples if n_samples is None else check_count("n_samples", n_samples)
         self.sync_mutations()
         ids = self.db.object_ids if object_ids is None else object_ids
         targets = dict.fromkeys((object_id, n) for object_id in ids)
-        for request in requests:
-            try:
-                job = self._fill_job(self._coerce_request(request))
-            except Exception:  # noqa: BLE001 - the evaluation raises it itself
-                continue
-            if job is not None:
-                _, live = self._live_columns(job.object_ids, job.times)
-                targets.update(dict.fromkeys((job.object_ids[c], job.n) for c in live))
-        items: list[tuple[str, int, int, int]] = []
-        for object_id, size in targets:
-            obj = self.db.get(object_id)
-            t_lo, t_hi = obj.t_first, obj.t_last
+        requests = [self._coerce_request(request) for request in requests]
+        batch = None
+        if requests:
+            batch = union_window(requests)
             if window is not None:
-                t_lo, t_hi = max(t_lo, int(window[0])), min(t_hi, int(window[1]))
-            if t_lo <= t_hi:  # else the object is entirely outside the window
-                items.append((obj.object_id, size, t_lo, t_hi))
-        before = self._lookup_counts()
-        if items:
-            self.fetch_worlds(items)
+                batch = min(batch[0], int(window[0])), max(batch[1], int(window[1]))
+        with self.held_batch(window=batch):
+            # A pass without requests stages nothing, and leaves nothing
+            # staged behind it.
+            if requests:
+                self._open_stage()
+            else:
+                self._drop_stage()
+            try:
+                jobs = self._plan_jobs(requests)
+                lives = self._live_columns(jobs)
+                for job, (_, live) in zip(jobs, lives):
+                    targets.update(dict.fromkeys((job.object_ids[c], job.n) for c in live))
+                items: list[tuple[str, int, int, int]] = []
+                for object_id, size in targets:
+                    obj = self.db.get(object_id)
+                    t_lo, t_hi = obj.t_first, obj.t_last
+                    if window is not None:
+                        t_lo, t_hi = max(t_lo, int(window[0])), min(t_hi, int(window[1]))
+                    if t_lo <= t_hi:  # else the object is entirely outside the window
+                        items.append((obj.object_id, size, t_lo, t_hi))
+                before = self._lookup_counts()
+                if items or jobs:
+                    self._stage_blocks(jobs, lives, items)
+            except BaseException:
+                self._drop_stage()
+                raise
         hits, partial_hits, misses = (
             now - then for now, then in zip(self._lookup_counts(), before)
         )
@@ -942,19 +1175,27 @@ class QueryEngine:
 
         All items of one world count share one fused draw.
         """
+        return self._lookup(items)[0]
+
+    def _lookup(self, items) -> tuple[list, list[int]]:
+        """:meth:`fetch_worlds`, plus each item's outcome (``0`` hit, ``1``
+        partial hit, ``2`` miss)."""
         segments: list = [None] * len(items)
+        outcomes = [0] * len(items)
         for n in dict.fromkeys(item[1] for item in items):
             at = [i for i, item in enumerate(items) if item[1] == n]
+            kinds: list[int] = []
             found = self.worlds.states_for_many(
                 [((items[i][0], n), items[i][2], items[i][3]) for i in at],
                 stamp=self._stamp,
                 bulk_sampler=self._bulk_sampler(
                     [self.db.get(items[i][0]) for i in at], n
                 ),
+                outcomes=kinds,
             )
-            for i, segment in zip(at, found):
-                segments[i] = segment
-        return segments
+            for i, segment, kind in zip(at, found, kinds):
+                segments[i], outcomes[i] = segment, kind
+        return segments, outcomes
 
     # ------------------------------------------------------------------
     # the staged pipeline: plan -> filter -> estimate -> threshold
@@ -1022,7 +1263,7 @@ class QueryEngine:
         with tracer.span("evaluate") as sp_eval:
             with tracer.span("plan") as sp_plan:
                 self.sync_mutations()
-                plan = build_plan(request, self.n_samples)
+                plan = self._plan(request)
                 times = np.asarray(plan.times, dtype=np.intp)
                 self._begin_query()
             with tracer.span("filter") as sp_filter:

@@ -24,7 +24,14 @@ import numpy as np
 from ..markov import native as native_tier
 from ..statespace.base import StateSpace
 
-__all__ = ["RefineJob", "RefineCache", "gather_distances", "reverse_tensors"]
+__all__ = [
+    "RefineJob",
+    "RefineCache",
+    "distance_tables",
+    "gather_distances",
+    "reverse_tensors",
+    "tabulates",
+]
 
 
 @dataclass
@@ -134,6 +141,39 @@ class RefineCache:
         return block, cols, False
 
 
+def tabulates(space: StateSpace, n_times: int, n: int, n_drawn: int) -> bool:
+    """Whether a ``"dist"`` block over ``n_times`` tics gathers from a
+    per-(tic, state) distance table (:func:`distance_tables`) rather than
+    from per-world coordinates: ``n_drawn`` is the block's drawn tics."""
+    return n_times * space.n_states <= max(1_000_000, 4 * n * n_drawn)
+
+
+def distance_tables(space: StateSpace, coords: list[np.ndarray]) -> list[np.ndarray]:
+    """Each query's ``(tics, states)`` distance table, from one broadcast.
+
+    Distances depend only on (tic, state): tabulating them once per query
+    — the same subtract/square/sum/sqrt the per-object oracle applies, so
+    values stay bit-identical — lets gathering rows of the table replace
+    materializing ``(tics, n, d)`` coordinate blocks.  The queries' tics
+    are stacked, so a batch of blocks pays one broadcast.
+    """
+    if not coords:
+        return []
+    stacked = np.concatenate(coords) if len(coords) > 1 else coords[0]
+    if space.ndim <= 2:
+        # At most one addition per norm, so the order ``np.sum`` adds in
+        # is moot: run the same operations with the states, not the d
+        # coordinates, in the inner loop.
+        by_dim = np.ascontiguousarray(space.coords.T)  # (d, S)
+        diff = by_dim[:, None, :] - stacked.T[:, :, None]
+        table = np.sqrt(np.add.reduce(diff * diff, axis=0))
+    else:
+        diff = space.coords[None, :, :] - stacked[:, None, :]
+        table = np.sqrt(np.sum(diff * diff, axis=-1))  # (T, S)
+    ends = np.cumsum([len(c) for c in coords])
+    return [table[end - len(c) : end] for c, end in zip(coords, ends)]
+
+
 def gather_distances(
     space: StateSpace,
     coords: np.ndarray,
@@ -142,11 +182,15 @@ def gather_distances(
     states: list[np.ndarray],
     n: int,
     native: bool,
+    per_state: np.ndarray | None = None,
 ) -> np.ndarray:
     """The ``"dist"`` block from drawn states, gathered row by row — tic
     ``t``'s ``n`` worlds at a time — into each object's slab.
 
     ``states[i]`` is object ``live_cols[i]``'s ``(n, alive tics)`` worlds.
+    ``per_state`` is the query's :func:`distance_tables` entry when
+    :func:`tabulates` holds (computed here when not passed); huge state
+    spaces gather coordinates for the sampled states only instead.
     This is one of the two allocation sites (with the sampler's sweep
     buffer) that decide the refinement memory order: the block is
     C-contiguous ``(objects, times, worlds)``.
@@ -158,24 +202,9 @@ def gather_distances(
     slabs = [(col, lo, lo + len(r), r) for col, lo, r in zip(live_cols, first, rows)]
     shape = (*alive.shape, n)
     block = np.empty(shape) if alive.all() else np.full(shape, np.inf)
-    n_times = alive.shape[1]
-    if n_times * space.n_states <= max(
-        1_000_000, 4 * n * sum(len(r) for r in rows)
-    ):
-        # Distances depend only on (tic, state): tabulate them once per
-        # query — the same subtract/square/sum/sqrt the per-object
-        # oracle applies, so values stay bit-identical — then gathering rows
-        # of it replaces materializing (tics, n, d) coordinate blocks.
-        if space.ndim <= 2:
-            # At most one addition per norm, so the order ``np.sum``
-            # adds in is moot: run the same operations with the states,
-            # not the d coordinates, in the inner loop.
-            by_dim = np.ascontiguousarray(space.coords.T)  # (d, S)
-            diff = by_dim[:, None, :] - coords.T[:, :, None]
-            per_state = np.sqrt(np.add.reduce(diff * diff, axis=0))
-        else:
-            diff = space.coords[None, :, :] - coords[:, None, :]
-            per_state = np.sqrt(np.sum(diff * diff, axis=-1))  # (T, S)
+    if per_state is None and tabulates(space, alive.shape[1], n, sum(len(r) for r in rows)):
+        (per_state,) = distance_tables(space, [coords])
+    if per_state is not None:
         if native and native_tier.can_gather_rows(rows):
             return native_tier.gather_distance_rows(
                 per_state, rows, live_cols, first, block
@@ -185,8 +214,6 @@ def gather_distances(
             offsets = np.arange(lo, hi) * space.n_states
             np.take(flat, r + offsets[:, None], out=block[col, lo:hi])
     else:
-        # Huge state spaces: gather coordinates for the sampled states
-        # only and einsum the norms.
         for col, lo, hi, r in slabs:
             diff = space.coords_of(r) - coords[lo:hi, None, :]
             block[col, lo:hi] = np.sqrt(np.einsum("tnd,tnd->tn", diff, diff))

@@ -221,16 +221,21 @@ class WorldCache:
         items: list[tuple[tuple, int, int]],
         stamp: tuple,
         bulk_sampler: Callable[[list, list], tuple[list, list]],
+        outcomes: list | None = None,
     ) -> list[WorldSegment]:
         """The cache lookup: one fused draw serves many members.
 
-        ``items`` is a list of ``(key, t_lo, t_hi)`` lookups (keys must be
-        distinct — one entry per object).  Every member is classified on
-        its own (hit / partial hit / miss, a backward request — one
-        starting before the cached anchor — falling back to a fresh draw
-        of the union window), exactly one counter incremented each, and
-        all the work is handed to ``bulk_sampler(fresh, extend)`` in a
-        single call so the engine can fuse it into one arena pass:
+        ``items`` is a list of ``(key, t_lo, t_hi)`` lookups.  Every member
+        is classified on its own (hit / partial hit / miss, a backward
+        request — one starting before the cached anchor — falling back to
+        a fresh draw of the union window), exactly one counter incremented
+        each, and all the work is handed to ``bulk_sampler(fresh, extend)``
+        in a single call so the engine can fuse it into one arena pass.
+        A key listed again over the same window is served by its first
+        mention and counts a hit — what looking it up again right after
+        would do; over another window it is an error.  ``outcomes``, when
+        given, receives each member's class in order (``0`` hit, ``1``
+        partial hit, ``2`` miss).
 
         * ``fresh`` — ``(position, t_lo, t_hi)`` triples needing a full
           draw; the sampler returns a matching list of ``(states, rng)``.
@@ -246,9 +251,10 @@ class WorldCache:
         where the redraw restarts at the current window).
         """
         self._sync(stamp)
-        if len({key for key, _, _ in items}) != len(items):
-            raise ValueError("states_for_many requires distinct keys per call")
         segments: list[WorldSegment | None] = [None] * len(items)
+        kinds = [0] * len(items)
+        first: dict[tuple, int] = {}
+        repeats: list[tuple[int, int]] = []
         fresh: list[tuple[int, int, int]] = []
         extend: list[tuple[int, np.random.Generator, np.ndarray, int, int]] = []
         # Classification replays the *sequential* cache evolution exactly:
@@ -259,6 +265,15 @@ class WorldCache:
         # when a batch pushes the cache over capacity.
         placeholders: dict[tuple, WorldSegment] = {}
         for pos, (key, t_lo, t_hi) in enumerate(items):
+            at = first.setdefault(key, pos)
+            if at != pos:
+                if items[at][1:] != (t_lo, t_hi):
+                    raise ValueError(
+                        f"states_for_many: {key!r} requested over two windows in one call"
+                    )
+                self.hits.inc()
+                repeats.append((pos, at))
+                continue
             seg = self._entries.get(key)
             if seg is not None and t_lo < seg.t_first:
                 t_hi = max(t_hi, seg.t_last)
@@ -266,6 +281,7 @@ class WorldCache:
                 seg = None
             if seg is None:
                 self.misses.inc()
+                kinds[pos] = 2
                 fresh.append((pos, t_lo, t_hi))
                 placeholder = WorldSegment(t_lo, np.empty((0, 0), dtype=np.intp), None)
                 placeholders[key] = placeholder
@@ -274,6 +290,7 @@ class WorldCache:
                 self._entries[key] = placeholder
             elif t_hi > seg.t_last:
                 self.partial_hits.inc()
+                kinds[pos] = 1
                 extend.append((pos, seg.rng, seg.states[:, -1], seg.t_last, t_hi))
                 segments[pos] = seg
             else:
@@ -301,4 +318,8 @@ class WorldCache:
                 seg = segments[pos]
                 assert seg is not None
                 seg.extend(new_cols)
+        for pos, at in repeats:
+            segments[pos] = segments[at]
+        if outcomes is not None:
+            outcomes.extend(kinds)
         return segments  # type: ignore[return-value]

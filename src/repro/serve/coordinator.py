@@ -10,12 +10,20 @@ happens inside shard workers.  ``tick`` therefore produces
 single-process monitor on the same seeded event history, with per-shard
 busy times folded into ``TickReport.stage_seconds``.
 
-Event flow per tick: the batch validates centrally (attributable errors,
-nothing applied anywhere on rejection), applies to the coordinator's
-authoritative database first (so a crashed fan-out can always rebuild a
-worker from it), fans per-shard sub-batches to the owners concurrently,
-then runs the monitor tick — the monitor picks the mutations up through
-the database's mutation log exactly as it does for out-of-band writes.
+Event flow per tick — two rounds: the batch validates centrally
+(attributable errors, nothing applied anywhere on rejection), applies to
+the coordinator's authoritative database first (so a crashed fan-out can
+always rebuild a worker from it), and fans per-shard sub-batches out in
+one ``ApplyEvents`` round — every shard gets one, empty or not, so the
+round is the tick's first all-shard contact and a dead worker surfaces
+before any world is drawn.  Then the monitor tick runs — picking the
+mutations up through the database's mutation log exactly as it does for
+out-of-band writes — and its staging pass is the second round: one
+``ComputeColumns`` command per shard with work, carrying the world items
+it owns and its columns of every block the due evaluations will read.
+The coordinator's invalidation decision rides each shard's next command
+(``wholesale``); there is no round of its own.  A tick whose
+subscriptions are all clean makes only the first round.
 
 A worker dying mid-tick surfaces as :class:`ShardFailure` naming the
 shard and the in-flight subscriptions; :meth:`restart_shard` rebuilds the
@@ -223,7 +231,6 @@ class ServeCoordinator:
         """
         events = list(events)
         engine = self.engine
-        engine._inflight = tuple(s.name for s in self.monitor.subscriptions)
         engine.reset_shard_timings()
         # The serve-tick span roots this tick's trace: the apply fan-out's
         # per-shard ingest spans and the monitor's tick subtree (with the
@@ -231,38 +238,39 @@ class ServeCoordinator:
         with self.tracer.span("serve-tick") as sp_tick:
             ingest = None
             try:
-                with self.tracer.span("apply-fanout") as sp_apply:
-                    if events:
-                        # Central validation + authoritative apply first: a
-                        # crash during fan-out must never lose the batch
-                        # (restart_shard rebuilds workers from this
-                        # database).  Validation errors name the offending
-                        # event's index and object id and leave every
-                        # database untouched.
-                        ingest = self._stream.apply(events)
-                        engine._broadcast(
-                            {
-                                shard: ApplyEvents(events=shard_events)
-                                for shard, shard_events in (
-                                    self.router.partition_events(events).items()
-                                )
-                            }
-                        )
-                apply_seconds = sp_apply.duration_seconds
-                effective_now = now
-                if effective_now is None and ingest is not None:
-                    latest = ingest.latest_time
-                    current = self.monitor.now
-                    if latest is not None and (
-                        current is None or latest > current
-                    ):
-                        effective_now = latest
-                report = self.monitor.tick((), now=effective_now)
+                with engine.tick_scope(s.name for s in self.monitor.subscriptions):
+                    with self.tracer.span("apply-fanout") as sp_apply:
+                        if events:
+                            # Central validation + authoritative apply
+                            # first: a crash during fan-out must never lose
+                            # the batch (restart_shard rebuilds workers from
+                            # this database).  Validation errors name the
+                            # offending event's index and object id and
+                            # leave every database untouched.  Every shard
+                            # is sent its share, empty or not: the round is
+                            # the tick's first all-shard contact, so a dead
+                            # worker surfaces before any world is drawn.
+                            ingest = self._stream.apply(events)
+                            partition = self.router.partition_events(events)
+                            engine._broadcast(
+                                {
+                                    shard: ApplyEvents(events=partition.get(shard, []))
+                                    for shard in range(self.router.n_shards)
+                                }
+                            )
+                    apply_seconds = sp_apply.duration_seconds
+                    effective_now = now
+                    if effective_now is None and ingest is not None:
+                        latest = ingest.latest_time
+                        current = self.monitor.now
+                        if latest is not None and (
+                            current is None or latest > current
+                        ):
+                            effective_now = latest
+                    report = self.monitor.tick((), now=effective_now)
             except ShardFailure as failure:
                 self._observe_failure(failure)
                 raise
-            finally:
-                engine._inflight = ()
             # Fold the fan-out apply cost and per-shard busy times in via
             # the explicit merge constructor — TickReport is frozen and
             # its stage dict must not be mutated behind other holders.

@@ -1,19 +1,18 @@
 """The coordinator-side engine: a ``QueryEngine`` whose sampling is remote.
 
 :class:`ShardedQueryEngine` subclasses the single-process engine and
-replaces its refinement seam, nothing else: :meth:`fill_blocks` (each
-block's columns are computed by the shards owning them and come home in
-their replies),
-:meth:`fetch_worlds` (segments are warmed where they live),
+replaces its refinement seam, nothing else: :meth:`_fill_blocks` (a
+staging pass's world lookups and each block's columns go to the shards
+owning them in one round, and the slabs come home in their replies),
+:meth:`fetch_worlds` (segments are warmed where they live) and
 :meth:`sync_mutations` (the invalidation decision is mirrored to every
-shard) and the :meth:`_staging` batch hook (one fan-out round per tick).
-All planning, filtering (the UST-tree runs over the *full* database, so
-candidate and influence sets are globally identical to single-process
-evaluation), refine caching, thresholding and monitoring logic above
-that seam is inherited unchanged, which is the whole correctness
-argument: the sharded system runs literally the same code everywhere
-except that each object's worlds are drawn inside its owning shard
-worker.
+shard).  All planning, filtering (the UST-tree runs over the *full*
+database, so candidate and influence sets are globally identical to
+single-process evaluation), staging, refine caching, thresholding and
+monitoring logic above that seam is inherited unchanged, which is the
+whole correctness argument: the sharded system runs literally the same
+code everywhere except that each object's worlds are drawn inside its
+owning shard worker.
 
 Bit-identity of the drawn worlds rests on three invariants:
 
@@ -26,10 +25,13 @@ Bit-identity of the drawn worlds rests on three invariants:
   :meth:`QueryEngine.held_batch`, so cache anchors
   (:meth:`QueryEngine._cache_window`) and stamps match the single-process
   batch exactly;
-* invalidation **timing** is mirrored: whenever the coordinator engine
-  syncs a mutation delta it broadcasts the decision (selective vs
-  wholesale) to every shard, so worker caches flush in the same tick a
-  single-process cache would.
+* invalidation **timing** is mirrored by the flag on commands: whenever
+  the coordinator engine syncs a mutation delta it owes every shard its
+  decision (selective vs wholesale), and the next command each shard
+  receives carries it as ``wholesale``; a worker syncs at the start of
+  every command, before it applies, looks up or draws anything, so its
+  caches flush before any lookup a single-process cache would make after
+  the same flush.
 
 Reuse accounting folds back losslessly because the world cache
 partitions by object: every lookup a single-process engine would perform
@@ -47,18 +49,9 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 
-import numpy as np
-
 from ..core.evaluator import QueryEngine
 from ..core.refine import RefineJob
-from .protocol import (
-    ComputeColumns,
-    ComputeJob,
-    ShardCrashed,
-    ShardFailure,
-    SyncShard,
-    WarmWorlds,
-)
+from .protocol import ComputeColumns, ComputeJob, ShardCrashed, ShardFailure
 from .sharding import ShardRouter
 
 __all__ = ["ShardedQueryEngine"]
@@ -111,16 +104,43 @@ class ShardedQueryEngine(QueryEngine):
         # window as ``(epoch, t_lo, t_hi)`` — the replay source for
         # rebuilding a crashed shard's cache bit-identically.
         self._world_windows: dict[tuple[str, int], tuple[int, int, int]] = {}
-        # Blocks fetched ahead by _staging, by ``RefineJob.key``, each with
-        # the world-cache lookups its fill made.
-        self._staged: dict[tuple, tuple[np.ndarray, list[int]]] = {}
-        #: Subscription names whose tick is in flight (set by the serving
-        #: coordinator) — folded into ShardFailure for attributability.
+        # Shards owed a wholesale flag: a sync decided one, and their next
+        # command has not carried it yet.
+        self._owed_wholesale: set[int] = set()
+        # What a sync of the serving tick in flight consumed, to put back
+        # if the tick fails (see tick_scope).
+        self._sync_undo: tuple | None = None
+        #: Subscription names whose tick is in flight (set by
+        #: :meth:`tick_scope`) — folded into ShardFailure for
+        #: attributability.
         self._inflight: tuple[str, ...] = ()
 
     # ------------------------------------------------------------------
     # transport plumbing
     # ------------------------------------------------------------------
+    @contextmanager
+    def tick_scope(self, subscriptions=()):
+        """One serving tick: names the in-flight ``subscriptions`` in a
+        :class:`ShardFailure`, and is the span a sync can be rolled back
+        in.
+
+        A dead shard aborts the tick at its first contact — for a tick
+        with events the all-shard ``ApplyEvents`` round, which precedes
+        the sync; otherwise the staging round, which follows it, with the
+        sync's counter deltas already consumed by a report that will never
+        be produced.  Such a failure rolls the sync back, so the retry tick
+        (after ``restart_shard``) redoes it and re-reports those deltas
+        exactly like the single-process twin; the structural effects (UST
+        update, arena discard, rng-tag pops) are idempotent under the redo.
+        """
+        self._inflight = tuple(subscriptions)
+        self._sync_undo = None
+        try:
+            yield
+        finally:
+            self._inflight = ()
+            self._sync_undo = None
+
     def _absorb(self, shard: int, reply) -> None:
         # Stitch the worker's finished span subtree under whatever span
         # issued this command (absorption runs on the coordinator's
@@ -136,29 +156,40 @@ class ShardedQueryEngine(QueryEngine):
             self.shard_busy_seconds.get(shard, 0.0) + reply.busy_seconds
         )
 
-    def _request(self, shard: int, command):
-        if self.tracer.enabled and hasattr(command, "trace"):
-            command.trace = self.tracer.context()
+    def _send(self, commands: dict[int, object], transport_call) -> dict:
+        """One round: stamp each command with its shard's owed flag (and
+        the trace context), send it through ``transport_call``, absorb the
+        replies."""
+        ctx = self.tracer.context() if self.tracer.enabled else None
+        for shard, command in commands.items():
+            if hasattr(command, "wholesale"):
+                command.wholesale = shard in self._owed_wholesale
+            if ctx is not None and hasattr(command, "trace"):
+                command.trace = ctx
         try:
-            reply = self._transport.request(shard, command)
+            replies = transport_call(commands)
         except ShardCrashed as exc:
+            undo, self._sync_undo = self._sync_undo, None
+            if undo is not None:
+                (
+                    self._mut_seen,
+                    self.index_updates.value,
+                    self.worlds_invalidated.value,
+                    self._world_windows,
+                    self._owed_wholesale,
+                ) = undo
             raise ShardFailure(exc.shard, exc.detail, self._inflight) from exc
-        self._absorb(shard, reply)
-        return reply.payload
-
-    def _broadcast(self, commands: dict[int, object]) -> dict[int, object]:
-        if self.tracer.enabled:
-            ctx = self.tracer.context()
-            for command in commands.values():
-                if hasattr(command, "trace"):
-                    command.trace = ctx
-        try:
-            replies = self._transport.broadcast(commands)
-        except ShardCrashed as exc:
-            raise ShardFailure(exc.shard, exc.detail, self._inflight) from exc
+        self._owed_wholesale.difference_update(commands)
         for shard, reply in replies.items():
             self._absorb(shard, reply)
         return {shard: reply.payload for shard, reply in replies.items()}
+
+    def _request(self, shard: int, command):
+        request = self._transport.request
+        return self._send({shard: command}, lambda c: {shard: request(shard, c[shard])})[shard]
+
+    def _broadcast(self, commands: dict[int, object]) -> dict[int, object]:
+        return self._send(commands, self._transport.broadcast)
 
     def reset_shard_timings(self) -> None:
         for shard in self.shard_busy_seconds:
@@ -168,49 +199,38 @@ class ShardedQueryEngine(QueryEngine):
     # mutation sync: mirror the decision to every shard
     # ------------------------------------------------------------------
     def sync_mutations(self, wholesale: bool = False) -> None:
+        """Sync the coordinator's own structures and owe every shard the
+        decision: a wholesale one rides each shard's next command as
+        ``wholesale=True`` (the coordinator's log can overflow when a
+        worker's does not); a selective one needs no flag, as workers
+        sync their own delta at the start of every command — before
+        anything a single-process engine would do after the same sync."""
         if self.db.version == self._mut_seen and not wholesale:
             return
-        saved = (self._mut_seen, self.index_updates.value, self.worlds_invalidated.value)
-        saved_windows = dict(self._world_windows)
+        if self._sync_undo is None:
+            self._sync_undo = (
+                self._mut_seen,
+                self.index_updates.value,
+                self.worlds_invalidated.value,
+                dict(self._world_windows),
+                set(self._owed_wholesale),
+            )
         changed = None if wholesale else self.db.changed_since(self._mut_seen)
         super().sync_mutations(wholesale=changed is None)
         if changed is None:
             self._world_windows.clear()
+            self._owed_wholesale = set(range(self.router.n_shards))
         else:
             doomed = [k for k in self._world_windows if k[0] in changed]
             for key in doomed:
                 del self._world_windows[key]
             # The mirror is 1:1 with worker cache entries, so its pop
-            # count *is* the number of segments the
-            # workers drop for this delta.  Counting here — instead of
-            # absorbing worker counters — keeps the per-tick count correct
-            # across worker crashes, where the dropped entries die with
-            # the worker but the mirror remembers them.
+            # count *is* the number of segments the workers drop for this
+            # delta.  Counting here — instead of absorbing worker counters
+            # — keeps the per-tick count correct across worker crashes,
+            # where the dropped entries die with the worker but the mirror
+            # remembers them.
             self.worlds_invalidated.inc(len(doomed))
-        # Broadcast even when no worker holds a delta of its own: the
-        # wholesale flag must reach every shard (the coordinator's log can
-        # overflow when a worker's does not), and a selective sync is a
-        # cheap no-op on untouched shards.  Synchronizing *now* — at the
-        # same point of the tick a single-process engine invalidates —
-        # keeps per-tick ``worlds_invalidated`` deltas bit-identical.
-        try:
-            self._broadcast(
-                {
-                    shard: SyncShard(wholesale=changed is None)
-                    for shard in range(self.router.n_shards)
-                }
-            )
-        except ShardFailure:
-            # A dead shard aborts the tick here — the first all-shard
-            # contact — with the sync's counter deltas already consumed by
-            # a report that will never be produced.  Roll the sync back so
-            # the retry tick (after restart_shard) redoes it and re-reports
-            # those deltas exactly like the single-process twin; the
-            # structural effects (UST update, arena discard, rng-tag pops)
-            # are idempotent under the redo.
-            self._mut_seen, self.index_updates.value, self.worlds_invalidated.value = saved
-            self._world_windows = saved_windows
-            raise
 
     # ------------------------------------------------------------------
     # window mirroring (crash-replay bookkeeping)
@@ -239,11 +259,12 @@ class ShardedQueryEngine(QueryEngine):
 
         Forgets the lost worker's last-seen counters (the replacement's
         start from zero; totals absorbed before the crash stay) and warms
-        exactly the segments mirrored for the monitoring epoch.  Objects
-        with mutations this engine has not synced yet are left out: the
-        next tick invalidates and redraws them (the mirror still counts the
-        drop), exactly as on a worker that never died — and when that sync
-        will be wholesale, nothing is replayable.
+        exactly the segments mirrored for the monitoring epoch — the
+        staging command with no jobs.  Objects with mutations this engine
+        has not synced yet are left out: the next tick invalidates and
+        redraws them (the mirror still counts the drop), exactly as on a
+        worker that never died — and when that sync will be wholesale,
+        nothing is replayable.
         """
         self._shard_metric_seen[shard] = {}
         epoch = self._draw_epoch if self._last_batch_epoch is None else self._last_batch_epoch
@@ -257,94 +278,44 @@ class ShardedQueryEngine(QueryEngine):
         )
         if not items:
             return {"restored": 0}
-        return self._request(shard, WarmWorlds(epoch=epoch, items=items))
+        restored, _ = self._request(shard, ComputeColumns(epoch=epoch, window=None, items=items))
+        return {"restored": restored}
 
     # ------------------------------------------------------------------
     # the refinement seam, remote
     # ------------------------------------------------------------------
     def fetch_worlds(self, items) -> list:
-        targets: dict[int, list] = {}
-        for oid, n, lo, hi in items:
-            targets.setdefault(self.router.shard_of(oid), []).append((oid, n, lo, hi))
-            self._note_window(oid, n, lo, hi)
-        self._broadcast(
-            {
-                shard: WarmWorlds(epoch=self._draw_epoch, items=tuple(shard_items))
-                for shard, shard_items in targets.items()
-            }
-        )
+        self._fill_blocks([], [], items)
         return []
 
-    def fill_blocks(self, jobs: list[RefineJob]) -> list[np.ndarray]:
-        """Blocks fetched ahead by :meth:`_staging` are handed over once —
-        releasing their held-back lookups to the consuming evaluation's
-        report; the columns still missing fan out to the owning shards in
-        one round."""
-        results, todo = [], []
-        for j, job in enumerate(jobs):
-            block, missing = self._take_staged(job)
-            results.append(block)
-            if missing:
-                todo.append((j, missing))
-        fetched = self._fan_out([jobs[j].columns(missing) for j, missing in todo])[0]
-        for (j, missing), sub in zip(todo, fetched):
-            if results[j] is None:
-                results[j] = sub
-            else:
-                results[j][missing] = sub
-        return results
-
-    def _take_staged(self, job: RefineJob) -> tuple[np.ndarray | None, list[int]]:
-        """The staged block for ``job`` and the positions it still lacks.
-
-        Besides the job's own block, a block staged for a *subset* of its
-        columns serves: the staging predicted a refine-cache patch of the
-        stale columns, and the cache (full at a small capacity) evicted the
-        entry before this evaluation came, so the whole block is asked for.
-        Its columns' lookups happened once, as a single process makes them.
-        """
-        every = list(range(len(job.object_ids)))
-        key = job.key
-        if key not in self._staged:
-            ids = set(job.object_ids)
-            key = next(
-                (
-                    k
-                    for k in self._staged
-                    if k[:3] == job.key[:3] and k[4] == job.n and ids.issuperset(k[3])
-                ),
-                None,
-            )
-            if key is None:
-                return None, every
-        staged, lookups = self._staged.pop(key)
-        for i, n in enumerate(lookups):
-            self._lookups_ahead[i] -= n
-        if key == job.key:
-            return staged, []
-        block = job.empty()
-        have = [job.object_ids.index(oid) for oid in key[3]]
-        block[have] = staged
-        return block, sorted(set(every) - set(have))
-
-    def _fan_out(self, jobs: list[RefineJob]) -> tuple[list[np.ndarray], list[list[int]]]:
-        """Fill ``jobs`` on the shards owning their columns, in one round.
+    def _fill_blocks(self, jobs: list[RefineJob], lives: list, warm=()):
+        """The staging pass in one round: each shard gets one
+        :class:`ComputeColumns` with the ``warm`` items it owns and its
+        live columns of every job, syncs, warms, then computes.
 
         Each worker returns the object slabs of the ids it owns in its
         reply, each with the world-cache lookups its fill made; the slabs
         are scattered here into the blocks' ``(objects, times, worlds)``
-        layout.  Returns the blocks and each job's ``[hits, partial hits,
-        misses]``.
+        layout (dead columns are filled here).  Returns the blocks and
+        each job's ``[hits, partial hits, misses]``.
         """
         blocks = [job.empty() for job in jobs]
         lookups = [[0, 0, 0] for _ in jobs]
+        items: dict[int, list] = {}
+        for item in warm:
+            items.setdefault(self.router.shard_of(item[0]), []).append(item)
         per_shard: dict[int, list[ComputeJob]] = {}
-        for j, job in enumerate(jobs):
-            for shard, cols in self.router.partition_positions(job.object_ids).items():
+        for j, (job, (_, live)) in enumerate(zip(jobs, lives)):
+            live_ids = [job.object_ids[c] for c in live]
+            for shard, at in self.router.partition_positions(live_ids).items():
                 per_shard.setdefault(shard, []).append(
-                    ComputeJob(**vars(job.columns(cols)), job_index=j, col_index=tuple(cols))
+                    ComputeJob(
+                        job.kind, job.coords, job.times, tuple(live_ids[i] for i in at), job.n,
+                        job_index=j, col_index=tuple(int(live[i]) for i in at),
+                    )
                 )
-        if not per_shard:
+        shards = sorted(set(items) | set(per_shard))
+        if not shards:
             return blocks, lookups
         # The fan-out span collects each worker's stitched "shard-sweep"
         # child (attached during absorption); "gather" times the
@@ -355,61 +326,25 @@ class ShardedQueryEngine(QueryEngine):
                     shard: ComputeColumns(
                         epoch=self._draw_epoch,
                         window=self._batch_window,
-                        jobs=shard_jobs,
+                        items=tuple(items.get(shard, ())),
+                        jobs=per_shard.get(shard, []),
                     )
-                    for shard, shard_jobs in per_shard.items()
+                    for shard in shards
                 }
             )
-            sp_fanout.set(shards=len(per_shard), jobs=len(jobs))
+            sp_fanout.set(shards=len(shards), jobs=len(jobs))
         with self.tracer.span("gather"):
-            for shard, payload in payloads.items():
-                for job, (sub, counts) in zip(per_shard[shard], payload):
+            for shard, (_, filled) in payloads.items():
+                for job, (sub, counts) in zip(per_shard.get(shard, ()), filled):
                     blocks[job.job_index][list(job.col_index)] = sub
                     for i, n in enumerate(counts):
                         lookups[job.job_index][i] += n
-        for job in jobs:
-            alive, live = self._live_columns(job.object_ids, job.times)
+        # The workers looked the items up first, then filled.
+        for oid, n, lo, hi in warm:
+            self._note_window(oid, n, lo, hi)
+        for job, (alive, live) in zip(jobs, lives):
             for c in live:
                 oid = job.object_ids[c]
                 lo, hi = self._cache_window(self.db.get(oid), job.times[alive[c]])
                 self._note_window(oid, job.n, lo, hi)
         return blocks, lookups
-
-    @contextmanager
-    def _staging(self, reqs: list):
-        """Fetch the blocks the batch will ask for in one fan-out round.
-
-        Runs the plan and filter stages per request (both deterministic
-        and RNG-free; the filter result is the batch's shared one — see
-        :meth:`QueryEngine.shared_filter` — so nothing is pruned again
-        inside ``evaluate``) and asks the refine cache which columns a
-        lookup would recompute, yielding exactly the jobs the evaluations
-        will hand :meth:`fill_blocks`.  Identical jobs collapse (the first
-        consumer wins), so staged work matches single-process compute work
-        column for column.  A prediction miss is harmless: the evaluation
-        falls back to a live per-request fan-out.
-        """
-        if self._batch_depth > 1:  # a nested batch rides the outer one's round
-            yield
-            return
-        # Invalidate before any window is noted: without pruning the filter
-        # never syncs, and a re-added object's fresh window would be counted
-        # as a dropped one.
-        self.sync_mutations()
-        jobs: dict[tuple, RefineJob] = {}
-        for req in reqs:
-            try:
-                job = self._fill_job(req)
-            except Exception:
-                continue  # prediction must never fail a batch (evaluate() raises itself)
-            if job is not None and job.object_ids:
-                jobs.setdefault(job.key, job)
-        try:
-            if jobs:
-                blocks, lookups = self._fan_out(list(jobs.values()))
-                self._staged = dict(zip(jobs, zip(blocks, lookups)))
-                self._lookups_ahead = [sum(col) for col in zip(*lookups)]
-            yield
-        finally:
-            self._staged.clear()
-            self._lookups_ahead = [0, 0, 0]

@@ -6,6 +6,12 @@ multi-process transport (pickled over pipes).  Every reply carries the
 worker registry's cumulative snapshot and the handler's busy time, so
 the coordinator can fold per-shard reuse accounting and stage timings
 into the single-process report format without extra round trips.
+
+Two commands do the work: :class:`ApplyEvents` (a tick's ingest) and
+:class:`ComputeColumns` (its staging pass: world lookups and block
+columns together).  Each carries the ``wholesale`` flag of the
+coordinator's mutation sync, so invalidation needs no round of its own:
+a worker syncs its engine at the start of every command.
 """
 
 from __future__ import annotations
@@ -18,10 +24,8 @@ from ..core.refine import RefineJob
 __all__ = [
     "WorkerConfig",
     "ApplyEvents",
-    "SyncShard",
     "ComputeJob",
     "ComputeColumns",
-    "WarmWorlds",
     "CrashWorker",
     "Shutdown",
     "Reply",
@@ -61,23 +65,11 @@ class ApplyEvents:
     """Apply this shard's sub-batch of a centrally validated event batch."""
 
     events: list
+    #: Mirror of the coordinator's mutation-sync decision (see
+    #: :class:`ComputeColumns`), stamped on by the coordinator.
+    wholesale: bool = False
     #: Optional :class:`repro.obs.TraceContext` — the coordinator span to
     #: parent this command's worker-side span under (``None`` = no trace).
-    trace: Any = None
-
-
-@dataclass
-class SyncShard:
-    """Mirror the coordinator's mutation-sync decision.
-
-    ``wholesale=True`` forces a full flush (new worlds token, fresh
-    arena) even when the worker's own mutation log could name the delta —
-    the coordinator's log may have overflowed when the worker's did not,
-    and invalidation *timing* must match the single-process engine for
-    per-tick reuse counters to stay bit-identical.
-    """
-
-    wholesale: bool
     trace: Any = None
 
 
@@ -98,35 +90,33 @@ class ComputeJob(RefineJob):
 
 @dataclass
 class ComputeColumns:
-    """Compute a batch of jobs under the coordinator's batch context.
+    """Look world items up, then compute jobs, under the coordinator's
+    batch context — one tick's staging pass on one shard.
 
-    ``epoch``/``window`` pin the worker's draw epoch and batch window to
-    the coordinator's, so cache anchors and RNG seeds are identical to
-    what a single-process batch would use.  The reply's payload holds one
-    ``(sub-block, [hits, partial hits, misses])`` pair per job: its slabs
-    and the world-cache lookups filling them made.
+    ``items`` are ``(object_id, n_samples, t_lo, t_hi)`` cache windows of
+    objects the shard owns: a tick's world targets, or — after a restart,
+    with no jobs — the windows the coordinator mirrored for the lost
+    worker.  A fresh one-shot draw over a window is bit-identical to the
+    original draw plus its forward extensions (the world-cache extension
+    contract), so resumption after a replay is exact.  ``epoch``/``window``
+    pin the worker's draw epoch and batch window to the coordinator's, so
+    cache anchors and RNG seeds are identical to what a single-process
+    batch would use.  ``wholesale=True`` makes the worker's sync a full
+    flush (new worlds token, fresh arena) even when its own mutation log
+    could name the delta — the coordinator's log may have overflowed when
+    the worker's did not, and invalidation must match the single-process
+    engine for per-tick reuse counters to stay bit-identical.
+
+    The reply's payload is ``(items looked up, pairs)``: one ``(sub-block,
+    [hits, partial hits, misses])`` pair per job — its slabs and the
+    world-cache lookups filling them made.
     """
 
     epoch: int
     window: tuple | None
-    jobs: list
-    trace: Any = None
-
-
-@dataclass
-class WarmWorlds:
-    """Look these world segments up — drawing what is missing — at ``epoch``.
-
-    ``items`` are ``(object_id, n_samples, t_lo, t_hi)`` cache windows of
-    objects the shard owns: a tick's dirty objects ahead of its
-    evaluations, or — after a restart — the windows the coordinator
-    mirrored for the lost worker.  A fresh one-shot draw over a window is
-    bit-identical to the original draw plus its forward extensions (the
-    world-cache extension contract), so resumption after a replay is exact.
-    """
-
-    epoch: int
-    items: tuple
+    items: tuple = ()
+    jobs: list = field(default_factory=list)
+    wholesale: bool = False
     trace: Any = None
 
 

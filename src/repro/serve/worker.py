@@ -9,12 +9,12 @@ of the database and the coordinator's engine options unchanged: it draws
 every world inside :meth:`QueryEngine.held_batch` under the epoch and
 window the command carries, and never reaches the coordinator-side
 refine cache.  The worker drives it through the engine's public
-refinement seam only —
-:meth:`~QueryEngine.sync_mutations`, :meth:`~QueryEngine.fill_blocks`
-on its share of each block's columns (the filled slabs are the reply's
-payload), :meth:`~QueryEngine.fetch_worlds` — and never touches the
-UST-tree: filtering is global and runs on the coordinator, so index
-counters live in exactly one place.
+refinement seam only — :meth:`~QueryEngine.sync_mutations` at the start
+of every command (with the coordinator's ``wholesale`` flag), and
+:meth:`~QueryEngine.fill_blocks` on the world items and the share of
+each block's columns it owns (the filled slabs are the reply's payload)
+— and never touches the UST-tree: filtering is global and runs on the
+coordinator, so index counters live in exactly one place.
 """
 
 from __future__ import annotations
@@ -33,8 +33,6 @@ from .protocol import (
     ErrorReply,
     Reply,
     Shutdown,
-    SyncShard,
-    WarmWorlds,
     WorkerConfig,
 )
 
@@ -48,9 +46,7 @@ class ShardWorkerState:
     #: shows these stitched under the span that issued the command).
     SPAN_NAMES = {
         "ApplyEvents": "shard-ingest",
-        "SyncShard": "shard-sync",
         "ComputeColumns": "shard-sweep",
-        "WarmWorlds": "shard-warm",
     }
 
     def __init__(self, config: WorkerConfig) -> None:
@@ -99,34 +95,22 @@ class ShardWorkerState:
 
     def _dispatch(self, command):
         engine = self.engine
+        if not isinstance(command, (ApplyEvents, ComputeColumns)):
+            raise TypeError(
+                f"shard {self.shard}: unknown command {type(command).__name__}"
+            )
+        # The coordinator's invalidation decision rides every command.
+        engine.sync_mutations(wholesale=command.wholesale)
         if isinstance(command, ApplyEvents):
             result = self.stream.apply(command.events)
             return {"applied": result.applied, "dirty": sorted(result.dirty)}
-        if isinstance(command, SyncShard):
-            engine.sync_mutations(wholesale=command.wholesale)
-            return None
-        if isinstance(command, ComputeColumns):
-            # Each slab comes home with the world-cache lookups its fill
-            # made, so the coordinator can charge them to the evaluation
-            # that consumes the block.
-            engine.sync_mutations()
-            lookups = (engine.worlds.hits, engine.worlds.partial_hits, engine.worlds.misses)
-            out = []
-            with engine.held_batch(command.epoch, command.window):
-                for job in command.jobs:
-                    before = [counter.value for counter in lookups]
-                    (slab,) = engine.fill_blocks([job])
-                    out.append((slab, [c.value - b for c, b in zip(lookups, before)]))
-            return out
-        if isinstance(command, WarmWorlds):
-            engine.sync_mutations()
-            items = [item for item in command.items if item[0] in engine.db]
-            with engine.held_batch(command.epoch):
-                engine.fetch_worlds(items)
-            return {"restored": len(items)}
-        raise TypeError(
-            f"shard {self.shard}: unknown command {type(command).__name__}"
-        )
+        # Sync, warm, compute: each slab comes home with the world-cache
+        # lookups its fill made, so the coordinator can charge them to the
+        # evaluation that consumes the block.
+        items = [item for item in command.items if item[0] in engine.db]
+        with engine.held_batch(command.epoch, command.window):
+            blocks, lookups = engine.fill_blocks(command.jobs, warm=items)
+        return len(items), list(zip(blocks, lookups))
 
 
 def worker_main(conn, config: WorkerConfig) -> None:

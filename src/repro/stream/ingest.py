@@ -222,7 +222,7 @@ class ObservationStream:
                         try:
                             observations = ObservationSet(observations)  # validates
                         except (TypeError, ValueError) as exc:
-                            raise ValueError(f"{context}: {exc}") from None
+                            raise type(exc)(f"{context}: {exc}") from None
                     self.db.check_states(context, observations)
                     if (
                         event.chain is not None
@@ -249,7 +249,7 @@ class ObservationStream:
                     try:
                         observation = Observation(event.time, event.state)
                     except (TypeError, ValueError) as exc:
-                        raise ValueError(f"{context}: {exc}") from None
+                        raise type(exc)(f"{context}: {exc}") from None
                     self.db.check_states(context, [observation])
                     chain, observed = fixes_of(object_id)
                     if observed.state_at(observation.time) is not None:

@@ -15,15 +15,16 @@ stream clock); each :meth:`~ContinuousMonitor.tick` then
    window shared by the subscriptions that need it), or whose influence
    set intersects the dirty objects — everything else is provably
    unchanged and skipped;
-3. **coalesces** the due subscriptions: one world pass looks up every
-   world their evaluations will read
+3. **coalesces** the due subscriptions: one staging pass
    (:meth:`~repro.core.evaluator.QueryEngine.prefetch_worlds` with the
-   due requests — one adaptation, compile and arena draw for the tick's
-   newcomers), then one
+   due requests) plans and filters each due request once, looks up every
+   world their evaluations will read — one adaptation, compile and arena
+   draw for the tick's newcomers — and fills the blocks those
+   evaluations will be handed, all together; then one
    :meth:`~repro.core.evaluator.QueryEngine.evaluate_many` batch reads
-   them over the held draw epoch, widened to the union window of *all*
-   subscriptions so cached world anchors never depend on which subset
-   happened to fire;
+   the staged plans and blocks over the held draw epoch, widened to the
+   union window of *all* subscriptions so cached world anchors never
+   depend on which subset happened to fire;
 4. **notifies**: every subscription receives a delta
    :class:`Notification` (``changed``/unchanged, with the fresh or cached
    result and its :class:`~repro.core.results.EvaluationReport`), and the
@@ -151,12 +152,15 @@ class TickReport:
 
     ``stage_seconds`` breaks the tick's wall time into its stages:
     ``ingest`` (event application, dirty-set derivation, index
-    maintenance and the tick's one world pass — every world the due
-    evaluations read, looked up, adapted, compiled and drawn in one batch:
-    the ingest-to-ready cost), ``schedule``
+    maintenance and the tick's one world pass — every due request planned
+    and filtered, every world its evaluation reads looked up, adapted,
+    compiled and drawn, and every block it will be handed filled, in one
+    batch: the ingest-to-ready cost), ``schedule``
     (re-evaluation verdicts), ``evaluate`` (the coalesced
     ``evaluate_many`` call, further split into the summed per-request
-    ``filter`` and ``estimate`` stage timings) and ``notify``
+    ``filter`` and ``estimate`` stage timings — the block fills of a tick
+    with a world pass sit in ``ingest``, not here; a refreshing tick,
+    which has none, stages inside ``evaluate``) and ``notify``
     (delta/callback delivery).
     """
 
@@ -425,20 +429,23 @@ class ContinuousMonitor:
             schedule_seconds = sp_schedule.duration_seconds
             due = [d for d in decisions if d.due]
 
-            # Ingest-to-ready: the tick's one world pass.  One
-            # prefetch_worlds call syncs the index and looks up every world
-            # the due evaluations will read — into the epoch they read and
-            # over the union window they anchor at — so the tick's
-            # newcomers are adapted, compiled and drawn in one batch and
-            # each evaluation finds its worlds cached.  The targets are
-            # what the evaluations would draw themselves: each due
-            # request's live refine set at its planned world count when its
-            # estimator samples every influence object (hybrid, bounds and
-            # exact draw for themselves, or not at all — a world drawn
-            # that nobody reads would move a later anchor), plus the dirty
-            # objects some due subscription was influenced by last tick.
-            # A tick whose subscriptions all proved clean samples nothing;
-            # a refreshing tick has no epoch to draw into before its batch.
+            # Ingest-to-ready: the tick's one staging pass.  One
+            # prefetch_worlds call syncs the index, plans and filters each
+            # due request once and looks up every world the due
+            # evaluations will read — into the epoch they read and over
+            # the union window they anchor at — so the tick's newcomers
+            # are adapted, compiled and drawn in one batch; then it fills
+            # the blocks those evaluations will be handed, together, and
+            # holds them (and the plans) for the batch below.  The
+            # targets are what the evaluations would draw themselves:
+            # each due request's live refine set at its planned world
+            # count when its estimator samples every influence object
+            # (hybrid, bounds and exact draw for themselves, or not at
+            # all — a world drawn that nobody reads would move a later
+            # anchor), plus the dirty objects some due subscription was
+            # influenced by last tick.  A tick whose subscriptions all
+            # proved clean samples nothing; a refreshing tick has no epoch
+            # to draw into before its batch, which stages for itself.
             with tracer.span("prefetch") as sp_prefetch:
                 if due and not refreshing:
                     self.engine.restore_batch_epoch()

@@ -18,7 +18,11 @@ __all__ = ["Observation", "ObservationSet", "as_integer"]
 
 
 def as_integer(name: str, value) -> int:
-    """``value`` as an ``int``: integers (numpy's too) and integral finite floats."""
+    """``value`` as an ``int``: integers (numpy's too) and integral finite
+    floats.  A bool is refused (``TypeError``): ``operator.index`` would
+    land ``True`` as 1 — a time or state nobody meant."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
     try:
         return operator.index(value)
     except TypeError:

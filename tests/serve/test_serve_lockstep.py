@@ -71,7 +71,7 @@ def test_lockstep_reverse_and_hybrid(n_shards, mode, crash_before):
     leaves out: ``"states"`` jobs staged for reverse requests, blocks a
     hybrid request fills live from inside ``evaluate``, and — in the crash
     case — ``restart_shard`` replaying the lost worker's segments through
-    the same ``WarmWorlds`` command a tick's prefetch sends."""
+    the staging command a tick sends, with no jobs."""
     db_a, db_b = twin_db(), twin_db()
     monitor = ContinuousMonitor(QueryEngine(db_a, n_samples=100, seed=SEED))
     sampled_by_hybrid = 0
@@ -144,35 +144,37 @@ def test_workers_run_the_coordinators_engine(options):
             assert worker.metrics.value("estimate_cache_misses_total") == 0
 
 
-def test_overflowed_log_syncs_wholesale_with_the_same_answers(monkeypatch):
+def test_overflowed_log_syncs_wholesale_with_the_same_answers():
     """The wholesale fallback through its real trigger: with
     ``MUTATION_LOG_LIMIT = 0`` the database can never name what a tick
-    touched, so every sync carries ``SyncShard(wholesale=True)`` and every
-    worker flushes — result payloads stay those of the default twin tick
-    by tick, at strictly more index rebuilds and world redraws."""
-    from repro.serve import engine as serve_engine
-
-    flags = []
-    sync_shard = serve_engine.SyncShard
-    monkeypatch.setattr(
-        serve_engine,
-        "SyncShard",
-        lambda wholesale: flags.append(wholesale) or sync_shard(wholesale=wholesale),
-    )
+    touched, so the coordinator owes every shard ``wholesale=True`` on its
+    next command and every worker flushes — result payloads stay those of
+    the default twin tick by tick, at strictly more index rebuilds and
+    world redraws.  The flag rides the commands themselves: no round of
+    its own."""
     totals = {}
     payloads = {}
     for limit in (None, 0):
         db = twin_db()
         if limit is not None:
             db.MUTATION_LOG_LIMIT = limit
-        flags.clear()
+        flags = []
         with ServeCoordinator(
             db, n_shards=2, seed=SEED, mode="inline", n_samples=100
         ) as coord:
+            transport = coord._transport
+            broadcast = transport.broadcast
+
+            def recorded(commands, broadcast=broadcast, flags=flags):
+                flags.extend((shard, command.wholesale) for shard, command in commands.items())
+                return broadcast(commands)
+
+            transport.broadcast = recorded
             for name, request in standard_subscriptions():
                 coord.subscribe(request, name=name)
             reports = [coord.tick(events) for events in event_script(db)]
-        assert flags and all(flag is (limit == 0) for flag in flags), (limit, flags)
+        flagged = {shard for shard, flag in flags if flag}
+        assert flags and flagged == ({0, 1} if limit == 0 else set()), (limit, flags)
         payloads[limit] = [
             [(n.subscription, _result_payload(n.result)) for n in r.notifications]
             for r in reports
@@ -284,12 +286,19 @@ def test_inline_crash_containment_and_restart():
             )
 
 
-def test_crash_at_sync_broadcast_keeps_recovery_counters_exact():
-    """A dead shard that owns none of the tick's events surfaces at the
-    all-shard ``SyncShard`` broadcast — after the coordinator has already
-    consumed the sync's ``index_updates``/``worlds_invalidated`` deltas.
-    The sync must roll back so the recovery tick re-reports them exactly
-    like the single-process twin (including ``worlds_invalidated``)."""
+@pytest.mark.parametrize("dies", ["before-apply", "after-apply"])
+def test_crash_at_first_contact_keeps_recovery_counters_exact(dies):
+    """A dead shard aborts the tick at its first contact with the tick,
+    and the recovery tick re-reports the sync's ``index_updates`` /
+    ``worlds_invalidated`` deltas exactly like the single-process twin.
+
+    ``before-apply``: the dead shard owns none of the tick's events, and
+    still surfaces at the ``ApplyEvents`` round — sent to every shard, it
+    is the tick's first all-shard contact, ahead of the sync and of any
+    world draw.  ``after-apply``: the shard owning the mutated object dies
+    right after applying it, so it surfaces at the staging round, after
+    the coordinator's sync consumed its counter deltas — which the failed
+    tick rolls back, so the retry redoes them."""
     db_a, db_b = twin_db(), twin_db()
     monitor = ContinuousMonitor(QueryEngine(db_a, n_samples=100, seed=SEED))
     with ServeCoordinator(
@@ -299,20 +308,35 @@ def test_crash_at_sync_broadcast_keeps_recovery_counters_exact():
             monitor.subscribe(request, name=name)
             coord.subscribe(request, name=name)
         assert_reports_identical(monitor.tick([]), coord.tick([]), ("warm",))
-        # Mutate an object and crash the *other* shard, so ApplyEvents
-        # succeeds and the failure hits the subsequent sync broadcast.
         target = sorted(o.object_id for o in db_a)[0]
-        dead = 1 - shard_of(target, 2)
+        owner = shard_of(target, 2)
         ext_a = feasible_extension(db_a, target)
         ext_b = feasible_extension(db_b, target)
-        coord.inject_crash(dead)
+        transport = coord._transport
+        if dies == "before-apply":
+            dead = 1 - owner
+            coord.inject_crash(dead)
+        else:
+            dead = owner
+            broadcast = transport.broadcast
+
+            def apply_then_die(commands):
+                replies = broadcast(commands)
+                transport.broadcast = broadcast
+                coord.inject_crash(dead)
+                return replies
+
+            transport.broadcast = apply_then_die
+        before = coord.engine.index_updates.value
         with pytest.raises(ShardFailure) as excinfo:
             coord.tick([ext_b])
         assert excinfo.value.shard == dead
+        # Nothing the failed tick synced stays consumed.
+        assert coord.engine.index_updates.value == before
         coord.restart_shard(dead)
         ra = monitor.tick([ext_a])
         rb = coord.tick((), now=monitor.now)
         assert ra.reuse["index_updates"] == 1
         assert ra.reuse["worlds_invalidated"] >= 1
-        assert_reports_identical(ra, rb, ("sync-crash recovery",))
-        assert_reports_identical(monitor.tick([]), coord.tick([]), ("after",))
+        assert_reports_identical(ra, rb, ("crash recovery", dies))
+        assert_reports_identical(monitor.tick([]), coord.tick([]), ("after", dies))

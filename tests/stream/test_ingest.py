@@ -251,6 +251,39 @@ class TestErrorAttribution:
             db.add_object("c", [(0, 0.5), (3, 2)])
         assert db.version == v
 
+    @pytest.mark.parametrize(
+        "event, pattern",
+        [
+            (AddObservation("a", 2, True), r"event 1 \(object 'a'\): state must be an integer, got True"),
+            (AddObservation("a", True, 1), r"event 1 \(object 'a'\): time must be an integer, got True"),
+            (AddObject("c", [(0, False), (3, 2)]), r"event 1 \(object 'c'\): state .* got False"),
+            (AddObject("c", [(False, 0), (3, 2)]), r"event 1 \(object 'c'\): time .* got False"),
+        ],
+        ids=["observation-state", "observation-time", "object-state", "object-time"],
+    )
+    def test_bool_times_and_states_are_type_errors(self, db, event, pattern):
+        """``operator.index(True)`` is 1: a bool must not land as state 1
+        or time 1."""
+        stream = ObservationStream(db)
+        v = db.version
+        for check in (stream.validate, stream.apply):
+            with pytest.raises(TypeError, match=pattern):
+                check([RemoveObject("b"), event])
+        assert db.version == v and "b" in db and "c" not in db
+        assert db.get("a").observations.as_pairs() == [(0, 0), (4, 2)]
+
+    def test_direct_api_rejects_bool_observations(self, db):
+        v = db.version
+        with pytest.raises(TypeError, match="state must be an integer, got True"):
+            db.add_observation("a", 2, True)
+        with pytest.raises(TypeError, match="time must be an integer, got True"):
+            db.add_observation("a", True, 1)
+        with pytest.raises(TypeError, match="state must be an integer, got False"):
+            db.add_object("c", [(0, False), (3, 2)])
+        with pytest.raises(TypeError, match="time must be an integer, got True"):
+            db.add_object("c", [(True, 0), (3, 2)])
+        assert db.version == v and "c" not in db
+
     def test_integral_floats_and_numpy_integers_land_as_integers(self, db):
         ObservationStream(db).apply(
             [AddObservation("a", 2.0, np.int64(1)), AddObject("c", [(0.0, 0), (np.int32(3), 2.0)])]

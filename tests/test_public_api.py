@@ -174,6 +174,8 @@ class TestEngineOptionCount:
             # ... and of the five spellings of a refinement block (PR 24).
             r"|_cached_states_block|_cached_distance_tensor|_predict_columns"
             r"|_staged_key|PrefetchWorlds"
+            # ... and of the invalidation and warm-up rounds of their own.
+            r"|SyncShard|WarmWorlds"
             # ... and of the shared-memory gather and the threaded fan-out.
             r"|uses_shm|shm_name|shm_offset|_open_shm|SharedMemory|asyncio"
             r"|ThreadPoolExecutor|roundtrip_seconds"
@@ -223,7 +225,7 @@ class TestRefinementSeam:
     """A refinement block is one record, filled by one method, patched by
     one cache; the serve tier replaces that seam and nothing else."""
 
-    SEAM = {"fill_blocks", "fetch_worlds", "sync_mutations", "_staging"}
+    SEAM = {"_fill_blocks", "fetch_worlds", "sync_mutations"}
 
     def test_sharded_engine_overrides_only_the_seam(self):
         from repro.serve.engine import ShardedQueryEngine

@@ -92,8 +92,17 @@ class TestHostileValues:
         obs = Observation(np.int64(3), 2.0)
         assert obs == Observation(3, 2)
         assert type(obs.time) is int and type(obs.state) is int
-        s = ObservationSet([(np.int32(4), np.float64(1.0)), (np.uint8(0), True)])
+        s = ObservationSet([(np.int32(4), np.float64(1.0)), (np.uint8(0), np.int16(1))])
         assert s.as_pairs() == [(0, 1), (4, 1)]
+
+    @pytest.mark.parametrize("time, state", [(True, 0), (3, False)])
+    def test_bools_rejected(self, time, state):
+        """``operator.index(True)`` is 1: a bool is a type error, not a
+        time or state."""
+        with pytest.raises(TypeError, match="must be an integer, got (True|False)"):
+            Observation(time, state)
+        with pytest.raises(TypeError, match="must be an integer"):
+            ObservationSet([(0, 0), (time, state)])
 
     @pytest.mark.parametrize("value", [None, "3", [1]])
     def test_non_numbers_rejected(self, value):
