@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import hashlib
 from contextlib import contextmanager
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Sequence
 
@@ -78,6 +79,32 @@ from .results import (
 from .worlds import WorldCache
 
 __all__ = ["QueryEngine"]
+
+
+@dataclass(frozen=True)
+class Staged:
+    """A request's plan and, when it refines a block of fixed content, the
+    block's ``(depth, job key)``, the block and the world-cache ``(hits,
+    partial hits, misses)`` filling it made."""
+
+    plan: QueryPlan
+    key: tuple | None = None
+    block: np.ndarray | None = None
+    lookups: tuple[int, int, int] = (0, 0, 0)
+
+
+@dataclass(frozen=True)
+class Stage:
+    """A batch planned, filtered and filled ahead of its evaluation (see
+    :meth:`QueryEngine.stage`): its draw epoch and window, the database
+    version its blocks are current at, and per request a :class:`Staged`
+    (``None`` where planning raised: the evaluation raises it again)."""
+
+    epoch: int
+    window: tuple[int, int] | None
+    version: int
+    requests: tuple[QueryRequest, ...]
+    staged: tuple[Staged | None, ...]
 
 
 class QueryEngine:
@@ -199,16 +226,8 @@ class QueryEngine:
         self._filter_memo: SimpleNamespace | None = None
         #: Cached per-object sampled worlds; see :mod:`repro.core.worlds`.
         self.worlds = WorldCache(metrics=metrics)
-        #: The open staging pass (see :meth:`_staging`): ``at`` (the
-        #: stamp, database version and batch window its blocks were filled
-        #: under), ``plans`` (request -> plan), ``blocks`` (``RefineJob.key``
-        #: -> ``(block, [hits, partial hits, misses])``) and ``consuming``
-        #: (set once an ``evaluate_many`` batch took the pass over).
-        self._stage: SimpleNamespace | None = None
-        # World-cache lookups made ahead for staged blocks no evaluation
-        # has taken yet: held back from reports until the consuming
-        # evaluation takes its block.
-        self._lookups_ahead = [0, 0, 0]
+        # The Staged entry of the evaluation evaluate_staged is running.
+        self._staged: Staged | None = None
         self._draw_epoch = 0
         self._epoch_counter = 0  # monotonic allocator (epochs can be restored)
         self._batch_depth = 0
@@ -322,155 +341,15 @@ class QueryEngine:
         return self.worlds.misses.value + self._direct_draws.value
 
     def _lookup_counts(self) -> tuple[int, int, int]:
-        """World-cache ``(hits, partial hits, misses)`` so far, less those
-        made ahead for blocks no evaluation took yet — what reports and
-        :meth:`prefetch_worlds` take deltas of."""
+        """World-cache ``(hits, partial hits, misses)`` so far."""
         worlds = self.worlds
-        h, p, m = self._lookups_ahead
-        return worlds.hits.value - h, worlds.partial_hits.value - p, worlds.misses.value - m
+        return worlds.hits.value, worlds.partial_hits.value, worlds.misses.value
 
     def new_draw_epoch(self) -> int:
         """Advance to a fresh, never-used epoch: subsequent queries redraw."""
         self._epoch_counter += 1
         self._draw_epoch = self._epoch_counter
         return self._draw_epoch
-
-    @contextmanager
-    def _staging(self, reqs: list):
-        """Wraps the evaluations of an ``evaluate_many`` batch: its one
-        staging pass.
-
-        Entered after the epoch and batch window are pinned, inside the
-        batch's :meth:`shared_filter` block.  Takes over the pass the
-        tick's world pass (:meth:`prefetch_worlds` with ``requests``)
-        left when it was filled under this batch's stamp, database
-        version and window, and stages whatever request it did not plan:
-        each is planned and filtered once (:meth:`_plan_jobs` — the plan
-        is what its evaluation reads) and the jobs its fill will be handed
-        are filled together in one :meth:`_fill_blocks` pass — on the
-        serve tier one fan-out round.  Evaluations take their blocks from
-        the pass (:meth:`_take_staged`); a prediction miss is harmless —
-        the evaluation fills what it lacks itself.  A nested batch rides
-        the outer one's pass.
-        """
-        if self._batch_depth > 1:
-            yield
-            return
-        # Invalidate before anything is planned or noted: without pruning
-        # the filter never syncs.
-        self.sync_mutations()
-        stage = self._stage
-        if stage is None or stage.at != self._stage_at():
-            stage = self._open_stage()
-        try:
-            todo = [req for req in reqs if req not in stage.plans]
-            if todo:
-                jobs = self._plan_jobs(todo)
-                self._stage_blocks(jobs, self._live_columns(jobs))
-            stage.consuming = True
-            yield
-        finally:
-            self._drop_stage()
-
-    def _stage_at(self) -> tuple:
-        """What a staged block's content depends on besides its job."""
-        return self._stamp, self.db.version, self._batch_window
-
-    def _open_stage(self) -> SimpleNamespace:
-        self._drop_stage()
-        self._stage = SimpleNamespace(
-            at=self._stage_at(), plans={}, blocks={}, consuming=False
-        )
-        return self._stage
-
-    def _drop_stage(self) -> None:
-        """Close the staging pass; lookups of blocks nobody took stop
-        being held back (they happened, outside every report)."""
-        self._stage = None
-        self._lookups_ahead = [0, 0, 0]
-
-    def _plan(self, request: QueryRequest) -> QueryPlan:
-        """``request``'s plan — made once per staging pass."""
-        stage = self._stage
-        if stage is None:
-            return build_plan(request, self.n_samples)
-        plan = stage.plans.get(request)
-        if plan is None:
-            plan = stage.plans[request] = build_plan(request, self.n_samples)
-        return plan
-
-    def _plan_jobs(self, requests: Sequence[QueryRequest]) -> list[RefineJob]:
-        """The distinct jobs the batched evaluations of ``requests`` will
-        hand :meth:`fill_blocks`, each request planned and filtered once
-        (:meth:`_fill_job`).  Identical jobs collapse — the first consumer
-        takes the block, as one process fills it once — and a request the
-        evaluation will refuse is left to raise there."""
-        jobs: dict[tuple, RefineJob] = {}
-        for request in requests:
-            try:
-                job = self._fill_job(request)
-            except Exception:  # noqa: BLE001 - the evaluation raises it itself
-                continue
-            if job is not None and job.object_ids:
-                jobs.setdefault(job.key, job)
-        return list(jobs.values())
-
-    def _stage_blocks(self, jobs: list[RefineJob], lives: list, warm=()) -> None:
-        """Fill ``jobs`` (after looking ``warm`` up) in one pass into the
-        open stage, holding their lookups back from reports."""
-        blocks, lookups = self._fill_blocks(jobs, lives, warm)
-        for job, block, counts in zip(jobs, blocks, lookups):
-            self._stage.blocks[job.key] = (block, counts)
-            for i, count in enumerate(counts):
-                self._lookups_ahead[i] += count
-
-    def _take_staged(self, job: RefineJob) -> tuple[np.ndarray | None, list[int]]:
-        """The staged block for ``job`` and the positions it still lacks.
-
-        Besides the job's own block, a block staged for a *subset* of its
-        columns serves: the staging predicted a refine-cache patch of the
-        stale columns, and the cache (full at a small capacity) evicted the
-        entry before this evaluation came, so the whole block is asked for.
-        Its columns' lookups happened once, as a single process makes them,
-        and land in this evaluation's report.
-        """
-        every = list(range(len(job.object_ids)))
-        stage = self._stage
-        if stage is None or not stage.consuming:
-            return None, every
-        key = wanted = job.key
-        if key not in stage.blocks:
-            ids = set(job.object_ids)
-            key = next(
-                (
-                    k
-                    for k in stage.blocks
-                    if k[:3] == wanted[:3] and k[4] == job.n and ids.issuperset(k[3])
-                ),
-                None,
-            )
-            if key is None:
-                return None, every
-        staged, lookups = stage.blocks.pop(key)
-        for i, count in enumerate(lookups):
-            self._lookups_ahead[i] -= count
-        if key == wanted:
-            return staged, []
-        block = job.empty()
-        have = [job.object_ids.index(oid) for oid in key[3]]
-        block[have] = staged
-        return block, sorted(set(every) - set(have))
-
-    def _block_for(self, job: RefineJob) -> np.ndarray:
-        """The block an evaluation's fill is handed: its staged one, the
-        columns still missing filled now."""
-        block, missing = self._take_staged(job)
-        if missing:
-            (sub,), _ = self.fill_blocks([job.columns(missing)])
-            if block is None:
-                return sub
-            block[missing] = sub
-        return block
 
     @contextmanager
     def held_batch(
@@ -513,31 +392,6 @@ class QueryEngine:
             if epoch is not None:
                 self._draw_epoch = prev_epoch
                 self._last_batch_epoch = prev_last
-
-    def restore_batch_epoch(self) -> bool:
-        """Rewind to the last ``evaluate_many`` batch's draw epoch.
-
-        Returns ``False`` (and does nothing) when no batch ran yet.  The
-        streaming monitor calls this before its tick's world pass, so the
-        warm-up draws land in exactly the epoch the tick's held-world
-        evaluations will read from — the same rewind
-        ``evaluate_many(refresh_worlds=False)`` performs itself (with no
-        batch yet, both keep the current epoch).
-        """
-        if self._last_batch_epoch is None:
-            return False
-        self._draw_epoch = self._last_batch_epoch
-        return True
-
-    def _begin_query(self) -> None:
-        """Epoch policy at query entry.
-
-        Standalone queries get fresh worlds (classic semantics); inside a
-        batch (:meth:`evaluate_many` or :meth:`held_batch`) the current
-        epoch is held so worlds are shared.
-        """
-        if self._batch_depth == 0:
-            self.new_draw_epoch()
 
     def _object_entropy(self, object_id: str, round_: int) -> np.ndarray | None:
         """uint32 entropy words seeding the (object, epoch, round) stream.
@@ -637,7 +491,7 @@ class QueryEngine:
         and then one :meth:`USTTree.prune_many` pass answers every
         registered peer with the same ``(times, k)``.
         Later askers — ``explain``, ``evaluate``,
-        the serve tier's column prediction — read the stored result.  A
+        :meth:`stage` — read the stored result.  A
         monitor tick and :meth:`evaluate_many` open one; a nested block
         joins the outer one, and nothing outlives the outermost.
         """
@@ -768,7 +622,7 @@ class QueryEngine:
         repeats, each mention's position among them (else ``None``).
 
         Everything below the public refinement entry points — the world
-        and refine caches, the serve tier's staged keys — sees one column
+        and refine caches, a stage's block keys — sees one column
         per object; a repeated id is drawn once and expanded by index.
         """
         ids = list(dict.fromkeys(object_ids))
@@ -845,17 +699,19 @@ class QueryEngine:
             self._direct_round += 1
         coords = self._query_coords(q, times)
         job = RefineJob(kind, coords if kind == "dist" else None, times, tuple(ids), n)
+        staged = self._staged
+        if staged is not None and staged.key == (cache_k, job.key):
+            self._staged = None  # taken: its lookups join this evaluation's report
+            block = staged.block
         # Only batched evaluations are cached: outside a batch every call
         # draws fresh worlds, so there is nothing to reuse.
-        if self._batch_depth > 0 and self.refine_cache_size > 0:
+        elif self._batch_depth > 0 and self.refine_cache_size > 0:
             block, cols, hit = self._refine_cache.fetch(
-                job, cache_k, self._stamp, self._block_for
+                job, cache_k, self._stamp, lambda cut: self.fill_blocks([cut])[0][0]
             )
-            (self.estimate_cache_hits if hit else self.estimate_cache_misses).inc()
-            self.estimate_columns_refreshed.inc(len(cols))
-            self.estimate_columns_reused.inc(len(ids) - len(cols))
+            self._count_refine(job, cols, hit)
         else:
-            block = self._block_for(job)
+            (block,), _ = self.fill_blocks([job])
         if inverse is not None:
             block = block[inverse]  # a copy, never the cached array
         return block, coords
@@ -937,19 +793,12 @@ class QueryEngine:
             lives.append((alive, np.flatnonzero(alive.any(axis=1))))
         return lives
 
-    def _fill_job(self, request: QueryRequest) -> RefineJob | None:
-        """The job a batched evaluation of ``request`` would hand
-        :meth:`fill_blocks` now: its refine block cut to the columns the
-        refine cache would recompute (all of them unless the cache holds
-        the block).  ``None`` when it hands none of fixed content: a
-        resolved estimator that does not sample every influence object
-        (``hybrid`` draws only its undecided ones, ``bounds`` and
-        ``exact`` nothing), an empty refine set, or a kNN depth the
-        evaluation refuses.  Plans (:meth:`_plan`) and filters (the
-        block's shared § 6 pass); draws nothing.  Raises what those stages
-        raise.
-        """
-        plan = self._plan(request)
+    def _fill_job(self, request: QueryRequest, plan: QueryPlan) -> RefineJob | None:
+        """The job a batched evaluation of ``request`` under ``plan`` asks the
+        refine cache for; ``None`` for none of fixed content: an estimator not
+        sampling every influence object (``hybrid`` draws only its undecided
+        ones, ``bounds`` and ``exact`` none), an empty refine set or a kNN
+        depth the evaluation refuses.  Filters (a shared § 6 pass)."""
         if plan.resolved_estimator not in ("sampled", "adaptive"):
             return None
         times = np.asarray(plan.times, dtype=np.intp)
@@ -959,12 +808,17 @@ class QueryEngine:
         if not ids or request.k > len(ids):
             return None
         reverse = request.mode == "reverse_nn"
-        job = RefineJob(
+        return RefineJob(
             "states" if reverse else "dist",
             None if reverse else self._query_coords(request.query, times),
             times, tuple(ids), plan.n_samples,
         )
-        return job.columns(self._refine_cache.stale(job, request.k, self._stamp)[1])
+
+    def _count_refine(self, job: RefineJob, cols, hit: bool) -> None:
+        """Count one refine-cache lookup of ``job`` that recomputed ``cols``."""
+        (self.estimate_cache_hits if hit else self.estimate_cache_misses).inc()
+        self.estimate_columns_refreshed.inc(len(cols))
+        self.estimate_columns_reused.inc(len(job.object_ids) - len(cols))
 
     def _fill_blocks(
         self, jobs: list[RefineJob], lives: list, warm=()
@@ -979,8 +833,8 @@ class QueryEngine:
             if job.kind not in ("dist", "states"):
                 raise ValueError(f"unknown refinement block kind {job.kind!r}")
         if len(jobs) > 1 and self._batch_depth > 0 and self._batch_window is None:
-            # Each job's lookups span its own tics: fill one job at a time,
-            # so each sees the cache the previous one left.
+            # A window-less held batch (public fill_blocks only): each job looks
+            # up its own tics, so fill one at a time, each seeing the last's cache.
             filled = [self._fill_blocks([job], [live]) for job, live in zip(jobs, lives)]
             return [b for bs, _ in filled for b in bs], [c for _, cs in filled for c in cs]
         columns, owner = [], []
@@ -1093,9 +947,8 @@ class QueryEngine:
         object_ids: Sequence[str] | None = None,
         window: tuple[int, int] | None = None,
         n_samples: int | None = None,
-        requests: Sequence[QueryRequest] = (),
     ) -> dict[str, int]:
-        """Warm the world cache for a working set — and stage ``requests``.
+        """Warm the world cache for a working set — no distances computed.
 
         Draws (or forward-extends) each object's cached worlds over
         ``window`` clamped to its span, exactly as a held-epoch query
@@ -1105,67 +958,36 @@ class QueryEngine:
         batch, one call restores query-ready state (index synced via
         :attr:`ust_tree`, worlds current) at the cost of the *dirty*
         objects only.  ``object_ids`` are drawn at ``n_samples`` (default:
-        the engine's).
-
-        ``requests`` make the call a tick's whole staging pass: each is
-        planned and filtered once (:meth:`_plan_jobs`), the objects its
-        batched evaluation would look up now — the live columns of the job
-        its fill would be handed, at its planned world count — join the
-        working set (a request whose estimator draws for itself, or that
-        its evaluation would refuse, adds nothing), and, after the lookup,
-        the jobs themselves are filled in the same pass, under the batch
-        window an ``evaluate_many`` of ``requests`` widened to ``window``
-        pins.  The plans and blocks are held for that batch, whose
-        evaluations read them instead of planning and filling again (see
-        :meth:`_staging`); their lookups land in those evaluations'
-        reports, not in the accounting returned here.  A target named
-        twice is looked up once, and the whole set is one lookup: one
-        adaptation, compile and arena pass per world count.  Worlds enter
-        the cache at the current draw epoch, so the call is meaningful
-        between held-epoch batches (or inside a :meth:`held_batch`); a
-        standalone query afterwards would advance the epoch and redraw
-        regardless.
+        the engine's).  A target named twice is looked up once, and the
+        whole set is one lookup: one adaptation, compile and arena pass
+        per world count.  Worlds enter the cache at the current draw
+        epoch, so the call is meaningful between held-epoch batches (or
+        inside a :meth:`held_batch`); a standalone query afterwards would
+        advance the epoch and redraw regardless.
         """
         n = self.n_samples if n_samples is None else check_count("n_samples", n_samples)
         self.sync_mutations()
         ids = self.db.object_ids if object_ids is None else object_ids
-        targets = dict.fromkeys((object_id, n) for object_id in ids)
-        requests = [self._coerce_request(request) for request in requests]
-        batch = None
-        if requests:
-            batch = union_window(requests)
-            if window is not None:
-                batch = min(batch[0], int(window[0])), max(batch[1], int(window[1]))
-        with self.held_batch(window=batch):
-            # A pass without requests stages nothing, and leaves nothing
-            # staged behind it.
-            if requests:
-                self._open_stage()
-            else:
-                self._drop_stage()
-            try:
-                jobs = self._plan_jobs(requests)
-                lives = self._live_columns(jobs)
-                for job, (_, live) in zip(jobs, lives):
-                    targets.update(dict.fromkeys((job.object_ids[c], job.n) for c in live))
-                items: list[tuple[str, int, int, int]] = []
-                for object_id, size in targets:
-                    obj = self.db.get(object_id)
-                    t_lo, t_hi = obj.t_first, obj.t_last
-                    if window is not None:
-                        t_lo, t_hi = max(t_lo, int(window[0])), min(t_hi, int(window[1]))
-                    if t_lo <= t_hi:  # else the object is entirely outside the window
-                        items.append((obj.object_id, size, t_lo, t_hi))
-                before = self._lookup_counts()
-                if items or jobs:
-                    self._stage_blocks(jobs, lives, items)
-            except BaseException:
-                self._drop_stage()
-                raise
+        items = self._world_items(dict.fromkeys((object_id, n) for object_id in ids), window)
+        before = self._lookup_counts()
+        if items:
+            self.fetch_worlds(items)
         hits, partial_hits, misses = (
             now - then for now, then in zip(self._lookup_counts(), before)
         )
         return {"objects": len(items), "hits": hits, "partial_hits": partial_hits, "misses": misses}
+
+    def _world_items(self, targets, window) -> list[tuple[str, int, int, int]]:
+        """``(object_id, n)`` targets as world items: spans clamped to ``window``."""
+        items = []
+        for object_id, n in targets:
+            obj = self.db.get(object_id)
+            t_lo, t_hi = obj.t_first, obj.t_last
+            if window is not None:
+                t_lo, t_hi = max(t_lo, int(window[0])), min(t_hi, int(window[1]))
+            if t_lo <= t_hi:
+                items.append((object_id, n, t_lo, t_hi))
+        return items
 
     def fetch_worlds(self, items: Sequence[tuple[str, int, int, int]]) -> list:
         """Look ``(object_id, n, t_lo, t_hi)`` items up in the world cache at
@@ -1257,15 +1079,18 @@ class QueryEngine:
         and return bit-identical seeded results.
         """
         request = self._coerce_request(request)
+        staged = self._staged
         tracer = self.tracer
         # Stage timings are read off span durations — one timing truth
         # whether tracing is recording (Tracer) or not (NullTracer).
         with tracer.span("evaluate") as sp_eval:
             with tracer.span("plan") as sp_plan:
                 self.sync_mutations()
-                plan = self._plan(request)
+                plan = build_plan(request, self.n_samples) if staged is None else staged.plan
                 times = np.asarray(plan.times, dtype=np.intp)
-                self._begin_query()
+                if self._batch_depth == 0:
+                    # Standalone queries get fresh worlds; a batch holds its epoch.
+                    self.new_draw_epoch()
             with tracer.span("filter") as sp_filter:
                 pruning = self.filter_objects(
                     request.query, times, k=request.k, normalized=True, mode=request.mode
@@ -1305,6 +1130,9 @@ class QueryEngine:
                     refine_ids=list(pruning.influencers),
                 )
                 outcome = make_estimator(plan.resolved_estimator).run(ctx)
+                if staged is not None and self._staged is None:
+                    # The estimate took its staged block, and so its lookups.
+                    cache_before = tuple(b - n for b, n in zip(cache_before, staged.lookups))
             with tracer.span("threshold") as sp_threshold:
                 result = self._assemble(
                     request, plan, pruning, outcome, times, result_ids
@@ -1574,16 +1402,8 @@ class QueryEngine:
         (P∀NN/P∃NN/PCNN over overlapping windows) cheap.  Sharing worlds
         also makes results *mutually consistent* — overlapping windows are
         estimated from the same possible worlds rather than independent
-        redraws.
-
-        That one draw covers
-        only the **union of the batch's query times** clamped to each
-        object's span, not the full span — the refinement-cost win for
-        narrow windows.  A later batch holding the epoch
-        (``refresh_worlds=False``) whose union reaches further *forward*
-        extends the cached paths bit-identically to one-shot sampling; a
-        union reaching further *backward* triggers one fresh union-window
-        redraw per object (see :mod:`repro.core.worlds`).
+        redraws.  The draw covers the union of the batch's query times (see
+        the module docs); the call is ``evaluate_staged(stage(...))``.
 
         Parameters
         ----------
@@ -1620,15 +1440,91 @@ class QueryEngine:
             per request, in order.
         """
         reqs = [self._coerce_request(r) for r in requests]
+        with self.shared_filter(reqs):
+            return self.evaluate_staged(
+                self.stage(reqs, refresh_worlds=refresh_worlds, window=window)
+            )
+
+    def stage(
+        self,
+        requests: Sequence[QueryRequest | tuple],
+        *,
+        refresh_worlds: bool = True,
+        window: tuple[int, int] | None = None,
+        warm: Sequence[str] | None = None,
+    ) -> Stage:
+        """Plan, filter and fill a batch ahead of its evaluation, in one pass.
+
+        Fixes the batch's draw epoch and window as :meth:`evaluate_many`
+        does, plans and filters each request once, and makes the one
+        refine-cache lookup of each block of fixed content (:meth:`_fill_job`)
+        in request order; the columns they lack are filled in one
+        :meth:`_fill_blocks` pass (on the serve tier, one round).  Given
+        ``warm``, even empty, the pass first looks up the worlds of those
+        ids and of every column it fills over the window: a monitor tick's
+        world pass.  The engine keeps none of the returned :class:`Stage`.
+        """
+        reqs = tuple(self._coerce_request(r) for r in requests)
         if not reqs:
-            return []
+            return Stage(self._draw_epoch, window, self.db.version, (), ())
         if refresh_worlds:
-            self.new_draw_epoch()
-        elif self._last_batch_epoch is not None:
-            self._draw_epoch = self._last_batch_epoch
-        self._last_batch_epoch = self._draw_epoch
+            epoch = self._epoch_counter + 1
+        else:
+            epoch = self._draw_epoch if self._last_batch_epoch is None else self._last_batch_epoch
         lo, hi = union_window(reqs)
         if window is not None:
             lo, hi = min(lo, int(window[0])), max(hi, int(window[1]))
-        with self.held_batch(window=(lo, hi)), self.shared_filter(reqs), self._staging(reqs):
-            return [self.evaluate(req) for req in reqs]
+        cache = self._refine_cache.fork()  # the cache once every claim is filled
+        with self.held_batch(epoch, (lo, hi)), self.shared_filter(reqs):
+            self.sync_mutations()  # first: without pruning the filter never syncs
+            window = self._batch_window  # merged with an enclosing batch's
+            staged, claims = [], []
+            for request in reqs:
+                try:
+                    plan = build_plan(request, self.n_samples)
+                    job = self._fill_job(request, plan)
+                except Exception:  # noqa: BLE001 - the evaluation raises it itself
+                    staged.append(None)
+                    continue
+                staged.append(Staged(plan))
+                if job is not None:  # a cache of capacity 0 keeps no claim
+                    claim = cache.claim(job, request.k, self._stamp)
+                    claims.append((len(staged) - 1, request.k, job, *claim))
+            jobs = [job.columns(cols) for _, _, job, _, cols, _ in claims if cols]
+            lives = self._live_columns(jobs)
+            targets = {}
+            if warm is not None:
+                targets = dict.fromkeys((oid, self.n_samples) for oid in warm)
+                for job, (_, live) in zip(jobs, lives):
+                    targets.update(dict.fromkeys((job.object_ids[c], job.n) for c in live))
+            filled = iter(zip(*self._fill_blocks(jobs, lives, self._world_items(targets, window))))
+        for i, depth, job, entry, cols, hit in claims:
+            block, lookups = next(filled) if cols else (None, (0, 0, 0))
+            entry.put(cols, block)
+            if self.refine_cache_size:
+                self._count_refine(job, cols, hit)
+            staged[i] = Staged(staged[i].plan, (depth, job.key), entry.block, tuple(lookups))
+        self._refine_cache = cache
+        return Stage(epoch, window, self.db.version, reqs, tuple(staged))
+
+    def evaluate_staged(
+        self, stage: Stage
+    ) -> list[QueryResult | PCNNResult | RawProbabilities | ReverseNNResult]:
+        """Evaluate a :meth:`stage`'s requests, in order, as one batch: each
+        :meth:`evaluate` reads its staged plan, and its staged block (its
+        report, the lookups that filled it) when it asks for exactly that
+        job.  Raises ``ValueError`` when the database changed since."""
+        if not stage.requests:
+            return []
+        if stage.version != self.db.version:
+            raise ValueError("the database changed since the batch was staged; stage it again")
+        self._draw_epoch = self._last_batch_epoch = stage.epoch  # what refresh_worlds=False holds
+        results = []
+        with self.held_batch(window=stage.window), self.shared_filter(stage.requests):
+            for request, staged in zip(stage.requests, stage.staged):
+                self._staged = staged
+                try:
+                    results.append(self.evaluate(request))
+                finally:
+                    self._staged = None
+        return results

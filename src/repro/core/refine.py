@@ -70,10 +70,17 @@ class RefineJob:
 
 @dataclass
 class _Entry:
-    key: tuple
     stamp: tuple
     version: int
-    block: np.ndarray
+    block: np.ndarray | None
+
+    def put(self, cols, filled: np.ndarray) -> None:
+        """Write the columns a :meth:`RefineCache.claim` left to fill —
+        every column of an entry the claim created."""
+        if self.block is None:
+            self.block = filled
+        elif len(cols):
+            self.block[cols] = filled
 
 
 class RefineCache:
@@ -109,6 +116,39 @@ class RefineCache:
                 ]
         return None, list(range(len(job.object_ids)))
 
+    def fork(self) -> "RefineCache":
+        """A copy to :meth:`claim` in (blocks shared): it takes this cache's
+        place once every claimed block is filled, or is dropped."""
+        fork = RefineCache(self.db, self.capacity)
+        fork._entries = OrderedDict(
+            (key, _Entry(e.stamp, e.version, e.block)) for key, e in self._entries.items()
+        )
+        return fork
+
+    def claim(self, job: RefineJob, depth: int, stamp: tuple):
+        """``(entry, cols, hit)``: look ``job`` up once — its current entry
+        (``hit``) or a new one without a block, evicting the least recently
+        used — marked current at the database version, and the positions
+        whose columns the caller must :meth:`~_Entry.put` into it before
+        reading its block.
+
+        A hit's stale objects are patched in place — each one contiguous
+        ``(times, worlds)`` slab of the cached array — which is
+        bit-identical to a rebuild: clean columns' worlds are world-cache
+        hits at the same stamp, and stale ones redraw what a wholesale
+        pass would.
+        """
+        entry, cols = self.stale(job, depth, stamp)
+        key = (depth, job.key)
+        hit = entry is not None
+        if not hit:
+            entry = self._entries[key] = _Entry(stamp, 0, None)
+        self._entries.move_to_end(key)
+        entry.version = self.db.version
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+        return entry, cols, hit
+
     def fetch(
         self,
         job: RefineJob,
@@ -116,29 +156,14 @@ class RefineCache:
         stamp: tuple,
         fill: Callable[[RefineJob], np.ndarray],
     ):
-        """``(block, cols, hit)``: the current block for ``job``, the
-        columns ``fill`` recomputed for it and whether an entry was patched.
-
-        A hit patches the stale objects' slabs — each one contiguous
-        ``(times, worlds)`` run of the cached array — in place, which is
-        bit-identical to a rebuild: clean columns' worlds are world-cache
-        hits at the same stamp, and stale ones redraw what a wholesale
-        pass would.
-        """
-        entry, cols = self.stale(job, depth, stamp)
-        if entry is not None:
-            self._entries.move_to_end(entry.key)
-            if cols:
-                entry.block[cols] = fill(job.columns(cols))
-            entry.version = self.db.version
-            return entry.block, cols, True
-        block = fill(job)
-        key = (depth, job.key)
-        self._entries[key] = _Entry(key, stamp, self.db.version, block)
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.capacity:
-            self._entries.popitem(last=False)
-        return block, cols, False
+        """``(block, cols, hit)``: :meth:`claim` ``job`` and ``fill`` the
+        columns it lacks; a ``fill`` that raises leaves the cache as it was."""
+        fork = self.fork()
+        entry, cols, hit = fork.claim(job, depth, stamp)
+        if cols or not hit:
+            entry.put(cols, fill(job.columns(cols)))
+        self._entries = fork._entries
+        return entry.block, cols, hit
 
 
 def tabulates(space: StateSpace, n_times: int, n: int, n_drawn: int) -> bool:

@@ -18,9 +18,11 @@ one ``ApplyEvents`` round — every shard gets one, empty or not, so the
 round is the tick's first all-shard contact and a dead worker surfaces
 before any world is drawn.  Then the monitor tick runs — picking the
 mutations up through the database's mutation log exactly as it does for
-out-of-band writes — and its staging pass is the second round: one
-``ComputeColumns`` command per shard with work, carrying the world items
-it owns and its columns of every block the due evaluations will read.
+out-of-band writes — and its staging pass
+(:meth:`~repro.core.evaluator.QueryEngine.stage`) is the second round:
+one ``ComputeColumns`` command per shard with work, carrying the world
+items it owns and its columns of every block the due evaluations will
+read; the evaluations read the returned ``Stage`` and send nothing.
 The coordinator's invalidation decision rides each shard's next command
 (``wholesale``); there is no round of its own.  A tick whose
 subscriptions are all clean makes only the first round.

@@ -1,9 +1,10 @@
 """The coordinator-side engine: a ``QueryEngine`` whose sampling is remote.
 
 :class:`ShardedQueryEngine` subclasses the single-process engine and
-replaces its refinement seam, nothing else: :meth:`_fill_blocks` (a
-staging pass's world lookups and each block's columns go to the shards
-owning them in one round, and the slabs come home in their replies),
+replaces its refinement seam, nothing else: :meth:`_fill_blocks` (the
+world lookups and block columns of a :meth:`~QueryEngine.stage` go to
+the shards owning them in one round, and the slabs come home in their
+replies),
 :meth:`fetch_worlds` (segments are warmed where they live) and
 :meth:`sync_mutations` (the invalidation decision is mirrored to every
 shard).  All planning, filtering (the UST-tree runs over the *full*
@@ -38,8 +39,8 @@ partitions by object: every lookup a single-process engine would perform
 happens on exactly one worker, and each reply carries the worker
 registry's cumulative snapshot, whose delta the coordinator merges
 (:meth:`~repro.obs.MetricsRegistry.merge_delta`, the one absorption
-path).  A staged block's lookups come home with its slab and are held
-back from reports until the evaluation that consumes the block takes it.
+path).  A staged block's lookups come home with its slab and travel in
+the returned ``Stage`` to the report of the evaluation that reads it.
 The invalidation count is not merged: the coordinator derives it from
 its own segment window mirror, which (unlike a crashed worker's cache)
 survives worker restarts.
@@ -289,7 +290,7 @@ class ShardedQueryEngine(QueryEngine):
         return []
 
     def _fill_blocks(self, jobs: list[RefineJob], lives: list, warm=()):
-        """The staging pass in one round: each shard gets one
+        """A stage's fill in one round: each shard gets one
         :class:`ComputeColumns` with the ``warm`` items it owns and its
         live columns of every job, syncs, warms, then computes.
 

@@ -8,8 +8,8 @@ the coordinator can fold per-shard reuse accounting and stage timings
 into the single-process report format without extra round trips.
 
 Two commands do the work: :class:`ApplyEvents` (a tick's ingest) and
-:class:`ComputeColumns` (its staging pass: world lookups and block
-columns together).  Each carries the ``wholesale`` flag of the
+:class:`ComputeColumns` (its staging pass, ``QueryEngine.stage``: world
+lookups and block columns together).  Each carries the ``wholesale`` flag of the
 coordinator's mutation sync, so invalidation needs no round of its own:
 a worker syncs its engine at the start of every command.
 """
@@ -109,7 +109,8 @@ class ComputeColumns:
 
     The reply's payload is ``(items looked up, pairs)``: one ``(sub-block,
     [hits, partial hits, misses])`` pair per job — its slabs and the
-    world-cache lookups filling them made.
+    world-cache lookups filling them made, which the coordinator's
+    ``Stage`` hands to the report of the evaluation reading the block.
     """
 
     epoch: int

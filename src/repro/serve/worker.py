@@ -105,8 +105,8 @@ class ShardWorkerState:
             result = self.stream.apply(command.events)
             return {"applied": result.applied, "dirty": sorted(result.dirty)}
         # Sync, warm, compute: each slab comes home with the world-cache
-        # lookups its fill made, so the coordinator can charge them to the
-        # evaluation that consumes the block.
+        # lookups its fill made, so the coordinator's Stage can charge them
+        # to the evaluation that reads the block.
         items = [item for item in command.items if item[0] in engine.db]
         with engine.held_batch(command.epoch, command.window):
             blocks, lookups = engine.fill_blocks(command.jobs, warm=items)

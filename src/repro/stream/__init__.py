@@ -11,8 +11,9 @@ The serving-shaped layer on top of the batch engine:
   :class:`SubscriptionScheduler` that proves which of them an ingest
   batch can affect (UST-tree filter stage, no sampling);
 * :mod:`repro.stream.monitor` — the :class:`ContinuousMonitor` tick loop:
-  ingest → schedule → one coalesced ``evaluate_many`` over the held draw
-  epoch → per-subscription delta :class:`Notification`\\ s.
+  ingest → schedule → one staged batch (``QueryEngine.stage``, then
+  ``evaluate_staged``) over the held draw epoch → per-subscription delta
+  :class:`Notification`\\ s.
 
 Underneath, database mutations invalidate the engine's derived structures
 *per object* (UST-tree segment re-indexing, world-cache

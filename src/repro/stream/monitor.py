@@ -16,15 +16,16 @@ stream clock); each :meth:`~ContinuousMonitor.tick` then
    set intersects the dirty objects — everything else is provably
    unchanged and skipped;
 3. **coalesces** the due subscriptions: one staging pass
-   (:meth:`~repro.core.evaluator.QueryEngine.prefetch_worlds` with the
-   due requests) plans and filters each due request once, looks up every
-   world their evaluations will read — one adaptation, compile and arena
-   draw for the tick's newcomers — and fills the blocks those
-   evaluations will be handed, all together; then one
-   :meth:`~repro.core.evaluator.QueryEngine.evaluate_many` batch reads
-   the staged plans and blocks over the held draw epoch, widened to the
-   union window of *all* subscriptions so cached world anchors never
-   depend on which subset happened to fire;
+   (:meth:`~repro.core.evaluator.QueryEngine.stage` with the due
+   requests) fixes the held draw epoch and the union window of *all*
+   subscriptions — so cached world anchors never depend on which subset
+   happened to fire — plans and filters each due request once, looks up
+   every world their evaluations will read (one adaptation, compile and
+   arena draw for the tick's newcomers) and fills the blocks those
+   evaluations will be handed, all together, returning them as a
+   ``Stage``; then
+   :meth:`~repro.core.evaluator.QueryEngine.evaluate_staged` evaluates
+   the batch off that value;
 4. **notifies**: every subscription receives a delta
    :class:`Notification` (``changed``/unchanged, with the fresh or cached
    result and its :class:`~repro.core.results.EvaluationReport`), and the
@@ -34,7 +35,7 @@ stream clock); each :meth:`~ContinuousMonitor.tick` then
 Holding one draw epoch across ticks makes the delta semantics exact:
 worlds — and therefore estimates — move only when the database does, and
 standalone queries interleaved on the same engine do not disturb the held
-worlds (the engine restores the monitoring epoch on the next tick).  A
+worlds (the next tick's stage holds the monitoring epoch again).  A
 caller wanting a periodic statistical refresh calls
 :meth:`ContinuousMonitor.refresh`: the next tick then re-evaluates every
 subscription against freshly drawn worlds (``reason="epoch-refresh"``).
@@ -157,7 +158,7 @@ class TickReport:
     compiled and drawn, and every block it will be handed filled, in one
     batch: the ingest-to-ready cost), ``schedule``
     (re-evaluation verdicts), ``evaluate`` (the coalesced
-    ``evaluate_many`` call, further split into the summed per-request
+    ``evaluate_staged`` call, further split into the summed per-request
     ``filter`` and ``estimate`` stage timings — the block fills of a tick
     with a world pass sit in ``ingest``, not here; a refreshing tick,
     which has none, stages inside ``evaluate``) and ``notify``
@@ -429,14 +430,13 @@ class ContinuousMonitor:
             schedule_seconds = sp_schedule.duration_seconds
             due = [d for d in decisions if d.due]
 
-            # Ingest-to-ready: the tick's one staging pass.  One
-            # prefetch_worlds call syncs the index, plans and filters each
-            # due request once and looks up every world the due
-            # evaluations will read — into the epoch they read and over
-            # the union window they anchor at — so the tick's newcomers
-            # are adapted, compiled and drawn in one batch; then it fills
-            # the blocks those evaluations will be handed, together, and
-            # holds them (and the plans) for the batch below.  The
+            # Ingest-to-ready: the tick's one staging pass.  It syncs the
+            # index, plans and filters each due request once and looks up
+            # every world the due evaluations will read — into the epoch
+            # they read and over the union window they anchor at — so the
+            # tick's newcomers are adapted, compiled and drawn in one
+            # batch; then it fills the blocks those evaluations will be
+            # handed, together, and returns them with the plans.  The
             # targets are what the evaluations would draw themselves:
             # each due request's live refine set at its planned world
             # count when its estimator samples every influence object
@@ -444,20 +444,22 @@ class ContinuousMonitor:
             # all — a world drawn that nobody reads would move a later
             # anchor), plus the dirty objects some due subscription was
             # influenced by last tick.  A tick whose subscriptions all
-            # proved clean samples nothing; a refreshing tick has no epoch
-            # to draw into before its batch, which stages for itself.
+            # proved clean samples nothing; a refreshing tick draws a fresh
+            # epoch and stages inside its evaluate stage, warming nothing.
+            due_requests = [decision.request for decision in due]
+            stage = None
             with tracer.span("prefetch") as sp_prefetch:
                 if due and not refreshing:
-                    self.engine.restore_batch_epoch()
                     influenced = set()
                     for decision in due:
                         influenced.update(
                             decision.subscription.last_influencers or ()
                         )
-                    self.engine.prefetch_worlds(
-                        sorted(oid for oid in dirty & influenced if oid in self.engine.db),
+                    stage = self.engine.stage(
+                        due_requests,
+                        refresh_worlds=False,
                         window=union,
-                        requests=[decision.request for decision in due],
+                        warm=sorted(oid for oid in dirty & influenced if oid in self.engine.db),
                     )
             # The world pass is part of the ingest-to-ready cost (see the
             # TickReport docs); the trace keeps it as its own span.
@@ -466,15 +468,12 @@ class ContinuousMonitor:
             filter_seconds = estimate_seconds = evaluate_seconds = 0.0
             if due:
                 with tracer.span("evaluate") as sp_evaluate:
-                    evaluated = self.engine.evaluate_many(
-                        [d.request for d in due],
+                    if stage is None:
                         # A refresh (explicit, or forced by a backward union
                         # move) draws a fresh epoch, held again by the
-                        # following ticks; otherwise the monitoring epoch is
-                        # held/restored as usual.
-                        refresh_worlds=refreshing,
-                        window=union,
-                    )
+                        # following ticks.
+                        stage = self.engine.stage(due_requests, window=union)
+                    evaluated = self.engine.evaluate_staged(stage)
                     results = {
                         d.subscription.name: r for d, r in zip(due, evaluated)
                     }
@@ -589,7 +588,7 @@ class ContinuousMonitor:
     def _union_window(requests: Sequence[QueryRequest]) -> tuple[int, int]:
         """Hull over *all* subscriptions' current windows.
 
-        Passed to ``evaluate_many(window=...)`` so each object's cached
+        Passed to ``stage(window=...)`` so each object's cached
         world anchor depends only on the registered subscriptions — never
         on which subset of them a tick's dirty set happened to wake —
         keeping held-epoch worlds bit-identical across ticks.

@@ -25,6 +25,7 @@ import pytest
 import repro.core.evaluator as evaluator_module
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query
+from repro.core.refine import RefineJob
 from repro.markov import native
 from repro.markov.arena import (
     FUSED_DRAW_THRESHOLD,
@@ -342,6 +343,23 @@ class TestDistanceBlockKeepsTheOrder:
         scratch = make_engine("standalone", db)
         with scratch.held_batch(1, (3, 8)):
             assert np.array_equal(patched, scratch.distance_tensor(IDS, Q, times))
+
+    def test_one_call_in_a_windowless_batch_fills_job_by_job(self, make_engine):
+        """Jobs sharing objects over different tics, handed to one public
+        ``fill_blocks`` call in a window-less held batch, fill as one call
+        per job does (one stacked lookup would ask for an object over two
+        windows)."""
+        db = _db()
+        jobs = [
+            RefineJob("dist", Q.coords_at(times), times, tuple(IDS), N)
+            for times in (np.arange(3, 6), np.arange(5, 9))
+        ]
+        together, apart = make_engine("standalone", db), make_engine("standalone", db)
+        with together.held_batch(), apart.held_batch():
+            blocks, lookups = together.fill_blocks(jobs)
+            one_by_one = [apart.fill_blocks([job]) for job in jobs]
+        for block, counts, ((want,), (want_counts,)) in zip(blocks, lookups, one_by_one):
+            assert np.array_equal(block, want) and counts == want_counts
 
     def test_serve_tier_lays_the_tensor_out_the_same_way(self, make_engine):
         """Coordinator and workers speak ``(objects, times, worlds)``: a

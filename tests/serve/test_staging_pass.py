@@ -1,17 +1,21 @@
 """A tick's refinement staging is one pass, on one process and on shards.
 
-The world pass plans and filters each due request once; the jobs it
-computes are both the tick's world targets and the blocks the batch
-fills — one stacked local fill, or one fan-out round per tick that
-carries world items and column jobs together, each command also carrying
-the coordinator's invalidation flag.  So a serving tick with events and
-due sampling subscriptions makes exactly two rounds (``ApplyEvents``,
-then the staging), a tick whose subscriptions are all clean only the
-first, and ``build_plan`` / ``_fill_job`` run once per due request per
-tick — while payloads and reuse counters stay those of one process.
+``QueryEngine.stage`` plans and filters each due request once and makes
+its one refine-cache lookup; the jobs it computes are both the tick's
+world targets and the blocks the batch fills — one stacked local fill,
+or one fan-out round per tick that carries world items and column jobs
+together, each command also carrying the coordinator's invalidation
+flag.  So a serving tick with events and due sampling subscriptions
+makes exactly two rounds (``ApplyEvents``, then the staging), a tick
+whose subscriptions are all clean only the first, and ``build_plan`` /
+``_fill_job`` / ``RefineCache.stale`` run once per due request per tick
+— while payloads and reuse counters stay those of one process.  The
+``Stage`` is a value: one built and never evaluated changes nothing.
 """
 
 from __future__ import annotations
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 import repro.core.evaluator as evaluator
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query, QueryRequest
+from repro.core.refine import RefineCache
 from repro.serve import ServeCoordinator
 from repro.statespace.base import StateSpace
 from repro.stream import (
@@ -30,6 +35,7 @@ from repro.stream import (
     RemoveObject,
     SlidingWindow,
 )
+from repro.stream.monitor import _result_payload
 from repro.trajectory.database import TrajectoryDatabase
 from tests.conftest import make_drift_chain
 from tests.serve.conftest import (
@@ -101,41 +107,48 @@ class TestRoundsPerTick:
 
 
 class _Counts:
-    """``build_plan`` / ``_fill_job`` calls and jobs handed to
-    ``_live_columns`` on one engine, per tick."""
+    """``build_plan`` / ``_fill_job`` / ``RefineCache.stale`` calls and jobs
+    handed to ``_live_columns`` on one engine, per tick."""
 
     def __init__(self, engine, monkeypatch):
-        self.plans = self.jobs = self.live = 0
-        build_plan = evaluator.build_plan
+        self.plans = self.jobs = self.live = self.stale = 0
+        build_plan, stale = evaluator.build_plan, RefineCache.stale
 
         def plan(*args, **kwargs):
             self.plans += 1
             return build_plan(*args, **kwargs)
 
+        def stale_cut(cache, *args):
+            self.stale += 1
+            return stale(cache, *args)
+
         fill_job, live_columns = engine._fill_job, engine._live_columns
 
-        def job(request):
+        def job(request, plan):
             self.jobs += 1
-            return fill_job(request)
+            return fill_job(request, plan)
 
         def live(jobs):
             self.live += len(jobs)
             return live_columns(jobs)
 
         monkeypatch.setattr(evaluator, "build_plan", plan)
+        monkeypatch.setattr(RefineCache, "stale", stale_cut)
         monkeypatch.setattr(engine, "_fill_job", job)
         monkeypatch.setattr(engine, "_live_columns", live)
 
     def take(self):
-        counts, self.plans, self.jobs, self.live = (self.plans, self.jobs, self.live), 0, 0, 0
+        counts = (self.plans, self.jobs, self.live, self.stale)
+        self.plans = self.jobs = self.live = self.stale = 0
         return counts
 
 
 @pytest.mark.parametrize("serve", [False, True], ids=["monitor", "coordinator"])
 def test_each_due_request_is_planned_once_per_tick(serve, monkeypatch):
-    """At most one ``build_plan``, ``_fill_job`` and live-column job per
-    due request per tick, on the coordinator as on one process (a fresh
-    epoch — the refresh tick — stages inside the batch instead)."""
+    """One ``build_plan``, ``_fill_job`` and refine-cache ``stale`` cut and
+    at most one live-column job per due request per tick, on the
+    coordinator as on one process (a fresh epoch — the refresh tick —
+    stages inside the evaluate stage instead)."""
     db = twin_db()
     if serve:
         coord = ServeCoordinator(db, n_shards=2, seed=SEED, mode="inline", n_samples=60)
@@ -155,8 +168,8 @@ def test_each_due_request_is_planned_once_per_tick(serve, monkeypatch):
                 monitor.refresh()
                 events = []
             due = len(monitor.tick(events).reevaluated)
-            plans, jobs, live = counts.take()
-            assert plans == jobs == due, (t, plans, jobs, due)
+            plans, jobs, live, stale = counts.take()
+            assert plans == jobs == stale == due, (t, plans, jobs, stale, due)
             assert live <= due, (t, live, due)
     finally:
         if coord is not None:
@@ -246,13 +259,14 @@ class _LineFleet:
 @given(
     seed=st.integers(0, 2**16),
     ticks=st.lists(st.lists(st.integers(0, 2), max_size=3), min_size=2, max_size=6),
-    refine_cache_size=st.sampled_from([0, 3, 64]),
+    refine_cache_size=st.sampled_from([0, 1, 3, 64]),
 )
 def test_two_shards_stage_what_one_process_does(seed, ticks, refine_cache_size):
     """Sampled subscriptions beside ``hybrid`` and ``exact`` ones, whose
     requests are not staged: an inline 2-shard coordinator notifies the
     payloads of one process, with its reuse counters, tick by tick, at
-    refine-cache capacities 0, 3 and the default."""
+    refine-cache capacities 0, 1 (every staged entry evicted before its
+    evaluation), 3 and the default."""
     fleet = _LineFleet(seed)
     kwargs = {"n_samples": 32, "seed": SEED, "refine_cache_size": refine_cache_size}
     single = ContinuousMonitor(QueryEngine(fleet.dbs[0], **kwargs))
@@ -266,3 +280,36 @@ def test_two_shards_stage_what_one_process_does(seed, ticks, refine_cache_size):
             assert_reports_identical(
                 single.tick(events, now=now), served.tick(events, now=now), (seed, now)
             )
+
+
+def _report_fields(report):
+    """Every ``EvaluationReport`` field but the stage timings."""
+    fields = dataclasses.asdict(report)
+    del fields["stage_seconds"]
+    return fields
+
+
+@pytest.mark.parametrize("refine_cache_size", [0, 1, 64])
+def test_a_stage_never_evaluated_changes_nothing(refine_cache_size):
+    """A ``Stage`` is a value: built over the held epoch — warming every
+    object, its blocks in the refine cache — and dropped, it changes
+    nothing a later batch returns or reports, beside a twin engine that
+    never staged."""
+    engines = [
+        QueryEngine(twin_db(), n_samples=60, seed=SEED, refine_cache_size=refine_cache_size)
+        for _ in range(2)
+    ]
+    requests = [request for _, request in standard_subscriptions()]
+    for engine in engines:
+        engine.evaluate_many(requests)
+    staged = engines[0]
+    staged.stage(requests[::-1], refresh_worlds=False, window=(0, 9),
+                 warm=sorted(staged.db.object_ids))
+    for refresh_worlds in (True, False):
+        got, want = (
+            engine.evaluate_many(requests, refresh_worlds=refresh_worlds) for engine in engines
+        )
+        assert [_result_payload(r) for r in got] == [_result_payload(r) for r in want]
+        assert [_report_fields(r.report) for r in got] == [
+            _report_fields(r.report) for r in want
+        ]

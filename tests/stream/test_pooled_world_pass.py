@@ -1,7 +1,7 @@
 """A tick's world pass vs per-evaluation draws: the same notifications.
 
 ``ContinuousMonitor.tick`` looks up every world its due evaluations will
-read in one ``prefetch_worlds`` call — the dirty influencers plus each
+read in one ``QueryEngine.stage`` call — the dirty influencers plus each
 sampling request's live refine set at its planned world count — so the
 tick adapts, compiles and samples its newcomers in one batch.  Random
 fleets (adds, head and interior fixes, fixes before the first one,
@@ -10,7 +10,8 @@ hybrid, bounds and reverse, one request at a non-default world count —
 are held to the twin of ``tests.oracles.per_request_monitor``, whose
 evaluations draw for themselves: notification payloads byte-equal tick by
 tick, on both backends, at any refine-cache capacity (the world pass skips
-the columns the cache will serve), and through an inline 2-shard
+the columns the cache will serve; at capacity 1 the stage's own claims
+evict each other's entries), and through an inline 2-shard
 ``ServeCoordinator``, whose reports (reuse counters included) equal the
 single process's.
 """
@@ -81,7 +82,7 @@ def _notes(report):
 @given(
     seed=st.integers(0, 2**16),
     ticks=st.lists(st.integers(0, 4), min_size=2, max_size=7),
-    refine_cache_size=st.sampled_from([64, 2, 0]),
+    refine_cache_size=st.sampled_from([64, 2, 1, 0]),
 )
 def test_world_pass_notifies_what_per_request_draws_do(backend, seed, ticks, refine_cache_size):
     # Three identical worlds: the events come from the first; the twins

@@ -188,19 +188,38 @@ class TestRangedSkip:
 class TestIngestPrefetch:
     @staticmethod
     def _record(monitor, monkeypatch):
+        """Each ``stage`` call's warm ids, window, requests and the lookups
+        of its world pass: the ones no staged block's lookups account for."""
         calls = []
-        original = monitor.engine.prefetch_worlds
+        engine = monitor.engine
+        original = engine.stage
 
-        def recorded(object_ids, window=None, requests=()):
-            looked_up = original(object_ids, window=window, requests=requests)
-            calls.append((tuple(object_ids), window, tuple(requests), looked_up))
-            return looked_up
+        def counts():
+            worlds = engine.worlds
+            return worlds.hits.value, worlds.partial_hits.value, worlds.misses.value
 
-        monkeypatch.setattr(monitor.engine, "prefetch_worlds", recorded)
+        def recorded(requests, *, refresh_worlds=True, window=None, warm=None):
+            before = counts()
+            stage = original(requests, refresh_worlds=refresh_worlds, window=window, warm=warm)
+            blocks = [staged.lookups for staged in stage.staged if staged is not None]
+            hits, partial_hits, misses = (
+                now - then - sum(lookups[i] for lookups in blocks)
+                for i, (now, then) in enumerate(zip(counts(), before))
+            )
+            looked_up = {
+                "objects": hits + partial_hits + misses,
+                "hits": hits,
+                "partial_hits": partial_hits,
+                "misses": misses,
+            }
+            calls.append((tuple(warm or ()), window, tuple(requests), looked_up))
+            return stage
+
+        monkeypatch.setattr(engine, "stage", recorded)
         return calls
 
     def test_dirty_influencer_worlds_prefetched(self, monitor, world, monkeypatch):
-        """One prefetch call per tick over the union window: the dirty
+        """One stage call per tick over the union window: the dirty
         influencer, plus every object the due evaluation will look up —
         which then finds its worlds cached."""
         calls = self._record(monitor, monkeypatch)
@@ -252,7 +271,7 @@ class TestIngestPrefetch:
         calls = []
         monkeypatch.setattr(
             monitor.engine,
-            "prefetch_worlds",
+            "stage",
             lambda *args, **kwargs: calls.append((args, kwargs)),
         )
         monitor.tick()  # quiet

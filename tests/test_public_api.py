@@ -192,6 +192,9 @@ class TestEngineOptionCount:
             # bookkeeping (a compiled model is its ModelTables alone).
             r"|CompiledLayer|local_next|\.layer\(|_layers\b|cdf_flat|next_flat|entry_rows"
             r"|cdf_dense|object_index|_order_counter|_pos_counter|\.pos\b|replace_stages"
+            # ... and of the staging pass held as engine state.
+            r"|_lookups_ahead|_take_staged|_open_stage|_drop_stage|_stage_at|_stage_blocks"
+            r"|restore_batch_epoch"
         )
         src = Path(repro.__file__).parent
         hits = [
