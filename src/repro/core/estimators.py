@@ -107,11 +107,11 @@ class EstimationContext:
         kernel) rather than per-object calls, so
         strategies cannot accidentally fall off the bulk path.
 
-        Shared-world (batched) evaluations may be served
-        from the engine's refinement tensor cache — the identical request
-        re-asked over held worlds gets the *same array* back with only the
-        dirty objects' columns recomputed (see ``QueryEngine.
-        refine_cache_size``).  The tensor is therefore owned by the
+        A shared-world (batched) evaluation reads its block off the stage
+        or claims it in the engine's refinement cache, one path either way
+        — the identical request re-asked over held worlds gets the *same
+        array* back with only the dirty objects' columns recomputed (see
+        ``QueryEngine.refine_cache_size``).  The tensor is therefore owned by the
         engine: estimators must treat it as **read-only** (every counting
         reduction in :mod:`repro.trajectory.nn` already is) — writing into
         it would corrupt later ticks' patched reuse.

@@ -35,7 +35,9 @@ its span, and a later batch that holds the epoch and asks for later tics
 request fallback).  Standalone queries advance the epoch on entry; a
 batch — :meth:`QueryEngine.evaluate_many`, or :meth:`QueryEngine.
 held_batch` for a block of calls — holds one, the only way worlds are
-shared, so sliding-window monitoring re-samples each object at most once.
+shared, so sliding-window monitoring re-samples each object at most once;
+a batch's staging pass (:meth:`QueryEngine.stage`) looks each world up
+once, in the one lookup that fills its blocks.
 """
 
 from __future__ import annotations
@@ -705,11 +707,8 @@ class QueryEngine:
             block = staged.block
         # Only batched evaluations are cached: outside a batch every call
         # draws fresh worlds, so there is nothing to reuse.
-        elif self._batch_depth > 0 and self.refine_cache_size > 0:
-            block, cols, hit = self._refine_cache.fetch(
-                job, cache_k, self._stamp, lambda cut: self.fill_blocks([cut])[0][0]
-            )
-            self._count_refine(job, cols, hit)
+        elif self._batch_depth > 0:
+            [(block, _)] = self._claimed([(job, cache_k)])
         else:
             (block,), _ = self.fill_blocks([job])
         if inverse is not None:
@@ -717,12 +716,12 @@ class QueryEngine:
         return block, coords
 
     def _drawn_states(
-        self, columns: list[tuple[UncertainObject, np.ndarray, int]]
+        self, columns: list[tuple[UncertainObject, np.ndarray, int]], warm=()
     ) -> tuple[list[np.ndarray], list[int] | None]:
         """Every ``(object, alive times, n)`` column's worlds, from one
-        fused draw per world count, and each column's world-cache outcome
-        (``0`` hit, ``1`` partial hit, ``2`` miss; ``None`` for a direct
-        draw, which looks nothing up).
+        fused draw per world count (which looks ``warm`` up too), and each
+        column's world-cache outcome (``0`` hit, ``1`` partial hit, ``2``
+        miss; ``None`` for a direct draw, which looks nothing up).
 
         Each object draws from its own RNG stream over its own cache
         window; the object count is a vectorized axis of the draw, not a
@@ -733,9 +732,12 @@ class QueryEngine:
             items = [
                 (obj.object_id, n, *self._cache_window(obj, at)) for obj, at, n in columns
             ]
-            segments, outcomes = self._lookup(items)
-            return [seg.slice(at) for seg, (_, at, _) in zip(segments, columns)], outcomes
-        states: list = [None] * len(columns)
+            looked_up = set(items)
+            found, outcomes = self._lookup(items + [w for w in warm if w not in looked_up])
+            states = [seg.slice(at) for seg, (_, at, _) in zip(found, columns)]
+            return states, outcomes[: len(columns)]
+        self._lookup(warm)
+        states = [None] * len(columns)
         for n in dict.fromkeys(n for *_, n in columns):
             at_n = [i for i, column in enumerate(columns) if column[2] == n]
             fresh = [
@@ -755,12 +757,13 @@ class QueryEngine:
         self, jobs: list[RefineJob], warm: Sequence[tuple[str, int, int, int]] = ()
     ) -> tuple[list[np.ndarray], list[list[int]]]:
         """One C-contiguous ``(objects, times, worlds)`` block per job — the
-        one place sampled worlds become refinement arrays — after looking
-        the ``(object_id, n, t_lo, t_hi)`` world items of ``warm`` up
-        (:meth:`fetch_worlds`).  Returns the blocks and, per job, the
-        world-cache lookups its columns made (``[hits, partial hits,
-        misses]``; a column of an object an earlier job of the call looked
-        up counts a hit, as if the jobs were filled one at a time).
+        one place sampled worlds become refinement arrays — from one world
+        lookup (or direct draw) of every live column of every job and of
+        the ``(object_id, n, t_lo, t_hi)`` items of ``warm`` no column looks
+        up, one distance-table broadcast, then the gathers.  Returns the
+        blocks and, per job, the world-cache lookups its columns made
+        (``[hits, partial hits, misses]``; a column an earlier job of the
+        call looked up counts a hit, as if the jobs were filled in turn).
 
         Runs under the current draw epoch and batch window.  A ``"dist"``
         job's block holds the distances to the query (``inf`` where an
@@ -773,7 +776,49 @@ class QueryEngine:
         serve tier's engine fill each job's columns in the shards owning
         them, whose workers call this on their share.
         """
-        return self._fill_blocks(jobs, self._live_columns(jobs), warm)
+        for job in jobs:
+            if job.kind not in ("dist", "states"):
+                raise ValueError(f"unknown refinement block kind {job.kind!r}")
+        if len(jobs) > 1 and self._batch_depth > 0 and self._batch_window is None:
+            # A window-less held batch: each job looks up its own tics, so
+            # fill one at a time, each seeing the last's cache.
+            filled = [self.fill_blocks([job], warm if job is jobs[-1] else ()) for job in jobs]
+            return [b for bs, _ in filled for b in bs], [c for _, cs in filled for c in cs]
+        lives = self._live_columns(jobs)
+        columns, owner = [], []
+        for j, (job, (alive, live)) in enumerate(zip(jobs, lives)):
+            for c in live:
+                columns.append((self.db.get(job.object_ids[c]), job.times[alive[c]], job.n))
+                owner.append(j)
+        states, outcomes = self._drawn_states(columns, warm)
+        lookups = [[0, 0, 0] for _ in jobs]
+        for j, outcome in zip(owner, outcomes or ()):
+            lookups[j][outcome] += 1
+        space = self.db.space
+        tabulated = [
+            j
+            for j, (job, (alive, _)) in enumerate(zip(jobs, lives))
+            if job.kind == "dist" and tabulates(space, job.times.size, job.n, int(alive.sum()))
+        ]
+        tables = dict(zip(tabulated, distance_tables(space, [jobs[j].coords for j in tabulated])))
+        blocks, at = [], 0
+        for j, (job, (alive, live)) in enumerate(zip(jobs, lives)):
+            drawn, at = states[at : at + live.size], at + live.size
+            if live.size == 0:
+                blocks.append(job.empty())
+            elif job.kind == "dist":
+                blocks.append(
+                    gather_distances(
+                        space, job.coords, alive, live, drawn, job.n,
+                        native=self.backend == "native", per_state=tables.get(j),
+                    )
+                )
+            else:
+                block = job.empty()
+                for col, paths in zip(live, drawn):
+                    block[col, alive[col]] = paths.T
+                blocks.append(block)
+        return blocks, lookups
 
     def _live_columns(
         self, jobs: Sequence[RefineJob]
@@ -814,63 +859,29 @@ class QueryEngine:
             times, tuple(ids), plan.n_samples,
         )
 
-    def _count_refine(self, job: RefineJob, cols, hit: bool) -> None:
-        """Count one refine-cache lookup of ``job`` that recomputed ``cols``."""
-        (self.estimate_cache_hits if hit else self.estimate_cache_misses).inc()
-        self.estimate_columns_refreshed.inc(len(cols))
-        self.estimate_columns_reused.inc(len(job.object_ids) - len(cols))
-
-    def _fill_blocks(
-        self, jobs: list[RefineJob], lives: list, warm=()
-    ) -> tuple[list[np.ndarray], list[list[int]]]:
-        """:meth:`fill_blocks` given the jobs' :meth:`_live_columns`: the
-        ``warm`` lookup, then one stacked fill — one lookup (or direct
-        draw) for every live column of every job, every tabulating query's
-        distance table from one broadcast, then the gathers."""
-        if warm:
-            self.fetch_worlds(warm)
-        for job in jobs:
-            if job.kind not in ("dist", "states"):
-                raise ValueError(f"unknown refinement block kind {job.kind!r}")
-        if len(jobs) > 1 and self._batch_depth > 0 and self._batch_window is None:
-            # A window-less held batch (public fill_blocks only): each job looks
-            # up its own tics, so fill one at a time, each seeing the last's cache.
-            filled = [self._fill_blocks([job], [live]) for job, live in zip(jobs, lives)]
-            return [b for bs, _ in filled for b in bs], [c for _, cs in filled for c in cs]
-        columns, owner = [], []
-        for j, (job, (alive, live)) in enumerate(zip(jobs, lives)):
-            for c in live:
-                columns.append((self.db.get(job.object_ids[c]), job.times[alive[c]], job.n))
-                owner.append(j)
-        states, outcomes = self._drawn_states(columns)
-        lookups = [[0, 0, 0] for _ in jobs]
-        for j, outcome in zip(owner, outcomes or ()):
-            lookups[j][outcome] += 1
-        space = self.db.space
-        tabulated = [
-            j
-            for j, (job, (alive, _)) in enumerate(zip(jobs, lives))
-            if job.kind == "dist" and tabulates(space, job.times.size, job.n, int(alive.sum()))
-        ]
-        tables = dict(zip(tabulated, distance_tables(space, [jobs[j].coords for j in tabulated])))
-        blocks, at = [], 0
-        for j, (job, (alive, live)) in enumerate(zip(jobs, lives)):
-            drawn, at = states[at : at + live.size], at + live.size
-            if live.size == 0:
-                blocks.append(job.empty())
-            elif job.kind == "dist":
-                blocks.append(
-                    gather_distances(
-                        space, job.coords, alive, live, drawn, job.n,
-                        native=self.backend == "native", per_state=tables.get(j),
-                    )
-                )
-            else:
-                block = job.empty()
-                for col, paths in zip(live, drawn):
-                    block[col, alive[col]] = paths.T
-                blocks.append(block)
-        return blocks, lookups
+    def _claimed(
+        self, claims: list[tuple[RefineJob, int]], warm=()
+    ) -> list[tuple[np.ndarray, tuple[int, int, int]]]:
+        """Each ``(job, depth)``'s block and the world-cache lookups its
+        fill made: one refine-cache claim per job, in order, on a fork; the
+        columns they lack filled in one :meth:`fill_blocks` pass with
+        ``warm``; the fork committed once all are in (a fill that raises
+        leaves the cache as it was)."""
+        cache = self._refine_cache.fork()
+        claims = [(job, *cache.claim(job, depth, self._stamp)) for job, depth in claims]
+        fills = [job.columns(cols) for job, _, cols, hit in claims if cols or not hit]
+        filled = iter(zip(*self.fill_blocks(fills, warm)))
+        blocks = []
+        for job, entry, cols, hit in claims:
+            block, lookups = next(filled) if cols or not hit else (None, (0, 0, 0))
+            entry.put(cols, block)
+            if self.refine_cache_size:  # a cache of capacity 0 keeps no claim
+                (self.estimate_cache_hits if hit else self.estimate_cache_misses).inc()
+                self.estimate_columns_refreshed.inc(len(cols))
+                self.estimate_columns_reused.inc(len(job.object_ids) - len(cols))
+            blocks.append((entry.block, tuple(lookups)))
+        self._refine_cache = cache
+        return blocks
 
     # ------------------------------------------------------------------
     # refinement: reverse direction (states, then pairwise distances)
@@ -959,28 +970,29 @@ class QueryEngine:
         :attr:`ust_tree`, worlds current) at the cost of the *dirty*
         objects only.  ``object_ids`` are drawn at ``n_samples`` (default:
         the engine's).  A target named twice is looked up once, and the
-        whole set is one lookup: one adaptation, compile and arena pass
-        per world count.  Worlds enter the cache at the current draw
-        epoch, so the call is meaningful between held-epoch batches (or
-        inside a :meth:`held_batch`); a standalone query afterwards would
-        advance the epoch and redraw regardless.
+        whole set is one lookup (a :meth:`fill_blocks` of no jobs): one
+        adaptation, compile and arena pass per world count.  Worlds enter
+        the cache at the current draw epoch, so the call is meaningful
+        between held-epoch batches (or inside a :meth:`held_batch`); a
+        standalone query afterwards would advance the epoch and redraw
+        regardless.
         """
         n = self.n_samples if n_samples is None else check_count("n_samples", n_samples)
         self.sync_mutations()
         ids = self.db.object_ids if object_ids is None else object_ids
-        items = self._world_items(dict.fromkeys((object_id, n) for object_id in ids), window)
+        items = self._world_items(ids, n, window)
         before = self._lookup_counts()
-        if items:
-            self.fetch_worlds(items)
+        self.fill_blocks([], items)
         hits, partial_hits, misses = (
             now - then for now, then in zip(self._lookup_counts(), before)
         )
         return {"objects": len(items), "hits": hits, "partial_hits": partial_hits, "misses": misses}
 
-    def _world_items(self, targets, window) -> list[tuple[str, int, int, int]]:
-        """``(object_id, n)`` targets as world items: spans clamped to ``window``."""
+    def _world_items(self, object_ids, n: int, window) -> list[tuple[str, int, int, int]]:
+        """Each distinct id's ``(object_id, n, t_lo, t_hi)``: its span
+        clamped to ``window``."""
         items = []
-        for object_id, n in targets:
+        for object_id in dict.fromkeys(object_ids):
             obj = self.db.get(object_id)
             t_lo, t_hi = obj.t_first, obj.t_last
             if window is not None:
@@ -989,19 +1001,10 @@ class QueryEngine:
                 items.append((object_id, n, t_lo, t_hi))
         return items
 
-    def fetch_worlds(self, items: Sequence[tuple[str, int, int, int]]) -> list:
-        """Look ``(object_id, n, t_lo, t_hi)`` items up in the world cache at
-        the current stamp — drawing, or forward-extending, what is not
-        there — and return their segments in order (none on the serve
-        tier's engine, whose segments live in the owning shard workers).
-
-        All items of one world count share one fused draw.
-        """
-        return self._lookup(items)[0]
-
     def _lookup(self, items) -> tuple[list, list[int]]:
-        """:meth:`fetch_worlds`, plus each item's outcome (``0`` hit, ``1``
-        partial hit, ``2`` miss)."""
+        """``(object_id, n, t_lo, t_hi)`` items' world segments, looked up
+        at the current stamp with one fused draw per world count, and their
+        outcomes (``0`` hit, ``1`` partial hit, ``2`` miss)."""
         segments: list = [None] * len(items)
         outcomes = [0] * len(items)
         for n in dict.fromkeys(item[1] for item in items):
@@ -1451,18 +1454,18 @@ class QueryEngine:
         *,
         refresh_worlds: bool = True,
         window: tuple[int, int] | None = None,
-        warm: Sequence[str] | None = None,
+        warm: Sequence[str] = (),
     ) -> Stage:
         """Plan, filter and fill a batch ahead of its evaluation, in one pass.
 
         Fixes the batch's draw epoch and window as :meth:`evaluate_many`
         does, plans and filters each request once, and makes the one
-        refine-cache lookup of each block of fixed content (:meth:`_fill_job`)
-        in request order; the columns they lack are filled in one
-        :meth:`_fill_blocks` pass (on the serve tier, one round).  Given
-        ``warm``, even empty, the pass first looks up the worlds of those
-        ids and of every column it fills over the window: a monitor tick's
-        world pass.  The engine keeps none of the returned :class:`Stage`.
+        refine-cache claim of each block of fixed content (:meth:`_fill_job`)
+        in request order; the columns the claims lack are filled in one
+        :meth:`fill_blocks` pass (on the serve tier, one round), whose one
+        world lookup also draws the ``warm`` ids over the window: a
+        monitor tick's world pass.  The engine keeps none of the returned
+        :class:`Stage`.
         """
         reqs = tuple(self._coerce_request(r) for r in requests)
         if not reqs:
@@ -1474,7 +1477,6 @@ class QueryEngine:
         lo, hi = union_window(reqs)
         if window is not None:
             lo, hi = min(lo, int(window[0])), max(hi, int(window[1]))
-        cache = self._refine_cache.fork()  # the cache once every claim is filled
         with self.held_batch(epoch, (lo, hi)), self.shared_filter(reqs):
             self.sync_mutations()  # first: without pruning the filter never syncs
             window = self._batch_window  # merged with an enclosing batch's
@@ -1487,24 +1489,14 @@ class QueryEngine:
                     staged.append(None)
                     continue
                 staged.append(Staged(plan))
-                if job is not None:  # a cache of capacity 0 keeps no claim
-                    claim = cache.claim(job, request.k, self._stamp)
-                    claims.append((len(staged) - 1, request.k, job, *claim))
-            jobs = [job.columns(cols) for _, _, job, _, cols, _ in claims if cols]
-            lives = self._live_columns(jobs)
-            targets = {}
-            if warm is not None:
-                targets = dict.fromkeys((oid, self.n_samples) for oid in warm)
-                for job, (_, live) in zip(jobs, lives):
-                    targets.update(dict.fromkeys((job.object_ids[c], job.n) for c in live))
-            filled = iter(zip(*self._fill_blocks(jobs, lives, self._world_items(targets, window))))
-        for i, depth, job, entry, cols, hit in claims:
-            block, lookups = next(filled) if cols else (None, (0, 0, 0))
-            entry.put(cols, block)
-            if self.refine_cache_size:
-                self._count_refine(job, cols, hit)
-            staged[i] = Staged(staged[i].plan, (depth, job.key), entry.block, tuple(lookups))
-        self._refine_cache = cache
+                if job is not None:
+                    claims.append((len(staged) - 1, job, request.k))
+            blocks = self._claimed(
+                [(job, depth) for _, job, depth in claims],
+                self._world_items(warm, self.n_samples, window),
+            )
+        for (i, job, depth), (block, lookups) in zip(claims, blocks):
+            staged[i] = Staged(staged[i].plan, (depth, job.key), block, lookups)
         return Stage(epoch, window, self.db.version, reqs, tuple(staged))
 
     def evaluate_staged(

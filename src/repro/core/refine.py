@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
@@ -148,22 +147,6 @@ class RefineCache:
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
         return entry, cols, hit
-
-    def fetch(
-        self,
-        job: RefineJob,
-        depth: int,
-        stamp: tuple,
-        fill: Callable[[RefineJob], np.ndarray],
-    ):
-        """``(block, cols, hit)``: :meth:`claim` ``job`` and ``fill`` the
-        columns it lacks; a ``fill`` that raises leaves the cache as it was."""
-        fork = self.fork()
-        entry, cols, hit = fork.claim(job, depth, stamp)
-        if cols or not hit:
-            entry.put(cols, fill(job.columns(cols)))
-        self._entries = fork._entries
-        return entry.block, cols, hit
 
 
 def tabulates(space: StateSpace, n_times: int, n: int, n_drawn: int) -> bool:

@@ -1,13 +1,12 @@
 """The coordinator-side engine: a ``QueryEngine`` whose sampling is remote.
 
 :class:`ShardedQueryEngine` subclasses the single-process engine and
-replaces its refinement seam, nothing else: :meth:`_fill_blocks` (the
-world lookups and block columns of a :meth:`~QueryEngine.stage` go to
+replaces its two-method refinement seam, nothing else: :meth:`fill_blocks`
+(the block columns and world items of a :meth:`~QueryEngine.stage` go to
 the shards owning them in one round, and the slabs come home in their
-replies),
-:meth:`fetch_worlds` (segments are warmed where they live) and
-:meth:`sync_mutations` (the invalidation decision is mirrored to every
-shard).  All planning, filtering (the UST-tree runs over the *full*
+replies; with no jobs — :meth:`~QueryEngine.prefetch_worlds` — segments
+are warmed where they live) and :meth:`sync_mutations` (the invalidation
+decision is mirrored to every shard).  All planning, filtering (the UST-tree runs over the *full*
 database, so candidate and influence sets are globally identical to
 single-process evaluation), staging, refine caching, thresholding and
 monitoring logic above that seam is inherited unchanged, which is the
@@ -285,14 +284,11 @@ class ShardedQueryEngine(QueryEngine):
     # ------------------------------------------------------------------
     # the refinement seam, remote
     # ------------------------------------------------------------------
-    def fetch_worlds(self, items) -> list:
-        self._fill_blocks([], [], items)
-        return []
-
-    def _fill_blocks(self, jobs: list[RefineJob], lives: list, warm=()):
+    def fill_blocks(self, jobs: list[RefineJob], warm=()):
         """A stage's fill in one round: each shard gets one
-        :class:`ComputeColumns` with the ``warm`` items it owns and its
-        live columns of every job, syncs, warms, then computes.
+        :class:`ComputeColumns` with its live columns of every job and the
+        ``warm`` items it owns that no column looks up, and its worker
+        fills them with one world lookup (:meth:`QueryEngine.fill_blocks`).
 
         Each worker returns the object slabs of the ids it owns in its
         reply, each with the world-cache lookups its fill made; the slabs
@@ -302,12 +298,13 @@ class ShardedQueryEngine(QueryEngine):
         """
         blocks = [job.empty() for job in jobs]
         lookups = [[0, 0, 0] for _ in jobs]
-        items: dict[int, list] = {}
-        for item in warm:
-            items.setdefault(self.router.shard_of(item[0]), []).append(item)
+        columns = []  # each live column's world item, as the worker looks it up
         per_shard: dict[int, list[ComputeJob]] = {}
-        for j, (job, (_, live)) in enumerate(zip(jobs, lives)):
+        for j, (job, (alive, live)) in enumerate(zip(jobs, self._live_columns(jobs))):
             live_ids = [job.object_ids[c] for c in live]
+            for c, oid in zip(live, live_ids):
+                window = self._cache_window(self.db.get(oid), job.times[alive[c]])
+                columns.append((oid, job.n, *window))
             for shard, at in self.router.partition_positions(live_ids).items():
                 per_shard.setdefault(shard, []).append(
                     ComputeJob(
@@ -315,6 +312,11 @@ class ShardedQueryEngine(QueryEngine):
                         job_index=j, col_index=tuple(int(live[i]) for i in at),
                     )
                 )
+        looked_up = set(columns)
+        warm = [item for item in warm if item not in looked_up]
+        items: dict[int, list] = {}
+        for item in warm:
+            items.setdefault(self.router.shard_of(item[0]), []).append(item)
         shards = sorted(set(items) | set(per_shard))
         if not shards:
             return blocks, lookups
@@ -340,12 +342,7 @@ class ShardedQueryEngine(QueryEngine):
                     blocks[job.job_index][list(job.col_index)] = sub
                     for i, n in enumerate(counts):
                         lookups[job.job_index][i] += n
-        # The workers looked the items up first, then filled.
-        for oid, n, lo, hi in warm:
-            self._note_window(oid, n, lo, hi)
-        for job, (alive, live) in zip(jobs, lives):
-            for c in live:
-                oid = job.object_ids[c]
-                lo, hi = self._cache_window(self.db.get(oid), job.times[alive[c]])
-                self._note_window(oid, job.n, lo, hi)
+        # The workers looked the columns up first, then the warm items.
+        for item in columns + warm:
+            self._note_window(*item)
         return blocks, lookups

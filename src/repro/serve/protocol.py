@@ -90,13 +90,13 @@ class ComputeJob(RefineJob):
 
 @dataclass
 class ComputeColumns:
-    """Look world items up, then compute jobs, under the coordinator's
-    batch context — one tick's staging pass on one shard.
+    """Compute jobs and look world items up, in one world lookup, under the
+    coordinator's batch context — one tick's staging pass on one shard.
 
     ``items`` are ``(object_id, n_samples, t_lo, t_hi)`` cache windows of
-    objects the shard owns: a tick's world targets, or — after a restart,
-    with no jobs — the windows the coordinator mirrored for the lost
-    worker.  A fresh one-shot draw over a window is bit-identical to the
+    objects the shard owns that no column of ``jobs`` looks up: a tick's
+    warm targets, or — after a restart, with no jobs — the windows the
+    coordinator mirrored for the lost worker.  A fresh one-shot draw over a window is bit-identical to the
     original draw plus its forward extensions (the world-cache extension
     contract), so resumption after a replay is exact.  ``epoch``/``window``
     pin the worker's draw epoch and batch window to the coordinator's, so

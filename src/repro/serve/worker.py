@@ -104,9 +104,10 @@ class ShardWorkerState:
         if isinstance(command, ApplyEvents):
             result = self.stream.apply(command.events)
             return {"applied": result.applied, "dirty": sorted(result.dirty)}
-        # Sync, warm, compute: each slab comes home with the world-cache
-        # lookups its fill made, so the coordinator's Stage can charge them
-        # to the evaluation that reads the block.
+        # Sync, then one fill whose world lookup also warms the items: each
+        # slab comes home with the lookups its fill made, so the
+        # coordinator's Stage can charge them to the evaluation that reads
+        # the block.
         items = [item for item in command.items if item[0] in engine.db]
         with engine.held_batch(command.epoch, command.window):
             blocks, lookups = engine.fill_blocks(command.jobs, warm=items)

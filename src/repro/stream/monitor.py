@@ -159,10 +159,8 @@ class TickReport:
     batch: the ingest-to-ready cost), ``schedule``
     (re-evaluation verdicts), ``evaluate`` (the coalesced
     ``evaluate_staged`` call, further split into the summed per-request
-    ``filter`` and ``estimate`` stage timings — the block fills of a tick
-    with a world pass sit in ``ingest``, not here; a refreshing tick,
-    which has none, stages inside ``evaluate``) and ``notify``
-    (delta/callback delivery).
+    ``filter`` and ``estimate`` stage timings — the block fills sit in
+    ``ingest``, not here) and ``notify`` (delta/callback delivery).
     """
 
     now: int | None
@@ -431,35 +429,30 @@ class ContinuousMonitor:
             due = [d for d in decisions if d.due]
 
             # Ingest-to-ready: the tick's one staging pass.  It syncs the
-            # index, plans and filters each due request once and looks up
-            # every world the due evaluations will read — into the epoch
-            # they read and over the union window they anchor at — so the
-            # tick's newcomers are adapted, compiled and drawn in one
-            # batch; then it fills the blocks those evaluations will be
-            # handed, together, and returns them with the plans.  The
-            # targets are what the evaluations would draw themselves:
-            # each due request's live refine set at its planned world
-            # count when its estimator samples every influence object
-            # (hybrid, bounds and exact draw for themselves, or not at
-            # all — a world drawn that nobody reads would move a later
-            # anchor), plus the dirty objects some due subscription was
-            # influenced by last tick.  A tick whose subscriptions all
+            # index, plans and filters each due request once, and fills the
+            # blocks the due evaluations will be handed with one world
+            # lookup — into the epoch they read and over the union window
+            # they anchor at — so the tick's newcomers are adapted, compiled
+            # and drawn in one batch; it returns the blocks with the plans.
+            # A block is a due request's live refine set at its planned
+            # world count when its estimator samples every influence object
+            # (hybrid, bounds and exact draw for themselves, or not at all —
+            # a world drawn that nobody reads would move a later anchor).
+            # The lookup also warms the dirty objects some due subscription
+            # was influenced by last tick.  A tick whose subscriptions all
             # proved clean samples nothing; a refreshing tick draws a fresh
-            # epoch and stages inside its evaluate stage, warming nothing.
-            due_requests = [decision.request for decision in due]
-            stage = None
+            # epoch, warming nothing beyond its blocks.
             with tracer.span("prefetch") as sp_prefetch:
-                if due and not refreshing:
+                if due:
                     influenced = set()
                     for decision in due:
-                        influenced.update(
-                            decision.subscription.last_influencers or ()
-                        )
+                        influenced.update(decision.subscription.last_influencers or ())
+                    warm = sorted(oid for oid in dirty & influenced if oid in self.engine.db)
                     stage = self.engine.stage(
-                        due_requests,
-                        refresh_worlds=False,
+                        [decision.request for decision in due],
+                        refresh_worlds=refreshing,
                         window=union,
-                        warm=sorted(oid for oid in dirty & influenced if oid in self.engine.db),
+                        warm=() if refreshing else warm,
                     )
             # The world pass is part of the ingest-to-ready cost (see the
             # TickReport docs); the trace keeps it as its own span.
@@ -468,11 +461,6 @@ class ContinuousMonitor:
             filter_seconds = estimate_seconds = evaluate_seconds = 0.0
             if due:
                 with tracer.span("evaluate") as sp_evaluate:
-                    if stage is None:
-                        # A refresh (explicit, or forced by a backward union
-                        # move) draws a fresh epoch, held again by the
-                        # following ticks.
-                        stage = self.engine.stage(due_requests, window=union)
                     evaluated = self.engine.evaluate_staged(stage)
                     results = {
                         d.subscription.name: r for d, r in zip(due, evaluated)

@@ -14,24 +14,33 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
+import numpy as np
+
 __all__ = ["Observation", "ObservationSet", "as_integer"]
 
 
+_INTP = np.iinfo(np.intp)
+
+
 def as_integer(name: str, value) -> int:
-    """``value`` as an ``int``: integers (numpy's too) and integral finite
-    floats.  A bool is refused (``TypeError``): ``operator.index`` would
-    land ``True`` as 1 — a time or state nobody meant."""
+    """``value`` as an ``int`` in the ``np.intp`` range times and states are
+    stored in: integers (numpy's too) and integral finite floats.  A bool is
+    refused (``TypeError``): ``operator.index`` would land ``True`` as 1 — a
+    time or state nobody meant."""
     if isinstance(value, bool):
         raise TypeError(f"{name} must be an integer, got {value!r}")
     try:
-        return operator.index(value)
+        result = operator.index(value)
     except TypeError:
         real = isinstance(value, numbers.Real)
-        if real and math.isfinite(value) and float(value).is_integer():
-            return int(value)
-        raise (ValueError if real else TypeError)(
-            f"{name} must be an integer, got {value!r}"
-        ) from None
+        if not (real and math.isfinite(value) and float(value).is_integer()):
+            raise (ValueError if real else TypeError)(
+                f"{name} must be an integer, got {value!r}"
+            ) from None
+        result = int(value)
+    if not _INTP.min <= result <= _INTP.max:
+        raise ValueError(f"{name} must be an integer in the {_INTP.bits}-bit range, got {value!r}")
+    return result
 
 
 @dataclass(frozen=True, order=True)

@@ -26,6 +26,7 @@ import repro.core.evaluator as evaluator
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query, QueryRequest
 from repro.core.refine import RefineCache
+from repro.core.worlds import WorldCache
 from repro.serve import ServeCoordinator
 from repro.statespace.base import StateSpace
 from repro.stream import (
@@ -42,6 +43,7 @@ from tests.serve.conftest import (
     SEED,
     assert_reports_identical,
     feasible_extension,
+    seam_script,
     standard_subscriptions,
     twin_db,
 )
@@ -108,7 +110,7 @@ class TestRoundsPerTick:
 
 class _Counts:
     """``build_plan`` / ``_fill_job`` / ``RefineCache.stale`` calls and jobs
-    handed to ``_live_columns`` on one engine, per tick."""
+    handed to ``fill_blocks`` on one engine, per tick."""
 
     def __init__(self, engine, monkeypatch):
         self.plans = self.jobs = self.live = self.stale = 0
@@ -122,20 +124,20 @@ class _Counts:
             self.stale += 1
             return stale(cache, *args)
 
-        fill_job, live_columns = engine._fill_job, engine._live_columns
+        fill_job, fill_blocks = engine._fill_job, engine.fill_blocks
 
         def job(request, plan):
             self.jobs += 1
             return fill_job(request, plan)
 
-        def live(jobs):
+        def fill(jobs, warm=()):
             self.live += len(jobs)
-            return live_columns(jobs)
+            return fill_blocks(jobs, warm)
 
         monkeypatch.setattr(evaluator, "build_plan", plan)
         monkeypatch.setattr(RefineCache, "stale", stale_cut)
         monkeypatch.setattr(engine, "_fill_job", job)
-        monkeypatch.setattr(engine, "_live_columns", live)
+        monkeypatch.setattr(engine, "fill_blocks", fill)
 
     def take(self):
         counts = (self.plans, self.jobs, self.live, self.stale)
@@ -146,9 +148,8 @@ class _Counts:
 @pytest.mark.parametrize("serve", [False, True], ids=["monitor", "coordinator"])
 def test_each_due_request_is_planned_once_per_tick(serve, monkeypatch):
     """One ``build_plan``, ``_fill_job`` and refine-cache ``stale`` cut and
-    at most one live-column job per due request per tick, on the
-    coordinator as on one process (a fresh epoch — the refresh tick —
-    stages inside the evaluate stage instead)."""
+    at most one filled job per due request per tick, on the coordinator as
+    on one process, the refresh tick included."""
     db = twin_db()
     if serve:
         coord = ServeCoordinator(db, n_shards=2, seed=SEED, mode="inline", n_samples=60)
@@ -184,15 +185,58 @@ def test_one_local_fill_pass_per_tick(monkeypatch):
     for name, request in standard_subscriptions():
         monitor.subscribe(request, name=name)
     passes = []
-    fill = engine._fill_blocks
+    fill = engine.fill_blocks
     monkeypatch.setattr(
-        engine, "_fill_blocks",
-        lambda jobs, lives, warm=(): passes.append(len(jobs)) or fill(jobs, lives, warm),
+        engine, "fill_blocks", lambda jobs, warm=(): passes.append(len(jobs)) or fill(jobs, warm)
     )
     for events in ([], [feasible_extension(db, sorted(db.object_ids)[0])]):
         passes.clear()
         assert monitor.tick(events).reevaluated
         assert len(passes) == 1 and passes[0] >= 1
+
+
+def test_each_world_is_looked_up_once_per_tick(monkeypatch):
+    """Over ``seam_script`` with sampled subscriptions, no ``(key, t_lo,
+    t_hi)`` world reaches two ``states_for_many`` calls of one tick — the
+    warm targets join the fill's own lookup — on one process and on two
+    shards, whose ticks make the same partial hits and misses."""
+    calls = []
+    states_for_many = WorldCache.states_for_many
+
+    def recorded(cache, items, stamp, bulk_sampler, outcomes=None):
+        kinds = [] if outcomes is None else outcomes
+        found = states_for_many(cache, items, stamp, bulk_sampler, outcomes=kinds)
+        calls.append((items, kinds))
+        return found
+
+    monkeypatch.setattr(WorldCache, "states_for_many", recorded)
+    runs = []
+    for serve in (False, True):
+        db = twin_db()
+        if serve:
+            monitor = ServeCoordinator(db, n_shards=2, seed=SEED, mode="inline", n_samples=60)
+        else:
+            monitor = ContinuousMonitor(QueryEngine(db, n_samples=60, seed=SEED))
+        ticks = []
+        try:
+            for name, request in standard_subscriptions():
+                monitor.subscribe(request, name=name)
+            for t, events in enumerate(seam_script(db)):
+                calls.clear()
+                monitor.tick(events)
+                seen = set()
+                for items, _ in calls:
+                    assert not seen & set(items), (serve, t, seen & set(items))
+                    seen.update(items)
+                kinds = [kind for _, outcomes in calls for kind in outcomes]
+                ticks.append((kinds.count(1), kinds.count(2)))
+        finally:
+            if serve:
+                monitor.close()
+        runs.append(ticks)
+    single, served = runs
+    assert single == served
+    assert sum(misses for _, misses in single) > 0
 
 
 def _mixed_subscriptions():

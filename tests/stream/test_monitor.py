@@ -359,11 +359,12 @@ class TestSlidingWindows:
         assert r3.notifications[0].times[-1] == r3.now
         assert r3.notifications[0].reason == "window-moved"
 
-    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf")])
+    @pytest.mark.parametrize("bad", [2.5, float("nan"), float("inf"), 2**63])
     def test_fractional_or_non_finite_now_refused(self, monitor, world, bad):
         """``tick(now=2.5)`` used to set the clock to 2 and ``now=nan``
-        raised numpy's bare conversion error; either is refused before
-        anything is ingested, leaving clock and database untouched."""
+        raised numpy's bare conversion error; either — or a clock past the
+        ``np.intp`` range — is refused before anything is ingested, leaving
+        clock and database untouched."""
         q = Query.from_point([5.0, 5.0])
         monitor.subscribe(
             QueryRequest(q, (0,)), window=SlidingWindow(width=2), name="s"
@@ -376,6 +377,26 @@ class TestSlidingWindows:
         assert monitor.now == 4 and world.version == version
         assert monitor.tick(now=np.float64(6.0)).now == 6
         assert type(monitor.now) is int
+
+    def test_out_of_range_observation_time_refused(self, monitor, world):
+        """An observation time past the ``np.intp`` range is refused with
+        its event index and object id, the database untouched — it used to
+        pass validation and then raise ``OverflowError`` in every later
+        tick's index sync — and the next tick runs."""
+        q = Query.from_point([5.0, 5.0])
+        monitor.subscribe(QueryRequest(q, (2, 3, 4)), name="s")
+        monitor.tick()
+        version = world.version
+        target = world.object_ids[0]
+        hostile = AddObject("y", [(2**63, 0), (2**63 + 2, 0)])
+        with pytest.raises(
+            ValueError, match=r"event 1 \(object 'y'\): time must be an integer in the"
+        ):
+            monitor.tick([_extension_event(world, target), hostile])
+        assert world.version == version and "y" not in world
+        report = monitor.tick([_extension_event(world, target)])
+        assert report.dirty == frozenset({target})
+        assert report.notifications[0].reevaluated
 
     def test_explicit_now_wins(self, monitor):
         q = Query.from_point([5.0, 5.0])

@@ -198,7 +198,7 @@ class TestIngestPrefetch:
             worlds = engine.worlds
             return worlds.hits.value, worlds.partial_hits.value, worlds.misses.value
 
-        def recorded(requests, *, refresh_worlds=True, window=None, warm=None):
+        def recorded(requests, *, refresh_worlds=True, window=None, warm=()):
             before = counts()
             stage = original(requests, refresh_worlds=refresh_worlds, window=window, warm=warm)
             blocks = [staged.lookups for staged in stage.staged if staged is not None]
@@ -212,40 +212,40 @@ class TestIngestPrefetch:
                 "partial_hits": partial_hits,
                 "misses": misses,
             }
-            calls.append((tuple(warm or ()), window, tuple(requests), looked_up))
+            calls.append((tuple(warm), window, tuple(requests), looked_up))
             return stage
 
         monkeypatch.setattr(engine, "stage", recorded)
         return calls
 
     def test_dirty_influencer_worlds_prefetched(self, monitor, world, monkeypatch):
-        """One stage call per tick over the union window: the dirty
-        influencer, plus every object the due evaluation will look up —
-        which then finds its worlds cached."""
+        """One stage call per tick over the union window, warming the dirty
+        influencer: the due evaluation's fill looks it up itself, once, so
+        the warm-up looks up nothing of its own."""
         calls = self._record(monitor, monkeypatch)
         first = monitor.tick()
         influencers = first.notifications[0].result.influencers
-        # First tick: every influencer is drawn ahead, none by the evaluation.
+        # First tick: every influencer is drawn by the staged fill, and the
+        # evaluation's report carries those lookups.
         [(object_ids, _, _, looked_up)] = calls
-        assert object_ids == () and looked_up["misses"] == len(influencers)
-        assert first.notifications[0].report.cache_hits == len(influencers)
-        assert first.notifications[0].report.cache_misses == 0
+        assert object_ids == () and looked_up["objects"] == 0
+        assert first.notifications[0].report.cache_misses == len(influencers)
+        assert first.notifications[0].report.cache_hits == 0
         target = influencers[0]
         calls.clear()
         report = monitor.tick([_refinement_event(world, target)])
         request = monitor.subscriptions[0].request_at(monitor.now)
         [(object_ids, window, requests, looked_up)] = calls
         assert (object_ids, window, requests) == ((target,), (4, 7), (request,))
-        # The refine cache holds the request's block: its fill will be
-        # handed the dirty column alone, so nothing else is looked up.
+        # The refine cache holds the request's block: its fill is handed
+        # the dirty column alone, which is the warm target itself.
         assert len(influencers) > 1
-        assert looked_up == {"objects": 1, "hits": 0, "partial_hits": 0, "misses": 1}
+        assert looked_up == {"objects": 0, "hits": 0, "partial_hits": 0, "misses": 0}
         note = report.notifications[0]
         assert note.reason == "dirty-influencer"
-        # The refine cache refills the dirty column alone — from the
-        # prefetched worlds.
-        assert note.report.cache_misses == note.report.cache_partial_hits == 0
-        assert note.report.cache_hits == 1
+        # The refine cache refills the dirty column alone, redrawing it.
+        assert note.report.cache_hits == note.report.cache_partial_hits == 0
+        assert note.report.cache_misses == 1
 
     def test_hybrid_influencers_stay_out(self, world, monkeypatch):
         """A hybrid subscription draws its undecided objects itself: only

@@ -195,6 +195,9 @@ class TestEngineOptionCount:
             # ... and of the staging pass held as engine state.
             r"|_lookups_ahead|_take_staged|_open_stage|_drop_stage|_stage_at|_stage_blocks"
             r"|restore_batch_epoch"
+            # ... and of the warm-up beside the fill and the third claim path
+            # (``\b`` keeps ``prefetch_worlds``).
+            r"|\bfetch_worlds\b|\b_fill_blocks\b|_refine_cache\.fetch"
         )
         src = Path(repro.__file__).parent
         hits = [
@@ -228,7 +231,7 @@ class TestRefinementSeam:
     """A refinement block is one record, filled by one method, patched by
     one cache; the serve tier replaces that seam and nothing else."""
 
-    SEAM = {"_fill_blocks", "fetch_worlds", "sync_mutations"}
+    SEAM = {"fill_blocks", "sync_mutations"}
 
     def test_sharded_engine_overrides_only_the_seam(self):
         from repro.serve.engine import ShardedQueryEngine
