@@ -111,10 +111,10 @@ class EstimationContext:
         or claims it in the engine's refinement cache, one path either way
         — the identical request re-asked over held worlds gets the *same
         array* back with only the dirty objects' columns recomputed (see
-        ``QueryEngine.refine_cache_size``).  The tensor is therefore owned by the
-        engine: estimators must treat it as **read-only** (every counting
-        reduction in :mod:`repro.trajectory.nn` already is) — writing into
-        it would corrupt later ticks' patched reuse.
+        ``QueryEngine.refine_cache_size``).  The tensor is therefore owned
+        by the engine: estimators must treat it as **read-only** (every
+        counting reduction in :mod:`repro.trajectory.nn` already is) —
+        writing into it would corrupt later ticks' patched reuse.
         """
         return self.engine.distance_tensor(
             self.refine_ids,

@@ -6,13 +6,13 @@ replaces its two-method refinement seam, nothing else: :meth:`fill_blocks`
 the shards owning them in one round, and the slabs come home in their
 replies; with no jobs — :meth:`~QueryEngine.prefetch_worlds` — segments
 are warmed where they live) and :meth:`sync_mutations` (the invalidation
-decision is mirrored to every shard).  All planning, filtering (the UST-tree runs over the *full*
-database, so candidate and influence sets are globally identical to
-single-process evaluation), staging, refine caching, thresholding and
-monitoring logic above that seam is inherited unchanged, which is the
-whole correctness argument: the sharded system runs literally the same
-code everywhere except that each object's worlds are drawn inside its
-owning shard worker.
+decision is mirrored to every shard).  All planning, filtering (the
+UST-tree runs over the *full* database, so candidate and influence sets
+are globally identical to single-process evaluation), staging, refine
+caching, thresholding and monitoring logic above that seam is inherited
+unchanged, which is the whole correctness argument: the sharded system
+runs literally the same code everywhere except that each object's worlds
+are drawn inside its owning shard worker.
 
 Bit-identity of the drawn worlds rests on three invariants:
 

@@ -96,12 +96,12 @@ class ComputeColumns:
     ``items`` are ``(object_id, n_samples, t_lo, t_hi)`` cache windows of
     objects the shard owns that no column of ``jobs`` looks up: a tick's
     warm targets, or — after a restart, with no jobs — the windows the
-    coordinator mirrored for the lost worker.  A fresh one-shot draw over a window is bit-identical to the
-    original draw plus its forward extensions (the world-cache extension
-    contract), so resumption after a replay is exact.  ``epoch``/``window``
-    pin the worker's draw epoch and batch window to the coordinator's, so
-    cache anchors and RNG seeds are identical to what a single-process
-    batch would use.  ``wholesale=True`` makes the worker's sync a full
+    coordinator mirrored for the lost worker.  A fresh one-shot draw over
+    a window is bit-identical to the original draw plus its forward
+    extensions (the world-cache extension contract), so resumption after a
+    replay is exact.  ``epoch``/``window`` pin the worker's draw epoch and
+    batch window to the coordinator's, so cache anchors and RNG seeds are
+    identical to what a single-process batch would use.  ``wholesale=True`` makes the worker's sync a full
     flush (new worlds token, fresh arena) even when its own mutation log
     could name the delta — the coordinator's log may have overflowed when
     the worker's did not, and invalidation must match the single-process

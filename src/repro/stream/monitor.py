@@ -446,7 +446,9 @@ class ContinuousMonitor:
                 if due:
                     influenced = set()
                     for decision in due:
-                        influenced.update(decision.subscription.last_influencers or ())
+                        influenced.update(
+                            decision.subscription.last_influencers or ()
+                        )
                     warm = sorted(oid for oid in dirty & influenced if oid in self.engine.db)
                     stage = self.engine.stage(
                         [decision.request for decision in due],

@@ -1,15 +1,16 @@
 """A tick's refinement staging is one pass, on one process and on shards.
 
 ``QueryEngine.stage`` plans and filters each due request once and makes
-its one refine-cache lookup; the jobs it computes are both the tick's
-world targets and the blocks the batch fills — one stacked local fill,
-or one fan-out round per tick that carries world items and column jobs
-together, each command also carrying the coordinator's invalidation
-flag.  So a serving tick with events and due sampling subscriptions
-makes exactly two rounds (``ApplyEvents``, then the staging), a tick
-whose subscriptions are all clean only the first, and ``build_plan`` /
-``_fill_job`` / ``RefineCache.stale`` run once per due request per tick
-— while payloads and reuse counters stay those of one process.  The
+its one refine-cache claim; the columns the claims lack are filled in
+one stacked local fill whose one world lookup also warms the tick's
+other targets, or in one fan-out round per tick that carries column
+jobs and world items together, each command also carrying the
+coordinator's invalidation flag.  So a serving tick with events and due
+sampling subscriptions makes exactly two rounds (``ApplyEvents``, then
+the staging), a tick whose subscriptions are all clean only the first,
+``build_plan`` / ``_fill_job`` / ``RefineCache.stale`` run once per due
+request per tick, and no world is looked up by two calls of one tick —
+while payloads and reuse counters stay those of one process.  The
 ``Stage`` is a value: one built and never evaluated changes nothing.
 """
 
