@@ -18,6 +18,7 @@ from scipy import sparse
 from repro.core.evaluator import QueryEngine
 from repro.core.queries import Query, QueryRequest
 from repro.data.synthetic import SyntheticWorkloadConfig, generate_workload
+from repro.markov import native
 from repro.markov.adaptation import adapt_many, adapt_model, compiled_views
 from repro.markov.chain import MarkovChain
 from repro.markov.compiled import compile_models
@@ -392,8 +393,6 @@ def test_fused_speedup_targets(candidate_scale_db, bench_record):
 def test_bench_refine_native(benchmark, candidate_scale_db, n_candidates):
     """Native (C) tier refinement: the fused arena with the compiled
     sweep/seeder/gather kernels (``backend="native"``)."""
-    from repro.markov import native
-
     if not native.available():
         pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
     benchmark(_candidate_kernel(candidate_scale_db, n_candidates, backend="native"))
@@ -412,8 +411,6 @@ def test_native_speedup_targets(candidate_scale_db, bench_record):
     NATIVE_SPEEDUP_TARGET=10.0 for the full assertion.  Skips (and
     records nothing) when the tier cannot load.
     """
-    from repro.markov import native
-
     if not native.available():
         pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
 
@@ -1289,7 +1286,7 @@ def test_refine_layout_targets(bench_record):
     runners; run locally or set the ``REFINE_*_SPEEDUP_TARGET`` variables
     for the full assertion).
     """
-    from repro.core.apriori import mine_world_masks, world_masks
+    from repro.core.apriori import mine_objects, mine_world_masks, world_masks
     from repro.trajectory.nn import knn_indicator
 
     chain, rng = _knn_chain()
@@ -1337,6 +1334,9 @@ def test_refine_layout_targets(bench_record):
     def mine_reference(is_nn, tau):
         return [reference_mine(is_nn[:, c, :], times, tau) for c in range(len(ids))]
 
+    def mine_native(is_nn, tau):
+        return mine_objects(is_nn.transpose(1, 2, 0), times, tau, native=True)
+
     mean_case = knn_indicator(dist, 1)
     worst_case = np.zeros_like(mean_case)
     worst_case[:, 0, :] = True
@@ -1357,12 +1357,20 @@ def test_refine_layout_targets(bench_record):
         row[f"mining_{name}_reference_us"] = best_us(
             lambda: mine_reference(world_major_is_nn, tau)
         )
+        if native.available():
+            assert mine_native(is_nn, tau) == mined
+            row[f"mining_{name}_native_us"] = best_us(lambda: mine_native(is_nn, tau))
     assert 30 * len(ids) <= row["mining_mean_sets_evaluated"] <= 50 * len(ids)
     assert row["mining_worst_sets_evaluated"] == 1023 + 7 * times.size
     speedup = (row["distance_world_major_us"] + row["count_world_major_us"]) / (
         row["distance_us"] + row["count_us"]
     )
     mining_speedup = row["mining_worst_reference_us"] / row["mining_worst_us"]
+    native_speedups = {
+        f"speedup_mining_{name}_native": row[f"mining_{name}_us"] / row[f"mining_{name}_native_us"]
+        for name in ("mean", "worst")
+        if f"mining_{name}_native_us" in row
+    }
     bench_record(
         "refine_layout",
         {
@@ -1375,6 +1383,7 @@ def test_refine_layout_targets(bench_record):
             **row,
             "speedup_distance_plus_count": speedup,
             "speedup_mining_worst": mining_speedup,
+            **native_speedups,
         },
     )
     on_ci = bool(os.environ.get("CI"))
@@ -1382,8 +1391,56 @@ def test_refine_layout_targets(bench_record):
     mining_target = float(
         os.environ.get("REFINE_MINING_SPEEDUP_TARGET", "1.5" if on_ci else "3.0")
     )
+    # The C miner against the Python bitmap miner it stands in for.
+    native_target = float(
+        os.environ.get("NATIVE_MINING_SPEEDUP_TARGET", "1.5" if on_ci else "4.0")
+    )
     assert speedup >= target, row
     assert mining_speedup >= mining_target, row
+    for value in native_speedups.values():
+        assert value >= native_target, row
+
+
+def test_prune_native_targets(bench_record):
+    """The § 6 filter's C scan against the numpy scan, persisted to the
+    JSON table, at the two shapes the end-to-end workloads run it at:
+    ``adhoc_query``'s (1 query × 10 tics × 80 objects) and
+    ``monitor_steady``'s (12 queries × 7 tics × 120 objects) — µs per
+    ``USTTree.prune_many`` pass.  Byte identity is
+    ``tests/spatial/test_prune_oracle.py``'s; here the results are only
+    checked equal.  Acceptance target: ≥2× at both shapes (CI enforces a
+    relaxed floor on shared runners)."""
+    if not native.available():
+        pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
+    rng = np.random.default_rng(9)
+    rounds = 7
+    shapes = {
+        "adhoc_query": (80, 1, np.arange(8, 18)),
+        "monitor_steady": (120, 12, np.arange(14, 21)),
+    }
+    rows = {}
+    for name, (n_objects, n_queries, times) in shapes.items():
+        db, _ = _monitor_database(n_objects)
+        tree = USTTree(db)
+        coords = np.repeat(rng.uniform(10, 90, size=(n_queries, 1, 2)), times.size, axis=1)
+        row = {}
+        for label, use_native in (("numpy", False), ("native", True)):
+            tree.native = use_native
+            results = tree.prune_many(coords, times)  # warm-up
+            row[f"{label}_us"] = min(
+                _timed(lambda: tree.prune_many(coords, times)) for _ in range(rounds)
+            ) * 1e6
+            row[f"{label}_influencers"] = sum(len(r.influencers) for r in results)
+        assert row["numpy_influencers"] == row["native_influencers"]
+        row["speedup"] = row["numpy_us"] / row["native_us"]
+        rows[name] = {"n_objects": n_objects, "n_queries": n_queries,
+                      "n_times": int(times.size), **row}
+    bench_record("prune_native", {"cpu_count": os.cpu_count(), "rounds": rounds, **rows})
+    target = float(
+        os.environ.get("PRUNE_NATIVE_SPEEDUP_TARGET", "1.2" if os.environ.get("CI") else "2.0")
+    )
+    for name, row in rows.items():
+        assert row["speedup"] >= target, rows
 
 
 def test_bench_monitor_tick(benchmark):

@@ -47,6 +47,7 @@ KNOWN_KERNELS = frozenset(
         "monitor_tick_obs_overhead",
         "native_speedup",
         "prune_many",
+        "prune_native",
         "refine_layout",
         "serve_rounds",
         "write_path",

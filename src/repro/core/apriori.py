@@ -20,6 +20,14 @@ probability is ``popcount / worlds`` — the same IEEE division
 those of :func:`repro.trajectory.nn.forall_prob_over_times`, bit for bit.
 ``np.packbits`` pads the last byte with zero bits, which AND and popcount
 never count (a NOT would).
+
+:func:`mine_objects` mines every object of one world pool.  With
+``native=True`` (an engine on the native backend) and ``|T| <= 64`` it
+runs the level-wise C miner (:func:`repro.markov.native.mine_levels`) over
+``uint64`` world words — the same join, subset check, counts, budget and
+division as :func:`mine_world_masks`, which stays the fallback and the
+byte-identity reference — and builds each set's times from its parent's
+with one tuple append.
 """
 
 from __future__ import annotations
@@ -29,9 +37,12 @@ from itertools import combinations
 
 import numpy as np
 
+from ..markov import native as native_tier
+
 __all__ = [
     "AprioriBudgetExceeded",
     "MiningStats",
+    "mine_objects",
     "mine_timestamp_sets",
     "mine_world_masks",
     "world_masks",
@@ -134,9 +145,7 @@ def mine_world_masks(
     of ``times[c]`` over ``n_worlds`` worlds — what a caller mining many
     objects over one world pool packs once for all of them.
     """
-    if not 0.0 < tau <= 1.0:
-        raise ValueError("tau must be in (0, 1]; see Section 4.3 on tau -> 0")
-
+    _check_tau(tau)
     stats = MiningStats()
     n_cols = len(masks)
     counts = [mask.bit_count() for mask in masks]
@@ -167,10 +176,7 @@ def mine_world_masks(
                 continue
             stats.sets_evaluated += 1
             if stats.sets_evaluated > max_candidates:
-                raise AprioriBudgetExceeded(
-                    f"exceeded {max_candidates} candidate validations at level {k}; "
-                    "raise the budget or increase tau"
-                )
+                raise AprioriBudgetExceeded(_budget_message(max_candidates, k))
             # The worlds of the candidate: its parent's (the joined set
             # minus its last tic), intersected with that tic's.
             mask = level[cand[:-1]] & masks[cand[-1]]
@@ -197,6 +203,89 @@ def mine_world_masks(
             results.append((tuple(labels[c] for c in cols), p))
     results.sort(key=lambda item: (len(item[0]), item[0]))
     return results, stats
+
+
+def mine_objects(
+    indicator: np.ndarray,
+    times: np.ndarray,
+    tau: float,
+    max_candidates: int = 100_000,
+    use_certain_shortcut: bool = False,
+    native: bool = False,
+) -> list[tuple[list[tuple[tuple[int, ...], float]], MiningStats]]:
+    """Algorithm 1 for every object of one world pool: object ``o``'s
+    ``(results, stats)`` as :func:`mine_world_masks` returns them for
+    ``indicator[o]``, a boolean ``(|T|, worlds)`` matrix.
+
+    ``indicator`` is ``(objects, |T|, worlds)`` — the engine's world-minor
+    order — and the first object whose validations exceed the budget
+    raises, as mining them in turn would.  ``native=True`` runs the C
+    miner where it applies — at most 64 strictly increasing times (the
+    engine's are sorted and unique); elsewhere the Python miner runs.
+    """
+    _check_tau(tau)
+    times = np.asarray(times, dtype=np.intp)
+    n_objects, n_times, n_worlds = indicator.shape
+    if (
+        native
+        and n_times <= native_tier.MAX_MINED_TIMES
+        and bool((np.diff(times) > 0).all())
+    ):
+        return _mine_native(
+            indicator, times, tau, max_candidates, use_certain_shortcut
+        )
+    masks = world_masks(indicator)
+    return [
+        mine_world_masks(
+            masks[o * n_times : (o + 1) * n_times],
+            n_worlds,
+            times,
+            tau,
+            max_candidates=max_candidates,
+            use_certain_shortcut=use_certain_shortcut,
+        )
+        for o in range(n_objects)
+    ]
+
+
+def _mine_native(indicator, times, tau, max_candidates, use_certain_shortcut):
+    """:func:`mine_objects` on the C miner: one call, then each qualifying
+    set's times are its parent's plus one label."""
+    n_worlds = indicator.shape[2]
+    mined = native_tier.mine_levels(
+        np.packbits(indicator, axis=-1), n_worlds, tau, max_candidates,
+        use_certain_shortcut,
+    )
+    if mined.exceeded is not None:
+        raise AprioriBudgetExceeded(_budget_message(max_candidates, mined.exceeded[1]))
+    labels = times.tolist()
+    sets: list[tuple[int, ...]] = []
+    for parent, col in zip(mined.parent, mined.column):
+        sets.append((labels[col],) if parent < 0 else sets[parent] + (labels[col],))
+    out = []
+    first = mined.first
+    for o, certain in enumerate(mined.certain):
+        lo, hi = first[o], first[o + 1]
+        results = [(sets[r], count / n_worlds) for r, count in zip(range(lo, hi), mined.count[lo:hi])]
+        if certain:
+            # Every mined set extends with the certain times at unchanged
+            # probability; the certain set itself qualifies with P=1.
+            base = tuple(t for c, t in enumerate(labels) if certain >> c & 1)
+            results = [(base, 1.0)] + [(tuple(sorted(s + base)), p) for s, p in results]
+        out.append((results, MiningStats(mined.evaluated[o], len(results), mined.levels[o])))
+    return out
+
+
+def _check_tau(tau: float) -> None:
+    if not 0.0 < tau <= 1.0:
+        raise ValueError("tau must be in (0, 1]; see Section 4.3 on tau -> 0")
+
+
+def _budget_message(max_candidates: int, level: int) -> str:
+    return (
+        f"exceeded {max_candidates} candidate validations at level {level}; "
+        "raise the budget or increase tau"
+    )
 
 
 def _join(level: dict[tuple[int, ...], int], k: int) -> list[tuple[int, ...]]:

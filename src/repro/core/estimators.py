@@ -51,7 +51,7 @@ from ..trajectory.nn import (
     knn_indicator,
     reverse_knn_indicator,
 )
-from .apriori import mine_world_masks, world_masks
+from .apriori import mine_objects
 from .bounds import bounds_partition
 from .exact import (
     exact_forall_nn_over_times,
@@ -475,28 +475,26 @@ def _mine_entries(
 ) -> tuple[list[PCNNEntry], int]:
     """Algorithm 1 mining per refined object over a shared world draw.
 
-    The whole indicator is packed into world bitmaps once — along its
-    contiguous axis — and every object mines its own ``|T|`` of them.
+    The whole indicator is packed once — along its contiguous axis — and
+    every object mines its own ``|T|`` columns of it, in the native tier
+    on a native engine (:func:`~repro.core.apriori.mine_objects`).
     """
-    k = ctx.request.k
-    is_nn = knn_indicator(dist, k)
-    n_worlds, _, n_times = is_nn.shape
-    masks = world_masks(is_nn.transpose(1, 2, 0))
-    entries: list[PCNNEntry] = []
-    sets_evaluated = 0
-    for col, object_id in enumerate(ctx.refine_ids):
-        mined, stats = mine_world_masks(
-            masks[col * n_times : (col + 1) * n_times],
-            n_worlds,
-            ctx.times,
-            ctx.request.tau,
-            max_candidates=ctx.request.max_candidates,
-            use_certain_shortcut=ctx.request.use_certain_shortcut,
-        )
-        sets_evaluated += stats.sets_evaluated
-        for timeset, p in mined:
-            entries.append(PCNNEntry(object_id, timeset, p))
-    return entries, sets_evaluated
+    request = ctx.request
+    is_nn = knn_indicator(dist, request.k)
+    mined = mine_objects(
+        is_nn.transpose(1, 2, 0),
+        ctx.times,
+        request.tau,
+        max_candidates=request.max_candidates,
+        use_certain_shortcut=request.use_certain_shortcut,
+        native=ctx.engine.backend == "native",
+    )
+    entries = [
+        PCNNEntry.mined(object_id, timeset, p)
+        for object_id, (sets, _) in zip(ctx.refine_ids, mined)
+        for timeset, p in sets
+    ]
+    return entries, sum(stats.sets_evaluated for _, stats in mined)
 
 
 #: Strategy registry, keyed by the names ``QueryRequest`` accepts.

@@ -129,15 +129,16 @@ class QueryEngine:
         Toggle UST-tree filtering (ablation hook).  Without pruning every
         object overlapping ``T`` is refined.
     backend:
-        Sampling backend for refinement: ``"native"`` (the C kernel tier
-        of :mod:`repro.markov.native` — fused sweep, in-kernel seeding,
-        distance gather) or ``"compiled"`` (the same arena swept by
-        numpy).  The default ``None`` resolves once, here, to
+        Kernel backend of refinement and filtering: ``"native"`` (the C
+        kernel tier of :mod:`repro.markov.native` — fused sweep, in-kernel
+        seeding, distance gather, PCNN miner for ``|T| <= 64``, § 6 prune
+        scan) or ``"compiled"`` (the same arena swept by numpy, the Python
+        miner, the numpy scan).  The default ``None`` resolves once, here, to
         ``"native"`` where :func:`repro.markov.native.available` and to
         ``"compiled"`` otherwise (no cffi or C compiler, or
         ``REPRO_DISABLE_NATIVE`` set); :attr:`backend` holds the resolved
         value.  An explicit ``"native"`` raises a descriptive error when
-        the tier cannot load.  Both yield bit-identical worlds for one seed.
+        the tier cannot load.  Both yield bit-identical results for one seed.
     refine_cache_size:
         Capacity (entries, an integer ``>= 0``) of the
         :class:`~repro.core.refine.RefineCache` serving *shared-world*
@@ -221,7 +222,7 @@ class QueryEngine:
         self._instruments: dict[tuple, object] = {}
         self._ust = ust_tree
         if ust_tree is not None:
-            ust_tree.metrics = metrics
+            self._bind(ust_tree)
         #: The open :meth:`shared_filter` block: ``pending`` (``(times, k) ->
         #: {query}``, registered and not filtered yet) and ``results``
         #: (``(query, times, k, reverse) -> PruningResult`` at ``version``).
@@ -265,10 +266,16 @@ class QueryEngine:
         """
         self.sync_mutations()
         if self._ust is None:
-            self._ust = USTTree(self.db)
-            self._ust.metrics = self.metrics
+            self._ust = self._bind(USTTree(self.db))
             self.index_rebuilds.inc()
         return self._ust
+
+    def _bind(self, tree: USTTree) -> USTTree:
+        """``tree`` counting into this engine's registry and scanning on its
+        backend."""
+        tree.metrics = self.metrics
+        tree.native = self.backend == "native"
+        return tree
 
     def sync_mutations(self, wholesale: bool = False) -> None:
         """Bring every derived structure in line with the database.

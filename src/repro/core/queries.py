@@ -249,10 +249,10 @@ class QueryRequest:
             )
         if self.n_samples is not None:
             object.__setattr__(self, "n_samples", check_count("n_samples", self.n_samples))
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be positive")
-        if self.max_worlds < 1 or self.max_paths < 1:
-            raise ValueError("enumeration budgets must be positive")
+        # Budgets are counts: ``nan`` or ``inf`` would silently switch one
+        # off, and the mining budget crosses into C as an int64.
+        for name in ("max_candidates", "max_worlds", "max_paths"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name)))
 
     @property
     def window(self) -> tuple[int, int]:

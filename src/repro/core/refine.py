@@ -163,10 +163,13 @@ def distance_tables(space: StateSpace, coords: list[np.ndarray]) -> list[np.ndar
     — the same subtract/square/sum/sqrt the per-object oracle applies, so
     values stay bit-identical — lets gathering rows of the table replace
     materializing ``(tics, n, d)`` coordinate blocks.  The queries' tics
-    are stacked, so a batch of blocks pays one broadcast.
+    are stacked, so a batch of blocks pays one broadcast.  A static query
+    (every tic at one point) gets a ``(1, states)`` table — its one row,
+    which :func:`gather_distances` reads at every tic.
     """
     if not coords:
         return []
+    coords = [c[:1] if (c == c[:1]).all() else c for c in coords]
     stacked = np.concatenate(coords) if len(coords) > 1 else coords[0]
     if space.ndim <= 2:
         # At most one addition per norm, so the order ``np.sum`` adds in
@@ -196,7 +199,8 @@ def gather_distances(
     ``t``'s ``n`` worlds at a time — into each object's slab.
 
     ``states[i]`` is object ``live_cols[i]``'s ``(n, alive tics)`` worlds.
-    ``per_state`` is the query's :func:`distance_tables` entry when
+    ``per_state`` is the query's :func:`distance_tables` entry (one row
+    for a static query) when
     :func:`tabulates` holds (computed here when not passed); huge state
     spaces gather coordinates for the sampled states only instead.
     This is one of the two allocation sites (with the sampler's sweep
@@ -218,8 +222,9 @@ def gather_distances(
                 per_state, rows, live_cols, first, block
             )
         flat = per_state.ravel()
+        stride = space.n_states if len(per_state) > 1 else 0
         for col, lo, hi, r in slabs:
-            offsets = np.arange(lo, hi) * space.n_states
+            offsets = np.arange(lo, hi) * stride
             np.take(flat, r + offsets[:, None], out=block[col, lo:hi])
     else:
         for col, lo, hi, r in slabs:

@@ -125,6 +125,15 @@ class PCNNEntry:
         if list(self.times) != sorted(set(self.times)):
             raise ValueError("times must be sorted and duplicate-free")
 
+    @classmethod
+    def mined(cls, object_id: str, times: tuple[int, ...], probability: float) -> "PCNNEntry":
+        """An entry of a miner's set over sorted unique query times —
+        sorted and duplicate-free by construction, so the check is skipped
+        (a PCNN op builds hundreds of entries)."""
+        entry = object.__new__(cls)
+        entry.__dict__.update(object_id=object_id, times=times, probability=probability)
+        return entry
+
     def runs(self) -> list[tuple[int, int]]:
         """Contiguous runs of the timestamp set.
 

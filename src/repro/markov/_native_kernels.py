@@ -1,9 +1,10 @@
-"""Build/load machinery for the native (C) arena kernels.
+"""Build/load machinery for the native (C) kernels.
 
 This module owns the C source of the kernels behind
 :mod:`repro.markov.native` — the arena sweep over per-model tables, the
-check of those tables, the per-state distance-table row gather and the
-seeder — and compiles them on first use through cffi's
+check of those tables, the per-state distance-table row gather, the
+level-wise PCNN miner, the § 6 prune scan and the seeder — and compiles
+them on first use through cffi's
 API mode (out-of-line).  The build artifact is cached on disk keyed by a
 hash of the source, so a process pays the compiler exactly once per
 kernel revision; every later import (including serve worker processes)
@@ -39,9 +40,20 @@ _MODULE_BASENAME = "_repro_native"
 
 # The artifact is cached per machine (never shipped), so tuning for the
 # build host is safe; -march=native lets the branchless count loops
-# vectorize.  A compiler that rejects these options simply reports the
-# tier unavailable (and the numpy path keeps serving).
-_COMPILE_ARGS = ("-O3", "-march=native", "-funroll-loops")
+# vectorize.  -ffp-contract=off keeps every multiply rounded before the
+# add that follows it, as numpy rounds it: the prune scan's
+# ``near + gap * gap`` fused into one FMA would change its bounds' last
+# bit (the other kernels add nothing after a multiply).  -fno-math-errno
+# lets the scan's sqrt loop vectorize (its arguments are sums of squares,
+# never negative, so errno was never set).  A compiler that rejects these
+# options simply reports the tier unavailable (and the numpy path keeps
+# serving).
+_COMPILE_ARGS = (
+    "-O3", "-march=native", "-funroll-loops", "-ffp-contract=off", "-fno-math-errno"
+)
+
+#: Linked into the extension: libm, for the prune scan's sqrt.
+LIBRARIES = ("m",)
 
 # The cdef mirrors the definitions inside SOURCE; cffi checks them against
 # the real compiled layout, so a drift between the two fails the build
@@ -69,7 +81,7 @@ void repro_arena_sweep(
     int64_t *rows, int out_is32, void **out_ptrs);
 
 int repro_distance_gather_rows(
-    double *per_state, int64_t n_times, int64_t n_states,
+    double *per_state, int64_t n_times, int64_t n_states, int64_t row_stride,
     void **blocks, uint8_t *blocks_is32, int64_t n_blocks,
     int64_t *block_rows, int64_t *first_tic, int64_t *cols,
     int64_t n_objects, int64_t n, double *out);
@@ -78,10 +90,38 @@ void repro_seed_fill(
     uint32_t *entropy, int64_t n_words, int64_t n_req,
     int64_t *consumed, int64_t *counts,
     double *out, int64_t out_stride);
+
+typedef struct {
+    int64_t  n_records;
+    int64_t  capacity;
+    int64_t  *parent;
+    int64_t  *column;
+    int64_t  *count;
+} repro_mined;
+
+int repro_mine_levels(
+    uint8_t *packed, int64_t n_objects, int64_t n_times, int64_t n_bytes,
+    int64_t n_worlds, double tau, int64_t max_candidates, int shortcut,
+    int64_t *first, int64_t *evaluated, int64_t *levels, uint64_t *certain,
+    int64_t *failed, repro_mined *out);
+
+void repro_mined_free(repro_mined *out);
+
+int repro_prune_scan(
+    double *rect, int64_t n_slots, int64_t ndim, int64_t n_rows,
+    int64_t *segs, int64_t *t_base, int64_t *t_hi, int64_t *row_ptr,
+    int64_t n_objects, double *q, int64_t n_q, int64_t *times,
+    int64_t n_times, int64_t k,
+    int64_t *sel, uint8_t *alive, double *dmin, double *dmax,
+    double *prune_dist, uint8_t *candidate, uint8_t *influencer,
+    int64_t *sizes);
 """
 
 SOURCE = """
+#include <math.h>
 #include <stdint.h>
+#include <stdlib.h>
+#include <string.h>
 
 /* One compiled model's tables (repro.markov.compiled.ModelTables): rows
  * are the posterior support entries of every tic, tic after tic. */
@@ -387,13 +427,15 @@ void repro_arena_sweep(
  * first_tic[b] on, tic-major, and its row j
  * lands in row (cols[b], first_tic[b] + j) of ``out`` (the C-contiguous
  * (n_objects, n_times, n) distance block) as
- * per_state[first_tic[b] + j, state].  Pure movement of identical doubles,
+ * per_state[(first_tic[b] + j) * row_stride + state] — row_stride is
+ * n_states for a per-tic table and 0 for a static query's one row,
+ * which every tic reads.  Pure movement of identical doubles,
  * so values are bit-identical to the numpy gather.  Returns 0; 2, before
  * any write, when a block does not fit inside ``out``; or 1 at the first
  * row holding a state id the table has no column for (checked before the
  * row is read). */
 int repro_distance_gather_rows(
-    double *per_state, int64_t n_times, int64_t n_states,
+    double *per_state, int64_t n_times, int64_t n_states, int64_t row_stride,
     void **blocks, uint8_t *blocks_is32, int64_t n_blocks,
     int64_t *block_rows, int64_t *first_tic, int64_t *cols,
     int64_t n_objects, int64_t n, double *out)
@@ -406,7 +448,7 @@ int repro_distance_gather_rows(
             return 2;
     for (b = 0; b < n_blocks; b++) {
         for (j = 0; j < block_rows[b]; j++) {
-            const double *ps = per_state + (first_tic[b] + j) * n_states;
+            const double *ps = per_state + (first_tic[b] + j) * row_stride;
             double *o = out + (cols[b] * n_times + first_tic[b] + j) * n;
             int bad = 0;
             if (blocks_is32[b]) {
@@ -445,6 +487,442 @@ void repro_seed_fill(
         repro_pcg_fill(&state, inc, out + r * out_stride, counts[r]);
     }
 }
+/* ------------------------------------------------------------------ *
+ * Algorithm 1 (PCNN timestamp-set mining), level-wise, for every
+ * object of one shared world pool.  The C twin of
+ * repro.core.apriori.mine_world_masks: the same join of (k-1)-sets
+ * sharing their first k-2 columns (levels are kept in lexicographic
+ * column order, so a prefix group is a run), the same anti-monotone
+ * subset check, the same per-object sets_evaluated count and budget
+ * check, and the same qualification test count / n_worlds >= tau on
+ * the same IEEE division.  A set's worlds are its parent's (the set
+ * minus its last column) ANDed with that column's, counted by popcount
+ * over uint64 world words.
+ * ------------------------------------------------------------------ */
+
+/* One level: its sets in lexicographic order, each with its columns
+ * (REPRO_MAX_COLS bytes apiece), its column bitmask, its record and
+ * its world words. */
+#define REPRO_MAX_COLS 64
+
+typedef struct {
+    int64_t  n, cap;
+    uint8_t  *cols;
+    uint64_t *bits;
+    int64_t  *rec;
+    uint64_t *masks;
+} repro_level;
+
+static int repro_level_reserve(repro_level *lv, int64_t need, int64_t n_words)
+{
+    int64_t cap;
+    void *p;
+    if (need <= lv->cap) return 0;
+    cap = lv->cap ? lv->cap : 16;
+    while (cap < need) cap *= 2;
+    p = realloc(lv->cols, (size_t) cap * REPRO_MAX_COLS);
+    if (p == 0) return 1;
+    lv->cols = (uint8_t *) p;
+    p = realloc(lv->bits, (size_t) cap * sizeof(uint64_t));
+    if (p == 0) return 1;
+    lv->bits = (uint64_t *) p;
+    p = realloc(lv->rec, (size_t) cap * sizeof(int64_t));
+    if (p == 0) return 1;
+    lv->rec = (int64_t *) p;
+    p = realloc(lv->masks, (size_t) cap * (size_t) n_words * sizeof(uint64_t));
+    if (p == 0) return 1;
+    lv->masks = (uint64_t *) p;
+    lv->cap = cap;
+    return 0;
+}
+
+static void repro_level_free(repro_level *lv)
+{
+    free(lv->cols);
+    free(lv->bits);
+    free(lv->rec);
+    free(lv->masks);
+}
+
+/* The qualifying sets of a mining run, as records grown by doubling:
+ * the record each extends by one column (-1 for a single column), that
+ * column and the set's world count.  repro_mined_free releases them. */
+typedef struct {
+    int64_t  n_records;
+    int64_t  capacity;
+    int64_t  *parent;
+    int64_t  *column;
+    int64_t  *count;
+} repro_mined;
+
+/* Append a qualifying set's record; -1 when memory runs out. */
+static int64_t repro_mined_push(
+    repro_mined *out, int64_t parent, int64_t column, int64_t count)
+{
+    if (out->n_records == out->capacity) {
+        int64_t cap = out->capacity ? 2 * out->capacity : 64;
+        void *p;
+        p = realloc(out->parent, (size_t) cap * sizeof(int64_t));
+        if (p == 0) return -1;
+        out->parent = (int64_t *) p;
+        p = realloc(out->column, (size_t) cap * sizeof(int64_t));
+        if (p == 0) return -1;
+        out->column = (int64_t *) p;
+        p = realloc(out->count, (size_t) cap * sizeof(int64_t));
+        if (p == 0) return -1;
+        out->count = (int64_t *) p;
+        out->capacity = cap;
+    }
+    out->parent[out->n_records] = parent;
+    out->column[out->n_records] = column;
+    out->count[out->n_records] = count;
+    return out->n_records++;
+}
+
+void repro_mined_free(repro_mined *out)
+{
+    free(out->parent);
+    free(out->column);
+    free(out->count);
+    out->parent = out->column = out->count = 0;
+    out->n_records = out->capacity = 0;
+}
+
+/* Open-addressing set of a level's column bitmasks (never 0), for the
+ * subset check; size is a power of two at least twice the level. */
+static uint64_t repro_hash_slot(uint64_t key, int shift)
+{
+    return (key * 0x9E3779B97F4A7C15ULL) >> shift;
+}
+
+static int repro_hash_has(
+    const uint64_t *table, uint64_t size, int shift, uint64_t key)
+{
+    uint64_t h = repro_hash_slot(key, shift);
+    while (table[h] != 0) {
+        if (table[h] == key) return 1;
+        h = (h + 1) & (size - 1);
+    }
+    return 0;
+}
+
+/* Mine objects 0..n_objects-1 in turn.  Object o's column c is the
+ * n_bytes bytes at packed[(o * n_times + c) * n_bytes] (np.packbits of
+ * its NN indicator over n_worlds worlds; padding bits are zero).  Its
+ * qualifying sets are appended to ``out`` level by level, each level in
+ * lexicographic column order, as records (parent record or -1, column,
+ * world count); object o's records are first[o]..first[o+1]-1.  With
+ * ``shortcut`` the columns every world has are left out of the mining
+ * and reported as certain[o] bits (the caller folds them in).
+ * evaluated[o] and levels[o] are MiningStats.sets_evaluated and
+ * .max_level_reached.  Returns 0; 1 when an object's validations exceed
+ * max_candidates (failed = {object, level}, nothing after it mined); 2
+ * when memory runs out. */
+int repro_mine_levels(
+    uint8_t *packed, int64_t n_objects, int64_t n_times, int64_t n_bytes,
+    int64_t n_worlds, double tau, int64_t max_candidates, int shortcut,
+    int64_t *first, int64_t *evaluated, int64_t *levels, uint64_t *certain,
+    int64_t *failed, repro_mined *out)
+{
+    const int64_t n_words = (n_bytes + 7) / 8;
+    const double worlds = (double) n_worlds;
+    repro_level cur = {0, 0, 0, 0, 0, 0}, nxt = {0, 0, 0, 0, 0, 0}, tmp;
+    uint64_t *columns = 0, *table = 0;
+    uint64_t table_size = 0;
+    int64_t o, c, i, j, m, w, k;
+    int status = 2;
+    columns = (uint64_t *) calloc((size_t) (n_times * n_words), sizeof(uint64_t));
+    if (columns == 0) goto done;
+    first[0] = 0;
+    for (o = 0; o < n_objects; o++) {
+        evaluated[o] = n_times;
+        levels[o] = 0;
+        certain[o] = 0;
+        cur.n = 0;
+        for (c = 0; c < n_times; c++) {
+            uint64_t *col = columns + c * n_words;
+            int64_t count = 0;
+            col[n_words - 1] = 0;
+            memcpy(col, packed + (o * n_times + c) * n_bytes, (size_t) n_bytes);
+            for (w = 0; w < n_words; w++) count += __builtin_popcountll(col[w]);
+            if (shortcut && count == n_worlds) {
+                certain[o] |= (uint64_t) 1 << c;
+            } else if ((double) count / worlds >= tau) {
+                int64_t rec = repro_mined_push(out, -1, c, count);
+                if (rec < 0 || repro_level_reserve(&cur, cur.n + 1, n_words))
+                    goto done;
+                cur.cols[cur.n * REPRO_MAX_COLS] = (uint8_t) c;
+                cur.bits[cur.n] = (uint64_t) 1 << c;
+                cur.rec[cur.n] = rec;
+                memcpy(cur.masks + cur.n * n_words, col,
+                       (size_t) n_words * sizeof(uint64_t));
+                cur.n++;
+            }
+        }
+        k = 1;
+        while (cur.n > 0) {
+            int shift = 64;
+            uint64_t size = 16;
+            levels[o] = k;
+            k++;
+            while (size < (uint64_t) (2 * cur.n)) size *= 2;
+            for (m = size; m > 1; m >>= 1) shift--;
+            if (size > table_size) {
+                free(table);
+                table = (uint64_t *) malloc((size_t) size * sizeof(uint64_t));
+                if (table == 0) { table_size = 0; goto done; }
+                table_size = size;
+            }
+            memset(table, 0, (size_t) size * sizeof(uint64_t));
+            for (i = 0; i < cur.n; i++) {
+                uint64_t h = repro_hash_slot(cur.bits[i], shift);
+                while (table[h] != 0) h = (h + 1) & (size - 1);
+                table[h] = cur.bits[i];
+            }
+            nxt.n = 0;
+            for (i = 0; i < cur.n; i++) {
+                const uint8_t *a = cur.cols + i * REPRO_MAX_COLS;
+                for (j = i + 1; j < cur.n; j++) {
+                    const uint8_t *b = cur.cols + j * REPRO_MAX_COLS;
+                    const int64_t y = b[k - 2];
+                    const uint64_t bits = cur.bits[i] | ((uint64_t) 1 << y);
+                    const uint64_t *pa = cur.masks + i * n_words;
+                    const uint64_t *py = columns + y * n_words;
+                    uint64_t *dst;
+                    int64_t count = 0;
+                    int subsets = 1;
+                    if (memcmp(a, b, (size_t) (k - 2)) != 0) break;
+                    /* Dropping y gives a, dropping a's last column gives
+                     * b: only the other k - 2 subsets need a lookup. */
+                    for (m = 0; m + 2 < k && subsets; m++)
+                        subsets = repro_hash_has(
+                            table, size, shift, bits & ~((uint64_t) 1 << a[m]));
+                    if (!subsets) continue;
+                    if (++evaluated[o] > max_candidates) {
+                        failed[0] = o;
+                        failed[1] = k;
+                        status = 1;
+                        goto done;
+                    }
+                    if (repro_level_reserve(&nxt, nxt.n + 1, n_words)) goto done;
+                    dst = nxt.masks + nxt.n * n_words;
+                    for (w = 0; w < n_words; w++) {
+                        dst[w] = pa[w] & py[w];
+                        count += __builtin_popcountll(dst[w]);
+                    }
+                    if ((double) count / worlds >= tau) {
+                        int64_t rec = repro_mined_push(out, cur.rec[i], y, count);
+                        if (rec < 0) goto done;
+                        memcpy(nxt.cols + nxt.n * REPRO_MAX_COLS, a, (size_t) (k - 1));
+                        nxt.cols[nxt.n * REPRO_MAX_COLS + k - 1] = (uint8_t) y;
+                        nxt.bits[nxt.n] = bits;
+                        nxt.rec[nxt.n] = rec;
+                        nxt.n++;
+                    }
+                }
+            }
+            tmp = cur;
+            cur = nxt;
+            nxt = tmp;
+        }
+        first[o + 1] = out->n_records;
+    }
+    status = 0;
+done:
+    free(columns);
+    free(table);
+    repro_level_free(&cur);
+    repro_level_free(&nxt);
+    return status;
+}
+
+/* ------------------------------------------------------------------ *
+ * The § 6 filter (repro.spatial.ust_tree.USTTree.prune_many) in one
+ * pass over the per-tic bound table: window selection, per (query,
+ * object, tic) dmin / dmax over every slot, the k-th smallest dmax per
+ * (query, tic) and the candidate / influencer verdicts.  The arithmetic
+ * is the numpy scan's — squares added dimension by dimension from the
+ * first (no fused multiply-add: the build passes -ffp-contract=off),
+ * max / min over slots, correctly rounded sqrt — so every bound is the
+ * same double.
+ * ------------------------------------------------------------------ */
+
+/* The k-th smallest (0-based) of a[0..n-1], reordering a: Hoare
+ * partitioning quickselect.  Only the value is used, which is the same
+ * whichever equal element lands at k. */
+static double repro_kth_smallest(double *a, int64_t n, int64_t k)
+{
+    int64_t lo = 0, hi = n - 1;
+    while (lo < hi) {
+        const double pivot = a[lo + ((hi - lo) >> 1)];
+        int64_t i = lo, j = hi;
+        while (i <= j) {
+            while (a[i] < pivot) i++;
+            while (a[j] > pivot) j--;
+            if (i <= j) {
+                const double t = a[i];
+                a[i] = a[j];
+                a[j] = t;
+                i++;
+                j--;
+            }
+        }
+        if (k <= j) hi = j;
+        else if (k >= i) lo = i;
+        else break;
+    }
+    return a[k];
+}
+
+/* The table (see USTTree.__init__): rect is (2, n_slots, ndim, n_rows),
+ * segs (2, n_rows); object i owns rows row_ptr[i] .. for tics t_base[i]
+ * .. t_hi[i]; row 0 is the empty rect a tic outside a span reads.  The
+ * queries q are (n_q, n_times, ndim).  Objects whose span meets the
+ * window's hull count their segments into sizes[1] (examined entries);
+ * those alive (slot 0's lower bound finite) at one of the times or more
+ * are selected in table order: sel[s] is the s-th one's object, its
+ * alive row alive[s * n_times ..] and its bounds dmin / dmax[(n *
+ * n_objects + s) * n_times + t] — the capacity is every object.
+ * prune_dist is (n_q, n_times) and candidate / influencer (n_q,
+ * n_objects).  sizes[0] is the number selected.  Returns 0; 1, before
+ * reading a row, when an object of the window's hull owns rows past the
+ * table; 2 when memory runs out. */
+int repro_prune_scan(
+    double *rect, int64_t n_slots, int64_t ndim, int64_t n_rows,
+    int64_t *segs, int64_t *t_base, int64_t *t_hi, int64_t *row_ptr,
+    int64_t n_objects, double *q, int64_t n_q, int64_t *times,
+    int64_t n_times, int64_t k,
+    int64_t *sel, uint8_t *alive, double *dmin, double *dmax,
+    double *prune_dist, uint8_t *candidate, uint8_t *influencer,
+    int64_t *sizes)
+{
+    const int64_t n_bounds = 2 * n_slots * ndim;
+    int64_t lo_t = times[0], hi_t = times[0], n_sel = 0, examined = 0;
+    int64_t i, j, m, n, s, t, d, n_pairs;
+    int64_t *rows = (int64_t *) malloc(sizeof(int64_t) * (size_t) (n_objects * n_times + 1));
+    double *work, *near, *far, *point, *picked;
+    if (rows == 0) return 2;
+    for (j = 1; j < n_times; j++) {
+        if (times[j] < lo_t) lo_t = times[j];
+        if (times[j] > hi_t) hi_t = times[j];
+    }
+    /* Selection: each selected object's table row at every time. */
+    for (i = 0; i < n_objects; i++) {
+        const int64_t base = t_base[i], last = t_hi[i], row0 = row_ptr[i];
+        int64_t *row = rows + n_sel * n_times;
+        uint8_t *live = alive + n_sel * n_times;
+        uint64_t span;
+        int present = 0;
+        if (base > hi_t || last < lo_t) continue;
+        span = (uint64_t) last - (uint64_t) base;
+        if (last < base || row0 < 0 || span >= (uint64_t) n_rows
+            || (uint64_t) row0 + span >= (uint64_t) n_rows) {
+            free(rows);
+            return 1;
+        }
+        examined += segs[(last < hi_t ? last : hi_t) - base + row0]
+                  - segs[n_rows + (base > lo_t ? base : lo_t) - base + row0];
+        for (t = 0; t < n_times; t++) {
+            const int64_t tt = times[t];
+            row[t] = (tt >= base && tt <= last) ? row0 + (tt - base) : 0;
+            live[t] = isfinite(rect[row[t]]) != 0;
+            present |= live[t];
+        }
+        if (present) sel[n_sel++] = i;
+    }
+    sizes[0] = n_sel;
+    sizes[1] = examined;
+    n_pairs = n_sel * n_times;
+    /* Work space: every bound of every selected (object, tic) pair,
+     * bound-major (one gather for all queries), then a query's point,
+     * its per-slot sums and the k-th selection's copy, pair by pair. */
+    work = (double *) malloc(sizeof(double) * (size_t) ((n_bounds + 3) * n_pairs + n_sel + 1));
+    if (work == 0) {
+        free(rows);
+        return 2;
+    }
+    point = work + n_bounds * n_pairs;
+    near = point + n_pairs;
+    far = near + n_pairs;
+    picked = far + n_pairs;
+    for (j = 0; j < n_bounds; j++)
+        for (m = 0; m < n_pairs; m++)
+            work[j * n_pairs + m] = rect[j * n_rows + rows[m]];
+    free(rows);
+    /* Bounds, all pairs at once per (query, slot, dimension), so the
+     * loops over pairs vectorize.  Adding the first square to 0.0 and
+     * taking the first slot's sum against 0.0 / +inf are exact: sums of
+     * squares are >= +0. */
+    for (n = 0; n < n_q; n++) {
+        double *low = dmin + n * n_objects * n_times;
+        double *high = dmax + n * n_objects * n_times;
+        for (m = 0; m < n_pairs; m++) {
+            low[m] = 0.0;
+            high[m] = INFINITY;
+        }
+        for (s = 0; s < n_slots; s++) {
+            for (m = 0; m < n_pairs; m++) near[m] = far[m] = 0.0;
+            for (d = 0; d < ndim; d++) {
+                const double *lo = work + (s * ndim + d) * n_pairs;
+                const double *hi = work + ((n_slots + s) * ndim + d) * n_pairs;
+                for (m = 0; m < n_pairs; m += n_times)
+                    for (t = 0; t < n_times; t++)
+                        point[m + t] = q[(n * n_times + t) * ndim + d];
+                for (m = 0; m < n_pairs; m++) {
+                    const double below = lo[m] - point[m], above = point[m] - hi[m];
+                    const double abs_below = fabs(below), abs_above = fabs(above);
+                    const double gap = below >= above ? below : above;
+                    const double reach = abs_below >= abs_above ? abs_below : abs_above;
+                    const double cut = gap > 0.0 ? gap : 0.0;
+                    near[m] = near[m] + cut * cut;
+                    far[m] = far[m] + reach * reach;
+                }
+            }
+            for (m = 0; m < n_pairs; m++) {
+                low[m] = near[m] > low[m] ? near[m] : low[m];
+                high[m] = far[m] < high[m] ? far[m] : high[m];
+            }
+        }
+        /* A correctly rounded sqrt is monotone: the root of the largest
+         * (smallest) sum is the largest (smallest) root — the numpy
+         * scan's max / min over the slots' roots. */
+        for (m = 0; m < n_pairs; m++) {
+            low[m] = sqrt(low[m]);
+            high[m] = sqrt(high[m]);
+        }
+    }
+    for (n = 0; n < n_q && n_sel > 0; n++) {
+        const double *lows = dmin + n * n_objects * n_times;
+        const double *highs = dmax + n * n_objects * n_times;
+        double *bound = prune_dist + n * n_times;
+        for (t = 0; t < n_times; t++) {
+            if (k > n_sel) {
+                bound[t] = INFINITY;
+            } else if (k == 1) {
+                double best = highs[t];
+                for (s = 1; s < n_sel; s++)
+                    if (highs[s * n_times + t] < best) best = highs[s * n_times + t];
+                bound[t] = best;
+            } else {
+                for (s = 0; s < n_sel; s++) picked[s] = highs[s * n_times + t];
+                bound[t] = repro_kth_smallest(picked, n_sel, k - 1);
+            }
+        }
+        for (s = 0; s < n_sel; s++) {
+            const uint8_t *live = alive + s * n_times;
+            int any = 0, all = 1;
+            for (t = 0; t < n_times; t++) {
+                const int within = lows[s * n_times + t] <= bound[t];
+                any |= live[t] & within;
+                all &= live[t] & within;
+            }
+            influencer[n * n_objects + s] = (uint8_t) any;
+            candidate[n * n_objects + s] = (uint8_t) all;
+        }
+    }
+    free(work);
+    return 0;
+}
 """
 
 
@@ -472,7 +950,8 @@ def _build(build_dir: Path) -> Path:
     ffibuilder = cffi.FFI()
     ffibuilder.cdef(CDEF)
     ffibuilder.set_source(
-        _MODULE_BASENAME, SOURCE, extra_compile_args=list(_COMPILE_ARGS)
+        _MODULE_BASENAME, SOURCE, extra_compile_args=list(_COMPILE_ARGS),
+        libraries=list(LIBRARIES),
     )
     build_dir.parent.mkdir(parents=True, exist_ok=True)
     # Compile into a private staging dir, then atomically publish the

@@ -1,9 +1,17 @@
-"""Native (C) kernel tier: the production sampler wherever it builds.
+"""Native (C) kernel tier: the production query path wherever it builds.
 
-Two C kernels (compiled on demand via cffi, see :mod:`._native_kernels`)
-replace the loops of refinement that stay dispatch-bound in numpy: the
-possible-world sweep and the per-state distance-table gather of
-``repro.core.refine.gather_distances``.  The sweep draws each request
+Four C kernels (compiled on demand via cffi, see :mod:`._native_kernels`)
+replace the loops of the one-shot query path that stay bound by numpy
+dispatch or the interpreter: the possible-world sweep, the per-state
+distance-table gather of ``repro.core.refine.gather_distances``, the
+level-wise PCNN miner (:func:`mine_levels`, Algorithm 1 for every refined
+object of an evaluation over packed world words, selected by
+``repro.core.apriori.mine_objects`` for ``|T| <= 64``) and the § 6 prune
+scan (:func:`prune_scan`, all of ``USTTree.prune_many`` in one pass).  An
+engine's ``backend`` picks them: ``"native"`` runs all four, ``"compiled"``
+— or a box without a compiler — runs the numpy sweep and gather,
+``mine_world_masks`` and the numpy scan, which stay the fallbacks and the
+byte-identity references.  The sweep draws each request
 from its own compiled model's tables
 (:class:`~repro.markov.compiled.ModelTables`, one flat CSR per model,
 laid out when the model's stretches compile): the initial draw and every
@@ -25,11 +33,13 @@ descriptive error instead (:func:`require_native`).
 
 Every array crossing into C is checked where that is cheap — a model's
 tables once per arena block (:func:`_model_struct`, whose index checks run in
-C), the windows and the gather's shapes once per call — and the gather
-kernel bounds-checks the indices Python cannot vouch for as cheaply (a
-gathered block's place in the distance block and its state ids) and
-returns a status: bad input is a ``ValueError``, never an out-of-bounds
-access.
+C), the windows, the gather's, miner's and scan's dtypes, shapes and
+budgets once per call — and the gather and scan kernels bounds-check the
+indices Python cannot vouch for as cheaply (a gathered block's place in
+the distance block and its state ids; an object's rows in the bound
+table) and return a status: bad input is a ``ValueError``, never an
+out-of-bounds access.  The miner grows its level and record buffers as
+the levels grow, never to the budget's size.
 
 Bit-reproducibility is non-negotiable and holds by construction: the
 native sweep consumes each request's RNG stream through the *same*
@@ -37,6 +47,10 @@ native sweep consumes each request's RNG stream through the *same*
 ``u_blocks · n`` doubles per request, filled in request order) and every
 draw repeats the numpy arithmetic on the same IEEE doubles — binary
 searches and comparisons over identical arrays yield identical picks.
+The miner counts the same worlds and divides ``count / n_worlds`` as the
+Python miner does; the scan repeats the numpy scan's arithmetic operation
+by operation (built with ``-ffp-contract=off``, so no multiply fuses into
+the add after it).
 ``backend="native"`` is therefore byte-identical to
 ``backend="compiled"``, exactly as ``"compiled"`` is to the row-dict walk
 of ``tests/oracles/``.
@@ -44,7 +58,7 @@ of ``tests/oracles/``.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
@@ -431,7 +445,8 @@ def gather_distance_rows(
 
     ``out`` is the C-contiguous ``(objects, tics, n)`` distance block
     (prefilled with ``inf`` where some object is not alive); block ``b``
-    holds object ``cols[b]``'s states over its alive run of tics.  One C
+    holds object ``cols[b]``'s states over its alive run of tics.  A
+    ``per_state`` of one row is a static query's: every tic reads it.  One C
     pass of contiguous row gathers; pure movement of identical doubles, so
     values are bit-identical to the numpy gather.  ``blocks`` must pass
     :func:`can_gather_rows` (the caller's choice of gather); shapes are
@@ -446,8 +461,8 @@ def gather_distance_rows(
     per_state = np.ascontiguousarray(per_state)
     cols = np.ascontiguousarray(cols, dtype=np.intp)
     first_tic = np.ascontiguousarray(first_tic, dtype=np.intp)
-    if per_state.dtype != np.float64 or per_state.ndim != 2 or len(per_state) != n_times:
-        raise ValueError(f"per_state must be a float64 ({n_times}, states) table")
+    if per_state.dtype != np.float64 or per_state.ndim != 2 or len(per_state) not in (1, n_times):
+        raise ValueError(f"per_state must be a float64 ({n_times} or 1, states) table")
     if blocks[0].shape[1] != n:  # the rest of can_gather_rows(blocks) holds
         raise ValueError(f"state blocks must be (tics, {n}) arrays")
     if not cols.shape == first_tic.shape == (len(blocks),):
@@ -459,6 +474,7 @@ def gather_distance_rows(
         ffi.from_buffer("double[]", per_state),
         n_times,
         per_state.shape[1],
+        per_state.shape[1] if len(per_state) == n_times else 0,
         ffi.new("void *[]", pointers),
         ffi.from_buffer("uint8_t[]", is32),
         len(blocks),
@@ -477,3 +493,199 @@ def gather_distance_rows(
             f"{per_state.shape[1]} states"
         )
     return out
+
+
+# ---------------------------------------------------------------------------
+# level-wise PCNN mining (Algorithm 1)
+# ---------------------------------------------------------------------------
+
+#: The widest time set the miner takes: a set's columns are one ``uint64``.
+MAX_MINED_TIMES = 64
+
+
+class Mined(NamedTuple):
+    """What :func:`mine_levels` found, object by object.
+
+    Object ``o``'s qualifying sets are records ``first[o]:first[o + 1]``,
+    level by level, each level in lexicographic column order: record
+    ``r`` is the set of record ``parent[r]`` (none when ``-1``) plus
+    column ``column[r]``, seen in ``count[r]`` worlds.  ``certain[o]``
+    holds the bits of the columns the shortcut left out; ``evaluated`` and
+    ``levels`` are the per-object ``MiningStats`` counts.  ``exceeded`` is
+    ``(object, level)`` where a budget ran out (nothing after it is
+    mined), else ``None``.
+    """
+
+    first: list
+    parent: list
+    column: list
+    count: list
+    evaluated: list
+    levels: list
+    certain: list
+    exceeded: tuple | None
+
+
+def mine_levels(
+    packed: np.ndarray,
+    n_worlds: int,
+    tau: float,
+    max_candidates: int,
+    use_certain_shortcut: bool,
+) -> Mined:
+    """Algorithm 1 for every object of one world pool, in one C call.
+
+    ``packed`` is the ``np.packbits`` of a boolean ``(objects, times,
+    worlds)`` NN indicator along its world axis: ``uint8`` of shape
+    ``(objects, times, ⌈n_worlds / 8⌉)``, C-contiguous, at most
+    :data:`MAX_MINED_TIMES` times.  The kernel keeps
+    :func:`repro.core.apriori.mine_world_masks`' join, subset check,
+    counts and budget; its record buffers grow with each level.  A wrong
+    dtype, shape or budget is a ``ValueError`` before any C runs.
+    """
+    require_native()
+    ffi, lib = _module.ffi, _module.lib
+    if packed.dtype != np.uint8 or packed.ndim != 3 or not packed.flags.c_contiguous:
+        raise ValueError("packed must be a C-contiguous uint8 (objects, times, bytes) array")
+    n_objects, n_times, n_bytes = packed.shape
+    if isinstance(n_worlds, bool) or not isinstance(n_worlds, (int, np.integer)) or n_worlds < 1:
+        raise ValueError(f"n_worlds must be an integer >= 1, got {n_worlds!r}")
+    if not 1 <= n_times <= MAX_MINED_TIMES:
+        raise ValueError(f"the miner takes 1 to {MAX_MINED_TIMES} times, got {n_times}")
+    if n_bytes != -(-int(n_worlds) // 8):
+        raise ValueError(f"{n_worlds} worlds pack into {-(-int(n_worlds) // 8)} bytes, got {n_bytes}")
+    if not 0.0 < tau <= 1.0:
+        raise ValueError(f"tau must be in (0, 1], got {tau!r}")
+    if (
+        isinstance(max_candidates, bool)
+        or not isinstance(max_candidates, (int, np.integer))
+        or max_candidates < 1
+    ):
+        raise ValueError(f"max_candidates must be an integer >= 1, got {max_candidates!r}")
+    first = ffi.new("int64_t[]", n_objects + 1)
+    evaluated = ffi.new("int64_t[]", n_objects)
+    levels = ffi.new("int64_t[]", n_objects)
+    certain = ffi.new("uint64_t[]", n_objects)
+    failed = ffi.new("int64_t[2]")
+    out = ffi.new("repro_mined *")
+    try:
+        status = lib.repro_mine_levels(
+            ffi.from_buffer("uint8_t[]", packed), n_objects, n_times, n_bytes,
+            int(n_worlds), float(tau), min(int(max_candidates), 2**63 - 1),
+            int(bool(use_certain_shortcut)),
+            first, evaluated, levels, certain, failed, out,
+        )
+        if status == 2:
+            raise MemoryError("the PCNN miner ran out of memory")
+        n = out.n_records
+        records = [ffi.unpack(p, n) if n else [] for p in (out.parent, out.column, out.count)]
+        return Mined(
+            ffi.unpack(first, n_objects + 1),
+            *records,
+            ffi.unpack(evaluated, n_objects),
+            ffi.unpack(levels, n_objects),
+            ffi.unpack(certain, n_objects),
+            (failed[0], failed[1]) if status == 1 else None,
+        )
+    finally:
+        lib.repro_mined_free(out)
+
+
+# ---------------------------------------------------------------------------
+# § 6 prune scan
+# ---------------------------------------------------------------------------
+
+class Scan(NamedTuple):
+    """One :func:`prune_scan` pass: ``sel`` — the table positions of the
+    objects alive at one of the times or more, in table order — their
+    ``alive`` rows ``(O, T)``, bounds ``dmin`` / ``dmax`` ``(Q, O, T)``,
+    the k-th smallest ``dmax`` per (query, tic) ``(Q, T)``, the
+    ``candidate`` / ``influencer`` verdicts ``(Q, O)`` and the examined
+    entries of the window's hull."""
+
+    sel: np.ndarray
+    alive: np.ndarray
+    dmin: np.ndarray
+    dmax: np.ndarray
+    prune_dist: np.ndarray
+    candidate: np.ndarray
+    influencer: np.ndarray
+    examined: int
+
+
+def prune_scan(
+    rect: np.ndarray,
+    segs: np.ndarray,
+    t_base: np.ndarray,
+    t_hi: np.ndarray,
+    row_ptr: np.ndarray,
+    q: np.ndarray,
+    times: np.ndarray,
+    k: int,
+) -> Scan:
+    """``USTTree.prune_many``'s scan of its bound table in one C pass.
+
+    The table arrays are the tree's own (see ``USTTree.__init__``): every
+    one must be a C-contiguous array of the dtype and shape the kernel
+    reads — else a ``ValueError`` before any C runs — and the kernel
+    refuses (``ValueError``) an object of the window whose rows run past
+    the table before it reads them.  ``q`` is ``(Q, len(times), d)``.
+    """
+    require_native()
+    ffi, lib = _module.ffi, _module.lib
+    ints = np.dtype(np.intp)
+    if (
+        rect.dtype != np.float64 or rect.ndim != 4 or rect.shape[0] != 2
+        or rect.shape[3] < 1 or not rect.flags.c_contiguous
+    ):
+        raise ValueError("rect must be a C-contiguous float64 (2, slots, d, rows) table")
+    _, n_slots, ndim, n_rows = rect.shape
+    if segs.dtype != ints or segs.shape != (2, n_rows) or not segs.flags.c_contiguous:
+        raise ValueError(f"segs must be a C-contiguous int64 (2, {n_rows}) table")
+    n_objects = t_base.size
+    for name, array, size in (("t_base", t_base, n_objects), ("t_hi", t_hi, n_objects),
+                              ("row_ptr", row_ptr, n_objects + 1)):
+        if array.dtype != ints or array.shape != (size,) or not array.flags.c_contiguous:
+            raise ValueError(f"{name} must be a C-contiguous int64 vector of {size}")
+    if times.dtype != ints or times.ndim != 1 or times.size < 1 or not times.flags.c_contiguous:
+        raise ValueError("times must be a non-empty C-contiguous int64 vector")
+    if (
+        q.dtype != np.float64 or q.ndim != 3 or q.shape[1:] != (times.size, ndim)
+        or not q.flags.c_contiguous
+    ):
+        raise ValueError(f"q must be a C-contiguous float64 (Q, {times.size}, {ndim}) array")
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    n_q, n_times = len(q), times.size
+    sel = np.empty(n_objects, dtype=np.intp)
+    alive = np.empty((n_objects, n_times), dtype=np.uint8)
+    dmin = np.empty((n_q, n_objects, n_times))
+    dmax = np.empty((n_q, n_objects, n_times))
+    prune_dist = np.empty((n_q, n_times))
+    candidate = np.empty((n_q, n_objects), dtype=np.uint8)
+    influencer = np.empty((n_q, n_objects), dtype=np.uint8)
+    sizes = np.zeros(2, dtype=np.intp)
+
+    def buf(ctype, array):
+        return ffi.from_buffer(ctype, array, require_writable=True)
+
+    status = lib.repro_prune_scan(
+        ffi.from_buffer("double[]", rect), n_slots, ndim, n_rows,
+        ffi.from_buffer("int64_t[]", segs), ffi.from_buffer("int64_t[]", t_base),
+        ffi.from_buffer("int64_t[]", t_hi), ffi.from_buffer("int64_t[]", row_ptr),
+        n_objects, ffi.from_buffer("double[]", q), n_q,
+        ffi.from_buffer("int64_t[]", times), n_times, min(int(k), 2**63 - 1),
+        buf("int64_t[]", sel), buf("uint8_t[]", alive), buf("double[]", dmin),
+        buf("double[]", dmax), buf("double[]", prune_dist), buf("uint8_t[]", candidate),
+        buf("uint8_t[]", influencer), buf("int64_t[]", sizes),
+    )
+    if status == 2:
+        raise MemoryError("the prune scan ran out of memory")
+    if status:
+        raise ValueError("an object's rows run past the bound table")
+    n_sel = int(sizes[0])
+    return Scan(
+        sel[:n_sel], alive[:n_sel].view(bool), dmin[:, :n_sel], dmax[:, :n_sel],
+        prune_dist, candidate[:, :n_sel].view(bool), influencer[:, :n_sel].view(bool),
+        int(sizes[1]),
+    )

@@ -35,6 +35,7 @@ from typing import Iterable
 
 import numpy as np
 
+from ..markov import native as native_tier
 from ..obs.metrics import MetricsRegistry
 from ..trajectory.database import TrajectoryDatabase
 from ..trajectory.diamonds import bound_tics
@@ -133,6 +134,9 @@ class USTTree:
         #: the owning engine binds its own registry here.
         self.metrics = MetricsRegistry()
         self._counters: tuple | None = None
+        #: Whether :meth:`prune_many` scans in the native tier — the owning
+        #: engine sets it from its backend; either scan gives the same bytes.
+        self.native = False
         # The bound table, struct-of-arrays.  Objects are kept in sorted id
         # order (the order results list them in); object ``i`` owns rows
         # ``_row_ptr[i]:_row_ptr[i + 1]``, one per tic from ``_t_base[i]``
@@ -344,11 +348,42 @@ class USTTree:
         for ``q_coords[i]``: max/min accumulation is order-independent, the
         elementwise arithmetic is the same, and a segment MBR's bound never
         beats the per-tic bound of the same diamond.
+
+        With :attr:`native` set the whole scan is one C pass
+        (:func:`repro.markov.native.prune_scan`) with the numpy scan's
+        arithmetic, operation by operation: every field of every result is
+        byte-equal to the numpy scan's.
         """
         times = np.asarray(times, dtype=np.intp)
         q = check_query_coords(q_coords, times, self.db.space.ndim)
         if q.ndim != 3:
             raise ValueError(f"expected (Q, len(times), d) coordinates, got {q.shape}")
+        if self.native:
+            scan = native_tier.prune_scan(
+                self._rect, self._segs, self._t_base, self._t_hi, self._row_ptr,
+                np.ascontiguousarray(q), np.ascontiguousarray(times), k,
+            )
+        else:
+            scan = self._scan(q, times, k)
+        self._count_pass(scan.examined)
+        if scan.sel.size == 0 or len(q) == 0:
+            nowhere = np.full(times.size, np.inf)
+            return [PruningResult([], [], nowhere.copy(), scan.examined) for _ in q]
+        ids = [self._ids[i] for i in scan.sel]
+        return [
+            PruningResult(
+                candidates=[ids[i] for i in np.flatnonzero(scan.candidate[n])],
+                influencers=[ids[i] for i in np.flatnonzero(scan.influencer[n])],
+                prune_distances=scan.prune_dist[n],
+                examined_entries=scan.examined,
+                bounds=(ids, scan.dmin[n], scan.dmax[n]),
+            )
+            for n in range(len(q))
+        ]
+
+    def _scan(self, q: np.ndarray, times: np.ndarray, k: int) -> native_tier.Scan:
+        """The numpy scan of :meth:`prune_many` (the fallback, and the
+        native scan's byte-identity reference)."""
         t_lo, t_hi = int(times.min()), int(times.max())
         # Objects whose lifespan meets the window's hull, and how many of
         # their segments do: those begun by its end less those ended
@@ -358,7 +393,6 @@ class USTTree:
         begun = self._segs[0, np.minimum(t_hi, self._t_hi[sel]) - base + row0]
         ended = self._segs[1, np.maximum(t_lo, base) - base + row0]
         examined = int((begun - ended).sum())
-        self._count_pass(examined)
 
         rel = times - base[:, None]
         in_span = (rel >= 0) & (times <= self._t_hi[sel, None])
@@ -370,8 +404,7 @@ class USTTree:
         present = alive.any(axis=1)
         sel, rows, alive = sel[present], rows[present].ravel(), alive[present]
         if sel.size == 0 or len(q) == 0:
-            nowhere = np.full(times.size, np.inf)
-            return [PruningResult([], [], nowhere.copy(), examined) for _ in q]
+            return native_tier.Scan(sel, alive, None, None, None, None, None, examined)
         # Work on (Q, O·T) arrays — numpy's inner loop then runs over every
         # (object, tic) pair, not over one window's handful of tics.
         points = np.tile(np.moveaxis(q, -1, 0), (1, 1, sel.size))  # (d, Q, O·T)
@@ -398,8 +431,6 @@ class USTTree:
             dmax = far if dmax is None else np.minimum(dmax, far, out=dmax)
         shape = (len(q), sel.size, times.size)
         dmin, dmax = dmin.reshape(shape), dmax.reshape(shape)
-
-        ids = [self._ids[i] for i in sel]
         # The k-th smallest dmax per (query, tic); +inf by itself wherever
         # fewer than k objects are alive.
         if k == 1:
@@ -411,16 +442,9 @@ class USTTree:
         within = dmin <= prune_dist[:, None, :]
         influencer = (alive & within).any(axis=2)
         candidate = alive.all(axis=1) & within.all(axis=2)
-        return [
-            PruningResult(
-                candidates=[ids[i] for i in np.flatnonzero(candidate[n])],
-                influencers=[ids[i] for i in np.flatnonzero(influencer[n])],
-                prune_distances=prune_dist[n],
-                examined_entries=examined,
-                bounds=(ids, dmin[n], dmax[n]),
-            )
-            for n in range(len(q))
-        ]
+        return native_tier.Scan(
+            sel, alive, dmin, dmax, prune_dist, candidate, influencer, examined
+        )
 
     def _count_pass(self, examined: int) -> None:
         """Feed the metrics registry after one filter pass."""

@@ -8,8 +8,12 @@ from hypothesis.extra import numpy as npst
 
 from repro.core.apriori import (
     AprioriBudgetExceeded,
+    mine_objects,
     mine_timestamp_sets,
+    mine_world_masks,
+    world_masks,
 )
+from repro.markov import native
 from repro.trajectory.nn import forall_prob_over_times
 from tests.oracles import reference_mine
 
@@ -260,3 +264,103 @@ class TestEngineLevelConsistency:
             assert whole == expected
             compared += len(whole)
         assert compared >= 2
+
+
+# --------------------------------------------------------------------------
+# the native level-wise miner against the bitmap miner
+# --------------------------------------------------------------------------
+#: The engine's selection: the C miner wherever the tier loads (on a
+#: ``REPRO_DISABLE_NATIVE=1`` run these cases hold the Python fallback).
+NATIVE = native.available()
+
+
+def _per_object(indicator, times, tau, **kwargs):
+    """``mine_world_masks`` object by object: the reference."""
+    return [
+        mine_world_masks(world_masks(column), indicator.shape[2], times, tau, **kwargs)
+        for column in indicator
+    ]
+
+
+class TestNativeMinerAgainstBitmapMiner:
+    """``mine_objects(native=True)`` — one C call over every object of a
+    world pool — equals ``mine_world_masks`` per object: sets, order,
+    probabilities to the last bit and every ``MiningStats`` count."""
+
+    @staticmethod
+    def _same(indicator, times, tau, **kwargs):
+        got = mine_objects(indicator, times, tau, native=NATIVE, **kwargs)
+        assert got == _per_object(indicator, times, tau, **kwargs)
+        return got
+
+    @pytest.mark.parametrize("shortcut", [False, True])
+    @pytest.mark.parametrize("n", WORLD_COUNTS)
+    def test_random_indicators(self, n, shortcut):
+        rng = np.random.default_rng([n, shortcut])
+        for n_times in range(1, 13):
+            indicator = rng.uniform(size=(4, n_times, n)) < rng.uniform(0.5, 0.98, size=(4, 1, 1))
+            if n_times > 2:
+                indicator[1:, int(rng.integers(n_times))] = True  # a certain tic
+            times = np.sort(rng.choice(40, size=n_times, replace=False))
+            for tau in (1.0 / n, 0.5, 1.0):
+                self._same(indicator, times, tau, use_certain_shortcut=shortcut)
+
+    @pytest.mark.parametrize("shortcut", [False, True])
+    @pytest.mark.parametrize("n", WORLD_COUNTS)
+    def test_all_true_and_all_false(self, n, shortcut):
+        for n_times in (1, 2, 5, 10):
+            ones = np.ones((2, n_times, n), dtype=bool)
+            for indicator, tau in ((ones, 1.0), (~ones, 1.0 / n)):
+                self._same(indicator, np.arange(n_times), tau, use_certain_shortcut=shortcut)
+
+    @pytest.mark.parametrize("shortcut", [False, True])
+    def test_budget_raises_at_the_same_object_with_the_same_message(self, shortcut):
+        rng = np.random.default_rng(4)
+        indicator = rng.uniform(size=(3, 9, 65)) < 0.9
+        indicator[:, 2] = True
+        times = np.arange(9)
+        # The budget binds on the second object, after the first mined.
+        indicator[0] = False
+        mined = _per_object(indicator, times, 0.2, use_certain_shortcut=shortcut)
+        total = mined[1][1].sets_evaluated
+        assert total > 60
+        for budget in (9, 10, 37, total - 1, total, total + 1):
+            kwargs = {"max_candidates": budget, "use_certain_shortcut": shortcut}
+            if budget >= max(stats.sets_evaluated for _, stats in mined):
+                self._same(indicator, times, 0.2, **kwargs)
+                continue
+            with pytest.raises(AprioriBudgetExceeded) as want:
+                _per_object(indicator, times, 0.2, **kwargs)
+            with pytest.raises(AprioriBudgetExceeded) as got:
+                mine_objects(indicator, times, 0.2, native=NATIVE, **kwargs)
+            assert str(got.value) == str(want.value)
+
+    @pytest.mark.parametrize("n_times", [63, 64, 65])
+    def test_widest_time_sets(self, n_times, monkeypatch):
+        """Sparse supports keep the lattice small at 63–65 tics; past 64
+        the Python miner runs (a set's columns no longer fit a word)."""
+        rng = np.random.default_rng(n_times)
+        indicator = np.zeros((3, n_times, 200), dtype=bool)
+        for o in range(3):
+            worlds = rng.choice(200, size=12, replace=False)
+            indicator[o][:, worlds] = rng.uniform(size=(n_times, 12)) < 0.3
+        indicator[2, -1] = True  # a certain last tic
+        times = np.arange(n_times) * 3
+        calls = []
+        mine_levels = native.mine_levels
+        monkeypatch.setattr(
+            native, "mine_levels", lambda *a, **k: calls.append(1) or mine_levels(*a, **k)
+        )
+        for shortcut in (False, True):
+            mined = self._same(indicator, times, 0.01, use_certain_shortcut=shortcut)
+            assert any(len(ts) > 2 for sets, _ in mined for ts, _ in sets)
+        assert len(calls) == (2 if NATIVE and n_times <= 64 else 0)
+
+    def test_unsorted_times_take_the_python_miner(self, monkeypatch):
+        monkeypatch.setattr(native, "mine_levels", None)  # never reached
+        indicator = np.random.default_rng(1).uniform(size=(2, 4, 30)) < 0.7
+        self._same(indicator, np.array([5, 2, 9, 7]), 0.3)
+
+    def test_tau_is_checked_before_any_mining(self):
+        with pytest.raises(ValueError, match="tau"):
+            mine_objects(np.ones((1, 2, 5), dtype=bool), np.arange(2), 0.0, native=NATIVE)

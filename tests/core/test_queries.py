@@ -150,6 +150,18 @@ class TestQueryRequestValidation:
         n = QueryRequest(q, (1,), n_samples=np.int64(40)).n_samples
         assert n == 40 and isinstance(n, int)
 
+    @pytest.mark.parametrize("field", ["max_candidates", "max_worlds", "max_paths"])
+    @pytest.mark.parametrize("bad", [True, 2.5, float("inf"), float("nan"), "10", 0, -3])
+    def test_budgets_are_counts(self, q, field, bad):
+        """A budget is an integer >= 1: ``nan`` would switch it off and
+        ``inf`` cannot cross into C as an int64."""
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            QueryRequest(q, (1,), "pcnn", 0.5, **{field: bad})
+
+    def test_numpy_integer_budgets_coerced(self, q):
+        request = QueryRequest(q, (1,), "pcnn", 0.5, max_candidates=np.int64(9))
+        assert request.max_candidates == 9 and isinstance(request.max_candidates, int)
+
     def test_union_window_spans_all_requests(self, q):
         reqs = [QueryRequest(q, (3, 4)), QueryRequest(q, (1, 2))]
         assert union_window(reqs) == (1, 4)

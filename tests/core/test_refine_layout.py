@@ -411,3 +411,50 @@ class TestOneNearestPredicate:
         for arr in (dist, np.ascontiguousarray(dist.transpose(1, 2, 0)).transpose(2, 0, 1)):
             for k in (1, 2, shape[1]):
                 assert np.array_equal(knn_indicator(arr, k), partition_indicator(dist, k))
+
+
+# --------------------------------------------------------------------------
+# a static query tabulates one row
+# --------------------------------------------------------------------------
+class TestStaticQueryRow:
+    def test_one_row_is_every_tic_of_the_table(self):
+        """A query at one point every tic gets a ``(1, states)`` table: the
+        very doubles a per-tic table repeats at each of its tics."""
+        from repro.core.refine import distance_tables
+
+        space = _db().space
+        point = np.array([4.0, 6.0])
+        static = np.tile(point, (5, 1))
+        moving = static.copy()
+        moving[2] = [1.0, 1.0]  # one tic elsewhere: tabulated per tic
+        row, per_tic = distance_tables(space, [static, moving])
+        assert row.shape == (1, space.n_states) and per_tic.shape == (5, space.n_states)
+        for t in (0, 1, 3, 4):
+            assert per_tic[t].tobytes() == row[0].tobytes()
+        (alone,) = distance_tables(space, [static])
+        assert alone.tobytes() == row.tobytes()
+
+    @pytest.mark.parametrize("use_native", [False, True])
+    def test_gathers_equal_the_per_tic_table(self, use_native):
+        from repro.core.refine import distance_tables, gather_distances
+
+        if use_native and not native.available():
+            pytest.skip(f"native tier unavailable ({native.unavailable_reason()})")
+        space = _db().space
+        rng = np.random.default_rng(2)
+        coords = np.tile([4.0, 6.0], (6, 1))
+        alive = np.ones((3, 6), dtype=bool)
+        alive[1, :2] = alive[2, 4:] = False
+        live = np.arange(3)
+        # Transposes of tic-major buffers, as samplers hand them out.
+        states = [
+            rng.integers(0, space.n_states, size=(int(row.sum()), N)).astype(dtype).T
+            for row, dtype in zip(alive, (np.int32, np.int64, np.int32))
+        ]
+        assert native.can_gather_rows([s.T for s in states]) or not use_native
+        (row,) = distance_tables(space, [coords])
+        full = np.repeat(row, 6, axis=0)
+        got = gather_distances(space, coords, alive, live, states, N, use_native, row)
+        want = gather_distances(space, coords, alive, live, states, N, False, full)
+        assert row.shape[0] == 1 and got.tobytes() == want.tobytes()
+        assert np.isinf(got[1, :2]).all() and np.isfinite(got[1, 2:]).all()

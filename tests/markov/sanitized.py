@@ -26,6 +26,7 @@ SANITIZE_FLAGS = (
     "-fsanitize=address,undefined",
     "-fno-sanitize-recover=undefined",
     "-fno-omit-frame-pointer",
+    "-ffp-contract=off",
 )
 
 
@@ -66,6 +67,7 @@ def build(directory: Path) -> Path:
         kernels.SOURCE,
         extra_compile_args=list(SANITIZE_FLAGS),
         extra_link_args=["-fsanitize=address,undefined"],
+        libraries=list(kernels.LIBRARIES),
     )
     return Path(ffibuilder.compile(tmpdir=str(directory), verbose=False))
 

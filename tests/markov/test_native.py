@@ -41,7 +41,7 @@ from repro.markov.adaptation import adapt_model
 from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from repro.markov.chain import MarkovChain
 from tests.conftest import make_random_world
-from tests.oracles import loop_distance_tensor, reference_tables, same_tables
+from tests.oracles import loop_distance_tensor, reference_tables, same_pruning, same_tables
 
 pytestmark = pytest.mark.native
 
@@ -353,6 +353,45 @@ class TestEngineParity:
             assert ra.candidates == rb.candidates
             assert ra.influencers == rb.influencers
             assert ra.report.sampled_objects == rb.report.sampled_objects
+
+    @pytest.mark.parametrize("batched", [False, True])
+    def test_pcnn_entries_and_filter_results_identical(self, batched):
+        """PCNN entries, ``sets_evaluated`` and every ``PruningResult``
+        field — bounds arrays included — are byte-equal on both backends,
+        standalone and in one shared filter pass."""
+        db = _parity_db()
+        points = ([5.0, 5.0], [2.0, 8.0], [9.0, 1.0])
+        requests = [
+            QueryRequest(Query.from_point(p), tuple(range(3, 12)), "pcnn", tau, k=k,
+                         use_certain_shortcut=shortcut)
+            for p in points
+            for tau, k, shortcut in ((0.05, 1, False), (0.2, 2, True), (0.5, 3, False))
+        ]
+        requests.append(
+            QueryRequest(Query.from_coords(np.linspace(0, 10, 18).reshape(9, 2)),
+                         tuple(range(3, 12)), "pcnn", 0.1)
+        )
+        runs = {}
+        for backend in ("compiled", "native"):
+            eng = QueryEngine(db, n_samples=200, seed=4, backend=backend)
+            if batched:
+                results = eng.evaluate_many(requests)
+            else:
+                results = [eng.evaluate(r) for r in requests]
+            pruning = [
+                eng.filter_objects(r.query, np.asarray(r.times), r.k) for r in requests
+            ]
+            runs[backend] = results, pruning
+        mined = 0
+        for (ra, pa), (rb, pb) in zip(zip(*runs["compiled"]), zip(*runs["native"])):
+            assert ra.entries == rb.entries
+            assert [type(e.probability) for e in ra.entries] == [
+                type(e.probability) for e in rb.entries
+            ]
+            assert ra.sets_evaluated == rb.sets_evaluated > 0
+            same_pruning(pb, pa)
+            mined += len(ra.entries)
+        assert mined > 20
 
     def test_bulk_rng_handles_match_eager_generators(self):
         """A native engine's per-object RNGs are LazySeededRng handles;

@@ -9,7 +9,10 @@ and model tables corrupted before their first native draw — successors
 outside the next tic's rows, decreasing CDF rows, broken row pointers, a
 states dtype the sweep does not read, an initial CDF out of line with the
 states, an empty tic — plus distance-gather calls with state ids outside
-the table and blocks placed outside ``out``.
+the table and blocks placed outside ``out``, PCNN mining over every world
+count around a byte or word boundary against the Python miner (budget
+errors included), prune scans over random tables against the numpy scan,
+and miner / scan calls with a wrong dtype, shape, budget or row pointer.
 
 The same module runs under AddressSanitizer/UBSan in
 ``test_native_sanitized.py``: there a read or write past any buffer is
@@ -27,10 +30,15 @@ from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
 
+from repro.core.apriori import AprioriBudgetExceeded, mine_objects
 from repro.markov import native
 from repro.markov.adaptation import adapt_model
 from repro.markov.arena import ArenaRequest, SamplingArena, sample_paths_arena
 from repro.markov.chain import MarkovChain
+from repro.spatial.ust_tree import USTTree
+from repro.statespace.base import StateSpace
+from repro.trajectory.database import TrajectoryDatabase
+from tests.oracles import same_pruning
 
 pytestmark = [
     pytest.mark.native,
@@ -292,3 +300,134 @@ class TestSeedFillFuzz:
         np.testing.assert_array_equal(got, eager.random(size))
         assert handle.consumed == consumed + size
         np.testing.assert_array_equal(handle.random(3), eager.random(3))
+
+
+def _python_mine(indicator, times, tau, budget, shortcut):
+    """The Python miner's answer, or the budget error it raises."""
+    try:
+        return mine_objects(indicator, times, tau, budget, shortcut, native=False)
+    except AprioriBudgetExceeded as exc:
+        return str(exc)
+
+
+class TestMinerFuzz:
+    @FUZZ
+    @given(data=st.data())
+    def test_matches_the_python_miner(self, data):
+        n_objects = data.draw(st.integers(1, 4))
+        n_times = data.draw(st.integers(1, 9))
+        n = data.draw(st.sampled_from([1, 2, 7, 8, 9, 63, 64, 65, 130]))
+        density = data.draw(st.floats(0.0, 1.0))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        indicator = rng.uniform(size=(n_objects, n_times, n)) < density
+        times = np.sort(rng.choice(100, size=n_times, replace=False))
+        tau = data.draw(st.sampled_from([1.0 / n, 0.25, 0.5, 1.0]))
+        budget = data.draw(st.integers(1, 200))
+        shortcut = data.draw(st.booleans())
+        want = _python_mine(indicator, times, tau, budget, shortcut)
+        try:
+            got = mine_objects(indicator, times, tau, budget, shortcut, native=True)
+        except AprioriBudgetExceeded as exc:
+            got = str(exc)
+        assert got == want
+
+    @pytest.mark.parametrize(
+        "packed, n_worlds, tau, budget",
+        [
+            (np.zeros((2, 3, 2), dtype=np.int8), 9, 0.5, 10),  # dtype
+            (np.zeros((2, 3, 2), dtype=np.uint8)[:, :, :1], 8, 0.5, 10),  # not contiguous
+            (np.zeros((3, 2), dtype=np.uint8), 9, 0.5, 10),  # shape
+            (np.zeros((2, 3, 2), dtype=np.uint8), 17, 0.5, 10),  # bytes vs worlds
+            (np.zeros((2, 3, 2), dtype=np.uint8), 0, 0.5, 10),
+            (np.zeros((2, 0, 2), dtype=np.uint8), 9, 0.5, 10),  # no times
+            (np.zeros((1, 65, 2), dtype=np.uint8), 9, 0.5, 10),  # past one word
+            (np.zeros((2, 3, 2), dtype=np.uint8), 9, 0.0, 10),
+            (np.zeros((2, 3, 2), dtype=np.uint8), 9, float("nan"), 10),
+            (np.zeros((2, 3, 2), dtype=np.uint8), 9, 0.5, 0),  # budget
+            (np.zeros((2, 3, 2), dtype=np.uint8), 9, 0.5, 2.5),
+            (np.zeros((2, 3, 2), dtype=np.uint8), 9, 0.5, True),
+            (np.zeros((2, 3, 2), dtype=np.uint8), 9, 0.5, float("inf")),
+        ],
+    )
+    def test_bad_input_is_refused_before_c(self, packed, n_worlds, tau, budget):
+        with pytest.raises(ValueError):
+            native.mine_levels(packed, n_worlds, tau, budget, False)
+
+    def test_a_budget_past_int64_is_no_budget(self):
+        packed = np.packbits(np.ones((1, 4, 5), dtype=bool), axis=-1)
+        mined = native.mine_levels(packed, 5, 0.5, 10**30, False)
+        assert mined.exceeded is None and mined.evaluated == [15]
+
+
+def _tree(seed):
+    rng = np.random.default_rng(seed)
+    mat = rng.uniform(size=(10, 10)) * (rng.uniform(size=(10, 10)) < 0.4)
+    np.fill_diagonal(mat, 1.0)
+    chain = MarkovChain(sparse.csr_matrix(mat / mat.sum(axis=1, keepdims=True)))
+    db = TrajectoryDatabase(StateSpace(rng.uniform(0, 10, size=(10, 2))), chain)
+    for i in range(int(rng.integers(0, 6))):
+        start, life = int(rng.integers(0, 8)), int(rng.integers(0, 7))
+        walk = [int(rng.integers(10))]
+        for _ in range(life):
+            nxt, probs = chain.successors(walk[-1], 0)
+            walk.append(int(rng.choice(nxt, p=probs)))
+        fixes = sorted({0, life, *rng.integers(0, life + 1, size=2).tolist()})
+        db.add_object(f"o{i}", [(start + t, walk[t]) for t in fixes])
+    return USTTree(db)
+
+
+class TestPruneScanFuzz:
+    @FUZZ
+    @given(
+        seed=st.integers(0, 2**16),
+        times=st.lists(st.integers(-3, 18), min_size=1, max_size=6),
+        n_q=st.integers(0, 4),
+        k=st.integers(1, 7),
+    )
+    def test_matches_the_numpy_scan(self, seed, times, n_q, k):
+        tree = _tree(seed)
+        times = np.array(times)
+        coords = np.random.default_rng(seed).uniform(-3, 13, size=(n_q, times.size, 2))
+        want = tree.prune_many(coords, times, k)
+        tree.native = True
+        got = tree.prune_many(coords, times, k)
+        for g, w in zip(got, want):
+            same_pruning(g, w)
+        assert len(got) == len(want) == n_q
+
+    def _arrays(self):
+        tree = _tree(3)
+        assert len(tree._ids)
+        return dict(
+            rect=tree._rect, segs=tree._segs, t_base=tree._t_base, t_hi=tree._t_hi,
+            row_ptr=tree._row_ptr, q=np.zeros((1, 2, 2)), times=np.array([2, 3]), k=1,
+        )
+
+    @pytest.mark.parametrize(
+        "field, bad",
+        [
+            ("rect", lambda a: a.astype(np.float32)),
+            ("rect", lambda a: a[0]),
+            ("rect", lambda a: np.asfortranarray(a)),
+            ("segs", lambda a: a[:, :-1]),
+            ("segs", lambda a: a.astype(np.int32)),
+            ("t_base", lambda a: a[:-1]),
+            ("t_hi", lambda a: a.astype(float)),
+            ("row_ptr", lambda a: a[1:]),
+            ("q", lambda a: a[:, :1]),
+            ("q", lambda a: a[..., :1]),
+            ("times", lambda a: a[:0]),
+            ("times", lambda a: a.astype(np.int32)),
+            ("k", lambda a: 0),
+            ("k", lambda a: True),
+            ("k", lambda a: 1.0),
+            ("row_ptr", lambda a: a + 10**6),  # rows past the table: refused in C
+            ("row_ptr", lambda a: a - 10**6),
+            ("t_hi", lambda a: a + 10**6),
+        ],
+    )
+    def test_bad_input_is_refused(self, field, bad):
+        arrays = self._arrays()
+        arrays[field] = bad(arrays[field])
+        with pytest.raises(ValueError):
+            native.prune_scan(**arrays)

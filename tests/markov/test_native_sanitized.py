@@ -1,7 +1,8 @@
 """The native kernel tier under AddressSanitizer and UBSan.
 
 A sanitized build of the kernels (``tests/markov/sanitized.py``) runs the
-arena lockstep, seeding and engine parity suites of ``test_native.py``
+arena lockstep, seeding and engine parity suites of ``test_native.py``,
+the native miner's and prune scan's parity cases
 plus the adversarial fuzz of ``test_native_fuzz.py`` in a subprocess with
 the sanitizer runtimes preloaded.  Every case must pass — bad input is a
 ``ValueError`` at the boundary, good input matches the numpy sweep byte
@@ -33,6 +34,8 @@ CASES = [
     "tests/markov/test_native.py::TestArenaLockstep",
     "tests/markov/test_native.py::TestNativeSeeding",
     "tests/markov/test_native.py::TestEngineParity",
+    "tests/core/test_apriori.py::TestNativeMinerAgainstBitmapMiner",
+    "tests/spatial/test_prune_oracle.py::TestNativeScan",
 ]
 REPORTS = ("AddressSanitizer", "runtime error:", "LeakSanitizer")
 
@@ -84,7 +87,7 @@ block = np.zeros((1, 4), dtype=np.int64)
 out = np.zeros((1, 1, 4))
 ints = lambda v: ffi.from_buffer("int64_t[]", np.array(v, dtype=np.intp))
 lib.repro_distance_gather_rows(
-    ffi.from_buffer("double[]", per_state), 1, 2,
+    ffi.from_buffer("double[]", per_state), 1, 2, 2,
     ffi.new("void *[]", [ffi.from_buffer("char[]", block)]),
     ffi.new("uint8_t[]", [0]), 1,
     ints([1]), ints([0]), ints([1]), 2, 4,  # object 1 of a 1-object out

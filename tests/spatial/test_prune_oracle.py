@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 from repro.core.queries import Query
+from repro.markov import native
 from repro.markov.chain import MarkovChain
 from repro.spatial.ust_tree import USTTree
 from repro.statespace.base import StateSpace
@@ -319,3 +320,114 @@ class TestPruneMany:
                 )
                 for k in (1, 2):
                     _assert_kernel_parity(world.tree, oracle, coords, times, k)
+
+
+# ----------------------------------------------------------------------
+# the native scan: C pass vs numpy scan vs the reference loop
+# ----------------------------------------------------------------------
+#: An engine on the native backend scans in C wherever the tier loads (on a
+#: ``REPRO_DISABLE_NATIVE=1`` run these cases hold the numpy fallback).
+NATIVE = native.available()
+
+
+def _three_way(tree, coords, times, k):
+    """The native scan equals the numpy scan and the reference loop, every
+    field of every result to the byte."""
+    tree.native = NATIVE
+    scanned = tree.prune_many(coords, times, k)
+    tree.native = False
+    numpy_scan = tree.prune_many(coords, times, k)
+    assert len(scanned) == len(numpy_scan) == len(coords)
+    for got, want, q_coords in zip(scanned, numpy_scan, coords):
+        same_pruning(got, want)
+        same_pruning(got, prune_reference(tree.db, q_coords, times, k))
+        assert got.bounds[0] == want.bounds[0]
+        for a, b in zip(got.bounds[1:], want.bounds[1:]):
+            assert a is b is None or (a.shape == b.shape and a.tobytes() == b.tobytes())
+    return scanned
+
+
+class TestNativeScan:
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("ndim", [1, 2, 3])
+    def test_random_databases(self, ndim, k):
+        """Multi-slot rows (interior fixes are covered by two diamonds),
+        single-tic objects, static and moving queries, windows before,
+        after and partly outside every lifespan."""
+        db, rng = _random_db(seed=k, ndim=ndim)
+        tree = USTTree(db)
+        assert tree._rect.shape[1] > 1
+        for times in TIME_SETS.values():
+            for coords in (
+                np.repeat(rng.uniform(0, 10, size=(6, 1, ndim)), times.size, axis=1),
+                rng.uniform(-2, 12, size=(6, times.size, ndim)),
+            ):
+                _three_way(tree, coords, times, k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_dead_rows_inside_a_span(self, k):
+        """A tic no diamond covers holds the empty rect inside the span:
+        not alive, bounds +inf, never a candidate."""
+
+        def s(*states):
+            return np.asarray(states, dtype=np.intp)
+
+        coords = np.array([[0.0, 0.0], [2.0, 0.0], [6.0, 0.0], [8.0, 0.0]])
+        dense = np.full((4, 4), 0.25)
+        db = TrajectoryDatabase(StateSpace(coords), MarkovChain(sparse.csr_matrix(dense)))
+        for name, first in (("a", 0), ("b", 1), ("c", 2)):
+            db.add_object(name, [(first, 0), (first + 5, 3)])
+        db.get("a")._diamonds = [
+            Diamond(t_start=0, t_end=1, states_per_tic=[s(0), s(0, 1)]),
+            Diamond(t_start=3, t_end=5, states_per_tic=[s(1, 2), s(2), s(3)]),
+        ]
+        tree = USTTree(db)
+        times = np.array([-1, 1, 2, 4, 9])
+        results = _three_way(tree, np.full((2, times.size, 2), [[1.0, 0.0]]), times, k)
+        dmin = results[0].dmin_bounds["a"]
+        assert np.isinf(dmin[[0, 2, 4]]).all() and np.isfinite(dmin[[1, 3]]).all()
+        assert "a" not in results[0].candidates
+
+    def test_tied_bounds(self):
+        db = _pinned_world(TestDuplicateDistanceTies.POSITIONS)
+        times = np.arange(0, 5)
+        for k in (1, 2, 3, 5, 6, 7):
+            _three_way(USTTree(db), np.zeros((3, len(times), 2)), times, k)
+
+    def test_patched_table_and_empty_index(self):
+        db, rng = _random_db(seed=5, ndim=2)
+        tree = USTTree(db)
+        times = TIME_SETS["partly outside"]
+        for oid in db.object_ids[::2]:
+            db.remove_object(oid)
+            tree.update_object(oid)
+            _three_way(tree, rng.uniform(0, 10, size=(3, times.size, 2)), times, 2)
+        for oid in db.object_ids:
+            db.remove_object(oid)
+            tree.update_object(oid)
+        (result,) = _three_way(tree, np.zeros((1, times.size, 2)), times, 1)
+        assert result.candidates == [] and result.examined_entries == 0
+        tree.native = NATIVE
+        assert tree.prune_many(np.empty((0, times.size, 2)), times) == []
+
+    def test_engine_binds_its_backend(self, monkeypatch):
+        """A native engine's filter takes the C scan, a compiled one the
+        numpy scan — both ways to the same result."""
+        from repro.core.evaluator import QueryEngine
+
+        db, rng = _random_db(seed=2, ndim=2)
+        scans = []
+        prune_scan = native.prune_scan
+        monkeypatch.setattr(
+            native, "prune_scan", lambda *a: scans.append(1) or prune_scan(*a)
+        )
+        q = Query.from_point(rng.uniform(0, 10, size=2))
+        backends = ["compiled"] + (["native"] if NATIVE else [])
+        results = []
+        for backend in backends:
+            engine = QueryEngine(db, seed=1, backend=backend)
+            assert engine.ust_tree.native == (backend == "native")
+            results.append(engine.filter_objects(q, TIME_SETS["contiguous"], 2))
+        assert len(scans) == (1 if NATIVE else 0)
+        for result in results[1:]:
+            same_pruning(result, results[0])
