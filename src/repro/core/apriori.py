@@ -263,10 +263,9 @@ def _mine_native(indicator, times, tau, max_candidates, use_certain_shortcut):
     for parent, col in zip(mined.parent, mined.column):
         sets.append((labels[col],) if parent < 0 else sets[parent] + (labels[col],))
     out = []
-    first = mined.first
     for o, certain in enumerate(mined.certain):
-        lo, hi = first[o], first[o + 1]
-        results = [(sets[r], count / n_worlds) for r, count in zip(range(lo, hi), mined.count[lo:hi])]
+        lo, hi = mined.first[o], mined.first[o + 1]
+        results = [(sets[r], mined.count[r] / n_worlds) for r in range(lo, hi)]
         if certain:
             # Every mined set extends with the certain times at unchanged
             # probability; the certain set itself qualifies with P=1.

@@ -661,12 +661,14 @@ int repro_mine_levels(
         }
         k = 1;
         while (cur.n > 0) {
-            int shift = 64;
+            int shift = 60;
             uint64_t size = 16;
             levels[o] = k;
             k++;
-            while (size < (uint64_t) (2 * cur.n)) size *= 2;
-            for (m = size; m > 1; m >>= 1) shift--;
+            while (size < (uint64_t) (2 * cur.n)) {
+                size *= 2;
+                shift--;
+            }
             if (size > table_size) {
                 free(table);
                 table = (uint64_t *) malloc((size_t) size * sizeof(uint64_t));

@@ -48,9 +48,11 @@ native sweep consumes each request's RNG stream through the *same*
 draw repeats the numpy arithmetic on the same IEEE doubles — binary
 searches and comparisons over identical arrays yield identical picks.
 The miner counts the same worlds and divides ``count / n_worlds`` as the
-Python miner does; the scan repeats the numpy scan's arithmetic operation
-by operation (built with ``-ffp-contract=off``, so no multiply fuses into
-the add after it).
+Python miner does; the scan adds the numpy scan's rounded squares in its
+order (built with ``-ffp-contract=off``, so no multiply fuses into the add
+after it) and takes the root of the largest / smallest slot sum, which a
+correctly rounded, monotone ``sqrt`` makes the numpy scan's max / min of
+the slots' roots.
 ``backend="native"`` is therefore byte-identical to
 ``backend="compiled"``, exactly as ``"compiled"`` is to the row-dict walk
 of ``tests/oracles/``.
@@ -499,6 +501,15 @@ def gather_distance_rows(
 # level-wise PCNN mining (Algorithm 1)
 # ---------------------------------------------------------------------------
 
+def _count(name: str, value) -> int:
+    """``value`` as a count the kernels take as ``int64`` — an integer
+    ``>= 1`` (not a bool), capped at the largest ``int64``: a budget or
+    depth past it can never bind — else a ``ValueError`` naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+    return min(int(value), 2**63 - 1)
+
+
 #: The widest time set the miner takes: a set's columns are one ``uint64``.
 MAX_MINED_TIMES = 64
 
@@ -548,20 +559,14 @@ def mine_levels(
     if packed.dtype != np.uint8 or packed.ndim != 3 or not packed.flags.c_contiguous:
         raise ValueError("packed must be a C-contiguous uint8 (objects, times, bytes) array")
     n_objects, n_times, n_bytes = packed.shape
-    if isinstance(n_worlds, bool) or not isinstance(n_worlds, (int, np.integer)) or n_worlds < 1:
-        raise ValueError(f"n_worlds must be an integer >= 1, got {n_worlds!r}")
+    n_worlds = _count("n_worlds", n_worlds)
+    budget = _count("max_candidates", max_candidates)
     if not 1 <= n_times <= MAX_MINED_TIMES:
         raise ValueError(f"the miner takes 1 to {MAX_MINED_TIMES} times, got {n_times}")
-    if n_bytes != -(-int(n_worlds) // 8):
-        raise ValueError(f"{n_worlds} worlds pack into {-(-int(n_worlds) // 8)} bytes, got {n_bytes}")
+    if n_bytes != -(-n_worlds // 8):
+        raise ValueError(f"{n_worlds} worlds pack into {-(-n_worlds // 8)} bytes, got {n_bytes}")
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau!r}")
-    if (
-        isinstance(max_candidates, bool)
-        or not isinstance(max_candidates, (int, np.integer))
-        or max_candidates < 1
-    ):
-        raise ValueError(f"max_candidates must be an integer >= 1, got {max_candidates!r}")
     first = ffi.new("int64_t[]", n_objects + 1)
     evaluated = ffi.new("int64_t[]", n_objects)
     levels = ffi.new("int64_t[]", n_objects)
@@ -571,8 +576,7 @@ def mine_levels(
     try:
         status = lib.repro_mine_levels(
             ffi.from_buffer("uint8_t[]", packed), n_objects, n_times, n_bytes,
-            int(n_worlds), float(tau), min(int(max_candidates), 2**63 - 1),
-            int(bool(use_certain_shortcut)),
+            n_worlds, float(tau), budget, int(bool(use_certain_shortcut)),
             first, evaluated, levels, certain, failed, out,
         )
         if status == 2:
@@ -654,8 +658,7 @@ def prune_scan(
         or not q.flags.c_contiguous
     ):
         raise ValueError(f"q must be a C-contiguous float64 (Q, {times.size}, {ndim}) array")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 1:
-        raise ValueError(f"k must be an integer >= 1, got {k!r}")
+    k = _count("k", k)
     n_q, n_times = len(q), times.size
     sel = np.empty(n_objects, dtype=np.intp)
     alive = np.empty((n_objects, n_times), dtype=np.uint8)
@@ -674,7 +677,7 @@ def prune_scan(
         ffi.from_buffer("int64_t[]", segs), ffi.from_buffer("int64_t[]", t_base),
         ffi.from_buffer("int64_t[]", t_hi), ffi.from_buffer("int64_t[]", row_ptr),
         n_objects, ffi.from_buffer("double[]", q), n_q,
-        ffi.from_buffer("int64_t[]", times), n_times, min(int(k), 2**63 - 1),
+        ffi.from_buffer("int64_t[]", times), n_times, k,
         buf("int64_t[]", sel), buf("uint8_t[]", alive), buf("double[]", dmin),
         buf("double[]", dmax), buf("double[]", prune_dist), buf("uint8_t[]", candidate),
         buf("uint8_t[]", influencer), buf("int64_t[]", sizes),

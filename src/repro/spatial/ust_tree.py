@@ -19,7 +19,10 @@ The diamonds are kept as a **per-tic bound table**, which the filter
 (object, tic) holding the MBRs of the diamonds covering that tic, written
 by :meth:`USTTree.update_many` once per tick for every object the tick
 dirtied (one batched diamond derivation, one table rewrite) and never
-rebuilt inside a query.  A
+rebuilt inside a query.  An engine on the native backend sets
+:attr:`USTTree.native`, and the scan runs as one C pass
+(:func:`repro.markov.native.prune_scan`); the numpy scan is the fallback
+and the byte-identity reference.  A
 diamond's per-tic MBR lies inside its segment MBR and ``mindist`` /
 ``maxdist`` are monotone under containment, so the per-tic bounds alone
 *are* the filter's bounds — no segment-level pass precedes them.  The
@@ -350,9 +353,8 @@ class USTTree:
         beats the per-tic bound of the same diamond.
 
         With :attr:`native` set the whole scan is one C pass
-        (:func:`repro.markov.native.prune_scan`) with the numpy scan's
-        arithmetic, operation by operation: every field of every result is
-        byte-equal to the numpy scan's.
+        (:func:`repro.markov.native.prune_scan`) whose every field of every
+        result is byte-equal to the numpy scan's (:meth:`_scan`).
         """
         times = np.asarray(times, dtype=np.intp)
         q = check_query_coords(q_coords, times, self.db.space.ndim)

@@ -282,6 +282,7 @@ def _per_object(indicator, times, tau, **kwargs):
     ]
 
 
+@pytest.mark.native
 class TestNativeMinerAgainstBitmapMiner:
     """``mine_objects(native=True)`` — one C call over every object of a
     world pool — equals ``mine_world_masks`` per object: sets, order,

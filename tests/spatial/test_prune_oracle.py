@@ -347,6 +347,7 @@ def _three_way(tree, coords, times, k):
     return scanned
 
 
+@pytest.mark.native
 class TestNativeScan:
     @pytest.mark.parametrize("k", [1, 2, 3])
     @pytest.mark.parametrize("ndim", [1, 2, 3])
