@@ -302,10 +302,10 @@ class TestSeedFillFuzz:
         np.testing.assert_array_equal(handle.random(3), eager.random(3))
 
 
-def _python_mine(indicator, times, tau, budget, shortcut):
-    """The Python miner's answer, or the budget error it raises."""
+def _mine(indicator, times, tau, budget, shortcut, native):
+    """A miner's answer, or the message of the budget error it raises."""
     try:
-        return mine_objects(indicator, times, tau, budget, shortcut, native=False)
+        return mine_objects(indicator, times, tau, budget, shortcut, native=native)
     except AprioriBudgetExceeded as exc:
         return str(exc)
 
@@ -324,12 +324,8 @@ class TestMinerFuzz:
         tau = data.draw(st.sampled_from([1.0 / n, 0.25, 0.5, 1.0]))
         budget = data.draw(st.integers(1, 200))
         shortcut = data.draw(st.booleans())
-        want = _python_mine(indicator, times, tau, budget, shortcut)
-        try:
-            got = mine_objects(indicator, times, tau, budget, shortcut, native=True)
-        except AprioriBudgetExceeded as exc:
-            got = str(exc)
-        assert got == want
+        args = (indicator, times, tau, budget, shortcut)
+        assert _mine(*args, native=True) == _mine(*args, native=False)
 
     @pytest.mark.parametrize(
         "packed, n_worlds, tau, budget",
