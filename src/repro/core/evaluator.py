@@ -613,11 +613,13 @@ class QueryEngine:
         any query path reaches here: it evicts only the mutated objects'
         packed tables; a wholesale invalidation replaces the arena.
         Objects join on first refinement — after one batched adaptation
-        of every newcomer still to be derived and one compile pass over
-        every stretch none of them has compiled yet — packed in one call.
+        of every newcomer still to be derived (in the native tier on a
+        native engine, which compiles the stretches it derives) and one
+        compile pass over every stretch none of them has compiled yet —
+        packed in one call.
         """
         joining = [obj for obj in objects if obj.object_id not in self._arena]
-        adapt_objects(joining)
+        adapt_objects(joining, native=self.backend == "native")
         models = compiled_views([obj.adapted for obj in joining])
         self._arena.ensure_many([obj.object_id for obj in joining], models)
         return self._arena

@@ -69,16 +69,15 @@ typedef struct {
     int64_t  *next;
 } repro_model;
 
-int repro_check_model(
-    repro_model *md, int64_t n_tics, int64_t n_rows, int64_t n_init,
-    int64_t n_cdf, int64_t n_indptr, int64_t n_next);
+int repro_check_models(
+    repro_model *models, int64_t n_models, int64_t *dims, int64_t *bad);
 
 void repro_arena_sweep(
     int64_t n_req, int64_t n,
-    int64_t *a, int64_t *b, uint8_t *resumed, repro_model **models,
+    int64_t *a, int64_t *b, uint8_t *resumed, repro_model *models,
     double *uniforms, int64_t u_stride,
     uint32_t *entropy, int64_t ent_words, int64_t *rng_consumed,
-    int64_t *rows, int out_is32, void **out_ptrs);
+    int64_t *rows, int out_is32, void *out, int64_t out_stride);
 
 int repro_distance_gather_rows(
     double *per_state, int64_t n_times, int64_t n_states, int64_t row_stride,
@@ -115,6 +114,20 @@ int repro_prune_scan(
     int64_t *sel, uint8_t *alive, double *dmin, double *dmax,
     double *prune_dist, uint8_t *candidate, uint8_t *influencer,
     int64_t *sizes);
+
+typedef struct {
+    int64_t  n_ints, n_floats, cap_ints, cap_floats;
+    int64_t  *ints;
+    double   *floats;
+} repro_adapted;
+
+int repro_adapt_sweep(
+    int64_t **indptrs, int64_t **indices, double **data, int64_t *nnz,
+    int64_t gap, int64_t n_states, int64_t n_seg, int64_t *s0, int64_t *s1,
+    int64_t *status, int64_t *detail, uint8_t *compiled, int64_t *sizes,
+    int64_t *offsets, repro_adapted *out);
+
+void repro_adapted_free(repro_adapted *out);
 """
 
 SOURCE = """
@@ -276,8 +289,8 @@ static void repro_pcg_fill(
  * states them).  The sizes are the arrays' lengths; row0 holds
  * n_tics + 1 entries (checked by the caller), and every index read here
  * is bounded by the rules checked before it. */
-int repro_check_model(
-    repro_model *md, int64_t n_tics, int64_t n_rows, int64_t n_init,
+static int repro_check_model(
+    const repro_model *md, int64_t n_tics, int64_t n_rows, int64_t n_init,
     int64_t n_cdf, int64_t n_indptr, int64_t n_next)
 {
     const int64_t *row0 = md->row0, *indptr = md->indptr, *nx = md->next;
@@ -299,6 +312,25 @@ int repro_check_model(
                 if (nx[j] < lo || nx[j] >= hi) return 5;
             for (j = indptr[g] + 1; j < indptr[g + 1]; j++)
                 if (md->cdf[j] < md->cdf[j - 1]) return 6;
+        }
+    }
+    return 0;
+}
+
+/* repro_check_model over n_models models, the m-th sized by dims[6m ..]
+ * (n_tics, n_rows, n_init, n_cdf, n_indptr, n_next): 0, or the first
+ * failing model's status with its index in *bad. */
+int repro_check_models(
+    repro_model *models, int64_t n_models, int64_t *dims, int64_t *bad)
+{
+    int64_t m;
+    for (m = 0; m < n_models; m++) {
+        const int64_t *d = dims + 6 * m;
+        const int status = repro_check_model(
+            models + m, d[0], d[1], d[2], d[3], d[4], d[5]);
+        if (status) {
+            *bad = m;
+            return status;
         }
     }
     return 0;
@@ -341,14 +373,14 @@ int repro_check_model(
  * repro_check_model and the Python-side window validation. */
 void repro_arena_sweep(
     int64_t n_req, int64_t n,
-    int64_t *a, int64_t *b, uint8_t *resumed, repro_model **models,
+    int64_t *a, int64_t *b, uint8_t *resumed, repro_model *models,
     double *uniforms, int64_t u_stride,
     uint32_t *entropy, int64_t ent_words, int64_t *rng_consumed,
-    int64_t *rows, int out_is32, void **out_ptrs)
+    int64_t *rows, int out_is32, void *out, int64_t out_stride)
 {
     int64_t r, s, t;
     for (r = 0; r < n_req; r++) {
-        const repro_model *md = models[r];
+        const repro_model *md = models + r;
         const int64_t *states = md->states;
         const double *cdf = md->cdf;
         const int64_t *indptr = md->indptr;
@@ -396,10 +428,10 @@ void repro_arena_sweep(
                 }
             }
             if (out_is32) {
-                int32_t *o = (int32_t *) out_ptrs[r] + c * n;
+                int32_t *o = (int32_t *) out + r * out_stride + c * n;
                 for (s = 0; s < n; s++) o[s] = (int32_t) states[rr[s]];
             } else {
-                int64_t *o = (int64_t *) out_ptrs[r] + c * n;
+                int64_t *o = (int64_t *) out + r * out_stride + c * n;
                 for (s = 0; s < n; s++) o[s] = states[rr[s]];
             }
             if (t >= b[r]) continue;
@@ -924,6 +956,542 @@ int repro_prune_scan(
     }
     free(work);
     return 0;
+}
+
+/* ------------------------------------------------------------------ *
+ * Algorithm 2 (repro.markov.adaptation._sweep) over one group of
+ * segments that walk the same matrices: the forward phase with R(t),
+ * the backward phase with F(t) and the posterior marginals, and each
+ * derived stretch's ModelTables, segment by segment.
+ *
+ * Byte identity with the numpy sweep rests on repeating its sums in
+ * its order, on the same doubles:
+ *   - a column sum (np.add.reduceat over one run) is
+ *     x[0] + pairwise(x[1:]);
+ *   - every normaliser (np.add.reduce of a 1-D slice, and the numpy
+ *     row sums at every width) is 0.0 + pairwise(x);
+ *   - a CDF (np.cumsum) adds strictly left to right from x[0];
+ * where pairwise is numpy's: left to right from -0.0 below 8 terms,
+ * eight accumulators up to 128 terms, else split at n/2 rounded down to
+ * a multiple of 8.  Products and quotients are single IEEE operations
+ * (the build passes -ffp-contract=off: val * prob feeds a sum), and a
+ * run or group lists its entries in the numpy stable sort's order.
+ * Nothing depends on the batch: each segment is derived alone.
+ * ------------------------------------------------------------------ */
+
+/* A sweep's output: two streams, segment after segment.  Segment b's
+ * int64 part is states (R: its rows) | layer_ptr (R + gap) |
+ * next_states (E: its entries) | fstates (F: its forward states) | row0
+ * (gap + 1) | fptr (gap + 1) | indptr (R + 1) | next (E + R), and its
+ * float64 part post (R) | probs (E) | fprobs (F) | init_cdf (R) | cdf
+ * (E) — see repro_adapt_sweep. */
+typedef struct {
+    int64_t  n_ints, n_floats, cap_ints, cap_floats;
+    int64_t  *ints;
+    double   *floats;
+} repro_adapted;
+
+void repro_adapted_free(repro_adapted *out)
+{
+    free(out->ints);
+    free(out->floats);
+    memset(out, 0, sizeof(*out));
+}
+
+static double repro_pairwise(const double *a, int64_t n)
+{
+    if (n < 8) {
+        double res = -0.0;
+        int64_t i;
+        for (i = 0; i < n; i++) res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        double r[8], res;
+        int64_t i, j;
+        for (j = 0; j < 8; j++) r[j] = a[j];
+        for (i = 8; i < n - (n % 8); i += 8)
+            for (j = 0; j < 8; j++) r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++) res += a[i];
+        return res;
+    }
+    {
+        int64_t n2 = n / 2;
+        n2 -= n2 % 8;
+        return repro_pairwise(a, n2) + repro_pairwise(a + n2, n - n2);
+    }
+}
+
+/* np.add.reduce of a 1-D slice: the identity, then the pairwise sum. */
+static double repro_reduce(const double *a, int64_t n)
+{
+    return 0.0 + repro_pairwise(a, n);
+}
+
+static int repro_cmp_i64(const void *a, const void *b)
+{
+    const int64_t x = *(const int64_t *) a, y = *(const int64_t *) b;
+    return (x > y) - (x < y);
+}
+
+static void repro_sort_i64(int64_t *a, int64_t n)
+{
+    int64_t i, j;
+    if (n > 24) {
+        qsort(a, (size_t) n, sizeof(int64_t), repro_cmp_i64);
+        return;
+    }
+    for (i = 1; i < n; i++) {
+        const int64_t v = a[i];
+        for (j = i; j > 0 && a[j - 1] > v; j--) a[j] = a[j - 1];
+        a[j] = v;
+    }
+}
+
+/* Position of v in the sorted a[0 .. n-1], or -1. */
+static int64_t repro_find(const int64_t *a, int64_t n, int64_t v)
+{
+    int64_t lo = 0, hi = n;
+    while (lo < hi) {
+        const int64_t mid = lo + ((hi - lo) >> 1);
+        if (a[mid] < v) lo = mid + 1; else hi = mid;
+    }
+    return lo < n && a[lo] == v ? lo : -1;
+}
+
+/* A growable scratch vector. */
+typedef struct { void *p; int64_t cap; } repro_vec;
+
+static int repro_reserve(repro_vec *v, int64_t need)
+{
+    if (need > v->cap) {
+        int64_t cap = v->cap ? v->cap : 256;
+        void *p;
+        while (cap < need) cap *= 2;
+        p = realloc(v->p, (size_t) cap * 8);
+        if (p == 0) return 1;
+        v->p = p;
+        v->cap = cap;
+    }
+    return 0;
+}
+
+#define REPRO_I(v) ((int64_t *) (v).p)
+#define REPRO_D(v) ((double *) (v).p)
+
+static int repro_grow(void **p, int64_t *cap, int64_t need)
+{
+    if (need > *cap) {
+        int64_t c = *cap ? *cap : 1024;
+        void *q;
+        while (c < need) c *= 2;
+        q = realloc(*p, (size_t) c * 8);
+        if (q == 0) return 1;
+        *p = q;
+        *cap = c;
+    }
+    return 0;
+}
+
+/* Groups n keys stably: the distinct keys sorted into keys[0 .. U-1],
+ * their group pointers ptr[0 .. U] and every key's destination dest[e]
+ * — its group's next free place, so entries keep their order inside a
+ * group (numpy's stable argsort of the keys).  slot must read -1 for
+ * every state on entry and is left so; cnt needs room for n entries.
+ * Returns U. */
+static int64_t repro_group(
+    const int64_t *key, int64_t n, int64_t *slot, int64_t *keys,
+    int64_t *cnt, int64_t *ptr, int64_t *dest)
+{
+    int64_t n_keys = 0, e, u;
+    for (e = 0; e < n; e++) {
+        const int64_t j = key[e];
+        if (slot[j] < 0) {
+            slot[j] = n_keys;
+            keys[n_keys] = j;
+            cnt[n_keys++] = 0;
+        }
+        cnt[slot[j]]++;
+    }
+    repro_sort_i64(keys, n_keys);
+    ptr[0] = 0;
+    for (u = 0; u < n_keys; u++) ptr[u + 1] = ptr[u] + cnt[slot[keys[u]]];
+    for (u = 0; u < n_keys; u++) {
+        slot[keys[u]] = u;
+        cnt[u] = ptr[u];
+    }
+    for (e = 0; e < n; e++) dest[e] = cnt[slot[key[e]]]++;
+    for (u = 0; u < n_keys; u++) slot[keys[u]] = -1;
+    return n_keys;
+}
+
+/* One group: n_seg segments of gap tics each, segment b from state
+ * s0[b] to s1[b] (-1: an open cone), matrix k (CSR indptrs[k] /
+ * indices[k] / data[k] over n_states states, nnz[k] entries) applied
+ * between tic offsets k and k + 1.
+ *
+ * Per segment: status[b] is 0, or its first contradiction — 1: state
+ * detail[2b + 1] of a cone has no successors at offset detail[2b]; 2:
+ * the support dies out at offset detail[2b] + 1; 3: the closing fix has
+ * zero probability — and a contradicting segment emits nothing.  The
+ * others append their parts to out's two streams (see repro_adapted)
+ * from offsets[2b] (int64) and offsets[2b + 1] (float64) on, with R, E
+ * and F in sizes[3b ..]: F(t) (layer_ptr, next_states, probs) and the
+ * posteriors (states, post) of tics 0 .. gap-1 — tic k's rows from
+ * row0[k] — the forward marginals of tics 1 .. gap (1 .. gap-1 when
+ * closed) — tic k's from fptr[k - 1] — and the stretch's ModelTables
+ * (row0, states, init_cdf, cdf, indptr, next).  compiled[b] is 0 when a
+ * cone's transition targets a state its next marginal lost (a stored
+ * 0.0): no table is valid then.
+ *
+ * Returns 0; 1 for an indptr that is not monotone within [0, nnz]; 2
+ * for a successor outside [0, n_states); 3 for an observed state
+ * outside it; 4 when memory runs out; 5 should a backward state miss
+ * its forward run (never: the backward support is a forward one).
+ * Every matrix is checked whole before the sweep reads it. */
+int repro_adapt_sweep(
+    int64_t **indptrs, int64_t **indices, double **data, int64_t *nnz,
+    int64_t gap, int64_t n_states, int64_t n_seg, int64_t *s0, int64_t *s1,
+    int64_t *status, int64_t *detail, uint8_t *compiled, int64_t *sizes,
+    int64_t *offsets, repro_adapted *out)
+{
+    int64_t b, k, i, x, e, u, rc = 0;
+    int64_t *slot = 0, *fs_ptr = 0, *b_sup0 = 0, *b_supn = 0, *b_ent0 = 0;
+    /* scratch of one step: gathered keys, sources and values, their
+     * destinations, the grouping's keys / counts / pointers, sums. */
+    repro_vec gkey = {0, 0}, gsrc = {0, 0}, gval = {0, 0}, dest = {0, 0};
+    repro_vec keys = {0, 0}, cnt = {0, 0}, ptr = {0, 0}, col = {0, 0};
+    repro_vec runs = {0, 0}, ent_prev = {0, 0}, ent_val = {0, 0};
+    /* a segment's forward supports of tics 0 .. gap (from fs_ptr[k])
+     * and R(t) per tic: run pointers, previous states, probabilities. */
+    repro_vec fs_states = {0, 0}, fs_probs = {0, 0};
+    repro_vec r_ptr = {0, 0}, r_prev = {0, 0}, r_prob = {0, 0};
+    /* its backward supports and F(t) rows per tic (stored last tic
+     * first): group pointers, successors, their index in the next
+     * support, probabilities. */
+    repro_vec b_states = {0, 0}, b_probs = {0, 0}, b_gptr = {0, 0};
+    repro_vec b_next = {0, 0}, b_src = {0, 0}, b_fprob = {0, 0};
+
+    for (k = 0; k < gap; k++) {
+        const int64_t *ip = indptrs[k], *ix = indices[k];
+        int dup = 0;
+        for (x = 0; x < k; x++)
+            dup |= indptrs[x] == ip && indices[x] == ix && nnz[x] == nnz[k];
+        if (dup) continue;
+        if (ip[0] < 0 || ip[n_states] > nnz[k]) return 1;
+        for (i = 0; i < n_states; i++)
+            if (ip[i + 1] < ip[i]) return 1;
+        for (e = 0; e < nnz[k]; e++)
+            if (ix[e] < 0 || ix[e] >= n_states) return 2;
+    }
+    for (b = 0; b < n_seg; b++)
+        if (s0[b] < 0 || s0[b] >= n_states || s1[b] < -1 || s1[b] >= n_states)
+            return 3;
+
+    memset(out, 0, sizeof(*out));
+    slot = (int64_t *) malloc((size_t) n_states * 8);
+    fs_ptr = (int64_t *) malloc((size_t) (gap + 2) * 8);
+    b_sup0 = (int64_t *) malloc((size_t) gap * 8);
+    b_supn = (int64_t *) malloc((size_t) gap * 8);
+    b_ent0 = (int64_t *) malloc((size_t) gap * 8);
+    if (!slot || !fs_ptr || !b_sup0 || !b_supn || !b_ent0) {
+        rc = 4;
+        goto done;
+    }
+    for (i = 0; i < n_states; i++) slot[i] = -1;
+    offsets[0] = offsets[1] = 0;
+
+#define RESERVE(v, need) \\
+    do { if (repro_reserve(&(v), (need))) { rc = 4; goto done; } } while (0)
+#define RESERVE_STEP(n) \\
+    do { \\
+        RESERVE(gkey, (n)); RESERVE(gsrc, (n)); RESERVE(gval, (n)); \\
+        RESERVE(dest, (n)); RESERVE(keys, (n) + 1); RESERVE(cnt, (n) + 1); \\
+        RESERVE(ptr, (n) + 1); RESERVE(col, (n) + 1); \\
+    } while (0)
+
+    for (b = 0; b < n_seg; b++) {
+        const int closed = s1[b] >= 0;
+        int64_t *o = offsets + 2 * b;
+        int64_t n_rows = 0, n_ent = 0, n_fwd;
+        status[b] = 0;
+        compiled[b] = 1;
+        o[2] = o[0];
+        o[3] = o[1];
+        sizes[3 * b] = sizes[3 * b + 1] = sizes[3 * b + 2] = 0;
+
+        /* ---- forward phase (Algorithm 2, lines 2-10): propagate with
+         * the a-priori chain from the certain start, recording R(t). */
+        RESERVE(fs_states, 1);
+        RESERVE(fs_probs, 1);
+        REPRO_I(fs_states)[0] = s0[b];
+        REPRO_D(fs_probs)[0] = 1.0;
+        fs_ptr[0] = 0;
+        fs_ptr[1] = 1;
+        for (k = 0; k < gap; k++) {
+            const int64_t *ip = indptrs[k], *ix = indices[k];
+            const double *dat = data[k];
+            const int64_t lo = fs_ptr[k], hi = fs_ptr[k + 1];
+            /* R(t)'s run pointers from rb on; its entries from re on. */
+            const int64_t rb = hi - 1 + k, re = k ? REPRO_I(r_ptr)[rb - 1] : 0;
+            int64_t n_gather = 0, n_keys, n_active = 0;
+            double total;
+            for (i = lo; i < hi; i++) {
+                const int64_t s = REPRO_I(fs_states)[i];
+                /* With no future evidence a cone's F(t) is the chain's
+                 * own rows: an empty one is a dead end. */
+                if (!closed && ip[s] == ip[s + 1]) {
+                    status[b] = 1;
+                    detail[2 * b] = k;
+                    detail[2 * b + 1] = s;
+                    break;
+                }
+                n_gather += ip[s + 1] - ip[s];
+            }
+            if (status[b]) break;
+            RESERVE_STEP(n_gather);
+            RESERVE(ent_prev, n_gather);
+            RESERVE(ent_val, n_gather);
+            RESERVE(fs_states, hi + n_gather);
+            RESERVE(fs_probs, hi + n_gather);
+            RESERVE(r_ptr, rb + n_gather + 1);
+            RESERVE(r_prev, re + n_gather);
+            RESERVE(r_prob, re + n_gather);
+            n_gather = 0;
+            for (i = lo; i < hi; i++) {
+                const int64_t s = REPRO_I(fs_states)[i];
+                for (e = ip[s]; e < ip[s + 1]; e++) {
+                    REPRO_I(gkey)[n_gather] = ix[e];
+                    REPRO_I(gsrc)[n_gather] = i;
+                    REPRO_D(gval)[n_gather++] = dat[e];
+                }
+            }
+            n_keys = repro_group(REPRO_I(gkey), n_gather, slot, REPRO_I(keys),
+                                 REPRO_I(cnt), REPRO_I(ptr), REPRO_I(dest));
+            /* X'(t): the joint probabilities, grouped by next state with
+             * the previous state ascending inside each group. */
+            for (e = 0; e < n_gather; e++) {
+                const int64_t d = REPRO_I(dest)[e], src = REPRO_I(gsrc)[e];
+                REPRO_I(ent_prev)[d] = REPRO_I(fs_states)[src];
+                REPRO_D(ent_val)[d] = REPRO_D(gval)[e] * REPRO_D(fs_probs)[src];
+            }
+            /* Column sums; a column summing to 0 (explicitly stored
+             * zeros) leaves the support.  R(t) = joint / column sum. */
+            REPRO_I(r_ptr)[rb] = re;
+            for (u = 0; u < n_keys; u++) {
+                const int64_t a = REPRO_I(ptr)[u], z = REPRO_I(ptr)[u + 1];
+                const double *joint = REPRO_D(ent_val);
+                const double c = joint[a] + repro_pairwise(joint + a + 1, z - a - 1);
+                int64_t w = REPRO_I(r_ptr)[rb + n_active];
+                if (!(c > 0)) continue;
+                for (x = a; x < z; x++, w++) {
+                    REPRO_I(r_prev)[w] = REPRO_I(ent_prev)[x];
+                    REPRO_D(r_prob)[w] = joint[x] / c;
+                }
+                REPRO_D(col)[n_active] = c;
+                REPRO_I(fs_states)[hi + n_active] = REPRO_I(keys)[u];
+                REPRO_I(r_ptr)[rb + ++n_active] = w;
+            }
+            fs_ptr[k + 2] = hi + n_active;
+            if (n_active == 0) {
+                status[b] = 2;
+                detail[2 * b] = k;
+                break;
+            }
+            total = repro_reduce(REPRO_D(col), n_active);
+            for (u = 0; u < n_active; u++)
+                REPRO_D(fs_probs)[hi + u] = REPRO_D(col)[u] / total;
+            if (k == gap - 1 && closed) {
+                const int64_t at = repro_find(REPRO_I(fs_states) + hi, n_active, s1[b]);
+                if (at < 0 || !(REPRO_D(fs_probs)[hi + at] > 0.0)) {
+                    status[b] = 3;
+                    detail[2 * b] = k;
+                }
+            }
+        }
+        if (status[b]) continue;
+
+        /* ---- backward phase (lines 12-16): through R(t) from the
+         * certain end, producing F(t) and the posterior marginals. */
+        if (closed) {
+            /* The support of tic k + 1: c_n states from c_at on (tic gap
+             * is the closing fix alone). */
+            int64_t c_at = -1, c_n = 1;
+            for (k = gap - 1; k >= 0; k--) {
+                const int64_t lo1 = fs_ptr[k + 1], n1 = fs_ptr[k + 2] - lo1;
+                const int64_t rb = lo1 - 1 + k, gp0 = n_rows + (gap - 1 - k);
+                int64_t n_gather = 0, n_keys, g;
+                double total;
+                RESERVE(runs, c_n);
+                for (i = 0; i < c_n; i++) {
+                    const int64_t j = c_at < 0 ? s1[b] : REPRO_I(b_states)[c_at + i];
+                    const int64_t run = repro_find(REPRO_I(fs_states) + lo1, n1, j);
+                    if (run < 0) {
+                        rc = 5;
+                        goto done;
+                    }
+                    REPRO_I(runs)[i] = run;
+                    n_gather += REPRO_I(r_ptr)[rb + run + 1] - REPRO_I(r_ptr)[rb + run];
+                }
+                RESERVE_STEP(n_gather);
+                RESERVE(b_states, n_rows + n_gather);
+                RESERVE(b_probs, n_rows + n_gather);
+                RESERVE(b_gptr, gp0 + n_gather + 1);
+                RESERVE(b_next, n_ent + n_gather);
+                RESERVE(b_src, n_ent + n_gather);
+                RESERVE(b_fprob, n_ent + n_gather);
+                n_gather = 0;
+                for (i = 0; i < c_n; i++) {
+                    const double q = c_at < 0 ? 1.0 : REPRO_D(b_probs)[c_at + i];
+                    const int64_t run = REPRO_I(runs)[i];
+                    for (x = REPRO_I(r_ptr)[rb + run]; x < REPRO_I(r_ptr)[rb + run + 1]; x++) {
+                        REPRO_I(gkey)[n_gather] = REPRO_I(r_prev)[x];
+                        REPRO_I(gsrc)[n_gather] = i;
+                        REPRO_D(gval)[n_gather++] = REPRO_D(r_prob)[x] * q;
+                    }
+                }
+                n_keys = repro_group(REPRO_I(gkey), n_gather, slot, REPRO_I(keys),
+                                     REPRO_I(cnt), REPRO_I(ptr), REPRO_I(dest));
+                /* Tic k's F rows, grouped by the state they leave: the
+                 * successor, its index in tic k + 1's support, the mass. */
+                for (e = 0; e < n_gather; e++) {
+                    const int64_t d = n_ent + REPRO_I(dest)[e], src = REPRO_I(gsrc)[e];
+                    REPRO_I(b_next)[d] = c_at < 0 ? s1[b] : REPRO_I(b_states)[c_at + src];
+                    REPRO_I(b_src)[d] = src;
+                    REPRO_D(b_fprob)[d] = REPRO_D(gval)[e];
+                }
+                for (g = 0; g < n_keys; g++) {
+                    const int64_t a = n_ent + REPRO_I(ptr)[g], z = n_ent + REPRO_I(ptr)[g + 1];
+                    REPRO_D(col)[g] = repro_reduce(REPRO_D(b_fprob) + a, z - a);
+                }
+                total = repro_reduce(REPRO_D(col), n_keys);
+                for (g = 0; g < n_keys; g++) {
+                    const double t = REPRO_D(col)[g];
+                    REPRO_I(b_states)[n_rows + g] = REPRO_I(keys)[g];
+                    REPRO_D(b_probs)[n_rows + g] = t / total;
+                    REPRO_I(b_gptr)[gp0 + g] = REPRO_I(ptr)[g];
+                    for (x = n_ent + REPRO_I(ptr)[g]; x < n_ent + REPRO_I(ptr)[g + 1]; x++)
+                        REPRO_D(b_fprob)[x] = REPRO_D(b_fprob)[x] / t;
+                }
+                REPRO_I(b_gptr)[gp0 + n_keys] = n_gather;
+                b_sup0[k] = c_at = n_rows;
+                b_supn[k] = c_n = n_keys;
+                b_ent0[k] = n_ent;
+                n_rows += n_keys;
+                n_ent += n_gather;
+            }
+        } else {
+            n_rows = fs_ptr[gap];
+            for (k = 0; k < gap; k++)
+                for (i = fs_ptr[k]; i < fs_ptr[k + 1]; i++) {
+                    const int64_t s = REPRO_I(fs_states)[i];
+                    n_ent += indptrs[k][s + 1] - indptrs[k][s];
+                }
+        }
+
+        /* ---- emit the record's arrays and its stretch's tables ---- */
+        n_fwd = fs_ptr[closed ? gap : gap + 1] - 1;
+        sizes[3 * b] = n_rows;
+        sizes[3 * b + 1] = n_ent;
+        sizes[3 * b + 2] = n_fwd;
+        o[2] = o[0] + 4 * n_rows + 2 * n_ent + n_fwd + 3 * gap + 3;
+        o[3] = o[1] + 2 * n_rows + 2 * n_ent + n_fwd;
+        if (repro_grow((void **) &out->ints, &out->cap_ints, o[2])
+            || repro_grow((void **) &out->floats, &out->cap_floats, o[3])) {
+            rc = 4;
+            goto done;
+        }
+        {
+            int64_t *st = out->ints + o[0], *lp = st + n_rows;
+            int64_t *nx = lp + n_rows + gap, *fs = nx + n_ent, *r0 = fs + n_fwd;
+            int64_t *fp = r0 + gap + 1, *tp = fp + gap + 1, *succ = tp + n_rows + 1;
+            double *po = out->floats + o[1], *pr = po + n_rows, *fpr = pr + n_ent;
+            double *ic = fpr + n_fwd, *cd = ic + n_rows;
+            int64_t row = 0, ent = 0;
+            r0[0] = 0;
+            for (k = 0; k < gap; k++) {
+                const int64_t *sup, *gp = 0;
+                const double *q;
+                int64_t n_k, base = 0, first = ent;
+                if (closed) {
+                    sup = REPRO_I(b_states) + b_sup0[k];
+                    q = REPRO_D(b_probs) + b_sup0[k];
+                    n_k = b_supn[k];
+                    gp = REPRO_I(b_gptr) + b_sup0[k] + (gap - 1 - k);
+                    base = b_ent0[k];
+                } else {
+                    sup = REPRO_I(fs_states) + fs_ptr[k];
+                    q = REPRO_D(fs_probs) + fs_ptr[k];
+                    n_k = fs_ptr[k + 1] - fs_ptr[k];
+                }
+                r0[k + 1] = r0[k] + n_k;
+                lp[r0[k] + k] = 0;
+                for (i = 0; i < n_k; i++, row++) {
+                    int64_t lo, hi, last = 0;
+                    double c = 0.0;
+                    st[row] = sup[i];
+                    po[row] = q[i];
+                    ic[row] = i ? ic[row - 1] + q[i] : q[i];
+                    tp[row] = ent;
+                    if (closed) {
+                        lo = base + gp[i];
+                        hi = base + gp[i + 1];
+                    } else {
+                        lo = indptrs[k][sup[i]];
+                        hi = indptrs[k][sup[i] + 1];
+                    }
+                    for (x = lo; x < hi; x++, ent++) {
+                        double p;
+                        if (closed) {
+                            nx[ent] = REPRO_I(b_next)[x];
+                            p = REPRO_D(b_fprob)[x];
+                            last = r0[k + 1] + REPRO_I(b_src)[x];
+                        } else {
+                            const int64_t at = repro_find(
+                                REPRO_I(fs_states) + fs_ptr[k + 1],
+                                fs_ptr[k + 2] - fs_ptr[k + 1], indices[k][x]);
+                            nx[ent] = indices[k][x];
+                            p = data[k][x];
+                            if (at < 0) compiled[b] = 0;
+                            last = r0[k + 1] + (at < 0 ? 0 : at);
+                        }
+                        pr[ent] = p;
+                        c = x == lo ? p : c + p;
+                        cd[ent] = c;
+                        succ[ent + row] = last;
+                    }
+                    succ[ent + row] = last;  /* the trailing copy */
+                    lp[r0[k] + k + i + 1] = ent - first;
+                }
+            }
+            tp[row] = ent;
+            memcpy(fs, REPRO_I(fs_states) + 1, (size_t) n_fwd * 8);
+            memcpy(fpr, REPRO_D(fs_probs) + 1, (size_t) n_fwd * 8);
+            for (k = 0; k < gap; k++) fp[k] = fs_ptr[k + 1] - 1;
+            fp[gap] = n_fwd;
+        }
+    }
+    out->n_ints = offsets[2 * n_seg];
+    out->n_floats = offsets[2 * n_seg + 1];
+#undef RESERVE_STEP
+#undef RESERVE
+
+done:
+    free(slot);
+    free(fs_ptr);
+    free(b_sup0);
+    free(b_supn);
+    free(b_ent0);
+    free(gkey.p); free(gsrc.p); free(gval.p); free(dest.p);
+    free(keys.p); free(cnt.p); free(ptr.p); free(col.p);
+    free(runs.p); free(ent_prev.p); free(ent_val.p);
+    free(fs_states.p); free(fs_probs.p);
+    free(r_ptr.p); free(r_prev.p); free(r_prob.p);
+    free(b_states.p); free(b_probs.p); free(b_gptr.p);
+    free(b_next.p); free(b_src.p); free(b_fprob.p);
+    if (rc) repro_adapted_free(out);
+    return rc;
 }
 """
 

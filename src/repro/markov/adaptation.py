@@ -34,6 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
+from . import native as native_tier
 from .chain import TransitionModel
 from .compiled import CompiledModel, ModelTables, compile_models
 from .distributions import SparseDistribution
@@ -375,6 +376,7 @@ def adapt_many(
     requests: Sequence[
         tuple[TransitionModel, list[tuple[int, int]], int | None, AdaptedModel | None]
     ],
+    native: bool = False,
 ) -> list[AdaptedModel | ValueError]:
     """Run Algorithm 2 for many objects at once.
 
@@ -389,7 +391,11 @@ def adapt_many(
     of ``chain.csr_arrays(t)`` for every tic of the gap, so one homogeneous
     chain forms one group per gap length while inhomogeneous or per-object
     chains simply form smaller ones — and every group is derived by one
-    :func:`_sweep`.
+    :func:`_sweep`, or with ``native`` (an engine on the native backend) by
+    one C call (:func:`_native_sweep`) that also lays out every derived
+    stretch's :class:`~repro.markov.compiled.ModelTables`, so a later
+    :func:`~repro.markov.compiled.compile_models` finds them compiled.
+    Both give the same bytes.
 
     Returns one entry per request, in order: the model, or the error that
     :func:`adapt_model` raises for it.  A request fails alone (its earliest
@@ -422,8 +428,9 @@ def adapt_many(
                 )[2]
                 members.append((key, segments, slot))
         plans.append((chain, obs, segments))
+    sweep = _native_sweep if native else _sweep
     for mats, n_states, members in groups.values():
-        derived = _sweep(mats, n_states, [key for key, _, _ in members])
+        derived = sweep(mats, n_states, [key for key, _, _ in members])
         for (_, segments, slot), segment in zip(members, derived):
             segments[slot] = segment
 
@@ -449,6 +456,23 @@ def _check_observations(chain: TransitionModel, obs: list[tuple[int, int]]) -> N
     for _, state in obs:
         if not 0 <= state < chain.n_states:
             raise ValueError(f"observed state {state} outside state space")
+
+
+def _no_successors(state: int, t: int) -> ObservationContradictionError:
+    return ObservationContradictionError(f"state {state} has no successors at time {t}")
+
+
+def _dies_out(t: int) -> ObservationContradictionError:
+    return ObservationContradictionError(
+        f"chain support dies out at time {t} before reaching the next observation"
+    )
+
+
+def _unreached(t: int, state: int) -> ObservationContradictionError:
+    return ObservationContradictionError(
+        f"observation (t={t}, state={state}) has zero probability "
+        "under the a-priori chain given earlier observations"
+    )
 
 
 def _point(state: int) -> RowDist:
@@ -584,10 +608,10 @@ def _sweep(
     errors: dict[int, ObservationContradictionError] = {}
     alive = np.ones(n, dtype=bool)
 
-    def fail(segment: int, message: str) -> None:
+    def fail(segment: int, error: ObservationContradictionError) -> None:
         if alive[segment]:  # the first contradiction of a segment is the one reported
             alive[segment] = False
-            errors[segment] = ObservationContradictionError(message)
+            errors[segment] = error
 
     # ------------------------------------------------------------------
     # Forward phase (Algorithm 2, lines 2-10): propagate with the a-priori
@@ -608,7 +632,7 @@ def _sweep(
         # the support — so an empty one is a dead end.
         if has_cones:
             for i in np.flatnonzero(~closed[seg] & (np.diff(row_offsets) == 0)).tolist():
-                fail(seg[i], f"state {state[i]} has no successors at time {t0[seg[i]] + k}")
+                fail(seg[i], _no_successors(state[i], t0[seg[i]] + k))
 
         # X'(t) of Algorithm 2, stacked: the joint probabilities
         # P(o(t-1) = prev, o(t) = state | past) of every segment, grouped by
@@ -632,20 +656,12 @@ def _sweep(
         seg, state, seg_offsets, sizes = _unstack(run_keys, n, n_states)
         prob = col_sums / np.repeat(_slice_sums(col_sums, seg_offsets), sizes)
         for b in np.flatnonzero(sizes == 0).tolist():
-            fail(
-                b,
-                f"chain support dies out at time {t0[b] + k + 1} "
-                "before reaching the next observation",
-            )
+            fail(b, _dies_out(t0[b] + k + 1))
         if k == gap - 1:
             ends = np.flatnonzero(closed)
             reached = np.isin(ends * n_states + s1[ends], run_keys[prob > 0.0])
             for b in ends[~reached].tolist():
-                fail(
-                    b,
-                    f"observation (t={t0[b] + k + 1}, state={s1[b]}) has zero probability "
-                    "under the a-priori chain given earlier observations",
-                )
+                fail(b, _unreached(t0[b] + k + 1, s1[b]))
         stays = alive[seg]
         if not stays.all():
             seg, state, prob = seg[stays], state[stays], prob[stays]
@@ -716,3 +732,86 @@ def _adapt_segment(
         return Segment(key, layers, posterior + marginals[-1:], marginals)
     end = _point(key[3])
     return Segment(key, layers, posterior + [end], marginals[:-1] + [end])
+
+
+def _native_sweep(
+    mats: tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...],
+    n_states: int,
+    keys: list[tuple[int, int, int, int | None]],
+) -> list[Segment | ObservationContradictionError]:
+    """:func:`_sweep` in one C call (:func:`repro.markov.native.adapt_sweep`),
+    which also lays out each derived stretch's tables: the same records,
+    errors and bytes, each record cut out by :func:`_cut_segment`."""
+    s0 = np.array([key[1] for key in keys], dtype=np.intp)
+    s1 = np.array([-1 if key[3] is None else key[3] for key in keys], dtype=np.intp)
+    out = native_tier.adapt_sweep(mats, n_states, s0, s1)
+    gap = len(mats)
+    derived: list[Segment | ObservationContradictionError] = []
+    for key, code, (k, state), sizes, lo, hi, compiled in zip(
+        keys, out.status.tolist(), out.detail.tolist(), out.sizes.tolist(),
+        out.offsets.tolist(), out.offsets[1:].tolist(), out.compiled.tolist(),
+    ):
+        if code == 1:
+            derived.append(_no_successors(state, key[0] + k))
+        elif code == 2:
+            derived.append(_dies_out(key[0] + k + 1))
+        elif code == 3:
+            derived.append(_unreached(key[0] + k + 1, key[3]))
+        else:
+            ints = out.ints[lo[0] : hi[0]].copy()
+            floats = out.floats[lo[1] : hi[1]].copy()
+            derived.append(_cut_segment(key, gap, *sizes, ints, floats, compiled))
+    return derived
+
+
+def _cut_segment(
+    key: tuple, gap: int, rows: int, entries: int, fwd: int,
+    ints: np.ndarray, floats: np.ndarray, compiled: bool,
+) -> Segment:
+    """One record of a native sweep from its own two buffers (its part of
+    the sweep's int64 and float64 streams, copied): every array of the
+    record and of its tables is a view of them — the tables' ``states``
+    are the posterior supports themselves."""
+    # The kernel's layout: int64 states | layer_ptr | next_states | fstates
+    # | row0 | fptr | indptr | next, float64 post | probs | fprobs |
+    # init_cdf | cdf.
+    i1 = rows
+    i2 = i1 + rows + gap
+    i3 = i2 + entries
+    i4 = i3 + fwd
+    i5 = i4 + gap + 1
+    i6 = i5 + gap + 1
+    i7 = i6 + rows + 1
+    states, layer_ptr, next_states = ints[:i1], ints[i1:i2], ints[i2:i3]
+    fstates, row0, fptr, indptr = ints[i3:i4], ints[i4:i5], ints[i5:i6], ints[i6:i7]
+    f1 = rows
+    f2 = f1 + entries
+    f3 = f2 + fwd
+    f4 = f3 + rows
+    post, probs, fprobs, init_cdf = floats[:f1], floats[f1:f2], floats[f2:f3], floats[f3:f4]
+    tic_rows = row0.tolist()
+    tic_entries = indptr[row0].tolist()
+    layers: list[Layer] = []
+    posterior: list[RowDist] = []
+    for k in range(gap):
+        a, z = tic_rows[k], tic_rows[k + 1]
+        support = states[a:z]
+        entries_k = slice(tic_entries[k], tic_entries[k + 1])
+        layers.append(
+            (support, layer_ptr[a + k : z + k + 1], next_states[entries_k], probs[entries_k])
+        )
+        posterior.append((support, post[a:z]))
+    at = fptr.tolist()
+    marginals = [
+        (fstates[at[k] : at[k + 1]], fprobs[at[k] : at[k + 1]])
+        for k in range(gap if key[3] is None else gap - 1)
+    ]
+    if key[3] is None:
+        # No future evidence: the posterior is the forward marginal.
+        segment = Segment(key, layers, posterior + marginals[-1:], marginals)
+    else:
+        end = _point(key[3])
+        segment = Segment(key, layers, posterior + [end], marginals + [end])
+    if compiled:
+        segment.compiled = ModelTables(row0, states, init_cdf, floats[f4:], indptr, ints[i7:])
+    return segment

@@ -85,9 +85,10 @@ class _Block:
     """One registered object: its compiled model.
 
     ``native`` caches the C sweep's checked struct over ``model.tables``
-    (set by :mod:`repro.markov.native` on the block's first native draw).
-    It lives here, on the engine-owned arena, and not on the model: models
-    travel with pickled database objects, cffi handles cannot.
+    — ``t_first`` and the tables' addresses — set by
+    :mod:`repro.markov.native` on the block's first native draw.  It lives
+    here, on the engine-owned arena, and not on the model: models travel
+    with pickled database objects, addresses do not.
     """
 
     __slots__ = ("model", "native")

@@ -32,11 +32,19 @@ _ROW_SUM_TOL = 1e-8
 def validate_stochastic(matrix: sparse.csr_matrix) -> None:
     """Raise ``ValueError`` unless ``matrix`` is row-stochastic.
 
-    Every row must be a probability distribution: non-negative entries
-    summing to 1 within a small tolerance.
+    Every row must be a probability distribution: finite, non-negative
+    entries summing to 1 within a small tolerance.  A NaN passes both
+    comparisons below, so non-finite entries are refused first.
     """
     if matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"transition matrix must be square, got {matrix.shape}")
+    bad = np.flatnonzero(~np.isfinite(matrix.data))
+    if bad.size:
+        state = int(np.searchsorted(matrix.indptr, bad[0], side="right")) - 1
+        raise ValueError(
+            "transition probabilities must be finite; first offending state "
+            f"{state} holds {float(matrix.data[bad[0]])!r}"
+        )
     if matrix.nnz and matrix.data.min() < 0:
         raise ValueError("transition probabilities must be non-negative")
     row_sums = np.asarray(matrix.sum(axis=1)).ravel()

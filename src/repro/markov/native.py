@@ -32,7 +32,7 @@ to the numpy sweep (``"compiled"``) otherwise; selecting
 descriptive error instead (:func:`require_native`).
 
 Every array crossing into C is checked where that is cheap — a model's
-tables once per arena block (:func:`_model_struct`, whose index checks run in
+tables once per arena block (:func:`_model_rows`, whose index checks run in
 C), the windows, the gather's, miner's and scan's dtypes, shapes and
 budgets once per call — and the gather and scan kernels bounds-check the
 indices Python cannot vouch for as cheaply (a gathered block's place in
@@ -271,7 +271,7 @@ _MODEL_DTYPES = tuple(
     np.dtype(d) for d in (np.intp, np.intp, np.float64, np.float64, np.intp, np.intp)
 )
 
-#: ``repro_check_model``'s verdicts, by status.
+#: ``repro_check_models``' verdicts, by status.
 _MODEL_FAULTS = {
     1: "row0 does not run from 0 to the row count through non-empty tics",
     2: "init_cdf is not aligned with states",
@@ -286,44 +286,50 @@ def _reject(what: str):
     raise ValueError(f"model tables rejected at the C boundary: {what}")
 
 
-def _model_struct(ffi, block: "_Block"):
-    """The ``repro_model`` over an arena block's ``model.tables``, checked.
+def _model_rows(ffi, blocks: "list[_Block]") -> np.ndarray:
+    """Every block's ``repro_model`` — ``t_first`` and the addresses of its
+    ``model.tables`` — as one ``(blocks, 7)`` int64 array, the kernel's
+    struct array through a single ``from_buffer``.
 
-    Built at the block's first native draw and cached on the block: a
-    model's tables never change, and a recompiled object is re-registered
-    as a new block.  The cache stays on the engine-owned arena so models
-    (which travel with pickled database objects) hold no cffi handles.
-    Every array must be a contiguous vector of the dtype the kernel reads
-    and ``row0`` hold one entry per tic of the span (plus the row count);
-    ``repro_check_model`` then vouches for every index the sweep will
-    read — one pass over the tables, in C.  The cached pair is
-    ``(struct, keepalive)``; the keepalive list pins every numpy buffer
-    and cffi pointer the struct references.
+    A block's row is built and checked at its first native draw and cached
+    on the block: a model's tables never change (the model pins them), and
+    a recompiled object is re-registered as a new block.  The cache stays
+    on the engine-owned arena, not on the model, whose pickled copies
+    would carry stale addresses.  Every array must be a contiguous vector
+    of the dtype the kernel reads and ``row0`` hold one entry per tic of
+    the span (plus the row count); ``repro_check_models`` then vouches
+    for every index the sweep will read — one pass over each new block's
+    tables, one C call for all of them.
     """
-    if block.native is not None:
-        return block.native
-    model = block.model
-    tables = model.tables
-    md = ffi.new("repro_model *")
-    keep: list = [tables, md]
-    md.t_first = model.t_first
-    for name, array, dtype in zip(tables._fields, tables, _MODEL_DTYPES):
-        if array.dtype != dtype or array.ndim != 1 or not array.flags.c_contiguous:
-            _reject(f"{name} is not a contiguous {dtype} vector")
-        p = ffi.from_buffer("double[]" if dtype == np.float64 else "int64_t[]", array)
-        keep.append(p)
-        setattr(md, name, p)
-    n_tics = model.t_last - model.t_first + 1
-    if tables.row0.size != n_tics + 1:
-        _reject(f"row0 does not hold one entry per tic of [{model.t_first}, {model.t_last}]")
-    status = _module.lib.repro_check_model(
-        md, n_tics, tables.states.size, tables.init_cdf.size, tables.cdf.size,
-        tables.indptr.size, tables.next.size,
-    )
-    if status:
-        _reject(_MODEL_FAULTS[status])
-    block.native = (md, keep)
-    return block.native
+    fresh = list({id(block): block for block in blocks if block.native is None}.values())
+    if fresh:
+        rows = np.empty((len(fresh), 7), dtype=np.int64)
+        dims = np.empty((len(fresh), 6), dtype=np.int64)
+        for m, block in enumerate(fresh):
+            model = block.model
+            tables = model.tables
+            rows[m, 0] = model.t_first
+            for f, (name, array, dtype) in enumerate(
+                zip(tables._fields, tables, _MODEL_DTYPES), start=1
+            ):
+                if array.dtype != dtype or array.ndim != 1 or not array.flags.c_contiguous:
+                    _reject(f"{name} is not a contiguous {dtype} vector")
+                rows[m, f] = int(ffi.cast("intptr_t", ffi.from_buffer("char[]", array)))
+            n_tics = model.t_last - model.t_first + 1
+            if tables.row0.size != n_tics + 1:
+                _reject(
+                    f"row0 does not hold one entry per tic of [{model.t_first}, {model.t_last}]"
+                )
+            dims[m] = (n_tics, *(array.size for array in tables[1:]))
+        status = _module.lib.repro_check_models(
+            ffi.from_buffer("repro_model[]", rows), len(fresh),
+            ffi.from_buffer("int64_t[]", dims), ffi.new("int64_t *"),
+        )
+        if status:
+            _reject(_MODEL_FAULTS[status])
+        for block, row in zip(fresh, rows):
+            block.native = row
+    return np.array([block.native for block in blocks])
 
 
 def draw_arena(
@@ -368,30 +374,18 @@ def draw_arena(
             if k:
                 req.rng.random(out=uniforms[r, :k].reshape(-1))
 
-    keep: list = []
-    models_c = ffi.new("repro_model *[]", n_req)
+    models = _model_rows(ffi, blocks)
     rows = np.empty((n_req, n), dtype=np.intp)
-    for r, block in enumerate(blocks):
-        md, md_keep = _model_struct(ffi, block)
-        keep.append(md_keep)
-        models_c[r] = md
-        if resumed[r]:
-            model = block.model
-            t = int(a_arr[r])
-            rows[r] = (
-                model.rows_of_states(t, starts[r])
-                + model.tables.row0[t - model.t_first]
-            )
+    for r in np.flatnonzero(resumed).tolist():
+        model = blocks[r].model
+        t = int(a_arr[r])
+        rows[r] = model.rows_of_states(t, starts[r]) + model.tables.row0[t - model.t_first]
 
     # Destinations are tic-major ``(width, n)`` slabs — the numpy sweep's
-    # buffer order, which the kernel fills one contiguous row per tic.
-    out = np.empty((n_req, int(widths.max()), n), dtype=states_dtype)
-    slabs = [out[r, : int(widths[r])] for r in range(n_req)]
-    out_ptrs = ffi.new("void *[]", n_req)
-    for r, slab in enumerate(slabs):
-        p = ffi.from_buffer("char[]", slab, require_writable=True)
-        keep.append(p)
-        out_ptrs[r] = p
+    # buffer order, which the kernel fills one contiguous row per tic —
+    # request after request in one buffer.
+    width = int(widths.max())
+    out = np.empty((n_req, width, n), dtype=states_dtype)
 
     entropy, consumed = lazy if lazy is not None else (None, None)
 
@@ -400,16 +394,17 @@ def draw_arena(
 
     lib.repro_arena_sweep(
         n_req, n, buf("int64_t[]", a_arr), buf("int64_t[]", b_arr),
-        buf("uint8_t[]", resumed.view(np.uint8)), models_c,
+        buf("uint8_t[]", resumed.view(np.uint8)), buf("repro_model[]", models),
         buf("double[]", uniforms), max_blocks * n,
         buf("uint32_t[]", entropy), 0 if entropy is None else entropy.shape[1],
         buf("int64_t[]", consumed), buf("int64_t[]", rows),
-        int(states_dtype == np.int32), out_ptrs,
+        int(states_dtype == np.int32), ffi.from_buffer("char[]", out, require_writable=True),
+        width * n,
     )
     if lazy is not None:
         for r, req in enumerate(requests):
             req.rng.consumed += int(u_blocks[r]) * n
-    return [slab.T for slab in slabs]
+    return [out[r, :w].T for r, w in enumerate(widths.tolist())]
 
 
 # ---------------------------------------------------------------------------
@@ -692,3 +687,133 @@ def prune_scan(
         prune_dist, candidate[:, :n_sel].view(bool), influencer[:, :n_sel].view(bool),
         int(sizes[1]),
     )
+
+
+# ---------------------------------------------------------------------------
+# Algorithm 2: the forward-backward sweep and its stretch compile
+# ---------------------------------------------------------------------------
+
+class Adapted(NamedTuple):
+    """One :func:`adapt_sweep` call, segment-major.
+
+    Segment ``b`` failed when ``status[b]`` is not 0 — 1: state
+    ``detail[b, 1]`` of a cone has no successors at tic offset
+    ``detail[b, 0]``; 2: its support dies out at offset ``detail[b, 0] +
+    1``; 3: its closing fix has zero probability — and owns nothing of
+    the streams.  Otherwise its parts are ``ints[offsets[b, 0]:offsets[b +
+    1, 0]]`` and ``floats[offsets[b, 1]:offsets[b + 1, 1]]``, laid out as
+    the kernel's ``repro_adapted`` says for its ``sizes[b]`` = (rows,
+    entries, forward states), and ``compiled[b]`` is whether the
+    stretch's :class:`~repro.markov.compiled.ModelTables` among them are
+    valid (a cone whose transition targets a state its next marginal lost
+    has none).
+    """
+
+    status: np.ndarray
+    detail: np.ndarray
+    compiled: np.ndarray
+    sizes: np.ndarray
+    offsets: np.ndarray
+    ints: np.ndarray
+    floats: np.ndarray
+
+
+_ADAPT_FAULTS = {
+    1: "a matrix's indptr is not monotone within [0, nnz]",
+    2: "a matrix holds a successor outside its states",
+    3: "an observed state is outside the chain's states",
+}
+
+
+def _pointers(ffi, ctype: str, arrays):
+    """``arrays`` as one C array of pointers, one ``from_buffer`` per
+    distinct array (a homogeneous chain walks one matrix every tic); the
+    returned handle pins them."""
+    cdata: dict[int, object] = {}
+    for array in arrays:
+        if id(array) not in cdata:
+            cdata[id(array)] = ffi.from_buffer(ctype + "[]", array)
+    pointers = ffi.new(ctype + " *[]", [cdata[id(array)] for array in arrays])
+    return pointers, list(cdata.values())
+
+
+def _copied(ffi, pointer, size: int, dtype) -> np.ndarray:
+    if not size:
+        return np.empty(0, dtype=dtype)
+    return np.frombuffer(ffi.buffer(pointer, size * 8), dtype=dtype).copy()
+
+
+def adapt_sweep(
+    mats: "tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]",
+    n_states: int,
+    s0: np.ndarray,
+    s1: np.ndarray,
+) -> Adapted:
+    """``adaptation._sweep`` and the stretch compile in one C call.
+
+    ``mats[k]`` is the CSR ``(indptr, indices, data)`` applied between
+    tic offsets ``k`` and ``k + 1`` of every segment (``intp`` / ``intp``
+    / ``float64`` vectors, ``indptr`` of ``n_states + 1``); segment ``b``
+    runs from state ``s0[b]`` to ``s1[b]`` (``-1``: an open cone).  A
+    wrong dtype, shape or contiguity is a ``ValueError`` before any C
+    runs; the kernel checks every matrix whole (monotone ``indptr``
+    within the entries, successors within the states) and the observed
+    states before it reads them.
+    """
+    require_native()
+    ffi, lib = _module.ffi, _module.lib
+    n_states = _count("n_states", n_states)
+    gap = len(mats)
+    if gap < 1:
+        raise ValueError("a segment spans at least one tic")
+    ints = np.dtype(np.intp)
+    for indptr, indices, data in mats:
+        if indptr.dtype != ints or indptr.shape != (n_states + 1,) or not indptr.flags.c_contiguous:
+            raise ValueError(f"indptr must be a C-contiguous int64 vector of {n_states + 1}")
+        if indices.dtype != ints or indices.ndim != 1 or not indices.flags.c_contiguous:
+            raise ValueError("indices must be a C-contiguous int64 vector")
+        if (
+            data.dtype != np.float64 or data.shape != indices.shape
+            or not data.flags.c_contiguous
+        ):
+            raise ValueError("data must be a C-contiguous float64 vector beside indices")
+    n = len(s0)
+    for name, array in (("s0", s0), ("s1", s1)):
+        if array.dtype != ints or array.shape != (n,) or n < 1 or not array.flags.c_contiguous:
+            raise ValueError(f"{name} must be a non-empty C-contiguous int64 vector of {n}")
+    status = np.empty(n, dtype=np.intp)
+    detail = np.zeros((n, 2), dtype=np.intp)
+    compiled = np.empty(n, dtype=np.uint8)
+    sizes = np.empty((n, 3), dtype=np.intp)
+    offsets = np.empty((n + 1, 2), dtype=np.intp)
+    nnz = np.array([m[1].size for m in mats], dtype=np.intp)
+    out = ffi.new("repro_adapted *")
+    (indptrs, pin_indptrs), (indices, pin_indices), (data, pin_data) = (
+        _pointers(ffi, ctype, [m[part] for m in mats])
+        for part, ctype in enumerate(("int64_t", "int64_t", "double"))
+    )
+
+    def buf(ctype, array):
+        return ffi.from_buffer(ctype, array, require_writable=True)
+
+    try:
+        rc = lib.repro_adapt_sweep(
+            indptrs, indices, data, ffi.from_buffer("int64_t[]", nnz), gap, n_states, n,
+            ffi.from_buffer("int64_t[]", s0), ffi.from_buffer("int64_t[]", s1),
+            buf("int64_t[]", status), buf("int64_t[]", detail),
+            buf("uint8_t[]", compiled), buf("int64_t[]", sizes),
+            buf("int64_t[]", offsets), out,
+        )
+        if rc == 4:
+            raise MemoryError("the adaptation sweep ran out of memory")
+        if rc == 5:  # pragma: no cover - the backward support is a forward one
+            raise RuntimeError("the adaptation sweep lost a backward state")
+        if rc:
+            raise ValueError(f"adaptation rejected at the C boundary: {_ADAPT_FAULTS[rc]}")
+        return Adapted(
+            status, detail, compiled.view(bool), sizes, offsets,
+            _copied(ffi, out.ints, out.n_ints, ints),
+            _copied(ffi, out.floats, out.n_floats, np.float64),
+        )
+    finally:
+        lib.repro_adapted_free(out)

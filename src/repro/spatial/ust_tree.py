@@ -75,6 +75,15 @@ def check_query_coords(
     return coords
 
 
+def _ids_by_row(ids: list[str], mask: np.ndarray) -> list[list[str]]:
+    """Row ``n``'s ids where the ``(Q, O)`` ``mask`` holds, for every row:
+    one ``np.nonzero`` (row-major, so object order within each row), its
+    ids gathered once and split at the rows' counts."""
+    picked = [ids[i] for i in np.nonzero(mask)[1].tolist()]
+    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    return [picked[a:b] for a, b in zip([0, *ends], ends)]
+
+
 @dataclass
 class PruningResult:
     """Outcome of the § 6 filter step.
@@ -371,16 +380,18 @@ class USTTree:
         if scan.sel.size == 0 or len(q) == 0:
             nowhere = np.full(times.size, np.inf)
             return [PruningResult([], [], nowhere.copy(), scan.examined) for _ in q]
-        ids = [self._ids[i] for i in scan.sel]
+        ids = [self._ids[i] for i in scan.sel.tolist()]
         return [
             PruningResult(
-                candidates=[ids[i] for i in np.flatnonzero(scan.candidate[n])],
-                influencers=[ids[i] for i in np.flatnonzero(scan.influencer[n])],
+                candidates=candidates,
+                influencers=influencers,
                 prune_distances=scan.prune_dist[n],
                 examined_entries=scan.examined,
                 bounds=(ids, scan.dmin[n], scan.dmax[n]),
             )
-            for n in range(len(q))
+            for n, candidates, influencers in zip(
+                range(len(q)), _ids_by_row(ids, scan.candidate), _ids_by_row(ids, scan.influencer)
+            )
         ]
 
     def _scan(self, q: np.ndarray, times: np.ndarray, k: int) -> native_tier.Scan:

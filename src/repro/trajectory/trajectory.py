@@ -241,11 +241,12 @@ class UncertainObject:
         )
 
 
-def adapt_objects(objects: list[UncertainObject]) -> None:
+def adapt_objects(objects: list[UncertainObject], native: bool = False) -> None:
     """Derive the a-posteriori models the given objects still lack, together.
 
     One :func:`~repro.markov.adaptation.adapt_many` call: every segment any
-    of them has to derive runs in the same batched sweep.  An object whose
+    of them has to derive runs in the same batched sweep (in the native
+    tier with ``native``, which also compiles the stretches it derives).  An object whose
     observations contradict its chain is left as it was — its own
     ``.adapted`` raises, on every access, exactly as it would have alone.
     """
@@ -254,7 +255,8 @@ def adapt_objects(objects: list[UncertainObject]) -> None:
         [
             (obj.chain, obj.observations.as_pairs(), obj.extend_to, obj._donor)
             for obj in pending
-        ]
+        ],
+        native=native,
     )
     for obj, model in zip(pending, models):
         if isinstance(model, AdaptedModel):

@@ -38,6 +38,24 @@ class TestValidation:
                 sparse.csr_matrix(np.array([[0.0, 0.0], [0.5, 0.5]]))
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        """NaN passes both ``< 0`` and the row-sum tolerance; it must not
+        pass validation (the adaptation kernels read ``data`` raw)."""
+        mat = sparse.csr_matrix(np.array([[0.5, 0.5, 0.0], [0.0, bad, 1.0], [0.0, 0.0, 1.0]]))
+        with pytest.raises(ValueError, match="must be finite; first offending state 1 "):
+            MarkovChain(mat)
+        with pytest.raises(ValueError, match="first offending state 1 "):
+            validate_stochastic(mat)
+
+    def test_non_finite_reports_the_first_state_past_empty_rows(self):
+        mat = sparse.csr_matrix(
+            (np.array([1.0, np.nan, 1.0]), np.array([0, 1, 3]), np.array([0, 1, 1, 1, 3])),
+            shape=(4, 4),
+        )
+        with pytest.raises(ValueError, match="first offending state 3 holds nan"):
+            validate_stochastic(mat)
+
     def test_constructor_validates_by_default(self):
         with pytest.raises(ValueError):
             MarkovChain(sparse.csr_matrix(np.array([[0.9, 0.0], [0.0, 1.0]])))
@@ -116,6 +134,14 @@ class TestInhomogeneous:
             InhomogeneousMarkovChain(
                 {0: sparse.csr_matrix(np.array([[0.5, 0.4], [0.0, 1.0]]))}
             )
+
+    def test_non_finite_rejected_at_any_time_and_in_the_default(self):
+        good = sparse.csr_matrix(np.array([[0.5, 0.5], [0.0, 1.0]]))
+        bad = sparse.csr_matrix(np.array([[0.5, 0.5], [np.nan, 1.0]]))
+        with pytest.raises(ValueError, match="finite; first offending state 1 "):
+            InhomogeneousMarkovChain({0: good, 1: bad})
+        with pytest.raises(ValueError, match="finite; first offending state 1 "):
+            InhomogeneousMarkovChain({0: good}, default=bad)
 
 
 class TestUniformized:

@@ -29,6 +29,7 @@ import os
 import pickle
 import subprocess
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -183,6 +184,46 @@ class TestArenaLockstep:
 
         for got, ref in zip(draw(True), draw(False)):
             np.testing.assert_array_equal(got, ref)
+
+    @pytest.mark.parametrize("rng_factory", [_lazy_rng, _real_rng],
+                             ids=["lazy", "real"])
+    def test_from_buffer_calls_do_not_grow_with_the_requests(
+        self, models, monkeypatch, rng_factory
+    ):
+        """The models reach the kernel as one struct array and every slab
+        lives in one output buffer: past the first draw of a block (which
+        checks its tables), a draw's ``from_buffer`` calls are a constant,
+        whatever the number of requests."""
+        real = native._module
+        calls = []
+
+        class CountingFFI:
+            def __getattr__(self, name):
+                return getattr(real.ffi, name)
+
+            def from_buffer(self, *args, **kwargs):
+                calls.append(args[0])
+                return real.ffi.from_buffer(*args, **kwargs)
+
+        monkeypatch.setattr(native, "_module", SimpleNamespace(ffi=CountingFFI(), lib=real.lib))
+        arena = _arena(models, c_sweep=True)
+
+        def requests(n_req, seed):
+            return [
+                ArenaRequest(f"m{i % len(models)}", 0, 8, rng_factory(seed + i))
+                for i in range(n_req)
+            ]
+
+        sample_paths_arena(arena, requests(len(models), 300), 16)  # checks every block
+        counts = []
+        for n_req in (1, len(models), 8 * len(models)):
+            calls.clear()
+            drawn = sample_paths_arena(arena, requests(n_req, 400), 16)
+            counts.append(len(calls))
+            reference = sample_paths_arena(_arena(models), requests(n_req, 400), 16)
+            for got, ref in zip(drawn, reference):
+                np.testing.assert_array_equal(got, ref)
+        assert counts[0] == counts[1] == counts[2] <= 10, counts
 
     def test_resume_after_materializing_one_handle(self, models):
         """Touching one lazy handle between draws (forcing a real

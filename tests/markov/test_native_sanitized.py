@@ -2,7 +2,8 @@
 
 A sanitized build of the kernels (``tests/markov/sanitized.py``) runs the
 arena lockstep, seeding and engine parity suites of ``test_native.py``,
-the native miner's and prune scan's parity cases
+the native miner's, prune scan's and adaptation sweep's parity cases, the
+adaptation sweep's boundary cases
 plus the adversarial fuzz of ``test_native_fuzz.py`` in a subprocess with
 the sanitizer runtimes preloaded.  Every case must pass — bad input is a
 ``ValueError`` at the boundary, good input matches the numpy sweep byte
@@ -36,6 +37,8 @@ CASES = [
     "tests/markov/test_native.py::TestEngineParity",
     "tests/core/test_apriori.py::TestNativeMinerAgainstBitmapMiner",
     "tests/spatial/test_prune_oracle.py::TestNativeScan",
+    "tests/markov/test_native_adapt.py::TestNativeAdaptation",
+    "tests/markov/test_native_adapt.py::TestAdaptBoundary",
 ]
 REPORTS = ("AddressSanitizer", "runtime error:", "LeakSanitizer")
 

@@ -100,18 +100,22 @@ class _Sweeps:
     def __init__(self, monkeypatch) -> None:
         self.sweeps: list[int] = []
         self.sites: list[int] = []
-        sweep, many = adaptation._sweep, trajectory_module.adapt_many
+        many = trajectory_module.adapt_many
 
-        def counted_sweep(mats, n_states, keys):
-            self.sweeps.append(len(keys))
-            return sweep(mats, n_states, keys)
+        def counted(sweep):  # the numpy kernel or the native one, whichever runs
+            def counted_sweep(mats, n_states, keys):
+                self.sweeps.append(len(keys))
+                return sweep(mats, n_states, keys)
 
-        def counted_site(requests):
+            return counted_sweep
+
+        def counted_site(requests, **kwargs):
             if requests:
                 self.sites.append(len(requests))
-            return many(requests)
+            return many(requests, **kwargs)
 
-        monkeypatch.setattr(adaptation, "_sweep", counted_sweep)
+        for name in ("_sweep", "_native_sweep"):
+            monkeypatch.setattr(adaptation, name, counted(getattr(adaptation, name)))
         monkeypatch.setattr(trajectory_module, "adapt_many", counted_site)
 
     def take(self) -> tuple[list[int], list[int]]:
@@ -182,9 +186,9 @@ class TestKernelPassesPerTick:
         monitor, batches = _fleet()
         batched = [_payloads(monitor.tick(events, now=now)) for now, events in enumerate(batches)]
 
-        def one_at_a_time(objects):
+        def one_at_a_time(objects, **kwargs):
             for obj in objects:
-                trajectory_module.adapt_objects([obj])
+                trajectory_module.adapt_objects([obj], **kwargs)
 
         monkeypatch.setattr(evaluator_module, "adapt_objects", one_at_a_time)
         counts = _Sweeps(monkeypatch)
