@@ -887,12 +887,19 @@ def test_adapt_many_targets(bench_record):
     ``tests/oracles/`` as the byte-identity oracle — ``tests/markov/
     test_adapt_many.py`` holds the two equal to the last bit), plus what a
     first build costs per 8-segment object, adaptation and compilation.
-    Acceptance target: ≥5× per segment at a tick's batch of 9 (CI enforces
-    a relaxed floor on shared runners; run locally or with
-    ADAPT_SPEEDUP_TARGET=5.0 for the full assertion).
+    Where the native tier loads, the C sweep (``adapt_many(...,
+    native=True)``, which lays out the stretches' tables as it derives
+    them) is timed beside the numpy sweep at every batch and for the
+    first build.
+    Acceptance targets: ≥5× per segment at a tick's batch of 9 over the
+    reference, and ≥2× for the C sweep over the numpy sweep there and on
+    the first build (CI enforces relaxed floors on shared runners; run
+    locally or with ADAPT_SPEEDUP_TARGET=5.0 / NATIVE_ADAPT_SPEEDUP_TARGET=2.0
+    for the full assertions).
     """
     chain, rng = _knn_chain()
     assert np.diff(chain.matrix.indptr).tolist() == [7] * chain.n_states
+    on_native = native.available()
     rounds = 5
     gaps = {}
     for gap in (3, 5):
@@ -902,6 +909,11 @@ def test_adapt_many_targets(bench_record):
             adapt_many(requests)  # warm-up (the chain's cached CSR arrays)
             best = min(_timed(lambda: adapt_many(requests)) for _ in range(rounds))
             row[f"b{batch}_us_per_segment"] = best / batch * 1e6
+            if on_native:
+                c_sweep = min(
+                    _timed(lambda: adapt_many(requests, native=True)) for _ in range(rounds)
+                )
+                row[f"b{batch}_native_us_per_segment"] = c_sweep / batch * 1e6
             reference = min(
                 _timed(lambda: [reference_adapt(c, obs) for c, obs, _, _ in requests])
                 for _ in range(rounds if batch < 640 else 1)
@@ -909,8 +921,8 @@ def test_adapt_many_targets(bench_record):
             row[f"b{batch}_reference_us_per_segment"] = reference / batch * 1e6
         gaps[str(gap)] = row
 
-    def first_build(requests):
-        for model in adapt_many(requests):
+    def first_build(requests, c_sweep=False):
+        for model in adapt_many(requests, native=c_sweep):
             model.compiled
 
     objects = _walk_requests(chain, rng, 20, gap=5, n_segments=8)
@@ -919,6 +931,19 @@ def test_adapt_many_targets(bench_record):
         _timed(lambda: [first_build([request]) for request in objects])
         for _ in range(rounds)
     )
+    first_build_ms = {
+        "pooled_20_objects": together / len(objects) * 1e3,
+        "one_object_at_a_time": alone / len(objects) * 1e3,
+    }
+    native_speedups = {}
+    if on_native:
+        together_c = min(_timed(lambda: first_build(objects, True)) for _ in range(rounds))
+        first_build_ms["pooled_20_objects_native"] = together_c / len(objects) * 1e3
+        native_speedups = {
+            "speedup_native_b9_gap3_vs_numpy": gaps["3"]["b9_us_per_segment"]
+            / gaps["3"]["b9_native_us_per_segment"],
+            "speedup_native_first_build_vs_numpy": together / together_c,
+        }
     speedup = gaps["3"]["b9_reference_us_per_segment"] / gaps["3"]["b9_us_per_segment"]
     bench_record(
         "adapt_many",
@@ -928,17 +953,21 @@ def test_adapt_many_targets(bench_record):
             "out_degree": 7,
             "rounds": rounds,
             "gap": gaps,
-            "first_build_ms_per_8_segment_object": {
-                "pooled_20_objects": together / len(objects) * 1e3,
-                "one_object_at_a_time": alone / len(objects) * 1e3,
-            },
+            "first_build_ms_per_8_segment_object": first_build_ms,
             "speedup_b9_gap3_vs_reference": speedup,
+            **native_speedups,
         },
     )
     target = float(
         os.environ.get("ADAPT_SPEEDUP_TARGET", "1.5" if os.environ.get("CI") else "5.0")
     )
+    # The C sweep against the numpy sweep it stands in for.
+    native_target = float(
+        os.environ.get("NATIVE_ADAPT_SPEEDUP_TARGET", "1.2" if os.environ.get("CI") else "2.0")
+    )
     assert speedup >= target, gaps
+    for value in native_speedups.values():
+        assert value >= native_target, (native_speedups, gaps)
 
 
 def _fleet_tick(seed=6, n_objects=48, gap=3, n_appends=10, warm=False):
@@ -1306,23 +1335,32 @@ def test_refine_layout_targets(bench_record):
     ids = db.object_ids
     fix_tic, fix_state = db.get("o0").observations.as_pairs()[5]  # tic 25
     q = Query.from_point(db.space.coords[fix_state])
-    engine = QueryEngine(db, n_samples=n, seed=3)
-    with engine.held_batch():
-        dist = engine.distance_tensor(ids, q, times)  # draws and caches the worlds
-    alive = db.alive_matrix(ids, times)
-    assert alive.sum(axis=1).tolist() == [10] * 6 + [5, 5]
-    states = [
-        np.ascontiguousarray(engine.worlds.peek((oid, n)).slice(times[row]))
-        for oid, row in zip(ids, alive)
-    ]
-    q_coords = q.coords_at(times)
-    world_major = world_major_distances(db.space, q_coords, times, alive, states, n)
-    assert np.array_equal(dist, world_major)
+    # Inside one held batch the worlds stay cached, and with no refine
+    # cache no call is answered from a stored block: each timed call
+    # computes the distance block over the cached worlds.
+    engine = QueryEngine(db, n_samples=n, seed=3, refine_cache_size=0)
     rounds = 7
 
     def best_us(fn):
         fn()
         return min(_timed(fn) for _ in range(rounds)) * 1e6
+
+    with engine.held_batch():
+        dist = engine.distance_tensor(ids, q, times)  # draws and caches the worlds
+        alive = db.alive_matrix(ids, times)
+        assert alive.sum(axis=1).tolist() == [10] * 6 + [5, 5]
+        states = [
+            np.ascontiguousarray(engine.worlds.peek((oid, n)).slice(times[row]))
+            for oid, row in zip(ids, alive)
+        ]
+        q_coords = q.coords_at(times)
+        world_major = world_major_distances(db.space, q_coords, times, alive, states, n)
+        assert np.array_equal(dist, world_major)
+        drawn = engine.sampler_calls
+        distance_us = best_us(lambda: engine.distance_tensor(ids, q, times))
+        timed = engine.distance_tensor(ids, q, times)
+        assert engine.sampler_calls == drawn  # no world was drawn while timing
+        assert np.array_equal(timed, world_major)
 
     def count(tensor, indicator):
         is_nn = indicator(tensor, 1)
@@ -1345,7 +1383,7 @@ def test_refine_layout_targets(bench_record):
     worst_case = np.zeros_like(mean_case)
     worst_case[:, 0, :] = True
     row = {
-        "distance_us": best_us(lambda: engine.distance_tensor(ids, q, times)),
+        "distance_us": distance_us,
         "distance_world_major_us": best_us(
             lambda: world_major_distances(db.space, q_coords, times, alive, states, n)
         ),

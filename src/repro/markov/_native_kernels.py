@@ -982,7 +982,7 @@ int repro_prune_scan(
 /* A sweep's output: two streams, segment after segment.  Segment b's
  * int64 part is states (R: its rows) | layer_ptr (R + gap) |
  * next_states (E: its entries) | fstates (F: its forward states) | row0
- * (gap + 1) | fptr (gap + 1) | indptr (R + 1) | next (E + R), and its
+ * | eptr | fptr (gap + 1 each) | indptr (R + 1) | next (E + R), and its
  * float64 part post (R) | probs (E) | fprobs (F) | init_cdf (R) | cdf
  * (E) — see repro_adapt_sweep. */
 typedef struct {
@@ -1139,8 +1139,9 @@ static int64_t repro_group(
  * from offsets[2b] (int64) and offsets[2b + 1] (float64) on, with R, E
  * and F in sizes[3b ..]: F(t) (layer_ptr, next_states, probs) and the
  * posteriors (states, post) of tics 0 .. gap-1 — tic k's rows from
- * row0[k] — the forward marginals of tics 1 .. gap (1 .. gap-1 when
- * closed) — tic k's from fptr[k - 1] — and the stretch's ModelTables
+ * row0[k], its entries from eptr[k] — the forward marginals of tics 1 ..
+ * gap (1 .. gap-1 when closed) — tic k's from fptr[k - 1] — and the
+ * stretch's ModelTables
  * (row0, states, init_cdf, cdf, indptr, next).  compiled[b] is 0 when a
  * cone's transition targets a state its next marginal lost (a stored
  * 0.0): no table is valid then.
@@ -1395,7 +1396,7 @@ int repro_adapt_sweep(
         sizes[3 * b] = n_rows;
         sizes[3 * b + 1] = n_ent;
         sizes[3 * b + 2] = n_fwd;
-        o[2] = o[0] + 4 * n_rows + 2 * n_ent + n_fwd + 3 * gap + 3;
+        o[2] = o[0] + 4 * n_rows + 2 * n_ent + n_fwd + 4 * gap + 4;
         o[3] = o[1] + 2 * n_rows + 2 * n_ent + n_fwd;
         if (repro_grow((void **) &out->ints, &out->cap_ints, o[2])
             || repro_grow((void **) &out->floats, &out->cap_floats, o[3])) {
@@ -1405,7 +1406,8 @@ int repro_adapt_sweep(
         {
             int64_t *st = out->ints + o[0], *lp = st + n_rows;
             int64_t *nx = lp + n_rows + gap, *fs = nx + n_ent, *r0 = fs + n_fwd;
-            int64_t *fp = r0 + gap + 1, *tp = fp + gap + 1, *succ = tp + n_rows + 1;
+            int64_t *ep = r0 + gap + 1, *fp = ep + gap + 1, *tp = fp + gap + 1;
+            int64_t *succ = tp + n_rows + 1;
             double *po = out->floats + o[1], *pr = po + n_rows, *fpr = pr + n_ent;
             double *ic = fpr + n_fwd, *cd = ic + n_rows;
             int64_t row = 0, ent = 0;
@@ -1426,6 +1428,7 @@ int repro_adapt_sweep(
                     n_k = fs_ptr[k + 1] - fs_ptr[k];
                 }
                 r0[k + 1] = r0[k] + n_k;
+                ep[k] = ent;
                 lp[r0[k] + k] = 0;
                 for (i = 0; i < n_k; i++, row++) {
                     int64_t lo, hi, last = 0;
@@ -1465,7 +1468,7 @@ int repro_adapt_sweep(
                     lp[r0[k] + k + i + 1] = ent - first;
                 }
             }
-            tp[row] = ent;
+            tp[row] = ep[gap] = ent;
             memcpy(fs, REPRO_I(fs_states) + 1, (size_t) n_fwd * 8);
             memcpy(fpr, REPRO_D(fs_probs) + 1, (size_t) n_fwd * 8);
             for (k = 0; k < gap; k++) fp[k] = fs_ptr[k + 1] - 1;

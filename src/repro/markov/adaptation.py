@@ -773,24 +773,23 @@ def _cut_segment(
     record and of its tables is a view of them — the tables' ``states``
     are the posterior supports themselves."""
     # The kernel's layout: int64 states | layer_ptr | next_states | fstates
-    # | row0 | fptr | indptr | next, float64 post | probs | fprobs |
+    # | row0 | eptr | fptr | indptr | next, float64 post | probs | fprobs |
     # init_cdf | cdf.
     i1 = rows
     i2 = i1 + rows + gap
     i3 = i2 + entries
     i4 = i3 + fwd
-    i5 = i4 + gap + 1
-    i6 = i5 + gap + 1
-    i7 = i6 + rows + 1
-    states, layer_ptr, next_states = ints[:i1], ints[i1:i2], ints[i2:i3]
-    fstates, row0, fptr, indptr = ints[i3:i4], ints[i4:i5], ints[i5:i6], ints[i6:i7]
+    i5 = i4 + 3 * (gap + 1)
+    i6 = i5 + rows + 1
+    states, layer_ptr, next_states, fstates = ints[:i1], ints[i1:i2], ints[i2:i3], ints[i3:i4]
+    row0, indptr = ints[i4 : i4 + gap + 1], ints[i5:i6]
+    tics = ints[i4:i5].tolist()
+    tic_rows, tic_entries, fptr = tics[: gap + 1], tics[gap + 1 : 2 * gap + 2], tics[2 * gap + 2 :]
     f1 = rows
     f2 = f1 + entries
     f3 = f2 + fwd
     f4 = f3 + rows
     post, probs, fprobs, init_cdf = floats[:f1], floats[f1:f2], floats[f2:f3], floats[f3:f4]
-    tic_rows = row0.tolist()
-    tic_entries = indptr[row0].tolist()
     layers: list[Layer] = []
     posterior: list[RowDist] = []
     for k in range(gap):
@@ -801,9 +800,8 @@ def _cut_segment(
             (support, layer_ptr[a + k : z + k + 1], next_states[entries_k], probs[entries_k])
         )
         posterior.append((support, post[a:z]))
-    at = fptr.tolist()
     marginals = [
-        (fstates[at[k] : at[k + 1]], fprobs[at[k] : at[k + 1]])
+        (fstates[fptr[k] : fptr[k + 1]], fprobs[fptr[k] : fptr[k + 1]])
         for k in range(gap if key[3] is None else gap - 1)
     ]
     if key[3] is None:
@@ -813,5 +811,5 @@ def _cut_segment(
         end = _point(key[3])
         segment = Segment(key, layers, posterior + [end], marginals + [end])
     if compiled:
-        segment.compiled = ModelTables(row0, states, init_cdf, floats[f4:], indptr, ints[i7:])
+        segment.compiled = ModelTables(row0, states, init_cdf, floats[f4:], indptr, ints[i6:])
     return segment
