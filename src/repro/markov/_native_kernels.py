@@ -3,7 +3,8 @@
 This module owns the C source of the kernels behind
 :mod:`repro.markov.native` — the arena sweep over per-model tables, the
 check of those tables, the per-state distance-table row gather, the
-level-wise PCNN miner, the § 6 prune scan and the seeder — and compiles
+level-wise PCNN miner, the § 6 prune scan, the forward–backward
+adaptation with its stretch compile and the seeder — and compiles
 them on first use through cffi's
 API mode (out-of-line).  The build artifact is cached on disk keyed by a
 hash of the source, so a process pays the compiler exactly once per
@@ -43,7 +44,7 @@ _MODULE_BASENAME = "_repro_native"
 # vectorize.  -ffp-contract=off keeps every multiply rounded before the
 # add that follows it, as numpy rounds it: the prune scan's
 # ``near + gap * gap`` fused into one FMA would change its bounds' last
-# bit (the other kernels add nothing after a multiply).  -fno-math-errno
+# bit, and so would the adaptation's column sums over ``val * prob``.  -fno-math-errno
 # lets the scan's sqrt loop vectorize (its arguments are sums of squares,
 # never negative, so errno was never set).  A compiler that rejects these
 # options simply reports the tier unavailable (and the numpy path keeps

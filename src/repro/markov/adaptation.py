@@ -20,7 +20,11 @@ scales with diamond width, not ``|S|``, and with the number of groups, not
 the number of segments.  ``F(t)`` leaves the kernel as per-tic CSR arrays
 (:class:`Segment`), which :func:`~repro.markov.compiled.compile_model`
 flattens into one :class:`~repro.markov.compiled.ModelTables` record per
-stretch without a per-row step; the ``state -> (next_states, probs)`` row
+stretch without a per-row step.  On the native backend one C call per
+group (:func:`_native_sweep`, :func:`repro.markov.native.adapt_sweep`)
+derives the same records, byte for byte, and lays out their tables as it
+goes, so they arrive compiled; the numpy :func:`_sweep` stays the
+fallback and the byte reference.  The ``state -> (next_states, probs)`` row
 dictionaries and :class:`~repro.markov.distributions.SparseDistribution`
 marginals are views materialised on demand for the exact oracle, the
 reference sampler and the tests.

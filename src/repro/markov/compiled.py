@@ -30,7 +30,10 @@ reference backends consume the RNG stream identically and return
 :func:`compile_models` compiles adapted (a-posteriori) models — every
 stretch a batch has not compiled yet in one vectorised pass, each
 stretch's record cut out of it — and :func:`compile_model` is its
-one-model call;
+one-model call.  Stretches derived in the native tier
+(``adapt_many(..., native=True)``) arrive with their records laid out by
+the C sweep, byte for byte what :func:`_compile_stretches` makes, so on
+a native engine this pass only concatenates;
 :class:`CompiledMatrix` is the same draw over every row of a raw
 a-priori transition matrix, for the TS1/TS2 rejection baselines of
 :mod:`repro.markov.sampling`.
@@ -443,8 +446,8 @@ def compile_models(models: Sequence["AdaptedModel"]) -> list[CompiledModel]:
     stretches not compiled before, all of them in one
     :func:`_compile_stretches` pass — the flat arrays live on the models'
     :class:`~repro.markov.adaptation.Segment` records, so stretches carried
-    over from an earlier model arrive compiled; every subsequent
-    ``sample_paths`` call is fully vectorized.
+    over from an earlier model, or derived in the native tier, arrive
+    compiled; every subsequent ``sample_paths`` call is fully vectorized.
     """
     stretches = [model.stretches() for model in models]
     pending = list(

@@ -1,16 +1,21 @@
 """Native (C) kernel tier: the production query path wherever it builds.
 
-Four C kernels (compiled on demand via cffi, see :mod:`._native_kernels`)
-replace the loops of the one-shot query path that stay bound by numpy
+Five C kernels (compiled on demand via cffi, see :mod:`._native_kernels`)
+replace the loops of the query and write paths that stay bound by numpy
 dispatch or the interpreter: the possible-world sweep, the per-state
 distance-table gather of ``repro.core.refine.gather_distances``, the
 level-wise PCNN miner (:func:`mine_levels`, Algorithm 1 for every refined
 object of an evaluation over packed world words, selected by
-``repro.core.apriori.mine_objects`` for ``|T| <= 64``) and the § 6 prune
-scan (:func:`prune_scan`, all of ``USTTree.prune_many`` in one pass).  An
-engine's ``backend`` picks them: ``"native"`` runs all four, ``"compiled"``
-— or a box without a compiler — runs the numpy sweep and gather,
-``mine_world_masks`` and the numpy scan, which stay the fallbacks and the
+``repro.core.apriori.mine_objects`` for ``|T| <= 64``), the § 6 prune
+scan (:func:`prune_scan`, all of ``USTTree.prune_many`` in one pass) and
+the § 5.2 adaptation (:func:`adapt_sweep`, Algorithm 2's forward and
+backward phases for every segment of one ``adaptation._sweep`` group,
+with each derived stretch's :class:`~repro.markov.compiled.ModelTables`
+laid out on the way, selected by ``adapt_many(..., native=True)``).  An
+engine's ``backend`` picks them: ``"native"`` runs all five,
+``"compiled"`` — or a box without a compiler — runs the numpy sweep and
+gather, ``mine_world_masks``, the numpy scan and the numpy ``_sweep``
+with ``_compile_stretches``, which stay the fallbacks and the
 byte-identity references.  The sweep draws each request
 from its own compiled model's tables
 (:class:`~repro.markov.compiled.ModelTables`, one flat CSR per model,
@@ -33,13 +38,15 @@ descriptive error instead (:func:`require_native`).
 
 Every array crossing into C is checked where that is cheap — a model's
 tables once per arena block (:func:`_model_rows`, whose index checks run in
-C), the windows, the gather's, miner's and scan's dtypes, shapes and
-budgets once per call — and the gather and scan kernels bounds-check the
+C), the windows, the gather's, miner's, scan's and adaptation's dtypes,
+shapes and budgets once per call — and the kernels bounds-check the
 indices Python cannot vouch for as cheaply (a gathered block's place in
 the distance block and its state ids; an object's rows in the bound
-table) and return a status: bad input is a ``ValueError``, never an
+table; every chain matrix's ``indptr`` and successors and the observed
+states) and return a status: bad input is a ``ValueError``, never an
 out-of-bounds access.  The miner grows its level and record buffers as
-the levels grow, never to the budget's size.
+the levels grow, never to the budget's size, and the adaptation its
+scratch and output streams as the supports grow.
 
 Bit-reproducibility is non-negotiable and holds by construction: the
 native sweep consumes each request's RNG stream through the *same*
@@ -52,7 +59,13 @@ Python miner does; the scan adds the numpy scan's rounded squares in its
 order (built with ``-ffp-contract=off``, so no multiply fuses into the add
 after it) and takes the root of the largest / smallest slot sum, which a
 correctly rounded, monotone ``sqrt`` makes the numpy scan's max / min of
-the slots' roots.
+the slots' roots.  The adaptation repeats numpy's summation orders: a
+column sum (``np.add.reduceat``) is ``x[0] + pairwise(x[1:])``, every
+normaliser (``np.add.reduce`` of a slice) ``0.0 + pairwise(x)``, a CDF
+(``np.cumsum``) strictly left to right, with numpy's pairwise sum
+itself — left to right below 8 terms, eight accumulators up to 128,
+halves split at a multiple of 8 above — and groups entries in numpy's
+stable-sort order.
 ``backend="native"`` is therefore byte-identical to
 ``backend="compiled"``, exactly as ``"compiled"`` is to the row-dict walk
 of ``tests/oracles/``.
@@ -727,8 +740,8 @@ _ADAPT_FAULTS = {
 
 def _pointers(ffi, ctype: str, arrays):
     """``arrays`` as one C array of pointers, one ``from_buffer`` per
-    distinct array (a homogeneous chain walks one matrix every tic); the
-    returned handle pins them."""
+    distinct array (a homogeneous chain walks one matrix every tic), and
+    the handles that pin them: keep both for the call."""
     cdata: dict[int, object] = {}
     for array in arrays:
         if id(array) not in cdata:
