@@ -1061,30 +1061,12 @@ static int64_t repro_find(const int64_t *a, int64_t n, int64_t v)
     return lo < n && a[lo] == v ? lo : -1;
 }
 
-/* A growable scratch vector. */
-typedef struct { void *p; int64_t cap; } repro_vec;
-
-static int repro_reserve(repro_vec *v, int64_t need)
-{
-    if (need > v->cap) {
-        int64_t cap = v->cap ? v->cap : 256;
-        void *p;
-        while (cap < need) cap *= 2;
-        p = realloc(v->p, (size_t) cap * 8);
-        if (p == 0) return 1;
-        v->p = p;
-        v->cap = cap;
-    }
-    return 0;
-}
-
-#define REPRO_I(v) ((int64_t *) (v).p)
-#define REPRO_D(v) ((double *) (v).p)
-
+/* Room for need 8-byte items at *p, whose capacity *cap grows by
+ * doubling: 0, or 1 when memory runs out (*p is left as it was). */
 static int repro_grow(void **p, int64_t *cap, int64_t need)
 {
     if (need > *cap) {
-        int64_t c = *cap ? *cap : 1024;
+        int64_t c = *cap ? *cap : 256;
         void *q;
         while (c < need) c *= 2;
         q = realloc(*p, (size_t) c * 8);
@@ -1094,6 +1076,12 @@ static int repro_grow(void **p, int64_t *cap, int64_t need)
     }
     return 0;
 }
+
+/* A growable scratch vector. */
+typedef struct { void *p; int64_t cap; } repro_vec;
+
+#define REPRO_I(v) ((int64_t *) (v).p)
+#define REPRO_D(v) ((double *) (v).p)
 
 /* Groups n keys stably: the distinct keys sorted into keys[0 .. U-1],
  * their group pointers ptr[0 .. U] and every key's destination dest[e]
@@ -1205,7 +1193,7 @@ int repro_adapt_sweep(
     offsets[0] = offsets[1] = 0;
 
 #define RESERVE(v, need) \\
-    do { if (repro_reserve(&(v), (need))) { rc = 4; goto done; } } while (0)
+    do { if (repro_grow(&(v).p, &(v).cap, (need))) { rc = 4; goto done; } } while (0)
 #define RESERVE_STEP(n) \\
     do { \\
         RESERVE(gkey, (n)); RESERVE(gsrc, (n)); RESERVE(gval, (n)); \\

@@ -299,14 +299,16 @@ def _reject(what: str):
     raise ValueError(f"model tables rejected at the C boundary: {what}")
 
 
-def _model_rows(ffi, blocks: "list[_Block]") -> np.ndarray:
+def _model_rows(ffi, blocks: "list[_Block]") -> bytes:
     """Every block's ``repro_model`` — ``t_first`` and the addresses of its
-    ``model.tables`` — as one ``(blocks, 7)`` int64 array, the kernel's
-    struct array through a single ``from_buffer``.
+    ``model.tables``, seven int64 — end to end: the kernel's struct array
+    through a single ``from_buffer``.
 
     A block's row is built and checked at its first native draw and cached
-    on the block: a model's tables never change (the model pins them), and
-    a recompiled object is re-registered as a new block.  The cache stays
+    on the block as its 56 bytes (joined in a few µs per draw, where
+    stacking arrays costs ≈ 0.6 µs per request): a model's tables never
+    change (the model pins them), and a recompiled object is re-registered
+    as a new block.  The cache stays
     on the engine-owned arena, not on the model, whose pickled copies
     would carry stale addresses.  Every array must be a contiguous vector
     of the dtype the kernel reads and ``row0`` hold one entry per tic of
@@ -341,8 +343,8 @@ def _model_rows(ffi, blocks: "list[_Block]") -> np.ndarray:
         if status:
             _reject(_MODEL_FAULTS[status])
         for block, row in zip(fresh, rows):
-            block.native = row
-    return np.array([block.native for block in blocks])
+            block.native = row.tobytes()
+    return b"".join([block.native for block in blocks])
 
 
 def draw_arena(

@@ -78,9 +78,10 @@ def check_query_coords(
 def _ids_by_row(ids: list[str], mask: np.ndarray) -> list[list[str]]:
     """Row ``n``'s ids where the ``(Q, O)`` ``mask`` holds, for every row:
     one ``np.nonzero`` (row-major, so object order within each row), its
-    ids gathered once and split at the rows' counts."""
-    picked = [ids[i] for i in np.nonzero(mask)[1].tolist()]
-    ends = np.cumsum(np.count_nonzero(mask, axis=1)).tolist()
+    ids gathered once and split where each row's run ends."""
+    rows, cols = np.nonzero(mask)
+    picked = [ids[i] for i in cols.tolist()]
+    ends = np.searchsorted(rows, np.arange(1, len(mask) + 1)).tolist()
     return [picked[a:b] for a, b in zip([0, *ends], ends)]
 
 
