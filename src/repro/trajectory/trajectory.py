@@ -246,9 +246,10 @@ def adapt_objects(objects: list[UncertainObject], native: bool = False) -> None:
 
     One :func:`~repro.markov.adaptation.adapt_many` call: every segment any
     of them has to derive runs in the same batched sweep (in the native
-    tier with ``native``, which also compiles the stretches it derives).  An object whose
-    observations contradict its chain is left as it was — its own
-    ``.adapted`` raises, on every access, exactly as it would have alone.
+    tier with ``native``, which also compiles the stretches it derives).
+    An object whose observations contradict its chain is left as it was —
+    its own ``.adapted`` raises, on every access, exactly as it would have
+    alone.
     """
     pending = [obj for obj in objects if not obj.is_adapted()]
     models = adapt_many(

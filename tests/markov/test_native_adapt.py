@@ -235,9 +235,8 @@ class TestNativeAdaptation:
         record shares: a retired stretch frees its memory alone."""
         rng = np.random.default_rng(3)
         chain = MarkovChain(_banded(rng, 30, 9))
-        segments = [
-            seg for m in adapt_many(_requests(rng, chain, 6, 3), native=NATIVE) for seg in m.segments
-        ]
+        models = adapt_many(_requests(rng, chain, 6, 3), native=NATIVE)
+        segments = [seg for model in models for seg in model.segments]
         for i, a in enumerate(segments):
             for b in segments[i + 1 :]:
                 for x in [*_arrays(a), *(a.compiled or ())]:
