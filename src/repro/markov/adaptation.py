@@ -12,9 +12,9 @@ from ``F`` yields only trajectories consistent with every observation
 
 Observations are certain, so both sweeps factorise at every fix and the
 unit of work is the *segment* between two consecutive fixes.
-:func:`adapt_many` collects every segment that any number of objects still
-has to derive, groups them by gap and by the matrices they walk, and runs
-Algorithm 2 over each group as one stacked CSR sweep per tic offset
+:func:`derive_segments` (for ingest and :func:`adapt_many`) groups segments
+by gap and by the matrices they walk, and runs Algorithm 2 over each group
+as one stacked CSR sweep per tic offset
 (:func:`_sweep`) — all state vectors stay on their active support, so cost
 scales with diamond width, not ``|S|``, and with the number of groups, not
 the number of segments.  ``F(t)`` leaves the kernel as per-tic CSR arrays
@@ -35,6 +35,7 @@ from __future__ import annotations
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,9 +47,11 @@ from .distributions import SparseDistribution
 __all__ = [
     "ObservationContradictionError",
     "Segment",
+    "Records",
     "AdaptedModel",
     "adapt_model",
     "adapt_many",
+    "derive_segments",
     "compiled_views",
 ]
 
@@ -130,6 +133,14 @@ class Segment:
             t: SparseDistribution(*dist)
             for t, dist in enumerate(self.forward, start=self.key[0] + 1)
         }
+
+
+class Records(NamedTuple):
+    """Records derived under ``chain`` that no model holds yet (an object's,
+    from ingest): a donor to :func:`adapt_many` like a model."""
+
+    chain: TransitionModel
+    segments: tuple[Segment, ...]
 
 
 class _Merged(Mapping):
@@ -333,7 +344,7 @@ def adapt_model(
     chain: TransitionModel,
     observations: list[tuple[int, int]],
     extend_to: int | None = None,
-    donor: AdaptedModel | None = None,
+    donor: AdaptedModel | Records | None = None,
 ) -> AdaptedModel:
     """Run Algorithm 2 for one object — the single-request case of
     :func:`adapt_many`, raising what that returns as the request's error.
@@ -353,10 +364,10 @@ def adapt_model(
         uncertainty lies *after* the single observation per object.
     donor:
         A model adapted earlier under the same ``chain`` object (typically
-        the one a newly ingested fix replaced).  Segments whose bounding
-        fixes are unchanged are carried over from it — shared, not copied,
-        and byte-identical to recomputing them; a donor of another chain
-        is ignored.
+        the one a newly ingested fix replaced), or :class:`Records` derived
+        under it.  Segments whose bounding fixes are unchanged are
+        carried over from it — shared, not copied, and byte-identical to
+        recomputing them; a donor of another chain is ignored.
 
     Returns
     -------
@@ -378,7 +389,7 @@ def adapt_model(
 
 def adapt_many(
     requests: Sequence[
-        tuple[TransitionModel, list[tuple[int, int]], int | None, AdaptedModel | None]
+        tuple[TransitionModel, list[tuple[int, int]], int | None, AdaptedModel | Records | None]
     ],
     native: bool = False,
 ) -> list[AdaptedModel | ValueError]:
@@ -391,12 +402,10 @@ def adapt_many(
     ``F(t)`` between two consecutive fixes is therefore a pure function of
     that pair and the chain, and a model is assembled from one
     :class:`Segment` per pair.  The segments no donor supplies are pooled
-    over all requests and grouped by the matrices they walk — the identity
-    of ``chain.csr_arrays(t)`` for every tic of the gap, so one homogeneous
-    chain forms one group per gap length while inhomogeneous or per-object
-    chains simply form smaller ones — and every group is derived by one
-    :func:`_sweep`, or with ``native`` (an engine on the native backend) by
-    one C call (:func:`_native_sweep`) that also lays out every derived
+    over all requests and derived by one :func:`derive_segments` call: one
+    homogeneous chain forms one group per gap length, inhomogeneous or
+    per-object chains simply form smaller ones, and with ``native`` (an
+    engine on the native backend) the C sweep also lays out every derived
     stretch's :class:`~repro.markov.compiled.ModelTables`, so a later
     :func:`~repro.markov.compiled.compile_models` finds them compiled.
     Both give the same bytes.
@@ -407,7 +416,8 @@ def adapt_many(
     models.
     """
     plans: list[tuple | ValueError] = []
-    groups: dict[tuple, tuple[tuple, int, list]] = {}
+    pending: list[tuple[TransitionModel, tuple]] = []  # no donor supplies these
+    slots: list[tuple[list, int]] = []
     for chain, observations, extend_to, donor in requests:
         obs = [(int(t), int(s)) for t, s in observations]
         try:
@@ -426,17 +436,11 @@ def adapt_many(
         segments = [carried.get(key) for key in keys]
         for slot, key in enumerate(keys):
             if segments[slot] is None:
-                mats = tuple(chain.csr_arrays(t) for t in range(key[0], key[2]))
-                members = groups.setdefault(
-                    tuple(map(id, mats)), (mats, chain.n_states, [])
-                )[2]
-                members.append((key, segments, slot))
+                pending.append((chain, key))
+                slots.append((segments, slot))
         plans.append((chain, obs, segments))
-    sweep = _native_sweep if native else _sweep
-    for mats, n_states, members in groups.values():
-        derived = sweep(mats, n_states, [key for key, _, _ in members])
-        for (_, segments, slot), segment in zip(members, derived):
-            segments[slot] = segment
+    for (segments, slot), segment in zip(slots, derive_segments(pending, native)):
+        segments[slot] = segment
 
     models: list[AdaptedModel | ValueError] = []
     for plan in plans:
@@ -449,6 +453,29 @@ def adapt_many(
         error = next((seg for seg in segments if isinstance(seg, ValueError)), None)
         models.append(error or _assemble(chain, obs, tuple(segments)))
     return models
+
+
+def derive_segments(
+    pending: Sequence[tuple[TransitionModel, tuple[int, int, int, int | None]]],
+    native: bool = False,
+) -> list[Segment | ObservationContradictionError]:
+    """Each ``(chain, key)`` segment's record (or error), in order: one
+    :func:`_sweep` (with ``native``, one C call that also compiles) per
+    group of segments walking the same ``chain.csr_arrays(t)``."""
+    groups: dict[tuple, tuple[tuple, int, list[int]]] = {}
+    spans: dict[tuple, tuple] = {}  # the matrices of each (chain, t0, t1), looked up once
+    for i, (chain, key) in enumerate(pending):
+        span = (id(chain), key[0], key[2])
+        if span not in spans:
+            spans[span] = tuple(chain.csr_arrays(t) for t in range(key[0], key[2]))
+        mats = spans[span]
+        groups.setdefault(tuple(map(id, mats)), (mats, chain.n_states, []))[2].append(i)
+    sweep = _native_sweep if native else _sweep
+    derived: list = [None] * len(pending)
+    for mats, n_states, members in groups.values():
+        for i, segment in zip(members, sweep(mats, n_states, [pending[i][1] for i in members])):
+            derived[i] = segment
+    return derived
 
 
 def _check_observations(chain: TransitionModel, obs: list[tuple[int, int]]) -> None:

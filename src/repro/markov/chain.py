@@ -51,7 +51,8 @@ def validate_stochastic(matrix: sparse.csr_matrix) -> None:
     bad = np.flatnonzero(np.abs(row_sums - 1.0) > _ROW_SUM_TOL)
     if bad.size:
         raise ValueError(
-            f"rows must sum to 1; first offending state {bad[0]} sums to {row_sums[bad[0]]!r}"
+            f"rows must sum to 1; first offending state {bad[0]} sums to "
+            f"{float(row_sums[bad[0]])!r}"
         )
 
 
@@ -124,24 +125,18 @@ class TransitionModel:
         (one per distinct matrix, see :meth:`_per_matrix`)."""
         return self._per_matrix("_compiled_steps", t, CompiledMatrix)
 
-    def adjacency(
-        self, t: int, backward: bool = False, positive: bool = False
-    ) -> tuple[np.ndarray, np.ndarray]:
+    def adjacency(self, t: int, backward: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices)`` of the boolean structure of ``matrix_at(t)``.
 
         Row ``i`` lists the successors of state ``i``; with ``backward`` the
         structure is transposed and row ``j`` lists the predecessors of
         ``j``.  Same entries as :meth:`support` (explicitly stored zeros
-        count as structure) — or, with ``positive``, only the entries of
-        positive probability (Algorithm 2's edges) — without a matrix copy
-        per call: every variant is cached per distinct matrix like
-        :meth:`compiled_step`.
+        count as structure) without a matrix copy per call: both directions
+        are cached per distinct matrix like :meth:`compiled_step`.
         """
-        build = _csc_structure if backward else _csr_structure
-        name = "_predecessors" if backward else "_successors"
-        if positive:
-            return self._per_matrix(name + "_positive", t, lambda matrix: build(matrix > 0))
-        return self._per_matrix(name, t, build)
+        if backward:
+            return self._per_matrix("_predecessors", t, _csc_structure)
+        return self._per_matrix("_successors", t, _csr_structure)
 
     def csr_arrays(self, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """CSR ``(indptr, indices, data)`` of ``matrix_at(t)`` as plain arrays

@@ -15,7 +15,9 @@ Events are validated *before* anything is applied (unknown ids, duplicate
 ids, duplicate observation times, states outside the space, fixes the
 transition model cannot join — including conflicts created inside the
 batch itself), so none of these can leave the database half-ingested or
-wedge a later tick.
+wedge a later tick.  A fix is accepted only if every closed segment it
+forms derives under Algorithm 2, and the records go to the objects, so
+each segment is derived once, here.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+from ..markov.adaptation import Segment
 from ..markov.chain import TransitionModel
 from ..trajectory.database import TrajectoryDatabase
 from ..trajectory.observation import Observation, ObservationSet
@@ -118,7 +121,7 @@ class ObservationStream:
         or duplicate observation times.
         """
         events = list(events)
-        self.validate(events)
+        records = self.validate(events)
         version_before = self.db.version
         added = observed = removed = 0
         dirty: set[str] = set()
@@ -132,7 +135,7 @@ class ObservationStream:
                         chain=event.chain,
                         ground_truth=event.ground_truth,
                         extend_to=event.extend_to,
-                        checked=True,
+                        records=records[i],
                     )
                     added += 1
                     last = obj.observations.last.time
@@ -140,7 +143,7 @@ class ObservationStream:
                     dirty.add(obj.object_id)
                 elif isinstance(event, AddObservation):
                     self.db.add_observation(
-                        event.object_id, event.time, event.state, checked=True
+                        event.object_id, event.time, event.state, records=records[i]
                     )
                     observed += 1
                     t = int(event.time)
@@ -174,20 +177,23 @@ class ObservationStream:
             latest_time=latest,
         )
 
-    def validate(self, events: Sequence[StreamEvent]) -> None:
-        """Reject batches that would fail mid-application.
+    def validate(self, events: Sequence[StreamEvent]) -> list[list[Segment]]:
+        """Reject batches that would fail mid-application; else return, per
+        event, the records of the closed segments it forms.
 
         Tracks membership and per-object observations as the batch would
         evolve them, so intra-batch conflicts (add-then-add, observe a time
         twice, observe after remove, a fix the chain cannot join to its
         neighbours as the batch leaves them) surface before any mutation
-        happens.  Every rejection names both the offending event's batch
-        index *and* its object id, so a failure in a routed (sharded)
-        ingest is attributable without replaying the batch.  Public so a
-        serving coordinator can validate a batch centrally once, then
-        route per-shard sub-batches that are valid by construction —
-        validation state is tracked per object id, and one object's events
-        all route to one shard.
+        happens; "cannot join" is Algorithm 2's verdict on the segments the
+        batch forms (:meth:`TrajectoryDatabase.derive_or_refuse`).  Every
+        rejection names both the offending event's batch index *and* its
+        object id, so a failure in a routed (sharded) ingest is
+        attributable without replaying the batch.  Public so a serving
+        coordinator can validate a batch centrally once, then route
+        per-shard sub-batches that are valid by construction — validation
+        state is tracked per object id, and one object's events all route
+        to one shard.
         """
         events = list(events)
         present = set(self.db.object_ids)
@@ -200,9 +206,10 @@ class ObservationStream:
                 fixes[object_id] = obj.chain, obj.observations
             return fixes[object_id]
 
-        # Every new segment, checked once at the end — or before the error of
+        # Every new segment, derived once at the end — or before the error of
         # a later event, so the first offending event is the one named.
         segments: list = []
+        runs = [0]  # event i formed segments[runs[i]:runs[i + 1]]
         try:
             for i, event in enumerate(events):
                 if not isinstance(event, self._known_events):
@@ -265,7 +272,9 @@ class ObservationStream:
                         raise KeyError(f"event {i}: unknown object {object_id!r}")
                     present.discard(object_id)
                     fixes.pop(object_id, None)
+                runs.append(len(segments))
         except Exception:
-            self.db.check_reachable(segments)
+            self.db.derive_or_refuse(segments)
             raise
-        self.db.check_reachable(segments)
+        derived = self.db.derive_or_refuse(segments)
+        return [derived[lo:hi] for lo, hi in zip(runs, runs[1:])]

@@ -13,10 +13,11 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from ..markov.adaptation import ObservationContradictionError
+from ..markov import native as native_tier
+from ..markov.adaptation import ObservationContradictionError, Segment, derive_segments
 from ..markov.chain import TransitionModel
 from ..statespace.base import StateSpace
-from .diamonds import Diamond, reachable_states
+from .diamonds import Diamond
 from .observation import Observation, ObservationSet
 from .trajectory import Trajectory, UncertainObject
 
@@ -174,13 +175,14 @@ class TrajectoryDatabase:
         ground_truth: Trajectory | None = None,
         extend_to: int | None = None,
         *,
-        checked: bool = False,
+        records: Sequence[Segment] | None = None,
     ) -> UncertainObject:
         """Register an object; returns the stored :class:`UncertainObject`.
 
-        Observations :meth:`check_states` or :meth:`check_reachable` refuses
-        are never stored; ``checked=True`` says the caller (the stream's
-        ``validate``) ran both checks already."""
+        Observations :meth:`check_states` or :meth:`derive_or_refuse`
+        refuses are never stored; the object keeps the derived records.
+        ``records`` says the caller (the stream's ``validate``) ran both
+        checks already, and hands in their records."""
         object_id = str(object_id)
         if object_id in self._objects:
             raise KeyError(f"object {object_id!r} already exists")
@@ -189,12 +191,14 @@ class TrajectoryDatabase:
         own_chain = chain if chain is not None else self.chain
         if own_chain.n_states != self.space.n_states:
             raise ValueError("per-object chain must match the database state space")
-        if not checked:
+        if records is None:
             context = f"object {object_id!r}"
             self.check_states(context, observations)
-            self.check_reachable((context, own_chain, *seg) for seg in observations.segments())
+            records = self.derive_or_refuse(
+                [(context, own_chain, *seg) for seg in observations.segments()]
+            )
         obj = UncertainObject(
-            object_id, observations, own_chain, ground_truth, extend_to=extend_to
+            object_id, observations, own_chain, ground_truth, extend_to, records
         )
         self._objects[object_id] = obj
         # A new object contributes filter state only over its own span.
@@ -215,38 +219,27 @@ class TrajectoryDatabase:
                     f"the database space's {n_states} states"
                 )
 
-    def check_reachable(
-        self, segments: Iterable[tuple[str, TransitionModel, Observation, Observation]]
-    ) -> None:
-        """Reject the first ``(context, chain, first, second)`` segment whose
-        ``second`` fix no path of positive-probability steps (Algorithm 2's
-        edges, a subset of the stored ones the diamonds walk) reaches from
-        ``first``, so adaptation and the index accept what passes.  The
-        :class:`ObservationContradictionError` names ``context`` and both
-        fixes.  Segments over the same matrices share one labelled walk."""
-        segments = list(segments)
-        groups: dict[tuple, list[int]] = {}
-        matrices = []  # alive while their ids key the groups
-        for i, (_, chain, first, second) in enumerate(segments):
-            matrices.append([chain.matrix_at(t) for t in range(first.time, second.time)])
-            groups.setdefault(tuple(map(id, matrices[-1])), []).append(i)
-        failed = []
-        for members in groups.values():
-            _, chain, first, second = segments[members[0]]
-            labels = chain.n_states * np.arange(len(members))
-            starts = labels + [segments[i][2].state for i in members]
-            gap = second.time - first.time
-            reached = reachable_states(chain, starts, first.time, gap, positive=True)[-1]
-            ends = labels + [segments[i][3].state for i in members]
-            hit = np.append(reached, -1)[np.searchsorted(reached, ends)] == ends
-            failed += [i for i, ok in zip(members, hit) if not ok]
-        if failed:
-            context, _, first, second = segments[min(failed)]
-            raise ObservationContradictionError(
-                f"{context}: observation (t={second.time}, state={second.state}) "
-                f"is unreachable from observation (t={first.time}, "
-                f"state={first.state}) under the a-priori chain"
-            )
+    def derive_or_refuse(
+        self, segments: Sequence[tuple[str, TransitionModel, Observation, Observation]]
+    ) -> list[Segment]:
+        """The records of the ``(context, chain, first, second)`` segments,
+        in order, from one :func:`~repro.markov.adaptation.derive_segments`
+        call — on the native tier where it loads, as a default engine's
+        backend, else on numpy (the same bytes).  Algorithm 2 is the test
+        for fixes that contradict the chain (§ 5.2.1): the first segment it
+        refuses raises, naming ``context`` and both fixes."""
+        derived = derive_segments(
+            [(chain, (a.time, a.state, b.time, b.state)) for _, chain, a, b in segments],
+            native=native_tier.available(),
+        )
+        for (context, _, first, second), segment in zip(segments, derived):
+            if isinstance(segment, ValueError):
+                raise ObservationContradictionError(
+                    f"{context}: observation (t={second.time}, state={second.state}) "
+                    f"is unreachable from observation (t={first.time}, "
+                    f"state={first.state}) under the a-priori chain"
+                )
+        return derived
 
     def remove_object(self, object_id: str) -> None:
         """Drop an object (and its derived caches) from the database.
@@ -265,28 +258,28 @@ class TrajectoryDatabase:
         self._bump_version(object_id, affected=(gone.t_first, gone.t_last))
 
     def add_observation(
-        self, object_id: str, time: int, state: int, *, checked: bool = False
+        self, object_id: str, time: int, state: int, *, records: Sequence[Segment] | None = None
     ) -> UncertainObject:
         """Ingest a new observation for an existing object.
 
         The stored object is replaced by its successor
-        (:meth:`UncertainObject.with_observation`), which re-derives —
-        lazily, on next use — only the inter-observation segments the fix
-        touches and carries the rest of the a-posteriori model and the
-        diamonds over from the old object; index structures detect the
-        change through :attr:`version`.  A duplicate observation time
-        raises (observations are certain — two conflicting certainties
-        would be a data error), and so does a fix the chain cannot join to
-        its neighbours (``checked`` as in :meth:`add_object`).
+        (:meth:`UncertainObject.with_observation`), which carries over the
+        old object's records and diamonds of the segments the fix leaves
+        intact, plus the records of those it forms, derived here; index
+        structures detect the change through :attr:`version`.  A duplicate
+        observation time raises (observations are certain — two conflicting
+        certainties would be a data error), and so does a fix whose
+        segments Algorithm 2 cannot derive (``records`` as in
+        :meth:`add_object`).
         """
         old = self.get(object_id)
-        replacement = old.with_observation(time, state)
-        if not checked:
+        if records is None:
             fix, context = Observation(time, state), f"object {old.object_id!r}"
             self.check_states(context, [fix])
-            self.check_reachable(
-                (context, old.chain, *seg) for seg in old.observations.segments_with(fix)
+            records = self.derive_or_refuse(
+                [(context, old.chain, *seg) for seg in old.observations.segments_with(fix)]
             )
+        replacement = old.with_observation(time, state, records)
         self._objects[old.object_id] = replacement
         # A fix at ``t`` reshapes only the diamonds between its neighboring
         # observations: segments outside ``[prev, next]`` recompute to

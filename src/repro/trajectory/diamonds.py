@@ -199,7 +199,6 @@ def reachable_states(
     t_start: int,
     steps: int,
     backward: bool = False,
-    positive: bool = False,
 ) -> list[np.ndarray]:
     """Per-step reachable sets from (or into) ``start_state``.
 
@@ -207,15 +206,14 @@ def reachable_states(
     ``start_state`` starting at ``t_start``.  Backward: item ``k`` holds the
     states from which ``start_state`` can be reached in exactly ``k`` steps
     arriving at ``t_start`` (useful for diamond intersection).  Steps
-    follow the chain's stored structure, or with ``positive`` only its
-    edges of positive probability (see :meth:`TransitionModel.adjacency`).
+    follow the chain's stored structure (:meth:`TransitionModel.adjacency`).
     A sorted array of labelled start entries walks several starts at once
     (see :func:`_frontier_step`).
     """
     out = [np.atleast_1d(np.asarray(start_state, dtype=np.intp))]
     for k in range(steps):
         t = t_start - k - 1 if backward else t_start + k
-        out.append(_frontier_step(*chain.adjacency(t, backward, positive), out[-1]))
+        out.append(_frontier_step(*chain.adjacency(t, backward), out[-1]))
     return out
 
 
@@ -307,8 +305,8 @@ def compute_diamonds_many(
     :func:`compute_diamonds`.  The segments no donor supplies are pooled
     over all requests and grouped by the matrices they walk (the identity
     of ``chain.matrix_at(t)`` for every tic of the gap, as
-    :meth:`TrajectoryDatabase.check_reachable` groups), and each group is
-    derived by one labelled walk.
+    :func:`~repro.markov.adaptation.derive_segments` groups Algorithm 2's
+    sweeps), and each group is derived by one labelled walk.
 
     Returns one entry per request, in order: its diamonds, or the
     ``ValueError`` :func:`compute_diamonds` raises for it — its earliest

@@ -107,7 +107,9 @@ class ObservationSet:
 
     def segments_with(self, fix: Observation) -> list[tuple[Observation, Observation]]:
         """The segments (at most two) a new ``fix`` at an unobserved time
-        would form with its neighbours here."""
+        would form with its neighbours here (an observed time raises)."""
+        if fix.time in self._by_time:
+            raise ValueError("observation times must be distinct")
         i = bisect_left(self._observations, fix)
         earlier = [(self._observations[i - 1], fix)] if i else []
         return earlier + [(fix, o) for o in self._observations[i : i + 1]]

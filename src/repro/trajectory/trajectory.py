@@ -3,16 +3,17 @@
 A :class:`Trajectory` is a realized sequence of states over a contiguous
 time range (a "possible world" of one object); an :class:`UncertainObject`
 is what the database stores — observations plus the a-priori chain — from
-which the a-posteriori model is derived lazily.
+which the a-posteriori model is assembled lazily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from ..markov.adaptation import AdaptedModel, adapt_many, adapt_model
+from ..markov.adaptation import AdaptedModel, Records, Segment, adapt_many, adapt_model
 from ..markov.chain import TransitionModel
 from ..markov.compiled import CompiledModel
 from .diamonds import Diamond, compute_diamonds, compute_diamonds_many
@@ -79,10 +80,10 @@ class UncertainObject:
 
     The a-posteriori :class:`AdaptedModel` (Algorithm 2) and the
     reachability diamonds are computed on first use and cached; experiment
-    harnesses time the former explicitly as the paper's "TS" series.  An
-    object is an immutable value holder: a new fix yields a successor
-    (:meth:`with_observation`) that re-derives only the inter-observation
-    segments the fix touched and shares the rest with its predecessor.
+    harnesses time the former explicitly as the paper's "TS" series.
+    ``records`` are the closed segments' records ingest derived.  An object
+    is an immutable value holder: a new fix yields a successor
+    (:meth:`with_observation`) that shares every record its fixes bound.
     """
 
     def __init__(
@@ -92,6 +93,7 @@ class UncertainObject:
         chain: TransitionModel,
         ground_truth: Trajectory | None = None,
         extend_to: int | None = None,
+        records: Sequence[Segment] = (),
     ) -> None:
         self.object_id = str(object_id)
         self.observations = observations
@@ -106,39 +108,46 @@ class UncertainObject:
             raise ValueError("extend_to must not precede the last observation")
         self._adapted: AdaptedModel | None = None
         self._diamonds: list[Diamond] | None = None
-        # Derived state of the predecessor this object replaced, consulted
-        # (and released) by the first derivation here.
-        self._donor: AdaptedModel | None = None
+        # Records of segments these fixes bound, derived under ``chain``,
+        # consulted (and released) by the first adaptation here.
+        self._donor: Records | None = Records(chain, tuple(records)) if records else None
         self._diamond_donor: list[Diamond] = []
 
-    def with_observation(self, time: int, state: int) -> "UncertainObject":
+    def with_observation(
+        self, time: int, state: int, records: Sequence[Segment] = ()
+    ) -> "UncertainObject":
         """The successor object holding one more fix.
 
         Observations are certain, so every inter-observation segment's
         derived state — ``F(t)``, marginals, compiled layers, diamonds and
         their MBRs — is a pure function of its two bounding fixes and the
-        chain.  The successor therefore inherits this object's adapted
-        model and diamonds as donors and re-derives only the segments the
-        fix splits, appends or prepends (and a superseded ``extend_to``
-        cone); everything else is carried over byte-identically.  A
-        duplicate observation time raises.
+        chain.  The successor therefore inherits this object's diamonds and
+        the records (its model's, or those it carries) its fixes still
+        bound, plus ``records``, the segments the fix forms; only a
+        superseded ``extend_to`` cone is left to derive.  A duplicate
+        observation time raises.
         """
-        observations = ObservationSet(
-            list(self.observations) + [Observation(time, state)]
-        )
+        fix = Observation(time, state)
+        observations = ObservationSet(list(self.observations) + [fix])
         extend_to = self.extend_to
         if extend_to is not None and extend_to < observations.last.time:
             extend_to = None  # the new fix supersedes the extrapolation
+        donor = self._adapted or self._donor
+        if donor is not None and donor.chain is self.chain:
+            # The fix unbinds only the segment it splits, or the cone it lands in or past.
+            t = fix.time
+            kept = [
+                s for s in donor.segments if s.key[0] > t or (s.key[3] is not None and s.key[2] < t)
+            ]
+            records = kept + list(records)
         successor = UncertainObject(
             self.object_id,
             observations,
             self.chain,
             ground_truth=self.ground_truth,
             extend_to=extend_to,
+            records=records,
         )
-        # An object mutated again before it was ever adapted passes on the
-        # donor it received itself.
-        successor._donor = self._adapted or self._donor
         successor._diamond_donor = self._diamonds or self._diamond_donor
         return successor
 
@@ -244,8 +253,8 @@ class UncertainObject:
 def adapt_objects(objects: list[UncertainObject], native: bool = False) -> None:
     """Derive the a-posteriori models the given objects still lack, together.
 
-    One :func:`~repro.markov.adaptation.adapt_many` call: every segment any
-    of them has to derive runs in the same batched sweep (in the native
+    One :func:`~repro.markov.adaptation.adapt_many` call: every segment no
+    carried record covers runs in the same batched sweep (in the native
     tier with ``native``, which also compiles the stretches it derives).
     An object whose observations contradict its chain is left as it was —
     its own ``.adapted`` raises, on every access, exactly as it would have

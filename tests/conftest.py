@@ -114,8 +114,9 @@ def drift_db():
 
 @pytest.fixture
 def unchecked_reachability(monkeypatch):
-    """Switch off the ingest-time reachability check
-    (``TrajectoryDatabase.check_reachable``), so a contradicting fix lands
-    and what adaptation does with one — the defence behind the check — can
-    be tested."""
-    monkeypatch.setattr(TrajectoryDatabase, "check_reachable", lambda *args: None)
+    """Switch off the ingest-time derivation
+    (``TrajectoryDatabase.derive_or_refuse``): it derives and refuses
+    nothing, so a contradicting fix lands, every segment is left to the
+    stage, and what adaptation does with a contradiction — the defence
+    behind the check — can be tested."""
+    monkeypatch.setattr(TrajectoryDatabase, "derive_or_refuse", lambda *args: [])

@@ -32,6 +32,11 @@ class TestValidation:
         with pytest.raises(ValueError, match="sum to 1"):
             validate_stochastic(sparse.csr_matrix(np.array([[0.5, 0.4], [0.5, 0.5]])))
 
+    def test_bad_row_sum_prints_a_plain_float(self):
+        with pytest.raises(ValueError) as refused:
+            validate_stochastic(sparse.csr_matrix(np.array([[0.5, 0.5], [0.5, 0.4]])))
+        assert str(refused.value) == "rows must sum to 1; first offending state 1 sums to 0.9"
+
     def test_zero_row_rejected(self):
         with pytest.raises(ValueError, match="sum to 1"):
             validate_stochastic(

@@ -1,13 +1,16 @@
-"""One adaptation sweep per pooling site: the batched kernel on the tick path.
+"""One adaptation sweep per tick: the batched kernel on the tick path.
 
-The engine adapts lazily, where sampling needs a model — and the arena
-packing behind every draw hands all objects still to be derived to one
-``adapt_many`` call.  A monitor tick draws once, in its world pass (the
-dirty influencers and everything the due evaluations read), so on a
-fleet-shaped stream (one homogeneous chain, fixes at equal gaps) a tick
-runs the kernel once and the arena once, however many objects joined; a
-tick that needs no new model runs it not at all; and which objects
-happened to share a sweep never shows in the results.  A contradicting object is refused at ingest — even where
+Ingest derives every closed segment a batch forms, in one
+``derive_segments`` call, and the objects carry the records; the engine
+assembles models lazily, where sampling needs one — the arena packing
+behind every draw hands all objects still to be assembled to one
+``adapt_many`` call, which derives only what no record covers.  A monitor
+tick draws once, in its world pass (the dirty influencers and everything
+the due evaluations read), so on a fleet-shaped stream (one homogeneous
+chain, fixes at equal gaps) a tick runs the kernel once, at ingest, and the
+arena once, however many objects joined; the stage adapts nothing for
+objects nobody samples; and which segments or objects happened to share a
+sweep never shows in the results.  A contradicting object is refused at ingest — even where
 only a stored zero makes it contradict — and, with that check switched
 off, fails alone.
 """
@@ -100,6 +103,7 @@ class _Sweeps:
     def __init__(self, monkeypatch) -> None:
         self.sweeps: list[int] = []
         self.sites: list[int] = []
+        self.site_sweeps = 0  # sweeps run inside a pooling site
         many = trajectory_module.adapt_many
 
         def counted(sweep):  # the numpy kernel or the native one, whichever runs
@@ -112,15 +116,19 @@ class _Sweeps:
         def counted_site(requests, **kwargs):
             if requests:
                 self.sites.append(len(requests))
-            return many(requests, **kwargs)
+            before = len(self.sweeps)
+            try:
+                return many(requests, **kwargs)
+            finally:
+                self.site_sweeps += len(self.sweeps) - before
 
         for name in ("_sweep", "_native_sweep"):
             monkeypatch.setattr(adaptation, name, counted(getattr(adaptation, name)))
         monkeypatch.setattr(trajectory_module, "adapt_many", counted_site)
 
-    def take(self) -> tuple[list[int], list[int]]:
-        taken = self.sweeps, self.sites
-        self.sweeps, self.sites = [], []
+    def take(self) -> tuple[list[int], list[int], int]:
+        taken = self.sweeps, self.sites, self.site_sweeps
+        self.sweeps, self.sites, self.site_sweeps = [], [], 0
         return taken
 
 
@@ -133,8 +141,10 @@ def _payloads(report):
 
 class TestKernelPassesPerTick:
     def test_one_sweep_per_pooling_site_not_per_object(self, monkeypatch):
-        """The tick's world pass is its one pooling site: one sweep and one
-        arena draw per tick, whatever the due evaluations read."""
+        """Ingest derives the tick's new segments in one sweep, and the
+        tick's world pass is its one pooling site: one ``adapt_many`` call
+        that assembles every model from those records without a sweep of
+        its own, and one arena draw, whatever the due evaluations read."""
         monitor, batches = _fleet()
         counts = _Sweeps(monkeypatch)
         draws = []
@@ -151,9 +161,9 @@ class TestKernelPassesPerTick:
             assert kinds == {AddObject, AddObservation, RemoveObject} or now < FIX
             report = monitor.tick(events, now=now)
             assert len(report.reevaluated) == 6  # every window moved
-            sweeps, sites = counts.take()
-            # One chain, equal gaps: what the tick pooled is one group.
-            assert len(sweeps) == len(sites) == 1
+            sweeps, sites, site_sweeps = counts.take()
+            # One chain, equal gaps: what the tick derived is one group.
+            assert len(sweeps) == len(sites) == 1 and site_sweeps == 0
             assert sweeps[0] >= sites[0] >= 3
             pooled += sites[0] - 1
             assert len(draws) == 1 and draws[0] >= sites[0]
@@ -179,8 +189,15 @@ class TestKernelPassesPerTick:
         assert report.dirty == {"later", "earlier"}
         report = monitor.tick([AddObservation("later", now + 11, 3)], now=now)
         assert report.dirty == {"later"}
-        assert counts.take() == ([], [])
-        assert not monitor.engine.db.get("later").is_adapted()
+        # Ingest derives each new closed segment once (one sweep per batch,
+        # its records carried by the object); the stage, which samples
+        # neither object, adapts nothing.
+        assert counts.take() == ([2, 1], [], 0)
+        later = monitor.engine.db.get("later")
+        assert not later.is_adapted()
+        assert [seg.key for seg in later._donor.segments] == [
+            (now + 5, 3, now + 8, 3), (now + 8, 3, now + 11, 3)
+        ]
 
     def test_results_do_not_depend_on_who_shared_a_sweep(self, monkeypatch):
         monitor, batches = _fleet()
@@ -190,12 +207,19 @@ class TestKernelPassesPerTick:
             for obj in objects:
                 trajectory_module.adapt_objects([obj], **kwargs)
 
+        derive = TrajectoryDatabase.derive_or_refuse
+
+        def segment_by_segment(db, segments):
+            return [record for segment in segments for record in derive(db, [segment])]
+
         monkeypatch.setattr(evaluator_module, "adapt_objects", one_at_a_time)
+        monkeypatch.setattr(TrajectoryDatabase, "derive_or_refuse", segment_by_segment)
         counts = _Sweeps(monkeypatch)
         monitor, batches = _fleet()
         alone = [_payloads(monitor.tick(events, now=now)) for now, events in enumerate(batches)]
-        sweeps, sites = counts.take()
-        assert sites == [1] * len(sweeps) and len(sweeps) > 3 * HORIZON
+        sweeps, sites, _ = counts.take()
+        assert sweeps == [1] * len(sweeps) and len(sweeps) > 3 * HORIZON
+        assert sites == [1] * len(sites) and len(sites) > 3 * HORIZON
         assert alone == batched
 
 

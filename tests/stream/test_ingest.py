@@ -296,7 +296,9 @@ class TestErrorAttribution:
         good = [AddObservation("a", 2, 1), RemoveObject("b")]
         bad = [AddObservation("a", 2, 1), AddObservation("a", 2, 2)]
         v = db.version
-        assert stream.validate(good) is None
+        assert [[seg.key for seg in records] for records in stream.validate(good)] == [
+            [(0, 0, 2, 1), (2, 1, 4, 2)], []
+        ]
         with pytest.raises(ValueError, match="event 1"):
             stream.validate(bad)
         assert db.version == v and stream.events_applied == 0

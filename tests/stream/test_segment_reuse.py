@@ -170,24 +170,29 @@ def test_history_exercises_every_mutation_shape():
 # what an event costs
 # ----------------------------------------------------------------------
 class _Counts:
-    """Segments derived per layer: calls of the per-segment kernel, and
-    the segments handed to the batched compile pass and diamond walk."""
+    """Segments derived per layer: the keys handed to Algorithm 2's sweep
+    (numpy or C), the stretches laid out as tables (by the numpy compile
+    pass, or by the C sweep as it derives them) and the segments handed to
+    the batched diamond walk."""
 
     def __init__(self, monkeypatch) -> None:
         self.calls = {}
-        for owner, name, size in (
-            (adaptation, "_adapt_segment", None),
-            (compiled, "_compile_stretches", len),
-            (diamonds_module, "_walk", lambda chain, keys: len(keys)),
+        keys = lambda mats, n_states, keys: len(keys)  # noqa: E731
+        for owner, name, layer, size in (
+            (adaptation, "_sweep", "derived", keys),
+            (adaptation, "_native_sweep", "derived", keys),
+            (compiled, "_compile_stretches", "compiled", len),
+            (adaptation, "_cut_segment", "compiled", lambda *args: int(args[-1])),
+            (diamonds_module, "_walk", "_walk", lambda chain, keys: len(keys)),
         ):
-            self._wrap(monkeypatch, owner, name, size)
+            self._wrap(monkeypatch, owner, name, layer, size)
 
-    def _wrap(self, monkeypatch, owner, name, size) -> None:
+    def _wrap(self, monkeypatch, owner, name, layer, size) -> None:
         original = getattr(owner, name)
-        self.calls[name] = 0
+        self.calls[layer] = 0
 
         def counted(*args, **kwargs):
-            self.calls[name] += 1 if size is None else size(*args, **kwargs)
+            self.calls[layer] += size(*args, **kwargs)
             return original(*args, **kwargs)
 
         monkeypatch.setattr(owner, name, counted)
@@ -206,39 +211,32 @@ def _derive_everything(db, tree, object_id):
 
 def test_an_event_costs_the_segments_it_touches(monkeypatch):
     db = TrajectoryDatabase(make_line_space(8), make_drift_chain(8))
-    db.add_object("a", [(0, 0), (3, 1), (6, 2), (9, 3), (12, 4)])
     db.add_object("b", [(0, 1), (4, 2)])
     tree = USTTree(db)
+    # Ingest derives an event's segments (and on the native tier lays out
+    # their tables); the counts are taken once the object is fully derived,
+    # so they do not depend on the tier.
     counts = _Counts(monkeypatch)
+    db.add_object("a", [(0, 0), (3, 1), (6, 2), (9, 3), (12, 4)])
     _derive_everything(db, tree, "a")
-    assert counts.take() == {
-        "_adapt_segment": 4, "_compile_stretches": 4, "_walk": 0,
-    }
+    assert counts.take() == {"derived": 4, "compiled": 4, "_walk": 4}
 
     db.add_observation("a", 15, 5)  # head append: one new segment
     _derive_everything(db, tree, "a")
-    assert counts.take() == {
-        "_adapt_segment": 1, "_compile_stretches": 1, "_walk": 1,
-    }
+    assert counts.take() == {"derived": 1, "compiled": 1, "_walk": 1}
 
     db.add_observation("a", 7, 2)  # interior refinement: one segment becomes two
     _derive_everything(db, tree, "a")
-    assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretches": 2, "_walk": 2,
-    }
+    assert counts.take() == {"derived": 2, "compiled": 2, "_walk": 2}
 
     db.add_observation("a", -2, 0)  # a fix before the first one: one new segment
     _derive_everything(db, tree, "a")
-    assert counts.take() == {
-        "_adapt_segment": 1, "_compile_stretches": 1, "_walk": 1,
-    }
+    assert counts.take() == {"derived": 1, "compiled": 1, "_walk": 1}
     # Several fixes before the next derivation still cost one segment each.
     db.add_observation("a", 18, 6)
     db.add_observation("a", 21, 7)
     _derive_everything(db, tree, "a")
-    assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretches": 2, "_walk": 2,
-    }
+    assert counts.take() == {"derived": 2, "compiled": 2, "_walk": 2}
 
     # A re-added id starts from nothing: no donor survives a removal.
     db.remove_object("a")
@@ -246,9 +244,7 @@ def test_an_event_costs_the_segments_it_touches(monkeypatch):
     assert "a" not in tree and len(tree) == 1
     db.add_object("a", [(-2, 0), (0, 0), (3, 1)])
     _derive_everything(db, tree, "a")
-    assert counts.take() == {
-        "_adapt_segment": 2, "_compile_stretches": 2, "_walk": 2,
-    }
+    assert counts.take() == {"derived": 2, "compiled": 2, "_walk": 2}
 
 
 def test_reused_records_are_shared_not_copied():
@@ -360,10 +356,10 @@ class TestDonorBoundaries:
         donor = adapt_model(chain, pairs)
         counts = _Counts(monkeypatch)
         assert adapt_model(chain, pairs + [(10, 4)], donor=donor).segments[:2] == donor.segments
-        assert counts.take()["_adapt_segment"] == 1
+        assert counts.take()["derived"] == 1
         # Equal matrices, different chain object: nothing is carried over.
         rebuilt = adapt_model(twin_chain, pairs + [(10, 4)], donor=donor)
-        assert counts.take()["_adapt_segment"] == 3
+        assert counts.take()["derived"] == 3
         assert all(a is not b for a, b in zip(rebuilt.segments, donor.segments))
 
     def test_swapping_the_chain_drops_inherited_donors(self, monkeypatch):
@@ -376,7 +372,7 @@ class TestDonorBoundaries:
         counts = _Counts(monkeypatch)
         obj.adapted, obj.diamonds
         taken = counts.take()
-        assert (taken["_adapt_segment"], taken["_walk"]) == (2, 2)
+        assert (taken["derived"], taken["_walk"]) == (2, 2)
 
     def test_hand_assembled_model_offers_nothing(self, monkeypatch):
         import dataclasses
@@ -388,5 +384,5 @@ class TestDonorBoundaries:
         copy.chain = chain
         counts = _Counts(monkeypatch)
         adapt_model(chain, pairs, donor=copy)
-        assert counts.take()["_adapt_segment"] == 2
+        assert counts.take()["derived"] == 2
         same_compiled(copy.compiled, model.compiled, ("hand-assembled",))

@@ -49,8 +49,7 @@ class TestReachableStates:
 
 
     @pytest.mark.parametrize("backward", [False, True])
-    @pytest.mark.parametrize("positive", [False, True])
-    def test_labelled_walks_are_the_single_walks(self, backward, positive):
+    def test_labelled_walks_are_the_single_walks(self, backward):
         """Entries ``label * n + state`` advance several walks in one step;
         each label's states are that start's own walk, step for step."""
         from tests.conftest import make_random_world
@@ -58,11 +57,9 @@ class TestReachableStates:
         db, _ = make_random_world(seed=3, n_states=9)
         chain, n = db.chain, db.chain.n_states
         starts = [4, 0, 4, 8]
-        walked = reachable_states(
-            chain, n * np.arange(len(starts)) + starts, 5, 4, backward, positive
-        )
+        walked = reachable_states(chain, n * np.arange(len(starts)) + starts, 5, 4, backward)
         for label, start in enumerate(starts):
-            alone = reachable_states(chain, start, 5, 4, backward, positive)
+            alone = reachable_states(chain, start, 5, 4, backward)
             for step, states in zip(walked, alone):
                 mine = step[step // n == label] % n
                 assert np.array_equal(mine, states), (label, step)
